@@ -1,6 +1,10 @@
 //! Parallel trial fan-out must be bit-identical to serial execution: the
 //! same `Report` for `--jobs 1` and `--jobs N`, because per-trial seeds
 //! derive from trial indices alone and results merge in input order.
+//!
+//! The serial report of every scenario compared here is also pinned to a
+//! committed hash, so a refactor is proven bit-identical *across commits*,
+//! not only across `--jobs` within one commit.
 
 use dynatune_repro::cluster::experiments::failover::{run_trials, FailoverConfig};
 use dynatune_repro::cluster::scenario::{catalog, Experiment, Report, RunCtx};
@@ -12,6 +16,66 @@ fn report_with_jobs(experiment: &dyn Experiment, jobs: usize) -> Report {
     RunCtx::new(1234).quick(true).jobs(jobs).run(experiment)
 }
 
+/// FNV-1a over the rendered report plus every artifact (name and CSV).
+fn report_hash(report: &Report) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |text: &str| {
+        // A terminator per field keeps ("ab", "c") distinct from ("a", "bc").
+        for b in text.bytes().chain([0xff]) {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    eat(&report.render());
+    for a in &report.artifacts {
+        eat(&a.filename);
+        eat(&a.csv);
+    }
+    h
+}
+
+/// Hashes of the serial reports at the seeds the tests below use. They
+/// cover every assembly path: single group (`fig4`), single group under the
+/// fault driver (`partition_churn`), single-group spares
+/// (`elastic_scaleout`), sharded (`sharded_throughput`), sharded spares plus
+/// the rebalancer (`shard_rebalance`) and the broker
+/// (`consumer_lag_failover`). A pin moves only when a change means to alter
+/// simulated behaviour; say so in CHANGES.md when it does. (The values
+/// depend on the platform's `libm` — they are pinned for the CI image.)
+const REPORT_PINS: &[(&str, u64)] = &[
+    ("broker_produce_throughput", 0x115d_c5e1_1252_cb52),
+    ("compaction_churn", 0x6169_5776_d86f_6639),
+    ("consumer_fanout", 0x3f84_b81c_e311_e64c),
+    ("consumer_lag_failover", 0xc59a_8c74_9466_3728),
+    ("elastic_scaleout", 0x3543_0fc5_e5d4_6592),
+    ("fig4", 0xcd21_cf62_a108_d722),
+    ("follower_read_offload", 0xff23_6d57_8af4_cf97),
+    ("hot_shard", 0x2157_7209_5486_b3d1),
+    ("lagging_follower_catchup", 0x54ea_c7b4_a183_0bb7),
+    ("lease_safety_partition", 0xfe8a_4fa4_7ad2_22b7),
+    ("membership_churn", 0x766d_65c2_575e_cdb6),
+    ("partition_churn", 0x7975_76c0_aa75_b4ba),
+    ("pipeline_depth", 0x8331_591f_1b46_15c7),
+    ("read_heavy_throughput", 0x85e8_0e88_9941_307f),
+    ("shard_leader_failover", 0x0838_18f2_2c71_3d6a),
+    ("shard_rebalance", 0x4d09_ee52_5a19_82f1),
+    ("sharded_throughput", 0xc435_bcbe_0099_30fb),
+];
+
+#[track_caller]
+fn assert_pinned(serial: &Report) {
+    let hash = report_hash(serial);
+    let pin = REPORT_PINS
+        .iter()
+        .find(|(name, _)| *name == serial.name)
+        .map(|&(_, pin)| pin);
+    assert_eq!(
+        Some(hash),
+        pin,
+        "{}: serial report hash {hash:#018x} differs from its pin",
+        serial.name
+    );
+}
+
 #[test]
 fn fig4_report_identical_serial_vs_parallel() {
     let mut ctx = RunCtx::new(77).quick(true);
@@ -19,6 +83,7 @@ fn fig4_report_identical_serial_vs_parallel() {
     let serial = ctx.clone().jobs(1).run(&catalog::Fig4Failover);
     let parallel = ctx.clone().jobs(4).run(&catalog::Fig4Failover);
     assert_eq!(serial, parallel, "fig4: --jobs must not change the report");
+    assert_pinned(&serial);
     // Equality must be meaningful: the report carries real content.
     assert!(!serial.tables.is_empty() && !serial.artifacts.is_empty());
     assert_eq!(serial.name, "fig4");
@@ -29,6 +94,7 @@ fn churn_report_identical_serial_vs_parallel() {
     let serial = report_with_jobs(&catalog::PartitionChurn, 1);
     let parallel = report_with_jobs(&catalog::PartitionChurn, 3);
     assert_eq!(serial, parallel);
+    assert_pinned(&serial);
 }
 
 #[test]
@@ -47,6 +113,7 @@ fn sharded_reports_identical_serial_vs_parallel() {
             "{}: --jobs must not change the report",
             serial.name
         );
+        assert_pinned(&serial);
         assert!(!serial.tables.is_empty());
     }
 }
@@ -67,6 +134,7 @@ fn compaction_reports_identical_serial_vs_parallel() {
             "{}: --jobs must not change the report",
             serial.name
         );
+        assert_pinned(&serial);
         assert!(!serial.tables.is_empty() && !serial.headlines.is_empty());
     }
 }
@@ -89,6 +157,7 @@ fn read_path_reports_identical_serial_vs_parallel() {
             "{}: --jobs must not change the report",
             serial.name
         );
+        assert_pinned(&serial);
         assert!(!serial.tables.is_empty() && !serial.headlines.is_empty());
     }
 }
@@ -104,6 +173,7 @@ fn pipeline_depth_report_identical_serial_vs_parallel() {
         serial, parallel,
         "pipeline_depth: --jobs must not change the report"
     );
+    assert_pinned(&serial);
     assert!(!serial.tables.is_empty() && !serial.headlines.is_empty());
 }
 
@@ -125,6 +195,7 @@ fn broker_reports_identical_serial_vs_parallel() {
             "{}: --jobs must not change the report",
             serial.name
         );
+        assert_pinned(&serial);
         assert!(!serial.tables.is_empty() && !serial.headlines.is_empty());
     }
 }
@@ -151,6 +222,7 @@ fn membership_reports_identical_serial_vs_parallel() {
             "{}: --jobs must not change the report",
             serial.name
         );
+        assert_pinned(&serial);
         assert!(!serial.tables.is_empty() && !serial.headlines.is_empty());
     }
 }
