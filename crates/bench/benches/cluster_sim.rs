@@ -1,5 +1,5 @@
 //! Meso-benchmarks: how fast full cluster-seconds simulate, per system.
-//! These are the budgets behind the figure binaries' wall-clock times.
+//! These are the budgets behind the `scenarios` runner's wall-clock times.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use dynatune_cluster::experiments::failover::{run_single_trial, FailoverConfig};

@@ -1,7 +1,7 @@
-//! Shared plumbing for the scenario runner and the per-figure wrapper
-//! binaries.
+//! Shared plumbing for the `scenarios` runner — the one entry point for
+//! every registered experiment (`scenarios --only fig4 --quick`).
 //!
-//! Every binary accepts:
+//! The binary accepts:
 //!
 //! * `--quick` — scaled-down run (fewer trials, shorter holds) for smoke
 //!   testing; the full defaults match the paper's §IV settings.
@@ -11,9 +11,9 @@
 //! * `--out DIR` — where to write CSV series (default `results/`).
 //! * `--seed N` — master seed (default 42).
 //!
-//! The `scenarios` binary additionally accepts `--list` (print the
-//! registry with each scenario's headline metric and CI assertion) and
-//! `--only PAT[,PAT...]` (run a subset). Each pattern selects by exact
+//! It additionally accepts `--list` (print the registry with each
+//! scenario's headline metric and CI assertion) and `--only PAT[,PAT...]`
+//! (run a subset). Each pattern selects by exact
 //! name first, else by substring — `--only broker` runs every scenario
 //! with "broker" in its name, `--only fig` every paper figure.
 //!
@@ -29,7 +29,7 @@ use std::path::{Path, PathBuf};
 
 pub use dynatune_cluster::scenario::{compare_row, reduction_pct};
 
-/// Parsed command-line options shared by every runner binary.
+/// Parsed command-line options of the `scenarios` runner.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunArgs {
     /// Scaled-down run.
@@ -314,26 +314,6 @@ pub fn run_and_emit(experiment: &dyn Experiment, args: &RunArgs) -> Report {
         write_csv(&args.out, &artifact.filename, &artifact.csv);
     }
     report
-}
-
-/// Entry point for the thin per-figure wrapper binaries: parse args, look
-/// the experiment up in the registry, run it. Registry-selection flags
-/// (`--list`, `--only`) only make sense on the `scenarios` runner and are
-/// rejected here rather than silently ignored. Exits nonzero when the
-/// name is missing from the registry (a bug, not a user error).
-pub fn fig_main(name: &str) {
-    let args = RunArgs::parse();
-    if args.list || args.json || args.describe_md || !args.only.is_empty() {
-        eprintln!(
-            "error: --list/--json/--describe-md/--only work on the registry; use the `scenarios` binary"
-        );
-        std::process::exit(2);
-    }
-    let Some(experiment) = dynatune_cluster::scenario::find(name) else {
-        eprintln!("error: experiment {name:?} is not registered");
-        std::process::exit(1);
-    };
-    run_and_emit(experiment.as_ref(), &args);
 }
 
 #[cfg(test)]

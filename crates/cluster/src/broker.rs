@@ -1,14 +1,14 @@
-//! Broker cluster assembly: the replicated topic/partition broker served
-//! by the generic cluster layer.
+//! The broker client: the replicated topic/partition broker served by the
+//! generic cluster layer.
 //!
-//! The KV side pairs [`ShardedClusterSim`](crate::sharded::ShardedClusterSim)
-//! with a [`ShardClient`](crate::shard_client::ShardClient); this module is
-//! the broker analogue. Topics are split into partitions, every partition
-//! is routed to one Raft group by [`shard_of_partition`] (the broker's
+//! The KV side hands the one [`ClusterSim`] a
+//! [`ShardClient`](crate::shard_client::ShardClient); this module is the
+//! broker analogue. Topics are split into partitions, every partition is
+//! routed to one Raft group by [`shard_of_partition`] (the broker's
 //! `ShardRouter`), and one [`BrokerClient`] host drives producers and
-//! consumer groups against the same [`ServerHost`] plumbing the KV app
-//! uses — produces replicate with origin dedupe, fetches ride the log-free
-//! read path.
+//! consumer groups against the same [`ServerHost`](crate::ServerHost)
+//! plumbing the KV app uses — produces replicate with origin dedupe,
+//! fetches ride the log-free read path.
 //!
 //! Client discipline, chosen for the exactly-once guarantee the
 //! `consumer_lag_failover` scenario asserts:
@@ -29,18 +29,14 @@
 //!   hard-asserts both counters stay zero.
 
 use crate::app::BrokerApp;
-use crate::cpu::CostModel;
 use crate::msg::ClusterMsg;
-use crate::server::{CompactionPolicy, ReadCounters, ReadStrategy, ServerHost};
+use crate::sim::{Client, ClusterSim};
 use bytes::Bytes;
 use dynatune_broker::{shard_of_partition, BrokerCommand, BrokerResponse, FetchResult, Record};
-use dynatune_core::{invariant_violated, TuningConfig};
+use dynatune_core::invariant_violated;
 use dynatune_kv::{ShardId, ShardMap};
-use dynatune_raft::{NodeId, RaftConfig, RaftEvent, Role, TimerQuantization};
-use dynatune_simnet::{
-    Channel, CongestionConfig, Host, HostCtx, LinkSchedule, NetParams, Network, Rng, SimTime,
-    Topology, World,
-};
+use dynatune_raft::NodeId;
+use dynatune_simnet::{Channel, HostCtx, SimTime};
 use dynatune_stats::OnlineStats;
 use std::collections::{BTreeMap, VecDeque};
 use std::time::Duration;
@@ -698,10 +694,12 @@ impl BrokerClient {
         }
         self.resend(ctx, req_id, target);
     }
+}
 
+impl Client<BrokerApp> for BrokerClient {
     /// Generate due arrivals, flush due batches, poll due consumers and
     /// expire overdue requests.
-    pub fn handle_wake(&mut self, ctx: &mut HostCtx<'_, BrokerMsg>) {
+    fn handle_wake(&mut self, ctx: &mut HostCtx<'_, BrokerMsg>) {
         self.expire_timeouts(ctx);
         for pidx in 0..self.parts.len() {
             while let Some(at) = self.peek_arrival(pidx) {
@@ -733,12 +731,7 @@ impl BrokerClient {
     }
 
     /// Process a server response.
-    pub fn handle_message(
-        &mut self,
-        ctx: &mut HostCtx<'_, BrokerMsg>,
-        _from: NodeId,
-        msg: BrokerMsg,
-    ) {
+    fn handle_message(&mut self, ctx: &mut HostCtx<'_, BrokerMsg>, _from: NodeId, msg: BrokerMsg) {
         match msg {
             ClusterMsg::ClientResp { req_id, result } => self.on_response(ctx, req_id, result),
             ClusterMsg::ClientRedirect { req_id, hint, .. } => self.on_redirect(ctx, req_id, hint),
@@ -749,8 +742,7 @@ impl BrokerClient {
 
     /// Next arrival, batch flush, idle poll or timeout, whichever is
     /// sooner.
-    #[must_use]
-    pub fn wake_deadline(&self) -> Option<SimTime> {
+    fn wake_deadline(&self) -> Option<SimTime> {
         let arrival = (0..self.parts.len())
             .filter_map(|i| self.peek_arrival(i))
             .min();
@@ -766,277 +758,11 @@ impl BrokerClient {
     }
 }
 
-/// A node in a broker world: server or benchmark client.
-pub enum BrokerHost {
-    /// A Raft/broker server.
-    Server(Box<ServerHost<BrokerApp>>),
-    /// The producer/consumer benchmark client.
-    Client(Box<BrokerClient>),
-}
-
-impl Host for BrokerHost {
-    type Msg = BrokerMsg;
-
-    fn on_message(&mut self, ctx: &mut HostCtx<'_, BrokerMsg>, from: usize, msg: BrokerMsg) {
-        match self {
-            BrokerHost::Server(s) => s.handle_message(ctx, from, msg),
-            BrokerHost::Client(c) => c.handle_message(ctx, from, msg),
-        }
-    }
-
-    fn on_wake(&mut self, ctx: &mut HostCtx<'_, BrokerMsg>) {
-        match self {
-            BrokerHost::Server(s) => s.handle_wake(ctx),
-            BrokerHost::Client(c) => c.handle_wake(ctx),
-        }
-    }
-
-    fn next_wake(&self) -> Option<SimTime> {
-        match self {
-            BrokerHost::Server(s) => s.wake_deadline(),
-            BrokerHost::Client(c) => c.wake_deadline(),
-        }
-    }
-}
-
-/// Full description of one broker cluster run. Mirrors
-/// [`ShardedConfig`](crate::sharded::ShardedConfig) — same placement, net,
-/// cost and replication knobs — with the broker workload in place of the
-/// KV one.
-#[derive(Debug, Clone)]
-pub struct BrokerConfig {
-    /// Raft-group count and replicas per group (the placement).
-    pub map: ShardMap,
-    /// Tuning mode, applied to every group independently.
-    pub tuning: TuningConfig,
-    /// Server-to-server topology over all `map.n_servers()` hosts.
-    pub topology: Topology,
-    /// Congestion-burst model applied per egress.
-    pub congestion: CongestionConfig,
-    /// Election-timer quantization.
-    pub quantization: TimerQuantization,
-    /// Heartbeats over UDP (paper hybrid transport) or TCP.
-    pub udp_heartbeats: bool,
-    /// Pre-vote enabled.
-    pub pre_vote: bool,
-    /// Check-quorum enabled.
-    pub check_quorum: bool,
-    /// CPU cost model (per server).
-    pub cost: CostModel,
-    /// Log-compaction policy (threshold + retained tail).
-    pub compaction: CompactionPolicy,
-    /// How servers serve linearizable reads (log vs lease/ReadIndex).
-    pub read_strategy: ReadStrategy,
-    /// Followers answer forwarded reads locally (log-free strategies).
-    pub follower_reads: bool,
-    /// Max unacked appends in flight per follower (1 = ping-pong).
-    pub pipeline_window: usize,
-    /// Group-commit byte cap per leader.
-    pub max_batch_bytes: usize,
-    /// Group-commit latency cap per leader.
-    pub max_batch_delay: Duration,
-    /// Hard cap on entries carried by a single `AppendEntries`.
-    pub max_entries_per_append: usize,
-    /// Cores per server.
-    pub cores: usize,
-    /// Utilization sampling window.
-    pub cpu_window: Duration,
-    /// Master seed; all randomness derives from it.
-    pub seed: u64,
-    /// Optional producer/consumer workload.
-    pub workload: Option<BrokerWorkload>,
-    /// Network parameters of client↔server links.
-    pub client_link: NetParams,
-}
-
-/// A running broker cluster.
-pub struct BrokerClusterSim {
-    world: World<BrokerHost>,
-    map: ShardMap,
-}
+/// A running broker cluster: the one [`ClusterSim`] serving the broker app
+/// to a [`BrokerClient`].
+pub type BrokerClusterSim = ClusterSim<BrokerApp, BrokerClient>;
 
 impl BrokerClusterSim {
-    /// Build the broker cluster. The assembly (seed streams, topology
-    /// extension, per-node configs) matches the sharded KV sim exactly, so
-    /// broker scenarios inherit its determinism story.
-    ///
-    /// # Panics
-    /// Panics when the topology size does not match `map.n_servers()`.
-    #[must_use]
-    pub fn new(config: &BrokerConfig) -> Self {
-        let map = config.map;
-        let n_servers = map.n_servers();
-        assert_eq!(
-            config.topology.len(),
-            n_servers,
-            "topology must cover exactly the servers"
-        );
-        let master = Rng::new(config.seed);
-        let n_total = n_servers + usize::from(config.workload.is_some());
-        let topology = if config.workload.is_some() {
-            config
-                .topology
-                .extend_with(1, LinkSchedule::constant(config.client_link))
-        } else {
-            config.topology.clone()
-        };
-        let net = Network::new(n_total, &master.child(1), config.congestion, |f, t| {
-            topology.schedule(f, t)
-        });
-        let node_seed_root = master.child(2);
-        let mut hosts: Vec<BrokerHost> = Vec::with_capacity(n_total);
-        for shard in 0..map.shards() {
-            for replica in 0..map.replicas() {
-                let mut rc = RaftConfig::new(replica, map.replicas(), config.tuning);
-                rc.pre_vote = config.pre_vote;
-                rc.check_quorum = config.check_quorum;
-                rc.quantization = config.quantization;
-                rc.udp_heartbeats = config.udp_heartbeats;
-                rc.lease_reads = config.read_strategy == ReadStrategy::Lease;
-                rc.pipeline_window = config.pipeline_window;
-                rc.max_batch_bytes = config.max_batch_bytes;
-                rc.max_batch_delay = config.max_batch_delay;
-                rc.max_entries_per_append = config.max_entries_per_append;
-                let mut stream = node_seed_root.child(map.server(shard, replica) as u64);
-                rc.seed = stream.next_u64();
-                hosts.push(BrokerHost::Server(Box::new(
-                    ServerHost::new(rc, config.cost, config.cores, config.cpu_window)
-                        .with_peer_base(map.group_base(shard))
-                        .with_compaction(config.compaction)
-                        .with_reads(config.read_strategy, config.follower_reads),
-                )));
-            }
-        }
-        if let Some(wl) = &config.workload {
-            hosts.push(BrokerHost::Client(Box::new(BrokerClient::new(wl, map))));
-        }
-        Self {
-            world: World::new(hosts, net),
-            map,
-        }
-    }
-
-    /// Current simulated time.
-    #[must_use]
-    pub fn now(&self) -> SimTime {
-        self.world.now()
-    }
-
-    /// The replica placement.
-    #[must_use]
-    pub fn map(&self) -> ShardMap {
-        self.map
-    }
-
-    /// Number of Raft groups.
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.map.shards()
-    }
-
-    /// Number of server hosts (the client excluded).
-    #[must_use]
-    pub fn n_servers(&self) -> usize {
-        self.map.n_servers()
-    }
-
-    /// Advance the simulation to `deadline`.
-    pub fn run_until(&mut self, deadline: SimTime) {
-        self.world.run_until(deadline);
-    }
-
-    /// Advance by `delta`.
-    pub fn run_for(&mut self, delta: Duration) {
-        let target = self.world.now() + delta;
-        self.world.run_until(target);
-    }
-
-    fn server(&self, id: NodeId) -> &ServerHost<BrokerApp> {
-        match self.world.host(id) {
-            BrokerHost::Server(s) => s,
-            BrokerHost::Client(_) => invariant_violated!(
-                "host {id} is not a server — group bases map shards onto the \
-                 leading server slots"
-            ),
-        }
-    }
-
-    /// Run a closure against a server (by global host id).
-    pub fn with_server<T>(&self, id: NodeId, f: impl FnOnce(&ServerHost<BrokerApp>) -> T) -> T {
-        f(self.server(id))
-    }
-
-    /// The live leader of one group (global host id), if exactly one
-    /// exists at the group's highest leading term.
-    #[must_use]
-    pub fn leader_of(&self, shard: ShardId) -> Option<NodeId> {
-        let mut best: Option<(u64, NodeId)> = None;
-        for id in self.map.servers_of(shard) {
-            if self.world.is_paused(id) {
-                continue;
-            }
-            let node = self.server(id).node();
-            if node.role() == Role::Leader {
-                let term = node.term();
-                if best.is_none_or(|(t, _)| term > t) {
-                    best = Some((term, id));
-                }
-            }
-        }
-        best.map(|(_, id)| id)
-    }
-
-    /// Leaders of all groups, indexed by shard id.
-    #[must_use]
-    pub fn leaders(&self) -> Vec<Option<NodeId>> {
-        (0..self.map.shards()).map(|s| self.leader_of(s)).collect()
-    }
-
-    /// Pause a server (global host id).
-    pub fn pause(&mut self, id: NodeId) {
-        self.world.pause(id);
-    }
-
-    /// Resume a paused server.
-    pub fn resume(&mut self, id: NodeId) {
-        self.world.resume(id);
-    }
-
-    /// Crash a server: buffered traffic and volatile state dropped,
-    /// persistent log kept — the same sequence as the KV sims.
-    pub fn crash(&mut self, id: NodeId) {
-        self.world.clear_pause_buffer(id);
-        let now = self.world.now();
-        match self.world.host_mut(id) {
-            BrokerHost::Server(s) => s.crash_restart(now),
-            BrokerHost::Client(_) => invariant_violated!(
-                "host {id} is not a server — fault schedules only target server ids"
-            ),
-        }
-        self.world.reschedule_wake(id);
-    }
-
-    /// Recorded events of one group, with group-local node ids.
-    #[must_use]
-    pub fn shard_events(&self, shard: ShardId) -> Vec<(SimTime, NodeId, RaftEvent)> {
-        let base = self.map.group_base(shard);
-        let mut out = Vec::new();
-        for id in self.map.servers_of(shard) {
-            for &(t, e) in self.server(id).events() {
-                out.push((t, id - base, e));
-            }
-        }
-        out.sort_by_key(|&(t, id, _)| (t, id));
-        out
-    }
-
-    fn client(&self) -> Option<&BrokerClient> {
-        match self.world.host(self.world.len() - 1) {
-            BrokerHost::Client(c) => Some(c),
-            BrokerHost::Server(_) => None,
-        }
-    }
-
     /// Producer-side counters (`None` without a workload).
     #[must_use]
     pub fn stats(&self) -> Option<BrokerStats> {
@@ -1053,37 +779,6 @@ impl BrokerClusterSim {
     #[must_use]
     pub fn unacked_records(&self) -> u64 {
         self.client().map_or(0, BrokerClient::unacked_records)
-    }
-
-    /// Network counters (sent/delivered/dropped).
-    #[must_use]
-    pub fn net_counters(&self) -> dynatune_simnet::NetCounters {
-        self.world.counters()
-    }
-
-    /// Served-read counters aggregated over all servers (by path).
-    #[must_use]
-    pub fn read_counters(&self) -> ReadCounters {
-        (0..self.n_servers())
-            .map(|id| self.server(id).reads_served())
-            .fold(ReadCounters::default(), ReadCounters::merged)
-    }
-
-    /// Largest live log across all servers.
-    #[must_use]
-    pub fn max_log_len(&self) -> usize {
-        (0..self.n_servers())
-            .map(|id| self.server(id).log_len())
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Total `InstallSnapshot` transfers started across all servers.
-    #[must_use]
-    pub fn total_snapshots_sent(&self) -> u64 {
-        (0..self.n_servers())
-            .map(|id| self.server(id).snapshots_sent())
-            .sum()
     }
 }
 

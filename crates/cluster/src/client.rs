@@ -1,6 +1,8 @@
 //! Open-loop benchmark client host (§IV-B2 methodology).
 
+use crate::app::KvApp;
 use crate::msg::ClusterMsg;
+use crate::sim::Client;
 use bytes::Bytes;
 use dynatune_kv::{KvCommand, KvResponse, WorkloadGen};
 use dynatune_raft::NodeId;
@@ -247,9 +249,11 @@ impl ClientHost {
             self.arm_timeout(ctx.now, req_id);
         }
     }
+}
 
+impl Client<KvApp> for ClientHost {
     /// Send every arrival whose time has come and expire overdue requests.
-    pub fn handle_wake(&mut self, ctx: &mut HostCtx<'_, ClusterMsg>) {
+    fn handle_wake(&mut self, ctx: &mut HostCtx<'_, ClusterMsg>) {
         self.expire_timeouts(ctx);
         while let Some(at) = self.workload.peek_next() {
             if at > ctx.now {
@@ -283,7 +287,7 @@ impl ClientHost {
     }
 
     /// Process a server response.
-    pub fn handle_message(
+    fn handle_message(
         &mut self,
         ctx: &mut HostCtx<'_, ClusterMsg>,
         _from: NodeId,
@@ -343,8 +347,7 @@ impl ClientHost {
     }
 
     /// Next workload arrival or timeout check, whichever is sooner.
-    #[must_use]
-    pub fn wake_deadline(&self) -> Option<SimTime> {
+    fn wake_deadline(&self) -> Option<SimTime> {
         let arrival = self.workload.peek_next();
         let timeout = self.timeout_queue.front().map(|&(d, _)| d);
         match (arrival, timeout) {

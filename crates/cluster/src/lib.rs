@@ -1,15 +1,19 @@
 //! Simulation harness for the Dynatune reproduction.
 //!
-//! Assembles clusters of Raft/KV servers (plus optional open-loop clients)
+//! Assembles clusters of Raft servers (plus an optional benchmark client)
 //! on the `dynatune-simnet` fabric, injects the paper's failure modes
 //! (container pause, crash), observes elections and tuning state, models
 //! CPU cost, and implements every experiment of the paper's evaluation
 //! (§IV): see [`experiments`] for the measurement procedures and
 //! [`scenario`] for the declarative layer (builders, fault plans, the
-//! generic driver, and the registry of runnable experiments). The
-//! [`sharded`] module scales the single group out horizontally: N
-//! independent Raft groups (one per hash partition of the keyspace) in one
-//! world, served through a per-shard batching client.
+//! generic driver, and the registry of runnable experiments).
+//!
+//! There is one cluster: [`ClusterSim<A, C>`](ClusterSim), generic over the
+//! served [`App`] and the [`Client`] that drives it, described by one
+//! [`ClusterConfig`] whose [`ShardMap`](dynatune_kv::ShardMap) places N
+//! independent Raft groups in one world (a classic single group is
+//! `shards = 1`). The [`sharded`] and [`broker`] modules only add the
+//! getters of their clients ([`ShardClient`], [`BrokerClient`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,9 +33,7 @@ pub mod sharded;
 pub mod sim;
 
 pub use app::{App, BrokerApp, KvApp};
-pub use broker::{
-    BrokerClient, BrokerClusterSim, BrokerConfig, BrokerStats, BrokerWorkload, ConsumerStats,
-};
+pub use broker::{BrokerClient, BrokerClusterSim, BrokerStats, BrokerWorkload, ConsumerStats};
 pub use client::{ClientHost, OpRecord, StepRecord};
 pub use cpu::{CostModel, CpuMeter};
 pub use msg::ClusterMsg;
@@ -46,5 +48,5 @@ pub use scenario::{
 };
 pub use server::{CompactionPolicy, ReadCounters, ReadStrategy, ServerHost};
 pub use shard_client::{ShardClient, ShardStats};
-pub use sharded::{ShardedClusterSim, ShardedConfig};
-pub use sim::{ClusterConfig, ClusterHost, ClusterSim, WorkloadSpec};
+pub use sharded::ShardedClusterSim;
+pub use sim::{Client, ClusterConfig, ClusterHost, ClusterSim, WorkloadSpec};

@@ -56,7 +56,7 @@ pub enum RebalancePhase {
     Done,
 }
 
-/// Drives one replica move on a [`ShardedClusterSim`].
+/// Drives one replica move on a sharded cluster ([`ShardedClusterSim`]).
 pub struct Rebalancer {
     shard: ShardId,
     /// World id of the joining spare.

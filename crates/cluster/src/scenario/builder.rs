@@ -1,16 +1,20 @@
 //! Fluent scenario construction: [`NetPlan`] (the network as data) and
 //! [`ScenarioBuilder`] (typed assembly of a [`ClusterConfig`]).
 //!
-//! `ClusterConfig` has sixteen public fields; before this module every
-//! experiment built one with `ClusterConfig::stable(..)` and then mutated
-//! fields ad hoc. The builder composes topology, tuning, workload and
-//! network plans explicitly, and is the single construction path used by
-//! the experiment catalog, the figure binaries and the examples.
+//! One [`ClusterConfig`] describes every cluster shape — single group,
+//! sharded, with spares, KV or broker — and the builder resolves to it
+//! through exactly one [`ScenarioBuilder::build`]. The `build_*_sim`
+//! shortcuts differ only in which client they hand to the one
+//! [`ClusterSim`] constructor. The builder composes topology, tuning,
+//! workload and network plans explicitly, and is the single construction
+//! path used by the experiment catalog, the `scenarios` binary and the
+//! examples.
 
-use crate::broker::{BrokerClusterSim, BrokerConfig, BrokerWorkload};
+use crate::broker::{BrokerClient, BrokerClusterSim, BrokerWorkload};
 use crate::cpu::CostModel;
 use crate::server::{CompactionPolicy, ReadStrategy};
-use crate::sharded::{ShardedClusterSim, ShardedConfig};
+use crate::shard_client::ShardClient;
+use crate::sharded::ShardedClusterSim;
 use crate::sim::{ClusterConfig, ClusterSim, WorkloadSpec};
 use dynatune_core::TuningConfig;
 use dynatune_kv::ShardMap;
@@ -112,99 +116,59 @@ impl NetPlan {
 
 /// Typed, fluent construction of a [`ClusterConfig`].
 ///
-/// Defaults match `ClusterConfig::stable(n, tuning, 100ms, 0)`: etcd-style
-/// tick quantization, pre-vote and check-quorum on, UDP heartbeats, 4
-/// cores, 5 s CPU windows.
+/// Defaults are `ClusterConfig::stable(n, raft_default, 100ms, 0)` by
+/// construction: etcd-style tick quantization, pre-vote and check-quorum
+/// on, UDP heartbeats, 4 cores, 5 s CPU windows. The builder keeps the
+/// network as a [`NetPlan`] until [`Self::build`] knows the final host
+/// count (shards × replicas + spares).
 #[derive(Debug, Clone)]
 pub struct ScenarioBuilder {
-    n: usize,
-    shards: usize,
-    spares: usize,
-    shard_spares: Vec<usize>,
-    tuning: TuningConfig,
+    /// Every knob but the network; `topology`/`congestion` are resolved
+    /// from the plan at build time.
+    config: ClusterConfig,
     net: NetPlan,
     congestion: Option<CongestionConfig>,
-    quantization: TimerQuantization,
-    udp_heartbeats: bool,
-    pre_vote: bool,
-    check_quorum: bool,
-    suppress_heartbeats: bool,
-    consolidated_timer: bool,
-    cost: CostModel,
-    compaction: CompactionPolicy,
-    read_strategy: ReadStrategy,
-    follower_reads: bool,
-    pipeline_window: usize,
-    max_batch_bytes: usize,
-    max_batch_delay: Duration,
-    max_entries_per_append: usize,
-    cores: usize,
-    cpu_window: Duration,
-    seed: u64,
-    workload: Option<WorkloadSpec>,
-    client_link: NetParams,
 }
 
 impl ScenarioBuilder {
     /// Start a scenario with `n` servers on the stable 100 ms mesh.
     #[must_use]
     pub fn cluster(n: usize) -> Self {
+        let rtt = Duration::from_millis(100);
         Self {
-            n,
-            shards: 1,
-            spares: 0,
-            shard_spares: Vec::new(),
-            tuning: TuningConfig::raft_default(),
-            net: NetPlan::stable(Duration::from_millis(100)),
+            config: ClusterConfig::stable(n, TuningConfig::raft_default(), rtt, 0),
+            net: NetPlan::stable(rtt),
             congestion: None,
-            quantization: TimerQuantization::Tick,
-            udp_heartbeats: true,
-            pre_vote: true,
-            check_quorum: true,
-            suppress_heartbeats: false,
-            consolidated_timer: false,
-            cost: CostModel::default(),
-            compaction: CompactionPolicy::default(),
-            read_strategy: ReadStrategy::default(),
-            follower_reads: true,
-            pipeline_window: 4,
-            max_batch_bytes: 64 * 1024,
-            max_batch_delay: Duration::from_millis(1),
-            max_entries_per_append: 8192,
-            cores: 4,
-            cpu_window: Duration::from_secs(5),
-            seed: 0,
-            workload: None,
-            client_link: NetParams::lan(),
         }
     }
 
     /// Select the tuning mode (Raft / Raft-Low / Fix-K / Dynatune).
     #[must_use]
     pub fn tuning(mut self, tuning: TuningConfig) -> Self {
-        self.tuning = tuning;
+        self.config.tuning = tuning;
         self
     }
 
     /// The shard dimension: partition the keyspace across `shards`
     /// independent Raft groups of `n` replicas each (default 1 — the
-    /// classic single group). Resolved by [`Self::build_sharded`]; the net
-    /// plan then covers all `shards * n` servers.
+    /// classic single group). The net plan then covers all `shards * n`
+    /// servers; a sharded KV scenario instantiates via
+    /// [`Self::build_sharded_sim`].
     #[must_use]
     pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
+        self.config.map = ShardMap::new(shards, self.config.map.replicas());
         self
     }
 
-    /// Attach `spares` outsider servers to the single group: hosts on the
-    /// fabric from t=0 that belong to no quorum until a configuration
-    /// change admits them (elastic scale-out; see
+    /// Attach `spares` outsider servers to the single group (shard 0):
+    /// hosts on the fabric from t=0 that belong to no quorum until a
+    /// configuration change admits them (elastic scale-out; see
     /// [`ClusterSim::propose_conf_change`](crate::sim::ClusterSim::propose_conf_change)).
     /// The net plan must be uniform/custom — geo plans name one region per
     /// voter and cannot place spares.
     #[must_use]
     pub fn spares(mut self, spares: usize) -> Self {
-        self.spares = spares;
+        self.config.spares = vec![0; spares];
         self
     }
 
@@ -213,7 +177,7 @@ impl ScenarioBuilder {
     /// world ids after every mapped replica, in call order.
     #[must_use]
     pub fn spare_for_shard(mut self, shard: usize) -> Self {
-        self.shard_spares.push(shard);
+        self.config.spares.push(shard);
         self
     }
 
@@ -234,28 +198,28 @@ impl ScenarioBuilder {
     /// Election-timer quantization.
     #[must_use]
     pub fn quantization(mut self, quantization: TimerQuantization) -> Self {
-        self.quantization = quantization;
+        self.config.quantization = quantization;
         self
     }
 
     /// Heartbeats over UDP (paper hybrid transport) or TCP (ablation).
     #[must_use]
     pub fn udp_heartbeats(mut self, udp: bool) -> Self {
-        self.udp_heartbeats = udp;
+        self.config.udp_heartbeats = udp;
         self
     }
 
     /// Pre-vote on/off.
     #[must_use]
     pub fn pre_vote(mut self, pre_vote: bool) -> Self {
-        self.pre_vote = pre_vote;
+        self.config.pre_vote = pre_vote;
         self
     }
 
     /// Check-quorum on/off.
     #[must_use]
     pub fn check_quorum(mut self, check_quorum: bool) -> Self {
-        self.check_quorum = check_quorum;
+        self.config.check_quorum = check_quorum;
         self
     }
 
@@ -263,15 +227,15 @@ impl ScenarioBuilder {
     /// consolidated heartbeat timer.
     #[must_use]
     pub fn extensions(mut self, suppress: bool, consolidated: bool) -> Self {
-        self.suppress_heartbeats = suppress;
-        self.consolidated_timer = consolidated;
+        self.config.suppress_heartbeats = suppress;
+        self.config.consolidated_timer = consolidated;
         self
     }
 
     /// CPU cost model.
     #[must_use]
     pub fn cost(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
+        self.config.cost = cost;
         self
     }
 
@@ -280,7 +244,7 @@ impl ScenarioBuilder {
     /// catch-up at simulation-friendly write volumes.
     #[must_use]
     pub fn compaction(mut self, threshold: usize, tail: u64) -> Self {
-        self.compaction = CompactionPolicy { threshold, tail };
+        self.config.compaction = CompactionPolicy { threshold, tail };
         self
     }
 
@@ -288,7 +252,7 @@ impl ScenarioBuilder {
     /// or leader-lease reads with ReadIndex fallback (the default).
     #[must_use]
     pub fn reads(mut self, strategy: ReadStrategy) -> Self {
-        self.read_strategy = strategy;
+        self.config.read_strategy = strategy;
         self
     }
 
@@ -296,7 +260,7 @@ impl ScenarioBuilder {
     /// under any log-free read strategy).
     #[must_use]
     pub fn follower_reads(mut self, enabled: bool) -> Self {
-        self.follower_reads = enabled;
+        self.config.follower_reads = enabled;
         self
     }
 
@@ -304,7 +268,7 @@ impl ScenarioBuilder {
     /// the pre-pipelining ping-pong for ablations).
     #[must_use]
     pub fn pipeline_window(mut self, window: usize) -> Self {
-        self.pipeline_window = window;
+        self.config.pipeline_window = window;
         self
     }
 
@@ -313,8 +277,8 @@ impl ScenarioBuilder {
     /// whichever comes first.
     #[must_use]
     pub fn group_commit(mut self, bytes: usize, delay: Duration) -> Self {
-        self.max_batch_bytes = bytes;
-        self.max_batch_delay = delay;
+        self.config.max_batch_bytes = bytes;
+        self.config.max_batch_delay = delay;
         self
     }
 
@@ -322,181 +286,110 @@ impl ScenarioBuilder {
     /// it so replication stays RTT-bound and the pipeline depth shows.
     #[must_use]
     pub fn max_entries_per_append(mut self, cap: usize) -> Self {
-        self.max_entries_per_append = cap;
+        self.config.max_entries_per_append = cap;
         self
     }
 
     /// Cores per server (paper: 4 for Figs. 4–6, 2 for Fig. 7).
     #[must_use]
     pub fn cores(mut self, cores: usize) -> Self {
-        self.cores = cores;
+        self.config.cores = cores;
         self
     }
 
     /// Utilization sampling window.
     #[must_use]
     pub fn cpu_window(mut self, window: Duration) -> Self {
-        self.cpu_window = window;
+        self.config.cpu_window = window;
         self
     }
 
     /// Master seed; all randomness derives from it.
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.config.seed = seed;
         self
     }
 
-    /// Attach an open-loop client workload.
+    /// Attach an open-loop KV client workload.
     #[must_use]
     pub fn workload(mut self, spec: WorkloadSpec) -> Self {
-        self.workload = Some(spec);
+        self.config.workload = Some(spec);
         self
     }
 
     /// Network parameters of client↔server links.
     #[must_use]
     pub fn client_link(mut self, params: NetParams) -> Self {
-        self.client_link = params;
+        self.config.client_link = params;
         self
     }
 
-    /// Resolve into the flat [`ClusterConfig`].
+    /// Resolve into the [`ClusterConfig`]: the net plan becomes a topology
+    /// over every server (mapped replicas plus spares).
     ///
     /// # Panics
-    /// Panics when a shard dimension was set: a sharded scenario resolves
-    /// through [`Self::build_sharded`], not the single-group config.
+    /// Panics when the net plan cannot cover the servers.
     #[must_use]
     pub fn build(self) -> ClusterConfig {
-        assert_eq!(
-            self.shards, 1,
-            "a sharded builder resolves via build_sharded()"
-        );
-        assert!(
-            self.shard_spares.is_empty(),
-            "per-shard spares resolve via build_sharded()"
-        );
-        let congestion = self
+        let mut config = self.config;
+        config.topology = self.net.topology(config.n_servers());
+        config.congestion = self
             .congestion
             .unwrap_or_else(|| self.net.default_congestion());
-        ClusterConfig {
-            n: self.n,
-            spare_servers: self.spares,
-            tuning: self.tuning,
-            topology: self.net.topology(self.n + self.spares),
-            congestion,
-            quantization: self.quantization,
-            udp_heartbeats: self.udp_heartbeats,
-            pre_vote: self.pre_vote,
-            check_quorum: self.check_quorum,
-            suppress_heartbeats: self.suppress_heartbeats,
-            consolidated_timer: self.consolidated_timer,
-            cost: self.cost,
-            compaction: self.compaction,
-            read_strategy: self.read_strategy,
-            follower_reads: self.follower_reads,
-            pipeline_window: self.pipeline_window,
-            max_batch_bytes: self.max_batch_bytes,
-            max_batch_delay: self.max_batch_delay,
-            max_entries_per_append: self.max_entries_per_append,
-            cores: self.cores,
-            cpu_window: self.cpu_window,
-            seed: self.seed,
-            workload: self.workload,
-            client_link: self.client_link,
-        }
+        config
     }
 
-    /// Build and instantiate the cluster.
+    /// Build and instantiate a single-group KV cluster driven by a
+    /// [`ClientHost`](crate::client::ClientHost).
     #[must_use]
     pub fn build_sim(self) -> ClusterSim {
         ClusterSim::new(&self.build())
     }
 
-    /// Resolve into a [`ShardedConfig`]: `shards` independent groups of
-    /// `n` replicas each, the net plan resolved over all servers.
-    #[must_use]
-    pub fn build_sharded(self) -> ShardedConfig {
-        assert_eq!(self.spares, 0, "single-group spares resolve via build()");
-        let map = ShardMap::new(self.shards, self.n);
-        for &shard in &self.shard_spares {
-            assert!(shard < self.shards, "spare names a shard out of range");
-        }
-        let congestion = self
-            .congestion
-            .unwrap_or_else(|| self.net.default_congestion());
-        let n_hosts = map.n_servers() + self.shard_spares.len();
-        ShardedConfig {
-            map,
-            spares: self.shard_spares,
-            tuning: self.tuning,
-            topology: self.net.topology(n_hosts),
-            congestion,
-            quantization: self.quantization,
-            udp_heartbeats: self.udp_heartbeats,
-            pre_vote: self.pre_vote,
-            check_quorum: self.check_quorum,
-            cost: self.cost,
-            compaction: self.compaction,
-            read_strategy: self.read_strategy,
-            follower_reads: self.follower_reads,
-            read_fanout: false,
-            pipeline_window: self.pipeline_window,
-            max_batch_bytes: self.max_batch_bytes,
-            max_batch_delay: self.max_batch_delay,
-            max_entries_per_append: self.max_entries_per_append,
-            cores: self.cores,
-            cpu_window: self.cpu_window,
-            seed: self.seed,
-            workload: self.workload,
-            client_link: self.client_link,
-        }
-    }
-
-    /// Build and instantiate the sharded cluster.
+    /// Build and instantiate a sharded KV cluster: `shards` independent
+    /// groups of `n` replicas each, driven by a [`ShardClient`] that routes
+    /// and batches the workload per shard.
+    ///
+    /// # Panics
+    /// Panics when the workload asks for `record_trace`: a [`ShardClient`]
+    /// records no operation trace, so the knob would be silently vacuous.
     #[must_use]
     pub fn build_sharded_sim(self) -> ShardedClusterSim {
-        ShardedClusterSim::new(&self.build_sharded())
+        let config = self.build();
+        ClusterSim::with_client(&config, |rng| {
+            config.workload.as_ref().map(|spec| {
+                assert!(
+                    !spec.record_trace,
+                    "record_trace: a ShardClient records no operation trace"
+                );
+                ShardClient::new(spec.generator(rng), config.map)
+                    .with_request_timeout(spec.request_timeout)
+                    .with_read_fanout(spec.read_fanout)
+            })
+        })
     }
 
-    /// Resolve into a [`BrokerConfig`]: the same placement and replication
-    /// knobs as [`Self::build_sharded`], serving the broker app with
-    /// `workload` driving producers and consumer groups.
-    #[must_use]
-    pub fn build_broker(self, workload: BrokerWorkload) -> BrokerConfig {
-        let map = ShardMap::new(self.shards, self.n);
-        let congestion = self
-            .congestion
-            .unwrap_or_else(|| self.net.default_congestion());
-        BrokerConfig {
-            map,
-            tuning: self.tuning,
-            topology: self.net.topology(map.n_servers()),
-            congestion,
-            quantization: self.quantization,
-            udp_heartbeats: self.udp_heartbeats,
-            pre_vote: self.pre_vote,
-            check_quorum: self.check_quorum,
-            cost: self.cost,
-            compaction: self.compaction,
-            read_strategy: self.read_strategy,
-            follower_reads: self.follower_reads,
-            pipeline_window: self.pipeline_window,
-            max_batch_bytes: self.max_batch_bytes,
-            max_batch_delay: self.max_batch_delay,
-            max_entries_per_append: self.max_entries_per_append,
-            cores: self.cores,
-            cpu_window: self.cpu_window,
-            seed: self.seed,
-            workload: Some(workload),
-            client_link: self.client_link,
-        }
-    }
-
-    /// Build and instantiate the broker cluster.
+    /// Build and instantiate a broker cluster: the same placement and
+    /// replication knobs, serving the broker app with `workload` driving
+    /// producers and consumer groups through a [`BrokerClient`].
+    ///
+    /// # Panics
+    /// Panics when the builder carries a KV `.workload()` (the broker
+    /// client takes `workload` instead) or spares (the broker client has no
+    /// placement to repoint, so they would idle forever).
     #[must_use]
     pub fn build_broker_sim(self, workload: BrokerWorkload) -> BrokerClusterSim {
-        BrokerClusterSim::new(&self.build_broker(workload))
+        assert!(
+            self.config.workload.is_none(),
+            "workload: a broker cluster is driven by its BrokerWorkload, not a KV WorkloadSpec"
+        );
+        assert!(
+            self.config.spares.is_empty(),
+            "spares/spare_for_shard: a broker cluster cannot admit spare servers"
+        );
+        let config = self.build();
+        ClusterSim::with_client(&config, |_| Some(BrokerClient::new(&workload, config.map)))
     }
 }
 
@@ -513,7 +406,7 @@ mod tests {
             .build();
         let stable =
             ClusterConfig::stable(5, TuningConfig::dynatune(), Duration::from_millis(100), 7);
-        assert_eq!(built.n, stable.n);
+        assert_eq!(built.map, stable.map);
         assert_eq!(built.cores, stable.cores);
         assert_eq!(built.pre_vote, stable.pre_vote);
         assert_eq!(built.check_quorum, stable.check_quorum);
@@ -558,6 +451,63 @@ mod tests {
             cfg.topology.schedule(0, 2).params_at(SimTime::ZERO).rtt,
             Duration::from_millis(110)
         );
+    }
+
+    #[test]
+    fn extensions_reach_every_server_of_every_cluster_shape() {
+        fn on_every_server<A: crate::App, C: crate::Client<A>>(sim: &ClusterSim<A, C>) {
+            for id in 0..sim.n_servers() {
+                let (suppress, consolidated) = sim.with_server(id, |s| {
+                    let rc = s.node().config();
+                    (
+                        rc.suppress_heartbeats_when_replicating,
+                        rc.consolidated_heartbeat_timer,
+                    )
+                });
+                assert!(suppress && consolidated, "server {id} lost .extensions()");
+            }
+        }
+        let builder = ScenarioBuilder::cluster(3).extensions(true, true);
+        on_every_server(&builder.clone().spares(1).build_sim());
+        let sharded = builder.clone().shards(2).spare_for_shard(1);
+        on_every_server(&sharded.build_sharded_sim());
+        on_every_server(&builder.shards(2).build_broker_sim(broker_workload()));
+    }
+
+    fn broker_workload() -> BrokerWorkload {
+        BrokerWorkload::steady(vec![("t".to_string(), 2)], 100.0)
+    }
+
+    #[test]
+    #[should_panic(expected = "record_trace")]
+    fn sharded_cluster_rejects_a_recorded_trace() {
+        let spec = WorkloadSpec::steady(100.0, Duration::from_secs(1)).recording();
+        let _ = ScenarioBuilder::cluster(3)
+            .shards(2)
+            .workload(spec)
+            .build_sharded_sim();
+    }
+
+    #[test]
+    #[should_panic(expected = "spares/spare_for_shard")]
+    fn broker_cluster_rejects_spares() {
+        let _ = ScenarioBuilder::cluster(3)
+            .spares(1)
+            .build_broker_sim(broker_workload());
+    }
+
+    #[test]
+    #[should_panic(expected = "workload: a broker cluster")]
+    fn broker_cluster_rejects_a_kv_workload() {
+        let _ = ScenarioBuilder::cluster(3)
+            .workload(WorkloadSpec::steady(100.0, Duration::from_secs(1)))
+            .build_broker_sim(broker_workload());
+    }
+
+    #[test]
+    #[should_panic(expected = "a ClientHost addresses one group")]
+    fn single_group_sim_rejects_a_sharded_config() {
+        let _ = ScenarioBuilder::cluster(3).shards(2).build_sim();
     }
 
     #[test]

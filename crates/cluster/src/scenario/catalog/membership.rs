@@ -85,11 +85,11 @@ fn conf_step(sim: &mut ClusterSim, add: &[NodeId], remove: &[NodeId]) -> bool {
     // The proposal results below are advisory: `false` only means no live
     // leader at submit time, and the next poll re-observes and re-issues.
     if m.is_joint() {
-        sim.propose_conf_change(ConfChange::Finalize);
+        sim.propose_conf_change(0, ConfChange::Finalize);
         return false;
     }
     if let Some(&a) = add.iter().find(|&&a| !m.contains(a)) {
-        sim.propose_conf_change(ConfChange::AddLearner(a));
+        sim.propose_conf_change(0, ConfChange::AddLearner(a));
         return false;
     }
     // All joiners aboard as learners (or already voters): gate the joint
@@ -103,10 +103,13 @@ fn conf_step(sim: &mut ClusterSim, add: &[NodeId], remove: &[NodeId]) -> bool {
         })
     });
     if caught_up {
-        sim.propose_conf_change(ConfChange::Begin {
-            add: add.to_vec(),
-            remove: remove.to_vec(),
-        });
+        sim.propose_conf_change(
+            0,
+            ConfChange::Begin {
+                add: add.to_vec(),
+                remove: remove.to_vec(),
+            },
+        );
     }
     false
 }

@@ -3,8 +3,8 @@
 //!
 //! An experiment is a named, self-describing unit that turns a [`RunCtx`]
 //! (seed, scale, parallelism) into a [`Report`]. The registry
-//! (`scenario::registry`) enumerates them; the `scenarios` binary and the
-//! per-figure wrappers drive them.
+//! (`scenario::registry`) enumerates them; the `scenarios` binary drives
+//! them.
 
 use crate::scenario::report::Report;
 use dynatune_simnet::rng::splitmix64;

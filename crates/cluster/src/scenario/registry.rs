@@ -1,8 +1,8 @@
 //! The experiment registry: every runnable scenario, by name.
 //!
-//! `scenarios --list` prints this; `scenarios --only NAME` and the thin
-//! per-figure binaries look names up here. Adding a scenario means adding
-//! a [`catalog`] type and one line below.
+//! `scenarios --list` prints this; `scenarios --only NAME` looks names up
+//! here. Adding a scenario means adding a [`catalog`] type and one line
+//! below.
 
 use crate::scenario::catalog;
 use crate::scenario::experiment::Experiment;

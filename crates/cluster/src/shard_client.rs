@@ -9,7 +9,9 @@
 //! counters are cumulative, so experiments can snapshot them at any two
 //! instants and difference for a windowed throughput.
 
+use crate::app::KvApp;
 use crate::msg::ClusterMsg;
+use crate::sim::Client;
 use dynatune_kv::{KvCommand, ShardId, ShardMap, ShardRouter, WorkloadGen};
 use dynatune_raft::NodeId;
 use dynatune_simnet::{Channel, HostCtx, SimTime};
@@ -249,10 +251,12 @@ impl ShardClient {
             self.arm_timeout(ctx.now, req_id);
         }
     }
+}
 
+impl Client<KvApp> for ShardClient {
     /// Send every due arrival, coalesced into one batch per shard, and
     /// expire overdue requests.
-    pub fn handle_wake(&mut self, ctx: &mut HostCtx<'_, ClusterMsg>) {
+    fn handle_wake(&mut self, ctx: &mut HostCtx<'_, ClusterMsg>) {
         self.expire_timeouts(ctx);
         while let Some(at) = self.workload.peek_next() {
             if at > ctx.now {
@@ -305,7 +309,7 @@ impl ShardClient {
     }
 
     /// Process a server response.
-    pub fn handle_message(
+    fn handle_message(
         &mut self,
         ctx: &mut HostCtx<'_, ClusterMsg>,
         _from: NodeId,
@@ -364,8 +368,7 @@ impl ShardClient {
 
     /// Next workload arrival, batch flush or timeout check, whichever is
     /// sooner.
-    #[must_use]
-    pub fn wake_deadline(&self) -> Option<SimTime> {
+    fn wake_deadline(&self) -> Option<SimTime> {
         let arrival = self.workload.peek_next();
         let timeout = self.timeout_queue.front().map(|&(d, _)| d);
         [arrival, timeout, self.flush_at]

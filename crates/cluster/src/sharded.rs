@@ -1,436 +1,63 @@
-//! Multi-group (sharded) cluster assembly: N independent Raft groups and a
-//! shard-aware client inside one simulated [`World`].
+//! Multi-group (sharded) KV clusters: N independent Raft groups and a
+//! shard-aware client inside one simulated world.
 //!
-//! The single-group [`ClusterSim`](crate::sim::ClusterSim) funnels every
-//! write through one leader, so its throughput is capped by one machine's
-//! CPU no matter how many hosts the fabric models. [`ShardedClusterSim`]
-//! lifts that cap: the keyspace is hash-partitioned by a
-//! [`ShardRouter`](dynatune_kv::ShardRouter), each partition is replicated
-//! by its own Raft group (own leader, own tuner state, own election
-//! timers), and a [`ShardClient`] routes and batches requests per shard.
-//! Groups share nothing but the network fabric — a fault in one group's
-//! leader leaves the other groups' commit pipelines untouched, which the
-//! `shard_leader_failover` scenario measures.
+//! A single group funnels every write through one leader, so its
+//! throughput is capped by one machine's CPU no matter how many hosts the
+//! fabric models. Sharding lifts that cap: the keyspace is hash-partitioned
+//! by a [`ShardRouter`](dynatune_kv::ShardRouter), each partition is
+//! replicated by its own Raft group (own leader, own tuner state, own
+//! election timers), and a [`ShardClient`] routes and batches requests per
+//! shard. Groups share nothing but the network fabric — a fault in one
+//! group's leader leaves the other groups' commit pipelines untouched,
+//! which the `shard_leader_failover` scenario measures.
 //!
-//! Host layout (world ids): replicas of shard `g` occupy the contiguous
-//! block `[g·R, (g+1)·R)` per the [`ShardMap`]; the optional client is the
-//! last host. Raft node ids stay group-local (`0..R`); [`ServerHost`]
-//! translates via its peer base.
+//! The cluster itself is the one [`ClusterSim`] (see its module for the
+//! host layout); this module only adds what the [`ShardClient`] exposes.
 
-use crate::cpu::CostModel;
-use crate::server::{CompactionPolicy, ReadCounters, ReadStrategy, ServerHost};
+use crate::app::KvApp;
 use crate::shard_client::{ShardClient, ShardStats};
-use crate::sim::{ClusterHost, WorkloadSpec};
-use dynatune_core::{invariant_violated, TuningConfig, TuningSnapshot};
-use dynatune_kv::{ShardId, ShardMap, WorkloadGen};
-use dynatune_raft::{
-    ConfChange, Membership, NodeId, RaftConfig, RaftEvent, Role, TimerQuantization,
-};
-use dynatune_simnet::{
-    CongestionConfig, LinkSchedule, NetParams, Network, Rng, SimTime, Topology, World,
-};
-use std::time::Duration;
+use crate::sim::ClusterSim;
+use dynatune_kv::ShardId;
+use dynatune_raft::NodeId;
 
-/// Full description of one sharded cluster run.
-#[derive(Debug, Clone)]
-pub struct ShardedConfig {
-    /// Shard count and replicas per shard (the genesis placement).
-    pub map: ShardMap,
-    /// Spare outsider servers, one entry per spare naming the shard it can
-    /// join. Spare `k` occupies world id `map.n_servers() + k`, speaks its
-    /// shard's group-local protocol, and belongs to no quorum until a
-    /// configuration change admits it. The topology must cover
-    /// `map.n_servers() + spares.len()` hosts.
-    pub spares: Vec<ShardId>,
-    /// Tuning mode, applied to every group independently.
-    pub tuning: TuningConfig,
-    /// Server-to-server topology over all `map.n_servers()` hosts.
-    pub topology: Topology,
-    /// Congestion-burst model applied per egress.
-    pub congestion: CongestionConfig,
-    /// Election-timer quantization.
-    pub quantization: TimerQuantization,
-    /// Heartbeats over UDP (paper hybrid transport) or TCP.
-    pub udp_heartbeats: bool,
-    /// Pre-vote enabled.
-    pub pre_vote: bool,
-    /// Check-quorum enabled.
-    pub check_quorum: bool,
-    /// CPU cost model (per server).
-    pub cost: CostModel,
-    /// Log-compaction policy (threshold + retained tail).
-    pub compaction: CompactionPolicy,
-    /// How servers serve linearizable reads (log vs lease/ReadIndex).
-    pub read_strategy: ReadStrategy,
-    /// Followers answer forwarded reads locally (log-free strategies).
-    pub follower_reads: bool,
-    /// Shard clients spread reads over each shard's replicas.
-    pub read_fanout: bool,
-    /// Max unacked appends in flight per follower (1 = ping-pong).
-    pub pipeline_window: usize,
-    /// Group-commit byte cap per leader.
-    pub max_batch_bytes: usize,
-    /// Group-commit latency cap per leader.
-    pub max_batch_delay: Duration,
-    /// Hard cap on entries carried by a single `AppendEntries`.
-    pub max_entries_per_append: usize,
-    /// Cores per server.
-    pub cores: usize,
-    /// Utilization sampling window.
-    pub cpu_window: Duration,
-    /// Master seed; all randomness derives from it.
-    pub seed: u64,
-    /// Optional client workload, routed and batched per shard.
-    pub workload: Option<WorkloadSpec>,
-    /// Network parameters of client↔server links.
-    pub client_link: NetParams,
-}
-
-/// A running sharded cluster.
-pub struct ShardedClusterSim {
-    world: World<ClusterHost>,
-    map: ShardMap,
-    /// Shard each spare host (world id `map.n_servers() + k`) belongs to.
-    spares: Vec<ShardId>,
-}
+/// A running sharded KV cluster: the one [`ClusterSim`] driven by a
+/// [`ShardClient`].
+pub type ShardedClusterSim = ClusterSim<KvApp, ShardClient>;
 
 impl ShardedClusterSim {
-    /// Build the sharded cluster.
-    ///
-    /// # Panics
-    /// Panics when the topology size does not match `map.n_servers()`.
-    #[must_use]
-    pub fn new(config: &ShardedConfig) -> Self {
-        let map = config.map;
-        let n_servers = map.n_servers() + config.spares.len();
-        assert_eq!(
-            config.topology.len(),
-            n_servers,
-            "topology must cover exactly the servers (mapped replicas + spares)"
-        );
-        let master = Rng::new(config.seed);
-        let n_total = n_servers + usize::from(config.workload.is_some());
-        let topology = if config.workload.is_some() {
-            config
-                .topology
-                .extend_with(1, LinkSchedule::constant(config.client_link))
-        } else {
-            config.topology.clone()
-        };
-        let net = Network::new(n_total, &master.child(1), config.congestion, |f, t| {
-            topology.schedule(f, t)
-        });
-        let node_seed_root = master.child(2);
-        let mut hosts: Vec<ClusterHost> = Vec::with_capacity(n_total);
-        for shard in 0..map.shards() {
-            for replica in 0..map.replicas() {
-                let mut rc = RaftConfig::new(replica, map.replicas(), config.tuning);
-                rc.pre_vote = config.pre_vote;
-                rc.check_quorum = config.check_quorum;
-                rc.quantization = config.quantization;
-                rc.udp_heartbeats = config.udp_heartbeats;
-                rc.lease_reads = config.read_strategy == ReadStrategy::Lease;
-                rc.pipeline_window = config.pipeline_window;
-                rc.max_batch_bytes = config.max_batch_bytes;
-                rc.max_batch_delay = config.max_batch_delay;
-                rc.max_entries_per_append = config.max_entries_per_append;
-                // Seed per world id, so every (shard, replica) pair gets an
-                // independent stream and runs stay deterministic.
-                let mut stream = node_seed_root.child(map.server(shard, replica) as u64);
-                rc.seed = stream.next_u64();
-                hosts.push(ClusterHost::Server(Box::new(
-                    ServerHost::new(rc, config.cost, config.cores, config.cpu_window)
-                        .with_peer_base(map.group_base(shard))
-                        .with_compaction(config.compaction)
-                        .with_reads(config.read_strategy, config.follower_reads),
-                )));
-            }
-        }
-        // Spare outsiders: same group-local protocol as their shard (the
-        // peer-base translation is pure addition, so a local id past the
-        // mapped replicas addresses a host outside the shard's block), no
-        // quorum membership until a conf change admits them.
-        for (k, &shard) in config.spares.iter().enumerate() {
-            let global = map.n_servers() + k;
-            let local = global - map.group_base(shard);
-            let mut rc =
-                RaftConfig::with_peers(local, (0..map.replicas()).collect(), config.tuning);
-            rc.pre_vote = config.pre_vote;
-            rc.check_quorum = config.check_quorum;
-            rc.quantization = config.quantization;
-            rc.udp_heartbeats = config.udp_heartbeats;
-            rc.lease_reads = config.read_strategy == ReadStrategy::Lease;
-            rc.pipeline_window = config.pipeline_window;
-            rc.max_batch_bytes = config.max_batch_bytes;
-            rc.max_batch_delay = config.max_batch_delay;
-            rc.max_entries_per_append = config.max_entries_per_append;
-            let mut stream = node_seed_root.child(global as u64);
-            rc.seed = stream.next_u64();
-            hosts.push(ClusterHost::Server(Box::new(
-                ServerHost::new(rc, config.cost, config.cores, config.cpu_window)
-                    .with_peer_base(map.group_base(shard))
-                    .with_compaction(config.compaction)
-                    .with_reads(config.read_strategy, config.follower_reads),
-            )));
-        }
-        if let Some(spec) = &config.workload {
-            let wl = WorkloadGen::new(
-                spec.steps.clone(),
-                spec.mix,
-                spec.key_space,
-                spec.zipf_theta,
-                spec.value_size,
-                master.child(3),
-                SimTime::ZERO + spec.start_offset,
-            );
-            hosts.push(ClusterHost::ShardClient(Box::new(
-                ShardClient::new(wl, map)
-                    .with_request_timeout(spec.request_timeout)
-                    .with_read_fanout(config.read_fanout || spec.read_fanout),
-            )));
-        }
-        Self {
-            world: World::new(hosts, net),
-            map,
-            spares: config.spares.clone(),
-        }
-    }
-
-    /// Current simulated time.
-    #[must_use]
-    pub fn now(&self) -> SimTime {
-        self.world.now()
-    }
-
-    /// The replica placement.
-    #[must_use]
-    pub fn map(&self) -> ShardMap {
-        self.map
-    }
-
-    /// Number of shards (Raft groups).
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.map.shards()
-    }
-
-    /// Number of server hosts, spares included (clients excluded).
-    #[must_use]
-    pub fn n_servers(&self) -> usize {
-        self.map.n_servers() + self.spares.len()
-    }
-
-    /// World ids of every server belonging to `shard`: the mapped replica
-    /// block plus any spares attached to the shard.
-    #[must_use]
-    pub fn members_of(&self, shard: ShardId) -> Vec<NodeId> {
-        let mut out: Vec<NodeId> = self.map.servers_of(shard).collect();
-        for (k, &s) in self.spares.iter().enumerate() {
-            if s == shard {
-                out.push(self.map.n_servers() + k);
-            }
-        }
-        out
-    }
-
-    /// Advance the simulation to `deadline`.
-    pub fn run_until(&mut self, deadline: SimTime) {
-        self.world.run_until(deadline);
-    }
-
-    /// Advance by `delta`.
-    pub fn run_for(&mut self, delta: Duration) {
-        let target = self.world.now() + delta;
-        self.world.run_until(target);
-    }
-
-    fn server(&self, id: NodeId) -> &ServerHost {
-        match self.world.host(id) {
-            ClusterHost::Server(s) => s,
-            _ => invariant_violated!(
-                "host {id} is not a server — shard topology maps groups onto \
-                 the leading server slots"
-            ),
-        }
-    }
-
-    /// Run a closure against a server (by global host id).
-    pub fn with_server<T>(&self, id: NodeId, f: impl FnOnce(&ServerHost) -> T) -> T {
-        f(self.server(id))
-    }
-
-    /// The live leader of one shard's group (global host id), if exactly
-    /// one exists at the group's highest leading term.
-    #[must_use]
-    pub fn leader_of(&self, shard: ShardId) -> Option<NodeId> {
-        let mut best: Option<(u64, NodeId)> = None;
-        for id in self.members_of(shard) {
-            if self.world.is_paused(id) {
-                continue;
-            }
-            let node = self.server(id).node();
-            if node.role() == Role::Leader {
-                let term = node.term();
-                if best.is_none_or(|(t, _)| term > t) {
-                    best = Some((term, id));
-                }
-            }
-        }
-        best.map(|(_, id)| id)
-    }
-
-    /// Leaders of all shards, indexed by shard id.
-    #[must_use]
-    pub fn leaders(&self) -> Vec<Option<NodeId>> {
-        (0..self.map.shards()).map(|s| self.leader_of(s)).collect()
-    }
-
-    /// Pause a server (global host id).
-    pub fn pause(&mut self, id: NodeId) {
-        self.world.pause(id);
-    }
-
-    /// Resume a paused server.
-    pub fn resume(&mut self, id: NodeId) {
-        self.world.resume(id);
-    }
-
-    /// Crash a server: volatile state lost, persistent log kept.
-    pub fn crash(&mut self, id: NodeId) {
-        crate::sim::crash_server(&mut self.world, id);
-    }
-
-    /// Recorded events of one shard's group, with *group-local* node ids —
-    /// the shape [`extract_failover`](crate::observers::extract_failover)
-    /// and the safety checks expect.
-    #[must_use]
-    pub fn shard_events(&self, shard: ShardId) -> Vec<(SimTime, NodeId, RaftEvent)> {
-        let base = self.map.group_base(shard);
-        let mut out = Vec::new();
-        for id in self.members_of(shard) {
-            for &(t, e) in self.server(id).events() {
-                out.push((t, id - base, e));
-            }
-        }
-        out.sort_by_key(|&(t, id, _)| (t, id));
-        out
-    }
-
-    /// Queue a configuration change on `shard`'s current leader (node ids
-    /// inside the change are group-local). Returns `false` when the shard
-    /// has no live leader; see
-    /// [`ClusterSim::propose_conf_change`](crate::sim::ClusterSim::propose_conf_change)
-    /// for the re-submission contract.
-    pub fn propose_conf_change(&mut self, shard: ShardId, change: ConfChange) -> bool {
-        let Some(leader) = self.leader_of(shard) else {
-            return false;
-        };
-        match self.world.host_mut(leader) {
-            ClusterHost::Server(s) => s.enqueue_conf_change(change),
-            _ => invariant_violated!("leader {leader} is not a server host"),
-        }
-        self.world.reschedule_wake(leader);
-        true
-    }
-
-    /// The membership one server currently acts under (global host id).
-    #[must_use]
-    pub fn membership(&self, id: NodeId) -> Membership {
-        self.server(id).node().membership().clone()
-    }
-
-    /// Conf changes dropped or rejected across all servers.
-    #[must_use]
-    pub fn conf_rejections(&self) -> u64 {
-        (0..self.n_servers())
-            .map(|id| self.server(id).conf_rejections())
-            .sum()
-    }
-
     /// Repoint the shard client's placement row for `shard`: replica `from`
     /// (world id) is replaced by `to`. Called by the rebalancer after the
     /// final configuration commits, so client traffic follows the data.
     /// No-op without a workload client.
     pub fn repoint_shard(&mut self, shard: ShardId, from: NodeId, to: NodeId) {
-        let last = self.world.len() - 1;
-        if let ClusterHost::ShardClient(c) = self.world.host_mut(last) {
+        if let Some(c) = self.client_mut() {
             c.repoint(shard, from, to);
         }
-    }
-
-    /// Tuning snapshot of one server (global host id).
-    #[must_use]
-    pub fn tuning_snapshot(&self, id: NodeId) -> TuningSnapshot {
-        self.server(id).node().tuning_snapshot()
     }
 
     /// Take (and reset) one shard's windowed latency histogram (µs) from
     /// the workload client (`None` without one). Take once to discard
     /// warm-up, again after the window of interest.
     pub fn take_latency_window(&mut self, shard: ShardId) -> Option<dynatune_stats::Histogram> {
-        let last = self.world.len() - 1;
-        match self.world.host_mut(last) {
-            ClusterHost::ShardClient(c) => Some(c.take_latency_window(shard)),
-            _ => None,
-        }
+        self.client_mut().map(|c| c.take_latency_window(shard))
     }
 
     /// Per-shard client counters (`None` without a workload).
     #[must_use]
     pub fn shard_stats(&self) -> Option<Vec<ShardStats>> {
-        match self.world.host(self.world.len() - 1) {
-            ClusterHost::ShardClient(c) => Some(c.shard_stats().to_vec()),
-            _ => None,
-        }
+        self.client().map(|c| c.shard_stats().to_vec())
     }
 
     /// Completed requests per shard (`None` without a workload).
     #[must_use]
     pub fn completed_per_shard(&self) -> Option<Vec<u64>> {
-        match self.world.host(self.world.len() - 1) {
-            ClusterHost::ShardClient(c) => Some(c.completed_per_shard()),
-            _ => None,
-        }
+        self.client().map(ShardClient::completed_per_shard)
     }
 
     /// Total completed requests across shards (0 without a workload).
     #[must_use]
     pub fn total_completed(&self) -> u64 {
-        match self.world.host(self.world.len() - 1) {
-            ClusterHost::ShardClient(c) => c.total_completed(),
-            _ => 0,
-        }
-    }
-
-    /// Network counters (sent/delivered/dropped).
-    #[must_use]
-    pub fn net_counters(&self) -> dynatune_simnet::NetCounters {
-        self.world.counters()
-    }
-
-    /// Largest live log across all servers (leader-memory bound).
-    #[must_use]
-    pub fn max_log_len(&self) -> usize {
-        (0..self.n_servers())
-            .map(|id| self.server(id).log_len())
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Total `InstallSnapshot` transfers started across all servers.
-    #[must_use]
-    pub fn total_snapshots_sent(&self) -> u64 {
-        (0..self.n_servers())
-            .map(|id| self.server(id).snapshots_sent())
-            .sum()
-    }
-
-    /// Served-read counters aggregated over all servers (by path).
-    #[must_use]
-    pub fn read_counters(&self) -> ReadCounters {
-        (0..self.n_servers())
-            .map(|id| self.server(id).reads_served())
-            .fold(ReadCounters::default(), ReadCounters::merged)
+        self.client().map_or(0, ShardClient::total_completed)
     }
 }
 
@@ -439,6 +66,10 @@ mod tests {
     use super::*;
     use crate::observers::election_safety_violations;
     use crate::scenario::builder::ScenarioBuilder;
+    use crate::sim::WorkloadSpec;
+    use dynatune_core::TuningConfig;
+    use dynatune_simnet::SimTime;
+    use std::time::Duration;
 
     fn sharded(shards: usize, seed: u64, rps: f64) -> ShardedClusterSim {
         let mut builder = ScenarioBuilder::cluster(3)

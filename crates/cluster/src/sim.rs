@@ -1,11 +1,23 @@
 //! Cluster assembly and simulation driver.
+//!
+//! One [`ClusterSim`] serves every deployment shape the repository models:
+//! it is generic over the served [`App`] (KV store or broker) and over the
+//! benchmark [`Client`] that shares the fabric with the servers, and it
+//! places servers by a [`ShardMap`] — a classic single Raft group is the
+//! map with one shard. One [`ClusterConfig`] describes any of them.
+//!
+//! Host layout (world ids): replicas of shard `g` occupy the contiguous
+//! block `[g·R, (g+1)·R)`, spares follow in declaration order, and the
+//! optional client is the last host. Raft node ids stay group-local
+//! (`0..R`, spares past `R`); [`ServerHost`] translates via its peer base.
 
+use crate::app::{App, KvApp};
 use crate::client::{ClientHost, OpRecord, StepRecord};
 use crate::cpu::CostModel;
 use crate::msg::ClusterMsg;
 use crate::server::{CompactionPolicy, ReadCounters, ReadStrategy, ServerHost};
 use dynatune_core::{invariant_violated, TuningConfig, TuningSnapshot};
-use dynatune_kv::{OpMix, RateStep, WorkloadGen};
+use dynatune_kv::{OpMix, RateStep, ShardId, ShardMap, WorkloadGen};
 use dynatune_raft::{
     ConfChange, Membership, NodeId, RaftConfig, RaftEvent, Role, TimerQuantization,
 };
@@ -91,22 +103,40 @@ impl WorkloadSpec {
         self.request_timeout = timeout;
         self
     }
+
+    /// The arrival generator this spec describes, drawing from `rng`.
+    #[must_use]
+    pub(crate) fn generator(&self, rng: Rng) -> WorkloadGen {
+        WorkloadGen::new(
+            self.steps.clone(),
+            self.mix,
+            self.key_space,
+            self.zipf_theta,
+            self.value_size,
+            rng,
+            SimTime::ZERO + self.start_offset,
+        )
+    }
 }
 
 /// Full description of one simulated cluster run.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
-    /// Number of genesis Raft voters.
-    pub n: usize,
-    /// Extra outsider servers beyond the genesis voters. Spares share the
-    /// fabric from t=0 but belong to no quorum and never campaign; they
-    /// join live through replicated configuration changes
-    /// ([`ClusterSim::propose_conf_change`]). The topology must cover
-    /// `n + spare_servers` hosts.
-    pub spare_servers: usize,
-    /// Tuning mode + parameters (selects Raft / Raft-Low / Fix-K / Dynatune).
+    /// Genesis placement: Raft-group count and voters per group. A classic
+    /// single group of `n` servers is `ShardMap::new(1, n)`.
+    pub map: ShardMap,
+    /// Spare outsider servers, one entry per spare naming the shard it can
+    /// join. Spare `k` occupies world id `map.n_servers() + k`, speaks its
+    /// shard's group-local protocol, shares the fabric from t=0, and
+    /// belongs to no quorum (never campaigns) until a replicated
+    /// configuration change admits it
+    /// ([`ClusterSim::propose_conf_change`]).
+    pub spares: Vec<ShardId>,
+    /// Tuning mode + parameters (selects Raft / Raft-Low / Fix-K /
+    /// Dynatune), applied to every group independently.
     pub tuning: TuningConfig,
-    /// Server-to-server network topology (must have exactly `n` nodes).
+    /// Server-to-server network topology; must cover exactly
+    /// [`Self::n_servers`] hosts.
     pub topology: Topology,
     /// Congestion-burst model applied per egress.
     pub congestion: CongestionConfig,
@@ -122,7 +152,7 @@ pub struct ClusterConfig {
     pub suppress_heartbeats: bool,
     /// §IV-E extension 2: single consolidated heartbeat timer.
     pub consolidated_timer: bool,
-    /// CPU cost model.
+    /// CPU cost model (per server).
     pub cost: CostModel,
     /// Log-compaction policy (threshold + retained tail).
     pub compaction: CompactionPolicy,
@@ -146,23 +176,23 @@ pub struct ClusterConfig {
     pub cpu_window: Duration,
     /// Master seed; all randomness derives from it.
     pub seed: u64,
-    /// Optional client workload (adds one client node to the fabric).
+    /// Optional KV client workload (adds one client node to the fabric).
     pub workload: Option<WorkloadSpec>,
     /// Network parameters of client↔server links.
     pub client_link: NetParams,
 }
 
 impl ClusterConfig {
-    /// A stable-network cluster matching the paper's §IV-A setup: `n`
-    /// servers, uniform RTT, no loss, 4 cores each.
+    /// A stable-network cluster matching the paper's §IV-A setup: one group
+    /// of `n` servers, uniform RTT, no loss, 4 cores each.
     #[must_use]
     pub fn stable(n: usize, tuning: TuningConfig, rtt: Duration, seed: u64) -> Self {
         // "Without intentionally introducing jitter" (§IV-B) — still a real
         // kernel/bridge, so a small residual jitter remains.
         let params = NetParams::clean(rtt).with_jitter(0.02);
         Self {
-            n,
-            spare_servers: 0,
+            map: ShardMap::new(1, n),
+            spares: Vec::new(),
             tuning,
             topology: Topology::uniform_constant(n, params),
             congestion: CongestionConfig::disabled(),
@@ -196,34 +226,86 @@ impl ClusterConfig {
         self.workload = Some(spec);
         self
     }
+
+    /// Number of server hosts: mapped replicas plus spares.
+    #[must_use]
+    pub fn n_servers(&self) -> usize {
+        self.map.n_servers() + self.spares.len()
+    }
+
+    /// The Raft configuration of the server with group-local id `local` —
+    /// the one fill used for voters and spares alike. A spare's local id
+    /// lies past the mapped replicas (the peer-base translation is pure
+    /// addition, so it addresses a host outside the shard's block), which
+    /// makes it an outsider of the genesis voter set until a conf change
+    /// admits it.
+    fn raft_config(&self, local: NodeId, seed: u64) -> RaftConfig {
+        let voters = (0..self.map.replicas()).collect();
+        let mut rc = RaftConfig::with_peers(local, voters, self.tuning);
+        rc.pre_vote = self.pre_vote;
+        rc.check_quorum = self.check_quorum;
+        rc.quantization = self.quantization;
+        rc.udp_heartbeats = self.udp_heartbeats;
+        rc.suppress_heartbeats_when_replicating = self.suppress_heartbeats;
+        rc.consolidated_heartbeat_timer = self.consolidated_timer;
+        // The lease fast path only when the strategy asks for it; under
+        // ReadIndex every read pays a confirmation round.
+        rc.lease_reads = self.read_strategy == ReadStrategy::Lease;
+        rc.pipeline_window = self.pipeline_window;
+        rc.max_batch_bytes = self.max_batch_bytes;
+        rc.max_batch_delay = self.max_batch_delay;
+        rc.max_entries_per_append = self.max_entries_per_append;
+        rc.seed = seed;
+        rc
+    }
+}
+
+/// A benchmark client living on the fabric beside the servers: the three
+/// calls the simulation kernel makes into it.
+pub trait Client<A: App> {
+    /// Process a server response.
+    fn handle_message(
+        &mut self,
+        ctx: &mut HostCtx<'_, ClusterMsg<A>>,
+        from: NodeId,
+        msg: ClusterMsg<A>,
+    );
+
+    /// The requested wake-up deadline has arrived.
+    fn handle_wake(&mut self, ctx: &mut HostCtx<'_, ClusterMsg<A>>);
+
+    /// Earliest instant at which the client wants `handle_wake` called.
+    #[must_use]
+    fn wake_deadline(&self) -> Option<SimTime>;
 }
 
 /// A node in the simulated world: server or benchmark client.
-pub enum ClusterHost {
-    /// A Raft/KV server.
-    Server(Box<ServerHost>),
-    /// An open-loop client.
-    Client(Box<ClientHost>),
-    /// A shard-aware open-loop client (multi-group worlds).
-    ShardClient(Box<crate::shard_client::ShardClient>),
+pub enum ClusterHost<A: App = KvApp, C = ClientHost> {
+    /// A Raft server of app `A`.
+    Server(Box<ServerHost<A>>),
+    /// The benchmark client.
+    Client(Box<C>),
 }
 
-impl Host for ClusterHost {
-    type Msg = ClusterMsg;
+impl<A: App, C: Client<A>> Host for ClusterHost<A, C> {
+    type Msg = ClusterMsg<A>;
 
-    fn on_message(&mut self, ctx: &mut HostCtx<'_, ClusterMsg>, from: usize, msg: ClusterMsg) {
+    fn on_message(
+        &mut self,
+        ctx: &mut HostCtx<'_, ClusterMsg<A>>,
+        from: usize,
+        msg: ClusterMsg<A>,
+    ) {
         match self {
             ClusterHost::Server(s) => s.handle_message(ctx, from, msg),
             ClusterHost::Client(c) => c.handle_message(ctx, from, msg),
-            ClusterHost::ShardClient(c) => c.handle_message(ctx, from, msg),
         }
     }
 
-    fn on_wake(&mut self, ctx: &mut HostCtx<'_, ClusterMsg>) {
+    fn on_wake(&mut self, ctx: &mut HostCtx<'_, ClusterMsg<A>>) {
         match self {
             ClusterHost::Server(s) => s.handle_wake(ctx),
             ClusterHost::Client(c) => c.handle_wake(ctx),
-            ClusterHost::ShardClient(c) => c.handle_wake(ctx),
         }
     }
 
@@ -231,108 +313,121 @@ impl Host for ClusterHost {
         match self {
             ClusterHost::Server(s) => s.wake_deadline(),
             ClusterHost::Client(c) => c.wake_deadline(),
-            ClusterHost::ShardClient(c) => c.wake_deadline(),
         }
     }
 }
 
-/// Crash-restart a server host inside a cluster world: buffered traffic
-/// and volatile state are dropped (in that order — the pause buffer must
-/// not replay into the restarted node), the persistent log survives, and
-/// the wake is rescheduled for the fresh election timer. Shared by the
-/// single-group and sharded sims so crash semantics cannot diverge.
-pub(crate) fn crash_server(world: &mut World<ClusterHost>, id: NodeId) {
-    world.clear_pause_buffer(id);
-    let now = world.now();
-    match world.host_mut(id) {
-        ClusterHost::Server(s) => s.crash_restart(now),
-        _ => invariant_violated!(
-            "host {id} is not a server — fault schedules only target server ids"
-        ),
-    }
-    world.reschedule_wake(id);
-}
-
-/// A running simulated cluster.
-pub struct ClusterSim {
-    world: World<ClusterHost>,
-    n_servers: usize,
+/// A running simulated cluster of app `A` driven by client `C`.
+pub struct ClusterSim<A: App = KvApp, C: Client<A> = ClientHost> {
+    world: World<ClusterHost<A, C>>,
+    map: ShardMap,
+    /// Shard each spare host (world id `map.n_servers() + k`) belongs to.
+    spares: Vec<ShardId>,
 }
 
 impl ClusterSim {
-    /// Build the cluster.
+    /// Build a single-group KV cluster; `config.workload` (if any) drives a
+    /// [`ClientHost`].
     ///
     /// # Panics
-    /// Panics when the topology size does not match `config.n`.
+    /// Panics when the topology size does not match the server count, or
+    /// when the config is sharded — a [`ClientHost`] addresses one group.
     #[must_use]
     pub fn new(config: &ClusterConfig) -> Self {
-        let n_servers = config.n + config.spare_servers;
+        assert_eq!(
+            config.map.shards(),
+            1,
+            "shards: a ClientHost addresses one group; a sharded config takes a \
+             ShardClient (build_sharded_sim())"
+        );
+        Self::with_client(config, |rng| {
+            config.workload.as_ref().map(|spec| {
+                let start = SimTime::ZERO + spec.start_offset;
+                ClientHost::new(spec.generator(rng), config.n_servers(), start)
+                    .with_request_timeout(spec.request_timeout)
+                    .with_read_fanout(spec.read_fanout)
+                    .with_trace(spec.record_trace)
+            })
+        })
+    }
+
+    /// Per-step records of the client (`None` without a workload).
+    #[must_use]
+    pub fn client_steps(&self) -> Option<Vec<StepRecord>> {
+        self.client().map(|c| c.steps().to_vec())
+    }
+
+    /// The client's recorded operation trace (`None` without a client;
+    /// empty unless the workload set `record_trace`).
+    #[must_use]
+    pub fn client_trace(&self) -> Option<Vec<OpRecord>> {
+        self.client().map(|c| c.trace().to_vec())
+    }
+}
+
+impl<A: App, C: Client<A>> ClusterSim<A, C> {
+    /// Assemble the cluster: every server in `config` plus the client
+    /// `make_client` returns (handed the workload's seed stream), if any.
+    /// All randomness derives from `config.seed`: stream 1 feeds the
+    /// network, stream 2 the per-server timers (one child per world id, so
+    /// every (shard, replica) pair is independent), stream 3 the workload.
+    ///
+    /// # Panics
+    /// Panics when the topology does not cover exactly the servers, or a
+    /// spare names a shard out of range.
+    #[must_use]
+    pub(crate) fn with_client(
+        config: &ClusterConfig,
+        make_client: impl FnOnce(Rng) -> Option<C>,
+    ) -> Self {
+        let map = config.map;
+        let n_servers = config.n_servers();
         assert_eq!(
             config.topology.len(),
             n_servers,
-            "topology must cover exactly the servers (voters + spares)"
+            "topology must cover exactly the servers (mapped replicas + spares)"
         );
         let master = Rng::new(config.seed);
-        let n_total = n_servers + usize::from(config.workload.is_some());
+        let client = make_client(master.child(3));
         // Extend the topology with the client node if needed.
-        let topology = if config.workload.is_some() {
+        let topology = if client.is_some() {
             config
                 .topology
                 .extend_with(1, LinkSchedule::constant(config.client_link))
         } else {
             config.topology.clone()
         };
+        let n_total = n_servers + usize::from(client.is_some());
         let net = Network::new(n_total, &master.child(1), config.congestion, |f, t| {
             topology.schedule(f, t)
         });
         let node_seed_root = master.child(2);
-        let mut hosts: Vec<ClusterHost> = (0..n_servers)
+        let mut hosts: Vec<ClusterHost<A, C>> = (0..n_servers)
             .map(|id| {
-                // Voters get the genesis membership; ids beyond it build
-                // outsider spares that idle until a conf change admits them.
-                let mut rc = RaftConfig::with_peers(id, (0..config.n).collect(), config.tuning);
-                rc.pre_vote = config.pre_vote;
-                rc.check_quorum = config.check_quorum;
-                rc.quantization = config.quantization;
-                rc.udp_heartbeats = config.udp_heartbeats;
-                rc.suppress_heartbeats_when_replicating = config.suppress_heartbeats;
-                rc.consolidated_heartbeat_timer = config.consolidated_timer;
-                // The lease fast path only when the strategy asks for it;
-                // under ReadIndex every read pays a confirmation round.
-                rc.lease_reads = config.read_strategy == ReadStrategy::Lease;
-                rc.pipeline_window = config.pipeline_window;
-                rc.max_batch_bytes = config.max_batch_bytes;
-                rc.max_batch_delay = config.max_batch_delay;
-                rc.max_entries_per_append = config.max_entries_per_append;
-                let mut stream = node_seed_root.child(id as u64);
-                rc.seed = stream.next_u64();
+                let shard = match map.shard_of_server(id) {
+                    Some(shard) => shard,
+                    None => config.spares[id - map.n_servers()],
+                };
+                let base = map.group_base(shard);
+                let seed = node_seed_root.child(id as u64).next_u64();
                 ClusterHost::Server(Box::new(
-                    ServerHost::new(rc, config.cost, config.cores, config.cpu_window)
-                        .with_compaction(config.compaction)
-                        .with_reads(config.read_strategy, config.follower_reads),
+                    ServerHost::new(
+                        config.raft_config(id - base, seed),
+                        config.cost,
+                        config.cores,
+                        config.cpu_window,
+                    )
+                    .with_peer_base(base)
+                    .with_compaction(config.compaction)
+                    .with_reads(config.read_strategy, config.follower_reads),
                 ))
             })
             .collect();
-        if let Some(spec) = &config.workload {
-            let wl = WorkloadGen::new(
-                spec.steps.clone(),
-                spec.mix,
-                spec.key_space,
-                spec.zipf_theta,
-                spec.value_size,
-                master.child(3),
-                SimTime::ZERO + spec.start_offset,
-            );
-            hosts.push(ClusterHost::Client(Box::new(
-                ClientHost::new(wl, n_servers, SimTime::ZERO + spec.start_offset)
-                    .with_request_timeout(spec.request_timeout)
-                    .with_read_fanout(spec.read_fanout)
-                    .with_trace(spec.record_trace),
-            )));
-        }
+        hosts.extend(client.map(|c| ClusterHost::Client(Box::new(c))));
         Self {
             world: World::new(hosts, net),
-            n_servers,
+            map,
+            spares: config.spares.clone(),
         }
     }
 
@@ -342,10 +437,39 @@ impl ClusterSim {
         self.world.now()
     }
 
-    /// Number of servers (clients excluded).
+    /// The genesis replica placement.
+    #[must_use]
+    pub fn map(&self) -> ShardMap {
+        self.map
+    }
+
+    /// Number of shards (Raft groups).
+    #[must_use]
+    pub fn shards(&self) -> usize {
+        self.map.shards()
+    }
+
+    /// Number of server hosts, spares included (clients excluded).
     #[must_use]
     pub fn n_servers(&self) -> usize {
-        self.n_servers
+        self.map.n_servers() + self.spares.len()
+    }
+
+    /// World ids of every server belonging to `shard`: the mapped replica
+    /// block plus any spares attached to the shard.
+    #[must_use]
+    pub fn members_of(&self, shard: ShardId) -> Vec<NodeId> {
+        self.members(shard).collect()
+    }
+
+    fn members(&self, shard: ShardId) -> impl Iterator<Item = NodeId> + '_ {
+        let first_spare = self.map.n_servers();
+        let spares = self.spares.iter().enumerate();
+        self.map.servers_of(shard).chain(
+            spares
+                .filter(move |&(_, &s)| s == shard)
+                .map(move |(k, _)| first_spare + k),
+        )
     }
 
     /// Advance the simulation to `deadline`.
@@ -359,35 +483,56 @@ impl ClusterSim {
         self.world.run_until(target);
     }
 
-    fn server(&self, id: NodeId) -> &ServerHost {
+    fn server(&self, id: NodeId) -> &ServerHost<A> {
         match self.world.host(id) {
             ClusterHost::Server(s) => s,
-            _ => invariant_violated!(
-                "node {id} is a client — server ids are the first n_servers slots"
+            ClusterHost::Client(_) => invariant_violated!(
+                "host {id} is the client — servers occupy the leading n_servers slots"
             ),
         }
     }
 
-    /// Run a closure against a server (observers).
-    pub fn with_server<T>(&self, id: NodeId, f: impl FnOnce(&ServerHost) -> T) -> T {
-        f(self.server(id))
+    fn servers(&self) -> impl Iterator<Item = &ServerHost<A>> {
+        (0..self.n_servers()).map(|id| self.server(id))
     }
 
-    /// Run a closure against the client host, if one exists.
-    #[must_use]
-    pub fn client_steps(&self) -> Option<Vec<StepRecord>> {
-        match self.world.host(self.world.len() - 1) {
-            ClusterHost::Client(c) => Some(c.steps().to_vec()),
-            _ => None,
+    fn server_mut(&mut self, id: NodeId) -> &mut ServerHost<A> {
+        match self.world.host_mut(id) {
+            ClusterHost::Server(s) => s,
+            ClusterHost::Client(_) => invariant_violated!(
+                "host {id} is the client — faults and conf changes only target server ids"
+            ),
         }
     }
 
-    /// The live leader (not paused), if exactly one exists at the highest
-    /// leading term.
+    /// The client host, if a workload attached one (always the last host).
+    pub(crate) fn client(&self) -> Option<&C> {
+        match self.world.host(self.world.len() - 1) {
+            ClusterHost::Client(c) => Some(c),
+            ClusterHost::Server(_) => None,
+        }
+    }
+
+    /// Mutable access to the client host, if any.
+    pub(crate) fn client_mut(&mut self) -> Option<&mut C> {
+        let last = self.world.len() - 1;
+        match self.world.host_mut(last) {
+            ClusterHost::Client(c) => Some(c),
+            ClusterHost::Server(_) => None,
+        }
+    }
+
+    /// Run a closure against a server (by world id).
+    pub fn with_server<T>(&self, id: NodeId, f: impl FnOnce(&ServerHost<A>) -> T) -> T {
+        f(self.server(id))
+    }
+
+    /// The live (not paused) leader of one shard's group, by world id, if
+    /// one exists: the leader at the group's highest leading term.
     #[must_use]
-    pub fn leader(&self) -> Option<NodeId> {
+    pub fn leader_of(&self, shard: ShardId) -> Option<NodeId> {
         let mut best: Option<(u64, NodeId)> = None;
-        for id in 0..self.n_servers {
+        for id in self.members(shard) {
             if self.world.is_paused(id) {
                 continue;
             }
@@ -400,6 +545,18 @@ impl ClusterSim {
             }
         }
         best.map(|(_, id)| id)
+    }
+
+    /// Leaders of all shards, indexed by shard id.
+    #[must_use]
+    pub fn leaders(&self) -> Vec<Option<NodeId>> {
+        (0..self.map.shards()).map(|s| self.leader_of(s)).collect()
+    }
+
+    /// Shard 0's live leader — *the* leader of a single-group cluster.
+    #[must_use]
+    pub fn leader(&self) -> Option<NodeId> {
+        self.leader_of(0)
     }
 
     /// Pause a server (the paper's container-sleep failure).
@@ -418,25 +575,28 @@ impl ClusterSim {
         self.world.is_paused(id)
     }
 
-    /// Crash a server: drops buffered traffic and volatile state; the node
-    /// rejoins as follower with its persistent log.
+    /// Crash-restart a server: buffered traffic and volatile state are
+    /// dropped (in that order — the pause buffer must not replay into the
+    /// restarted node), the persistent log survives, and the wake is
+    /// rescheduled for the fresh election timer.
     pub fn crash(&mut self, id: NodeId) {
-        crash_server(&mut self.world, id);
+        self.world.clear_pause_buffer(id);
+        let now = self.world.now();
+        self.server_mut(id).crash_restart(now);
+        self.world.reschedule_wake(id);
     }
 
-    /// Queue a configuration change on the current leader. Returns `false`
-    /// when no live leader exists (retry after the next election) — the
-    /// queued change may still be dropped if leadership moves before the
-    /// leader's next wake, so orchestrators re-submit until the membership
-    /// they observe reflects the change.
-    pub fn propose_conf_change(&mut self, change: ConfChange) -> bool {
-        let Some(leader) = self.leader() else {
+    /// Queue a configuration change on `shard`'s current leader (node ids
+    /// inside the change are group-local; a single group is shard 0).
+    /// Returns `false` when the shard has no live leader (retry after the
+    /// next election) — the queued change may still be dropped if
+    /// leadership moves before the leader's next wake, so orchestrators
+    /// re-submit until the membership they observe reflects the change.
+    pub fn propose_conf_change(&mut self, shard: ShardId, change: ConfChange) -> bool {
+        let Some(leader) = self.leader_of(shard) else {
             return false;
         };
-        match self.world.host_mut(leader) {
-            ClusterHost::Server(s) => s.enqueue_conf_change(change),
-            _ => invariant_violated!("leader {leader} is not a server host"),
-        }
+        self.server_mut(leader).enqueue_conf_change(change);
         self.world.reschedule_wake(leader);
         true
     }
@@ -452,29 +612,37 @@ impl ClusterSim {
     /// submissions the orchestrator had to re-issue).
     #[must_use]
     pub fn conf_rejections(&self) -> u64 {
-        (0..self.n_servers)
-            .map(|id| self.server(id).conf_rejections())
-            .sum()
+        self.servers().map(ServerHost::conf_rejections).sum()
     }
 
-    /// All recorded events, merged and sorted by time.
+    /// Recorded events of one shard's group, merged and sorted by time,
+    /// with *group-local* node ids — the shape
+    /// [`extract_failover`](crate::observers::extract_failover) and the
+    /// safety checks expect.
     #[must_use]
-    pub fn events(&self) -> Vec<(SimTime, NodeId, RaftEvent)> {
+    pub fn shard_events(&self, shard: ShardId) -> Vec<(SimTime, NodeId, RaftEvent)> {
+        let base = self.map.group_base(shard);
         let mut out = Vec::new();
-        for id in 0..self.n_servers {
+        for id in self.members(shard) {
             for &(t, e) in self.server(id).events() {
-                out.push((t, id, e));
+                out.push((t, id - base, e));
             }
         }
         out.sort_by_key(|&(t, id, _)| (t, id));
         out
     }
 
+    /// Shard 0's events — every event of a single-group cluster.
+    #[must_use]
+    pub fn events(&self) -> Vec<(SimTime, NodeId, RaftEvent)> {
+        self.shard_events(0)
+    }
+
     /// Randomized timeout of each live server (paused servers excluded →
     /// `None`), for the paper's Fig. 6 third-smallest metric.
     #[must_use]
     pub fn randomized_timeouts(&self) -> Vec<Option<Duration>> {
-        (0..self.n_servers)
+        (0..self.n_servers())
             .map(|id| {
                 (!self.world.is_paused(id)).then(|| self.server(id).node().randomized_timeout())
             })
@@ -487,15 +655,16 @@ impl ClusterSim {
         self.server(id).node().tuning_snapshot()
     }
 
-    /// Mean heartbeat interval the leader currently applies across its
-    /// followers (Fig. 7a metric). `None` when there is no leader.
+    /// Mean heartbeat interval shard 0's leader currently applies across
+    /// its followers (Fig. 7a metric). `None` when there is no leader.
     #[must_use]
     pub fn leader_mean_heartbeat_interval(&self) -> Option<Duration> {
         let leader = self.leader()?;
         let node = self.server(leader).node();
         let mut total = Duration::ZERO;
         let mut count = 0u32;
-        for id in 0..self.n_servers {
+        // Shard 0's group base is 0, so world ids are its local ids.
+        for id in self.members(0) {
             if id != leader {
                 if let Some(h) = node.pacer_interval(id) {
                     total += h;
@@ -529,36 +698,21 @@ impl ClusterSim {
     /// observable the compaction scenarios assert on.
     #[must_use]
     pub fn max_log_len(&self) -> usize {
-        (0..self.n_servers)
-            .map(|id| self.server(id).log_len())
-            .max()
-            .unwrap_or(0)
+        self.servers().map(ServerHost::log_len).max().unwrap_or(0)
     }
 
     /// Total `InstallSnapshot` transfers started across servers.
     #[must_use]
     pub fn total_snapshots_sent(&self) -> u64 {
-        (0..self.n_servers)
-            .map(|id| self.server(id).snapshots_sent())
-            .sum()
+        self.servers().map(ServerHost::snapshots_sent).sum()
     }
 
     /// Served-read counters aggregated over all servers (by path).
     #[must_use]
     pub fn read_counters(&self) -> ReadCounters {
-        (0..self.n_servers)
-            .map(|id| self.server(id).reads_served())
+        self.servers()
+            .map(ServerHost::reads_served)
             .fold(ReadCounters::default(), ReadCounters::merged)
-    }
-
-    /// The client's recorded operation trace (`None` without a client;
-    /// empty unless the workload set `record_trace`).
-    #[must_use]
-    pub fn client_trace(&self) -> Option<Vec<OpRecord>> {
-        match self.world.host(self.world.len() - 1) {
-            ClusterHost::Client(c) => Some(c.trace().to_vec()),
-            _ => None,
-        }
     }
 
     /// Partition the network: `group` forms one side, the rest the other.
@@ -573,7 +727,7 @@ impl ClusterSim {
     /// clients while a new leader is elected behind its back).
     pub fn partition_servers(&mut self, group: &[NodeId]) {
         self.world.partition(group);
-        for id in self.n_servers..self.world.len() {
+        for id in self.n_servers()..self.world.len() {
             self.world.exempt_from_partition(id);
         }
     }
@@ -676,7 +830,7 @@ mod tests {
             Duration::from_millis(50),
             9,
         );
-        cfg.spare_servers = 2;
+        cfg.spares = vec![0; 2];
         cfg.topology = Topology::uniform_constant(5, params);
         let mut sim = ClusterSim::new(&cfg);
         sim.run_until(SimTime::from_secs(10));
@@ -687,9 +841,9 @@ mod tests {
             assert!(!sim.membership(leader).contains(id));
         }
         // Learners first (one conf change may be uncommitted at a time)...
-        assert!(sim.propose_conf_change(ConfChange::AddLearner(3)));
+        assert!(sim.propose_conf_change(0, ConfChange::AddLearner(3)));
         sim.run_for(Duration::from_secs(3));
-        assert!(sim.propose_conf_change(ConfChange::AddLearner(4)));
+        assert!(sim.propose_conf_change(0, ConfChange::AddLearner(4)));
         sim.run_for(Duration::from_secs(3));
         let leader = sim.leader().expect("leader");
         let m = sim.membership(leader);
@@ -698,12 +852,15 @@ mod tests {
             "learners admitted: {m:?}"
         );
         // ...then promote both through one joint change.
-        assert!(sim.propose_conf_change(ConfChange::Begin {
-            add: vec![3, 4],
-            remove: vec![],
-        }));
+        assert!(sim.propose_conf_change(
+            0,
+            ConfChange::Begin {
+                add: vec![3, 4],
+                remove: vec![],
+            }
+        ));
         sim.run_for(Duration::from_secs(3));
-        assert!(sim.propose_conf_change(ConfChange::Finalize));
+        assert!(sim.propose_conf_change(0, ConfChange::Finalize));
         sim.run_for(Duration::from_secs(5));
         for id in 0..5 {
             let m = sim.membership(id);
