@@ -206,7 +206,7 @@ impl ClusterConfig {
             compaction: CompactionPolicy::default(),
             read_strategy: ReadStrategy::default(),
             follower_reads: true,
-            // Replication defaults mirror `RaftConfig::new` (etcd-style
+            // Replication defaults mirror `RaftConfig`'s own (etcd-style
             // pipelining on, generous batches).
             pipeline_window: 4,
             max_batch_bytes: 64 * 1024,
