@@ -35,7 +35,8 @@ fn report_hash(report: &Report) -> u64 {
 
 /// Hashes of the serial reports at the seeds the tests below use. They
 /// cover every assembly path: single group (`fig4`), single group under the
-/// fault driver (`partition_churn`), single-group spares
+/// fault driver (`partition_churn`), the KV client through a full
+/// offered-load ramp (`fig5`, `extensions`), single-group spares
 /// (`elastic_scaleout`), sharded (`sharded_throughput`), sharded spares plus
 /// the rebalancer (`shard_rebalance`) and the broker
 /// (`consumer_lag_failover`). A pin moves only when a change means to alter
@@ -47,7 +48,9 @@ const REPORT_PINS: &[(&str, u64)] = &[
     ("consumer_fanout", 0x3f84_b81c_e311_e64c),
     ("consumer_lag_failover", 0xc59a_8c74_9466_3728),
     ("elastic_scaleout", 0x3543_0fc5_e5d4_6592),
+    ("extensions", 0x094f_2058_ae37_339a),
     ("fig4", 0xcd21_cf62_a108_d722),
+    ("fig5", 0x1427_40a5_ed88_2210),
     ("follower_read_offload", 0xff23_6d57_8af4_cf97),
     ("hot_shard", 0x2157_7209_5486_b3d1),
     ("lagging_follower_catchup", 0x54ea_c7b4_a183_0bb7),
@@ -87,6 +90,34 @@ fn fig4_report_identical_serial_vs_parallel() {
     // Equality must be meaningful: the report carries real content.
     assert!(!serial.tables.is_empty() && !serial.artifacts.is_empty());
     assert_eq!(serial.name, "fig4");
+}
+
+/// The two registry scenarios that drive the KV client through a full
+/// offered-load ramp: per-step completion bucketing, saturation backlog,
+/// redirects and timeout retries all feed the peak-throughput and latency
+/// columns, which must be bit-identical at any pool width.
+fn assert_ramp_identical_and_pinned(experiment: &dyn Experiment) {
+    let mut ctx = RunCtx::new(1234).quick(true);
+    ctx.repeats = Some(1); // one ramp per variant keeps the check fast
+    let serial = ctx.clone().jobs(1).run(experiment);
+    let parallel = ctx.clone().jobs(4).run(experiment);
+    assert_eq!(
+        serial, parallel,
+        "{}: --jobs must not change the report",
+        serial.name
+    );
+    assert_pinned(&serial);
+    assert!(!serial.tables.is_empty());
+}
+
+#[test]
+fn fig5_report_identical_serial_vs_parallel() {
+    assert_ramp_identical_and_pinned(&catalog::Fig5Throughput);
+}
+
+#[test]
+fn extensions_report_identical_serial_vs_parallel() {
+    assert_ramp_identical_and_pinned(&catalog::Extensions);
 }
 
 #[test]
