@@ -2,8 +2,11 @@
 //! generic cluster layer.
 //!
 //! The KV side hands the one [`ClusterSim`] a
-//! [`ShardClient`](crate::shard_client::ShardClient); this module is the
-//! broker analogue. Topics are split into partitions, every partition is
+//! [`ClientHost`](crate::client::ClientHost); this module is the broker
+//! analogue. Both clients route through the same `RoutingTable` (placement
+//! rows, a leader guess per shard, in-row rotation and hint adoption); the
+//! retry policy differs on purpose — see the client discipline below.
+//! Topics are split into partitions, every partition is
 //! routed to one Raft group by [`shard_of_partition`] (the broker's
 //! `ShardRouter`), and one [`BrokerClient`] host drives producers and
 //! consumer groups against the same [`ServerHost`](crate::ServerHost)
@@ -29,6 +32,7 @@
 //!   hard-asserts both counters stay zero.
 
 use crate::app::BrokerApp;
+use crate::client::{genesis_rows, RoutingTable, DEFAULT_BATCH_WINDOW};
 use crate::msg::ClusterMsg;
 use crate::sim::{Client, ClusterSim};
 use bytes::Bytes;
@@ -257,10 +261,8 @@ struct Pending {
 /// The broker benchmark client: deterministic fixed-interval producers and
 /// closed-loop consumer groups over every partition, routed per shard.
 pub struct BrokerClient {
-    map: ShardMap,
+    routes: RoutingTable,
     parts: Vec<PartitionRef>,
-    /// Per-shard leader guess (global host id).
-    leader_guess: Vec<NodeId>,
     producers: Vec<ProducerState>,
     /// Indexed `group * parts.len() + pidx`.
     consumers: Vec<ConsumerState>,
@@ -268,7 +270,6 @@ pub struct BrokerClient {
     produce_until: Option<SimTime>,
     record_bytes: usize,
     batch_max: usize,
-    batch_window: Duration,
     fetch_max: usize,
     commit_every: u64,
     fanout_fetch: bool,
@@ -293,6 +294,7 @@ impl BrokerClient {
     pub fn new(workload: &BrokerWorkload, map: ShardMap) -> Self {
         workload.validate();
         let shards = map.shards();
+        let routes = RoutingTable::new(genesis_rows(map));
         let mut parts = Vec::new();
         for (topic, n) in &workload.topics {
             for p in 0..*n {
@@ -320,27 +322,26 @@ impl BrokerClient {
         let mut consumers = Vec::new();
         for g in 0..workload.groups {
             for (pidx, part) in parts.iter().enumerate() {
+                let row = routes.row(part.shard);
                 consumers.push(ConsumerState {
                     cursor: 0,
                     next_poll: start,
                     inflight: None,
                     commit_inflight: None,
                     since_commit: 0,
-                    fetch_target: map.group_base(part.shard) + (g + pidx) % map.replicas(),
+                    fetch_target: row[(g + pidx) % row.len()],
                 });
             }
         }
         Self {
-            map,
+            routes,
             parts,
-            leader_guess: (0..shards).map(|s| map.server(s, 0)).collect(),
             producers,
             consumers,
             interval,
             produce_until: workload.produce_for.map(|d| start + d),
             record_bytes: workload.record_bytes.max(8),
             batch_max: workload.batch_max,
-            batch_window: crate::shard_client::DEFAULT_BATCH_WINDOW,
             fetch_max: workload.fetch_max,
             commit_every: workload.commit_every,
             fanout_fetch: workload.fanout_fetch,
@@ -375,12 +376,6 @@ impl BrokerClient {
             .collect()
     }
 
-    /// Requests currently in flight.
-    #[must_use]
-    pub fn outstanding(&self) -> usize {
-        self.outstanding.len()
-    }
-
     /// Records generated but not yet acknowledged (pending + in flight).
     #[must_use]
     pub fn unacked_records(&self) -> u64 {
@@ -394,15 +389,6 @@ impl BrokerClient {
             Some(until) if at >= until => None,
             _ => Some(at),
         }
-    }
-
-    fn rotate_in_group(&self, shard: ShardId, current: NodeId) -> NodeId {
-        let base = self.map.group_base(shard);
-        base + (current - base + 1) % self.map.replicas()
-    }
-
-    fn rotate_guess(&mut self, shard: ShardId) {
-        self.leader_guess[shard] = self.rotate_in_group(shard, self.leader_guess[shard]);
     }
 
     /// Assign a fresh request id, register it and send the first attempt.
@@ -452,8 +438,9 @@ impl BrokerClient {
     /// unbounded by design: a produce abandoned after it may have committed
     /// is indistinguishable from loss, and the same `req_id` keeps the
     /// reply cache collapsing duplicates, so retrying until acked is what
-    /// makes delivery exactly-once.
-    fn retry(&mut self, ctx: &mut HostCtx<'_, BrokerMsg>, req_id: u64, rotated: &mut [bool]) {
+    /// makes delivery exactly-once. The caller opens the expiry wave
+    /// ([`RoutingTable::begin_wave`]) the retry belongs to.
+    fn retry(&mut self, ctx: &mut HostCtx<'_, BrokerMsg>, req_id: u64) {
         let Some(p) = self.outstanding.get(&req_id) else {
             return;
         };
@@ -461,19 +448,15 @@ impl BrokerClient {
         let kind = p.kind.clone();
         let target = match kind {
             ReqKind::Fetch { cidx } if self.fanout_fetch => {
-                let t = self.rotate_in_group(shard, self.consumers[cidx].fetch_target);
+                let t = self
+                    .routes
+                    .next_after(shard, self.consumers[cidx].fetch_target);
                 self.consumers[cidx].fetch_target = t;
                 t
             }
             _ => {
-                // Rotate the shared guess at most once per expiry wave, so
-                // several partitions of one shard don't skip past the
-                // actual leader together.
-                if !rotated[shard] {
-                    self.rotate_guess(shard);
-                    rotated[shard] = true;
-                }
-                self.leader_guess[shard]
+                self.routes.rotate_once_per_wave(shard);
+                self.routes.guess(shard)
             }
         };
         self.stats.retries += 1;
@@ -481,7 +464,7 @@ impl BrokerClient {
     }
 
     fn expire_timeouts(&mut self, ctx: &mut HostCtx<'_, BrokerMsg>) {
-        let mut rotated = vec![false; self.map.shards()];
+        self.routes.begin_wave();
         while let Some(&(deadline, req_id, attempt)) = self.timeout_queue.front() {
             if deadline > ctx.now {
                 break;
@@ -492,7 +475,7 @@ impl BrokerClient {
                 .get(&req_id)
                 .is_some_and(|p| p.attempt == attempt);
             if live {
-                self.retry(ctx, req_id, &mut rotated);
+                self.retry(ctx, req_id);
             }
         }
     }
@@ -513,7 +496,7 @@ impl BrokerClient {
             partition: part.partition,
             records,
         };
-        let target = self.leader_guess[part.shard];
+        let target = self.routes.guess(part.shard);
         self.stats.produce_batches += 1;
         let req_id = self.dispatch(
             ctx,
@@ -541,7 +524,7 @@ impl BrokerClient {
         let target = if self.fanout_fetch {
             self.consumers[cidx].fetch_target
         } else {
-            self.leader_guess[part.shard]
+            self.routes.guess(part.shard)
         };
         let req_id = self.dispatch(ctx, part.shard, target, cmd, ReqKind::Fetch { cidx });
         self.consumers[cidx].inflight = Some(req_id);
@@ -560,7 +543,7 @@ impl BrokerClient {
             partition: part.partition,
             offset: self.consumers[cidx].cursor,
         };
-        let target = self.leader_guess[part.shard];
+        let target = self.routes.guess(part.shard);
         let req_id = self.dispatch(ctx, part.shard, target, cmd, ReqKind::Commit { cidx });
         self.consumers[cidx].commit_inflight = Some(req_id);
         self.consumers[cidx].since_commit = 0;
@@ -635,9 +618,9 @@ impl BrokerClient {
         let born_at = p.born_at;
         let Some(resp) = result else {
             // The server failed the request (leadership change mid-flight):
-            // retry, same id.
-            let mut rotated = vec![false; self.map.shards()];
-            self.retry(ctx, req_id, &mut rotated);
+            // retry, same id. Each failure is its own one-request wave.
+            self.routes.begin_wave();
+            self.retry(ctx, req_id);
             return;
         };
         match (kind, resp) {
@@ -681,16 +664,12 @@ impl BrokerClient {
         let kind = p.kind.clone();
         let current = p.target;
         self.stats.redirects += 1;
-        let target = match hint {
-            // Hints are global host ids; trust only in-group ones.
-            Some(h) if self.map.shard_of_server(h) == Some(shard) => h,
-            _ => self.rotate_in_group(shard, current),
-        };
+        let target = self.routes.hint_or_next(shard, hint, current);
         match kind {
             ReqKind::Fetch { cidx } if self.fanout_fetch => {
                 self.consumers[cidx].fetch_target = target;
             }
-            _ => self.leader_guess[shard] = target,
+            _ => self.routes.set_guess(shard, target),
         }
         self.resend(ctx, req_id, target);
     }
@@ -714,7 +693,7 @@ impl Client<BrokerApp> for BrokerClient {
                 p.next_arrival = at + self.interval;
                 p.pending.push_back(Record::new(Bytes::new(), value));
                 if p.inflight.is_none() && p.flush_at.is_none() {
-                    p.flush_at = Some(at + self.batch_window);
+                    p.flush_at = Some(at + DEFAULT_BATCH_WINDOW);
                 }
                 self.stats.produced += 1;
             }

@@ -12,8 +12,10 @@
 //! served [`App`] and the [`Client`] that drives it, described by one
 //! [`ClusterConfig`] whose [`ShardMap`](dynatune_kv::ShardMap) places N
 //! independent Raft groups in one world (a classic single group is
-//! `shards = 1`). The [`sharded`] and [`broker`] modules only add the
-//! getters of their clients ([`ShardClient`], [`BrokerClient`]).
+//! `shards = 1`). There are two clients: the KV [`ClientHost`], which holds
+//! a placement row and a leader guess per shard, and the [`BrokerClient`],
+//! which keeps its own unbounded, attempt-tagged retry policy; both route
+//! through the one `RoutingTable` in [`client`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,13 +30,11 @@ pub mod observers;
 pub mod rebalance;
 pub mod scenario;
 pub mod server;
-pub mod shard_client;
-pub mod sharded;
 pub mod sim;
 
 pub use app::{App, BrokerApp, KvApp};
 pub use broker::{BrokerClient, BrokerClusterSim, BrokerStats, BrokerWorkload, ConsumerStats};
-pub use client::{ClientHost, OpRecord, StepRecord};
+pub use client::{ClientHost, OpRecord, ShardStats, StepRecord};
 pub use cpu::{CostModel, CpuMeter};
 pub use msg::ClusterMsg;
 pub use observers::{
@@ -47,6 +47,4 @@ pub use scenario::{
     RunCtx, ScenarioBuilder, ScenarioDriver, Target,
 };
 pub use server::{CompactionPolicy, ReadCounters, ReadStrategy, ServerHost};
-pub use shard_client::{ShardClient, ShardStats};
-pub use sharded::ShardedClusterSim;
 pub use sim::{Client, ClusterConfig, ClusterHost, ClusterSim, WorkloadSpec};

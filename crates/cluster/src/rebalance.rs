@@ -13,8 +13,8 @@
 //!    now require a majority of *both* voter sets.
 //! 4. **Finalize → AwaitFinal** — leave joint consensus; the retiring
 //!    replica is out of every quorum the moment `Finalize` is appended.
-//! 5. **Repoint** — rewrite the shard client's placement row so traffic
-//!    follows the data.
+//! 5. **Repoint** — rewrite the client's placement row for the shard so
+//!    traffic follows the data.
 //!
 //! The driver is a polling state machine advanced between simulation
 //! slices. Every phase transition is derived from *replicated* state (the
@@ -25,7 +25,7 @@
 //! this granularity because the Raft layer rejects duplicates
 //! (already-a-learner, change-in-flight) instead of double-applying them.
 
-use crate::sharded::ShardedClusterSim;
+use crate::sim::ClusterSim;
 use dynatune_kv::ShardId;
 use dynatune_raft::{ConfChange, NodeId};
 
@@ -50,13 +50,13 @@ pub enum RebalancePhase {
     Finalize,
     /// Final config appended; waiting for it to commit.
     AwaitFinal,
-    /// Flip the shard client's placement row.
+    /// Flip the client's placement row for the shard.
     Repoint,
     /// The move is complete.
     Done,
 }
 
-/// Drives one replica move on a sharded cluster ([`ShardedClusterSim`]).
+/// Drives one replica move on a sharded KV cluster.
 pub struct Rebalancer {
     shard: ShardId,
     /// World id of the joining spare.
@@ -76,7 +76,7 @@ impl Rebalancer {
     /// retires (a mapped replica's world id). Both must belong to the
     /// shard's group.
     #[must_use]
-    pub fn new(sim: &ShardedClusterSim, shard: ShardId, add: NodeId, remove: NodeId) -> Self {
+    pub fn new(sim: &ClusterSim, shard: ShardId, add: NodeId, remove: NodeId) -> Self {
         let members = sim.members_of(shard);
         assert!(
             members.contains(&add) && members.contains(&remove),
@@ -126,7 +126,7 @@ impl Rebalancer {
         self.remove
     }
 
-    fn propose(&mut self, sim: &mut ShardedClusterSim, change: ConfChange) -> bool {
+    fn propose(&mut self, sim: &mut ClusterSim, change: ConfChange) -> bool {
         let sent = sim.propose_conf_change(self.shard, change);
         if sent {
             self.proposals += 1;
@@ -137,7 +137,7 @@ impl Rebalancer {
     /// Advance the move by at most one action. Call between simulation
     /// slices (`run_for`); with no live leader the step is a no-op and the
     /// next call retries.
-    pub fn step(&mut self, sim: &mut ShardedClusterSim) {
+    pub fn step(&mut self, sim: &mut ClusterSim) {
         let Some(leader) = sim.leader_of(self.shard) else {
             return;
         };

@@ -3,18 +3,20 @@
 //!
 //! One [`ClusterConfig`] describes every cluster shape — single group,
 //! sharded, with spares, KV or broker — and the builder resolves to it
-//! through exactly one [`ScenarioBuilder::build`]. The `build_*_sim`
-//! shortcuts differ only in which client they hand to the one
-//! [`ClusterSim`] constructor. The builder composes topology, tuning,
+//! through exactly one [`ScenarioBuilder::build`]. The two KV shortcuts
+//! return the same [`ClusterSim`] and differ only in the placement rows and
+//! the sending discipline they hand its one KV client
+//! ([`ScenarioBuilder::build_sim`] / [`ScenarioBuilder::build_sharded_sim`]);
+//! the broker shortcut hands the one constructor a
+//! [`BrokerClient`] instead. The builder composes topology, tuning,
 //! workload and network plans explicitly, and is the single construction
 //! path used by the experiment catalog, the `scenarios` binary and the
 //! examples.
 
 use crate::broker::{BrokerClient, BrokerClusterSim, BrokerWorkload};
+use crate::client::{genesis_rows, DEFAULT_BATCH_WINDOW};
 use crate::cpu::CostModel;
 use crate::server::{CompactionPolicy, ReadStrategy};
-use crate::shard_client::ShardClient;
-use crate::sharded::ShardedClusterSim;
 use crate::sim::{ClusterConfig, ClusterSim, WorkloadSpec};
 use dynatune_core::TuningConfig;
 use dynatune_kv::ShardMap;
@@ -152,7 +154,7 @@ impl ScenarioBuilder {
     /// The shard dimension: partition the keyspace across `shards`
     /// independent Raft groups of `n` replicas each (default 1 — the
     /// classic single group). The net plan then covers all `shards * n`
-    /// servers; a sharded KV scenario instantiates via
+    /// servers; a batching sharded KV scenario instantiates via
     /// [`Self::build_sharded_sim`].
     #[must_use]
     pub fn shards(mut self, shards: usize) -> Self {
@@ -340,34 +342,25 @@ impl ScenarioBuilder {
         config
     }
 
-    /// Build and instantiate a single-group KV cluster driven by a
-    /// [`ClientHost`](crate::client::ClientHost).
+    /// Build and instantiate a KV cluster whose client routes over every
+    /// member of each shard (spares included) and sends each request as a
+    /// single `ClientReq` the moment it arrives — the classic single-group
+    /// shape, though any shard count builds.
     #[must_use]
     pub fn build_sim(self) -> ClusterSim {
         ClusterSim::new(&self.build())
     }
 
     /// Build and instantiate a sharded KV cluster: `shards` independent
-    /// groups of `n` replicas each, driven by a [`ShardClient`] that routes
-    /// and batches the workload per shard.
-    ///
-    /// # Panics
-    /// Panics when the workload asks for `record_trace`: a [`ShardClient`]
-    /// records no operation trace, so the knob would be silently vacuous.
+    /// groups of `n` replicas each. The same [`ClusterSim`] as
+    /// [`Self::build_sim`], but the client routes over the mapped replicas
+    /// only (spares enter a row when the rebalancer repoints it) and
+    /// coalesces arrivals into one `ClientBatch` per shard every 2 ms.
     #[must_use]
-    pub fn build_sharded_sim(self) -> ShardedClusterSim {
+    pub fn build_sharded_sim(self) -> ClusterSim {
         let config = self.build();
-        ClusterSim::with_client(&config, |rng| {
-            config.workload.as_ref().map(|spec| {
-                assert!(
-                    !spec.record_trace,
-                    "record_trace: a ShardClient records no operation trace"
-                );
-                ShardClient::new(spec.generator(rng), config.map)
-                    .with_request_timeout(spec.request_timeout)
-                    .with_read_fanout(spec.read_fanout)
-            })
-        })
+        let rows = genesis_rows(config.map);
+        ClusterSim::with_kv_client(&config, rows, Some(DEFAULT_BATCH_WINDOW))
     }
 
     /// Build and instantiate a broker cluster: the same placement and
@@ -396,6 +389,8 @@ impl ScenarioBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observers::stale_read_violations;
+    use dynatune_kv::OpMix;
     use dynatune_simnet::SimTime;
 
     #[test]
@@ -479,13 +474,36 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "record_trace")]
-    fn sharded_cluster_rejects_a_recorded_trace() {
-        let spec = WorkloadSpec::steady(100.0, Duration::from_secs(1)).recording();
-        let _ = ScenarioBuilder::cluster(3)
-            .shards(2)
-            .workload(spec)
-            .build_sharded_sim();
+    fn sharded_cluster_records_a_linearizable_trace_from_either_entry_point() {
+        // A 4x3 cluster builds from either KV entry point, and the trace
+        // covers every shard through a shard leader's outage.
+        for build in [
+            ScenarioBuilder::build_sim,
+            ScenarioBuilder::build_sharded_sim,
+        ] {
+            let spec = WorkloadSpec::steady(400.0, Duration::from_secs(12))
+                .starting_at(Duration::from_secs(3))
+                .mix(OpMix::read_mostly())
+                .recording();
+            let mut sim = build(
+                ScenarioBuilder::cluster(3)
+                    .shards(4)
+                    .net(NetPlan::stable(Duration::from_millis(20)))
+                    .seed(21)
+                    .workload(spec),
+            );
+            sim.run_until(SimTime::from_secs(7));
+            let victim = sim.leader_of(2).expect("shard 2 elects in the warm-up");
+            sim.pause(victim);
+            sim.run_until(SimTime::from_secs(16));
+            assert_ne!(sim.leader_of(2), Some(victim), "shard 2 fails over");
+            let trace = sim.client_trace().expect("client attached");
+            assert!(trace.len() > 2000, "recorded {} ops", trace.len());
+            assert!(trace.iter().any(|op| op.write) && trace.iter().any(|op| !op.write));
+            assert_eq!(stale_read_violations(&trace), 0);
+            let stats = sim.shard_stats().expect("client attached");
+            assert!(stats.iter().all(|s| s.completed > 0), "every shard serves");
+        }
     }
 
     #[test]
@@ -502,12 +520,6 @@ mod tests {
         let _ = ScenarioBuilder::cluster(3)
             .workload(WorkloadSpec::steady(100.0, Duration::from_secs(1)))
             .build_broker_sim(broker_workload());
-    }
-
-    #[test]
-    #[should_panic(expected = "a ClientHost addresses one group")]
-    fn single_group_sim_rejects_a_sharded_config() {
-        let _ = ScenarioBuilder::cluster(3).shards(2).build_sim();
     }
 
     #[test]

@@ -21,8 +21,7 @@ use super::wired;
 use crate::cpu::CostModel;
 use crate::observers::extract_failover;
 use crate::scenario::{Experiment, Report, RunCtx, ScenarioBuilder};
-use crate::sharded::ShardedClusterSim;
-use crate::sim::WorkloadSpec;
+use crate::sim::{ClusterSim, WorkloadSpec};
 use dynatune_core::TuningConfig;
 use dynatune_kv::{OpMix, RateStep};
 use dynatune_simnet::SimTime;
@@ -65,7 +64,7 @@ fn sharded_sim(
     tuning: TuningConfig,
     seed: u64,
     workload: WorkloadSpec,
-) -> ShardedClusterSim {
+) -> ClusterSim {
     ScenarioBuilder::cluster(REPLICAS)
         .shards(shards)
         .tuning(tuning)
@@ -217,7 +216,7 @@ pub fn measure_skew(ctx: &RunCtx, zipf_theta: f64) -> SkewOutcome {
         steady_workload(3_000.0, hold, zipf_theta, start),
     );
     sim.run_until(SimTime::ZERO + start + hold + Duration::from_secs(1));
-    let stats = wired(sim.shard_stats(), "the builder attached a shard client");
+    let stats = wired(sim.shard_stats(), "the builder attached a client");
     SkewOutcome {
         sent: stats.iter().map(|s| s.sent).collect(),
         completed: stats.iter().map(|s| s.completed).collect(),
@@ -345,8 +344,8 @@ pub fn measure_isolation(ctx: &RunCtx, label: &str, tuning: TuningConfig) -> Fai
     let seed = ctx.system_seed(label);
     let mut sim = sharded_sim(shards, tuning, seed, workload);
 
-    let snapshot = |sim: &ShardedClusterSim| {
-        let stats = wired(sim.shard_stats(), "the builder attached a shard client");
+    let snapshot = |sim: &ClusterSim| {
+        let stats = wired(sim.shard_stats(), "the builder attached a client");
         let sent: Vec<u64> = stats.iter().map(|s| s.sent).collect();
         let done: Vec<u64> = stats.iter().map(|s| s.completed).collect();
         (sent, done)

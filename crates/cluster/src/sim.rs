@@ -12,7 +12,7 @@
 //! (`0..R`, spares past `R`); [`ServerHost`] translates via its peer base.
 
 use crate::app::{App, KvApp};
-use crate::client::{ClientHost, OpRecord, StepRecord};
+use crate::client::{ClientHost, OpRecord, ShardStats, StepRecord};
 use crate::cpu::CostModel;
 use crate::msg::ClusterMsg;
 use crate::server::{CompactionPolicy, ReadCounters, ReadStrategy, ServerHost};
@@ -25,6 +25,7 @@ use dynatune_simnet::{
     CongestionConfig, Host, HostCtx, LinkSchedule, NetParams, Network, Rng, SimTime, Topology,
     World,
 };
+use dynatune_stats::Histogram;
 use std::time::Duration;
 
 /// Client workload specification.
@@ -44,8 +45,8 @@ pub struct WorkloadSpec {
     pub start_offset: Duration,
     /// Client-side response timeout (`None` disables retries-on-silence).
     pub request_timeout: Option<Duration>,
-    /// Spread reads round-robin over all servers (follower-read offload);
-    /// writes still chase the leader.
+    /// Spread reads round-robin over the owning shard's servers
+    /// (follower-read offload); writes still chase the leader.
     pub read_fanout: bool,
     /// Record completed `Get`/`Put` operations for linearizability checks
     /// (see [`ClusterSim::client_trace`]).
@@ -326,24 +327,31 @@ pub struct ClusterSim<A: App = KvApp, C: Client<A> = ClientHost> {
 }
 
 impl ClusterSim {
-    /// Build a single-group KV cluster; `config.workload` (if any) drives a
-    /// [`ClientHost`].
+    /// Build a KV cluster; `config.workload` (if any) drives a
+    /// [`ClientHost`] that routes over every member of each shard (spares
+    /// included) and sends each request the moment it arrives.
     ///
     /// # Panics
-    /// Panics when the topology size does not match the server count, or
-    /// when the config is sharded — a [`ClientHost`] addresses one group.
+    /// Panics when the topology size does not match the server count.
     #[must_use]
     pub fn new(config: &ClusterConfig) -> Self {
-        assert_eq!(
-            config.map.shards(),
-            1,
-            "shards: a ClientHost addresses one group; a sharded config takes a \
-             ShardClient (build_sharded_sim())"
-        );
+        let rows = (0..config.map.shards())
+            .map(|shard| members(config.map, &config.spares, shard).collect())
+            .collect();
+        Self::with_kv_client(config, rows, None)
+    }
+
+    /// The one KV assembly: `rows` are the client's initial placement rows
+    /// and `batch_window` its sending discipline (see [`ClientHost::new`]).
+    pub(crate) fn with_kv_client(
+        config: &ClusterConfig,
+        rows: Vec<Vec<NodeId>>,
+        batch_window: Option<Duration>,
+    ) -> Self {
         Self::with_client(config, |rng| {
             config.workload.as_ref().map(|spec| {
                 let start = SimTime::ZERO + spec.start_offset;
-                ClientHost::new(spec.generator(rng), config.n_servers(), start)
+                ClientHost::new(spec.generator(rng), rows, batch_window, start)
                     .with_request_timeout(spec.request_timeout)
                     .with_read_fanout(spec.read_fanout)
                     .with_trace(spec.record_trace)
@@ -363,6 +371,54 @@ impl ClusterSim {
     pub fn client_trace(&self) -> Option<Vec<OpRecord>> {
         self.client().map(|c| c.trace().to_vec())
     }
+
+    /// Per-shard client counters (`None` without a workload).
+    #[must_use]
+    pub fn shard_stats(&self) -> Option<Vec<ShardStats>> {
+        self.client().map(|c| c.shard_stats().to_vec())
+    }
+
+    /// Completed requests per shard (`None` without a workload).
+    #[must_use]
+    pub fn completed_per_shard(&self) -> Option<Vec<u64>> {
+        self.client()
+            .map(|c| c.shard_stats().iter().map(|s| s.completed).collect())
+    }
+
+    /// Total completed requests across shards (0 without a workload).
+    #[must_use]
+    pub fn total_completed(&self) -> u64 {
+        self.completed_per_shard().map_or(0, |c| c.iter().sum())
+    }
+
+    /// Take (and reset) one shard's windowed latency histogram (µs) from
+    /// the workload client (`None` without one). Take once to discard
+    /// warm-up, again after the window of interest.
+    pub fn take_latency_window(&mut self, shard: ShardId) -> Option<Histogram> {
+        self.client_mut().map(|c| c.take_latency_window(shard))
+    }
+
+    /// Repoint the client's placement row for `shard`: replica `from`
+    /// (world id) is replaced by `to`. Called by the rebalancer after the
+    /// final configuration commits, so client traffic follows the data.
+    /// No-op without a workload client.
+    pub fn repoint_shard(&mut self, shard: ShardId, from: NodeId, to: NodeId) {
+        if let Some(c) = self.client_mut() {
+            c.repoint(shard, from, to);
+        }
+    }
+}
+
+/// World ids of every server belonging to `shard`: the mapped replica
+/// block, then any spares attached to the shard in declaration order
+/// (spare `k` is host `map.n_servers() + k`).
+fn members(map: ShardMap, spares: &[ShardId], shard: ShardId) -> impl Iterator<Item = NodeId> + '_ {
+    let spares = spares.iter().enumerate();
+    map.servers_of(shard).chain(
+        spares
+            .filter(move |&(_, &s)| s == shard)
+            .map(move |(k, _)| map.n_servers() + k),
+    )
 }
 
 impl<A: App, C: Client<A>> ClusterSim<A, C> {
@@ -459,17 +515,7 @@ impl<A: App, C: Client<A>> ClusterSim<A, C> {
     /// block plus any spares attached to the shard.
     #[must_use]
     pub fn members_of(&self, shard: ShardId) -> Vec<NodeId> {
-        self.members(shard).collect()
-    }
-
-    fn members(&self, shard: ShardId) -> impl Iterator<Item = NodeId> + '_ {
-        let first_spare = self.map.n_servers();
-        let spares = self.spares.iter().enumerate();
-        self.map.servers_of(shard).chain(
-            spares
-                .filter(move |&(_, &s)| s == shard)
-                .map(move |(k, _)| first_spare + k),
-        )
+        members(self.map, &self.spares, shard).collect()
     }
 
     /// Advance the simulation to `deadline`.
@@ -532,7 +578,7 @@ impl<A: App, C: Client<A>> ClusterSim<A, C> {
     #[must_use]
     pub fn leader_of(&self, shard: ShardId) -> Option<NodeId> {
         let mut best: Option<(u64, NodeId)> = None;
-        for id in self.members(shard) {
+        for id in members(self.map, &self.spares, shard) {
             if self.world.is_paused(id) {
                 continue;
             }
@@ -623,7 +669,7 @@ impl<A: App, C: Client<A>> ClusterSim<A, C> {
     pub fn shard_events(&self, shard: ShardId) -> Vec<(SimTime, NodeId, RaftEvent)> {
         let base = self.map.group_base(shard);
         let mut out = Vec::new();
-        for id in self.members(shard) {
+        for id in members(self.map, &self.spares, shard) {
             for &(t, e) in self.server(id).events() {
                 out.push((t, id - base, e));
             }
@@ -664,7 +710,7 @@ impl<A: App, C: Client<A>> ClusterSim<A, C> {
         let mut total = Duration::ZERO;
         let mut count = 0u32;
         // Shard 0's group base is 0, so world ids are its local ids.
-        for id in self.members(0) {
+        for id in members(self.map, &self.spares, 0) {
             if id != leader {
                 if let Some(h) = node.pacer_interval(id) {
                     total += h;
@@ -742,6 +788,7 @@ impl<A: App, C: Client<A>> ClusterSim<A, C> {
 mod tests {
     use super::*;
     use crate::observers::election_safety_violations;
+    use crate::scenario::builder::ScenarioBuilder;
 
     fn stable_cluster(tuning: TuningConfig, seed: u64) -> ClusterSim {
         let cfg = ClusterConfig::stable(5, tuning, Duration::from_millis(100), seed);
@@ -878,6 +925,87 @@ mod tests {
         sim.run_for(Duration::from_secs(15));
         assert!(sim.leader().is_some(), "5-voter cluster rides out 2 faults");
         assert_eq!(election_safety_violations(&sim.events()), 0);
+    }
+
+    fn sharded(shards: usize, seed: u64, rps: f64) -> ClusterSim {
+        let mut builder = ScenarioBuilder::cluster(3)
+            .tuning(TuningConfig::raft_default())
+            .shards(shards)
+            .seed(seed);
+        if rps > 0.0 {
+            builder = builder.workload(
+                WorkloadSpec::steady(rps, Duration::from_secs(20))
+                    .starting_at(Duration::from_secs(5)),
+            );
+        }
+        builder.build_sharded_sim()
+    }
+
+    #[test]
+    fn every_shard_elects_its_own_leader() {
+        let mut sim = sharded(4, 1, 0.0);
+        sim.run_until(SimTime::from_secs(10));
+        let leaders = sim.leaders();
+        for (shard, leader) in leaders.iter().enumerate() {
+            let leader = leader.unwrap_or_else(|| panic!("shard {shard} must elect"));
+            assert!(sim.map().servers_of(shard).contains(&leader));
+        }
+        // Leaders are distinct hosts and each group's log is safe.
+        for shard in 0..4 {
+            assert_eq!(election_safety_violations(&sim.shard_events(shard)), 0);
+        }
+    }
+
+    #[test]
+    fn workload_spreads_across_all_shards() {
+        let mut sim = sharded(4, 2, 800.0);
+        sim.run_until(SimTime::from_secs(15));
+        let stats = sim.shard_stats().expect("client attached");
+        assert_eq!(stats.len(), 4);
+        for (shard, s) in stats.iter().enumerate() {
+            assert!(s.sent > 500, "shard {shard} sent {}", s.sent);
+            assert!(s.completed > 300, "shard {shard} completed {}", s.completed);
+            assert!(s.batches > 0, "shard {shard} never batched");
+            assert!(
+                s.batches < s.sent,
+                "shard {shard}: batching must coalesce ({} batches / {} sent)",
+                s.batches,
+                s.sent
+            );
+        }
+    }
+
+    #[test]
+    fn crashing_one_leader_leaves_other_shards_serving() {
+        let mut sim = sharded(2, 3, 600.0);
+        sim.run_until(SimTime::from_secs(10));
+        let victim = sim.leader_of(0).expect("shard 0 leader");
+        let before = sim.completed_per_shard().unwrap();
+        sim.crash(victim);
+        sim.run_for(Duration::from_secs(5));
+        let after = sim.completed_per_shard().unwrap();
+        // Shard 1 kept committing throughout the shard-0 outage.
+        assert!(
+            after[1] - before[1] > 800,
+            "shard 1 progressed only {} ops during shard 0's outage",
+            after[1] - before[1]
+        );
+        // Shard 0 recovers: a leader re-emerges and commits resume.
+        sim.run_for(Duration::from_secs(5));
+        assert!(sim.leader_of(0).is_some(), "shard 0 re-elects");
+        let healed = sim.completed_per_shard().unwrap();
+        assert!(healed[0] > after[0], "shard 0 resumes committing");
+    }
+
+    #[test]
+    fn sharded_run_is_deterministic_given_seed() {
+        let run = |seed| {
+            let mut sim = sharded(3, seed, 300.0);
+            sim.run_until(SimTime::from_secs(12));
+            (sim.leaders(), sim.completed_per_shard(), sim.net_counters())
+        };
+        assert_eq!(run(7), run(7));
+        assert_ne!(run(7).2, run(8).2);
     }
 
     #[test]
