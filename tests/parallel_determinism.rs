@@ -7,7 +7,7 @@
 //! not only across `--jobs` within one commit.
 
 use dynatune_repro::cluster::experiments::failover::{run_trials, FailoverConfig};
-use dynatune_repro::cluster::scenario::{catalog, Experiment, Report, RunCtx};
+use dynatune_repro::cluster::scenario::{catalog, registry, Experiment, Report, RunCtx};
 use dynatune_repro::cluster::ClusterConfig;
 use dynatune_repro::core::TuningConfig;
 use std::time::Duration;
@@ -33,9 +33,11 @@ fn report_hash(report: &Report) -> u64 {
     h
 }
 
-/// Hashes of the serial reports at the seeds the tests below use. They
-/// cover every assembly path: single group (`fig4`), single group under the
-/// fault driver (`partition_churn`), the KV client through a full
+/// Hashes of the serial reports at the seeds the tests below use, one per
+/// registered scenario (`every_registered_scenario_is_pinned` keeps the two
+/// lists equal). They cover every assembly path: single group (`fig4`),
+/// single group under the fault driver (`partition_churn`), link schedules
+/// under the sampling driver (`fig6a`, `fig7`), the KV client through a full
 /// offered-load ramp (`fig5`, `extensions`), single-group spares
 /// (`elastic_scaleout`), sharded (`sharded_throughput`), sharded spares plus
 /// the rebalancer (`shard_rebalance`) and the broker
@@ -43,6 +45,7 @@ fn report_hash(report: &Report) -> u64 {
 /// simulated behaviour; say so in CHANGES.md when it does. (The values
 /// depend on the platform's `libm` — they are pinned for the CI image.)
 const REPORT_PINS: &[(&str, u64)] = &[
+    ("ablations", 0xaa71_6399_62f5_0748),
     ("broker_produce_throughput", 0x115d_c5e1_1252_cb52),
     ("compaction_churn", 0x6169_5776_d86f_6639),
     ("consumer_fanout", 0x3f84_b81c_e311_e64c),
@@ -51,7 +54,12 @@ const REPORT_PINS: &[(&str, u64)] = &[
     ("extensions", 0x094f_2058_ae37_339a),
     ("fig4", 0xcd21_cf62_a108_d722),
     ("fig5", 0x1427_40a5_ed88_2210),
+    ("fig6a", 0x948d_2d24_8bbb_e9d6),
+    ("fig6b", 0xb663_d92c_9a96_0576),
+    ("fig7", 0x38bf_aa09_c7bf_028d),
+    ("fig8", 0x6d04_fdbf_3fc9_5986),
     ("follower_read_offload", 0xff23_6d57_8af4_cf97),
+    ("geo_asymmetric", 0x89f1_9eb1_1fd4_0d03),
     ("hot_shard", 0x2157_7209_5486_b3d1),
     ("lagging_follower_catchup", 0x54ea_c7b4_a183_0bb7),
     ("lease_safety_partition", 0xfe8a_4fa4_7ad2_22b7),
@@ -76,6 +84,17 @@ fn assert_pinned(serial: &Report) {
         pin,
         "{}: serial report hash {hash:#018x} differs from its pin",
         serial.name
+    );
+}
+
+#[test]
+fn every_registered_scenario_is_pinned() {
+    let mut registered: Vec<&str> = registry().iter().map(|e| e.name()).collect();
+    registered.sort_unstable();
+    let pinned: Vec<&str> = REPORT_PINS.iter().map(|&(name, _)| name).collect();
+    assert_eq!(
+        pinned, registered,
+        "REPORT_PINS must name exactly the registered scenarios (sorted)"
     );
 }
 
@@ -118,6 +137,49 @@ fn fig5_report_identical_serial_vs_parallel() {
 #[test]
 fn extensions_report_identical_serial_vs_parallel() {
     assert_ramp_identical_and_pinned(&catalog::Extensions);
+}
+
+#[test]
+fn fluctuation_reports_identical_serial_vs_parallel() {
+    // No trial fan-out here — one long run per system under an RTT or loss
+    // schedule — so the pins are what these guard: the sampling driver, the
+    // schedule arithmetic and the per-system seed derivation.
+    for experiment in [
+        &catalog::Fig6aGradualRtt as &dyn Experiment,
+        &catalog::Fig6bRadicalRtt,
+        &catalog::Fig7LossFluctuation,
+    ] {
+        let serial = report_with_jobs(experiment, 1);
+        let parallel = report_with_jobs(experiment, 4);
+        assert_eq!(
+            serial, parallel,
+            "{}: --jobs must not change the report",
+            serial.name
+        );
+        assert_pinned(&serial);
+        assert!(!serial.tables.is_empty() && !serial.artifacts.is_empty());
+    }
+}
+
+#[test]
+fn failover_family_reports_identical_serial_vs_parallel() {
+    // The remaining users of the repeated-leader-pause procedure: geo
+    // meshes (warm-up 40 s, WAN congestion) and the six ablation tables.
+    for experiment in [
+        &catalog::Fig8GeoFailover as &dyn Experiment,
+        &catalog::GeoAsymmetricFailover,
+        &catalog::Ablations,
+    ] {
+        let serial = report_with_jobs(experiment, 1);
+        let parallel = report_with_jobs(experiment, 4);
+        assert_eq!(
+            serial, parallel,
+            "{}: --jobs must not change the report",
+            serial.name
+        );
+        assert_pinned(&serial);
+        assert!(!serial.tables.is_empty());
+    }
 }
 
 #[test]
