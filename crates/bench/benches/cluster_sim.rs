@@ -2,7 +2,7 @@
 //! These are the budgets behind the `scenarios` runner's wall-clock times.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use dynatune_cluster::experiments::failover::{run_single_trial, FailoverConfig};
+use dynatune_cluster::scenario::catalog::failover::{run_single_trial, FailoverConfig};
 use dynatune_cluster::{ClusterConfig, ClusterSim};
 use dynatune_core::TuningConfig;
 use dynatune_simnet::SimTime;

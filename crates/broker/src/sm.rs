@@ -11,7 +11,7 @@ use crate::partition::{FetchResult, PartitionConfig};
 use crate::record::Record;
 use crate::topic::Topic;
 use dynatune_core::invariant_violated;
-use dynatune_kv::ReqOrigin;
+use dynatune_kv::{ReqOrigin, Sessions};
 use dynatune_raft::{LogIndex, StateMachine, DEFAULT_REPLY_WINDOW};
 use std::collections::BTreeMap;
 
@@ -167,12 +167,10 @@ pub struct BrokerSm {
     topics: BTreeMap<String, Topic>,
     /// `(group, topic, partition) → committed offset`.
     group_offsets: BTreeMap<(String, String, u32), u64>,
-    /// Per-origin window of recent `req_id → response` (producer dedupe).
-    sessions: BTreeMap<u64, BTreeMap<u64, BrokerResponse>>,
-    /// Sliding id window retained per origin — the shared
-    /// `RaftConfig::reply_window` knob (see
+    /// Per-origin window of recent `req_id → response` (producer dedupe),
+    /// sized by the shared `RaftConfig::reply_window` knob (see
     /// [`dynatune_raft::DEFAULT_REPLY_WINDOW`] for the sizing rule).
-    reply_window: u64,
+    sessions: Sessions<BrokerResponse>,
     partition_config: PartitionConfig,
 }
 
@@ -193,12 +191,10 @@ impl BrokerSm {
     /// validated `RaftConfig::reply_window` knob).
     #[must_use]
     pub fn with_reply_window(window: u64) -> Self {
-        assert!(window > 0, "zero reply window");
         Self {
             topics: BTreeMap::new(),
             group_offsets: BTreeMap::new(),
-            sessions: BTreeMap::new(),
-            reply_window: window,
+            sessions: Sessions::new(window),
             partition_config: PartitionConfig::default(),
         }
     }
@@ -214,7 +210,7 @@ impl BrokerSm {
     /// The configured per-origin reply-cache id window.
     #[must_use]
     pub fn reply_window(&self) -> u64 {
-        self.reply_window
+        self.sessions.window()
     }
 
     /// The topic, if it has ever been produced to.
@@ -239,7 +235,7 @@ impl BrokerSm {
     /// Cached reply for a producer request, if it was already applied.
     #[must_use]
     pub fn cached_reply(&self, origin: ReqOrigin) -> Option<&BrokerResponse> {
-        self.sessions.get(&origin.client)?.get(&origin.req_id)
+        self.sessions.get(origin)
     }
 
     /// Rough in-memory size of the snapshot this broker would produce
@@ -250,11 +246,7 @@ impl BrokerSm {
         const PER_OFFSET: usize = 48;
         let records: usize = self.topics.values().map(Topic::bytes).sum();
         let offsets = self.group_offsets.len() * PER_OFFSET;
-        let replies: usize = self
-            .sessions
-            .values()
-            .map(|w| w.len() * CACHED_REPLY_BYTES)
-            .sum();
+        let replies = self.sessions.replies().count() * CACHED_REPLY_BYTES;
         records + offsets + replies
     }
 
@@ -360,22 +352,7 @@ impl StateMachine for BrokerSm {
                     return cached.clone();
                 }
                 let resp = self.execute(&request.cmd);
-                let replies = self.sessions.entry(origin.client).or_default();
-                replies.insert(origin.req_id, resp.clone());
-                // Slide the window: drop replies no live retry can ask for.
-                'slide: {
-                    let Some(newest) = replies.keys().next_back().copied() else {
-                        break 'slide; // unreachable: `insert` above made the map non-empty
-                    };
-                    let window = self.reply_window;
-                    while let Some((&oldest, _)) = replies.iter().next() {
-                        if oldest + window <= newest {
-                            replies.remove(&oldest);
-                        } else {
-                            break;
-                        }
-                    }
-                }
+                self.sessions.record(origin, resp.clone());
                 resp
             }
             _ => self.execute(&request.cmd),

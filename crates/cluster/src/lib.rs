@@ -4,15 +4,17 @@
 //! on the `dynatune-simnet` fabric, injects the paper's failure modes
 //! (container pause, crash), observes elections and tuning state, models
 //! CPU cost, and implements every experiment of the paper's evaluation
-//! (§IV): see [`experiments`] for the measurement procedures and
-//! [`scenario`] for the declarative layer (builders, fault plans, the
-//! generic driver, and the registry of runnable experiments).
+//! (§IV) in one layer: [`scenario`] holds the declarative pieces (builders,
+//! fault plans, the generic driver, the registry) and
+//! [`scenario::catalog`], where each module keeps a measurement procedure
+//! beside the registered experiment that reports it.
 //!
 //! There is one cluster: [`ClusterSim<A, C>`](ClusterSim), generic over the
 //! served [`App`] and the [`Client`] that drives it, described by one
 //! [`ClusterConfig`] whose [`ShardMap`](dynatune_kv::ShardMap) places N
 //! independent Raft groups in one world (a classic single group is
-//! `shards = 1`). There are two clients: the KV [`ClientHost`], which holds
+//! `shards = 1`) and whose one `raft` template is where every Raft knob is
+//! declared. There are two clients: the KV [`ClientHost`], which holds
 //! a placement row and a leader guess per shard, and the [`BrokerClient`],
 //! which keeps its own unbounded, attempt-tagged retry policy; both route
 //! through the one `RoutingTable` in [`client`].
@@ -24,7 +26,6 @@ pub mod app;
 pub mod broker;
 pub mod client;
 pub mod cpu;
-pub mod experiments;
 pub mod msg;
 pub mod observers;
 pub mod rebalance;

@@ -119,8 +119,10 @@ impl NetPlan {
 /// Typed, fluent construction of a [`ClusterConfig`].
 ///
 /// Defaults are `ClusterConfig::stable(n, raft_default, 100ms, 0)` by
-/// construction: etcd-style tick quantization, pre-vote and check-quorum
-/// on, UDP heartbeats, 4 cores, 5 s CPU windows. The builder keeps the
+/// construction: [`RaftConfig`](dynatune_raft::RaftConfig)'s own (etcd-style
+/// tick quantization, pre-vote and check-quorum on, UDP heartbeats) and 4
+/// cores. The Raft setters below write through to the config's one `raft`
+/// template; nothing restates a Raft default here. The builder keeps the
 /// network as a [`NetPlan`] until [`Self::build`] knows the final host
 /// count (shards × replicas + spares).
 #[derive(Debug, Clone)]
@@ -147,7 +149,10 @@ impl ScenarioBuilder {
     /// Select the tuning mode (Raft / Raft-Low / Fix-K / Dynatune).
     #[must_use]
     pub fn tuning(mut self, tuning: TuningConfig) -> Self {
-        self.config.tuning = tuning;
+        // `RaftConfig` derives its lease default from the tuning it is
+        // built with; keep the pair together when the tuning is replaced.
+        self.config.raft.read_lease = tuning.default_election_timeout;
+        self.config.raft.tuning = tuning;
         self
     }
 
@@ -200,28 +205,21 @@ impl ScenarioBuilder {
     /// Election-timer quantization.
     #[must_use]
     pub fn quantization(mut self, quantization: TimerQuantization) -> Self {
-        self.config.quantization = quantization;
+        self.config.raft.quantization = quantization;
         self
     }
 
     /// Heartbeats over UDP (paper hybrid transport) or TCP (ablation).
     #[must_use]
     pub fn udp_heartbeats(mut self, udp: bool) -> Self {
-        self.config.udp_heartbeats = udp;
+        self.config.raft.udp_heartbeats = udp;
         self
     }
 
     /// Pre-vote on/off.
     #[must_use]
     pub fn pre_vote(mut self, pre_vote: bool) -> Self {
-        self.config.pre_vote = pre_vote;
-        self
-    }
-
-    /// Check-quorum on/off.
-    #[must_use]
-    pub fn check_quorum(mut self, check_quorum: bool) -> Self {
-        self.config.check_quorum = check_quorum;
+        self.config.raft.pre_vote = pre_vote;
         self
     }
 
@@ -229,8 +227,8 @@ impl ScenarioBuilder {
     /// consolidated heartbeat timer.
     #[must_use]
     pub fn extensions(mut self, suppress: bool, consolidated: bool) -> Self {
-        self.config.suppress_heartbeats = suppress;
-        self.config.consolidated_timer = consolidated;
+        self.config.raft.suppress_heartbeats_when_replicating = suppress;
+        self.config.raft.consolidated_heartbeat_timer = consolidated;
         self
     }
 
@@ -258,29 +256,11 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Whether followers answer forwarded reads locally (default: yes,
-    /// under any log-free read strategy).
-    #[must_use]
-    pub fn follower_reads(mut self, enabled: bool) -> Self {
-        self.config.follower_reads = enabled;
-        self
-    }
-
     /// Max unacked appends in flight per follower (default 4; 1 recovers
     /// the pre-pipelining ping-pong for ablations).
     #[must_use]
     pub fn pipeline_window(mut self, window: usize) -> Self {
-        self.config.pipeline_window = window;
-        self
-    }
-
-    /// Group-commit thresholds: flush buffered proposals once `bytes` of
-    /// payload accumulate or `delay` after the first buffered proposal,
-    /// whichever comes first.
-    #[must_use]
-    pub fn group_commit(mut self, bytes: usize, delay: Duration) -> Self {
-        self.config.max_batch_bytes = bytes;
-        self.config.max_batch_delay = delay;
+        self.config.raft.pipeline_window = window;
         self
     }
 
@@ -288,7 +268,7 @@ impl ScenarioBuilder {
     /// it so replication stays RTT-bound and the pipeline depth shows.
     #[must_use]
     pub fn max_entries_per_append(mut self, cap: usize) -> Self {
-        self.config.max_entries_per_append = cap;
+        self.config.raft.max_entries_per_append = cap;
         self
     }
 
@@ -296,13 +276,6 @@ impl ScenarioBuilder {
     #[must_use]
     pub fn cores(mut self, cores: usize) -> Self {
         self.config.cores = cores;
-        self
-    }
-
-    /// Utilization sampling window.
-    #[must_use]
-    pub fn cpu_window(mut self, window: Duration) -> Self {
-        self.config.cpu_window = window;
         self
     }
 
@@ -403,9 +376,11 @@ mod tests {
             ClusterConfig::stable(5, TuningConfig::dynatune(), Duration::from_millis(100), 7);
         assert_eq!(built.map, stable.map);
         assert_eq!(built.cores, stable.cores);
-        assert_eq!(built.pre_vote, stable.pre_vote);
-        assert_eq!(built.check_quorum, stable.check_quorum);
-        assert_eq!(built.udp_heartbeats, stable.udp_heartbeats);
+        assert_eq!(built.raft.tuning, stable.raft.tuning);
+        assert_eq!(built.raft.read_lease, stable.raft.read_lease);
+        assert_eq!(built.raft.pre_vote, stable.raft.pre_vote);
+        assert_eq!(built.raft.check_quorum, stable.raft.check_quorum);
+        assert_eq!(built.raft.udp_heartbeats, stable.raft.udp_heartbeats);
         assert_eq!(built.seed, stable.seed);
         assert_eq!(
             built.topology.schedule(0, 1).params_at(SimTime::ZERO),

@@ -1,9 +1,9 @@
 //! §IV-E future-work extensions study: heartbeat suppression under load
 //! and the consolidated heartbeat timer.
 
+use super::failover::{run_trials, FailoverConfig};
+use super::throughput::{measure_ramp, ramp_for};
 use super::wired;
-use crate::experiments::failover::{run_trials, FailoverConfig};
-use crate::experiments::throughput::{run, ThroughputConfig};
 use crate::scenario::{
     Experiment, Horizon, NetPlan, Report, RunCtx, ScenarioBuilder, ScenarioDriver,
 };
@@ -87,19 +87,12 @@ impl Experiment for Extensions {
         // 1. Peak throughput per variant (the overhead the extensions
         //    target).
         let repeats = ctx.repeats_or(5, 2);
+        let ramp = ramp_for(ctx);
         let mut rows = Vec::new();
         let mut raft_peak = None;
         for v in variants() {
-            let mut cfg = ThroughputConfig::new(
-                cluster_for(&v, ctx.system_seed(&format!("tput-{}", v.name))),
-                16_000.0,
-            );
-            cfg.repeats = repeats;
-            if ctx.quick {
-                cfg.increment = 4_000.0;
-                cfg.hold = Duration::from_secs(4);
-            }
-            let peak = run(&cfg).peak_throughput();
+            let cluster = cluster_for(&v, ctx.system_seed(&format!("tput-{}", v.name)));
+            let peak = measure_ramp(&cluster, &ramp, repeats).peak_throughput();
             let baseline = *raft_peak.get_or_insert(peak);
             rows.push(vec![
                 v.name.to_string(),

@@ -7,20 +7,31 @@
 //! overrides) so that the registry can enumerate and run everything
 //! uniformly.
 //!
+//! A module keeps its measurement procedure (what to record and how to
+//! aggregate it) beside the experiment that reports it. The paper's §IV
+//! procedures:
+//!
+//! | Module | Paper | What it regenerates |
+//! |--------|-------|---------------------|
+//! | [`failover`] | Fig. 4, Fig. 8 | detection/OTS CDFs over repeated leader pauses |
+//! | [`throughput`] | Fig. 5 | latency-vs-throughput curve, peak throughput |
+//! | [`fluctuation`] | Fig. 6a/6b, Fig. 7a/7b | randomizedTimeout / RTT / OTS series; heartbeat interval + CPU under loss ramps |
+//! | [`ablations`] | (ours) | quantization, safety factor, arrival probability, list sizes, transport, pre-vote |
+//!
 //! [`Experiment`]: crate::scenario::Experiment
 
-mod ablations;
+pub mod ablations;
 mod broker;
 mod compaction;
 mod extensions;
-mod failover;
-mod fluctuation;
+pub mod failover;
+pub mod fluctuation;
 mod membership;
 mod novel;
 mod pipeline;
 mod reads;
 pub mod sharded;
-mod throughput;
+pub mod throughput;
 
 pub use ablations::Ablations;
 pub use broker::{BrokerProduceThroughput, ConsumerFanout, ConsumerLagFailover};

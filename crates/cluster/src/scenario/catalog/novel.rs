@@ -3,7 +3,7 @@
 //! churn. Both are pure data — a [`NetPlan`] and a [`FaultPlan`] — driven
 //! by the generic scenario driver.
 
-use crate::experiments::failover::{run_trials, FailoverConfig};
+use super::failover::{run_trials, FailoverConfig};
 use crate::observers::{election_safety_violations, leaderless_intervals, total_leaderless_secs};
 use crate::scenario::{
     reduction_pct, Experiment, FaultPlan, Horizon, NetPlan, PartitionSpec, Report, RunCtx,

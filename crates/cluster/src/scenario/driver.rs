@@ -1,9 +1,8 @@
 //! Generic scenario driver: executes a [`FaultPlan`] against a cluster and
 //! samples observables on a fixed cadence.
 //!
-//! The driver replaces the imperative run/pause/observe loops that used to
-//! be duplicated across `experiments/*.rs`. It interleaves two streams of
-//! simulated-time work:
+//! The driver is the one run/pause/observe loop every catalog procedure
+//! shares. It interleaves two streams of simulated-time work:
 //!
 //! 1. **Fault events** from the plan, with per-event jitter resolved
 //!    deterministically from the cluster seed, and symbolic targets

@@ -8,14 +8,18 @@
 //! | Piece | Type | Role |
 //! |-------|------|------|
 //! | network plan | [`NetPlan`] | the network as data: uniform meshes, schedules, geo presets, asymmetric degradations |
-//! | cluster assembly | [`ScenarioBuilder`] | typed, fluent construction of a `ClusterConfig` |
+//! | cluster assembly | [`ScenarioBuilder`] | typed, fluent construction of a `ClusterConfig`; Raft setters write through to its one `raft: RaftConfig` template |
 //! | fault plan | [`FaultPlan`] | timed pause/resume/crash/partition/heal events as data, with symbolic targets (`Leader`) resolved at fire time |
 //! | driver | [`ScenarioDriver`] | executes the plan, samples observables on a cadence, records a trace of what fired (and the pre-fault state) |
 //!
 //! On top sit the [`Experiment`] trait and [`registry()`]: every §IV figure,
 //! the ablations and the beyond-paper scenarios are registered, named,
 //! self-describing units that map a [`RunCtx`] to a structured, comparable
-//! [`Report`]. Trial fan-out inside experiments goes through rayon and is
+//! [`Report`]. [`catalog`] is the one experiment layer: each module keeps
+//! its measurement procedure (`failover::run_trials`,
+//! `throughput::measure_ramp`, `sharded::measure_scaling`, …) beside the
+//! `Experiment` that reports it, with the values no scenario varies as
+//! `const`s next to the procedure. Trial fan-out inside experiments goes through rayon and is
 //! capped by [`RunCtx::run`]'s `--jobs` pool; per-trial child seeds and
 //! index-ordered merges make any parallelism level bit-identical to a
 //! serial run.

@@ -98,6 +98,9 @@ struct FwdWave {
     sent_at: SimTime,
 }
 
+/// CPU-utilization sampling window (paper: docker-stats style 5 s windows).
+const CPU_WINDOW: Duration = Duration::from_secs(5);
+
 /// Re-send an unanswered forwarded-read wave after this long (the covered
 /// reads' clients are on their own retry timers anyway).
 const FWD_WAVE_RESEND: Duration = Duration::from_secs(1);
@@ -173,8 +176,6 @@ pub struct ServerHost<A: App = KvApp> {
     admit: std::collections::VecDeque<AdmittedReq<A>>,
     /// How reads are served (log-replicated vs lease/ReadIndex).
     read_strategy: ReadStrategy,
-    /// Serve forwarded reads on followers (log-free strategies only).
-    follower_reads: bool,
     /// Grant-token allocator for reads registered with the Raft node.
     next_read_token: u64,
     /// Outstanding read grants, by token.
@@ -205,13 +206,13 @@ pub struct ServerHost<A: App = KvApp> {
 impl<A: App> ServerHost<A> {
     /// Build a server from its Raft config and cost model.
     #[must_use]
-    pub fn new(config: RaftConfig, cost: CostModel, cores: usize, window: Duration) -> Self {
+    pub fn new(config: RaftConfig, cost: CostModel, cores: usize) -> Self {
         let tunes = config.tuning.mode.tunes();
         let sm = A::fresh_sm(&config);
         Self {
             node: RaftNode::new(config, sm, SimTime::ZERO),
             cost,
-            cpu: CpuMeter::new(cores, window),
+            cpu: CpuMeter::new(cores, CPU_WINDOW),
             compaction: CompactionPolicy::default(),
             tunes,
             peer_base: 0,
@@ -219,7 +220,6 @@ impl<A: App> ServerHost<A> {
             pending: BTreeMap::new(),
             admit: std::collections::VecDeque::new(),
             read_strategy: ReadStrategy::default(),
-            follower_reads: true,
             next_read_token: 0,
             read_origins: BTreeMap::new(),
             next_fwd_id: 0,
@@ -234,13 +234,12 @@ impl<A: App> ServerHost<A> {
         }
     }
 
-    /// Select the read-serving strategy and whether followers answer
-    /// forwarded reads locally (`follower_reads` is ignored under
-    /// [`ReadStrategy::Log`], where a non-leader can only redirect).
+    /// Select the read-serving strategy. Under the log-free strategies a
+    /// follower that knows a leader answers forwarded reads locally; under
+    /// [`ReadStrategy::Log`] a non-leader can only redirect.
     #[must_use]
-    pub fn with_reads(mut self, strategy: ReadStrategy, follower_reads: bool) -> Self {
+    pub fn with_reads(mut self, strategy: ReadStrategy) -> Self {
         self.read_strategy = strategy;
-        self.follower_reads = follower_reads;
         self
     }
 
@@ -556,7 +555,7 @@ impl<A: App> ServerHost<A> {
             );
             return;
         }
-        if self.follower_reads && self.node.leader_id().is_some() {
+        if self.node.leader_id().is_some() {
             self.next_fwd_id += 1;
             let read_id = self.next_fwd_id;
             self.forwarded.insert(read_id, (client, req_id, cmd));
@@ -887,7 +886,6 @@ mod tests {
             RaftConfig::new(0, 1, TuningConfig::raft_default()),
             CostModel::free(),
             2,
-            Duration::from_secs(5),
         )
     }
 

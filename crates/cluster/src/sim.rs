@@ -18,9 +18,7 @@ use crate::msg::ClusterMsg;
 use crate::server::{CompactionPolicy, ReadCounters, ReadStrategy, ServerHost};
 use dynatune_core::{invariant_violated, TuningConfig, TuningSnapshot};
 use dynatune_kv::{OpMix, RateStep, ShardId, ShardMap, WorkloadGen};
-use dynatune_raft::{
-    ConfChange, Membership, NodeId, RaftConfig, RaftEvent, Role, TimerQuantization,
-};
+use dynatune_raft::{ConfChange, Membership, NodeId, RaftConfig, RaftEvent, Role};
 use dynatune_simnet::{
     CongestionConfig, Host, HostCtx, LinkSchedule, NetParams, Network, Rng, SimTime, Topology,
     World,
@@ -133,48 +131,25 @@ pub struct ClusterConfig {
     /// configuration change admits it
     /// ([`ClusterSim::propose_conf_change`]).
     pub spares: Vec<ShardId>,
-    /// Tuning mode + parameters (selects Raft / Raft-Low / Fix-K /
-    /// Dynatune), applied to every group independently.
-    pub tuning: TuningConfig,
+    /// The Raft configuration every server starts from — tuning mode,
+    /// election, transport and replication knobs, each declared (and
+    /// defaulted) once, in [`RaftConfig`]. `id`, `peers`, `seed` and
+    /// `lease_reads` are placeholders here: [`ClusterSim`] fills them per
+    /// server from the placement, the master seed and `read_strategy`.
+    pub raft: RaftConfig,
     /// Server-to-server network topology; must cover exactly
     /// [`Self::n_servers`] hosts.
     pub topology: Topology,
     /// Congestion-burst model applied per egress.
     pub congestion: CongestionConfig,
-    /// Election-timer quantization.
-    pub quantization: TimerQuantization,
-    /// Heartbeats over UDP (the paper's hybrid transport) or TCP (ablation).
-    pub udp_heartbeats: bool,
-    /// Pre-vote enabled (etcd default: yes).
-    pub pre_vote: bool,
-    /// Check-quorum enabled (etcd default: yes).
-    pub check_quorum: bool,
-    /// §IV-E extension 1: suppress heartbeats while replicating.
-    pub suppress_heartbeats: bool,
-    /// §IV-E extension 2: single consolidated heartbeat timer.
-    pub consolidated_timer: bool,
     /// CPU cost model (per server).
     pub cost: CostModel,
     /// Log-compaction policy (threshold + retained tail).
     pub compaction: CompactionPolicy,
     /// How servers serve linearizable reads (log vs lease/ReadIndex).
     pub read_strategy: ReadStrategy,
-    /// Followers answer forwarded reads locally (log-free strategies).
-    pub follower_reads: bool,
-    /// Max unacked appends in flight per follower (1 = ping-pong).
-    pub pipeline_window: usize,
-    /// Group-commit byte cap: buffered proposals flush once this many
-    /// payload bytes accumulate.
-    pub max_batch_bytes: usize,
-    /// Group-commit latency cap: buffered proposals flush at most this
-    /// long after the first one arrives.
-    pub max_batch_delay: Duration,
-    /// Hard cap on entries carried by a single `AppendEntries`.
-    pub max_entries_per_append: usize,
     /// Cores per server (paper: 4 for Figs. 4–6, 2 for Fig. 7).
     pub cores: usize,
-    /// Utilization sampling window (paper: 5 s).
-    pub cpu_window: Duration,
     /// Master seed; all randomness derives from it.
     pub seed: u64,
     /// Optional KV client workload (adds one client node to the fabric).
@@ -194,27 +169,13 @@ impl ClusterConfig {
         Self {
             map: ShardMap::new(1, n),
             spares: Vec::new(),
-            tuning,
+            raft: RaftConfig::new(0, n, tuning),
             topology: Topology::uniform_constant(n, params),
             congestion: CongestionConfig::disabled(),
-            quantization: TimerQuantization::Tick,
-            udp_heartbeats: true,
-            pre_vote: true,
-            check_quorum: true,
-            suppress_heartbeats: false,
-            consolidated_timer: false,
             cost: CostModel::default(),
             compaction: CompactionPolicy::default(),
             read_strategy: ReadStrategy::default(),
-            follower_reads: true,
-            // Replication defaults mirror `RaftConfig`'s own (etcd-style
-            // pipelining on, generous batches).
-            pipeline_window: 4,
-            max_batch_bytes: 64 * 1024,
-            max_batch_delay: Duration::from_millis(1),
-            max_entries_per_append: 8192,
             cores: 4,
-            cpu_window: Duration::from_secs(5),
             seed,
             workload: None,
             client_link: NetParams::lan(),
@@ -241,23 +202,15 @@ impl ClusterConfig {
     /// makes it an outsider of the genesis voter set until a conf change
     /// admits it.
     fn raft_config(&self, local: NodeId, seed: u64) -> RaftConfig {
-        let voters = (0..self.map.replicas()).collect();
-        let mut rc = RaftConfig::with_peers(local, voters, self.tuning);
-        rc.pre_vote = self.pre_vote;
-        rc.check_quorum = self.check_quorum;
-        rc.quantization = self.quantization;
-        rc.udp_heartbeats = self.udp_heartbeats;
-        rc.suppress_heartbeats_when_replicating = self.suppress_heartbeats;
-        rc.consolidated_heartbeat_timer = self.consolidated_timer;
-        // The lease fast path only when the strategy asks for it; under
-        // ReadIndex every read pays a confirmation round.
-        rc.lease_reads = self.read_strategy == ReadStrategy::Lease;
-        rc.pipeline_window = self.pipeline_window;
-        rc.max_batch_bytes = self.max_batch_bytes;
-        rc.max_batch_delay = self.max_batch_delay;
-        rc.max_entries_per_append = self.max_entries_per_append;
-        rc.seed = seed;
-        rc
+        RaftConfig {
+            id: local,
+            peers: (0..self.map.replicas()).collect(),
+            seed,
+            // The lease fast path only when the strategy asks for it; under
+            // ReadIndex every read pays a confirmation round.
+            lease_reads: self.read_strategy == ReadStrategy::Lease,
+            ..self.raft.clone()
+        }
     }
 }
 
@@ -471,11 +424,10 @@ impl<A: App, C: Client<A>> ClusterSim<A, C> {
                         config.raft_config(id - base, seed),
                         config.cost,
                         config.cores,
-                        config.cpu_window,
                     )
                     .with_peer_base(base)
                     .with_compaction(config.compaction)
-                    .with_reads(config.read_strategy, config.follower_reads),
+                    .with_reads(config.read_strategy),
                 ))
             })
             .collect();

@@ -6,8 +6,9 @@
 //! * [`KvStore`] — the deterministic KV map (put/get/delete/range/CAS with
 //!   etcd-style create/mod revisions);
 //! * [`Store`] — the replicated state machine: the map plus per-client
-//!   retry deduplication (Raft §6.3 sessions) and snapshot/restore, driven
-//!   by `dynatune-raft`;
+//!   retry deduplication and snapshot/restore, driven by `dynatune-raft`;
+//! * [`Sessions`] — the per-client sliding reply cache (Raft §6.3 sessions)
+//!   behind that deduplication, shared with the broker's state machine;
 //! * [`WorkloadGen`] — open-loop client load with Poisson arrivals, rate
 //!   ramp schedules (the paper's §IV-B2 peak-throughput methodology) and
 //!   Zipf-skewed keys;
@@ -24,7 +25,7 @@ pub mod workload;
 
 pub use shard::{ShardId, ShardMap, ShardRouter};
 pub use store::{
-    KvCommand, KvRequest, KvResponse, KvStore, ReqOrigin, Store, VersionedValue,
+    KvCommand, KvRequest, KvResponse, KvStore, ReqOrigin, Sessions, Store, VersionedValue,
     DEFAULT_REPLY_WINDOW,
 };
 pub use workload::{OpMix, RateStep, WorkloadGen};

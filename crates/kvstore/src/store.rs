@@ -295,6 +295,84 @@ pub struct ReqOrigin {
     pub req_id: u64,
 }
 
+/// Per-origin reply cache (Raft §6.3 client sessions): for each client a
+/// sliding id window of `req_id → reply`, shared by every replicated state
+/// machine that deduplicates retries (the KV [`Store`], the broker's
+/// `BrokerSm`). It is replicated state — filled identically on every
+/// replica and carried whole inside snapshots.
+///
+/// Request ids increase monotonically per client, so ids more than
+/// `window` below the newest recorded one can no longer be retried and are
+/// evicted (see [`DEFAULT_REPLY_WINDOW`] for the sizing rule).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Sessions<R> {
+    by_client: BTreeMap<u64, BTreeMap<u64, R>>,
+    /// Sliding id window retained per client (the shared
+    /// `RaftConfig::reply_window` knob; identical on every replica, so it
+    /// is config rather than replicated state even though it rides along
+    /// in snapshot clones).
+    window: u64,
+}
+
+impl<R> Sessions<R> {
+    /// Empty cache retaining `window` reply ids per client.
+    ///
+    /// # Panics
+    /// Panics on a zero window, which would evict every reply immediately.
+    #[must_use]
+    pub fn new(window: u64) -> Self {
+        assert!(window > 0, "zero reply window");
+        Self {
+            by_client: BTreeMap::new(),
+            window,
+        }
+    }
+
+    /// The configured per-client id window.
+    #[must_use]
+    pub fn window(&self) -> u64 {
+        self.window
+    }
+
+    /// The cached reply to `origin`'s request, if it was already applied
+    /// and is still inside its client's window.
+    #[must_use]
+    pub fn get(&self, origin: ReqOrigin) -> Option<&R> {
+        self.by_client.get(&origin.client)?.get(&origin.req_id)
+    }
+
+    /// Cache `reply` as the outcome of `origin`'s request and slide the
+    /// client's window: drop replies no live retry can ask for.
+    pub fn record(&mut self, origin: ReqOrigin, reply: R) {
+        let replies = self.by_client.entry(origin.client).or_default();
+        replies.insert(origin.req_id, reply);
+        let newest = replies
+            .last_key_value()
+            .map_or(origin.req_id, |(&id, _)| id);
+        while let Some((&oldest, _)) = replies.first_key_value() {
+            if oldest + self.window > newest {
+                break;
+            }
+            replies.pop_first();
+        }
+    }
+
+    /// Every cached reply, across clients (snapshot costing).
+    pub fn replies(&self) -> impl Iterator<Item = &R> {
+        self.by_client.values().flat_map(BTreeMap::values)
+    }
+}
+
+/// One client's window (observers and tests); panics, like a map index,
+/// for a client that never had a reply cached.
+impl<R> std::ops::Index<&u64> for Sessions<R> {
+    type Output = BTreeMap<u64, R>;
+
+    fn index(&self, client: &u64) -> &Self::Output {
+        &self.by_client[client]
+    }
+}
+
 /// What Raft actually replicates: a command plus (for client traffic) the
 /// originating `(client, req_id)`, so a retried request that was already
 /// committed under a previous leader is recognised at apply time instead of
@@ -376,12 +454,7 @@ fn response_bytes(resp: &KvResponse) -> usize {
 pub struct Store {
     kv: KvStore,
     /// Per-client window of recent `req_id → response`.
-    sessions: BTreeMap<u64, BTreeMap<u64, KvResponse>>,
-    /// Sliding id window retained per client (the shared
-    /// `RaftConfig::reply_window` knob; identical on every replica, so it
-    /// is config rather than replicated state even though it rides along
-    /// in snapshot clones).
-    reply_window: u64,
+    sessions: Sessions<KvResponse>,
 }
 
 impl Default for Store {
@@ -402,18 +475,16 @@ impl Store {
     /// [`DEFAULT_REPLY_WINDOW`] for the sizing rule).
     #[must_use]
     pub fn with_reply_window(window: u64) -> Self {
-        assert!(window > 0, "zero reply window");
         Self {
             kv: KvStore::default(),
-            sessions: BTreeMap::new(),
-            reply_window: window,
+            sessions: Sessions::new(window),
         }
     }
 
     /// The configured per-client reply-cache id window.
     #[must_use]
     pub fn reply_window(&self) -> u64 {
-        self.reply_window
+        self.sessions.window()
     }
 
     /// The underlying KV map (observers).
@@ -452,19 +523,14 @@ impl Store {
     /// model).
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
-        let sessions: usize = self
-            .sessions
-            .values()
-            .flat_map(BTreeMap::values)
-            .map(response_bytes)
-            .sum();
+        let sessions: usize = self.sessions.replies().map(response_bytes).sum();
         self.kv.approx_bytes() + sessions
     }
 
     /// Cached reply for a client request, if it was already applied.
     #[must_use]
     pub fn cached_reply(&self, origin: ReqOrigin) -> Option<&KvResponse> {
-        self.sessions.get(&origin.client)?.get(&origin.req_id)
+        self.sessions.get(origin)
     }
 
     /// The log-free read entry point: serve a `Get`/`Range` from the
@@ -508,18 +574,7 @@ impl StateMachine for Store {
                     return cached.clone();
                 }
                 let resp = self.kv.apply_command(index, &request.cmd);
-                let replies = self.sessions.entry(origin.client).or_default();
-                replies.insert(origin.req_id, resp.clone());
-                // Slide the window: drop replies no live retry can ask for.
-                let newest = *replies.keys().next_back().expect("just inserted");
-                let window = self.reply_window;
-                while let Some((&oldest, _)) = replies.iter().next() {
-                    if oldest + window <= newest {
-                        replies.remove(&oldest);
-                    } else {
-                        break;
-                    }
-                }
+                self.sessions.record(origin, resp.clone());
                 resp
             }
             // Reads (and origin-less internal traffic) bypass the cache:

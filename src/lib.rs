@@ -10,7 +10,8 @@
 //!   election-parameter tuning.
 //! * [`raft`] — from-scratch etcd-style Raft with pluggable tuning.
 //! * [`kv`] — replicated key-value store and workload generation.
-//! * [`cluster`] — simulation harness, failure injection, experiments.
+//! * [`cluster`] — simulation harness, failure injection, and the scenario
+//!   catalog (every §IV procedure beside the experiment that reports it).
 
 pub use dynatune_broker as broker;
 pub use dynatune_cluster as cluster;

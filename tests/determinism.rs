@@ -3,7 +3,7 @@
 //! This is what makes the paper's 1000-trial studies reproducible and lets
 //! trials fan out across threads with no shared state.
 
-use dynatune_repro::cluster::experiments::failover::{run_single_trial, FailoverConfig};
+use dynatune_repro::cluster::scenario::catalog::failover::{run_single_trial, FailoverConfig};
 use dynatune_repro::cluster::{ClusterConfig, ClusterSim, WorkloadSpec};
 use dynatune_repro::core::TuningConfig;
 use dynatune_repro::simnet::SimTime;
@@ -70,7 +70,7 @@ fn event_streams_are_bit_identical() {
 fn parallel_and_serial_trials_agree() {
     // The rayon-parallel study must produce exactly the per-trial outcomes
     // of serial execution (no cross-trial state).
-    use dynatune_repro::cluster::experiments::failover::run_trials;
+    use dynatune_repro::cluster::scenario::catalog::failover::run_trials;
     let cluster = ClusterConfig::stable(
         5,
         TuningConfig::dynatune(),

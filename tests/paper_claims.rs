@@ -2,8 +2,10 @@
 //! are deliberately loose (small trial counts keep CI fast) — the figure
 //! binaries run the full-scale versions; EXPERIMENTS.md records those.
 
-use dynatune_repro::cluster::experiments::failover::{run_trials, FailoverConfig};
-use dynatune_repro::cluster::experiments::rtt_fluctuation::{self, RttFlucConfig, RttPattern};
+use dynatune_repro::cluster::scenario::catalog::failover::{run_trials, FailoverConfig};
+use dynatune_repro::cluster::scenario::catalog::fluctuation::{
+    measure_rtt_fluctuation, RttPattern,
+};
 use dynatune_repro::cluster::{ClusterConfig, CostModel};
 use dynatune_repro::core::TuningConfig;
 use dynatune_repro::simnet::{geo_topology, CongestionConfig, Region};
@@ -62,23 +64,26 @@ fn claim_dynatune_election_phase_is_longer() {
 /// out-of-service time; Raft-Low loses availability under the radical step.
 #[test]
 fn claim_rtt_fluctuation_availability() {
-    let mut dt = RttFlucConfig::new(TuningConfig::dynatune(), RttPattern::Radical, 5);
-    dt.hold = Duration::from_secs(12);
-    let dt_series = rtt_fluctuation::run(&dt);
+    let run = |tuning| {
+        measure_rtt_fluctuation(
+            tuning,
+            RttPattern::Radical,
+            Duration::from_secs(12),
+            5,
+            true,
+        )
+    };
+    let dt_series = run(TuningConfig::dynatune());
     assert_eq!(
         dt_series.total_ots_secs, 0.0,
         "{:?}",
         dt_series.ots_intervals
     );
 
-    let mut raft = RttFlucConfig::new(TuningConfig::raft_default(), RttPattern::Radical, 5);
-    raft.hold = Duration::from_secs(12);
-    let raft_series = rtt_fluctuation::run(&raft);
+    let raft_series = run(TuningConfig::raft_default());
     assert_eq!(raft_series.total_ots_secs, 0.0);
 
-    let mut low = RttFlucConfig::new(TuningConfig::raft_low(), RttPattern::Radical, 5);
-    low.hold = Duration::from_secs(12);
-    let low_series = rtt_fluctuation::run(&low);
+    let low_series = run(TuningConfig::raft_low());
     assert!(
         low_series.total_ots_secs > 1.0,
         "raft-low must lose availability: {:?}",

@@ -6,14 +6,15 @@
 //! committed hash, so a refactor is proven bit-identical *across commits*,
 //! not only across `--jobs` within one commit.
 
-use dynatune_repro::cluster::experiments::failover::{run_trials, FailoverConfig};
+use dynatune_repro::cluster::scenario::catalog::failover::{run_trials, FailoverConfig};
 use dynatune_repro::cluster::scenario::{catalog, registry, Experiment, Report, RunCtx};
 use dynatune_repro::cluster::ClusterConfig;
 use dynatune_repro::core::TuningConfig;
 use std::time::Duration;
 
-fn report_with_jobs(experiment: &dyn Experiment, jobs: usize) -> Report {
-    RunCtx::new(1234).quick(true).jobs(jobs).run(experiment)
+/// The context most scenarios are pinned at: quick scale, seed 1234.
+fn quick_ctx() -> RunCtx {
+    RunCtx::new(1234).quick(true)
 }
 
 /// FNV-1a over the rendered report plus every artifact (name and CSV).
@@ -87,6 +88,22 @@ fn assert_pinned(serial: &Report) {
     );
 }
 
+/// Run `experiment` under `ctx` serially and `jobs` wide: the two reports
+/// must be equal and the serial one must match its pin. Returns it, so the
+/// caller can check that the equality is over real content.
+#[track_caller]
+fn assert_identical_and_pinned(ctx: &RunCtx, experiment: &dyn Experiment, jobs: usize) -> Report {
+    let serial = ctx.clone().jobs(1).run(experiment);
+    let parallel = ctx.clone().jobs(jobs).run(experiment);
+    assert_eq!(
+        serial, parallel,
+        "{}: --jobs must not change the report",
+        serial.name
+    );
+    assert_pinned(&serial);
+    serial
+}
+
 #[test]
 fn every_registered_scenario_is_pinned() {
     let mut registered: Vec<&str> = registry().iter().map(|e| e.name()).collect();
@@ -102,10 +119,7 @@ fn every_registered_scenario_is_pinned() {
 fn fig4_report_identical_serial_vs_parallel() {
     let mut ctx = RunCtx::new(77).quick(true);
     ctx.trials = Some(8); // keep the check fast; 16 clusters per run
-    let serial = ctx.clone().jobs(1).run(&catalog::Fig4Failover);
-    let parallel = ctx.clone().jobs(4).run(&catalog::Fig4Failover);
-    assert_eq!(serial, parallel, "fig4: --jobs must not change the report");
-    assert_pinned(&serial);
+    let serial = assert_identical_and_pinned(&ctx, &catalog::Fig4Failover, 4);
     // Equality must be meaningful: the report carries real content.
     assert!(!serial.tables.is_empty() && !serial.artifacts.is_empty());
     assert_eq!(serial.name, "fig4");
@@ -116,16 +130,9 @@ fn fig4_report_identical_serial_vs_parallel() {
 /// redirects and timeout retries all feed the peak-throughput and latency
 /// columns, which must be bit-identical at any pool width.
 fn assert_ramp_identical_and_pinned(experiment: &dyn Experiment) {
-    let mut ctx = RunCtx::new(1234).quick(true);
+    let mut ctx = quick_ctx();
     ctx.repeats = Some(1); // one ramp per variant keeps the check fast
-    let serial = ctx.clone().jobs(1).run(experiment);
-    let parallel = ctx.clone().jobs(4).run(experiment);
-    assert_eq!(
-        serial, parallel,
-        "{}: --jobs must not change the report",
-        serial.name
-    );
-    assert_pinned(&serial);
+    let serial = assert_identical_and_pinned(&ctx, experiment, 4);
     assert!(!serial.tables.is_empty());
 }
 
@@ -149,14 +156,7 @@ fn fluctuation_reports_identical_serial_vs_parallel() {
         &catalog::Fig6bRadicalRtt,
         &catalog::Fig7LossFluctuation,
     ] {
-        let serial = report_with_jobs(experiment, 1);
-        let parallel = report_with_jobs(experiment, 4);
-        assert_eq!(
-            serial, parallel,
-            "{}: --jobs must not change the report",
-            serial.name
-        );
-        assert_pinned(&serial);
+        let serial = assert_identical_and_pinned(&quick_ctx(), experiment, 4);
         assert!(!serial.tables.is_empty() && !serial.artifacts.is_empty());
     }
 }
@@ -170,24 +170,14 @@ fn failover_family_reports_identical_serial_vs_parallel() {
         &catalog::GeoAsymmetricFailover,
         &catalog::Ablations,
     ] {
-        let serial = report_with_jobs(experiment, 1);
-        let parallel = report_with_jobs(experiment, 4);
-        assert_eq!(
-            serial, parallel,
-            "{}: --jobs must not change the report",
-            serial.name
-        );
-        assert_pinned(&serial);
+        let serial = assert_identical_and_pinned(&quick_ctx(), experiment, 4);
         assert!(!serial.tables.is_empty());
     }
 }
 
 #[test]
 fn churn_report_identical_serial_vs_parallel() {
-    let serial = report_with_jobs(&catalog::PartitionChurn, 1);
-    let parallel = report_with_jobs(&catalog::PartitionChurn, 3);
-    assert_eq!(serial, parallel);
-    assert_pinned(&serial);
+    assert_identical_and_pinned(&quick_ctx(), &catalog::PartitionChurn, 3);
 }
 
 #[test]
@@ -199,14 +189,7 @@ fn sharded_reports_identical_serial_vs_parallel() {
         &catalog::ShardLeaderFailover,
         &catalog::HotShard,
     ] {
-        let serial = report_with_jobs(experiment, 1);
-        let parallel = report_with_jobs(experiment, 4);
-        assert_eq!(
-            serial, parallel,
-            "{}: --jobs must not change the report",
-            serial.name
-        );
-        assert_pinned(&serial);
+        let serial = assert_identical_and_pinned(&quick_ctx(), experiment, 4);
         assert!(!serial.tables.is_empty());
     }
 }
@@ -220,14 +203,7 @@ fn compaction_reports_identical_serial_vs_parallel() {
         &catalog::LaggingFollowerCatchup as &dyn Experiment,
         &catalog::CompactionChurn,
     ] {
-        let serial = report_with_jobs(experiment, 1);
-        let parallel = report_with_jobs(experiment, 4);
-        assert_eq!(
-            serial, parallel,
-            "{}: --jobs must not change the report",
-            serial.name
-        );
-        assert_pinned(&serial);
+        let serial = assert_identical_and_pinned(&quick_ctx(), experiment, 4);
         assert!(!serial.tables.is_empty() && !serial.headlines.is_empty());
     }
 }
@@ -243,14 +219,7 @@ fn read_path_reports_identical_serial_vs_parallel() {
         &catalog::FollowerReadOffload,
         &catalog::LeaseSafetyPartition,
     ] {
-        let serial = report_with_jobs(experiment, 1);
-        let parallel = report_with_jobs(experiment, 4);
-        assert_eq!(
-            serial, parallel,
-            "{}: --jobs must not change the report",
-            serial.name
-        );
-        assert_pinned(&serial);
+        let serial = assert_identical_and_pinned(&quick_ctx(), experiment, 4);
         assert!(!serial.tables.is_empty() && !serial.headlines.is_empty());
     }
 }
@@ -260,13 +229,7 @@ fn pipeline_depth_report_identical_serial_vs_parallel() {
     // The window x RTT sweep fans all twelve cells out at once; the
     // committed-op counts and both ratio headlines must be bit-identical
     // at any pool width.
-    let serial = report_with_jobs(&catalog::PipelineDepth, 1);
-    let parallel = report_with_jobs(&catalog::PipelineDepth, 4);
-    assert_eq!(
-        serial, parallel,
-        "pipeline_depth: --jobs must not change the report"
-    );
-    assert_pinned(&serial);
+    let serial = assert_identical_and_pinned(&quick_ctx(), &catalog::PipelineDepth, 4);
     assert!(!serial.tables.is_empty() && !serial.headlines.is_empty());
 }
 
@@ -281,14 +244,7 @@ fn broker_reports_identical_serial_vs_parallel() {
         &catalog::ConsumerLagFailover,
         &catalog::ConsumerFanout,
     ] {
-        let serial = report_with_jobs(experiment, 1);
-        let parallel = report_with_jobs(experiment, 4);
-        assert_eq!(
-            serial, parallel,
-            "{}: --jobs must not change the report",
-            serial.name
-        );
-        assert_pinned(&serial);
+        let serial = assert_identical_and_pinned(&quick_ctx(), experiment, 4);
         assert!(!serial.tables.is_empty() && !serial.headlines.is_empty());
     }
 }
@@ -308,14 +264,7 @@ fn membership_reports_identical_serial_vs_parallel() {
         &catalog::ShardRebalance,
         &catalog::MembershipChurn,
     ] {
-        let serial = report_with_jobs(experiment, 1);
-        let parallel = report_with_jobs(experiment, 4);
-        assert_eq!(
-            serial, parallel,
-            "{}: --jobs must not change the report",
-            serial.name
-        );
-        assert_pinned(&serial);
+        let serial = assert_identical_and_pinned(&quick_ctx(), experiment, 4);
         assert!(!serial.tables.is_empty() && !serial.headlines.is_empty());
     }
 }
