@@ -7,24 +7,12 @@
 //! (the TCP-like channel is FIFO there; here even append traffic reorders),
 //! which is exactly what the invariants must survive.
 
+mod common;
+
+use common::{Check, Harness};
 use dynatune_core::TuningConfig;
-use dynatune_raft::{
-    NodeEffects, NodeId, NullStateMachine, Payload, RaftConfig, RaftEvent, RaftNode, Role, Term,
-};
-use dynatune_simnet::SimTime;
+use dynatune_raft::{RaftConfig, Role};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
-use std::time::Duration;
-
-type Node = RaftNode<NullStateMachine>;
-
-/// An in-flight message.
-#[derive(Debug, Clone)]
-struct Flight {
-    from: NodeId,
-    to: NodeId,
-    payload: Payload<u64, Vec<(u64, u64)>>,
-}
 
 /// One adversarial step.
 #[derive(Debug, Clone)]
@@ -54,158 +42,29 @@ fn action_strategy() -> impl Strategy<Value = Action> {
     ]
 }
 
-struct Harness {
-    nodes: Vec<Node>,
-    pool: Vec<Flight>,
-    now: SimTime,
-    leaders_by_term: BTreeMap<Term, NodeId>,
-    max_term_seen: Vec<Term>,
+fn harness(n: usize, seed: u64) -> Harness {
+    Harness::new(n, seed, |id| {
+        RaftConfig::new(id, n, TuningConfig::dynatune())
+    })
 }
 
-impl Harness {
-    fn new(n: usize, seed: u64) -> Self {
-        let nodes = (0..n)
-            .map(|id| {
-                let mut cfg = RaftConfig::new(id, n, TuningConfig::dynatune());
-                cfg.seed = seed ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                RaftNode::new(cfg, NullStateMachine::default(), SimTime::ZERO)
-            })
-            .collect();
-        Self {
-            nodes,
-            pool: Vec::new(),
-            now: SimTime::ZERO,
-            leaders_by_term: BTreeMap::new(),
-            max_term_seen: vec![0; n],
-        }
-    }
+fn check_invariants(h: &mut Harness) -> Check {
+    h.check_terms_monotonic()?;
+    // Leader completeness-lite: committed prefixes agree pairwise.
+    h.check_log_matching()?;
+    h.check_single_leader_at_max_term()
+}
 
-    fn absorb(
-        &mut self,
-        from: NodeId,
-        fx: NodeEffects<NullStateMachine>,
-    ) -> Result<(), TestCaseError> {
-        for m in fx.messages {
-            self.pool.push(Flight {
-                from,
-                to: m.to,
-                payload: m.payload,
-            });
-        }
-        for ev in fx.events {
-            if let RaftEvent::BecameLeader { term } = ev {
-                if let Some(&prev) = self.leaders_by_term.get(&term) {
-                    prop_assert_eq!(prev, from, "two leaders in term {}", term);
-                }
-                self.leaders_by_term.insert(term, from);
-            }
-        }
-        Ok(())
+fn apply(h: &mut Harness, action: &Action) -> Check {
+    match *action {
+        Action::Deliver(k) => h.deliver(k)?,
+        Action::Drop(k) => h.drop_flight(k),
+        Action::Duplicate(k) => h.duplicate(k)?,
+        Action::FireTimer(n) => h.fire_timer(n)?,
+        Action::Sleep(ms) => h.sleep(ms)?,
+        Action::Propose(n, v) => h.propose(n, v)?,
     }
-
-    fn check_invariants(&mut self) -> Result<(), TestCaseError> {
-        // Term monotonicity per node.
-        for (id, node) in self.nodes.iter().enumerate() {
-            prop_assert!(
-                node.term() >= self.max_term_seen[id],
-                "term went backwards on node {}",
-                id
-            );
-            self.max_term_seen[id] = node.term();
-        }
-        // Leader completeness-lite: committed prefixes agree pairwise.
-        for a in 0..self.nodes.len() {
-            for b in (a + 1)..self.nodes.len() {
-                let common = self.nodes[a]
-                    .commit_index()
-                    .min(self.nodes[b].commit_index());
-                for i in 1..=common {
-                    let ta = self.nodes[a].log().term_at(i);
-                    let tb = self.nodes[b].log().term_at(i);
-                    if let (Some(ta), Some(tb)) = (ta, tb) {
-                        prop_assert_eq!(
-                            ta,
-                            tb,
-                            "committed entry {} diverges between {} and {}",
-                            i,
-                            a,
-                            b
-                        );
-                        let da = self.nodes[a].log().entry_at(i).map(|e| e.data);
-                        let db = self.nodes[b].log().entry_at(i).map(|e| e.data);
-                        if let (Some(da), Some(db)) = (da, db) {
-                            prop_assert_eq!(da, db, "data diverges at {}", i);
-                        }
-                    }
-                }
-            }
-        }
-        // At most one leader among nodes sharing the max term.
-        let max_term = self.nodes.iter().map(Node::term).max().unwrap_or(0);
-        let leaders_at_max = self
-            .nodes
-            .iter()
-            .filter(|n| n.term() == max_term && n.role() == Role::Leader)
-            .count();
-        prop_assert!(
-            leaders_at_max <= 1,
-            "{} leaders at term {}",
-            leaders_at_max,
-            max_term
-        );
-        Ok(())
-    }
-
-    fn apply(&mut self, action: &Action) -> Result<(), TestCaseError> {
-        match action {
-            Action::Deliver(k) => {
-                if !self.pool.is_empty() {
-                    let f = self.pool.swap_remove(k % self.pool.len());
-                    let fx = self.nodes[f.to].step(self.now, f.from, f.payload);
-                    self.absorb(f.to, fx)?;
-                }
-            }
-            Action::Drop(k) => {
-                if !self.pool.is_empty() {
-                    let idx = k % self.pool.len();
-                    self.pool.swap_remove(idx);
-                }
-            }
-            Action::Duplicate(k) => {
-                if !self.pool.is_empty() {
-                    let f = self.pool[k % self.pool.len()].clone();
-                    let fx = self.nodes[f.to].step(self.now, f.from, f.payload);
-                    self.absorb(f.to, fx)?;
-                }
-            }
-            Action::FireTimer(n) => {
-                let id = n % self.nodes.len();
-                if let Some(deadline) = self.nodes[id].next_wake() {
-                    self.now = self.now.max(deadline);
-                    let fx = self.nodes[id].tick(self.now);
-                    self.absorb(id, fx)?;
-                }
-            }
-            Action::Sleep(ms) => {
-                self.now += Duration::from_millis(*ms);
-                // Give every node a (cheap) tick at the new time: leaders
-                // emit due heartbeats, followers check their deadlines.
-                for id in 0..self.nodes.len() {
-                    let due = self.nodes[id].next_wake().is_some_and(|w| w <= self.now);
-                    if due {
-                        let fx = self.nodes[id].tick(self.now);
-                        self.absorb(id, fx)?;
-                    }
-                }
-            }
-            Action::Propose(n, v) => {
-                let id = n % self.nodes.len();
-                let (_, fx) = self.nodes[id].propose(self.now, *v);
-                self.absorb(id, fx)?;
-            }
-        }
-        self.check_invariants()
-    }
+    check_invariants(h)
 }
 
 proptest! {
@@ -221,9 +80,9 @@ proptest! {
         seed in 0u64..1_000,
         actions in proptest::collection::vec(action_strategy(), 50..400),
     ) {
-        let mut h = Harness::new(3, seed);
+        let mut h = harness(3, seed);
         for a in &actions {
-            h.apply(a)?;
+            apply(&mut h, a)?;
         }
     }
 
@@ -233,9 +92,9 @@ proptest! {
         seed in 0u64..1_000,
         actions in proptest::collection::vec(action_strategy(), 50..300),
     ) {
-        let mut h = Harness::new(5, seed);
+        let mut h = harness(5, seed);
         for a in &actions {
-            h.apply(a)?;
+            apply(&mut h, a)?;
         }
     }
 
@@ -243,27 +102,12 @@ proptest! {
     /// everything promptly, some node becomes leader.
     #[test]
     fn eventual_leadership_when_network_heals(seed in 0u64..1_000) {
-        let mut h = Harness::new(3, seed);
+        let mut h = harness(3, seed);
         // Fire timers and deliver every message for a while.
-        for round in 0..200u64 {
-            let _ = round;
-            // advance to the earliest deadline
-            if let Some(deadline) = h.nodes.iter().filter_map(Node::next_wake).min() {
-                h.now = h.now.max(deadline);
-            }
-            for id in 0..h.nodes.len() {
-                if h.nodes[id].next_wake().is_some_and(|w| w <= h.now) {
-                    let fx = h.nodes[id].tick(h.now);
-                    h.absorb(id, fx)?;
-                }
-            }
-            // deliver everything currently in flight
-            while !h.pool.is_empty() {
-                let f = h.pool.swap_remove(0);
-                let fx = h.nodes[f.to].step(h.now, f.from, f.payload);
-                h.absorb(f.to, fx)?;
-            }
-            h.check_invariants()?;
+        for _round in 0..200u64 {
+            h.fire_due_timers(&[])?;
+            h.drain(&[])?;
+            check_invariants(&mut h)?;
             if h.nodes.iter().any(|n| n.role() == Role::Leader) {
                 return Ok(());
             }

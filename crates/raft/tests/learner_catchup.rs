@@ -10,135 +10,62 @@
 //! and "counted", and it is exactly what the rebalancer upstack relies
 //! on when it parks a learner next to a hot shard before the cut-over.
 
-use dynatune_core::TuningConfig;
-use dynatune_raft::{
-    ConfChange, NodeEffects, NodeId, NullStateMachine, Payload, RaftConfig, RaftEvent, RaftNode,
-    Role,
-};
-use dynatune_simnet::SimTime;
-use proptest::prelude::*;
-use std::time::Duration;
+mod common;
 
-type Node = RaftNode<NullStateMachine>;
+use common::{Check, Fx, Harness, Hooks, Node};
+use dynatune_core::TuningConfig;
+use dynatune_raft::{ConfChange, NodeId, RaftConfig, RaftEvent, Role};
+use proptest::prelude::*;
 
 /// The spare that joins as a learner.
 const LEARNER: NodeId = 3;
 
-#[derive(Debug, Clone)]
-struct Flight {
-    from: NodeId,
-    to: NodeId,
-    payload: Payload<u64, Vec<(u64, u64)>>,
-}
+/// Nodes that installed a snapshot (learner catch-up proof).
+#[derive(Default)]
+struct SnapshotInstalls(Vec<NodeId>);
 
-struct Harness {
-    nodes: Vec<Node>,
-    pool: Vec<Flight>,
-    now: SimTime,
-    /// Nodes that installed a snapshot (learner catch-up proof).
-    snapshot_installs: Vec<NodeId>,
-}
-
-impl Harness {
-    fn new(seed: u64) -> Self {
-        let voters: Vec<NodeId> = vec![0, 1, 2];
-        let nodes = (0..4)
-            .map(|id| {
-                let mut cfg = RaftConfig::with_peers(id, voters.clone(), TuningConfig::dynatune());
-                cfg.seed = seed ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                RaftNode::new(cfg, NullStateMachine::default(), SimTime::ZERO)
-            })
-            .collect();
-        Self {
-            nodes,
-            pool: Vec::new(),
-            now: SimTime::ZERO,
-            snapshot_installs: Vec::new(),
-        }
-    }
-
-    fn absorb(&mut self, from: NodeId, fx: NodeEffects<NullStateMachine>) {
-        for m in fx.messages {
-            self.pool.push(Flight {
-                from,
-                to: m.to,
-                payload: m.payload,
-            });
-        }
-        for ev in fx.events {
+impl Hooks for SnapshotInstalls {
+    fn on_effects(&mut self, _nodes: &[Node], from: NodeId, fx: &Fx) -> Check {
+        for ev in &fx.events {
             if let RaftEvent::SnapshotInstalled { .. } = ev {
-                self.snapshot_installs.push(from);
+                self.0.push(from);
             }
         }
+        Ok(())
     }
+}
 
-    /// Fire every due timer, then deliver every in-flight message whose
-    /// endpoints are both outside `isolated`. Messages touching an
-    /// isolated node are dropped (a hard partition). One call is one
-    /// "healed round".
-    fn round(&mut self, isolated: &[NodeId]) {
-        if let Some(deadline) = self
+type LearnerHarness = Harness<SnapshotInstalls>;
+
+fn harness(seed: u64) -> LearnerHarness {
+    Harness::new(4, seed, |id| {
+        RaftConfig::with_peers(id, vec![0, 1, 2], TuningConfig::dynatune())
+    })
+}
+
+/// Run healed rounds (learner partitioned off so only voters decide)
+/// until exactly one node leads at the cluster's max term. A node
+/// that still *thinks* it leads a superseded term does not count —
+/// proposing on a stale leader would silently roll back.
+fn elect(h: &mut LearnerHarness) -> Result<NodeId, TestCaseError> {
+    for _ in 0..200 {
+        h.healed_round(&[LEARNER])?;
+        let leaders: Vec<NodeId> = h
             .nodes
             .iter()
             .enumerate()
-            .filter(|(id, _)| !isolated.contains(id))
-            .filter_map(|(_, n)| n.next_wake())
-            .min()
-        {
-            self.now = self.now.max(deadline);
-        }
-        for id in 0..self.nodes.len() {
-            if isolated.contains(&id) {
-                continue;
-            }
-            if self.nodes[id].next_wake().is_some_and(|w| w <= self.now) {
-                let fx = self.nodes[id].tick(self.now);
-                self.absorb(id, fx);
+            .filter(|(_, n)| n.role() == Role::Leader)
+            .map(|(i, _)| i)
+            .collect();
+        let max_term = h.nodes.iter().map(Node::term).max().unwrap_or(0);
+        if let [l] = leaders[..] {
+            if h.nodes[l].term() == max_term {
+                return Ok(l);
             }
         }
-        let mut budget = 10_000usize;
-        while let Some(pos) = self
-            .pool
-            .iter()
-            .position(|f| !isolated.contains(&f.from) && !isolated.contains(&f.to))
-        {
-            let f = self.pool.swap_remove(pos);
-            let fx = self.nodes[f.to].step(self.now, f.from, f.payload);
-            self.absorb(f.to, fx);
-            budget -= 1;
-            assert!(budget > 0, "delivery storm: messages never drain");
-        }
-        self.pool
-            .retain(|f| !isolated.contains(&f.from) && !isolated.contains(&f.to));
-        // Leave a little idle time between rounds so heartbeat pacing and
-        // batch deadlines make progress instead of firing back-to-back.
-        self.now += Duration::from_millis(5);
     }
-
-    /// Run healed rounds (learner partitioned off so only voters decide)
-    /// until exactly one node leads at the cluster's max term. A node
-    /// that still *thinks* it leads a superseded term does not count —
-    /// proposing on a stale leader would silently roll back.
-    fn elect(&mut self) -> Result<NodeId, TestCaseError> {
-        for _ in 0..200 {
-            self.round(&[LEARNER]);
-            let leaders: Vec<NodeId> = self
-                .nodes
-                .iter()
-                .enumerate()
-                .filter(|(_, n)| n.role() == Role::Leader)
-                .map(|(i, _)| i)
-                .collect();
-            let max_term = self.nodes.iter().map(Node::term).max().unwrap_or(0);
-            if let [l] = leaders[..] {
-                if self.nodes[l].term() == max_term {
-                    return Ok(l);
-                }
-            }
-        }
-        prop_assert!(false, "no stable leader after 200 healed rounds");
-        unreachable!();
-    }
+    prop_assert!(false, "no stable leader after 200 healed rounds");
+    unreachable!();
 }
 
 proptest! {
@@ -157,15 +84,15 @@ proptest! {
         n_entries in 4u64..48,
         compact_frac in 0u64..100,
     ) {
-        let mut h = Harness::new(seed);
-        let leader = h.elect()?;
+        let mut h = harness(seed);
+        let leader = elect(&mut h)?;
 
         // Build history, fully replicate it among the three voters.
         for v in 0..n_entries {
             let (res, fx) = h.nodes[leader].propose(h.now, v);
             prop_assert!(res.is_ok());
-            h.absorb(leader, fx);
-            h.round(&[LEARNER]);
+            h.absorb(leader, fx)?;
+            h.healed_round(&[LEARNER])?;
         }
         let last = h.nodes[leader].log().last_index();
         prop_assert!(h.nodes[leader].commit_index() >= last);
@@ -181,14 +108,14 @@ proptest! {
         let (res, fx) = h.nodes[leader]
             .propose_conf_change(h.now, ConfChange::AddLearner(LEARNER));
         prop_assert!(res.is_ok(), "AddLearner rejected: {:?}", res);
-        h.absorb(leader, fx);
+        h.absorb(leader, fx)?;
         for _ in 0..200 {
             if h.nodes[LEARNER].log().last_index() >= h.nodes[leader].log().last_index()
                 && h.nodes[LEARNER].commit_index() >= h.nodes[leader].commit_index()
             {
                 break;
             }
-            h.round(&[]);
+            h.healed_round(&[])?;
         }
         prop_assert_eq!(
             h.nodes[LEARNER].log().last_index(),
@@ -197,7 +124,7 @@ proptest! {
         );
         if compacted {
             prop_assert!(
-                h.snapshot_installs.contains(&LEARNER),
+                h.hooks.0.contains(&LEARNER),
                 "catch-up from behind compaction boundary {} must go through \
                  InstallSnapshot",
                 boundary
@@ -219,9 +146,9 @@ proptest! {
         let commit_before = h.nodes[leader].commit_index();
         let (res, fx) = h.nodes[leader].propose(h.now, 7_777);
         prop_assert!(res.is_ok());
-        h.absorb(leader, fx);
+        h.absorb(leader, fx)?;
         for _ in 0..20 {
-            h.round(&others);
+            h.healed_round(&others)?;
         }
         prop_assert_eq!(
             h.nodes.iter().map(Node::commit_index).max().unwrap_or(0),
@@ -232,7 +159,7 @@ proptest! {
 
         // Heal and re-establish a leader among the voters (check-quorum
         // may have deposed the old one during the blackout).
-        let leader = h.elect()?;
+        let leader = elect(&mut h)?;
 
         // Promote through joint consensus — swap the learner in for a
         // non-leader voter — with the partition healed so both quorums
@@ -243,23 +170,23 @@ proptest! {
             ConfChange::Begin { add: vec![LEARNER], remove: vec![victim] },
         );
         prop_assert!(res.is_ok(), "Begin rejected: {:?}", res);
-        h.absorb(leader, fx);
+        h.absorb(leader, fx)?;
         for _ in 0..50 {
             if h.nodes[leader].membership_index() <= h.nodes[leader].commit_index() {
                 break;
             }
-            h.round(&[]);
+            h.healed_round(&[])?;
         }
         let (res, fx) = h.nodes[leader].propose_conf_change(h.now, ConfChange::Finalize);
         prop_assert!(res.is_ok(), "Finalize rejected: {:?}", res);
-        h.absorb(leader, fx);
+        h.absorb(leader, fx)?;
         for _ in 0..50 {
             if !h.nodes[leader].membership().is_joint()
                 && h.nodes[leader].membership_index() <= h.nodes[leader].commit_index()
             {
                 break;
             }
-            h.round(&[]);
+            h.healed_round(&[])?;
         }
         prop_assert!(!h.nodes[leader].membership().is_joint());
         prop_assert!(h.nodes[leader].membership().is_voter(LEARNER));
@@ -271,12 +198,12 @@ proptest! {
         let commit_before = h.nodes[leader].commit_index();
         let (res, fx) = h.nodes[leader].propose(h.now, 8_888);
         prop_assert!(res.is_ok());
-        h.absorb(leader, fx);
+        h.absorb(leader, fx)?;
         for _ in 0..50 {
             if h.nodes[leader].commit_index() > commit_before {
                 break;
             }
-            h.round(&others);
+            h.healed_round(&others)?;
         }
         prop_assert!(
             h.nodes[leader].commit_index() > commit_before,

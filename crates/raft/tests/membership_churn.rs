@@ -20,28 +20,16 @@
 //! against a moving cluster. Safety must hold regardless of which
 //! proposals happen to land.
 
-use dynatune_core::TuningConfig;
-use dynatune_raft::{
-    ConfChange, NodeEffects, NodeId, NullStateMachine, Payload, RaftConfig, RaftEvent, RaftNode,
-    Role, Term,
-};
-use dynatune_simnet::SimTime;
-use proptest::prelude::*;
-use std::collections::BTreeMap;
-use std::time::Duration;
+mod common;
 
-type Node = RaftNode<NullStateMachine>;
+use common::{Check, Harness, Node};
+use dynatune_core::TuningConfig;
+use dynatune_raft::{ConfChange, NodeId, RaftConfig, Role};
+use proptest::prelude::*;
 
 /// Genesis voter set; the remaining harness nodes start as outsiders
 /// (spares) and only join through `AddLearner` + joint consensus.
 const GENESIS_VOTERS: usize = 3;
-
-#[derive(Debug, Clone)]
-struct Flight {
-    from: NodeId,
-    to: NodeId,
-    payload: Payload<u64, Vec<(u64, u64)>>,
-}
 
 /// One adversarial step. Compared to the plain adversarial battery this
 /// adds configuration-change proposals and crash-restarts.
@@ -88,267 +76,110 @@ fn action_strategy() -> impl Strategy<Value = Action> {
     ]
 }
 
-struct Harness {
-    nodes: Vec<Node>,
-    pool: Vec<Flight>,
-    now: SimTime,
-    leaders_by_term: BTreeMap<Term, NodeId>,
-    max_term_seen: Vec<Term>,
-    /// Global commit ledger: `(term, data)` of every entry any node has
-    /// ever observed as committed. Entries must never change once here.
-    committed: BTreeMap<u64, (Term, Option<u64>)>,
+fn harness(n: usize, seed: u64) -> Harness {
+    let voters: Vec<NodeId> = (0..GENESIS_VOTERS).collect();
+    // Every node — voter or spare — shares the same genesis voter set;
+    // spares are outsiders until a conf change admits them.
+    Harness::new(n, seed, |id| {
+        RaftConfig::with_peers(id, voters.clone(), TuningConfig::dynatune())
+    })
 }
 
-impl Harness {
-    fn new(n: usize, seed: u64) -> Self {
-        let voters: Vec<NodeId> = (0..GENESIS_VOTERS).collect();
-        let nodes = (0..n)
-            .map(|id| {
-                // Every node — voter or spare — shares the same genesis
-                // voter set; spares are outsiders until a conf change
-                // admits them.
-                let mut cfg = RaftConfig::with_peers(id, voters.clone(), TuningConfig::dynatune());
-                cfg.seed = seed ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                RaftNode::new(cfg, NullStateMachine::default(), SimTime::ZERO)
-            })
-            .collect();
-        Self {
-            nodes,
-            pool: Vec::new(),
-            now: SimTime::ZERO,
-            leaders_by_term: BTreeMap::new(),
-            max_term_seen: vec![0; n],
-            committed: BTreeMap::new(),
+/// Pick a configuration change relative to `node`'s current
+/// membership view. Most shapes are valid against that view (so real
+/// churn happens); stale views produce rejections, which is the
+/// operator-retry reality the battery wants to exercise.
+fn conf_for(h: &Harness, node: usize, shape: u8, target: usize) -> ConfChange {
+    let m = h.nodes[node].membership();
+    let target = target % h.nodes.len();
+    match shape {
+        0 => ConfChange::AddLearner(target),
+        1 => ConfChange::RemoveLearner(target),
+        2 => {
+            // Promote every caught-up learner in one joint step.
+            let add: Vec<NodeId> = m.learners.iter().copied().collect();
+            ConfChange::Begin {
+                add,
+                remove: Vec::new(),
+            }
         }
+        3 => {
+            // Swap: promote learners, demote one voter (never the
+            // whole voter set — `apply` rejects empty results).
+            let add: Vec<NodeId> = m.learners.iter().copied().collect();
+            let remove: Vec<NodeId> = m.voters.iter().copied().filter(|v| *v == target).collect();
+            ConfChange::Begin { add, remove }
+        }
+        _ => ConfChange::Finalize,
     }
+}
 
-    fn absorb(
-        &mut self,
-        from: NodeId,
-        fx: NodeEffects<NullStateMachine>,
-    ) -> Result<(), TestCaseError> {
-        for m in fx.messages {
-            self.pool.push(Flight {
-                from,
-                to: m.to,
-                payload: m.payload,
-            });
-        }
-        for ev in fx.events {
-            if let RaftEvent::BecameLeader { term } = ev {
-                if let Some(&prev) = self.leaders_by_term.get(&term) {
-                    prop_assert_eq!(
-                        prev,
-                        from,
-                        "two leaders in term {} — dual-quorum election safety violated",
-                        term
-                    );
-                }
-                self.leaders_by_term.insert(term, from);
+fn check_invariants(h: &mut Harness) -> Check {
+    h.check_terms_monotonic()?;
+    for (id, node) in h.nodes.iter().enumerate() {
+        // A node that believes itself a learner (or an outsider)
+        // must never campaign. Leading is legal in exactly one
+        // window (Raft §6): a leader removed by a still-uncommitted
+        // configuration keeps leading until that entry commits.
+        if !node.membership().is_voter(id) {
+            match node.role() {
+                Role::Follower => {}
+                Role::Leader => prop_assert!(
+                    node.membership_index() > node.commit_index(),
+                    "removed leader {} survived its own removal committing",
+                    id
+                ),
+                r => prop_assert!(false, "non-voter {} holds role {:?}", id, r),
             }
         }
-        Ok(())
     }
+    h.check_commit_ledger()?;
+    h.check_single_leader_at_max_term()
+}
 
-    /// Pick a configuration change relative to `node`'s current
-    /// membership view. Most shapes are valid against that view (so real
-    /// churn happens); stale views produce rejections, which is the
-    /// operator-retry reality the battery wants to exercise.
-    fn conf_for(&self, node: usize, shape: u8, target: usize) -> ConfChange {
-        let m = self.nodes[node].membership();
-        let target = target % self.nodes.len();
-        match shape {
-            0 => ConfChange::AddLearner(target),
-            1 => ConfChange::RemoveLearner(target),
-            2 => {
-                // Promote every caught-up learner in one joint step.
-                let add: Vec<NodeId> = m.learners.iter().copied().collect();
-                ConfChange::Begin {
-                    add,
-                    remove: Vec::new(),
-                }
-            }
-            3 => {
-                // Swap: promote learners, demote one voter (never the
-                // whole voter set — `apply` rejects empty results).
-                let add: Vec<NodeId> = m.learners.iter().copied().collect();
-                let remove: Vec<NodeId> =
-                    m.voters.iter().copied().filter(|v| *v == target).collect();
-                ConfChange::Begin { add, remove }
-            }
-            _ => ConfChange::Finalize,
-        }
-    }
+/// The leader at the cluster's highest term, if there is one.
+fn leader(h: &Harness) -> Option<NodeId> {
+    let max_term = h.nodes.iter().map(Node::term).max().unwrap_or(0);
+    h.nodes
+        .iter()
+        .position(|n| n.role() == Role::Leader && n.term() == max_term)
+}
 
-    fn check_invariants(&mut self) -> Result<(), TestCaseError> {
-        for (id, node) in self.nodes.iter().enumerate() {
-            prop_assert!(
-                node.term() >= self.max_term_seen[id],
-                "term went backwards on node {}",
-                id
-            );
-            self.max_term_seen[id] = node.term();
-            // A node that believes itself a learner (or an outsider)
-            // must never campaign. Leading is legal in exactly one
-            // window (Raft §6): a leader removed by a still-uncommitted
-            // configuration keeps leading until that entry commits.
-            if !node.membership().is_voter(id) {
-                match node.role() {
-                    Role::Follower => {}
-                    Role::Leader => prop_assert!(
-                        node.membership_index() > node.commit_index(),
-                        "removed leader {} survived its own removal committing",
-                        id
-                    ),
-                    r => prop_assert!(false, "non-voter {} holds role {:?}", id, r),
-                }
-            }
+fn apply(h: &mut Harness, action: &Action) -> Check {
+    match *action {
+        Action::Deliver(k) => h.deliver(k)?,
+        Action::Drop(k) => h.drop_flight(k),
+        Action::Duplicate(k) => h.duplicate(k)?,
+        Action::FireTimer(n) => h.fire_timer(n)?,
+        Action::Sleep(ms) => h.sleep(ms)?,
+        Action::Propose(n, v) => h.propose(n, v)?,
+        Action::ProposeConf(n, shape, target) => {
+            let id = if n % 2 == 0 {
+                leader(h).unwrap_or(n % h.nodes.len())
+            } else {
+                n % h.nodes.len()
+            };
+            let change = conf_for(h, id, shape, target);
+            let (_, fx) = h.nodes[id].propose_conf_change(h.now, change);
+            h.absorb(id, fx)?;
         }
-        // Commit ledger: nothing committed is ever lost or rewritten,
-        // across any number of reconfigurations.
-        for node in &self.nodes {
-            let first = node.log().first_index().max(1);
-            for i in first..=node.commit_index() {
-                let Some(term) = node.log().term_at(i) else {
-                    continue;
-                };
-                let data = node.log().entry_at(i).and_then(|e| e.data);
-                if let Some((t0, d0)) = self.committed.get(&i) {
-                    prop_assert_eq!(
-                        (*t0, *d0),
-                        (term, data),
-                        "committed entry {} changed after commit",
-                        i
-                    );
-                } else {
-                    self.committed.insert(i, (term, data));
-                }
-            }
-        }
-        // At most one leader among nodes sharing the max term.
-        let max_term = self.nodes.iter().map(Node::term).max().unwrap_or(0);
-        let leaders_at_max = self
-            .nodes
-            .iter()
-            .filter(|n| n.term() == max_term && n.role() == Role::Leader)
-            .count();
-        prop_assert!(
-            leaders_at_max <= 1,
-            "{} leaders at term {}",
-            leaders_at_max,
-            max_term
-        );
-        Ok(())
+        Action::CrashRestart(n) => h.crash_restart(n),
+        Action::HealRound => h.healed_round(&[])?,
     }
+    check_invariants(h)
+}
 
-    fn apply(&mut self, action: &Action) -> Result<(), TestCaseError> {
-        match action {
-            Action::Deliver(k) => {
-                if !self.pool.is_empty() {
-                    let f = self.pool.swap_remove(k % self.pool.len());
-                    let fx = self.nodes[f.to].step(self.now, f.from, f.payload);
-                    self.absorb(f.to, fx)?;
-                }
-            }
-            Action::Drop(k) => {
-                if !self.pool.is_empty() {
-                    let idx = k % self.pool.len();
-                    self.pool.swap_remove(idx);
-                }
-            }
-            Action::Duplicate(k) => {
-                if !self.pool.is_empty() {
-                    let f = self.pool[k % self.pool.len()].clone();
-                    let fx = self.nodes[f.to].step(self.now, f.from, f.payload);
-                    self.absorb(f.to, fx)?;
-                }
-            }
-            Action::FireTimer(n) => {
-                let id = n % self.nodes.len();
-                if let Some(deadline) = self.nodes[id].next_wake() {
-                    self.now = self.now.max(deadline);
-                    let fx = self.nodes[id].tick(self.now);
-                    self.absorb(id, fx)?;
-                }
-            }
-            Action::Sleep(ms) => {
-                self.now += Duration::from_millis(*ms);
-                for id in 0..self.nodes.len() {
-                    let due = self.nodes[id].next_wake().is_some_and(|w| w <= self.now);
-                    if due {
-                        let fx = self.nodes[id].tick(self.now);
-                        self.absorb(id, fx)?;
-                    }
-                }
-            }
-            Action::Propose(n, v) => {
-                let id = n % self.nodes.len();
-                let (_, fx) = self.nodes[id].propose(self.now, *v);
-                self.absorb(id, fx)?;
-            }
-            Action::ProposeConf(n, shape, target) => {
-                let id = if n % 2 == 0 {
-                    self.leader().unwrap_or(n % self.nodes.len())
-                } else {
-                    n % self.nodes.len()
-                };
-                let change = self.conf_for(id, *shape, *target);
-                let (_, fx) = self.nodes[id].propose_conf_change(self.now, change);
-                self.absorb(id, fx)?;
-            }
-            Action::CrashRestart(n) => {
-                let id = n % self.nodes.len();
-                self.nodes[id].restart(self.now, NullStateMachine::default());
-            }
-            Action::HealRound => {
-                self.heal_round()?;
-            }
+/// Deterministic boot: heal until a leader exists, so the schedule
+/// starts from a live cluster instead of hoping chaos elects one.
+fn boot(h: &mut Harness) -> Check {
+    for _ in 0..200 {
+        if leader(h).is_some() {
+            return Ok(());
         }
-        self.check_invariants()
+        h.healed_round(&[])?;
     }
-
-    fn leader(&self) -> Option<NodeId> {
-        let max_term = self.nodes.iter().map(Node::term).max().unwrap_or(0);
-        self.nodes
-            .iter()
-            .position(|n| n.role() == Role::Leader && n.term() == max_term)
-    }
-
-    /// Fire every due timer, then drain the in-flight pool in order.
-    fn heal_round(&mut self) -> Result<(), TestCaseError> {
-        if let Some(deadline) = self.nodes.iter().filter_map(Node::next_wake).min() {
-            self.now = self.now.max(deadline);
-        }
-        for id in 0..self.nodes.len() {
-            if self.nodes[id].next_wake().is_some_and(|w| w <= self.now) {
-                let fx = self.nodes[id].tick(self.now);
-                self.absorb(id, fx)?;
-            }
-        }
-        let mut budget = 10_000usize;
-        while !self.pool.is_empty() {
-            let f = self.pool.swap_remove(0);
-            let fx = self.nodes[f.to].step(self.now, f.from, f.payload);
-            self.absorb(f.to, fx)?;
-            budget -= 1;
-            prop_assert!(budget > 0, "delivery storm: messages never drain");
-        }
-        self.now += Duration::from_millis(5);
-        Ok(())
-    }
-
-    /// Deterministic boot: heal until a leader exists, so the schedule
-    /// starts from a live cluster instead of hoping chaos elects one.
-    fn boot(&mut self) -> Result<(), TestCaseError> {
-        for _ in 0..200 {
-            if self.leader().is_some() {
-                return Ok(());
-            }
-            self.heal_round()?;
-        }
-        prop_assert!(false, "no leader after 200 boot rounds");
-        Ok(())
-    }
+    prop_assert!(false, "no leader after 200 boot rounds");
+    Ok(())
 }
 
 proptest! {
@@ -365,10 +196,10 @@ proptest! {
         seed in 0u64..1_000,
         actions in proptest::collection::vec(action_strategy(), 50..350),
     ) {
-        let mut h = Harness::new(5, seed);
-        h.boot()?;
+        let mut h = harness(5, seed);
+        boot(&mut h)?;
         for a in &actions {
-            h.apply(a)?;
+            apply(&mut h, a)?;
         }
     }
 
@@ -379,10 +210,10 @@ proptest! {
         seed in 0u64..1_000,
         actions in proptest::collection::vec(action_strategy(), 50..250),
     ) {
-        let mut h = Harness::new(7, seed);
-        h.boot()?;
+        let mut h = harness(7, seed);
+        boot(&mut h)?;
         for a in &actions {
-            h.apply(a)?;
+            apply(&mut h, a)?;
         }
     }
 }

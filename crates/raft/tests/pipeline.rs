@@ -15,26 +15,12 @@
 //!   the quorum-th largest `last_index` across the members' *actual* logs,
 //!   i.e. nothing is committed that a quorum does not physically hold.
 
+mod common;
+
+use common::{Check, Harness};
 use dynatune_core::TuningConfig;
-use dynatune_raft::{
-    quorum, NodeEffects, NodeId, NullStateMachine, Payload, RaftConfig, RaftEvent, RaftNode, Role,
-    Term,
-};
-use dynatune_simnet::SimTime;
+use dynatune_raft::{RaftConfig, Role};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
-use std::time::Duration;
-
-type Node = RaftNode<NullStateMachine>;
-
-/// An in-flight message (the pool delivers in arbitrary order, so even
-/// pipelined append traffic reorders — harsher than the FIFO simulator).
-#[derive(Debug, Clone)]
-struct Flight {
-    from: NodeId,
-    to: NodeId,
-    payload: Payload<u64, Vec<(u64, u64)>>,
-}
 
 /// One adversarial step.
 #[derive(Debug, Clone)]
@@ -72,160 +58,34 @@ fn action_strategy() -> impl Strategy<Value = Action> {
     ]
 }
 
-struct Harness {
-    nodes: Vec<Node>,
-    pool: Vec<Flight>,
-    now: SimTime,
-    leaders_by_term: BTreeMap<Term, NodeId>,
+fn harness(n: usize, seed: u64, window: usize) -> Harness {
+    Harness::new(n, seed, |id| {
+        let mut cfg = RaftConfig::new(id, n, TuningConfig::dynatune());
+        cfg.pipeline_window = window;
+        // Tiny append batches so pipelined traffic spans many
+        // messages and reordering has something to chew on.
+        cfg.max_entries_per_append = 2;
+        cfg
+    })
 }
 
-impl Harness {
-    fn new(n: usize, seed: u64, window: usize) -> Self {
-        let nodes = (0..n)
-            .map(|id| {
-                let mut cfg = RaftConfig::new(id, n, TuningConfig::dynatune());
-                cfg.pipeline_window = window;
-                // Tiny append batches so pipelined traffic spans many
-                // messages and reordering has something to chew on.
-                cfg.max_entries_per_append = 2;
-                cfg.seed = seed ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                RaftNode::new(cfg, NullStateMachine::default(), SimTime::ZERO)
-            })
-            .collect();
-        Self {
-            nodes,
-            pool: Vec::new(),
-            now: SimTime::ZERO,
-            leaders_by_term: BTreeMap::new(),
-        }
-    }
+fn check_invariants(h: &Harness) -> Check {
+    h.check_log_matching()?;
+    h.check_commit_floor()
+}
 
-    fn absorb(
-        &mut self,
-        from: NodeId,
-        fx: NodeEffects<NullStateMachine>,
-    ) -> Result<(), TestCaseError> {
-        for m in fx.messages {
-            self.pool.push(Flight {
-                from,
-                to: m.to,
-                payload: m.payload,
-            });
-        }
-        for ev in fx.events {
-            if let RaftEvent::BecameLeader { term } = ev {
-                if let Some(&prev) = self.leaders_by_term.get(&term) {
-                    prop_assert_eq!(prev, from, "two leaders in term {}", term);
-                }
-                self.leaders_by_term.insert(term, from);
-            }
-        }
-        Ok(())
+fn apply(h: &mut Harness, action: &Action) -> Check {
+    match *action {
+        Action::Deliver(k) => h.deliver(k)?,
+        Action::Drop(k) => h.drop_flight(k),
+        Action::Duplicate(k) => h.duplicate(k)?,
+        Action::FireTimer(n) => h.fire_timer(n)?,
+        Action::Sleep(ms) => h.sleep(ms)?,
+        Action::Propose(n, v) => h.propose(n, v)?,
+        Action::Compact(n) => h.compact(n),
+        Action::CrashRestart(n) => h.crash_restart(n),
     }
-
-    fn check_invariants(&self) -> Result<(), TestCaseError> {
-        // Log matching: committed prefixes agree pairwise, term and data.
-        // Compacted prefixes are exempt per entry (the snapshot holds them).
-        for a in 0..self.nodes.len() {
-            for b in (a + 1)..self.nodes.len() {
-                let common = self.nodes[a]
-                    .commit_index()
-                    .min(self.nodes[b].commit_index());
-                for i in 1..=common {
-                    let ta = self.nodes[a].log().term_at(i);
-                    let tb = self.nodes[b].log().term_at(i);
-                    if let (Some(ta), Some(tb)) = (ta, tb) {
-                        prop_assert_eq!(
-                            ta,
-                            tb,
-                            "committed entry {} diverges between {} and {}",
-                            i,
-                            a,
-                            b
-                        );
-                        let da = self.nodes[a].log().entry_at(i).map(|e| e.data);
-                        let db = self.nodes[b].log().entry_at(i).map(|e| e.data);
-                        if let (Some(da), Some(db)) = (da, db) {
-                            prop_assert_eq!(da, db, "data diverges at {}", i);
-                        }
-                    }
-                }
-            }
-        }
-        // Commit floor: nothing anywhere is committed past what a quorum
-        // of members physically holds. A pipelining bug that advances
-        // match_index beyond a follower's real log breaks exactly this.
-        let commit_max = self.nodes.iter().map(Node::commit_index).max().unwrap_or(0);
-        let mut lasts: Vec<u64> = self.nodes.iter().map(|n| n.log().last_index()).collect();
-        lasts.sort_unstable_by(|x, y| y.cmp(x));
-        let floor = lasts[quorum(self.nodes.len()) - 1];
-        prop_assert!(
-            commit_max <= floor,
-            "commit_index {} outruns the quorum match floor {} (last_index per node: {:?})",
-            commit_max,
-            floor,
-            lasts
-        );
-        Ok(())
-    }
-
-    fn apply(&mut self, action: &Action) -> Result<(), TestCaseError> {
-        match action {
-            Action::Deliver(k) => {
-                if !self.pool.is_empty() {
-                    let f = self.pool.swap_remove(k % self.pool.len());
-                    let fx = self.nodes[f.to].step(self.now, f.from, f.payload);
-                    self.absorb(f.to, fx)?;
-                }
-            }
-            Action::Drop(k) => {
-                if !self.pool.is_empty() {
-                    let idx = k % self.pool.len();
-                    self.pool.swap_remove(idx);
-                }
-            }
-            Action::Duplicate(k) => {
-                if !self.pool.is_empty() {
-                    let f = self.pool[k % self.pool.len()].clone();
-                    let fx = self.nodes[f.to].step(self.now, f.from, f.payload);
-                    self.absorb(f.to, fx)?;
-                }
-            }
-            Action::FireTimer(n) => {
-                let id = n % self.nodes.len();
-                if let Some(deadline) = self.nodes[id].next_wake() {
-                    self.now = self.now.max(deadline);
-                    let fx = self.nodes[id].tick(self.now);
-                    self.absorb(id, fx)?;
-                }
-            }
-            Action::Sleep(ms) => {
-                self.now += Duration::from_millis(*ms);
-                for id in 0..self.nodes.len() {
-                    let due = self.nodes[id].next_wake().is_some_and(|w| w <= self.now);
-                    if due {
-                        let fx = self.nodes[id].tick(self.now);
-                        self.absorb(id, fx)?;
-                    }
-                }
-            }
-            Action::Propose(n, v) => {
-                let id = n % self.nodes.len();
-                let (_, fx) = self.nodes[id].propose(self.now, *v);
-                self.absorb(id, fx)?;
-            }
-            Action::Compact(n) => {
-                let id = n % self.nodes.len();
-                let target = self.nodes[id].safe_compact_index();
-                self.nodes[id].compact_log(target);
-            }
-            Action::CrashRestart(n) => {
-                let id = n % self.nodes.len();
-                self.nodes[id].restart(self.now, NullStateMachine::default());
-            }
-        }
-        self.check_invariants()
-    }
+    check_invariants(h)
 }
 
 proptest! {
@@ -244,9 +104,9 @@ proptest! {
         window in 1usize..=8,
         actions in proptest::collection::vec(action_strategy(), 50..400),
     ) {
-        let mut h = Harness::new(3, seed, window);
+        let mut h = harness(3, seed, window);
         for a in &actions {
-            h.apply(a)?;
+            apply(&mut h, a)?;
         }
     }
 
@@ -257,9 +117,9 @@ proptest! {
         window in 1usize..=8,
         actions in proptest::collection::vec(action_strategy(), 50..300),
     ) {
-        let mut h = Harness::new(5, seed, window);
+        let mut h = harness(5, seed, window);
         for a in &actions {
-            h.apply(a)?;
+            apply(&mut h, a)?;
         }
     }
 
@@ -273,29 +133,17 @@ proptest! {
         window in 1usize..=8,
         actions in proptest::collection::vec(action_strategy(), 30..120),
     ) {
-        let mut h = Harness::new(3, seed, window);
+        let mut h = harness(3, seed, window);
         for a in &actions {
-            h.apply(a)?;
+            apply(&mut h, a)?;
         }
         // Heal: deliver everything and fire due timers until a leader
         // exists and has committed a fresh burst.
         let mut proposed = None;
         for _round in 0..400u64 {
-            if let Some(deadline) = h.nodes.iter().filter_map(Node::next_wake).min() {
-                h.now = h.now.max(deadline);
-            }
-            for id in 0..h.nodes.len() {
-                if h.nodes[id].next_wake().is_some_and(|w| w <= h.now) {
-                    let fx = h.nodes[id].tick(h.now);
-                    h.absorb(id, fx)?;
-                }
-            }
-            while !h.pool.is_empty() {
-                let f = h.pool.swap_remove(0);
-                let fx = h.nodes[f.to].step(h.now, f.from, f.payload);
-                h.absorb(f.to, fx)?;
-            }
-            h.check_invariants()?;
+            h.fire_due_timers(&[])?;
+            h.drain(&[])?;
+            check_invariants(&h)?;
             let leader = (0..h.nodes.len()).find(|&id| h.nodes[id].role() == Role::Leader);
             match (leader, proposed) {
                 (Some(id), None) => {

@@ -16,23 +16,13 @@
 //! guarantees and aggressively-tuned Dynatune deployments must restore by
 //! shrinking `read_lease` (see `RaftConfig::read_lease`).
 
+mod common;
+
+use common::{Check, Fx, Harness, Hooks, Node};
 use dynatune_core::TuningConfig;
-use dynatune_raft::{
-    LogIndex, NodeEffects, NodeId, NullStateMachine, Payload, RaftConfig, RaftNode, Role,
-};
-use dynatune_simnet::SimTime;
+use dynatune_raft::{LogIndex, NodeId, RaftConfig, Role};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use std::time::Duration;
-
-type Node = RaftNode<NullStateMachine>;
-
-#[derive(Debug, Clone)]
-struct Flight {
-    from: NodeId,
-    to: NodeId,
-    payload: Payload<u64, Vec<(u64, u64)>>,
-}
 
 /// One adversarial step.
 #[derive(Debug, Clone)]
@@ -74,51 +64,17 @@ struct PendingRead {
     floor: LogIndex,
 }
 
-struct Harness {
-    nodes: Vec<Node>,
-    pool: Vec<Flight>,
-    now: SimTime,
+/// Every registered read, checked against its floor when it is granted.
+#[derive(Default)]
+struct ReadLedger {
     next_read_id: u64,
     pending: BTreeMap<u64, PendingRead>,
     granted: u64,
 }
 
-impl Harness {
-    fn new(n: usize, seed: u64) -> Self {
-        let nodes = (0..n)
-            .map(|id| {
-                let mut cfg = RaftConfig::new(id, n, TuningConfig::raft_default());
-                cfg.seed = seed ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                RaftNode::new(cfg, NullStateMachine::default(), SimTime::ZERO)
-            })
-            .collect();
-        Self {
-            nodes,
-            pool: Vec::new(),
-            now: SimTime::ZERO,
-            next_read_id: 0,
-            pending: BTreeMap::new(),
-            granted: 0,
-        }
-    }
-
-    fn cluster_commit_floor(&self) -> LogIndex {
-        self.nodes.iter().map(Node::commit_index).max().unwrap_or(0)
-    }
-
-    fn absorb(
-        &mut self,
-        from: NodeId,
-        fx: NodeEffects<NullStateMachine>,
-    ) -> Result<(), TestCaseError> {
-        for m in fx.messages {
-            self.pool.push(Flight {
-                from,
-                to: m.to,
-                payload: m.payload,
-            });
-        }
-        for grant in fx.reads {
+impl Hooks for ReadLedger {
+    fn on_effects(&mut self, nodes: &[Node], from: NodeId, fx: &Fx) -> Check {
+        for grant in &fx.reads {
             let Some(reg) = self.pending.remove(&grant.id) else {
                 return Err(TestCaseError::fail(format!(
                     "grant for unknown read {}",
@@ -135,93 +91,74 @@ impl Harness {
             );
             // Apply-gated grants must be coverable from the local machine.
             prop_assert!(
-                self.nodes[from].last_applied() >= grant.read_index
-                    || self.nodes[from].commit_index() >= grant.read_index,
+                nodes[from].last_applied() >= grant.read_index
+                    || nodes[from].commit_index() >= grant.read_index,
                 "granted index beyond the granter's committed state"
             );
             self.granted += 1;
         }
-        for id in fx.aborted_reads {
+        for id in &fx.aborted_reads {
             prop_assert!(
-                self.pending.remove(&id).is_some(),
+                self.pending.remove(id).is_some(),
                 "abort for unknown read {}",
                 id
             );
         }
         Ok(())
     }
+}
 
-    fn apply(&mut self, action: &Action) -> Result<(), TestCaseError> {
-        match action {
-            Action::Deliver(k) => {
-                if !self.pool.is_empty() {
-                    let f = self.pool.swap_remove(k % self.pool.len());
-                    let fx = self.nodes[f.to].step(self.now, f.from, f.payload);
-                    self.absorb(f.to, fx)?;
-                }
-            }
-            Action::Drop(k) => {
-                if !self.pool.is_empty() {
-                    let idx = k % self.pool.len();
-                    self.pool.swap_remove(idx);
-                }
-            }
-            Action::FireTimer(n) => {
-                let id = n % self.nodes.len();
-                if let Some(deadline) = self.nodes[id].next_wake() {
-                    self.now = self.now.max(deadline);
-                    let fx = self.nodes[id].tick(self.now);
-                    self.absorb(id, fx)?;
-                }
-            }
-            Action::Sleep(ms) => {
-                self.now += Duration::from_millis(*ms);
-                for id in 0..self.nodes.len() {
-                    let due = self.nodes[id].next_wake().is_some_and(|w| w <= self.now);
-                    if due {
-                        let fx = self.nodes[id].tick(self.now);
-                        self.absorb(id, fx)?;
-                    }
-                }
-            }
-            Action::Propose(n, v) => {
-                let id = n % self.nodes.len();
-                let (_, fx) = self.nodes[id].propose(self.now, *v);
-                self.absorb(id, fx)?;
-            }
-            Action::RequestRead(n) => {
-                let id = n % self.nodes.len();
-                self.next_read_id += 1;
-                let read_id = self.next_read_id;
-                let floor = self.cluster_commit_floor();
-                let (res, fx) = self.nodes[id].request_read(self.now, read_id, true);
-                if res.is_ok() {
-                    self.pending
-                        .insert(read_id, PendingRead { node: id, floor });
-                } else {
-                    prop_assert_ne!(
-                        self.nodes[id].role(),
-                        Role::Leader,
-                        "leaders must accept reads"
-                    );
-                }
-                self.absorb(id, fx)?;
-            }
-            Action::Compact(n) => {
-                let id = n % self.nodes.len();
-                let upto = self.nodes[id].safe_compact_index();
-                self.nodes[id].compact_log(upto);
-            }
-            Action::Restart(n) => {
-                let id = n % self.nodes.len();
-                self.nodes[id].restart(self.now, NullStateMachine::default());
-                // Volatile read queues died with the process: the harness
-                // forgets this node's registrations (clients would retry).
-                self.pending.retain(|_, reg| reg.node != id);
+type ReadHarness = Harness<ReadLedger>;
+
+fn harness(n: usize, seed: u64) -> ReadHarness {
+    Harness::new(n, seed, |id| {
+        RaftConfig::new(id, n, TuningConfig::raft_default())
+    })
+}
+
+/// Register a read on node `id` against the cluster-wide commit floor;
+/// returns whether the node accepted it.
+fn request_read(h: &mut ReadHarness, id: NodeId) -> Result<bool, TestCaseError> {
+    h.hooks.next_read_id += 1;
+    let read_id = h.hooks.next_read_id;
+    let floor = h.nodes.iter().map(Node::commit_index).max().unwrap_or(0);
+    let (res, fx) = h.nodes[id].request_read(h.now, read_id, true);
+    if res.is_ok() {
+        h.hooks
+            .pending
+            .insert(read_id, PendingRead { node: id, floor });
+    }
+    h.absorb(id, fx)?;
+    Ok(res.is_ok())
+}
+
+fn apply(h: &mut ReadHarness, action: &Action) -> Check {
+    match *action {
+        Action::Deliver(k) => h.deliver(k)?,
+        Action::Drop(k) => h.drop_flight(k),
+        Action::FireTimer(n) => h.fire_timer(n)?,
+        Action::Sleep(ms) => h.sleep(ms)?,
+        Action::Propose(n, v) => h.propose(n, v)?,
+        Action::RequestRead(n) => {
+            let id = n % h.nodes.len();
+            if !request_read(h, id)? {
+                prop_assert_ne!(
+                    h.nodes[id].role(),
+                    Role::Leader,
+                    "leaders must accept reads"
+                );
             }
         }
-        Ok(())
+        Action::Compact(n) => h.compact(n),
+        Action::Restart(n) => {
+            h.crash_restart(n);
+            // Volatile read queues died with the process: the harness
+            // forgets this node's registrations (clients would retry).
+            let id = n % h.nodes.len();
+            h.hooks.pending.retain(|_, reg| reg.node != id);
+        }
     }
+    Ok(())
 }
 
 proptest! {
@@ -238,9 +175,9 @@ proptest! {
         seed in 0u64..1_000,
         actions in proptest::collection::vec(action_strategy(), 80..400),
     ) {
-        let mut h = Harness::new(3, seed);
+        let mut h = harness(3, seed);
         for a in &actions {
-            h.apply(a)?;
+            apply(&mut h, a)?;
         }
     }
 
@@ -250,9 +187,9 @@ proptest! {
         seed in 0u64..1_000,
         actions in proptest::collection::vec(action_strategy(), 80..300),
     ) {
-        let mut h = Harness::new(5, seed);
+        let mut h = harness(5, seed);
         for a in &actions {
-            h.apply(a)?;
+            apply(&mut h, a)?;
         }
     }
 
@@ -260,37 +197,17 @@ proptest! {
     /// eventually grants reads (the confirmation path cannot deadlock).
     #[test]
     fn reads_eventually_granted_when_network_heals(seed in 0u64..500) {
-        let mut h = Harness::new(3, seed);
+        let mut h = harness(3, seed);
         let mut requested = false;
         for _ in 0..300u64 {
-            if let Some(deadline) = h.nodes.iter().filter_map(Node::next_wake).min() {
-                h.now = h.now.max(deadline);
-            }
-            for id in 0..h.nodes.len() {
-                if h.nodes[id].next_wake().is_some_and(|w| w <= h.now) {
-                    let fx = h.nodes[id].tick(h.now);
-                    h.absorb(id, fx)?;
-                }
-            }
-            if let Some(leader) = (0..h.nodes.len()).find(|&i| h.nodes[i].role() == Role::Leader) {
+            h.fire_due_timers(&[])?;
+            if let Some(leader) = h.nodes.iter().position(|n| n.role() == Role::Leader) {
                 if !requested {
-                    h.next_read_id += 1;
-                    let read_id = h.next_read_id;
-                    let floor = h.cluster_commit_floor();
-                    let (res, fx) = h.nodes[leader].request_read(h.now, read_id, true);
-                    if res.is_ok() {
-                        h.pending.insert(read_id, PendingRead { node: leader, floor });
-                        requested = true;
-                    }
-                    h.absorb(leader, fx)?;
+                    requested = request_read(&mut h, leader)?;
                 }
             }
-            while !h.pool.is_empty() {
-                let f = h.pool.swap_remove(0);
-                let fx = h.nodes[f.to].step(h.now, f.from, f.payload);
-                h.absorb(f.to, fx)?;
-            }
-            if requested && h.granted > 0 {
+            h.drain(&[])?;
+            if requested && h.hooks.granted > 0 {
                 return Ok(());
             }
         }
