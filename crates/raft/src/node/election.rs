@@ -1,0 +1,350 @@
+//! Leader election: the randomized, tick-quantized election timer, the
+//! pre-vote / vote campaign, the role transitions, and the vote-withholding
+//! lease (`in_lease`) that check-quorum rests on.
+
+use super::{NodeEffects, NodePayload, RaftNode};
+use crate::config::TimerQuantization;
+use crate::events::RaftEvent;
+use crate::message::{OutMsg, Payload, RequestVote, RequestVoteResp};
+use crate::progress::Progress;
+use crate::state_machine::StateMachine;
+use crate::types::{NodeId, Role, Term};
+use dynatune_core::{invariant_violated, LeaderPacer};
+use dynatune_simnet::SimTime;
+use std::time::Duration;
+
+impl<SM: StateMachine> RaftNode<SM> {
+    /// Current (possibly tuned) base election timeout `Et`.
+    #[must_use]
+    pub fn election_timeout(&self) -> Duration {
+        self.tuner.election_timeout()
+    }
+
+    /// Current randomized timeout `f · Et` — the quantity the paper's
+    /// Figure 6 plots per second.
+    #[must_use]
+    pub fn randomized_timeout(&self) -> Duration {
+        Duration::from_secs_f64(self.election_timeout().as_secs_f64() * self.timeout_factor)
+    }
+
+    fn tick_period(&self) -> Duration {
+        self.tuner.expected_heartbeat_interval()
+    }
+
+    /// The instant the election timer (or campaign retry timer) fires:
+    /// the first boundary of this node's free-running tick grid at or after
+    /// `reset + randomizedTimeout` (etcd observes expiry only on ticks).
+    #[must_use]
+    pub fn election_deadline(&self) -> SimTime {
+        let rto = self.randomized_timeout();
+        match self.config.quantization {
+            TimerQuantization::Continuous => self.timer_reset_at + rto,
+            TimerQuantization::Tick => {
+                let tick = self.tick_period().as_nanos().max(1) as u64;
+                let raw = (self.timer_reset_at + rto).as_nanos();
+                let offset = (self.tick_phase * tick as f64) as u64;
+                let k = raw.saturating_sub(offset).div_ceil(tick);
+                SimTime::from_nanos(k * tick + offset)
+            }
+        }
+    }
+
+    pub(super) fn reset_election_timer(&mut self, now: SimTime, redraw: bool) {
+        self.timer_reset_at = now;
+        if redraw {
+            self.timeout_factor = 1.0 + self.rng.f64();
+        }
+    }
+
+    pub(super) fn handle_election_timeout(&mut self, now: SimTime, fx: &mut NodeEffects<SM>) {
+        if !self.active_frame().membership.is_voter(self.config.id) {
+            // Learners, outsiders awaiting admission, and removed members
+            // detect leader silence like everyone else but never campaign
+            // (Raft §6: a server outside the voter set must not disrupt the
+            // cluster). Re-arm the timer and stay a silent follower.
+            self.leader_id = None;
+            self.reset_election_timer(now, true);
+            return;
+        }
+        fx.events.push(RaftEvent::ElectionTimeout {
+            term: self.term,
+            randomized_timeout: self.randomized_timeout(),
+        });
+        match self.role {
+            Role::Follower => {
+                // §III-B: discard the measurement data at the timeout; the
+                // tuned Et keeps pacing the campaign so split-vote retries
+                // stay cheap. Conservative defaults return either when Step
+                // 0 restarts under a (new) leader, or via the escalation
+                // below if the election refuses to resolve.
+                if self.config.tuning.mode.tunes() {
+                    self.tuner.reset_measurements();
+                    fx.events.push(RaftEvent::TunerReset);
+                }
+                self.leader_id = None;
+                self.campaign_rounds = 1;
+                if self.config.pre_vote {
+                    self.become_pre_candidate(now, fx);
+                } else {
+                    self.become_candidate(now, fx);
+                }
+            }
+            Role::PreCandidate => {
+                fx.events.push(RaftEvent::CampaignRetry {
+                    term: self.campaign_term,
+                });
+                self.escalate_campaign(fx);
+                self.become_pre_candidate(now, fx);
+            }
+            Role::Candidate => {
+                fx.events.push(RaftEvent::CampaignRetry { term: self.term });
+                self.escalate_campaign(fx);
+                self.become_candidate(now, fx);
+            }
+            Role::Leader => invariant_violated!("leaders have no election timer to expire"),
+        }
+    }
+
+    /// After `CAMPAIGN_FALLBACK_ROUNDS` unresolved campaign rounds, revert
+    /// the election parameters to the conservative defaults: if the tuned
+    /// `Et` turned out smaller than the (possibly spiked) RTT, retry timers
+    /// would keep expiring before vote responses return and the cluster
+    /// would stay leaderless — the availability hazard §III-B's fallback
+    /// exists to prevent.
+    fn escalate_campaign(&mut self, fx: &mut NodeEffects<SM>) {
+        const CAMPAIGN_FALLBACK_ROUNDS: u32 = 3;
+        self.campaign_rounds = self.campaign_rounds.saturating_add(1);
+        if self.campaign_rounds == CAMPAIGN_FALLBACK_ROUNDS && self.config.tuning.mode.tunes() {
+            self.tuner.reset();
+            fx.events.push(RaftEvent::TunerReset);
+        }
+    }
+
+    pub(super) fn become_follower(
+        &mut self,
+        now: SimTime,
+        term: Term,
+        leader: Option<NodeId>,
+        fx: &mut NodeEffects<SM>,
+    ) {
+        let was_leader = self.role == Role::Leader;
+        let leader_changed = leader != self.leader_id || term != self.term;
+        if term > self.term {
+            self.term = term;
+            self.voted_for = None;
+        }
+        self.role = Role::Follower;
+        self.leader_id = leader;
+        self.votes.clear();
+        self.campaign_rounds = 0;
+        self.progress.clear();
+        self.pacers.clear();
+        self.lease_check_at = SimTime::MAX;
+        self.batch_bytes = 0;
+        self.batch_deadline = None;
+        if !self.reads.is_empty() {
+            // Queued log-free reads can never be confirmed by an ex-leader;
+            // surface them so the host redirects their clients.
+            fx.aborted_reads.extend(self.reads.drain_ids());
+        }
+        if was_leader {
+            fx.events.push(RaftEvent::SteppedDown { term: self.term });
+        }
+        if leader_changed && self.config.tuning.mode.tunes() {
+            // New leader→follower path: measurements start over (§III-B).
+            self.tuner.reset();
+            fx.events.push(RaftEvent::TunerReset);
+        }
+        self.reset_election_timer(now, true);
+        fx.events.push(RaftEvent::BecameFollower {
+            term: self.term,
+            leader,
+        });
+    }
+
+    fn become_pre_candidate(&mut self, now: SimTime, fx: &mut NodeEffects<SM>) {
+        self.role = Role::PreCandidate;
+        self.campaign_term = self.term + 1;
+        self.votes.clear();
+        self.votes.insert(self.config.id);
+        self.reset_election_timer(now, true);
+        fx.events.push(RaftEvent::PreVoteStarted {
+            campaign_term: self.campaign_term,
+        });
+        if self.vote_quorum_reached() {
+            // Single-voter configuration: skip straight to the election.
+            self.become_candidate(now, fx);
+            return;
+        }
+        let req = RequestVote {
+            term: self.campaign_term,
+            pre_vote: true,
+            last_log_index: self.log.last_index(),
+            last_log_term: self.log.last_term(),
+        };
+        self.broadcast_vote_request(req, fx);
+    }
+
+    fn become_candidate(&mut self, now: SimTime, fx: &mut NodeEffects<SM>) {
+        self.term += 1;
+        self.voted_for = Some(self.config.id);
+        self.role = Role::Candidate;
+        self.leader_id = None;
+        self.votes.clear();
+        self.votes.insert(self.config.id);
+        self.reset_election_timer(now, true);
+        fx.events
+            .push(RaftEvent::ElectionStarted { term: self.term });
+        if self.vote_quorum_reached() {
+            self.become_leader(now, fx);
+            return;
+        }
+        let req = RequestVote {
+            term: self.term,
+            pre_vote: false,
+            last_log_index: self.log.last_index(),
+            last_log_term: self.log.last_term(),
+        };
+        self.broadcast_vote_request(req, fx);
+    }
+
+    fn broadcast_vote_request(&mut self, req: RequestVote, fx: &mut NodeEffects<SM>) {
+        // Votes are requested from every node that votes in *any* active
+        // set; learners never receive (or need) vote traffic.
+        for peer in self.active_frame().membership.voting_members() {
+            if peer == self.config.id {
+                continue;
+            }
+            let payload: NodePayload<SM> = Payload::RequestVote(req);
+            let channel = payload.channel(self.config.udp_heartbeats);
+            fx.messages.push(OutMsg {
+                to: peer,
+                channel,
+                payload,
+            });
+        }
+    }
+
+    /// Whether the nodes this node has collected votes from form a quorum
+    /// in every active voter set (both sets while joint).
+    fn vote_quorum_reached(&self) -> bool {
+        let votes = &self.votes;
+        self.active_frame()
+            .membership
+            .quorum_satisfied(|n| votes.contains(&n))
+    }
+
+    fn become_leader(&mut self, now: SimTime, fx: &mut NodeEffects<SM>) {
+        debug_assert!(matches!(self.role, Role::Candidate));
+        self.role = Role::Leader;
+        self.leader_id = Some(self.config.id);
+        self.votes.clear();
+        self.campaign_rounds = 0;
+        fx.events.push(RaftEvent::BecameLeader { term: self.term });
+        // Leader does not measure as a follower; drop stale path state.
+        if self.config.tuning.mode.tunes() {
+            self.tuner.reset();
+        }
+        self.progress.clear();
+        self.pacers.clear();
+        let last_index = self.log.last_index();
+        for peer in self.active_frame().membership.members() {
+            if peer == self.config.id {
+                continue;
+            }
+            self.progress.insert(peer, Progress::new(last_index, now));
+            self.pacers
+                .insert(peer, LeaderPacer::new(self.config.tuning, now.as_nanos()));
+        }
+        self.lease_check_at = now + self.config.tuning.default_election_timeout;
+        self.batch_bytes = 0;
+        self.batch_deadline = None;
+        // Commit entries from prior terms via a no-op (etcd convention).
+        self.log.append_new(self.term, None);
+        let peers: Vec<NodeId> = self.progress.keys().copied().collect();
+        for peer in peers {
+            self.send_append(now, peer, fx);
+        }
+        self.try_advance_commit(now, fx);
+    }
+
+    /// Check-quorum leader lease: true while this follower has heard from a
+    /// live leader within one election timeout (etcd's `inLease`).
+    pub(super) fn in_lease(&self, now: SimTime) -> bool {
+        self.config.check_quorum
+            && self.role == Role::Follower
+            && self.leader_id.is_some()
+            && now < self.timer_reset_at + self.election_timeout()
+    }
+
+    pub(super) fn on_request_vote(
+        &mut self,
+        now: SimTime,
+        from: NodeId,
+        rv: RequestVote,
+        fx: &mut NodeEffects<SM>,
+    ) {
+        // Lease check for pre-votes (real votes were filtered in `step`).
+        if self.in_lease(now) {
+            return;
+        }
+        let up_to_date = self
+            .log
+            .candidate_up_to_date(rv.last_log_index, rv.last_log_term);
+        let (granted, resp_term) = if rv.pre_vote {
+            // Pre-vote: grant for a higher prospective term + fresh log;
+            // our own term/vote are untouched.
+            let grant = rv.term > self.term && up_to_date;
+            (grant, if grant { rv.term } else { self.term })
+        } else {
+            if rv.term < self.term {
+                (false, self.term)
+            } else {
+                // rv.term == self.term (higher was adopted in `step`).
+                let can_vote = self.voted_for.is_none() || self.voted_for == Some(from);
+                let grant = self.role == Role::Follower && can_vote && up_to_date;
+                if grant {
+                    self.voted_for = Some(from);
+                    // Granting a vote re-arms the election timer.
+                    self.reset_election_timer(now, false);
+                }
+                (grant, self.term)
+            }
+        };
+        let payload: NodePayload<SM> = Payload::RequestVoteResp(RequestVoteResp {
+            term: resp_term,
+            pre_vote: rv.pre_vote,
+            granted,
+        });
+        let channel = payload.channel(self.config.udp_heartbeats);
+        fx.messages.push(OutMsg {
+            to: from,
+            channel,
+            payload,
+        });
+    }
+
+    pub(super) fn on_vote_resp(
+        &mut self,
+        now: SimTime,
+        from: NodeId,
+        resp: RequestVoteResp,
+        fx: &mut NodeEffects<SM>,
+    ) {
+        if resp.pre_vote {
+            if self.role == Role::PreCandidate && resp.granted && resp.term == self.campaign_term {
+                self.votes.insert(from);
+                if self.vote_quorum_reached() {
+                    self.become_candidate(now, fx);
+                }
+            }
+            return;
+        }
+        if self.role == Role::Candidate && resp.granted && resp.term == self.term {
+            self.votes.insert(from);
+            if self.vote_quorum_reached() {
+                self.become_leader(now, fx);
+            }
+        }
+    }
+}

@@ -7,6 +7,19 @@
 //! discrete-event simulator (and property tests) drive it deterministically
 //! through adversarial schedules.
 //!
+//! This file is the dispatcher: the node's state, construction, read-only
+//! accessors, and the three entry points that route to one file per
+//! protocol —
+//!
+//! | file | protocol |
+//! |------|----------|
+//! | `election.rs` | election timer + tick quantization, pre-vote/vote campaign, role transitions, vote-withholding lease |
+//! | `heartbeat.rs` | heartbeat exchange — **the Dynatune seam**: the only file where [`FollowerTuner`] measurements enter and [`LeaderPacer`] pacing leaves |
+//! | `replication.rs` | propose, group commit, pipelined `AppendEntries`, acks, commit and apply |
+//! | `reads.rs` | log-free reads: leader lease and ReadIndex rounds |
+//! | `confchange.rs` | joint-consensus configuration changes and the membership frame stack |
+//! | `snapshot.rs` | `InstallSnapshot` transfer and log compaction |
+//!
 //! Faithfulness notes (matched to etcd's raft, the paper's base system):
 //!
 //! * **Randomized election timeout**: a factor `f ~ U[1, 2)` is drawn on
@@ -27,22 +40,28 @@
 //!   (n−1 independent heartbeat timers, §III-B); on election-timer expiry
 //!   the tuner is reset to conservative defaults (§III-B fallback).
 
-use crate::config::{RaftConfig, TimerQuantization};
-use crate::events::RaftEvent;
-use crate::log::{AppendOutcome, Entry, RaftLog};
-use crate::membership::{ConfChange, Membership};
-use crate::message::{
-    AppendEntries, AppendResp, Heartbeat, HeartbeatResp, InstallSnapshot, OutMsg, Payload,
-    RequestVote, RequestVoteResp,
-};
+mod confchange;
+mod election;
+mod heartbeat;
+mod reads;
+mod replication;
+mod snapshot;
+
+pub use confchange::{ConfChangeError, PROMOTION_SLACK};
+
+use crate::config::RaftConfig;
+use crate::log::RaftLog;
+use crate::membership::Membership;
+use crate::message::Payload;
 use crate::progress::Progress;
-use crate::state_machine::{Applied, Effects, ReadGrant, ReadPath, Snapshot, StateMachine};
-use crate::types::{quorum, LogIndex, NodeId, Role, Term};
-use dynatune_core::{invariant_violated, FollowerTuner, LeaderPacer, TuningSnapshot};
+use crate::state_machine::{Effects, Snapshot, StateMachine};
+use crate::types::{LogIndex, NodeId, Role, Term};
+use confchange::MembershipFrame;
+use dynatune_core::{FollowerTuner, LeaderPacer};
 use dynatune_simnet::rng::Rng;
 use dynatune_simnet::SimTime;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::time::Duration;
+use reads::ReadState;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Error returned when proposing to a non-leader.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,37 +69,6 @@ pub struct NotLeader {
     /// The leader this node believes in, if any (client redirect hint).
     pub hint: Option<NodeId>,
 }
-
-/// Why [`RaftNode::propose_conf_change`] refused a configuration change.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConfChangeError {
-    /// This node is not the leader (redirect hint attached).
-    NotLeader(NotLeader),
-    /// The previous configuration entry has not committed yet. At most one
-    /// configuration change may be in flight at a time (etcd's discipline);
-    /// retry once the pending entry commits.
-    InFlight,
-    /// The change is invalid against the active configuration (see the
-    /// reason for which [`Membership::apply`] precondition failed).
-    Rejected(&'static str),
-    /// A learner named in `Begin.add` is still too far behind the leader's
-    /// tail — promotion is gated on snapshot/append catch-up so a voter
-    /// with an empty log can never be counted into a quorum.
-    LearnerBehind {
-        /// The lagging learner.
-        node: NodeId,
-        /// Its replicated match index at the leader.
-        match_index: LogIndex,
-        /// The leader's last log index.
-        last_index: LogIndex,
-    },
-}
-
-/// How close (in log entries) a learner must be to the leader's tail before
-/// `Begin { add: [it], .. }` promotes it to voter. Catch-up runs through
-/// `InstallSnapshot` + pipelined appends; the slack only has to cover the
-/// entries proposed while the final append batches were in flight.
-pub const PROMOTION_SLACK: u64 = 256;
 
 /// Effects alias bound to a state machine.
 pub type NodeEffects<SM> = Effects<
@@ -91,76 +79,6 @@ pub type NodeEffects<SM> = Effects<
 
 /// Payload alias bound to a state machine.
 pub type NodePayload<SM> = Payload<<SM as StateMachine>::Command, <SM as StateMachine>::Snapshot>;
-
-/// One ReadIndex confirmation round: reads registered at the same instant
-/// against the same commit index, confirmed together by a quorum of
-/// `read_ctx >= seq` echoes.
-#[derive(Debug)]
-struct ReadRound {
-    seq: u64,
-    read_index: LogIndex,
-    /// Registration instant; reads arriving at the same instant against
-    /// the same commit index share the round (batch admission).
-    registered_at: SimTime,
-    /// `(id, wait_apply)` per queued read.
-    reads: Vec<(u64, bool)>,
-}
-
-/// Leader-side bookkeeping for log-free reads.
-///
-/// Linearizability invariant: a read registered at commit index `c` is only
-/// granted with `read_index >= c`, and only after leadership was
-/// re-confirmed *at or after* registration (instantly via the lease, or by
-/// a quorum of confirmation echoes). Serving then waits for
-/// `last_applied >= read_index` (on the granting leader, or on the
-/// forwarding follower for remote grants).
-#[derive(Debug, Default)]
-struct ReadState {
-    /// Last issued confirmation token (`read_ctx` values count up from 1).
-    next_seq: u64,
-    /// Rounds awaiting quorum confirmation, oldest first (seqs ascend).
-    pending_confirm: VecDeque<ReadRound>,
-    /// Confirmed local reads waiting for `last_applied` to reach their
-    /// read index.
-    apply_wait: BTreeMap<LogIndex, Vec<(u64, ReadPath)>>,
-    /// Reads registered before this leader committed an entry of its own
-    /// term (until then `commit_index` may lag the cluster's true commit
-    /// point); re-admitted when the term's no-op commits.
-    term_wait: Vec<(u64, bool)>,
-}
-
-impl ReadState {
-    fn is_empty(&self) -> bool {
-        self.pending_confirm.is_empty() && self.apply_wait.is_empty() && self.term_wait.is_empty()
-    }
-
-    /// Drain every queued read id (leadership lost / stepping down).
-    fn drain_ids(&mut self) -> Vec<u64> {
-        let mut ids: Vec<u64> = Vec::new();
-        for round in self.pending_confirm.drain(..) {
-            ids.extend(round.reads.iter().map(|&(id, _)| id));
-        }
-        for (_, waiters) in std::mem::take(&mut self.apply_wait) {
-            ids.extend(waiters.iter().map(|&(id, _)| id));
-        }
-        ids.extend(self.term_wait.drain(..).map(|(id, _)| id));
-        ids
-    }
-}
-
-/// One epoch of the membership frame stack: the configuration put in force
-/// by the conf entry at `(index, term)`. The base frame sits at the genesis
-/// position (0, 0) or at the snapshot boundary after an install/compaction.
-/// The stack mirrors the log — truncation pops frames, compaction collapses
-/// them into the base, a snapshot install replaces the base — which is what
-/// implements Raft §6's "a server uses the latest configuration in its log"
-/// including rollback when that entry is truncated away.
-#[derive(Debug, Clone)]
-struct MembershipFrame {
-    index: LogIndex,
-    term: Term,
-    membership: Membership,
-}
 
 /// A single Raft server.
 pub struct RaftNode<SM: StateMachine> {
@@ -266,10 +184,6 @@ impl<SM: StateMachine> RaftNode<SM> {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Introspection (observers)
-    // ------------------------------------------------------------------
-
     /// This node's id.
     #[must_use]
     pub fn id(&self) -> NodeId {
@@ -336,112 +250,6 @@ impl<SM: StateMachine> RaftNode<SM> {
         &self.config
     }
 
-    /// Current (possibly tuned) base election timeout `Et`.
-    #[must_use]
-    pub fn election_timeout(&self) -> Duration {
-        self.tuner.election_timeout()
-    }
-
-    /// Current randomized timeout `f · Et` — the quantity the paper's
-    /// Figure 6 plots per second.
-    #[must_use]
-    pub fn randomized_timeout(&self) -> Duration {
-        Duration::from_secs_f64(self.election_timeout().as_secs_f64() * self.timeout_factor)
-    }
-
-    /// Snapshot of the Dynatune tuner state.
-    #[must_use]
-    pub fn tuning_snapshot(&self) -> TuningSnapshot {
-        self.tuner.snapshot()
-    }
-
-    /// Heartbeat interval currently applied towards `follower` (leader only).
-    #[must_use]
-    pub fn pacer_interval(&self, follower: NodeId) -> Option<Duration> {
-        self.pacers.get(&follower).map(LeaderPacer::interval)
-    }
-
-    /// The active cluster configuration (append-time semantics, Raft §6).
-    #[must_use]
-    pub fn membership(&self) -> &Membership {
-        &self.active_frame().membership
-    }
-
-    /// Log index of the entry that put the active configuration in force
-    /// (0 for the genesis configuration; the snapshot boundary after an
-    /// install). The configuration is *committed* once
-    /// `commit_index >= membership_index()`.
-    #[must_use]
-    pub fn membership_index(&self) -> LogIndex {
-        self.active_frame().index
-    }
-
-    /// Replication progress the leader tracks for `peer` (None on
-    /// non-leaders and for unknown peers). Observers use it to gate learner
-    /// promotion on measured catch-up.
-    #[must_use]
-    pub fn progress_of(&self, peer: NodeId) -> Option<&Progress> {
-        self.progress.get(&peer)
-    }
-
-    fn active_frame(&self) -> &MembershipFrame {
-        match self.frames.last() {
-            Some(f) => f,
-            None => invariant_violated!("the membership frame stack is never empty"),
-        }
-    }
-
-    /// Whether the nodes this node has collected votes from form a quorum
-    /// in every active voter set (both sets while joint).
-    fn vote_quorum_reached(&self) -> bool {
-        let votes = &self.votes;
-        self.active_frame()
-            .membership
-            .quorum_satisfied(|n| votes.contains(&n))
-    }
-
-    fn emit_membership_event(&self, fx: &mut NodeEffects<SM>) {
-        let f = self.active_frame();
-        fx.events.push(RaftEvent::MembershipChanged {
-            index: f.index,
-            voters: f.membership.voters.len(),
-            learners: f.membership.learners.len(),
-            joint: f.membership.is_joint(),
-        });
-    }
-
-    fn tick_period(&self) -> Duration {
-        self.tuner.expected_heartbeat_interval()
-    }
-
-    /// Resend timeout for this follower's oldest in-flight transfer: bulky
-    /// snapshot installs get the slower pacing.
-    fn resend_after(&self, p: &Progress) -> Duration {
-        if p.pending_snapshot.is_some() {
-            self.config.snapshot_resend
-        } else {
-            self.config.append_resend
-        }
-    }
-
-    /// The instant the election timer (or campaign retry timer) fires:
-    /// the first boundary of this node's free-running tick grid at or after
-    /// `reset + randomizedTimeout` (etcd observes expiry only on ticks).
-    #[must_use]
-    pub fn election_deadline(&self) -> SimTime {
-        let rto = self.randomized_timeout();
-        match self.config.quantization {
-            TimerQuantization::Continuous => self.timer_reset_at + rto,
-            TimerQuantization::Tick => {
-                let tick = self.tick_period().as_nanos().max(1) as u64;
-                let raw = (self.timer_reset_at + rto).as_nanos();
-                let offset = (self.tick_phase * tick as f64) as u64;
-                let k = raw.saturating_sub(offset).div_ceil(tick);
-                SimTime::from_nanos(k * tick + offset)
-            }
-        }
-    }
-
     /// Earliest instant this node needs a `tick` call.
     #[must_use]
     pub fn next_wake(&self) -> Option<SimTime> {
@@ -467,17 +275,6 @@ impl<SM: StateMachine> RaftNode<SM> {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Timer handling
-    // ------------------------------------------------------------------
-
-    fn reset_election_timer(&mut self, now: SimTime, redraw: bool) {
-        self.timer_reset_at = now;
-        if redraw {
-            self.timeout_factor = 1.0 + self.rng.f64();
-        }
-    }
-
     /// Timer-driven processing. The harness calls this at `next_wake`.
     pub fn tick(&mut self, now: SimTime) -> NodeEffects<SM> {
         let mut fx = Effects::new();
@@ -491,1001 +288,6 @@ impl<SM: StateMachine> RaftNode<SM> {
         }
         fx
     }
-
-    fn handle_election_timeout(&mut self, now: SimTime, fx: &mut NodeEffects<SM>) {
-        if !self.active_frame().membership.is_voter(self.config.id) {
-            // Learners, outsiders awaiting admission, and removed members
-            // detect leader silence like everyone else but never campaign
-            // (Raft §6: a server outside the voter set must not disrupt the
-            // cluster). Re-arm the timer and stay a silent follower.
-            self.leader_id = None;
-            self.reset_election_timer(now, true);
-            return;
-        }
-        fx.events.push(RaftEvent::ElectionTimeout {
-            term: self.term,
-            randomized_timeout: self.randomized_timeout(),
-        });
-        match self.role {
-            Role::Follower => {
-                // §III-B: discard the measurement data at the timeout; the
-                // tuned Et keeps pacing the campaign so split-vote retries
-                // stay cheap. Conservative defaults return either when Step
-                // 0 restarts under a (new) leader, or via the escalation
-                // below if the election refuses to resolve.
-                if self.config.tuning.mode.tunes() {
-                    self.tuner.reset_measurements();
-                    fx.events.push(RaftEvent::TunerReset);
-                }
-                self.leader_id = None;
-                self.campaign_rounds = 1;
-                if self.config.pre_vote {
-                    self.become_pre_candidate(now, fx);
-                } else {
-                    self.become_candidate(now, fx);
-                }
-            }
-            Role::PreCandidate => {
-                fx.events.push(RaftEvent::CampaignRetry {
-                    term: self.campaign_term,
-                });
-                self.escalate_campaign(fx);
-                self.become_pre_candidate(now, fx);
-            }
-            Role::Candidate => {
-                fx.events.push(RaftEvent::CampaignRetry { term: self.term });
-                self.escalate_campaign(fx);
-                self.become_candidate(now, fx);
-            }
-            Role::Leader => invariant_violated!("leaders have no election timer to expire"),
-        }
-    }
-
-    /// After `CAMPAIGN_FALLBACK_ROUNDS` unresolved campaign rounds, revert
-    /// the election parameters to the conservative defaults: if the tuned
-    /// `Et` turned out smaller than the (possibly spiked) RTT, retry timers
-    /// would keep expiring before vote responses return and the cluster
-    /// would stay leaderless — the availability hazard §III-B's fallback
-    /// exists to prevent.
-    fn escalate_campaign(&mut self, fx: &mut NodeEffects<SM>) {
-        const CAMPAIGN_FALLBACK_ROUNDS: u32 = 3;
-        self.campaign_rounds = self.campaign_rounds.saturating_add(1);
-        if self.campaign_rounds == CAMPAIGN_FALLBACK_ROUNDS && self.config.tuning.mode.tunes() {
-            self.tuner.reset();
-            fx.events.push(RaftEvent::TunerReset);
-        }
-    }
-
-    fn leader_tick(&mut self, now: SimTime, fx: &mut NodeEffects<SM>) {
-        // Every tracked member — voters of both configs and learners —
-        // receives heartbeats and replication traffic.
-        let peers: Vec<NodeId> = self.progress.keys().copied().collect();
-        // Heartbeats: per-follower cadence, or one consolidated burst at
-        // the smallest interval (§IV-E extension 2).
-        let consolidated_due = self.config.consolidated_heartbeat_timer
-            && self
-                .pacers
-                .values()
-                .map(LeaderPacer::next_send_nanos)
-                .min()
-                .is_some_and(|min| now.as_nanos() >= min);
-        for &peer in &peers {
-            let commit = self
-                .progress
-                .get(&peer)
-                .map_or(0, |p| p.match_index.min(self.commit_index));
-            // §IV-E extension 1: recent replication traffic already reset
-            // this follower's election timer; skip the redundant heartbeat.
-            let suppress = self.config.suppress_heartbeats_when_replicating
-                && self.progress.get(&peer).is_some_and(|p| {
-                    let interval = self.pacers[&peer].interval();
-                    p.last_send_at + interval > now && p.last_send_at > SimTime::ZERO
-                });
-            if let Some(pacer) = self.pacers.get_mut(&peer) {
-                let meta = if suppress {
-                    pacer.defer(now.as_nanos());
-                    None
-                } else if consolidated_due {
-                    Some(pacer.emit_now(now.as_nanos()))
-                } else {
-                    pacer.maybe_emit(now.as_nanos())
-                };
-                if let Some(meta) = meta {
-                    let hb = Heartbeat {
-                        term: self.term,
-                        leader: self.config.id,
-                        commit,
-                        meta,
-                    };
-                    let payload = Payload::Heartbeat(hb);
-                    let channel = payload.channel(self.config.udp_heartbeats);
-                    fx.messages.push(OutMsg {
-                        to: peer,
-                        channel,
-                        payload,
-                    });
-                }
-            }
-        }
-        // Group commit: flush the buffered proposal batch once its delay
-        // cap expires (the byte cap flushes from `propose` directly).
-        if self.batch_deadline.is_some_and(|deadline| now >= deadline) {
-            self.flush_batch(now, fx);
-        }
-        // Replication resends for stuck followers (snapshot transfers are
-        // paced on their own, slower timer). The timer fires off the
-        // *oldest* unacked send: losing it means every younger pipeline
-        // slot behind it is unverifiable, so the whole optimistic window
-        // is abandoned and replication falls back to proven ground.
-        for &peer in &peers {
-            let resend = {
-                let p = &self.progress[&peer];
-                p.oldest_sent_at()
-                    .is_some_and(|oldest| now >= oldest + self.resend_after(p))
-            };
-            if resend {
-                if let Some(p) = self.progress.get_mut(&peer) {
-                    p.inflight.clear();
-                    p.next_index = p.match_index + 1;
-                    p.pending_snapshot = None;
-                }
-                self.send_append(now, peer, fx);
-            }
-        }
-        // Check-quorum lease: step down unless the recently-heard members
-        // (counting ourselves) form a quorum in every active voter set —
-        // during a joint configuration, silence from either C_old or C_new
-        // majorities deposes the leader.
-        if self.config.check_quorum && now >= self.lease_check_at {
-            let lease = self.config.tuning.default_election_timeout;
-            let id = self.config.id;
-            let progress = &self.progress;
-            let alive = self.active_frame().membership.quorum_satisfied(|n| {
-                n == id
-                    || progress
-                        .get(&n)
-                        .is_some_and(|p| p.last_active + lease >= now)
-            });
-            if !alive {
-                // become_follower emits the SteppedDown event.
-                let term = self.term;
-                self.become_follower(now, term, None, fx);
-                return;
-            }
-            self.lease_check_at = now + lease;
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Role transitions
-    // ------------------------------------------------------------------
-
-    fn become_follower(
-        &mut self,
-        now: SimTime,
-        term: Term,
-        leader: Option<NodeId>,
-        fx: &mut NodeEffects<SM>,
-    ) {
-        let was_leader = self.role == Role::Leader;
-        let leader_changed = leader != self.leader_id || term != self.term;
-        if term > self.term {
-            self.term = term;
-            self.voted_for = None;
-        }
-        self.role = Role::Follower;
-        self.leader_id = leader;
-        self.votes.clear();
-        self.campaign_rounds = 0;
-        self.progress.clear();
-        self.pacers.clear();
-        self.lease_check_at = SimTime::MAX;
-        self.batch_bytes = 0;
-        self.batch_deadline = None;
-        if !self.reads.is_empty() {
-            // Queued log-free reads can never be confirmed by an ex-leader;
-            // surface them so the host redirects their clients.
-            fx.aborted_reads.extend(self.reads.drain_ids());
-        }
-        if was_leader {
-            fx.events.push(RaftEvent::SteppedDown { term: self.term });
-        }
-        if leader_changed && self.config.tuning.mode.tunes() {
-            // New leader→follower path: measurements start over (§III-B).
-            self.tuner.reset();
-            fx.events.push(RaftEvent::TunerReset);
-        }
-        self.reset_election_timer(now, true);
-        fx.events.push(RaftEvent::BecameFollower {
-            term: self.term,
-            leader,
-        });
-    }
-
-    fn become_pre_candidate(&mut self, now: SimTime, fx: &mut NodeEffects<SM>) {
-        self.role = Role::PreCandidate;
-        self.campaign_term = self.term + 1;
-        self.votes.clear();
-        self.votes.insert(self.config.id);
-        self.reset_election_timer(now, true);
-        fx.events.push(RaftEvent::PreVoteStarted {
-            campaign_term: self.campaign_term,
-        });
-        if self.vote_quorum_reached() {
-            // Single-voter configuration: skip straight to the election.
-            self.become_candidate(now, fx);
-            return;
-        }
-        let req = RequestVote {
-            term: self.campaign_term,
-            pre_vote: true,
-            last_log_index: self.log.last_index(),
-            last_log_term: self.log.last_term(),
-        };
-        self.broadcast_vote_request(req, fx);
-    }
-
-    fn become_candidate(&mut self, now: SimTime, fx: &mut NodeEffects<SM>) {
-        self.term += 1;
-        self.voted_for = Some(self.config.id);
-        self.role = Role::Candidate;
-        self.leader_id = None;
-        self.votes.clear();
-        self.votes.insert(self.config.id);
-        self.reset_election_timer(now, true);
-        fx.events
-            .push(RaftEvent::ElectionStarted { term: self.term });
-        if self.vote_quorum_reached() {
-            self.become_leader(now, fx);
-            return;
-        }
-        let req = RequestVote {
-            term: self.term,
-            pre_vote: false,
-            last_log_index: self.log.last_index(),
-            last_log_term: self.log.last_term(),
-        };
-        self.broadcast_vote_request(req, fx);
-    }
-
-    fn broadcast_vote_request(&mut self, req: RequestVote, fx: &mut NodeEffects<SM>) {
-        // Votes are requested from every node that votes in *any* active
-        // set; learners never receive (or need) vote traffic.
-        for peer in self.active_frame().membership.voting_members() {
-            if peer == self.config.id {
-                continue;
-            }
-            let payload: NodePayload<SM> = Payload::RequestVote(req);
-            let channel = payload.channel(self.config.udp_heartbeats);
-            fx.messages.push(OutMsg {
-                to: peer,
-                channel,
-                payload,
-            });
-        }
-    }
-
-    fn become_leader(&mut self, now: SimTime, fx: &mut NodeEffects<SM>) {
-        debug_assert!(matches!(self.role, Role::Candidate));
-        self.role = Role::Leader;
-        self.leader_id = Some(self.config.id);
-        self.votes.clear();
-        self.campaign_rounds = 0;
-        fx.events.push(RaftEvent::BecameLeader { term: self.term });
-        // Leader does not measure as a follower; drop stale path state.
-        if self.config.tuning.mode.tunes() {
-            self.tuner.reset();
-        }
-        self.progress.clear();
-        self.pacers.clear();
-        let last_index = self.log.last_index();
-        for peer in self.active_frame().membership.members() {
-            if peer == self.config.id {
-                continue;
-            }
-            self.progress.insert(peer, Progress::new(last_index, now));
-            self.pacers
-                .insert(peer, LeaderPacer::new(self.config.tuning, now.as_nanos()));
-        }
-        self.lease_check_at = now + self.config.tuning.default_election_timeout;
-        self.batch_bytes = 0;
-        self.batch_deadline = None;
-        // Commit entries from prior terms via a no-op (etcd convention).
-        self.log.append_new(self.term, None);
-        let peers: Vec<NodeId> = self.progress.keys().copied().collect();
-        for peer in peers {
-            self.send_append(now, peer, fx);
-        }
-        self.try_advance_commit(now, fx);
-    }
-
-    // ------------------------------------------------------------------
-    // Client proposals
-    // ------------------------------------------------------------------
-
-    /// Propose a command. On the leader this appends to the log, starts
-    /// (or schedules) replication, and returns the assigned `(term, index)`;
-    /// otherwise returns a redirect hint.
-    ///
-    /// Replication is group-committed: a proposal hitting an *idle* pipe
-    /// (no append in flight to that follower) ships immediately, so a lone
-    /// write pays no batching latency. While the pipe is busy, proposals
-    /// coalesce and flush as one append per follower when either
-    /// `max_batch_bytes` worth accumulated or `max_batch_delay` elapsed —
-    /// whichever comes first — bounding the per-entry message overhead
-    /// under load instead of sending every client batch on its own.
-    pub fn propose(
-        &mut self,
-        now: SimTime,
-        command: SM::Command,
-    ) -> (Result<(Term, LogIndex), NotLeader>, NodeEffects<SM>) {
-        let mut fx = Effects::new();
-        if self.role != Role::Leader {
-            return (
-                Err(NotLeader {
-                    hint: self.leader_id,
-                }),
-                fx,
-            );
-        }
-        let bytes = SM::command_bytes(&command);
-        let index = self.log.append_new(self.term, Some(command));
-        self.batch_bytes += bytes;
-        let peers: Vec<NodeId> = self.progress.keys().copied().collect();
-        for peer in peers {
-            if self.progress[&peer].inflight.is_empty() {
-                self.send_append(now, peer, &mut fx);
-            }
-        }
-        if self.batch_bytes >= self.config.max_batch_bytes {
-            self.flush_batch(now, &mut fx);
-        } else if self.batch_deadline.is_none() && self.has_unsent_entries() {
-            self.batch_deadline = Some(now + self.config.max_batch_delay);
-        }
-        self.try_advance_commit(now, &mut fx); // single-node commits instantly
-        (Ok((self.term, index)), fx)
-    }
-
-    /// Whether any follower still has unsent log entries (the condition
-    /// under which a buffered batch needs a flush deadline armed).
-    fn has_unsent_entries(&self) -> bool {
-        let last = self.log.last_index();
-        self.progress.values().any(|p| p.has_pending(last))
-    }
-
-    // ------------------------------------------------------------------
-    // Configuration changes (joint consensus, Raft §6)
-    // ------------------------------------------------------------------
-
-    /// Propose a configuration change as a replicated log entry.
-    ///
-    /// The change takes effect on this leader the moment it is appended
-    /// (and on each follower when it accepts the entry). At most one
-    /// configuration change may be uncommitted at a time; `Begin` entries
-    /// additionally require every promoted node to be a learner within
-    /// [`PROMOTION_SLACK`] entries of the leader's tail, so a voter can
-    /// never be counted into a quorum before it can actually store entries.
-    ///
-    /// A leader that removes itself keeps leading until the removing
-    /// configuration *commits* (the entry must still replicate), then steps
-    /// down via the commit path.
-    pub fn propose_conf_change(
-        &mut self,
-        now: SimTime,
-        change: ConfChange,
-    ) -> (Result<(Term, LogIndex), ConfChangeError>, NodeEffects<SM>) {
-        let mut fx = Effects::new();
-        if self.role != Role::Leader {
-            return (
-                Err(ConfChangeError::NotLeader(NotLeader {
-                    hint: self.leader_id,
-                })),
-                fx,
-            );
-        }
-        if self.active_frame().index > self.commit_index {
-            return (Err(ConfChangeError::InFlight), fx);
-        }
-        let next = match self.active_frame().membership.apply(&change) {
-            Ok(next) => next,
-            Err(reason) => return (Err(ConfChangeError::Rejected(reason)), fx),
-        };
-        if let ConfChange::Begin { add, .. } = &change {
-            let last_index = self.log.last_index();
-            for &node in add {
-                let match_index = self.progress.get(&node).map_or(0, |p| p.match_index);
-                if match_index + PROMOTION_SLACK < last_index {
-                    return (
-                        Err(ConfChangeError::LearnerBehind {
-                            node,
-                            match_index,
-                            last_index,
-                        }),
-                        fx,
-                    );
-                }
-            }
-        }
-        let index = self.log.append_conf(self.term, change);
-        self.frames.push(MembershipFrame {
-            index,
-            term: self.term,
-            membership: next,
-        });
-        self.sync_member_tracking(now);
-        self.emit_membership_event(&mut fx);
-        // Replicate like an ordinary proposal: idle pipes ship immediately,
-        // busy ones flush through the group-commit deadline.
-        let peers: Vec<NodeId> = self.progress.keys().copied().collect();
-        for peer in peers {
-            if self.progress[&peer].inflight.is_empty() {
-                self.send_append(now, peer, &mut fx);
-            }
-        }
-        if self.batch_deadline.is_none() && self.has_unsent_entries() {
-            self.batch_deadline = Some(now + self.config.max_batch_delay);
-        }
-        self.try_advance_commit(now, &mut fx);
-        (Ok((self.term, index)), fx)
-    }
-
-    /// Align the leader's per-member tracking (progress + pacers) with the
-    /// active configuration: new members (learners, promoted voters) gain
-    /// entries, members dropped by a `Finalize` lose theirs — per Raft §6
-    /// removed servers simply stop receiving traffic.
-    fn sync_member_tracking(&mut self, now: SimTime) {
-        if self.role != Role::Leader {
-            return;
-        }
-        let members = self.active_frame().membership.members();
-        self.progress.retain(|id, _| members.contains(id));
-        self.pacers.retain(|id, _| members.contains(id));
-        let last_index = self.log.last_index();
-        let tuning = self.config.tuning;
-        let own_id = self.config.id;
-        for &peer in &members {
-            if peer == own_id {
-                continue;
-            }
-            self.progress
-                .entry(peer)
-                .or_insert_with(|| Progress::new(last_index, now));
-            self.pacers
-                .entry(peer)
-                .or_insert_with(|| LeaderPacer::new(tuning, now.as_nanos()));
-        }
-    }
-
-    /// Reconcile the membership frame stack with the log after an accepted
-    /// append. Two motions, both Raft §6:
-    ///
-    /// 1. **Rollback**: frames whose `(index, term)` entry no longer exists
-    ///    in the log were truncated away by a conflicting suffix — the node
-    ///    reverts to the configuration *before* them. Truncation is always
-    ///    suffix-shaped, so invalid frames form a suffix of the stack.
-    /// 2. **Absorption**: conf entries in the accepted batch take effect in
-    ///    log order, each applied to the previous frame's configuration.
-    ///    Replay is deterministic — same log, same frames on every replica.
-    fn absorb_conf_entries(&mut self, offered: &[Entry<SM::Command>], fx: &mut NodeEffects<SM>) {
-        let mut changed = false;
-        while self.frames.len() > 1 {
-            let Some(top) = self.frames.last() else {
-                break;
-            };
-            if self.log.term_at(top.index) == Some(top.term) {
-                break;
-            }
-            self.frames.pop();
-            changed = true;
-        }
-        for e in offered {
-            let Some(conf) = &e.conf else {
-                continue;
-            };
-            if self.log.term_at(e.index) != Some(e.term) {
-                continue; // superseded duplicate: this copy never survived
-            }
-            if self.active_frame().index >= e.index {
-                continue; // already absorbed (redelivered batch)
-            }
-            match self.active_frame().membership.apply(conf) {
-                Ok(next) => {
-                    self.frames.push(MembershipFrame {
-                        index: e.index,
-                        term: e.term,
-                        membership: next,
-                    });
-                    changed = true;
-                }
-                Err(reason) => {
-                    // The leader validated this change against the same
-                    // predecessor configuration, so replay cannot fail
-                    // unless genesis configs diverged across nodes.
-                    debug_assert!(false, "conf-change replay rejected: {reason}");
-                }
-            }
-        }
-        if changed {
-            self.emit_membership_event(fx);
-        }
-    }
-
-    /// The configuration in force at `index` (used when cutting a snapshot:
-    /// the receiver must learn the membership as of the boundary, not the
-    /// possibly-newer active one).
-    fn membership_at(&self, index: LogIndex) -> Membership {
-        let mut chosen: Option<&Membership> = None;
-        for f in &self.frames {
-            if f.index <= index {
-                chosen = Some(&f.membership);
-            }
-        }
-        match chosen {
-            Some(m) => m.clone(),
-            // The base frame sits at or below every snapshot cut
-            // (compaction never passes last_applied).
-            None => invariant_violated!(
-                "no membership frame at or below index {index} — the base \
-                 frame must cover every snapshot boundary"
-            ),
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Log-free reads (ReadIndex + leader lease)
-    // ------------------------------------------------------------------
-
-    /// Register a linearizable log-free read.
-    ///
-    /// On the leader this records the current `commit_index` as the read's
-    /// index and grants it — immediately when the leader lease is live,
-    /// otherwise after a ReadIndex confirmation round (a quorum of
-    /// `read_ctx` echoes on `AppendEntries`/`AppendResp`) — via
-    /// [`ReadGrant`]s in the returned (or a later) [`Effects::reads`].
-    /// With `wait_apply` the grant is additionally held until
-    /// `last_applied >= read_index`, so the caller can serve from this
-    /// node's state machine the moment the grant arrives; without it
-    /// (forwarded follower reads) the grant fires on confirmation and the
-    /// caller waits for its *own* apply index. Queued reads that lose
-    /// their leader surface in [`Effects::aborted_reads`].
-    ///
-    /// Non-leaders return a redirect hint, like [`RaftNode::propose`].
-    pub fn request_read(
-        &mut self,
-        now: SimTime,
-        id: u64,
-        wait_apply: bool,
-    ) -> (Result<(), NotLeader>, NodeEffects<SM>) {
-        let mut fx = Effects::new();
-        if self.role != Role::Leader {
-            return (
-                Err(NotLeader {
-                    hint: self.leader_id,
-                }),
-                fx,
-            );
-        }
-        if self.log.term_at(self.commit_index) != Some(self.term) {
-            // Raft §6.4: before the current term's no-op commits, our
-            // commit_index may still lag entries the previous leader
-            // committed — reading at it could miss them. Park the read.
-            self.reads.term_wait.push((id, wait_apply));
-            return (Ok(()), fx);
-        }
-        self.admit_read(now, id, wait_apply, &mut fx);
-        (Ok(()), fx)
-    }
-
-    /// Whether the leader lease currently covers log-free reads: a quorum
-    /// (counting this node) acknowledged heartbeats sent within the
-    /// drift-scaled lease window. While it holds, no other member can have
-    /// won an election, so `commit_index` is the cluster's true commit
-    /// point and reads skip the confirmation round entirely.
-    ///
-    /// Safety requires two things beyond fresh acks. First, check-quorum:
-    /// the argument that no rival can win an election inside the lease
-    /// window rests on followers *withholding votes* while they hear from
-    /// a live leader (`in_lease`), which only check-quorum enables — with
-    /// it off, the lease is never valid and reads fall back to ReadIndex.
-    /// Second, the lease must undercut the *smallest election timeout any
-    /// member may be running*: under a tuning mode a follower's Et can
-    /// adapt down to the configured floor, so the effective lease is
-    /// clamped there (aggressively-tuned clusters route reads through
-    /// ReadIndex — correct, if slower, rather than fast and stale).
-    #[must_use]
-    pub fn lease_valid(&self, now: SimTime) -> bool {
-        if !self.config.lease_reads || !self.config.check_quorum || self.role != Role::Leader {
-            return false;
-        }
-        let membership = &self.active_frame().membership;
-        // The lease is conservatively void while a joint configuration is
-        // active or once this leader is no longer a voter: the "no rival
-        // can win inside the window" argument would have to hold in two
-        // voter sets at once, and the dual-quorum window is exactly when a
-        // stale single-set lease could serve a stale read. Reads fall back
-        // to ReadIndex, whose echo tally *is* dual-quorum.
-        if membership.is_joint() || !membership.voters.contains(&self.config.id) {
-            return false;
-        }
-        let needed = quorum(membership.voters.len()) - 1; // we count ourselves
-        if needed == 0 {
-            return true; // single-voter quorum
-        }
-        // Only voters extend the lease: a learner's ack says nothing about
-        // who can win an election.
-        let mut bases: Vec<SimTime> = membership
-            .voters
-            .iter()
-            .filter(|&&v| v != self.config.id)
-            .map(|v| {
-                self.progress
-                    .get(v)
-                    .map_or(SimTime::ZERO, |p| p.lease_basis)
-            })
-            .collect();
-        bases.sort_unstable_by(|a, b| b.cmp(a));
-        let basis = bases[needed - 1];
-        let min_electable = if self.config.tuning.mode.tunes() {
-            self.config.tuning.election_timeout_floor
-        } else {
-            self.config.tuning.default_election_timeout
-        };
-        let effective = self
-            .config
-            .read_lease
-            .min(min_electable)
-            .mul_f64(1.0 - self.config.lease_drift_margin);
-        now < basis + effective
-    }
-
-    /// Queued log-free reads (confirmation, apply or term waiters).
-    #[must_use]
-    pub fn pending_reads(&self) -> usize {
-        self.reads
-            .pending_confirm
-            .iter()
-            .map(|r| r.reads.len())
-            .sum::<usize>()
-            + self.reads.apply_wait.values().map(Vec::len).sum::<usize>()
-            + self.reads.term_wait.len()
-    }
-
-    fn admit_read(&mut self, now: SimTime, id: u64, wait_apply: bool, fx: &mut NodeEffects<SM>) {
-        let read_index = self.commit_index;
-        if self.lease_valid(now) {
-            self.finish_read(id, read_index, ReadPath::Lease, wait_apply, fx);
-            return;
-        }
-        // Join the newest unconfirmed round only when nothing happened
-        // since it was registered (same instant, same commit index): its
-        // confirmation traffic then provably went out no earlier than this
-        // read, so the echoes confirm leadership for it too.
-        if let Some(last) = self.reads.pending_confirm.back_mut() {
-            if last.registered_at == now && last.read_index == read_index {
-                last.reads.push((id, wait_apply));
-                return;
-            }
-        }
-        self.reads.next_seq += 1;
-        let seq = self.reads.next_seq;
-        self.reads.pending_confirm.push_back(ReadRound {
-            seq,
-            read_index,
-            registered_at: now,
-            reads: vec![(id, wait_apply)],
-        });
-        fx.events.push(RaftEvent::ReadConfirmRound { seq });
-        self.nudge_read_confirmation(now, fx);
-        // Single-node cluster: the quorum is already satisfied.
-        self.advance_read_confirmations(fx);
-    }
-
-    /// Grant a confirmed read, or park it until apply catches up.
-    fn finish_read(
-        &mut self,
-        id: u64,
-        read_index: LogIndex,
-        path: ReadPath,
-        wait_apply: bool,
-        fx: &mut NodeEffects<SM>,
-    ) {
-        if !wait_apply || self.last_applied >= read_index {
-            fx.reads.push(ReadGrant {
-                id,
-                read_index,
-                path,
-            });
-        } else {
-            self.reads
-                .apply_wait
-                .entry(read_index)
-                .or_default()
-                .push((id, path));
-        }
-    }
-
-    /// Make sure every follower has confirmation traffic on the wire for
-    /// the newest pending read round. Confirmation rides on ordinary
-    /// `AppendEntries` (possibly empty) so the pipeline-window discipline
-    /// and the `append_resend` recovery timer apply unchanged: a peer whose
-    /// window is full is nudged again from `on_append_resp` once an ack
-    /// frees a slot (every send already in flight left before the round
-    /// opened, so their echoes cannot confirm it).
-    fn nudge_read_confirmation(&mut self, now: SimTime, fx: &mut NodeEffects<SM>) {
-        let Some(newest) = self.reads.pending_confirm.back().map(|r| r.seq) else {
-            return;
-        };
-        let window = self.config.pipeline_window;
-        let peers: Vec<NodeId> = self.progress.keys().copied().collect();
-        for peer in peers {
-            let p = &self.progress[&peer];
-            if p.acked_read_seq < newest && p.window_free(window) {
-                self.send_append(now, peer, fx);
-            }
-        }
-    }
-
-    /// Pop every pending round a quorum has confirmed and grant its reads.
-    /// The tally is the dual-quorum predicate: while a joint configuration
-    /// is active, echoes must cover a majority of *both* voter sets, and a
-    /// learner's echo never counts.
-    fn advance_read_confirmations(&mut self, fx: &mut NodeEffects<SM>) {
-        while let Some(front) = self.reads.pending_confirm.front() {
-            let seq = front.seq;
-            let id = self.config.id;
-            let progress = &self.progress;
-            let confirmed = self.active_frame().membership.quorum_satisfied(|n| {
-                n == id || progress.get(&n).is_some_and(|p| p.acked_read_seq >= seq)
-            });
-            if !confirmed {
-                break;
-            }
-            let Some(round) = self.reads.pending_confirm.pop_front() else {
-                break; // unreachable: front() above was Some
-            };
-            for (id, wait_apply) in round.reads {
-                self.finish_read(id, round.read_index, ReadPath::ReadIndex, wait_apply, fx);
-            }
-        }
-    }
-
-    /// Grant apply-gated reads whose index the state machine now covers.
-    fn drain_apply_wait(&mut self, fx: &mut NodeEffects<SM>) {
-        while let Some((&index, _)) = self.reads.apply_wait.iter().next() {
-            if index > self.last_applied {
-                break;
-            }
-            let Some(waiters) = self.reads.apply_wait.remove(&index) else {
-                break; // unreachable: `index` was just read from the map
-            };
-            for (id, path) in waiters {
-                fx.reads.push(ReadGrant {
-                    id,
-                    read_index: index,
-                    path,
-                });
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Replication plumbing (leader)
-    // ------------------------------------------------------------------
-
-    /// Send one `AppendEntries` (or the `InstallSnapshot` standing in for
-    /// it) to `to`, occupying one pipeline-window slot.
-    ///
-    /// Early-return audit (the silent-stall hazard class): every exit that
-    /// sends nothing also reserves nothing, and is reachable only from a
-    /// state where another wake-up is already armed —
-    /// * unknown peer: no progress entry exists, so no slot was reserved;
-    /// * window full: the window holds in-flight sends, so the oldest of
-    ///   them has the `append_resend`/`snapshot_resend` timer armed via
-    ///   `next_wake`, and its ack (or resend) re-drives replication.
-    fn send_append(&mut self, now: SimTime, to: NodeId, fx: &mut NodeEffects<SM>) {
-        let window = self.config.pipeline_window;
-        let Some(p) = self.progress.get_mut(&to) else {
-            return;
-        };
-        if !p.window_free(window) {
-            return;
-        }
-        let prev = p.next_index - 1;
-        let Some(prev_term) = self.log.term_at(prev) else {
-            // prev was compacted away: log replication can never catch this
-            // follower up (the entries it needs no longer exist). Stream the
-            // full applied state instead. Pre-PR-4 code returned silently
-            // here, which left the window empty with no retry path — a
-            // permanent replication stall once conflict backoff pushed
-            // next_index below first_index.
-            self.send_snapshot(now, to, fx);
-            return;
-        };
-        let entries = self
-            .log
-            .entries_from(p.next_index, self.config.max_entries_per_append);
-        let last = prev + entries.len() as u64;
-        p.record_send(now, prev, last);
-        let msg = AppendEntries {
-            term: self.term,
-            leader: self.config.id,
-            prev_log_index: prev,
-            prev_log_term: prev_term,
-            entries,
-            leader_commit: self.commit_index,
-            // Piggy-back the newest pending read round: this append is sent
-            // at or after every queued read's registration, so its echo
-            // confirms them all.
-            read_ctx: self.reads.pending_confirm.back().map(|r| r.seq),
-        };
-        let payload = Payload::AppendEntries(msg);
-        let channel = payload.channel(self.config.udp_heartbeats);
-        fx.messages.push(OutMsg {
-            to,
-            channel,
-            payload,
-        });
-    }
-
-    /// Stream the current applied state to a follower that fell behind the
-    /// compaction horizon. The snapshot is cut at `last_applied` (the state
-    /// the leader holds in memory), which is always at or above the log
-    /// base, so the follower lands inside the retained log and ordinary
-    /// appends take over from there.
-    ///
-    /// A snapshot transfer occupies the *whole* pipeline window: appends
-    /// optimistically queued behind it would anchor below the follower's
-    /// (future) restored log base and bounce anyway, so any such sends are
-    /// dropped here and the window stays closed until the install acks.
-    fn send_snapshot(&mut self, now: SimTime, to: NodeId, fx: &mut NodeEffects<SM>) {
-        let last_included_index = self.last_applied;
-        let Some(last_included_term) = self.log.term_at(last_included_index) else {
-            invariant_violated!(
-                "applied index {last_included_index} fell outside the live log \
-                 [{}, {}] — compaction must never pass last_applied",
-                self.log.first_index(),
-                self.log.last_index()
-            );
-        };
-        let data = self.sm.snapshot();
-        let Some(p) = self.progress.get_mut(&to) else {
-            return;
-        };
-        p.inflight.clear();
-        p.record_send(now, last_included_index, last_included_index);
-        p.pending_snapshot = Some(last_included_index);
-        self.snapshots_sent += 1;
-        fx.events.push(RaftEvent::SnapshotSent {
-            to,
-            last_included_index,
-        });
-        let payload = Payload::InstallSnapshot(InstallSnapshot {
-            term: self.term,
-            leader: self.config.id,
-            last_included_index,
-            last_included_term,
-            membership: self.membership_at(last_included_index),
-            data,
-        });
-        let channel = payload.channel(self.config.udp_heartbeats);
-        fx.messages.push(OutMsg {
-            to,
-            channel,
-            payload,
-        });
-    }
-
-    /// Keep sending appends to `to` until its pipeline window is full or
-    /// nothing unsent remains. Each send advances `next_index`
-    /// optimistically, so successive iterations carry consecutive slices of
-    /// the log — the pipelining that keeps a long-RTT pipe full.
-    fn fill_window(&mut self, now: SimTime, to: NodeId, fx: &mut NodeEffects<SM>) {
-        let window = self.config.pipeline_window;
-        loop {
-            let Some(p) = self.progress.get(&to) else {
-                return;
-            };
-            if !(p.window_free(window) && p.has_pending(self.log.last_index())) {
-                return;
-            }
-            let before = p.next_index;
-            self.send_append(now, to, fx);
-            let Some(p) = self.progress.get(&to) else {
-                return;
-            };
-            // A send always either advances next_index (entries went out)
-            // or converts to a snapshot transfer (window now closed); bail
-            // defensively if neither happened rather than spin.
-            if p.next_index == before && p.pending_snapshot.is_none() {
-                return;
-            }
-        }
-    }
-
-    /// Group-commit flush: push every buffered proposal onto the wire,
-    /// filling each follower's free window slots.
-    fn flush_batch(&mut self, now: SimTime, fx: &mut NodeEffects<SM>) {
-        self.batch_bytes = 0;
-        self.batch_deadline = None;
-        let peers: Vec<NodeId> = self.progress.keys().copied().collect();
-        for peer in peers {
-            self.fill_window(now, peer, fx);
-        }
-    }
-
-    fn try_advance_commit(&mut self, now: SimTime, fx: &mut NodeEffects<SM>) {
-        if self.role != Role::Leader {
-            return;
-        }
-        // Joint-consensus commit tally (Raft §6): the candidate index must
-        // be stored on a majority of *every* active voter set — the
-        // membership computes the per-set quorum indices and takes their
-        // minimum. Learner match indices never participate, and this
-        // node's own log only counts in sets it actually votes in.
-        let candidate = {
-            let id = self.config.id;
-            let own_last = self.log.last_index();
-            let progress = &self.progress;
-            self.active_frame().membership.committed_index(|n| {
-                if n == id {
-                    own_last
-                } else {
-                    progress.get(&n).map_or(0, |p| p.match_index)
-                }
-            })
-        };
-        // Raft §5.4.2: only entries of the current term commit by counting.
-        if candidate > self.commit_index && self.log.term_at(candidate) == Some(self.term) {
-            self.commit_index = candidate;
-            self.apply_committed(fx);
-        }
-        // Raft §6: a leader removed by a configuration change leads until
-        // the removing configuration commits, then steps down. (While joint
-        // it is still a voter of C_old, so this only fires after Finalize.)
-        let active = self.active_frame();
-        if active.index <= self.commit_index && !active.membership.is_voter(self.config.id) {
-            let term = self.term;
-            self.become_follower(now, term, None, fx);
-            return;
-        }
-        // The first current-term commit un-parks reads registered before it
-        // (commit_index now provably covers the previous leader's commits).
-        if !self.reads.term_wait.is_empty()
-            && self.log.term_at(self.commit_index) == Some(self.term)
-        {
-            let parked = std::mem::take(&mut self.reads.term_wait);
-            for (id, wait_apply) in parked {
-                self.admit_read(now, id, wait_apply, fx);
-            }
-        }
-    }
-
-    fn apply_committed(&mut self, fx: &mut NodeEffects<SM>) {
-        while self.last_applied < self.commit_index {
-            let index = self.last_applied + 1;
-            let Some(entry) = self.log.entry_at(index) else {
-                invariant_violated!(
-                    "committed index {index} is not live in the log [{}, {}] — \
-                     commit_index must never outrun the stored suffix",
-                    self.log.first_index(),
-                    self.log.last_index()
-                );
-            };
-            let term = entry.term;
-            let response = entry.data.clone().map(|cmd| self.sm.apply(index, &cmd));
-            fx.applied.push(Applied {
-                index,
-                term,
-                response,
-            });
-            self.last_applied = index;
-        }
-        self.drain_apply_wait(fx);
-    }
-
-    // ------------------------------------------------------------------
-    // Message handling
-    // ------------------------------------------------------------------
 
     /// Process one inbound message.
     pub fn step(
@@ -1542,403 +344,6 @@ impl<SM: StateMachine> RaftNode<SM> {
         fx
     }
 
-    fn on_heartbeat(
-        &mut self,
-        now: SimTime,
-        from: NodeId,
-        hb: Heartbeat,
-        fx: &mut NodeEffects<SM>,
-    ) {
-        if hb.term < self.term {
-            // Stale leader: tell it the new term so it steps down.
-            let payload: NodePayload<SM> = Payload::HeartbeatResp(HeartbeatResp {
-                term: self.term,
-                reply: dynatune_core::HeartbeatReply::echo_only(&hb.meta),
-            });
-            let channel = payload.channel(self.config.udp_heartbeats);
-            fx.messages.push(OutMsg {
-                to: from,
-                channel,
-                payload,
-            });
-            return;
-        }
-        // hb.term == self.term here (higher terms were adopted above).
-        match self.role {
-            Role::PreCandidate => {
-                // Leader is alive: abort the pre-vote (Fig. 6b behaviour).
-                fx.events
-                    .push(RaftEvent::PreVoteAborted { term: self.term });
-                self.become_follower(now, hb.term, Some(from), fx);
-            }
-            Role::Candidate | Role::Leader => {
-                // Same-term contact from a leader while campaigning at a
-                // *higher* term is impossible (we bumped); while Candidate at
-                // the same term it means we lost the race.
-                if self.role == Role::Candidate {
-                    self.become_follower(now, hb.term, Some(from), fx);
-                }
-            }
-            Role::Follower => {
-                if self.leader_id != Some(from) {
-                    self.become_follower(now, hb.term, Some(from), fx);
-                }
-            }
-        }
-        if self.role != Role::Follower {
-            return; // defensive: leader at same term ignores
-        }
-        self.reset_election_timer(now, false);
-        let reply = self.tuner.on_heartbeat(&hb.meta);
-        // Commit what the leader has verified we hold.
-        let new_commit = hb.commit.min(self.log.last_index());
-        if new_commit > self.commit_index {
-            self.commit_index = new_commit;
-            self.apply_committed(fx);
-        }
-        let payload: NodePayload<SM> = Payload::HeartbeatResp(HeartbeatResp {
-            term: self.term,
-            reply,
-        });
-        let channel = payload.channel(self.config.udp_heartbeats);
-        fx.messages.push(OutMsg {
-            to: from,
-            channel,
-            payload,
-        });
-    }
-
-    fn on_heartbeat_resp(
-        &mut self,
-        now: SimTime,
-        from: NodeId,
-        resp: HeartbeatResp,
-        _fx: &mut NodeEffects<SM>,
-    ) {
-        if self.role != Role::Leader || resp.term != self.term {
-            return;
-        }
-        if let Some(p) = self.progress.get_mut(&from) {
-            p.last_active = now;
-            // The echoed send instant is exact, so it safely extends the
-            // read lease: this follower provably still followed us when
-            // the heartbeat left (reordered echoes are monotone-maxed).
-            let basis = SimTime::from_nanos(resp.reply.echo_sent_at_nanos);
-            p.lease_basis = p.lease_basis.max(basis);
-        }
-        if let Some(pacer) = self.pacers.get_mut(&from) {
-            pacer.on_reply(now.as_nanos(), &resp.reply);
-        }
-    }
-
-    fn on_append_entries(
-        &mut self,
-        now: SimTime,
-        from: NodeId,
-        ae: AppendEntries<SM::Command>,
-        fx: &mut NodeEffects<SM>,
-    ) {
-        if ae.term < self.term {
-            let payload: NodePayload<SM> = Payload::AppendResp(AppendResp {
-                term: self.term,
-                success: false,
-                match_or_hint: 0,
-                read_ctx: None,
-            });
-            let channel = payload.channel(self.config.udp_heartbeats);
-            fx.messages.push(OutMsg {
-                to: from,
-                channel,
-                payload,
-            });
-            return;
-        }
-        match self.role {
-            Role::PreCandidate => {
-                fx.events
-                    .push(RaftEvent::PreVoteAborted { term: self.term });
-                self.become_follower(now, ae.term, Some(from), fx);
-            }
-            Role::Candidate => {
-                self.become_follower(now, ae.term, Some(from), fx);
-            }
-            Role::Follower => {
-                if self.leader_id != Some(from) {
-                    self.become_follower(now, ae.term, Some(from), fx);
-                }
-            }
-            Role::Leader => return, // impossible at same term
-        }
-        self.reset_election_timer(now, false);
-        let outcome = self
-            .log
-            .try_append(ae.prev_log_index, ae.prev_log_term, &ae.entries);
-        let resp = match outcome {
-            AppendOutcome::Success { last_index } => {
-                // Conf entries take effect at append time; truncated conf
-                // entries roll back — both before any commit movement.
-                self.absorb_conf_entries(&ae.entries, fx);
-                let new_commit = ae.leader_commit.min(last_index).min(self.log.last_index());
-                if new_commit > self.commit_index {
-                    self.commit_index = new_commit;
-                    self.apply_committed(fx);
-                }
-                AppendResp {
-                    term: self.term,
-                    success: true,
-                    match_or_hint: last_index,
-                    read_ctx: ae.read_ctx,
-                }
-            }
-            // The echo also rides conflict responses: either way we
-            // answered at the leader's term, which is all ReadIndex needs.
-            AppendOutcome::Conflict { hint } => AppendResp {
-                term: self.term,
-                success: false,
-                match_or_hint: hint,
-                read_ctx: ae.read_ctx,
-            },
-        };
-        let payload: NodePayload<SM> = Payload::AppendResp(resp);
-        let channel = payload.channel(self.config.udp_heartbeats);
-        fx.messages.push(OutMsg {
-            to: from,
-            channel,
-            payload,
-        });
-    }
-
-    /// Follower side of snapshot transfer: adopt the leader, reset the log
-    /// to the snapshot boundary (retaining any matching tail), restore the
-    /// state machine, and acknowledge through the regular `AppendResp` path
-    /// so the leader's progress tracking advances normally.
-    fn on_install_snapshot(
-        &mut self,
-        now: SimTime,
-        from: NodeId,
-        snap: InstallSnapshot<SM::Snapshot>,
-        fx: &mut NodeEffects<SM>,
-    ) {
-        if snap.term < self.term {
-            // Stale leader: tell it the new term so it steps down.
-            let payload: NodePayload<SM> = Payload::AppendResp(AppendResp {
-                term: self.term,
-                success: false,
-                match_or_hint: 0,
-                read_ctx: None,
-            });
-            let channel = payload.channel(self.config.udp_heartbeats);
-            fx.messages.push(OutMsg {
-                to: from,
-                channel,
-                payload,
-            });
-            return;
-        }
-        match self.role {
-            Role::PreCandidate => {
-                fx.events
-                    .push(RaftEvent::PreVoteAborted { term: self.term });
-                self.become_follower(now, snap.term, Some(from), fx);
-            }
-            Role::Candidate => {
-                self.become_follower(now, snap.term, Some(from), fx);
-            }
-            Role::Follower => {
-                if self.leader_id != Some(from) {
-                    self.become_follower(now, snap.term, Some(from), fx);
-                }
-            }
-            Role::Leader => return, // impossible at same term
-        }
-        self.reset_election_timer(now, false);
-        if snap.last_included_index > self.commit_index {
-            let membership_before = self.active_frame().membership.clone();
-            let kept_tail =
-                self.log.term_at(snap.last_included_index) == Some(snap.last_included_term);
-            if kept_tail {
-                // Our log already reaches the snapshot point: fast-forward
-                // state and compaction, retain the matching tail.
-                self.log.compact(snap.last_included_index);
-            } else {
-                // Behind (or diverged): the snapshot replaces everything.
-                self.log
-                    .reset(snap.last_included_index, snap.last_included_term);
-            }
-            // The snapshot's boundary configuration becomes the base frame.
-            // Conf entries in a retained tail stay stacked on top; on the
-            // reset path the tail is gone, so the boundary config rules.
-            if kept_tail {
-                self.frames.retain(|f| f.index > snap.last_included_index);
-            } else {
-                self.frames.clear();
-            }
-            self.frames.insert(
-                0,
-                MembershipFrame {
-                    index: snap.last_included_index,
-                    term: snap.last_included_term,
-                    membership: snap.membership.clone(),
-                },
-            );
-            if self.active_frame().membership != membership_before {
-                self.emit_membership_event(fx);
-            }
-            self.sm.restore(&snap.data);
-            self.commit_index = snap.last_included_index;
-            self.last_applied = snap.last_included_index;
-            // The snapshot becomes our crash-recovery baseline: the log no
-            // longer replays from index 1.
-            self.snap = Some(Snapshot {
-                last_included_index: snap.last_included_index,
-                last_included_term: snap.last_included_term,
-                data: snap.data,
-            });
-            fx.events.push(RaftEvent::SnapshotInstalled {
-                last_included_index: snap.last_included_index,
-            });
-        }
-        // Acknowledge up to the snapshot point (or our existing commit if
-        // the snapshot was stale) — monotonic on the leader side.
-        let payload: NodePayload<SM> = Payload::AppendResp(AppendResp {
-            term: self.term,
-            success: true,
-            match_or_hint: snap.last_included_index.min(self.commit_index),
-            read_ctx: None,
-        });
-        let channel = payload.channel(self.config.udp_heartbeats);
-        fx.messages.push(OutMsg {
-            to: from,
-            channel,
-            payload,
-        });
-    }
-
-    fn on_append_resp(
-        &mut self,
-        now: SimTime,
-        from: NodeId,
-        resp: AppendResp,
-        fx: &mut NodeEffects<SM>,
-    ) {
-        if self.role != Role::Leader || resp.term != self.term {
-            return;
-        }
-        let Some(p) = self.progress.get_mut(&from) else {
-            return;
-        };
-        p.last_active = now;
-        if let Some(seq) = resp.read_ctx {
-            p.acked_read_seq = p.acked_read_seq.max(seq);
-        }
-        if resp.success {
-            p.on_success(resp.match_or_hint);
-            self.try_advance_commit(now, fx);
-            // The ack freed window slots; refill them with anything unsent.
-            self.fill_window(now, from, fx);
-        } else {
-            p.on_conflict(resp.match_or_hint);
-            // Probe at the hinted position. Sends probing at or below the
-            // hint survived the suffix cancellation and stay in flight;
-            // `send_append` declines if they already fill the window (their
-            // own acks — or the resend timer — then drive recovery).
-            self.send_append(now, from, fx);
-        }
-        self.advance_read_confirmations(fx);
-        // Keep confirmation traffic flowing: if this peer still owes an
-        // echo for the newest read round and has window capacity, nudge it.
-        if let Some(newest) = self.reads.pending_confirm.back().map(|r| r.seq) {
-            let p = &self.progress[&from];
-            if p.acked_read_seq < newest && p.window_free(self.config.pipeline_window) {
-                self.send_append(now, from, fx);
-            }
-        }
-    }
-
-    /// Check-quorum leader lease: true while this follower has heard from a
-    /// live leader within one election timeout (etcd's `inLease`).
-    fn in_lease(&self, now: SimTime) -> bool {
-        self.config.check_quorum
-            && self.role == Role::Follower
-            && self.leader_id.is_some()
-            && now < self.timer_reset_at + self.election_timeout()
-    }
-
-    fn on_request_vote(
-        &mut self,
-        now: SimTime,
-        from: NodeId,
-        rv: RequestVote,
-        fx: &mut NodeEffects<SM>,
-    ) {
-        // Lease check for pre-votes (real votes were filtered in `step`).
-        if self.in_lease(now) {
-            return;
-        }
-        let up_to_date = self
-            .log
-            .candidate_up_to_date(rv.last_log_index, rv.last_log_term);
-        let (granted, resp_term) = if rv.pre_vote {
-            // Pre-vote: grant for a higher prospective term + fresh log;
-            // our own term/vote are untouched.
-            let grant = rv.term > self.term && up_to_date;
-            (grant, if grant { rv.term } else { self.term })
-        } else {
-            if rv.term < self.term {
-                (false, self.term)
-            } else {
-                // rv.term == self.term (higher was adopted in `step`).
-                let can_vote = self.voted_for.is_none() || self.voted_for == Some(from);
-                let grant = self.role == Role::Follower && can_vote && up_to_date;
-                if grant {
-                    self.voted_for = Some(from);
-                    // Granting a vote re-arms the election timer.
-                    self.reset_election_timer(now, false);
-                }
-                (grant, self.term)
-            }
-        };
-        let payload: NodePayload<SM> = Payload::RequestVoteResp(RequestVoteResp {
-            term: resp_term,
-            pre_vote: rv.pre_vote,
-            granted,
-        });
-        let channel = payload.channel(self.config.udp_heartbeats);
-        fx.messages.push(OutMsg {
-            to: from,
-            channel,
-            payload,
-        });
-    }
-
-    fn on_vote_resp(
-        &mut self,
-        now: SimTime,
-        from: NodeId,
-        resp: RequestVoteResp,
-        fx: &mut NodeEffects<SM>,
-    ) {
-        if resp.pre_vote {
-            if self.role == Role::PreCandidate && resp.granted && resp.term == self.campaign_term {
-                self.votes.insert(from);
-                if self.vote_quorum_reached() {
-                    self.become_candidate(now, fx);
-                }
-            }
-            return;
-        }
-        if self.role == Role::Candidate && resp.granted && resp.term == self.term {
-            self.votes.insert(from);
-            if self.vote_quorum_reached() {
-                self.become_leader(now, fx);
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Crash-recovery
-    // ------------------------------------------------------------------
-
     /// Restart after a crash: persistent state (term, vote, log, retained
     /// snapshot) survives; volatile state resets. The state machine is
     /// rebuilt from the retained snapshot (when the log was ever compacted,
@@ -1965,75 +370,20 @@ impl<SM: StateMachine> RaftNode<SM> {
         self.tuner.reset();
         self.reset_election_timer(now, true);
     }
-
-    /// Compact the log prefix up to `index` (clamped to `last_applied`),
-    /// retaining a state-machine snapshot so crash-recovery and slow-peer
-    /// catch-up survive the loss of the prefix.
-    pub fn compact_log(&mut self, index: LogIndex) {
-        let index = index.min(self.safe_compact_index());
-        if index < self.log.first_index() {
-            return; // nothing new to discard
-        }
-        let last_included_index = self.last_applied;
-        let Some(last_included_term) = self.log.term_at(last_included_index) else {
-            invariant_violated!(
-                "applied index {last_included_index} fell outside the live log \
-                 [{}, {}] — safe_compact_index clamps to last_applied",
-                self.log.first_index(),
-                self.log.last_index()
-            );
-        };
-        self.snap = Some(Snapshot {
-            last_included_index,
-            last_included_term,
-            data: self.sm.snapshot(),
-        });
-        // Collapse membership frames the compacted prefix carried into one
-        // base frame at the compaction boundary: their history is gone from
-        // the log, but the configuration they produced must survive (a
-        // snapshot cut at or above the boundary ships it to catch-up
-        // followers via `membership_at`).
-        let Some(boundary_term) = self.log.term_at(index) else {
-            invariant_violated!(
-                "compaction boundary {index} has no term in the live log \
-                 [{}, {}]",
-                self.log.first_index(),
-                self.log.last_index()
-            );
-        };
-        let covered = self.frames.iter().filter(|f| f.index <= index).count();
-        if covered > 0 {
-            let collapsed = self.frames[covered - 1].membership.clone();
-            self.frames.drain(..covered);
-            self.frames.insert(
-                0,
-                MembershipFrame {
-                    index,
-                    term: boundary_term,
-                    membership: collapsed,
-                },
-            );
-        }
-        self.log.compact(index);
-    }
-
-    /// Highest index that can be compacted: everything applied. Compaction
-    /// is *not* pinned by the slowest follower — a peer that needs an entry
-    /// below the log base is caught up with an `InstallSnapshot` stream
-    /// instead, so one crashed node cannot make the leader's log grow
-    /// without bound. Callers keep a small tail of slack so briefly-lagging
-    /// followers still catch up via cheap appends.
-    #[must_use]
-    pub fn safe_compact_index(&self) -> LogIndex {
-        self.last_applied
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state_machine::NullStateMachine;
+    use crate::config::TimerQuantization;
+    use crate::events::RaftEvent;
+    use crate::message::{
+        AppendEntries, AppendResp, Heartbeat, HeartbeatResp, InstallSnapshot, RequestVote,
+        RequestVoteResp,
+    };
+    use crate::state_machine::{NullStateMachine, ReadGrant, ReadPath};
     use dynatune_core::TuningConfig;
+    use std::time::Duration;
 
     type Node = RaftNode<NullStateMachine>;
 
