@@ -2,14 +2,13 @@
 //! stack that mirrors the log, proposing a change, and absorbing or rolling
 //! back conf entries on followers.
 
-use super::{NodeEffects, NotLeader, RaftNode};
+use super::{NodeEffects, NotLeader, RaftNode, RoleState};
 use crate::events::RaftEvent;
 use crate::log::Entry;
 use crate::membership::{ConfChange, Membership};
-use crate::progress::Progress;
 use crate::state_machine::{Effects, StateMachine};
 use crate::types::{LogIndex, NodeId, Role, Term};
-use dynatune_core::{invariant_violated, LeaderPacer};
+use dynatune_core::invariant_violated;
 use dynatune_simnet::SimTime;
 
 /// Why [`RaftNode::propose_conf_change`] refused a configuration change.
@@ -108,7 +107,7 @@ impl<SM: StateMachine> RaftNode<SM> {
         change: ConfChange,
     ) -> (Result<(Term, LogIndex), ConfChangeError>, NodeEffects<SM>) {
         let mut fx = Effects::new();
-        if self.role != Role::Leader {
+        if self.role() != Role::Leader {
             return (
                 Err(ConfChangeError::NotLeader(NotLeader {
                     hint: self.leader_id,
@@ -126,7 +125,7 @@ impl<SM: StateMachine> RaftNode<SM> {
         if let ConfChange::Begin { add, .. } = &change {
             let last_index = self.log.last_index();
             for &node in add {
-                let match_index = self.progress.get(&node).map_or(0, |p| p.match_index);
+                let match_index = self.progress_of(node).map_or(0, |p| p.match_index);
                 if match_index + PROMOTION_SLACK < last_index {
                     return (
                         Err(ConfChangeError::LearnerBehind {
@@ -149,15 +148,10 @@ impl<SM: StateMachine> RaftNode<SM> {
         self.emit_membership_event(&mut fx);
         // Replicate like an ordinary proposal: idle pipes ship immediately,
         // busy ones flush through the group-commit deadline.
-        let peers: Vec<NodeId> = self.progress.keys().copied().collect();
-        for peer in peers {
-            if self.progress[&peer].inflight.is_empty() {
-                self.send_append(now, peer, &mut fx);
-            }
+        for peer in self.idle_peers() {
+            self.send_append(now, peer, &mut fx);
         }
-        if self.batch_deadline.is_none() && self.has_unsent_entries() {
-            self.batch_deadline = Some(now + self.config.max_batch_delay);
-        }
+        self.arm_batch_deadline(now);
         self.try_advance_commit(now, &mut fx);
         (Ok((self.term, index)), fx)
     }
@@ -166,26 +160,17 @@ impl<SM: StateMachine> RaftNode<SM> {
     /// active configuration: new members (learners, promoted voters) gain
     /// entries, members dropped by a `Finalize` lose theirs — per Raft §6
     /// removed servers simply stop receiving traffic.
-    fn sync_member_tracking(&mut self, now: SimTime) {
-        if self.role != Role::Leader {
-            return;
-        }
+    pub(super) fn sync_member_tracking(&mut self, now: SimTime) {
         let members = self.active_frame().membership.members();
-        self.progress.retain(|id, _| members.contains(id));
-        self.pacers.retain(|id, _| members.contains(id));
         let last_index = self.log.last_index();
-        let tuning = self.config.tuning;
-        let own_id = self.config.id;
-        for &peer in &members {
-            if peer == own_id {
-                continue;
-            }
-            self.progress
-                .entry(peer)
-                .or_insert_with(|| Progress::new(last_index, now));
-            self.pacers
-                .entry(peer)
-                .or_insert_with(|| LeaderPacer::new(tuning, now.as_nanos()));
+        if let RoleState::Leader(lead) = &mut self.state {
+            lead.track(
+                &members,
+                self.config.id,
+                last_index,
+                now,
+                self.config.tuning,
+            );
         }
     }
 

@@ -2,16 +2,36 @@
 //! pre-vote / vote campaign, the role transitions, and the vote-withholding
 //! lease (`in_lease`) that check-quorum rests on.
 
-use super::{NodeEffects, NodePayload, RaftNode};
+use super::replication::LeaderState;
+use super::{NodeEffects, NodePayload, RaftNode, RoleState};
 use crate::config::TimerQuantization;
 use crate::events::RaftEvent;
 use crate::message::{OutMsg, Payload, RequestVote, RequestVoteResp};
-use crate::progress::Progress;
 use crate::state_machine::StateMachine;
 use crate::types::{NodeId, Role, Term};
-use dynatune_core::{invariant_violated, LeaderPacer};
+use dynatune_core::invariant_violated;
 use dynatune_simnet::SimTime;
+use std::collections::BTreeSet;
 use std::time::Duration;
+
+/// A campaign in progress, from the election timeout that opened it until
+/// the node wins or reverts to follower. One value covers both phases: the
+/// pre-vote phase hands over to the vote phase by flipping `pre_vote`.
+#[derive(Debug, Default)]
+pub(super) struct Campaign {
+    /// Collecting pre-votes (`Role::PreCandidate`) rather than real votes
+    /// (`Role::Candidate`).
+    pub(super) pre_vote: bool,
+    /// The term the current round asks votes for: `term + 1` (not yet
+    /// adopted) while pre-voting, the node's own term afterwards.
+    term: Term,
+    /// Who granted this round's vote, this node included.
+    votes: BTreeSet<NodeId>,
+    /// Consecutive campaign rounds since leaving Follower (split-vote
+    /// retries). After `CAMPAIGN_FALLBACK_ROUNDS` the tuner falls back to
+    /// the conservative defaults (§III-B availability guarantee).
+    rounds: u32,
+}
 
 impl<SM: StateMachine> RaftNode<SM> {
     /// Current (possibly tuned) base election timeout `Et`.
@@ -70,8 +90,8 @@ impl<SM: StateMachine> RaftNode<SM> {
             term: self.term,
             randomized_timeout: self.randomized_timeout(),
         });
-        match self.role {
-            Role::Follower => {
+        let pre_vote = match &mut self.state {
+            RoleState::Follower => {
                 // §III-B: discard the measurement data at the timeout; the
                 // tuned Et keeps pacing the campaign so split-vote retries
                 // stay cheap. Conservative defaults return either when Step
@@ -82,41 +102,47 @@ impl<SM: StateMachine> RaftNode<SM> {
                     fx.events.push(RaftEvent::TunerReset);
                 }
                 self.leader_id = None;
-                self.campaign_rounds = 1;
-                if self.config.pre_vote {
-                    self.become_pre_candidate(now, fx);
-                } else {
-                    self.become_candidate(now, fx);
-                }
-            }
-            Role::PreCandidate => {
-                fx.events.push(RaftEvent::CampaignRetry {
-                    term: self.campaign_term,
+                self.state = RoleState::Campaigning(Campaign {
+                    rounds: 1,
+                    ..Campaign::default()
                 });
-                self.escalate_campaign(fx);
-                self.become_pre_candidate(now, fx);
+                self.config.pre_vote
             }
-            Role::Candidate => {
-                fx.events.push(RaftEvent::CampaignRetry { term: self.term });
-                self.escalate_campaign(fx);
-                self.become_candidate(now, fx);
+            RoleState::Campaigning(c) => {
+                fx.events.push(RaftEvent::CampaignRetry { term: c.term });
+                // After `CAMPAIGN_FALLBACK_ROUNDS` unresolved campaign
+                // rounds, revert the election parameters to the
+                // conservative defaults: if the tuned `Et` turned out
+                // smaller than the (possibly spiked) RTT, retry timers
+                // would keep expiring before vote responses return and the
+                // cluster would stay leaderless — the availability hazard
+                // §III-B's fallback exists to prevent.
+                const CAMPAIGN_FALLBACK_ROUNDS: u32 = 3;
+                c.rounds = c.rounds.saturating_add(1);
+                if c.rounds == CAMPAIGN_FALLBACK_ROUNDS && self.config.tuning.mode.tunes() {
+                    self.tuner.reset();
+                    fx.events.push(RaftEvent::TunerReset);
+                }
+                c.pre_vote
             }
-            Role::Leader => invariant_violated!("leaders have no election timer to expire"),
+            RoleState::Leader(_) => {
+                invariant_violated!("leaders have no election timer to expire")
+            }
+        };
+        if pre_vote {
+            self.become_pre_candidate(now, fx);
+        } else {
+            self.become_candidate(now, fx);
         }
     }
 
-    /// After `CAMPAIGN_FALLBACK_ROUNDS` unresolved campaign rounds, revert
-    /// the election parameters to the conservative defaults: if the tuned
-    /// `Et` turned out smaller than the (possibly spiked) RTT, retry timers
-    /// would keep expiring before vote responses return and the cluster
-    /// would stay leaderless — the availability hazard §III-B's fallback
-    /// exists to prevent.
-    fn escalate_campaign(&mut self, fx: &mut NodeEffects<SM>) {
-        const CAMPAIGN_FALLBACK_ROUNDS: u32 = 3;
-        self.campaign_rounds = self.campaign_rounds.saturating_add(1);
-        if self.campaign_rounds == CAMPAIGN_FALLBACK_ROUNDS && self.config.tuning.mode.tunes() {
-            self.tuner.reset();
-            fx.events.push(RaftEvent::TunerReset);
+    /// Open a fresh round of the running campaign asking votes for `term`,
+    /// with only this node's own vote counted.
+    fn open_round(&mut self, pre_vote: bool, term: Term) {
+        if let RoleState::Campaigning(c) = &mut self.state {
+            c.pre_vote = pre_vote;
+            c.term = term;
+            c.votes = BTreeSet::from([self.config.id]);
         }
     }
 
@@ -127,27 +153,19 @@ impl<SM: StateMachine> RaftNode<SM> {
         leader: Option<NodeId>,
         fx: &mut NodeEffects<SM>,
     ) {
-        let was_leader = self.role == Role::Leader;
         let leader_changed = leader != self.leader_id || term != self.term;
         if term > self.term {
             self.term = term;
             self.voted_for = None;
         }
-        self.role = Role::Follower;
         self.leader_id = leader;
-        self.votes.clear();
-        self.campaign_rounds = 0;
-        self.progress.clear();
-        self.pacers.clear();
-        self.lease_check_at = SimTime::MAX;
-        self.batch_bytes = 0;
-        self.batch_deadline = None;
-        if !self.reads.is_empty() {
+        // Whatever the old role owned — a campaign, the leader bookkeeping —
+        // goes with the variant.
+        if let RoleState::Leader(mut lead) = std::mem::replace(&mut self.state, RoleState::Follower)
+        {
             // Queued log-free reads can never be confirmed by an ex-leader;
             // surface them so the host redirects their clients.
-            fx.aborted_reads.extend(self.reads.drain_ids());
-        }
-        if was_leader {
+            fx.aborted_reads.extend(lead.reads.drain_ids());
             fx.events.push(RaftEvent::SteppedDown { term: self.term });
         }
         if leader_changed && self.config.tuning.mode.tunes() {
@@ -163,21 +181,17 @@ impl<SM: StateMachine> RaftNode<SM> {
     }
 
     fn become_pre_candidate(&mut self, now: SimTime, fx: &mut NodeEffects<SM>) {
-        self.role = Role::PreCandidate;
-        self.campaign_term = self.term + 1;
-        self.votes.clear();
-        self.votes.insert(self.config.id);
+        let campaign_term = self.term + 1;
+        self.open_round(true, campaign_term);
         self.reset_election_timer(now, true);
-        fx.events.push(RaftEvent::PreVoteStarted {
-            campaign_term: self.campaign_term,
-        });
+        fx.events.push(RaftEvent::PreVoteStarted { campaign_term });
         if self.vote_quorum_reached() {
             // Single-voter configuration: skip straight to the election.
             self.become_candidate(now, fx);
             return;
         }
         let req = RequestVote {
-            term: self.campaign_term,
+            term: campaign_term,
             pre_vote: true,
             last_log_index: self.log.last_index(),
             last_log_term: self.log.last_term(),
@@ -188,10 +202,8 @@ impl<SM: StateMachine> RaftNode<SM> {
     fn become_candidate(&mut self, now: SimTime, fx: &mut NodeEffects<SM>) {
         self.term += 1;
         self.voted_for = Some(self.config.id);
-        self.role = Role::Candidate;
         self.leader_id = None;
-        self.votes.clear();
-        self.votes.insert(self.config.id);
+        self.open_round(false, self.term);
         self.reset_election_timer(now, true);
         fx.events
             .push(RaftEvent::ElectionStarted { term: self.term });
@@ -228,51 +240,63 @@ impl<SM: StateMachine> RaftNode<SM> {
     /// Whether the nodes this node has collected votes from form a quorum
     /// in every active voter set (both sets while joint).
     fn vote_quorum_reached(&self) -> bool {
-        let votes = &self.votes;
+        let RoleState::Campaigning(c) = &self.state else {
+            return false;
+        };
         self.active_frame()
             .membership
-            .quorum_satisfied(|n| votes.contains(&n))
+            .quorum_satisfied(|n| c.votes.contains(&n))
     }
 
     fn become_leader(&mut self, now: SimTime, fx: &mut NodeEffects<SM>) {
-        debug_assert!(matches!(self.role, Role::Candidate));
-        self.role = Role::Leader;
+        debug_assert_eq!(self.role(), Role::Candidate);
         self.leader_id = Some(self.config.id);
-        self.votes.clear();
-        self.campaign_rounds = 0;
         fx.events.push(RaftEvent::BecameLeader { term: self.term });
         // Leader does not measure as a follower; drop stale path state.
         if self.config.tuning.mode.tunes() {
             self.tuner.reset();
         }
-        self.progress.clear();
-        self.pacers.clear();
-        let last_index = self.log.last_index();
-        for peer in self.active_frame().membership.members() {
-            if peer == self.config.id {
-                continue;
-            }
-            self.progress.insert(peer, Progress::new(last_index, now));
-            self.pacers
-                .insert(peer, LeaderPacer::new(self.config.tuning, now.as_nanos()));
-        }
-        self.lease_check_at = now + self.config.tuning.default_election_timeout;
-        self.batch_bytes = 0;
-        self.batch_deadline = None;
+        let lease_check_at = now + self.config.tuning.default_election_timeout;
+        self.state = RoleState::Leader(LeaderState::new(lease_check_at));
+        self.sync_member_tracking(now);
         // Commit entries from prior terms via a no-op (etcd convention).
         self.log.append_new(self.term, None);
-        let peers: Vec<NodeId> = self.progress.keys().copied().collect();
-        for peer in peers {
+        for peer in self.peer_ids() {
             self.send_append(now, peer, fx);
         }
         self.try_advance_commit(now, fx);
+    }
+
+    /// Check-quorum lease: step down unless the recently-heard members
+    /// (counting ourselves) form a quorum in every active voter set —
+    /// during a joint configuration, silence from either C_old or C_new
+    /// majorities deposes the leader.
+    pub(super) fn check_quorum(&mut self, now: SimTime, fx: &mut NodeEffects<SM>) {
+        let due = self.lead().is_some_and(|lead| now >= lead.lease_check_at);
+        if !self.config.check_quorum || !due {
+            return;
+        }
+        let lease = self.config.tuning.default_election_timeout;
+        let id = self.config.id;
+        let alive = self.active_frame().membership.quorum_satisfied(|n| {
+            n == id
+                || self
+                    .progress_of(n)
+                    .is_some_and(|p| p.last_active + lease >= now)
+        });
+        if !alive {
+            // become_follower emits the SteppedDown event.
+            self.become_follower(now, self.term, None, fx);
+        } else if let Some(lead) = self.lead_mut() {
+            lead.lease_check_at = now + lease;
+        }
     }
 
     /// Check-quorum leader lease: true while this follower has heard from a
     /// live leader within one election timeout (etcd's `inLease`).
     pub(super) fn in_lease(&self, now: SimTime) -> bool {
         self.config.check_quorum
-            && self.role == Role::Follower
+            && self.role() == Role::Follower
             && self.leader_id.is_some()
             && now < self.timer_reset_at + self.election_timeout()
     }
@@ -302,7 +326,7 @@ impl<SM: StateMachine> RaftNode<SM> {
             } else {
                 // rv.term == self.term (higher was adopted in `step`).
                 let can_vote = self.voted_for.is_none() || self.voted_for == Some(from);
-                let grant = self.role == Role::Follower && can_vote && up_to_date;
+                let grant = self.role() == Role::Follower && can_vote && up_to_date;
                 if grant {
                     self.voted_for = Some(from);
                     // Granting a vote re-arms the election timer.
@@ -331,20 +355,21 @@ impl<SM: StateMachine> RaftNode<SM> {
         resp: RequestVoteResp,
         fx: &mut NodeEffects<SM>,
     ) {
-        if resp.pre_vote {
-            if self.role == Role::PreCandidate && resp.granted && resp.term == self.campaign_term {
-                self.votes.insert(from);
-                if self.vote_quorum_reached() {
-                    self.become_candidate(now, fx);
-                }
-            }
+        let RoleState::Campaigning(c) = &mut self.state else {
+            return;
+        };
+        // Only grants for the round in progress count: same phase, same term.
+        if resp.pre_vote != c.pre_vote || !resp.granted || resp.term != c.term {
             return;
         }
-        if self.role == Role::Candidate && resp.granted && resp.term == self.term {
-            self.votes.insert(from);
-            if self.vote_quorum_reached() {
-                self.become_leader(now, fx);
-            }
+        c.votes.insert(from);
+        if !self.vote_quorum_reached() {
+            return;
+        }
+        if resp.pre_vote {
+            self.become_candidate(now, fx);
+        } else {
+            self.become_leader(now, fx);
         }
     }
 }

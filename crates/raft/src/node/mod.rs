@@ -53,15 +53,14 @@ use crate::config::RaftConfig;
 use crate::log::RaftLog;
 use crate::membership::Membership;
 use crate::message::Payload;
-use crate::progress::Progress;
 use crate::state_machine::{Effects, Snapshot, StateMachine};
 use crate::types::{LogIndex, NodeId, Role, Term};
 use confchange::MembershipFrame;
-use dynatune_core::{FollowerTuner, LeaderPacer};
+use dynatune_core::FollowerTuner;
 use dynatune_simnet::rng::Rng;
 use dynatune_simnet::SimTime;
-use reads::ReadState;
-use std::collections::{BTreeMap, BTreeSet};
+use election::Campaign;
+use replication::LeaderState;
 
 /// Error returned when proposing to a non-leader.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,6 +79,19 @@ pub type NodeEffects<SM> = Effects<
 /// Payload alias bound to a state machine.
 pub type NodePayload<SM> = Payload<<SM as StateMachine>::Command, <SM as StateMachine>::Snapshot>;
 
+/// The role a node plays, holding the state only that role owns. Campaign
+/// and leader bookkeeping live *inside* their variant, so they cannot exist
+/// in the wrong role: the transition into the role builds the value
+/// (`handle_election_timeout` opens a [`Campaign`], `become_leader` a
+/// [`LeaderState`]) and overwriting the variant — `become_follower`,
+/// `become_leader`, `restart` — drops every piece of it at once.
+enum RoleState {
+    Follower,
+    /// Pre-candidate or candidate, per [`Campaign::pre_vote`].
+    Campaigning(Campaign),
+    Leader(LeaderState),
+}
+
 /// A single Raft server.
 pub struct RaftNode<SM: StateMachine> {
     config: RaftConfig,
@@ -92,7 +104,7 @@ pub struct RaftNode<SM: StateMachine> {
     /// snapshot boundary), so it survives crash-recovery with the log.
     frames: Vec<MembershipFrame>,
     // --- volatile state ---
-    role: Role,
+    state: RoleState,
     leader_id: Option<NodeId>,
     commit_index: LogIndex,
     last_applied: LogIndex,
@@ -115,27 +127,10 @@ pub struct RaftNode<SM: StateMachine> {
     tick_phase: f64,
     // --- Dynatune follower side ---
     tuner: FollowerTuner,
-    // --- campaign state ---
-    votes: BTreeSet<NodeId>,
-    campaign_term: Term,
-    /// Consecutive campaign rounds since leaving Follower (split-vote
-    /// retries). After `CAMPAIGN_FALLBACK_ROUNDS` the tuner falls back to
-    /// the conservative defaults (§III-B availability guarantee).
-    campaign_rounds: u32,
-    // --- leader state ---
-    progress: BTreeMap<NodeId, Progress>,
-    pacers: BTreeMap<NodeId, LeaderPacer>,
-    lease_check_at: SimTime,
-    /// Group commit: payload bytes proposed since the last flush. Proposals
-    /// that could not ship immediately (every pipe busy) accumulate here
-    /// until `max_batch_bytes` worth arrived or `batch_deadline` fires.
-    batch_bytes: usize,
-    /// When the pending proposal batch must be flushed to followers at the
-    /// latest (`propose instant + max_batch_delay`). Participates in
-    /// `next_wake` — a buffered batch with no armed deadline would be the
-    /// write-path variant of the silent replication stall.
-    batch_deadline: Option<SimTime>,
-    reads: ReadState,
+    /// Last issued ReadIndex confirmation token (`read_ctx` values count up
+    /// from 1). It counts for the life of the process, not per leadership,
+    /// so a token is never reused.
+    read_seq: u64,
     rng: Rng,
 }
 
@@ -160,7 +155,7 @@ impl<SM: StateMachine> RaftNode<SM> {
             voted_for: None,
             log: RaftLog::new(),
             frames,
-            role: Role::Follower,
+            state: RoleState::Follower,
             leader_id: None,
             commit_index: 0,
             last_applied: 0,
@@ -170,15 +165,7 @@ impl<SM: StateMachine> RaftNode<SM> {
             timer_reset_at: now,
             timeout_factor,
             tick_phase,
-            votes: BTreeSet::new(),
-            campaign_term: 0,
-            campaign_rounds: 0,
-            progress: BTreeMap::new(),
-            pacers: BTreeMap::new(),
-            lease_check_at: SimTime::MAX,
-            batch_bytes: 0,
-            batch_deadline: None,
-            reads: ReadState::default(),
+            read_seq: 0,
             rng,
             config,
         }
@@ -193,7 +180,12 @@ impl<SM: StateMachine> RaftNode<SM> {
     /// Current role.
     #[must_use]
     pub fn role(&self) -> Role {
-        self.role
+        match &self.state {
+            RoleState::Follower => Role::Follower,
+            RoleState::Campaigning(c) if c.pre_vote => Role::PreCandidate,
+            RoleState::Campaigning(_) => Role::Candidate,
+            RoleState::Leader(_) => Role::Leader,
+        }
     }
 
     /// Current term.
@@ -253,40 +245,43 @@ impl<SM: StateMachine> RaftNode<SM> {
     /// Earliest instant this node needs a `tick` call.
     #[must_use]
     pub fn next_wake(&self) -> Option<SimTime> {
-        match self.role {
-            Role::Follower | Role::PreCandidate | Role::Candidate => Some(self.election_deadline()),
-            Role::Leader => {
-                let mut earliest = self.lease_check_at;
-                if let Some(deadline) = self.batch_deadline {
-                    earliest = earliest.min(deadline);
-                }
-                for (&peer, pacer) in &self.pacers {
-                    earliest = earliest.min(SimTime::from_nanos(pacer.next_send_nanos()));
-                    if let Some(p) = self.progress.get(&peer) {
-                        // The resend timer watches the oldest unacked send;
-                        // younger pipeline slots ride on its recovery.
-                        if let Some(oldest) = p.oldest_sent_at() {
-                            earliest = earliest.min(oldest + self.resend_after(p));
-                        }
-                    }
-                }
-                Some(earliest)
+        let RoleState::Leader(lead) = &self.state else {
+            return Some(self.election_deadline());
+        };
+        let mut earliest = lead.lease_check_at;
+        if let Some(deadline) = lead.batch_deadline {
+            earliest = earliest.min(deadline);
+        }
+        for peer in lead.peers.values() {
+            earliest = earliest.min(SimTime::from_nanos(peer.pacer.next_send_nanos()));
+            // The resend timer watches the oldest unacked send; younger
+            // pipeline slots ride on its recovery.
+            if let Some(oldest) = peer.progress.oldest_sent_at() {
+                earliest = earliest.min(oldest + self.resend_after(&peer.progress));
             }
         }
+        Some(earliest)
     }
 
     /// Timer-driven processing. The harness calls this at `next_wake`.
     pub fn tick(&mut self, now: SimTime) -> NodeEffects<SM> {
         let mut fx = Effects::new();
-        match self.role {
-            Role::Leader => self.leader_tick(now, &mut fx),
-            _ => {
-                if now >= self.election_deadline() {
-                    self.handle_election_timeout(now, &mut fx);
-                }
-            }
+        if self.role() == Role::Leader {
+            self.leader_tick(now, &mut fx);
+        } else if now >= self.election_deadline() {
+            self.handle_election_timeout(now, &mut fx);
         }
         fx
+    }
+
+    /// A leader's timers, in the order they have always fired: heartbeats,
+    /// the group-commit flush, replication resends, then check-quorum
+    /// (which may depose this node, so it goes last).
+    fn leader_tick(&mut self, now: SimTime, fx: &mut NodeEffects<SM>) {
+        self.send_due_heartbeats(now, fx);
+        self.flush_due_batch(now, fx);
+        self.resend_stalled(now, fx);
+        self.check_quorum(now, fx);
     }
 
     /// Process one inbound message.
@@ -349,7 +344,8 @@ impl<SM: StateMachine> RaftNode<SM> {
     /// rebuilt from the retained snapshot (when the log was ever compacted,
     /// replay from index 1 is impossible) plus replay as entries re-commit.
     pub fn restart(&mut self, now: SimTime, fresh_sm: SM) {
-        self.role = Role::Follower;
+        self.state = RoleState::Follower;
+        self.read_seq = 0;
         self.leader_id = None;
         self.sm = fresh_sm;
         if let Some(snap) = &self.snap {
@@ -360,13 +356,6 @@ impl<SM: StateMachine> RaftNode<SM> {
             self.commit_index = 0;
             self.last_applied = 0;
         }
-        self.votes.clear();
-        self.progress.clear();
-        self.pacers.clear();
-        self.lease_check_at = SimTime::MAX;
-        self.batch_bytes = 0;
-        self.batch_deadline = None;
-        self.reads = ReadState::default();
         self.tuner.reset();
         self.reset_election_timer(now, true);
     }

@@ -1,8 +1,9 @@
 //! Log-free linearizable reads: the leader lease and ReadIndex
 //! confirmation rounds.
 
-use super::{NodeEffects, NotLeader, RaftNode};
+use super::{NodeEffects, NotLeader, RaftNode, RoleState};
 use crate::events::RaftEvent;
+use crate::progress::Progress;
 use crate::state_machine::{Effects, ReadGrant, ReadPath, StateMachine};
 use crate::types::{quorum, LogIndex, NodeId, Role};
 use dynatune_simnet::SimTime;
@@ -32,8 +33,6 @@ pub(super) struct ReadRound {
 /// forwarding follower for remote grants).
 #[derive(Debug, Default)]
 pub(super) struct ReadState {
-    /// Last issued confirmation token (`read_ctx` values count up from 1).
-    pub(super) next_seq: u64,
     /// Rounds awaiting quorum confirmation, oldest first (seqs ascend).
     pub(super) pending_confirm: VecDeque<ReadRound>,
     /// Confirmed local reads waiting for `last_applied` to reach their
@@ -46,8 +45,11 @@ pub(super) struct ReadState {
 }
 
 impl ReadState {
-    pub(super) fn is_empty(&self) -> bool {
-        self.pending_confirm.is_empty() && self.apply_wait.is_empty() && self.term_wait.is_empty()
+    /// Queued reads: confirmation, apply and term waiters together.
+    fn len(&self) -> usize {
+        let confirming: usize = self.pending_confirm.iter().map(|r| r.reads.len()).sum();
+        let applying: usize = self.apply_wait.values().map(Vec::len).sum();
+        confirming + applying + self.term_wait.len()
     }
 
     /// Drain every queued read id (leadership lost / stepping down).
@@ -87,19 +89,19 @@ impl<SM: StateMachine> RaftNode<SM> {
         wait_apply: bool,
     ) -> (Result<(), NotLeader>, NodeEffects<SM>) {
         let mut fx = Effects::new();
-        if self.role != Role::Leader {
+        let RoleState::Leader(lead) = &mut self.state else {
             return (
                 Err(NotLeader {
                     hint: self.leader_id,
                 }),
                 fx,
             );
-        }
+        };
         if self.log.term_at(self.commit_index) != Some(self.term) {
             // Raft §6.4: before the current term's no-op commits, our
             // commit_index may still lag entries the previous leader
             // committed — reading at it could miss them. Park the read.
-            self.reads.term_wait.push((id, wait_apply));
+            lead.reads.term_wait.push((id, wait_apply));
             return (Ok(()), fx);
         }
         self.admit_read(now, id, wait_apply, &mut fx);
@@ -124,7 +126,7 @@ impl<SM: StateMachine> RaftNode<SM> {
     /// ReadIndex — correct, if slower, rather than fast and stale).
     #[must_use]
     pub fn lease_valid(&self, now: SimTime) -> bool {
-        if !self.config.lease_reads || !self.config.check_quorum || self.role != Role::Leader {
+        if !self.config.lease_reads || !self.config.check_quorum || self.role() != Role::Leader {
             return false;
         }
         let membership = &self.active_frame().membership;
@@ -147,11 +149,7 @@ impl<SM: StateMachine> RaftNode<SM> {
             .voters
             .iter()
             .filter(|&&v| v != self.config.id)
-            .map(|v| {
-                self.progress
-                    .get(v)
-                    .map_or(SimTime::ZERO, |p| p.lease_basis)
-            })
+            .map(|&v| self.progress_of(v).map_or(SimTime::ZERO, |p| p.lease_basis))
             .collect();
         bases.sort_unstable_by(|a, b| b.cmp(a));
         let basis = bases[needed - 1];
@@ -171,13 +169,7 @@ impl<SM: StateMachine> RaftNode<SM> {
     /// Queued log-free reads (confirmation, apply or term waiters).
     #[must_use]
     pub fn pending_reads(&self) -> usize {
-        self.reads
-            .pending_confirm
-            .iter()
-            .map(|r| r.reads.len())
-            .sum::<usize>()
-            + self.reads.apply_wait.values().map(Vec::len).sum::<usize>()
-            + self.reads.term_wait.len()
+        self.lead().map_or(0, |lead| lead.reads.len())
     }
 
     pub(super) fn admit_read(
@@ -196,15 +188,18 @@ impl<SM: StateMachine> RaftNode<SM> {
         // since it was registered (same instant, same commit index): its
         // confirmation traffic then provably went out no earlier than this
         // read, so the echoes confirm leadership for it too.
-        if let Some(last) = self.reads.pending_confirm.back_mut() {
+        let RoleState::Leader(lead) = &mut self.state else {
+            return;
+        };
+        if let Some(last) = lead.reads.pending_confirm.back_mut() {
             if last.registered_at == now && last.read_index == read_index {
                 last.reads.push((id, wait_apply));
                 return;
             }
         }
-        self.reads.next_seq += 1;
-        let seq = self.reads.next_seq;
-        self.reads.pending_confirm.push_back(ReadRound {
+        self.read_seq += 1;
+        let seq = self.read_seq;
+        lead.reads.pending_confirm.push_back(ReadRound {
             seq,
             read_index,
             registered_at: now,
@@ -231,12 +226,9 @@ impl<SM: StateMachine> RaftNode<SM> {
                 read_index,
                 path,
             });
-        } else {
-            self.reads
-                .apply_wait
-                .entry(read_index)
-                .or_default()
-                .push((id, path));
+        } else if let Some(lead) = self.lead_mut() {
+            let waiters = lead.reads.apply_wait.entry(read_index).or_default();
+            waiters.push((id, path));
         }
     }
 
@@ -248,17 +240,22 @@ impl<SM: StateMachine> RaftNode<SM> {
     /// frees a slot (every send already in flight left before the round
     /// opened, so their echoes cannot confirm it).
     fn nudge_read_confirmation(&mut self, now: SimTime, fx: &mut NodeEffects<SM>) {
-        let Some(newest) = self.reads.pending_confirm.back().map(|r| r.seq) else {
-            return;
-        };
-        let window = self.config.pipeline_window;
-        let peers: Vec<NodeId> = self.progress.keys().copied().collect();
-        for peer in peers {
-            let p = &self.progress[&peer];
-            if p.acked_read_seq < newest && p.window_free(window) {
+        for peer in self.peer_ids() {
+            if self.owes_read_echo(peer) {
                 self.send_append(now, peer, fx);
             }
         }
+    }
+
+    /// Whether `peer` still owes an echo for the newest pending read round
+    /// and has a free window slot to carry the request.
+    pub(super) fn owes_read_echo(&self, peer: NodeId) -> bool {
+        let Some(newest) = self.lead().and_then(|l| l.reads.pending_confirm.back()) else {
+            return false;
+        };
+        let window = self.config.pipeline_window;
+        let owes = |p: &Progress| p.acked_read_seq < newest.seq && p.window_free(window);
+        self.progress_of(peer).is_some_and(owes)
     }
 
     /// Pop every pending round a quorum has confirmed and grant its reads.
@@ -266,32 +263,35 @@ impl<SM: StateMachine> RaftNode<SM> {
     /// is active, echoes must cover a majority of *both* voter sets, and a
     /// learner's echo never counts.
     pub(super) fn advance_read_confirmations(&mut self, fx: &mut NodeEffects<SM>) {
-        while let Some(front) = self.reads.pending_confirm.front() {
-            let seq = front.seq;
-            let id = self.config.id;
-            let progress = &self.progress;
-            let confirmed = self.active_frame().membership.quorum_satisfied(|n| {
-                n == id || progress.get(&n).is_some_and(|p| p.acked_read_seq >= seq)
-            });
-            if !confirmed {
-                break;
-            }
-            let Some(round) = self.reads.pending_confirm.pop_front() else {
-                break; // unreachable: front() above was Some
-            };
+        while let Some(round) = self.pop_confirmed_round() {
             for (id, wait_apply) in round.reads {
                 self.finish_read(id, round.read_index, ReadPath::ReadIndex, wait_apply, fx);
             }
         }
     }
 
+    fn pop_confirmed_round(&mut self) -> Option<ReadRound> {
+        let seq = self.lead()?.reads.pending_confirm.front()?.seq;
+        let id = self.config.id;
+        let confirmed = self.active_frame().membership.quorum_satisfied(|n| {
+            n == id || self.progress_of(n).is_some_and(|p| p.acked_read_seq >= seq)
+        });
+        if !confirmed {
+            return None;
+        }
+        self.lead_mut()?.reads.pending_confirm.pop_front()
+    }
+
     /// Grant apply-gated reads whose index the state machine now covers.
     pub(super) fn drain_apply_wait(&mut self, fx: &mut NodeEffects<SM>) {
-        while let Some((&index, _)) = self.reads.apply_wait.iter().next() {
+        let RoleState::Leader(lead) = &mut self.state else {
+            return;
+        };
+        while let Some((&index, _)) = lead.reads.apply_wait.iter().next() {
             if index > self.last_applied {
                 break;
             }
-            let Some(waiters) = self.reads.apply_wait.remove(&index) else {
+            let Some(waiters) = lead.reads.apply_wait.remove(&index) else {
                 break; // unreachable: `index` was just read from the map
             };
             for (id, path) in waiters {

@@ -2,16 +2,80 @@
 //! `AppendEntries` window per follower, acks and conflict back-off, and the
 //! commit → apply path.
 
-use super::{NodeEffects, NodePayload, NotLeader, RaftNode};
+use super::reads::ReadState;
+use super::{NodeEffects, NodePayload, NotLeader, RaftNode, RoleState};
 use crate::events::RaftEvent;
 use crate::log::AppendOutcome;
 use crate::message::{AppendEntries, AppendResp, OutMsg, Payload};
 use crate::progress::Progress;
 use crate::state_machine::{Applied, Effects, StateMachine};
 use crate::types::{LogIndex, NodeId, Role, Term};
-use dynatune_core::invariant_violated;
+use dynatune_core::{invariant_violated, LeaderPacer, TuningConfig};
 use dynatune_simnet::SimTime;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
+
+/// What a leader keeps per tracked member: how far replication got and how
+/// heartbeats to it are paced.
+#[derive(Debug)]
+pub(super) struct Peer {
+    pub(super) progress: Progress,
+    pub(super) pacer: LeaderPacer,
+}
+
+/// Everything only a leader has. It exists exactly while the node leads:
+/// `become_leader` builds it, stepping down (or restarting) drops it.
+#[derive(Debug)]
+pub(super) struct LeaderState {
+    /// Every tracked member but this node — voters of both configurations
+    /// and learners — ascending by id, which fixes emission order.
+    pub(super) peers: BTreeMap<NodeId, Peer>,
+    pub(super) lease_check_at: SimTime,
+    /// Group commit: payload bytes proposed since the last flush. Proposals
+    /// that could not ship immediately (every pipe busy) accumulate here
+    /// until `max_batch_bytes` worth arrived or `batch_deadline` fires.
+    batch_bytes: usize,
+    /// When the pending proposal batch must be flushed to followers at the
+    /// latest (`propose instant + max_batch_delay`). Participates in
+    /// `next_wake` — a buffered batch with no armed deadline would be the
+    /// write-path variant of the silent replication stall.
+    pub(super) batch_deadline: Option<SimTime>,
+    pub(super) reads: ReadState,
+}
+
+impl LeaderState {
+    /// A leader tracking nobody yet, its first check-quorum due at
+    /// `lease_check_at`.
+    pub(super) fn new(lease_check_at: SimTime) -> Self {
+        Self {
+            peers: BTreeMap::new(),
+            lease_check_at,
+            batch_bytes: 0,
+            batch_deadline: None,
+            reads: ReadState::default(),
+        }
+    }
+
+    /// Align the tracked peers with `members` (this node, `own_id`, never
+    /// tracks itself): new members start from `last_index`, members that
+    /// left the configuration are forgotten.
+    pub(super) fn track(
+        &mut self,
+        members: &BTreeSet<NodeId>,
+        own_id: NodeId,
+        last_index: LogIndex,
+        now: SimTime,
+        tuning: TuningConfig,
+    ) {
+        self.peers.retain(|id, _| members.contains(id));
+        for &peer in members.iter().filter(|&&peer| peer != own_id) {
+            self.peers.entry(peer).or_insert_with(|| Peer {
+                progress: Progress::new(last_index, now),
+                pacer: LeaderPacer::new(tuning, now.as_nanos()),
+            });
+        }
+    }
+}
 
 impl<SM: StateMachine> RaftNode<SM> {
     /// Replication progress the leader tracks for `peer` (None on
@@ -19,7 +83,39 @@ impl<SM: StateMachine> RaftNode<SM> {
     /// promotion on measured catch-up.
     #[must_use]
     pub fn progress_of(&self, peer: NodeId) -> Option<&Progress> {
-        self.progress.get(&peer)
+        Some(&self.lead()?.peers.get(&peer)?.progress)
+    }
+
+    pub(super) fn progress_mut(&mut self, peer: NodeId) -> Option<&mut Progress> {
+        Some(&mut self.lead_mut()?.peers.get_mut(&peer)?.progress)
+    }
+
+    /// The leader bookkeeping, while this node leads.
+    pub(super) fn lead(&self) -> Option<&LeaderState> {
+        match &self.state {
+            RoleState::Leader(lead) => Some(lead),
+            _ => None,
+        }
+    }
+
+    pub(super) fn lead_mut(&mut self) -> Option<&mut LeaderState> {
+        match &mut self.state {
+            RoleState::Leader(lead) => Some(lead),
+            _ => None,
+        }
+    }
+
+    /// The tracked peers whose progress satisfies `pred`, in id order — the
+    /// order every per-peer loop sends in. Empty off-leader.
+    fn peers_where(&self, pred: impl Fn(&Progress) -> bool) -> Vec<NodeId> {
+        let peers = self.lead().into_iter().flat_map(|lead| &lead.peers);
+        let matching = peers.filter(|(_, peer)| pred(&peer.progress));
+        matching.map(|(&id, _)| id).collect()
+    }
+
+    /// Every member this leader replicates to.
+    pub(super) fn peer_ids(&self) -> Vec<NodeId> {
+        self.peers_where(|_| true)
     }
 
     /// Propose a command. On the leader this appends to the log, starts
@@ -39,37 +135,46 @@ impl<SM: StateMachine> RaftNode<SM> {
         command: SM::Command,
     ) -> (Result<(Term, LogIndex), NotLeader>, NodeEffects<SM>) {
         let mut fx = Effects::new();
-        if self.role != Role::Leader {
+        let RoleState::Leader(lead) = &mut self.state else {
             return (
                 Err(NotLeader {
                     hint: self.leader_id,
                 }),
                 fx,
             );
-        }
-        let bytes = SM::command_bytes(&command);
+        };
+        lead.batch_bytes += SM::command_bytes(&command);
+        let batch_full = lead.batch_bytes >= self.config.max_batch_bytes;
         let index = self.log.append_new(self.term, Some(command));
-        self.batch_bytes += bytes;
-        let peers: Vec<NodeId> = self.progress.keys().copied().collect();
-        for peer in peers {
-            if self.progress[&peer].inflight.is_empty() {
-                self.send_append(now, peer, &mut fx);
-            }
+        for peer in self.idle_peers() {
+            self.send_append(now, peer, &mut fx);
         }
-        if self.batch_bytes >= self.config.max_batch_bytes {
+        if batch_full {
             self.flush_batch(now, &mut fx);
-        } else if self.batch_deadline.is_none() && self.has_unsent_entries() {
-            self.batch_deadline = Some(now + self.config.max_batch_delay);
+        } else {
+            self.arm_batch_deadline(now);
         }
         self.try_advance_commit(now, &mut fx); // single-node commits instantly
         (Ok((self.term, index)), fx)
     }
 
-    /// Whether any follower still has unsent log entries (the condition
-    /// under which a buffered batch needs a flush deadline armed).
-    pub(super) fn has_unsent_entries(&self) -> bool {
+    /// The peers with no append in flight: a new entry ships to them at
+    /// once instead of waiting for the group-commit flush.
+    pub(super) fn idle_peers(&self) -> Vec<NodeId> {
+        self.peers_where(|p| p.inflight.is_empty())
+    }
+
+    /// Arm the group-commit flush deadline if entries are buffered (some
+    /// follower still has unsent log) and no deadline is running yet.
+    pub(super) fn arm_batch_deadline(&mut self, now: SimTime) {
         let last = self.log.last_index();
-        self.progress.values().any(|p| p.has_pending(last))
+        let RoleState::Leader(lead) = &mut self.state else {
+            return;
+        };
+        let unsent = lead.peers.values().any(|p| p.progress.has_pending(last));
+        if lead.batch_deadline.is_none() && unsent {
+            lead.batch_deadline = Some(now + self.config.max_batch_delay);
+        }
     }
 
     /// Resend timeout for this follower's oldest in-flight transfer: bulky
@@ -94,7 +199,10 @@ impl<SM: StateMachine> RaftNode<SM> {
     ///   `next_wake`, and its ack (or resend) re-drives replication.
     pub(super) fn send_append(&mut self, now: SimTime, to: NodeId, fx: &mut NodeEffects<SM>) {
         let window = self.config.pipeline_window;
-        let Some(p) = self.progress.get_mut(&to) else {
+        let RoleState::Leader(lead) = &mut self.state else {
+            return;
+        };
+        let Some(p) = lead.peers.get_mut(&to).map(|peer| &mut peer.progress) else {
             return;
         };
         if !p.window_free(window) {
@@ -126,7 +234,7 @@ impl<SM: StateMachine> RaftNode<SM> {
             // Piggy-back the newest pending read round: this append is sent
             // at or after every queued read's registration, so its echo
             // confirms them all.
-            read_ctx: self.reads.pending_confirm.back().map(|r| r.seq),
+            read_ctx: lead.reads.pending_confirm.back().map(|r| r.seq),
         };
         let payload = Payload::AppendEntries(msg);
         let channel = payload.channel(self.config.udp_heartbeats);
@@ -144,7 +252,7 @@ impl<SM: StateMachine> RaftNode<SM> {
     fn fill_window(&mut self, now: SimTime, to: NodeId, fx: &mut NodeEffects<SM>) {
         let window = self.config.pipeline_window;
         loop {
-            let Some(p) = self.progress.get(&to) else {
+            let Some(p) = self.progress_of(to) else {
                 return;
             };
             if !(p.window_free(window) && p.has_pending(self.log.last_index())) {
@@ -152,7 +260,7 @@ impl<SM: StateMachine> RaftNode<SM> {
             }
             let before = p.next_index;
             self.send_append(now, to, fx);
-            let Some(p) = self.progress.get(&to) else {
+            let Some(p) = self.progress_of(to) else {
                 return;
             };
             // A send always either advances next_index (entries went out)
@@ -164,13 +272,43 @@ impl<SM: StateMachine> RaftNode<SM> {
         }
     }
 
+    /// Group commit: flush the buffered proposal batch once its delay cap
+    /// expires (the byte cap flushes from `propose` directly).
+    pub(super) fn flush_due_batch(&mut self, now: SimTime, fx: &mut NodeEffects<SM>) {
+        let deadline = self.lead().and_then(|lead| lead.batch_deadline);
+        if deadline.is_some_and(|deadline| now >= deadline) {
+            self.flush_batch(now, fx);
+        }
+    }
+
+    /// Replication resends for stuck followers (snapshot transfers are
+    /// paced on their own, slower timer). The timer fires off the *oldest*
+    /// unacked send: losing it means every younger pipeline slot behind it
+    /// is unverifiable, so the whole optimistic window is abandoned and
+    /// replication falls back to proven ground.
+    pub(super) fn resend_stalled(&mut self, now: SimTime, fx: &mut NodeEffects<SM>) {
+        let expired = |p: &Progress| {
+            p.oldest_sent_at()
+                .is_some_and(|oldest| now >= oldest + self.resend_after(p))
+        };
+        for peer in self.peers_where(expired) {
+            if let Some(p) = self.progress_mut(peer) {
+                p.inflight.clear();
+                p.next_index = p.match_index + 1;
+                p.pending_snapshot = None;
+            }
+            self.send_append(now, peer, fx);
+        }
+    }
+
     /// Group-commit flush: push every buffered proposal onto the wire,
     /// filling each follower's free window slots.
-    pub(super) fn flush_batch(&mut self, now: SimTime, fx: &mut NodeEffects<SM>) {
-        self.batch_bytes = 0;
-        self.batch_deadline = None;
-        let peers: Vec<NodeId> = self.progress.keys().copied().collect();
-        for peer in peers {
+    fn flush_batch(&mut self, now: SimTime, fx: &mut NodeEffects<SM>) {
+        if let Some(lead) = self.lead_mut() {
+            lead.batch_bytes = 0;
+            lead.batch_deadline = None;
+        }
+        for peer in self.peer_ids() {
             self.fill_window(now, peer, fx);
         }
     }
@@ -197,7 +335,7 @@ impl<SM: StateMachine> RaftNode<SM> {
             });
             return;
         }
-        match self.role {
+        match self.role() {
             Role::PreCandidate => {
                 fx.events
                     .push(RaftEvent::PreVoteAborted { term: self.term });
@@ -259,10 +397,11 @@ impl<SM: StateMachine> RaftNode<SM> {
         resp: AppendResp,
         fx: &mut NodeEffects<SM>,
     ) {
-        if self.role != Role::Leader || resp.term != self.term {
+        if resp.term != self.term {
             return;
         }
-        let Some(p) = self.progress.get_mut(&from) else {
+        // Off-leader there is no progress to update and the ack is ignored.
+        let Some(p) = self.progress_mut(from) else {
             return;
         };
         p.last_active = now;
@@ -285,16 +424,13 @@ impl<SM: StateMachine> RaftNode<SM> {
         self.advance_read_confirmations(fx);
         // Keep confirmation traffic flowing: if this peer still owes an
         // echo for the newest read round and has window capacity, nudge it.
-        if let Some(newest) = self.reads.pending_confirm.back().map(|r| r.seq) {
-            let p = &self.progress[&from];
-            if p.acked_read_seq < newest && p.window_free(self.config.pipeline_window) {
-                self.send_append(now, from, fx);
-            }
+        if self.owes_read_echo(from) {
+            self.send_append(now, from, fx);
         }
     }
 
     pub(super) fn try_advance_commit(&mut self, now: SimTime, fx: &mut NodeEffects<SM>) {
-        if self.role != Role::Leader {
+        if self.role() != Role::Leader {
             return;
         }
         // Joint-consensus commit tally (Raft §6): the candidate index must
@@ -305,12 +441,11 @@ impl<SM: StateMachine> RaftNode<SM> {
         let candidate = {
             let id = self.config.id;
             let own_last = self.log.last_index();
-            let progress = &self.progress;
             self.active_frame().membership.committed_index(|n| {
                 if n == id {
                     own_last
                 } else {
-                    progress.get(&n).map_or(0, |p| p.match_index)
+                    self.progress_of(n).map_or(0, |p| p.match_index)
                 }
             })
         };
@@ -324,17 +459,18 @@ impl<SM: StateMachine> RaftNode<SM> {
         // it is still a voter of C_old, so this only fires after Finalize.)
         let active = self.active_frame();
         if active.index <= self.commit_index && !active.membership.is_voter(self.config.id) {
-            let term = self.term;
-            self.become_follower(now, term, None, fx);
+            self.become_follower(now, self.term, None, fx);
             return;
         }
         // The first current-term commit un-parks reads registered before it
         // (commit_index now provably covers the previous leader's commits).
-        if !self.reads.term_wait.is_empty()
+        let RoleState::Leader(lead) = &mut self.state else {
+            return;
+        };
+        if !lead.reads.term_wait.is_empty()
             && self.log.term_at(self.commit_index) == Some(self.term)
         {
-            let parked = std::mem::take(&mut self.reads.term_wait);
-            for (id, wait_apply) in parked {
+            for (id, wait_apply) in std::mem::take(&mut lead.reads.term_wait) {
                 self.admit_read(now, id, wait_apply, fx);
             }
         }

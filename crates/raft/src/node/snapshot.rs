@@ -32,7 +32,7 @@ impl<SM: StateMachine> RaftNode<SM> {
             );
         };
         let data = self.sm.snapshot();
-        let Some(p) = self.progress.get_mut(&to) else {
+        let Some(p) = self.progress_mut(to) else {
             return;
         };
         p.inflight.clear();
@@ -86,7 +86,7 @@ impl<SM: StateMachine> RaftNode<SM> {
             });
             return;
         }
-        match self.role {
+        match self.role() {
             Role::PreCandidate => {
                 fx.events
                     .push(RaftEvent::PreVoteAborted { term: self.term });
