@@ -3,10 +3,10 @@
 //! lease (`in_lease`) that check-quorum rests on.
 
 use super::replication::LeaderState;
-use super::{NodeEffects, NodePayload, RaftNode, RoleState};
+use super::{send, NodeEffects, RaftNode, RoleState};
 use crate::config::TimerQuantization;
 use crate::events::RaftEvent;
-use crate::message::{OutMsg, Payload, RequestVote, RequestVoteResp};
+use crate::message::{Payload, RequestVote, RequestVoteResp};
 use crate::state_machine::StateMachine;
 use crate::types::{NodeId, Role, Term};
 use dynatune_core::invariant_violated;
@@ -227,13 +227,7 @@ impl<SM: StateMachine> RaftNode<SM> {
             if peer == self.config.id {
                 continue;
             }
-            let payload: NodePayload<SM> = Payload::RequestVote(req);
-            let channel = payload.channel(self.config.udp_heartbeats);
-            fx.messages.push(OutMsg {
-                to: peer,
-                channel,
-                payload,
-            });
+            send(&self.config, fx, peer, Payload::RequestVote(req));
         }
     }
 
@@ -335,17 +329,12 @@ impl<SM: StateMachine> RaftNode<SM> {
                 (grant, self.term)
             }
         };
-        let payload: NodePayload<SM> = Payload::RequestVoteResp(RequestVoteResp {
+        let resp = RequestVoteResp {
             term: resp_term,
             pre_vote: rv.pre_vote,
             granted,
-        });
-        let channel = payload.channel(self.config.udp_heartbeats);
-        fx.messages.push(OutMsg {
-            to: from,
-            channel,
-            payload,
-        });
+        };
+        send(&self.config, fx, from, Payload::RequestVoteResp(resp));
     }
 
     pub(super) fn on_vote_resp(

@@ -5,9 +5,9 @@
 //! the reply carries the tuned interval back to the pacer.
 
 use super::replication::Peer;
-use super::{NodeEffects, NodePayload, RaftNode, RoleState};
+use super::{send, NodeEffects, RaftNode, RoleState};
 use crate::events::RaftEvent;
-use crate::message::{Heartbeat, HeartbeatResp, OutMsg, Payload};
+use crate::message::{Heartbeat, HeartbeatResp, Payload};
 use crate::state_machine::StateMachine;
 use crate::types::{NodeId, Role};
 use dynatune_core::TuningSnapshot;
@@ -59,13 +59,7 @@ impl<SM: StateMachine> RaftNode<SM> {
                     commit: p.match_index.min(self.commit_index),
                     meta,
                 };
-                let payload = Payload::Heartbeat(hb);
-                let channel = payload.channel(self.config.udp_heartbeats);
-                fx.messages.push(OutMsg {
-                    to: peer,
-                    channel,
-                    payload,
-                });
+                send(&self.config, fx, peer, Payload::Heartbeat(hb));
             }
         }
     }
@@ -79,16 +73,11 @@ impl<SM: StateMachine> RaftNode<SM> {
     ) {
         if hb.term < self.term {
             // Stale leader: tell it the new term so it steps down.
-            let payload: NodePayload<SM> = Payload::HeartbeatResp(HeartbeatResp {
+            let resp = HeartbeatResp {
                 term: self.term,
                 reply: dynatune_core::HeartbeatReply::echo_only(&hb.meta),
-            });
-            let channel = payload.channel(self.config.udp_heartbeats);
-            fx.messages.push(OutMsg {
-                to: from,
-                channel,
-                payload,
-            });
+            };
+            send(&self.config, fx, from, Payload::HeartbeatResp(resp));
             return;
         }
         // hb.term == self.term here (higher terms were adopted above).
@@ -124,16 +113,11 @@ impl<SM: StateMachine> RaftNode<SM> {
             self.commit_index = new_commit;
             self.apply_committed(fx);
         }
-        let payload: NodePayload<SM> = Payload::HeartbeatResp(HeartbeatResp {
+        let resp = HeartbeatResp {
             term: self.term,
             reply,
-        });
-        let channel = payload.channel(self.config.udp_heartbeats);
-        fx.messages.push(OutMsg {
-            to: from,
-            channel,
-            payload,
-        });
+        };
+        send(&self.config, fx, from, Payload::HeartbeatResp(resp));
     }
 
     pub(super) fn on_heartbeat_resp(

@@ -52,7 +52,7 @@ pub use confchange::{ConfChangeError, PROMOTION_SLACK};
 use crate::config::RaftConfig;
 use crate::log::RaftLog;
 use crate::membership::Membership;
-use crate::message::Payload;
+use crate::message::{OutMsg, Payload};
 use crate::state_machine::{Effects, Snapshot, StateMachine};
 use crate::types::{LogIndex, NodeId, Role, Term};
 use confchange::MembershipFrame;
@@ -78,6 +78,22 @@ pub type NodeEffects<SM> = Effects<
 
 /// Payload alias bound to a state machine.
 pub type NodePayload<SM> = Payload<<SM as StateMachine>::Command, <SM as StateMachine>::Snapshot>;
+
+/// The one place an outbound message is built: `payload` goes to `to` over
+/// the channel the hybrid transport (§III-E) assigns its kind.
+fn send<C, R, S>(
+    config: &RaftConfig,
+    fx: &mut Effects<C, R, S>,
+    to: NodeId,
+    payload: Payload<C, S>,
+) {
+    let channel = payload.channel(config.udp_heartbeats);
+    fx.messages.push(OutMsg {
+        to,
+        channel,
+        payload,
+    });
+}
 
 /// The role a node plays, holding the state only that role owns. Campaign
 /// and leader bookkeeping live *inside* their variant, so they cannot exist

@@ -3,10 +3,10 @@
 //! commit → apply path.
 
 use super::reads::ReadState;
-use super::{NodeEffects, NodePayload, NotLeader, RaftNode, RoleState};
+use super::{send, NodeEffects, NotLeader, RaftNode, RoleState};
 use crate::events::RaftEvent;
 use crate::log::AppendOutcome;
-use crate::message::{AppendEntries, AppendResp, OutMsg, Payload};
+use crate::message::{AppendEntries, AppendResp, Payload};
 use crate::progress::Progress;
 use crate::state_machine::{Applied, Effects, StateMachine};
 use crate::types::{LogIndex, NodeId, Role, Term};
@@ -236,13 +236,7 @@ impl<SM: StateMachine> RaftNode<SM> {
             // confirms them all.
             read_ctx: lead.reads.pending_confirm.back().map(|r| r.seq),
         };
-        let payload = Payload::AppendEntries(msg);
-        let channel = payload.channel(self.config.udp_heartbeats);
-        fx.messages.push(OutMsg {
-            to,
-            channel,
-            payload,
-        });
+        send(&self.config, fx, to, Payload::AppendEntries(msg));
     }
 
     /// Keep sending appends to `to` until its pipeline window is full or
@@ -321,18 +315,13 @@ impl<SM: StateMachine> RaftNode<SM> {
         fx: &mut NodeEffects<SM>,
     ) {
         if ae.term < self.term {
-            let payload: NodePayload<SM> = Payload::AppendResp(AppendResp {
+            let resp = AppendResp {
                 term: self.term,
                 success: false,
                 match_or_hint: 0,
                 read_ctx: None,
-            });
-            let channel = payload.channel(self.config.udp_heartbeats);
-            fx.messages.push(OutMsg {
-                to: from,
-                channel,
-                payload,
-            });
+            };
+            send(&self.config, fx, from, Payload::AppendResp(resp));
             return;
         }
         match self.role() {
@@ -381,13 +370,7 @@ impl<SM: StateMachine> RaftNode<SM> {
                 read_ctx: ae.read_ctx,
             },
         };
-        let payload: NodePayload<SM> = Payload::AppendResp(resp);
-        let channel = payload.channel(self.config.udp_heartbeats);
-        fx.messages.push(OutMsg {
-            to: from,
-            channel,
-            payload,
-        });
+        send(&self.config, fx, from, Payload::AppendResp(resp));
     }
 
     pub(super) fn on_append_resp(

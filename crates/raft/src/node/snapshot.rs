@@ -2,9 +2,9 @@
 //! horizon (`InstallSnapshot`), installing one, and compacting the log.
 
 use super::confchange::MembershipFrame;
-use super::{NodeEffects, NodePayload, RaftNode};
+use super::{send, NodeEffects, RaftNode};
 use crate::events::RaftEvent;
-use crate::message::{AppendResp, InstallSnapshot, OutMsg, Payload};
+use crate::message::{AppendResp, InstallSnapshot, Payload};
 use crate::state_machine::{Snapshot, StateMachine};
 use crate::types::{LogIndex, NodeId, Role};
 use dynatune_core::invariant_violated;
@@ -43,20 +43,15 @@ impl<SM: StateMachine> RaftNode<SM> {
             to,
             last_included_index,
         });
-        let payload = Payload::InstallSnapshot(InstallSnapshot {
+        let msg = InstallSnapshot {
             term: self.term,
             leader: self.config.id,
             last_included_index,
             last_included_term,
             membership: self.membership_at(last_included_index),
             data,
-        });
-        let channel = payload.channel(self.config.udp_heartbeats);
-        fx.messages.push(OutMsg {
-            to,
-            channel,
-            payload,
-        });
+        };
+        send(&self.config, fx, to, Payload::InstallSnapshot(msg));
     }
 
     /// Follower side of snapshot transfer: adopt the leader, reset the log
@@ -72,18 +67,13 @@ impl<SM: StateMachine> RaftNode<SM> {
     ) {
         if snap.term < self.term {
             // Stale leader: tell it the new term so it steps down.
-            let payload: NodePayload<SM> = Payload::AppendResp(AppendResp {
+            let resp = AppendResp {
                 term: self.term,
                 success: false,
                 match_or_hint: 0,
                 read_ctx: None,
-            });
-            let channel = payload.channel(self.config.udp_heartbeats);
-            fx.messages.push(OutMsg {
-                to: from,
-                channel,
-                payload,
-            });
+            };
+            send(&self.config, fx, from, Payload::AppendResp(resp));
             return;
         }
         match self.role() {
@@ -151,18 +141,13 @@ impl<SM: StateMachine> RaftNode<SM> {
         }
         // Acknowledge up to the snapshot point (or our existing commit if
         // the snapshot was stale) — monotonic on the leader side.
-        let payload: NodePayload<SM> = Payload::AppendResp(AppendResp {
+        let resp = AppendResp {
             term: self.term,
             success: true,
             match_or_hint: snap.last_included_index.min(self.commit_index),
             read_ctx: None,
-        });
-        let channel = payload.channel(self.config.udp_heartbeats);
-        fx.messages.push(OutMsg {
-            to: from,
-            channel,
-            payload,
-        });
+        };
+        send(&self.config, fx, from, Payload::AppendResp(resp));
     }
 
     /// Compact the log prefix up to `index` (clamped to `last_applied`),
