@@ -180,6 +180,33 @@ impl<SM: StateMachine> RaftNode<SM> {
         });
     }
 
+    /// Follow `from`, whose message claims leadership at our own term (the
+    /// caller rejected lower terms; `step` adopted higher ones). A
+    /// pre-candidate aborts its pre-vote — the leader is alive, the paper's
+    /// Fig. 6b path — a candidate concedes the race it lost, a follower
+    /// switches only when this is a new leader; every contact re-arms the
+    /// election timer. Returns false for a leader, which ignores the claim:
+    /// a second leader in its own term is impossible.
+    pub(super) fn accept_leader_contact(
+        &mut self,
+        now: SimTime,
+        from: NodeId,
+        fx: &mut NodeEffects<SM>,
+    ) -> bool {
+        match self.role() {
+            Role::Leader => return false,
+            Role::PreCandidate => fx
+                .events
+                .push(RaftEvent::PreVoteAborted { term: self.term }),
+            Role::Candidate | Role::Follower => {}
+        }
+        if self.role() != Role::Follower || self.leader_id != Some(from) {
+            self.become_follower(now, self.term, Some(from), fx);
+        }
+        self.reset_election_timer(now, false);
+        true
+    }
+
     fn become_pre_candidate(&mut self, now: SimTime, fx: &mut NodeEffects<SM>) {
         let campaign_term = self.term + 1;
         self.open_round(true, campaign_term);

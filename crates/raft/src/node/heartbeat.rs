@@ -6,10 +6,9 @@
 
 use super::replication::Peer;
 use super::{send, NodeEffects, RaftNode, RoleState};
-use crate::events::RaftEvent;
 use crate::message::{Heartbeat, HeartbeatResp, Payload};
 use crate::state_machine::StateMachine;
-use crate::types::{NodeId, Role};
+use crate::types::NodeId;
 use dynatune_core::TuningSnapshot;
 use dynatune_simnet::SimTime;
 use std::time::Duration;
@@ -80,32 +79,9 @@ impl<SM: StateMachine> RaftNode<SM> {
             send(&self.config, fx, from, Payload::HeartbeatResp(resp));
             return;
         }
-        // hb.term == self.term here (higher terms were adopted above).
-        match self.role() {
-            Role::PreCandidate => {
-                // Leader is alive: abort the pre-vote (Fig. 6b behaviour).
-                fx.events
-                    .push(RaftEvent::PreVoteAborted { term: self.term });
-                self.become_follower(now, hb.term, Some(from), fx);
-            }
-            Role::Candidate | Role::Leader => {
-                // Same-term contact from a leader while campaigning at a
-                // *higher* term is impossible (we bumped); while Candidate at
-                // the same term it means we lost the race.
-                if self.role() == Role::Candidate {
-                    self.become_follower(now, hb.term, Some(from), fx);
-                }
-            }
-            Role::Follower => {
-                if self.leader_id != Some(from) {
-                    self.become_follower(now, hb.term, Some(from), fx);
-                }
-            }
+        if !self.accept_leader_contact(now, from, fx) {
+            return;
         }
-        if self.role() != Role::Follower {
-            return; // defensive: leader at same term ignores
-        }
-        self.reset_election_timer(now, false);
         let reply = self.tuner.on_heartbeat(&hb.meta);
         // Commit what the leader has verified we hold.
         let new_commit = hb.commit.min(self.log.last_index());

@@ -4,7 +4,6 @@
 
 use super::reads::ReadState;
 use super::{send, NodeEffects, NotLeader, RaftNode, RoleState};
-use crate::events::RaftEvent;
 use crate::log::AppendOutcome;
 use crate::message::{AppendEntries, AppendResp, Payload};
 use crate::progress::Progress;
@@ -307,6 +306,18 @@ impl<SM: StateMachine> RaftNode<SM> {
         }
     }
 
+    /// Answer an append or snapshot from a deposed leader with the current
+    /// term, so it steps down.
+    pub(super) fn reject_stale_leader(&self, from: NodeId, fx: &mut NodeEffects<SM>) {
+        let resp = AppendResp {
+            term: self.term,
+            success: false,
+            match_or_hint: 0,
+            read_ctx: None,
+        };
+        send(&self.config, fx, from, Payload::AppendResp(resp));
+    }
+
     pub(super) fn on_append_entries(
         &mut self,
         now: SimTime,
@@ -315,32 +326,12 @@ impl<SM: StateMachine> RaftNode<SM> {
         fx: &mut NodeEffects<SM>,
     ) {
         if ae.term < self.term {
-            let resp = AppendResp {
-                term: self.term,
-                success: false,
-                match_or_hint: 0,
-                read_ctx: None,
-            };
-            send(&self.config, fx, from, Payload::AppendResp(resp));
+            self.reject_stale_leader(from, fx);
             return;
         }
-        match self.role() {
-            Role::PreCandidate => {
-                fx.events
-                    .push(RaftEvent::PreVoteAborted { term: self.term });
-                self.become_follower(now, ae.term, Some(from), fx);
-            }
-            Role::Candidate => {
-                self.become_follower(now, ae.term, Some(from), fx);
-            }
-            Role::Follower => {
-                if self.leader_id != Some(from) {
-                    self.become_follower(now, ae.term, Some(from), fx);
-                }
-            }
-            Role::Leader => return, // impossible at same term
+        if !self.accept_leader_contact(now, from, fx) {
+            return;
         }
-        self.reset_election_timer(now, false);
         let outcome = self
             .log
             .try_append(ae.prev_log_index, ae.prev_log_term, &ae.entries);

@@ -6,7 +6,7 @@ use super::{send, NodeEffects, RaftNode};
 use crate::events::RaftEvent;
 use crate::message::{AppendResp, InstallSnapshot, Payload};
 use crate::state_machine::{Snapshot, StateMachine};
-use crate::types::{LogIndex, NodeId, Role};
+use crate::types::{LogIndex, NodeId};
 use dynatune_core::invariant_violated;
 use dynatune_simnet::SimTime;
 
@@ -66,33 +66,12 @@ impl<SM: StateMachine> RaftNode<SM> {
         fx: &mut NodeEffects<SM>,
     ) {
         if snap.term < self.term {
-            // Stale leader: tell it the new term so it steps down.
-            let resp = AppendResp {
-                term: self.term,
-                success: false,
-                match_or_hint: 0,
-                read_ctx: None,
-            };
-            send(&self.config, fx, from, Payload::AppendResp(resp));
+            self.reject_stale_leader(from, fx);
             return;
         }
-        match self.role() {
-            Role::PreCandidate => {
-                fx.events
-                    .push(RaftEvent::PreVoteAborted { term: self.term });
-                self.become_follower(now, snap.term, Some(from), fx);
-            }
-            Role::Candidate => {
-                self.become_follower(now, snap.term, Some(from), fx);
-            }
-            Role::Follower => {
-                if self.leader_id != Some(from) {
-                    self.become_follower(now, snap.term, Some(from), fx);
-                }
-            }
-            Role::Leader => return, // impossible at same term
+        if !self.accept_leader_contact(now, from, fx) {
+            return;
         }
-        self.reset_election_timer(now, false);
         if snap.last_included_index > self.commit_index {
             let membership_before = self.active_frame().membership.clone();
             let kept_tail =
