@@ -146,13 +146,7 @@ impl<SM: StateMachine> RaftNode<SM> {
         });
         self.sync_member_tracking(now);
         self.emit_membership_event(&mut fx);
-        // Replicate like an ordinary proposal: idle pipes ship immediately,
-        // busy ones flush through the group-commit deadline.
-        for peer in self.idle_peers() {
-            self.send_append(now, peer, &mut fx);
-        }
-        self.arm_batch_deadline(now);
-        self.try_advance_commit(now, &mut fx);
+        self.replicate_new_entry(now, &mut fx);
         (Ok((self.term, index)), fx)
     }
 

@@ -143,37 +143,33 @@ impl<SM: StateMachine> RaftNode<SM> {
             );
         };
         lead.batch_bytes += SM::command_bytes(&command);
-        let batch_full = lead.batch_bytes >= self.config.max_batch_bytes;
         let index = self.log.append_new(self.term, Some(command));
-        for peer in self.idle_peers() {
-            self.send_append(now, peer, &mut fx);
-        }
-        if batch_full {
-            self.flush_batch(now, &mut fx);
-        } else {
-            self.arm_batch_deadline(now);
-        }
-        self.try_advance_commit(now, &mut fx); // single-node commits instantly
+        self.replicate_new_entry(now, &mut fx);
         (Ok((self.term, index)), fx)
     }
 
-    /// The peers with no append in flight: a new entry ships to them at
-    /// once instead of waiting for the group-commit flush.
-    pub(super) fn idle_peers(&self) -> Vec<NodeId> {
-        self.peers_where(|p| p.inflight.is_empty())
-    }
-
-    /// Arm the group-commit flush deadline if entries are buffered (some
-    /// follower still has unsent log) and no deadline is running yet.
-    pub(super) fn arm_batch_deadline(&mut self, now: SimTime) {
+    /// Replicate the entry just appended to the leader's log — the tail
+    /// `propose` and `propose_conf_change` share. Idle pipes (no append in
+    /// flight) ship it at once; busy ones get it from the group-commit
+    /// flush, which runs now if the byte cap is reached and otherwise when
+    /// the delay cap armed here expires. A configuration entry adds no
+    /// bytes, and every proposal that reaches the cap flushes, so the cap
+    /// only ever trips on a command.
+    pub(super) fn replicate_new_entry(&mut self, now: SimTime, fx: &mut NodeEffects<SM>) {
+        for peer in self.peers_where(|p| p.inflight.is_empty()) {
+            self.send_append(now, peer, fx);
+        }
         let last = self.log.last_index();
         let RoleState::Leader(lead) = &mut self.state else {
             return;
         };
         let unsent = lead.peers.values().any(|p| p.progress.has_pending(last));
-        if lead.batch_deadline.is_none() && unsent {
+        if lead.batch_bytes >= self.config.max_batch_bytes {
+            self.flush_batch(now, fx);
+        } else if lead.batch_deadline.is_none() && unsent {
             lead.batch_deadline = Some(now + self.config.max_batch_delay);
         }
+        self.try_advance_commit(now, fx); // single-node commits instantly
     }
 
     /// Resend timeout for this follower's oldest in-flight transfer: bulky
