@@ -282,9 +282,7 @@ impl<SM: StateMachine> RaftNode<SM> {
         };
         for peer in self.peers_where(expired) {
             if let Some(p) = self.progress_mut(peer) {
-                p.inflight.clear();
-                p.next_index = p.match_index + 1;
-                p.pending_snapshot = None;
+                p.reset_for_resend();
             }
             self.send_append(now, peer, fx);
         }

@@ -17,10 +17,8 @@ impl<SM: StateMachine> RaftNode<SM> {
     /// base, so the follower lands inside the retained log and ordinary
     /// appends take over from there.
     ///
-    /// A snapshot transfer occupies the *whole* pipeline window: appends
-    /// optimistically queued behind it would anchor below the follower's
-    /// (future) restored log base and bounce anyway, so any such sends are
-    /// dropped here and the window stays closed until the install acks.
+    /// The transfer occupies the *whole* pipeline window until the install
+    /// is answered (`Progress::record_snapshot_send`).
     pub(super) fn send_snapshot(&mut self, now: SimTime, to: NodeId, fx: &mut NodeEffects<SM>) {
         let last_included_index = self.last_applied;
         let Some(last_included_term) = self.log.term_at(last_included_index) else {
@@ -35,9 +33,7 @@ impl<SM: StateMachine> RaftNode<SM> {
         let Some(p) = self.progress_mut(to) else {
             return;
         };
-        p.inflight.clear();
-        p.record_send(now, last_included_index, last_included_index);
-        p.pending_snapshot = Some(last_included_index);
+        p.record_snapshot_send(now, last_included_index);
         self.snapshots_sent += 1;
         fx.events.push(RaftEvent::SnapshotSent {
             to,

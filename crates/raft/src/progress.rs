@@ -150,6 +150,28 @@ impl Progress {
         }
     }
 
+    /// Record an `InstallSnapshot` send cut at `last_included_index`. The
+    /// transfer occupies the *whole* window: appends optimistically queued
+    /// behind it would anchor below the follower's (future) restored log
+    /// base and bounce anyway, so they are dropped here and
+    /// [`Progress::window_free`] stays false until the install is answered.
+    pub fn record_snapshot_send(&mut self, now: SimTime, last_included_index: LogIndex) {
+        self.inflight.clear();
+        self.record_send(now, last_included_index, last_included_index);
+        self.pending_snapshot = Some(last_included_index);
+    }
+
+    /// Resend reset: the oldest unacked transfer timed out, so every
+    /// younger pipeline slot behind it is unverifiable. Abandon the whole
+    /// optimistic window — a stuck snapshot transfer included — and fall
+    /// back to proven ground: the next send probes from `match_index + 1`,
+    /// never below.
+    pub fn reset_for_resend(&mut self) {
+        self.inflight.clear();
+        self.pending_snapshot = None;
+        self.next_index = self.match_index + 1;
+    }
+
     /// Whether entries up to `last_index` remain unsent.
     #[must_use]
     pub fn has_pending(&self, last_index: LogIndex) -> bool {
@@ -287,6 +309,47 @@ mod tests {
         p.on_conflict(3);
         assert_eq!(p.pending_snapshot, None);
         assert!(p.inflight.is_empty());
+    }
+
+    #[test]
+    fn resend_reset_abandons_the_window_but_never_proven_ground() {
+        let mut p = Progress::new(0, SimTime::ZERO);
+        p.next_index = 1;
+        p.record_send(SimTime::from_millis(1), 0, 4);
+        p.on_success(4);
+        p.record_send(SimTime::from_millis(2), 4, 8);
+        p.record_send(SimTime::from_millis(3), 8, 12);
+        assert_eq!(p.next_index, 13);
+        p.reset_for_resend();
+        assert!(p.inflight.is_empty(), "the whole optimistic window goes");
+        assert_eq!(p.oldest_sent_at(), None, "nothing left to time out");
+        assert_eq!(p.next_index, 5, "re-probe from match_index + 1");
+        assert_eq!(p.match_index, 4, "proven entries stay proven");
+        // A stuck snapshot transfer is abandoned the same way.
+        p.record_snapshot_send(SimTime::from_millis(4), 20);
+        p.reset_for_resend();
+        assert_eq!(p.pending_snapshot, None);
+        assert!(p.window_free(1));
+        assert_eq!(p.next_index, 5, "never below match_index + 1");
+    }
+
+    #[test]
+    fn a_snapshot_send_occupies_the_whole_window() {
+        let mut p = Progress::new(0, SimTime::ZERO);
+        p.next_index = 1;
+        p.record_send(SimTime::from_millis(1), 0, 4);
+        p.record_send(SimTime::from_millis(2), 4, 8);
+        p.record_snapshot_send(SimTime::from_millis(3), 30);
+        assert_eq!(p.pending_snapshot, Some(30));
+        assert_eq!(p.inflight.len(), 1, "appends queued behind it are dropped");
+        assert_eq!(
+            p.oldest_sent_at(),
+            Some(SimTime::from_millis(3)),
+            "the resend timer now watches the transfer"
+        );
+        assert!(!p.window_free(8), "closed however wide the window is");
+        assert_eq!(p.next_index, 31, "appends resume past the boundary");
+        assert_eq!(p.last_send_at, SimTime::from_millis(3));
     }
 
     #[test]
