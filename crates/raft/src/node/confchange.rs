@@ -2,6 +2,7 @@
 //! stack that mirrors the log, proposing a change, and absorbing or rolling
 //! back conf entries on followers.
 
+use super::replication::Peer;
 use super::{NodeEffects, NotLeader, RaftNode, RoleState};
 use crate::events::RaftEvent;
 use crate::log::Entry;
@@ -108,12 +109,7 @@ impl<SM: StateMachine> RaftNode<SM> {
     ) -> (Result<(Term, LogIndex), ConfChangeError>, NodeEffects<SM>) {
         let mut fx = Effects::new();
         if self.role() != Role::Leader {
-            return (
-                Err(ConfChangeError::NotLeader(NotLeader {
-                    hint: self.leader_id,
-                })),
-                fx,
-            );
+            return (Err(ConfChangeError::NotLeader(self.not_leader())), fx);
         }
         if self.active_frame().index > self.commit_index {
             return (Err(ConfChangeError::InFlight), fx);
@@ -157,14 +153,13 @@ impl<SM: StateMachine> RaftNode<SM> {
     pub(super) fn sync_member_tracking(&mut self, now: SimTime) {
         let members = self.active_frame().membership.members();
         let last_index = self.log.last_index();
-        if let RoleState::Leader(lead) = &mut self.state {
-            lead.track(
-                &members,
-                self.config.id,
-                last_index,
-                now,
-                self.config.tuning,
-            );
+        let RoleState::Leader(lead) = &mut self.state else {
+            return;
+        };
+        lead.peers.retain(|id, _| members.contains(id));
+        for &peer in members.iter().filter(|&&peer| peer != self.config.id) {
+            let fresh = || Peer::new(last_index, now, self.config.tuning);
+            lead.peers.entry(peer).or_insert_with(fresh);
         }
     }
 

@@ -1,8 +1,12 @@
-//! Heartbeat exchange — the Dynatune seam. This is the one file where the
-//! paper's mechanism meets Raft: the leader's per-follower [`LeaderPacer`]s
-//! decide when a heartbeat leaves and stamp its measurement metadata, the
-//! follower's [`dynatune_core::FollowerTuner`] digests that metadata into `Et`/`h`, and
-//! the reply carries the tuned interval back to the pacer.
+//! Heartbeat exchange — **the Dynatune seam**. This is the one file where
+//! the paper's mechanism meets Raft's messages: the leader's per-follower
+//! [`LeaderPacer`](dynatune_core::LeaderPacer) decides when a heartbeat
+//! leaves and stamps its measurement metadata, the follower's
+//! [`FollowerTuner`](dynatune_core::FollowerTuner) digests that metadata
+//! into `Et`/`h`, and the reply carries the tuned interval back to the
+//! pacer. The rest of the node only builds the two, reads the tuned `Et`/`h`
+//! for its election timer (`election.rs`) and resets the tuner at the
+//! §III-B fallback points (election timeout, role change, restart).
 
 use super::replication::Peer;
 use super::{send, NodeEffects, RaftNode, RoleState};

@@ -187,6 +187,13 @@ impl<SM: StateMachine> RaftNode<SM> {
         }
     }
 
+    /// The redirect a non-leader answers proposals and reads with.
+    fn not_leader(&self) -> NotLeader {
+        NotLeader {
+            hint: self.leader_id,
+        }
+    }
+
     /// This node's id.
     #[must_use]
     pub fn id(&self) -> NodeId {
@@ -290,9 +297,9 @@ impl<SM: StateMachine> RaftNode<SM> {
         fx
     }
 
-    /// A leader's timers, in the order they have always fired: heartbeats,
-    /// the group-commit flush, replication resends, then check-quorum
-    /// (which may depose this node, so it goes last).
+    /// A leader's timers: heartbeats, the group-commit flush, replication
+    /// resends, then check-quorum — last, because it may depose this node.
+    /// The order fixes the order messages are emitted in.
     fn leader_tick(&mut self, now: SimTime, fx: &mut NodeEffects<SM>) {
         self.send_due_heartbeats(now, fx);
         self.flush_due_batch(now, fx);

@@ -15,12 +15,12 @@ use std::collections::{BTreeMap, VecDeque};
 #[derive(Debug)]
 pub(super) struct ReadRound {
     pub(super) seq: u64,
-    pub(super) read_index: LogIndex,
+    read_index: LogIndex,
     /// Registration instant; reads arriving at the same instant against
     /// the same commit index share the round (batch admission).
-    pub(super) registered_at: SimTime,
+    registered_at: SimTime,
     /// `(id, wait_apply)` per queued read.
-    pub(super) reads: Vec<(u64, bool)>,
+    reads: Vec<(u64, bool)>,
 }
 
 /// Leader-side bookkeeping for log-free reads.
@@ -37,7 +37,7 @@ pub(super) struct ReadState {
     pub(super) pending_confirm: VecDeque<ReadRound>,
     /// Confirmed local reads waiting for `last_applied` to reach their
     /// read index.
-    pub(super) apply_wait: BTreeMap<LogIndex, Vec<(u64, ReadPath)>>,
+    apply_wait: BTreeMap<LogIndex, Vec<(u64, ReadPath)>>,
     /// Reads registered before this leader committed an entry of its own
     /// term (until then `commit_index` may lag the cluster's true commit
     /// point); re-admitted when the term's no-op commits.
@@ -90,12 +90,7 @@ impl<SM: StateMachine> RaftNode<SM> {
     ) -> (Result<(), NotLeader>, NodeEffects<SM>) {
         let mut fx = Effects::new();
         let RoleState::Leader(lead) = &mut self.state else {
-            return (
-                Err(NotLeader {
-                    hint: self.leader_id,
-                }),
-                fx,
-            );
+            return (Err(self.not_leader()), fx);
         };
         if self.log.term_at(self.commit_index) != Some(self.term) {
             // Raft §6.4: before the current term's no-op commits, our
@@ -184,13 +179,13 @@ impl<SM: StateMachine> RaftNode<SM> {
             self.finish_read(id, read_index, ReadPath::Lease, wait_apply, fx);
             return;
         }
+        let RoleState::Leader(lead) = &mut self.state else {
+            return;
+        };
         // Join the newest unconfirmed round only when nothing happened
         // since it was registered (same instant, same commit index): its
         // confirmation traffic then provably went out no earlier than this
         // read, so the echoes confirm leadership for it too.
-        let RoleState::Leader(lead) = &mut self.state else {
-            return;
-        };
         if let Some(last) = lead.reads.pending_confirm.back_mut() {
             if last.registered_at == now && last.read_index == read_index {
                 last.reads.push((id, wait_apply));

@@ -11,7 +11,7 @@ use crate::state_machine::{Applied, Effects, StateMachine};
 use crate::types::{LogIndex, NodeId, Role, Term};
 use dynatune_core::{invariant_violated, LeaderPacer, TuningConfig};
 use dynatune_simnet::SimTime;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// What a leader keeps per tracked member: how far replication got and how
@@ -20,6 +20,17 @@ use std::time::Duration;
 pub(super) struct Peer {
     pub(super) progress: Progress,
     pub(super) pacer: LeaderPacer,
+}
+
+impl Peer {
+    /// A member the leader starts tracking at `now`, assumed caught up to
+    /// `last_index` until its first ack says otherwise.
+    pub(super) fn new(last_index: LogIndex, now: SimTime, tuning: TuningConfig) -> Self {
+        Self {
+            progress: Progress::new(last_index, now),
+            pacer: LeaderPacer::new(tuning, now.as_nanos()),
+        }
+    }
 }
 
 /// Everything only a leader has. It exists exactly while the node leads:
@@ -52,26 +63,6 @@ impl LeaderState {
             batch_bytes: 0,
             batch_deadline: None,
             reads: ReadState::default(),
-        }
-    }
-
-    /// Align the tracked peers with `members` (this node, `own_id`, never
-    /// tracks itself): new members start from `last_index`, members that
-    /// left the configuration are forgotten.
-    pub(super) fn track(
-        &mut self,
-        members: &BTreeSet<NodeId>,
-        own_id: NodeId,
-        last_index: LogIndex,
-        now: SimTime,
-        tuning: TuningConfig,
-    ) {
-        self.peers.retain(|id, _| members.contains(id));
-        for &peer in members.iter().filter(|&&peer| peer != own_id) {
-            self.peers.entry(peer).or_insert_with(|| Peer {
-                progress: Progress::new(last_index, now),
-                pacer: LeaderPacer::new(tuning, now.as_nanos()),
-            });
         }
     }
 }
@@ -107,8 +98,10 @@ impl<SM: StateMachine> RaftNode<SM> {
     /// The tracked peers whose progress satisfies `pred`, in id order — the
     /// order every per-peer loop sends in. Empty off-leader.
     fn peers_where(&self, pred: impl Fn(&Progress) -> bool) -> Vec<NodeId> {
-        let peers = self.lead().into_iter().flat_map(|lead| &lead.peers);
-        let matching = peers.filter(|(_, peer)| pred(&peer.progress));
+        let Some(lead) = self.lead() else {
+            return Vec::new();
+        };
+        let matching = lead.peers.iter().filter(|(_, peer)| pred(&peer.progress));
         matching.map(|(&id, _)| id).collect()
     }
 
@@ -135,12 +128,7 @@ impl<SM: StateMachine> RaftNode<SM> {
     ) -> (Result<(Term, LogIndex), NotLeader>, NodeEffects<SM>) {
         let mut fx = Effects::new();
         let RoleState::Leader(lead) = &mut self.state else {
-            return (
-                Err(NotLeader {
-                    hint: self.leader_id,
-                }),
-                fx,
-            );
+            return (Err(self.not_leader()), fx);
         };
         lead.batch_bytes += SM::command_bytes(&command);
         let index = self.log.append_new(self.term, Some(command));
@@ -163,10 +151,10 @@ impl<SM: StateMachine> RaftNode<SM> {
         let RoleState::Leader(lead) = &mut self.state else {
             return;
         };
-        let unsent = lead.peers.values().any(|p| p.progress.has_pending(last));
+        let unsent = |lead: &LeaderState| lead.peers.values().any(|p| p.progress.has_pending(last));
         if lead.batch_bytes >= self.config.max_batch_bytes {
             self.flush_batch(now, fx);
-        } else if lead.batch_deadline.is_none() && unsent {
+        } else if lead.batch_deadline.is_none() && unsent(lead) {
             lead.batch_deadline = Some(now + self.config.max_batch_delay);
         }
         self.try_advance_commit(now, fx); // single-node commits instantly
