@@ -389,6 +389,7 @@ mod tests {
     use super::*;
     use crate::config::TimerQuantization;
     use crate::events::RaftEvent;
+    use crate::membership::ConfChange;
     use crate::message::{
         AppendEntries, AppendResp, Heartbeat, HeartbeatResp, InstallSnapshot, RequestVote,
         RequestVoteResp,
@@ -2027,5 +2028,66 @@ mod tests {
         assert_eq!(sent.len(), 1);
         assert_eq!(sent[0].prev_log_index, last);
         assert_eq!(sent[0].entries.len(), 1, "the buffered proposal follows");
+    }
+
+    // ------------------------------------------------------------------
+    // Configuration changes
+    // ------------------------------------------------------------------
+
+    /// `on_append_resp` keeps working after `try_advance_commit`: it refills
+    /// the acker's window and nudges it for pending read rounds. The ack
+    /// that commits the leader's own removal deposes it in the middle of
+    /// that — the leader state is gone when the tail runs.
+    #[test]
+    fn ack_committing_own_removal_steps_down_and_aborts_queued_reads() {
+        let (mut n, t) = leader3_with_window(4);
+        let ack = |n: &mut Node, peer: NodeId, index: LogIndex| {
+            let resp = AppendResp {
+                term: n.term(),
+                success: true,
+                match_or_hint: index,
+                read_ctx: None,
+            };
+            n.step(t, peer, Payload::AppendResp(resp))
+        };
+        // Remove the leader itself: joint {0,1,2} -> {1,2}, then finalize.
+        let begin = ConfChange::Begin {
+            add: vec![],
+            remove: vec![0],
+        };
+        let (res, _) = n.propose_conf_change(t, begin);
+        let (_, joint) = res.unwrap();
+        let _ = ack(&mut n, 1, joint);
+        let _ = ack(&mut n, 2, joint);
+        assert_eq!(n.commit_index(), joint);
+        let (res, _) = n.propose_conf_change(t, ConfChange::Finalize);
+        let (_, finalize) = res.unwrap();
+        assert!(!n.membership().is_voter(0));
+        assert_eq!(n.role(), Role::Leader, "leads until the removal commits");
+        // A non-voting leader has no lease: the read opens a ReadIndex round.
+        let (res, fx) = n.request_read(t, 77, true);
+        res.unwrap();
+        assert!(fx.reads.is_empty());
+        assert_eq!(n.pending_reads(), 1);
+        // Something unsent for the ack's window refill to ship, were the
+        // leader still leading.
+        let (res, fx) = n.propose(t, 5);
+        res.unwrap();
+        assert!(appends_to(&fx, 2).is_empty(), "pipe busy: buffered");
+        let _ = ack(&mut n, 1, finalize);
+        assert_eq!(n.role(), Role::Leader, "one of two new voters is no quorum");
+        // The second ack commits the Finalize and with it the removal.
+        let fx = ack(&mut n, 2, finalize);
+        assert_eq!(n.commit_index(), finalize);
+        assert_eq!(n.role(), Role::Follower);
+        assert_eq!(fx.aborted_reads, vec![77]);
+        assert_eq!(n.pending_reads(), 0);
+        assert!(
+            fx.messages.iter().all(|m| m.to != 2),
+            "a deposed leader sends the acker nothing further: {:?}",
+            fx.messages
+        );
+        let kinds: Vec<&str> = fx.events.iter().map(RaftEvent::kind).collect();
+        assert!(kinds.contains(&"stepped_down"), "events: {kinds:?}");
     }
 }
