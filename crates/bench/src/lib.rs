@@ -24,7 +24,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use dynatune_cluster::scenario::{Experiment, Report, RunCtx};
+use dynatune_cluster::scenario::{json_escape, Experiment, Report, RunCtx};
 use std::path::{Path, PathBuf};
 
 pub use dynatune_cluster::scenario::{compare_row, reduction_pct};
@@ -229,23 +229,6 @@ pub struct BenchEntry {
     pub wall_s: f64,
     /// The report's headline metrics as `(label, paper, measured)`.
     pub headlines: Vec<(String, String, String)>,
-}
-
-/// Escape a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Render the benchmark summary the `scenarios` binary writes as

@@ -60,5 +60,5 @@ pub use builder::{NetPlan, ScenarioBuilder};
 pub use driver::{ExecutedFault, Horizon, Sample, ScenarioDriver, ScenarioRun};
 pub use experiment::{Experiment, RunCtx};
 pub use plan::{FaultAction, FaultEvent, FaultPlan, PartitionSpec, Target};
-pub use registry::{catalog_json, catalog_markdown, find, registry};
+pub use registry::{catalog_json, catalog_markdown, find, json_escape, registry};
 pub use report::{compare_row, reduction_pct, Artifact, Headline, Report, ReportTable};

@@ -96,7 +96,8 @@ pub fn catalog_json() -> String {
 }
 
 /// Escape a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
+#[must_use]
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
