@@ -194,7 +194,7 @@ mod tests {
 
     #[test]
     fn protocol_crates_get_l001_in_prod_only() {
-        let p = policy_for("crates/raft/src/node.rs").unwrap();
+        let p = policy_for("crates/raft/src/node/election.rs").unwrap();
         assert!(p.prod.l001);
         assert!(!p.test.l001);
         assert!(!p.file_is_test);
@@ -234,7 +234,7 @@ mod tests {
 
     #[test]
     fn layering_scope_follows_the_dag() {
-        let raft = policy_for("crates/raft/src/node.rs").unwrap();
+        let raft = policy_for("crates/raft/src/node/election.rs").unwrap();
         assert_eq!(raft.layer.unwrap().lib, "dynatune_raft");
         let vendor = policy_for("vendor/bytes/src/lib.rs").unwrap();
         assert!(vendor.layer.unwrap().allowed.is_empty());

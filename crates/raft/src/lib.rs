@@ -19,6 +19,20 @@
 //! The node is a pure state machine ([`RaftNode::step`] / [`RaftNode::tick`]
 //! / [`RaftNode::propose`] → [`Effects`]) so the discrete-event simulator
 //! and property tests can drive it deterministically.
+//!
+//! # Where things live
+//!
+//! [`RaftNode`] is the [`node`] module, cut by protocol — `node/mod.rs`
+//! holds the state and dispatches `tick`/`step` to one file each for
+//! elections (`election.rs`), heartbeats (`heartbeat.rs`), replication
+//! (`replication.rs`), log-free reads (`reads.rs`), configuration changes
+//! (`confchange.rs`) and snapshots (`snapshot.rs`). **`node/heartbeat.rs` is
+//! the Dynatune seam**: the only place `dynatune_core`'s `FollowerTuner`
+//! and `LeaderPacer` exchange data with Raft's messages. Around the node sit
+//! its value types: [`log`], [`progress`] (the per-follower pipeline window),
+//! [`membership`], [`message`], [`config`], [`events`] and
+//! [`state_machine`]. The adversarial proptest suites under `tests/` share
+//! one harness, `tests/common/mod.rs`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -7,18 +7,26 @@
 //! discrete-event simulator (and property tests) drive it deterministically
 //! through adversarial schedules.
 //!
-//! This file is the dispatcher: the node's state, construction, read-only
-//! accessors, and the three entry points that route to one file per
-//! protocol —
+//! This file is the dispatcher: the node's state ([`RaftNode`], with the
+//! role-owned state inside `RoleState`), construction, the read-only
+//! accessors, `restart`, and the entry points `tick`, `step` and
+//! `next_wake`, which route to one file per protocol:
 //!
-//! | file | protocol |
-//! |------|----------|
-//! | `election.rs` | election timer + tick quantization, pre-vote/vote campaign, role transitions, vote-withholding lease |
-//! | `heartbeat.rs` | heartbeat exchange — **the Dynatune seam**: the only file where [`FollowerTuner`] measurements enter and [`LeaderPacer`] pacing leaves |
-//! | `replication.rs` | propose, group commit, pipelined `AppendEntries`, acks, commit and apply |
-//! | `reads.rs` | log-free reads: leader lease and ReadIndex rounds |
-//! | `confchange.rs` | joint-consensus configuration changes and the membership frame stack |
-//! | `snapshot.rs` | `InstallSnapshot` transfer and log compaction |
+//! * `election.rs` — the election timer and its tick quantization, the
+//!   pre-vote/vote campaign, the role transitions, check-quorum step-down
+//!   and the vote-withholding lease;
+//! * `heartbeat.rs` — the heartbeat exchange and **the Dynatune seam**: the
+//!   only file where `FollowerTuner` measurements enter and `LeaderPacer`
+//!   pacing decisions leave;
+//! * `replication.rs` — proposals, group commit, the pipelined
+//!   `AppendEntries` window, acks, commit and apply, and the leader's
+//!   per-peer state;
+//! * `reads.rs` — log-free reads: the leader lease and ReadIndex rounds;
+//! * `confchange.rs` — joint-consensus configuration changes and the
+//!   membership frame stack;
+//! * `snapshot.rs` — `InstallSnapshot` transfer and log compaction.
+//!
+//! Every outbound message is built by `send` below.
 //!
 //! Faithfulness notes (matched to etcd's raft, the paper's base system):
 //!
@@ -36,9 +44,9 @@
 //!   detection without OTS" path); leaders step down when a quorum has been
 //!   silent for an election timeout.
 //! * **Dynatune integration**: followers run a [`FollowerTuner`] fed by
-//!   heartbeat metadata; leaders run one [`LeaderPacer`] per follower
-//!   (n−1 independent heartbeat timers, §III-B); on election-timer expiry
-//!   the tuner is reset to conservative defaults (§III-B fallback).
+//!   heartbeat metadata; leaders run one `LeaderPacer` per follower (n−1
+//!   independent heartbeat timers, §III-B); on election-timer expiry the
+//!   tuner is reset to conservative defaults (§III-B fallback).
 
 mod confchange;
 mod election;

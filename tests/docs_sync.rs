@@ -35,3 +35,37 @@ fn catalog_json_and_markdown_cover_the_same_registry() {
         );
     }
 }
+
+/// Every repo-relative `.rs` path the hand-written guides cite
+/// (`crates/…`, `src/…`, `tests/…`, `examples/…`) exists on disk, so a file
+/// that is split, moved or deleted cannot leave a dangling pointer behind.
+#[test]
+fn rs_paths_cited_in_the_guides_exist() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let guides = [
+        ("README.md", include_str!("../README.md")),
+        ("ARCHITECTURE.md", include_str!("../ARCHITECTURE.md")),
+    ];
+    let is_path_char = |c: char| c.is_ascii_alphanumeric() || "_-./".contains(c);
+    let mut cited = 0;
+    let mut stale = Vec::new();
+    for (guide, text) in guides {
+        for word in text.split(|c| !is_path_char(c)) {
+            let path = word.trim_end_matches('.');
+            let rooted = ["crates/", "src/", "tests/", "examples/"]
+                .iter()
+                .any(|dir| path.starts_with(dir));
+            if rooted && path.ends_with(".rs") {
+                cited += 1;
+                if !root.join(path).is_file() {
+                    stale.push(format!("{guide}: {path}"));
+                }
+            }
+        }
+    }
+    assert!(cited > 0, "no path found at all: the scan itself is broken");
+    assert!(
+        stale.is_empty(),
+        "cited files that do not exist: {stale:#?}"
+    );
+}
