@@ -176,6 +176,15 @@ impl<H: Hooks> Harness<H> {
         self.nodes[id].restart(self.now, NullStateMachine::default());
     }
 
+    /// The leader at the cluster's highest term, if there is one. A node
+    /// that still *thinks* it leads a superseded term does not count.
+    pub fn leader(&self) -> Option<NodeId> {
+        let max_term = self.nodes.iter().map(Node::term).max().unwrap_or(0);
+        self.nodes
+            .iter()
+            .position(|n| n.role() == Role::Leader && n.term() == max_term)
+    }
+
     fn tick_due(&mut self, isolated: &[NodeId]) -> Check {
         for id in 0..self.nodes.len() {
             let due = self.nodes[id].next_wake().is_some_and(|w| w <= self.now);
@@ -310,9 +319,9 @@ impl<H: Hooks> Harness<H> {
                 let Some(term) = node.log().term_at(i) else {
                     continue;
                 };
-                let now = (term, node.log().entry_at(i).and_then(|e| e.data));
-                let seen = *self.committed.entry(i).or_insert(now);
-                prop_assert_eq!(seen, now, "committed entry {} changed after commit", i);
+                let entry = (term, node.log().entry_at(i).and_then(|e| e.data));
+                let seen = *self.committed.entry(i).or_insert(entry);
+                prop_assert_eq!(seen, entry, "committed entry {} changed after commit", i);
             }
         }
         Ok(())

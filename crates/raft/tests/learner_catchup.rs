@@ -50,18 +50,9 @@ fn harness(seed: u64) -> LearnerHarness {
 fn elect(h: &mut LearnerHarness) -> Result<NodeId, TestCaseError> {
     for _ in 0..200 {
         h.healed_round(&[LEARNER])?;
-        let leaders: Vec<NodeId> = h
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.role() == Role::Leader)
-            .map(|(i, _)| i)
-            .collect();
-        let max_term = h.nodes.iter().map(Node::term).max().unwrap_or(0);
-        if let [l] = leaders[..] {
-            if h.nodes[l].term() == max_term {
-                return Ok(l);
-            }
+        let leading = h.nodes.iter().filter(|n| n.role() == Role::Leader).count();
+        if let (1, Some(leader)) = (leading, h.leader()) {
+            return Ok(leader);
         }
     }
     prop_assert!(false, "no stable leader after 200 healed rounds");

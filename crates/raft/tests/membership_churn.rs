@@ -22,7 +22,7 @@
 
 mod common;
 
-use common::{Check, Harness, Node};
+use common::{Check, Harness};
 use dynatune_core::TuningConfig;
 use dynatune_raft::{ConfChange, NodeId, RaftConfig, Role};
 use proptest::prelude::*;
@@ -137,14 +137,6 @@ fn check_invariants(h: &mut Harness) -> Check {
     h.check_single_leader_at_max_term()
 }
 
-/// The leader at the cluster's highest term, if there is one.
-fn leader(h: &Harness) -> Option<NodeId> {
-    let max_term = h.nodes.iter().map(Node::term).max().unwrap_or(0);
-    h.nodes
-        .iter()
-        .position(|n| n.role() == Role::Leader && n.term() == max_term)
-}
-
 fn apply(h: &mut Harness, action: &Action) -> Check {
     match *action {
         Action::Deliver(k) => h.deliver(k)?,
@@ -155,7 +147,7 @@ fn apply(h: &mut Harness, action: &Action) -> Check {
         Action::Propose(n, v) => h.propose(n, v)?,
         Action::ProposeConf(n, shape, target) => {
             let id = if n % 2 == 0 {
-                leader(h).unwrap_or(n % h.nodes.len())
+                h.leader().unwrap_or(n % h.nodes.len())
             } else {
                 n % h.nodes.len()
             };
@@ -173,7 +165,7 @@ fn apply(h: &mut Harness, action: &Action) -> Check {
 /// starts from a live cluster instead of hoping chaos elects one.
 fn boot(h: &mut Harness) -> Check {
     for _ in 0..200 {
-        if leader(h).is_some() {
+        if h.leader().is_some() {
             return Ok(());
         }
         h.healed_round(&[])?;
