@@ -11,7 +11,7 @@ use crate::partition::{FetchResult, PartitionConfig};
 use crate::record::Record;
 use crate::topic::Topic;
 use dynatune_core::invariant_violated;
-use dynatune_kv::{ReqOrigin, Sessions};
+use dynatune_kv::{CachedReply, ReqOrigin, Sessions};
 use dynatune_raft::{LogIndex, StateMachine, DEFAULT_REPLY_WINDOW};
 use std::collections::BTreeMap;
 
@@ -156,6 +156,15 @@ fn needs_dedup(cmd: &BrokerCommand) -> bool {
 /// responses are produce/commit acks — a few words each.
 const CACHED_REPLY_BYTES: usize = 40;
 
+impl CachedReply for BrokerResponse {
+    fn cached_bytes(&self) -> usize {
+        CACHED_REPLY_BYTES
+    }
+}
+
+/// Rough in-memory size of one committed group offset (snapshot costing).
+const PER_OFFSET_BYTES: usize = 48;
+
 /// The replicated broker state machine: topics of segmented partition
 /// logs, durable consumer-group offsets, and the producer reply cache.
 /// Everything here is replicated state — filled identically on every
@@ -243,10 +252,9 @@ impl BrokerSm {
     /// ships, charged by the size-aware cost model).
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
-        const PER_OFFSET: usize = 48;
         let records: usize = self.topics.values().map(Topic::bytes).sum();
-        let offsets = self.group_offsets.len() * PER_OFFSET;
-        let replies = self.sessions.replies().count() * CACHED_REPLY_BYTES;
+        let offsets = self.group_offsets.len() * PER_OFFSET_BYTES;
+        let replies = self.sessions.approx_bytes();
         records + offsets + replies
     }
 
@@ -515,7 +523,7 @@ mod tests {
                 req_id: 19
             })
             .is_some());
-        assert_eq!(sm.sessions[&1].len(), 8);
+        assert_eq!(sm.sessions.live_len(1), 8);
     }
 
     #[test]
@@ -675,6 +683,35 @@ mod tests {
                 let next = BrokerRequest::from_client(9, 1, produce("t", 0, &["tail"]));
                 prop_assert_eq!(sm.apply(1001, &next), restored.apply(1001, &next));
                 prop_assert_eq!(&restored, &sm);
+            }
+
+            /// `approx_bytes` reads the reply cache's running total; it
+            /// must equal the per-reply sum it replaced, to the byte, while
+            /// the window slides over out-of-order and repeated ids, and
+            /// after a restore — the cost model turns it into simulated CPU.
+            #[test]
+            fn prop_approx_bytes_equal_the_recomputed_sum(
+                cmds in proptest::collection::vec(command(), 1..60),
+                window in 1u64..64,
+            ) {
+                fn recomputed(sm: &BrokerSm) -> usize {
+                    let records: usize = sm.topics.values().map(Topic::bytes).sum();
+                    records
+                        + sm.group_offsets.len() * PER_OFFSET_BYTES
+                        + sm.sessions.replies().count() * CACHED_REPLY_BYTES
+                }
+                let mut sm = BrokerSm::with_reply_window(window);
+                for (i, (client, req_id, cmd)) in cmds.iter().enumerate() {
+                    sm.apply(
+                        i as u64 + 1,
+                        &BrokerRequest::from_client(*client, *req_id, cmd.clone()),
+                    );
+                    prop_assert_eq!(sm.approx_bytes(), recomputed(&sm));
+                }
+                let mut restored = BrokerSm::new();
+                restored.restore(&sm.snapshot());
+                prop_assert_eq!(restored.approx_bytes(), recomputed(&restored));
+                prop_assert_eq!(restored.approx_bytes(), sm.approx_bytes());
             }
         }
     }

@@ -8,7 +8,8 @@
 //! * [`Store`] — the replicated state machine: the map plus per-client
 //!   retry deduplication and snapshot/restore, driven by `dynatune-raft`;
 //! * [`Sessions`] — the per-client sliding reply cache (Raft §6.3 sessions)
-//!   behind that deduplication, shared with the broker's state machine;
+//!   behind that deduplication, shared with the broker's state machine and
+//!   chunked so that a snapshot shares it with the live state;
 //! * [`WorkloadGen`] — open-loop client load with Poisson arrivals, rate
 //!   ramp schedules (the paper's §IV-B2 peak-throughput methodology) and
 //!   Zipf-skewed keys;
@@ -19,13 +20,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod sessions;
 pub mod shard;
 pub mod store;
 pub mod workload;
 
+pub use sessions::{CachedReply, Sessions};
 pub use shard::{ShardId, ShardMap, ShardRouter};
 pub use store::{
-    KvCommand, KvRequest, KvResponse, KvStore, ReqOrigin, Sessions, Store, VersionedValue,
+    KvCommand, KvRequest, KvResponse, KvStore, ReqOrigin, Store, VersionedValue,
     DEFAULT_REPLY_WINDOW,
 };
 pub use workload::{OpMix, RateStep, WorkloadGen};

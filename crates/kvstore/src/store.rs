@@ -8,6 +8,7 @@
 //! client retry of an already-applied write and return the cached response
 //! instead of applying twice.
 
+use crate::sessions::{CachedReply, Sessions};
 use bytes::Bytes;
 use dynatune_raft::{LogIndex, StateMachine};
 use std::collections::BTreeMap;
@@ -139,7 +140,13 @@ pub enum KvResponse {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct KvStore {
     map: BTreeMap<Bytes, VersionedValue>,
+    /// Running [`approx_bytes`](Self::approx_bytes) of `map`.
+    bytes: usize,
 }
+
+/// Snapshot-costing size of one map entry beyond its key and value bytes:
+/// revisions + version + map node.
+const PER_ENTRY_OVERHEAD: usize = 32;
 
 impl KvStore {
     /// Empty store.
@@ -192,17 +199,19 @@ impl KvStore {
         h
     }
 
-    fn put(&mut self, index: LogIndex, key: Bytes, value: Bytes) -> Option<Bytes> {
-        match self.map.get_mut(&key) {
+    fn put(&mut self, index: LogIndex, key: &Bytes, value: Bytes) -> Option<Bytes> {
+        match self.map.get_mut(key) {
             Some(v) => {
+                self.bytes = self.bytes - v.value.len() + value.len();
                 let prev = std::mem::replace(&mut v.value, value);
                 v.mod_revision = index;
                 v.version += 1;
                 Some(prev)
             }
             None => {
+                self.bytes += key.len() + value.len() + PER_ENTRY_OVERHEAD;
                 self.map.insert(
-                    key,
+                    key.clone(),
                     VersionedValue {
                         value,
                         create_revision: index,
@@ -223,15 +232,21 @@ impl KvStore {
     pub fn apply_command(&mut self, index: LogIndex, command: &KvCommand) -> KvResponse {
         match command {
             KvCommand::Put { key, value } => KvResponse::Put {
-                prev: self.put(index, key.clone(), value.clone()),
+                prev: self.put(index, key, value.clone()),
                 revision: index,
             },
             KvCommand::Get { .. } | KvCommand::Range { .. } => {
                 self.read(command).expect("read command")
             }
-            KvCommand::Delete { key } => KvResponse::Delete {
-                existed: self.map.remove(key).is_some(),
-            },
+            KvCommand::Delete { key } => {
+                let removed = self.map.remove(key);
+                if let Some(v) = &removed {
+                    self.bytes -= key.len() + v.value.len() + PER_ENTRY_OVERHEAD;
+                }
+                KvResponse::Delete {
+                    existed: removed.is_some(),
+                }
+            }
             KvCommand::Cas { key, expect, value } => {
                 let current = self.map.get(key).map(|v| &v.value);
                 let success = match (current, expect) {
@@ -240,7 +255,7 @@ impl KvStore {
                     _ => false,
                 };
                 if success {
-                    self.put(index, key.clone(), value.clone());
+                    self.put(index, key, value.clone());
                 }
                 KvResponse::Cas { success }
             }
@@ -273,15 +288,14 @@ impl KvStore {
         }
     }
 
-    /// Rough in-memory size of the stored state, used to model the cost of
-    /// serializing and shipping a snapshot.
+    /// Rough in-memory size of the stored state — key bytes, value bytes
+    /// and a fixed overhead per entry — used to model the cost of
+    /// serializing and shipping a snapshot. A running total kept by every
+    /// mutation, because the cost model asks on every snapshot sent and
+    /// received.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
-        const PER_ENTRY_OVERHEAD: usize = 32; // revisions + version + map node
-        self.map
-            .iter()
-            .map(|(k, v)| k.len() + v.value.len() + PER_ENTRY_OVERHEAD)
-            .sum()
+        self.bytes
     }
 }
 
@@ -293,84 +307,6 @@ pub struct ReqOrigin {
     pub client: u64,
     /// The client's request id, monotonically increasing per client.
     pub req_id: u64,
-}
-
-/// Per-origin reply cache (Raft §6.3 client sessions): for each client a
-/// sliding id window of `req_id → reply`, shared by every replicated state
-/// machine that deduplicates retries (the KV [`Store`], the broker's
-/// `BrokerSm`). It is replicated state — filled identically on every
-/// replica and carried whole inside snapshots.
-///
-/// Request ids increase monotonically per client, so ids more than
-/// `window` below the newest recorded one can no longer be retried and are
-/// evicted (see [`DEFAULT_REPLY_WINDOW`] for the sizing rule).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Sessions<R> {
-    by_client: BTreeMap<u64, BTreeMap<u64, R>>,
-    /// Sliding id window retained per client (the shared
-    /// `RaftConfig::reply_window` knob; identical on every replica, so it
-    /// is config rather than replicated state even though it rides along
-    /// in snapshot clones).
-    window: u64,
-}
-
-impl<R> Sessions<R> {
-    /// Empty cache retaining `window` reply ids per client.
-    ///
-    /// # Panics
-    /// Panics on a zero window, which would evict every reply immediately.
-    #[must_use]
-    pub fn new(window: u64) -> Self {
-        assert!(window > 0, "zero reply window");
-        Self {
-            by_client: BTreeMap::new(),
-            window,
-        }
-    }
-
-    /// The configured per-client id window.
-    #[must_use]
-    pub fn window(&self) -> u64 {
-        self.window
-    }
-
-    /// The cached reply to `origin`'s request, if it was already applied
-    /// and is still inside its client's window.
-    #[must_use]
-    pub fn get(&self, origin: ReqOrigin) -> Option<&R> {
-        self.by_client.get(&origin.client)?.get(&origin.req_id)
-    }
-
-    /// Cache `reply` as the outcome of `origin`'s request and slide the
-    /// client's window: drop replies no live retry can ask for.
-    pub fn record(&mut self, origin: ReqOrigin, reply: R) {
-        let replies = self.by_client.entry(origin.client).or_default();
-        replies.insert(origin.req_id, reply);
-        let newest = replies
-            .last_key_value()
-            .map_or(origin.req_id, |(&id, _)| id);
-        while let Some((&oldest, _)) = replies.first_key_value() {
-            if oldest + self.window > newest {
-                break;
-            }
-            replies.pop_first();
-        }
-    }
-
-    /// Every cached reply, across clients (snapshot costing).
-    pub fn replies(&self) -> impl Iterator<Item = &R> {
-        self.by_client.values().flat_map(BTreeMap::values)
-    }
-}
-
-/// One client's window (observers and tests); panics, like a map index,
-/// for a client that never had a reply cached.
-impl<R> std::ops::Index<&u64> for Sessions<R> {
-    type Output = BTreeMap<u64, R>;
-
-    fn index(&self, client: &u64) -> &Self::Output {
-        &self.by_client[client]
-    }
 }
 
 /// What Raft actually replicates: a command plus (for client traffic) the
@@ -425,15 +361,19 @@ fn needs_dedup(cmd: &KvCommand) -> bool {
 }
 
 /// Rough in-memory size of one cached response (for snapshot costing).
-fn response_bytes(resp: &KvResponse) -> usize {
-    const PER_REPLY_OVERHEAD: usize = 24;
-    let payload = match resp {
-        KvResponse::Put { prev, .. } => prev.as_ref().map_or(0, Bytes::len),
-        KvResponse::Get { value } => value.as_ref().map_or(0, |v| v.value.len() + 24),
-        KvResponse::Delete { .. } | KvResponse::Cas { .. } => 1,
-        KvResponse::Range { entries, .. } => entries.iter().map(|(k, v)| k.len() + v.len()).sum(),
-    };
-    PER_REPLY_OVERHEAD + payload
+impl CachedReply for KvResponse {
+    fn cached_bytes(&self) -> usize {
+        const PER_REPLY_OVERHEAD: usize = 24;
+        let payload = match self {
+            KvResponse::Put { prev, .. } => prev.as_ref().map_or(0, Bytes::len),
+            KvResponse::Get { value } => value.as_ref().map_or(0, |v| v.value.len() + 24),
+            KvResponse::Delete { .. } | KvResponse::Cas { .. } => 1,
+            KvResponse::Range { entries, .. } => {
+                entries.iter().map(|(k, v)| k.len() + v.len()).sum()
+            }
+        };
+        PER_REPLY_OVERHEAD + payload
+    }
 }
 
 /// The replicated state machine: the [`KvStore`] map plus per-client reply
@@ -523,8 +463,7 @@ impl Store {
     /// model).
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
-        let sessions: usize = self.sessions.replies().map(response_bytes).sum();
-        self.kv.approx_bytes() + sessions
+        self.kv.approx_bytes() + self.sessions.approx_bytes()
     }
 
     /// Cached reply for a client request, if it was already applied.
@@ -896,7 +835,7 @@ mod tests {
                 req_id: newest
             })
             .is_some());
-        assert_eq!(s.sessions[&1].len() as u64, WINDOW);
+        assert_eq!(s.sessions.live_len(1) as u64, WINDOW);
         // The default window follows the shared knob's sizing rule.
         assert_eq!(Store::new().reply_window(), DEFAULT_REPLY_WINDOW);
     }
@@ -988,6 +927,38 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_shares_every_full_reply_chunk_with_the_live_store() {
+        let mut s = Store::new();
+        fn put(s: &mut Store, req_id: u64) {
+            let cmd = KvCommand::Put {
+                key: b("k"),
+                value: b("v"),
+            };
+            s.apply(req_id + 1, &KvRequest::from_client(1, req_id, cmd));
+        }
+        for req_id in 0..1000 {
+            put(&mut s, req_id);
+        }
+        let snap = s.snapshot();
+        let chunks = s.sessions.chunk_sharing(&snap.sessions, 1);
+        assert_eq!(chunks.len(), 4, "1000 replies in chunks of 256");
+        assert!(chunks.iter().all(|&(_, shared)| shared));
+        // Writing on copies the partial tail once; the full chunks stay the
+        // snapshot's own allocations however far the live store moves on.
+        for req_id in 1000..2000 {
+            put(&mut s, req_id);
+        }
+        let chunks = snap.sessions.chunk_sharing(&s.sessions, 1);
+        let full = chunks[0].0;
+        assert_eq!(
+            chunks,
+            [(full, true), (full, true), (full, true), (232, false)]
+        );
+        assert_eq!(snap.sessions.live_len(1), 1000);
+        assert_eq!(s.sessions.live_len(1), 2000);
+    }
+
+    #[test]
     fn replicas_converge_under_same_command_sequence() {
         let cmds = [
             KvCommand::Put {
@@ -1013,5 +984,62 @@ mod tests {
             c.apply_command(i as u64 + 1, cmd);
         }
         assert_eq!(a.map, c.map);
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// What `approx_bytes` summed before it became a running total.
+        fn recomputed_kv(kv: &KvStore) -> usize {
+            kv.iter()
+                .map(|(k, v)| k.len() + v.value.len() + PER_ENTRY_OVERHEAD)
+                .sum()
+        }
+
+        fn recomputed(s: &Store) -> usize {
+            let replies = s.sessions.replies().map(KvResponse::cached_bytes);
+            recomputed_kv(&s.kv) + replies.sum::<usize>()
+        }
+
+        /// Few keys of different lengths and few values of different
+        /// lengths, so overwrites change size, deletes miss, and a `Cas`
+        /// expectation matches often enough to succeed.
+        fn command() -> impl Strategy<Value = KvCommand> {
+            let key = || (1usize..5).prop_map(|n| b(&"k".repeat(n)));
+            let value = || (0usize..4).prop_map(|n| b(&"v".repeat([0, 1, 7, 40][n])));
+            let expect = prop_oneof![Just(None), value().prop_map(Some)];
+            prop_oneof![
+                4 => (key(), value()).prop_map(|(key, value)| KvCommand::Put { key, value }),
+                2 => key().prop_map(|key| KvCommand::Delete { key }),
+                3 => (key(), expect, value())
+                    .prop_map(|(key, expect, value)| KvCommand::Cas { key, expect, value }),
+                1 => key().prop_map(|key| KvCommand::Get { key }),
+            ]
+        }
+
+        proptest! {
+            /// The running totals behind `KvStore::approx_bytes` and
+            /// `Store::approx_bytes` equal the O(n) sums they replaced, to
+            /// the byte, after every command and across snapshot/restore —
+            /// the cost model turns these bytes into simulated CPU.
+            #[test]
+            fn prop_approx_bytes_equal_the_recomputed_sums(
+                cmds in proptest::collection::vec((1u64..3, command()), 1..80),
+                window in 1u64..20,
+            ) {
+                let mut s = Store::with_reply_window(window);
+                for (i, (client, cmd)) in cmds.iter().enumerate() {
+                    let i = i as u64;
+                    s.apply(i + 1, &KvRequest::from_client(*client, i, cmd.clone()));
+                    prop_assert_eq!(s.kv().approx_bytes(), recomputed_kv(&s.kv));
+                    prop_assert_eq!(s.approx_bytes(), recomputed(&s));
+                }
+                let mut restored = Store::new();
+                restored.restore(&s.snapshot());
+                prop_assert_eq!(restored.approx_bytes(), recomputed(&restored));
+                prop_assert_eq!(restored.approx_bytes(), s.approx_bytes());
+            }
+        }
     }
 }

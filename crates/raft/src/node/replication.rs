@@ -444,7 +444,7 @@ impl<SM: StateMachine> RaftNode<SM> {
                 );
             };
             let term = entry.term;
-            let response = entry.data.clone().map(|cmd| self.sm.apply(index, &cmd));
+            let response = entry.data.as_ref().map(|cmd| self.sm.apply(index, cmd));
             fx.applied.push(Applied {
                 index,
                 term,
