@@ -199,8 +199,7 @@ impl WorkloadGen {
     }
 
     fn make_key(&mut self) -> Bytes {
-        let rank = self.keys.sample(self.rng.f64());
-        Bytes::from(format!("key-{rank:08}"))
+        key_for_rank(self.keys.sample(self.rng.f64()) as u64)
     }
 
     fn make_value(&mut self) -> Bytes {
@@ -250,9 +249,39 @@ impl WorkloadGen {
     }
 }
 
+/// The bytes of `format!("key-{rank:08}")` — zero-padded to at least eight
+/// digits — written directly: one key per request makes `fmt`, a `String`
+/// and a second copy measurable in the generator.
+fn key_for_rank(rank: u64) -> Bytes {
+    const PREFIX: &[u8] = b"key-";
+    // A `u64` has at most 20 digits.
+    let mut buf = [b'0'; PREFIX.len() + 20];
+    let mut start = buf.len();
+    let mut rest = rank;
+    while rest > 0 || buf.len() - start < 8 {
+        start -= 1;
+        buf[start] = b"0123456789"[(rest % 10) as usize];
+        rest /= 10;
+    }
+    start -= PREFIX.len();
+    buf[start..start + PREFIX.len()].copy_from_slice(PREFIX);
+    Bytes::copy_from_slice(&buf[start..])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn keys_are_the_bytes_format_would_print() {
+        for rank in [0, 9, 99_999_999, 100_000_000, u64::MAX] {
+            assert_eq!(
+                key_for_rank(rank),
+                Bytes::from(format!("key-{rank:08}")),
+                "rank {rank}"
+            );
+        }
+    }
 
     fn gen_with(steps: Vec<RateStep>) -> WorkloadGen {
         WorkloadGen::new(

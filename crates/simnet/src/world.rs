@@ -6,12 +6,26 @@
 //! deadline. The kernel guarantees:
 //!
 //! * events are processed in non-decreasing time order, ties broken by
-//!   insertion sequence (deterministic);
+//!   sequence number (deterministic). Messages and controls take theirs when
+//!   they are scheduled. A host has at most one live wake-up, and it takes
+//!   its number at its *last reschedule* — after every dispatch to the host
+//!   and on every [`World::reschedule_wake`] — so a wake-up sorts behind
+//!   every same-instant event scheduled before that reschedule and ahead of
+//!   every one scheduled after it. A wake-up due in the past fires at `now`;
 //! * a paused host (the paper's `docker pause` failure mode) processes
-//!   nothing; inbound messages are buffered up to a cap and replayed on
-//!   resume, mimicking kernel socket buffers on a frozen container;
+//!   nothing: its live wake-up is dropped (resume reschedules it with a fresh
+//!   sequence number); inbound messages are buffered up to a cap and
+//!   replayed on resume, mimicking kernel socket buffers on a frozen
+//!   container;
 //! * every mutation is driven by the queue, so equal seeds produce equal
 //!   traces.
+//!
+//! The queue is three flat structures: a binary heap of 24-byte
+//! `(at, seq, slot)` keys for messages and controls, a slab holding each
+//! such event from `push` until it is popped, and one `(at, seq)` wake-up
+//! per host in a table that is scanned (a world is a few servers and a
+//! client), so rescheduling a wake-up overwrites the old one instead of
+//! leaving it in the heap.
 
 use crate::link::{Channel, Network, NodeId, SendOutcome};
 use crate::time::SimTime;
@@ -74,40 +88,18 @@ pub struct NetCounters {
     pub dropped_partitioned: u64,
 }
 
-enum Event<M> {
-    Deliver { from: NodeId, to: NodeId, msg: M },
-    Wake { node: NodeId, generation: u64 },
-    Control { id: usize },
-}
-
-struct Scheduled<M> {
-    at: SimTime,
-    seq: u64,
-    event: Event<M>,
-}
-
-// Ordering for the min-heap: earliest time first, then insertion order.
-impl<M> PartialEq for Scheduled<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M> Eq for Scheduled<M> {}
-impl<M> PartialOrd for Scheduled<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Scheduled<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
+enum Event<H: Host> {
+    Deliver {
+        from: NodeId,
+        to: NodeId,
+        msg: H::Msg,
+    },
+    Control(ControlFn<H>),
 }
 
 struct HostSlot<H: Host> {
     host: H,
     paused: bool,
-    wake_generation: u64,
     pause_buffer: VecDeque<(NodeId, H::Msg)>,
 }
 
@@ -120,15 +112,24 @@ const PARTITION_BRIDGE: u32 = u32::MAX;
 
 type ControlFn<H> = Box<dyn FnOnce(&mut World<H>)>;
 
+/// "No live wake-up" in [`World::wakes`]; sorts after every real `(at, seq)`
+/// because no event is ever given sequence number `u64::MAX`.
+const NO_WAKE: (SimTime, u64) = (SimTime::MAX, u64::MAX);
+
 /// The simulation world: hosts + network + event queue.
 pub struct World<H: Host> {
     now: SimTime,
     seq: u64,
-    queue: BinaryHeap<Reverse<Scheduled<H::Msg>>>,
+    /// `(at, seq, slot)` of every pending message and control, earliest first.
+    queue: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
+    /// Slab the heap's `slot`s index: written at `push`, taken at pop.
+    events: Vec<Option<Event<H>>>,
+    free_slots: Vec<usize>,
     hosts: Vec<HostSlot<H>>,
+    /// The live wake-up of each host as `(at, seq)`, or [`NO_WAKE`].
+    wakes: Vec<(SimTime, u64)>,
     net: Network,
     counters: NetCounters,
-    controls: Vec<Option<ControlFn<H>>>,
     outbox_scratch: Vec<(NodeId, Channel, H::Msg)>,
     /// Partition group per node; messages only flow within a group.
     partition: Vec<u32>,
@@ -144,18 +145,19 @@ impl<H: Host> World<H> {
             now: SimTime::ZERO,
             seq: 0,
             queue: BinaryHeap::new(),
+            events: Vec::new(),
+            free_slots: Vec::new(),
             hosts: hosts
                 .into_iter()
                 .map(|host| HostSlot {
                     host,
                     paused: false,
-                    wake_generation: 0,
                     pause_buffer: VecDeque::new(),
                 })
                 .collect(),
+            wakes: vec![NO_WAKE; n],
             net,
             counters: NetCounters::default(),
-            controls: Vec::new(),
             outbox_scratch: Vec::new(),
             partition: vec![0; n],
         };
@@ -213,41 +215,53 @@ impl<H: Host> World<H> {
         &self.net
     }
 
-    fn push(&mut self, at: SimTime, event: Event<H::Msg>) {
-        debug_assert!(at >= self.now, "scheduling into the past");
+    fn next_seq(&mut self) -> u64 {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Reverse(Scheduled { at, seq, event }));
+        seq
+    }
+
+    fn push(&mut self, at: SimTime, event: Event<H>) {
+        debug_assert!(at >= self.now, "scheduling into the past");
+        let seq = self.next_seq();
+        let slot = match self.free_slots.pop() {
+            Some(slot) => {
+                self.events[slot] = Some(event);
+                slot
+            }
+            None => {
+                self.events.push(Some(event));
+                self.events.len() - 1
+            }
+        };
+        self.queue.push(Reverse((at, seq, slot)));
     }
 
     /// Schedule a control action (failure injection, parameter change,
     /// measurements) at an absolute time.
     pub fn schedule_control(&mut self, at: SimTime, f: impl FnOnce(&mut World<H>) + 'static) {
-        let id = self.controls.len();
-        self.controls.push(Some(Box::new(f)));
-        self.push(at, Event::Control { id });
+        self.push(at, Event::Control(Box::new(f)));
     }
 
     /// Refresh the pending wake-up for `node` from its `next_wake`.
     pub fn reschedule_wake(&mut self, node: NodeId) {
-        let slot = &mut self.hosts[node];
-        slot.wake_generation += 1;
-        if slot.paused {
-            return;
-        }
-        if let Some(at) = slot.host.next_wake() {
-            let generation = slot.wake_generation;
-            let at = at.max(self.now);
-            self.push(at, Event::Wake { node, generation });
-        }
+        let slot = &self.hosts[node];
+        let at = if slot.paused {
+            None
+        } else {
+            slot.host.next_wake()
+        };
+        self.wakes[node] = match at {
+            Some(at) => (at.max(self.now), self.next_seq()),
+            None => NO_WAKE,
+        };
     }
 
     /// Pause a host (the paper's leader-sleep failure). Inbound messages are
     /// buffered (bounded) and replayed on resume.
     pub fn pause(&mut self, node: NodeId) {
-        let slot = &mut self.hosts[node];
-        slot.paused = true;
-        slot.wake_generation += 1; // invalidate pending wake
+        self.hosts[node].paused = true;
+        self.wakes[node] = NO_WAKE;
     }
 
     /// Resume a paused host, replaying its buffered inbound messages in
@@ -258,8 +272,7 @@ impl<H: Host> World<H> {
             return;
         }
         slot.paused = false;
-        let buffered: Vec<(NodeId, H::Msg)> = slot.pause_buffer.drain(..).collect();
-        for (from, msg) in buffered {
+        for (from, msg) in std::mem::take(&mut slot.pause_buffer) {
             let to = node;
             self.push(self.now, Event::Deliver { from, to, msg });
         }
@@ -360,13 +373,42 @@ impl<H: Host> World<H> {
 
     /// Process a single event. Returns false when the queue is exhausted.
     pub fn step(&mut self) -> bool {
-        let Some(Reverse(scheduled)) = self.queue.pop() else {
-            return false;
+        self.step_within(SimTime::MAX)
+    }
+
+    /// Process the earliest pending event — the heap head or the earliest
+    /// live wake-up, whichever has the smaller `(at, seq)` — unless it is due
+    /// after `deadline`. Returns false when nothing was processed.
+    fn step_within(&mut self, deadline: SimTime) -> bool {
+        let (mut wake, mut wake_node) = (NO_WAKE, 0);
+        for (node, &w) in self.wakes.iter().enumerate() {
+            if w < wake {
+                (wake, wake_node) = (w, node);
+            }
+        }
+        let head = match self.queue.peek() {
+            Some(&Reverse((at, seq, _))) => (at, seq),
+            None => NO_WAKE,
         };
-        debug_assert!(scheduled.at >= self.now, "time went backwards");
-        self.now = scheduled.at;
-        match scheduled.event {
-            Event::Deliver { from, to, msg } => {
+        let next = wake.min(head);
+        let (at, _) = next;
+        if next == NO_WAKE || at > deadline {
+            // Nothing pending, or nothing due yet.
+            return false;
+        }
+        debug_assert!(at >= self.now, "time went backwards");
+        self.now = at;
+        if wake < head {
+            self.wakes[wake_node] = NO_WAKE;
+            self.dispatch_to_host(wake_node, None);
+            return true;
+        }
+        let event = self.queue.pop().and_then(|Reverse((_, _, slot))| {
+            self.free_slots.push(slot);
+            self.events[slot].take()
+        });
+        match event {
+            Some(Event::Deliver { from, to, msg }) => {
                 let slot = &mut self.hosts[to];
                 if slot.paused {
                     if slot.pause_buffer.len() < PAUSE_BUFFER_CAP {
@@ -379,35 +421,33 @@ impl<H: Host> World<H> {
                     self.dispatch_to_host(to, Some((from, msg)));
                 }
             }
-            Event::Wake { node, generation } => {
-                let slot = &self.hosts[node];
-                if !slot.paused && slot.wake_generation == generation {
-                    self.dispatch_to_host(node, None);
-                }
-            }
-            Event::Control { id } => {
-                if let Some(f) = self.controls[id].take() {
-                    f(self);
-                }
-            }
+            Some(Event::Control(f)) => f(self),
+            None => debug_assert!(false, "the heap head has no event in the slab"),
         }
         true
+    }
+
+    /// `(heap length, slab length, live wake-ups)` for the bounded-queue tests.
+    #[cfg(test)]
+    fn queue_footprint(&self) -> (usize, usize, usize) {
+        let live_wakes = self.wakes.iter().filter(|&&w| w != NO_WAKE).count();
+        (self.queue.len(), self.events.len(), live_wakes)
     }
 
     /// Run until the queue is empty or simulated time reaches `deadline`.
     /// On return, `now() == deadline` unless the queue emptied earlier.
     pub fn run_until(&mut self, deadline: SimTime) {
-        while let Some(Reverse(head)) = self.queue.peek() {
-            if head.at > deadline {
-                break;
-            }
-            self.step();
-        }
+        while self.step_within(deadline) {}
         if self.now < deadline {
             self.now = deadline;
         }
     }
 }
+
+#[cfg(test)]
+mod equivalence;
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -417,6 +457,8 @@ mod tests {
     use crate::rng::Rng;
     use crate::schedule::LinkSchedule;
     use crate::topology::Topology;
+    use std::cell::RefCell;
+    use std::rc::Rc;
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -631,5 +673,233 @@ mod tests {
         };
         assert_eq!(run(42), run(42));
         assert_ne!(run(42).2, run(43).2);
+    }
+
+    /// Toy host for the queue and control tests: never sends, wakes once at
+    /// `wake`, and logs what it saw into the `log` it shares with the test.
+    struct Sink {
+        wake: Option<SimTime>,
+        log: Log,
+    }
+
+    type Log = Rc<RefCell<Vec<(SimTime, String)>>>;
+
+    impl Host for Sink {
+        type Msg = u32;
+
+        fn on_message(&mut self, ctx: &mut HostCtx<'_, u32>, _from: NodeId, msg: u32) {
+            self.log.borrow_mut().push((ctx.now, format!("msg{msg}")));
+        }
+
+        fn on_wake(&mut self, ctx: &mut HostCtx<'_, u32>) {
+            self.wake = None;
+            self.log
+                .borrow_mut()
+                .push((ctx.now, format!("wake{}", ctx.node)));
+        }
+
+        fn next_wake(&self) -> Option<SimTime> {
+            self.wake
+        }
+    }
+
+    /// A world of `Sink`s with these first wake-ups, and their shared log.
+    fn sinks(wakes: &[Option<SimTime>]) -> (World<Sink>, Log) {
+        let n = wakes.len();
+        let topo = Topology::uniform_constant(n, NetParams::clean(Duration::from_millis(10)));
+        let net = Network::new(n, &Rng::new(1), CongestionConfig::disabled(), |f, t| {
+            topo.schedule(f, t)
+        });
+        let log = Log::default();
+        let hosts = wakes
+            .iter()
+            .map(|&wake| Sink {
+                wake,
+                log: log.clone(),
+            })
+            .collect();
+        (World::new(hosts, net), log)
+    }
+
+    fn tags(log: &Log) -> Vec<(u64, String)> {
+        let log = log.borrow();
+        log.iter()
+            .map(|(t, tag)| (t.as_nanos() / 1_000_000, tag.clone()))
+            .collect()
+    }
+
+    fn move_wake(w: &mut World<Sink>, node: NodeId, to_ms: u64) {
+        w.host_mut(node).wake = Some(SimTime::from_millis(to_ms));
+        w.reschedule_wake(node);
+    }
+
+    fn note(w: &mut World<Sink>, tag: &str) {
+        let now = w.now();
+        w.host(0).log.borrow_mut().push((now, tag.into()));
+    }
+
+    #[test]
+    fn deliveries_leave_no_dead_wakes_in_the_heap() {
+        // The receiver's wake-up is an hour away, so every delivery
+        // reschedules it unchanged. The single-heap kernel kept one dead
+        // wake per delivery queued until that hour came.
+        let (mut w, log) = sinks(&[None, Some(SimTime::from_secs(3600))]);
+        for i in 0..10_000u32 {
+            w.inject(0, 1, i);
+            if i % 4 == 3 {
+                // Four in flight at most.
+                assert_eq!(w.queue_footprint(), (4, 4, 1));
+                w.run_until(SimTime::from_micros(u64::from(i)));
+            }
+        }
+        assert_eq!(log.borrow().len(), 10_000);
+        assert_eq!(w.counters().delivered, 10_000);
+        assert_eq!(w.queue_footprint(), (0, 4, 1));
+        w.run_until(SimTime::from_secs(3600));
+        assert_eq!(log.borrow().last().unwrap().1, "wake1");
+        assert_eq!(w.queue_footprint(), (0, 4, 0));
+    }
+
+    #[test]
+    fn slab_slots_are_reused_up_to_the_peak_of_pending_events() {
+        let (mut w, log) = sinks(&[None]);
+        for (round, burst) in [3u32, 7, 5, 7, 1].into_iter().enumerate() {
+            for i in 0..burst {
+                w.inject(0, 0, i);
+            }
+            // One control per round too: it owns its closure in the slab
+            // and leaves nothing behind once it has run.
+            w.schedule_control(w.now(), |w| note(w, "ctl"));
+            let (heap, slab, _) = w.queue_footprint();
+            assert_eq!(heap, burst as usize + 1);
+            assert_eq!(slab, if round == 0 { 4 } else { 8 }, "round {round}");
+            w.run_until(SimTime::from_millis(round as u64 + 1));
+            assert_eq!(w.queue_footprint(), (0, slab, 0));
+        }
+        assert_eq!(log.borrow().len(), 3 + 7 + 5 + 7 + 1 + 5);
+    }
+
+    #[test]
+    fn step_returns_false_once_nothing_is_pending() {
+        let (mut w, log) = sinks(&[None, None]);
+        assert!(!w.step(), "no wake-up, empty heap");
+        assert_eq!(w.now(), SimTime::ZERO);
+        w.inject(0, 1, 7);
+        move_wake(&mut w, 0, 2);
+        assert!(w.step() && w.step());
+        assert!(!w.step());
+        assert_eq!(w.now(), SimTime::from_millis(2), "the clock stays put");
+        assert_eq!(tags(&log), [(0, "msg7".into()), (2, "wake0".into())]);
+    }
+
+    #[test]
+    fn a_paused_hosts_wake_neither_fires_nor_holds_the_clock_back() {
+        let (mut w, log) = sinks(&[Some(SimTime::from_millis(10)), None]);
+        w.pause(0);
+        assert_eq!(w.queue_footprint(), (0, 0, 0), "pause drops the wake-up");
+        w.reschedule_wake(0);
+        assert_eq!(
+            w.queue_footprint(),
+            (0, 0, 0),
+            "and a reschedule cannot revive it"
+        );
+        w.run_until(SimTime::from_millis(50));
+        assert_eq!(w.now(), SimTime::from_millis(50));
+        assert!(log.borrow().is_empty());
+        // Resume reschedules it; long overdue, it fires at the resume instant.
+        w.resume(0);
+        w.run_until(SimTime::from_millis(60));
+        assert_eq!(tags(&log), [(50, "wake0".into())]);
+    }
+
+    #[test]
+    fn same_instant_controls_run_in_scheduling_order() {
+        let (mut w, log) = sinks(&[None]);
+        let at = SimTime::from_millis(5);
+        w.schedule_control(at, |w| note(w, "first"));
+        w.schedule_control(SimTime::from_millis(9), |w| note(w, "later"));
+        w.schedule_control(at, |w| note(w, "second"));
+        w.inject(0, 0, 1);
+        w.schedule_control(at, |w| note(w, "third"));
+        w.run_until(SimTime::from_millis(10));
+        let order: Vec<String> = tags(&log).into_iter().map(|(_, tag)| tag).collect();
+        assert_eq!(order, ["msg1", "first", "second", "third", "later"]);
+    }
+
+    #[test]
+    fn a_control_can_schedule_further_controls() {
+        let (mut w, log) = sinks(&[None]);
+        let at = SimTime::from_millis(5);
+        w.schedule_control(at, move |w| {
+            note(w, "parent");
+            // At its own instant: behind what was already scheduled there.
+            // The parent's slab slot is free by now and is reused.
+            w.schedule_control(at, |w| {
+                note(w, "child");
+                w.schedule_control(w.now(), |w| note(w, "grandchild"));
+            });
+            w.schedule_control(SimTime::from_millis(8), |w| note(w, "child-later"));
+        });
+        w.schedule_control(at, |w| note(w, "sibling"));
+        w.run_until(SimTime::from_millis(10));
+        assert_eq!(
+            tags(&log),
+            [
+                (5, "parent".into()),
+                (5, "sibling".into()),
+                (5, "child".into()),
+                (5, "grandchild".into()),
+                (8, "child-later".into()),
+            ]
+        );
+        assert_eq!(w.queue_footprint(), (0, 3, 0));
+    }
+
+    #[test]
+    fn a_control_may_pause_resume_or_reschedule_the_host_with_the_earliest_wake() {
+        let at = SimTime::from_millis;
+        // Host 0 holds the minimum wake-up (10 ms) throughout.
+        let (mut w, log) = sinks(&[Some(at(10)), Some(at(40)), Some(at(45))]);
+        // Pause it before the wake-up is due, resume it after: it fires at
+        // the resume instant, behind the control that resumed it.
+        w.schedule_control(at(5), |w| w.pause(0));
+        w.schedule_control(at(20), |w| {
+            w.resume(0);
+            note(w, "resumed");
+        });
+        // Pause and resume within one instant: the wake-up survives with a
+        // fresh sequence number, so it sorts behind this instant's message.
+        w.schedule_control(at(21), |w| move_wake(w, 0, 30));
+        w.schedule_control(at(30), |w| {
+            w.inject(1, 0, 30);
+            w.pause(0);
+            w.resume(0);
+        });
+        // Set it, move it later, then earlier: only the last one fires.
+        // Then into the past: it fires at once, behind the control.
+        w.schedule_control(at(31), |w| move_wake(w, 0, 35));
+        w.schedule_control(at(32), |w| {
+            move_wake(w, 0, 38);
+            move_wake(w, 0, 33);
+        });
+        w.schedule_control(at(34), |w| {
+            move_wake(w, 0, 1);
+            note(w, "moved-to-the-past");
+        });
+        w.run_until(at(50));
+        assert_eq!(
+            tags(&log),
+            [
+                (20, "resumed".into()),
+                (20, "wake0".into()),
+                (30, "msg30".into()),
+                (30, "wake0".into()),
+                (33, "wake0".into()),
+                (34, "moved-to-the-past".into()),
+                (34, "wake0".into()),
+                (40, "wake1".into()),
+                (45, "wake2".into()),
+            ]
+        );
     }
 }
