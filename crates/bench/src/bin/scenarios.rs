@@ -10,8 +10,8 @@
 //! ```
 //!
 //! Every §IV figure, the ablations and the beyond-paper scenarios run
-//! through the same `Experiment` interface; this binary enumerates the
-//! registry, runs the selection, and writes each experiment's CSV
+//! through the same `Scenario` row; this binary enumerates the
+//! registry, runs the selection, and writes each scenario's CSV
 //! artifacts under `--out` (default `results/`), plus a machine-readable
 //! `BENCH_scenarios.json` (per-scenario wall time and headline metrics)
 //! that CI uploads so the perf trajectory accumulates across commits.
@@ -21,13 +21,12 @@
 #![allow(clippy::disallowed_types)]
 
 use dynatune_bench::{bench_json, run_and_emit, select_names, BenchEntry, RunArgs};
-use dynatune_cluster::scenario::{catalog_json, catalog_markdown, registry};
+use dynatune_cluster::scenario::{catalog_json, catalog_markdown, REGISTRY};
 use dynatune_stats::table::Table;
 use std::time::Instant;
 
 fn main() {
     let args = RunArgs::parse();
-    let all = registry();
 
     if args.describe_md {
         // The SCENARIOS.md generator: name, what it models, headline
@@ -36,24 +35,14 @@ fn main() {
         return;
     }
 
-    if args.json && !args.list {
-        eprintln!("error: --json only applies to --list");
-        std::process::exit(2);
-    }
-
     if args.list {
         if args.json {
             print!("{}", catalog_json());
             return;
         }
         let mut t = Table::new(["name", "description", "headline metric", "CI assertion"]);
-        for e in &all {
-            t.row([
-                e.name().to_string(),
-                e.describe().to_string(),
-                e.headline_metric().to_string(),
-                e.ci_assertion().to_string(),
-            ]);
+        for scenario in REGISTRY {
+            t.row(scenario.columns());
         }
         print!("{}", t.render());
         return;
@@ -62,7 +51,7 @@ fn main() {
     // Resolve the selection before running anything: a pattern that
     // matches nothing is a user error, reported up front with the
     // available names.
-    let names: Vec<&str> = all.iter().map(|e| e.name()).collect();
+    let names: Vec<&str> = REGISTRY.iter().map(|s| s.name).collect();
     let wanted = match select_names(&names, &args.only) {
         Ok(wanted) => wanted,
         Err(msg) => {
@@ -71,16 +60,16 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let selected: Vec<_> = all
+    let selected: Vec<_> = REGISTRY
         .iter()
-        .filter(|e| args.only.is_empty() || wanted.iter().any(|n| n == e.name()))
+        .filter(|s| args.only.is_empty() || wanted.iter().any(|n| n == s.name))
         .collect();
     println!(
         "running {} scenario(s){}{}\n",
         selected.len(),
-        if args.quick { " (quick)" } else { "" },
-        if args.jobs > 0 {
-            format!(" with --jobs {}", args.jobs)
+        if args.ctx.quick { " (quick)" } else { "" },
+        if args.ctx.jobs > 0 {
+            format!(" with --jobs {}", args.ctx.jobs)
         } else {
             String::new()
         }
@@ -88,24 +77,20 @@ fn main() {
 
     let mut summary = Table::new(["scenario", "wall (s)", "tables", "artifacts"]);
     let mut entries = Vec::new();
-    for e in selected {
+    for scenario in selected {
         let started = Instant::now();
-        let report = run_and_emit(e.as_ref(), &args);
+        let report = run_and_emit(scenario, &args);
         let wall_s = started.elapsed().as_secs_f64();
         summary.row([
-            e.name().to_string(),
+            scenario.name.to_string(),
             format!("{wall_s:.1}"),
             format!("{}", report.tables.len()),
             format!("{}", report.artifacts.len()),
         ]);
         entries.push(BenchEntry {
-            name: e.name().to_string(),
+            name: scenario.name.to_string(),
             wall_s,
-            headlines: report
-                .headlines
-                .iter()
-                .map(|h| (h.label.clone(), h.paper.clone(), h.measured.clone()))
-                .collect(),
+            headlines: report.headlines,
         });
         println!();
     }

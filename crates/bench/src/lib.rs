@@ -18,13 +18,13 @@
 //! with "broker" in its name, `--only fig` every paper figure.
 //!
 //! Output convention: a human-readable "paper vs measured" report on
-//! stdout plus machine-readable CSVs under the output directory.
-//! EXPERIMENTS.md records one run of each.
+//! stdout plus machine-readable CSVs under the output directory, beside
+//! `BENCH_scenarios.json` (wall time and headlines of every scenario run).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use dynatune_cluster::scenario::{json_escape, Experiment, Report, RunCtx};
+use dynatune_cluster::scenario::{json_escape, Headline, Report, RunCtx, Scenario};
 use std::path::{Path, PathBuf};
 
 pub use dynatune_cluster::scenario::{compare_row, reduction_pct};
@@ -32,18 +32,11 @@ pub use dynatune_cluster::scenario::{compare_row, reduction_pct};
 /// Parsed command-line options of the `scenarios` runner.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunArgs {
-    /// Scaled-down run.
-    pub quick: bool,
-    /// Trial-count override.
-    pub trials: Option<usize>,
-    /// Repeat-count override.
-    pub repeats: Option<usize>,
+    /// The execution context `--quick`, `--trials`, `--repeats`, `--jobs`
+    /// and `--seed` describe.
+    pub ctx: RunCtx,
     /// Output directory for CSVs.
     pub out: PathBuf,
-    /// Master seed.
-    pub seed: u64,
-    /// Worker-thread cap for trial fan-out (0 = all cores).
-    pub jobs: usize,
     /// Restrict `scenarios` to these registry names (empty = all).
     pub only: Vec<String>,
     /// List registered scenarios and exit.
@@ -57,12 +50,8 @@ pub struct RunArgs {
 impl Default for RunArgs {
     fn default() -> Self {
         Self {
-            quick: false,
-            trials: None,
-            repeats: None,
+            ctx: RunCtx::new(42),
             out: PathBuf::from("results"),
-            seed: 42,
-            jobs: 0,
             only: Vec::new(),
             list: false,
             json: false,
@@ -104,8 +93,8 @@ impl RunArgs {
     /// requested; `Err` carries a human-readable message.
     ///
     /// # Errors
-    /// Returns a message for unknown flags, missing values, and
-    /// unparsable numbers.
+    /// Returns a message for unknown flags, missing values, unparsable
+    /// numbers, and `--json` without `--list`.
     pub fn try_parse<I>(args: I) -> Result<Option<Self>, String>
     where
         I: IntoIterator<Item = String>,
@@ -114,14 +103,14 @@ impl RunArgs {
         let mut args = args.into_iter();
         while let Some(a) = args.next() {
             match a.as_str() {
-                "--quick" => out.quick = true,
+                "--quick" => out.ctx.quick = true,
                 "--list" => out.list = true,
                 "--json" => out.json = true,
                 "--describe-md" => out.describe_md = true,
-                "--trials" => out.trials = Some(number(&mut args, "--trials")?),
-                "--repeats" => out.repeats = Some(number(&mut args, "--repeats")?),
-                "--jobs" => out.jobs = number(&mut args, "--jobs")?,
-                "--seed" => out.seed = number(&mut args, "--seed")?,
+                "--trials" => out.ctx.trials = Some(number(&mut args, "--trials")?),
+                "--repeats" => out.ctx.repeats = Some(number(&mut args, "--repeats")?),
+                "--jobs" => out.ctx.jobs = number(&mut args, "--jobs")?,
+                "--seed" => out.ctx.seed = number(&mut args, "--seed")?,
                 "--out" => {
                     let dir = args.next().ok_or("--out needs a path")?;
                     out.out = PathBuf::from(dir);
@@ -140,29 +129,10 @@ impl RunArgs {
                 other => return Err(format!("unknown argument {other}")),
             }
         }
+        if out.json && !out.list {
+            return Err("--json only applies to --list".to_string());
+        }
         Ok(Some(out))
-    }
-
-    /// Pick between the full (paper-scale) and quick values.
-    #[must_use]
-    pub fn scale(&self, full: usize, quick: usize) -> usize {
-        if self.quick {
-            quick
-        } else {
-            full
-        }
-    }
-
-    /// The execution context these arguments describe.
-    #[must_use]
-    pub fn ctx(&self) -> RunCtx {
-        RunCtx {
-            seed: self.seed,
-            quick: self.quick,
-            trials: self.trials,
-            repeats: self.repeats,
-            jobs: self.jobs,
-        }
     }
 }
 
@@ -227,8 +197,8 @@ pub struct BenchEntry {
     pub name: String,
     /// Wall-clock seconds the run took.
     pub wall_s: f64,
-    /// The report's headline metrics as `(label, paper, measured)`.
-    pub headlines: Vec<(String, String, String)>,
+    /// The report's headline metrics.
+    pub headlines: Vec<Headline>,
 }
 
 /// Render the benchmark summary the `scenarios` binary writes as
@@ -239,9 +209,9 @@ pub struct BenchEntry {
 pub fn bench_json(args: &RunArgs, entries: &[BenchEntry]) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"schema\": \"dynatune-bench-scenarios/v1\",\n");
-    out.push_str(&format!("  \"quick\": {},\n", args.quick));
-    out.push_str(&format!("  \"seed\": {},\n", args.seed));
-    out.push_str(&format!("  \"jobs\": {},\n", args.jobs));
+    out.push_str(&format!("  \"quick\": {},\n", args.ctx.quick));
+    out.push_str(&format!("  \"seed\": {},\n", args.ctx.seed));
+    out.push_str(&format!("  \"jobs\": {},\n", args.ctx.jobs));
     // fold, not sum: an empty f64 `sum()` is -0.0 (std seeds the fold with
     // -0.0), which would print "-0.000" for an empty run.
     out.push_str(&format!(
@@ -255,12 +225,12 @@ pub fn bench_json(args: &RunArgs, entries: &[BenchEntry]) -> String {
             let headlines: Vec<String> = e
                 .headlines
                 .iter()
-                .map(|(label, paper, measured)| {
+                .map(|h| {
                     format!(
                         "        {{\"label\": \"{}\", \"paper\": \"{}\", \"measured\": \"{}\"}}",
-                        json_escape(label),
-                        json_escape(paper),
-                        json_escape(measured)
+                        json_escape(&h.label),
+                        json_escape(&h.paper),
+                        json_escape(&h.measured)
                     )
                 })
                 .collect();
@@ -277,21 +247,25 @@ pub fn bench_json(args: &RunArgs, entries: &[BenchEntry]) -> String {
     out
 }
 
-/// Standard banner for runner binaries.
-pub fn banner(fig: &str, description: &str, quick: bool) {
+/// Standard banner for a scenario run.
+pub fn banner(scenario: &Scenario, quick: bool) {
+    let [name, describe, ..] = scenario.columns();
     println!("================================================================");
-    println!("{fig}: {description}");
+    println!("{name}: {describe}");
     if quick {
-        println!("(QUICK mode: scaled-down parameters; use full run for EXPERIMENTS.md)");
+        println!(
+            "(QUICK mode: scaled-down parameters; `scenarios --only {name}` without \
+             --quick runs at paper scale)"
+        );
     }
     println!("================================================================");
 }
 
-/// Run one registered experiment under `args` and print/write everything:
+/// Run one registered scenario under `args` and print/write everything:
 /// banner, report text, CSV artifacts.
-pub fn run_and_emit(experiment: &dyn Experiment, args: &RunArgs) -> Report {
-    banner(experiment.name(), experiment.describe(), args.quick);
-    let report = args.ctx().run(experiment);
+pub fn run_and_emit(scenario: &Scenario, args: &RunArgs) -> Report {
+    banner(scenario, args.ctx.quick);
+    let report = args.ctx.run(scenario);
     print!("{}", report.render());
     for artifact in &report.artifacts {
         write_csv(&args.out, &artifact.filename, &artifact.csv);
@@ -328,10 +302,10 @@ mod tests {
         ])
         .unwrap()
         .unwrap();
-        assert!(args.quick && args.list && args.json);
-        assert_eq!(args.trials, Some(7));
-        assert_eq!(args.jobs, 3);
-        assert_eq!(args.seed, 9);
+        assert!(args.ctx.quick && args.list && args.json);
+        assert_eq!(args.ctx.trials, Some(7));
+        assert_eq!(args.ctx.jobs, 3);
+        assert_eq!(args.ctx.seed, 9);
         assert_eq!(args.out, PathBuf::from("x"));
         assert_eq!(args.only, vec!["fig4".to_string(), "fig8".to_string()]);
     }
@@ -343,6 +317,7 @@ mod tests {
         assert!(parse(&["--trials", "many"]).is_err());
         assert!(parse(&["--seed", "-1"]).is_err());
         assert!(parse(&["--out"]).is_err());
+        assert!(parse(&["--json"]).is_err());
     }
 
     #[test]
@@ -353,10 +328,9 @@ mod tests {
 
     #[test]
     fn scale_picks_by_mode() {
-        let mut a = RunArgs::default();
-        assert_eq!(a.scale(1000, 50), 1000);
-        a.quick = true;
-        assert_eq!(a.scale(1000, 50), 50);
+        assert_eq!(RunArgs::default().ctx.scale(1000, 50), 1000);
+        let quick = parse(&["--quick"]).unwrap().unwrap();
+        assert_eq!(quick.ctx.scale(1000, 50), 50);
     }
 
     #[test]
@@ -364,28 +338,24 @@ mod tests {
         let args = parse(&["--quick", "--jobs", "2", "--seed", "5"])
             .unwrap()
             .unwrap();
-        let ctx = args.ctx();
-        assert!(ctx.quick);
-        assert_eq!(ctx.jobs, 2);
-        assert_eq!(ctx.seed, 5);
+        assert_eq!(args.ctx, RunCtx::new(5).quick(true).jobs(2));
     }
 
     #[test]
     fn bench_json_shape_and_escaping() {
         let args = RunArgs {
-            quick: true,
-            jobs: 2,
+            ctx: RunCtx::new(42).quick(true).jobs(2),
             ..RunArgs::default()
         };
         let entries = vec![
             BenchEntry {
                 name: "fig4".to_string(),
                 wall_s: 1.25,
-                headlines: vec![(
-                    "detection \"reduction\"".to_string(),
-                    "80%".to_string(),
-                    "88%\nline2".to_string(),
-                )],
+                headlines: vec![Headline {
+                    label: "detection \"reduction\"".to_string(),
+                    paper: "80%".to_string(),
+                    measured: "88%\nline2".to_string(),
+                }],
             },
             BenchEntry {
                 name: "hot_shard".to_string(),

@@ -185,14 +185,6 @@ impl CpuMeter {
         }
     }
 
-    /// The instant the least-loaded core becomes free.
-    #[must_use]
-    pub fn earliest_free(&self) -> SimTime {
-        // `new` asserts at least one core; an (impossible) empty meter is
-        // never busy, so "free immediately" is the graceful answer.
-        self.cores.iter().min().copied().unwrap_or(SimTime::ZERO)
-    }
-
     /// Cumulative busy time.
     #[must_use]
     pub fn total_busy(&self) -> Duration {

@@ -44,8 +44,8 @@ pub use observers::{
 };
 pub use rebalance::{RebalancePhase, Rebalancer, CATCH_UP_SLACK};
 pub use scenario::{
-    Experiment, FaultAction, FaultEvent, FaultPlan, Horizon, NetPlan, PartitionSpec, Report,
-    RunCtx, ScenarioBuilder, ScenarioDriver, Target,
+    FaultAction, FaultEvent, FaultPlan, Horizon, NetPlan, PartitionSpec, Report, RunCtx, Scenario,
+    ScenarioBuilder, ScenarioDriver, Target,
 };
 pub use server::{CompactionPolicy, ReadCounters, ReadStrategy, ServerHost};
 pub use sim::{Client, ClusterConfig, ClusterHost, ClusterSim, WorkloadSpec};

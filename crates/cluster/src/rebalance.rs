@@ -120,12 +120,6 @@ impl Rebalancer {
         self.add
     }
 
-    /// The retiring replica's world id.
-    #[must_use]
-    pub fn retiring(&self) -> NodeId {
-        self.remove
-    }
-
     fn propose(&mut self, sim: &mut ClusterSim, change: ConfChange) -> bool {
         let sent = sim.propose_conf_change(self.shard, change);
         if sent {

@@ -379,7 +379,6 @@ mod tests {
         assert_eq!(built.raft.tuning, stable.raft.tuning);
         assert_eq!(built.raft.read_lease, stable.raft.read_lease);
         assert_eq!(built.raft.pre_vote, stable.raft.pre_vote);
-        assert_eq!(built.raft.check_quorum, stable.raft.check_quorum);
         assert_eq!(built.raft.udp_heartbeats, stable.raft.udp_heartbeats);
         assert_eq!(built.seed, stable.seed);
         assert_eq!(

@@ -18,7 +18,7 @@ use super::failover::{run_trials, FailoverConfig};
 use super::fluctuation::{measure_rtt_fluctuation, RttPattern};
 use crate::observers::count_events;
 use crate::scenario::{
-    Experiment, Horizon, NetPlan, Report, RunCtx, ScenarioBuilder, ScenarioDriver,
+    Horizon, NetPlan, Report, RunCtx, Scenario, ScenarioBuilder, ScenarioDriver,
 };
 use dynatune_core::{required_heartbeats, TuningConfig};
 use dynatune_raft::{RaftEvent, TimerQuantization};
@@ -297,142 +297,131 @@ pub fn transport(seed: u64) -> Vec<TransportRow> {
 
 /// Quantization / safety factor / arrival probability / warm-up /
 /// transport / pre-vote ablations (DESIGN.md §5).
-pub struct Ablations;
+pub const ABLATIONS: Scenario = Scenario {
+    name: "ablations",
+    describe: "quantization / safety factor / arrival probability / warm-up / transport / pre-vote",
+    headline_metric:
+        "per-mechanism contribution to detection time (transport, quantization, pre-vote)",
+    ci_assertion: "runs end-to-end; ablation deltas reported, not asserted",
+    run: ablations,
+};
 
-impl Experiment for Ablations {
-    fn name(&self) -> &'static str {
-        "ablations"
-    }
+fn ablations(ctx: &RunCtx) -> Report {
+    let trials = ctx.trials_or(100, 12);
+    let seed = ctx.system_seed("ablations");
+    let mut report = Report::new(ABLATIONS.name);
 
-    fn describe(&self) -> &'static str {
-        "quantization / safety factor / arrival probability / warm-up / transport / pre-vote"
-    }
-    fn headline_metric(&self) -> &'static str {
-        "per-mechanism contribution to detection time (transport, quantization, pre-vote)"
-    }
+    report.table(
+        format!("[1/6] election-timer quantization (Dynatune, {trials} trials each)").as_str(),
+        ["quantization", "detection (ms)", "OTS (ms)"],
+        quantization(trials, seed)
+            .into_iter()
+            .map(|row| {
+                vec![
+                    format!("{:?}", row.quantization),
+                    format!("{:.0}", row.detection_ms),
+                    format!("{:.0}", row.ots_ms),
+                ]
+            })
+            .collect(),
+    );
+    report.note(
+        "(tick quantization inflates detection to ~2*Et; continuous sits near ~1.2*Et + phase)",
+    );
 
-    fn ci_assertion(&self) -> &'static str {
-        "runs end-to-end; ablation deltas reported, not asserted"
-    }
+    report.table(
+        format!("[2/6] safety factor s in Et = mu + s*sigma ({trials} trials each)").as_str(),
+        ["s", "detection (ms)", "false timeouts/min @20% jitter"],
+        safety_factor(&[0.5, 1.0, 2.0, 4.0], trials, seed)
+            .into_iter()
+            .map(|row| {
+                vec![
+                    format!("{:.1}", row.s),
+                    format!("{:.0}", row.detection_ms),
+                    format!("{:.2}", row.false_timeouts_per_min),
+                ]
+            })
+            .collect(),
+    );
+    report.note("(smaller s detects faster but false-detects under jitter; the paper picks s=2)");
 
-    fn run(&self, ctx: &RunCtx) -> Report {
-        let trials = ctx.trials_or(100, 12);
-        let seed = ctx.system_seed("ablations");
-        let mut report = Report::new(self.name());
+    report.table(
+        "[3/6] arrival probability x at 20% loss (pure formula)",
+        ["x", "K", "h for Et=200ms (ms)"],
+        arrival_probability(&[0.9, 0.99, 0.999, 0.9999, 0.99999], 0.20)
+            .into_iter()
+            .map(|row| {
+                vec![
+                    format!("{}", row.x),
+                    format!("{}", row.k),
+                    format!("{:.1}", row.h_ms),
+                ]
+            })
+            .collect(),
+    );
 
-        report.table(
-            format!("[1/6] election-timer quantization (Dynatune, {trials} trials each)").as_str(),
-            ["quantization", "detection (ms)", "OTS (ms)"],
-            quantization(trials, seed)
-                .into_iter()
-                .map(|row| {
-                    vec![
-                        format!("{:?}", row.quantization),
-                        format!("{:.0}", row.detection_ms),
-                        format!("{:.0}", row.ots_ms),
-                    ]
-                })
-                .collect(),
-        );
-        report.note(
-            "(tick quantization inflates detection to ~2*Et; continuous sits near ~1.2*Et + phase)",
-        );
+    report.table(
+        "[4/6] minListSize warm-up after leader election",
+        ["minListSize", "warm-up (s)"],
+        min_list_size(&[5, 10, 50, 100], seed)
+            .into_iter()
+            .map(|row| {
+                vec![
+                    format!("{}", row.min_list_size),
+                    format!("{:.1}", row.warmup_secs),
+                ]
+            })
+            .collect(),
+    );
+    report.note("(paper default 10: tuned parameters engage ~1s after a leader appears)");
 
-        report.table(
-            format!("[2/6] safety factor s in Et = mu + s*sigma ({trials} trials each)").as_str(),
-            ["s", "detection (ms)", "false timeouts/min @20% jitter"],
-            safety_factor(&[0.5, 1.0, 2.0, 4.0], trials, seed)
-                .into_iter()
-                .map(|row| {
-                    vec![
-                        format!("{:.1}", row.s),
-                        format!("{:.0}", row.detection_ms),
-                        format!("{:.2}", row.false_timeouts_per_min),
-                    ]
-                })
-                .collect(),
-        );
-        report
-            .note("(smaller s detects faster but false-detects under jitter; the paper picks s=2)");
+    report.table(
+        "[5/6] UDP vs TCP heartbeats at 15% link loss",
+        ["transport", "measured loss", "tuned h (ms)"],
+        transport(seed)
+            .into_iter()
+            .map(|row| {
+                vec![
+                    if row.udp_heartbeats {
+                        "UDP (paper)"
+                    } else {
+                        "TCP (stock etcd)"
+                    }
+                    .to_string(),
+                    format!("{:.3}", row.measured_loss),
+                    format!("{:.0}", row.h_ms),
+                ]
+            })
+            .collect(),
+    );
+    report.note(
+        "(TCP hides loss behind retransmission, blinding the estimator — the §III-E motivation)",
+    );
 
-        report.table(
-            "[3/6] arrival probability x at 20% loss (pure formula)",
-            ["x", "K", "h for Et=200ms (ms)"],
-            arrival_probability(&[0.9, 0.99, 0.999, 0.9999, 0.99999], 0.20)
-                .into_iter()
-                .map(|row| {
-                    vec![
-                        format!("{}", row.x),
-                        format!("{}", row.k),
-                        format!("{:.1}", row.h_ms),
-                    ]
-                })
-                .collect(),
-        );
-
-        report.table(
-            "[4/6] minListSize warm-up after leader election",
-            ["minListSize", "warm-up (s)"],
-            min_list_size(&[5, 10, 50, 100], seed)
-                .into_iter()
-                .map(|row| {
-                    vec![
-                        format!("{}", row.min_list_size),
-                        format!("{:.1}", row.warmup_secs),
-                    ]
-                })
-                .collect(),
-        );
-        report.note("(paper default 10: tuned parameters engage ~1s after a leader appears)");
-
-        report.table(
-            "[5/6] UDP vs TCP heartbeats at 15% link loss",
-            ["transport", "measured loss", "tuned h (ms)"],
-            transport(seed)
-                .into_iter()
-                .map(|row| {
-                    vec![
-                        if row.udp_heartbeats {
-                            "UDP (paper)"
-                        } else {
-                            "TCP (stock etcd)"
-                        }
-                        .to_string(),
-                        format!("{:.3}", row.measured_loss),
-                        format!("{:.0}", row.h_ms),
-                    ]
-                })
-                .collect(),
-        );
-        report.note(
-            "(TCP hides loss behind retransmission, blinding the estimator — the §III-E motivation)",
-        );
-
-        report.table(
-            "[6/6] pre-vote on/off under the Fig. 6b radical RTT step (Dynatune)",
-            ["pre-vote", "OTS (s)", "timer expiries", "leader changes"],
-            pre_vote(seed)
-                .into_iter()
-                .map(|row| {
-                    vec![
-                        if row.pre_vote {
-                            "on (etcd default)"
-                        } else {
-                            "off (classic Raft)"
-                        }
-                        .to_string(),
-                        format!("{:.1}", row.total_ots_secs),
-                        format!("{}", row.timeouts),
-                        format!("{}", row.leader_changes),
-                    ]
-                })
-                .collect(),
-        );
-        report.note(
-            "(without pre-vote, false detections at the RTT step bump terms and depose the healthy leader)",
-        );
-        report
-    }
+    report.table(
+        "[6/6] pre-vote on/off under the Fig. 6b radical RTT step (Dynatune)",
+        ["pre-vote", "OTS (s)", "timer expiries", "leader changes"],
+        pre_vote(seed)
+            .into_iter()
+            .map(|row| {
+                vec![
+                    if row.pre_vote {
+                        "on (etcd default)"
+                    } else {
+                        "off (classic Raft)"
+                    }
+                    .to_string(),
+                    format!("{:.1}", row.total_ots_secs),
+                    format!("{}", row.timeouts),
+                    format!("{}", row.leader_changes),
+                ]
+            })
+            .collect(),
+    );
+    report.note(
+        "(without pre-vote, false detections at the RTT step bump terms and depose the healthy leader)",
+    );
+    report
 }
 
 #[cfg(test)]

@@ -7,17 +7,17 @@
 //! `next_index` below `first_index()` and `send_append` silently gave up).
 //! These scenarios enforce the post-fix contract on every CI push:
 //!
-//! * [`LaggingFollowerCatchup`] — take a follower down, write far past the
+//! * [`LAGGING_FOLLOWER_CATCHUP`] — take a follower down, write far past the
 //!   compaction horizon, restart it, and assert it converges via
 //!   `InstallSnapshot` while the leader's live log stays within
 //!   `threshold + tail` throughout the outage;
-//! * [`CompactionChurn`] — a long-running crash/heal churn across rotating
+//! * [`COMPACTION_CHURN`] — a long-running crash/heal churn across rotating
 //!   followers under sustained load, asserting the same bound holds over
 //!   repeated snapshot-recovery cycles and that replicas converge at the
 //!   end.
 
 use super::wired;
-use crate::scenario::{Experiment, Report, RunCtx, ScenarioBuilder};
+use crate::scenario::{Report, RunCtx, Scenario, ScenarioBuilder};
 use crate::sim::{ClusterSim, WorkloadSpec};
 use dynatune_core::TuningConfig;
 use dynatune_raft::NodeId;
@@ -122,95 +122,86 @@ fn catchup_trial(seed: u64) -> CatchupTrial {
 /// Crash a follower, write past the compaction horizon, restart it: it must
 /// converge via `InstallSnapshot` with the leader's log length bounded
 /// throughout.
-pub struct LaggingFollowerCatchup;
+pub const LAGGING_FOLLOWER_CATCHUP: Scenario = Scenario {
+    name: "lagging_follower_catchup",
+    describe:
+        "restart a follower past the compaction horizon: snapshot catch-up, bounded leader log",
+    headline_metric:
+        "max live log length against the threshold+tail bound during a follower outage",
+    ci_assertion: "asserts the log bound, >= 1 snapshot stream, convergence and catch-up per trial",
+    run: lagging_follower_catchup,
+};
 
-impl Experiment for LaggingFollowerCatchup {
-    fn name(&self) -> &'static str {
-        "lagging_follower_catchup"
-    }
-
-    fn describe(&self) -> &'static str {
-        "restart a follower past the compaction horizon: snapshot catch-up, bounded leader log"
-    }
-    fn headline_metric(&self) -> &'static str {
-        "max live log length against the threshold+tail bound during a follower outage"
-    }
-
-    fn ci_assertion(&self) -> &'static str {
-        "asserts the log bound, >= 1 snapshot stream, convergence and catch-up per trial"
-    }
-
-    fn run(&self, ctx: &RunCtx) -> Report {
-        let trials = ctx.trials_or(4, 2);
-        let results: Vec<CatchupTrial> = (0..trials)
-            .into_par_iter()
-            .map(|i| catchup_trial(ctx.system_seed(&format!("catchup/{i}"))))
-            .collect();
-        let mut report = Report::new(self.name());
-        let rows = results
-            .iter()
-            .enumerate()
-            .map(|(i, t)| {
-                vec![
-                    format!("{i}"),
-                    format!("{}", t.max_log_len),
-                    format!("{}", t.snapshots_sent),
-                    format!("{}", t.compacted_past_follower),
-                    format!("{}/{}", t.follower_applied, t.leader_commit),
-                    format!("{}", t.converged),
-                ]
-            })
-            .collect();
-        report.table(
-            &format!("follower outage past the horizon (threshold {THRESHOLD}, tail {TAIL})"),
-            [
-                "trial",
-                "max log_len",
-                "snapshots_sent",
-                "compacted past follower",
-                "follower applied / leader commit",
-                "converged",
-            ],
-            rows,
+fn lagging_follower_catchup(ctx: &RunCtx) -> Report {
+    let trials = ctx.trials_or(4, 2);
+    let results: Vec<CatchupTrial> = (0..trials)
+        .into_par_iter()
+        .map(|i| catchup_trial(ctx.system_seed(&format!("catchup/{i}"))))
+        .collect();
+    let mut report = Report::new(LAGGING_FOLLOWER_CATCHUP.name);
+    let rows = results
+        .iter()
+        .enumerate()
+        .map(|(i, t)| {
+            vec![
+                format!("{i}"),
+                format!("{}", t.max_log_len),
+                format!("{}", t.snapshots_sent),
+                format!("{}", t.compacted_past_follower),
+                format!("{}/{}", t.follower_applied, t.leader_commit),
+                format!("{}", t.converged),
+            ]
+        })
+        .collect();
+    report.table(
+        &format!("follower outage past the horizon (threshold {THRESHOLD}, tail {TAIL})"),
+        [
+            "trial",
+            "max log_len",
+            "snapshots_sent",
+            "compacted past follower",
+            "follower applied / leader commit",
+            "converged",
+        ],
+        rows,
+    );
+    let worst_log = results.iter().map(|t| t.max_log_len).max().unwrap_or(0);
+    let total_snaps: u64 = results.iter().map(|t| t.snapshots_sent).sum();
+    report.headline(
+        "max log_len (bound)",
+        &format!("<= {LOG_BOUND}"),
+        &format!("{worst_log}"),
+    );
+    report.headline(
+        "snapshots_sent (total)",
+        ">= 1/trial",
+        &format!("{total_snaps}"),
+    );
+    report.note(
+        "pre-fix this scenario stalled permanently: compaction unpinned from the\n\
+         slowest follower + conflict backoff below first_index hit send_append's\n\
+         silent early-return, leaving the restarted follower behind forever.",
+    );
+    // CI enforcement of the bounded-memory and catch-up claims.
+    for (i, t) in results.iter().enumerate() {
+        assert!(
+            t.compacted_past_follower,
+            "trial {i}: outage must cross the compaction horizon"
         );
-        let worst_log = results.iter().map(|t| t.max_log_len).max().unwrap_or(0);
-        let total_snaps: u64 = results.iter().map(|t| t.snapshots_sent).sum();
-        report.headline(
-            "max log_len (bound)",
-            &format!("<= {LOG_BOUND}"),
-            &format!("{worst_log}"),
+        assert!(
+            t.max_log_len <= LOG_BOUND,
+            "trial {i}: log grew to {} (> {LOG_BOUND}) — compaction pinned?",
+            t.max_log_len
         );
-        report.headline(
-            "snapshots_sent (total)",
-            ">= 1/trial",
-            &format!("{total_snaps}"),
+        assert!(t.snapshots_sent >= 1, "trial {i}: no snapshot was streamed");
+        assert!(t.converged, "trial {i}: replicas did not converge");
+        assert!(
+            t.leader_commit - t.follower_applied < 100,
+            "trial {i}: follower still {} entries behind",
+            t.leader_commit - t.follower_applied
         );
-        report.note(
-            "pre-fix this scenario stalled permanently: compaction unpinned from the\n\
-             slowest follower + conflict backoff below first_index hit send_append's\n\
-             silent early-return, leaving the restarted follower behind forever.",
-        );
-        // CI enforcement of the bounded-memory and catch-up claims.
-        for (i, t) in results.iter().enumerate() {
-            assert!(
-                t.compacted_past_follower,
-                "trial {i}: outage must cross the compaction horizon"
-            );
-            assert!(
-                t.max_log_len <= LOG_BOUND,
-                "trial {i}: log grew to {} (> {LOG_BOUND}) — compaction pinned?",
-                t.max_log_len
-            );
-            assert!(t.snapshots_sent >= 1, "trial {i}: no snapshot was streamed");
-            assert!(t.converged, "trial {i}: replicas did not converge");
-            assert!(
-                t.leader_commit - t.follower_applied < 100,
-                "trial {i}: follower still {} entries behind",
-                t.leader_commit - t.follower_applied
-            );
-        }
-        report
     }
+    report
 }
 
 /// One churn trial's measurements.
@@ -261,91 +252,80 @@ fn churn_trial(seed: u64, cycles: usize) -> ChurnTrial {
 /// Long-running crash/heal churn: rotating follower outages under
 /// sustained load, with the leader's memory bound asserted across every
 /// snapshot-recovery cycle.
-pub struct CompactionChurn;
+pub const COMPACTION_CHURN: Scenario = Scenario {
+    name: "compaction_churn",
+    describe: "repeated follower crash/heal under load: bounded log memory across snapshot cycles",
+    headline_metric: "max live log length across repeated crash/heal snapshot-recovery cycles",
+    ci_assertion: "asserts the log bound, snapshot streams, convergence and liveness per trial",
+    run: compaction_churn,
+};
 
-impl Experiment for CompactionChurn {
-    fn name(&self) -> &'static str {
-        "compaction_churn"
-    }
-
-    fn describe(&self) -> &'static str {
-        "repeated follower crash/heal under load: bounded log memory across snapshot cycles"
-    }
-    fn headline_metric(&self) -> &'static str {
-        "max live log length across repeated crash/heal snapshot-recovery cycles"
-    }
-
-    fn ci_assertion(&self) -> &'static str {
-        "asserts the log bound, snapshot streams, convergence and liveness per trial"
-    }
-
-    fn run(&self, ctx: &RunCtx) -> Report {
-        let cycles = ctx.scale(8, 3);
-        let trials = ctx.trials_or(3, 2);
-        let results: Vec<ChurnTrial> = (0..trials)
-            .into_par_iter()
-            .map(|i| churn_trial(ctx.system_seed(&format!("churn/{i}")), cycles))
-            .collect();
-        let mut report = Report::new(self.name());
-        let rows = results
-            .iter()
-            .enumerate()
-            .map(|(i, t)| {
-                vec![
-                    format!("{i}"),
-                    format!("{}", t.cycles),
-                    format!("{}", t.max_log_len),
-                    format!("{}", t.snapshots_sent),
-                    format!("{}", t.committed),
-                    format!("{}", t.converged),
-                ]
-            })
-            .collect();
-        report.table(
-            "crash/heal churn under sustained writes",
-            [
-                "trial",
-                "cycles",
-                "max log_len",
-                "snapshots_sent",
-                "committed",
-                "converged",
-            ],
-            rows,
+fn compaction_churn(ctx: &RunCtx) -> Report {
+    let cycles = ctx.scale(8, 3);
+    let trials = ctx.trials_or(3, 2);
+    let results: Vec<ChurnTrial> = (0..trials)
+        .into_par_iter()
+        .map(|i| churn_trial(ctx.system_seed(&format!("churn/{i}")), cycles))
+        .collect();
+    let mut report = Report::new(COMPACTION_CHURN.name);
+    let rows = results
+        .iter()
+        .enumerate()
+        .map(|(i, t)| {
+            vec![
+                format!("{i}"),
+                format!("{}", t.cycles),
+                format!("{}", t.max_log_len),
+                format!("{}", t.snapshots_sent),
+                format!("{}", t.committed),
+                format!("{}", t.converged),
+            ]
+        })
+        .collect();
+    report.table(
+        "crash/heal churn under sustained writes",
+        [
+            "trial",
+            "cycles",
+            "max log_len",
+            "snapshots_sent",
+            "committed",
+            "converged",
+        ],
+        rows,
+    );
+    let worst_log = results.iter().map(|t| t.max_log_len).max().unwrap_or(0);
+    let total_snaps: u64 = results.iter().map(|t| t.snapshots_sent).sum();
+    report.headline(
+        "max log_len across churn (bound)",
+        &format!("<= {LOG_BOUND}"),
+        &format!("{worst_log}"),
+    );
+    report.headline(
+        "snapshots_sent (total)",
+        "grows with cycles",
+        &format!("{total_snaps}"),
+    );
+    report.note(
+        "every cycle drops one follower past the compaction horizon and restarts\n\
+         it; memory stays bounded because compaction no longer waits for the\n\
+         slowest peer, and each rejoin is absorbed by a snapshot stream.",
+    );
+    for (i, t) in results.iter().enumerate() {
+        assert!(
+            t.max_log_len <= LOG_BOUND,
+            "trial {i}: log grew to {} (> {LOG_BOUND}) under churn",
+            t.max_log_len
         );
-        let worst_log = results.iter().map(|t| t.max_log_len).max().unwrap_or(0);
-        let total_snaps: u64 = results.iter().map(|t| t.snapshots_sent).sum();
-        report.headline(
-            "max log_len across churn (bound)",
-            &format!("<= {LOG_BOUND}"),
-            &format!("{worst_log}"),
+        assert!(
+            t.snapshots_sent >= 1,
+            "trial {i}: churn produced no snapshot transfer"
         );
-        report.headline(
-            "snapshots_sent (total)",
-            "grows with cycles",
-            &format!("{total_snaps}"),
+        assert!(
+            t.converged,
+            "trial {i}: replicas did not converge after churn"
         );
-        report.note(
-            "every cycle drops one follower past the compaction horizon and restarts\n\
-             it; memory stays bounded because compaction no longer waits for the\n\
-             slowest peer, and each rejoin is absorbed by a snapshot stream.",
-        );
-        for (i, t) in results.iter().enumerate() {
-            assert!(
-                t.max_log_len <= LOG_BOUND,
-                "trial {i}: log grew to {} (> {LOG_BOUND}) under churn",
-                t.max_log_len
-            );
-            assert!(
-                t.snapshots_sent >= 1,
-                "trial {i}: churn produced no snapshot transfer"
-            );
-            assert!(
-                t.converged,
-                "trial {i}: replicas did not converge after churn"
-            );
-            assert!(t.committed > 0, "trial {i}: cluster stopped serving");
-        }
-        report
+        assert!(t.committed > 0, "trial {i}: cluster stopped serving");
     }
+    report
 }

@@ -5,7 +5,7 @@ use super::failover::{run_trials, FailoverConfig};
 use super::throughput::{measure_ramp, ramp_for};
 use super::wired;
 use crate::scenario::{
-    Experiment, Horizon, NetPlan, Report, RunCtx, ScenarioBuilder, ScenarioDriver,
+    Horizon, NetPlan, Report, RunCtx, Scenario, ScenarioBuilder, ScenarioDriver,
 };
 use crate::CostModel;
 use dynatune_core::TuningConfig;
@@ -63,119 +63,108 @@ fn cluster_for(v: &Variant, seed: u64) -> crate::ClusterConfig {
 
 /// Peak throughput, failover sanity, and leader timer load for the two
 /// §IV-E extensions (suppress-while-replicating, consolidated timer).
-pub struct Extensions;
+pub const EXTENSIONS: Scenario = Scenario {
+    name: "extensions",
+    describe: "IV-E extensions: heartbeat suppression under load + consolidated heartbeat timer",
+    headline_metric: "leader timer load and CPU under the SIV-E heartbeat extensions",
+    ci_assertion: "runs end-to-end; extension deltas reported, not asserted",
+    run: extensions,
+};
 
-impl Experiment for Extensions {
-    fn name(&self) -> &'static str {
-        "extensions"
+fn extensions(ctx: &RunCtx) -> Report {
+    let mut report = Report::new(EXTENSIONS.name);
+
+    // 1. Peak throughput per variant (the overhead the extensions
+    //    target).
+    let repeats = ctx.repeats_or(5, 2);
+    let ramp = ramp_for(ctx);
+    let mut rows = Vec::new();
+    let mut raft_peak = None;
+    for v in variants() {
+        let cluster = cluster_for(&v, ctx.system_seed(&format!("tput-{}", v.name)));
+        let peak = measure_ramp(&cluster, &ramp, repeats).peak_throughput();
+        let baseline = *raft_peak.get_or_insert(peak);
+        rows.push(vec![
+            v.name.to_string(),
+            format!("{peak:.0}"),
+            format!("{:+.1}%", (peak / baseline - 1.0) * 100.0),
+        ]);
     }
+    report.table(
+        "[1/3] peak throughput (the overhead the extensions target)",
+        ["variant", "peak (req/s)", "vs raft"],
+        rows,
+    );
 
-    fn describe(&self) -> &'static str {
-        "IV-E extensions: heartbeat suppression under load + consolidated heartbeat timer"
+    // 2. Failover sanity: the extensions must not slow detection.
+    let trials = ctx.trials_or(200, 20);
+    let mut rows = Vec::new();
+    for v in variants() {
+        let res = run_trials(&FailoverConfig::new(
+            cluster_for(&v, ctx.system_seed(&format!("failover-{}", v.name))),
+            trials,
+        ));
+        rows.push(vec![
+            v.name.to_string(),
+            format!("{:.0}", res.detection_stats().mean()),
+            format!("{:.0}", res.ots_stats().mean()),
+        ]);
     }
-    fn headline_metric(&self) -> &'static str {
-        "leader timer load and CPU under the SIV-E heartbeat extensions"
+    report.table(
+        "[2/3] failover under the extensions (must not regress)",
+        ["variant", "detection (ms)", "OTS (ms)"],
+        rows,
+    );
+
+    // 3. Leader wake rate with per-path intervals (geo topology): the
+    //    consolidated timer's actual saving.
+    let mut rows = Vec::new();
+    for consolidated in [false, true] {
+        let cfg = ScenarioBuilder::cluster(5)
+            .tuning(TuningConfig::dynatune())
+            .net(NetPlan::geo())
+            // Keep the link clean so the CPU delta isolates timer load.
+            .congestion(dynatune_simnet::CongestionConfig::disabled())
+            .extensions(false, consolidated)
+            .cost(CostModel {
+                per_timer_wake: Duration::from_micros(200),
+                ..CostModel::default()
+            })
+            .cores(2)
+            .seed(ctx.system_seed("timer-load"))
+            .build();
+        let run = ScenarioDriver::new(cfg)
+            .horizon(Horizon::At(Duration::from_secs(120)))
+            .run();
+        let sim = run.sim;
+        let leader = wired(sim.leader(), "a fault-free 120s run keeps its leader");
+        let cpu = sim.with_server(leader, |s| {
+            s.cpu().mean_utilization(
+                dynatune_simnet::SimTime::from_secs(60),
+                dynatune_simnet::SimTime::from_secs(120),
+            )
+        });
+        let sent = sim.net_counters().sent;
+        rows.push(vec![
+            if consolidated {
+                "consolidated"
+            } else {
+                "per-follower timers"
+            }
+            .to_string(),
+            format!("{cpu:.1}"),
+            format!("{sent}"),
+        ]);
     }
-
-    fn ci_assertion(&self) -> &'static str {
-        "runs end-to-end; extension deltas reported, not asserted"
-    }
-
-    fn run(&self, ctx: &RunCtx) -> Report {
-        let mut report = Report::new(self.name());
-
-        // 1. Peak throughput per variant (the overhead the extensions
-        //    target).
-        let repeats = ctx.repeats_or(5, 2);
-        let ramp = ramp_for(ctx);
-        let mut rows = Vec::new();
-        let mut raft_peak = None;
-        for v in variants() {
-            let cluster = cluster_for(&v, ctx.system_seed(&format!("tput-{}", v.name)));
-            let peak = measure_ramp(&cluster, &ramp, repeats).peak_throughput();
-            let baseline = *raft_peak.get_or_insert(peak);
-            rows.push(vec![
-                v.name.to_string(),
-                format!("{peak:.0}"),
-                format!("{:+.1}%", (peak / baseline - 1.0) * 100.0),
-            ]);
-        }
-        report.table(
-            "[1/3] peak throughput (the overhead the extensions target)",
-            ["variant", "peak (req/s)", "vs raft"],
-            rows,
-        );
-
-        // 2. Failover sanity: the extensions must not slow detection.
-        let trials = ctx.trials_or(200, 20);
-        let mut rows = Vec::new();
-        for v in variants() {
-            let res = run_trials(&FailoverConfig::new(
-                cluster_for(&v, ctx.system_seed(&format!("failover-{}", v.name))),
-                trials,
-            ));
-            rows.push(vec![
-                v.name.to_string(),
-                format!("{:.0}", res.detection_stats().mean()),
-                format!("{:.0}", res.ots_stats().mean()),
-            ]);
-        }
-        report.table(
-            "[2/3] failover under the extensions (must not regress)",
-            ["variant", "detection (ms)", "OTS (ms)"],
-            rows,
-        );
-
-        // 3. Leader wake rate with per-path intervals (geo topology): the
-        //    consolidated timer's actual saving.
-        let mut rows = Vec::new();
-        for consolidated in [false, true] {
-            let cfg = ScenarioBuilder::cluster(5)
-                .tuning(TuningConfig::dynatune())
-                .net(NetPlan::geo())
-                // Keep the link clean so the CPU delta isolates timer load.
-                .congestion(dynatune_simnet::CongestionConfig::disabled())
-                .extensions(false, consolidated)
-                .cost(CostModel {
-                    per_timer_wake: Duration::from_micros(200),
-                    ..CostModel::default()
-                })
-                .cores(2)
-                .seed(ctx.system_seed("timer-load"))
-                .build();
-            let run = ScenarioDriver::new(cfg)
-                .horizon(Horizon::At(Duration::from_secs(120)))
-                .run();
-            let sim = run.sim;
-            let leader = wired(sim.leader(), "a fault-free 120s run keeps its leader");
-            let cpu = sim.with_server(leader, |s| {
-                s.cpu().mean_utilization(
-                    dynatune_simnet::SimTime::from_secs(60),
-                    dynatune_simnet::SimTime::from_secs(120),
-                )
-            });
-            let sent = sim.net_counters().sent;
-            rows.push(vec![
-                if consolidated {
-                    "consolidated"
-                } else {
-                    "per-follower timers"
-                }
-                .to_string(),
-                format!("{cpu:.1}"),
-                format!("{sent}"),
-            ]);
-        }
-        report.table(
-            "[3/3] leader timer load on a geo cluster (per-path h differs)",
-            ["variant", "leader CPU (%)", "heartbeats sent"],
-            rows,
-        );
-        report.note(
-            "(consolidated mode aligns all heartbeats on the smallest tuned interval:\n\
-             fewer leader wake-ups at the cost of extra heartbeats on slow paths —\n\
-             the trade-off §IV-E describes)",
-        );
-        report
-    }
+    report.table(
+        "[3/3] leader timer load on a geo cluster (per-path h differs)",
+        ["variant", "leader CPU (%)", "heartbeats sent"],
+        rows,
+    );
+    report.note(
+        "(consolidated mode aligns all heartbeats on the smallest tuned interval:\n\
+         fewer leader wake-ups at the cost of extra heartbeats on slow paths —\n\
+         the trade-off §IV-E describes)",
+    );
+    report
 }

@@ -16,7 +16,7 @@
 
 use crate::observers::extract_failover;
 use crate::scenario::{
-    compare_row, reduction_pct, Experiment, FaultPlan, Horizon, NetPlan, Report, RunCtx,
+    compare_row, reduction_pct, FaultPlan, Horizon, NetPlan, Report, RunCtx, Scenario,
     ScenarioBuilder, ScenarioDriver,
 };
 use crate::sim::ClusterConfig;
@@ -209,150 +209,129 @@ fn completeness_note(report: &mut Report, raft: &FailoverResult, dynatune: &Fail
 /// Fig. 4 + §IV-B1 table: CDFs of detection and OTS times under stable
 /// network conditions, repeated leader failures, Raft vs Dynatune; also
 /// the §IV-E election-time decomposition.
-pub struct Fig4Failover;
+pub const FIG4: Scenario = Scenario {
+    name: "fig4",
+    describe: "detection & OTS time CDFs, stable network (5 servers, RTT 100ms, p=0)",
+    headline_metric:
+        "detection / out-of-service reduction vs. the paper's Fig. 4 (Raft vs Dynatune)",
+    ci_assertion: "runs end-to-end; reductions reported against the paper, not asserted",
+    run: fig4,
+};
 
-impl Experiment for Fig4Failover {
-    fn name(&self) -> &'static str {
-        "fig4"
-    }
+fn fig4(ctx: &RunCtx) -> Report {
+    let trials = ctx.trials_or(1000, 50);
+    let study = |label: &str, tuning: TuningConfig| {
+        let cluster = ScenarioBuilder::cluster(5)
+            .tuning(tuning)
+            .seed(ctx.system_seed(label))
+            .build();
+        run_trials(&FailoverConfig::new(cluster, trials))
+    };
+    let raft = study("raft", TuningConfig::raft_default());
+    let dynatune = study("dynatune", TuningConfig::dynatune());
 
-    fn describe(&self) -> &'static str {
-        "detection & OTS time CDFs, stable network (5 servers, RTT 100ms, p=0)"
-    }
-    fn headline_metric(&self) -> &'static str {
-        "detection / out-of-service reduction vs. the paper's Fig. 4 (Raft vs Dynatune)"
-    }
+    let raft_det = raft.detection_stats().mean();
+    let raft_ots = raft.ots_stats().mean();
+    let dt_det = dynatune.detection_stats().mean();
+    let dt_ots = dynatune.ots_stats().mean();
 
-    fn ci_assertion(&self) -> &'static str {
-        "runs end-to-end; reductions reported against the paper, not asserted"
-    }
-
-    fn run(&self, ctx: &RunCtx) -> Report {
-        let trials = ctx.trials_or(1000, 50);
-        let study = |label: &str, tuning: TuningConfig| {
-            let cluster = ScenarioBuilder::cluster(5)
-                .tuning(tuning)
-                .seed(ctx.system_seed(label))
-                .build();
-            run_trials(&FailoverConfig::new(cluster, trials))
-        };
-        let raft = study("raft", TuningConfig::raft_default());
-        let dynatune = study("dynatune", TuningConfig::dynatune());
-
-        let raft_det = raft.detection_stats().mean();
-        let raft_ots = raft.ots_stats().mean();
-        let dt_det = dynatune.detection_stats().mean();
-        let dt_ots = dynatune.ots_stats().mean();
-
-        let mut report = Report::new(self.name());
-        report.table(
-            "paper vs measured",
-            ["metric", "paper (ms)", "measured (ms)", "ratio"],
-            vec![
-                compare_row("Raft detection mean", 1205.0, raft_det),
-                compare_row("Raft OTS mean", 1449.0, raft_ots),
-                compare_row("Dynatune detection mean", 237.0, dt_det),
-                compare_row("Dynatune OTS mean", 797.0, dt_ots),
-                compare_row("Raft mean randomizedTimeout", 1454.0, raft.mean_rto_ms()),
-                compare_row(
-                    "Dynatune mean randomizedTimeout",
-                    152.0,
-                    dynatune.mean_rto_ms(),
-                ),
-                compare_row(
-                    "Raft election time (OTS-det)",
-                    244.0,
-                    raft.election_time_ms(),
-                ),
-                compare_row(
-                    "Dynatune election time (OTS-det)",
-                    560.0,
-                    dynatune.election_time_ms(),
-                ),
-            ],
-        );
-        report.headline(
-            "detection reduction",
-            "80%",
-            &format!("{:.0}%", reduction_pct(raft_det, dt_det)),
-        );
-        report.headline(
-            "OTS reduction",
-            "45%",
-            &format!("{:.0}%", reduction_pct(raft_ots, dt_ots)),
-        );
-        completeness_note(&mut report, &raft, &dynatune);
-        cdf_artifact(&mut report, "fig4_cdf.csv", &raft, &dynatune);
-        report
-    }
+    let mut report = Report::new(FIG4.name);
+    report.table(
+        "paper vs measured",
+        ["metric", "paper (ms)", "measured (ms)", "ratio"],
+        vec![
+            compare_row("Raft detection mean", 1205.0, raft_det),
+            compare_row("Raft OTS mean", 1449.0, raft_ots),
+            compare_row("Dynatune detection mean", 237.0, dt_det),
+            compare_row("Dynatune OTS mean", 797.0, dt_ots),
+            compare_row("Raft mean randomizedTimeout", 1454.0, raft.mean_rto_ms()),
+            compare_row(
+                "Dynatune mean randomizedTimeout",
+                152.0,
+                dynatune.mean_rto_ms(),
+            ),
+            compare_row(
+                "Raft election time (OTS-det)",
+                244.0,
+                raft.election_time_ms(),
+            ),
+            compare_row(
+                "Dynatune election time (OTS-det)",
+                560.0,
+                dynatune.election_time_ms(),
+            ),
+        ],
+    );
+    report.headline(
+        "detection reduction",
+        "80%",
+        &format!("{:.0}%", reduction_pct(raft_det, dt_det)),
+    );
+    report.headline(
+        "OTS reduction",
+        "45%",
+        &format!("{:.0}%", reduction_pct(raft_ots, dt_ots)),
+    );
+    completeness_note(&mut report, &raft, &dynatune);
+    cdf_artifact(&mut report, "fig4_cdf.csv", &raft, &dynatune);
+    report
 }
 
 /// Fig. 8: detection & OTS CDFs on the geo-replicated deployment (Tokyo,
 /// London, California, Sydney, São Paulo), Raft vs Dynatune.
-pub struct Fig8GeoFailover;
+pub const FIG8: Scenario = Scenario {
+    name: "fig8",
+    describe: "geo-replicated failover (Tokyo/London/California/Sydney/Sao Paulo)",
+    headline_metric: "out-of-service time in the five-region geo deployment (paper Fig. 8)",
+    ci_assertion: "runs end-to-end; reductions reported against the paper, not asserted",
+    run: fig8,
+};
 
-impl Experiment for Fig8GeoFailover {
-    fn name(&self) -> &'static str {
-        "fig8"
-    }
+fn fig8(ctx: &RunCtx) -> Report {
+    let trials = ctx.trials_or(300, 30);
+    let study = |label: &str, tuning: TuningConfig| {
+        let cluster = ScenarioBuilder::cluster(5)
+            .tuning(tuning)
+            .net(NetPlan::geo())
+            .cores(2) // m5.large
+            .seed(ctx.system_seed(label))
+            .build();
+        let mut cfg = FailoverConfig::new(cluster, trials);
+        cfg.warmup = Duration::from_secs(40); // WAN warm-up is slower
+        run_trials(&cfg)
+    };
+    let raft = study("raft", TuningConfig::raft_default());
+    let dynatune = study("dynatune", TuningConfig::dynatune());
 
-    fn describe(&self) -> &'static str {
-        "geo-replicated failover (Tokyo/London/California/Sydney/Sao Paulo)"
-    }
-    fn headline_metric(&self) -> &'static str {
-        "out-of-service time in the five-region geo deployment (paper Fig. 8)"
-    }
+    let raft_det = raft.detection_stats().mean();
+    let raft_ots = raft.ots_stats().mean();
+    let dt_det = dynatune.detection_stats().mean();
+    let dt_ots = dynatune.ots_stats().mean();
 
-    fn ci_assertion(&self) -> &'static str {
-        "runs end-to-end; reductions reported against the paper, not asserted"
-    }
-
-    fn run(&self, ctx: &RunCtx) -> Report {
-        let trials = ctx.trials_or(300, 30);
-        let study = |label: &str, tuning: TuningConfig| {
-            let cluster = ScenarioBuilder::cluster(5)
-                .tuning(tuning)
-                .net(NetPlan::geo())
-                .cores(2) // m5.large
-                .seed(ctx.system_seed(label))
-                .build();
-            let mut cfg = FailoverConfig::new(cluster, trials);
-            cfg.warmup = Duration::from_secs(40); // WAN warm-up is slower
-            run_trials(&cfg)
-        };
-        let raft = study("raft", TuningConfig::raft_default());
-        let dynatune = study("dynatune", TuningConfig::dynatune());
-
-        let raft_det = raft.detection_stats().mean();
-        let raft_ots = raft.ots_stats().mean();
-        let dt_det = dynatune.detection_stats().mean();
-        let dt_ots = dynatune.ots_stats().mean();
-
-        let mut report = Report::new(self.name());
-        report.table(
-            "paper vs measured",
-            ["metric", "paper (ms)", "measured (ms)", "ratio"],
-            vec![
-                compare_row("Raft detection mean", 1137.0, raft_det),
-                compare_row("Raft OTS mean", 1718.0, raft_ots),
-                compare_row("Dynatune detection mean", 213.0, dt_det),
-                compare_row("Dynatune OTS mean", 1145.0, dt_ots),
-            ],
-        );
-        report.headline(
-            "detection reduction",
-            "81%",
-            &format!("{:.0}%", reduction_pct(raft_det, dt_det)),
-        );
-        report.headline(
-            "OTS reduction",
-            "33%",
-            &format!("{:.0}%", reduction_pct(raft_ots, dt_ots)),
-        );
-        completeness_note(&mut report, &raft, &dynatune);
-        cdf_artifact(&mut report, "fig8_cdf.csv", &raft, &dynatune);
-        report
-    }
+    let mut report = Report::new(FIG8.name);
+    report.table(
+        "paper vs measured",
+        ["metric", "paper (ms)", "measured (ms)", "ratio"],
+        vec![
+            compare_row("Raft detection mean", 1137.0, raft_det),
+            compare_row("Raft OTS mean", 1718.0, raft_ots),
+            compare_row("Dynatune detection mean", 213.0, dt_det),
+            compare_row("Dynatune OTS mean", 1145.0, dt_ots),
+        ],
+    );
+    report.headline(
+        "detection reduction",
+        "81%",
+        &format!("{:.0}%", reduction_pct(raft_det, dt_det)),
+    );
+    report.headline(
+        "OTS reduction",
+        "33%",
+        &format!("{:.0}%", reduction_pct(raft_ots, dt_ots)),
+    );
+    completeness_note(&mut report, &raft, &dynatune);
+    cdf_artifact(&mut report, "fig8_cdf.csv", &raft, &dynatune);
+    report
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@
 
 use crate::observers::{count_events, leaderless_intervals, total_leaderless_secs};
 use crate::scenario::{
-    Experiment, Horizon, NetPlan, Report, RunCtx, ScenarioBuilder, ScenarioDriver,
+    Horizon, NetPlan, Report, RunCtx, Scenario, ScenarioBuilder, ScenarioDriver,
 };
 use dynatune_core::TuningConfig;
 use dynatune_raft::RaftEvent;
@@ -227,79 +227,57 @@ fn series_artifacts(report: &mut Report, fig: &str, system: &str, s: &RttFlucSer
 /// Fig. 6a: gradual RTT fluctuation (50→200→50 ms in 10 ms steps),
 /// third-smallest randomizedTimeout + RTT + OTS shading, for Dynatune,
 /// Raft and Raft-Low.
-pub struct Fig6aGradualRtt;
+pub const FIG6A: Scenario = Scenario {
+    name: "fig6a",
+    describe: "gradual RTT fluctuation 50->200->50ms (10ms steps)",
+    headline_metric: "randomized-timeout adaptation under a gradual RTT ramp (paper Fig. 6a)",
+    ci_assertion: "runs end-to-end; traces reported, not asserted",
+    run: fig6a,
+};
 
-impl Experiment for Fig6aGradualRtt {
-    fn name(&self) -> &'static str {
-        "fig6a"
-    }
-
-    fn describe(&self) -> &'static str {
-        "gradual RTT fluctuation 50->200->50ms (10ms steps)"
-    }
-    fn headline_metric(&self) -> &'static str {
-        "randomized-timeout adaptation under a gradual RTT ramp (paper Fig. 6a)"
-    }
-
-    fn ci_assertion(&self) -> &'static str {
-        "runs end-to-end; traces reported, not asserted"
-    }
-
-    fn run(&self, ctx: &RunCtx) -> Report {
-        let hold = if ctx.quick {
-            Duration::from_secs(10)
-        } else {
-            Duration::from_secs(60) // paper: one minute per step
-        };
-        rtt_report(
-            self.name(),
-            ctx,
-            RttPattern::Gradual,
-            hold,
-            "paper expectation: Dynatune tracks RTT with zero OTS; Raft flat ~1700ms,\n\
-             zero OTS; Raft-Low suffers OTS once RTT approaches its 100-200ms timeout\n\
-             band (paper: ~15s outage near t=500s, then ~10 minutes as RTT keeps rising).",
-        )
-    }
+fn fig6a(ctx: &RunCtx) -> Report {
+    let hold = if ctx.quick {
+        Duration::from_secs(10)
+    } else {
+        Duration::from_secs(60) // paper: one minute per step
+    };
+    rtt_report(
+        FIG6A.name,
+        ctx,
+        RttPattern::Gradual,
+        hold,
+        "paper expectation: Dynatune tracks RTT with zero OTS; Raft flat ~1700ms,\n\
+         zero OTS; Raft-Low suffers OTS once RTT approaches its 100-200ms timeout\n\
+         band (paper: ~15s outage near t=500s, then ~10 minutes as RTT keeps rising).",
+    )
 }
 
 /// Fig. 6b: radical RTT fluctuation (50→500→50 ms, one minute each), for
 /// the same three systems.
-pub struct Fig6bRadicalRtt;
+pub const FIG6B: Scenario = Scenario {
+    name: "fig6b",
+    describe: "radical RTT fluctuation 50->500->50ms (1 minute holds)",
+    headline_metric: "false-detection behaviour on a radical RTT step (paper Fig. 6b)",
+    ci_assertion: "runs end-to-end; traces reported, not asserted",
+    run: fig6b,
+};
 
-impl Experiment for Fig6bRadicalRtt {
-    fn name(&self) -> &'static str {
-        "fig6b"
-    }
-
-    fn describe(&self) -> &'static str {
-        "radical RTT fluctuation 50->500->50ms (1 minute holds)"
-    }
-    fn headline_metric(&self) -> &'static str {
-        "false-detection behaviour on a radical RTT step (paper Fig. 6b)"
-    }
-
-    fn ci_assertion(&self) -> &'static str {
-        "runs end-to-end; traces reported, not asserted"
-    }
-
-    fn run(&self, ctx: &RunCtx) -> Report {
-        let hold = if ctx.quick {
-            Duration::from_secs(15)
-        } else {
-            Duration::from_secs(60)
-        };
-        rtt_report(
-            self.name(),
-            ctx,
-            RttPattern::Radical,
-            hold,
-            "paper expectation: Dynatune false-detects at the step but pre-vote\n\
-             aborts on leader contact -> no OTS; Raft rides it out (large Et);\n\
-             Raft-Low is leaderless for most of the 500ms minute (vote RTT exceeds\n\
-             its randomized timeout, so elections repeat until RTT drops).",
-        )
-    }
+fn fig6b(ctx: &RunCtx) -> Report {
+    let hold = if ctx.quick {
+        Duration::from_secs(15)
+    } else {
+        Duration::from_secs(60)
+    };
+    rtt_report(
+        FIG6B.name,
+        ctx,
+        RttPattern::Radical,
+        hold,
+        "paper expectation: Dynatune false-detects at the step but pre-vote\n\
+         aborts on leader contact -> no OTS; Raft rides it out (large Et);\n\
+         Raft-Low is leaderless for most of the 500ms minute (vote RTT exceeds\n\
+         its randomized timeout, so elections repeat until RTT drops).",
+    )
 }
 
 /// Loss levels on the way up (mirrored down, peak not repeated).
@@ -388,7 +366,13 @@ pub fn measure_loss_fluctuation(
 /// Fig. 7: heartbeat-interval adaptation (7a) and CPU utilization (7b)
 /// under packet-loss fluctuation 0→30→0 %, RTT 200 ms, for N = 5, 17, 65,
 /// Dynatune vs Fix-K (K = 10).
-pub struct Fig7LossFluctuation;
+pub const FIG7: Scenario = Scenario {
+    name: "fig7",
+    describe: "heartbeat interval + CPU under loss ramp 0->30->0% (RTT 200ms, 2 cores)",
+    headline_metric: "heartbeat-interval adaptation and leader CPU under loss (paper Fig. 7)",
+    ci_assertion: "runs end-to-end; traces reported, not asserted",
+    run: fig7,
+};
 
 fn mean_between(series: &[(f64, f64)], from: f64, to: f64) -> f64 {
     let vals: Vec<f64> = series
@@ -411,93 +395,76 @@ fn cpu_mean(ts: &TimeSeries) -> f64 {
     pts.iter().map(|&(_, v)| v).sum::<f64>() / pts.len() as f64
 }
 
-impl Experiment for Fig7LossFluctuation {
-    fn name(&self) -> &'static str {
-        "fig7"
-    }
-
-    fn describe(&self) -> &'static str {
-        "heartbeat interval + CPU under loss ramp 0->30->0% (RTT 200ms, 2 cores)"
-    }
-    fn headline_metric(&self) -> &'static str {
-        "heartbeat-interval adaptation and leader CPU under loss (paper Fig. 7)"
-    }
-
-    fn ci_assertion(&self) -> &'static str {
-        "runs end-to-end; traces reported, not asserted"
-    }
-
-    fn run(&self, ctx: &RunCtx) -> Report {
-        let sizes: &[usize] = if ctx.quick { &[5, 17] } else { &[5, 17, 65] };
-        let hold = if ctx.quick {
-            Duration::from_secs(20)
-        } else {
-            Duration::from_secs(180) // paper: 3 minutes per level
-        };
-        let mut report = Report::new(self.name());
-        let mut rows = Vec::new();
-        for &n in sizes {
-            for (name, mut tuning) in [
-                ("dynatune", TuningConfig::dynatune()),
-                ("fix_k", TuningConfig::fix_k(10)),
-            ] {
-                let seed = ctx.system_seed(&format!("{name}-n{n}"));
-                if ctx.quick {
-                    // Shrink the id window so loss estimates track the
-                    // shrunk schedule (window lag = maxListSize x h).
-                    tuning.max_list_size = 200;
-                }
-                let s = measure_loss_fluctuation(n, tuning, hold, seed);
-                let dur = loss_staircase_duration(hold).as_secs_f64();
-                // Clean head (after warm-up) and peak-loss middle.
-                let h_clean = mean_between(&s.h_ms, dur * 0.05, dur * 0.077);
-                let h_peak = mean_between(&s.h_ms, dur * 0.46, dur * 0.54);
-                rows.push(vec![
-                    name.to_string(),
-                    format!("{n}"),
-                    format!("{h_clean:.0}"),
-                    format!("{h_peak:.0}"),
-                    format!("{:.1}", cpu_mean(&s.leader_cpu)),
-                    format!("{:.1}", cpu_mean(&s.follower_cpu)),
-                    format!("{}", s.elections_after_warmup),
-                ]);
-                report.artifact(
-                    &format!("fig7a_{name}_n{n}.csv"),
-                    series_csv(("t_secs", "h_ms"), &s.h_ms),
-                );
-                let leader_pts = s.leader_cpu.resample(0.0, dur, 5.0, ResamplePolicy::Last);
-                let follower_pts = s.follower_cpu.resample(0.0, dur, 5.0, ResamplePolicy::Last);
-                report.artifact(
-                    &format!("fig7b_{name}_n{n}_leader.csv"),
-                    series_csv(("t_secs", "cpu_pct"), &leader_pts),
-                );
-                report.artifact(
-                    &format!("fig7b_{name}_n{n}_follower.csv"),
-                    series_csv(("t_secs", "cpu_pct"), &follower_pts),
-                );
+fn fig7(ctx: &RunCtx) -> Report {
+    let sizes: &[usize] = if ctx.quick { &[5, 17] } else { &[5, 17, 65] };
+    let hold = if ctx.quick {
+        Duration::from_secs(20)
+    } else {
+        Duration::from_secs(180) // paper: 3 minutes per level
+    };
+    let mut report = Report::new(FIG7.name);
+    let mut rows = Vec::new();
+    for &n in sizes {
+        for (name, mut tuning) in [
+            ("dynatune", TuningConfig::dynatune()),
+            ("fix_k", TuningConfig::fix_k(10)),
+        ] {
+            let seed = ctx.system_seed(&format!("{name}-n{n}"));
+            if ctx.quick {
+                // Shrink the id window so loss estimates track the
+                // shrunk schedule (window lag = maxListSize x h).
+                tuning.max_list_size = 200;
             }
+            let s = measure_loss_fluctuation(n, tuning, hold, seed);
+            let dur = loss_staircase_duration(hold).as_secs_f64();
+            // Clean head (after warm-up) and peak-loss middle.
+            let h_clean = mean_between(&s.h_ms, dur * 0.05, dur * 0.077);
+            let h_peak = mean_between(&s.h_ms, dur * 0.46, dur * 0.54);
+            rows.push(vec![
+                name.to_string(),
+                format!("{n}"),
+                format!("{h_clean:.0}"),
+                format!("{h_peak:.0}"),
+                format!("{:.1}", cpu_mean(&s.leader_cpu)),
+                format!("{:.1}", cpu_mean(&s.follower_cpu)),
+                format!("{}", s.elections_after_warmup),
+            ]);
+            report.artifact(
+                &format!("fig7a_{name}_n{n}.csv"),
+                series_csv(("t_secs", "h_ms"), &s.h_ms),
+            );
+            let leader_pts = s.leader_cpu.resample(0.0, dur, 5.0, ResamplePolicy::Last);
+            let follower_pts = s.follower_cpu.resample(0.0, dur, 5.0, ResamplePolicy::Last);
+            report.artifact(
+                &format!("fig7b_{name}_n{n}_leader.csv"),
+                series_csv(("t_secs", "cpu_pct"), &leader_pts),
+            );
+            report.artifact(
+                &format!("fig7b_{name}_n{n}_follower.csv"),
+                series_csv(("t_secs", "cpu_pct"), &follower_pts),
+            );
         }
-        report.table(
-            "summary",
-            [
-                "system",
-                "N",
-                "h@0% (ms)",
-                "h@30% (ms)",
-                "leader CPU (%)",
-                "follower CPU (%)",
-                "elections",
-            ],
-            rows,
-        );
-        report.note(
-            "paper expectation: Dynatune h dips from ~Et (K=1) to ~Et/6 at 30% loss\n\
-             and recovers; Fix-K h stays ~Et/10 flat. Fix-K's N=65 leader pegs\n\
-             ~100%+ CPU while Dynatune uses less than half under clean conditions,\n\
-             peaking with the loss. Neither system triggers unnecessary elections.",
-        );
-        report
     }
+    report.table(
+        "summary",
+        [
+            "system",
+            "N",
+            "h@0% (ms)",
+            "h@30% (ms)",
+            "leader CPU (%)",
+            "follower CPU (%)",
+            "elections",
+        ],
+        rows,
+    );
+    report.note(
+        "paper expectation: Dynatune h dips from ~Et (K=1) to ~Et/6 at 30% loss\n\
+         and recovers; Fix-K h stays ~Et/10 flat. Fix-K's N=65 leader pegs\n\
+         ~100%+ CPU while Dynatune uses less than half under clean conditions,\n\
+         peaking with the loss. Neither system triggers unnecessary elections.",
+    );
+    report
 }
 
 #[cfg(test)]

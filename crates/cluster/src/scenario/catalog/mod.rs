@@ -1,14 +1,14 @@
-//! The experiment catalog: every paper figure, the ablations, and the
-//! beyond-paper scenarios, implemented as [`Experiment`]s over the
+//! The scenario catalog: every paper figure, the ablations, and the
+//! beyond-paper scenarios, declared as [`Scenario`] rows over the
 //! scenario API.
 //!
-//! Each type here is a stateless marker struct; all run parameters come
-//! from the [`RunCtx`](crate::scenario::RunCtx) (seed, quick/full scale,
-//! overrides) so that the registry can enumerate and run everything
-//! uniformly.
+//! Each scenario is a `const` row (name, metadata, `run`) beside the free
+//! `fn` that runs it; all run parameters come from the
+//! [`RunCtx`](crate::scenario::RunCtx) (seed, quick/full scale, overrides)
+//! so that the registry can enumerate and run everything uniformly.
 //!
 //! A module keeps its measurement procedure (what to record and how to
-//! aggregate it) beside the experiment that reports it. The paper's §IV
+//! aggregate it) beside the scenario that reports it. The paper's §IV
 //! procedures:
 //!
 //! | Module | Paper | What it regenerates |
@@ -18,33 +18,20 @@
 //! | [`fluctuation`] | Fig. 6a/6b, Fig. 7a/7b | randomizedTimeout / RTT / OTS series; heartbeat interval + CPU under loss ramps |
 //! | [`ablations`] | (ours) | quantization, safety factor, arrival probability, list sizes, transport, pre-vote |
 //!
-//! [`Experiment`]: crate::scenario::Experiment
+//! [`Scenario`]: crate::scenario::Scenario
 
 pub mod ablations;
-mod broker;
-mod compaction;
-mod extensions;
+pub(super) mod broker;
+pub(super) mod compaction;
+pub(super) mod extensions;
 pub mod failover;
 pub mod fluctuation;
-mod membership;
-mod novel;
-mod pipeline;
-mod reads;
+pub(super) mod membership;
+pub(super) mod novel;
+pub(super) mod pipeline;
+pub(super) mod reads;
 pub mod sharded;
 pub mod throughput;
-
-pub use ablations::Ablations;
-pub use broker::{BrokerProduceThroughput, ConsumerFanout, ConsumerLagFailover};
-pub use compaction::{CompactionChurn, LaggingFollowerCatchup};
-pub use extensions::Extensions;
-pub use failover::{Fig4Failover, Fig8GeoFailover};
-pub use fluctuation::{Fig6aGradualRtt, Fig6bRadicalRtt, Fig7LossFluctuation};
-pub use membership::{ElasticScaleout, MembershipChurn, ShardRebalance};
-pub use novel::{GeoAsymmetricFailover, PartitionChurn};
-pub use pipeline::PipelineDepth;
-pub use reads::{FollowerReadOffload, LeaseSafetyPartition, ReadHeavyThroughput};
-pub use sharded::{HotShard, ShardLeaderFailover, ShardedThroughput};
-pub use throughput::Fig5Throughput;
 
 /// Unwrap a scenario wiring invariant. Scenarios construct their own sims,
 /// so a `None` from an accessor whose precondition the scenario itself set

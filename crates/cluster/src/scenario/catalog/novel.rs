@@ -6,7 +6,7 @@
 use super::failover::{run_trials, FailoverConfig};
 use crate::observers::{election_safety_violations, leaderless_intervals, total_leaderless_secs};
 use crate::scenario::{
-    reduction_pct, Experiment, FaultPlan, Horizon, NetPlan, PartitionSpec, Report, RunCtx,
+    reduction_pct, FaultPlan, Horizon, NetPlan, PartitionSpec, Report, RunCtx, Scenario,
     ScenarioBuilder, ScenarioDriver,
 };
 use dynatune_core::TuningConfig;
@@ -23,7 +23,13 @@ use std::time::Duration;
 /// majority keeps fast detection despite the degraded region. The old API
 /// had no vocabulary for "geo mesh with per-pair overrides" — it took
 /// manual `Topology` surgery in every caller.
-pub struct GeoAsymmetricFailover;
+pub const GEO_ASYMMETRIC: Scenario = Scenario {
+    name: "geo_asymmetric",
+    describe: "failover on a geo mesh with one region (Tokyo) at 3x RTT + heavy jitter",
+    headline_metric: "detection reduction when one WAN pair degrades asymmetrically",
+    ci_assertion: "runs end-to-end; reduction reported, not asserted",
+    run: geo_asymmetric,
+};
 
 /// The degraded-region mesh: Tokyo (node 0) pairs at 3× RTT + jitter.
 fn asymmetric_geo() -> NetPlan {
@@ -38,71 +44,54 @@ fn asymmetric_geo() -> NetPlan {
     NetPlan::GeoDegraded { regions, overrides }
 }
 
-impl Experiment for GeoAsymmetricFailover {
-    fn name(&self) -> &'static str {
-        "geo_asymmetric"
-    }
+fn geo_asymmetric(ctx: &RunCtx) -> Report {
+    let trials = ctx.trials_or(300, 25);
+    let study = |label: &str, tuning: TuningConfig| {
+        let cluster = ScenarioBuilder::cluster(5)
+            .tuning(tuning)
+            .net(asymmetric_geo())
+            .cores(2)
+            .seed(ctx.system_seed(label))
+            .build();
+        let mut cfg = FailoverConfig::new(cluster, trials);
+        cfg.warmup = Duration::from_secs(40);
+        run_trials(&cfg)
+    };
+    let raft = study("raft", TuningConfig::raft_default());
+    let dynatune = study("dynatune", TuningConfig::dynatune());
 
-    fn describe(&self) -> &'static str {
-        "failover on a geo mesh with one region (Tokyo) at 3x RTT + heavy jitter"
-    }
-    fn headline_metric(&self) -> &'static str {
-        "detection reduction when one WAN pair degrades asymmetrically"
-    }
-
-    fn ci_assertion(&self) -> &'static str {
-        "runs end-to-end; reduction reported, not asserted"
-    }
-
-    fn run(&self, ctx: &RunCtx) -> Report {
-        let trials = ctx.trials_or(300, 25);
-        let study = |label: &str, tuning: TuningConfig| {
-            let cluster = ScenarioBuilder::cluster(5)
-                .tuning(tuning)
-                .net(asymmetric_geo())
-                .cores(2)
-                .seed(ctx.system_seed(label))
-                .build();
-            let mut cfg = FailoverConfig::new(cluster, trials);
-            cfg.warmup = Duration::from_secs(40);
-            run_trials(&cfg)
-        };
-        let raft = study("raft", TuningConfig::raft_default());
-        let dynatune = study("dynatune", TuningConfig::dynatune());
-
-        let raft_det = raft.detection_stats().mean();
-        let dt_det = dynatune.detection_stats().mean();
-        let mut report = Report::new(self.name());
-        report.table(
-            "failover with one degraded region",
-            ["system", "detection (ms)", "OTS (ms)", "mean rto (ms)"],
+    let raft_det = raft.detection_stats().mean();
+    let dt_det = dynatune.detection_stats().mean();
+    let mut report = Report::new(GEO_ASYMMETRIC.name);
+    report.table(
+        "failover with one degraded region",
+        ["system", "detection (ms)", "OTS (ms)", "mean rto (ms)"],
+        vec![
             vec![
-                vec![
-                    "raft".to_string(),
-                    format!("{raft_det:.0}"),
-                    format!("{:.0}", raft.ots_stats().mean()),
-                    format!("{:.0}", raft.mean_rto_ms()),
-                ],
-                vec![
-                    "dynatune".to_string(),
-                    format!("{dt_det:.0}"),
-                    format!("{:.0}", dynatune.ots_stats().mean()),
-                    format!("{:.0}", dynatune.mean_rto_ms()),
-                ],
+                "raft".to_string(),
+                format!("{raft_det:.0}"),
+                format!("{:.0}", raft.ots_stats().mean()),
+                format!("{:.0}", raft.mean_rto_ms()),
             ],
-        );
-        report.headline(
-            "detection reduction (degraded region)",
-            "n/a (beyond paper)",
-            &format!("{:.0}%", reduction_pct(raft_det, dt_det)),
-        );
-        report.note(
-            "per-path tuning keeps the healthy majority's timeouts matched to their\n\
-             own RTTs; a global worst-case constant would pay the degraded region's\n\
-             3x RTT everywhere.",
-        );
-        report
-    }
+            vec![
+                "dynatune".to_string(),
+                format!("{dt_det:.0}"),
+                format!("{:.0}", dynatune.ots_stats().mean()),
+                format!("{:.0}", dynatune.mean_rto_ms()),
+            ],
+        ],
+    );
+    report.headline(
+        "detection reduction (degraded region)",
+        "n/a (beyond paper)",
+        &format!("{:.0}%", reduction_pct(raft_det, dt_det)),
+    );
+    report.note(
+        "per-path tuning keeps the healthy majority's timeouts matched to their\n\
+         own RTTs; a global worst-case constant would pay the degraded region's\n\
+         3x RTT everywhere.",
+    );
+    report
 }
 
 /// Flapping-partition churn: the live leader (resolved at each cut) plus
@@ -113,92 +102,81 @@ impl Experiment for GeoAsymmetricFailover {
 /// schedule the declarative plan makes one expression instead of a
 /// hand-written loop. The report checks availability (leaderless seconds)
 /// and election safety (at most one leader per term) across the churn.
-pub struct PartitionChurn;
+pub const PARTITION_CHURN: Scenario = Scenario {
+    name: "partition_churn",
+    describe: "flapping leader-partition churn: repeated cut/heal cycles, safety + availability",
+    headline_metric: "safety and re-election behaviour through flapping partition cuts",
+    ci_assertion: "asserts zero election-safety violations across every churn cycle",
+    run: partition_churn,
+};
 
-impl Experiment for PartitionChurn {
-    fn name(&self) -> &'static str {
-        "partition_churn"
-    }
-
-    fn describe(&self) -> &'static str {
-        "flapping leader-partition churn: repeated cut/heal cycles, safety + availability"
-    }
-    fn headline_metric(&self) -> &'static str {
-        "safety and re-election behaviour through flapping partition cuts"
-    }
-
-    fn ci_assertion(&self) -> &'static str {
-        "asserts zero election-safety violations across every churn cycle"
-    }
-
-    fn run(&self, ctx: &RunCtx) -> Report {
-        let cycles = ctx.scale(12, 4);
-        let down = Duration::from_secs(12);
-        let up = Duration::from_secs(18);
-        let start = Duration::from_secs(30);
-        let mut report = Report::new(self.name());
-        let mut rows = Vec::new();
-        for (label, tuning) in [
-            ("raft", TuningConfig::raft_default()),
-            ("dynatune", TuningConfig::dynatune()),
-        ] {
-            let cluster = ScenarioBuilder::cluster(5)
-                .tuning(tuning)
-                .seed(ctx.system_seed(label))
-                .build();
-            let plan = FaultPlan::new().flapping_partition(
-                start,
-                PartitionSpec::LeaderPlusFollowers(1),
-                down,
-                up,
-                cycles,
-            );
-            let run = ScenarioDriver::new(cluster)
-                .plan(plan)
-                .horizon(Horizon::AfterLastFault(Duration::from_secs(20)))
-                .run();
-            let events = run.sim.events();
-            // Election safety across the whole churn.
-            let violations = election_safety_violations(&events);
-            let leader_changes = events
-                .iter()
-                .filter(|(_, _, ev)| matches!(ev, RaftEvent::BecameLeader { .. }))
-                .count();
-            let gaps = leaderless_intervals(&events, run.horizon);
-            let cuts_executed = run.trace.iter().filter(|f| !f.skipped).count();
-            rows.push(vec![
-                label.to_string(),
-                format!("{cuts_executed}/{}", run.trace.len()),
-                format!("{:.1}", total_leaderless_secs(&gaps)),
-                format!("{leader_changes}"),
-                format!("{violations}"),
-                format!(
-                    "{}",
-                    run.sim
-                        .leader()
-                        .map_or("none".to_string(), |l| l.to_string())
-                ),
-            ]);
-            // The churn must never break safety, under either system.
-            assert_eq!(violations, 0, "{label}: election safety violated");
-        }
-        report.table(
-            &format!("{cycles} cut/heal cycles, leader+1 cut away {down:?}, healed {up:?}"),
-            [
-                "system",
-                "cuts executed",
-                "leaderless (s)",
-                "leader changes",
-                "safety violations",
-                "final leader",
-            ],
-            rows,
+fn partition_churn(ctx: &RunCtx) -> Report {
+    let cycles = ctx.scale(12, 4);
+    let down = Duration::from_secs(12);
+    let up = Duration::from_secs(18);
+    let start = Duration::from_secs(30);
+    let mut report = Report::new(PARTITION_CHURN.name);
+    let mut rows = Vec::new();
+    for (label, tuning) in [
+        ("raft", TuningConfig::raft_default()),
+        ("dynatune", TuningConfig::dynatune()),
+    ] {
+        let cluster = ScenarioBuilder::cluster(5)
+            .tuning(tuning)
+            .seed(ctx.system_seed(label))
+            .build();
+        let plan = FaultPlan::new().flapping_partition(
+            start,
+            PartitionSpec::LeaderPlusFollowers(1),
+            down,
+            up,
+            cycles,
         );
-        report.note(
-            "every cut isolates the *current* leader (resolved at fire time) with one\n\
-             follower; the majority re-elects, the heal readmits a stale ex-leader.\n\
-             Election safety must hold throughout and the cluster must end led.",
-        );
-        report
+        let run = ScenarioDriver::new(cluster)
+            .plan(plan)
+            .horizon(Horizon::AfterLastFault(Duration::from_secs(20)))
+            .run();
+        let events = run.sim.events();
+        // Election safety across the whole churn.
+        let violations = election_safety_violations(&events);
+        let leader_changes = events
+            .iter()
+            .filter(|(_, _, ev)| matches!(ev, RaftEvent::BecameLeader { .. }))
+            .count();
+        let gaps = leaderless_intervals(&events, run.horizon);
+        let cuts_executed = run.trace.iter().filter(|f| !f.skipped).count();
+        rows.push(vec![
+            label.to_string(),
+            format!("{cuts_executed}/{}", run.trace.len()),
+            format!("{:.1}", total_leaderless_secs(&gaps)),
+            format!("{leader_changes}"),
+            format!("{violations}"),
+            format!(
+                "{}",
+                run.sim
+                    .leader()
+                    .map_or("none".to_string(), |l| l.to_string())
+            ),
+        ]);
+        // The churn must never break safety, under either system.
+        assert_eq!(violations, 0, "{label}: election safety violated");
     }
+    report.table(
+        &format!("{cycles} cut/heal cycles, leader+1 cut away {down:?}, healed {up:?}"),
+        [
+            "system",
+            "cuts executed",
+            "leaderless (s)",
+            "leader changes",
+            "safety violations",
+            "final leader",
+        ],
+        rows,
+    );
+    report.note(
+        "every cut isolates the *current* leader (resolved at fire time) with one\n\
+         follower; the majority re-elects, the heal readmits a stale ex-leader.\n\
+         Election safety must hold throughout and the cluster must end led.",
+    );
+    report
 }

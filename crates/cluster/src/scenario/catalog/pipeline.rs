@@ -5,12 +5,12 @@
 //! per follower, wait for the ack, send the next. Every batch paid a full
 //! RTT, so write throughput was capped at `entries_per_append / RTT`
 //! regardless of how much the network or the followers could absorb.
-//! [`PipelineDepth`] sweeps the window (1 = the old ping-pong) against
+//! [`PIPELINE_DEPTH`] sweeps the window (1 = the old ping-pong) against
 //! RTT and pins the claim that motivated the change: at WAN-ish RTTs a
 //! deeper window multiplies committed write throughput.
 
 use super::wired;
-use crate::scenario::{Experiment, NetPlan, Report, RunCtx, ScenarioBuilder};
+use crate::scenario::{NetPlan, Report, RunCtx, Scenario, ScenarioBuilder};
 use crate::sim::WorkloadSpec;
 use dynatune_core::TuningConfig;
 use dynatune_kv::OpMix;
@@ -74,116 +74,104 @@ fn depth_run(seed: u64, window: usize, rtt: Duration, hold: Duration) -> DepthRu
 /// Sweep the per-follower pipeline window against RTT under a saturating
 /// write-heavy load: deeper windows hide the RTT, multiplying committed
 /// throughput on slow links.
-pub struct PipelineDepth;
+pub const PIPELINE_DEPTH: Scenario = Scenario {
+    name: "pipeline_depth",
+    describe: "sweep the replication pipeline window across RTTs under write-heavy load",
+    headline_metric: "committed ops, window 8 over window 1 (ping-pong) at 50 ms RTT (>= 1.5x)",
+    ci_assertion: "asserts window 8 commits >= 1.5x the ops of window 1 at 50 ms RTT",
+    run: pipeline_depth,
+};
 
-impl Experiment for PipelineDepth {
-    fn name(&self) -> &'static str {
-        "pipeline_depth"
-    }
+fn pipeline_depth(ctx: &RunCtx) -> Report {
+    let hold = Duration::from_secs(ctx.scale(8, 3) as u64);
+    let combos: Vec<(u64, usize)> = RTTS_MS
+        .iter()
+        .flat_map(|&rtt_ms| WINDOWS.iter().map(move |&w| (rtt_ms, w)))
+        .collect();
+    let runs: Vec<DepthRun> = combos
+        .clone()
+        .into_par_iter()
+        .map(|(rtt_ms, window)| {
+            depth_run(
+                ctx.system_seed(&format!("window{window}/rtt{rtt_ms}")),
+                window,
+                Duration::from_millis(rtt_ms),
+                hold,
+            )
+        })
+        .collect();
+    let cell = |rtt_ms: u64, window: usize| -> &DepthRun {
+        let i = wired(
+            combos.iter().position(|&(r, w)| r == rtt_ms && w == window),
+            "every (rtt, window) cell queried below was swept above",
+        );
+        &runs[i]
+    };
 
-    fn describe(&self) -> &'static str {
-        "sweep the replication pipeline window across RTTs under write-heavy load"
-    }
-
-    fn headline_metric(&self) -> &'static str {
-        "committed ops, window 8 over window 1 (ping-pong) at 50 ms RTT (>= 1.5x)"
-    }
-
-    fn ci_assertion(&self) -> &'static str {
-        "asserts window 8 commits >= 1.5x the ops of window 1 at 50 ms RTT"
-    }
-
-    fn run(&self, ctx: &RunCtx) -> Report {
-        let hold = Duration::from_secs(ctx.scale(8, 3) as u64);
-        let combos: Vec<(u64, usize)> = RTTS_MS
+    let mut report = Report::new(PIPELINE_DEPTH.name);
+    report.table(
+        &format!(
+            "committed write ops by pipeline window (3 servers, {OFFERED_RPS:.0} req/s \
+             offered, <= {APPEND_CAP} entries per append)"
+        ),
+        [
+            "RTT",
+            "window",
+            "committed",
+            "throughput (op/s)",
+            "max log_len",
+        ],
+        combos
             .iter()
-            .flat_map(|&rtt_ms| WINDOWS.iter().map(move |&w| (rtt_ms, w)))
-            .collect();
-        let runs: Vec<DepthRun> = combos
-            .clone()
-            .into_par_iter()
-            .map(|(rtt_ms, window)| {
-                depth_run(
-                    ctx.system_seed(&format!("window{window}/rtt{rtt_ms}")),
-                    window,
-                    Duration::from_millis(rtt_ms),
-                    hold,
-                )
+            .zip(runs.iter())
+            .map(|(&(rtt_ms, window), r)| {
+                vec![
+                    format!("{rtt_ms} ms"),
+                    format!("{window}"),
+                    format!("{}", r.committed),
+                    format!("{:.0}", r.committed as f64 / r.hold_secs),
+                    format!("{}", r.max_log_len),
+                ]
             })
-            .collect();
-        let cell = |rtt_ms: u64, window: usize| -> &DepthRun {
-            let i = wired(
-                combos.iter().position(|&(r, w)| r == rtt_ms && w == window),
-                "every (rtt, window) cell queried below was swept above",
-            );
-            &runs[i]
-        };
-
-        let mut report = Report::new(self.name());
-        report.table(
-            &format!(
-                "committed write ops by pipeline window (3 servers, {OFFERED_RPS:.0} req/s \
-                 offered, <= {APPEND_CAP} entries per append)"
-            ),
-            [
-                "RTT",
-                "window",
-                "committed",
-                "throughput (op/s)",
-                "max log_len",
-            ],
-            combos
-                .iter()
-                .zip(runs.iter())
-                .map(|(&(rtt_ms, window), r)| {
-                    vec![
-                        format!("{rtt_ms} ms"),
-                        format!("{window}"),
-                        format!("{}", r.committed),
-                        format!("{:.0}", r.committed as f64 / r.hold_secs),
-                        format!("{}", r.max_log_len),
-                    ]
-                })
-                .collect(),
-        );
-        let headline_ratio = cell(50, 8).committed as f64 / cell(50, 1).committed.max(1) as f64;
-        report.headline(
-            "committed ops, window 8 / window 1 at 50 ms RTT",
-            ">= 1.5x",
-            &format!("{headline_ratio:.2}x"),
-        );
-        let wan_ratio = cell(200, 8).committed as f64 / cell(200, 1).committed.max(1) as f64;
-        report.headline(
-            "committed ops, window 8 / window 1 at 200 ms RTT",
-            "grows with RTT",
-            &format!("{wan_ratio:.2}x"),
-        );
-        report.note(
-            "window 1 is the retired ping-pong: one append per follower per RTT,\n\
-             so the ceiling is entries_per_append / RTT no matter the offered\n\
-             load. Deeper windows keep the link full; acks retire out of order\n\
-             and the resend timer watches only the oldest unacked send.",
-        );
+            .collect(),
+    );
+    let headline_ratio = cell(50, 8).committed as f64 / cell(50, 1).committed.max(1) as f64;
+    report.headline(
+        "committed ops, window 8 / window 1 at 50 ms RTT",
+        ">= 1.5x",
+        &format!("{headline_ratio:.2}x"),
+    );
+    let wan_ratio = cell(200, 8).committed as f64 / cell(200, 1).committed.max(1) as f64;
+    report.headline(
+        "committed ops, window 8 / window 1 at 200 ms RTT",
+        "grows with RTT",
+        &format!("{wan_ratio:.2}x"),
+    );
+    report.note(
+        "window 1 is the retired ping-pong: one append per follower per RTT,\n\
+         so the ceiling is entries_per_append / RTT no matter the offered\n\
+         load. Deeper windows keep the link full; acks retire out of order\n\
+         and the resend timer watches only the oldest unacked send.",
+    );
+    assert!(
+        headline_ratio >= 1.5,
+        "pipelining must beat ping-pong by >= 1.5x at 50 ms RTT, got \
+         {headline_ratio:.2}x ({} vs {})",
+        cell(50, 8).committed,
+        cell(50, 1).committed
+    );
+    assert!(
+        wan_ratio >= headline_ratio,
+        "the window's win must not shrink as RTT grows: {wan_ratio:.2}x at 200 ms \
+         vs {headline_ratio:.2}x at 50 ms"
+    );
+    for &rtt_ms in &RTTS_MS {
         assert!(
-            headline_ratio >= 1.5,
-            "pipelining must beat ping-pong by >= 1.5x at 50 ms RTT, got \
-             {headline_ratio:.2}x ({} vs {})",
-            cell(50, 8).committed,
-            cell(50, 1).committed
+            cell(rtt_ms, 8).committed * 10 >= cell(rtt_ms, 1).committed * 9,
+            "a deeper window must never cost throughput (rtt {rtt_ms} ms): {} vs {}",
+            cell(rtt_ms, 8).committed,
+            cell(rtt_ms, 1).committed
         );
-        assert!(
-            wan_ratio >= headline_ratio,
-            "the window's win must not shrink as RTT grows: {wan_ratio:.2}x at 200 ms \
-             vs {headline_ratio:.2}x at 50 ms"
-        );
-        for &rtt_ms in &RTTS_MS {
-            assert!(
-                cell(rtt_ms, 8).committed * 10 >= cell(rtt_ms, 1).committed * 9,
-                "a deeper window must never cost throughput (rtt {rtt_ms} ms): {} vs {}",
-                cell(rtt_ms, 8).committed,
-                cell(rtt_ms, 1).committed
-            );
-        }
-        report
     }
+    report
 }

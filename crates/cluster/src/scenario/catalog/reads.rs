@@ -6,12 +6,12 @@
 //! log/compaction machinery on operations that mutate nothing. These
 //! scenarios pin the replacement's two claims on every CI push:
 //!
-//! * [`ReadHeavyThroughput`] — at a 95/5 read/write mix the lease path
+//! * [`READ_HEAVY_THROUGHPUT`] — at a 95/5 read/write mix the lease path
 //!   must commit ≥2× the ops of the log-read baseline, with the live log
 //!   staying flat under read load (reads no longer append);
-//! * [`FollowerReadOffload`] — spreading reads over followers drops leader
+//! * [`FOLLOWER_READ_OFFLOAD`] — spreading reads over followers drops leader
 //!   CPU while a client-side trace checker proves no read went stale;
-//! * [`LeaseSafetyPartition`] — the adversarial case: isolate a leader
+//! * [`LEASE_SAFETY_PARTITION`] — the adversarial case: isolate a leader
 //!   from its peers mid-lease while clients still reach it; the
 //!   drift-margined lease must expire before the new leader's first
 //!   commit, so the trace shows zero stale reads even though the
@@ -19,7 +19,7 @@
 
 use super::wired;
 use crate::observers::stale_read_violations;
-use crate::scenario::{Experiment, Report, RunCtx, ScenarioBuilder};
+use crate::scenario::{Report, RunCtx, Scenario, ScenarioBuilder};
 use crate::server::{ReadCounters, ReadStrategy};
 use crate::sim::WorkloadSpec;
 use dynatune_core::TuningConfig;
@@ -79,102 +79,91 @@ fn throughput_run(seed: u64, strategy: ReadStrategy, hold: Duration) -> Throughp
 /// 95/5 read/write at saturating load: log-read baseline vs the lease
 /// path, asserting ≥2× committed-op throughput and a flat log under read
 /// load.
-pub struct ReadHeavyThroughput;
+pub const READ_HEAVY_THROUGHPUT: Scenario = Scenario {
+    name: "read_heavy_throughput",
+    describe: "95/5 read/write at saturating load: lease reads vs the log-read baseline",
+    headline_metric: "committed-op throughput ratio, lease path over log-read baseline (>= 2x)",
+    ci_assertion:
+        "asserts >= 2x committed throughput and a >= 4x smaller live log under the lease path",
+    run: read_heavy_throughput,
+};
 
-impl Experiment for ReadHeavyThroughput {
-    fn name(&self) -> &'static str {
-        "read_heavy_throughput"
-    }
+fn read_heavy_throughput(ctx: &RunCtx) -> Report {
+    let hold = Duration::from_secs(ctx.scale(8, 3) as u64);
+    let systems = [("log", ReadStrategy::Log), ("lease", ReadStrategy::Lease)];
+    let runs: Vec<ThroughputRun> = systems
+        .into_par_iter()
+        .map(|(label, strategy)| throughput_run(ctx.system_seed(label), strategy, hold))
+        .collect();
+    let (log, lease) = (&runs[0], &runs[1]);
 
-    fn describe(&self) -> &'static str {
-        "95/5 read/write at saturating load: lease reads vs the log-read baseline"
-    }
-
-    fn headline_metric(&self) -> &'static str {
-        "committed-op throughput ratio, lease path over log-read baseline (>= 2x)"
-    }
-
-    fn ci_assertion(&self) -> &'static str {
-        "asserts >= 2x committed throughput and a >= 4x smaller live log under the lease path"
-    }
-
-    fn run(&self, ctx: &RunCtx) -> Report {
-        let hold = Duration::from_secs(ctx.scale(8, 3) as u64);
-        let systems = [("log", ReadStrategy::Log), ("lease", ReadStrategy::Lease)];
-        let runs: Vec<ThroughputRun> = systems
-            .into_par_iter()
-            .map(|(label, strategy)| throughput_run(ctx.system_seed(label), strategy, hold))
-            .collect();
-        let (log, lease) = (&runs[0], &runs[1]);
-
-        let mut report = Report::new(self.name());
-        report.table(
-            &format!("95/5 read/write at {THROUGHPUT_RPS:.0} req/s offered, 3 servers x 2 cores"),
-            [
-                "system",
-                "committed",
-                "throughput (op/s)",
-                "max log_len",
-                "reads lease/readindex/follower/log",
-            ],
-            runs.iter()
-                .zip(systems.iter())
-                .map(|(r, (label, _))| {
-                    vec![
-                        (*label).to_string(),
-                        format!("{}", r.completed),
-                        format!("{:.0}", r.completed as f64 / r.hold_secs),
-                        format!("{}", r.max_log_len),
-                        format!(
-                            "{}/{}/{}/{}",
-                            r.reads.lease, r.reads.read_index, r.reads.follower, r.reads.log
-                        ),
-                    ]
-                })
-                .collect(),
-        );
-        let ratio = lease.completed as f64 / log.completed.max(1) as f64;
-        report.headline(
-            "committed-op throughput (lease / log)",
-            ">= 2x",
-            &format!("{ratio:.2}x"),
-        );
-        report.headline(
-            "max_log_len under read load (lease vs log)",
-            "flat (writes only)",
-            &format!("{} vs {}", lease.max_log_len, log.max_log_len),
-        );
-        // The read-path mix counters CI tracks across PRs (BENCH json).
-        let total = lease.reads.merged(log.reads);
-        report.headline("reads_served_leaseread", "-", &format!("{}", total.lease));
-        report.headline(
-            "reads_served_readindex",
-            "-",
-            &format!("{}", total.read_index + total.follower),
-        );
-        report.headline("reads_served_log", "-", &format!("{}", total.log));
-        report.note(
-            "the baseline replicates every Get through the log (quorum-append cost,\n\
-             log growth); the lease path serves the same reads for one ordered-map\n\
-             lookup while heartbeat acks keep the lease fresh.",
-        );
-        assert!(
-            ratio >= 2.0,
-            "lease read path must at least double committed throughput, got {ratio:.2}x \
-             ({} vs {})",
-            lease.completed,
-            log.completed
-        );
-        assert!(
-            lease.max_log_len * 4 <= log.max_log_len,
-            "read load must stay out of the log: lease {} vs log {}",
-            lease.max_log_len,
-            log.max_log_len
-        );
-        assert!(lease.reads.lease > 0, "lease run never used the lease path");
-        assert!(log.reads.log > 0, "log run never counted a logged read");
-        report
-    }
+    let mut report = Report::new(READ_HEAVY_THROUGHPUT.name);
+    report.table(
+        &format!("95/5 read/write at {THROUGHPUT_RPS:.0} req/s offered, 3 servers x 2 cores"),
+        [
+            "system",
+            "committed",
+            "throughput (op/s)",
+            "max log_len",
+            "reads lease/readindex/follower/log",
+        ],
+        runs.iter()
+            .zip(systems.iter())
+            .map(|(r, (label, _))| {
+                vec![
+                    (*label).to_string(),
+                    format!("{}", r.completed),
+                    format!("{:.0}", r.completed as f64 / r.hold_secs),
+                    format!("{}", r.max_log_len),
+                    format!(
+                        "{}/{}/{}/{}",
+                        r.reads.lease, r.reads.read_index, r.reads.follower, r.reads.log
+                    ),
+                ]
+            })
+            .collect(),
+    );
+    let ratio = lease.completed as f64 / log.completed.max(1) as f64;
+    report.headline(
+        "committed-op throughput (lease / log)",
+        ">= 2x",
+        &format!("{ratio:.2}x"),
+    );
+    report.headline(
+        "max_log_len under read load (lease vs log)",
+        "flat (writes only)",
+        &format!("{} vs {}", lease.max_log_len, log.max_log_len),
+    );
+    // The read-path mix counters CI tracks across PRs (BENCH json).
+    let total = lease.reads.merged(log.reads);
+    report.headline("reads_served_leaseread", "-", &format!("{}", total.lease));
+    report.headline(
+        "reads_served_readindex",
+        "-",
+        &format!("{}", total.read_index + total.follower),
+    );
+    report.headline("reads_served_log", "-", &format!("{}", total.log));
+    report.note(
+        "the baseline replicates every Get through the log (quorum-append cost,\n\
+         log growth); the lease path serves the same reads for one ordered-map\n\
+         lookup while heartbeat acks keep the lease fresh.",
+    );
+    assert!(
+        ratio >= 2.0,
+        "lease read path must at least double committed throughput, got {ratio:.2}x \
+         ({} vs {})",
+        lease.completed,
+        log.completed
+    );
+    assert!(
+        lease.max_log_len * 4 <= log.max_log_len,
+        "read load must stay out of the log: lease {} vs log {}",
+        lease.max_log_len,
+        log.max_log_len
+    );
+    assert!(lease.reads.lease > 0, "lease run never used the lease path");
+    assert!(log.reads.log > 0, "log run never counted a logged read");
+    report
 }
 
 // ------------------------------------------------------------------
@@ -225,109 +214,98 @@ fn offload_run(seed: u64, fanout: bool, hold: Duration) -> OffloadRun {
 
 /// Spread reads over followers: leader CPU must drop while the trace
 /// checker proves staleness stays zero.
-pub struct FollowerReadOffload;
+pub const FOLLOWER_READ_OFFLOAD: Scenario = Scenario {
+    name: "follower_read_offload",
+    describe: "fan reads out over followers: leader CPU drops, staleness stays zero",
+    headline_metric: "leader CPU with reads fanned over followers vs all reads on the leader",
+    ci_assertion:
+        "asserts leader CPU drops under fanout, every follower serves reads, zero stale reads",
+    run: follower_read_offload,
+};
 
-impl Experiment for FollowerReadOffload {
-    fn name(&self) -> &'static str {
-        "follower_read_offload"
-    }
+fn follower_read_offload(ctx: &RunCtx) -> Report {
+    let hold = Duration::from_secs(ctx.scale(10, 4) as u64);
+    let modes = [("leader-only", false), ("fanout", true)];
+    let runs: Vec<OffloadRun> = modes
+        .into_par_iter()
+        .map(|(label, fanout)| offload_run(ctx.system_seed(label), fanout, hold))
+        .collect();
+    let (baseline, fanout) = (&runs[0], &runs[1]);
 
-    fn describe(&self) -> &'static str {
-        "fan reads out over followers: leader CPU drops, staleness stays zero"
-    }
-
-    fn headline_metric(&self) -> &'static str {
-        "leader CPU with reads fanned over followers vs all reads on the leader"
-    }
-
-    fn ci_assertion(&self) -> &'static str {
-        "asserts leader CPU drops under fanout, every follower serves reads, zero stale reads"
-    }
-
-    fn run(&self, ctx: &RunCtx) -> Report {
-        let hold = Duration::from_secs(ctx.scale(10, 4) as u64);
-        let modes = [("leader-only", false), ("fanout", true)];
-        let runs: Vec<OffloadRun> = modes
-            .into_par_iter()
-            .map(|(label, fanout)| offload_run(ctx.system_seed(label), fanout, hold))
-            .collect();
-        let (baseline, fanout) = (&runs[0], &runs[1]);
-
-        let mut report = Report::new(self.name());
-        report.table(
-            "follower-read offload (3 servers, 4k req/s, 95% reads)",
-            [
-                "mode",
-                "leader CPU %",
-                "per-server reads (total)",
-                "stale reads",
-                "completed",
-            ],
-            runs.iter()
-                .zip(modes.iter())
-                .map(|(r, (label, _))| {
-                    vec![
-                        (*label).to_string(),
-                        format!("{:.1}", r.leader_cpu_pct),
-                        r.reads_per_server
-                            .iter()
-                            .map(|c| format!("{}", c.total()))
-                            .collect::<Vec<_>>()
-                            .join("/"),
-                        format!("{}", r.violations),
-                        format!("{}", r.completed),
-                    ]
-                })
-                .collect(),
-        );
-        report.headline(
-            "leader CPU, fanout vs leader-only",
-            "drops",
-            &format!(
-                "{:.1}% vs {:.1}%",
-                fanout.leader_cpu_pct, baseline.leader_cpu_pct
-            ),
-        );
-        report.headline(
-            "stale reads (both modes)",
-            "0",
-            &format!("{}", baseline.violations + fanout.violations),
-        );
-        report.note(
-            "followers answer forwarded reads from their own state machine once\n\
-             local apply reaches the granted index; forwarding batches into one\n\
-             ReadIndexReq wave per round trip, so the leader's cost per offloaded\n\
-             read is a fraction of serving it.",
-        );
-        assert_eq!(
-            baseline.violations + fanout.violations,
-            0,
-            "offloaded reads must stay linearizable"
-        );
-        assert!(
-            fanout.leader_cpu_pct < baseline.leader_cpu_pct * 0.8,
-            "fanout must shed leader CPU: {:.1}% vs {:.1}%",
-            fanout.leader_cpu_pct,
-            baseline.leader_cpu_pct
-        );
-        let follower_served = fanout
-            .reads_per_server
-            .iter()
-            .filter(|c| c.follower > 0)
-            .count();
-        assert!(
-            follower_served >= 2,
-            "both followers must serve reads, got counters {:?}",
-            fanout.reads_per_server
-        );
-        assert!(
-            fanout.completed as f64 > baseline.completed as f64 * 0.9,
-            "offload must not sacrifice goodput: {} vs {}",
-            fanout.completed,
-            baseline.completed
-        );
-        report
-    }
+    let mut report = Report::new(FOLLOWER_READ_OFFLOAD.name);
+    report.table(
+        "follower-read offload (3 servers, 4k req/s, 95% reads)",
+        [
+            "mode",
+            "leader CPU %",
+            "per-server reads (total)",
+            "stale reads",
+            "completed",
+        ],
+        runs.iter()
+            .zip(modes.iter())
+            .map(|(r, (label, _))| {
+                vec![
+                    (*label).to_string(),
+                    format!("{:.1}", r.leader_cpu_pct),
+                    r.reads_per_server
+                        .iter()
+                        .map(|c| format!("{}", c.total()))
+                        .collect::<Vec<_>>()
+                        .join("/"),
+                    format!("{}", r.violations),
+                    format!("{}", r.completed),
+                ]
+            })
+            .collect(),
+    );
+    report.headline(
+        "leader CPU, fanout vs leader-only",
+        "drops",
+        &format!(
+            "{:.1}% vs {:.1}%",
+            fanout.leader_cpu_pct, baseline.leader_cpu_pct
+        ),
+    );
+    report.headline(
+        "stale reads (both modes)",
+        "0",
+        &format!("{}", baseline.violations + fanout.violations),
+    );
+    report.note(
+        "followers answer forwarded reads from their own state machine once\n\
+         local apply reaches the granted index; forwarding batches into one\n\
+         ReadIndexReq wave per round trip, so the leader's cost per offloaded\n\
+         read is a fraction of serving it.",
+    );
+    assert_eq!(
+        baseline.violations + fanout.violations,
+        0,
+        "offloaded reads must stay linearizable"
+    );
+    assert!(
+        fanout.leader_cpu_pct < baseline.leader_cpu_pct * 0.8,
+        "fanout must shed leader CPU: {:.1}% vs {:.1}%",
+        fanout.leader_cpu_pct,
+        baseline.leader_cpu_pct
+    );
+    let follower_served = fanout
+        .reads_per_server
+        .iter()
+        .filter(|c| c.follower > 0)
+        .count();
+    assert!(
+        follower_served >= 2,
+        "both followers must serve reads, got counters {:?}",
+        fanout.reads_per_server
+    );
+    assert!(
+        fanout.completed as f64 > baseline.completed as f64 * 0.9,
+        "offload must not sacrifice goodput: {} vs {}",
+        fanout.completed,
+        baseline.completed
+    );
+    report
 }
 
 // ------------------------------------------------------------------
@@ -409,90 +387,79 @@ fn lease_trial(seed: u64) -> LeaseTrial {
 /// Partition a leader mid-lease (clients still reach it): the drift-scaled
 /// lease must expire before the new leader's first commit, so no stale
 /// read is ever served — checked by a linearizability pass over the trace.
-pub struct LeaseSafetyPartition;
+pub const LEASE_SAFETY_PARTITION: Scenario = Scenario {
+    name: "lease_safety_partition",
+    describe: "partition a leader mid-lease while clients still reach it: zero stale reads",
+    headline_metric: "stale-read violations in the client trace across the partition (must be 0)",
+    ci_assertion:
+        "asserts zero stale reads, a hot lease before the cut, and post-cut commits + reads",
+    run: lease_safety_partition,
+};
 
-impl Experiment for LeaseSafetyPartition {
-    fn name(&self) -> &'static str {
-        "lease_safety_partition"
-    }
-
-    fn describe(&self) -> &'static str {
-        "partition a leader mid-lease while clients still reach it: zero stale reads"
-    }
-
-    fn headline_metric(&self) -> &'static str {
-        "stale-read violations in the client trace across the partition (must be 0)"
-    }
-
-    fn ci_assertion(&self) -> &'static str {
-        "asserts zero stale reads, a hot lease before the cut, and post-cut commits + reads"
-    }
-
-    fn run(&self, ctx: &RunCtx) -> Report {
-        let trials = ctx.trials_or(3, 2);
-        let results: Vec<LeaseTrial> = (0..trials)
-            .into_par_iter()
-            .map(|i| lease_trial(ctx.system_seed(&format!("lease-safety/{i}"))))
-            .collect();
-        let mut report = Report::new(self.name());
-        report.table(
-            "leader isolated from peers at t=10s (clients bridge), healed at t=22s",
-            [
-                "trial",
-                "old leader",
-                "new leader",
-                "lease reads pre-cut",
-                "writes in cut",
-                "reads after new commits",
-                "stale reads",
-            ],
-            results
-                .iter()
-                .enumerate()
-                .map(|(i, t)| {
-                    vec![
-                        format!("{i}"),
-                        format!("{}", t.old_leader),
-                        t.new_leader.map_or("-".into(), |l| format!("{l}")),
-                        format!("{}", t.old_leader_lease_reads),
-                        format!("{}", t.writes_during_partition),
-                        format!("{}", t.reads_after_new_commits),
-                        format!("{}", t.violations),
-                    ]
-                })
-                .collect(),
+fn lease_safety_partition(ctx: &RunCtx) -> Report {
+    let trials = ctx.trials_or(3, 2);
+    let results: Vec<LeaseTrial> = (0..trials)
+        .into_par_iter()
+        .map(|i| lease_trial(ctx.system_seed(&format!("lease-safety/{i}"))))
+        .collect();
+    let mut report = Report::new(LEASE_SAFETY_PARTITION.name);
+    report.table(
+        "leader isolated from peers at t=10s (clients bridge), healed at t=22s",
+        [
+            "trial",
+            "old leader",
+            "new leader",
+            "lease reads pre-cut",
+            "writes in cut",
+            "reads after new commits",
+            "stale reads",
+        ],
+        results
+            .iter()
+            .enumerate()
+            .map(|(i, t)| {
+                vec![
+                    format!("{i}"),
+                    format!("{}", t.old_leader),
+                    t.new_leader.map_or("-".into(), |l| format!("{l}")),
+                    format!("{}", t.old_leader_lease_reads),
+                    format!("{}", t.writes_during_partition),
+                    format!("{}", t.reads_after_new_commits),
+                    format!("{}", t.violations),
+                ]
+            })
+            .collect(),
+    );
+    let total_violations: usize = results.iter().map(|t| t.violations).sum();
+    report.headline(
+        "stale reads across all trials",
+        "0",
+        &format!("{total_violations}"),
+    );
+    report.note(
+        "safety margin: the lease is cut at read_lease * (1 - drift_margin) from\n\
+         the last quorum-acked heartbeat send, while a new leader needs at least\n\
+         one full election timeout after the last heartbeat it received — the\n\
+         isolated leader's lease always dies first.",
+    );
+    for (i, t) in results.iter().enumerate() {
+        assert_eq!(t.violations, 0, "trial {i}: stale read served");
+        let new_leader = wired(
+            t.new_leader,
+            &format!("trial {i}: no new leader elected during the partition"),
         );
-        let total_violations: usize = results.iter().map(|t| t.violations).sum();
-        report.headline(
-            "stale reads across all trials",
-            "0",
-            &format!("{total_violations}"),
+        assert_ne!(
+            new_leader, t.old_leader,
+            "trial {i}: old leader cannot still lead"
         );
-        report.note(
-            "safety margin: the lease is cut at read_lease * (1 - drift_margin) from\n\
-             the last quorum-acked heartbeat send, while a new leader needs at least\n\
-             one full election timeout after the last heartbeat it received — the\n\
-             isolated leader's lease always dies first.",
+        assert!(
+            t.writes_during_partition > 0,
+            "trial {i}: the new leader committed nothing — vacuous check"
         );
-        for (i, t) in results.iter().enumerate() {
-            assert_eq!(t.violations, 0, "trial {i}: stale read served");
-            let new_leader = wired(
-                t.new_leader,
-                &format!("trial {i}: no new leader elected during the partition"),
-            );
-            assert_ne!(
-                new_leader, t.old_leader,
-                "trial {i}: old leader cannot still lead"
-            );
-            assert!(
-                t.writes_during_partition > 0,
-                "trial {i}: the new leader committed nothing — vacuous check"
-            );
-            assert!(
-                t.reads_after_new_commits > 0,
-                "trial {i}: no reads completed after the new leader's commits — vacuous check"
-            );
-        }
-        report
+        assert!(
+            t.reads_after_new_commits > 0,
+            "trial {i}: no reads completed after the new leader's commits — vacuous check"
+        );
     }
+    report
 }

@@ -3,12 +3,12 @@
 //!
 //! Three workloads the single-group catalog cannot express:
 //!
-//! * [`ShardedThroughput`] — aggregate committed throughput vs shard count
+//! * [`SHARDED_THROUGHPUT`] — aggregate committed throughput vs shard count
 //!   at a fixed per-node configuration (the "does it actually scale out"
 //!   plot);
-//! * [`HotShard`] — Zipf-skewed keys concentrating load on one group
+//! * [`HOT_SHARD`] — Zipf-skewed keys concentrating load on one group
 //!   (partitioning helps only as much as the key distribution allows);
-//! * [`ShardLeaderFailover`] — crash one group's leader mid-load and
+//! * [`SHARD_LEADER_FAILOVER`] — crash one group's leader mid-load and
 //!   verify the blast radius: unaffected shards keep serving at baseline
 //!   while the affected shard's outage is bounded by failure detection,
 //!   which is exactly where the paper's dynamic timeouts pay off.
@@ -20,7 +20,7 @@
 use super::wired;
 use crate::cpu::CostModel;
 use crate::observers::extract_failover;
-use crate::scenario::{Experiment, Report, RunCtx, ScenarioBuilder};
+use crate::scenario::{Report, RunCtx, Scenario, ScenarioBuilder};
 use crate::sim::{ClusterSim, WorkloadSpec};
 use dynatune_core::TuningConfig;
 use dynatune_kv::{OpMix, RateStep};
@@ -104,7 +104,7 @@ pub fn measure_scaling(ctx: &RunCtx, shard_counts: &[usize]) -> Vec<ScalingPoint
         .into_par_iter()
         .map(|shards| {
             let seed = ctx.system_seed(&format!("sharded_throughput-{shards}"));
-            // Uniform keys: scaling is the subject here, skew is HotShard's.
+            // Uniform keys: scaling is the subject here, skew is `HOT_SHARD`'s.
             let mut sim = sharded_sim(
                 shards,
                 TuningConfig::raft_default(),
@@ -125,71 +125,60 @@ pub fn measure_scaling(ctx: &RunCtx, shard_counts: &[usize]) -> Vec<ScalingPoint
 
 /// Aggregate committed ops vs shard count (1/2/4/8) at fixed per-node
 /// config: the scale-out headline of the sharded serving layer.
-pub struct ShardedThroughput;
+pub const SHARDED_THROUGHPUT: Scenario = Scenario {
+    name: "sharded_throughput",
+    describe: "aggregate committed throughput vs shard count (1/2/4/8) at fixed per-node config",
+    headline_metric: "committed-throughput scaling from 1 to 8 shards",
+    ci_assertion: "tests/sharding.rs asserts >= 3x scaling at 8 shards",
+    run: sharded_throughput,
+};
 
-impl Experiment for ShardedThroughput {
-    fn name(&self) -> &'static str {
-        "sharded_throughput"
-    }
-
-    fn describe(&self) -> &'static str {
-        "aggregate committed throughput vs shard count (1/2/4/8) at fixed per-node config"
-    }
-    fn headline_metric(&self) -> &'static str {
-        "committed-throughput scaling from 1 to 8 shards"
-    }
-
-    fn ci_assertion(&self) -> &'static str {
-        "tests/sharding.rs asserts >= 3x scaling at 8 shards"
-    }
-
-    fn run(&self, ctx: &RunCtx) -> Report {
-        let points = measure_scaling(ctx, &[1, 2, 4, 8]);
-        let base = points[0].aggregate_rps;
-        let mut report = Report::new(self.name());
-        report.table(
-            &format!(
-                "{} req/s offered aggregate, {REPLICAS} replicas/shard, 2 cores/server",
-                points[0].offered_rps
-            ),
-            ["shards", "completed ops", "aggregate (req/s)", "vs 1 shard"],
-            points
-                .iter()
-                .map(|p| {
-                    vec![
-                        format!("{}", p.shards),
-                        format!("{}", p.completed),
-                        format!("{:.0}", p.aggregate_rps),
-                        format!("{:.2}x", p.aggregate_rps / base),
-                    ]
-                })
-                .collect(),
-        );
-        let last = wired(points.last(), "the shard-count sweep is non-empty");
-        report.headline(
-            "committed-throughput scaling, 1 -> 8 shards",
-            "n/a (beyond paper)",
-            &format!("{:.2}x", last.aggregate_rps / base),
-        );
-        report.artifact(
-            "sharded_throughput.csv",
-            std::iter::once("shards,completed,aggregate_rps".to_string())
-                .chain(
-                    points
-                        .iter()
-                        .map(|p| format!("{},{},{:.1}", p.shards, p.completed, p.aggregate_rps)),
-                )
-                .collect::<Vec<_>>()
-                .join("\n")
-                + "\n",
-        );
-        report.note(
-            "a single Raft group is leader-CPU-bound; hash-partitioning the keyspace\n\
-             across groups multiplies the commit pipelines while each node keeps the\n\
-             same configuration.",
-        );
-        report
-    }
+fn sharded_throughput(ctx: &RunCtx) -> Report {
+    let points = measure_scaling(ctx, &[1, 2, 4, 8]);
+    let base = points[0].aggregate_rps;
+    let mut report = Report::new(SHARDED_THROUGHPUT.name);
+    report.table(
+        &format!(
+            "{} req/s offered aggregate, {REPLICAS} replicas/shard, 2 cores/server",
+            points[0].offered_rps
+        ),
+        ["shards", "completed ops", "aggregate (req/s)", "vs 1 shard"],
+        points
+            .iter()
+            .map(|p| {
+                vec![
+                    format!("{}", p.shards),
+                    format!("{}", p.completed),
+                    format!("{:.0}", p.aggregate_rps),
+                    format!("{:.2}x", p.aggregate_rps / base),
+                ]
+            })
+            .collect(),
+    );
+    let last = wired(points.last(), "the shard-count sweep is non-empty");
+    report.headline(
+        "committed-throughput scaling, 1 -> 8 shards",
+        "n/a (beyond paper)",
+        &format!("{:.2}x", last.aggregate_rps / base),
+    );
+    report.artifact(
+        "sharded_throughput.csv",
+        std::iter::once("shards,completed,aggregate_rps".to_string())
+            .chain(
+                points
+                    .iter()
+                    .map(|p| format!("{},{},{:.1}", p.shards, p.completed, p.aggregate_rps)),
+            )
+            .collect::<Vec<_>>()
+            .join("\n")
+            + "\n",
+    );
+    report.note(
+        "a single Raft group is leader-CPU-bound; hash-partitioning the keyspace\n\
+         across groups multiplies the commit pipelines while each node keeps the\n\
+         same configuration.",
+    );
+    report
 }
 
 /// Per-shard outcome of one hot-shard run.
@@ -226,82 +215,71 @@ pub fn measure_skew(ctx: &RunCtx, zipf_theta: f64) -> SkewOutcome {
 
 /// Zipf-skewed keys concentrating load on one Raft group: sharding scales
 /// only as far as the key distribution spreads.
-pub struct HotShard;
+pub const HOT_SHARD: Scenario = Scenario {
+    name: "hot_shard",
+    describe: "Zipf-skewed keys concentrate load on one of 8 groups; skew caps the scale-out win",
+    headline_metric: "hot shard's share of offered load under zipf 1.4 skew",
+    ci_assertion: "runs end-to-end; skew penalty reported (bounds asserted in tests/sharding.rs)",
+    run: hot_shard,
+};
 
-impl Experiment for HotShard {
-    fn name(&self) -> &'static str {
-        "hot_shard"
-    }
-
-    fn describe(&self) -> &'static str {
-        "Zipf-skewed keys concentrate load on one of 8 groups; skew caps the scale-out win"
-    }
-    fn headline_metric(&self) -> &'static str {
-        "hot shard's share of offered load under zipf 1.4 skew"
-    }
-
-    fn ci_assertion(&self) -> &'static str {
-        "runs end-to-end; skew penalty reported (bounds asserted in tests/sharding.rs)"
-    }
-
-    fn run(&self, ctx: &RunCtx) -> Report {
-        // YCSB-beyond skew at theta 1.4: the head key is ~30% of traffic.
-        let mut runs: Vec<SkewOutcome> = [0.0, 1.4]
-            .into_par_iter()
-            .map(|theta| measure_skew(ctx, theta))
-            .collect();
-        let skewed = wired(runs.pop(), "two runs were mapped above");
-        let uniform = wired(runs.pop(), "two runs were mapped above");
-        let share = |o: &SkewOutcome, s: usize| {
-            o.sent[s] as f64 / o.sent.iter().sum::<u64>().max(1) as f64 * 100.0
-        };
-        let mut report = Report::new(self.name());
-        report.table(
-            "per-shard offered share and completions (8 shards, 3000 req/s offered)",
-            [
-                "shard",
-                "uniform sent %",
-                "uniform done",
-                "zipf sent %",
-                "zipf done",
-            ],
-            (0..8)
-                .map(|s| {
-                    vec![
-                        format!("{s}"),
-                        format!("{:.1}", share(&uniform, s)),
-                        format!("{}", uniform.completed[s]),
-                        format!("{:.1}", share(&skewed, s)),
-                        format!("{}", skewed.completed[s]),
-                    ]
-                })
-                .collect(),
-        );
-        let hot = wired(
-            (0..8).max_by_key(|&s| skewed.sent[s]),
-            "the 0..8 shard range is non-empty",
-        );
-        report.headline(
-            "hot shard's share of offered load (zipf 1.4)",
-            "n/a (beyond paper)",
-            &format!("{:.0}%", share(&skewed, hot)),
-        );
-        report.headline(
-            "aggregate completed, zipf vs uniform keys",
-            "n/a (beyond paper)",
-            &format!(
-                "{:.2}x",
-                skewed.total_completed as f64 / uniform.total_completed.max(1) as f64
-            ),
-        );
-        report.note(
-            "hash partitioning spreads *keys*, not *traffic*: under heavy skew one\n\
-             group saturates while its neighbors idle, and the aggregate falls back\n\
-             toward single-group throughput. Mitigations (hot-key splitting,\n\
-             request-level caching) are future scenarios.",
-        );
-        report
-    }
+fn hot_shard(ctx: &RunCtx) -> Report {
+    // YCSB-beyond skew at theta 1.4: the head key is ~30% of traffic.
+    let mut runs: Vec<SkewOutcome> = [0.0, 1.4]
+        .into_par_iter()
+        .map(|theta| measure_skew(ctx, theta))
+        .collect();
+    let skewed = wired(runs.pop(), "two runs were mapped above");
+    let uniform = wired(runs.pop(), "two runs were mapped above");
+    let share = |o: &SkewOutcome, s: usize| {
+        o.sent[s] as f64 / o.sent.iter().sum::<u64>().max(1) as f64 * 100.0
+    };
+    let mut report = Report::new(HOT_SHARD.name);
+    report.table(
+        "per-shard offered share and completions (8 shards, 3000 req/s offered)",
+        [
+            "shard",
+            "uniform sent %",
+            "uniform done",
+            "zipf sent %",
+            "zipf done",
+        ],
+        (0..8)
+            .map(|s| {
+                vec![
+                    format!("{s}"),
+                    format!("{:.1}", share(&uniform, s)),
+                    format!("{}", uniform.completed[s]),
+                    format!("{:.1}", share(&skewed, s)),
+                    format!("{}", skewed.completed[s]),
+                ]
+            })
+            .collect(),
+    );
+    let hot = wired(
+        (0..8).max_by_key(|&s| skewed.sent[s]),
+        "the 0..8 shard range is non-empty",
+    );
+    report.headline(
+        "hot shard's share of offered load (zipf 1.4)",
+        "n/a (beyond paper)",
+        &format!("{:.0}%", share(&skewed, hot)),
+    );
+    report.headline(
+        "aggregate completed, zipf vs uniform keys",
+        "n/a (beyond paper)",
+        &format!(
+            "{:.2}x",
+            skewed.total_completed as f64 / uniform.total_completed.max(1) as f64
+        ),
+    );
+    report.note(
+        "hash partitioning spreads *keys*, not *traffic*: under heavy skew one\n\
+         group saturates while its neighbors idle, and the aggregate falls back\n\
+         toward single-group throughput. Mitigations (hot-key splitting,\n\
+         request-level caching) are future scenarios.",
+    );
+    report
 }
 
 /// Per-system outcome of the shard-leader-failover measurement.
@@ -395,85 +373,74 @@ pub fn measure_isolation(ctx: &RunCtx, label: &str, tuning: TuningConfig) -> Fai
 /// Crash one group's leader mid-load: the other shards must not notice,
 /// and the affected shard's outage is bounded by failure detection — the
 /// paper's dynamic timeouts shrink exactly that bound, per shard.
-pub struct ShardLeaderFailover;
+pub const SHARD_LEADER_FAILOVER: Scenario = Scenario {
+    name: "shard_leader_failover",
+    describe: "crash one group's leader mid-load: blast radius + per-shard detection bound",
+    headline_metric: "unaffected-shard goodput deviation during one group's leader outage",
+    ci_assertion: "tests/sharding.rs asserts unaffected shards stay within 5% of baseline",
+    run: shard_leader_failover,
+};
 
-impl Experiment for ShardLeaderFailover {
-    fn name(&self) -> &'static str {
-        "shard_leader_failover"
-    }
-
-    fn describe(&self) -> &'static str {
-        "crash one group's leader mid-load: blast radius + per-shard detection bound"
-    }
-    fn headline_metric(&self) -> &'static str {
-        "unaffected-shard goodput deviation during one group's leader outage"
-    }
-
-    fn ci_assertion(&self) -> &'static str {
-        "tests/sharding.rs asserts unaffected shards stay within 5% of baseline"
-    }
-
-    fn run(&self, ctx: &RunCtx) -> Report {
-        let mut runs: Vec<FailoverIsolation> = [
-            ("raft", TuningConfig::raft_default()),
-            ("dynatune", TuningConfig::dynatune()),
-        ]
-        .into_par_iter()
-        .map(|(label, tuning)| measure_isolation(ctx, label, tuning))
-        .collect();
-        let dynatune = wired(runs.pop(), "two systems were mapped above");
-        let raft = wired(runs.pop(), "two systems were mapped above");
-        let mut report = Report::new(self.name());
-        for (label, m) in [("raft", &raft), ("dynatune", &dynatune)] {
-            report.table(
-                &format!("{label}: per-shard serving, baseline vs outage window"),
-                [
-                    "shard",
-                    "baseline (req/s)",
-                    "outage (req/s)",
-                    "baseline goodput",
-                    "outage goodput",
-                ],
-                (0..m.baseline_rps.len())
-                    .map(|s| {
-                        vec![
-                            if s == m.crashed_shard {
-                                format!("{s} (leader crashed)")
-                            } else {
-                                format!("{s}")
-                            },
-                            format!("{:.0}", m.baseline_rps[s]),
-                            format!("{:.0}", m.outage_rps[s]),
-                            format!("{:.3}", m.baseline_goodput[s]),
-                            format!("{:.3}", m.outage_goodput[s]),
-                        ]
-                    })
-                    .collect(),
-            );
-        }
-        report.headline(
-            "worst unaffected-shard deviation during outage",
-            "<= 5%",
-            &format!(
-                "raft {:.1}%, dynatune {:.1}%",
-                raft.worst_unaffected_dev_pct, dynatune.worst_unaffected_dev_pct
-            ),
+fn shard_leader_failover(ctx: &RunCtx) -> Report {
+    let mut runs: Vec<FailoverIsolation> = [
+        ("raft", TuningConfig::raft_default()),
+        ("dynatune", TuningConfig::dynatune()),
+    ]
+    .into_par_iter()
+    .map(|(label, tuning)| measure_isolation(ctx, label, tuning))
+    .collect();
+    let dynatune = wired(runs.pop(), "two systems were mapped above");
+    let raft = wired(runs.pop(), "two systems were mapped above");
+    let mut report = Report::new(SHARD_LEADER_FAILOVER.name);
+    for (label, m) in [("raft", &raft), ("dynatune", &dynatune)] {
+        report.table(
+            &format!("{label}: per-shard serving, baseline vs outage window"),
+            [
+                "shard",
+                "baseline (req/s)",
+                "outage (req/s)",
+                "baseline goodput",
+                "outage goodput",
+            ],
+            (0..m.baseline_rps.len())
+                .map(|s| {
+                    vec![
+                        if s == m.crashed_shard {
+                            format!("{s} (leader crashed)")
+                        } else {
+                            format!("{s}")
+                        },
+                        format!("{:.0}", m.baseline_rps[s]),
+                        format!("{:.0}", m.outage_rps[s]),
+                        format!("{:.3}", m.baseline_goodput[s]),
+                        format!("{:.3}", m.outage_goodput[s]),
+                    ]
+                })
+                .collect(),
         );
-        report.headline(
-            "affected shard detection time",
-            "dynatune < raft",
-            &format!(
-                "raft {:.0} ms, dynatune {:.0} ms",
-                raft.detection_ms.unwrap_or(f64::NAN),
-                dynatune.detection_ms.unwrap_or(f64::NAN)
-            ),
-        );
-        report.note(
-            "groups share nothing but the network fabric, so a leader crash in one\n\
-             shard leaves the others' commit pipelines untouched; the affected\n\
-             shard's outage equals detection + election, which per-path tuning\n\
-             shrinks just as it does for the single-group Fig. 4.",
-        );
-        report
     }
+    report.headline(
+        "worst unaffected-shard deviation during outage",
+        "<= 5%",
+        &format!(
+            "raft {:.1}%, dynatune {:.1}%",
+            raft.worst_unaffected_dev_pct, dynatune.worst_unaffected_dev_pct
+        ),
+    );
+    report.headline(
+        "affected shard detection time",
+        "dynatune < raft",
+        &format!(
+            "raft {:.0} ms, dynatune {:.0} ms",
+            raft.detection_ms.unwrap_or(f64::NAN),
+            dynatune.detection_ms.unwrap_or(f64::NAN)
+        ),
+    );
+    report.note(
+        "groups share nothing but the network fabric, so a leader crash in one\n\
+         shard leaves the others' commit pipelines untouched; the affected\n\
+         shard's outage equals detection + election, which per-path tuning\n\
+         shrinks just as it does for the single-group Fig. 4.",
+    );
+    report
 }

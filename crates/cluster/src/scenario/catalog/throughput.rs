@@ -7,7 +7,7 @@
 //! deviation; peak throughput is the highest completed rate.
 
 use crate::scenario::{
-    compare_row, Experiment, Horizon, Report, RunCtx, ScenarioBuilder, ScenarioDriver,
+    compare_row, Horizon, Report, RunCtx, Scenario, ScenarioBuilder, ScenarioDriver,
 };
 use crate::sim::{ClusterConfig, WorkloadSpec};
 use dynatune_core::{invariant_violated, TuningConfig};
@@ -150,88 +150,74 @@ pub fn measure_ramp(
 
 /// Fig. 5: latency-vs-throughput ramps, Raft vs Dynatune; reports peak
 /// throughput and the tuning overhead.
-pub struct Fig5Throughput;
+pub const FIG5: Scenario = Scenario {
+    name: "fig5",
+    describe: "throughput vs latency (open-loop ramp, 5 servers, RTT 100ms)",
+    headline_metric: "peak committed throughput and the tuning overhead at peak (paper Fig. 5)",
+    ci_assertion: "runs end-to-end; peaks reported against the paper, not asserted",
+    run: fig5,
+};
 
-impl Fig5Throughput {
-    fn study(&self, ctx: &RunCtx, label: &str, tuning: TuningConfig) -> ThroughputResult {
+fn fig5(ctx: &RunCtx) -> Report {
+    let study = |label: &str, tuning: TuningConfig| {
         let cluster = ScenarioBuilder::cluster(5)
             .tuning(tuning)
             .seed(ctx.system_seed(label))
             .build();
         measure_ramp(&cluster, &ramp_for(ctx), ctx.repeats_or(10, 2))
-    }
-}
+    };
+    let raft = study("raft", TuningConfig::raft_default());
+    let dynatune = study("dynatune", TuningConfig::dynatune());
 
-impl Experiment for Fig5Throughput {
-    fn name(&self) -> &'static str {
-        "fig5"
-    }
+    let mut report = Report::new(FIG5.name);
+    report.table(
+        "ramp levels",
+        [
+            "offered (req/s)",
+            "raft tput",
+            "raft lat (ms)",
+            "dynatune tput",
+            "dynatune lat (ms)",
+        ],
+        raft.levels
+            .iter()
+            .zip(dynatune.levels.iter())
+            .map(|(r, d)| {
+                vec![
+                    format!("{:.0}", r.offered_rps),
+                    format!("{:.0}", r.throughput.mean()),
+                    format!("{:.1}", r.latency_ms.mean()),
+                    format!("{:.0}", d.throughput.mean()),
+                    format!("{:.1}", d.latency_ms.mean()),
+                ]
+            })
+            .collect(),
+    );
 
-    fn describe(&self) -> &'static str {
-        "throughput vs latency (open-loop ramp, 5 servers, RTT 100ms)"
-    }
-    fn headline_metric(&self) -> &'static str {
-        "peak committed throughput and the tuning overhead at peak (paper Fig. 5)"
-    }
-
-    fn ci_assertion(&self) -> &'static str {
-        "runs end-to-end; peaks reported against the paper, not asserted"
-    }
-
-    fn run(&self, ctx: &RunCtx) -> Report {
-        let raft = self.study(ctx, "raft", TuningConfig::raft_default());
-        let dynatune = self.study(ctx, "dynatune", TuningConfig::dynatune());
-
-        let mut report = Report::new(self.name());
-        report.table(
-            "ramp levels",
-            [
-                "offered (req/s)",
-                "raft tput",
-                "raft lat (ms)",
-                "dynatune tput",
-                "dynatune lat (ms)",
-            ],
-            raft.levels
-                .iter()
-                .zip(dynatune.levels.iter())
-                .map(|(r, d)| {
-                    vec![
-                        format!("{:.0}", r.offered_rps),
-                        format!("{:.0}", r.throughput.mean()),
-                        format!("{:.1}", r.latency_ms.mean()),
-                        format!("{:.0}", d.throughput.mean()),
-                        format!("{:.1}", d.latency_ms.mean()),
-                    ]
-                })
-                .collect(),
-        );
-
-        let raft_peak = raft.peak_throughput();
-        let dt_peak = dynatune.peak_throughput();
-        report.table(
-            "peak throughput",
-            ["metric", "paper", "measured", "ratio"],
-            vec![
-                compare_row("Raft peak throughput (req/s)", 13_678.0, raft_peak),
-                compare_row("Dynatune peak throughput (req/s)", 12_800.0, dt_peak),
-            ],
-        );
-        report.headline(
-            "tuning overhead at peak",
-            "6.4%",
-            &format!("{:.1}%", (1.0 - dt_peak / raft_peak) * 100.0),
-        );
-        report.artifact(
-            "fig5_raft.csv",
-            series_csv(("throughput_rps", "latency_ms"), &raft.curve()),
-        );
-        report.artifact(
-            "fig5_dynatune.csv",
-            series_csv(("throughput_rps", "latency_ms"), &dynatune.curve()),
-        );
-        report
-    }
+    let raft_peak = raft.peak_throughput();
+    let dt_peak = dynatune.peak_throughput();
+    report.table(
+        "peak throughput",
+        ["metric", "paper", "measured", "ratio"],
+        vec![
+            compare_row("Raft peak throughput (req/s)", 13_678.0, raft_peak),
+            compare_row("Dynatune peak throughput (req/s)", 12_800.0, dt_peak),
+        ],
+    );
+    report.headline(
+        "tuning overhead at peak",
+        "6.4%",
+        &format!("{:.1}%", (1.0 - dt_peak / raft_peak) * 100.0),
+    );
+    report.artifact(
+        "fig5_raft.csv",
+        series_csv(("throughput_rps", "latency_ms"), &raft.curve()),
+    );
+    report.artifact(
+        "fig5_dynatune.csv",
+        series_csv(("throughput_rps", "latency_ms"), &dynatune.curve()),
+    );
+    report
 }
 
 #[cfg(test)]

@@ -1,10 +1,10 @@
-//! The [`Experiment`] trait and [`RunCtx`]: the uniform interface every
-//! registered scenario implements.
+//! [`Scenario`] and [`RunCtx`]: the one shape every registered scenario
+//! has.
 //!
-//! An experiment is a named, self-describing unit that turns a [`RunCtx`]
-//! (seed, scale, parallelism) into a [`Report`]. The registry
-//! (`scenario::registry`) enumerates them; the `scenarios` binary drives
-//! them.
+//! A scenario is a row of data — a name, three lines of metadata and the
+//! `fn` that turns a [`RunCtx`] (seed, scale, parallelism) into a
+//! [`Report`]. The registry (`scenario::registry`) lists the rows; the
+//! `scenarios` binary drives them.
 
 use crate::scenario::report::Report;
 use dynatune_simnet::rng::splitmix64;
@@ -97,45 +97,61 @@ impl RunCtx {
         splitmix64(&mut state)
     }
 
-    /// Run an experiment under this context's `jobs` cap: parallel trial
-    /// fan-out inside the experiment is limited to `jobs` worker threads
+    /// Run a scenario under this context's `jobs` cap: parallel trial
+    /// fan-out inside the scenario is limited to `jobs` worker threads
     /// (0 = all cores).
     #[must_use]
-    pub fn run(&self, experiment: &dyn Experiment) -> Report {
+    pub fn run(&self, scenario: &Scenario) -> Report {
         if self.jobs > 0 {
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(self.jobs)
                 .build();
             match pool {
-                Ok(pool) => pool.install(|| experiment.run(self)),
+                Ok(pool) => pool.install(|| (scenario.run)(self)),
                 // Results are bit-identical across thread counts, so an
                 // inline run is a correct (merely slower) fallback.
-                Err(_) => experiment.run(self),
+                Err(_) => (scenario.run)(self),
             }
         } else {
-            experiment.run(self)
+            (scenario.run)(self)
         }
     }
 }
 
-/// A named, registered scenario.
+/// A named, registered scenario: one row of the registry.
 ///
-/// The metadata methods feed the generated `SCENARIOS.md` catalog
+/// The metadata fields feed the generated `SCENARIOS.md` catalog
 /// (`scenarios --describe-md`), so every scenario documents its headline
 /// metric and what CI enforces — in code, where it cannot rot apart from
 /// the implementation.
-pub trait Experiment: Sync {
+#[derive(Debug)]
+pub struct Scenario {
     /// Registry key (`fig4`, `partition_churn`, ...).
-    fn name(&self) -> &'static str;
+    pub name: &'static str,
     /// One-line description for `scenarios --list` (what it models).
-    fn describe(&self) -> &'static str;
+    pub describe: &'static str,
     /// The headline metric the report leads with.
-    fn headline_metric(&self) -> &'static str;
+    pub headline_metric: &'static str,
     /// What the CI `--quick` smoke run enforces (a hard `assert!` inside
     /// `run`, or "reported, not asserted" for paper-comparison figures).
-    fn ci_assertion(&self) -> &'static str;
+    pub ci_assertion: &'static str,
     /// Execute and report.
-    fn run(&self, ctx: &RunCtx) -> Report;
+    pub run: fn(&RunCtx) -> Report,
+}
+
+impl Scenario {
+    /// The metadata columns — name, description, headline metric, CI
+    /// assertion — in the order every view of the registry presents them
+    /// (`--list`, `--list --json`, `SCENARIOS.md`, the run banner).
+    #[must_use]
+    pub fn columns(&self) -> [&'static str; 4] {
+        [
+            self.name,
+            self.describe,
+            self.headline_metric,
+            self.ci_assertion,
+        ]
+    }
 }
 
 #[cfg(test)]
@@ -166,41 +182,33 @@ mod tests {
         assert_eq!(ctx.repeats_or(10, 2), 2);
     }
 
-    struct CountUp;
-    impl Experiment for CountUp {
-        fn name(&self) -> &'static str {
-            "count_up"
-        }
-        fn describe(&self) -> &'static str {
-            "test experiment"
-        }
-        fn headline_metric(&self) -> &'static str {
-            "xor of derived seeds"
-        }
-        fn ci_assertion(&self) -> &'static str {
-            "none (test-only)"
-        }
-        fn run(&self, ctx: &RunCtx) -> Report {
-            use rayon::prelude::*;
-            let v: Vec<u64> = (0..100u64)
-                .into_par_iter()
-                .map(|i| {
-                    let mut s = ctx.seed ^ i;
-                    dynatune_simnet::rng::splitmix64(&mut s)
-                })
-                .collect();
-            let mut r = Report::new(self.name());
-            r.note(format!("{:x}", v.iter().fold(0u64, |a, b| a ^ b)));
-            r
-        }
+    const COUNT_UP: Scenario = Scenario {
+        name: "count_up",
+        describe: "test experiment",
+        headline_metric: "xor of derived seeds",
+        ci_assertion: "none (test-only)",
+        run: count_up,
+    };
+
+    fn count_up(ctx: &RunCtx) -> Report {
+        use rayon::prelude::*;
+        let v: Vec<u64> = (0..100u64)
+            .into_par_iter()
+            .map(|i| {
+                let mut s = ctx.seed ^ i;
+                dynatune_simnet::rng::splitmix64(&mut s)
+            })
+            .collect();
+        let mut r = Report::new(COUNT_UP.name);
+        r.note(format!("{:x}", v.iter().fold(0u64, |a, b| a ^ b)));
+        r
     }
 
     #[test]
     fn jobs_cap_does_not_change_results() {
-        let exp = CountUp;
-        let serial = RunCtx::new(9).jobs(1).run(&exp);
-        let wide = RunCtx::new(9).jobs(4).run(&exp);
-        let default = RunCtx::new(9).run(&exp);
+        let serial = RunCtx::new(9).jobs(1).run(&COUNT_UP);
+        let wide = RunCtx::new(9).jobs(4).run(&COUNT_UP);
+        let default = RunCtx::new(9).run(&COUNT_UP);
         assert_eq!(serial, wide);
         assert_eq!(serial, default);
     }

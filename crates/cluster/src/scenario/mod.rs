@@ -12,15 +12,16 @@
 //! | fault plan | [`FaultPlan`] | timed pause/resume/crash/partition/heal events as data, with symbolic targets (`Leader`) resolved at fire time |
 //! | driver | [`ScenarioDriver`] | executes the plan, samples observables on a cadence, records a trace of what fired (and the pre-fault state) |
 //!
-//! On top sit the [`Experiment`] trait and [`registry()`]: every §IV figure,
-//! the ablations and the beyond-paper scenarios are registered, named,
-//! self-describing units that map a [`RunCtx`] to a structured, comparable
-//! [`Report`]. [`catalog`] is the one experiment layer: each module keeps
-//! its measurement procedure (`failover::run_trials`,
-//! `throughput::measure_ramp`, `sharded::measure_scaling`, …) beside the
-//! `Experiment` that reports it, with the values no scenario varies as
-//! `const`s next to the procedure. Trial fan-out inside experiments goes through rayon and is
-//! capped by [`RunCtx::run`]'s `--jobs` pool; per-trial child seeds and
+//! On top sit the [`Scenario`] row and the [`REGISTRY`] table: every §IV
+//! figure, the ablations and the beyond-paper scenarios are registered,
+//! named, self-describing rows whose `run` maps a [`RunCtx`] to a
+//! structured, comparable [`Report`]. [`catalog`] is the one experiment
+//! layer: each module keeps its measurement procedure
+//! (`failover::run_trials`, `throughput::measure_ramp`,
+//! `sharded::measure_scaling`, …) beside the `Scenario` that reports it,
+//! with the values no scenario varies as `const`s next to the procedure.
+//! Trial fan-out inside scenarios goes through rayon and is capped by
+//! [`RunCtx::run`]'s `--jobs` pool; per-trial child seeds and
 //! index-ordered merges make any parallelism level bit-identical to a
 //! serial run.
 //!
@@ -58,7 +59,7 @@ pub mod report;
 
 pub use builder::{NetPlan, ScenarioBuilder};
 pub use driver::{ExecutedFault, Horizon, Sample, ScenarioDriver, ScenarioRun};
-pub use experiment::{Experiment, RunCtx};
+pub use experiment::{RunCtx, Scenario};
 pub use plan::{FaultAction, FaultEvent, FaultPlan, PartitionSpec, Target};
-pub use registry::{catalog_json, catalog_markdown, find, json_escape, registry};
+pub use registry::{catalog_json, catalog_markdown, find, json_escape, REGISTRY};
 pub use report::{compare_row, reduction_pct, Artifact, Headline, Report, ReportTable};

@@ -124,12 +124,6 @@ impl FaultPlan {
         self.event(FaultEvent::at(at, FaultAction::Pause(Target::Node(node))))
     }
 
-    /// Resume a fixed node at `at`.
-    #[must_use]
-    pub fn resume_node(self, at: Duration, node: NodeId) -> Self {
-        self.event(FaultEvent::at(at, FaultAction::Resume(Target::Node(node))))
-    }
-
     /// Partition at `at`.
     #[must_use]
     pub fn partition(self, at: Duration, spec: PartitionSpec) -> Self {

@@ -1,43 +1,44 @@
-//! The experiment registry: every runnable scenario, by name.
+//! The scenario registry: every runnable scenario, by name.
 //!
 //! `scenarios --list` prints this; `scenarios --only NAME` looks names up
-//! here. Adding a scenario means adding a [`catalog`] type and one line
-//! below.
+//! here. Adding a scenario means declaring its [`Scenario`] `const` beside
+//! its procedure in a [`catalog`](super::catalog) module, adding one line
+//! below, and pinning its report in `tests/parallel_determinism.rs`.
 
-use crate::scenario::catalog;
-use crate::scenario::experiment::Experiment;
+use crate::scenario::catalog::{
+    ablations, broker, compaction, extensions, failover, fluctuation, membership, novel, pipeline,
+    reads, sharded, throughput,
+};
+use crate::scenario::experiment::Scenario;
 
-/// All registered experiments, in presentation order.
-#[must_use]
-pub fn registry() -> Vec<Box<dyn Experiment>> {
-    vec![
-        Box::new(catalog::Fig4Failover),
-        Box::new(catalog::Fig5Throughput),
-        Box::new(catalog::Fig6aGradualRtt),
-        Box::new(catalog::Fig6bRadicalRtt),
-        Box::new(catalog::Fig7LossFluctuation),
-        Box::new(catalog::Fig8GeoFailover),
-        Box::new(catalog::Ablations),
-        Box::new(catalog::Extensions),
-        Box::new(catalog::GeoAsymmetricFailover),
-        Box::new(catalog::PartitionChurn),
-        Box::new(catalog::ShardedThroughput),
-        Box::new(catalog::HotShard),
-        Box::new(catalog::ShardLeaderFailover),
-        Box::new(catalog::LaggingFollowerCatchup),
-        Box::new(catalog::CompactionChurn),
-        Box::new(catalog::PipelineDepth),
-        Box::new(catalog::ReadHeavyThroughput),
-        Box::new(catalog::FollowerReadOffload),
-        Box::new(catalog::LeaseSafetyPartition),
-        Box::new(catalog::BrokerProduceThroughput),
-        Box::new(catalog::ConsumerLagFailover),
-        Box::new(catalog::ConsumerFanout),
-        Box::new(catalog::ElasticScaleout),
-        Box::new(catalog::ShardRebalance),
-        Box::new(catalog::MembershipChurn),
-    ]
-}
+/// All registered scenarios, in presentation order.
+pub static REGISTRY: [&Scenario; 25] = [
+    &failover::FIG4,
+    &throughput::FIG5,
+    &fluctuation::FIG6A,
+    &fluctuation::FIG6B,
+    &fluctuation::FIG7,
+    &failover::FIG8,
+    &ablations::ABLATIONS,
+    &extensions::EXTENSIONS,
+    &novel::GEO_ASYMMETRIC,
+    &novel::PARTITION_CHURN,
+    &sharded::SHARDED_THROUGHPUT,
+    &sharded::HOT_SHARD,
+    &sharded::SHARD_LEADER_FAILOVER,
+    &compaction::LAGGING_FOLLOWER_CATCHUP,
+    &compaction::COMPACTION_CHURN,
+    &pipeline::PIPELINE_DEPTH,
+    &reads::READ_HEAVY_THROUGHPUT,
+    &reads::FOLLOWER_READ_OFFLOAD,
+    &reads::LEASE_SAFETY_PARTITION,
+    &broker::BROKER_PRODUCE_THROUGHPUT,
+    &broker::CONSUMER_LAG_FAILOVER,
+    &broker::CONSUMER_FANOUT,
+    &membership::ELASTIC_SCALEOUT,
+    &membership::SHARD_REBALANCE,
+    &membership::MEMBERSHIP_CHURN,
+];
 
 /// Render the registry as the Markdown catalog `SCENARIOS.md` carries:
 /// one row per scenario — name, what it models, headline metric, CI
@@ -59,14 +60,9 @@ pub fn catalog_markdown() -> String {
          | scenario | what it models | headline metric | CI assertion |\n\
          |---|---|---|---|\n",
     );
-    for e in registry() {
-        out.push_str(&format!(
-            "| `{}` | {} | {} | {} |\n",
-            e.name(),
-            e.describe(),
-            e.headline_metric(),
-            e.ci_assertion()
-        ));
+    for scenario in REGISTRY {
+        let [name, rest @ ..] = scenario.columns();
+        out.push_str(&format!("| `{name}` | {} |\n", rest.join(" | ")));
     }
     out
 }
@@ -78,16 +74,16 @@ pub fn catalog_markdown() -> String {
 #[must_use]
 pub fn catalog_json() -> String {
     let mut out = String::from("{\n  \"schema\": \"dynatune-scenarios/v1\",\n  \"scenarios\": [\n");
-    let rows: Vec<String> = registry()
+    let keys = ["name", "description", "headline_metric", "ci_assertion"];
+    let rows: Vec<String> = REGISTRY
         .iter()
-        .map(|e| {
-            format!(
-                "    {{\"name\": \"{}\", \"description\": \"{}\", \"headline_metric\": \"{}\", \"ci_assertion\": \"{}\"}}",
-                json_escape(e.name()),
-                json_escape(e.describe()),
-                json_escape(e.headline_metric()),
-                json_escape(e.ci_assertion())
-            )
+        .map(|scenario| {
+            let fields: Vec<String> = keys
+                .iter()
+                .zip(scenario.columns())
+                .map(|(key, value)| format!("\"{key}\": \"{}\"", json_escape(value)))
+                .collect();
+            format!("    {{{}}}", fields.join(", "))
         })
         .collect();
     out.push_str(&rows.join(",\n"));
@@ -113,10 +109,10 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-/// Look an experiment up by registry name.
+/// Look a scenario up by registry name.
 #[must_use]
-pub fn find(name: &str) -> Option<Box<dyn Experiment>> {
-    registry().into_iter().find(|e| e.name() == name)
+pub fn find(name: &str) -> Option<&'static Scenario> {
+    REGISTRY.iter().copied().find(|s| s.name == name)
 }
 
 #[cfg(test)]
@@ -126,14 +122,14 @@ mod tests {
     #[test]
     fn catalog_markdown_covers_every_scenario() {
         let md = catalog_markdown();
-        for e in registry() {
+        for s in REGISTRY {
             assert!(
-                md.contains(&format!("| `{}` |", e.name())),
+                md.contains(&format!("| `{}` |", s.name)),
                 "catalog row missing for {}",
-                e.name()
+                s.name
             );
-            assert!(!e.headline_metric().is_empty());
-            assert!(!e.ci_assertion().is_empty());
+            assert!(!s.headline_metric.is_empty());
+            assert!(!s.ci_assertion.is_empty());
         }
     }
 
@@ -141,11 +137,11 @@ mod tests {
     fn catalog_json_covers_every_scenario() {
         let json = catalog_json();
         assert!(json.contains("\"schema\": \"dynatune-scenarios/v1\""));
-        for e in registry() {
+        for s in REGISTRY {
             assert!(
-                json.contains(&format!("\"name\": \"{}\"", e.name())),
+                json.contains(&format!("\"name\": \"{}\"", s.name)),
                 "catalog_json entry missing for {}",
-                e.name()
+                s.name
             );
         }
         // Balanced braces/brackets — a cheap structural sanity check
@@ -168,17 +164,16 @@ mod tests {
 
     #[test]
     fn names_are_unique_and_findable() {
-        let all = registry();
-        assert!(all.len() >= 25);
-        let mut names: Vec<&str> = all.iter().map(|e| e.name()).collect();
+        assert!(REGISTRY.len() >= 25);
+        let mut names: Vec<&str> = REGISTRY.iter().map(|s| s.name).collect();
         names.sort_unstable();
         let mut deduped = names.clone();
         deduped.dedup();
         assert_eq!(names, deduped, "duplicate registry names");
         for name in names {
             let found = find(name).expect("registered name resolves");
-            assert_eq!(found.name(), name);
-            assert!(!found.describe().is_empty());
+            assert_eq!(found.name, name);
+            assert!(!found.describe.is_empty());
         }
         assert!(find("no_such_experiment").is_none());
     }

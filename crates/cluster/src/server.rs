@@ -265,11 +265,6 @@ impl<A: App> ServerHost<A> {
         &self.node
     }
 
-    /// Mutable access for failure injection (crash/restart).
-    pub fn node_mut(&mut self) -> &mut RaftNode<A::Sm> {
-        &mut self.node
-    }
-
     /// Live (un-compacted) log length — the memory-bound observable.
     #[must_use]
     pub fn log_len(&self) -> usize {

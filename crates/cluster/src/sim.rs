@@ -82,13 +82,6 @@ impl WorkloadSpec {
         self
     }
 
-    /// Builder: spread reads round-robin over all servers.
-    #[must_use]
-    pub fn fanout_reads(mut self) -> Self {
-        self.read_fanout = true;
-        self
-    }
-
     /// Builder: record the client's operation trace.
     #[must_use]
     pub fn recording(mut self) -> Self {

@@ -51,10 +51,6 @@ pub struct RaftConfig {
     pub tuning: TuningConfig,
     /// Run the pre-vote phase before real elections (etcd ≥ 3.4 default).
     pub pre_vote: bool,
-    /// Reject (pre-)votes while a current leader lease is active, and have
-    /// leaders step down when a quorum has been silent for an election
-    /// timeout (etcd's CheckQuorum).
-    pub check_quorum: bool,
     /// Election-timer quantization discipline.
     pub quantization: TimerQuantization,
     /// Send heartbeats over the UDP-like channel (the paper's hybrid
@@ -69,25 +65,10 @@ pub struct RaftConfig {
     /// in-flight `InstallSnapshot` always occupies the whole window.
     pub pipeline_window: usize,
     /// Group commit: flush the proposal batch to followers once this many
-    /// payload bytes have accumulated, even if `max_batch_delay` has not
+    /// payload bytes have accumulated, even if the group-commit delay cap
+    /// (the constant `MAX_BATCH_DELAY` in `node/replication.rs`) has not
     /// elapsed yet.
     pub max_batch_bytes: usize,
-    /// Group commit: proposals arriving while the replication pipe is busy
-    /// are coalesced for at most this long before the leader flushes them
-    /// into (up to) one `AppendEntries` per follower. A proposal hitting an
-    /// idle pipe is still sent immediately — the delay bounds batching
-    /// latency under load, it never adds latency to a lone write.
-    pub max_batch_delay: Duration,
-    /// Resend an unacknowledged `AppendEntries` after this long. With
-    /// pipelining the timer watches the *oldest* unacked send; expiry
-    /// abandons the whole optimistic pipeline and falls back to a probe at
-    /// `match_index + 1`.
-    pub append_resend: Duration,
-    /// Resend an unacknowledged `InstallSnapshot` after this long. Paced
-    /// slower than appends: a snapshot is a bulk transfer, and re-streaming
-    /// the full state on the append cadence would flood a slow or briefly
-    /// unreachable follower.
-    pub snapshot_resend: Duration,
     /// §IV-E extension 1: skip a follower's heartbeat when replication
     /// traffic was sent to it within the current heartbeat interval —
     /// appends already reset the follower's election timer, so under load
@@ -102,10 +83,7 @@ pub struct RaftConfig {
     /// has acknowledged heartbeats within the (margin-scaled) lease window,
     /// [`RaftNode::request_read`](crate::RaftNode::request_read) grants
     /// reads immediately instead of running a ReadIndex confirmation round.
-    /// Inert unless the host actually requests log-free reads, and also
-    /// inert when `check_quorum` is off — lease safety rests on
-    /// check-quorum's in-lease vote withholding, so without it reads take
-    /// the ReadIndex path regardless of this flag.
+    /// Inert unless the host actually requests log-free reads.
     pub lease_reads: bool,
     /// Leader-lease duration for lease reads, measured from the send
     /// instant of the quorum'th-freshest acknowledged heartbeat. Safety
@@ -116,13 +94,10 @@ pub struct RaftConfig {
     /// mode, followers can adapt `Et` far below the default, so
     /// `lease_valid` additionally clamps the effective lease to the
     /// tuning floor — tuned clusters keep correctness and fall back to
-    /// ReadIndex confirmation instead of riding an unsound lease.
+    /// ReadIndex confirmation instead of riding an unsound lease. The
+    /// clock-drift margin it is scaled by is the constant
+    /// `LEASE_DRIFT_MARGIN` in `node/reads.rs`.
     pub read_lease: Duration,
-    /// Clock-drift safety margin for lease reads: the effective lease is
-    /// `read_lease * (1 - margin)`, so a leader whose clock runs slow by up
-    /// to this fraction still expires its lease before any follower's
-    /// election timer can fire. In `[0, 1)`.
-    pub lease_drift_margin: f64,
     /// Sliding id window of cached replies the replicated state machine
     /// keeps per request origin (KV reply cache, broker producer dedupe).
     /// Ids more than this far below the newest accepted id are evicted, so
@@ -154,7 +129,6 @@ impl RaftConfig {
             learners: Vec::new(),
             tuning,
             pre_vote: true,
-            check_quorum: true,
             quantization: TimerQuantization::Tick,
             udp_heartbeats: true,
             // etcd's default message budget (~1 MB) holds thousands of small
@@ -164,14 +138,10 @@ impl RaftConfig {
             max_entries_per_append: 8192,
             pipeline_window: 4,
             max_batch_bytes: 64 * 1024,
-            max_batch_delay: Duration::from_millis(1),
-            append_resend: Duration::from_millis(200),
-            snapshot_resend: Duration::from_millis(1000),
             suppress_heartbeats_when_replicating: false,
             consolidated_heartbeat_timer: false,
             lease_reads: true,
             read_lease: tuning.default_election_timeout,
-            lease_drift_margin: 0.1,
             reply_window: DEFAULT_REPLY_WINDOW,
             seed: 0xD15_EA5E ^ id as u64,
         }
@@ -196,15 +166,6 @@ impl RaftConfig {
         assert!(self.max_entries_per_append > 0, "zero append batch size");
         assert!(self.pipeline_window > 0, "zero pipeline window");
         assert!(self.max_batch_bytes > 0, "zero group-commit byte cap");
-        assert!(self.append_resend > Duration::ZERO, "zero resend timeout");
-        assert!(
-            self.max_batch_delay < self.append_resend,
-            "group-commit delay must flush well before loss recovery kicks in"
-        );
-        assert!(
-            self.snapshot_resend >= self.append_resend,
-            "snapshot resend must not be paced faster than appends"
-        );
         assert!(
             self.read_lease > Duration::ZERO,
             "zero-length read lease (disable lease_reads instead)"
@@ -212,10 +173,6 @@ impl RaftConfig {
         assert!(
             self.read_lease <= self.tuning.default_election_timeout,
             "read lease must not outlive the conservative election timeout"
-        );
-        assert!(
-            (0.0..1.0).contains(&self.lease_drift_margin),
-            "lease drift margin must be in [0, 1)"
         );
         assert!(
             self.reply_window > 0,
@@ -236,7 +193,6 @@ mod tests {
         assert_eq!(c.peers, vec![0, 1, 2, 3, 4]);
         assert_eq!(c.cluster_size(), 5);
         assert!(c.pre_vote);
-        assert!(c.check_quorum);
         assert_eq!(c.quantization, TimerQuantization::Tick);
         c.validate();
     }
@@ -245,10 +201,6 @@ mod tests {
     fn replication_defaults_are_pipelined() {
         let c = RaftConfig::new(0, 3, TuningConfig::dynatune());
         assert!(c.pipeline_window >= 4, "pipelining on by default");
-        assert!(
-            c.max_batch_delay < c.append_resend,
-            "group commit must flush before loss recovery"
-        );
         c.validate();
     }
 

@@ -294,7 +294,7 @@ impl<SM: StateMachine> RaftNode<SM> {
     /// majorities deposes the leader.
     pub(super) fn check_quorum(&mut self, now: SimTime, fx: &mut NodeEffects<SM>) {
         let due = self.lead().is_some_and(|lead| now >= lead.lease_check_at);
-        if !self.config.check_quorum || !due {
+        if !due {
             return;
         }
         let lease = self.config.tuning.default_election_timeout;
@@ -316,8 +316,7 @@ impl<SM: StateMachine> RaftNode<SM> {
     /// Check-quorum leader lease: true while this follower has heard from a
     /// live leader within one election timeout (etcd's `inLease`).
     pub(super) fn in_lease(&self, now: SimTime) -> bool {
-        self.config.check_quorum
-            && self.role() == Role::Follower
+        self.role() == Role::Follower
             && self.leader_id.is_some()
             && now < self.timer_reset_at + self.election_timeout()
     }

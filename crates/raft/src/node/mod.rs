@@ -394,6 +394,7 @@ impl<SM: StateMachine> RaftNode<SM> {
 
 #[cfg(test)]
 mod tests {
+    use super::replication::{APPEND_RESEND, MAX_BATCH_DELAY};
     use super::*;
     use crate::config::TimerQuantization;
     use crate::events::RaftEvent;
@@ -1294,7 +1295,7 @@ mod tests {
             }),
         );
         assert_eq!(leader.snapshots_sent(), 1);
-        // Within snapshot_resend (1s), ticks must not re-stream the state.
+        // Within `SNAPSHOT_RESEND` (1s), ticks must not re-stream the state.
         let _ = leader.tick(t0 + Duration::from_millis(300));
         assert_eq!(leader.snapshots_sent(), 1, "append cadence must not apply");
         // Once the snapshot timer expires, the transfer is retried.
@@ -1611,33 +1612,6 @@ mod tests {
     }
 
     #[test]
-    fn lease_requires_check_quorum() {
-        // Without check-quorum, followers never withhold votes inside a
-        // live leader's heartbeat window, so a rival can be elected while
-        // the "lease" is warm — the lease path must simply disable itself.
-        let mut cfg = RaftConfig::new(0, 3, TuningConfig::raft_default());
-        cfg.check_quorum = false;
-        let mut leader = RaftNode::new(cfg, NullStateMachine::default(), SimTime::ZERO);
-        let _ = elect(&mut leader, SimTime::ZERO);
-        let _ = leader.step(
-            ms(3000),
-            1,
-            Payload::HeartbeatResp(HeartbeatResp {
-                term: leader.term(),
-                reply: dynatune_core::HeartbeatReply {
-                    id: 0,
-                    echo_sent_at_nanos: ms(3000).as_nanos(),
-                    tuned_interval: None,
-                },
-            }),
-        );
-        assert!(
-            !leader.lease_valid(ms(3001)),
-            "no check-quorum, no lease — reads must take ReadIndex"
-        );
-    }
-
-    #[test]
     fn tuned_mode_clamps_the_lease_to_the_election_floor() {
         // Under a tuning mode a follower's Et can adapt down to the
         // configured floor (10ms for Dynatune defaults) — far below the
@@ -1835,7 +1809,7 @@ mod tests {
         let (_, fx) = n.propose(t, 12);
         assert!(appends_to(&fx, 1).is_empty());
         // Silent-stall audit: the flush deadline is armed in next_wake.
-        let deadline = t + n.config().max_batch_delay;
+        let deadline = t + MAX_BATCH_DELAY;
         assert!(n.next_wake().unwrap() <= deadline);
         // The deadline flush pipelines a second append behind the unacked
         // first, coalescing both buffered proposals into one message.
@@ -1871,7 +1845,7 @@ mod tests {
         let (mut n, t) = leader3_with_window(4);
         let _ = n.propose(t, 10);
         let _ = n.propose(t, 11);
-        let _ = n.tick(t + n.config().max_batch_delay); // 2 appends in flight
+        let _ = n.tick(t + MAX_BATCH_DELAY); // 2 appends in flight
         let last = n.log().last_index();
         // Only the *younger* append's ack arrives (the older response is
         // reordered behind it): log matching proves the whole prefix, so
@@ -1909,9 +1883,9 @@ mod tests {
         let (mut n, t) = leader3_with_window(4);
         let _ = n.propose(t, 10);
         let _ = n.propose(t, 11);
-        let _ = n.tick(t + n.config().max_batch_delay);
+        let _ = n.tick(t + MAX_BATCH_DELAY);
         // Nothing acked: recovery must be anchored at the *oldest* send.
-        let resend_at = t + n.config().append_resend;
+        let resend_at = t + APPEND_RESEND;
         assert!(n.next_wake().unwrap() <= resend_at);
         let fx = n.tick(resend_at);
         let sent = appends_to(&fx, 1);
@@ -1929,10 +1903,10 @@ mod tests {
         let (_, fx) = n.propose(t, 11);
         assert!(appends_to(&fx, 1).is_empty());
         // The deadline flush finds the window full and sends nothing...
-        let fx = n.tick(t + n.config().max_batch_delay);
+        let fx = n.tick(t + MAX_BATCH_DELAY);
         assert!(appends_to(&fx, 1).is_empty(), "window full");
         // ...but a wake-up stays armed (the resend timer) — no silent stall.
-        assert!(n.next_wake().unwrap() <= t + n.config().append_resend);
+        assert!(n.next_wake().unwrap() <= t + APPEND_RESEND);
         // The ack frees the slot and pulls the buffered entry immediately.
         let first_last = n.log().last_index() - 1;
         let fx = n.step(
@@ -2018,7 +1992,7 @@ mod tests {
             appends_to(&fx, 2).is_empty(),
             "no appends behind a snapshot"
         );
-        let fx = leader.tick(t + leader.config().max_batch_delay);
+        let fx = leader.tick(t + MAX_BATCH_DELAY);
         assert!(appends_to(&fx, 2).is_empty());
         assert_eq!(leader.snapshots_sent(), 1, "flush must not re-stream");
         // The install ack reopens the window; ordinary appends take over.

@@ -9,6 +9,17 @@ use crate::types::{quorum, LogIndex, NodeId, Role};
 use dynatune_simnet::SimTime;
 use std::collections::{BTreeMap, VecDeque};
 
+/// Clock-drift safety margin for lease reads: the effective lease is
+/// `read_lease * (1 - margin)`, so a leader whose clock runs slow by up
+/// to this fraction still expires its lease before any follower's
+/// election timer can fire. In `[0, 1)`.
+const LEASE_DRIFT_MARGIN: f64 = 0.1;
+
+const _: () = assert!(
+    0.0 <= LEASE_DRIFT_MARGIN && LEASE_DRIFT_MARGIN < 1.0,
+    "lease drift margin must be in [0, 1)"
+);
+
 /// One ReadIndex confirmation round: reads registered at the same instant
 /// against the same commit index, confirmed together by a quorum of
 /// `read_ctx >= seq` echoes.
@@ -112,8 +123,7 @@ impl<SM: StateMachine> RaftNode<SM> {
     /// Safety requires two things beyond fresh acks. First, check-quorum:
     /// the argument that no rival can win an election inside the lease
     /// window rests on followers *withholding votes* while they hear from
-    /// a live leader (`in_lease`), which only check-quorum enables — with
-    /// it off, the lease is never valid and reads fall back to ReadIndex.
+    /// a live leader (`in_lease`), which every node does.
     /// Second, the lease must undercut the *smallest election timeout any
     /// member may be running*: under a tuning mode a follower's Et can
     /// adapt down to the configured floor, so the effective lease is
@@ -121,7 +131,7 @@ impl<SM: StateMachine> RaftNode<SM> {
     /// ReadIndex — correct, if slower, rather than fast and stale).
     #[must_use]
     pub fn lease_valid(&self, now: SimTime) -> bool {
-        if !self.config.lease_reads || !self.config.check_quorum || self.role() != Role::Leader {
+        if !self.config.lease_reads || self.role() != Role::Leader {
             return false;
         }
         let membership = &self.active_frame().membership;
@@ -157,7 +167,7 @@ impl<SM: StateMachine> RaftNode<SM> {
             .config
             .read_lease
             .min(min_electable)
-            .mul_f64(1.0 - self.config.lease_drift_margin);
+            .mul_f64(1.0 - LEASE_DRIFT_MARGIN);
         now < basis + effective
     }
 
@@ -230,7 +240,7 @@ impl<SM: StateMachine> RaftNode<SM> {
     /// Make sure every follower has confirmation traffic on the wire for
     /// the newest pending read round. Confirmation rides on ordinary
     /// `AppendEntries` (possibly empty) so the pipeline-window discipline
-    /// and the `append_resend` recovery timer apply unchanged: a peer whose
+    /// and the `APPEND_RESEND` recovery timer apply unchanged: a peer whose
     /// window is full is nudged again from `on_append_resp` once an ack
     /// frees a slot (every send already in flight left before the round
     /// opened, so their echoes cannot confirm it).

@@ -14,6 +14,33 @@ use dynatune_simnet::SimTime;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
+/// Group commit: proposals arriving while the replication pipe is busy
+/// are coalesced for at most this long before the leader flushes them
+/// into (up to) one `AppendEntries` per follower. A proposal hitting an
+/// idle pipe is still sent immediately — the delay bounds batching
+/// latency under load, it never adds latency to a lone write.
+pub(super) const MAX_BATCH_DELAY: Duration = Duration::from_millis(1);
+/// Resend an unacknowledged `AppendEntries` after this long. With
+/// pipelining the timer watches the *oldest* unacked send; expiry
+/// abandons the whole optimistic pipeline and falls back to a probe at
+/// `match_index + 1`.
+pub(super) const APPEND_RESEND: Duration = Duration::from_millis(200);
+/// Resend an unacknowledged `InstallSnapshot` after this long. Paced
+/// slower than appends: a snapshot is a bulk transfer, and re-streaming
+/// the full state on the append cadence would flood a slow or briefly
+/// unreachable follower.
+const SNAPSHOT_RESEND: Duration = Duration::from_millis(1000);
+
+const _: () = assert!(!APPEND_RESEND.is_zero(), "zero resend timeout");
+const _: () = assert!(
+    MAX_BATCH_DELAY.as_nanos() < APPEND_RESEND.as_nanos(),
+    "group-commit delay must flush well before loss recovery kicks in"
+);
+const _: () = assert!(
+    SNAPSHOT_RESEND.as_nanos() >= APPEND_RESEND.as_nanos(),
+    "snapshot resend must not be paced faster than appends"
+);
+
 /// What a leader keeps per tracked member: how far replication got and how
 /// heartbeats to it are paced.
 #[derive(Debug)]
@@ -46,7 +73,7 @@ pub(super) struct LeaderState {
     /// until `max_batch_bytes` worth arrived or `batch_deadline` fires.
     batch_bytes: usize,
     /// When the pending proposal batch must be flushed to followers at the
-    /// latest (`propose instant + max_batch_delay`). Participates in
+    /// latest (`propose instant + MAX_BATCH_DELAY`). Participates in
     /// `next_wake` — a buffered batch with no armed deadline would be the
     /// write-path variant of the silent replication stall.
     pub(super) batch_deadline: Option<SimTime>,
@@ -118,7 +145,7 @@ impl<SM: StateMachine> RaftNode<SM> {
     /// (no append in flight to that follower) ships immediately, so a lone
     /// write pays no batching latency. While the pipe is busy, proposals
     /// coalesce and flush as one append per follower when either
-    /// `max_batch_bytes` worth accumulated or `max_batch_delay` elapsed —
+    /// `max_batch_bytes` worth accumulated or `MAX_BATCH_DELAY` elapsed —
     /// whichever comes first — bounding the per-entry message overhead
     /// under load instead of sending every client batch on its own.
     pub fn propose(
@@ -155,7 +182,7 @@ impl<SM: StateMachine> RaftNode<SM> {
         if lead.batch_bytes >= self.config.max_batch_bytes {
             self.flush_batch(now, fx);
         } else if lead.batch_deadline.is_none() && unsent(lead) {
-            lead.batch_deadline = Some(now + self.config.max_batch_delay);
+            lead.batch_deadline = Some(now + MAX_BATCH_DELAY);
         }
         self.try_advance_commit(now, fx); // single-node commits instantly
     }
@@ -164,9 +191,9 @@ impl<SM: StateMachine> RaftNode<SM> {
     /// snapshot installs get the slower pacing.
     pub(super) fn resend_after(&self, p: &Progress) -> Duration {
         if p.pending_snapshot.is_some() {
-            self.config.snapshot_resend
+            SNAPSHOT_RESEND
         } else {
-            self.config.append_resend
+            APPEND_RESEND
         }
     }
 
@@ -178,7 +205,7 @@ impl<SM: StateMachine> RaftNode<SM> {
     /// state where another wake-up is already armed —
     /// * unknown peer: no progress entry exists, so no slot was reserved;
     /// * window full: the window holds in-flight sends, so the oldest of
-    ///   them has the `append_resend`/`snapshot_resend` timer armed via
+    ///   them has the `APPEND_RESEND`/`SNAPSHOT_RESEND` timer armed via
     ///   `next_wake`, and its ack (or resend) re-drives replication.
     pub(super) fn send_append(&mut self, now: SimTime, to: NodeId, fx: &mut NodeEffects<SM>) {
         let window = self.config.pipeline_window;

@@ -61,7 +61,7 @@ pub struct Progress {
     pub last_active: SimTime,
     /// Last included index of an in-flight `InstallSnapshot`, if one is
     /// outstanding. Snapshot transfers are bulky, so their resend timer is
-    /// paced separately (`snapshot_resend` vs `append_resend`), and no
+    /// paced separately (`SNAPSHOT_RESEND` vs `APPEND_RESEND`), and no
     /// appends are pipelined behind one.
     pub pending_snapshot: Option<LogIndex>,
     /// Highest ReadIndex confirmation token (`read_ctx`) this follower has
@@ -357,7 +357,7 @@ mod tests {
         // A follower that already had fresher state acks an InstallSnapshot
         // with its own (smaller) commit floor. The reply must still retire
         // the transfer — otherwise the window stays blocked until the slow
-        // snapshot_resend timer fires.
+        // `SNAPSHOT_RESEND` timer fires.
         let mut p = Progress::new(100, SimTime::ZERO);
         p.pending_snapshot = Some(80);
         p.record_send(SimTime::ZERO, 0, 80);

@@ -60,15 +60,6 @@ impl LinkSchedule {
         self.segments.iter().skip(1).map(|&(t, _)| t).collect()
     }
 
-    /// Last change point (or t = 0 for a constant schedule).
-    #[must_use]
-    pub fn end_of_ramp(&self) -> SimTime {
-        self.segments
-            .last()
-            .map(|&(t, _)| t)
-            .unwrap_or(SimTime::ZERO)
-    }
-
     /// The paper's *gradual* RTT fluctuation (Fig. 6a): RTT moves from
     /// `start_rtt` to `peak_rtt` and back in `step` increments, holding each
     /// value for `hold`. All other parameters come from `base`.

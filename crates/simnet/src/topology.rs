@@ -68,12 +68,6 @@ impl Topology {
         self.schedules[from * self.n + to].clone()
     }
 
-    /// Replace the schedule of one directed pair.
-    pub fn set_link(&mut self, from: usize, to: usize, schedule: LinkSchedule) {
-        assert!(from < self.n && to < self.n, "pair out of range");
-        self.schedules[from * self.n + to] = Arc::new(schedule);
-    }
-
     /// Replace both directions of a pair.
     pub fn set_pair(&mut self, a: usize, b: usize, schedule: LinkSchedule) {
         let shared = Arc::new(schedule);

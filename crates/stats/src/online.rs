@@ -95,26 +95,10 @@ impl OnlineStats {
         }
     }
 
-    /// Sample variance (divide by n-1), or 0 when fewer than 2 observations.
-    #[must_use]
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            (self.m2 / (self.count - 1) as f64).max(0.0)
-        }
-    }
-
     /// Population standard deviation.
     #[must_use]
     pub fn std_dev(&self) -> f64 {
         self.variance().sqrt()
-    }
-
-    /// Sample standard deviation.
-    #[must_use]
-    pub fn sample_std_dev(&self) -> f64 {
-        self.sample_variance().sqrt()
     }
 
     /// Smallest observation, or `+inf` when empty.
@@ -163,7 +147,6 @@ mod tests {
         assert_eq!(s.count(), 1);
         assert_eq!(s.mean(), 42.0);
         assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.sample_variance(), 0.0);
         assert_eq!(s.min(), 42.0);
         assert_eq!(s.max(), 42.0);
     }

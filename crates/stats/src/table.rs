@@ -1,7 +1,7 @@
 //! Plain-text aligned table rendering for benchmark and experiment reports.
 //!
-//! Every figure binary prints a "paper vs measured" block; this module keeps
-//! that output consistent and greppable.
+//! Every paper-figure scenario (`scenarios --only NAME`) prints a "paper vs
+//! measured" block; this module keeps that output consistent and greppable.
 
 /// A simple left/right aligned text table.
 #[derive(Debug, Clone, Default)]

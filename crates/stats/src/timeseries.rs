@@ -2,8 +2,8 @@
 //!
 //! Figures 6 and 7 of the paper plot per-second (and per-5-second) series of
 //! randomizedTimeout, RTT, heartbeat interval and CPU usage. Observers append
-//! raw `(t, value)` points here and the figure binaries resample onto a fixed
-//! grid for output.
+//! raw `(t, value)` points here and the `fig6a`/`fig6b`/`fig7` scenarios
+//! resample onto a fixed grid for output.
 
 /// How to aggregate raw points that fall into one resampling bin.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,8 +1,8 @@
 //! Keep the generated docs in lockstep with the code that defines them.
 
-use dynatune_repro::cluster::scenario::{catalog_json, catalog_markdown, registry};
+use dynatune_repro::cluster::scenario::{catalog_json, catalog_markdown, REGISTRY};
 
-/// `SCENARIOS.md` is generated from the experiment registry
+/// `SCENARIOS.md` is generated from the scenario registry
 /// (`scenarios --describe-md`); a scenario added, renamed, or re-described
 /// without regenerating the catalog fails here.
 #[test]
@@ -23,8 +23,8 @@ fn scenarios_md_matches_the_registry() {
 fn catalog_json_and_markdown_cover_the_same_registry() {
     let json = catalog_json();
     let md = catalog_markdown();
-    for e in registry() {
-        let name = e.name();
+    for scenario in REGISTRY {
+        let name = scenario.name;
         assert!(
             json.contains(&format!("\"name\": \"{name}\"")),
             "catalog_json missing {name}"

@@ -1,6 +1,7 @@
 //! Miniature versions of the paper's headline claims, run as tests. These
-//! are deliberately loose (small trial counts keep CI fast) — the figure
-//! binaries run the full-scale versions; EXPERIMENTS.md records those.
+//! are deliberately loose (small trial counts keep CI fast) —
+//! `scenarios --only NAME` runs the full-scale versions and records their
+//! headlines in `results/BENCH_scenarios.json`.
 
 use dynatune_repro::cluster::scenario::catalog::failover::{run_trials, FailoverConfig};
 use dynatune_repro::cluster::scenario::catalog::fluctuation::{

@@ -7,7 +7,7 @@
 //! not only across `--jobs` within one commit.
 
 use dynatune_repro::cluster::scenario::catalog::failover::{run_trials, FailoverConfig};
-use dynatune_repro::cluster::scenario::{catalog, registry, Experiment, Report, RunCtx};
+use dynatune_repro::cluster::scenario::{find, Report, RunCtx, REGISTRY};
 use dynatune_repro::cluster::ClusterConfig;
 use dynatune_repro::core::TuningConfig;
 use std::time::Duration;
@@ -88,13 +88,15 @@ fn assert_pinned(serial: &Report) {
     );
 }
 
-/// Run `experiment` under `ctx` serially and `jobs` wide: the two reports
-/// must be equal and the serial one must match its pin. Returns it, so the
-/// caller can check that the equality is over real content.
+/// Run the scenario registered as `name` — the string its pin is keyed by —
+/// under `ctx` serially and `jobs` wide: the two reports must be equal and
+/// the serial one must match its pin. Returns it, so the caller can check
+/// that the equality is over real content.
 #[track_caller]
-fn assert_identical_and_pinned(ctx: &RunCtx, experiment: &dyn Experiment, jobs: usize) -> Report {
-    let serial = ctx.clone().jobs(1).run(experiment);
-    let parallel = ctx.clone().jobs(jobs).run(experiment);
+fn assert_identical_and_pinned(ctx: &RunCtx, name: &str, jobs: usize) -> Report {
+    let scenario = find(name).expect("registered scenario");
+    let serial = ctx.clone().jobs(1).run(scenario);
+    let parallel = ctx.clone().jobs(jobs).run(scenario);
     assert_eq!(
         serial, parallel,
         "{}: --jobs must not change the report",
@@ -106,7 +108,7 @@ fn assert_identical_and_pinned(ctx: &RunCtx, experiment: &dyn Experiment, jobs: 
 
 #[test]
 fn every_registered_scenario_is_pinned() {
-    let mut registered: Vec<&str> = registry().iter().map(|e| e.name()).collect();
+    let mut registered: Vec<&str> = REGISTRY.iter().map(|s| s.name).collect();
     registered.sort_unstable();
     let pinned: Vec<&str> = REPORT_PINS.iter().map(|&(name, _)| name).collect();
     assert_eq!(
@@ -119,7 +121,7 @@ fn every_registered_scenario_is_pinned() {
 fn fig4_report_identical_serial_vs_parallel() {
     let mut ctx = RunCtx::new(77).quick(true);
     ctx.trials = Some(8); // keep the check fast; 16 clusters per run
-    let serial = assert_identical_and_pinned(&ctx, &catalog::Fig4Failover, 4);
+    let serial = assert_identical_and_pinned(&ctx, "fig4", 4);
     // Equality must be meaningful: the report carries real content.
     assert!(!serial.tables.is_empty() && !serial.artifacts.is_empty());
     assert_eq!(serial.name, "fig4");
@@ -129,21 +131,21 @@ fn fig4_report_identical_serial_vs_parallel() {
 /// offered-load ramp: per-step completion bucketing, saturation backlog,
 /// redirects and timeout retries all feed the peak-throughput and latency
 /// columns, which must be bit-identical at any pool width.
-fn assert_ramp_identical_and_pinned(experiment: &dyn Experiment) {
+fn assert_ramp_identical_and_pinned(name: &str) {
     let mut ctx = quick_ctx();
     ctx.repeats = Some(1); // one ramp per variant keeps the check fast
-    let serial = assert_identical_and_pinned(&ctx, experiment, 4);
+    let serial = assert_identical_and_pinned(&ctx, name, 4);
     assert!(!serial.tables.is_empty());
 }
 
 #[test]
 fn fig5_report_identical_serial_vs_parallel() {
-    assert_ramp_identical_and_pinned(&catalog::Fig5Throughput);
+    assert_ramp_identical_and_pinned("fig5");
 }
 
 #[test]
 fn extensions_report_identical_serial_vs_parallel() {
-    assert_ramp_identical_and_pinned(&catalog::Extensions);
+    assert_ramp_identical_and_pinned("extensions");
 }
 
 #[test]
@@ -151,12 +153,8 @@ fn fluctuation_reports_identical_serial_vs_parallel() {
     // No trial fan-out here — one long run per system under an RTT or loss
     // schedule — so the pins are what these guard: the sampling driver, the
     // schedule arithmetic and the per-system seed derivation.
-    for experiment in [
-        &catalog::Fig6aGradualRtt as &dyn Experiment,
-        &catalog::Fig6bRadicalRtt,
-        &catalog::Fig7LossFluctuation,
-    ] {
-        let serial = assert_identical_and_pinned(&quick_ctx(), experiment, 4);
+    for name in ["fig6a", "fig6b", "fig7"] {
+        let serial = assert_identical_and_pinned(&quick_ctx(), name, 4);
         assert!(!serial.tables.is_empty() && !serial.artifacts.is_empty());
     }
 }
@@ -165,31 +163,23 @@ fn fluctuation_reports_identical_serial_vs_parallel() {
 fn failover_family_reports_identical_serial_vs_parallel() {
     // The remaining users of the repeated-leader-pause procedure: geo
     // meshes (warm-up 40 s, WAN congestion) and the six ablation tables.
-    for experiment in [
-        &catalog::Fig8GeoFailover as &dyn Experiment,
-        &catalog::GeoAsymmetricFailover,
-        &catalog::Ablations,
-    ] {
-        let serial = assert_identical_and_pinned(&quick_ctx(), experiment, 4);
+    for name in ["fig8", "geo_asymmetric", "ablations"] {
+        let serial = assert_identical_and_pinned(&quick_ctx(), name, 4);
         assert!(!serial.tables.is_empty());
     }
 }
 
 #[test]
 fn churn_report_identical_serial_vs_parallel() {
-    assert_identical_and_pinned(&quick_ctx(), &catalog::PartitionChurn, 3);
+    assert_identical_and_pinned(&quick_ctx(), "partition_churn", 3);
 }
 
 #[test]
 fn sharded_reports_identical_serial_vs_parallel() {
     // The shard-count sweep and the two-system comparison both fan out;
     // merging in input order must make any pool width bit-identical.
-    for experiment in [
-        &catalog::ShardedThroughput as &dyn Experiment,
-        &catalog::ShardLeaderFailover,
-        &catalog::HotShard,
-    ] {
-        let serial = assert_identical_and_pinned(&quick_ctx(), experiment, 4);
+    for name in ["sharded_throughput", "shard_leader_failover", "hot_shard"] {
+        let serial = assert_identical_and_pinned(&quick_ctx(), name, 4);
         assert!(!serial.tables.is_empty());
     }
 }
@@ -199,11 +189,8 @@ fn compaction_reports_identical_serial_vs_parallel() {
     // The snapshot-transfer path adds its own timing (send, install,
     // resend pacing); the report — log bounds, snapshots_sent, convergence
     // digests — must still be bit-identical at any pool width.
-    for experiment in [
-        &catalog::LaggingFollowerCatchup as &dyn Experiment,
-        &catalog::CompactionChurn,
-    ] {
-        let serial = assert_identical_and_pinned(&quick_ctx(), experiment, 4);
+    for name in ["lagging_follower_catchup", "compaction_churn"] {
+        let serial = assert_identical_and_pinned(&quick_ctx(), name, 4);
         assert!(!serial.tables.is_empty() && !serial.headlines.is_empty());
     }
 }
@@ -214,12 +201,12 @@ fn read_path_reports_identical_serial_vs_parallel() {
     // (lease bookkeeping, confirmation echoes, forwarded waves, client
     // traces); the reports — throughput ratios, CPU percentages,
     // violation counts — must still be bit-identical at any pool width.
-    for experiment in [
-        &catalog::ReadHeavyThroughput as &dyn Experiment,
-        &catalog::FollowerReadOffload,
-        &catalog::LeaseSafetyPartition,
+    for name in [
+        "read_heavy_throughput",
+        "follower_read_offload",
+        "lease_safety_partition",
     ] {
-        let serial = assert_identical_and_pinned(&quick_ctx(), experiment, 4);
+        let serial = assert_identical_and_pinned(&quick_ctx(), name, 4);
         assert!(!serial.tables.is_empty() && !serial.headlines.is_empty());
     }
 }
@@ -229,7 +216,7 @@ fn pipeline_depth_report_identical_serial_vs_parallel() {
     // The window x RTT sweep fans all twelve cells out at once; the
     // committed-op counts and both ratio headlines must be bit-identical
     // at any pool width.
-    let serial = assert_identical_and_pinned(&quick_ctx(), &catalog::PipelineDepth, 4);
+    let serial = assert_identical_and_pinned(&quick_ctx(), "pipeline_depth", 4);
     assert!(!serial.tables.is_empty() && !serial.headlines.is_empty());
 }
 
@@ -239,12 +226,12 @@ fn broker_reports_identical_serial_vs_parallel() {
     // per group count, and sample a failover timeline; throughput tables,
     // CPU ratios and the exactly-once checker counts must be bit-identical
     // at any pool width.
-    for experiment in [
-        &catalog::BrokerProduceThroughput as &dyn Experiment,
-        &catalog::ConsumerLagFailover,
-        &catalog::ConsumerFanout,
+    for name in [
+        "broker_produce_throughput",
+        "consumer_lag_failover",
+        "consumer_fanout",
     ] {
-        let serial = assert_identical_and_pinned(&quick_ctx(), experiment, 4);
+        let serial = assert_identical_and_pinned(&quick_ctx(), name, 4);
         assert!(!serial.tables.is_empty() && !serial.headlines.is_empty());
     }
 }
@@ -259,12 +246,8 @@ fn membership_reports_identical_serial_vs_parallel() {
     // p99 improvement from the replica move, and — via the recorded
     // client traces — zero stale reads, i.e. no lease hole anywhere in
     // the dual-quorum (joint-consensus) window.
-    for experiment in [
-        &catalog::ElasticScaleout as &dyn Experiment,
-        &catalog::ShardRebalance,
-        &catalog::MembershipChurn,
-    ] {
-        let serial = assert_identical_and_pinned(&quick_ctx(), experiment, 4);
+    for name in ["elastic_scaleout", "shard_rebalance", "membership_churn"] {
+        let serial = assert_identical_and_pinned(&quick_ctx(), name, 4);
         assert!(!serial.tables.is_empty() && !serial.headlines.is_empty());
     }
 }
