@@ -23,14 +23,14 @@
 //!   partition; rolls a new segment when the active one crosses the byte
 //!   threshold.
 //! - [`Topic`]: the partitions of one topic.
-//! - [`BrokerSm`]: the replicated state machine — topics, durable
-//!   consumer-group offsets, and the producer reply cache — implementing
-//!   [`StateMachine`](dynatune_raft::StateMachine) so any Raft group can
-//!   host it.
+//! - [`BrokerState`]: the broker [`App`](dynatune_kv::App) — topics and
+//!   durable consumer-group offsets. [`BrokerSm`] names
+//!   `Replicated<BrokerState>`, the state machine (state plus the producer
+//!   reply cache) any Raft group can host.
 //!
-//! Serving (hosts, clients, scenarios) lives in `dynatune_cluster`, which
-//! plugs [`BrokerSm`] into the same generic `ServerHost` that serves the
-//! KV store.
+//! Serving (hosts, clients, scenarios) lives in `dynatune_cluster`, whose
+//! generic `ServerHost` serves [`BrokerState`] exactly as it serves the KV
+//! store.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,5 +46,5 @@ pub use index::SparseIndex;
 pub use partition::{FetchResult, PartitionConfig, PartitionLog};
 pub use record::Record;
 pub use segment::Segment;
-pub use sm::{BrokerCommand, BrokerRequest, BrokerResponse, BrokerSm};
+pub use sm::{BrokerCommand, BrokerRequest, BrokerResponse, BrokerSm, BrokerState};
 pub use topic::{shard_of_partition, Topic};

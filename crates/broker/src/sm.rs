@@ -1,18 +1,18 @@
-//! The broker's replicated state machine.
+//! The broker application.
 //!
-//! Same shape as the KV `Store`: a data structure (topics instead of a
-//! key map), durable consumer-group offsets, and the per-origin reply
-//! cache that makes producer retries idempotent. Produce and offset
-//! commits replicate through the Raft log; fetches are reads and ride the
-//! log-free read path (they never enter the reply cache, in either
-//! direction — the same invariant the KV store documents).
+//! Same shape as the KV app: a data structure (topics instead of a key
+//! map) plus durable consumer-group offsets, as an
+//! [`App`]. [`Replicated`] adds the per-origin reply cache that makes
+//! producer retries idempotent. Produce and offset commits replicate
+//! through the Raft log; fetches are reads and ride the log-free read path
+//! (they never enter the reply cache, in either direction).
 
 use crate::partition::{FetchResult, PartitionConfig};
 use crate::record::Record;
 use crate::topic::Topic;
 use dynatune_core::invariant_violated;
-use dynatune_kv::{CachedReply, ReqOrigin, Sessions};
-use dynatune_raft::{LogIndex, StateMachine, DEFAULT_REPLY_WINDOW};
+use dynatune_kv::{App, CachedReply, Replicated, Request};
+use dynatune_raft::LogIndex;
 use std::collections::BTreeMap;
 
 /// A client-facing broker command.
@@ -62,63 +62,6 @@ pub enum BrokerCommand {
     },
 }
 
-impl BrokerCommand {
-    /// True for commands served from applied state without a log entry.
-    #[must_use]
-    pub fn is_read(&self) -> bool {
-        matches!(
-            self,
-            BrokerCommand::Fetch { .. } | BrokerCommand::FetchCommitted { .. }
-        )
-    }
-
-    /// Approximate wire size of the command payload, for the byte-based
-    /// replication cost model (mirrors `KvCommand::payload_bytes`).
-    #[must_use]
-    pub fn payload_bytes(&self) -> usize {
-        const FRAMING: usize = 16;
-        let body = match self {
-            BrokerCommand::Produce { topic, records, .. } => {
-                topic.len() + records.iter().map(Record::bytes).sum::<usize>()
-            }
-            BrokerCommand::CommitOffset { group, topic, .. } => group.len() + topic.len() + 8,
-            BrokerCommand::Fetch { topic, .. } => topic.len() + 16,
-            BrokerCommand::FetchCommitted { group, topic, .. } => group.len() + topic.len(),
-        };
-        FRAMING + body
-    }
-}
-
-/// A replicated broker command: the client command plus its retry origin —
-/// the exact PR-4 origin/reply-cache shape the KV `KvRequest` uses, so the
-/// same `ServerHost` propose path drives both.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BrokerRequest {
-    /// Who sent this and which attempt-id it is; `None` for internal
-    /// traffic that needs no dedup.
-    pub origin: Option<ReqOrigin>,
-    /// The command.
-    pub cmd: BrokerCommand,
-}
-
-impl BrokerRequest {
-    /// A request with no dedup origin.
-    #[must_use]
-    pub fn bare(cmd: BrokerCommand) -> Self {
-        Self { origin: None, cmd }
-    }
-
-    /// A client request carrying its retry origin (`client` is the
-    /// producer/consumer id, `req_id` its monotone per-client sequence).
-    #[must_use]
-    pub fn from_client(client: u64, req_id: u64, cmd: BrokerCommand) -> Self {
-        Self {
-            origin: Some(ReqOrigin { client, req_id }),
-            cmd,
-        }
-    }
-}
-
 /// A broker response.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BrokerResponse {
@@ -144,14 +87,6 @@ pub enum BrokerResponse {
     },
 }
 
-/// Only mutating commands need exactly-once protection; re-running a
-/// retried fetch is harmless, and keeping (potentially large) record
-/// batches out of the reply cache keeps replicated state and snapshots
-/// small.
-fn needs_dedup(cmd: &BrokerCommand) -> bool {
-    !cmd.is_read()
-}
-
 /// Rough in-memory size of one cached response (snapshot costing). Cached
 /// responses are produce/commit acks — a few words each.
 const CACHED_REPLY_BYTES: usize = 40;
@@ -165,61 +100,26 @@ impl CachedReply for BrokerResponse {
 /// Rough in-memory size of one committed group offset (snapshot costing).
 const PER_OFFSET_BYTES: usize = 48;
 
-/// The replicated broker state machine: topics of segmented partition
-/// logs, durable consumer-group offsets, and the producer reply cache.
-/// Everything here is replicated state — filled identically on every
-/// replica and carried whole inside snapshots, so a follower restored via
-/// `InstallSnapshot` serves fetches and dedupes producers exactly like one
-/// that replayed the log.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BrokerSm {
+/// The broker's replicated data: topics of segmented partition logs and
+/// durable consumer-group offsets. Everything here is replicated state —
+/// filled identically on every replica and carried whole inside snapshots,
+/// so a follower restored via `InstallSnapshot` serves fetches exactly like
+/// one that replayed the log.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct BrokerState {
     topics: BTreeMap<String, Topic>,
     /// `(group, topic, partition) → committed offset`.
     group_offsets: BTreeMap<(String, String, u32), u64>,
-    /// Per-origin window of recent `req_id → response` (producer dedupe),
-    /// sized by the shared `RaftConfig::reply_window` knob (see
-    /// [`dynatune_raft::DEFAULT_REPLY_WINDOW`] for the sizing rule).
-    sessions: Sessions<BrokerResponse>,
     partition_config: PartitionConfig,
 }
 
-impl Default for BrokerSm {
-    fn default() -> Self {
-        Self::with_reply_window(DEFAULT_REPLY_WINDOW)
-    }
-}
-
-impl BrokerSm {
-    /// Empty broker with the default reply window and partition sizing.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Empty broker retaining `window` reply ids per producer (the
-    /// validated `RaftConfig::reply_window` knob).
-    #[must_use]
-    pub fn with_reply_window(window: u64) -> Self {
-        Self {
-            topics: BTreeMap::new(),
-            group_offsets: BTreeMap::new(),
-            sessions: Sessions::new(window),
-            partition_config: PartitionConfig::default(),
-        }
-    }
-
+impl BrokerState {
     /// Override the segment sizing knobs (tests, scenarios).
     #[must_use]
     pub fn with_partition_config(mut self, config: PartitionConfig) -> Self {
         config.validate();
         self.partition_config = config;
         self
-    }
-
-    /// The configured per-origin reply-cache id window.
-    #[must_use]
-    pub fn reply_window(&self) -> u64 {
-        self.sessions.window()
     }
 
     /// The topic, if it has ever been produced to.
@@ -240,30 +140,74 @@ impl BrokerSm {
             .get(&(group.to_string(), topic.to_string(), partition))
             .copied()
     }
+}
 
-    /// Cached reply for a producer request, if it was already applied.
-    #[must_use]
-    pub fn cached_reply(&self, origin: ReqOrigin) -> Option<&BrokerResponse> {
-        self.sessions.get(origin)
+impl App for BrokerState {
+    type Command = BrokerCommand;
+    type Response = BrokerResponse;
+
+    fn is_read(cmd: &BrokerCommand) -> bool {
+        matches!(
+            cmd,
+            BrokerCommand::Fetch { .. } | BrokerCommand::FetchCommitted { .. }
+        )
     }
 
-    /// Rough in-memory size of the snapshot this broker would produce
-    /// (records + offsets + reply cache — everything `InstallSnapshot`
-    /// ships, charged by the size-aware cost model).
-    #[must_use]
-    pub fn approx_bytes(&self) -> usize {
-        let records: usize = self.topics.values().map(Topic::bytes).sum();
-        let offsets = self.group_offsets.len() * PER_OFFSET_BYTES;
-        let replies = self.sessions.approx_bytes();
-        records + offsets + replies
+    fn payload_bytes(cmd: &BrokerCommand) -> usize {
+        const FRAMING: usize = 16;
+        let body = match cmd {
+            BrokerCommand::Produce { topic, records, .. } => {
+                topic.len() + records.iter().map(Record::bytes).sum::<usize>()
+            }
+            BrokerCommand::CommitOffset { group, topic, .. } => group.len() + topic.len() + 8,
+            BrokerCommand::Fetch { topic, .. } => topic.len() + 16,
+            BrokerCommand::FetchCommitted { group, topic, .. } => group.len() + topic.len(),
+        };
+        FRAMING + body
     }
 
-    /// The log-free read entry point: serve a fetch from applied state
-    /// (`None` for mutating commands). Callers hold a read grant whose
-    /// `read_index` this state machine has applied through. Responses
-    /// never enter (or come from) the reply cache.
-    #[must_use]
-    pub fn read(&self, command: &BrokerCommand) -> Option<BrokerResponse> {
+    fn execute(&mut self, _index: LogIndex, cmd: &BrokerCommand) -> BrokerResponse {
+        match cmd {
+            BrokerCommand::Produce {
+                topic,
+                partition,
+                records,
+            } => {
+                let log = self
+                    .topics
+                    .entry(topic.clone())
+                    .or_default()
+                    .partition_mut(*partition, self.partition_config);
+                let base_offset = log.append_batch(records.iter().cloned());
+                BrokerResponse::Produced {
+                    base_offset,
+                    count: records.len() as u64,
+                }
+            }
+            BrokerCommand::CommitOffset {
+                group,
+                topic,
+                partition,
+                offset,
+            } => {
+                // Last-write-wins, like Kafka's __consumer_offsets: the
+                // group coordinator (our closed-loop consumer) only ever
+                // commits forward.
+                self.group_offsets
+                    .insert((group.clone(), topic.clone(), *partition), *offset);
+                BrokerResponse::OffsetCommitted { offset: *offset }
+            }
+            read => match self.read(read) {
+                Some(resp) => resp,
+                None => invariant_violated!(
+                    "execute fell through to the read arm on a write command \
+                     {read:?} — the match above must cover every write variant"
+                ),
+            },
+        }
+    }
+
+    fn read(&self, command: &BrokerCommand) -> Option<BrokerResponse> {
         match command {
             BrokerCommand::Fetch {
                 topic,
@@ -295,91 +239,25 @@ impl BrokerSm {
         }
     }
 
-    /// Execute one mutating command against the data structures (no
-    /// dedup — `apply` handles that).
-    fn execute(&mut self, cmd: &BrokerCommand) -> BrokerResponse {
-        match cmd {
-            BrokerCommand::Produce {
-                topic,
-                partition,
-                records,
-            } => {
-                let log = self
-                    .topics
-                    .entry(topic.clone())
-                    .or_default()
-                    .partition_mut(*partition, self.partition_config);
-                let base_offset = log.append_batch(records.iter().cloned());
-                BrokerResponse::Produced {
-                    base_offset,
-                    count: records.len() as u64,
-                }
-            }
-            BrokerCommand::CommitOffset {
-                group,
-                topic,
-                partition,
-                offset,
-            } => {
-                // Last-write-wins, like Kafka's __consumer_offsets: the
-                // group coordinator (our closed-loop consumer) only ever
-                // commits forward.
-                self.group_offsets
-                    .insert((group.clone(), topic.clone(), *partition), *offset);
-                BrokerResponse::OffsetCommitted { offset: *offset }
-            }
-            // Reads reaching the replicated path (ReadStrategy::Log
-            // baseline) execute like any other command, minus caching.
-            read => match self.read(read) {
-                Some(resp) => resp,
-                None => invariant_violated!(
-                    "execute fell through to the read arm on a write command \
-                     {read:?} — the match above must cover every write variant"
-                ),
-            },
-        }
+    /// Records + offsets.
+    fn approx_bytes(&self) -> usize {
+        let records: usize = self.topics.values().map(Topic::bytes).sum();
+        records + self.group_offsets.len() * PER_OFFSET_BYTES
     }
 }
 
-impl StateMachine for BrokerSm {
-    type Command = BrokerRequest;
-    type Response = BrokerResponse;
-    type Snapshot = BrokerSm;
-
-    fn command_bytes(request: &BrokerRequest) -> usize {
-        const ORIGIN: usize = 16; // (client, req_id)
-        ORIGIN + request.cmd.payload_bytes()
-    }
-
-    fn apply(&mut self, _index: LogIndex, request: &BrokerRequest) -> BrokerResponse {
-        match request.origin {
-            Some(origin) if needs_dedup(&request.cmd) => {
-                if let Some(cached) = self.cached_reply(origin) {
-                    // A retried produce that already committed: replay the
-                    // original ack — the records are NOT appended again.
-                    return cached.clone();
-                }
-                let resp = self.execute(&request.cmd);
-                self.sessions.record(origin, resp.clone());
-                resp
-            }
-            _ => self.execute(&request.cmd),
-        }
-    }
-
-    fn snapshot(&self) -> BrokerSm {
-        self.clone()
-    }
-
-    fn restore(&mut self, snapshot: &BrokerSm) {
-        *self = snapshot.clone();
-    }
-}
+/// The replicated broker state machine (an alias the frozen benchmark
+/// spells; see the note at `dynatune_kv::Store`).
+pub type BrokerSm = Replicated<BrokerState>;
+/// The replicated form of a [`BrokerCommand`].
+pub type BrokerRequest = Request<BrokerCommand>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bytes::Bytes;
+    use dynatune_kv::ReqOrigin;
+    use dynatune_raft::StateMachine;
 
     fn rec(v: &str) -> Record {
         Record::new(Bytes::new(), Bytes::copy_from_slice(v.as_bytes()))
@@ -495,43 +373,47 @@ mod tests {
         let req = BrokerRequest::from_client(5, 1, fetch);
         let _ = sm.apply(2, &req);
         assert!(
-            sm.cached_reply(ReqOrigin {
-                client: 5,
-                req_id: 1
-            })
-            .is_none(),
+            sm.sessions()
+                .get(ReqOrigin {
+                    client: 5,
+                    req_id: 1
+                })
+                .is_none(),
             "fetch responses must not bloat replicated state"
         );
     }
 
     #[test]
     fn reply_window_slides_per_origin() {
-        let mut sm = BrokerSm::with_reply_window(8);
+        let mut sm = BrokerSm::from_parts(BrokerState::default(), 8);
         for req_id in 0..20 {
             let req = BrokerRequest::from_client(1, req_id, produce("t", 0, &["x"]));
             sm.apply(req_id + 1, &req);
         }
         assert!(sm
-            .cached_reply(ReqOrigin {
+            .sessions()
+            .get(ReqOrigin {
                 client: 1,
                 req_id: 0
             })
             .is_none());
         assert!(sm
-            .cached_reply(ReqOrigin {
+            .sessions()
+            .get(ReqOrigin {
                 client: 1,
                 req_id: 19
             })
             .is_some());
-        assert_eq!(sm.sessions.live_len(1), 8);
+        assert_eq!(sm.sessions().live_len(1), 8);
     }
 
     #[test]
     fn snapshot_restore_round_trips_everything() {
-        let mut sm = BrokerSm::with_reply_window(64).with_partition_config(PartitionConfig {
+        let state = BrokerState::default().with_partition_config(PartitionConfig {
             segment_bytes: 64,
             index_interval: 32,
         });
+        let mut sm = BrokerSm::from_parts(state, 64);
         for i in 0..10 {
             let req = BrokerRequest::from_client(2, i, produce("t", 1, &["v", "w"]));
             sm.apply(i + 1, &req);
@@ -638,7 +520,8 @@ mod tests {
                 segment_bytes in 32usize..256,
             ) {
                 let config = PartitionConfig { segment_bytes, index_interval: 32 };
-                let mut sm = BrokerSm::new().with_partition_config(config);
+                let state = BrokerState::default().with_partition_config(config);
+                let mut sm = BrokerSm::from_parts(state, dynatune_kv::DEFAULT_REPLY_WINDOW);
                 for (i, (client, req_id, cmd)) in cmds.iter().enumerate() {
                     sm.apply(
                         i as u64 + 1,
@@ -698,9 +581,9 @@ mod tests {
                     let records: usize = sm.topics.values().map(Topic::bytes).sum();
                     records
                         + sm.group_offsets.len() * PER_OFFSET_BYTES
-                        + sm.sessions.replies().count() * CACHED_REPLY_BYTES
+                        + sm.sessions().replies().count() * CACHED_REPLY_BYTES
                 }
-                let mut sm = BrokerSm::with_reply_window(window);
+                let mut sm = BrokerSm::from_parts(BrokerState::default(), window);
                 for (i, (client, req_id, cmd)) in cmds.iter().enumerate() {
                     sm.apply(
                         i as u64 + 1,

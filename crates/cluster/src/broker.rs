@@ -31,12 +31,13 @@
 //!   lost produce, a repeat means a duplicated one. The failover scenario
 //!   hard-asserts both counters stay zero.
 
-use crate::app::BrokerApp;
 use crate::client::{genesis_rows, RoutingTable, DEFAULT_BATCH_WINDOW};
 use crate::msg::ClusterMsg;
 use crate::sim::{Client, ClusterSim};
 use bytes::Bytes;
-use dynatune_broker::{shard_of_partition, BrokerCommand, BrokerResponse, FetchResult, Record};
+use dynatune_broker::{
+    shard_of_partition, BrokerCommand, BrokerResponse, BrokerState, FetchResult, Record,
+};
 use dynatune_core::invariant_violated;
 use dynatune_kv::{ShardId, ShardMap};
 use dynatune_raft::NodeId;
@@ -47,7 +48,7 @@ use std::time::Duration;
 
 /// The broker wire vocabulary: the shared cluster message enum instantiated
 /// for the broker app.
-pub type BrokerMsg = ClusterMsg<BrokerApp>;
+pub type BrokerMsg = ClusterMsg<BrokerState>;
 
 /// How long a caught-up consumer waits before polling its partition again.
 const POLL_IDLE: Duration = Duration::from_millis(10);
@@ -675,7 +676,7 @@ impl BrokerClient {
     }
 }
 
-impl Client<BrokerApp> for BrokerClient {
+impl Client<BrokerState> for BrokerClient {
     /// Generate due arrivals, flush due batches, poll due consumers and
     /// expire overdue requests.
     fn handle_wake(&mut self, ctx: &mut HostCtx<'_, BrokerMsg>) {
@@ -739,7 +740,7 @@ impl Client<BrokerApp> for BrokerClient {
 
 /// A running broker cluster: the one [`ClusterSim`] serving the broker app
 /// to a [`BrokerClient`].
-pub type BrokerClusterSim = ClusterSim<BrokerApp, BrokerClient>;
+pub type BrokerClusterSim = ClusterSim<BrokerState, BrokerClient>;
 
 impl BrokerClusterSim {
     /// Producer-side counters (`None` without a workload).

@@ -11,11 +11,12 @@
 //! experiments snapshot at two instants and difference for a windowed
 //! throughput).
 
-use crate::app::KvApp;
 use crate::msg::ClusterMsg;
 use crate::sim::Client;
 use bytes::Bytes;
-use dynatune_kv::{KvCommand, KvResponse, ShardId, ShardMap, ShardRouter, WorkloadGen};
+use dynatune_kv::{
+    App, KvCommand, KvResponse, KvStore, ShardId, ShardMap, ShardRouter, WorkloadGen,
+};
 use dynatune_raft::NodeId;
 use dynatune_simnet::{Channel, HostCtx, SimTime};
 use dynatune_stats::{Histogram, OnlineStats};
@@ -434,7 +435,7 @@ impl ClientHost {
     }
 }
 
-impl Client<KvApp> for ClientHost {
+impl Client<KvStore> for ClientHost {
     /// Send every arrival whose time has come — as singles, or coalesced
     /// into one batch per shard — and expire overdue requests.
     fn handle_wake(&mut self, ctx: &mut HostCtx<'_, ClusterMsg>) {
@@ -463,7 +464,7 @@ impl Client<KvApp> for ClientHost {
             self.steps[step].sent += 1;
             self.stats[shard].sent += 1;
             self.arm_timeout(ctx.now, req_id);
-            let fanned = self.read_fanout && cmd.is_read();
+            let fanned = self.read_fanout && KvStore::is_read(&cmd);
             match self.batch_window {
                 Some(window) if !fanned => {
                     self.flush_at.get_or_insert(at + window);
@@ -920,7 +921,7 @@ mod tests {
             for (to, _, msg) in &out {
                 match msg {
                     // Fanned reads travel as singles even when batching.
-                    ClusterMsg::ClientReq { cmd, .. } if cmd.is_read() => {
+                    ClusterMsg::ClientReq { cmd, .. } if KvStore::is_read(cmd) => {
                         reads[shard_of(&c, *to)].push(*to);
                     }
                     // Everything else still chases the leader guess.

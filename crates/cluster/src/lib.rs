@@ -10,7 +10,10 @@
 //! beside the registered experiment that reports it.
 //!
 //! There is one cluster: [`ClusterSim<A, C>`](ClusterSim), generic over the
-//! served [`App`] and the [`Client`] that drives it, described by one
+//! served [`App`] (the trait `dynatune_kv` defines and the KV and broker
+//! state types implement; every server runs it inside the one
+//! [`Replicated<A>`](dynatune_kv::Replicated) exactly-once state machine)
+//! and the [`Client`] that drives it, described by one
 //! [`ClusterConfig`] whose [`ShardMap`](dynatune_kv::ShardMap) places N
 //! independent Raft groups in one world (a classic single group is
 //! `shards = 1`) and whose one `raft` template is where every Raft knob is
@@ -22,7 +25,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod app;
 pub mod broker;
 pub mod client;
 pub mod cpu;
@@ -33,10 +35,10 @@ pub mod scenario;
 pub mod server;
 pub mod sim;
 
-pub use app::{App, BrokerApp, KvApp};
 pub use broker::{BrokerClient, BrokerClusterSim, BrokerStats, BrokerWorkload, ConsumerStats};
 pub use client::{ClientHost, OpRecord, ShardStats, StepRecord};
 pub use cpu::{CostModel, CpuMeter};
+pub use dynatune_kv::App;
 pub use msg::ClusterMsg;
 pub use observers::{
     count_events, election_safety_violations, extract_failover, kth_smallest_timeout_ms,

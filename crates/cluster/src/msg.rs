@@ -1,21 +1,22 @@
 //! Messages exchanged inside a simulated cluster (servers + clients).
 //!
 //! Generic over the [`App`] being served: the KV cluster speaks
-//! `ClusterMsg` (the `KvApp` default), the broker cluster speaks
-//! `ClusterMsg<BrokerApp>`. The wire vocabulary — Raft traffic, client
+//! `ClusterMsg` (the `KvStore` default), the broker cluster speaks
+//! `ClusterMsg<BrokerState>`. The wire vocabulary — Raft traffic, client
 //! requests/batches, responses, redirects, forwarded-read waves — is
 //! identical either way; only the command/response payloads differ.
 
-use crate::app::{App, KvApp};
+use dynatune_kv::{App, KvStore, Replicated, Request};
 use dynatune_raft::{NodeId, Payload};
 
 /// The Raft payload type of the cluster: commands carry their client
-/// origin (for retry deduplication) and snapshots ship the app's full
-/// state-machine snapshot.
-pub type RaftPayload<A = KvApp> = Payload<<A as App>::Request, <A as App>::SnapshotData>;
+/// origin (for retry deduplication) and snapshots ship the whole
+/// replicated state machine.
+pub type RaftPayload<A = KvStore> = Payload<Request<<A as App>::Command>, Replicated<A>>;
 
 /// Everything that can travel over the simulated network.
-pub enum ClusterMsg<A: App = KvApp> {
+#[derive(Clone, Debug)]
+pub enum ClusterMsg<A: App = KvStore> {
     /// Raft protocol traffic between servers.
     Raft(RaftPayload<A>),
     /// Client → server request.
@@ -68,78 +69,6 @@ pub enum ClusterMsg<A: App = KvApp> {
     },
 }
 
-// Manual impls: deriving would bound `A: Clone`/`A: Debug` even though only
-// the associated payloads appear in fields, and the simulator's `Host::Msg`
-// needs `Clone` for any app marker.
-impl<A: App> Clone for ClusterMsg<A> {
-    fn clone(&self) -> Self {
-        match self {
-            ClusterMsg::Raft(p) => ClusterMsg::Raft(p.clone()),
-            ClusterMsg::ClientReq { req_id, cmd } => ClusterMsg::ClientReq {
-                req_id: *req_id,
-                cmd: cmd.clone(),
-            },
-            ClusterMsg::ClientBatch { reqs } => ClusterMsg::ClientBatch { reqs: reqs.clone() },
-            ClusterMsg::ClientResp { req_id, result } => ClusterMsg::ClientResp {
-                req_id: *req_id,
-                result: result.clone(),
-            },
-            ClusterMsg::ClientRedirect { req_id, hint, cmd } => ClusterMsg::ClientRedirect {
-                req_id: *req_id,
-                hint: *hint,
-                cmd: cmd.clone(),
-            },
-            ClusterMsg::ReadIndexReq { read_id } => ClusterMsg::ReadIndexReq { read_id: *read_id },
-            ClusterMsg::ReadIndexResp {
-                read_id,
-                read_index,
-            } => ClusterMsg::ReadIndexResp {
-                read_id: *read_id,
-                read_index: *read_index,
-            },
-        }
-    }
-}
-
-impl<A: App> std::fmt::Debug for ClusterMsg<A> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ClusterMsg::Raft(p) => f.debug_tuple("Raft").field(p).finish(),
-            ClusterMsg::ClientReq { req_id, cmd } => f
-                .debug_struct("ClientReq")
-                .field("req_id", req_id)
-                .field("cmd", cmd)
-                .finish(),
-            ClusterMsg::ClientBatch { reqs } => {
-                f.debug_struct("ClientBatch").field("reqs", reqs).finish()
-            }
-            ClusterMsg::ClientResp { req_id, result } => f
-                .debug_struct("ClientResp")
-                .field("req_id", req_id)
-                .field("result", result)
-                .finish(),
-            ClusterMsg::ClientRedirect { req_id, hint, cmd } => f
-                .debug_struct("ClientRedirect")
-                .field("req_id", req_id)
-                .field("hint", hint)
-                .field("cmd", cmd)
-                .finish(),
-            ClusterMsg::ReadIndexReq { read_id } => f
-                .debug_struct("ReadIndexReq")
-                .field("read_id", read_id)
-                .finish(),
-            ClusterMsg::ReadIndexResp {
-                read_id,
-                read_index,
-            } => f
-                .debug_struct("ReadIndexResp")
-                .field("read_id", read_id)
-                .field("read_index", read_index)
-                .finish(),
-        }
-    }
-}
-
 impl<A: App> ClusterMsg<A> {
     /// Short tag for tracing.
     #[must_use]
@@ -171,7 +100,7 @@ mod tests {
             },
         };
         assert_eq!(m.kind(), "client_req");
-        let r = ClusterMsg::<KvApp>::Raft(RaftPayload::<KvApp>::AppendResp(
+        let r = ClusterMsg::<KvStore>::Raft(RaftPayload::<KvStore>::AppendResp(
             dynatune_raft::AppendResp {
                 term: 1,
                 success: true,
@@ -184,8 +113,7 @@ mod tests {
 
     #[test]
     fn broker_messages_share_the_wire_vocabulary() {
-        use crate::app::BrokerApp;
-        let m: ClusterMsg<BrokerApp> = ClusterMsg::ClientReq {
+        let m: ClusterMsg<dynatune_broker::BrokerState> = ClusterMsg::ClientReq {
             req_id: 1,
             cmd: dynatune_broker::BrokerCommand::Fetch {
                 topic: "t".into(),

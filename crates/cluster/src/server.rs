@@ -2,13 +2,14 @@
 //! behind the simulator's [`Host`](dynatune_simnet::Host) interface.
 //!
 //! Generic over the [`App`] being served (KV store by default, broker via
-//! `ServerHost<BrokerApp>`): the propose path, reply-cache dedupe, CPU
-//! admission, log-free read path and compaction policy are identical for
-//! every application; only the five seams named by [`App`] differ.
+//! `ServerHost<BrokerState>`): the propose path, CPU admission, log-free
+//! read path and compaction policy are identical for every application,
+//! and so is reply-cache dedupe — the node drives a [`Replicated<A>`],
+//! never the app itself.
 
-use crate::app::{App, KvApp};
 use crate::cpu::{CostModel, CpuMeter};
 use crate::msg::{ClusterMsg, RaftPayload};
+use dynatune_kv::{App, KvStore, Replicated, Request};
 use dynatune_raft::{
     ConfChange, LogIndex, NodeEffects, NodeId, Payload, RaftConfig, RaftEvent, RaftNode, ReadPath,
     Role, StateMachine, Term,
@@ -156,8 +157,8 @@ impl Default for CompactionPolicy {
 
 /// One simulated etcd-like server, serving the application `A` (the KV
 /// store by default).
-pub struct ServerHost<A: App = KvApp> {
-    node: RaftNode<A::Sm>,
+pub struct ServerHost<A: App = KvStore> {
+    node: RaftNode<Replicated<A>>,
     cost: CostModel,
     cpu: CpuMeter,
     compaction: CompactionPolicy,
@@ -208,9 +209,8 @@ impl<A: App> ServerHost<A> {
     #[must_use]
     pub fn new(config: RaftConfig, cost: CostModel, cores: usize) -> Self {
         let tunes = config.tuning.mode.tunes();
-        let sm = A::fresh_sm(&config);
         Self {
-            node: RaftNode::new(config, sm, SimTime::ZERO),
+            node: RaftNode::new(config, Replicated::new(), SimTime::ZERO),
             cost,
             cpu: CpuMeter::new(cores, CPU_WINDOW),
             compaction: CompactionPolicy::default(),
@@ -261,7 +261,7 @@ impl<A: App> ServerHost<A> {
 
     /// The wrapped Raft node (observers).
     #[must_use]
-    pub fn node(&self) -> &RaftNode<A::Sm> {
+    pub fn node(&self) -> &RaftNode<Replicated<A>> {
         &self.node
     }
 
@@ -314,8 +314,7 @@ impl<A: App> ServerHost<A> {
     /// queue) is lost; the state machine is rebuilt from the snapshot plus
     /// log replay.
     pub fn crash_restart(&mut self, now: SimTime) {
-        let sm = A::fresh_sm(self.node.config());
-        self.node.restart(now, sm);
+        self.node.restart(now, Replicated::new());
         self.pending.clear();
         self.admit.clear();
         self.read_origins.clear();
@@ -333,7 +332,7 @@ impl<A: App> ServerHost<A> {
         }
         if let Payload::InstallSnapshot(s) = payload {
             // Size-aware install: restoring a big store takes real time.
-            c += self.cost.snapshot_cost(A::snapshot_bytes(&s.data));
+            c += self.cost.snapshot_cost(s.data.approx_bytes());
         }
         c
     }
@@ -353,13 +352,13 @@ impl<A: App> ServerHost<A> {
                     .entries
                     .iter()
                     .filter_map(|e| e.data.as_ref())
-                    .map(<A::Sm as StateMachine>::command_bytes)
+                    .map(Replicated::<A>::command_bytes)
                     .sum();
                 c += self.cost.append_cost(bytes);
             }
             Payload::InstallSnapshot(s) => {
                 // Size-aware serialization of the full state.
-                c += self.cost.snapshot_cost(A::snapshot_bytes(&s.data));
+                c += self.cost.snapshot_cost(s.data.approx_bytes());
             }
             _ => {}
         }
@@ -367,7 +366,11 @@ impl<A: App> ServerHost<A> {
     }
 
     /// Route node effects out to the network and bookkeeping.
-    fn route_effects(&mut self, ctx: &mut HostCtx<'_, ClusterMsg<A>>, fx: NodeEffects<A::Sm>) {
+    fn route_effects(
+        &mut self,
+        ctx: &mut HostCtx<'_, ClusterMsg<A>>,
+        fx: NodeEffects<Replicated<A>>,
+    ) {
         let now = ctx.now;
         for ev in &fx.events {
             self.events.push((now, *ev));
@@ -414,7 +417,7 @@ impl<A: App> ServerHost<A> {
                     // The grant was apply-gated, so the state machine
                     // covers read_index; reply-cache invariant: the read
                     // executes fresh, never from (or into) sessions.
-                    let result = A::read(self.node.state_machine(), &cmd);
+                    let result = self.node.state_machine().read(&cmd);
                     debug_assert!(result.is_some(), "grants are only taken for reads");
                     match grant.path {
                         ReadPath::Lease => self.reads_served.lease += 1,
@@ -496,7 +499,7 @@ impl<A: App> ServerHost<A> {
                 continue;
             }
             let is_read = A::is_read(&req.cmd);
-            let request = A::request(req.client as u64, req.req_id, req.cmd.clone());
+            let request = Request::from_client(req.client as u64, req.req_id, req.cmd.clone());
             let (result, fx) = self.node.propose(now, request);
             match result {
                 Ok((term, index)) => {
@@ -673,7 +676,7 @@ impl<A: App> ServerHost<A> {
         };
         // Reply-cache invariant holds here too: forwarded reads execute
         // fresh against the follower's applied state.
-        let result = A::read(self.node.state_machine(), &cmd);
+        let result = self.node.state_machine().read(&cmd);
         self.reads_served.follower += 1;
         ctx.send(
             client,

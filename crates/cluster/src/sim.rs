@@ -1,23 +1,22 @@
 //! Cluster assembly and simulation driver.
 //!
 //! One [`ClusterSim`] serves every deployment shape the repository models:
-//! it is generic over the served [`App`] (KV store or broker) and over the
-//! benchmark [`Client`] that shares the fabric with the servers, and it
-//! places servers by a [`ShardMap`] — a classic single Raft group is the
-//! map with one shard. One [`ClusterConfig`] describes any of them.
+//! it is generic over the served [`App`] (`KvStore` or `BrokerState`) and
+//! over the benchmark [`Client`] that shares the fabric with the servers,
+//! and it places servers by a [`ShardMap`] — a classic single Raft group is
+//! the map with one shard. One [`ClusterConfig`] describes any of them.
 //!
 //! Host layout (world ids): replicas of shard `g` occupy the contiguous
 //! block `[g·R, (g+1)·R)`, spares follow in declaration order, and the
 //! optional client is the last host. Raft node ids stay group-local
 //! (`0..R`, spares past `R`); [`ServerHost`] translates via its peer base.
 
-use crate::app::{App, KvApp};
 use crate::client::{ClientHost, OpRecord, ShardStats, StepRecord};
 use crate::cpu::CostModel;
 use crate::msg::ClusterMsg;
 use crate::server::{CompactionPolicy, ReadCounters, ReadStrategy, ServerHost};
 use dynatune_core::{invariant_violated, TuningConfig, TuningSnapshot};
-use dynatune_kv::{OpMix, RateStep, ShardId, ShardMap, WorkloadGen};
+use dynatune_kv::{App, KvStore, OpMix, RateStep, ShardId, ShardMap, WorkloadGen};
 use dynatune_raft::{ConfChange, Membership, NodeId, RaftConfig, RaftEvent, Role};
 use dynatune_simnet::{
     CongestionConfig, Host, HostCtx, LinkSchedule, NetParams, Network, Rng, SimTime, Topology,
@@ -227,7 +226,7 @@ pub trait Client<A: App> {
 }
 
 /// A node in the simulated world: server or benchmark client.
-pub enum ClusterHost<A: App = KvApp, C = ClientHost> {
+pub enum ClusterHost<A: App = KvStore, C = ClientHost> {
     /// A Raft server of app `A`.
     Server(Box<ServerHost<A>>),
     /// The benchmark client.
@@ -265,7 +264,7 @@ impl<A: App, C: Client<A>> Host for ClusterHost<A, C> {
 }
 
 /// A running simulated cluster of app `A` driven by client `C`.
-pub struct ClusterSim<A: App = KvApp, C: Client<A> = ClientHost> {
+pub struct ClusterSim<A: App = KvStore, C: Client<A> = ClientHost> {
     world: World<ClusterHost<A, C>>,
     map: ShardMap,
     /// Shard each spare host (world id `map.n_servers() + k`) belongs to.

@@ -33,7 +33,10 @@ impl TuningMode {
 }
 
 /// Runtime parameters of the tuner (the paper's runtime arguments, §III-E,
-/// with the experimental defaults of §IV-A).
+/// with the experimental defaults of §IV-A). The clamps on tuned values are
+/// not arguments; they are constants beside the tuner
+/// ([`ELECTION_TIMEOUT_FLOOR`](crate::ELECTION_TIMEOUT_FLOOR) and its
+/// neighbours in `tuner.rs`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TuningConfig {
     /// Operating mode.
@@ -51,14 +54,6 @@ pub struct TuningConfig {
     pub default_election_timeout: Duration,
     /// Conservative default heartbeat interval (paper/etcd default: 100 ms).
     pub default_heartbeat_interval: Duration,
-    /// Hard floor for a tuned election timeout.
-    pub election_timeout_floor: Duration,
-    /// Hard ceiling for a tuned election timeout.
-    pub election_timeout_ceiling: Duration,
-    /// Hard floor for a tuned heartbeat interval.
-    pub heartbeat_floor: Duration,
-    /// Upper clamp on `K` (guards `log_p(1-x)` blow-up as p → 1).
-    pub k_max: u32,
 }
 
 impl TuningConfig {
@@ -73,10 +68,6 @@ impl TuningConfig {
             max_list_size: 1000,
             default_election_timeout: Duration::from_millis(1000),
             default_heartbeat_interval: Duration::from_millis(100),
-            election_timeout_floor: Duration::from_millis(10),
-            election_timeout_ceiling: Duration::from_secs(60),
-            heartbeat_floor: Duration::from_millis(1),
-            k_max: 100,
         }
     }
 
@@ -126,11 +117,6 @@ impl TuningConfig {
         assert!(
             self.max_list_size >= self.min_list_size,
             "max_list_size below min_list_size"
-        );
-        assert!(self.k_max >= 1, "k_max must be >= 1");
-        assert!(
-            self.election_timeout_floor <= self.election_timeout_ceiling,
-            "election timeout floor above ceiling"
         );
         assert!(
             self.default_heartbeat_interval > Duration::ZERO,

@@ -44,4 +44,4 @@ pub use math::{election_timeout_from_rtt, required_heartbeats};
 pub use meta::{HeartbeatMeta, HeartbeatReply};
 pub use pacer::LeaderPacer;
 pub use rtt::RttEstimator;
-pub use tuner::{FollowerTuner, TuningSnapshot};
+pub use tuner::{FollowerTuner, TuningSnapshot, ELECTION_TIMEOUT_FLOOR};

@@ -11,6 +11,7 @@
 
 use crate::config::TuningConfig;
 use crate::meta::{HeartbeatMeta, HeartbeatReply};
+use crate::tuner::HEARTBEAT_FLOOR;
 use std::time::Duration;
 
 /// Leader-side pacing state for one follower.
@@ -110,7 +111,7 @@ impl LeaderPacer {
             self.last_rtt = Some(Duration::from_nanos(delta));
         }
         if let Some(h) = reply.tuned_interval {
-            self.interval = h.max(self.config.heartbeat_floor);
+            self.interval = h.max(HEARTBEAT_FLOOR);
         }
     }
 

@@ -7,6 +7,22 @@ use crate::meta::{HeartbeatMeta, HeartbeatReply};
 use crate::rtt::RttEstimator;
 use std::time::Duration;
 
+/// Hard floor for a tuned election timeout. Also the shortest timeout any
+/// member of a tuning cluster can run, which is what bounds a leader lease.
+pub const ELECTION_TIMEOUT_FLOOR: Duration = Duration::from_millis(10);
+/// Hard ceiling for a tuned election timeout.
+const ELECTION_TIMEOUT_CEILING: Duration = Duration::from_secs(60);
+/// Hard floor for a tuned heartbeat interval.
+pub(crate) const HEARTBEAT_FLOOR: Duration = Duration::from_millis(1);
+/// Upper clamp on `K` (guards `log_p(1-x)` blow-up as p → 1).
+const K_MAX: u32 = 100;
+
+const _: () = assert!(K_MAX >= 1, "K_MAX must be >= 1");
+const _: () = assert!(
+    ELECTION_TIMEOUT_FLOOR.as_nanos() <= ELECTION_TIMEOUT_CEILING.as_nanos(),
+    "election timeout floor above ceiling"
+);
+
 /// Read-only view of the tuner's current state, for observers and logs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TuningSnapshot {
@@ -108,8 +124,8 @@ impl FollowerTuner {
             self.rtt.mean(),
             self.rtt.std_dev(),
             self.config.safety_factor,
-            self.config.election_timeout_floor,
-            self.config.election_timeout_ceiling,
+            ELECTION_TIMEOUT_FLOOR,
+            ELECTION_TIMEOUT_CEILING,
         );
         let k = match self.config.mode {
             TuningMode::Static => unreachable!("static mode never retunes"),
@@ -117,11 +133,11 @@ impl FollowerTuner {
             TuningMode::Dynatune => required_heartbeats(
                 self.loss.loss_rate(),
                 self.config.arrival_probability,
-                self.config.k_max,
+                K_MAX,
             ),
         };
         let h = Duration::from_secs_f64(self.election_timeout.as_secs_f64() / f64::from(k));
-        self.heartbeat_interval = h.max(self.config.heartbeat_floor);
+        self.heartbeat_interval = h.max(HEARTBEAT_FLOOR);
     }
 
     /// Current election timeout `Et` for this path (default until warmed).
@@ -359,19 +375,16 @@ mod tests {
 
     #[test]
     fn heartbeat_floor_respected() {
-        let cfg = TuningConfig {
-            heartbeat_floor: Duration::from_millis(5),
-            ..TuningConfig::dynatune()
-        };
-        let mut t = FollowerTuner::new(cfg);
-        // 10ms RTT with heavy loss would want a very small h.
+        let mut t = FollowerTuner::new(TuningConfig::dynatune());
+        // 10ms RTT with 70 % loss wants h = Et / 20 = 0.5 ms.
         for id in 0..200u64 {
             if id % 10 < 3 {
                 t.on_heartbeat(&heartbeat(id, Some(10)));
             }
         }
         assert!(t.is_warmed());
-        assert!(t.expected_heartbeat_interval() >= Duration::from_millis(5));
+        assert_eq!(t.election_timeout(), Duration::from_millis(10));
+        assert_eq!(t.expected_heartbeat_interval(), HEARTBEAT_FLOOR);
     }
 
     #[test]

@@ -3,13 +3,17 @@
 //! The paper evaluates Dynatune inside etcd, a Raft-replicated KV store.
 //! This crate provides the service layer:
 //!
-//! * [`KvStore`] — the deterministic KV map (put/get/delete/range/CAS with
-//!   etcd-style create/mod revisions);
-//! * [`Store`] — the replicated state machine: the map plus per-client
-//!   retry deduplication and snapshot/restore, driven by `dynatune-raft`;
+//! * [`App`] / [`Replicated`] / [`Request`] — the exactly-once layer every
+//!   application shares: an app is a state type that executes commands,
+//!   `Replicated<A>` is the one state machine Raft drives (the app plus
+//!   per-client retry deduplication and snapshot/restore), and a `Request`
+//!   is the command with its retry origin;
 //! * [`Sessions`] — the per-client sliding reply cache (Raft §6.3 sessions)
-//!   behind that deduplication, shared with the broker's state machine and
-//!   chunked so that a snapshot shares it with the live state;
+//!   behind that deduplication, chunked so that a snapshot shares it with
+//!   the live state;
+//! * [`KvStore`] — the KV app: the deterministic map (put/get/delete/
+//!   range/CAS with etcd-style create/mod revisions); [`Store`] names
+//!   `Replicated<KvStore>`;
 //! * [`WorkloadGen`] — open-loop client load with Poisson arrivals, rate
 //!   ramp schedules (the paper's §IV-B2 peak-throughput methodology) and
 //!   Zipf-skewed keys;
@@ -20,15 +24,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod replicated;
 pub mod sessions;
 pub mod shard;
 pub mod store;
 pub mod workload;
 
-pub use sessions::{CachedReply, Sessions};
+pub use replicated::{App, Replicated, Request};
+pub use sessions::{CachedReply, ReqOrigin, Sessions, DEFAULT_REPLY_WINDOW};
 pub use shard::{ShardId, ShardMap, ShardRouter};
-pub use store::{
-    KvCommand, KvRequest, KvResponse, KvStore, ReqOrigin, Store, VersionedValue,
-    DEFAULT_REPLY_WINDOW,
-};
+pub use store::{KvCommand, KvRequest, KvResponse, KvStore, Store, VersionedValue};
 pub use workload::{OpMix, RateStep, WorkloadGen};

@@ -1,9 +1,35 @@
 //! The per-client reply cache (Raft §6.3 client sessions), laid out so a
 //! snapshot shares it with the live state instead of copying it.
 
-use crate::store::ReqOrigin;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
+
+/// Identity of a client request, replicated inside the log entry so every
+/// replica can deduplicate retries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReqOrigin {
+    /// The issuing client (world host id).
+    pub client: u64,
+    /// The client's request id, monotonically increasing per client.
+    pub req_id: u64,
+}
+
+/// The sliding id window of replies a [`Replicated`](crate::Replicated)
+/// state machine retains per request origin. Request ids increase
+/// monotonically per client, so a sliding window bounds the cache — but it
+/// must exceed `offered rate × response timeout × retry budget`, the largest
+/// id gap a live retry can trail the newest accepted id by, or a duplicate
+/// could commit after its original's reply was evicted and be applied
+/// twice. A fig5-style ramp peaking near 15 k req/s with a 1 s response
+/// timeout and up to 4 sends per request needs ≈ 60 k ids; 65 536 clears
+/// that with headroom while a cached reply stays ~40 bytes, so the cache
+/// tops out near 2.6 MB per origin.
+pub const DEFAULT_REPLY_WINDOW: u64 = 1 << 16;
+// 15 k req/s × 1 s × 4 sends.
+const _: () = assert!(
+    DEFAULT_REPLY_WINDOW >= 15_000 * 4,
+    "reply window below the fig5 peak's rate × timeout × retries"
+);
 
 /// Replies per chunk. Cloning a client's window bumps `window / CHUNK`
 /// reference counts and the first write after a clone copies one chunk, so
@@ -19,15 +45,13 @@ pub trait CachedReply {
 }
 
 /// Per-origin reply cache (Raft §6.3 client sessions): for each client a
-/// sliding id window of `req_id → reply`, shared by every replicated state
-/// machine that deduplicates retries (the KV [`Store`](crate::Store), the
-/// broker's `BrokerSm`). It is replicated state — filled identically on every
-/// replica and carried whole inside snapshots.
+/// sliding id window of `req_id → reply`, the dedupe half of
+/// [`Replicated`](crate::Replicated). It is replicated state — filled
+/// identically on every replica and carried whole inside snapshots.
 ///
 /// Request ids increase monotonically per client, so ids more than
 /// `window` below the newest recorded one can no longer be retried and are
-/// evicted (see [`DEFAULT_REPLY_WINDOW`](crate::DEFAULT_REPLY_WINDOW) for
-/// the sizing rule).
+/// evicted (see [`DEFAULT_REPLY_WINDOW`] for the sizing rule).
 ///
 /// # Layout and sharing
 ///
@@ -54,10 +78,9 @@ pub trait CachedReply {
 #[derive(Debug, Clone)]
 pub struct Sessions<R> {
     by_client: BTreeMap<u64, ClientWindow<R>>,
-    /// Sliding id window retained per client (the shared
-    /// `RaftConfig::reply_window` knob; identical on every replica, so it
-    /// is config rather than replicated state even though it rides along
-    /// in snapshot clones).
+    /// Sliding id window retained per client (identical on every replica,
+    /// so it is config rather than replicated state even though it rides
+    /// along in snapshot clones).
     window: u64,
     /// Summed [`CachedReply::cached_bytes`] of every live reply.
     bytes: usize,
@@ -358,6 +381,12 @@ mod tests {
             assert!(head_last >= Some(w.floor), "head chunk is wholly evicted");
         }
         assert_eq!(s.approx_bytes(), bytes_of(s.replies()));
+    }
+
+    #[test]
+    #[should_panic(expected = "zero reply window")]
+    fn zero_reply_window_panics() {
+        let _ = Sessions::<u16>::new(0);
     }
 
     #[test]

@@ -1,16 +1,12 @@
-//! The key-value state machine replicated by Raft (etcd-like semantics).
-//!
-//! Two layers live here: [`KvStore`], the pure ordered map with revision
-//! bookkeeping, and [`Store`], the replicated state machine that wraps it
-//! with per-client request deduplication (Raft §6.3 client sessions) and
-//! snapshot/restore support. Raft logs [`KvRequest`]s — a command plus the
-//! originating `(client, req_id)` — so every replica can recognise a
-//! client retry of an already-applied write and return the cached response
-//! instead of applying twice.
+//! The key-value application replicated by Raft (etcd-like semantics):
+//! [`KvStore`], the pure ordered map with revision bookkeeping, as an
+//! [`App`]. Retry deduplication and snapshot/restore are
+//! [`Replicated`]'s, not this module's.
 
-use crate::sessions::{CachedReply, Sessions};
+use crate::replicated::{App, Replicated, Request};
+use crate::sessions::CachedReply;
 use bytes::Bytes;
-use dynatune_raft::{LogIndex, StateMachine};
+use dynatune_raft::LogIndex;
 use std::collections::BTreeMap;
 
 /// Commands accepted by the KV store.
@@ -53,34 +49,6 @@ pub enum KvCommand {
         /// New value on success.
         value: Bytes,
     },
-}
-
-impl KvCommand {
-    /// True for commands that mutate nothing (`Get`/`Range`). The serving
-    /// layer routes these around the Raft log (lease / ReadIndex reads);
-    /// everything else must be replicated.
-    #[must_use]
-    pub fn is_read(&self) -> bool {
-        matches!(self, KvCommand::Get { .. } | KvCommand::Range { .. })
-    }
-
-    /// Approximate wire size of the command: key/value payload plus a
-    /// small per-command framing overhead. Feeds the leader's group-commit
-    /// byte accounting and the simulator's byte-based replication CPU
-    /// charge, so only relative accuracy matters.
-    #[must_use]
-    pub fn payload_bytes(&self) -> usize {
-        const FRAMING: usize = 16; // tag + lengths
-        let body = match self {
-            KvCommand::Put { key, value } => key.len() + value.len(),
-            KvCommand::Get { key } | KvCommand::Delete { key } => key.len(),
-            KvCommand::Range { start, end, .. } => start.len() + end.len(),
-            KvCommand::Cas { key, expect, value } => {
-                key.len() + expect.as_ref().map_or(0, Bytes::len) + value.len()
-            }
-        };
-        FRAMING + body
-    }
 }
 
 /// One stored value with etcd-style revision bookkeeping.
@@ -225,11 +193,28 @@ impl KvStore {
     }
 }
 
-impl KvStore {
-    /// Apply one command at `index`. This is the raw map mutation;
-    /// replicated deployments go through [`Store`], which adds client
-    /// retry deduplication on top.
-    pub fn apply_command(&mut self, index: LogIndex, command: &KvCommand) -> KvResponse {
+impl App for KvStore {
+    type Command = KvCommand;
+    type Response = KvResponse;
+
+    fn is_read(cmd: &KvCommand) -> bool {
+        matches!(cmd, KvCommand::Get { .. } | KvCommand::Range { .. })
+    }
+
+    fn payload_bytes(cmd: &KvCommand) -> usize {
+        const FRAMING: usize = 16; // tag + lengths
+        let body = match cmd {
+            KvCommand::Put { key, value } => key.len() + value.len(),
+            KvCommand::Get { key } | KvCommand::Delete { key } => key.len(),
+            KvCommand::Range { start, end, .. } => start.len() + end.len(),
+            KvCommand::Cas { key, expect, value } => {
+                key.len() + expect.as_ref().map_or(0, Bytes::len) + value.len()
+            }
+        };
+        FRAMING + body
+    }
+
+    fn execute(&mut self, index: LogIndex, command: &KvCommand) -> KvResponse {
         match command {
             KvCommand::Put { key, value } => KvResponse::Put {
                 prev: self.put(index, key, value.clone()),
@@ -262,12 +247,8 @@ impl KvStore {
         }
     }
 
-    /// Serve a read command (`Get`/`Range`) from the current state without
-    /// touching revision bookkeeping; `None` for mutating commands. This is
-    /// what both the log path and the log-free read path execute, so the
-    /// two can never diverge on read semantics.
-    #[must_use]
-    pub fn read(&self, command: &KvCommand) -> Option<KvResponse> {
+    /// Reads never touch revision bookkeeping.
+    fn read(&self, command: &KvCommand) -> Option<KvResponse> {
         match command {
             KvCommand::Get { key } => Some(KvResponse::Get {
                 value: self.map.get(key).cloned(),
@@ -288,76 +269,12 @@ impl KvStore {
         }
     }
 
-    /// Rough in-memory size of the stored state — key bytes, value bytes
-    /// and a fixed overhead per entry — used to model the cost of
-    /// serializing and shipping a snapshot. A running total kept by every
-    /// mutation, because the cost model asks on every snapshot sent and
-    /// received.
-    #[must_use]
-    pub fn approx_bytes(&self) -> usize {
+    /// Key bytes, value bytes and a fixed overhead per entry. A running
+    /// total kept by every mutation, because the cost model asks on every
+    /// snapshot sent and received.
+    fn approx_bytes(&self) -> usize {
         self.bytes
     }
-}
-
-/// Identity of a client request, replicated inside the log entry so every
-/// replica can deduplicate retries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReqOrigin {
-    /// The issuing client (world host id).
-    pub client: u64,
-    /// The client's request id, monotonically increasing per client.
-    pub req_id: u64,
-}
-
-/// What Raft actually replicates: a command plus (for client traffic) the
-/// originating `(client, req_id)`, so a retried request that was already
-/// committed under a previous leader is recognised at apply time instead of
-/// being applied twice.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KvRequest {
-    /// The issuing client, if this entry came from client traffic.
-    pub origin: Option<ReqOrigin>,
-    /// The command to apply.
-    pub cmd: KvCommand,
-}
-
-impl KvRequest {
-    /// A request with no client identity (internal / test traffic; never
-    /// deduplicated).
-    #[must_use]
-    pub fn bare(cmd: KvCommand) -> Self {
-        Self { origin: None, cmd }
-    }
-
-    /// A request on behalf of `client`'s `req_id`.
-    #[must_use]
-    pub fn from_client(client: u64, req_id: u64, cmd: KvCommand) -> Self {
-        Self {
-            origin: Some(ReqOrigin { client, req_id }),
-            cmd,
-        }
-    }
-}
-
-/// Default reply-cache id window, re-exported from the shared
-/// [`RaftConfig`](dynatune_raft::RaftConfig) knob (`reply_window`) whose
-/// sizing rule — rate × timeout × retries, with headroom — is documented
-/// at [`dynatune_raft::DEFAULT_REPLY_WINDOW`]. Client request ids increase
-/// monotonically, so a sliding id window bounds the cache — but it must
-/// comfortably exceed the deepest per-client pipeline any workload
-/// generates, or a duplicate could commit after its original's entry was
-/// evicted and be applied twice.
-pub use dynatune_raft::DEFAULT_REPLY_WINDOW;
-
-/// Only mutating commands need exactly-once protection: re-executing a
-/// retried read is harmless (it re-reads linearizably at the retry's
-/// commit point), and keeping read responses out of the sessions map keeps
-/// replicated state — and every snapshot built from it — small.
-fn needs_dedup(cmd: &KvCommand) -> bool {
-    matches!(
-        cmd,
-        KvCommand::Put { .. } | KvCommand::Delete { .. } | KvCommand::Cas { .. }
-    )
 }
 
 /// Rough in-memory size of one cached response (for snapshot costing).
@@ -376,164 +293,19 @@ impl CachedReply for KvResponse {
     }
 }
 
-/// The replicated state machine: the [`KvStore`] map plus per-client reply
-/// caches (Raft §6.3 client sessions).
-///
-/// A client that loses its response to a leadership change retries the same
-/// `req_id`, possibly through a new leader. Both the original and the
-/// retried log entry may commit; without the cache each replica would apply
-/// the write twice (bumping versions, re-running CAS against the new
-/// state). `Store::apply` recognises the duplicate by its
-/// [`ReqOrigin`] and replays the cached response instead.
-///
-/// The cache is part of replicated state: it is filled identically on every
-/// replica (same applied sequence) and travels inside snapshots, so a
-/// follower restored via `InstallSnapshot` deduplicates exactly like one
-/// that replayed the log.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Store {
-    kv: KvStore,
-    /// Per-client window of recent `req_id → response`.
-    sessions: Sessions<KvResponse>,
-}
-
-impl Default for Store {
-    fn default() -> Self {
-        Self::with_reply_window(DEFAULT_REPLY_WINDOW)
-    }
-}
-
-impl Store {
-    /// Empty store with the default reply window.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Empty store retaining `window` reply ids per client (the validated
-    /// `RaftConfig::reply_window` knob; see
-    /// [`DEFAULT_REPLY_WINDOW`] for the sizing rule).
-    #[must_use]
-    pub fn with_reply_window(window: u64) -> Self {
-        Self {
-            kv: KvStore::default(),
-            sessions: Sessions::new(window),
-        }
-    }
-
-    /// The configured per-client reply-cache id window.
-    #[must_use]
-    pub fn reply_window(&self) -> u64 {
-        self.sessions.window()
-    }
-
-    /// The underlying KV map (observers).
-    #[must_use]
-    pub fn kv(&self) -> &KvStore {
-        &self.kv
-    }
-
-    /// Number of live keys.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.kv.len()
-    }
-
-    /// True when no keys are stored.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.kv.is_empty()
-    }
-
-    /// Direct (non-linearizable) read, for observers and tests.
-    #[must_use]
-    pub fn peek(&self, key: &[u8]) -> Option<&VersionedValue> {
-        self.kv.peek(key)
-    }
-
-    /// Order-sensitive digest of the KV state (replica convergence checks).
-    #[must_use]
-    pub fn digest(&self) -> u64 {
-        self.kv.digest()
-    }
-
-    /// Rough in-memory size of the snapshot this store would produce:
-    /// the KV map plus the replicated sessions cache (both travel inside
-    /// `InstallSnapshot`, so both are charged by the size-aware cost
-    /// model).
-    #[must_use]
-    pub fn approx_bytes(&self) -> usize {
-        self.kv.approx_bytes() + self.sessions.approx_bytes()
-    }
-
-    /// Cached reply for a client request, if it was already applied.
-    #[must_use]
-    pub fn cached_reply(&self, origin: ReqOrigin) -> Option<&KvResponse> {
-        self.sessions.get(origin)
-    }
-
-    /// The log-free read entry point: serve a `Get`/`Range` from the
-    /// current applied state (`None` for mutating commands). Callers must
-    /// hold a valid [`ReadGrant`](dynatune_raft::ReadGrant) whose
-    /// `read_index` this store has applied through.
-    ///
-    /// **Invariant — reads stay out of the per-client reply cache, on both
-    /// ends.** Responses served here are never inserted into `sessions`
-    /// (only mutating commands are, see `needs_dedup`), and this path
-    /// never consults `cached_reply`. Both directions matter for
-    /// linearizability: a client that lease-read through a leader, lost
-    /// the response to a failover, and retries the *same* `req_id` at the
-    /// new leader must re-execute against the new leader's current state —
-    /// replaying a cached pre-failover value would serve a stale read, and
-    /// caching the fresh one would bloat replicated state (and every
-    /// snapshot built from it) for a response that retries can simply
-    /// recompute.
-    #[must_use]
-    pub fn read(&self, command: &KvCommand) -> Option<KvResponse> {
-        self.kv.read(command)
-    }
-}
-
-impl StateMachine for Store {
-    type Command = KvRequest;
-    type Response = KvResponse;
-    type Snapshot = Store;
-
-    fn command_bytes(request: &KvRequest) -> usize {
-        const ORIGIN: usize = 16; // (client, req_id)
-        ORIGIN + request.cmd.payload_bytes()
-    }
-
-    fn apply(&mut self, index: LogIndex, request: &KvRequest) -> KvResponse {
-        match request.origin {
-            Some(origin) if needs_dedup(&request.cmd) => {
-                if let Some(cached) = self.cached_reply(origin) {
-                    // Duplicate of an already-applied request: idempotent
-                    // replay of the original response.
-                    return cached.clone();
-                }
-                let resp = self.kv.apply_command(index, &request.cmd);
-                self.sessions.record(origin, resp.clone());
-                resp
-            }
-            // Reads (and origin-less internal traffic) bypass the cache:
-            // re-execution is harmless and the sessions map stays small.
-            _ => self.kv.apply_command(index, &request.cmd),
-        }
-    }
-
-    fn snapshot(&self) -> Store {
-        self.clone()
-    }
-
-    fn restore(&mut self, snapshot: &Store) {
-        *self = snapshot.clone();
-    }
-}
+// `Store` and `KvRequest` (like the broker's `BrokerSm`/`BrokerRequest`)
+// are names of the generics, kept because the frozen benchmark under
+// `crates/bench/perfbench` spells them.
+/// The replicated KV state machine.
+pub type Store = Replicated<KvStore>;
+/// The replicated form of a [`KvCommand`].
+pub type KvRequest = Request<KvCommand>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sessions::ReqOrigin;
+    use dynatune_raft::StateMachine;
 
     fn b(s: &str) -> Bytes {
         Bytes::copy_from_slice(s.as_bytes())
@@ -542,7 +314,7 @@ mod tests {
     #[test]
     fn put_get_roundtrip() {
         let mut kv = KvStore::new();
-        let r = kv.apply_command(
+        let r = kv.execute(
             1,
             &KvCommand::Put {
                 key: b("a"),
@@ -556,7 +328,7 @@ mod tests {
                 revision: 1
             }
         );
-        let r = kv.apply_command(2, &KvCommand::Get { key: b("a") });
+        let r = kv.execute(2, &KvCommand::Get { key: b("a") });
         match r {
             KvResponse::Get { value: Some(v) } => {
                 assert_eq!(v.value, b("1"));
@@ -571,14 +343,14 @@ mod tests {
     #[test]
     fn put_overwrites_and_tracks_revisions() {
         let mut kv = KvStore::new();
-        kv.apply_command(
+        kv.execute(
             1,
             &KvCommand::Put {
                 key: b("a"),
                 value: b("1"),
             },
         );
-        let r = kv.apply_command(
+        let r = kv.execute(
             5,
             &KvCommand::Put {
                 key: b("a"),
@@ -601,14 +373,14 @@ mod tests {
     #[test]
     fn get_missing_is_none() {
         let mut kv = KvStore::new();
-        let r = kv.apply_command(1, &KvCommand::Get { key: b("nope") });
+        let r = kv.execute(1, &KvCommand::Get { key: b("nope") });
         assert_eq!(r, KvResponse::Get { value: None });
     }
 
     #[test]
     fn delete_semantics() {
         let mut kv = KvStore::new();
-        kv.apply_command(
+        kv.execute(
             1,
             &KvCommand::Put {
                 key: b("a"),
@@ -616,11 +388,11 @@ mod tests {
             },
         );
         assert_eq!(
-            kv.apply_command(2, &KvCommand::Delete { key: b("a") }),
+            kv.execute(2, &KvCommand::Delete { key: b("a") }),
             KvResponse::Delete { existed: true }
         );
         assert_eq!(
-            kv.apply_command(3, &KvCommand::Delete { key: b("a") }),
+            kv.execute(3, &KvCommand::Delete { key: b("a") }),
             KvResponse::Delete { existed: false }
         );
         assert!(kv.is_empty());
@@ -630,7 +402,7 @@ mod tests {
     fn range_respects_bounds_and_limit() {
         let mut kv = KvStore::new();
         for (i, k) in ["a", "b", "c", "d"].iter().enumerate() {
-            kv.apply_command(
+            kv.execute(
                 i as u64 + 1,
                 &KvCommand::Put {
                     key: b(k),
@@ -638,7 +410,7 @@ mod tests {
                 },
             );
         }
-        let r = kv.apply_command(
+        let r = kv.execute(
             9,
             &KvCommand::Range {
                 start: b("b"),
@@ -655,7 +427,7 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        let r = kv.apply_command(
+        let r = kv.execute(
             10,
             &KvCommand::Range {
                 start: b("a"),
@@ -677,7 +449,7 @@ mod tests {
         let mut kv = KvStore::new();
         // Create-if-absent.
         assert_eq!(
-            kv.apply_command(
+            kv.execute(
                 1,
                 &KvCommand::Cas {
                     key: b("k"),
@@ -689,7 +461,7 @@ mod tests {
         );
         // Wrong expectation fails and leaves the value alone.
         assert_eq!(
-            kv.apply_command(
+            kv.execute(
                 2,
                 &KvCommand::Cas {
                     key: b("k"),
@@ -702,7 +474,7 @@ mod tests {
         assert_eq!(kv.peek(b"k").unwrap().value, b("v1"));
         // Correct expectation succeeds.
         assert_eq!(
-            kv.apply_command(
+            kv.execute(
                 3,
                 &KvCommand::Cas {
                     key: b("k"),
@@ -716,7 +488,7 @@ mod tests {
         assert_eq!(kv.peek(b"k").unwrap().version, 2);
         // CAS expecting absence fails on a live key.
         assert_eq!(
-            kv.apply_command(
+            kv.execute(
                 4,
                 &KvCommand::Cas {
                     key: b("k"),
@@ -806,11 +578,11 @@ mod tests {
 
     #[test]
     fn store_reply_window_slides() {
-        // The window is the configurable RaftConfig::reply_window knob; a
-        // small one keeps the test fast while exercising the same eviction.
+        // A small window keeps the test fast while exercising the same
+        // eviction.
         const WINDOW: u64 = 64;
-        let mut s = Store::with_reply_window(WINDOW);
-        assert_eq!(s.reply_window(), WINDOW);
+        let mut s = Store::from_parts(KvStore::new(), WINDOW);
+        assert_eq!(s.sessions().window(), WINDOW);
         for req_id in 0..(WINDOW + 10) {
             let put = KvRequest::from_client(
                 1,
@@ -824,20 +596,20 @@ mod tests {
         }
         let newest = WINDOW + 9;
         assert!(s
-            .cached_reply(ReqOrigin {
+            .sessions()
+            .get(ReqOrigin {
                 client: 1,
                 req_id: 0
             })
             .is_none());
         assert!(s
-            .cached_reply(ReqOrigin {
+            .sessions()
+            .get(ReqOrigin {
                 client: 1,
                 req_id: newest
             })
             .is_some());
-        assert_eq!(s.sessions.live_len(1) as u64, WINDOW);
-        // The default window follows the shared knob's sizing rule.
-        assert_eq!(Store::new().reply_window(), DEFAULT_REPLY_WINDOW);
+        assert_eq!(s.sessions().live_len(1) as u64, WINDOW);
     }
 
     #[test]
@@ -854,11 +626,12 @@ mod tests {
         let first = s.apply(2, &get);
         assert!(matches!(first, KvResponse::Get { value: Some(_) }));
         assert!(
-            s.cached_reply(ReqOrigin {
-                client: 9,
-                req_id: 5
-            })
-            .is_none(),
+            s.sessions()
+                .get(ReqOrigin {
+                    client: 9,
+                    req_id: 5
+                })
+                .is_none(),
             "reads are idempotent and must not bloat replicated state"
         );
         // A retried read re-executes and sees the current state.
@@ -891,7 +664,7 @@ mod tests {
         );
         // The snapshot ships kv + sessions; the estimate must cover both.
         assert!(
-            s.approx_bytes() > s.kv().approx_bytes(),
+            s.approx_bytes() > App::approx_bytes(&*s),
             "sessions cache must be charged by the size-aware cost model"
         );
     }
@@ -940,7 +713,7 @@ mod tests {
             put(&mut s, req_id);
         }
         let snap = s.snapshot();
-        let chunks = s.sessions.chunk_sharing(&snap.sessions, 1);
+        let chunks = s.sessions().chunk_sharing(snap.sessions(), 1);
         assert_eq!(chunks.len(), 4, "1000 replies in chunks of 256");
         assert!(chunks.iter().all(|&(_, shared)| shared));
         // Writing on copies the partial tail once; the full chunks stay the
@@ -948,14 +721,14 @@ mod tests {
         for req_id in 1000..2000 {
             put(&mut s, req_id);
         }
-        let chunks = snap.sessions.chunk_sharing(&s.sessions, 1);
+        let chunks = snap.sessions().chunk_sharing(s.sessions(), 1);
         let full = chunks[0].0;
         assert_eq!(
             chunks,
             [(full, true), (full, true), (full, true), (232, false)]
         );
-        assert_eq!(snap.sessions.live_len(1), 1000);
-        assert_eq!(s.sessions.live_len(1), 2000);
+        assert_eq!(snap.sessions().live_len(1), 1000);
+        assert_eq!(s.sessions().live_len(1), 2000);
     }
 
     #[test]
@@ -980,8 +753,8 @@ mod tests {
         let mut a = KvStore::new();
         let mut c = KvStore::new();
         for (i, cmd) in cmds.iter().enumerate() {
-            a.apply_command(i as u64 + 1, cmd);
-            c.apply_command(i as u64 + 1, cmd);
+            a.execute(i as u64 + 1, cmd);
+            c.execute(i as u64 + 1, cmd);
         }
         assert_eq!(a.map, c.map);
     }
@@ -998,8 +771,8 @@ mod tests {
         }
 
         fn recomputed(s: &Store) -> usize {
-            let replies = s.sessions.replies().map(KvResponse::cached_bytes);
-            recomputed_kv(&s.kv) + replies.sum::<usize>()
+            let replies = s.sessions().replies().map(KvResponse::cached_bytes);
+            recomputed_kv(s) + replies.sum::<usize>()
         }
 
         /// Few keys of different lengths and few values of different
@@ -1028,11 +801,11 @@ mod tests {
                 cmds in proptest::collection::vec((1u64..3, command()), 1..80),
                 window in 1u64..20,
             ) {
-                let mut s = Store::with_reply_window(window);
+                let mut s = Store::from_parts(KvStore::new(), window);
                 for (i, (client, cmd)) in cmds.iter().enumerate() {
                     let i = i as u64;
                     s.apply(i + 1, &KvRequest::from_client(*client, i, cmd.clone()));
-                    prop_assert_eq!(s.kv().approx_bytes(), recomputed_kv(&s.kv));
+                    prop_assert_eq!(App::approx_bytes(&*s), recomputed_kv(&s));
                     prop_assert_eq!(s.approx_bytes(), recomputed(&s));
                 }
                 let mut restored = Store::new();

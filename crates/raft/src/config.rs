@@ -4,17 +4,6 @@ use crate::types::NodeId;
 use dynatune_core::TuningConfig;
 use std::time::Duration;
 
-/// Default [`RaftConfig::reply_window`]: the sliding id window of replies
-/// each replicated state machine retains per request origin for retry
-/// deduplication. Sizing rule: the window must exceed
-/// `offered rate × response timeout × retry budget`, the largest id gap a
-/// live retry can trail the newest accepted id by — e.g. a fig5-style ramp
-/// peaking near 15 k req/s with a 1 s response timeout and up to 4 sends
-/// per request needs ≈ 60 k ids; 65 536 clears that with headroom while a
-/// cached reply stays ~40 bytes, so the cache tops out near 2.6 MB per
-/// origin.
-pub const DEFAULT_REPLY_WINDOW: u64 = 1 << 16;
-
 /// How election-timer expiry interacts with the tick clock.
 ///
 /// etcd counts election timeouts in ticks whose period is the heartbeat
@@ -98,13 +87,6 @@ pub struct RaftConfig {
     /// clock-drift margin it is scaled by is the constant
     /// `LEASE_DRIFT_MARGIN` in `node/reads.rs`.
     pub read_lease: Duration,
-    /// Sliding id window of cached replies the replicated state machine
-    /// keeps per request origin (KV reply cache, broker producer dedupe).
-    /// Ids more than this far below the newest accepted id are evicted, so
-    /// a retry older than the window can no longer be deduplicated — size
-    /// it by the rule documented at [`DEFAULT_REPLY_WINDOW`]
-    /// (rate × timeout × retries, with headroom).
-    pub reply_window: u64,
     /// Seed for the node's randomized-timeout stream.
     pub seed: u64,
 }
@@ -142,7 +124,6 @@ impl RaftConfig {
             consolidated_heartbeat_timer: false,
             lease_reads: true,
             read_lease: tuning.default_election_timeout,
-            reply_window: DEFAULT_REPLY_WINDOW,
             seed: 0xD15_EA5E ^ id as u64,
         }
     }
@@ -174,11 +155,6 @@ impl RaftConfig {
             self.read_lease <= self.tuning.default_election_timeout,
             "read lease must not outlive the conservative election timeout"
         );
-        assert!(
-            self.reply_window > 0,
-            "zero reply window would evict every cached reply immediately; \
-             retries could never be deduplicated"
-        );
         self.tuning.validate();
     }
 }
@@ -209,23 +185,6 @@ mod tests {
     fn zero_pipeline_window_panics() {
         let mut c = RaftConfig::new(0, 3, TuningConfig::dynatune());
         c.pipeline_window = 0;
-        c.validate();
-    }
-
-    #[test]
-    fn reply_window_defaults_to_sizing_rule_headroom() {
-        let c = RaftConfig::new(0, 3, TuningConfig::dynatune());
-        // rate × timeout × retries for the fig5 peak: 15k × 1s × 4 ≈ 60k.
-        assert!(c.reply_window as f64 >= 15_000.0 * 1.0 * 4.0);
-        assert_eq!(c.reply_window, DEFAULT_REPLY_WINDOW);
-        c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "zero reply window")]
-    fn zero_reply_window_panics() {
-        let mut c = RaftConfig::new(0, 3, TuningConfig::dynatune());
-        c.reply_window = 0;
         c.validate();
     }
 

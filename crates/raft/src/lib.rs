@@ -47,7 +47,7 @@ pub mod progress;
 pub mod state_machine;
 pub mod types;
 
-pub use config::{RaftConfig, TimerQuantization, DEFAULT_REPLY_WINDOW};
+pub use config::{RaftConfig, TimerQuantization};
 pub use events::RaftEvent;
 pub use log::{AppendOutcome, Entry, RaftLog};
 pub use membership::{ConfChange, Membership};

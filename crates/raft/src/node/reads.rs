@@ -6,6 +6,7 @@ use crate::events::RaftEvent;
 use crate::progress::Progress;
 use crate::state_machine::{Effects, ReadGrant, ReadPath, StateMachine};
 use crate::types::{quorum, LogIndex, NodeId, Role};
+use dynatune_core::ELECTION_TIMEOUT_FLOOR;
 use dynatune_simnet::SimTime;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -159,7 +160,7 @@ impl<SM: StateMachine> RaftNode<SM> {
         bases.sort_unstable_by(|a, b| b.cmp(a));
         let basis = bases[needed - 1];
         let min_electable = if self.config.tuning.mode.tunes() {
-            self.config.tuning.election_timeout_floor
+            ELECTION_TIMEOUT_FLOOR
         } else {
             self.config.tuning.default_election_timeout
         };

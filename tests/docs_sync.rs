@@ -2,6 +2,12 @@
 
 use dynatune_repro::cluster::scenario::{catalog_json, catalog_markdown, REGISTRY};
 
+/// The hand-written guides whose citations are checked against the tree.
+const GUIDES: [(&str, &str); 2] = [
+    ("README.md", include_str!("../README.md")),
+    ("ARCHITECTURE.md", include_str!("../ARCHITECTURE.md")),
+];
+
 /// `SCENARIOS.md` is generated from the scenario registry
 /// (`scenarios --describe-md`); a scenario added, renamed, or re-described
 /// without regenerating the catalog fails here.
@@ -42,14 +48,10 @@ fn catalog_json_and_markdown_cover_the_same_registry() {
 #[test]
 fn rs_paths_cited_in_the_guides_exist() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    let guides = [
-        ("README.md", include_str!("../README.md")),
-        ("ARCHITECTURE.md", include_str!("../ARCHITECTURE.md")),
-    ];
     let is_path_char = |c: char| c.is_ascii_alphanumeric() || "_-./".contains(c);
     let mut cited = 0;
     let mut stale = Vec::new();
-    for (guide, text) in guides {
+    for (guide, text) in GUIDES {
         for word in text.split(|c| !is_path_char(c)) {
             let path = word.trim_end_matches('.');
             let rooted = ["crates/", "src/", "tests/", "examples/"]
@@ -67,5 +69,50 @@ fn rs_paths_cited_in_the_guides_exist() {
     assert!(
         stale.is_empty(),
         "cited files that do not exist: {stale:#?}"
+    );
+}
+
+/// Every `RaftConfig::name` / `TuningConfig::name` the hand-written guides
+/// cite is a field, `fn` or `const` of the config file that defines the
+/// struct, so a knob that becomes a constant (or moves to another layer)
+/// cannot leave its citation behind.
+#[test]
+fn config_names_cited_in_the_guides_exist() {
+    let configs = [
+        ("RaftConfig::", include_str!("../crates/raft/src/config.rs")),
+        (
+            "TuningConfig::",
+            include_str!("../crates/core/src/config.rs"),
+        ),
+    ];
+    let is_ident_char = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let mut cited = 0;
+    let mut stale = Vec::new();
+    for (guide, text) in GUIDES {
+        for (prefix, source) in configs {
+            for (at, _) in text.match_indices(prefix) {
+                let rest = &text[at + prefix.len()..];
+                let name = &rest[..rest.find(|c| !is_ident_char(c)).unwrap_or(rest.len())];
+                cited += 1;
+                let defined = [
+                    format!("pub {name}: "),
+                    format!("fn {name}("),
+                    format!("const {name}: "),
+                ]
+                .iter()
+                .any(|decl| source.contains(decl.as_str()));
+                if !defined {
+                    stale.push(format!("{guide}: {prefix}{name}"));
+                }
+            }
+        }
+    }
+    assert!(
+        cited > 0,
+        "no citation found at all: the scan itself is broken"
+    );
+    assert!(
+        stale.is_empty(),
+        "cited config names that do not exist: {stale:#?}"
     );
 }
