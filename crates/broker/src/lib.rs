@@ -9,19 +9,14 @@
 //! origin/reply-cache dedupe machinery), and topics × partitions map onto
 //! `ShardMap` Raft groups exactly like key ranges do.
 //!
-//! Layering (mirroring josefine's `entry`/`segment`/`partition`/`topic`/
-//! `index` split):
+//! Layering:
 //!
 //! - [`Record`]: one key/value message, sized for the byte-based cost
 //!   model.
-//! - [`SparseIndex`]: offset → position hints, one per index interval of
-//!   appended bytes; lookup is a binary search to the floor entry.
-//! - [`Segment`]: a contiguous run of records starting at a base offset,
-//!   with its own sparse index; fetch = index binary-search + forward
-//!   scan.
-//! - [`PartitionLog`]: the append-only sequence of segments for one
-//!   partition; rolls a new segment when the active one crosses the byte
-//!   threshold.
+//! - [`PartitionLog`]: the append-only records of one partition. Offsets
+//!   are dense, so the log is addressed by arithmetic: fixed-size chunks,
+//!   offset `i` at `chunks[i / CHUNK][i % CHUNK]`, a fetch is a range of
+//!   offsets clamped to the high watermark.
 //! - [`Topic`]: the partitions of one topic.
 //! - [`BrokerState`]: the broker [`App`](dynatune_kv::App) — topics and
 //!   durable consumer-group offsets. [`BrokerSm`] names
@@ -35,16 +30,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod index;
 pub mod partition;
 pub mod record;
-pub mod segment;
 pub mod sm;
 pub mod topic;
 
-pub use index::SparseIndex;
-pub use partition::{FetchResult, PartitionConfig, PartitionLog};
+pub use partition::{FetchResult, PartitionLog};
 pub use record::Record;
-pub use segment::Segment;
 pub use sm::{BrokerCommand, BrokerRequest, BrokerResponse, BrokerSm, BrokerState};
 pub use topic::{shard_of_partition, Topic};

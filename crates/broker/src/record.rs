@@ -28,8 +28,7 @@ impl Record {
     }
 
     /// Wire/storage size of this record (framing + key + value) — the unit
-    /// the segment byte threshold, the sparse index interval, and the
-    /// replication cost model all count in.
+    /// the partition's byte total and the replication cost model count in.
     #[must_use]
     pub fn bytes(&self) -> usize {
         RECORD_FRAMING + self.key.len() + self.value.len()

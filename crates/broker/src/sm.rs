@@ -7,7 +7,7 @@
 //! through the Raft log; fetches are reads and ride the log-free read path
 //! (they never enter the reply cache, in either direction).
 
-use crate::partition::{FetchResult, PartitionConfig};
+use crate::partition::FetchResult;
 use crate::record::Record;
 use crate::topic::Topic;
 use dynatune_core::invariant_violated;
@@ -100,7 +100,7 @@ impl CachedReply for BrokerResponse {
 /// Rough in-memory size of one committed group offset (snapshot costing).
 const PER_OFFSET_BYTES: usize = 48;
 
-/// The broker's replicated data: topics of segmented partition logs and
+/// The broker's replicated data: topics of partition logs and
 /// durable consumer-group offsets. Everything here is replicated state —
 /// filled identically on every replica and carried whole inside snapshots,
 /// so a follower restored via `InstallSnapshot` serves fetches exactly like
@@ -110,18 +110,9 @@ pub struct BrokerState {
     topics: BTreeMap<String, Topic>,
     /// `(group, topic, partition) → committed offset`.
     group_offsets: BTreeMap<(String, String, u32), u64>,
-    partition_config: PartitionConfig,
 }
 
 impl BrokerState {
-    /// Override the segment sizing knobs (tests, scenarios).
-    #[must_use]
-    pub fn with_partition_config(mut self, config: PartitionConfig) -> Self {
-        config.validate();
-        self.partition_config = config;
-        self
-    }
-
     /// The topic, if it has ever been produced to.
     #[must_use]
     pub fn topic(&self, topic: &str) -> Option<&Topic> {
@@ -177,7 +168,7 @@ impl App for BrokerState {
                     .topics
                     .entry(topic.clone())
                     .or_default()
-                    .partition_mut(*partition, self.partition_config);
+                    .partition_mut(*partition);
                 let base_offset = log.append_batch(records.iter().cloned());
                 BrokerResponse::Produced {
                     base_offset,
@@ -409,11 +400,7 @@ mod tests {
 
     #[test]
     fn snapshot_restore_round_trips_everything() {
-        let state = BrokerState::default().with_partition_config(PartitionConfig {
-            segment_bytes: 64,
-            index_interval: 32,
-        });
-        let mut sm = BrokerSm::from_parts(state, 64);
+        let mut sm = BrokerSm::from_parts(BrokerState::default(), 64);
         for i in 0..10 {
             let req = BrokerRequest::from_client(2, i, produce("t", 1, &["v", "w"]));
             sm.apply(i + 1, &req);
@@ -464,7 +451,6 @@ mod tests {
 
     mod props {
         use super::*;
-        use crate::partition::PartitionConfig;
         use proptest::prelude::*;
 
         /// One generated mutating command: a produce (with an origin, so
@@ -517,11 +503,8 @@ mod tests {
             #[test]
             fn prop_snapshot_round_trip(
                 cmds in proptest::collection::vec(command(), 1..40),
-                segment_bytes in 32usize..256,
             ) {
-                let config = PartitionConfig { segment_bytes, index_interval: 32 };
-                let state = BrokerState::default().with_partition_config(config);
-                let mut sm = BrokerSm::from_parts(state, dynatune_kv::DEFAULT_REPLY_WINDOW);
+                let mut sm = BrokerSm::new();
                 for (i, (client, req_id, cmd)) in cmds.iter().enumerate() {
                     sm.apply(
                         i as u64 + 1,
@@ -578,7 +561,15 @@ mod tests {
                 window in 1u64..64,
             ) {
                 fn recomputed(sm: &BrokerSm) -> usize {
-                    let records: usize = sm.topics.values().map(Topic::bytes).sum();
+                    // Read the records back: `Topic::bytes` is itself a
+                    // running total.
+                    let records: usize = sm
+                        .topics
+                        .values()
+                        .flat_map(Topic::partitions)
+                        .flat_map(|(_, log)| log.fetch(0, usize::MAX).records)
+                        .map(|(_, r)| r.bytes())
+                        .sum();
                     records
                         + sm.group_offsets.len() * PER_OFFSET_BYTES
                         + sm.sessions().replies().count() * CACHED_REPLY_BYTES

@@ -1,6 +1,6 @@
 //! One topic: a set of partitions, plus the topic/partition → shard route.
 
-use crate::partition::{PartitionConfig, PartitionLog};
+use crate::partition::PartitionLog;
 use std::collections::BTreeMap;
 
 /// The partitions of one topic. Partition logs are created on first use
@@ -25,10 +25,8 @@ impl Topic {
     }
 
     /// The partition log, created empty on first use.
-    pub fn partition_mut(&mut self, partition: u32, config: PartitionConfig) -> &mut PartitionLog {
-        self.partitions
-            .entry(partition)
-            .or_insert_with(|| PartitionLog::new(config))
+    pub fn partition_mut(&mut self, partition: u32) -> &mut PartitionLog {
+        self.partitions.entry(partition).or_default()
     }
 
     /// Iterate partitions in id order.
@@ -74,7 +72,7 @@ mod tests {
         let mut t = Topic::new();
         assert!(t.partition(0).is_none());
         assert_eq!(t.partition_count(), 0);
-        t.partition_mut(3, PartitionConfig::default())
+        t.partition_mut(3)
             .append(crate::Record::new(&b""[..], &b"v"[..]));
         assert_eq!(t.partition_count(), 1);
         assert_eq!(t.partition(3).unwrap().len(), 1);

@@ -44,8 +44,6 @@ pub enum NetPlan {
         /// Per-pair schedule overrides (applied to both directions).
         overrides: Vec<(usize, usize, LinkSchedule)>,
     },
-    /// A fully custom topology (escape hatch).
-    Custom(Topology),
 }
 
 impl NetPlan {
@@ -80,8 +78,8 @@ impl NetPlan {
     /// Resolve to a topology for `n` servers.
     ///
     /// # Panics
-    /// Panics when a geo plan's region count (or a custom topology's size)
-    /// does not match `n`, or an override index is out of range.
+    /// Panics when a geo plan's region count does not match `n`, or an
+    /// override index is out of range.
     #[must_use]
     pub fn topology(&self, n: usize) -> Topology {
         match self {
@@ -98,10 +96,6 @@ impl NetPlan {
                 }
                 topo
             }
-            NetPlan::Custom(topology) => {
-                assert_eq!(topology.len(), n, "custom topology must cover the servers");
-                topology.clone()
-            }
         }
     }
 
@@ -111,7 +105,7 @@ impl NetPlan {
     pub fn default_congestion(&self) -> CongestionConfig {
         match self {
             NetPlan::Geo(_) | NetPlan::GeoDegraded { .. } => CongestionConfig::wan_default(),
-            NetPlan::Uniform(_) | NetPlan::Custom(_) => CongestionConfig::disabled(),
+            NetPlan::Uniform(_) => CongestionConfig::disabled(),
         }
     }
 }
@@ -171,8 +165,8 @@ impl ScenarioBuilder {
     /// hosts on the fabric from t=0 that belong to no quorum until a
     /// configuration change admits them (elastic scale-out; see
     /// [`ClusterSim::propose_conf_change`](crate::sim::ClusterSim::propose_conf_change)).
-    /// The net plan must be uniform/custom — geo plans name one region per
-    /// voter and cannot place spares.
+    /// The net plan must be uniform — geo plans name one region per voter
+    /// and cannot place spares.
     #[must_use]
     pub fn spares(mut self, spares: usize) -> Self {
         self.config.spares = vec![0; spares];

@@ -1,8 +1,11 @@
 //! Generic scenario driver: executes a [`FaultPlan`] against a cluster and
 //! samples observables on a fixed cadence.
 //!
-//! The driver is the one run/pause/observe loop every catalog procedure
-//! shares. It interleaves two streams of simulated-time work:
+//! The driver is the run/pause/observe loop of the `ablations`,
+//! `extensions`, `failover`, `fluctuation`, `novel` and `throughput`
+//! catalog modules; `broker`, `compaction`, `membership`, `reads` and
+//! `sharded` inject their faults on the `ClusterSim` by hand. It
+//! interleaves two streams of simulated-time work:
 //!
 //! 1. **Fault events** from the plan, with per-event jitter resolved
 //!    deterministically from the cluster seed, and symbolic targets

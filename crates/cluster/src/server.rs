@@ -716,26 +716,14 @@ impl<A: App> ServerHost<A> {
                 self.drain_admitted(ctx);
             }
             ClusterMsg::ClientReq { req_id, cmd } => {
-                let ready_at = self.cpu.charge(ctx.now, self.admission_cost(&cmd));
-                self.admit.push_back(AdmittedReq {
-                    ready_at,
-                    client: from,
-                    req_id,
-                    cmd,
-                });
+                self.admit(ctx.now, from, req_id, cmd);
                 self.drain_admitted(ctx);
             }
             ClusterMsg::ClientBatch { reqs } => {
                 // Batching saves network round trips, not CPU: each item
                 // pays its full admission cost.
                 for (req_id, cmd) in reqs {
-                    let ready_at = self.cpu.charge(ctx.now, self.admission_cost(&cmd));
-                    self.admit.push_back(AdmittedReq {
-                        ready_at,
-                        client: from,
-                        req_id,
-                        cmd,
-                    });
+                    self.admit(ctx.now, from, req_id, cmd);
                 }
                 self.drain_admitted(ctx);
             }
@@ -819,6 +807,18 @@ impl<A: App> ServerHost<A> {
             cost += self.cost.tuning_per_request;
         }
         cost
+    }
+
+    /// Charge one client command's admission cost and queue it until the
+    /// CPU has worked that off.
+    fn admit(&mut self, now: SimTime, from: NodeId, req_id: u64, cmd: A::Command) {
+        let ready_at = self.cpu.charge(now, self.admission_cost(&cmd));
+        self.admit.push_back(AdmittedReq {
+            ready_at,
+            client: from,
+            req_id,
+            cmd,
+        });
     }
 
     /// Propose every queued configuration change. Non-leaders cannot
