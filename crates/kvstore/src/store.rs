@@ -1,13 +1,16 @@
 //! The key-value application replicated by Raft (etcd-like semantics):
-//! [`KvStore`], the pure ordered map with revision bookkeeping, as an
-//! [`App`]. Retry deduplication and snapshot/restore are
-//! [`Replicated`]'s, not this module's.
+//! [`KvStore`], a hash-indexed map with revision bookkeeping whose ordered
+//! views are sorted on demand, as an [`App`]. Retry deduplication and
+//! snapshot/restore are [`Replicated`]'s, not this module's.
 
 use crate::replicated::{App, Replicated, Request};
 use crate::sessions::CachedReply;
 use bytes::Bytes;
 use dynatune_raft::LogIndex;
-use std::collections::BTreeMap;
+// lint: allow(D002) — fixed-key hasher, and the one iteration is sorted before it is observed
+use std::collections::HashMap;
+use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Commands accepted by the KV store.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -100,14 +103,23 @@ pub enum KvResponse {
     },
 }
 
-/// The replicated store: an ordered map plus revision metadata.
+/// The replicated store: a hash index from key to value plus revision
+/// metadata.
+///
+/// A key is found by one hash probe. The table's layout depends on the
+/// order keys arrived and left, so nothing observes it: every ordered
+/// view — [`digest`](Self::digest), `Range` and `Debug` — is the map
+/// sorted by key on demand, `O(n log n)` per call. No benchmark workload
+/// or scenario request pays that: no `OpMix` issues `Range`, and `digest`
+/// runs only in end-of-run checks and tests.
 ///
 /// Determinism: state depends only on the applied command sequence, which is
-/// the SMR contract Raft provides. `PartialEq` compares full state —
-/// integration tests use it to assert replica convergence.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// the SMR contract Raft provides. `PartialEq` compares full state, not
+/// table layout — integration tests use it to assert replica convergence.
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct KvStore {
-    map: BTreeMap<Bytes, VersionedValue>,
+    // lint: allow(D002) — fixed-key hasher, and the one iteration is sorted before it is observed
+    map: HashMap<Bytes, VersionedValue, BuildHasherDefault<Fnv1a>>,
     /// Running [`approx_bytes`](Self::approx_bytes) of `map`.
     bytes: usize,
 }
@@ -115,6 +127,72 @@ pub struct KvStore {
 /// Snapshot-costing size of one map entry beyond its key and value bytes:
 /// revisions + version + map node.
 const PER_ENTRY_OVERHEAD: usize = 32;
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a over `bytes`, continuing from state `h`: the one hash step
+/// behind both the index's hasher and [`KvStore::digest`].
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
+/// The index's hasher: FNV-1a with its fixed offset basis, so the table is
+/// built the same way in every run (no per-process random key). Keys come
+/// from the simulated workload, not from an adversary, so collision
+/// resistance buys nothing here.
+struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self(FNV_OFFSET)
+    }
+}
+
+impl Hasher for Fnv1a {
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = fnv1a(self.0, bytes);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// What a new key holds between its `entry` probe and its first write:
+/// version 0, which no live key has, marks it as just created.
+fn unwritten(index: LogIndex) -> VersionedValue {
+    VersionedValue {
+        value: Bytes::new(),
+        create_revision: index,
+        mod_revision: index,
+        version: 0,
+    }
+}
+
+/// Write `value` at `index` into `slot` — a live value or an
+/// [`unwritten`] one — keeping the running byte total exact. Returns the
+/// previous value, `None` when the key was just created.
+fn overwrite(
+    bytes: &mut usize,
+    key: &Bytes,
+    slot: &mut VersionedValue,
+    index: LogIndex,
+    value: Bytes,
+) -> Option<Bytes> {
+    let created = slot.version == 0;
+    if created {
+        *bytes += key.len() + PER_ENTRY_OVERHEAD;
+    }
+    *bytes = *bytes - slot.value.len() + value.len();
+    slot.mod_revision = index;
+    slot.version += 1;
+    let prev = std::mem::replace(&mut slot.value, value);
+    (!created).then_some(prev)
+}
 
 impl KvStore {
     /// Empty store.
@@ -141,55 +219,45 @@ impl KvStore {
         self.map.get(key)
     }
 
-    /// Iterate over all live keys in order (observers and tests).
-    pub fn iter(&self) -> impl Iterator<Item = (&Bytes, &VersionedValue)> {
-        self.map.iter()
-    }
-
-    /// Order-sensitive FNV-1a digest of the full state; replicas that
-    /// applied the same command sequence produce identical digests.
+    /// FNV-1a digest of the full state in key order; replicas that applied
+    /// the same command sequence produce identical digests, however their
+    /// tables grew. `O(n log n)`: for end-of-run checks and tests.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        for (k, v) in &self.map {
-            eat(k);
-            eat(&v.value);
-            eat(&v.create_revision.to_le_bytes());
-            eat(&v.mod_revision.to_le_bytes());
-            eat(&v.version.to_le_bytes());
+        let mut h = FNV_OFFSET;
+        for (k, v) in self.sorted() {
+            h = fnv1a(h, k);
+            h = fnv1a(h, &v.value);
+            h = fnv1a(h, &v.create_revision.to_le_bytes());
+            h = fnv1a(h, &v.mod_revision.to_le_bytes());
+            h = fnv1a(h, &v.version.to_le_bytes());
         }
         h
     }
 
+    /// The map in key order: the one place it is iterated, so every order
+    /// anyone can observe is key order.
+    fn sorted(&self) -> Vec<(&Bytes, &VersionedValue)> {
+        // lint: allow(D002) — fixed-key hasher, and the one iteration is sorted before it is observed
+        let mut entries: Vec<_> = self.map.iter().collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        entries
+    }
+
+    /// One `entry` probe whether `key` is new or live.
     fn put(&mut self, index: LogIndex, key: &Bytes, value: Bytes) -> Option<Bytes> {
-        match self.map.get_mut(key) {
-            Some(v) => {
-                self.bytes = self.bytes - v.value.len() + value.len();
-                let prev = std::mem::replace(&mut v.value, value);
-                v.mod_revision = index;
-                v.version += 1;
-                Some(prev)
-            }
-            None => {
-                self.bytes += key.len() + value.len() + PER_ENTRY_OVERHEAD;
-                self.map.insert(
-                    key.clone(),
-                    VersionedValue {
-                        value,
-                        create_revision: index,
-                        mod_revision: index,
-                        version: 1,
-                    },
-                );
-                None
-            }
-        }
+        let slot = self.map.entry(key.clone()).or_insert(unwritten(index));
+        overwrite(&mut self.bytes, key, slot, index, value)
+    }
+}
+
+/// Prints the map in key order, like every other view of it.
+impl fmt::Debug for KvStore {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("KvStore")
+            .field("map", &self.sorted())
+            .field("bytes", &self.bytes)
+            .finish()
     }
 }
 
@@ -233,14 +301,17 @@ impl App for KvStore {
                 }
             }
             KvCommand::Cas { key, expect, value } => {
-                let current = self.map.get(key).map(|v| &v.value);
-                let success = match (current, expect) {
-                    (None, None) => true,
-                    (Some(c), Some(e)) => c == e,
-                    _ => false,
+                // One probe either way: create-if-absent through `entry`,
+                // which leaves a live key as it was; a swap through
+                // `get_mut`.
+                let slot = match expect {
+                    None => Some(self.map.entry(key.clone()).or_insert(unwritten(index)))
+                        .filter(|v| v.version == 0),
+                    Some(expect) => self.map.get_mut(key).filter(|v| v.value == *expect),
                 };
-                if success {
-                    self.put(index, key, value.clone());
+                let success = slot.is_some();
+                if let Some(slot) = slot {
+                    overwrite(&mut self.bytes, key, slot, index, value.clone());
                 }
                 KvResponse::Cas { success }
             }
@@ -254,16 +325,20 @@ impl App for KvStore {
                 value: self.map.get(key).cloned(),
             }),
             KvCommand::Range { start, end, limit } => {
-                let mut entries = Vec::new();
-                let mut more = false;
-                for (k, v) in self.map.range(start.clone()..end.clone()) {
-                    if entries.len() >= *limit {
-                        more = true;
-                        break;
-                    }
-                    entries.push((k.clone(), v.value.clone()));
-                }
-                Some(KvResponse::Range { entries, more })
+                let sorted = self.sorted();
+                let from = sorted.partition_point(|&(k, _)| k < start);
+                // `start >= end` comes from a client: it selects nothing
+                // rather than panicking.
+                let to = sorted.partition_point(|&(k, _)| k < end).max(from);
+                let hits = &sorted[from..to];
+                Some(KvResponse::Range {
+                    entries: hits
+                        .iter()
+                        .take(*limit)
+                        .map(|&(k, v)| (k.clone(), v.value.clone()))
+                        .collect(),
+                    more: hits.len() > *limit,
+                })
             }
             KvCommand::Put { .. } | KvCommand::Delete { .. } | KvCommand::Cas { .. } => None,
         }
@@ -441,6 +516,21 @@ mod tests {
                 assert!(more);
             }
             other => panic!("unexpected {other:?}"),
+        }
+        // Inverted and empty bounds select nothing, on the log path and
+        // the log-free read path alike.
+        for (start, end) in [("d", "b"), ("b", "b")] {
+            let range = KvCommand::Range {
+                start: b(start),
+                end: b(end),
+                limit: 10,
+            };
+            let none = KvResponse::Range {
+                entries: Vec::new(),
+                more: false,
+            };
+            assert_eq!(kv.read(&range), Some(none.clone()));
+            assert_eq!(kv.execute(11, &range), none);
         }
     }
 
@@ -759,13 +849,172 @@ mod tests {
         assert_eq!(a.map, c.map);
     }
 
+    /// One final content reached by two histories: keys written in order,
+    /// and keys written in a shuffled order among deletes and junk keys
+    /// that grow the second table larger. The layouts differ; nothing
+    /// anyone can observe may.
+    #[test]
+    fn reordered_histories_agree_in_every_observable_order() {
+        const KEYS: u64 = 200;
+        let key = |i: u64| b(&format!("key-{i:03}"));
+        let junk = |n: u64| b(&format!("junk-{n}"));
+        let put = |key, value| KvCommand::Put { key, value };
+        let mut tidy = KvStore::new();
+        for i in 0..KEYS {
+            tidy.execute(1000 + i, &put(key(i), b(&i.to_string())));
+        }
+        let mut churned = KvStore::new();
+        for n in 0..KEYS {
+            // 7919 is coprime to `KEYS`, so `n -> i` visits every key once.
+            let i = n * 7919 % KEYS;
+            churned.execute(n + 1, &put(junk(n), b("x")));
+            churned.execute(n + 1, &put(key(i), b("stale")));
+            churned.execute(n + 1, &KvCommand::Delete { key: key(i) });
+            churned.execute(1000 + i, &put(key(i), b(&i.to_string())));
+        }
+        for n in 0..KEYS {
+            churned.execute(2000 + n, &KvCommand::Delete { key: junk(n) });
+        }
+        assert_ne!(tidy.map.capacity(), churned.map.capacity());
+        assert_eq!(tidy, churned);
+        assert_eq!(tidy.digest(), churned.digest());
+        assert_eq!(tidy.approx_bytes(), churned.approx_bytes());
+        let bounds = [b(""), key(0), key(57), key(123), key(KEYS - 1), b("z")];
+        for start in &bounds {
+            for end in &bounds {
+                for limit in [0, 1, 60, 250] {
+                    let range = KvCommand::Range {
+                        start: start.clone(),
+                        end: end.clone(),
+                        limit,
+                    };
+                    assert_eq!(tidy.read(&range), churned.read(&range));
+                }
+            }
+        }
+    }
+
     mod props {
         use super::*;
         use proptest::prelude::*;
+        use std::collections::BTreeMap;
+
+        /// The ordered map `KvStore` was before its hash index, kept as the
+        /// reference: the same commands over a `BTreeMap`, in key order by
+        /// construction.
+        #[derive(Default)]
+        struct Model {
+            tree: BTreeMap<Bytes, VersionedValue>,
+        }
+
+        impl Model {
+            fn execute(&mut self, index: LogIndex, cmd: &KvCommand) -> KvResponse {
+                match cmd {
+                    KvCommand::Put { key, value } => KvResponse::Put {
+                        prev: self.put(index, key, value),
+                        revision: index,
+                    },
+                    KvCommand::Get { key } => KvResponse::Get {
+                        value: self.tree.get(key).cloned(),
+                    },
+                    KvCommand::Delete { key } => KvResponse::Delete {
+                        existed: self.tree.remove(key).is_some(),
+                    },
+                    KvCommand::Range { start, end, limit } => {
+                        let hits: Vec<_> = if start < end {
+                            self.tree
+                                .range(start.clone()..end.clone())
+                                .map(|(k, v)| (k.clone(), v.value.clone()))
+                                .collect()
+                        } else {
+                            Vec::new()
+                        };
+                        KvResponse::Range {
+                            more: hits.len() > *limit,
+                            entries: hits.into_iter().take(*limit).collect(),
+                        }
+                    }
+                    KvCommand::Cas { key, expect, value } => {
+                        let success = self.tree.get(key).map(|v| &v.value) == expect.as_ref();
+                        if success {
+                            self.put(index, key, value);
+                        }
+                        KvResponse::Cas { success }
+                    }
+                }
+            }
+
+            fn put(&mut self, index: LogIndex, key: &Bytes, value: &Bytes) -> Option<Bytes> {
+                match self.tree.get_mut(key) {
+                    Some(v) => {
+                        v.mod_revision = index;
+                        v.version += 1;
+                        Some(std::mem::replace(&mut v.value, value.clone()))
+                    }
+                    None => {
+                        let v = VersionedValue {
+                            value: value.clone(),
+                            create_revision: index,
+                            mod_revision: index,
+                            version: 1,
+                        };
+                        self.tree.insert(key.clone(), v);
+                        None
+                    }
+                }
+            }
+
+            fn digest(&self) -> u64 {
+                let mut h = FNV_OFFSET;
+                for (k, v) in &self.tree {
+                    h = fnv1a(h, k);
+                    h = fnv1a(h, &v.value);
+                    h = fnv1a(h, &v.create_revision.to_le_bytes());
+                    h = fnv1a(h, &v.mod_revision.to_le_bytes());
+                    h = fnv1a(h, &v.version.to_le_bytes());
+                }
+                h
+            }
+
+            fn approx_bytes(&self) -> usize {
+                let entry = |(k, v): (&Bytes, &VersionedValue)| {
+                    k.len() + v.value.len() + PER_ENTRY_OVERHEAD
+                };
+                self.tree.iter().map(entry).sum()
+            }
+        }
+
+        /// Range bounds: below every key, every key, above every key. The
+        /// keys (all but the two ends) differ in length and share prefixes,
+        /// so key order is not hash order.
+        const BOUNDS: [&str; 12] = [
+            "", "a", "ab", "b", "ba", "k", "kk", "kkk", "m1", "m10", "m2", "z",
+        ];
+
+        /// Every command over the keys of `BOUNDS`; a `Range` draws both
+        /// bounds independently, so inverted and empty ranges are common,
+        /// and a limit from none up to every key.
+        fn model_command() -> impl Strategy<Value = KvCommand> {
+            let key = || (1..BOUNDS.len() - 1).prop_map(|i| b(BOUNDS[i]));
+            let bound = || (0..BOUNDS.len()).prop_map(|i| b(BOUNDS[i]));
+            let value = || (0usize..3).prop_map(|n| b(&"v".repeat([0, 1, 9][n])));
+            let expect = prop_oneof![Just(None), value().prop_map(Some)];
+            let keys = BOUNDS.len() - 2;
+            prop_oneof![
+                4 => (key(), value()).prop_map(|(key, value)| KvCommand::Put { key, value }),
+                2 => key().prop_map(|key| KvCommand::Delete { key }),
+                2 => (key(), expect, value())
+                    .prop_map(|(key, expect, value)| KvCommand::Cas { key, expect, value }),
+                1 => key().prop_map(|key| KvCommand::Get { key }),
+                2 => (bound(), bound(), 0..=keys)
+                    .prop_map(|(start, end, limit)| KvCommand::Range { start, end, limit }),
+            ]
+        }
 
         /// What `approx_bytes` summed before it became a running total.
         fn recomputed_kv(kv: &KvStore) -> usize {
-            kv.iter()
+            kv.sorted()
+                .iter()
                 .map(|(k, v)| k.len() + v.value.len() + PER_ENTRY_OVERHEAD)
                 .sum()
         }
@@ -812,6 +1061,24 @@ mod tests {
                 restored.restore(&s.snapshot());
                 prop_assert_eq!(restored.approx_bytes(), recomputed(&restored));
                 prop_assert_eq!(restored.approx_bytes(), s.approx_bytes());
+            }
+
+            /// `KvStore` answers every command as the ordered map it
+            /// replaced does, and agrees with it on `digest`, `len` and
+            /// `approx_bytes` after every step.
+            #[test]
+            fn prop_kvstore_matches_btreemap_model(
+                cmds in proptest::collection::vec(model_command(), 1..120),
+            ) {
+                let mut kv = KvStore::new();
+                let mut model = Model::default();
+                for (i, cmd) in cmds.iter().enumerate() {
+                    let index = i as u64 + 1;
+                    prop_assert_eq!(kv.execute(index, cmd), model.execute(index, cmd));
+                    prop_assert_eq!(kv.digest(), model.digest());
+                    prop_assert_eq!(kv.len(), model.tree.len());
+                    prop_assert_eq!(kv.approx_bytes(), model.approx_bytes());
+                }
             }
         }
     }

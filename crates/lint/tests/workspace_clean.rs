@@ -32,7 +32,10 @@ fn workspace_has_zero_unwaived_violations() {
     // The accepted waivers, by file — keep in sync with README.md's
     // "Static analysis" section. The panic-freedom sweep (PR 9) landed
     // with no P-rule waivers at all: every serving-path unwrap became a
-    // typed fallback, a structural rewrite, or an `invariant!`.
+    // typed fallback, a structural rewrite, or an `invariant!`. The one
+    // D002 exception in production code is `KvStore`'s hash index: a
+    // fixed-key hasher, iterated in one place and sorted before anything
+    // observes the order.
     let mut by_file: Vec<(&str, usize)> = Vec::new();
     for w in &report.waivers {
         match by_file.iter_mut().find(|(f, _)| *f == w.file) {
@@ -42,7 +45,10 @@ fn workspace_has_zero_unwaived_violations() {
     }
     assert_eq!(
         by_file,
-        vec![("tests/election_safety.rs", 2)],
+        vec![
+            ("crates/kvstore/src/store.rs", 3),
+            ("tests/election_safety.rs", 2)
+        ],
         "waiver set changed — update README.md's accepted-waiver list"
     );
     assert!(report
