@@ -245,9 +245,10 @@ pub struct ClientHost {
     /// Per-request response timeout; expired requests retry on the next
     /// replica of the owning row. `None` disables timeouts.
     request_timeout: Option<Duration>,
-    /// FIFO of `(deadline, req_id)` for timeout checks (constant timeout ⇒
-    /// deadlines are naturally ordered).
-    timeout_queue: VecDeque<(SimTime, u64)>,
+    /// FIFO of `(deadline, req_id, attempt)` for timeout checks (constant
+    /// timeout ⇒ deadlines are naturally ordered). Only the timer of a
+    /// request's latest send may fire; older attempts are skipped.
+    timeout_queue: VecDeque<(SimTime, u64, u8)>,
     /// Spread reads round-robin over the owning shard's row instead of
     /// sending them to the leader guess (follower-read offload). Reads
     /// then travel as single requests; writes always chase the leader.
@@ -390,9 +391,9 @@ impl ClientHost {
         (idx < self.step_ends.len()).then_some(idx)
     }
 
-    fn arm_timeout(&mut self, now: SimTime, req_id: u64) {
+    fn arm_timeout(&mut self, now: SimTime, req_id: u64, attempt: u8) {
         if let Some(t) = self.request_timeout {
-            self.timeout_queue.push_back((now + t, req_id));
+            self.timeout_queue.push_back((now + t, req_id, attempt));
         }
     }
 
@@ -412,7 +413,7 @@ impl ClientHost {
         // The silent server may be dead: each shard's guess rotates, once
         // for the whole wave.
         self.routes.begin_wave();
-        while let Some(&(deadline, req_id)) = self.timeout_queue.front() {
+        while let Some(&(deadline, req_id, attempt)) = self.timeout_queue.front() {
             if deadline > ctx.now {
                 break;
             }
@@ -420,17 +421,21 @@ impl ClientHost {
             let Some(o) = self.outstanding.get_mut(&req_id) else {
                 continue; // already answered
             };
+            if o.retries != attempt {
+                continue; // a later send superseded this timer
+            }
             if o.retries >= MAX_RETRIES {
                 self.abandon(req_id);
                 continue;
             }
             o.retries += 1;
+            let attempt = o.retries;
             let shard = o.shard;
             let cmd = o.cmd.clone();
             self.routes.rotate_once_per_wave(shard);
             let target = self.routes.guess(shard);
             ctx.send(target, Channel::Tcp, ClusterMsg::ClientReq { req_id, cmd });
-            self.arm_timeout(ctx.now, req_id);
+            self.arm_timeout(ctx.now, req_id, attempt);
         }
     }
 }
@@ -463,7 +468,7 @@ impl Client<KvStore> for ClientHost {
             );
             self.steps[step].sent += 1;
             self.stats[shard].sent += 1;
-            self.arm_timeout(ctx.now, req_id);
+            self.arm_timeout(ctx.now, req_id, 0);
             let fanned = self.read_fanout && KvStore::is_read(&cmd);
             match self.batch_window {
                 Some(window) if !fanned => {
@@ -542,7 +547,8 @@ impl Client<KvStore> for ClientHost {
                     return;
                 };
                 let shard = o.shard;
-                let exhausted = o.retries >= MAX_RETRIES;
+                let attempt = o.retries;
+                let exhausted = attempt >= MAX_RETRIES;
                 if !exhausted {
                     o.retries += 1;
                 }
@@ -557,7 +563,7 @@ impl Client<KvStore> for ClientHost {
                     return;
                 }
                 ctx.send(target, Channel::Tcp, ClusterMsg::ClientReq { req_id, cmd });
-                self.arm_timeout(ctx.now, req_id);
+                self.arm_timeout(ctx.now, req_id, attempt + 1);
             }
             // Clients ignore protocol traffic.
             _ => {}
@@ -568,7 +574,7 @@ impl Client<KvStore> for ClientHost {
     /// sooner.
     fn wake_deadline(&self) -> Option<SimTime> {
         let arrival = self.workload.peek_next();
-        let timeout = self.timeout_queue.front().map(|&(d, _)| d);
+        let timeout = self.timeout_queue.front().map(|&(d, _, _)| d);
         [arrival, timeout, self.flush_at]
             .into_iter()
             .flatten()
@@ -907,6 +913,26 @@ mod tests {
             assert_eq!(c.steps()[0].failed, 1, "{}", shape.name);
             assert_eq!(c.shard_stats()[shard].failed, 1, "{}", shape.name);
             assert!(!c.outstanding.contains_key(&req_id), "{}", shape.name);
+        }
+    }
+
+    #[test]
+    fn a_timer_armed_before_a_redirect_does_not_retry_early() {
+        for shape in &SHAPES {
+            let mut c = shape
+                .client(50.0)
+                .with_request_timeout(Some(Duration::from_millis(100)));
+            let (to, req_id) = requests(&wake(&mut c, 100))[0];
+            let hint = c.placement_of(shard_of(&c, to))[1];
+            // Redirected at 150 ms: re-sent to the hint, due again at 250 ms.
+            let out = redirect(&mut c, 150, req_id, Some(hint));
+            assert_eq!(requests(&out), [(hint, req_id)], "{}", shape.name);
+            // The first send's timer (due at 200 ms) belongs to a superseded
+            // attempt: the re-sent request keeps its full timeout.
+            let early = requests(&expire(&mut c, 200));
+            assert!(early.iter().all(|&(_, id)| id != req_id), "{}", shape.name);
+            let due = requests(&expire(&mut c, 250));
+            assert!(due.iter().any(|&(_, id)| id == req_id), "{}", shape.name);
         }
     }
 
