@@ -63,8 +63,8 @@ const REPORT_PINS: &[(&str, u64)] = &[
     ("geo_asymmetric", 0x89f1_9eb1_1fd4_0d03),
     ("hot_shard", 0x2157_7209_5486_b3d1),
     ("lagging_follower_catchup", 0x54ea_c7b4_a183_0bb7),
-    ("lease_safety_partition", 0xfe8a_4fa4_7ad2_22b7),
-    ("membership_churn", 0x766d_65c2_575e_cdb6),
+    ("lease_safety_partition", 0x7adb_d4f6_5226_c341),
+    ("membership_churn", 0x821e_5a13_eb8b_3639),
     ("partition_churn", 0x7975_76c0_aa75_b4ba),
     ("pipeline_depth", 0x8331_591f_1b46_15c7),
     ("read_heavy_throughput", 0x85e8_0e88_9941_307f),
