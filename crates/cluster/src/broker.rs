@@ -3,9 +3,11 @@
 //!
 //! The KV side hands the one [`ClusterSim`] a
 //! [`ClientHost`](crate::client::ClientHost); this module is the broker
-//! analogue. Both clients route through the same `RoutingTable` (placement
-//! rows, a leader guess per shard, in-row rotation and hint adoption); the
-//! retry policy differs on purpose — see the client discipline below.
+//! analogue. Both clients drive the same request engine (`requests.rs`:
+//! ids, one live timer per request, in-row rotation, the redirect walk);
+//! the retry budget differs on purpose — see the client discipline below.
+//! What stays here is the broker's own: producers and consumer groups,
+//! fan-out fetches pinned to a replica, and the exactly-once checker.
 //! Topics are split into partitions, every partition is
 //! routed to one Raft group by [`shard_of_partition`] (the broker's
 //! `ShardRouter`), and one [`BrokerClient`] host drives producers and
@@ -31,8 +33,10 @@
 //!   lost produce, a repeat means a duplicated one. The failover scenario
 //!   hard-asserts both counters stay zero.
 
-use crate::client::{genesis_rows, RoutingTable, DEFAULT_BATCH_WINDOW};
 use crate::msg::ClusterMsg;
+use crate::requests::{
+    genesis_rows, Lane, Live, Requests, RoutingTable, Walk, DEFAULT_BATCH_WINDOW,
+};
 use crate::sim::{Client, ClusterSim};
 use bytes::Bytes;
 use dynatune_broker::{
@@ -41,9 +45,9 @@ use dynatune_broker::{
 use dynatune_core::invariant_violated;
 use dynatune_kv::{ShardId, ShardMap};
 use dynatune_raft::NodeId;
-use dynatune_simnet::{Channel, HostCtx, SimTime};
+use dynatune_simnet::{HostCtx, SimTime};
 use dynatune_stats::OnlineStats;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::time::Duration;
 
 /// The broker wire vocabulary: the shared cluster message enum instantiated
@@ -110,13 +114,6 @@ impl BrokerWorkload {
     #[must_use]
     pub fn groups(mut self, groups: usize) -> Self {
         self.groups = groups;
-        self
-    }
-
-    /// Builder: record value size in bytes (min 8).
-    #[must_use]
-    pub fn record_bytes(mut self, bytes: usize) -> Self {
-        self.record_bytes = bytes;
         self
     }
 
@@ -230,11 +227,12 @@ struct ConsumerState {
     inflight: Option<u64>,
     commit_inflight: Option<u64>,
     since_commit: u64,
-    /// Fixed fan-out replica (used when `fanout_fetch`).
+    /// Fixed fan-out replica (used when `fanout_fetch`); while a fetch is
+    /// in flight its pinned request's target is the current one.
     fetch_target: NodeId,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum ReqKind {
     Produce {
         pidx: usize,
@@ -249,20 +247,11 @@ enum ReqKind {
     },
 }
 
-#[derive(Debug, Clone)]
-struct Pending {
-    attempt: u64,
-    born_at: SimTime,
-    shard: ShardId,
-    target: NodeId,
-    cmd: BrokerCommand,
-    kind: ReqKind,
-}
-
 /// The broker benchmark client: deterministic fixed-interval producers and
 /// closed-loop consumer groups over every partition, routed per shard.
 pub struct BrokerClient {
-    routes: RoutingTable,
+    /// Live requests, their timers and the routing table; never given up.
+    reqs: Requests<BrokerState, ReqKind>,
     parts: Vec<PartitionRef>,
     producers: Vec<ProducerState>,
     /// Indexed `group * parts.len() + pidx`.
@@ -274,12 +263,6 @@ pub struct BrokerClient {
     fetch_max: usize,
     commit_every: u64,
     fanout_fetch: bool,
-    request_timeout: Duration,
-    next_req_id: u64,
-    outstanding: BTreeMap<u64, Pending>,
-    /// `(deadline, req_id, attempt)`; constant timeout keeps it ordered.
-    /// Stale attempts are skipped on expiry.
-    timeout_queue: VecDeque<(SimTime, u64, u64)>,
     stats: BrokerStats,
     group_stats: Vec<ConsumerStats>,
     /// Last observed lag per consumer index.
@@ -335,7 +318,13 @@ impl BrokerClient {
             }
         }
         Self {
-            routes,
+            // Retries never give up: see the module docs.
+            reqs: Requests::new(
+                routes,
+                Some(workload.request_timeout),
+                None,
+                Walk::FromTarget,
+            ),
             parts,
             producers,
             consumers,
@@ -346,10 +335,6 @@ impl BrokerClient {
             fetch_max: workload.fetch_max,
             commit_every: workload.commit_every,
             fanout_fetch: workload.fanout_fetch,
-            request_timeout: workload.request_timeout,
-            next_req_id: 0,
-            outstanding: BTreeMap::new(),
-            timeout_queue: VecDeque::new(),
             stats: BrokerStats::default(),
             group_stats: vec![ConsumerStats::default(); workload.groups],
             last_lag: vec![0; workload.groups * n_parts],
@@ -392,95 +377,6 @@ impl BrokerClient {
         }
     }
 
-    /// Assign a fresh request id, register it and send the first attempt.
-    fn dispatch(
-        &mut self,
-        ctx: &mut HostCtx<'_, BrokerMsg>,
-        shard: ShardId,
-        target: NodeId,
-        cmd: BrokerCommand,
-        kind: ReqKind,
-    ) -> u64 {
-        let req_id = self.next_req_id;
-        self.next_req_id += 1;
-        self.outstanding.insert(
-            req_id,
-            Pending {
-                attempt: 0,
-                born_at: ctx.now,
-                shard,
-                target,
-                cmd: cmd.clone(),
-                kind,
-            },
-        );
-        self.timeout_queue
-            .push_back((ctx.now + self.request_timeout, req_id, 0));
-        ctx.send(target, Channel::Tcp, ClusterMsg::ClientReq { req_id, cmd });
-        req_id
-    }
-
-    /// Re-send a live request to `target`, bumping its attempt counter so
-    /// timeouts armed for older attempts become inert.
-    fn resend(&mut self, ctx: &mut HostCtx<'_, BrokerMsg>, req_id: u64, target: NodeId) {
-        let Some(p) = self.outstanding.get_mut(&req_id) else {
-            return; // the ack raced the rotation: nothing left to resend
-        };
-        p.attempt += 1;
-        p.target = target;
-        let cmd = p.cmd.clone();
-        let attempt = p.attempt;
-        self.timeout_queue
-            .push_back((ctx.now + self.request_timeout, req_id, attempt));
-        ctx.send(target, Channel::Tcp, ClusterMsg::ClientReq { req_id, cmd });
-    }
-
-    /// Retry a request after a timeout or failure response. Retries are
-    /// unbounded by design: a produce abandoned after it may have committed
-    /// is indistinguishable from loss, and the same `req_id` keeps the
-    /// reply cache collapsing duplicates, so retrying until acked is what
-    /// makes delivery exactly-once. The caller opens the expiry wave
-    /// ([`RoutingTable::begin_wave`]) the retry belongs to.
-    fn retry(&mut self, ctx: &mut HostCtx<'_, BrokerMsg>, req_id: u64) {
-        let Some(p) = self.outstanding.get(&req_id) else {
-            return;
-        };
-        let shard = p.shard;
-        let kind = p.kind.clone();
-        let target = match kind {
-            ReqKind::Fetch { cidx } if self.fanout_fetch => {
-                let t = self
-                    .routes
-                    .next_after(shard, self.consumers[cidx].fetch_target);
-                self.consumers[cidx].fetch_target = t;
-                t
-            }
-            _ => {
-                self.routes.rotate_once_per_wave(shard);
-                self.routes.guess(shard)
-            }
-        };
-        self.stats.retries += 1;
-        self.resend(ctx, req_id, target);
-    }
-
-    fn expire_timeouts(&mut self, ctx: &mut HostCtx<'_, BrokerMsg>) {
-        self.routes.begin_wave();
-        while let Some(&(deadline, req_id, attempt)) = self.timeout_queue.front() {
-            if deadline > ctx.now {
-                break;
-            }
-            self.timeout_queue.pop_front();
-            let live = self
-                .outstanding
-                .get(&req_id)
-                .is_some_and(|p| p.attempt == attempt);
-            if live {
-                self.retry(ctx, req_id);
-            }
-        }
-    }
-
     /// Send the next produce batch for a partition, if one can go.
     fn flush_partition(&mut self, ctx: &mut HostCtx<'_, BrokerMsg>, pidx: usize) {
         if self.producers[pidx].inflight.is_some() || self.producers[pidx].pending.is_empty() {
@@ -497,19 +393,16 @@ impl BrokerClient {
             partition: part.partition,
             records,
         };
-        let target = self.routes.guess(part.shard);
         self.stats.produce_batches += 1;
-        let req_id = self.dispatch(
-            ctx,
-            part.shard,
-            target,
-            cmd,
-            ReqKind::Produce {
-                pidx,
-                records: n_take as u64,
-                bytes,
-            },
-        );
+        let kind = ReqKind::Produce {
+            pidx,
+            records: n_take as u64,
+            bytes,
+        };
+        let target = self.reqs.routes.guess(part.shard);
+        let req_id = self
+            .reqs
+            .send(ctx, part.shard, target, Lane::Leader, cmd, kind);
         self.producers[pidx].inflight = Some(req_id);
     }
 
@@ -522,12 +415,14 @@ impl BrokerClient {
             offset: self.consumers[cidx].cursor,
             max_records: self.fetch_max,
         };
-        let target = if self.fanout_fetch {
-            self.consumers[cidx].fetch_target
+        let (target, lane) = if self.fanout_fetch {
+            (self.consumers[cidx].fetch_target, Lane::Pinned)
         } else {
-            self.routes.guess(part.shard)
+            (self.reqs.routes.guess(part.shard), Lane::Leader)
         };
-        let req_id = self.dispatch(ctx, part.shard, target, cmd, ReqKind::Fetch { cidx });
+        let req_id = self
+            .reqs
+            .send(ctx, part.shard, target, lane, cmd, ReqKind::Fetch { cidx });
         self.consumers[cidx].inflight = Some(req_id);
     }
 
@@ -544,20 +439,16 @@ impl BrokerClient {
             partition: part.partition,
             offset: self.consumers[cidx].cursor,
         };
-        let target = self.routes.guess(part.shard);
-        let req_id = self.dispatch(ctx, part.shard, target, cmd, ReqKind::Commit { cidx });
+        let target = self.reqs.routes.guess(part.shard);
+        let kind = ReqKind::Commit { cidx };
+        let req_id = self
+            .reqs
+            .send(ctx, part.shard, target, Lane::Leader, cmd, kind);
         self.consumers[cidx].commit_inflight = Some(req_id);
         self.consumers[cidx].since_commit = 0;
     }
 
-    fn on_fetch(
-        &mut self,
-        ctx: &mut HostCtx<'_, BrokerMsg>,
-        req_id: u64,
-        cidx: usize,
-        fx: &FetchResult,
-    ) {
-        self.outstanding.remove(&req_id);
+    fn on_fetch(&mut self, ctx: &mut HostCtx<'_, BrokerMsg>, cidx: usize, fx: &FetchResult) {
         let g = cidx / self.parts.len();
         let got = !fx.records.is_empty();
         let lag;
@@ -612,16 +503,15 @@ impl BrokerClient {
         req_id: u64,
         result: Option<BrokerResponse>,
     ) {
-        let Some(p) = self.outstanding.get(&req_id) else {
+        let Some((kind, born)) = self.reqs.get(req_id).map(|r| (r.meta, r.born)) else {
             return; // late duplicate of an already-answered request
         };
-        let kind = p.kind.clone();
-        let born_at = p.born_at;
         let Some(resp) = result else {
             // The server failed the request (leadership change mid-flight):
-            // retry, same id. Each failure is its own one-request wave.
-            self.routes.begin_wave();
-            self.retry(ctx, req_id);
+            // retry, same id, as its own one-request wave.
+            self.reqs.routes.begin_wave();
+            self.reqs.retry(ctx, req_id);
+            self.stats.retries += 1;
             return;
         };
         match (kind, resp) {
@@ -633,22 +523,30 @@ impl BrokerClient {
                 },
                 BrokerResponse::Produced { .. },
             ) => {
-                self.outstanding.remove(&req_id);
+                self.reqs.close(req_id);
                 self.producers[pidx].inflight = None;
                 self.stats.acked_records += records;
                 self.stats.acked_bytes += bytes;
                 self.stats
                     .produce_latency_ms
-                    .push((ctx.now - born_at).as_secs_f64() * 1e3);
+                    .push((ctx.now - born).as_secs_f64() * 1e3);
                 // Everything that arrived during the round trip forms the
                 // next batch right away.
                 self.flush_partition(ctx, pidx);
             }
             (ReqKind::Fetch { cidx }, BrokerResponse::Records(fx)) => {
-                self.on_fetch(ctx, req_id, cidx, &fx);
+                if let Some(Live {
+                    lane: Lane::Pinned,
+                    target,
+                    ..
+                }) = self.reqs.close(req_id)
+                {
+                    self.consumers[cidx].fetch_target = target;
+                }
+                self.on_fetch(ctx, cidx, &fx);
             }
             (ReqKind::Commit { cidx }, BrokerResponse::OffsetCommitted { .. }) => {
-                self.outstanding.remove(&req_id);
+                self.reqs.close(req_id);
                 self.consumers[cidx].commit_inflight = None;
                 self.group_stats[cidx / self.parts.len()].commits += 1;
                 self.stats.commits += 1;
@@ -656,31 +554,13 @@ impl BrokerClient {
             _ => {} // variant mismatch cannot happen; drop defensively
         }
     }
-
-    fn on_redirect(&mut self, ctx: &mut HostCtx<'_, BrokerMsg>, req_id: u64, hint: Option<NodeId>) {
-        let Some(p) = self.outstanding.get(&req_id) else {
-            return;
-        };
-        let shard = p.shard;
-        let kind = p.kind.clone();
-        let current = p.target;
-        self.stats.redirects += 1;
-        let target = self.routes.hint_or_next(shard, hint, current);
-        match kind {
-            ReqKind::Fetch { cidx } if self.fanout_fetch => {
-                self.consumers[cidx].fetch_target = target;
-            }
-            _ => self.routes.set_guess(shard, target),
-        }
-        self.resend(ctx, req_id, target);
-    }
 }
 
 impl Client<BrokerState> for BrokerClient {
     /// Generate due arrivals, flush due batches, poll due consumers and
     /// expire overdue requests.
     fn handle_wake(&mut self, ctx: &mut HostCtx<'_, BrokerMsg>) {
-        self.expire_timeouts(ctx);
+        self.stats.retries += self.reqs.expire(ctx).0;
         for pidx in 0..self.parts.len() {
             while let Some(at) = self.peek_arrival(pidx) {
                 if at > ctx.now {
@@ -714,7 +594,11 @@ impl Client<BrokerState> for BrokerClient {
     fn handle_message(&mut self, ctx: &mut HostCtx<'_, BrokerMsg>, _from: NodeId, msg: BrokerMsg) {
         match msg {
             ClusterMsg::ClientResp { req_id, result } => self.on_response(ctx, req_id, result),
-            ClusterMsg::ClientRedirect { req_id, hint, .. } => self.on_redirect(ctx, req_id, hint),
+            // A redirect for an answered request is a late duplicate.
+            ClusterMsg::ClientRedirect { req_id, hint } if self.reqs.get(req_id).is_some() => {
+                self.stats.redirects += 1;
+                self.reqs.redirect(ctx, req_id, hint);
+            }
             // Clients ignore protocol traffic.
             _ => {}
         }
@@ -727,14 +611,16 @@ impl Client<BrokerState> for BrokerClient {
             .filter_map(|i| self.peek_arrival(i))
             .min();
         let flush = self.producers.iter().filter_map(|p| p.flush_at).min();
-        let timeout = self.timeout_queue.front().map(|&(d, _, _)| d);
         let poll = self
             .consumers
             .iter()
             .filter(|c| c.inflight.is_none())
             .map(|c| c.next_poll)
             .min();
-        [arrival, flush, timeout, poll].into_iter().flatten().min()
+        [arrival, flush, self.reqs.next_deadline(), poll]
+            .into_iter()
+            .flatten()
+            .min()
     }
 }
 

@@ -1,148 +1,30 @@
-//! The open-loop KV benchmark client (§IV-B2 methodology) and the
-//! leader-routing table it shares with the broker client.
+//! The open-loop KV benchmark client (§IV-B2 methodology).
 //!
 //! There is one KV client, [`ClientHost`]: it hash-routes every command to
-//! its owning Raft group and tracks one placement row and one leader guess
-//! per shard in a `RoutingTable`, so a single group is simply the one-row
-//! case. Redirects and timeout retries stay strictly inside the owning
-//! row — a request must never leave its shard, the data is only there.
-//! Outcomes are reported two ways at once: bucketed per offered-load step
-//! ([`StepRecord`]) and cumulatively per shard ([`ShardStats`], which
-//! experiments snapshot at two instants and difference for a windowed
-//! throughput).
+//! its owning Raft group, so a single group is simply the one-row case of
+//! its routing table. Ids, timers, resends, the redirect walk and the retry
+//! budget live in the request engine it shares with the broker client
+//! (`requests.rs`); what stays here is what only the KV client does — read
+//! fan-out, per-shard batching, giving a request up after three resends or
+//! a failure response, and reporting. Outcomes are reported two ways at
+//! once: bucketed per offered-load step ([`StepRecord`]) and cumulatively
+//! per shard ([`ShardStats`], which experiments snapshot at two instants
+//! and difference for a windowed throughput), plus an optional
+//! [`OpRecord`] trace.
 
 use crate::msg::ClusterMsg;
-use crate::sim::Client;
+use crate::requests::{Lane, Live, Requests, RoutingTable, Walk};
+use crate::sim::{Client, WorkloadSpec};
 use bytes::Bytes;
-use dynatune_kv::{
-    App, KvCommand, KvResponse, KvStore, ShardId, ShardMap, ShardRouter, WorkloadGen,
-};
+use dynatune_kv::{App, KvCommand, KvResponse, KvStore, ShardId, ShardRouter, WorkloadGen};
 use dynatune_raft::NodeId;
-use dynatune_simnet::{Channel, HostCtx, SimTime};
+use dynatune_simnet::{Channel, HostCtx, Rng, SimTime};
 use dynatune_stats::{Histogram, OnlineStats};
-use std::collections::{BTreeMap, VecDeque};
 use std::time::Duration;
 
-/// Maximum redirect/timeout-driven retries per request.
-const MAX_RETRIES: u8 = 3;
-
-/// The client-side batching window of a sharded KV cluster and of the
-/// broker's producers: arrivals within this span of the first pending
-/// arrival ride the same per-shard batch. Small against the 100 ms server
-/// RTT (at most a ~2 ms latency tax) but wide enough to coalesce under
-/// load, where inter-arrival gaps shrink below it.
-pub const DEFAULT_BATCH_WINDOW: Duration = Duration::from_millis(2);
-
-/// The genesis placement rows of `map`: every shard's mapped replicas, in
-/// replica order, no spares.
-pub(crate) fn genesis_rows(map: ShardMap) -> Vec<Vec<NodeId>> {
-    (0..map.shards())
-        .map(|shard| map.servers_of(shard).collect())
-        .collect()
-}
-
-/// Where each shard's requests go: the placement row (global host ids) and
-/// the current leader guess per shard, plus the three routing rules every
-/// client follows — rotate to the next replica *in the row*, adopt a
-/// redirect hint only when it names a host *in the row*, and rotate a
-/// shard's guess at most once per expiry wave.
-///
-/// Rows are seeded from the genesis placement but **dynamic**:
-/// [`RoutingTable::repoint`] rewrites a row when the rebalancer moves a
-/// replica, so no rule may assume the contiguous genesis universe.
-#[derive(Debug)]
-pub(crate) struct RoutingTable {
-    rows: Vec<Vec<NodeId>>,
-    guess: Vec<NodeId>,
-    /// Current expiry wave; bumped by [`RoutingTable::begin_wave`].
-    wave: u64,
-    /// The wave in which each shard's guess last rotated (waves start at
-    /// 1, so the initial 0 never matches).
-    rotated_in: Vec<u64>,
-}
-
-impl RoutingTable {
-    /// A table over `rows`; each shard's initial guess is its replica 0.
-    pub(crate) fn new(rows: Vec<Vec<NodeId>>) -> Self {
-        Self {
-            guess: rows.iter().map(|row| row[0]).collect(),
-            rotated_in: vec![0; rows.len()],
-            wave: 0,
-            rows,
-        }
-    }
-
-    /// Current placement row of one shard.
-    pub(crate) fn row(&self, shard: ShardId) -> &[NodeId] {
-        &self.rows[shard]
-    }
-
-    /// Current leader guess of one shard.
-    pub(crate) fn guess(&self, shard: ShardId) -> NodeId {
-        self.guess[shard]
-    }
-
-    pub(crate) fn set_guess(&mut self, shard: ShardId, target: NodeId) {
-        self.guess[shard] = target;
-    }
-
-    /// The replica after `current` in the shard's row, wrapping. A
-    /// `current` no longer in the row (just repointed away) restarts at
-    /// the row's first replica.
-    pub(crate) fn next_after(&self, shard: ShardId, current: NodeId) -> NodeId {
-        let row = &self.rows[shard];
-        match row.iter().position(|&r| r == current) {
-            Some(i) => row[(i + 1) % row.len()],
-            None => row[0],
-        }
-    }
-
-    /// Where a redirected request goes next: the hinted host when it is in
-    /// the shard's row (hints are global host ids and may name a spare the
-    /// rebalancer admitted, never a host of a foreign group), otherwise
-    /// the replica after `current`.
-    pub(crate) fn hint_or_next(
-        &self,
-        shard: ShardId,
-        hint: Option<NodeId>,
-        current: NodeId,
-    ) -> NodeId {
-        match hint {
-            Some(h) if self.rows[shard].contains(&h) => h,
-            _ => self.next_after(shard, current),
-        }
-    }
-
-    /// Start an expiry wave: every shard may rotate once more.
-    pub(crate) fn begin_wave(&mut self) {
-        self.wave += 1;
-    }
-
-    /// Rotate the shard's guess unless it already rotated in this wave —
-    /// a burst of expiries must not spray across the row, and several
-    /// requests of one shard must not skip past the actual leader together.
-    pub(crate) fn rotate_once_per_wave(&mut self, shard: ShardId) {
-        if self.rotated_in[shard] != self.wave {
-            self.rotated_in[shard] = self.wave;
-            self.guess[shard] = self.next_after(shard, self.guess[shard]);
-        }
-    }
-
-    /// Rewrite the placement row of `shard`: replica `from` is replaced by
-    /// `to` (the rebalancer's cut-over). A leader guess pointing at `from`
-    /// moves to `to`; requests already sent to `from` resolve through the
-    /// ordinary redirect/timeout paths.
-    pub(crate) fn repoint(&mut self, shard: ShardId, from: NodeId, to: NodeId) {
-        for slot in &mut self.rows[shard] {
-            if *slot == from {
-                *slot = to;
-            }
-        }
-        if self.guess[shard] == from {
-            self.guess[shard] = to;
-        }
-    }
-}
+/// Resends (redirects and timeout retries) a request may take before it is
+/// charged as failed.
+const MAX_RETRIES: u64 = 3;
 
 /// One completed operation in the client's linearizability trace:
 /// invocation/response instants plus the revision the operation observed
@@ -209,15 +91,6 @@ pub struct ShardStats {
     pub latency_ms: OnlineStats,
 }
 
-#[derive(Debug, Clone)]
-struct Outstanding {
-    sent_at: SimTime,
-    send_step: usize,
-    shard: ShardId,
-    retries: u8,
-    cmd: KvCommand,
-}
-
 /// An open-loop client: sends according to the workload schedule regardless
 /// of completions, routes each command to its owning shard, follows leader
 /// redirects, records per-step and per-shard outcomes.
@@ -230,9 +103,9 @@ struct Outstanding {
 pub struct ClientHost {
     workload: WorkloadGen,
     router: ShardRouter,
-    routes: RoutingTable,
-    next_req_id: u64,
-    outstanding: BTreeMap<u64, Outstanding>,
+    /// Live requests, their timers and the routing table; each request
+    /// carries the step it was sent in.
+    reqs: Requests<KvStore, usize>,
     steps: Vec<StepRecord>,
     /// End instant of each step's window.
     step_ends: Vec<SimTime>,
@@ -242,13 +115,6 @@ pub struct ClientHost {
     /// measurements for before/after comparisons the cumulative
     /// [`ShardStats`] moments cannot express.
     window_hist: Vec<Histogram>,
-    /// Per-request response timeout; expired requests retry on the next
-    /// replica of the owning row. `None` disables timeouts.
-    request_timeout: Option<Duration>,
-    /// FIFO of `(deadline, req_id, attempt)` for timeout checks (constant
-    /// timeout ⇒ deadlines are naturally ordered). Only the timer of a
-    /// request's latest send may fire; older attempts are skipped.
-    timeout_queue: VecDeque<(SimTime, u64, u8)>,
     /// Spread reads round-robin over the owning shard's row instead of
     /// sending them to the leader guess (follower-read offload). Reads
     /// then travel as single requests; writes always chase the leader.
@@ -273,17 +139,27 @@ pub struct ClientHost {
 }
 
 impl ClientHost {
-    /// Create a client over the placement `rows` (one per shard, global
-    /// host ids; each shard's initial leader guess is its replica 0). The
-    /// workload's schedule starts at `start`; `batch_window` selects
+    /// Create a client for `spec`, drawing its arrivals from `rng`, over the
+    /// placement `rows` (one per shard, global host ids; each shard's
+    /// initial leader guess is its replica 0). `batch_window` selects
     /// per-shard batching or sending singles at arrival.
     #[must_use]
     pub fn new(
-        workload: WorkloadGen,
+        spec: &WorkloadSpec,
+        rng: Rng,
         rows: Vec<Vec<NodeId>>,
         batch_window: Option<Duration>,
-        start: SimTime,
     ) -> Self {
+        let start = SimTime::ZERO + spec.start_offset;
+        let workload = WorkloadGen::new(
+            spec.steps.clone(),
+            spec.mix,
+            spec.key_space,
+            spec.zipf_theta,
+            spec.value_size,
+            rng,
+            start,
+        );
         let mut end = start;
         let (steps, step_ends) = workload
             .steps()
@@ -302,49 +178,24 @@ impl ClientHost {
         Self {
             workload,
             router: ShardRouter::new(shards),
-            routes: RoutingTable::new(rows),
-            next_req_id: 0,
-            outstanding: BTreeMap::new(),
+            reqs: Requests::new(
+                RoutingTable::new(rows),
+                spec.request_timeout,
+                Some(MAX_RETRIES),
+                Walk::FromGuess,
+            ),
             steps,
             step_ends,
             stats: vec![ShardStats::default(); shards],
             window_hist: vec![Histogram::new(); shards],
-            request_timeout: Some(Duration::from_secs(1)),
-            timeout_queue: VecDeque::new(),
-            read_fanout: false,
+            read_fanout: spec.read_fanout,
             read_rr: vec![0; shards],
-            record_trace: false,
+            record_trace: spec.record_trace,
             trace: Vec::new(),
             batch_window,
             batch_scratch: vec![Vec::new(); shards],
             flush_at: None,
         }
-    }
-
-    /// Override (or disable) the per-request response timeout.
-    #[must_use]
-    pub fn with_request_timeout(mut self, timeout: Option<Duration>) -> Self {
-        self.request_timeout = timeout;
-        self
-    }
-
-    /// Spread reads round-robin across every replica of the owning shard
-    /// (writes still chase the leader). Pointless under
-    /// [`ReadStrategy::Log`] (non-leaders redirect) — pair with follower
-    /// reads.
-    ///
-    /// [`ReadStrategy::Log`]: crate::server::ReadStrategy::Log
-    #[must_use]
-    pub fn with_read_fanout(mut self, fanout: bool) -> Self {
-        self.read_fanout = fanout;
-        self
-    }
-
-    /// Record completed `Get`/`Put` operations for linearizability checks.
-    #[must_use]
-    pub fn with_trace(mut self, record: bool) -> Self {
-        self.record_trace = record;
-        self
     }
 
     /// The recorded operation trace (empty unless tracing was enabled).
@@ -369,13 +220,13 @@ impl ClientHost {
     /// `to` (the rebalancer's cut-over), so routing, redirect validation
     /// and read fan-out follow the data.
     pub fn repoint(&mut self, shard: ShardId, from: NodeId, to: NodeId) {
-        self.routes.repoint(shard, from, to);
+        self.reqs.routes.repoint(shard, from, to);
     }
 
     /// Current placement row of one shard (observers / tests).
     #[must_use]
     pub fn placement_of(&self, shard: ShardId) -> &[NodeId] {
-        self.routes.row(shard)
+        self.reqs.routes.row(shard)
     }
 
     /// Take (and reset) the latency histogram one shard accumulated since
@@ -391,52 +242,11 @@ impl ClientHost {
         (idx < self.step_ends.len()).then_some(idx)
     }
 
-    fn arm_timeout(&mut self, now: SimTime, req_id: u64, attempt: u8) {
-        if let Some(t) = self.request_timeout {
-            self.timeout_queue.push_back((now + t, req_id, attempt));
-        }
-    }
-
-    /// A request failed or ran out of retries: drop it and charge the
-    /// failure to the step it was sent in and to its shard.
-    fn abandon(&mut self, req_id: u64) {
-        if let Some(o) = self.outstanding.remove(&req_id) {
-            self.steps[o.send_step].failed += 1;
-            self.stats[o.shard].failed += 1;
-        }
-    }
-
-    /// Retry (or abandon) requests whose responses are overdue. A paused
-    /// leader never answers, so without this a client would keep feeding a
-    /// dead node for the entire outage.
-    fn expire_timeouts(&mut self, ctx: &mut HostCtx<'_, ClusterMsg>) {
-        // The silent server may be dead: each shard's guess rotates, once
-        // for the whole wave.
-        self.routes.begin_wave();
-        while let Some(&(deadline, req_id, attempt)) = self.timeout_queue.front() {
-            if deadline > ctx.now {
-                break;
-            }
-            self.timeout_queue.pop_front();
-            let Some(o) = self.outstanding.get_mut(&req_id) else {
-                continue; // already answered
-            };
-            if o.retries != attempt {
-                continue; // a later send superseded this timer
-            }
-            if o.retries >= MAX_RETRIES {
-                self.abandon(req_id);
-                continue;
-            }
-            o.retries += 1;
-            let attempt = o.retries;
-            let shard = o.shard;
-            let cmd = o.cmd.clone();
-            self.routes.rotate_once_per_wave(shard);
-            let target = self.routes.guess(shard);
-            ctx.send(target, Channel::Tcp, ClusterMsg::ClientReq { req_id, cmd });
-            self.arm_timeout(ctx.now, req_id, attempt);
-        }
+    /// A request failed or ran out of retries: charge the failure to the
+    /// step it was sent in and to its shard.
+    fn abandon(&mut self, o: &Live<KvStore, usize>) {
+        self.steps[o.meta].failed += 1;
+        self.stats[o.shard].failed += 1;
     }
 }
 
@@ -444,7 +254,11 @@ impl Client<KvStore> for ClientHost {
     /// Send every arrival whose time has come — as singles, or coalesced
     /// into one batch per shard — and expire overdue requests.
     fn handle_wake(&mut self, ctx: &mut HostCtx<'_, ClusterMsg>) {
-        self.expire_timeouts(ctx);
+        // A paused leader never answers: without timeouts a client would
+        // keep feeding a dead node for the entire outage.
+        for o in self.reqs.expire(ctx).1 {
+            self.abandon(&o);
+        }
         while let Some(at) = self.workload.peek_next() {
             if at > ctx.now {
                 break;
@@ -454,36 +268,27 @@ impl Client<KvStore> for ClientHost {
                 break;
             };
             let shard = self.router.shard_of_command(&cmd);
-            let req_id = self.next_req_id;
-            self.next_req_id += 1;
-            self.outstanding.insert(
-                req_id,
-                Outstanding {
-                    sent_at: ctx.now,
-                    send_step: step,
-                    shard,
-                    retries: 0,
-                    cmd: cmd.clone(),
-                },
-            );
             self.steps[step].sent += 1;
             self.stats[shard].sent += 1;
-            self.arm_timeout(ctx.now, req_id, 0);
             let fanned = self.read_fanout && KvStore::is_read(&cmd);
             match self.batch_window {
                 Some(window) if !fanned => {
+                    let target = self.reqs.routes.guess(shard);
+                    let req_id =
+                        self.reqs
+                            .open(ctx.now, shard, target, Lane::Leader, cmd.clone(), step);
                     self.flush_at.get_or_insert(at + window);
                     self.batch_scratch[shard].push((req_id, cmd));
                 }
                 _ => {
                     let target = if fanned {
-                        let row = self.routes.row(shard);
+                        let row = self.reqs.routes.row(shard);
                         self.read_rr[shard] = (self.read_rr[shard] + 1) % row.len();
                         row[self.read_rr[shard]]
                     } else {
-                        self.routes.guess(shard)
+                        self.reqs.routes.guess(shard)
                     };
-                    ctx.send(target, Channel::Tcp, ClusterMsg::ClientReq { req_id, cmd });
+                    self.reqs.send(ctx, shard, target, Lane::Leader, cmd, step);
                 }
             }
         }
@@ -496,7 +301,7 @@ impl Client<KvStore> for ClientHost {
                 let reqs = std::mem::take(&mut self.batch_scratch[shard]);
                 self.stats[shard].batches += 1;
                 ctx.send(
-                    self.routes.guess(shard),
+                    self.reqs.routes.guess(shard),
                     Channel::Tcp,
                     ClusterMsg::ClientBatch { reqs },
                 );
@@ -516,19 +321,22 @@ impl Client<KvStore> for ClientHost {
             ClusterMsg::ClientResp {
                 req_id,
                 result: None,
-            } => self.abandon(req_id),
+            } => {
+                if let Some(o) = self.reqs.close(req_id) {
+                    self.abandon(&o);
+                }
+            }
             ClusterMsg::ClientResp {
                 req_id,
                 result: Some(resp),
             } => {
-                let Some(o) = self.outstanding.remove(&req_id) else {
+                let Some(o) = self.reqs.close(req_id) else {
                     return;
                 };
                 if self.record_trace {
-                    self.trace
-                        .extend(op_record(&o.cmd, &resp, o.sent_at, ctx.now));
+                    self.trace.extend(op_record(&o.cmd, &resp, o.born, ctx.now));
                 }
-                let elapsed = ctx.now - o.sent_at;
+                let elapsed = ctx.now - o.born;
                 let ms = elapsed.as_secs_f64() * 1e3;
                 // Steps bucket by completion time; spill-over past the
                 // last window belongs to no step.
@@ -542,28 +350,10 @@ impl Client<KvStore> for ClientHost {
                 rec.latency_ms.push(ms);
                 self.window_hist[o.shard].record(elapsed.as_micros() as u64);
             }
-            ClusterMsg::ClientRedirect { req_id, hint, cmd } => {
-                let Some(o) = self.outstanding.get_mut(&req_id) else {
-                    return;
-                };
-                let shard = o.shard;
-                let attempt = o.retries;
-                let exhausted = attempt >= MAX_RETRIES;
-                if !exhausted {
-                    o.retries += 1;
+            ClusterMsg::ClientRedirect { req_id, hint } => {
+                if let Some(o) = self.reqs.redirect(ctx, req_id, hint) {
+                    self.abandon(&o);
                 }
-                // Adopt an in-row hint, or probe the next replica when
-                // there is none.
-                let target = self
-                    .routes
-                    .hint_or_next(shard, hint, self.routes.guess(shard));
-                self.routes.set_guess(shard, target);
-                if exhausted {
-                    self.abandon(req_id);
-                    return;
-                }
-                ctx.send(target, Channel::Tcp, ClusterMsg::ClientReq { req_id, cmd });
-                self.arm_timeout(ctx.now, req_id, attempt + 1);
             }
             // Clients ignore protocol traffic.
             _ => {}
@@ -574,8 +364,7 @@ impl Client<KvStore> for ClientHost {
     /// sooner.
     fn wake_deadline(&self) -> Option<SimTime> {
         let arrival = self.workload.peek_next();
-        let timeout = self.timeout_queue.front().map(|&(d, _, _)| d);
-        [arrival, timeout, self.flush_at]
+        [arrival, self.reqs.next_deadline(), self.flush_at]
             .into_iter()
             .flatten()
             .min()
@@ -614,8 +403,8 @@ fn op_record(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynatune_kv::{OpMix, RateStep};
-    use dynatune_simnet::rng::Rng;
+    use crate::requests::{genesis_rows, DEFAULT_BATCH_WINDOW};
+    use dynatune_kv::{OpMix, ShardMap};
 
     type Outbox = Vec<(NodeId, Channel, ClusterMsg)>;
 
@@ -663,40 +452,35 @@ mod tests {
         }
 
         fn client(&self, rps: f64) -> ClientHost {
-            self.client_with(OpMix::write_heavy(), rps)
+            self.client_with(spec(rps))
         }
 
-        fn client_with(&self, mix: OpMix, rps: f64) -> ClientHost {
+        fn client_with(&self, spec: WorkloadSpec) -> ClientHost {
             let window = self.batched.then_some(DEFAULT_BATCH_WINDOW);
-            host(self.rows(), window, mix, rps)
+            ClientHost::new(&spec, Rng::new(5), self.rows(), window)
         }
     }
 
-    fn host(rows: Vec<Vec<NodeId>>, window: Option<Duration>, mix: OpMix, rps: f64) -> ClientHost {
-        let wl = WorkloadGen::new(
-            vec![RateStep {
-                rps,
-                hold: Duration::from_secs(1),
-            }],
-            mix,
-            1000,
-            0.0,
-            16,
-            Rng::new(5),
-            SimTime::ZERO,
-        );
-        ClientHost::new(wl, rows, window, SimTime::ZERO)
+    /// One second of write-heavy load at `rps` over a small uniform
+    /// keyspace.
+    fn spec(rps: f64) -> WorkloadSpec {
+        WorkloadSpec {
+            key_space: 1000,
+            zipf_theta: 0.0,
+            value_size: 16,
+            ..WorkloadSpec::steady(rps, Duration::from_secs(1))
+        }
     }
 
     /// The sharded, batching client over the genesis placement.
     fn client(shards: usize, replicas: usize, rps: f64) -> ClientHost {
         let rows = genesis_rows(ShardMap::new(shards, replicas));
-        host(rows, Some(DEFAULT_BATCH_WINDOW), OpMix::write_heavy(), rps)
+        ClientHost::new(&spec(rps), Rng::new(5), rows, Some(DEFAULT_BATCH_WINDOW))
     }
 
     fn rotate_guess(c: &mut ClientHost, shard: ShardId) {
-        let next = c.routes.next_after(shard, c.routes.guess(shard));
-        c.routes.set_guess(shard, next);
+        let routes = &mut c.reqs.routes;
+        routes.set_guess(shard, routes.next_after(shard, routes.guess(shard)));
     }
 
     fn wake(c: &mut ClientHost, at_ms: u64) -> Outbox {
@@ -709,13 +493,13 @@ mod tests {
         out
     }
 
+    /// Fire the client's due timers alone, without its arrivals.
     fn expire(c: &mut ClientHost, at_ms: u64) -> Outbox {
         let mut out = Vec::new();
-        c.expire_timeouts(&mut HostCtx::test_ctx(
-            SimTime::from_millis(at_ms),
-            0,
-            &mut out,
-        ));
+        let mut ctx = HostCtx::test_ctx(SimTime::from_millis(at_ms), 0, &mut out);
+        for o in c.reqs.expire(&mut ctx).1 {
+            c.abandon(&o);
+        }
         out
     }
 
@@ -727,10 +511,7 @@ mod tests {
     }
 
     fn redirect(c: &mut ClientHost, at_ms: u64, req_id: u64, hint: Option<NodeId>) -> Outbox {
-        let cmd = KvCommand::Get {
-            key: Bytes::from_static(b"k"),
-        };
-        deliver(c, at_ms, ClusterMsg::ClientRedirect { req_id, hint, cmd })
+        deliver(c, at_ms, ClusterMsg::ClientRedirect { req_id, hint })
     }
 
     /// Every request in an outbox as `(target, req_id)`, singles and batch
@@ -768,7 +549,7 @@ mod tests {
                 let shard = shard_of(&c, *to);
                 assert_eq!(*to, c.placement_of(shard)[0], "{}", shape.name);
             }
-            assert_eq!(c.outstanding.len(), reqs.len(), "{}", shape.name);
+            assert_eq!(c.reqs.len(), reqs.len(), "{}", shape.name);
             assert_eq!(c.steps()[0].sent, reqs.len() as u64, "{}", shape.name);
             let per_shard: u64 = c.shard_stats().iter().map(|s| s.sent).sum();
             assert_eq!(per_shard, reqs.len() as u64, "{}", shape.name);
@@ -869,9 +650,10 @@ mod tests {
     #[test]
     fn timeouts_rotate_once_per_shard_per_wave_then_fail() {
         for shape in &SHAPES {
-            let mut c = shape
-                .client(200.0)
-                .with_request_timeout(Some(Duration::from_millis(100)));
+            let mut c = shape.client_with(WorkloadSpec {
+                request_timeout: Some(Duration::from_millis(100)),
+                ..spec(200.0)
+            });
             let sent = requests(&wake(&mut c, 100)).len();
             for stats in c.shard_stats() {
                 assert!(stats.sent >= 2, "{}: a wave of several", shape.name);
@@ -882,7 +664,7 @@ mod tests {
             // Nothing answers. Wave k resends every request of a shard as
             // a single to the k-th next replica of its row: one rotation
             // per shard per wave, however many requests expired with it.
-            for wave in 1..=u64::from(MAX_RETRIES) {
+            for wave in 1..=MAX_RETRIES {
                 let out = expire(&mut c, 100 + wave * 200);
                 assert_eq!(out.len(), sent, "{}: wave {wave}", shape.name);
                 for (to, _) in requests(&out) {
@@ -894,7 +676,7 @@ mod tests {
             // The budget is spent: the next wave abandons everything.
             assert_eq!(c.steps()[0].failed, 0, "{}", shape.name);
             assert!(expire(&mut c, 1000).is_empty(), "{}", shape.name);
-            assert!(c.outstanding.is_empty(), "{}", shape.name);
+            assert_eq!(c.reqs.len(), 0, "{}", shape.name);
             assert_eq!(c.steps()[0].failed, sent as u64, "{}", shape.name);
             let failed: u64 = c.shard_stats().iter().map(|s| s.failed).sum();
             assert_eq!(failed, sent as u64, "{}", shape.name);
@@ -907,21 +689,22 @@ mod tests {
             let mut c = shape.client(50.0);
             let (to, req_id) = requests(&wake(&mut c, 100))[0];
             let shard = shard_of(&c, to);
-            for i in 0..=u64::from(MAX_RETRIES) {
+            for i in 0..=MAX_RETRIES {
                 redirect(&mut c, 110 + i, req_id, None);
             }
             assert_eq!(c.steps()[0].failed, 1, "{}", shape.name);
             assert_eq!(c.shard_stats()[shard].failed, 1, "{}", shape.name);
-            assert!(!c.outstanding.contains_key(&req_id), "{}", shape.name);
+            assert!(c.reqs.get(req_id).is_none(), "{}", shape.name);
         }
     }
 
     #[test]
     fn a_timer_armed_before_a_redirect_does_not_retry_early() {
         for shape in &SHAPES {
-            let mut c = shape
-                .client(50.0)
-                .with_request_timeout(Some(Duration::from_millis(100)));
+            let mut c = shape.client_with(WorkloadSpec {
+                request_timeout: Some(Duration::from_millis(100)),
+                ..spec(50.0)
+            });
             let (to, req_id) = requests(&wake(&mut c, 100))[0];
             let hint = c.placement_of(shard_of(&c, to))[1];
             // Redirected at 150 ms: re-sent to the hint, due again at 250 ms.
@@ -939,9 +722,13 @@ mod tests {
     #[test]
     fn fanned_reads_round_robin_inside_the_owning_row() {
         for shape in &SHAPES {
-            let mut c = shape
-                .client_with(OpMix::read_mostly(), 400.0)
-                .with_read_fanout(true);
+            let mut c = shape.client_with(
+                WorkloadSpec {
+                    read_fanout: true,
+                    ..spec(400.0)
+                }
+                .mix(OpMix::read_mostly()),
+            );
             let out = wake(&mut c, 500);
             let mut reads = vec![Vec::new(); shape.shards];
             for (to, _, msg) in &out {
@@ -1001,12 +788,12 @@ mod tests {
         );
         assert!(map.shard_of_server(spare).is_none(), "spare is unmapped");
         // Rotation cycles through the spare instead of the retired host.
-        c.routes.set_guess(0, map.server(0, 0));
+        c.reqs.routes.set_guess(0, map.server(0, 0));
         rotate_guess(&mut c, 0);
-        assert_eq!(c.routes.guess(0), spare);
+        assert_eq!(c.reqs.routes.guess(0), spare);
         rotate_guess(&mut c, 0);
-        assert_eq!(c.routes.guess(0), map.server(0, 2));
-        c.routes.set_guess(0, map.server(0, 0));
+        assert_eq!(c.reqs.routes.guess(0), map.server(0, 2));
+        c.reqs.routes.set_guess(0, map.server(0, 0));
         // A redirect hint naming the spare is now trusted...
         let mut out = Vec::new();
         let mut ctx = HostCtx::test_ctx(SimTime::from_millis(500), 0, &mut out);
@@ -1020,7 +807,7 @@ mod tests {
                 }
             }
         }
-        let (req_id, cmd) = shard0_req.expect("some request routed to shard 0");
+        let (req_id, _) = shard0_req.expect("some request routed to shard 0");
         let mut out2 = Vec::new();
         let mut ctx = HostCtx::test_ctx(SimTime::from_millis(210), 0, &mut out2);
         c.handle_message(
@@ -1029,7 +816,6 @@ mod tests {
             ClusterMsg::ClientRedirect {
                 req_id,
                 hint: Some(spare),
-                cmd,
             },
         );
         assert_eq!(out2.len(), 1);
@@ -1043,47 +829,10 @@ mod tests {
             ClusterMsg::ClientRedirect {
                 req_id,
                 hint: Some(retired),
-                cmd: KvCommand::Get {
-                    key: bytes::Bytes::from_static(b"k"),
-                },
             },
         );
         assert_eq!(out3.len(), 1);
         assert_ne!(out3[0].0, retired, "retired replica is never re-targeted");
         assert!(c.placement_of(0).contains(&out3[0].0));
-    }
-
-    #[test]
-    fn a_wave_rotates_each_shard_once() {
-        let mut routes = RoutingTable::new(genesis_rows(ShardMap::new(2, 3)));
-        // Before any wave is opened nothing has rotated, so the first
-        // request of the first wave does.
-        routes.begin_wave();
-        routes.rotate_once_per_wave(0);
-        routes.rotate_once_per_wave(0);
-        assert_eq!((routes.guess(0), routes.guess(1)), (1, 3));
-        routes.rotate_once_per_wave(1);
-        assert_eq!((routes.guess(0), routes.guess(1)), (1, 4));
-        routes.begin_wave();
-        routes.rotate_once_per_wave(0);
-        assert_eq!((routes.guess(0), routes.guess(1)), (2, 4));
-    }
-
-    #[test]
-    fn next_in_row_from_a_repointed_away_target_restarts_at_the_head() {
-        // The broker passes a request's last *target* (not the guess) as
-        // `current`; after a repoint that target may have left the row.
-        let mut routes = RoutingTable::new(genesis_rows(ShardMap::new(2, 3)));
-        assert_eq!(routes.next_after(1, 4), 5);
-        assert_eq!(routes.next_after(1, 5), 3, "wraps inside the row");
-        routes.set_guess(1, 5);
-        routes.repoint(1, 4, 9);
-        assert_eq!(routes.row(1), [3, 9, 5]);
-        assert_eq!(routes.guess(1), 5, "a guess elsewhere is untouched");
-        assert_eq!(routes.next_after(1, 4), 3, "4 left the row: restart");
-        assert_eq!(routes.hint_or_next(1, Some(4), 4), 3, "stale hint too");
-        assert_eq!(routes.hint_or_next(1, Some(9), 4), 9);
-        assert_eq!(routes.next_after(1, 3), 9, "rotation reaches the spare");
-        assert_eq!(routes.row(0), [0, 1, 2], "other rows untouched");
     }
 }

@@ -17,10 +17,11 @@
 //! [`ClusterConfig`] whose [`ShardMap`](dynatune_kv::ShardMap) places N
 //! independent Raft groups in one world (a classic single group is
 //! `shards = 1`) and whose one `raft` template is where every Raft knob is
-//! declared. There are two clients: the KV [`ClientHost`], which holds
-//! a placement row and a leader guess per shard, and the [`BrokerClient`],
-//! which keeps its own unbounded, attempt-tagged retry policy; both route
-//! through the one `RoutingTable` in [`client`].
+//! declared. There are two clients, the KV [`ClientHost`] and the
+//! [`BrokerClient`]; both drive one crate-private request engine that owns
+//! request ids, one live timer per request, the leader-routing table
+//! (a placement row and a leader guess per shard), the redirect walk and
+//! the retry budget — three resends for KV, unbounded for the broker.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,6 +32,7 @@ pub mod cpu;
 pub mod msg;
 pub mod observers;
 pub mod rebalance;
+mod requests;
 pub mod scenario;
 pub mod server;
 pub mod sim;

@@ -43,14 +43,12 @@ pub enum ClusterMsg<A: App = KvStore> {
         result: Option<A::Response>,
     },
     /// Server → client redirect: the contacted server is not the leader.
-    /// Carries the command back so the client can retry elsewhere.
+    /// The client still holds the command and retries it elsewhere.
     ClientRedirect {
         /// Echoed request id.
         req_id: u64,
         /// The server's current leader hint, if it has one.
         hint: Option<NodeId>,
-        /// The original command, returned for retry.
-        cmd: A::Command,
     },
     /// Follower → leader: forwarded ReadIndex request. The follower keeps
     /// the client command; the leader only confirms leadership and names

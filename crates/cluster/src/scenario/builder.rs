@@ -14,8 +14,8 @@
 //! examples.
 
 use crate::broker::{BrokerClient, BrokerClusterSim, BrokerWorkload};
-use crate::client::{genesis_rows, DEFAULT_BATCH_WINDOW};
 use crate::cpu::CostModel;
+use crate::requests::{genesis_rows, DEFAULT_BATCH_WINDOW};
 use crate::server::{CompactionPolicy, ReadStrategy};
 use crate::sim::{ClusterConfig, ClusterSim, WorkloadSpec};
 use dynatune_core::TuningConfig;

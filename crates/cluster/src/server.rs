@@ -499,7 +499,7 @@ impl<A: App> ServerHost<A> {
                 continue;
             }
             let is_read = A::is_read(&req.cmd);
-            let request = Request::from_client(req.client as u64, req.req_id, req.cmd.clone());
+            let request = Request::from_client(req.client as u64, req.req_id, req.cmd);
             let (result, fx) = self.node.propose(now, request);
             match result {
                 Ok((term, index)) => {
@@ -522,7 +522,6 @@ impl<A: App> ServerHost<A> {
                             // The node's hint is group-local; clients
                             // address hosts, so translate it.
                             hint: not_leader.hint.map(|h| h + self.peer_base),
-                            cmd: req.cmd,
                         },
                     );
                 }
@@ -599,18 +598,13 @@ impl<A: App> ServerHost<A> {
     /// relay. The single place the denial semantics live.
     fn deny_read_origin(&mut self, ctx: &mut HostCtx<'_, ClusterMsg<A>>, origin: ReadOrigin<A>) {
         match origin {
-            ReadOrigin::Local {
-                client,
-                req_id,
-                cmd,
-            } => {
+            ReadOrigin::Local { client, req_id, .. } => {
                 ctx.send(
                     client,
                     Channel::Tcp,
                     ClusterMsg::ClientRedirect {
                         req_id,
                         hint: self.node.leader_id().map(|h| h + self.peer_base),
-                        cmd,
                     },
                 );
             }
@@ -771,14 +765,13 @@ impl<A: App> ServerHost<A> {
                             // The contacted server cannot confirm
                             // leadership: every covered read redirects.
                             for id in wave.ids {
-                                if let Some((client, req_id, cmd)) = self.forwarded.remove(&id) {
+                                if let Some((client, req_id, _)) = self.forwarded.remove(&id) {
                                     ctx.send(
                                         client,
                                         Channel::Tcp,
                                         ClusterMsg::ClientRedirect {
                                             req_id,
                                             hint: self.node.leader_id().map(|h| h + self.peer_base),
-                                            cmd,
                                         },
                                     );
                                 }

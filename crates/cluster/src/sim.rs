@@ -16,7 +16,7 @@ use crate::cpu::CostModel;
 use crate::msg::ClusterMsg;
 use crate::server::{CompactionPolicy, ReadCounters, ReadStrategy, ServerHost};
 use dynatune_core::{invariant_violated, TuningConfig, TuningSnapshot};
-use dynatune_kv::{App, KvStore, OpMix, RateStep, ShardId, ShardMap, WorkloadGen};
+use dynatune_kv::{App, KvStore, OpMix, RateStep, ShardId, ShardMap};
 use dynatune_raft::{ConfChange, Membership, NodeId, RaftConfig, RaftEvent, Role};
 use dynatune_simnet::{
     CongestionConfig, Host, HostCtx, LinkSchedule, NetParams, Network, Rng, SimTime, Topology,
@@ -93,20 +93,6 @@ impl WorkloadSpec {
     pub fn timeout(mut self, timeout: Option<Duration>) -> Self {
         self.request_timeout = timeout;
         self
-    }
-
-    /// The arrival generator this spec describes, drawing from `rng`.
-    #[must_use]
-    pub(crate) fn generator(&self, rng: Rng) -> WorkloadGen {
-        WorkloadGen::new(
-            self.steps.clone(),
-            self.mix,
-            self.key_space,
-            self.zipf_theta,
-            self.value_size,
-            rng,
-            SimTime::ZERO + self.start_offset,
-        )
     }
 }
 
@@ -294,13 +280,10 @@ impl ClusterSim {
         batch_window: Option<Duration>,
     ) -> Self {
         Self::with_client(config, |rng| {
-            config.workload.as_ref().map(|spec| {
-                let start = SimTime::ZERO + spec.start_offset;
-                ClientHost::new(spec.generator(rng), rows, batch_window, start)
-                    .with_request_timeout(spec.request_timeout)
-                    .with_read_fanout(spec.read_fanout)
-                    .with_trace(spec.record_trace)
-            })
+            config
+                .workload
+                .as_ref()
+                .map(|spec| ClientHost::new(spec, rng, rows, batch_window))
         })
     }
 
