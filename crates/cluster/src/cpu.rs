@@ -19,7 +19,6 @@
 use dynatune_core::invariant_violated;
 use dynatune_simnet::SimTime;
 use dynatune_stats::TimeSeries;
-use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// Per-action busy-time costs.
@@ -131,8 +130,9 @@ pub struct CpuMeter {
     /// Next-free instant per virtual core.
     cores: Vec<SimTime>,
     window: Duration,
-    /// Busy seconds per window index.
-    window_busy: BTreeMap<u64, f64>,
+    /// Busy seconds by window index; `None` for a window nothing was
+    /// charged to, which the utilization series skips.
+    window_busy: Vec<Option<f64>>,
     total_busy: Duration,
 }
 
@@ -146,7 +146,7 @@ impl CpuMeter {
         Self {
             cores: vec![SimTime::ZERO; cores],
             window,
-            window_busy: BTreeMap::new(),
+            window_busy: Vec::new(),
             total_busy: Duration::ZERO,
         }
     }
@@ -176,12 +176,20 @@ impl CpuMeter {
         let w = self.window.as_secs_f64();
         let mut t = start.as_secs_f64();
         let end_s = end.as_secs_f64();
+        // The window index advances by counting, not by dividing the next
+        // boundary back by `w`: `(k * w) / w` can round below `k` (a 3 ms
+        // window at k = 49), which would re-enter the same window with a
+        // zero slice forever.
+        let mut widx = (t / w) as usize;
         while t < end_s {
-            let widx = (t / w) as u64;
             let wend = (widx + 1) as f64 * w;
             let slice = end_s.min(wend) - t;
-            *self.window_busy.entry(widx).or_insert(0.0) += slice;
+            if widx >= self.window_busy.len() {
+                self.window_busy.resize(widx + 1, None);
+            }
+            *self.window_busy[widx].get_or_insert(0.0) += slice;
             t = wend;
+            widx += 1;
         }
     }
 
@@ -198,8 +206,10 @@ impl CpuMeter {
     pub fn utilization_series(&self) -> TimeSeries {
         let mut ts = TimeSeries::new();
         let w = self.window.as_secs_f64();
-        for (&widx, &busy) in &self.window_busy {
-            ts.push(widx as f64 * w, busy / w * 100.0);
+        for (widx, busy) in self.window_busy.iter().enumerate() {
+            if let Some(busy) = busy {
+                ts.push(widx as f64 * w, busy / w * 100.0);
+            }
         }
         ts
     }
@@ -208,13 +218,13 @@ impl CpuMeter {
     #[must_use]
     pub fn mean_utilization(&self, from: SimTime, to: SimTime) -> f64 {
         let w = self.window.as_secs_f64();
-        let lo = (from.as_secs_f64() / w) as u64;
-        let hi = (to.as_secs_f64() / w).ceil() as u64;
+        let lo = (from.as_secs_f64() / w) as usize;
+        let hi = (to.as_secs_f64() / w).ceil() as usize;
         if hi <= lo {
             return 0.0;
         }
         let busy: f64 = (lo..hi)
-            .map(|i| self.window_busy.get(&i).copied().unwrap_or(0.0))
+            .map(|i| self.window_busy.get(i).copied().flatten().unwrap_or(0.0))
             .sum();
         busy / ((hi - lo) as f64 * w) * 100.0
     }
@@ -223,9 +233,130 @@ impl CpuMeter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn ms(v: u64) -> SimTime {
         SimTime::from_millis(v)
+    }
+
+    /// The meter as it was when windows were keyed in a `BTreeMap`: the
+    /// reference `prop_meter_matches_the_btreemap_meter` holds it to. Its
+    /// loop re-derives the window from the boundary it reached, so it never
+    /// ends on a window whose multiples do not divide back exactly; whole
+    /// seconds do.
+    struct ModelMeter {
+        cores: Vec<SimTime>,
+        window: Duration,
+        window_busy: BTreeMap<u64, f64>,
+    }
+
+    impl ModelMeter {
+        fn new(cores: usize, window: Duration) -> Self {
+            Self {
+                cores: vec![SimTime::ZERO; cores],
+                window,
+                window_busy: BTreeMap::new(),
+            }
+        }
+
+        fn charge(&mut self, now: SimTime, cost: Duration) -> SimTime {
+            if cost.is_zero() {
+                return now;
+            }
+            let (idx, &free_at) = self
+                .cores
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, &t)| t)
+                .unwrap();
+            let start = free_at.max(now);
+            let end = start + cost;
+            self.cores[idx] = end;
+            let w = self.window.as_secs_f64();
+            let mut t = start.as_secs_f64();
+            let end_s = end.as_secs_f64();
+            while t < end_s {
+                let widx = (t / w) as u64;
+                let wend = (widx + 1) as f64 * w;
+                let slice = end_s.min(wend) - t;
+                *self.window_busy.entry(widx).or_insert(0.0) += slice;
+                t = wend;
+            }
+            end
+        }
+
+        fn utilization_series(&self) -> Vec<(f64, f64)> {
+            let w = self.window.as_secs_f64();
+            let busy = self.window_busy.iter();
+            busy.map(|(&widx, &busy)| (widx as f64 * w, busy / w * 100.0))
+                .collect()
+        }
+
+        fn mean_utilization(&self, from: SimTime, to: SimTime) -> f64 {
+            let w = self.window.as_secs_f64();
+            let lo = (from.as_secs_f64() / w) as u64;
+            let hi = (to.as_secs_f64() / w).ceil() as u64;
+            if hi <= lo {
+                return 0.0;
+            }
+            let busy: f64 = (lo..hi)
+                .map(|i| self.window_busy.get(&i).copied().unwrap_or(0.0))
+                .sum();
+            busy / ((hi - lo) as f64 * w) * 100.0
+        }
+    }
+
+    fn bits(points: &[(f64, f64)]) -> Vec<(u64, u64)> {
+        points
+            .iter()
+            .map(|(t, v)| (t.to_bits(), v.to_bits()))
+            .collect()
+    }
+
+    /// One charge: `idle` whole windows pass, then the charge arrives
+    /// `at`‰ of a window later and costs `cost`‰ of a window — from
+    /// nothing to more than two windows, so one charge can span three.
+    fn charge() -> impl Strategy<Value = (u32, u32, u32)> {
+        let idle = prop_oneof![6 => Just(0u32), 1 => 1u32..4];
+        let cost = prop_oneof![8 => 0u32..1000, 1 => 2000u32..3000];
+        (idle, 0u32..1000, cost)
+    }
+
+    proptest! {
+        /// Fed the same charges, the `Vec` meter and the `BTreeMap` one
+        /// return the same completion instants, a bit-identical
+        /// utilization series, and a bit-identical mean utilization over
+        /// ranges that start and end on window boundaries or inside
+        /// windows, charged or not.
+        #[test]
+        fn prop_meter_matches_the_btreemap_meter(
+            cores in 1usize..=3,
+            window_s in 1u64..=10,
+            charges in proptest::collection::vec(charge(), 0..60),
+            probes in proptest::collection::vec((0u32..600, 0u32..600), 1..8),
+        ) {
+            let window = Duration::from_secs(window_s);
+            let mut meter = CpuMeter::new(cores, window);
+            let mut model = ModelMeter::new(cores, window);
+            let mut now = SimTime::ZERO;
+            for (idle, at, cost) in charges {
+                now = now + window * idle + window * at / 1000;
+                let cost = window * cost / 1000;
+                prop_assert_eq!(meter.charge(now, cost), model.charge(now, cost));
+            }
+            let series = meter.utilization_series();
+            prop_assert_eq!(bits(series.points()), bits(&model.utilization_series()));
+            // Probes in tenths of a window: every tenth one is aligned.
+            for (a, b) in probes {
+                let at = |tenths: u32| SimTime::ZERO + window * tenths / 10;
+                let (from, to) = (at(a.min(b)), at(a.max(b)));
+                prop_assert_eq!(
+                    meter.mean_utilization(from, to).to_bits(),
+                    model.mean_utilization(from, to).to_bits()
+                );
+            }
+        }
     }
 
     #[test]
@@ -301,6 +432,23 @@ mod tests {
         }
         // And the first windows are fully saturated.
         assert!((ts.points()[0].1 - 200.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_window_boundary_that_divides_back_short_still_advances() {
+        // 0.003 * 49 / 0.003 < 49: re-deriving the window from the
+        // boundary would re-enter window 48 with a zero slice forever.
+        let mut m = CpuMeter::new(1, Duration::from_millis(3));
+        assert_eq!(m.charge(ms(146), Duration::from_millis(10)), ms(156));
+        let pts = m.utilization_series();
+        let windows: Vec<f64> = pts.points().iter().map(|&(t, _)| t / 0.003).collect();
+        assert_eq!(windows.len(), 4, "windows 48..=51: {windows:?}");
+        let busy: f64 = pts
+            .points()
+            .iter()
+            .map(|&(_, pct)| pct * 0.003 / 100.0)
+            .sum();
+        assert!((busy - 0.010).abs() < 1e-12, "{busy}");
     }
 
     #[test]

@@ -22,6 +22,12 @@
 //! request ids, one live timer per request, the leader-routing table
 //! (a placement row and a leader guess per shard), the redirect walk and
 //! the retry budget — three resends for KV, unbounded for the broker.
+//!
+//! State keyed by ids this crate hands out in increasing order — the
+//! engine's live requests, a server's proposals by log index, its read
+//! grants and forwarded reads — lives in one crate-private slot ring that
+//! finds an entry by its offset from the oldest live id and iterates in id
+//! order.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,6 +42,7 @@ mod requests;
 pub mod scenario;
 pub mod server;
 pub mod sim;
+mod slots;
 
 pub use broker::{BrokerClient, BrokerClusterSim, BrokerStats, BrokerWorkload, ConsumerStats};
 pub use client::{ClientHost, OpRecord, ShardStats, StepRecord};

@@ -16,10 +16,11 @@
 //! ([`Walk`]).
 
 use crate::msg::ClusterMsg;
+use crate::slots::SlotRing;
 use dynatune_kv::{App, ShardId, ShardMap};
 use dynatune_raft::NodeId;
 use dynatune_simnet::{Channel, HostCtx, SimTime};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::time::Duration;
 
 /// The client-side batching window of a sharded KV cluster and of the
@@ -191,7 +192,9 @@ pub(crate) struct Requests<A: App, Meta> {
     budget: Option<u64>,
     walk: Walk,
     next_id: u64,
-    live: BTreeMap<u64, Live<A, Meta>>,
+    /// Boxed: an overload backlog leaves the ring's slack a pointer per
+    /// slot, not a whole request.
+    live: SlotRing<Box<Live<A, Meta>>>,
     /// `(deadline, req_id, attempt)`. A constant timeout keeps it ordered;
     /// an entry whose attempt is stale is skipped when it comes due.
     timers: VecDeque<(SimTime, u64, u64)>,
@@ -210,14 +213,14 @@ impl<A: App, Meta> Requests<A, Meta> {
             budget,
             walk,
             next_id: 0,
-            live: BTreeMap::new(),
+            live: SlotRing::new(),
             timers: VecDeque::new(),
         }
     }
 
     /// A live request.
     pub(crate) fn get(&self, req_id: u64) -> Option<&Live<A, Meta>> {
-        self.live.get(&req_id)
+        self.live.get(req_id).map(Box::as_ref)
     }
 
     /// Number of live requests.
@@ -248,7 +251,7 @@ impl<A: App, Meta> Requests<A, Meta> {
             cmd,
             meta,
         };
-        self.live.insert(req_id, live);
+        self.live.insert(req_id, Box::new(live));
         self.arm(now, req_id, 0);
         req_id
     }
@@ -270,7 +273,7 @@ impl<A: App, Meta> Requests<A, Meta> {
 
     /// End a request (its answer arrived). Its timer becomes inert.
     pub(crate) fn close(&mut self, req_id: u64) -> Option<Live<A, Meta>> {
-        self.live.remove(&req_id)
+        self.live.remove(req_id).map(|r| *r)
     }
 
     /// When the oldest armed timer comes due.
@@ -292,7 +295,7 @@ impl<A: App, Meta> Requests<A, Meta> {
                 break;
             }
             self.timers.pop_front();
-            if self.live.get(&req_id).is_some_and(|r| r.attempt == attempt) {
+            if self.live.get(req_id).is_some_and(|r| r.attempt == attempt) {
                 match self.retry(ctx, req_id) {
                     Some(r) => spent.push(r),
                     None => resent += 1,
@@ -313,7 +316,7 @@ impl<A: App, Meta> Requests<A, Meta> {
         req_id: u64,
         hint: Option<NodeId>,
     ) -> Option<Live<A, Meta>> {
-        let r = self.live.get(&req_id)?;
+        let r = self.live.get(req_id)?;
         let from = match (r.lane, self.walk) {
             (Lane::Leader, Walk::FromGuess) => self.routes.guess(r.shard),
             _ => r.target,
@@ -335,9 +338,9 @@ impl<A: App, Meta> Requests<A, Meta> {
         ctx: &mut HostCtx<'_, ClusterMsg<A>>,
         req_id: u64,
     ) -> Option<Live<A, Meta>> {
-        let r = self.live.get(&req_id)?;
+        let r = self.live.get(req_id)?;
         if self.budget.is_some_and(|budget| r.attempt >= budget) {
-            return self.live.remove(&req_id);
+            return self.close(req_id);
         }
         let target = match r.lane {
             Lane::Leader => {
@@ -358,9 +361,9 @@ impl<A: App, Meta> Requests<A, Meta> {
         req_id: u64,
         target: NodeId,
     ) -> Option<Live<A, Meta>> {
-        let r = self.live.get_mut(&req_id)?;
+        let r = self.live.get_mut(req_id)?;
         if self.budget.is_some_and(|budget| r.attempt >= budget) {
-            return self.live.remove(&req_id);
+            return self.close(req_id);
         }
         r.attempt += 1;
         r.target = target;

@@ -9,6 +9,7 @@
 
 use crate::cpu::{CostModel, CpuMeter};
 use crate::msg::{ClusterMsg, RaftPayload};
+use crate::slots::SlotRing;
 use dynatune_kv::{App, KvStore, Replicated, Request};
 use dynatune_raft::{
     ConfChange, LogIndex, NodeEffects, NodeId, Payload, RaftConfig, RaftEvent, RaftNode, ReadPath,
@@ -171,8 +172,9 @@ pub struct ServerHost<A: App = KvStore> {
     peer_base: NodeId,
     /// Observable event log: `(time, event)`.
     events: Vec<(SimTime, RaftEvent)>,
-    /// Proposals awaiting application, keyed by log index.
-    pending: BTreeMap<LogIndex, PendingReq>,
+    /// Proposals awaiting application, by log index (ascending while
+    /// this node leads; cleared whenever it stops).
+    pending: SlotRing<PendingReq>,
     /// CPU-admitted client requests not yet proposed (FIFO by ready_at).
     admit: std::collections::VecDeque<AdmittedReq<A>>,
     /// How reads are served (log-replicated vs lease/ReadIndex).
@@ -180,11 +182,11 @@ pub struct ServerHost<A: App = KvStore> {
     /// Grant-token allocator for reads registered with the Raft node.
     next_read_token: u64,
     /// Outstanding read grants, by token.
-    read_origins: BTreeMap<u64, ReadOrigin<A>>,
+    read_origins: SlotRing<ReadOrigin<A>>,
     /// Local-id allocator for reads this follower forwarded to the leader.
     next_fwd_id: u64,
     /// Reads forwarded to the leader, awaiting a `ReadIndexResp`.
-    forwarded: BTreeMap<u64, (NodeId, u64, A::Command)>,
+    forwarded: SlotRing<(NodeId, u64, A::Command)>,
     /// Wave-id allocator for forwarded-read batches.
     next_fwd_wave: u64,
     /// Forwarded reads admitted but not yet covered by a wave.
@@ -217,13 +219,13 @@ impl<A: App> ServerHost<A> {
             tunes,
             peer_base: 0,
             events: Vec::new(),
-            pending: BTreeMap::new(),
+            pending: SlotRing::new(),
             admit: std::collections::VecDeque::new(),
             read_strategy: ReadStrategy::default(),
             next_read_token: 0,
-            read_origins: BTreeMap::new(),
+            read_origins: SlotRing::new(),
             next_fwd_id: 0,
-            forwarded: BTreeMap::new(),
+            forwarded: SlotRing::new(),
             next_fwd_wave: 0,
             fwd_pending: Vec::new(),
             fwd_inflight: None,
@@ -385,7 +387,7 @@ impl<A: App> ServerHost<A> {
         }
         for applied in fx.applied {
             self.cpu.charge(now, self.cost.per_apply);
-            if let Some(p) = self.pending.remove(&applied.index) {
+            if let Some(p) = self.pending.remove(applied.index) {
                 let result = if p.term == applied.term {
                     if p.is_read && applied.response.is_some() {
                         self.reads_served.log += 1;
@@ -407,7 +409,7 @@ impl<A: App> ServerHost<A> {
         // Log-free read grants: answer local reads from our state machine,
         // relay forwarded grants back to their followers.
         for grant in fx.reads {
-            match self.read_origins.remove(&grant.id) {
+            match self.read_origins.remove(grant.id) {
                 Some(ReadOrigin::Local {
                     client,
                     req_id,
@@ -446,7 +448,7 @@ impl<A: App> ServerHost<A> {
         // Reads whose leader gave up on them (leadership lost before the
         // grant): clients get a redirect, followers a denial to relay.
         for id in fx.aborted_reads {
-            if let Some(origin) = self.read_origins.remove(&id) {
+            if let Some(origin) = self.read_origins.remove(id) {
                 self.deny_read_origin(ctx, origin);
             }
         }
@@ -457,9 +459,8 @@ impl<A: App> ServerHost<A> {
         // may still commit under the new leader; the client's retry of the
         // same req_id is deduplicated by the app's replicated reply cache,
         // so reporting failure here cannot cause a duplicate apply.
-        if self.node.role() != Role::Leader && !self.pending.is_empty() {
-            let pending = std::mem::take(&mut self.pending);
-            for (_, p) in pending {
+        if self.node.role() != Role::Leader {
+            for p in self.pending.drain() {
                 ctx.send(
                     p.client,
                     Channel::Tcp,
@@ -585,7 +586,7 @@ impl<A: App> ServerHost<A> {
         self.read_origins.insert(token, origin);
         let (result, fx) = self.node.request_read(ctx.now, token, wait_apply);
         if result.is_err() {
-            if let Some(origin) = self.read_origins.remove(&token) {
+            if let Some(origin) = self.read_origins.remove(token) {
                 self.deny_read_origin(ctx, origin);
             }
         }
@@ -665,7 +666,7 @@ impl<A: App> ServerHost<A> {
     /// Answer a forwarded read from the local state machine (the grant's
     /// read index is known to be applied).
     fn serve_follower_read(&mut self, ctx: &mut HostCtx<'_, ClusterMsg<A>>, read_id: u64) {
-        let Some((client, req_id, cmd)) = self.forwarded.remove(&read_id) else {
+        let Some((client, req_id, cmd)) = self.forwarded.remove(read_id) else {
             return; // superseded by a crash-restart
         };
         // Reply-cache invariant holds here too: forwarded reads execute
@@ -765,7 +766,7 @@ impl<A: App> ServerHost<A> {
                             // The contacted server cannot confirm
                             // leadership: every covered read redirects.
                             for id in wave.ids {
-                                if let Some((client, req_id, _)) = self.forwarded.remove(&id) {
+                                if let Some((client, req_id, _)) = self.forwarded.remove(id) {
                                     ctx.send(
                                         client,
                                         Channel::Tcp,

@@ -22,8 +22,15 @@ pub struct ReqOrigin {
 /// could commit after its original's reply was evicted and be applied
 /// twice. A fig5-style ramp peaking near 15 k req/s with a 1 s response
 /// timeout and up to 4 sends per request needs ≈ 60 k ids; 65 536 clears
-/// that with headroom while a cached reply stays ~40 bytes, so the cache
-/// tops out near 2.6 MB per origin.
+/// that with headroom.
+///
+/// What a full window weighs depends on the replies. A KV `Delete` or `Cas`
+/// reply is 25 bytes, but a `Put` reply caches `prev`, the value it
+/// overwrote, so its `cached_bytes` is 24 + that value's size (a `Get`
+/// through the log caches the value it read, at 48 + its size), and the
+/// cache alone keeps those old values alive: at 512-byte values a window
+/// of overwriting `Put`s holds ≈ 65 536 × 536 B ≈ 35 MB per origin. The
+/// same bytes feed the simulated snapshot cost.
 pub const DEFAULT_REPLY_WINDOW: u64 = 1 << 16;
 // 15 k req/s × 1 s × 4 sends.
 const _: () = assert!(

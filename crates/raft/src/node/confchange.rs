@@ -156,11 +156,8 @@ impl<SM: StateMachine> RaftNode<SM> {
         let RoleState::Leader(lead) = &mut self.state else {
             return;
         };
-        lead.peers.retain(|id, _| members.contains(id));
-        for &peer in members.iter().filter(|&&peer| peer != self.config.id) {
-            let fresh = || Peer::new(last_index, now, self.config.tuning);
-            lead.peers.entry(peer).or_insert_with(fresh);
-        }
+        let fresh = || Peer::new(last_index, now, self.config.tuning);
+        lead.peers.sync(&members, self.config.id, fresh);
     }
 
     /// Reconcile the membership frame stack with the log after an accepted

@@ -27,7 +27,7 @@ impl<SM: StateMachine> RaftNode<SM> {
     /// Heartbeat interval currently applied towards `follower` (leader only).
     #[must_use]
     pub fn pacer_interval(&self, follower: NodeId) -> Option<Duration> {
-        Some(self.lead()?.peers.get(&follower)?.pacer.interval())
+        Some(self.lead()?.peers.get(follower)?.pacer.interval())
     }
 
     /// Emit the heartbeats that are due. Every tracked member — voters of
@@ -38,10 +38,14 @@ impl<SM: StateMachine> RaftNode<SM> {
         let RoleState::Leader(lead) = &mut self.state else {
             return;
         };
-        let next_sends = lead.peers.values().map(|p| p.pacer.next_send_nanos());
         let consolidated_due = self.config.consolidated_heartbeat_timer
-            && next_sends.min().is_some_and(|min| now.as_nanos() >= min);
-        for (&peer, Peer { progress: p, pacer }) in &mut lead.peers {
+            && lead
+                .peers
+                .values()
+                .map(|p| p.pacer.next_send_nanos())
+                .min()
+                .is_some_and(|min| now.as_nanos() >= min);
+        for (peer, Peer { progress: p, pacer }) in lead.peers.iter_mut() {
             // §IV-E extension 1: recent replication traffic already reset
             // this follower's election timer; skip the redundant heartbeat.
             let suppress = self.config.suppress_heartbeats_when_replicating
@@ -110,7 +114,7 @@ impl<SM: StateMachine> RaftNode<SM> {
         if resp.term != self.term {
             return;
         }
-        let Some(peer) = self.lead_mut().and_then(|lead| lead.peers.get_mut(&from)) else {
+        let Some(peer) = self.lead_mut().and_then(|lead| lead.peers.get_mut(from)) else {
             return;
         };
         let p = &mut peer.progress;

@@ -20,7 +20,8 @@
 //!   pacing decisions leave;
 //! * `replication.rs` — proposals, group commit, the pipelined
 //!   `AppendEntries` window, acks, commit and apply, and the leader's
-//!   per-peer state;
+//!   per-peer state: a table indexed by group-local id, walked in
+//!   ascending id order, which is the order per-peer messages leave in;
 //! * `reads.rs` — log-free reads: the leader lease and ReadIndex rounds;
 //! * `confchange.rs` — joint-consensus configuration changes and the
 //!   membership frame stack;
@@ -2071,5 +2072,68 @@ mod tests {
         );
         let kinds: Vec<&str> = fx.events.iter().map(RaftEvent::kind).collect();
         assert!(kinds.contains(&"stepped_down"), "events: {kinds:?}");
+    }
+
+    /// Per-peer loops send in ascending id order — also after a learner
+    /// above every voter joins (leaving an untracked id below it) and a
+    /// `Finalize` drops a voter from the middle of the id range.
+    #[test]
+    fn appends_and_heartbeats_go_out_in_ascending_id_order_across_membership_changes() {
+        let mut n = node(0, 4);
+        let _ = elect(&mut n, SimTime::ZERO);
+        let t = ms(3000);
+        // Every tracked peer acks the whole log, leaving every pipe idle
+        // (an untracked peer's ack is ignored).
+        let ack_all = |n: &mut Node| {
+            let last = n.log().last_index();
+            for peer in [1, 2, 3, 5] {
+                let resp = AppendResp {
+                    term: n.term(),
+                    success: true,
+                    match_or_hint: last,
+                    read_ctx: None,
+                };
+                let _ = n.step(t, peer, Payload::AppendResp(resp));
+            }
+            assert_eq!(n.commit_index(), last);
+        };
+        let change = |n: &mut Node, change: ConfChange| {
+            let (res, _) = n.propose_conf_change(t, change);
+            res.unwrap();
+            ack_all(n);
+        };
+        // Who a proposal and then a heartbeat round at `beat` reach, in
+        // emission order.
+        let order = |n: &mut Node, command: u64, beat: SimTime| {
+            let (res, fx) = n.propose(t, command);
+            res.unwrap();
+            let appends: Vec<NodeId> = fx.messages.iter().map(|m| m.to).collect();
+            let fx = n.tick(beat);
+            let heartbeats: Vec<NodeId> = fx
+                .messages
+                .iter()
+                .filter(|m| matches!(m.payload, Payload::Heartbeat(_)))
+                .map(|m| m.to)
+                .collect();
+            (appends, heartbeats)
+        };
+        ack_all(&mut n);
+        change(&mut n, ConfChange::AddLearner(5));
+        let tracked = vec![1, 2, 3, 5];
+        let beat = t + Duration::from_millis(500);
+        assert_eq!(order(&mut n, 1, beat), (tracked.clone(), tracked));
+        ack_all(&mut n);
+        let begin = ConfChange::Begin {
+            add: vec![],
+            remove: vec![2],
+        };
+        change(&mut n, begin);
+        change(&mut n, ConfChange::Finalize);
+        assert!(!n.membership().members().contains(&2));
+        assert!(n.progress_of(2).is_none(), "the removed voter is untracked");
+        let tracked = vec![1, 3, 5];
+        // One default heartbeat interval later, every pacer is due again.
+        let beat = beat + Duration::from_millis(100);
+        assert_eq!(order(&mut n, 2, beat), (tracked.clone(), tracked));
     }
 }

@@ -11,7 +11,8 @@ use crate::state_machine::{Applied, Effects, StateMachine};
 use crate::types::{LogIndex, NodeId, Role, Term};
 use dynatune_core::{invariant_violated, LeaderPacer, TuningConfig};
 use dynatune_simnet::SimTime;
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
+use std::ops::Range;
 use std::time::Duration;
 
 /// Group commit: proposals arriving while the replication pipe is busy
@@ -60,13 +61,67 @@ impl Peer {
     }
 }
 
+/// The leader's [`Peer`]s, indexed by group-local id. Ids are small and
+/// dense (`0..n`, learners just above), so a lookup is an index, and
+/// iteration runs in ascending id order — the order every per-peer loop
+/// emits messages in.
+#[derive(Debug, Default)]
+pub(super) struct PeerTable(Vec<Option<Peer>>);
+
+impl PeerTable {
+    pub(super) fn get(&self, id: NodeId) -> Option<&Peer> {
+        self.0.get(id)?.as_ref()
+    }
+
+    pub(super) fn get_mut(&mut self, id: NodeId) -> Option<&mut Peer> {
+        self.0.get_mut(id)?.as_mut()
+    }
+
+    /// One past the highest id the table has a slot for: every tracked
+    /// peer's id is below it.
+    pub(super) fn id_bound(&self) -> NodeId {
+        self.0.len()
+    }
+
+    pub(super) fn values(&self) -> impl Iterator<Item = &Peer> {
+        self.0.iter().flatten()
+    }
+
+    /// Tracked peers ascending by id.
+    pub(super) fn iter_mut(&mut self) -> impl Iterator<Item = (NodeId, &mut Peer)> {
+        let slots = self.0.iter_mut().enumerate();
+        slots.filter_map(|(id, peer)| Some((id, peer.as_mut()?)))
+    }
+
+    /// Track exactly `members` but `me`: drop the others, and start each
+    /// member not yet tracked from `fresh()`.
+    pub(super) fn sync(
+        &mut self,
+        members: &BTreeSet<NodeId>,
+        me: NodeId,
+        fresh: impl Fn() -> Peer,
+    ) {
+        for (id, slot) in self.0.iter_mut().enumerate() {
+            if !members.contains(&id) {
+                *slot = None;
+            }
+        }
+        for &id in members.iter().filter(|&&id| id != me) {
+            if id >= self.0.len() {
+                self.0.resize_with(id + 1, || None);
+            }
+            self.0[id].get_or_insert_with(&fresh);
+        }
+    }
+}
+
 /// Everything only a leader has. It exists exactly while the node leads:
 /// `become_leader` builds it, stepping down (or restarting) drops it.
 #[derive(Debug)]
 pub(super) struct LeaderState {
     /// Every tracked member but this node — voters of both configurations
-    /// and learners — ascending by id, which fixes emission order.
-    pub(super) peers: BTreeMap<NodeId, Peer>,
+    /// and learners.
+    pub(super) peers: PeerTable,
     pub(super) lease_check_at: SimTime,
     /// Group commit: payload bytes proposed since the last flush. Proposals
     /// that could not ship immediately (every pipe busy) accumulate here
@@ -85,7 +140,7 @@ impl LeaderState {
     /// `lease_check_at`.
     pub(super) fn new(lease_check_at: SimTime) -> Self {
         Self {
-            peers: BTreeMap::new(),
+            peers: PeerTable::default(),
             lease_check_at,
             batch_bytes: 0,
             batch_deadline: None,
@@ -100,11 +155,11 @@ impl<SM: StateMachine> RaftNode<SM> {
     /// promotion on measured catch-up.
     #[must_use]
     pub fn progress_of(&self, peer: NodeId) -> Option<&Progress> {
-        Some(&self.lead()?.peers.get(&peer)?.progress)
+        Some(&self.lead()?.peers.get(peer)?.progress)
     }
 
     pub(super) fn progress_mut(&mut self, peer: NodeId) -> Option<&mut Progress> {
-        Some(&mut self.lead_mut()?.peers.get_mut(&peer)?.progress)
+        Some(&mut self.lead_mut()?.peers.get_mut(peer)?.progress)
     }
 
     /// The leader bookkeeping, while this node leads.
@@ -122,19 +177,12 @@ impl<SM: StateMachine> RaftNode<SM> {
         }
     }
 
-    /// The tracked peers whose progress satisfies `pred`, in id order — the
-    /// order every per-peer loop sends in. Empty off-leader.
-    fn peers_where(&self, pred: impl Fn(&Progress) -> bool) -> Vec<NodeId> {
-        let Some(lead) = self.lead() else {
-            return Vec::new();
-        };
-        let matching = lead.peers.iter().filter(|(_, peer)| pred(&peer.progress));
-        matching.map(|(&id, _)| id).collect()
-    }
-
-    /// Every member this leader replicates to.
-    pub(super) fn peer_ids(&self) -> Vec<NodeId> {
-        self.peers_where(|_| true)
+    /// The ids a per-peer loop walks, ascending — the order it sends in.
+    /// The range also holds ids nobody is tracked under (this node's own
+    /// among them), which every per-peer step skips for want of progress.
+    /// Empty off-leader.
+    pub(super) fn peer_ids(&self) -> Range<NodeId> {
+        0..self.lead().map_or(0, |lead| lead.peers.id_bound())
     }
 
     /// Propose a command. On the leader this appends to the log, starts
@@ -171,8 +219,13 @@ impl<SM: StateMachine> RaftNode<SM> {
     /// bytes, and every proposal that reaches the cap flushes, so the cap
     /// only ever trips on a command.
     pub(super) fn replicate_new_entry(&mut self, now: SimTime, fx: &mut NodeEffects<SM>) {
-        for peer in self.peers_where(|p| p.inflight.is_empty()) {
-            self.send_append(now, peer, fx);
+        for peer in self.peer_ids() {
+            if self
+                .progress_of(peer)
+                .is_some_and(|p| p.inflight.is_empty())
+            {
+                self.send_append(now, peer, fx);
+            }
         }
         let last = self.log.last_index();
         let RoleState::Leader(lead) = &mut self.state else {
@@ -212,7 +265,7 @@ impl<SM: StateMachine> RaftNode<SM> {
         let RoleState::Leader(lead) = &mut self.state else {
             return;
         };
-        let Some(p) = lead.peers.get_mut(&to).map(|peer| &mut peer.progress) else {
+        let Some(p) = lead.peers.get_mut(to).map(|peer| &mut peer.progress) else {
             return;
         };
         if !p.window_free(window) {
@@ -291,11 +344,14 @@ impl<SM: StateMachine> RaftNode<SM> {
     /// is unverifiable, so the whole optimistic window is abandoned and
     /// replication falls back to proven ground.
     pub(super) fn resend_stalled(&mut self, now: SimTime, fx: &mut NodeEffects<SM>) {
-        let expired = |p: &Progress| {
-            p.oldest_sent_at()
-                .is_some_and(|oldest| now >= oldest + self.resend_after(p))
-        };
-        for peer in self.peers_where(expired) {
+        for peer in self.peer_ids() {
+            let expired = self.progress_of(peer).is_some_and(|p| {
+                p.oldest_sent_at()
+                    .is_some_and(|oldest| now >= oldest + self.resend_after(p))
+            });
+            if !expired {
+                continue;
+            }
             if let Some(p) = self.progress_mut(peer) {
                 p.reset_for_resend();
             }
