@@ -17,8 +17,11 @@ pub struct FetchResult {
 
 /// Records per chunk. One growing `Vec<Record>` per partition reads back
 /// the same bytes, but the spare capacity its doubling leaves behind cost
-/// the `broker_stream` benchmark workload 7.5 % more peak memory (443.6 vs
-/// 412.6 MiB, 3 of 3 runs) than chunks allocated once at this capacity.
+/// the `broker_stream` benchmark workload 7.5 % more peak memory than
+/// chunks allocated once at this capacity (443.6 vs 412.6 MiB, 3 of 3
+/// runs, measured when chunks replaced the flat log; those totals predate
+/// the shared produce batch, which took about 31 MiB of follower log copies
+/// off them).
 /// The size is the reply cache's (`dynatune_kv::Sessions`), so a snapshot
 /// can later share full chunks by reference count the way that cache does.
 const CHUNK: usize = 256;

@@ -14,6 +14,7 @@ use dynatune_core::invariant_violated;
 use dynatune_kv::{App, CachedReply, Replicated, Request};
 use dynatune_raft::LogIndex;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A client-facing broker command.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,8 +25,10 @@ pub enum BrokerCommand {
         topic: String,
         /// Partition within the topic.
         partition: u32,
-        /// Records, appended in order at consecutive offsets.
-        records: Vec<Record>,
+        /// Records, appended in order at consecutive offsets. Shared, so
+        /// the client's copy, the wire message and every replica's log
+        /// entry hold one batch and cloning a produce copies no record.
+        records: Arc<[Record]>,
     },
     /// Durably commit a consumer group's position on one partition (the
     /// offset of the next record the group will read).
@@ -473,7 +476,7 @@ mod tests {
                         BrokerCommand::Produce {
                             topic: "t".into(),
                             partition,
-                            records,
+                            records: records.into(),
                         },
                     )
                 });

@@ -48,6 +48,7 @@ use dynatune_raft::NodeId;
 use dynatune_simnet::{HostCtx, SimTime};
 use dynatune_stats::OnlineStats;
 use std::collections::VecDeque;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The broker wire vocabulary: the shared cluster message enum instantiated
@@ -258,7 +259,10 @@ pub struct BrokerClient {
     consumers: Vec<ConsumerState>,
     interval: Duration,
     produce_until: Option<SimTime>,
-    record_bytes: usize,
+    /// One record's value, zeroed past its first 8 bytes: each arrival
+    /// stamps its sequence number there and copies the buffer into the
+    /// record's own allocation.
+    value: Vec<u8>,
     batch_max: usize,
     fetch_max: usize,
     commit_every: u64,
@@ -330,7 +334,7 @@ impl BrokerClient {
             consumers,
             interval,
             produce_until: workload.produce_for.map(|d| start + d),
-            record_bytes: workload.record_bytes.max(8),
+            value: vec![0; workload.record_bytes.max(8)],
             batch_max: workload.batch_max,
             fetch_max: workload.fetch_max,
             commit_every: workload.commit_every,
@@ -384,7 +388,7 @@ impl BrokerClient {
         }
         let n_take = self.batch_max.min(self.producers[pidx].pending.len());
         let p = &mut self.producers[pidx];
-        let records: Vec<Record> = p.pending.drain(..n_take).collect();
+        let records: Arc<[Record]> = p.pending.drain(..n_take).collect();
         p.flush_at = None;
         let bytes: u64 = records.iter().map(|r| r.bytes() as u64).sum();
         let part = self.parts[pidx].clone();
@@ -566,12 +570,11 @@ impl Client<BrokerState> for BrokerClient {
                 if at > ctx.now {
                     break;
                 }
-                let record_bytes = self.record_bytes;
                 let p = &mut self.producers[pidx];
-                let mut value = vec![0u8; record_bytes];
-                value[..8].copy_from_slice(&p.next_seq.to_le_bytes());
+                self.value[..8].copy_from_slice(&p.next_seq.to_le_bytes());
                 p.next_seq += 1;
                 p.next_arrival = at + self.interval;
+                let value = Bytes::copy_from_slice(&self.value);
                 p.pending.push_back(Record::new(Bytes::new(), value));
                 if p.inflight.is_none() && p.flush_at.is_none() {
                     p.flush_at = Some(at + DEFAULT_BATCH_WINDOW);
@@ -652,6 +655,7 @@ impl BrokerClusterSim {
 mod tests {
     use super::*;
     use crate::scenario::builder::{NetPlan, ScenarioBuilder};
+    use std::collections::BTreeMap;
 
     fn broker_sim(groups: usize, fanout: bool, seed: u64) -> BrokerClusterSim {
         let wl = BrokerWorkload::steady(vec![("orders".into(), 4)], 400.0)
@@ -747,6 +751,106 @@ mod tests {
         for g in sim.consumer_stats().unwrap() {
             assert_eq!(g.lost, 0);
             assert_eq!(g.duplicated, 0);
+        }
+    }
+
+    /// The produce batch at `index` of server `id`'s log, if it holds one.
+    fn batch_at(sim: &BrokerClusterSim, id: NodeId, index: u64) -> Option<Arc<[Record]>> {
+        sim.with_server(id, |s| {
+            match &s.node().log().entry_at(index)?.data.as_ref()?.cmd {
+                BrokerCommand::Produce { records, .. } => Some(Arc::clone(records)),
+                _ => None,
+            }
+        })
+    }
+
+    /// Every record server `id` has applied, keyed by `(topic, partition,
+    /// offset)`.
+    fn applied_records(sim: &BrokerClusterSim, id: NodeId) -> BTreeMap<(String, u32, u64), Record> {
+        sim.with_server(id, |s| {
+            let mut out = BTreeMap::new();
+            for (topic, t) in s.node().state_machine().topics() {
+                for (p, log) in t.partitions() {
+                    for (off, r) in log.fetch(0, usize::MAX).records {
+                        out.insert((topic.to_string(), p, off), r);
+                    }
+                }
+            }
+            out
+        })
+    }
+
+    #[test]
+    fn a_produce_batch_is_one_allocation_on_every_replica() {
+        let mut sim = broker_sim(1, false, 1);
+        sim.run_until(SimTime::from_secs(6));
+        let (mut batches, mut values) = (0, 0);
+        for shard in 0..sim.shards() {
+            let replicas = sim.members_of(shard);
+            assert_eq!(replicas.len(), 3);
+            let last = replicas
+                .iter()
+                .map(|&id| sim.with_server(id, |s| s.node().log().last_index()))
+                .max()
+                .unwrap_or(0);
+            for index in 1..=last {
+                let held: Option<Vec<_>> = replicas
+                    .iter()
+                    .map(|&id| batch_at(&sim, id, index))
+                    .collect();
+                let Some(held) = held else { continue };
+                assert!(
+                    held.iter().all(|b| Arc::ptr_eq(b, &held[0])),
+                    "shard {shard} index {index}: a replica holds a copy of the batch"
+                );
+                batches += 1;
+            }
+            let first = applied_records(&sim, replicas[0]);
+            for &id in &replicas[1..] {
+                for (at, r) in applied_records(&sim, id) {
+                    let Some(r0) = first.get(&at) else { continue };
+                    assert_eq!(
+                        r.value.as_ptr(),
+                        r0.value.as_ptr(),
+                        "{at:?}: server {id} holds a copy of the value"
+                    );
+                    values += 1;
+                }
+            }
+        }
+        assert!(
+            batches > 100,
+            "only {batches} batches held by every replica"
+        );
+        assert!(values > 1000, "only {values} values compared");
+    }
+
+    #[test]
+    fn each_record_owns_a_stamped_value() {
+        let steady = BrokerWorkload::steady(vec![("t".into(), 2)], 300.0);
+        let tiny = BrokerWorkload {
+            record_bytes: 3,
+            ..steady.clone()
+        };
+        for (wl, want_len) in [(steady, 128), (tiny, 8)] {
+            let mut sim = ScenarioBuilder::cluster(3)
+                .shards(1)
+                .net(NetPlan::stable(Duration::from_millis(20)))
+                .seed(2)
+                .build_broker_sim(wl);
+            sim.run_until(SimTime::from_secs(5));
+            let records = applied_records(&sim, 0);
+            assert!(records.len() > 500, "only {} records", records.len());
+            let values: Vec<_> = records.values().map(|r| r.value.as_ptr()).collect();
+            assert!(
+                values.windows(2).all(|w| w[0] != w[1]),
+                "consecutive records share a value buffer"
+            );
+            for ((_, _, off), r) in &records {
+                assert_eq!(r.value.len(), want_len, "offset {off}");
+                assert_eq!(r.value[..8], off.to_le_bytes(), "offset {off}");
+                assert!(r.value[8..].iter().all(|&b| b == 0), "offset {off}");
+            }
         }
     }
 
