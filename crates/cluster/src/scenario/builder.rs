@@ -143,9 +143,6 @@ impl ScenarioBuilder {
     /// Select the tuning mode (Raft / Raft-Low / Fix-K / Dynatune).
     #[must_use]
     pub fn tuning(mut self, tuning: TuningConfig) -> Self {
-        // `RaftConfig` derives its lease default from the tuning it is
-        // built with; keep the pair together when the tuning is replaced.
-        self.config.raft.read_lease = tuning.default_election_timeout;
         self.config.raft.tuning = tuning;
         self
     }
@@ -287,13 +284,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Network parameters of client↔server links.
-    #[must_use]
-    pub fn client_link(mut self, params: NetParams) -> Self {
-        self.config.client_link = params;
-        self
-    }
-
     /// Resolve into the [`ClusterConfig`]: the net plan becomes a topology
     /// over every server (mapped replicas plus spares).
     ///
@@ -371,7 +361,6 @@ mod tests {
         assert_eq!(built.map, stable.map);
         assert_eq!(built.cores, stable.cores);
         assert_eq!(built.raft.tuning, stable.raft.tuning);
-        assert_eq!(built.raft.read_lease, stable.raft.read_lease);
         assert_eq!(built.raft.pre_vote, stable.raft.pre_vote);
         assert_eq!(built.raft.udp_heartbeats, stable.raft.udp_heartbeats);
         assert_eq!(built.seed, stable.seed);

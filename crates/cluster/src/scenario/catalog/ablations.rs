@@ -16,6 +16,7 @@
 
 use super::failover::{run_trials, FailoverConfig};
 use super::fluctuation::{measure_rtt_fluctuation, RttPattern};
+use super::wired;
 use crate::observers::count_events;
 use crate::scenario::{
     Horizon, NetPlan, Report, RunCtx, Scenario, ScenarioBuilder, ScenarioDriver,
@@ -27,18 +28,18 @@ use std::time::Duration;
 
 /// One row of the quantization ablation.
 #[derive(Debug, Clone, Copy)]
-pub struct QuantizationRow {
+struct QuantizationRow {
     /// Which quantization was used.
-    pub quantization: TimerQuantization,
+    quantization: TimerQuantization,
     /// Mean detection time (ms).
-    pub detection_ms: f64,
+    detection_ms: f64,
     /// Mean OTS time (ms).
-    pub ots_ms: f64,
+    ots_ms: f64,
 }
 
 /// Compare tick-quantized vs. continuous election timers for Dynatune.
 #[must_use]
-pub fn quantization(trials: usize, seed: u64) -> Vec<QuantizationRow> {
+fn quantization(trials: usize, seed: u64) -> Vec<QuantizationRow> {
     [TimerQuantization::Tick, TimerQuantization::Continuous]
         .into_iter()
         .map(|q| {
@@ -59,14 +60,14 @@ pub fn quantization(trials: usize, seed: u64) -> Vec<QuantizationRow> {
 
 /// One row of the safety-factor sweep.
 #[derive(Debug, Clone, Copy)]
-pub struct SafetyFactorRow {
+struct SafetyFactorRow {
     /// The safety factor `s`.
-    pub s: f64,
+    s: f64,
     /// Mean detection time under failure (ms).
-    pub detection_ms: f64,
+    detection_ms: f64,
     /// False election-timer expiries per minute in failure-free operation
     /// under jitter.
-    pub false_timeouts_per_min: f64,
+    false_timeouts_per_min: f64,
 }
 
 /// Sweep `s`: smaller s detects faster but risks false timeouts under
@@ -75,7 +76,7 @@ pub struct SafetyFactorRow {
 /// actually moves Et: on a jitter-free link every `s` collapses to
 /// `Et ≈ µ` and the sweep is flat.
 #[must_use]
-pub fn safety_factor(values: &[f64], trials: usize, seed: u64) -> Vec<SafetyFactorRow> {
+fn safety_factor(values: &[f64], trials: usize, seed: u64) -> Vec<SafetyFactorRow> {
     let jitter_net =
         || NetPlan::uniform(NetParams::clean(Duration::from_millis(100)).with_jitter(0.2));
     values
@@ -118,18 +119,18 @@ pub fn safety_factor(values: &[f64], trials: usize, seed: u64) -> Vec<SafetyFact
 /// One row of the arrival-probability sweep (pure formula, no simulation —
 /// the mapping x → K → h is deterministic).
 #[derive(Debug, Clone, Copy)]
-pub struct ArrivalProbabilityRow {
+struct ArrivalProbabilityRow {
     /// Target arrival probability x.
-    pub x: f64,
+    x: f64,
     /// Required heartbeats K at the given loss rate.
-    pub k: u32,
+    k: u32,
     /// Resulting h for Et = 200 ms (ms).
-    pub h_ms: f64,
+    h_ms: f64,
 }
 
 /// Sweep `x` at a fixed loss rate.
 #[must_use]
-pub fn arrival_probability(values: &[f64], loss: f64) -> Vec<ArrivalProbabilityRow> {
+fn arrival_probability(values: &[f64], loss: f64) -> Vec<ArrivalProbabilityRow> {
     values
         .iter()
         .map(|&x| {
@@ -145,17 +146,17 @@ pub fn arrival_probability(values: &[f64], loss: f64) -> Vec<ArrivalProbabilityR
 
 /// One row of the warm-up sweep.
 #[derive(Debug, Clone, Copy)]
-pub struct WarmupRow {
+struct WarmupRow {
     /// minListSize under test.
-    pub min_list_size: usize,
+    min_list_size: usize,
     /// Seconds from leader election until the follower tuners engaged.
-    pub warmup_secs: f64,
+    warmup_secs: f64,
 }
 
 /// Sweep `minListSize`: how long after a leader change Dynatune runs on
 /// conservative defaults.
 #[must_use]
-pub fn min_list_size(values: &[usize], seed: u64) -> Vec<WarmupRow> {
+fn min_list_size(values: &[usize], seed: u64) -> Vec<WarmupRow> {
     values
         .iter()
         .map(|&m| {
@@ -204,95 +205,83 @@ pub fn min_list_size(values: &[usize], seed: u64) -> Vec<WarmupRow> {
 
 /// One row of the pre-vote ablation.
 #[derive(Debug, Clone, Copy)]
-pub struct PreVoteRow {
+struct PreVoteRow {
     /// Whether pre-vote ran.
-    pub pre_vote: bool,
+    pre_vote: bool,
     /// Out-of-service seconds during the radical RTT step.
-    pub total_ots_secs: f64,
+    total_ots_secs: f64,
     /// Election-timer expiries (false detections at the step).
-    pub timeouts: usize,
+    timeouts: usize,
     /// Completed leader changes (disruptions).
-    pub leader_changes: usize,
+    leader_changes: usize,
 }
 
 /// Dynatune with and without the pre-vote phase under the Fig. 6b radical
 /// RTT step. The paper's "false detection without OTS" behaviour depends on
 /// pre-candidates aborting on leader contact *before* bumping the term;
 /// without pre-vote, every false detection becomes a real term bump that
-/// deposes the healthy leader.
+/// deposes the healthy leader. Rows: pre-vote on, off.
 #[must_use]
-pub fn pre_vote(seed: u64) -> Vec<PreVoteRow> {
-    [true, false]
-        .into_iter()
-        .map(|pv| {
-            // The paper's one-minute holds at every scale.
-            let s = measure_rtt_fluctuation(
-                TuningConfig::dynatune(),
-                RttPattern::Radical,
-                Duration::from_secs(60),
-                seed,
-                pv,
-            );
-            PreVoteRow {
-                pre_vote: pv,
-                total_ots_secs: s.total_ots_secs,
-                timeouts: s.timeouts_observed,
-                leader_changes: s.leader_changes,
-            }
-        })
-        .collect()
+fn pre_vote(seed: u64) -> [PreVoteRow; 2] {
+    [true, false].map(|pv| {
+        // The paper's one-minute holds at every scale.
+        let s = measure_rtt_fluctuation(
+            TuningConfig::dynatune(),
+            RttPattern::Radical,
+            Duration::from_secs(60),
+            seed,
+            pv,
+        );
+        PreVoteRow {
+            pre_vote: pv,
+            total_ots_secs: s.total_ots_secs,
+            timeouts: s.timeouts_observed,
+            leader_changes: s.leader_changes,
+        }
+    })
 }
 
 /// One row of the transport ablation.
 #[derive(Debug, Clone, Copy)]
-pub struct TransportRow {
+struct TransportRow {
     /// True when heartbeats ride UDP (the paper's hybrid transport).
-    pub udp_heartbeats: bool,
+    udp_heartbeats: bool,
     /// Loss rate the followers' estimators measured.
-    pub measured_loss: f64,
+    measured_loss: f64,
     /// Mean tuned heartbeat interval (ms).
-    pub h_ms: f64,
+    h_ms: f64,
 }
 
 /// UDP vs. TCP heartbeats under 15 % loss: over TCP, losses are hidden by
 /// retransmission, so the follower's loss estimator sees ~0 and the tuned
-/// h stays large — the measurement motivation for §III-E.
+/// h stays large — the measurement motivation for §III-E. Rows: UDP, TCP.
 #[must_use]
-pub fn transport(seed: u64) -> Vec<TransportRow> {
-    [true, false]
-        .into_iter()
-        .map(|udp| {
-            let cluster = ScenarioBuilder::cluster(5)
-                .tuning(TuningConfig::dynatune())
-                .net(NetPlan::uniform(
-                    NetParams::clean(Duration::from_millis(100)).with_loss(0.15),
-                ))
-                .udp_heartbeats(udp)
-                .seed(seed)
-                .build();
-            let run = ScenarioDriver::new(cluster)
-                .horizon(Horizon::At(Duration::from_secs(120)))
-                .run();
-            let sim = run.sim;
-            let leader = sim.leader().unwrap_or(0);
-            let mut loss_sum = 0.0;
-            let mut n = 0.0;
-            for id in 0..5 {
-                if id != leader {
-                    loss_sum += sim.tuning_snapshot(id).loss_rate;
-                    n += 1.0;
-                }
-            }
-            let h = sim
-                .leader_mean_heartbeat_interval()
-                .map_or(f64::NAN, |d| d.as_secs_f64() * 1e3);
-            TransportRow {
-                udp_heartbeats: udp,
-                measured_loss: loss_sum / n,
-                h_ms: h,
-            }
-        })
-        .collect()
+fn transport(seed: u64) -> [TransportRow; 2] {
+    [true, false].map(|udp| {
+        let cluster = ScenarioBuilder::cluster(5)
+            .tuning(TuningConfig::dynatune())
+            .net(NetPlan::uniform(
+                NetParams::clean(Duration::from_millis(100)).with_loss(0.15),
+            ))
+            .udp_heartbeats(udp)
+            .seed(seed)
+            .build();
+        let run = ScenarioDriver::new(cluster)
+            .horizon(Horizon::At(Duration::from_secs(120)))
+            .run();
+        let sim = run.sim;
+        let leader = wired(sim.leader(), "a failure-free 120s run keeps its leader");
+        let followers = (0..5).filter(|&id| id != leader);
+        let loss_sum: f64 = followers.map(|id| sim.tuning_snapshot(id).loss_rate).sum();
+        let h = sim
+            .leader_mean_heartbeat_interval()
+            .map_or(f64::NAN, |d| d.as_secs_f64() * 1e3);
+        TransportRow {
+            udp_heartbeats: udp,
+            measured_loss: loss_sum / 4.0,
+            h_ms: h,
+        }
+    })
 }
 
 /// Quantization / safety factor / arrival probability / warm-up /
@@ -302,7 +291,9 @@ pub const ABLATIONS: Scenario = Scenario {
     describe: "quantization / safety factor / arrival probability / warm-up / transport / pre-vote",
     headline_metric:
         "per-mechanism contribution to detection time (transport, quantization, pre-vote)",
-    ci_assertion: "runs end-to-end; ablation deltas reported, not asserted",
+    ci_assertion: "asserts K rises with x (K = 5 at x = 0.999, 20% loss), warm-up grows with \
+                   minListSize, TCP hides loss from the estimator, and pre-vote prevents \
+                   step disruption",
     run: ablations,
 };
 
@@ -345,11 +336,13 @@ fn ablations(ctx: &RunCtx) -> Report {
     );
     report.note("(smaller s detects faster but false-detects under jitter; the paper picks s=2)");
 
+    // x = 0.999 (the paper's) is row 2.
+    let arrival = arrival_probability(&[0.9, 0.99, 0.999, 0.9999, 0.99999], 0.20);
     report.table(
         "[3/6] arrival probability x at 20% loss (pure formula)",
         ["x", "K", "h for Et=200ms (ms)"],
-        arrival_probability(&[0.9, 0.99, 0.999, 0.9999, 0.99999], 0.20)
-            .into_iter()
+        arrival
+            .iter()
             .map(|row| {
                 vec![
                     format!("{}", row.x),
@@ -360,11 +353,12 @@ fn ablations(ctx: &RunCtx) -> Report {
             .collect(),
     );
 
+    let warmup = min_list_size(&[5, 10, 50, 100], seed);
     report.table(
         "[4/6] minListSize warm-up after leader election",
         ["minListSize", "warm-up (s)"],
-        min_list_size(&[5, 10, 50, 100], seed)
-            .into_iter()
+        warmup
+            .iter()
             .map(|row| {
                 vec![
                     format!("{}", row.min_list_size),
@@ -375,11 +369,12 @@ fn ablations(ctx: &RunCtx) -> Report {
     );
     report.note("(paper default 10: tuned parameters engage ~1s after a leader appears)");
 
+    let [udp, tcp] = transport(seed);
     report.table(
         "[5/6] UDP vs TCP heartbeats at 15% link loss",
         ["transport", "measured loss", "tuned h (ms)"],
-        transport(seed)
-            .into_iter()
+        [udp, tcp]
+            .iter()
             .map(|row| {
                 vec![
                     if row.udp_heartbeats {
@@ -398,11 +393,12 @@ fn ablations(ctx: &RunCtx) -> Report {
         "(TCP hides loss behind retransmission, blinding the estimator — the §III-E motivation)",
     );
 
+    let [on, off] = pre_vote(seed);
     report.table(
         "[6/6] pre-vote on/off under the Fig. 6b radical RTT step (Dynatune)",
         ["pre-vote", "OTS (s)", "timer expiries", "leader changes"],
-        pre_vote(seed)
-            .into_iter()
+        [on, off]
+            .iter()
             .map(|row| {
                 vec![
                     if row.pre_vote {
@@ -421,62 +417,52 @@ fn ablations(ctx: &RunCtx) -> Report {
     report.note(
         "(without pre-vote, false detections at the RTT step bump terms and depose the healthy leader)",
     );
+
+    // Quantization and the safety factor are reported only: the smaller-s
+    // false-detection trade-off does not show at `--quick`.
+    // [3/6] A stricter arrival target needs more heartbeats:
+    // K = ceil(ln 0.001 / ln 0.2) = 5 at the paper's x.
+    for pair in arrival.windows(2) {
+        assert!(
+            pair[1].k >= pair[0].k && pair[1].h_ms <= pair[0].h_ms,
+            "x {} -> {}: K {} -> {}",
+            pair[0].x,
+            pair[1].x,
+            pair[0].k,
+            pair[1].k
+        );
+    }
+    assert_eq!(arrival[2].k, 5, "K at x = 0.999 and 20% loss");
+    // [4/6] More heartbeats to collect means a longer warm-up.
+    for pair in warmup.windows(2) {
+        assert!(
+            pair[0].warmup_secs.is_finite() && pair[1].warmup_secs > pair[0].warmup_secs,
+            "warm-up {:.1} s at minListSize {} vs {:.1} s at {}",
+            pair[0].warmup_secs,
+            pair[0].min_list_size,
+            pair[1].warmup_secs,
+            pair[1].min_list_size
+        );
+    }
+    // [5/6] UDP heartbeats expose the 15 % loss; TCP hides it, so UDP tunes
+    // the smaller h.
+    assert!(
+        udp.measured_loss > 0.08 && tcp.measured_loss < 0.05 && udp.h_ms < tcp.h_ms,
+        "measured loss / tuned h: udp {:.3} / {:.0} ms, tcp {:.3} / {:.0} ms",
+        udp.measured_loss,
+        udp.h_ms,
+        tcp.measured_loss,
+        tcp.h_ms
+    );
+    // [6/6] Pre-vote absorbs the false detections at the step; without it
+    // the step disrupts the healthy leader.
+    assert!(
+        on.leader_changes == 0 && on.total_ots_secs == 0.0,
+        "pre-vote on: the step disrupted the leader ({on:?})"
+    );
+    assert!(
+        off.leader_changes > 0 || off.total_ots_secs > 0.0,
+        "pre-vote off: the step did not disrupt the leader ({off:?})"
+    );
     report
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn arrival_probability_rows_are_monotone() {
-        let rows = arrival_probability(&[0.9, 0.99, 0.999, 0.9999], 0.2);
-        assert_eq!(rows.len(), 4);
-        for pair in rows.windows(2) {
-            assert!(pair[1].k >= pair[0].k, "stricter x needs more heartbeats");
-            assert!(pair[1].h_ms <= pair[0].h_ms);
-        }
-        // x=0.999, p=0.2: K = ceil(ln(0.001)/ln(0.2)) = ceil(4.29) = 5.
-        assert_eq!(rows[2].k, 5);
-    }
-
-    #[test]
-    fn transport_ablation_shows_tcp_hiding_loss() {
-        let rows = transport(77);
-        let udp = rows.iter().find(|r| r.udp_heartbeats).unwrap();
-        let tcp = rows.iter().find(|r| !r.udp_heartbeats).unwrap();
-        // UDP heartbeats expose the true ~15% loss; TCP hides it.
-        assert!(
-            udp.measured_loss > 0.08,
-            "udp measured {}",
-            udp.measured_loss
-        );
-        assert!(
-            tcp.measured_loss < 0.05,
-            "tcp measured {}",
-            tcp.measured_loss
-        );
-        // Hence UDP tunes a smaller h (more heartbeats) than TCP.
-        assert!(udp.h_ms < tcp.h_ms, "udp {} vs tcp {}", udp.h_ms, tcp.h_ms);
-    }
-
-    #[test]
-    fn min_list_size_warmup_grows() {
-        let rows = min_list_size(&[10, 100], 5);
-        assert!(rows[0].warmup_secs.is_finite());
-        assert!(rows[1].warmup_secs > rows[0].warmup_secs);
-    }
-
-    #[test]
-    fn pre_vote_prevents_step_disruption() {
-        let rows = pre_vote(9);
-        let on = rows.iter().find(|r| r.pre_vote).unwrap();
-        let off = rows.iter().find(|r| !r.pre_vote).unwrap();
-        assert_eq!(on.leader_changes, 0, "pre-vote absorbs false detections");
-        assert_eq!(on.total_ots_secs, 0.0);
-        assert!(
-            off.leader_changes > 0 || off.total_ots_secs > 0.0,
-            "without pre-vote the step should disrupt: {off:?}"
-        );
-    }
 }

@@ -67,7 +67,8 @@ pub const EXTENSIONS: Scenario = Scenario {
     name: "extensions",
     describe: "IV-E extensions: heartbeat suppression under load + consolidated heartbeat timer",
     headline_metric: "leader timer load and CPU under the SIV-E heartbeat extensions",
-    ci_assertion: "runs end-to-end; extension deltas reported, not asserted",
+    ci_assertion: "asserts no extension costs more than 5% of plain Dynatune's peak or 1.5x its \
+                   detection time",
     run: extensions,
 };
 
@@ -79,16 +80,17 @@ fn extensions(ctx: &RunCtx) -> Report {
     let repeats = ctx.repeats_or(5, 2);
     let ramp = ramp_for(ctx);
     let mut rows = Vec::new();
-    let mut raft_peak = None;
+    let mut peaks = Vec::new();
     for v in variants() {
         let cluster = cluster_for(&v, ctx.system_seed(&format!("tput-{}", v.name)));
         let peak = measure_ramp(&cluster, &ramp, repeats).peak_throughput();
-        let baseline = *raft_peak.get_or_insert(peak);
+        let baseline = *peaks.first().unwrap_or(&peak);
         rows.push(vec![
             v.name.to_string(),
             format!("{peak:.0}"),
             format!("{:+.1}%", (peak / baseline - 1.0) * 100.0),
         ]);
+        peaks.push(peak);
     }
     report.table(
         "[1/3] peak throughput (the overhead the extensions target)",
@@ -99,16 +101,19 @@ fn extensions(ctx: &RunCtx) -> Report {
     // 2. Failover sanity: the extensions must not slow detection.
     let trials = ctx.trials_or(200, 20);
     let mut rows = Vec::new();
+    let mut detections = Vec::new();
     for v in variants() {
         let res = run_trials(&FailoverConfig::new(
             cluster_for(&v, ctx.system_seed(&format!("failover-{}", v.name))),
             trials,
         ));
+        let detection = res.detection_stats().mean();
         rows.push(vec![
             v.name.to_string(),
-            format!("{:.0}", res.detection_stats().mean()),
+            format!("{detection:.0}"),
             format!("{:.0}", res.ots_stats().mean()),
         ]);
+        detections.push(detection);
     }
     report.table(
         "[2/3] failover under the extensions (must not regress)",
@@ -166,5 +171,20 @@ fn extensions(ctx: &RunCtx) -> Report {
          fewer leader wake-ups at the cost of extra heartbeats on slow paths —\n\
          the trade-off §IV-E describes)",
     );
+
+    // Neither extension may regress plain Dynatune (row 1): peak throughput
+    // within 5 %, detection within 1.5x. The consolidated timer's extra
+    // heartbeats and longer OTS are reported only.
+    for (i, v) in variants().iter().enumerate().skip(2) {
+        assert!(
+            peaks[i] >= peaks[1] * 0.95 && detections[i] <= detections[1] * 1.5,
+            "{}: peak {:.0} req/s, detection {:.0} ms vs dynatune {:.0} req/s, {:.0} ms",
+            v.name,
+            peaks[i],
+            detections[i],
+            peaks[1],
+            detections[1]
+        );
+    }
     report
 }

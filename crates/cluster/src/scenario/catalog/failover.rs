@@ -195,6 +195,19 @@ fn cdf_artifact(
     report.artifact(filename, multi_series_csv("time_ms", &borrowed));
 }
 
+/// Assert that at most a fifth of each study's trials failed to fail over,
+/// so the means compare (nearly) whole populations.
+pub(super) fn assert_mostly_complete(raft: &FailoverResult, dynatune: &FailoverResult) {
+    for (label, res) in [("raft", raft), ("dynatune", dynatune)] {
+        let trials = res.outcomes.len() + res.incomplete;
+        assert!(
+            res.incomplete * 5 <= trials,
+            "{label}: {} of {trials} trials produced no failover",
+            res.incomplete
+        );
+    }
+}
+
 /// Trial-count summary row for a pair of studies.
 fn completeness_note(report: &mut Report, raft: &FailoverResult, dynatune: &FailoverResult) {
     report.note(format!(
@@ -214,7 +227,8 @@ pub const FIG4: Scenario = Scenario {
     describe: "detection & OTS time CDFs, stable network (5 servers, RTT 100ms, p=0)",
     headline_metric:
         "detection / out-of-service reduction vs. the paper's Fig. 4 (Raft vs Dynatune)",
-    ci_assertion: "runs end-to-end; reductions reported against the paper, not asserted",
+    ci_assertion: "asserts >= 60% detection and >= 20% OTS reduction, Raft's detection and \
+                   timeout scale, Dynatune's 100-350 ms timeout and longer election phase",
     run: fig4,
 };
 
@@ -274,6 +288,35 @@ fn fig4(ctx: &RunCtx) -> Report {
     );
     completeness_note(&mut report, &raft, &dynatune);
     cdf_artifact(&mut report, "fig4_cdf.csv", &raft, &dynatune);
+
+    assert_mostly_complete(&raft, &dynatune);
+    // Raft's absolute scale: Et = 1000 ms puts detection near 1.2 s and the
+    // mean randomizedTimeout near 1.5 Et (paper: 1205 ms and 1454 ms).
+    let raft_rto = raft.mean_rto_ms();
+    assert!(
+        (900.0..1700.0).contains(&raft_det)
+            && raft_ots > raft_det
+            && (1300.0..1700.0).contains(&raft_rto),
+        "raft detection {raft_det:.0} ms, OTS {raft_ots:.0} ms, randomizedTimeout {raft_rto:.0} ms"
+    );
+    // Dynatune's randomizedTimeout reflects the tuned Et (paper: 152 ms).
+    let dt_rto = dynatune.mean_rto_ms();
+    assert!(
+        (100.0..350.0).contains(&dt_rto),
+        "dynatune randomizedTimeout {dt_rto:.0} ms"
+    );
+    // §IV-B1: detection -80 % and OTS -45 %; accept -60 % and -20 %.
+    assert!(
+        dt_det < raft_det * 0.4 && dt_ots < raft_ots * 0.8,
+        "detection / OTS ms: dynatune {dt_det:.0} / {dt_ots:.0}, raft {raft_det:.0} / {raft_ots:.0}"
+    );
+    // §IV-E: Dynatune trades a longer election phase (narrow randomization,
+    // more split votes) for much faster detection.
+    let (dt_election, raft_election) = (dynatune.election_time_ms(), raft.election_time_ms());
+    assert!(
+        dt_election > raft_election,
+        "dynatune election {dt_election:.0} ms vs raft {raft_election:.0} ms"
+    );
     report
 }
 
@@ -283,7 +326,7 @@ pub const FIG8: Scenario = Scenario {
     name: "fig8",
     describe: "geo-replicated failover (Tokyo/London/California/Sydney/Sao Paulo)",
     headline_metric: "out-of-service time in the five-region geo deployment (paper Fig. 8)",
-    ci_assertion: "runs end-to-end; reductions reported against the paper, not asserted",
+    ci_assertion: "asserts >= 50% detection reduction and a shorter OTS on the geo mesh",
     run: fig8,
 };
 
@@ -331,6 +374,14 @@ fn fig8(ctx: &RunCtx) -> Report {
     );
     completeness_note(&mut report, &raft, &dynatune);
     cdf_artifact(&mut report, "fig8_cdf.csv", &raft, &dynatune);
+
+    assert_mostly_complete(&raft, &dynatune);
+    // §IV-D: the reductions carry over to the geo deployment (paper: -81 %
+    // detection); accept -50 %, and any OTS gain.
+    assert!(
+        dt_det < raft_det * 0.5 && dt_ots < raft_ots,
+        "geo detection / OTS ms: {dt_det:.0} / {dt_ots:.0} vs raft {raft_det:.0} / {raft_ots:.0}"
+    );
     report
 }
 
@@ -346,40 +397,6 @@ mod tests {
             trials,
             observe: Duration::from_secs(20),
         }
-    }
-
-    #[test]
-    fn raft_failover_times_match_paper_scale() {
-        let res = run_trials(&quick_cfg(TuningConfig::raft_default(), 12));
-        assert!(res.outcomes.len() >= 10, "incomplete: {}", res.incomplete);
-        let det = res.detection_stats().mean();
-        let ots = res.ots_stats().mean();
-        // Paper: detection ≈ 1205 ms, OTS ≈ 1449 ms. Shape check: detection
-        // within [900, 1700], OTS above detection.
-        assert!((900.0..1700.0).contains(&det), "raft detection {det}ms");
-        assert!(ots > det, "ots {ots} > detection {det}");
-        // Mean randomizedTimeout ~1.5 Et = 1500ms (paper: 1454 ms).
-        let rto = res.mean_rto_ms();
-        assert!((1300.0..1700.0).contains(&rto), "raft rto {rto}ms");
-    }
-
-    #[test]
-    fn dynatune_detects_much_faster_than_raft() {
-        let raft = run_trials(&quick_cfg(TuningConfig::raft_default(), 12));
-        let dt = run_trials(&quick_cfg(TuningConfig::dynatune(), 12));
-        assert!(dt.outcomes.len() >= 10, "incomplete: {}", dt.incomplete);
-        let raft_det = raft.detection_stats().mean();
-        let dt_det = dt.detection_stats().mean();
-        // Paper: 80% reduction. Accept anything beyond 50% for a smoke test.
-        assert!(
-            dt_det < raft_det * 0.5,
-            "dynatune {dt_det}ms vs raft {raft_det}ms"
-        );
-        // Dynatune OTS also improves (paper: 45%).
-        assert!(dt.ots_stats().mean() < raft.ots_stats().mean());
-        // Dynatune's randomizedTimeout reflects the tuned Et (~100-200ms).
-        let rto = dt.mean_rto_ms();
-        assert!((100.0..350.0).contains(&rto), "dynatune rto {rto}ms");
     }
 
     #[test]

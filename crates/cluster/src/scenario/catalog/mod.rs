@@ -14,24 +14,30 @@
 //! | Module | Paper | What it regenerates |
 //! |--------|-------|---------------------|
 //! | [`failover`] | Fig. 4, Fig. 8 | detection/OTS CDFs over repeated leader pauses |
-//! | [`throughput`] | Fig. 5 | latency-vs-throughput curve, peak throughput |
-//! | [`fluctuation`] | Fig. 6a/6b, Fig. 7a/7b | randomizedTimeout / RTT / OTS series; heartbeat interval + CPU under loss ramps |
-//! | [`ablations`] | (ours) | quantization, safety factor, arrival probability, list sizes, transport, pre-vote |
+//! | `throughput` | Fig. 5 | latency-vs-throughput curve, peak throughput |
+//! | `fluctuation` | Fig. 6a/6b, Fig. 7a/7b | randomizedTimeout / RTT / OTS series; heartbeat interval + CPU under loss ramps |
+//! | `ablations` | (ours) | quantization, safety factor, arrival probability, list sizes, transport, pre-vote |
+//!
+//! Each scenario owns its claim: its `run` `assert!`s what it measured
+//! against the paper's (or its own) claim at every scale, so
+//! `scenarios --quick` is the gate and no test re-runs a shrunk copy of
+//! the experiment. `Scenario::ci_assertion` says what is asserted; a
+//! finding that does not hold at every scale stays in the report only.
 //!
 //! [`Scenario`]: crate::scenario::Scenario
 
-pub mod ablations;
+pub(super) mod ablations;
 pub(super) mod broker;
 pub(super) mod compaction;
 pub(super) mod extensions;
 pub mod failover;
-pub mod fluctuation;
+pub(super) mod fluctuation;
 pub(super) mod membership;
 pub(super) mod novel;
 pub(super) mod pipeline;
 pub(super) mod reads;
-pub mod sharded;
-pub mod throughput;
+pub(super) mod sharded;
+pub(super) mod throughput;
 
 /// Unwrap a scenario wiring invariant. Scenarios construct their own sims,
 /// so a `None` from an accessor whose precondition the scenario itself set

@@ -3,7 +3,7 @@
 //! churn. Both are pure data — a [`NetPlan`] and a [`FaultPlan`] — driven
 //! by the generic scenario driver.
 
-use super::failover::{run_trials, FailoverConfig};
+use super::failover::{assert_mostly_complete, run_trials, FailoverConfig};
 use crate::observers::{election_safety_violations, leaderless_intervals, total_leaderless_secs};
 use crate::scenario::{
     reduction_pct, FaultPlan, Horizon, NetPlan, PartitionSpec, Report, RunCtx, Scenario,
@@ -27,7 +27,7 @@ pub const GEO_ASYMMETRIC: Scenario = Scenario {
     name: "geo_asymmetric",
     describe: "failover on a geo mesh with one region (Tokyo) at 3x RTT + heavy jitter",
     headline_metric: "detection reduction when one WAN pair degrades asymmetrically",
-    ci_assertion: "runs end-to-end; reduction reported, not asserted",
+    ci_assertion: "asserts >= 50% detection reduction with one region degraded",
     run: geo_asymmetric,
 };
 
@@ -90,6 +90,11 @@ fn geo_asymmetric(ctx: &RunCtx) -> Report {
         "per-path tuning keeps the healthy majority's timeouts matched to their\n\
          own RTTs; a global worst-case constant would pay the degraded region's\n\
          3x RTT everywhere.",
+    );
+    assert_mostly_complete(&raft, &dynatune);
+    assert!(
+        dt_det < raft_det * 0.5,
+        "degraded-region detection {dt_det:.0} ms vs raft {raft_det:.0} ms"
     );
     report
 }

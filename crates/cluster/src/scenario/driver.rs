@@ -15,7 +15,7 @@
 //!    can reconstruct "state just before the failure" without hooks.
 //! 2. **Samples** every `sample_every`, capturing the observables all the
 //!    fluctuation figures need (k-th smallest randomizedTimeout, probe
-//!    RTT/loss, leader heartbeat interval).
+//!    RTT, leader heartbeat interval).
 
 use crate::observers::kth_smallest_timeout_ms;
 use crate::scenario::plan::{FaultAction, FaultEvent, FaultPlan, PartitionSpec, Target};
@@ -96,8 +96,6 @@ pub struct Sample {
     pub majority_rto_ms: Option<f64>,
     /// Scheduled RTT of the 0→1 probe link (ms).
     pub rtt_ms: f64,
-    /// Scheduled loss rate of the 0→1 probe link.
-    pub loss: f64,
     /// Mean heartbeat interval the leader applies (ms), if a leader exists
     /// and paces at least one follower.
     pub leader_mean_h_ms: Option<f64>,
@@ -353,7 +351,6 @@ fn observe(sim: &ClusterSim) -> Sample {
         leader: sim.leader(),
         majority_rto_ms: kth_smallest_timeout_ms(&sim.randomized_timeouts(), k),
         rtt_ms: sim.probe_rtt().as_secs_f64() * 1e3,
-        loss: sim.probe_loss(),
         leader_mean_h_ms: sim
             .leader_mean_heartbeat_interval()
             .map(|d| d.as_secs_f64() * 1e3),

@@ -132,8 +132,8 @@ pub struct Scenario {
     pub describe: &'static str,
     /// The headline metric the report leads with.
     pub headline_metric: &'static str,
-    /// What the CI `--quick` smoke run enforces (a hard `assert!` inside
-    /// `run`, or "reported, not asserted" for paper-comparison figures).
+    /// What the CI `--quick` smoke run enforces: the hard `assert!`s inside
+    /// `run`, in a phrase that starts with "asserts".
     pub ci_assertion: &'static str,
     /// Execute and report.
     pub run: fn(&RunCtx) -> Report,

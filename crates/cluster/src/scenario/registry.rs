@@ -134,6 +134,20 @@ mod tests {
     }
 
     #[test]
+    fn every_scenario_asserts_its_claim() {
+        for s in REGISTRY {
+            assert!(
+                s.ci_assertion.starts_with("asserts")
+                    && !s.ci_assertion.contains("not asserted")
+                    && !s.ci_assertion.contains("reported"),
+                "{} is report-only: {:?}",
+                s.name,
+                s.ci_assertion
+            );
+        }
+    }
+
+    #[test]
     fn catalog_json_covers_every_scenario() {
         let json = catalog_json();
         assert!(json.contains("\"schema\": \"dynatune-scenarios/v1\""));

@@ -130,10 +130,9 @@ pub struct ClusterConfig {
     pub cores: usize,
     /// Master seed; all randomness derives from it.
     pub seed: u64,
-    /// Optional KV client workload (adds one client node to the fabric).
+    /// Optional KV client workload (adds one client node to the fabric,
+    /// linked to every server by a LAN hop).
     pub workload: Option<WorkloadSpec>,
-    /// Network parameters of client↔server links.
-    pub client_link: NetParams,
 }
 
 impl ClusterConfig {
@@ -156,7 +155,6 @@ impl ClusterConfig {
             cores: 4,
             seed,
             workload: None,
-            client_link: NetParams::lan(),
         }
     }
 
@@ -373,11 +371,12 @@ impl<A: App, C: Client<A>> ClusterSim<A, C> {
         );
         let master = Rng::new(config.seed);
         let client = make_client(master.child(3));
-        // Extend the topology with the client node if needed.
+        // Extend the topology with the client node (one LAN hop to every
+        // server) if needed.
         let topology = if client.is_some() {
             config
                 .topology
-                .extend_with(1, LinkSchedule::constant(config.client_link))
+                .extend_with(1, LinkSchedule::constant(NetParams::lan()))
         } else {
             config.topology.clone()
         };

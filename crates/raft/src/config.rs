@@ -2,7 +2,6 @@
 
 use crate::types::NodeId;
 use dynatune_core::TuningConfig;
-use std::time::Duration;
 
 /// How election-timer expiry interacts with the tick clock.
 ///
@@ -72,21 +71,11 @@ pub struct RaftConfig {
     /// has acknowledged heartbeats within the (margin-scaled) lease window,
     /// [`RaftNode::request_read`](crate::RaftNode::request_read) grants
     /// reads immediately instead of running a ReadIndex confirmation round.
-    /// Inert unless the host actually requests log-free reads.
+    /// The lease lasts the tuning's default election timeout, the smallest
+    /// timeout an untuned member runs (`node/reads.rs` clamps it to the
+    /// tuning floor under a tuning mode). Inert unless the host actually
+    /// requests log-free reads.
     pub lease_reads: bool,
-    /// Leader-lease duration for lease reads, measured from the send
-    /// instant of the quorum'th-freshest acknowledged heartbeat. Safety
-    /// requires it to stay at or below the smallest election timeout any
-    /// member may run (a new leader must not be electable while the old
-    /// lease holds), so it defaults to the conservative default election
-    /// timeout and `validate` rejects anything larger. Under a tuning
-    /// mode, followers can adapt `Et` far below the default, so
-    /// `lease_valid` additionally clamps the effective lease to the
-    /// tuning floor — tuned clusters keep correctness and fall back to
-    /// ReadIndex confirmation instead of riding an unsound lease. The
-    /// clock-drift margin it is scaled by is the constant
-    /// `LEASE_DRIFT_MARGIN` in `node/reads.rs`.
-    pub read_lease: Duration,
     /// Seed for the node's randomized-timeout stream.
     pub seed: u64,
 }
@@ -123,7 +112,6 @@ impl RaftConfig {
             suppress_heartbeats_when_replicating: false,
             consolidated_heartbeat_timer: false,
             lease_reads: true,
-            read_lease: tuning.default_election_timeout,
             seed: 0xD15_EA5E ^ id as u64,
         }
     }
@@ -147,14 +135,6 @@ impl RaftConfig {
         assert!(self.max_entries_per_append > 0, "zero append batch size");
         assert!(self.pipeline_window > 0, "zero pipeline window");
         assert!(self.max_batch_bytes > 0, "zero group-commit byte cap");
-        assert!(
-            self.read_lease > Duration::ZERO,
-            "zero-length read lease (disable lease_reads instead)"
-        );
-        assert!(
-            self.read_lease <= self.tuning.default_election_timeout,
-            "read lease must not outlive the conservative election timeout"
-        );
         self.tuning.validate();
     }
 }

@@ -1616,7 +1616,7 @@ mod tests {
     fn tuned_mode_clamps_the_lease_to_the_election_floor() {
         // Under a tuning mode a follower's Et can adapt down to the
         // configured floor (10ms for Dynatune defaults) — far below the
-        // 1s read_lease. The effective lease must clamp to the floor, or
+        // 1s default lease. The effective lease must clamp to the floor, or
         // an isolated leader could serve stale reads while a fast-tuned
         // follower elects a replacement.
         let config = RaftConfig::new(0, 3, TuningConfig::dynatune());

@@ -11,7 +11,7 @@ use dynatune_simnet::SimTime;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Clock-drift safety margin for lease reads: the effective lease is
-/// `read_lease * (1 - margin)`, so a leader whose clock runs slow by up
+/// `lease * (1 - margin)`, so a leader whose clock runs slow by up
 /// to this fraction still expires its lease before any follower's
 /// election timer can fire. In `[0, 1)`.
 const LEASE_DRIFT_MARGIN: f64 = 0.1;
@@ -159,16 +159,13 @@ impl<SM: StateMachine> RaftNode<SM> {
             .collect();
         bases.sort_unstable_by(|a, b| b.cmp(a));
         let basis = bases[needed - 1];
-        let min_electable = if self.config.tuning.mode.tunes() {
-            ELECTION_TIMEOUT_FLOOR
-        } else {
-            self.config.tuning.default_election_timeout
-        };
-        let effective = self
-            .config
-            .read_lease
-            .min(min_electable)
-            .mul_f64(1.0 - LEASE_DRIFT_MARGIN);
+        // The lease lasts the default election timeout, cut to the floor a
+        // tuned follower's Et may reach.
+        let mut lease = self.config.tuning.default_election_timeout;
+        if self.config.tuning.mode.tunes() {
+            lease = lease.min(ELECTION_TIMEOUT_FLOOR);
+        }
+        let effective = lease.mul_f64(1.0 - LEASE_DRIFT_MARGIN);
         now < basis + effective
     }
 

@@ -13,8 +13,8 @@
 //!
 //! Uses the untuned configuration: the leader lease is only sound while no
 //! member's election timeout can undercut it, which static Raft
-//! guarantees and aggressively-tuned Dynatune deployments must restore by
-//! shrinking `read_lease` (see `RaftConfig::read_lease`).
+//! guarantees and tuned deployments restore by cutting the lease to the
+//! tuning floor (see `RaftNode::lease_valid`).
 
 mod common;
 

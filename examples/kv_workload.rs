@@ -12,7 +12,6 @@ use dynatune_repro::cluster::scenario::{
 use dynatune_repro::cluster::WorkloadSpec;
 use dynatune_repro::core::TuningConfig;
 use dynatune_repro::kv::{OpMix, RateStep};
-use dynatune_repro::simnet::NetParams;
 use std::time::Duration;
 
 fn run(name: &str, tuning: TuningConfig) {
@@ -38,7 +37,6 @@ fn run(name: &str, tuning: TuningConfig) {
             Duration::from_millis(50),
         ))
         .workload(spec)
-        .client_link(NetParams::lan())
         .seed(90_210)
         .build();
     let plan = FaultPlan::new()
