@@ -13,10 +13,10 @@
 //!
 //! - [`Record`]: one key/value message, sized for the byte-based cost
 //!   model.
-//! - [`PartitionLog`]: the append-only records of one partition. Offsets
-//!   are dense, so the log is addressed by arithmetic: fixed-size chunks,
-//!   offset `i` at `chunks[i / CHUNK][i % CHUNK]`, a fetch is a range of
-//!   offsets clamped to the high watermark.
+//! - [`PartitionLog`]: the append-only records of one partition, with
+//!   dense offsets. It keeps the applied produce batches, found by start
+//!   offset; a fetch is a range of offsets clamped to the high watermark,
+//!   and it shares those batches instead of copying records.
 //! - [`Topic`]: the partitions of one topic.
 //! - [`BrokerState`]: the broker [`App`](dynatune_kv::App) — topics and
 //!   durable consumer-group offsets. [`BrokerSm`] names

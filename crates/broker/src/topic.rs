@@ -73,7 +73,7 @@ mod tests {
         assert!(t.partition(0).is_none());
         assert_eq!(t.partition_count(), 0);
         t.partition_mut(3)
-            .append(crate::Record::new(&b""[..], &b"v"[..]));
+            .append_batch(&[crate::Record::new(&b""[..], &b"v"[..])].into());
         assert_eq!(t.partition_count(), 1);
         assert_eq!(t.partition(3).unwrap().len(), 1);
         assert_eq!(t.partitions().count(), 1);

@@ -454,14 +454,14 @@ impl BrokerClient {
 
     fn on_fetch(&mut self, ctx: &mut HostCtx<'_, BrokerMsg>, cidx: usize, fx: &FetchResult) {
         let g = cidx / self.parts.len();
-        let got = !fx.records.is_empty();
+        let got = !fx.is_empty();
         let lag;
         {
             let c = &mut self.consumers[cidx];
             c.inflight = None;
             let gs = &mut self.group_stats[g];
-            for (off, rec) in &fx.records {
-                if *off != c.cursor {
+            for (off, rec) in fx.records() {
+                if off != c.cursor {
                     gs.out_of_order += 1;
                 }
                 let Some(seq) = rec.value.get(..8).map(|h| {
@@ -476,9 +476,9 @@ impl BrokerClient {
                 };
                 // seq == offset iff every produce applied exactly once in
                 // arrival order; see the module docs.
-                if seq > *off {
+                if seq > off {
                     gs.lost += 1;
-                } else if seq < *off {
+                } else if seq < off {
                     gs.duplicated += 1;
                 }
                 gs.consumed += 1;
@@ -655,7 +655,9 @@ impl BrokerClusterSim {
 mod tests {
     use super::*;
     use crate::scenario::builder::{NetPlan, ScenarioBuilder};
-    use std::collections::BTreeMap;
+    use dynatune_raft::StateMachine;
+    use std::collections::{BTreeMap, BTreeSet};
+    use std::ptr;
 
     fn broker_sim(groups: usize, fanout: bool, seed: u64) -> BrokerClusterSim {
         let wl = BrokerWorkload::steady(vec![("orders".into(), 4)], 400.0)
@@ -764,19 +766,57 @@ mod tests {
         })
     }
 
-    /// Every record server `id` has applied, keyed by `(topic, partition,
-    /// offset)`.
+    /// Every record `state` holds, mapped by `f` and keyed by `(topic,
+    /// partition, offset)`.
+    fn applied<T>(
+        state: &BrokerState,
+        f: impl Fn(&Record) -> T,
+    ) -> BTreeMap<(String, u32, u64), T> {
+        let mut out = BTreeMap::new();
+        for (topic, t) in state.topics() {
+            for (p, log) in t.partitions() {
+                for (off, r) in log.fetch(0, usize::MAX).records() {
+                    out.insert((topic.to_string(), p, off), f(r));
+                }
+            }
+        }
+        out
+    }
+
+    /// Every record server `id` has applied.
     fn applied_records(sim: &BrokerClusterSim, id: NodeId) -> BTreeMap<(String, u32, u64), Record> {
+        sim.with_server(id, |s| applied(s.node().state_machine(), Record::clone))
+    }
+
+    type Addresses = BTreeMap<(String, u32, u64), *const Record>;
+
+    /// Where each record server `id` has applied lives, and where the same
+    /// records live in its snapshot and in its answer to a fetch from 0.
+    fn record_addresses(sim: &BrokerClusterSim, id: NodeId) -> [Addresses; 3] {
         sim.with_server(id, |s| {
-            let mut out = BTreeMap::new();
-            for (topic, t) in s.node().state_machine().topics() {
-                for (p, log) in t.partitions() {
-                    for (off, r) in log.fetch(0, usize::MAX).records {
-                        out.insert((topic.to_string(), p, off), r);
+            let sm = s.node().state_machine();
+            let mut fetched = BTreeMap::new();
+            for (topic, t) in sm.topics() {
+                for (partition, _) in t.partitions() {
+                    let fetch = BrokerCommand::Fetch {
+                        topic: topic.to_string(),
+                        partition,
+                        offset: 0,
+                        max_records: usize::MAX,
+                    };
+                    let Some(BrokerResponse::Records(fx)) = sm.read(&fetch) else {
+                        panic!("a fetch answers with records");
+                    };
+                    for (off, r) in fx.records() {
+                        fetched.insert((topic.to_string(), partition, off), ptr::from_ref(r));
                     }
                 }
             }
-            out
+            [
+                applied(sm, ptr::from_ref),
+                applied(&sm.snapshot(), ptr::from_ref),
+                fetched,
+            ]
         })
     }
 
@@ -784,7 +824,7 @@ mod tests {
     fn a_produce_batch_is_one_allocation_on_every_replica() {
         let mut sim = broker_sim(1, false, 1);
         sim.run_until(SimTime::from_secs(6));
-        let (mut batches, mut values) = (0, 0);
+        let (mut batches, mut logged, mut records) = (0, 0, 0);
         for shard in 0..sim.shards() {
             let replicas = sim.members_of(shard);
             assert_eq!(replicas.len(), 3);
@@ -793,6 +833,7 @@ mod tests {
                 .map(|&id| sim.with_server(id, |s| s.node().log().last_index()))
                 .max()
                 .unwrap_or(0);
+            let mut in_log = BTreeSet::new();
             for index in 1..=last {
                 let held: Option<Vec<_>> = replicas
                     .iter()
@@ -803,18 +844,30 @@ mod tests {
                     held.iter().all(|b| Arc::ptr_eq(b, &held[0])),
                     "shard {shard} index {index}: a replica holds a copy of the batch"
                 );
+                in_log.extend(held[0].iter().map(ptr::from_ref));
                 batches += 1;
             }
-            let first = applied_records(&sim, replicas[0]);
-            for &id in &replicas[1..] {
-                for (at, r) in applied_records(&sim, id) {
-                    let Some(r0) = first.get(&at) else { continue };
-                    assert_eq!(
-                        r.value.as_ptr(),
-                        r0.value.as_ptr(),
-                        "{at:?}: server {id} holds a copy of the value"
+            let seen: Vec<_> = replicas
+                .iter()
+                .map(|&id| record_addresses(&sim, id))
+                .collect();
+            let first = &seen[0][0];
+            for (&id, [stored, snapshot, fetched]) in replicas.iter().zip(&seen) {
+                assert_eq!(
+                    (snapshot.len(), fetched.len()),
+                    (stored.len(), stored.len())
+                );
+                for (at, &r) in stored {
+                    assert!(ptr::eq(snapshot[at], r), "{at:?}: the snapshot copied it");
+                    assert!(ptr::eq(fetched[at], r), "{at:?}: the fetch copied it");
+                    // Replicas apply at their own pace: compare what both hold.
+                    let Some(&r0) = first.get(at) else { continue };
+                    assert!(
+                        ptr::eq(r, r0),
+                        "{at:?}: server {id} holds a copy of the record"
                     );
-                    values += 1;
+                    records += 1;
+                    logged += usize::from(in_log.contains(&r));
                 }
             }
         }
@@ -822,7 +875,11 @@ mod tests {
             batches > 100,
             "only {batches} batches held by every replica"
         );
-        assert!(values > 1000, "only {values} values compared");
+        assert!(records > 3000, "only {records} records compared");
+        assert!(
+            logged > 3000,
+            "only {logged} applied records are the logged ones"
+        );
     }
 
     #[test]
