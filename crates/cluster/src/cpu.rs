@@ -9,7 +9,7 @@
 //! offered load beyond capacity queue up (latency) and saturate
 //! (throughput), exactly the Fig. 5 hockey stick.
 //!
-//! Cost calibration (documented in DESIGN.md): per-message costs are sized
+//! Cost calibration: per-message costs are sized
 //! so that a 2-core leader pushing 64 followers at Fix-K cadence pegs near
 //! 100 %+ (paper Fig. 7b) and a 4-core leader saturates near the paper's
 //! ~13.7 k req/s peak (Fig. 5). The `tuning_per_request` tax encodes the

@@ -1,5 +1,5 @@
 //! Ablation studies over Dynatune's design knobs (our additions beyond the
-//! paper's figures; DESIGN.md lists them as the "design choices" index),
+//! paper's figures: one sweep per choice the paper fixes or asserts),
 //! reported as one registered experiment.
 //!
 //! * [`quantization`] — etcd tick-quantized timers vs. continuous timers:
@@ -285,7 +285,7 @@ fn transport(seed: u64) -> [TransportRow; 2] {
 }
 
 /// Quantization / safety factor / arrival probability / warm-up /
-/// transport / pre-vote ablations (DESIGN.md §5).
+/// transport / pre-vote ablations (the module docs above list each).
 pub const ABLATIONS: Scenario = Scenario {
     name: "ablations",
     describe: "quantization / safety factor / arrival probability / warm-up / transport / pre-vote",

@@ -99,9 +99,10 @@ fn catchup_trial(seed: u64) -> CatchupTrial {
     let first_index = sim.with_server(mid_leader, |s| s.node().log().first_index());
     let follower_match = sim.with_server(follower, |s| s.node().log().last_index());
     let compacted_past_follower = first_index > follower_match;
-    // Restart: volatile state is lost (a crash, not just a sleep), then the
-    // node rejoins and must be caught up by snapshot — appends cannot reach
-    // below the leader's first_index.
+    // Restart: volatile state is lost (a crash, not just a sleep) while the
+    // applied store survives at its stale index; the node rejoins and must
+    // be caught up by snapshot — appends cannot reach below the leader's
+    // first_index.
     sim.crash(follower);
     sim.resume(follower);
     run_tracking_log(&mut sim, SimTime::from_secs(45), &mut max_log);

@@ -30,8 +30,9 @@ use std::time::Duration;
 
 /// Servers in the RTT experiments (paper: 5).
 const RTT_SERVERS: usize = 5;
-/// Per-packet jitter coefficient of variation under the RTT schedules (WAN
-/// realism; see DESIGN.md on why gaps must scale with RTT).
+/// Per-packet jitter coefficient of variation under the RTT schedules. It
+/// is relative, so jitter scales with the RTT as on a real WAN path: a
+/// fixed jitter would swamp the 50 ms phase and vanish at 200 ms.
 const RTT_JITTER_CV: f64 = 0.10;
 /// Congestion bursts under the RTT schedules.
 const RTT_CONGESTION: CongestionConfig = CongestionConfig {

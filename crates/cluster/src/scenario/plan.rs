@@ -43,7 +43,8 @@ pub enum FaultAction {
     Resume(Target),
     /// Resume every paused node.
     ResumeAll,
-    /// Crash-restart a node: volatile state lost, persistent log kept.
+    /// Crash-restart a node: volatile state lost; the log and the applied
+    /// state machine kept, as on disk.
     Crash(Target),
     /// Split the network: the spec'd group on one side, the rest on the
     /// other.

@@ -311,12 +311,11 @@ impl<A: App> ServerHost<A> {
         self.conf_rejections
     }
 
-    /// Crash this server: persistent Raft state (term, vote, log, retained
-    /// snapshot) survives, everything else (pending requests, admission
-    /// queue) is lost; the state machine is rebuilt from the snapshot plus
-    /// log replay.
+    /// Crash this server: the node's durable state (term, vote, log and
+    /// the applied store, as a disk-based state machine keeps it) survives;
+    /// everything else (pending requests, admission queue) is lost.
     pub fn crash_restart(&mut self, now: SimTime) {
-        self.node.restart(now, Replicated::new());
+        self.node.restart(now);
         self.pending.clear();
         self.admit.clear();
         self.read_origins.clear();
@@ -968,10 +967,31 @@ mod tests {
         let deadline = s.wake_deadline().unwrap();
         let mut ctx = HostCtx::test_ctx(deadline, 0, &mut outbox);
         s.handle_wake(&mut ctx);
+        assert_eq!(s.node().role(), Role::Leader);
+        let req = ClusterMsg::ClientReq {
+            req_id: 1,
+            cmd: KvCommand::Put {
+                key: bytes::Bytes::from_static(b"k"),
+                value: bytes::Bytes::from_static(b"v"),
+            },
+        };
+        let mut ctx = HostCtx::test_ctx(deadline + Duration::from_millis(1), 0, &mut outbox);
+        s.handle_message(&mut ctx, 7, req);
+        let applied = s.node().last_applied();
+        assert!(
+            s.node().state_machine().peek(b"k").is_some(),
+            "write applied"
+        );
         let term_before = s.node().term();
         s.crash_restart(deadline + Duration::from_secs(1));
         assert_eq!(s.node().role(), Role::Follower);
         assert_eq!(s.node().term(), term_before, "term is persistent");
-        assert!(s.node().state_machine().is_empty());
+        assert_eq!(s.node().last_applied(), applied, "applied index kept");
+        let v = s
+            .node()
+            .state_machine()
+            .peek(b"k")
+            .expect("the store keeps the write");
+        assert_eq!(v.version, 1);
     }
 }

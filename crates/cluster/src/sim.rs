@@ -549,8 +549,8 @@ impl<A: App, C: Client<A>> ClusterSim<A, C> {
 
     /// Crash-restart a server: buffered traffic and volatile state are
     /// dropped (in that order — the pause buffer must not replay into the
-    /// restarted node), the persistent log survives, and the wake is
-    /// rescheduled for the fresh election timer.
+    /// restarted node), the log and the applied store survive, and the wake
+    /// is rescheduled for the fresh election timer.
     pub fn crash(&mut self, id: NodeId) {
         self.world.clear_pause_buffer(id);
         let now = self.world.now();

@@ -14,7 +14,9 @@
 //!   the current term, prefix compaction;
 //! * per-follower heartbeat pacing carrying Dynatune measurement metadata
 //!   over the UDP-like channel (the paper's hybrid transport, §III-E);
-//! * pause (container-sleep) and crash-recovery failure modes.
+//! * pause (container-sleep) and crash-recovery failure modes; a crash
+//!   keeps the log and the applied state, as a disk-based state machine
+//!   would, so compaction drops the prefix without taking a snapshot.
 //!
 //! The node is a pure state machine ([`RaftNode::step`] / [`RaftNode::tick`]
 //! / [`RaftNode::propose`] → [`Effects`]) so the discrete-event simulator
@@ -57,7 +59,5 @@ pub use message::{
 };
 pub use node::{ConfChangeError, NodeEffects, NodePayload, NotLeader, RaftNode};
 pub use progress::{InflightSend, Progress};
-pub use state_machine::{
-    Applied, Effects, NullStateMachine, ReadGrant, ReadPath, Snapshot, StateMachine,
-};
+pub use state_machine::{Applied, Effects, NullStateMachine, ReadGrant, ReadPath, StateMachine};
 pub use types::{quorum, LogIndex, NodeId, Role, Term};

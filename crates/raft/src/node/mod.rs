@@ -62,7 +62,7 @@ use crate::config::RaftConfig;
 use crate::log::RaftLog;
 use crate::membership::Membership;
 use crate::message::{OutMsg, Payload};
-use crate::state_machine::{Effects, Snapshot, StateMachine};
+use crate::state_machine::{Effects, StateMachine};
 use crate::types::{LogIndex, NodeId, Role, Term};
 use confchange::MembershipFrame;
 use dynatune_core::FollowerTuner;
@@ -128,17 +128,15 @@ pub struct RaftNode<SM: StateMachine> {
     /// from persistent state (genesis config + conf entries in the log +
     /// snapshot boundary), so it survives crash-recovery with the log.
     frames: Vec<MembershipFrame>,
+    /// The applied state, durable like a disk-based state machine's: a
+    /// crash keeps it, so compaction only drops the log prefix and a
+    /// snapshot is cut only to stream one (`send_snapshot`).
+    sm: SM,
+    last_applied: LogIndex,
     // --- volatile state ---
     state: RoleState,
     leader_id: Option<NodeId>,
     commit_index: LogIndex,
-    last_applied: LogIndex,
-    sm: SM,
-    /// The retained state-machine snapshot, refreshed on every compaction
-    /// and on snapshot installs. Persistent (like the log): once the log
-    /// prefix is gone, crash-recovery rebuilds the state machine from here
-    /// instead of replaying from index 1.
-    snap: Option<Snapshot<SM::Snapshot>>,
     /// Count of `InstallSnapshot` messages this node has sent as leader.
     snapshots_sent: u64,
     // --- election timer ---
@@ -185,7 +183,6 @@ impl<SM: StateMachine> RaftNode<SM> {
             commit_index: 0,
             last_applied: 0,
             sm,
-            snap: None,
             snapshots_sent: 0,
             timer_reset_at: now,
             timeout_factor,
@@ -254,12 +251,6 @@ impl<SM: StateMachine> RaftNode<SM> {
     #[must_use]
     pub fn log(&self) -> &RaftLog<SM::Command> {
         &self.log
-    }
-
-    /// The retained snapshot backing the compacted log prefix, if any.
-    #[must_use]
-    pub fn retained_snapshot(&self) -> Option<&Snapshot<SM::Snapshot>> {
-        self.snap.as_ref()
     }
 
     /// `InstallSnapshot` messages sent by this node as leader (observable).
@@ -371,23 +362,15 @@ impl<SM: StateMachine> RaftNode<SM> {
         fx
     }
 
-    /// Restart after a crash: persistent state (term, vote, log, retained
-    /// snapshot) survives; volatile state resets. The state machine is
-    /// rebuilt from the retained snapshot (when the log was ever compacted,
-    /// replay from index 1 is impossible) plus replay as entries re-commit.
-    pub fn restart(&mut self, now: SimTime, fresh_sm: SM) {
+    /// Restart after a crash. Term, vote, log and the applied state
+    /// survive, as etcd keeps its backend and consistent index; everything
+    /// applied was committed, so the commit index resumes at `last_applied`.
+    /// Role, leader, read sequence, tuner and election timer reset.
+    pub fn restart(&mut self, now: SimTime) {
         self.state = RoleState::Follower;
         self.read_seq = 0;
         self.leader_id = None;
-        self.sm = fresh_sm;
-        if let Some(snap) = &self.snap {
-            self.sm.restore(&snap.data);
-            self.commit_index = snap.last_included_index;
-            self.last_applied = snap.last_included_index;
-        } else {
-            self.commit_index = 0;
-            self.last_applied = 0;
-        }
+        self.commit_index = self.last_applied;
         self.tuner.reset();
         self.reset_election_timer(now, true);
     }
@@ -420,7 +403,7 @@ mod tests {
     }
 
     /// Drive `node` through a full self-election by faking peer responses.
-    fn elect(node: &mut Node, now: SimTime) -> NodeEffects<NullStateMachine> {
+    fn elect<SM: StateMachine>(node: &mut RaftNode<SM>, now: SimTime) -> NodeEffects<SM> {
         let mut fx = Effects::new();
         // Fire the election timer.
         let deadline = node.election_deadline();
@@ -1117,42 +1100,63 @@ mod tests {
 
     #[test]
     fn restart_preserves_log_and_term_but_resets_volatile() {
-        let mut n = node(1, 3);
-        let _ = n.step(
-            ms(1),
-            0,
+        let config = RaftConfig::new(1, 3, TuningConfig::dynatune());
+        let mut n = RaftNode::new(config, NullStateMachine::default(), SimTime::ZERO);
+        let hb = |id: u64, t: SimTime, commit: LogIndex| {
+            Payload::Heartbeat(Heartbeat {
+                term: 4,
+                leader: 0,
+                commit,
+                meta: dynatune_core::HeartbeatMeta {
+                    id,
+                    sent_at_nanos: t.as_nanos(),
+                    rtt_sample: Some(Duration::from_millis(50)),
+                },
+            })
+        };
+        let append = |index: LogIndex, value: u64| {
             Payload::AppendEntries(AppendEntries {
                 term: 4,
                 leader: 0,
-                prev_log_index: 0,
-                prev_log_term: 0,
-                entries: vec![crate::log::Entry::normal(4, 1, Some(11))],
-                leader_commit: 1,
+                prev_log_index: index - 1,
+                prev_log_term: if index > 1 { 4 } else { 0 },
+                entries: vec![crate::log::Entry::normal(4, index, Some(value))],
+                leader_commit: index,
                 read_ctx: None,
-            }),
-        );
+            })
+        };
+        // Warm the tuner, then commit and apply entry 1.
+        let mut t = ms(10);
+        for i in 0..20u64 {
+            let _ = n.step(t, 0, hb(i, t, 0));
+            t += Duration::from_millis(100);
+        }
+        assert!(n.tuning_snapshot().warmed);
+        let _ = n.step(t, 0, append(1, 11));
         assert_eq!(n.commit_index(), 1);
-        assert_eq!(n.state_machine().applied.len(), 1);
-        n.restart(ms(100), NullStateMachine::default());
+        assert_eq!(n.leader_id(), Some(0));
+        let applied_before = n.state_machine().applied.clone();
+        assert_eq!(applied_before.len(), 1);
+
+        n.restart(t + Duration::from_millis(100));
         assert_eq!(n.term(), 4, "term persists");
         assert_eq!(n.log().last_index(), 1, "log persists");
-        assert_eq!(n.commit_index(), 0, "commit is volatile");
-        assert!(n.state_machine().applied.is_empty(), "SM rebuilt");
+        assert_eq!(n.last_applied(), 1, "the applied index persists");
+        assert_eq!(n.commit_index(), n.last_applied(), "commit resumes there");
+        assert_eq!(n.state_machine().applied, applied_before, "SM kept");
         assert_eq!(n.role(), Role::Follower);
-        // Re-commit via a heartbeat from the leader.
-        let hb = Heartbeat {
-            term: 4,
-            leader: 0,
-            commit: 1,
-            meta: dynatune_core::HeartbeatMeta {
-                id: 0,
-                sent_at_nanos: 0,
-                rtt_sample: None,
-            },
-        };
-        let fx = n.step(ms(101), 0, Payload::Heartbeat(hb));
-        assert_eq!(n.commit_index(), 1);
+        assert_eq!(n.leader_id(), None, "leader is volatile");
+        assert!(!n.tuning_snapshot().warmed, "tuner resets");
+        assert_eq!(n.tuning_snapshot().rtt_samples, 0);
+        // The leader re-announcing commit 1 applies nothing a second time;
+        // the next entry applies from index 2.
+        let t = t + Duration::from_millis(200);
+        let fx = n.step(t, 0, hb(20, t, 1));
+        assert!(fx.applied.is_empty(), "no replay: {:?}", fx.applied);
+        let fx = n.step(t, 0, append(2, 12));
         assert_eq!(fx.applied.len(), 1);
+        assert_eq!(fx.applied[0].index, 2);
+        assert_eq!(n.state_machine().applied, vec![(1, 11), (2, 12)]);
     }
 
     #[test]
@@ -1431,7 +1435,7 @@ mod tests {
     }
 
     #[test]
-    fn restart_rebuilds_state_machine_from_retained_snapshot() {
+    fn restart_after_compaction_resumes_at_last_applied() {
         let mut n = node(0, 1);
         let deadline = n.election_deadline();
         let _ = n.tick(deadline);
@@ -1442,14 +1446,117 @@ mod tests {
         n.compact_log(3);
         assert_eq!(n.log().first_index(), 4);
         let state_before = n.state_machine().applied.clone();
-        // Pre-fix, restart reset last_applied to 0 with a compacted log:
-        // replay from index 1 was impossible and re-committing panicked.
-        n.restart(ms(9000), NullStateMachine::default());
-        assert_eq!(n.last_applied(), 3, "snapshot anchors recovery");
+        // With the prefix gone there is nothing to replay: restart must keep
+        // the applied state and resume at last_applied.
+        n.restart(ms(9000));
+        assert_eq!(n.role(), Role::Follower, "role is volatile");
+        assert_eq!(n.last_applied(), 3, "the applied index survives");
         assert_eq!(n.commit_index(), 3);
         assert_eq!(n.state_machine().applied, state_before);
-        let snap = n.retained_snapshot().expect("snapshot retained");
-        assert_eq!(snap.last_included_index, 3);
+        // Re-elected, the node commits its no-op and a command on top of
+        // index 3 and applies exactly those.
+        let deadline = n.election_deadline();
+        let fx = n.tick(deadline);
+        assert_eq!(n.role(), Role::Leader);
+        assert_eq!(fx.applied.iter().map(|a| a.index).collect::<Vec<_>>(), [4]);
+        let (_, fx) = n.propose(deadline, 44);
+        assert_eq!(fx.applied.iter().map(|a| a.index).collect::<Vec<_>>(), [5]);
+        assert_eq!(n.state_machine().applied, vec![(2, 42), (3, 43), (5, 44)]);
+    }
+
+    /// A [`NullStateMachine`] that counts the snapshots cut from it.
+    #[derive(Debug, Default)]
+    struct CountingSm {
+        inner: NullStateMachine,
+        snapshots: std::cell::Cell<u32>,
+    }
+
+    impl StateMachine for CountingSm {
+        type Command = u64;
+        type Response = LogIndex;
+        type Snapshot = Vec<(LogIndex, u64)>;
+
+        fn apply(&mut self, index: LogIndex, command: &u64) -> LogIndex {
+            self.inner.apply(index, command)
+        }
+
+        fn snapshot(&self) -> Self::Snapshot {
+            self.snapshots.set(self.snapshots.get() + 1);
+            self.inner.snapshot()
+        }
+
+        fn restore(&mut self, snapshot: &Self::Snapshot) {
+            self.inner.restore(snapshot);
+        }
+    }
+
+    #[test]
+    fn only_streaming_a_snapshot_cuts_one() {
+        let config = RaftConfig::new(0, 3, TuningConfig::raft_default());
+        let mut n = RaftNode::new(config, CountingSm::default(), SimTime::ZERO);
+        let append = |prev: LogIndex, values: &[u64]| {
+            Payload::AppendEntries(AppendEntries {
+                term: 1,
+                leader: 1,
+                prev_log_index: prev,
+                prev_log_term: if prev > 0 { 1 } else { 0 },
+                entries: (prev + 1..)
+                    .zip(values)
+                    .map(|(i, v)| crate::log::Entry::normal(1, i, Some(*v)))
+                    .collect(),
+                leader_commit: prev + values.len() as u64,
+                read_ctx: None,
+            })
+        };
+        // A follower compacts twice and installs one snapshot.
+        let _ = n.step(ms(1), 1, append(0, &[10, 20]));
+        n.compact_log(2);
+        let _ = n.step(ms(2), 1, append(2, &[30]));
+        n.compact_log(3);
+        assert_eq!(n.log().first_index(), 4);
+        let _ = n.step(
+            ms(3),
+            2,
+            Payload::InstallSnapshot(InstallSnapshot {
+                term: 2,
+                leader: 2,
+                last_included_index: 7,
+                last_included_term: 2,
+                membership: Membership::initial(&[0, 1, 2], &[]),
+                data: vec![(7, 70)],
+            }),
+        );
+        assert_eq!(n.last_applied(), 7);
+        assert_eq!(n.state_machine().snapshots.get(), 0, "nothing was cut");
+        // Elected, it streams one snapshot to a peer behind its log base.
+        let _ = elect(&mut n, ms(4));
+        let t = ms(5000);
+        let _ = n.step(
+            t,
+            1,
+            Payload::AppendResp(AppendResp {
+                term: n.term(),
+                success: true,
+                match_or_hint: n.log().last_index(),
+                read_ctx: None,
+            }),
+        );
+        let fx = n.step(
+            t,
+            2,
+            Payload::AppendResp(AppendResp {
+                term: n.term(),
+                success: false,
+                match_or_hint: 0,
+                read_ctx: None,
+            }),
+        );
+        assert_eq!(n.snapshots_sent(), 1);
+        assert!(fx
+            .messages
+            .iter()
+            .any(|m| m.payload.kind() == "install_snapshot"));
+        assert_eq!(n.state_machine().snapshots.get(), 1, "one stream, one cut");
     }
 
     #[test]

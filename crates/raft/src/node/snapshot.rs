@@ -1,11 +1,13 @@
 //! Snapshots: streaming applied state to a follower behind the compaction
 //! horizon (`InstallSnapshot`), installing one, and compacting the log.
+//! The applied state is durable, so compaction only drops the log prefix:
+//! the one snapshot ever cut is the one `send_snapshot` streams.
 
 use super::confchange::MembershipFrame;
 use super::{send, NodeEffects, RaftNode};
 use crate::events::RaftEvent;
 use crate::message::{AppendResp, InstallSnapshot, Payload};
-use crate::state_machine::{Snapshot, StateMachine};
+use crate::state_machine::StateMachine;
 use crate::types::{LogIndex, NodeId};
 use dynatune_core::invariant_violated;
 use dynatune_simnet::SimTime;
@@ -94,7 +96,7 @@ impl<SM: StateMachine> RaftNode<SM> {
                 MembershipFrame {
                     index: snap.last_included_index,
                     term: snap.last_included_term,
-                    membership: snap.membership.clone(),
+                    membership: snap.membership,
                 },
             );
             if self.active_frame().membership != membership_before {
@@ -103,13 +105,6 @@ impl<SM: StateMachine> RaftNode<SM> {
             self.sm.restore(&snap.data);
             self.commit_index = snap.last_included_index;
             self.last_applied = snap.last_included_index;
-            // The snapshot becomes our crash-recovery baseline: the log no
-            // longer replays from index 1.
-            self.snap = Some(Snapshot {
-                last_included_index: snap.last_included_index,
-                last_included_term: snap.last_included_term,
-                data: snap.data,
-            });
             fx.events.push(RaftEvent::SnapshotInstalled {
                 last_included_index: snap.last_included_index,
             });
@@ -125,28 +120,14 @@ impl<SM: StateMachine> RaftNode<SM> {
         send(&self.config, fx, from, Payload::AppendResp(resp));
     }
 
-    /// Compact the log prefix up to `index` (clamped to `last_applied`),
-    /// retaining a state-machine snapshot so crash-recovery and slow-peer
-    /// catch-up survive the loss of the prefix.
+    /// Compact the log prefix up to `index` (clamped to `last_applied`).
+    /// No snapshot is taken: the applied state survives a crash, and a
+    /// follower behind the new base is caught up by `send_snapshot`.
     pub fn compact_log(&mut self, index: LogIndex) {
         let index = index.min(self.safe_compact_index());
         if index < self.log.first_index() {
             return; // nothing new to discard
         }
-        let last_included_index = self.last_applied;
-        let Some(last_included_term) = self.log.term_at(last_included_index) else {
-            invariant_violated!(
-                "applied index {last_included_index} fell outside the live log \
-                 [{}, {}] — safe_compact_index clamps to last_applied",
-                self.log.first_index(),
-                self.log.last_index()
-            );
-        };
-        self.snap = Some(Snapshot {
-            last_included_index,
-            last_included_term,
-            data: self.sm.snapshot(),
-        });
         // Collapse membership frames the compacted prefix carried into one
         // base frame at the compaction boundary: their history is gone from
         // the log, but the configuration they produced must survive (a

@@ -15,8 +15,8 @@ pub trait StateMachine {
     /// Response produced by applying a command (returned to clients by the
     /// leader).
     type Response;
-    /// Serialized full state, shipped in `InstallSnapshot` messages and
-    /// retained across crash-restarts once the log is compacted.
+    /// Serialized full state, cut only to ship in `InstallSnapshot`
+    /// messages: the applied state itself survives a crash.
     type Snapshot: Clone;
 
     /// Apply a committed command at `index`.
@@ -40,20 +40,6 @@ pub trait StateMachine {
     /// Replace the state with `snapshot`, discarding whatever was applied
     /// before.
     fn restore(&mut self, snapshot: &Self::Snapshot);
-}
-
-/// A state-machine snapshot anchored at the log position it covers. This is
-/// what a node retains when it compacts its log (crash-recovery can no
-/// longer replay the compacted prefix) and what the leader streams to a
-/// follower that fell behind the compaction horizon.
-#[derive(Debug, Clone)]
-pub struct Snapshot<S> {
-    /// Highest log index whose effects are included.
-    pub last_included_index: LogIndex,
-    /// Term of that entry.
-    pub last_included_term: Term,
-    /// The serialized state.
-    pub data: S,
 }
 
 /// How a log-free read was leadership-confirmed.

@@ -173,7 +173,7 @@ impl<H: Hooks> Harness<H> {
     /// survives, volatile state resets.
     pub fn crash_restart(&mut self, n: usize) {
         let id = n % self.nodes.len();
-        self.nodes[id].restart(self.now, NullStateMachine::default());
+        self.nodes[id].restart(self.now);
     }
 
     /// The leader at the cluster's highest term, if there is one. A node

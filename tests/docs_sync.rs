@@ -72,6 +72,70 @@ fn rs_paths_cited_in_the_guides_exist() {
     );
 }
 
+/// Every `*.md` file named in a `.rs` doc comment (`///`, `//!`) or in the
+/// hand-written guides exists: at the repo root, or relative to the citing
+/// file's directory or one of its ancestors. A design note that was never
+/// written, or was deleted, cannot stay cited.
+#[test]
+fn md_files_cited_in_doc_comments_and_guides_exist() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let is_path_char = |c: char| c.is_ascii_alphanumeric() || "_-./".contains(c);
+    let mut sources = Vec::new();
+    let mut dirs: Vec<std::path::PathBuf> = ["crates", "src", "tests", "examples", "vendor"]
+        .iter()
+        .map(|d| root.join(d))
+        .collect();
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).expect("readable source dir") {
+            let path = entry.expect("dir entry").path();
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            if path.is_dir() && name != "target" && !name.starts_with('.') {
+                dirs.push(path);
+            } else if name.ends_with(".rs") {
+                let text = std::fs::read_to_string(&path).expect("readable source");
+                let docs: String = text
+                    .lines()
+                    .filter(|l| {
+                        let l = l.trim_start();
+                        l.starts_with("///") || l.starts_with("//!")
+                    })
+                    .collect::<Vec<_>>()
+                    .join("\n");
+                sources.push((path, docs));
+            }
+        }
+    }
+    for (guide, text) in GUIDES {
+        sources.push((root.join(guide), text.to_string()));
+    }
+    let mut cited = 0;
+    let mut stale = Vec::new();
+    for (file, text) in &sources {
+        for word in text.split(|c| !is_path_char(c)) {
+            let md = word.trim_start_matches("./");
+            if !md.ends_with(".md") || md.len() == ".md".len() {
+                continue;
+            }
+            cited += 1;
+            let found = std::iter::once(root)
+                .chain(file.ancestors().skip(1).take_while(|d| d.starts_with(root)))
+                .any(|dir| dir.join(md).is_file());
+            if !found {
+                let at = file.strip_prefix(root).unwrap_or(file);
+                stale.push(format!("{}: {md}", at.display()));
+            }
+        }
+    }
+    assert!(
+        cited > 0,
+        "no .md citation found at all: the scan itself is broken"
+    );
+    assert!(
+        stale.is_empty(),
+        "cited .md files that do not exist: {stale:#?}"
+    );
+}
+
 /// Every `RaftConfig::name` / `TuningConfig::name` the hand-written guides
 /// cite is a field, `fn` or `const` of the config file that defines the
 /// struct, so a knob that becomes a constant (or moves to another layer)

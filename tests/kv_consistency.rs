@@ -116,24 +116,39 @@ fn replicas_converge_under_loss() {
 }
 
 #[test]
-fn crash_recovery_replays_to_the_same_state() {
+fn crash_recovery_keeps_the_applied_state() {
     let cfg = ClusterConfig::stable(3, TuningConfig::dynatune(), Duration::from_millis(20), 44)
         .with_workload(workload(400.0, 15));
     let mut sim = ClusterSim::new(&cfg);
     sim.run_until(SimTime::from_secs(10));
-    // Crash a follower (loses its state machine, keeps its log).
+    // Crash a follower: it keeps its log and its applied store, as a
+    // disk-based state machine would, and loses only volatile state.
     let leader = sim.leader().expect("leader");
     let victim = (0..3).find(|&i| i != leader).unwrap();
-    let applied_before = sim.with_server(victim, |s| s.node().last_applied());
-    assert!(applied_before > 0);
+    let applied_state = |sim: &ClusterSim| {
+        sim.with_server(victim, |s| {
+            (s.node().last_applied(), s.node().state_machine().digest())
+        })
+    };
+    let before = applied_state(&sim);
+    assert!(before.0 > 0);
     sim.crash(victim);
-    assert_eq!(sim.with_server(victim, |s| s.node().last_applied()), 0);
-    // It replays from its persisted log as the leader re-commits.
+    assert_eq!(
+        applied_state(&sim),
+        before,
+        "the crash keeps the applied state"
+    );
+    assert_eq!(
+        sim.with_server(victim, |s| s.node().commit_index()),
+        before.0
+    );
+    // It applies on from there as the leader commits.
     sim.run_until(SimTime::from_secs(30));
     let applied_after = sim.with_server(victim, |s| s.node().last_applied());
     assert!(
-        applied_after >= applied_before,
-        "crash recovery must replay: {applied_before} -> {applied_after}"
+        applied_after > before.0,
+        "the restarted replica must keep applying: {} -> {applied_after}",
+        before.0
     );
     sim.run_until(SimTime::from_secs(40));
     assert_replicas_converged(&sim);

@@ -140,12 +140,11 @@ fn compacted_follower_winning_election_recovers_lagging_peer() {
     );
 }
 
-/// Crash-recovery of a server whose own log is compacted: pre-fix the
-/// state machine was rebuilt by replay from index 1, which is impossible
-/// once the prefix is gone (re-commit panicked on the missing entry). Now
-/// the retained snapshot anchors recovery.
+/// Crash-recovery of a server whose own log is compacted: the prefix is
+/// gone, so replay from index 1 is impossible. The applied store survives
+/// the crash, and the server resumes at exactly the index it had applied.
 #[test]
-fn crash_restart_of_compacted_server_recovers_from_retained_snapshot() {
+fn crash_restart_of_compacted_server_keeps_its_applied_state() {
     let mut sim = cluster(13, 25);
     // Run everyone past the compaction threshold.
     sim.run_until(SimTime::from_secs(15));
@@ -156,15 +155,16 @@ fn crash_restart_of_compacted_server_recovers_from_retained_snapshot() {
         first_index > 1,
         "victim must have compacted (first {first_index})"
     );
+    let applied_before = sim.with_server(victim, |s| s.node().last_applied());
 
     sim.crash(victim);
+    let applied = sim.with_server(victim, |s| s.node().last_applied());
+    assert_eq!(
+        applied, applied_before,
+        "restart must resume at the applied index, not index 0"
+    );
     sim.run_until(SimTime::from_secs(40));
 
-    let applied = sim.with_server(victim, |s| s.node().last_applied());
-    assert!(
-        applied >= first_index - 1,
-        "restart must resume from the snapshot, not index 0"
-    );
     let ds = digests(&sim);
     assert!(
         ds.iter().all(|&d| d == ds[0]),
