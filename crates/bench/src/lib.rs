@@ -5,7 +5,7 @@
 //!
 //! * `--quick` — scaled-down run (fewer trials, shorter holds) for smoke
 //!   testing; the full defaults match the paper's §IV settings.
-//! * `--trials N` / `--repeats N` — override trial counts.
+//! * `--trials N` / `--repeats N` — override trial counts (N ≥ 1).
 //! * `--jobs N` — cap parallel trial fan-out at N worker threads
 //!   (0/default: all cores). Results are bit-identical for every N.
 //! * `--out DIR` — where to write CSV series (default `results/`).
@@ -25,6 +25,7 @@
 #![warn(missing_docs)]
 
 use dynatune_cluster::scenario::{json_escape, Headline, Report, RunCtx, Scenario};
+use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 
 pub use dynatune_cluster::scenario::{compare_row, reduction_pct};
@@ -94,7 +95,8 @@ impl RunArgs {
     ///
     /// # Errors
     /// Returns a message for unknown flags, missing values, unparsable
-    /// numbers, and `--json` without `--list`.
+    /// numbers, a zero `--trials` or `--repeats`, and `--json` without
+    /// `--list`.
     pub fn try_parse<I>(args: I) -> Result<Option<Self>, String>
     where
         I: IntoIterator<Item = String>,
@@ -107,8 +109,8 @@ impl RunArgs {
                 "--list" => out.list = true,
                 "--json" => out.json = true,
                 "--describe-md" => out.describe_md = true,
-                "--trials" => out.ctx.trials = Some(number(&mut args, "--trials")?),
-                "--repeats" => out.ctx.repeats = Some(number(&mut args, "--repeats")?),
+                "--trials" => out.ctx.trials = Some(count(&mut args, "--trials")?),
+                "--repeats" => out.ctx.repeats = Some(count(&mut args, "--repeats")?),
                 "--jobs" => out.ctx.jobs = number(&mut args, "--jobs")?,
                 "--seed" => out.ctx.seed = number(&mut args, "--seed")?,
                 "--out" => {
@@ -147,6 +149,14 @@ fn number<T: std::str::FromStr>(
     value
         .parse()
         .map_err(|_| format!("{flag} needs a number, got {value:?}"))
+}
+
+/// Parse the next argument as a count for `flag`: zero trials or repeats
+/// leave a scenario no data to assert its claim on.
+fn count(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<usize, String> {
+    number::<NonZeroUsize>(args, flag)
+        .map(NonZeroUsize::get)
+        .map_err(|_| format!("{flag} needs a count of at least 1"))
 }
 
 /// Resolve `--only` patterns against the registry's scenario names.
@@ -315,6 +325,8 @@ mod tests {
         assert!(parse(&["--frobnicate"]).is_err());
         assert!(parse(&["--trials"]).is_err());
         assert!(parse(&["--trials", "many"]).is_err());
+        assert!(parse(&["--trials", "0"]).is_err());
+        assert!(parse(&["--repeats", "0"]).is_err());
         assert!(parse(&["--seed", "-1"]).is_err());
         assert!(parse(&["--out"]).is_err());
         assert!(parse(&["--json"]).is_err());

@@ -10,7 +10,7 @@
 //!
 //! | rule | hazard |
 //! |------|--------|
-//! | D001 | wall-clock time outside the bench/criterion harness |
+//! | D001 | wall-clock time outside the bench harness |
 //! | D002 | `HashMap`/`HashSet` (unordered iteration) in deterministic crates |
 //! | D003 | ambient randomness / randomized hashing |
 //! | D004 | thread/sync primitives outside the vendored rayon shim |

@@ -9,8 +9,8 @@
 //!   `#[cfg(test)]` code, since tests assert bit-identical reports. The
 //!   protocol crates (`raft`, `cluster`, `broker`) additionally get L001
 //!   on non-test code.
-//! * **The measurement harness** (`crates/bench`, `vendor/criterion`):
-//!   wall-clock time is its job, so D001 is off; everything else applies.
+//! * **The measurement harness** (`crates/bench`): wall-clock time is
+//!   its job, so D001 is off; everything else applies.
 //! * **The vendored concurrency shim** (`vendor/rayon`): threads and sync
 //!   are its job, so D004 is off there — and *only* there.
 
@@ -63,9 +63,9 @@ pub struct FilePolicy {
     /// The policy bucket the file fell into (e.g. `crates/raft`), for
     /// reports.
     pub label: String,
-    /// True when the whole file is test-kind (`tests/`, `benches/`,
-    /// `examples/`); `#[cfg(test)]` modules inside prod files are
-    /// detected separately by the engine.
+    /// True when the whole file is test-kind (`tests/`, `examples/`);
+    /// `#[cfg(test)]` modules inside prod files are detected separately by
+    /// the engine.
     pub file_is_test: bool,
     /// Rules for production code.
     pub prod: RuleSet,
@@ -136,7 +136,6 @@ pub fn policy_for(rel_path: &str) -> Option<FilePolicy> {
         return None;
     }
     let file_is_test = rel_path.contains("/tests/")
-        || rel_path.contains("/benches/")
         || rel_path.starts_with("tests/")
         || rel_path.starts_with("examples/")
         || rel_path.contains("/examples/");
@@ -164,8 +163,6 @@ pub fn policy_for(rel_path: &str) -> Option<FilePolicy> {
                 // The one place threads/locks are allowed: the shim that
                 // *provides* deterministic fan-out.
                 "rayon" => ("vendor-rayon", without_d004(vendor_default()), vendor),
-                // The timing harness shim: Instant is its whole job.
-                "criterion" => ("vendor-criterion", without_d001(vendor_default()), vendor),
                 _ => ("vendor", vendor_default(), vendor),
             }
         } else {
@@ -203,14 +200,13 @@ mod tests {
     }
 
     #[test]
-    fn bench_and_criterion_may_read_the_clock() {
+    fn bench_may_read_the_clock() {
         assert!(
             !policy_for("crates/bench/src/bin/scenarios.rs")
                 .unwrap()
                 .prod
                 .d001
         );
-        assert!(!policy_for("vendor/criterion/src/lib.rs").unwrap().prod.d001);
         assert!(policy_for("crates/simnet/src/world.rs").unwrap().prod.d001);
     }
 

@@ -52,7 +52,7 @@ pub const RULES: &[RuleInfo] = &[
         summary: "wall-clock time (std::time::Instant / SystemTime) in deterministic code — \
                   simulated components must read time from HostCtx::now / SimTime only",
         fix: "thread virtual time through the call; wall-clock timing belongs to the \
-              bench/criterion harness",
+              bench harness",
     },
     RuleInfo {
         id: id::D002,

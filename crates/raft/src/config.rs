@@ -25,15 +25,11 @@ pub struct RaftConfig {
     /// This node's id.
     pub id: NodeId,
     /// The genesis voter set. Usually includes this node; an *outsider*
-    /// configuration (id not in `peers` or `learners`) is also valid — the
-    /// node then starts as a silent follower that never campaigns, waiting
-    /// to be admitted through a replicated configuration change
-    /// (`AddLearner` → catch-up → promotion).
+    /// configuration (id not in `peers`) is also valid — the node then
+    /// starts as a silent follower that never campaigns, waiting to be
+    /// admitted through a replicated configuration change (`AddLearner` →
+    /// catch-up → promotion).
     pub peers: Vec<NodeId>,
-    /// Genesis non-voting learners: replicated to, but counted in no
-    /// election, commit, read or lease quorum. Normally empty — learners
-    /// are usually added at runtime via `ConfChange::AddLearner`.
-    pub learners: Vec<NodeId>,
     /// Election-parameter tuning configuration (mode selects the paper's
     /// Raft / Raft-Low / Fix-K / Dynatune variants).
     pub tuning: TuningConfig,
@@ -52,11 +48,6 @@ pub struct RaftConfig {
     /// batch per RTT; larger windows keep the pipe full across the RTT. An
     /// in-flight `InstallSnapshot` always occupies the whole window.
     pub pipeline_window: usize,
-    /// Group commit: flush the proposal batch to followers once this many
-    /// payload bytes have accumulated, even if the group-commit delay cap
-    /// (the constant `MAX_BATCH_DELAY` in `node/replication.rs`) has not
-    /// elapsed yet.
-    pub max_batch_bytes: usize,
     /// §IV-E extension 1: skip a follower's heartbeat when replication
     /// traffic was sent to it within the current heartbeat interval —
     /// appends already reset the follower's election timer, so under load
@@ -97,7 +88,6 @@ impl RaftConfig {
         Self {
             id,
             peers,
-            learners: Vec::new(),
             tuning,
             pre_vote: true,
             quantization: TimerQuantization::Tick,
@@ -108,7 +98,6 @@ impl RaftConfig {
             // (≈ 14k req/s × 100 ms ≈ 1400 entries).
             max_entries_per_append: 8192,
             pipeline_window: 4,
-            max_batch_bytes: 64 * 1024,
             suppress_heartbeats_when_replicating: false,
             consolidated_heartbeat_timer: false,
             lease_reads: true,
@@ -128,13 +117,8 @@ impl RaftConfig {
     /// Panics when the config is inconsistent.
     pub fn validate(&self) {
         assert!(!self.peers.is_empty(), "empty cluster");
-        assert!(
-            !self.learners.iter().any(|l| self.peers.contains(l)),
-            "a node cannot be both a genesis voter and a genesis learner"
-        );
         assert!(self.max_entries_per_append > 0, "zero append batch size");
         assert!(self.pipeline_window > 0, "zero pipeline window");
-        assert!(self.max_batch_bytes > 0, "zero group-commit byte cap");
         self.tuning.validate();
     }
 }
@@ -187,15 +171,6 @@ mod tests {
         // the spare-server shape used for elastic scale-out.
         let c = RaftConfig::with_peers(3, vec![0, 1, 2], TuningConfig::dynatune());
         assert!(!c.peers.contains(&c.id));
-        assert!(c.learners.is_empty());
-        c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "both a genesis voter and a genesis learner")]
-    fn voter_learner_overlap_panics() {
-        let mut c = RaftConfig::new(0, 3, TuningConfig::dynatune());
-        c.learners = vec![2];
         c.validate();
     }
 }

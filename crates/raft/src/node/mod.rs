@@ -170,7 +170,7 @@ impl<SM: StateMachine> RaftNode<SM> {
         let frames = vec![MembershipFrame {
             index: 0,
             term: 0,
-            membership: Membership::initial(&config.peers, &config.learners),
+            membership: Membership::initial(&config.peers, &[]),
         }];
         Self {
             tuner: FollowerTuner::new(config.tuning),
@@ -378,7 +378,7 @@ impl<SM: StateMachine> RaftNode<SM> {
 
 #[cfg(test)]
 mod tests {
-    use super::replication::{APPEND_RESEND, MAX_BATCH_DELAY};
+    use super::replication::{APPEND_RESEND, MAX_BATCH_BYTES, MAX_BATCH_DELAY};
     use super::*;
     use crate::config::TimerQuantization;
     use crate::events::RaftEvent;
@@ -1930,22 +1930,22 @@ mod tests {
 
     #[test]
     fn byte_cap_flushes_before_the_delay_expires() {
-        let mut config = RaftConfig::new(0, 3, TuningConfig::raft_default());
-        // NullStateMachine charges 16 bytes per command: the third buffered
-        // proposal crosses the cap.
-        config.max_batch_bytes = 48;
+        let config = RaftConfig::new(0, 3, TuningConfig::raft_default());
+        // The proposal that crosses the cap is the last one.
+        let proposals = MAX_BATCH_BYTES.div_ceil(NullStateMachine::command_bytes(&0));
+        assert!(proposals > 1 && proposals <= config.max_entries_per_append);
         let mut n = RaftNode::new(config, NullStateMachine::default(), SimTime::ZERO);
         let _ = elect(&mut n, SimTime::ZERO);
         let t = ms(3000);
         // Pipes are busy with the unacked no-op: everything buffers.
-        let (_, fx) = n.propose(t, 10);
-        assert!(appends_to(&fx, 1).is_empty());
-        let (_, fx) = n.propose(t, 11);
-        assert!(appends_to(&fx, 1).is_empty());
-        let (_, fx) = n.propose(t, 12);
+        for k in 1..proposals {
+            let (_, fx) = n.propose(t, k as u64);
+            assert!(appends_to(&fx, 1).is_empty(), "proposal {k} buffers");
+        }
+        let (_, fx) = n.propose(t, proposals as u64);
         let sent = appends_to(&fx, 1);
         assert_eq!(sent.len(), 1, "byte cap reached: flushed without a tick");
-        assert_eq!(sent[0].entries.len(), 3);
+        assert_eq!(sent[0].entries.len(), proposals);
     }
 
     #[test]

@@ -21,6 +21,10 @@ use std::time::Duration;
 /// idle pipe is still sent immediately — the delay bounds batching
 /// latency under load, it never adds latency to a lone write.
 pub(super) const MAX_BATCH_DELAY: Duration = Duration::from_millis(1);
+/// Group commit's byte cap: the buffered proposals flush as soon as this
+/// many payload bytes (`StateMachine::command_bytes`) have accumulated,
+/// even if `MAX_BATCH_DELAY` has not elapsed yet.
+pub(super) const MAX_BATCH_BYTES: usize = 64 * 1024;
 /// Resend an unacknowledged `AppendEntries` after this long. With
 /// pipelining the timer watches the *oldest* unacked send; expiry
 /// abandons the whole optimistic pipeline and falls back to a probe at
@@ -33,6 +37,7 @@ pub(super) const APPEND_RESEND: Duration = Duration::from_millis(200);
 const SNAPSHOT_RESEND: Duration = Duration::from_millis(1000);
 
 const _: () = assert!(!APPEND_RESEND.is_zero(), "zero resend timeout");
+const _: () = assert!(MAX_BATCH_BYTES > 0, "zero group-commit byte cap");
 const _: () = assert!(
     MAX_BATCH_DELAY.as_nanos() < APPEND_RESEND.as_nanos(),
     "group-commit delay must flush well before loss recovery kicks in"
@@ -125,7 +130,7 @@ pub(super) struct LeaderState {
     pub(super) lease_check_at: SimTime,
     /// Group commit: payload bytes proposed since the last flush. Proposals
     /// that could not ship immediately (every pipe busy) accumulate here
-    /// until `max_batch_bytes` worth arrived or `batch_deadline` fires.
+    /// until `MAX_BATCH_BYTES` worth arrived or `batch_deadline` fires.
     batch_bytes: usize,
     /// When the pending proposal batch must be flushed to followers at the
     /// latest (`propose instant + MAX_BATCH_DELAY`). Participates in
@@ -193,7 +198,7 @@ impl<SM: StateMachine> RaftNode<SM> {
     /// (no append in flight to that follower) ships immediately, so a lone
     /// write pays no batching latency. While the pipe is busy, proposals
     /// coalesce and flush as one append per follower when either
-    /// `max_batch_bytes` worth accumulated or `MAX_BATCH_DELAY` elapsed —
+    /// `MAX_BATCH_BYTES` worth accumulated or `MAX_BATCH_DELAY` elapsed —
     /// whichever comes first — bounding the per-entry message overhead
     /// under load instead of sending every client batch on its own.
     pub fn propose(
@@ -232,7 +237,7 @@ impl<SM: StateMachine> RaftNode<SM> {
             return;
         };
         let unsent = |lead: &LeaderState| lead.peers.values().any(|p| p.progress.has_pending(last));
-        if lead.batch_bytes >= self.config.max_batch_bytes {
+        if lead.batch_bytes >= MAX_BATCH_BYTES {
             self.flush_batch(now, fx);
         } else if lead.batch_deadline.is_none() && unsent(lead) {
             lead.batch_deadline = Some(now + MAX_BATCH_DELAY);

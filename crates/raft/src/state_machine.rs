@@ -23,7 +23,7 @@ pub trait StateMachine {
     fn apply(&mut self, index: LogIndex, command: &Self::Command) -> Self::Response;
 
     /// Approximate serialized size of `command` in bytes, used by the
-    /// leader's group-commit accounting (`max_batch_bytes`) and by the
+    /// leader's group-commit accounting (`MAX_BATCH_BYTES`) and by the
     /// simulator's byte-based CPU charging for replication traffic. Only
     /// relative accuracy matters; the default charges a flat word-ish cost
     /// for state machines that never override it.

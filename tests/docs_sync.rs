@@ -42,11 +42,12 @@ fn catalog_json_and_markdown_cover_the_same_registry() {
     }
 }
 
-/// Every repo-relative `.rs` path the hand-written guides cite
-/// (`crates/…`, `src/…`, `tests/…`, `examples/…`) exists on disk, so a file
-/// that is split, moved or deleted cannot leave a dangling pointer behind.
+/// Every repo-relative path the hand-written guides cite (`crates/…`,
+/// `src/…`, `tests/…`, `examples/…`, `vendor/…`) exists on disk as a file
+/// or a directory, so a file or module that is split, moved or deleted
+/// cannot leave a dangling pointer behind.
 #[test]
-fn rs_paths_cited_in_the_guides_exist() {
+fn paths_cited_in_the_guides_exist() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
     let is_path_char = |c: char| c.is_ascii_alphanumeric() || "_-./".contains(c);
     let mut cited = 0;
@@ -54,12 +55,12 @@ fn rs_paths_cited_in_the_guides_exist() {
     for (guide, text) in GUIDES {
         for word in text.split(|c| !is_path_char(c)) {
             let path = word.trim_end_matches('.');
-            let rooted = ["crates/", "src/", "tests/", "examples/"]
+            let rooted = ["crates/", "src/", "tests/", "examples/", "vendor/"]
                 .iter()
                 .any(|dir| path.starts_with(dir));
-            if rooted && path.ends_with(".rs") {
+            if rooted {
                 cited += 1;
-                if !root.join(path).is_file() {
+                if !root.join(path).exists() {
                     stale.push(format!("{guide}: {path}"));
                 }
             }
@@ -68,7 +69,7 @@ fn rs_paths_cited_in_the_guides_exist() {
     assert!(cited > 0, "no path found at all: the scan itself is broken");
     assert!(
         stale.is_empty(),
-        "cited files that do not exist: {stale:#?}"
+        "cited paths that do not exist: {stale:#?}"
     );
 }
 
