@@ -32,6 +32,14 @@
 //!   can assert `seq == offset` for every record it fetches: a gap means a
 //!   lost produce, a repeat means a duplicated one. The failover scenario
 //!   hard-asserts both counters stay zero.
+//!
+//! The client wakes only when it has something to send: a batch flush, a
+//! consumer poll or a request timeout. Producer arrivals sit on a fixed
+//! grid, so a record is generated when a batch is about to be cut — at a
+//! wake-up for every arrival due by then, on a produce ack for those due
+//! before it — and gets the sequence number, batch and flush deadline it
+//! would have got at its own instant. Counters that include arrivals
+//! ([`BrokerClient::stats`]) are therefore read at a given instant.
 
 use crate::msg::ClusterMsg;
 use crate::requests::{
@@ -161,7 +169,9 @@ impl BrokerWorkload {
 /// Cumulative producer-side counters (plus request-level totals).
 #[derive(Debug, Clone, Default)]
 pub struct BrokerStats {
-    /// Records generated by producer arrivals.
+    /// Records producer arrivals have generated. Read through
+    /// [`BrokerClient::stats`], it counts every arrival due by the instant
+    /// asked about.
     pub produced: u64,
     /// Records acknowledged by the broker.
     pub acked_records: u64,
@@ -212,6 +222,7 @@ struct PartitionRef {
 
 #[derive(Debug)]
 struct ProducerState {
+    /// The first arrival not generated yet; it may lie in the past.
     next_arrival: SimTime,
     next_seq: u64,
     pending: VecDeque<Record>,
@@ -249,7 +260,9 @@ enum ReqKind {
 }
 
 /// The broker benchmark client: deterministic fixed-interval producers and
-/// closed-loop consumer groups over every partition, routed per shard.
+/// closed-loop consumer groups over every partition, routed per shard. It
+/// wakes only to flush a batch, poll a consumer or time a request out; see
+/// the module docs.
 pub struct BrokerClient {
     /// Live requests, their timers and the routing table; never given up.
     reqs: Requests<BrokerState, ReqKind>,
@@ -345,10 +358,15 @@ impl BrokerClient {
         }
     }
 
-    /// Producer-side counters.
+    /// Producer-side counters at `now`: `produced` counts every arrival due
+    /// by then, including those not generated yet.
     #[must_use]
-    pub fn stats(&self) -> &BrokerStats {
-        &self.stats
+    pub fn stats(&self, now: SimTime) -> BrokerStats {
+        let mut stats = self.stats.clone();
+        stats.produced += (0..self.parts.len())
+            .map(|pidx| self.due_by(pidx, now))
+            .sum::<u64>();
+        stats
     }
 
     /// Per-group consumer counters, with current lag filled in.
@@ -366,10 +384,50 @@ impl BrokerClient {
             .collect()
     }
 
-    /// Records generated but not yet acknowledged (pending + in flight).
-    #[must_use]
-    pub fn unacked_records(&self) -> u64 {
-        self.stats.produced - self.stats.acked_records
+    /// Arrivals of partition `pidx` due by `now` (at `now` included) and
+    /// not generated yet. Arrivals sit on a fixed grid of whole
+    /// nanoseconds, so this counts exactly what eager generation would have.
+    fn due_by(&self, pidx: usize, now: SimTime) -> u64 {
+        let Some(next) = self.peek_arrival(pidx) else {
+            return 0;
+        };
+        if next > now {
+            return 0;
+        }
+        let step = u64::try_from(self.interval.as_nanos())
+            .unwrap_or(u64::MAX)
+            .max(1);
+        let by_now = (now.as_nanos() - next.as_nanos()) / step + 1;
+        match self.produce_until {
+            // `next < until` here: peek_arrival said production continues.
+            Some(until) => by_now.min((until.as_nanos() - next.as_nanos()).div_ceil(step)),
+            None => by_now,
+        }
+    }
+
+    /// Generate partition `pidx`'s arrivals due by `upto` (at `upto` itself
+    /// only when `inclusive`): each gets its sequence number stamped, joins
+    /// `pending`, and on an idle producer arms the flush one batch window
+    /// after the first of them. Generation waits until a batch is about to
+    /// be cut. What it makes depends only on the arrival instants and on
+    /// whether a produce is in flight, so an ack generates the arrivals
+    /// before it while its request still counts as in flight.
+    fn catch_up(&mut self, pidx: usize, upto: SimTime, inclusive: bool) {
+        while let Some(at) = self.peek_arrival(pidx) {
+            if at > upto || (at == upto && !inclusive) {
+                break;
+            }
+            let p = &mut self.producers[pidx];
+            self.value[..8].copy_from_slice(&p.next_seq.to_le_bytes());
+            p.next_seq += 1;
+            p.next_arrival = at + self.interval;
+            let value = Bytes::copy_from_slice(&self.value);
+            p.pending.push_back(Record::new(Bytes::new(), value));
+            if p.inflight.is_none() && p.flush_at.is_none() {
+                p.flush_at = Some(at + DEFAULT_BATCH_WINDOW);
+            }
+            self.stats.produced += 1;
+        }
     }
 
     /// Arrival still due for partition `pidx`, if production continues.
@@ -528,6 +586,10 @@ impl BrokerClient {
                 BrokerResponse::Produced { .. },
             ) => {
                 self.reqs.close(req_id);
+                // The round trip's arrivals are generated as if the batch
+                // were still in flight; one at the ack's own instant comes
+                // after the ack.
+                self.catch_up(pidx, ctx.now, false);
                 self.producers[pidx].inflight = None;
                 self.stats.acked_records += records;
                 self.stats.acked_bytes += bytes;
@@ -561,26 +623,12 @@ impl BrokerClient {
 }
 
 impl Client<BrokerState> for BrokerClient {
-    /// Generate due arrivals, flush due batches, poll due consumers and
-    /// expire overdue requests.
+    /// Generate the arrivals due by now, flush due batches, poll due
+    /// consumers and expire overdue requests.
     fn handle_wake(&mut self, ctx: &mut HostCtx<'_, BrokerMsg>) {
         self.stats.retries += self.reqs.expire(ctx).0;
         for pidx in 0..self.parts.len() {
-            while let Some(at) = self.peek_arrival(pidx) {
-                if at > ctx.now {
-                    break;
-                }
-                let p = &mut self.producers[pidx];
-                self.value[..8].copy_from_slice(&p.next_seq.to_le_bytes());
-                p.next_seq += 1;
-                p.next_arrival = at + self.interval;
-                let value = Bytes::copy_from_slice(&self.value);
-                p.pending.push_back(Record::new(Bytes::new(), value));
-                if p.inflight.is_none() && p.flush_at.is_none() {
-                    p.flush_at = Some(at + DEFAULT_BATCH_WINDOW);
-                }
-                self.stats.produced += 1;
-            }
+            self.catch_up(pidx, ctx.now, true);
             if self.producers[pidx].flush_at.is_some_and(|t| t <= ctx.now) {
                 self.flush_partition(ctx, pidx);
             }
@@ -607,20 +655,28 @@ impl Client<BrokerState> for BrokerClient {
         }
     }
 
-    /// Next arrival, batch flush, idle poll or timeout, whichever is
-    /// sooner.
+    /// The next batch flush, idle poll or timeout, whichever is sooner.
+    /// Arrivals alone wake nobody: a busy producer's ack cuts its next
+    /// batch, and an idle one with nothing pending is due to flush one
+    /// batch window after its next arrival.
     fn wake_deadline(&self) -> Option<SimTime> {
-        let arrival = (0..self.parts.len())
-            .filter_map(|i| self.peek_arrival(i))
+        let flush = (0..self.parts.len())
+            .filter_map(|pidx| {
+                let p = &self.producers[pidx];
+                match (p.inflight, p.flush_at) {
+                    (Some(_), _) => None,
+                    (None, Some(at)) => Some(at),
+                    (None, None) => self.peek_arrival(pidx).map(|at| at + DEFAULT_BATCH_WINDOW),
+                }
+            })
             .min();
-        let flush = self.producers.iter().filter_map(|p| p.flush_at).min();
         let poll = self
             .consumers
             .iter()
             .filter(|c| c.inflight.is_none())
             .map(|c| c.next_poll)
             .min();
-        [arrival, flush, self.reqs.next_deadline(), poll]
+        [flush, self.reqs.next_deadline(), poll]
             .into_iter()
             .flatten()
             .min()
@@ -632,10 +688,11 @@ impl Client<BrokerState> for BrokerClient {
 pub type BrokerClusterSim = ClusterSim<BrokerState, BrokerClient>;
 
 impl BrokerClusterSim {
-    /// Producer-side counters (`None` without a workload).
+    /// Producer-side counters at the current instant (`None` without a
+    /// workload).
     #[must_use]
     pub fn stats(&self) -> Option<BrokerStats> {
-        self.client().map(|c| c.stats().clone())
+        self.client().map(|c| c.stats(self.now()))
     }
 
     /// Per-group consumer counters (`None` without a workload).
@@ -644,10 +701,11 @@ impl BrokerClusterSim {
         self.client().map(BrokerClient::consumer_stats)
     }
 
-    /// Records generated but not yet acknowledged (0 without a workload).
+    /// Records due by now but not yet acknowledged (0 without a
+    /// workload).
     #[must_use]
     pub fn unacked_records(&self) -> u64 {
-        self.client().map_or(0, BrokerClient::unacked_records)
+        self.stats().map_or(0, |s| s.produced - s.acked_records)
     }
 }
 
@@ -656,6 +714,7 @@ mod tests {
     use super::*;
     use crate::scenario::builder::{NetPlan, ScenarioBuilder};
     use dynatune_raft::StateMachine;
+    use proptest::prelude::*;
     use std::collections::{BTreeMap, BTreeSet};
     use std::ptr;
 
@@ -907,6 +966,400 @@ mod tests {
                 assert_eq!(r.value.len(), want_len, "offset {off}");
                 assert_eq!(r.value[..8], off.to_le_bytes(), "offset {off}");
                 assert!(r.value[8..].iter().all(|&b| b == 0), "offset {off}");
+            }
+        }
+    }
+
+    #[test]
+    fn clients_wake_less_than_once_per_two_records() {
+        // 4 000 records/s over four partitions. Waking for every arrival,
+        // this world woke 1.13 times per record (18 140 wake-ups for
+        // 16 000 records); waking only to cut a batch, 0.099 (1 587).
+        let wl = BrokerWorkload::steady(vec![("t".into(), 4)], 4_000.0).groups(0);
+        let mut sim = ScenarioBuilder::cluster(3)
+            .shards(2)
+            .net(NetPlan::stable(Duration::from_millis(20)))
+            .seed(1)
+            .build_broker_sim(wl);
+        sim.run_until(SimTime::from_secs(6));
+        let produced = sim.stats().expect("client attached").produced;
+        let wakes = sim.net_counters().wakes;
+        assert_eq!(produced, 16_000);
+        assert!(
+            2 * wakes < produced,
+            "{wakes} wake-ups for {produced} records"
+        );
+    }
+
+    /// The producer side of the client as it was before generation went
+    /// lazy: it wakes at every arrival and generates the record then. The
+    /// executable specification `prop_lazy_producers_match_the_eager_model`
+    /// holds [`BrokerClient`] to (consumers are left out: their code did
+    /// not change).
+    struct Eager {
+        reqs: Requests<BrokerState, ReqKind>,
+        parts: Vec<PartitionRef>,
+        producers: Vec<ProducerState>,
+        interval: Duration,
+        produce_until: Option<SimTime>,
+        value: Vec<u8>,
+        batch_max: usize,
+        stats: BrokerStats,
+    }
+
+    impl Eager {
+        fn new(workload: &BrokerWorkload, map: ShardMap) -> Self {
+            let c = BrokerClient::new(workload, map);
+            Self {
+                reqs: c.reqs,
+                parts: c.parts,
+                producers: c.producers,
+                interval: c.interval,
+                produce_until: c.produce_until,
+                value: c.value,
+                batch_max: c.batch_max,
+                stats: c.stats,
+            }
+        }
+
+        fn peek_arrival(&self, pidx: usize) -> Option<SimTime> {
+            let at = self.producers[pidx].next_arrival;
+            match self.produce_until {
+                Some(until) if at >= until => None,
+                _ => Some(at),
+            }
+        }
+
+        fn flush_partition(&mut self, ctx: &mut HostCtx<'_, BrokerMsg>, pidx: usize) {
+            let p = &mut self.producers[pidx];
+            if p.inflight.is_some() || p.pending.is_empty() {
+                return;
+            }
+            let n_take = self.batch_max.min(p.pending.len());
+            let records: Arc<[Record]> = p.pending.drain(..n_take).collect();
+            p.flush_at = None;
+            let bytes: u64 = records.iter().map(|r| r.bytes() as u64).sum();
+            let part = self.parts[pidx].clone();
+            let cmd = BrokerCommand::Produce {
+                topic: part.topic,
+                partition: part.partition,
+                records,
+            };
+            self.stats.produce_batches += 1;
+            let kind = ReqKind::Produce {
+                pidx,
+                records: n_take as u64,
+                bytes,
+            };
+            let target = self.reqs.routes.guess(part.shard);
+            let req_id = self
+                .reqs
+                .send(ctx, part.shard, target, Lane::Leader, cmd, kind);
+            self.producers[pidx].inflight = Some(req_id);
+        }
+
+        fn handle_wake(&mut self, ctx: &mut HostCtx<'_, BrokerMsg>) {
+            self.stats.retries += self.reqs.expire(ctx).0;
+            for pidx in 0..self.parts.len() {
+                while let Some(at) = self.peek_arrival(pidx) {
+                    if at > ctx.now {
+                        break;
+                    }
+                    let p = &mut self.producers[pidx];
+                    self.value[..8].copy_from_slice(&p.next_seq.to_le_bytes());
+                    p.next_seq += 1;
+                    p.next_arrival = at + self.interval;
+                    let value = Bytes::copy_from_slice(&self.value);
+                    p.pending.push_back(Record::new(Bytes::new(), value));
+                    if p.inflight.is_none() && p.flush_at.is_none() {
+                        p.flush_at = Some(at + DEFAULT_BATCH_WINDOW);
+                    }
+                    self.stats.produced += 1;
+                }
+                if self.producers[pidx].flush_at.is_some_and(|t| t <= ctx.now) {
+                    self.flush_partition(ctx, pidx);
+                }
+            }
+        }
+
+        fn handle_message(&mut self, ctx: &mut HostCtx<'_, BrokerMsg>, msg: BrokerMsg) {
+            match msg {
+                ClusterMsg::ClientResp { req_id, result } => {
+                    let Some((kind, born)) = self.reqs.get(req_id).map(|r| (r.meta, r.born)) else {
+                        return;
+                    };
+                    let (
+                        ReqKind::Produce {
+                            pidx,
+                            records,
+                            bytes,
+                        },
+                        Some(BrokerResponse::Produced { .. }),
+                    ) = (kind, result)
+                    else {
+                        self.reqs.routes.begin_wave();
+                        self.reqs.retry(ctx, req_id);
+                        self.stats.retries += 1;
+                        return;
+                    };
+                    self.reqs.close(req_id);
+                    self.producers[pidx].inflight = None;
+                    self.stats.acked_records += records;
+                    self.stats.acked_bytes += bytes;
+                    self.stats
+                        .produce_latency_ms
+                        .push((ctx.now - born).as_secs_f64() * 1e3);
+                    self.flush_partition(ctx, pidx);
+                }
+                ClusterMsg::ClientRedirect { req_id, hint } if self.reqs.get(req_id).is_some() => {
+                    self.stats.redirects += 1;
+                    self.reqs.redirect(ctx, req_id, hint);
+                }
+                _ => {}
+            }
+        }
+
+        fn wake_deadline(&self) -> Option<SimTime> {
+            let arrival = (0..self.parts.len())
+                .filter_map(|i| self.peek_arrival(i))
+                .min();
+            let flush = self.producers.iter().filter_map(|p| p.flush_at).min();
+            [arrival, flush, self.reqs.next_deadline()]
+                .into_iter()
+                .flatten()
+                .min()
+        }
+    }
+
+    /// What one client sent: `(instant, target, req_id, each record's seq)`.
+    type Sent = Vec<(SimTime, NodeId, u64, Vec<u64>)>;
+
+    /// Run `f` against a context at `now` and log what it sent.
+    fn logged(sent: &mut Sent, now: SimTime, f: impl FnOnce(&mut HostCtx<'_, BrokerMsg>)) {
+        let mut out = Vec::new();
+        f(&mut HostCtx::test_ctx(now, 0, &mut out));
+        for (to, _, msg) in out {
+            let ClusterMsg::ClientReq { req_id, cmd } = msg else {
+                panic!("a producer sends requests only");
+            };
+            let BrokerCommand::Produce { records, .. } = cmd else {
+                panic!("a producer sends produces only");
+            };
+            let seqs = records
+                .iter()
+                .map(|r| u64::from_le_bytes(r.value[..8].try_into().expect("seq header")))
+                .collect();
+            sent.push((now, to, req_id, seqs));
+        }
+    }
+
+    /// The lazy client and the eager model, each with its send log.
+    struct Pair {
+        lazy: BrokerClient,
+        eager: Eager,
+        sent: (Sent, Sent),
+    }
+
+    impl Pair {
+        /// Fire each side's own wake-ups due before `now` (at `now` too
+        /// when `inclusive`), as the kernel would.
+        fn wake_until(&mut self, now: SimTime, inclusive: bool) {
+            let due = |d: SimTime| d < now || (inclusive && d == now);
+            while let Some(d) = self.lazy.wake_deadline().filter(|&d| due(d)) {
+                logged(&mut self.sent.0, d, |ctx| self.lazy.handle_wake(ctx));
+            }
+            while let Some(d) = self.eager.wake_deadline().filter(|&d| due(d)) {
+                logged(&mut self.sent.1, d, |ctx| self.eager.handle_wake(ctx));
+            }
+        }
+
+        /// Deliver `msg` at `now` to both, after every wake-up due before
+        /// it and ahead of those due at its instant.
+        fn deliver(&mut self, now: SimTime, msg: &BrokerMsg) {
+            self.wake_until(now, false);
+            logged(&mut self.sent.0, now, |ctx| {
+                self.lazy.handle_message(ctx, 1, msg.clone());
+            });
+            logged(&mut self.sent.1, now, |ctx| {
+                self.eager.handle_message(ctx, msg.clone());
+            });
+            self.wake_until(now, true);
+        }
+
+        /// An extra wake-up at `now` for both.
+        fn wake(&mut self, now: SimTime) {
+            self.wake_until(now, true);
+            logged(&mut self.sent.0, now, |ctx| self.lazy.handle_wake(ctx));
+            logged(&mut self.sent.1, now, |ctx| self.eager.handle_wake(ctx));
+        }
+
+        /// Everything observable agrees at `now`: what was sent, what each
+        /// partition holds back or has in flight, and the counters.
+        fn assert_agrees(&self, now: SimTime) {
+            assert_eq!(self.sent.0, self.sent.1, "sent by {now}");
+            for (pidx, (l, e)) in self
+                .lazy
+                .producers
+                .iter()
+                .zip(&self.eager.producers)
+                .enumerate()
+            {
+                assert_eq!(
+                    l.pending.len() as u64 + self.lazy.due_by(pidx, now),
+                    e.pending.len() as u64,
+                    "partition {pidx} pending at {now}"
+                );
+                assert_eq!(
+                    l.inflight, e.inflight,
+                    "partition {pidx} in flight at {now}"
+                );
+            }
+            let counters = |s: &BrokerStats| {
+                (
+                    [
+                        s.produced,
+                        s.acked_records,
+                        s.acked_bytes,
+                        s.produce_batches,
+                    ],
+                    [s.retries, s.redirects],
+                    (s.produce_latency_ms.count(), s.produce_latency_ms.mean()),
+                )
+            };
+            assert_eq!(
+                counters(&self.lazy.stats(now)),
+                counters(&self.eager.stats),
+                "stats at {now}"
+            );
+        }
+    }
+
+    /// One scheduled event, `gap_us` after the previous one unless it is
+    /// pinned to an arrival or to the end of production.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Wake {
+            gap_us: u64,
+        },
+        /// Answer partition `part`'s produce in flight: acked, failed, or
+        /// redirected (hinting replica 0, 1 or 2 of the row, host 7 outside
+        /// it, or nothing).
+        Answer {
+            part: usize,
+            gap_us: u64,
+            how: u8,
+            hint: usize,
+        },
+        /// Ack partition `part`'s produce exactly on its `k`-th arrival to
+        /// come.
+        AckOnArrival {
+            part: usize,
+            k: u32,
+        },
+        /// Wake one nanosecond before, at, or after production stops.
+        AtUntil {
+            offset: u8,
+        },
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            3 => (0u64..6_000).prop_map(|gap_us| Step::Wake { gap_us }),
+            5 => (0usize..3, 0u64..12_000, 0u8..8, 0usize..5)
+                .prop_map(|(part, gap_us, how, hint)| Step::Answer { part, gap_us, how, hint }),
+            3 => (0usize..3, 0u32..3).prop_map(|(part, k)| Step::AckOnArrival { part, k }),
+            1 => (0u8..3).prop_map(|offset| Step::AtUntil { offset }),
+        ]
+    }
+
+    /// Arrival intervals; the fixed ones divide the 2 ms batch window, so
+    /// arrivals land on flush instants.
+    fn interval_us() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            2 => 300u64..3_000,
+            1 => (0usize..4).prop_map(|i| [250, 400, 500, 1_000][i]),
+        ]
+    }
+
+    proptest! {
+        /// The lazy producer sends what the eager one sends, at the same
+        /// instants, and agrees with it on pending records and counters
+        /// after every step — across acks that land on an arrival, failed
+        /// answers, redirects, timeouts, and the end of production.
+        #[test]
+        fn prop_lazy_producers_match_the_eager_model(
+            (parts, interval_us, batch_max) in (1u32..4, interval_us(), 1usize..6),
+            until in (0u32..3, 0u32..40),
+            steps in proptest::collection::vec(step(), 1..120),
+        ) {
+            let rps = f64::from(parts) / Duration::from_micros(interval_us).as_secs_f64();
+            let mut wl = BrokerWorkload::steady(vec![("t".into(), parts)], rps)
+                .groups(0)
+                .starting_at(Duration::from_millis(1));
+            wl.batch_max = batch_max;
+            wl.request_timeout = Duration::from_millis(25);
+            let map = ShardMap::new(1, 3);
+            // Production never stops, stops on one of partition 0's
+            // arrivals, or stops between its arrivals.
+            let grid = BrokerClient::new(&wl, map).interval;
+            let first = grid.mul_f64(1.0 / f64::from(parts));
+            wl.produce_for = match until.0 {
+                0 => None,
+                1 => Some(first + grid * (10 + until.1)),
+                _ => Some(first + grid * 10 + Duration::from_micros(u64::from(until.1) * 37)),
+            };
+            let mut pair = Pair {
+                lazy: BrokerClient::new(&wl, map),
+                eager: Eager::new(&wl, map),
+                sent: (Vec::new(), Vec::new()),
+            };
+            let stop = pair.lazy.produce_until;
+            let ack = |req_id| ClusterMsg::ClientResp {
+                req_id,
+                result: Some(BrokerResponse::Produced { base_offset: 0, count: 0 }),
+            };
+            let mut now = SimTime::ZERO;
+            for s in steps {
+                match s {
+                    Step::Wake { gap_us } => {
+                        now += Duration::from_micros(gap_us);
+                        pair.wake(now);
+                    }
+                    Step::Answer { part, gap_us, how, hint } => {
+                        now += Duration::from_micros(gap_us);
+                        let p = &pair.eager.producers[part % pair.eager.producers.len()];
+                        let Some(req_id) = p.inflight else {
+                            pair.wake(now);
+                            continue;
+                        };
+                        let msg = match how {
+                            0..=4 => ack(req_id),
+                            5 | 6 => ClusterMsg::ClientResp { req_id, result: None },
+                            _ => ClusterMsg::ClientRedirect {
+                                req_id,
+                                hint: [Some(0), Some(1), Some(2), Some(7), None][hint],
+                            },
+                        };
+                        pair.deliver(now, &msg);
+                    }
+                    Step::AckOnArrival { part, k } => {
+                        let p = &pair.eager.producers[part % pair.eager.producers.len()];
+                        let Some(req_id) = p.inflight else {
+                            continue;
+                        };
+                        now = now.max(p.next_arrival + grid * k);
+                        pair.deliver(now, &ack(req_id));
+                    }
+                    Step::AtUntil { offset } => {
+                        let Some(stop) = stop else {
+                            continue;
+                        };
+                        let at = SimTime::from_nanos(stop.as_nanos() + u64::from(offset) - 1);
+                        now = now.max(at);
+                        pair.wake(now);
+                    }
+                }
+                pair.assert_agrees(now);
             }
         }
     }

@@ -4,11 +4,12 @@
 //! A request is *live* from [`Requests::open`] until its client closes it
 //! on an answer or the engine gives it up. While live it has exactly one
 //! timer that can fire: every send arms a timer tagged with the request's
-//! attempt, and a stale tag is skipped when it comes due — so a request
-//! re-sent after a redirect waits a full timeout from that send. Expiry
-//! opens a routing wave and retries each overdue request on the next
-//! replica of its row; a redirect adopts an in-row hint or steps on. A
-//! request never leaves its shard's row: the data is only there.
+//! attempt, and a stale tag never fires — so a request re-sent after a
+//! redirect waits a full timeout from that send, and no client wakes for a
+//! request that has already closed or been re-sent. Expiry opens a routing
+//! wave and retries each overdue request on the next replica of its row; a
+//! redirect adopts an in-row hint or steps on. A request never leaves its
+//! shard's row: the data is only there.
 //!
 //! Two policies differ between the clients, each encoded by the report
 //! pins: the retry budget (KV: three resends; the broker retries forever,
@@ -195,8 +196,10 @@ pub(crate) struct Requests<A: App, Meta> {
     /// Boxed: an overload backlog leaves the ring's slack a pointer per
     /// slot, not a whole request.
     live: SlotRing<Box<Live<A, Meta>>>,
-    /// `(deadline, req_id, attempt)`. A constant timeout keeps it ordered;
-    /// an entry whose attempt is stale is skipped when it comes due.
+    /// `(deadline, req_id, attempt)`. A constant timeout keeps it ordered.
+    /// The front entry's attempt is always live: closing a request and
+    /// resending one pop the dead entries that reach the front, while one
+    /// behind a live entry waits there until it comes to the front.
     timers: VecDeque<(SimTime, u64, u64)>,
 }
 
@@ -273,10 +276,12 @@ impl<A: App, Meta> Requests<A, Meta> {
 
     /// End a request (its answer arrived). Its timer becomes inert.
     pub(crate) fn close(&mut self, req_id: u64) -> Option<Live<A, Meta>> {
-        self.live.remove(req_id).map(|r| *r)
+        let closed = self.live.remove(req_id).map(|r| *r);
+        self.drop_dead_timers();
+        closed
     }
 
-    /// When the oldest armed timer comes due.
+    /// When the oldest timer that can still fire comes due.
     pub(crate) fn next_deadline(&self) -> Option<SimTime> {
         self.timers.front().map(|&(deadline, _, _)| deadline)
     }
@@ -370,6 +375,7 @@ impl<A: App, Meta> Requests<A, Meta> {
         let cmd = r.cmd.clone();
         let attempt = r.attempt;
         self.arm(ctx.now, req_id, attempt);
+        self.drop_dead_timers();
         ctx.send(target, Channel::Tcp, ClusterMsg::ClientReq { req_id, cmd });
         None
     }
@@ -377,6 +383,17 @@ impl<A: App, Meta> Requests<A, Meta> {
     fn arm(&mut self, now: SimTime, req_id: u64, attempt: u64) {
         if let Some(timeout) = self.timeout {
             self.timers.push_back((now + timeout, req_id, attempt));
+        }
+    }
+
+    /// Pop timers at the front whose attempt is no longer live, so
+    /// [`Requests::next_deadline`] names one that can fire.
+    fn drop_dead_timers(&mut self) {
+        while let Some(&(_, req_id, attempt)) = self.timers.front() {
+            if self.live.get(req_id).is_some_and(|r| r.attempt == attempt) {
+                break;
+            }
+            self.timers.pop_front();
         }
     }
 }
@@ -484,6 +501,27 @@ mod tests {
     }
 
     #[test]
+    fn next_deadline_names_a_timer_that_can_fire() {
+        let mut reqs = engine(None);
+        let a = send(&mut reqs, 0, 0);
+        let b = send(&mut reqs, 10, 1);
+        let c = send(&mut reqs, 20, 0);
+        let ms = SimTime::from_millis;
+        assert_eq!(reqs.next_deadline(), Some(ms(100)));
+        // The front request closes: the next live attempt's timer is due.
+        assert!(reqs.close(a).is_some());
+        assert_eq!(reqs.next_deadline(), Some(ms(110)));
+        // Re-sent, `b`'s first attempt is dead as well.
+        let (given_up, _) = at(30, |ctx| reqs.redirect(ctx, b, None));
+        assert!(given_up.is_none());
+        assert_eq!(reqs.next_deadline(), Some(ms(120)));
+        assert!(reqs.close(c).is_some());
+        assert_eq!(reqs.next_deadline(), Some(ms(130)));
+        assert!(reqs.close(b).is_some());
+        assert_eq!(reqs.next_deadline(), None);
+    }
+
+    #[test]
     fn a_budget_of_three_abandons_on_the_fourth_expiry_and_none_never_does() {
         let mut kv = engine(Some(3));
         let mut broker = engine(None);
@@ -581,7 +619,7 @@ mod tests {
                     _ => None,
                 })
                 .collect();
-            let s = client.stats();
+            let s = client.stats(SimTime::from_millis(ms));
             (sent, s.retries, s.redirects)
         };
         let (sent, ..) = step(2_012, None);

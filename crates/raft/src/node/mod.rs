@@ -384,8 +384,7 @@ mod tests {
     use crate::events::RaftEvent;
     use crate::membership::ConfChange;
     use crate::message::{
-        AppendEntries, AppendResp, Heartbeat, HeartbeatResp, InstallSnapshot, RequestVote,
-        RequestVoteResp,
+        AppendEntries, AppendResp, Heartbeat, HeartbeatResp, RequestVote, RequestVoteResp,
     };
     use crate::state_machine::{NullStateMachine, ReadGrant, ReadPath};
     use dynatune_core::TuningConfig;
@@ -393,17 +392,20 @@ mod tests {
 
     type Node = RaftNode<NullStateMachine>;
 
-    fn node(id: NodeId, n: usize) -> Node {
+    pub(super) fn node(id: NodeId, n: usize) -> Node {
         let config = RaftConfig::new(id, n, TuningConfig::raft_default());
         RaftNode::new(config, NullStateMachine::default(), SimTime::ZERO)
     }
 
-    fn ms(v: u64) -> SimTime {
+    pub(super) fn ms(v: u64) -> SimTime {
         SimTime::from_millis(v)
     }
 
     /// Drive `node` through a full self-election by faking peer responses.
-    fn elect<SM: StateMachine>(node: &mut RaftNode<SM>, now: SimTime) -> NodeEffects<SM> {
+    pub(super) fn elect<SM: StateMachine>(
+        node: &mut RaftNode<SM>,
+        now: SimTime,
+    ) -> NodeEffects<SM> {
         let mut fx = Effects::new();
         // Fire the election timer.
         let deadline = node.election_deadline();
@@ -1209,7 +1211,7 @@ mod tests {
 
     /// Elect `node` leader of 3 and commit `count` commands by acking from
     /// follower 1. Returns the commit index reached.
-    fn leader_with_committed(node: &mut Node, count: u64) -> LogIndex {
+    pub(super) fn leader_with_committed(node: &mut Node, count: u64) -> LogIndex {
         let _ = elect(node, SimTime::ZERO);
         let t = ms(3000);
         for v in 0..count {
@@ -1230,344 +1232,6 @@ mod tests {
         assert_eq!(node.commit_index(), last);
         assert_eq!(node.last_applied(), last);
         last
-    }
-
-    /// Regression for the permanent replication stall: a leader whose log
-    /// is compacted (it compacted to `last_applied` as a follower, then won
-    /// an election) gets a conflict hint from a lagging peer that lands
-    /// below `first_index()`. Pre-fix, `send_append` returned silently with
-    /// an empty in-flight window, so neither the response path nor the
-    /// resend timer ever retried — the peer was stuck forever. Post-fix the
-    /// leader streams an `InstallSnapshot`.
-    #[test]
-    fn conflict_below_compaction_horizon_triggers_snapshot_not_stall() {
-        let mut leader = node(0, 3);
-        let last = leader_with_committed(&mut leader, 5);
-        leader.compact_log(last); // follower-style compaction to last_applied
-        assert!(leader.log().first_index() > 1);
-        // Lagging peer 2: its log ends far below the compaction horizon.
-        let fx = leader.step(
-            ms(3100),
-            2,
-            Payload::AppendResp(AppendResp {
-                term: leader.term(),
-                success: false,
-                match_or_hint: 0,
-                read_ctx: None,
-            }),
-        );
-        let snap_msgs: Vec<_> = fx
-            .messages
-            .iter()
-            .filter(|m| m.payload.kind() == "install_snapshot")
-            .collect();
-        assert_eq!(snap_msgs.len(), 1, "stall must become a snapshot stream");
-        assert_eq!(snap_msgs[0].to, 2);
-        match &snap_msgs[0].payload {
-            Payload::InstallSnapshot(s) => {
-                assert_eq!(s.last_included_index, last);
-                assert_eq!(s.term, leader.term());
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        assert_eq!(leader.snapshots_sent(), 1);
-        assert!(
-            fx.events
-                .iter()
-                .any(|e| matches!(e, RaftEvent::SnapshotSent { to: 2, .. })),
-            "events: {:?}",
-            fx.events
-        );
-        // The transfer is tracked: the resend timer must cover it.
-        let wake = leader.next_wake().expect("leader wakes");
-        assert!(wake <= ms(3100) + Duration::from_millis(1000));
-    }
-
-    #[test]
-    fn snapshot_resend_paces_slower_than_appends() {
-        let mut leader = node(0, 3);
-        let last = leader_with_committed(&mut leader, 5);
-        leader.compact_log(last);
-        let t0 = ms(3100);
-        let _ = leader.step(
-            t0,
-            2,
-            Payload::AppendResp(AppendResp {
-                term: leader.term(),
-                success: false,
-                match_or_hint: 0,
-                read_ctx: None,
-            }),
-        );
-        assert_eq!(leader.snapshots_sent(), 1);
-        // Within `SNAPSHOT_RESEND` (1s), ticks must not re-stream the state.
-        let _ = leader.tick(t0 + Duration::from_millis(300));
-        assert_eq!(leader.snapshots_sent(), 1, "append cadence must not apply");
-        // Once the snapshot timer expires, the transfer is retried.
-        let mut t = t0 + Duration::from_millis(300);
-        let mut resent = false;
-        for _ in 0..50 {
-            t = leader
-                .next_wake()
-                .unwrap()
-                .max(t + Duration::from_millis(1));
-            let _ = leader.tick(t);
-            if leader.snapshots_sent() > 1 {
-                resent = true;
-                break;
-            }
-        }
-        assert!(resent, "unacked snapshot must eventually resend");
-        assert!(t >= t0 + Duration::from_millis(1000));
-    }
-
-    #[test]
-    fn install_snapshot_resets_follower_log_and_state() {
-        let mut n = node(1, 3);
-        // Give the follower a short stale log.
-        let _ = n.step(
-            ms(1),
-            2,
-            Payload::AppendEntries(AppendEntries {
-                term: 1,
-                leader: 2,
-                prev_log_index: 0,
-                prev_log_term: 0,
-                entries: vec![crate::log::Entry::normal(1, 1, Some(11))],
-                leader_commit: 0,
-                read_ctx: None,
-            }),
-        );
-        let fx = n.step(
-            ms(10),
-            0,
-            Payload::InstallSnapshot(InstallSnapshot {
-                term: 3,
-                leader: 0,
-                last_included_index: 7,
-                last_included_term: 2,
-                membership: Membership::initial(&[0, 1, 2], &[]),
-                data: vec![(7, 77)],
-            }),
-        );
-        assert_eq!(n.role(), Role::Follower);
-        assert_eq!(n.leader_id(), Some(0));
-        assert_eq!(n.term(), 3);
-        assert_eq!(n.log().first_index(), 8, "log base moved to the snapshot");
-        assert_eq!(n.log().last_index(), 7);
-        assert_eq!(n.commit_index(), 7);
-        assert_eq!(n.last_applied(), 7);
-        assert_eq!(n.state_machine().applied, vec![(7, 77)]);
-        let kinds: Vec<&str> = fx.events.iter().map(RaftEvent::kind).collect();
-        assert!(kinds.contains(&"snapshot_installed"), "events: {kinds:?}");
-        // Acked through the regular append path so progress advances.
-        let ack = fx
-            .messages
-            .iter()
-            .find(|m| m.payload.kind() == "append_resp")
-            .expect("snapshot ack");
-        match &ack.payload {
-            Payload::AppendResp(r) => {
-                assert!(r.success);
-                assert_eq!(r.match_or_hint, 7);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        // Replication continues from the snapshot boundary.
-        let fx = n.step(
-            ms(20),
-            0,
-            Payload::AppendEntries(AppendEntries {
-                term: 3,
-                leader: 0,
-                prev_log_index: 7,
-                prev_log_term: 2,
-                entries: vec![crate::log::Entry::normal(3, 8, Some(88))],
-                leader_commit: 8,
-                read_ctx: None,
-            }),
-        );
-        assert_eq!(n.commit_index(), 8);
-        assert_eq!(fx.applied.len(), 1);
-    }
-
-    #[test]
-    fn stale_snapshot_is_acked_but_not_installed() {
-        let mut n = node(1, 3);
-        let _ = n.step(
-            ms(1),
-            0,
-            Payload::AppendEntries(AppendEntries {
-                term: 2,
-                leader: 0,
-                prev_log_index: 0,
-                prev_log_term: 0,
-                entries: (1..=5)
-                    .map(|i| crate::log::Entry::normal(2, i, Some(i)))
-                    .collect(),
-                leader_commit: 5,
-                read_ctx: None,
-            }),
-        );
-        assert_eq!(n.commit_index(), 5);
-        let applied_before = n.state_machine().applied.clone();
-        let fx = n.step(
-            ms(2),
-            0,
-            Payload::InstallSnapshot(InstallSnapshot {
-                term: 2,
-                leader: 0,
-                last_included_index: 3,
-                last_included_term: 2,
-                membership: Membership::initial(&[0, 1, 2], &[]),
-                data: vec![(3, 33)],
-            }),
-        );
-        assert_eq!(n.log().last_index(), 5, "log untouched");
-        assert_eq!(n.state_machine().applied, applied_before, "state untouched");
-        match &fx.messages[0].payload {
-            Payload::AppendResp(r) => {
-                assert!(r.success);
-                assert_eq!(r.match_or_hint, 3, "stale point is still proven");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn restart_after_compaction_resumes_at_last_applied() {
-        let mut n = node(0, 1);
-        let deadline = n.election_deadline();
-        let _ = n.tick(deadline);
-        assert_eq!(n.role(), Role::Leader);
-        let (_, _) = n.propose(deadline, 42);
-        let (_, _) = n.propose(deadline, 43);
-        assert_eq!(n.commit_index(), 3); // no-op + two commands
-        n.compact_log(3);
-        assert_eq!(n.log().first_index(), 4);
-        let state_before = n.state_machine().applied.clone();
-        // With the prefix gone there is nothing to replay: restart must keep
-        // the applied state and resume at last_applied.
-        n.restart(ms(9000));
-        assert_eq!(n.role(), Role::Follower, "role is volatile");
-        assert_eq!(n.last_applied(), 3, "the applied index survives");
-        assert_eq!(n.commit_index(), 3);
-        assert_eq!(n.state_machine().applied, state_before);
-        // Re-elected, the node commits its no-op and a command on top of
-        // index 3 and applies exactly those.
-        let deadline = n.election_deadline();
-        let fx = n.tick(deadline);
-        assert_eq!(n.role(), Role::Leader);
-        assert_eq!(fx.applied.iter().map(|a| a.index).collect::<Vec<_>>(), [4]);
-        let (_, fx) = n.propose(deadline, 44);
-        assert_eq!(fx.applied.iter().map(|a| a.index).collect::<Vec<_>>(), [5]);
-        assert_eq!(n.state_machine().applied, vec![(2, 42), (3, 43), (5, 44)]);
-    }
-
-    /// A [`NullStateMachine`] that counts the snapshots cut from it.
-    #[derive(Debug, Default)]
-    struct CountingSm {
-        inner: NullStateMachine,
-        snapshots: std::cell::Cell<u32>,
-    }
-
-    impl StateMachine for CountingSm {
-        type Command = u64;
-        type Response = LogIndex;
-        type Snapshot = Vec<(LogIndex, u64)>;
-
-        fn apply(&mut self, index: LogIndex, command: &u64) -> LogIndex {
-            self.inner.apply(index, command)
-        }
-
-        fn snapshot(&self) -> Self::Snapshot {
-            self.snapshots.set(self.snapshots.get() + 1);
-            self.inner.snapshot()
-        }
-
-        fn restore(&mut self, snapshot: &Self::Snapshot) {
-            self.inner.restore(snapshot);
-        }
-    }
-
-    #[test]
-    fn only_streaming_a_snapshot_cuts_one() {
-        let config = RaftConfig::new(0, 3, TuningConfig::raft_default());
-        let mut n = RaftNode::new(config, CountingSm::default(), SimTime::ZERO);
-        let append = |prev: LogIndex, values: &[u64]| {
-            Payload::AppendEntries(AppendEntries {
-                term: 1,
-                leader: 1,
-                prev_log_index: prev,
-                prev_log_term: if prev > 0 { 1 } else { 0 },
-                entries: (prev + 1..)
-                    .zip(values)
-                    .map(|(i, v)| crate::log::Entry::normal(1, i, Some(*v)))
-                    .collect(),
-                leader_commit: prev + values.len() as u64,
-                read_ctx: None,
-            })
-        };
-        // A follower compacts twice and installs one snapshot.
-        let _ = n.step(ms(1), 1, append(0, &[10, 20]));
-        n.compact_log(2);
-        let _ = n.step(ms(2), 1, append(2, &[30]));
-        n.compact_log(3);
-        assert_eq!(n.log().first_index(), 4);
-        let _ = n.step(
-            ms(3),
-            2,
-            Payload::InstallSnapshot(InstallSnapshot {
-                term: 2,
-                leader: 2,
-                last_included_index: 7,
-                last_included_term: 2,
-                membership: Membership::initial(&[0, 1, 2], &[]),
-                data: vec![(7, 70)],
-            }),
-        );
-        assert_eq!(n.last_applied(), 7);
-        assert_eq!(n.state_machine().snapshots.get(), 0, "nothing was cut");
-        // Elected, it streams one snapshot to a peer behind its log base.
-        let _ = elect(&mut n, ms(4));
-        let t = ms(5000);
-        let _ = n.step(
-            t,
-            1,
-            Payload::AppendResp(AppendResp {
-                term: n.term(),
-                success: true,
-                match_or_hint: n.log().last_index(),
-                read_ctx: None,
-            }),
-        );
-        let fx = n.step(
-            t,
-            2,
-            Payload::AppendResp(AppendResp {
-                term: n.term(),
-                success: false,
-                match_or_hint: 0,
-                read_ctx: None,
-            }),
-        );
-        assert_eq!(n.snapshots_sent(), 1);
-        assert!(fx
-            .messages
-            .iter()
-            .any(|m| m.payload.kind() == "install_snapshot"));
-        assert_eq!(n.state_machine().snapshots.get(), 1, "one stream, one cut");
-    }
-
-    #[test]
-    fn leader_compaction_is_not_pinned_by_slow_followers() {
-        let mut leader = node(0, 3);
-        let last = leader_with_committed(&mut leader, 10);
-        // Follower 2 never acked anything (match 0); compaction proceeds
-        // anyway — snapshots cover the gap.
-        assert_eq!(leader.safe_compact_index(), last);
-        leader.compact_log(last);
-        assert_eq!(leader.log().first_index(), last + 1);
     }
 
     // ------------------------------------------------------------------

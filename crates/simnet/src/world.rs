@@ -90,6 +90,9 @@ pub struct NetCounters {
     /// Messages discarded because a network partition separated the
     /// endpoints.
     pub dropped_partitioned: u64,
+    /// Wake-ups dispatched to a host (superseded and paused ones are not
+    /// dispatched, so they do not count).
+    pub wakes: u64,
 }
 
 enum Event<H: Host> {
@@ -406,6 +409,7 @@ impl<H: Host> World<H> {
         self.now = at;
         if wake < head {
             self.wakes[wake_node] = NO_WAKE;
+            self.counters.wakes += 1;
             self.dispatch_to_host(wake_node, None);
             return true;
         }
@@ -764,6 +768,27 @@ mod tests {
         w.run_until(SimTime::from_secs(3600));
         assert_eq!(log.borrow().last().unwrap().1, "wake1");
         assert_eq!(w.queue_footprint(), (0, 4, 0));
+    }
+
+    #[test]
+    fn only_dispatched_wake_ups_are_counted() {
+        // Every delivery reschedules host 1's wake-up and the pause drops
+        // host 0's: neither counts until it is dispatched.
+        let (mut w, _) = sinks(&[
+            Some(SimTime::from_millis(10)),
+            Some(SimTime::from_millis(20)),
+        ]);
+        w.pause(0);
+        for i in 0..5 {
+            w.inject(0, 1, i);
+        }
+        w.run_until(SimTime::from_millis(15));
+        assert_eq!((w.counters().wakes, w.counters().delivered), (0, 5));
+        w.run_until(SimTime::from_millis(30));
+        assert_eq!(w.counters().wakes, 1);
+        w.resume(0);
+        w.run_until(SimTime::from_millis(40));
+        assert_eq!(w.counters().wakes, 2);
     }
 
     #[test]

@@ -532,6 +532,7 @@ impl Coverage {
         self.counters.dropped_loss += counters.dropped_loss;
         self.counters.duplicated += counters.duplicated;
         self.counters.dropped_partitioned += counters.dropped_partitioned;
+        self.counters.wakes += counters.wakes;
     }
 }
 
@@ -581,6 +582,7 @@ fn the_scenarios_cross_every_tie() {
         ("UDP duplicate", count(cover.counters.duplicated)),
         ("UDP loss", count(cover.counters.dropped_loss)),
         ("partition drop", count(cover.counters.dropped_partitioned)),
+        ("wake-up dispatched", count(cover.counters.wakes)),
     ] {
         assert!(seen >= 10, "only {seen} × {what} in 64 scenarios");
     }

@@ -281,6 +281,7 @@ impl<H: Host> World<H> {
             Event::Wake { node, generation } => {
                 let slot = &self.hosts[node];
                 if !slot.paused && slot.wake_generation == generation {
+                    self.counters.wakes += 1;
                     self.dispatch_to_host(node, None);
                 }
             }
