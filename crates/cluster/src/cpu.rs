@@ -53,8 +53,8 @@ pub struct CostModel {
     /// throughput overhead).
     pub tuning_per_request: Duration,
     /// Cost of servicing one timer wake-up (scheduler churn). Zero by
-    /// default; the §IV-E consolidated-timer extension study sets it to
-    /// expose the n−1-timers overhead the paper attributes to Dynatune.
+    /// default and set by no scenario; it stays so a measured default can
+    /// charge the n−1 per-follower timers the paper attributes to Dynatune.
     pub per_timer_wake: Duration,
     /// Serializing (sender) or installing (receiver) one KiB of snapshot
     /// state during an `InstallSnapshot` transfer — the size-aware part of

@@ -214,12 +214,11 @@ impl ScenarioBuilder {
         self
     }
 
-    /// §IV-E extensions: suppress heartbeats while replicating and/or the
-    /// consolidated heartbeat timer.
+    /// §IV-E extension: skip a follower's heartbeat while replication
+    /// traffic already resets its election timer.
     #[must_use]
-    pub fn extensions(mut self, suppress: bool, consolidated: bool) -> Self {
+    pub fn suppress_heartbeats(mut self, suppress: bool) -> Self {
         self.config.raft.suppress_heartbeats_when_replicating = suppress;
-        self.config.raft.consolidated_heartbeat_timer = consolidated;
         self
     }
 
@@ -409,17 +408,13 @@ mod tests {
     fn extensions_reach_every_server_of_every_cluster_shape() {
         fn on_every_server<A: crate::App, C: crate::Client<A>>(sim: &ClusterSim<A, C>) {
             for id in 0..sim.n_servers() {
-                let (suppress, consolidated) = sim.with_server(id, |s| {
-                    let rc = s.node().config();
-                    (
-                        rc.suppress_heartbeats_when_replicating,
-                        rc.consolidated_heartbeat_timer,
-                    )
+                let suppress = sim.with_server(id, |s| {
+                    s.node().config().suppress_heartbeats_when_replicating
                 });
-                assert!(suppress && consolidated, "server {id} lost .extensions()");
+                assert!(suppress, "server {id} lost .suppress_heartbeats()");
             }
         }
-        let builder = ScenarioBuilder::cluster(3).extensions(true, true);
+        let builder = ScenarioBuilder::cluster(3).suppress_heartbeats(true);
         on_every_server(&builder.clone().spares(1).build_sim());
         let sharded = builder.clone().shards(2).spare_for_shard(1);
         on_every_server(&sharded.build_sharded_sim());

@@ -195,10 +195,10 @@ fn cdf_artifact(
     report.artifact(filename, multi_series_csv("time_ms", &borrowed));
 }
 
-/// Assert that at most a fifth of each study's trials failed to fail over,
-/// so the means compare (nearly) whole populations.
-pub(super) fn assert_mostly_complete(raft: &FailoverResult, dynatune: &FailoverResult) {
-    for (label, res) in [("raft", raft), ("dynatune", dynatune)] {
+/// Assert that at most a fifth of each labelled study's trials failed to
+/// fail over, so the means compare (nearly) whole populations.
+pub(super) fn assert_mostly_complete(studies: &[(&str, &FailoverResult)]) {
+    for (label, res) in studies {
         let trials = res.outcomes.len() + res.incomplete;
         assert!(
             res.incomplete * 5 <= trials,
@@ -289,7 +289,7 @@ fn fig4(ctx: &RunCtx) -> Report {
     completeness_note(&mut report, &raft, &dynatune);
     cdf_artifact(&mut report, "fig4_cdf.csv", &raft, &dynatune);
 
-    assert_mostly_complete(&raft, &dynatune);
+    assert_mostly_complete(&[("raft", &raft), ("dynatune", &dynatune)]);
     // Raft's absolute scale: Et = 1000 ms puts detection near 1.2 s and the
     // mean randomizedTimeout near 1.5 Et (paper: 1205 ms and 1454 ms).
     let raft_rto = raft.mean_rto_ms();
@@ -375,7 +375,7 @@ fn fig8(ctx: &RunCtx) -> Report {
     completeness_note(&mut report, &raft, &dynatune);
     cdf_artifact(&mut report, "fig8_cdf.csv", &raft, &dynatune);
 
-    assert_mostly_complete(&raft, &dynatune);
+    assert_mostly_complete(&[("raft", &raft), ("dynatune", &dynatune)]);
     // §IV-D: the reductions carry over to the geo deployment (paper: -81 %
     // detection); accept -50 %, and any OTS gain.
     assert!(

@@ -91,7 +91,7 @@ fn geo_asymmetric(ctx: &RunCtx) -> Report {
          own RTTs; a global worst-case constant would pay the degraded region's\n\
          3x RTT everywhere.",
     );
-    assert_mostly_complete(&raft, &dynatune);
+    assert_mostly_complete(&[("raft", &raft), ("dynatune", &dynatune)]);
     assert!(
         dt_det < raft_det * 0.5,
         "degraded-region detection {dt_det:.0} ms vs raft {raft_det:.0} ms"

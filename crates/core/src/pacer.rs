@@ -14,7 +14,8 @@ use crate::meta::{HeartbeatMeta, HeartbeatReply};
 use crate::tuner::HEARTBEAT_FLOOR;
 use std::time::Duration;
 
-/// Leader-side pacing state for one follower.
+/// Leader-side pacing state for one follower. Each pacer runs on its own
+/// deadline: the leader never fires one ahead of its interval.
 #[derive(Debug, Clone)]
 pub struct LeaderPacer {
     config: TuningConfig,
@@ -86,21 +87,6 @@ impl LeaderPacer {
         if now_nanos >= self.next_send_nanos {
             self.next_send_nanos = now_nanos + self.interval.as_nanos() as u64;
         }
-    }
-
-    /// Emit a heartbeat immediately regardless of the schedule and restart
-    /// the interval from `now_nanos`. Used by the §IV-E consolidated-timer
-    /// extension, where the leader fires all pacers together on the
-    /// smallest interval.
-    pub fn emit_now(&mut self, now_nanos: u64) -> HeartbeatMeta {
-        let meta = HeartbeatMeta {
-            id: self.next_id,
-            sent_at_nanos: now_nanos,
-            rtt_sample: self.last_rtt,
-        };
-        self.next_id += 1;
-        self.next_send_nanos = now_nanos + self.interval.as_nanos() as u64;
-        meta
     }
 
     /// Process a heartbeat reply at `now_nanos`: measure the RTT from the
@@ -246,17 +232,6 @@ mod tests {
         let _ = p.maybe_emit(0);
         p.defer(50 * MS); // not yet due
         assert!(p.maybe_emit(100 * MS).is_some(), "schedule unchanged");
-    }
-
-    #[test]
-    fn emit_now_fires_early_and_reschedules() {
-        let mut p = pacer();
-        let _ = p.maybe_emit(0);
-        // Not due until 100ms, but the consolidated timer fires at 60ms.
-        let meta = p.emit_now(60 * MS);
-        assert_eq!(meta.id, 1);
-        assert_eq!(meta.sent_at_nanos, 60 * MS);
-        assert_eq!(p.next_send_nanos(), 160 * MS);
     }
 
     #[test]

@@ -48,16 +48,14 @@ pub struct RaftConfig {
     /// batch per RTT; larger windows keep the pipe full across the RTT. An
     /// in-flight `InstallSnapshot` always occupies the whole window.
     pub pipeline_window: usize,
-    /// §IV-E extension 1: skip a follower's heartbeat when replication
+    /// §IV-E extension: skip a follower's heartbeat when replication
     /// traffic was sent to it within the current heartbeat interval —
     /// appends already reset the follower's election timer, so under load
     /// the heartbeats are redundant CPU/bandwidth. Off by default (the
-    /// paper leaves it as future work).
+    /// paper leaves it as future work). §IV-E's other extension, one
+    /// consolidated timer for all followers, is not modelled: it saved no
+    /// leader CPU in the `extensions` study and sent more heartbeats.
     pub suppress_heartbeats_when_replicating: bool,
-    /// §IV-E extension 2: fire all followers' heartbeats together on the
-    /// smallest tuned interval, so the leader manages one timer instead of
-    /// n−1. Off by default (future work in the paper).
-    pub consolidated_heartbeat_timer: bool,
     /// Enable the leader-lease fast path for log-free reads: while a quorum
     /// has acknowledged heartbeats within the (margin-scaled) lease window,
     /// [`RaftNode::request_read`](crate::RaftNode::request_read) grants
@@ -99,7 +97,6 @@ impl RaftConfig {
             max_entries_per_append: 8192,
             pipeline_window: 4,
             suppress_heartbeats_when_replicating: false,
-            consolidated_heartbeat_timer: false,
             lease_reads: true,
             seed: 0xD15_EA5E ^ id as u64,
         }

@@ -7,6 +7,8 @@
 //! pacer. The rest of the node only builds the two, reads the tuned `Et`/`h`
 //! for its election timer (`election.rs`) and resets the tuner at the
 //! §III-B fallback points (election timeout, role change, restart).
+//! Each follower keeps its own pacer and cadence; the only §IV-E extension
+//! modelled here is suppression while replicating.
 
 use super::replication::Peer;
 use super::{send, NodeEffects, RaftNode, RoleState};
@@ -31,22 +33,13 @@ impl<SM: StateMachine> RaftNode<SM> {
     }
 
     /// Emit the heartbeats that are due. Every tracked member — voters of
-    /// both configs and learners — is paced on its own cadence, or all of
-    /// them in one consolidated burst at the smallest interval (§IV-E
-    /// extension 2).
+    /// both configs and learners — is paced on its own cadence.
     pub(super) fn send_due_heartbeats(&mut self, now: SimTime, fx: &mut NodeEffects<SM>) {
         let RoleState::Leader(lead) = &mut self.state else {
             return;
         };
-        let consolidated_due = self.config.consolidated_heartbeat_timer
-            && lead
-                .peers
-                .values()
-                .map(|p| p.pacer.next_send_nanos())
-                .min()
-                .is_some_and(|min| now.as_nanos() >= min);
         for (peer, Peer { progress: p, pacer }) in lead.peers.iter_mut() {
-            // §IV-E extension 1: recent replication traffic already reset
+            // §IV-E extension: recent replication traffic already reset
             // this follower's election timer; skip the redundant heartbeat.
             let suppress = self.config.suppress_heartbeats_when_replicating
                 && p.last_send_at + pacer.interval() > now
@@ -54,8 +47,6 @@ impl<SM: StateMachine> RaftNode<SM> {
             let meta = if suppress {
                 pacer.defer(now.as_nanos());
                 None
-            } else if consolidated_due {
-                Some(pacer.emit_now(now.as_nanos()))
             } else {
                 pacer.maybe_emit(now.as_nanos())
             };
@@ -125,5 +116,166 @@ impl<SM: StateMachine> RaftNode<SM> {
         let basis = SimTime::from_nanos(resp.reply.echo_sent_at_nanos);
         p.lease_basis = p.lease_basis.max(basis);
         peer.pacer.on_reply(now.as_nanos(), &resp.reply);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::tests::{elect, ms, node};
+    use super::*;
+    use crate::config::RaftConfig;
+    use crate::events::RaftEvent;
+    use crate::message::RequestVote;
+    use crate::state_machine::NullStateMachine;
+    use crate::types::Role;
+    use dynatune_core::TuningConfig;
+
+    #[test]
+    fn heartbeat_resets_timer_and_gets_response() {
+        let mut n = node(1, 5);
+        let first_deadline = n.election_deadline();
+        let hb = Heartbeat {
+            term: 3,
+            leader: 0,
+            commit: 0,
+            meta: dynatune_core::HeartbeatMeta {
+                id: 0,
+                sent_at_nanos: 5,
+                rtt_sample: None,
+            },
+        };
+        let fx = n.step(ms(500), 0, Payload::Heartbeat(hb));
+        assert_eq!(n.term(), 3);
+        assert_eq!(n.leader_id(), Some(0));
+        assert!(n.election_deadline() > first_deadline);
+        let resp = fx
+            .messages
+            .iter()
+            .find(|m| m.payload.kind() == "heartbeat_resp")
+            .expect("heartbeat response");
+        assert_eq!(resp.to, 0);
+        match &resp.payload {
+            Payload::HeartbeatResp(r) => {
+                assert_eq!(r.term, 3);
+                assert_eq!(r.reply.echo_sent_at_nanos, 5);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn stale_heartbeat_answered_with_higher_term() {
+        let mut n = node(1, 3);
+        // Bring the node to term 5 via a vote request.
+        let _ = n.step(
+            ms(1),
+            2,
+            Payload::RequestVote(RequestVote {
+                term: 5,
+                pre_vote: false,
+                last_log_index: 0,
+                last_log_term: 0,
+            }),
+        );
+        assert_eq!(n.term(), 5);
+        let hb = Heartbeat {
+            term: 3,
+            leader: 0,
+            commit: 0,
+            meta: dynatune_core::HeartbeatMeta {
+                id: 0,
+                sent_at_nanos: 0,
+                rtt_sample: None,
+            },
+        };
+        let fx = n.step(ms(2), 0, Payload::Heartbeat(hb));
+        match &fx.messages[0].payload {
+            Payload::HeartbeatResp(r) => assert_eq!(r.term, 5),
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(n.leader_id(), None, "stale leader not adopted");
+    }
+
+    #[test]
+    fn leader_sends_heartbeats_on_pacer_schedule() {
+        let mut leader = node(0, 3);
+        let _ = elect(&mut leader, SimTime::ZERO);
+        let t0 = leader.next_wake().unwrap();
+        let fx = leader.tick(t0);
+        let hbs = fx
+            .messages
+            .iter()
+            .filter(|m| m.payload.kind() == "heartbeat")
+            .count();
+        assert_eq!(hbs, 2, "one heartbeat per follower");
+        // Default interval 100ms: nothing due 50ms later.
+        let fx = leader.tick(t0 + Duration::from_millis(50));
+        assert_eq!(
+            fx.messages
+                .iter()
+                .filter(|m| m.payload.kind() == "heartbeat")
+                .count(),
+            0
+        );
+        let fx = leader.tick(t0 + Duration::from_millis(100));
+        assert_eq!(
+            fx.messages
+                .iter()
+                .filter(|m| m.payload.kind() == "heartbeat")
+                .count(),
+            2
+        );
+    }
+
+    #[test]
+    fn suppression_skips_heartbeats_while_replicating() {
+        let mut cfg = RaftConfig::new(0, 3, TuningConfig::raft_default());
+        cfg.suppress_heartbeats_when_replicating = true;
+        let mut leader = RaftNode::new(cfg, NullStateMachine::default(), SimTime::ZERO);
+        let _ = elect(&mut leader, SimTime::ZERO);
+        let t0 = leader.next_wake().unwrap();
+        // Replication to both followers just happened (become_leader sent
+        // the no-op batch): the first heartbeat round is suppressed.
+        let fx = leader.tick(t0);
+        assert_eq!(
+            fx.messages
+                .iter()
+                .filter(|m| m.payload.kind() == "heartbeat")
+                .count(),
+            0,
+            "appends in flight suppress heartbeats"
+        );
+        // After an idle interval with no replication, heartbeats resume.
+        let t1 = leader.next_wake().unwrap();
+        let fx = leader.tick(t1);
+        assert_eq!(
+            fx.messages
+                .iter()
+                .filter(|m| m.payload.kind() == "heartbeat")
+                .count(),
+            2,
+            "idle leader heartbeats normally"
+        );
+    }
+
+    #[test]
+    fn higher_term_heartbeat_deposes_leader() {
+        let mut leader = node(0, 3);
+        let _ = elect(&mut leader, SimTime::ZERO);
+        let hb = Heartbeat {
+            term: leader.term() + 5,
+            leader: 2,
+            commit: 0,
+            meta: dynatune_core::HeartbeatMeta {
+                id: 0,
+                sent_at_nanos: 0,
+                rtt_sample: None,
+            },
+        };
+        let fx = leader.step(ms(5000), 2, Payload::Heartbeat(hb));
+        assert_eq!(leader.role(), Role::Follower);
+        assert_eq!(leader.leader_id(), Some(2));
+        let kinds: Vec<&str> = fx.events.iter().map(RaftEvent::kind).collect();
+        assert!(kinds.contains(&"stepped_down"));
     }
 }

@@ -547,72 +547,6 @@ mod tests {
     }
 
     #[test]
-    fn heartbeat_resets_timer_and_gets_response() {
-        let mut n = node(1, 5);
-        let first_deadline = n.election_deadline();
-        let hb = Heartbeat {
-            term: 3,
-            leader: 0,
-            commit: 0,
-            meta: dynatune_core::HeartbeatMeta {
-                id: 0,
-                sent_at_nanos: 5,
-                rtt_sample: None,
-            },
-        };
-        let fx = n.step(ms(500), 0, Payload::Heartbeat(hb));
-        assert_eq!(n.term(), 3);
-        assert_eq!(n.leader_id(), Some(0));
-        assert!(n.election_deadline() > first_deadline);
-        let resp = fx
-            .messages
-            .iter()
-            .find(|m| m.payload.kind() == "heartbeat_resp")
-            .expect("heartbeat response");
-        assert_eq!(resp.to, 0);
-        match &resp.payload {
-            Payload::HeartbeatResp(r) => {
-                assert_eq!(r.term, 3);
-                assert_eq!(r.reply.echo_sent_at_nanos, 5);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn stale_heartbeat_answered_with_higher_term() {
-        let mut n = node(1, 3);
-        // Bring the node to term 5 via a vote request.
-        let _ = n.step(
-            ms(1),
-            2,
-            Payload::RequestVote(RequestVote {
-                term: 5,
-                pre_vote: false,
-                last_log_index: 0,
-                last_log_term: 0,
-            }),
-        );
-        assert_eq!(n.term(), 5);
-        let hb = Heartbeat {
-            term: 3,
-            leader: 0,
-            commit: 0,
-            meta: dynatune_core::HeartbeatMeta {
-                id: 0,
-                sent_at_nanos: 0,
-                rtt_sample: None,
-            },
-        };
-        let fx = n.step(ms(2), 0, Payload::Heartbeat(hb));
-        match &fx.messages[0].payload {
-            Payload::HeartbeatResp(r) => assert_eq!(r.term, 5),
-            other => panic!("unexpected {other:?}"),
-        }
-        assert_eq!(n.leader_id(), None, "stale leader not adopted");
-    }
-
-    #[test]
     fn append_entries_replicates_and_commits() {
         let mut n = node(1, 3);
         let entries = vec![
@@ -912,116 +846,6 @@ mod tests {
     }
 
     #[test]
-    fn leader_sends_heartbeats_on_pacer_schedule() {
-        let mut leader = node(0, 3);
-        let _ = elect(&mut leader, SimTime::ZERO);
-        let t0 = leader.next_wake().unwrap();
-        let fx = leader.tick(t0);
-        let hbs = fx
-            .messages
-            .iter()
-            .filter(|m| m.payload.kind() == "heartbeat")
-            .count();
-        assert_eq!(hbs, 2, "one heartbeat per follower");
-        // Default interval 100ms: nothing due 50ms later.
-        let fx = leader.tick(t0 + Duration::from_millis(50));
-        assert_eq!(
-            fx.messages
-                .iter()
-                .filter(|m| m.payload.kind() == "heartbeat")
-                .count(),
-            0
-        );
-        let fx = leader.tick(t0 + Duration::from_millis(100));
-        assert_eq!(
-            fx.messages
-                .iter()
-                .filter(|m| m.payload.kind() == "heartbeat")
-                .count(),
-            2
-        );
-    }
-
-    #[test]
-    fn suppression_skips_heartbeats_while_replicating() {
-        let mut cfg = RaftConfig::new(0, 3, TuningConfig::raft_default());
-        cfg.suppress_heartbeats_when_replicating = true;
-        let mut leader = RaftNode::new(cfg, NullStateMachine::default(), SimTime::ZERO);
-        let _ = elect(&mut leader, SimTime::ZERO);
-        let t0 = leader.next_wake().unwrap();
-        // Replication to both followers just happened (become_leader sent
-        // the no-op batch): the first heartbeat round is suppressed.
-        let fx = leader.tick(t0);
-        assert_eq!(
-            fx.messages
-                .iter()
-                .filter(|m| m.payload.kind() == "heartbeat")
-                .count(),
-            0,
-            "appends in flight suppress heartbeats"
-        );
-        // After an idle interval with no replication, heartbeats resume.
-        let t1 = leader.next_wake().unwrap();
-        let fx = leader.tick(t1);
-        assert_eq!(
-            fx.messages
-                .iter()
-                .filter(|m| m.payload.kind() == "heartbeat")
-                .count(),
-            2,
-            "idle leader heartbeats normally"
-        );
-    }
-
-    #[test]
-    fn consolidated_timer_fires_all_pacers_together() {
-        let mut cfg = RaftConfig::new(0, 3, TuningConfig::dynatune());
-        cfg.consolidated_heartbeat_timer = true;
-        let mut leader = RaftNode::new(cfg, NullStateMachine::default(), SimTime::ZERO);
-        let _ = elect(&mut leader, SimTime::ZERO);
-        // Tune follower 1 to a shorter interval via a heartbeat reply.
-        let t0 = leader.next_wake().unwrap();
-        let fx = leader.tick(t0);
-        let hb_to_1 = fx
-            .messages
-            .iter()
-            .find_map(|m| match (&m.payload, m.to) {
-                (Payload::Heartbeat(hb), 1) => Some(hb.clone()),
-                _ => None,
-            })
-            .expect("heartbeat to follower 1");
-        let _ = leader.step(
-            t0 + Duration::from_millis(10),
-            1,
-            Payload::HeartbeatResp(HeartbeatResp {
-                term: leader.term(),
-                reply: dynatune_core::HeartbeatReply {
-                    id: hb_to_1.meta.id,
-                    echo_sent_at_nanos: hb_to_1.meta.sent_at_nanos,
-                    tuned_interval: Some(Duration::from_millis(40)),
-                },
-            }),
-        );
-        assert_eq!(leader.pacer_interval(1), Some(Duration::from_millis(40)));
-        assert_eq!(leader.pacer_interval(2), Some(Duration::from_millis(100)));
-        // The next burst happens when follower 1's 40ms pacer is due — and
-        // it carries heartbeats to BOTH followers (single timer).
-        let due = leader.next_wake().unwrap();
-        let fx = leader.tick(due);
-        let heartbeat_targets: Vec<NodeId> = fx
-            .messages
-            .iter()
-            .filter(|m| m.payload.kind() == "heartbeat")
-            .map(|m| m.to)
-            .collect();
-        assert_eq!(
-            heartbeat_targets.len(),
-            2,
-            "burst covers all followers: {heartbeat_targets:?}"
-        );
-    }
-
-    #[test]
     fn leader_steps_down_when_quorum_silent() {
         let mut leader = node(0, 3);
         let _ = elect(&mut leader, SimTime::ZERO);
@@ -1077,27 +901,6 @@ mod tests {
                 .unwrap()
                 .max(t + Duration::from_millis(1));
         }
-    }
-
-    #[test]
-    fn higher_term_heartbeat_deposes_leader() {
-        let mut leader = node(0, 3);
-        let _ = elect(&mut leader, SimTime::ZERO);
-        let hb = Heartbeat {
-            term: leader.term() + 5,
-            leader: 2,
-            commit: 0,
-            meta: dynatune_core::HeartbeatMeta {
-                id: 0,
-                sent_at_nanos: 0,
-                rtt_sample: None,
-            },
-        };
-        let fx = leader.step(ms(5000), 2, Payload::Heartbeat(hb));
-        assert_eq!(leader.role(), Role::Follower);
-        assert_eq!(leader.leader_id(), Some(2));
-        let kinds: Vec<&str> = fx.events.iter().map(RaftEvent::kind).collect();
-        assert!(kinds.contains(&"stepped_down"));
     }
 
     #[test]

@@ -39,7 +39,8 @@ fn report_hash(report: &Report) -> u64 {
 /// lists equal). They cover every assembly path: single group (`fig4`),
 /// single group under the fault driver (`partition_churn`), link schedules
 /// under the sampling driver (`fig6a`, `fig7`), the KV client through a full
-/// offered-load ramp (`fig5`, `extensions`), single-group spares
+/// offered-load ramp (`fig5`; `extensions`, with and without heartbeat
+/// suppression), single-group spares
 /// (`elastic_scaleout`), sharded (`sharded_throughput`), sharded spares plus
 /// the rebalancer (`shard_rebalance`) and the broker
 /// (`consumer_lag_failover`). A pin moves only when a change means to alter
