@@ -53,7 +53,7 @@ const REPORT_PINS: &[(&str, u64)] = &[
     ("consumer_fanout", 0x3f84_b81c_e311_e64c),
     ("consumer_lag_failover", 0xc59a_8c74_9466_3728),
     ("elastic_scaleout", 0x3543_0fc5_e5d4_6592),
-    ("extensions", 0x094f_2058_ae37_339a),
+    ("extensions", 0x5a60_48be_dc97_121d),
     ("fig4", 0xcd21_cf62_a108_d722),
     ("fig5", 0x1427_40a5_ed88_2210),
     ("fig6a", 0x948d_2d24_8bbb_e9d6),
