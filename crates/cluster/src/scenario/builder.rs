@@ -214,14 +214,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// §IV-E extension: skip a follower's heartbeat while replication
-    /// traffic already resets its election timer.
-    #[must_use]
-    pub fn suppress_heartbeats(mut self, suppress: bool) -> Self {
-        self.config.raft.suppress_heartbeats_when_replicating = suppress;
-        self
-    }
-
     /// CPU cost model.
     #[must_use]
     pub fn cost(mut self, cost: CostModel) -> Self {
@@ -405,16 +397,14 @@ mod tests {
     }
 
     #[test]
-    fn extensions_reach_every_server_of_every_cluster_shape() {
+    fn raft_knobs_reach_every_server_of_every_cluster_shape() {
         fn on_every_server<A: crate::App, C: crate::Client<A>>(sim: &ClusterSim<A, C>) {
             for id in 0..sim.n_servers() {
-                let suppress = sim.with_server(id, |s| {
-                    s.node().config().suppress_heartbeats_when_replicating
-                });
-                assert!(suppress, "server {id} lost .suppress_heartbeats()");
+                let pre_vote = sim.with_server(id, |s| s.node().config().pre_vote);
+                assert!(!pre_vote, "server {id} lost .pre_vote(false)");
             }
         }
-        let builder = ScenarioBuilder::cluster(3).suppress_heartbeats(true);
+        let builder = ScenarioBuilder::cluster(3).pre_vote(false);
         on_every_server(&builder.clone().spares(1).build_sim());
         let sharded = builder.clone().shards(2).spare_for_shard(1);
         on_every_server(&sharded.build_sharded_sim());

@@ -29,7 +29,6 @@
 pub(super) mod ablations;
 pub(super) mod broker;
 pub(super) mod compaction;
-pub(super) mod extensions;
 pub mod failover;
 pub(super) mod fluctuation;
 pub(super) mod membership;

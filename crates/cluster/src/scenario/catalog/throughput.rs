@@ -26,7 +26,7 @@ const DRAIN: Duration = Duration::from_secs(5);
 /// The offered-load ramp to 16 000 req/s: the paper's (1000 req/s
 /// increments held 10 s), or the four-level quick one.
 #[must_use]
-pub(super) fn ramp_for(ctx: &RunCtx) -> Vec<RateStep> {
+fn ramp_for(ctx: &RunCtx) -> Vec<RateStep> {
     if ctx.quick {
         WorkloadGen::paper_ramp(16_000.0, 4_000.0, Duration::from_secs(4))
     } else {
@@ -47,7 +47,7 @@ struct LevelResult {
 
 /// Full study result.
 #[derive(Debug, Clone)]
-pub(super) struct ThroughputResult {
+struct ThroughputResult {
     /// One entry per offered-load level.
     levels: Vec<LevelResult>,
 }
@@ -55,7 +55,7 @@ pub(super) struct ThroughputResult {
 impl ThroughputResult {
     /// Peak completed throughput (req/s): the paper's headline number.
     #[must_use]
-    pub(super) fn peak_throughput(&self) -> f64 {
+    fn peak_throughput(&self) -> f64 {
         self.levels
             .iter()
             .map(|l| l.throughput.mean())
@@ -116,11 +116,7 @@ fn run_single_ramp(
 
 /// Run the `ramp` `repeats` times (in parallel) and aggregate per level.
 #[must_use]
-pub(super) fn measure_ramp(
-    cluster: &ClusterConfig,
-    ramp: &[RateStep],
-    repeats: usize,
-) -> ThroughputResult {
+fn measure_ramp(cluster: &ClusterConfig, ramp: &[RateStep], repeats: usize) -> ThroughputResult {
     let runs: Vec<Vec<(f64, f64, f64)>> = (0..repeats)
         .into_par_iter()
         .map(|r| run_single_ramp(cluster, ramp, r))

@@ -2,10 +2,10 @@
 //! samples observables on a fixed cadence.
 //!
 //! The driver is the run/pause/observe loop of the `ablations`,
-//! `extensions`, `failover`, `fluctuation`, `novel` and `throughput`
-//! catalog modules; `broker`, `compaction`, `membership`, `reads` and
-//! `sharded` inject their faults on the `ClusterSim` by hand. It
-//! interleaves two streams of simulated-time work:
+//! `failover`, `fluctuation`, `novel` and `throughput` catalog modules;
+//! `broker`, `compaction`, `membership`, `reads` and `sharded` inject
+//! their faults on the `ClusterSim` by hand. It interleaves two streams of
+//! simulated-time work:
 //!
 //! 1. **Fault events** from the plan, with per-event jitter resolved
 //!    deterministically from the cluster seed, and symbolic targets

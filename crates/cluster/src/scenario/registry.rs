@@ -6,13 +6,13 @@
 //! below, and pinning its report in `tests/parallel_determinism.rs`.
 
 use crate::scenario::catalog::{
-    ablations, broker, compaction, extensions, failover, fluctuation, membership, novel, pipeline,
-    reads, sharded, throughput,
+    ablations, broker, compaction, failover, fluctuation, membership, novel, pipeline, reads,
+    sharded, throughput,
 };
 use crate::scenario::experiment::Scenario;
 
 /// All registered scenarios, in presentation order.
-pub static REGISTRY: [&Scenario; 25] = [
+pub static REGISTRY: [&Scenario; 24] = [
     &failover::FIG4,
     &throughput::FIG5,
     &fluctuation::FIG6A,
@@ -20,7 +20,6 @@ pub static REGISTRY: [&Scenario; 25] = [
     &fluctuation::FIG7,
     &failover::FIG8,
     &ablations::ABLATIONS,
-    &extensions::EXTENSIONS,
     &novel::GEO_ASYMMETRIC,
     &novel::PARTITION_CHURN,
     &sharded::SHARDED_THROUGHPUT,
@@ -178,7 +177,7 @@ mod tests {
 
     #[test]
     fn names_are_unique_and_findable() {
-        assert!(REGISTRY.len() >= 25);
+        assert!(REGISTRY.len() >= 24);
         let mut names: Vec<&str> = REGISTRY.iter().map(|s| s.name).collect();
         names.sort_unstable();
         let mut deduped = names.clone();

@@ -15,7 +15,8 @@ use crate::tuner::HEARTBEAT_FLOOR;
 use std::time::Duration;
 
 /// Leader-side pacing state for one follower. Each pacer runs on its own
-/// deadline: the leader never fires one ahead of its interval.
+/// deadline: the leader never fires one ahead of its interval, and never
+/// holds back one that is due.
 #[derive(Debug, Clone)]
 pub struct LeaderPacer {
     config: TuningConfig,
@@ -77,16 +78,6 @@ impl LeaderPacer {
         self.next_id += 1;
         self.next_send_nanos = now_nanos + self.interval.as_nanos() as u64;
         Some(meta)
-    }
-
-    /// Treat the current deadline as satisfied without emitting: schedule
-    /// the next heartbeat one interval from `now_nanos`. Used by the
-    /// paper's §IV-E extension that suppresses heartbeats while replication
-    /// traffic is already resetting the follower's election timer.
-    pub fn defer(&mut self, now_nanos: u64) {
-        if now_nanos >= self.next_send_nanos {
-            self.next_send_nanos = now_nanos + self.interval.as_nanos() as u64;
-        }
     }
 
     /// Process a heartbeat reply at `now_nanos`: measure the RTT from the
@@ -212,26 +203,6 @@ mod tests {
             },
         );
         assert_eq!(p.last_rtt(), None);
-    }
-
-    #[test]
-    fn defer_skips_without_consuming_an_id() {
-        let mut p = pacer();
-        let first = p.maybe_emit(0).unwrap();
-        assert_eq!(first.id, 0);
-        // Deadline at 100ms; defer instead of emitting.
-        p.defer(100 * MS);
-        assert_eq!(p.maybe_emit(150 * MS), None, "deferred to 200ms");
-        let next = p.maybe_emit(200 * MS).unwrap();
-        assert_eq!(next.id, 1, "no id consumed by the deferral");
-    }
-
-    #[test]
-    fn defer_before_deadline_is_noop() {
-        let mut p = pacer();
-        let _ = p.maybe_emit(0);
-        p.defer(50 * MS); // not yet due
-        assert!(p.maybe_emit(100 * MS).is_some(), "schedule unchanged");
     }
 
     #[test]

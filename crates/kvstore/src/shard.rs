@@ -150,12 +150,6 @@ impl ShardMap {
     pub fn shard_of_server(&self, host: usize) -> Option<ShardId> {
         (host < self.n_servers()).then_some(host / self.replicas)
     }
-
-    /// Group-local Raft node id of a server host (`None` for non-servers).
-    #[must_use]
-    pub fn replica_of_server(&self, host: usize) -> Option<usize> {
-        (host < self.n_servers()).then_some(host % self.replicas)
-    }
 }
 
 #[cfg(test)]
@@ -234,12 +228,10 @@ mod tests {
                 let host = map.server(shard, replica);
                 assert!(map.servers_of(shard).contains(&host));
                 assert_eq!(map.shard_of_server(host), Some(shard));
-                assert_eq!(map.replica_of_server(host), Some(replica));
             }
         }
         // Hosts past the server range (e.g. the client) are unmapped.
         assert_eq!(map.shard_of_server(12), None);
-        assert_eq!(map.replica_of_server(12), None);
     }
 
     #[test]

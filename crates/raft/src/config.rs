@@ -20,6 +20,11 @@ pub enum TimerQuantization {
 }
 
 /// Static configuration of one Raft node.
+///
+/// Neither §IV-E heartbeat extension is a knob here: the leader sends
+/// every follower's heartbeat on that follower's own pacer, whether or not
+/// replication traffic is flowing (README, "Running scenarios", has the
+/// measurements behind both verdicts).
 #[derive(Debug, Clone)]
 pub struct RaftConfig {
     /// This node's id.
@@ -48,14 +53,6 @@ pub struct RaftConfig {
     /// batch per RTT; larger windows keep the pipe full across the RTT. An
     /// in-flight `InstallSnapshot` always occupies the whole window.
     pub pipeline_window: usize,
-    /// §IV-E extension: skip a follower's heartbeat when replication
-    /// traffic was sent to it within the current heartbeat interval —
-    /// appends already reset the follower's election timer, so under load
-    /// the heartbeats are redundant CPU/bandwidth. Off by default (the
-    /// paper leaves it as future work). §IV-E's other extension, one
-    /// consolidated timer for all followers, is not modelled: it saved no
-    /// leader CPU in the `extensions` study and sent more heartbeats.
-    pub suppress_heartbeats_when_replicating: bool,
     /// Enable the leader-lease fast path for log-free reads: while a quorum
     /// has acknowledged heartbeats within the (margin-scaled) lease window,
     /// [`RaftNode::request_read`](crate::RaftNode::request_read) grants
@@ -96,7 +93,6 @@ impl RaftConfig {
             // (≈ 14k req/s × 100 ms ≈ 1400 entries).
             max_entries_per_append: 8192,
             pipeline_window: 4,
-            suppress_heartbeats_when_replicating: false,
             lease_reads: true,
             seed: 0xD15_EA5E ^ id as u64,
         }

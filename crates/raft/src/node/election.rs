@@ -388,3 +388,391 @@ impl<SM: StateMachine> RaftNode<SM> {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::super::tests::{elect, ms, node};
+    use super::*;
+    use crate::config::RaftConfig;
+    use crate::message::{AppendEntries, Heartbeat, HeartbeatResp};
+    use crate::state_machine::NullStateMachine;
+    use dynatune_core::TuningConfig;
+
+    #[test]
+    fn election_timeout_starts_pre_vote_and_emits_events() {
+        let mut n = node(0, 5);
+        let deadline = n.election_deadline();
+        let fx = n.tick(deadline);
+        assert_eq!(n.role(), Role::PreCandidate);
+        assert_eq!(n.term(), 0, "pre-vote must not bump the term");
+        let kinds: Vec<&str> = fx.events.iter().map(RaftEvent::kind).collect();
+        assert!(kinds.contains(&"election_timeout"));
+        assert!(kinds.contains(&"pre_vote_started"));
+        // Pre-vote requests to all 4 peers.
+        let pre_votes = fx
+            .messages
+            .iter()
+            .filter(|m| m.payload.kind() == "pre_vote")
+            .count();
+        assert_eq!(pre_votes, 4);
+    }
+
+    #[test]
+    fn tick_before_deadline_is_noop() {
+        let mut n = node(0, 5);
+        let fx = n.tick(ms(10));
+        assert!(fx.events.is_empty());
+        assert!(fx.messages.is_empty());
+        assert_eq!(n.role(), Role::Follower);
+    }
+
+    #[test]
+    fn full_election_produces_leader_and_noop_entry() {
+        let mut n = node(0, 5);
+        let fx = elect(&mut n, SimTime::ZERO);
+        assert_eq!(n.role(), Role::Leader);
+        assert_eq!(n.term(), 1);
+        assert_eq!(n.leader_id(), Some(0));
+        assert_eq!(n.log().last_index(), 1, "no-op appended");
+        // Replication of the no-op goes out to every follower.
+        let appends = fx
+            .messages
+            .iter()
+            .filter(|m| m.payload.kind() == "append")
+            .count();
+        assert_eq!(appends, 4);
+        let kinds: Vec<&str> = fx.events.iter().map(RaftEvent::kind).collect();
+        assert!(kinds.contains(&"election_started"));
+        assert!(kinds.contains(&"became_leader"));
+    }
+
+    #[test]
+    fn single_node_cluster_elects_and_commits_alone() {
+        let mut n = node(0, 1);
+        let deadline = n.election_deadline();
+        let _ = n.tick(deadline);
+        assert_eq!(n.role(), Role::Leader);
+        let (res, fx) = n.propose(deadline, 42);
+        let (term, index) = res.unwrap();
+        assert_eq!(term, 1);
+        assert_eq!(index, 2);
+        // Committed immediately (quorum of 1).
+        assert_eq!(n.commit_index(), 2);
+        assert_eq!(fx.applied.len(), 1);
+        assert_eq!(fx.applied[0].response, Some(2));
+    }
+
+    #[test]
+    fn pre_vote_granted_only_for_fresh_logs_and_higher_term() {
+        let mut n = node(1, 3);
+        // Not in lease (no leader known): pre-vote for term 1 granted.
+        let fx = n.step(
+            ms(1),
+            2,
+            Payload::RequestVote(RequestVote {
+                term: 1,
+                pre_vote: true,
+                last_log_index: 0,
+                last_log_term: 0,
+            }),
+        );
+        match &fx.messages[0].payload {
+            Payload::RequestVoteResp(r) => {
+                assert!(r.granted);
+                assert!(r.pre_vote);
+                assert_eq!(r.term, 1);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(n.term(), 0, "pre-vote leaves term untouched");
+        assert_eq!(n.voted_for, None, "pre-vote does not consume the vote");
+    }
+
+    #[test]
+    fn lease_blocks_disruptive_votes() {
+        let mut n = node(1, 3);
+        // Establish a live leader.
+        let hb = Heartbeat {
+            term: 2,
+            leader: 0,
+            commit: 0,
+            meta: dynatune_core::HeartbeatMeta {
+                id: 0,
+                sent_at_nanos: 0,
+                rtt_sample: None,
+            },
+        };
+        let _ = n.step(ms(100), 0, Payload::Heartbeat(hb));
+        // A pre-vote arriving within the lease window is ignored outright.
+        let fx = n.step(
+            ms(150),
+            2,
+            Payload::RequestVote(RequestVote {
+                term: 3,
+                pre_vote: true,
+                last_log_index: 10,
+                last_log_term: 2,
+            }),
+        );
+        assert!(fx.messages.is_empty(), "lease must silence the request");
+        // Even a real vote at a higher term is ignored within the lease.
+        let fx = n.step(
+            ms(160),
+            2,
+            Payload::RequestVote(RequestVote {
+                term: 9,
+                pre_vote: false,
+                last_log_index: 10,
+                last_log_term: 2,
+            }),
+        );
+        assert!(fx.messages.is_empty());
+        assert_eq!(n.term(), 2, "lease also protects the term");
+    }
+
+    #[test]
+    fn vote_granted_once_per_term() {
+        let mut n = node(0, 3);
+        let rv = RequestVote {
+            term: 4,
+            pre_vote: false,
+            last_log_index: 0,
+            last_log_term: 0,
+        };
+        let fx = n.step(ms(1), 1, Payload::RequestVote(rv));
+        match &fx.messages[0].payload {
+            Payload::RequestVoteResp(r) => assert!(r.granted),
+            other => panic!("unexpected {other:?}"),
+        }
+        // Second candidate, same term: rejected.
+        let fx = n.step(ms(2), 2, Payload::RequestVote(rv));
+        match &fx.messages[0].payload {
+            Payload::RequestVoteResp(r) => assert!(!r.granted),
+            other => panic!("unexpected {other:?}"),
+        }
+        // Re-request from the same candidate: granted (idempotent).
+        let fx = n.step(ms(3), 1, Payload::RequestVote(rv));
+        match &fx.messages[0].payload {
+            Payload::RequestVoteResp(r) => assert!(r.granted),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn vote_rejected_for_stale_log() {
+        let mut n = node(0, 3);
+        // Give ourselves a log entry at term 2.
+        let _ = n.step(
+            ms(1),
+            1,
+            Payload::AppendEntries(AppendEntries {
+                term: 2,
+                leader: 1,
+                prev_log_index: 0,
+                prev_log_term: 0,
+                entries: vec![crate::log::Entry::normal(2, 1, Some(5))],
+                leader_commit: 0,
+                read_ctx: None,
+            }),
+        );
+        // Wait out the lease.
+        let t = ms(5000);
+        let fx = n.step(
+            t,
+            2,
+            Payload::RequestVote(RequestVote {
+                term: 3,
+                pre_vote: false,
+                last_log_index: 0,
+                last_log_term: 0, // candidate's log is older
+            }),
+        );
+        match &fx.messages[0].payload {
+            Payload::RequestVoteResp(r) => assert!(!r.granted),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn pre_candidate_aborts_on_leader_contact() {
+        let mut n = node(1, 5);
+        let deadline = n.election_deadline();
+        let _ = n.tick(deadline);
+        assert_eq!(n.role(), Role::PreCandidate);
+        // The leader (same term) makes contact.
+        let hb = Heartbeat {
+            term: 0,
+            leader: 0,
+            commit: 0,
+            meta: dynatune_core::HeartbeatMeta {
+                id: 9,
+                sent_at_nanos: 0,
+                rtt_sample: None,
+            },
+        };
+        let fx = n.step(
+            deadline + Duration::from_millis(10),
+            0,
+            Payload::Heartbeat(hb),
+        );
+        assert_eq!(n.role(), Role::Follower);
+        assert_eq!(n.leader_id(), Some(0));
+        let kinds: Vec<&str> = fx.events.iter().map(RaftEvent::kind).collect();
+        assert!(kinds.contains(&"pre_vote_aborted"), "events: {kinds:?}");
+    }
+
+    #[test]
+    fn campaign_retry_redraws_and_rebroadcasts() {
+        let mut n = node(0, 5);
+        let d1 = n.election_deadline();
+        let _ = n.tick(d1);
+        assert_eq!(n.role(), Role::PreCandidate);
+        let d2 = n.election_deadline();
+        assert!(d2 > d1);
+        let fx = n.tick(d2);
+        assert_eq!(n.role(), Role::PreCandidate);
+        let kinds: Vec<&str> = fx.events.iter().map(RaftEvent::kind).collect();
+        assert!(kinds.contains(&"campaign_retry"));
+        let pre_votes = fx
+            .messages
+            .iter()
+            .filter(|m| m.payload.kind() == "pre_vote")
+            .count();
+        assert_eq!(pre_votes, 4);
+    }
+
+    #[test]
+    fn leader_steps_down_when_quorum_silent() {
+        let mut leader = node(0, 3);
+        let _ = elect(&mut leader, SimTime::ZERO);
+        assert_eq!(leader.role(), Role::Leader);
+        // Nobody ever responds; run ticks past the lease deadline.
+        let mut t = leader.next_wake().unwrap();
+        let mut stepped = false;
+        for _ in 0..100 {
+            let fx = leader.tick(t);
+            if fx
+                .events
+                .iter()
+                .any(|e| matches!(e, RaftEvent::SteppedDown { .. }))
+            {
+                stepped = true;
+                break;
+            }
+            match leader.next_wake() {
+                Some(next) if next > t => t = next,
+                _ => t += Duration::from_millis(10),
+            }
+        }
+        assert!(stepped, "leader should step down without quorum contact");
+        assert_eq!(leader.role(), Role::Follower);
+    }
+
+    #[test]
+    fn leader_keeps_leading_while_quorum_responds() {
+        let mut leader = node(0, 3);
+        let _ = elect(&mut leader, SimTime::ZERO);
+        let mut t = leader.next_wake().unwrap();
+        for _ in 0..100 {
+            let fx = leader.tick(t);
+            // Follower 1 responds to every heartbeat immediately.
+            for m in &fx.messages {
+                if m.to == 1 {
+                    if let Payload::Heartbeat(hb) = &m.payload {
+                        let reply = dynatune_core::HeartbeatReply::echo_only(&hb.meta);
+                        let _ = leader.step(
+                            t,
+                            1,
+                            Payload::HeartbeatResp(HeartbeatResp {
+                                term: hb.term,
+                                reply,
+                            }),
+                        );
+                    }
+                }
+            }
+            assert_eq!(leader.role(), Role::Leader);
+            t = leader
+                .next_wake()
+                .unwrap()
+                .max(t + Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn tuner_reset_on_timeout_for_dynatune() {
+        let config = RaftConfig::new(1, 3, TuningConfig::dynatune());
+        let mut n = RaftNode::new(config, NullStateMachine::default(), SimTime::ZERO);
+        // Feed warmed tuner via heartbeats from a leader.
+        let mut t = ms(10);
+        for i in 0..20u64 {
+            let hb = Heartbeat {
+                term: 1,
+                leader: 0,
+                commit: 0,
+                meta: dynatune_core::HeartbeatMeta {
+                    id: i,
+                    sent_at_nanos: t.as_nanos(),
+                    rtt_sample: Some(Duration::from_millis(50)),
+                },
+            };
+            let _ = n.step(t, 0, Payload::Heartbeat(hb));
+            t += Duration::from_millis(100);
+        }
+        assert!(n.tuning_snapshot().warmed);
+        assert_eq!(n.election_timeout(), Duration::from_millis(50));
+        // Let the election timer expire: measurements are discarded but the
+        // tuned Et keeps pacing the campaign (§III-B reading).
+        let deadline = n.election_deadline();
+        let fx = n.tick(deadline);
+        assert!(fx.events.contains(&RaftEvent::TunerReset));
+        assert!(!n.tuning_snapshot().warmed);
+        assert_eq!(n.tuning_snapshot().rtt_samples, 0, "data discarded");
+        assert_eq!(
+            n.election_timeout(),
+            Duration::from_millis(50),
+            "tuned Et survives for the campaign"
+        );
+        // Two unresolved campaign retries escalate to the conservative
+        // defaults (availability fallback).
+        let mut t = n.election_deadline();
+        for _ in 0..2 {
+            let _ = n.tick(t);
+            t = n.election_deadline().max(t + Duration::from_millis(1));
+        }
+        assert_eq!(
+            n.election_timeout(),
+            Duration::from_millis(1000),
+            "escalation falls back to defaults"
+        );
+    }
+
+    #[test]
+    fn quantized_deadline_snaps_to_phased_tick_grid() {
+        let mut cfg = RaftConfig::new(0, 3, TuningConfig::raft_default());
+        cfg.quantization = TimerQuantization::Tick;
+        let n = RaftNode::new(cfg, NullStateMachine::default(), ms(40));
+        let deadline = n.election_deadline();
+        let raw = ms(40) + n.randomized_timeout();
+        // First phased 100ms boundary at or after the raw deadline.
+        assert!(deadline >= raw, "deadline {deadline} >= raw {raw}");
+        assert!(deadline < raw + Duration::from_millis(100));
+        // Different nodes observe differently-phased grids.
+        let other = RaftNode::new(
+            RaftConfig::new(1, 3, TuningConfig::raft_default()),
+            NullStateMachine::default(),
+            ms(40),
+        );
+        assert_ne!(
+            n.election_deadline().as_nanos() % 100_000_000,
+            other.election_deadline().as_nanos() % 100_000_000,
+            "grids should be phase-shifted across nodes"
+        );
+        let mut cfg = RaftConfig::new(0, 3, TuningConfig::raft_default());
+        cfg.quantization = TimerQuantization::Continuous;
+        let n2 = RaftNode::new(cfg, NullStateMachine::default(), ms(40));
+        let d2 = n2.election_deadline();
+        // Continuous deadline equals reset + rto exactly (same seed, same factor).
+        assert_eq!(d2, ms(40) + n2.randomized_timeout());
+    }
+}

@@ -7,8 +7,10 @@
 //! pacer. The rest of the node only builds the two, reads the tuned `Et`/`h`
 //! for its election timer (`election.rs`) and resets the tuner at the
 //! §III-B fallback points (election timeout, role change, restart).
-//! Each follower keeps its own pacer and cadence; the only §IV-E extension
-//! modelled here is suppression while replicating.
+//! Each follower keeps its own pacer and cadence, and a heartbeat leaves
+//! when its pacer is due even while appends are flowing: neither §IV-E
+//! extension (suppression while replicating, one consolidated timer) is
+//! modelled.
 
 use super::replication::Peer;
 use super::{send, NodeEffects, RaftNode, RoleState};
@@ -39,18 +41,7 @@ impl<SM: StateMachine> RaftNode<SM> {
             return;
         };
         for (peer, Peer { progress: p, pacer }) in lead.peers.iter_mut() {
-            // §IV-E extension: recent replication traffic already reset
-            // this follower's election timer; skip the redundant heartbeat.
-            let suppress = self.config.suppress_heartbeats_when_replicating
-                && p.last_send_at + pacer.interval() > now
-                && p.last_send_at > SimTime::ZERO;
-            let meta = if suppress {
-                pacer.defer(now.as_nanos());
-                None
-            } else {
-                pacer.maybe_emit(now.as_nanos())
-            };
-            if let Some(meta) = meta {
+            if let Some(meta) = pacer.maybe_emit(now.as_nanos()) {
                 let hb = Heartbeat {
                     term: self.term,
                     leader: self.config.id,
@@ -123,12 +114,9 @@ impl<SM: StateMachine> RaftNode<SM> {
 mod tests {
     use super::super::tests::{elect, ms, node};
     use super::*;
-    use crate::config::RaftConfig;
     use crate::events::RaftEvent;
     use crate::message::RequestVote;
-    use crate::state_machine::NullStateMachine;
     use crate::types::Role;
-    use dynatune_core::TuningConfig;
 
     #[test]
     fn heartbeat_resets_timer_and_gets_response() {
@@ -201,6 +189,12 @@ mod tests {
         let mut leader = node(0, 3);
         let _ = elect(&mut leader, SimTime::ZERO);
         let t0 = leader.next_wake().unwrap();
+        // The election no-op append is still unacked by both followers:
+        // replication in flight does not hold a heartbeat back.
+        for follower in [1, 2] {
+            let inflight = &leader.progress_of(follower).unwrap().inflight;
+            assert!(!inflight.is_empty(), "follower {follower}'s no-op acked");
+        }
         let fx = leader.tick(t0);
         let hbs = fx
             .messages
@@ -224,37 +218,6 @@ mod tests {
                 .filter(|m| m.payload.kind() == "heartbeat")
                 .count(),
             2
-        );
-    }
-
-    #[test]
-    fn suppression_skips_heartbeats_while_replicating() {
-        let mut cfg = RaftConfig::new(0, 3, TuningConfig::raft_default());
-        cfg.suppress_heartbeats_when_replicating = true;
-        let mut leader = RaftNode::new(cfg, NullStateMachine::default(), SimTime::ZERO);
-        let _ = elect(&mut leader, SimTime::ZERO);
-        let t0 = leader.next_wake().unwrap();
-        // Replication to both followers just happened (become_leader sent
-        // the no-op batch): the first heartbeat round is suppressed.
-        let fx = leader.tick(t0);
-        assert_eq!(
-            fx.messages
-                .iter()
-                .filter(|m| m.payload.kind() == "heartbeat")
-                .count(),
-            0,
-            "appends in flight suppress heartbeats"
-        );
-        // After an idle interval with no replication, heartbeats resume.
-        let t1 = leader.next_wake().unwrap();
-        let fx = leader.tick(t1);
-        assert_eq!(
-            fx.messages
-                .iter()
-                .filter(|m| m.payload.kind() == "heartbeat")
-                .count(),
-            2,
-            "idle leader heartbeats normally"
         );
     }
 

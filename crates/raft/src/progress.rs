@@ -54,9 +54,6 @@ pub struct Progress {
     /// by `RaftConfig::pipeline_window`; an in-flight snapshot occupies the
     /// whole window by itself (see [`Progress::window_free`]).
     pub inflight: VecDeque<InflightSend>,
-    /// When replication traffic was last *sent* to this follower, acked or
-    /// not (heartbeat suppression under `suppress_heartbeats_when_replicating`).
-    pub last_send_at: SimTime,
     /// Last time *any* message was received from this follower (check-quorum).
     pub last_active: SimTime,
     /// Last included index of an in-flight `InstallSnapshot`, if one is
@@ -86,7 +83,6 @@ impl Progress {
             match_index: 0,
             next_index: last_log_index + 1,
             inflight: VecDeque::new(),
-            last_send_at: SimTime::ZERO,
             last_active: now,
             pending_snapshot: None,
             acked_read_seq: 0,
@@ -110,7 +106,6 @@ impl Progress {
             prev_index,
             last_index,
         });
-        self.last_send_at = now;
         self.next_index = self.next_index.max(last_index + 1);
     }
 
@@ -349,7 +344,6 @@ mod tests {
         );
         assert!(!p.window_free(8), "closed however wide the window is");
         assert_eq!(p.next_index, 31, "appends resume past the boundary");
-        assert_eq!(p.last_send_at, SimTime::from_millis(3));
     }
 
     #[test]

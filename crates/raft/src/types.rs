@@ -23,14 +23,6 @@ pub enum Role {
     Leader,
 }
 
-impl Role {
-    /// True for both candidate flavours.
-    #[must_use]
-    pub fn is_campaigning(self) -> bool {
-        matches!(self, Role::PreCandidate | Role::Candidate)
-    }
-}
-
 /// Majority size for a cluster of `n` voters.
 #[must_use]
 pub fn quorum(n: usize) -> usize {
@@ -49,13 +41,5 @@ mod tests {
         assert_eq!(quorum(5), 3);
         assert_eq!(quorum(17), 9);
         assert_eq!(quorum(65), 33);
-    }
-
-    #[test]
-    fn campaigning_roles() {
-        assert!(Role::PreCandidate.is_campaigning());
-        assert!(Role::Candidate.is_campaigning());
-        assert!(!Role::Follower.is_campaigning());
-        assert!(!Role::Leader.is_campaigning());
     }
 }

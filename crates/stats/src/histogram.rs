@@ -74,19 +74,6 @@ impl Histogram {
         self.max = self.max.max(value);
     }
 
-    /// Record `n` identical observations.
-    pub fn record_n(&mut self, value: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let idx = Self::index_for(value);
-        self.counts[idx] += n;
-        self.total += n;
-        self.sum += u128::from(value) * u128::from(n);
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
     /// Merge another histogram into this one.
     pub fn merge(&mut self, other: &Self) {
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
@@ -215,19 +202,6 @@ mod tests {
         h.record(20);
         h.record(90);
         assert!((h.mean() - 40.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn record_n_equivalent_to_loop() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record_n(777, 5);
-        for _ in 0..5 {
-            b.record(777);
-        }
-        assert_eq!(a.count(), b.count());
-        assert_eq!(a.quantile(0.5), b.quantile(0.5));
-        assert_eq!(a.mean(), b.mean());
     }
 
     #[test]

@@ -52,13 +52,6 @@ pub fn quantile_rank(n: u64, q: f64) -> u64 {
     (((q * n as f64).ceil() as u64).max(1)).min(n)
 }
 
-/// Round `x` to `digits` decimal digits. Helper for stable report output.
-#[must_use]
-pub fn round_to(x: f64, digits: u32) -> f64 {
-    let p = 10f64.powi(digits as i32);
-    (x * p).round() / p
-}
-
 /// Linear interpolation between `a` and `b` at fraction `t in [0, 1]`.
 #[must_use]
 pub fn lerp(a: f64, b: f64, t: f64) -> f64 {
@@ -68,13 +61,6 @@ pub fn lerp(a: f64, b: f64, t: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn round_to_rounds_half_away_from_zero() {
-        assert_eq!(round_to(1.2345, 2), 1.23);
-        assert_eq!(round_to(1.235, 2), 1.24);
-        assert_eq!(round_to(-1.235, 2), -1.24);
-    }
 
     #[test]
     fn lerp_endpoints_and_midpoint() {

@@ -39,9 +39,8 @@ fn report_hash(report: &Report) -> u64 {
 /// lists equal). They cover every assembly path: single group (`fig4`),
 /// single group under the fault driver (`partition_churn`), link schedules
 /// under the sampling driver (`fig6a`, `fig7`), the KV client through a full
-/// offered-load ramp (`fig5`; `extensions`, with and without heartbeat
-/// suppression), single-group spares
-/// (`elastic_scaleout`), sharded (`sharded_throughput`), sharded spares plus
+/// offered-load ramp (`fig5`), single-group spares (`elastic_scaleout`),
+/// sharded (`sharded_throughput`), sharded spares plus
 /// the rebalancer (`shard_rebalance`) and the broker
 /// (`consumer_lag_failover`). A pin moves only when a change means to alter
 /// simulated behaviour; say so in CHANGES.md when it does. (The values
@@ -53,7 +52,6 @@ const REPORT_PINS: &[(&str, u64)] = &[
     ("consumer_fanout", 0x3f84_b81c_e311_e64c),
     ("consumer_lag_failover", 0xc59a_8c74_9466_3728),
     ("elastic_scaleout", 0x3543_0fc5_e5d4_6592),
-    ("extensions", 0x5a60_48be_dc97_121d),
     ("fig4", 0xcd21_cf62_a108_d722),
     ("fig5", 0x1427_40a5_ed88_2210),
     ("fig6a", 0x948d_2d24_8bbb_e9d6),
@@ -128,25 +126,16 @@ fn fig4_report_identical_serial_vs_parallel() {
     assert_eq!(serial.name, "fig4");
 }
 
-/// The two registry scenarios that drive the KV client through a full
-/// offered-load ramp: per-step completion bucketing, saturation backlog,
-/// redirects and timeout retries all feed the peak-throughput and latency
-/// columns, which must be bit-identical at any pool width.
-fn assert_ramp_identical_and_pinned(name: &str) {
-    let mut ctx = quick_ctx();
-    ctx.repeats = Some(1); // one ramp per variant keeps the check fast
-    let serial = assert_identical_and_pinned(&ctx, name, 4);
-    assert!(!serial.tables.is_empty());
-}
-
+/// `fig5` drives the KV client through a full offered-load ramp: per-step
+/// completion bucketing, saturation backlog, redirects and timeout retries
+/// all feed the peak-throughput and latency columns, which must be
+/// bit-identical at any pool width.
 #[test]
 fn fig5_report_identical_serial_vs_parallel() {
-    assert_ramp_identical_and_pinned("fig5");
-}
-
-#[test]
-fn extensions_report_identical_serial_vs_parallel() {
-    assert_ramp_identical_and_pinned("extensions");
+    let mut ctx = quick_ctx();
+    ctx.repeats = Some(1); // one ramp per variant keeps the check fast
+    let serial = assert_identical_and_pinned(&ctx, "fig5", 4);
+    assert!(!serial.tables.is_empty());
 }
 
 #[test]
