@@ -34,12 +34,6 @@ impl Topic {
         self.partitions.iter().map(|(&p, log)| (p, log))
     }
 
-    /// Number of materialized partitions.
-    #[must_use]
-    pub fn partition_count(&self) -> usize {
-        self.partitions.len()
-    }
-
     /// Total stored bytes across partitions.
     #[must_use]
     pub fn bytes(&self) -> usize {
@@ -71,10 +65,8 @@ mod tests {
     fn partitions_materialize_on_first_use() {
         let mut t = Topic::new();
         assert!(t.partition(0).is_none());
-        assert_eq!(t.partition_count(), 0);
         t.partition_mut(3)
             .append_batch(&[crate::Record::new(&b""[..], &b"v"[..])].into());
-        assert_eq!(t.partition_count(), 1);
         assert_eq!(t.partition(3).unwrap().len(), 1);
         assert_eq!(t.partitions().count(), 1);
         assert!(t.bytes() > 0);

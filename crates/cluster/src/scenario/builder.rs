@@ -230,8 +230,8 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Read-serving strategy: the log-replicated baseline, pure ReadIndex,
-    /// or leader-lease reads with ReadIndex fallback (the default).
+    /// Read-serving strategy: the log-replicated baseline, or leader-lease
+    /// reads with ReadIndex fallback (the default).
     #[must_use]
     pub fn reads(mut self, strategy: ReadStrategy) -> Self {
         self.config.read_strategy = strategy;

@@ -176,15 +176,6 @@ impl FaultPlan {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
-
-    /// Nominal time of the last event (`None` for an empty plan). The
-    /// driver's [`Horizon::AfterLastFault`](crate::scenario::Horizon)
-    /// anchors on the *resolved* time; this is the static bound used for
-    /// validation and duration estimates.
-    #[must_use]
-    pub fn last_at(&self) -> Option<Duration> {
-        self.events.last().map(|e| e.at)
-    }
 }
 
 #[cfg(test)]
@@ -199,7 +190,6 @@ mod tests {
             .partition(Duration::from_secs(10), PartitionSpec::FollowersOnly(2));
         let times: Vec<u64> = plan.events().iter().map(|e| e.at.as_secs()).collect();
         assert_eq!(times, vec![5, 10, 20]);
-        assert_eq!(plan.last_at(), Some(Duration::from_secs(20)));
     }
 
     #[test]
@@ -220,13 +210,11 @@ mod tests {
         assert_eq!(kinds, vec![true, false, true, false, true, false]);
         // Cycle period = down + up = 25s.
         assert_eq!(plan.events()[2].at, Duration::from_secs(55));
-        assert_eq!(plan.last_at(), Some(Duration::from_secs(90)));
     }
 
     #[test]
     fn empty_plan_reports_empty() {
         let plan = FaultPlan::new();
         assert!(plan.is_empty());
-        assert_eq!(plan.last_at(), None);
     }
 }

@@ -37,12 +37,12 @@ pub enum ReadStrategy {
     /// reads; the pre-read-path baseline). Full quorum-append cost per
     /// read, and read traffic grows the log.
     Log,
-    /// Log-free reads via ReadIndex only: every read batch pays one
-    /// leadership-confirmation round (piggy-backed on append traffic).
-    ReadIndex,
-    /// Log-free reads via the leader lease, falling back to ReadIndex when
-    /// the lease is cold or expired (the default: reads cost no network
-    /// round while heartbeat acks keep the lease fresh).
+    /// Log-free reads via the leader lease, falling back to a ReadIndex
+    /// confirmation round (piggy-backed on append traffic) whenever the
+    /// Raft node finds the lease cold, expired or unsafe (under a tuning
+    /// mode the lease is cut to the 10 ms election floor, so it lapses
+    /// within one WAN round trip). The default: reads cost no network round
+    /// while heartbeat acks keep the lease fresh.
     #[default]
     Lease,
 }
@@ -236,7 +236,7 @@ impl<A: App> ServerHost<A> {
         }
     }
 
-    /// Select the read-serving strategy. Under the log-free strategies a
+    /// Select the read-serving strategy. Under [`ReadStrategy::Lease`] a
     /// follower that knows a leader answers forwarded reads locally; under
     /// [`ReadStrategy::Log`] a non-leader can only redirect.
     #[must_use]

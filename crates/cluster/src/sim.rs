@@ -111,9 +111,9 @@ pub struct ClusterConfig {
     pub spares: Vec<ShardId>,
     /// The Raft configuration every server starts from — tuning mode,
     /// election, transport and replication knobs, each declared (and
-    /// defaulted) once, in [`RaftConfig`]. `id`, `peers`, `seed` and
-    /// `lease_reads` are placeholders here: [`ClusterSim`] fills them per
-    /// server from the placement, the master seed and `read_strategy`.
+    /// defaulted) once, in [`RaftConfig`]. `id`, `peers` and `seed` are
+    /// placeholders here: [`ClusterSim`] fills them per server from the
+    /// placement and the master seed.
     pub raft: RaftConfig,
     /// Server-to-server network topology; must cover exactly
     /// [`Self::n_servers`] hosts.
@@ -124,7 +124,8 @@ pub struct ClusterConfig {
     pub cost: CostModel,
     /// Log-compaction policy (threshold + retained tail).
     pub compaction: CompactionPolicy,
-    /// How servers serve linearizable reads (log vs lease/ReadIndex).
+    /// How servers serve linearizable reads (through the log, or log-free
+    /// by lease with ReadIndex as the fallback).
     pub read_strategy: ReadStrategy,
     /// Cores per server (paper: 4 for Figs. 4–6, 2 for Fig. 7).
     pub cores: usize,
@@ -182,9 +183,6 @@ impl ClusterConfig {
             id: local,
             peers: (0..self.map.replicas()).collect(),
             seed,
-            // The lease fast path only when the strategy asks for it; under
-            // ReadIndex every read pays a confirmation round.
-            lease_reads: self.read_strategy == ReadStrategy::Lease,
             ..self.raft.clone()
         }
     }

@@ -66,14 +66,6 @@ impl RttEstimator {
         Duration::from_secs_f64((self.window.std_dev() / 1e3).max(0.0))
     }
 
-    /// Most recent sample.
-    #[must_use]
-    pub fn latest(&self) -> Option<Duration> {
-        self.window
-            .latest()
-            .map(|ms| Duration::from_secs_f64((ms / 1e3).max(0.0)))
-    }
-
     /// Discard all samples (paper's reset-on-election).
     pub fn reset(&mut self) {
         self.window.clear();
@@ -102,7 +94,6 @@ mod tests {
         e.record(Duration::from_millis(110));
         assert_eq!(e.mean(), Duration::from_millis(100));
         assert_eq!(e.std_dev(), Duration::from_millis(10));
-        assert_eq!(e.latest(), Some(Duration::from_millis(110)));
     }
 
     #[test]
@@ -127,7 +118,6 @@ mod tests {
         assert!(!e.is_warmed());
         assert!(e.is_empty());
         assert_eq!(e.mean(), Duration::ZERO);
-        assert_eq!(e.latest(), None);
     }
 
     #[test]

@@ -85,7 +85,6 @@ pub struct WorkloadGen {
     step_idx: usize,
     step_started: SimTime,
     next_arrival: SimTime,
-    emitted: u64,
 }
 
 impl WorkloadGen {
@@ -116,7 +115,6 @@ impl WorkloadGen {
             step_idx: 0,
             step_started: start,
             next_arrival: start,
-            emitted: 0,
         };
         gen.schedule_next(start);
         gen
@@ -157,12 +155,6 @@ impl WorkloadGen {
     #[must_use]
     pub fn steps(&self) -> &[RateStep] {
         &self.steps
-    }
-
-    /// Total requests emitted so far.
-    #[must_use]
-    pub fn emitted(&self) -> u64 {
-        self.emitted
     }
 
     /// True when the schedule has been exhausted.
@@ -237,7 +229,6 @@ impl WorkloadGen {
         } else {
             KvCommand::Get { key }
         };
-        self.emitted += 1;
         self.schedule_next(at);
         Some((at, cmd))
     }
@@ -321,7 +312,6 @@ mod tests {
         // ~1000 rps for 5 s => ~5000 requests (Poisson: wide tolerance).
         assert!((4000..6000).contains(&count), "count = {count}");
         assert!(g.finished());
-        assert_eq!(g.emitted(), count);
     }
 
     #[test]

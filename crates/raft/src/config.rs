@@ -24,7 +24,10 @@ pub enum TimerQuantization {
 /// Neither §IV-E heartbeat extension is a knob here: the leader sends
 /// every follower's heartbeat on that follower's own pacer, whether or not
 /// replication traffic is flowing (README, "Running scenarios", has the
-/// measurements behind both verdicts).
+/// measurements behind both verdicts). Nor is the leader lease: a log-free
+/// read is granted by lease whenever
+/// [`RaftNode::lease_valid`](crate::RaftNode::lease_valid) holds, and by a
+/// ReadIndex round otherwise.
 #[derive(Debug, Clone)]
 pub struct RaftConfig {
     /// This node's id.
@@ -53,15 +56,6 @@ pub struct RaftConfig {
     /// batch per RTT; larger windows keep the pipe full across the RTT. An
     /// in-flight `InstallSnapshot` always occupies the whole window.
     pub pipeline_window: usize,
-    /// Enable the leader-lease fast path for log-free reads: while a quorum
-    /// has acknowledged heartbeats within the (margin-scaled) lease window,
-    /// [`RaftNode::request_read`](crate::RaftNode::request_read) grants
-    /// reads immediately instead of running a ReadIndex confirmation round.
-    /// The lease lasts the tuning's default election timeout, the smallest
-    /// timeout an untuned member runs (`node/reads.rs` clamps it to the
-    /// tuning floor under a tuning mode). Inert unless the host actually
-    /// requests log-free reads.
-    pub lease_reads: bool,
     /// Seed for the node's randomized-timeout stream.
     pub seed: u64,
 }
@@ -93,7 +87,6 @@ impl RaftConfig {
             // (≈ 14k req/s × 100 ms ≈ 1400 entries).
             max_entries_per_append: 8192,
             pipeline_window: 4,
-            lease_reads: true,
             seed: 0xD15_EA5E ^ id as u64,
         }
     }

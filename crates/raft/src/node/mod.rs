@@ -382,8 +382,8 @@ mod tests {
     use super::*;
     use crate::events::RaftEvent;
     use crate::membership::ConfChange;
-    use crate::message::{AppendEntries, AppendResp, Heartbeat, HeartbeatResp, RequestVoteResp};
-    use crate::state_machine::{NullStateMachine, ReadGrant, ReadPath};
+    use crate::message::{AppendEntries, AppendResp, Heartbeat, RequestVoteResp};
+    use crate::state_machine::NullStateMachine;
     use dynatune_core::TuningConfig;
     use std::time::Duration;
 
@@ -683,271 +683,6 @@ mod tests {
         assert_eq!(node.commit_index(), last);
         assert_eq!(node.last_applied(), last);
         last
-    }
-
-    // ------------------------------------------------------------------
-    // Log-free reads (lease + ReadIndex)
-    // ------------------------------------------------------------------
-
-    #[test]
-    fn single_node_lease_read_grants_instantly() {
-        let mut n = node(0, 1);
-        let d = n.election_deadline();
-        let _ = n.tick(d);
-        assert_eq!(n.role(), Role::Leader);
-        assert_eq!(n.commit_index(), 1, "no-op self-commits");
-        let (res, fx) = n.request_read(d, 7, true);
-        res.unwrap();
-        assert_eq!(
-            fx.reads,
-            vec![ReadGrant {
-                id: 7,
-                read_index: 1,
-                path: ReadPath::Lease,
-            }]
-        );
-        assert!(fx.messages.is_empty(), "lease reads cost no network round");
-    }
-
-    #[test]
-    fn read_on_follower_returns_redirect() {
-        let mut n = node(1, 3);
-        let hb = Heartbeat {
-            term: 1,
-            leader: 0,
-            commit: 0,
-            meta: dynatune_core::HeartbeatMeta {
-                id: 0,
-                sent_at_nanos: 0,
-                rtt_sample: None,
-            },
-        };
-        let _ = n.step(ms(1), 0, Payload::Heartbeat(hb));
-        let (res, fx) = n.request_read(ms(2), 5, true);
-        assert_eq!(res, Err(NotLeader { hint: Some(0) }));
-        assert!(fx.reads.is_empty());
-    }
-
-    #[test]
-    fn read_parks_until_current_term_commit() {
-        let mut leader = node(0, 3);
-        let _ = elect(&mut leader, SimTime::ZERO);
-        // No follower has acked: the term's no-op is uncommitted, so the
-        // read must park (commit_index may lag the true commit point).
-        let (res, fx) = leader.request_read(ms(3000), 11, true);
-        res.unwrap();
-        assert!(fx.reads.is_empty());
-        assert_eq!(leader.pending_reads(), 1);
-        // The no-op commits; the read is admitted and (lease cold) goes
-        // through a ReadIndex confirmation round.
-        let fx = leader.step(
-            ms(3001),
-            1,
-            Payload::AppendResp(AppendResp {
-                term: leader.term(),
-                success: true,
-                match_or_hint: 1,
-                read_ctx: None,
-            }),
-        );
-        assert_eq!(leader.commit_index(), 1);
-        assert!(
-            fx.events
-                .iter()
-                .any(|e| matches!(e, RaftEvent::ReadConfirmRound { .. })),
-            "cold lease must open a confirmation round: {:?}",
-            fx.events
-        );
-        let probe = fx
-            .messages
-            .iter()
-            .find_map(|m| match &m.payload {
-                Payload::AppendEntries(ae) if ae.read_ctx.is_some() => Some((m.to, ae.clone())),
-                _ => None,
-            })
-            .expect("confirmation append with read_ctx");
-        assert_eq!(probe.0, 1, "idle follower gets the confirmation append");
-        // The echo from one follower completes the quorum (leader + 1 of 3).
-        let fx = leader.step(
-            ms(3002),
-            1,
-            Payload::AppendResp(AppendResp {
-                term: leader.term(),
-                success: true,
-                match_or_hint: 1,
-                read_ctx: probe.1.read_ctx,
-            }),
-        );
-        assert_eq!(
-            fx.reads,
-            vec![ReadGrant {
-                id: 11,
-                read_index: 1,
-                path: ReadPath::ReadIndex,
-            }]
-        );
-        assert_eq!(leader.pending_reads(), 0);
-    }
-
-    #[test]
-    fn heartbeat_quorum_acks_enable_the_lease_path() {
-        let mut leader = node(0, 3);
-        let _ = elect(&mut leader, SimTime::ZERO);
-        let _ = leader.step(
-            ms(3000),
-            1,
-            Payload::AppendResp(AppendResp {
-                term: leader.term(),
-                success: true,
-                match_or_hint: 1,
-                read_ctx: None,
-            }),
-        );
-        assert!(!leader.lease_valid(ms(3600)), "no heartbeat acks yet");
-        // Follower 1 acks a heartbeat sent at t=3500.
-        let _ = leader.step(
-            ms(3600),
-            1,
-            Payload::HeartbeatResp(HeartbeatResp {
-                term: leader.term(),
-                reply: dynatune_core::HeartbeatReply {
-                    id: 0,
-                    echo_sent_at_nanos: ms(3500).as_nanos(),
-                    tuned_interval: None,
-                },
-            }),
-        );
-        assert!(leader.lease_valid(ms(3600)));
-        // Effective lease: 1000ms * (1 - 0.1) = 900ms from the send instant.
-        assert!(leader.lease_valid(ms(4399)));
-        assert!(!leader.lease_valid(ms(4400)), "drift margin caps the lease");
-        let (res, fx) = leader.request_read(ms(3700), 21, true);
-        res.unwrap();
-        assert_eq!(
-            fx.reads,
-            vec![ReadGrant {
-                id: 21,
-                read_index: 1,
-                path: ReadPath::Lease,
-            }]
-        );
-        assert!(fx.messages.is_empty());
-    }
-
-    #[test]
-    fn tuned_mode_clamps_the_lease_to_the_election_floor() {
-        // Under a tuning mode a follower's Et can adapt down to the
-        // configured floor (10ms for Dynatune defaults) — far below the
-        // 1s default lease. The effective lease must clamp to the floor, or
-        // an isolated leader could serve stale reads while a fast-tuned
-        // follower elects a replacement.
-        let config = RaftConfig::new(0, 3, TuningConfig::dynatune());
-        let mut leader = RaftNode::new(config, NullStateMachine::default(), SimTime::ZERO);
-        let _ = elect(&mut leader, SimTime::ZERO);
-        let _ = leader.step(
-            ms(3000),
-            1,
-            Payload::HeartbeatResp(HeartbeatResp {
-                term: leader.term(),
-                reply: dynatune_core::HeartbeatReply {
-                    id: 0,
-                    echo_sent_at_nanos: ms(3000).as_nanos(),
-                    tuned_interval: None,
-                },
-            }),
-        );
-        // Floor 10ms, margin 0.1 => 9ms of effective lease from the ack.
-        assert!(leader.lease_valid(ms(3008)));
-        assert!(
-            !leader.lease_valid(ms(3010)),
-            "tuned clusters must not ride the full static lease"
-        );
-    }
-
-    #[test]
-    fn confirmed_read_waits_for_apply() {
-        let mut leader = node(0, 3);
-        let _ = elect(&mut leader, SimTime::ZERO);
-        // Commit the no-op plus one command, but lag apply? Apply tracks
-        // commit on this implementation, so instead queue the read while a
-        // *forwarded* (no-wait) grant shows read_index handling.
-        let _ = leader.step(
-            ms(3000),
-            1,
-            Payload::AppendResp(AppendResp {
-                term: leader.term(),
-                success: true,
-                match_or_hint: 1,
-                read_ctx: None,
-            }),
-        );
-        // Forwarded follower read: grant must NOT wait for leader apply.
-        let _ = leader.step(
-            ms(3001),
-            1,
-            Payload::HeartbeatResp(HeartbeatResp {
-                term: leader.term(),
-                reply: dynatune_core::HeartbeatReply {
-                    id: 0,
-                    echo_sent_at_nanos: ms(3000).as_nanos(),
-                    tuned_interval: None,
-                },
-            }),
-        );
-        let (res, fx) = leader.request_read(ms(3002), 31, false);
-        res.unwrap();
-        assert_eq!(fx.reads.len(), 1);
-        assert_eq!(fx.reads[0].read_index, 1);
-    }
-
-    #[test]
-    fn stepping_down_aborts_queued_reads() {
-        let mut leader = node(0, 3);
-        let _ = elect(&mut leader, SimTime::ZERO);
-        let _ = leader.step(
-            ms(3000),
-            1,
-            Payload::AppendResp(AppendResp {
-                term: leader.term(),
-                success: true,
-                match_or_hint: 1,
-                read_ctx: None,
-            }),
-        );
-        let (res, fx) = leader.request_read(ms(3001), 41, true);
-        res.unwrap();
-        assert!(fx.reads.is_empty(), "cold lease: read queued");
-        assert_eq!(leader.pending_reads(), 1);
-        // A higher-term leader appears: queued reads are surfaced as
-        // aborted so the host can redirect the clients.
-        let hb = Heartbeat {
-            term: leader.term() + 1,
-            leader: 2,
-            commit: 0,
-            meta: dynatune_core::HeartbeatMeta {
-                id: 0,
-                sent_at_nanos: 0,
-                rtt_sample: None,
-            },
-        };
-        let fx = leader.step(ms(3002), 2, Payload::Heartbeat(hb));
-        assert_eq!(fx.aborted_reads, vec![41]);
-        assert_eq!(leader.pending_reads(), 0);
-    }
-
-    #[test]
-    fn lease_is_inert_when_disabled() {
-        let mut cfg = RaftConfig::new(0, 1, TuningConfig::raft_default());
-        cfg.lease_reads = false;
-        let mut n = RaftNode::new(cfg, NullStateMachine::default(), SimTime::ZERO);
-        let d = n.election_deadline();
-        let _ = n.tick(d);
-        let (res, fx) = n.request_read(d, 51, true);
-        res.unwrap();
-        // Single-node quorum confirms the ReadIndex round instantly, but
-        // the path must be ReadIndex, not Lease.
-        assert_eq!(fx.reads.len(), 1);
-        assert_eq!(fx.reads[0].path, ReadPath::ReadIndex);
     }
 
     // ------------------------------------------------------------------

@@ -5,8 +5,9 @@
 //!
 //! * [`OnlineStats`] — streaming mean/variance/min/max (Welford's algorithm),
 //!   mergeable across parallel workers.
-//! * [`SampleWindow`] — bounded sliding window with running mean and standard
-//!   deviation, used by the Dynatune RTT estimator (`RTTs` list in the paper).
+//! * [`SampleWindow`] — bounded sliding window whose only statistics are a
+//!   running mean and standard deviation: the µ and σ of the Dynatune RTT
+//!   estimator (`RTTs` list in the paper).
 //! * [`Histogram`] — log-bucketed latency histogram with quantile queries.
 //! * [`EmpiricalCdf`] — exact empirical CDF over a finished sample set; this
 //!   is what the paper's Figures 4 and 8 plot.

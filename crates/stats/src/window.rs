@@ -12,7 +12,7 @@ use std::collections::VecDeque;
 
 const RECOMPUTE_PERIOD: u64 = 4096;
 
-/// Sliding window over `f64` samples with O(1) mean/std/min/max queries.
+/// Sliding window over `f64` samples with O(1) mean and standard deviation.
 #[derive(Debug, Clone)]
 pub struct SampleWindow {
     capacity: usize,
@@ -20,16 +20,6 @@ pub struct SampleWindow {
     sum: f64,
     sum_sq: f64,
     ops_since_recompute: u64,
-    /// Monotonic deques of `(push index, value)` for amortized-O(1) min/max.
-    /// The tuner queries extrema on every heartbeat, so a full O(n) ring
-    /// scan per query would sit on the hot path. `min_deque` holds strictly
-    /// increasing values, `max_deque` strictly decreasing; fronts are the
-    /// current extrema, entries retire when their index leaves the window.
-    min_deque: VecDeque<(u64, f64)>,
-    max_deque: VecDeque<(u64, f64)>,
-    /// Total pushes ever; the sample at the ring's back has index
-    /// `push_count - 1`, the front `push_count - ring.len()`.
-    push_count: u64,
 }
 
 impl SampleWindow {
@@ -46,9 +36,6 @@ impl SampleWindow {
             sum: 0.0,
             sum_sq: 0.0,
             ops_since_recompute: 0,
-            min_deque: VecDeque::new(),
-            max_deque: VecDeque::new(),
-            push_count: 0,
         }
     }
 
@@ -59,27 +46,9 @@ impl SampleWindow {
             if let Some(old) = self.ring.pop_front() {
                 self.sum -= old;
                 self.sum_sq -= old * old;
-                let evicted = self.push_count - self.capacity as u64;
-                if self.min_deque.front().is_some_and(|&(i, _)| i == evicted) {
-                    self.min_deque.pop_front();
-                }
-                if self.max_deque.front().is_some_and(|&(i, _)| i == evicted) {
-                    self.max_deque.pop_front();
-                }
             }
         }
         self.ring.push_back(x);
-        // A new sample dominates every older one that is >= (for min) or
-        // <= (for max): those can never be an extremum again.
-        while self.min_deque.back().is_some_and(|&(_, v)| v >= x) {
-            self.min_deque.pop_back();
-        }
-        self.min_deque.push_back((self.push_count, x));
-        while self.max_deque.back().is_some_and(|&(_, v)| v <= x) {
-            self.max_deque.pop_back();
-        }
-        self.max_deque.push_back((self.push_count, x));
-        self.push_count += 1;
         self.sum += x;
         self.sum_sq += x * x;
         self.ops_since_recompute += 1;
@@ -100,9 +69,6 @@ impl SampleWindow {
         self.sum = 0.0;
         self.sum_sq = 0.0;
         self.ops_since_recompute = 0;
-        self.min_deque.clear();
-        self.max_deque.clear();
-        self.push_count = 0;
     }
 
     /// Number of samples currently held.
@@ -115,12 +81,6 @@ impl SampleWindow {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.ring.is_empty()
-    }
-
-    /// Maximum number of samples the window retains.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Mean of the samples in the window (0 when empty).
@@ -143,29 +103,6 @@ impl SampleWindow {
         let mean = self.sum / n as f64;
         let var = (self.sum_sq / n as f64 - mean * mean).max(0.0);
         var.sqrt()
-    }
-
-    /// Most recent sample, if any.
-    #[must_use]
-    pub fn latest(&self) -> Option<f64> {
-        self.ring.back().copied()
-    }
-
-    /// Smallest sample currently in the window (O(1)).
-    #[must_use]
-    pub fn min(&self) -> Option<f64> {
-        self.min_deque.front().map(|&(_, v)| v)
-    }
-
-    /// Largest sample currently in the window (O(1)).
-    #[must_use]
-    pub fn max(&self) -> Option<f64> {
-        self.max_deque.front().map(|&(_, v)| v)
-    }
-
-    /// Iterate over samples from oldest to newest.
-    pub fn iter(&self) -> impl Iterator<Item = f64> + '_ {
-        self.ring.iter().copied()
     }
 }
 
@@ -192,9 +129,6 @@ mod tests {
         assert!(w.is_empty());
         assert_eq!(w.mean(), 0.0);
         assert_eq!(w.std_dev(), 0.0);
-        assert_eq!(w.latest(), None);
-        assert_eq!(w.min(), None);
-        assert_eq!(w.max(), None);
     }
 
     #[test]
@@ -204,12 +138,7 @@ mod tests {
             w.push(x);
         }
         assert_eq!(w.len(), 3);
-        let kept: Vec<f64> = w.iter().collect();
-        assert_eq!(kept, vec![3.0, 4.0, 5.0]);
         assert!((w.mean() - 4.0).abs() < 1e-12);
-        assert_eq!(w.latest(), Some(5.0));
-        assert_eq!(w.min(), Some(3.0));
-        assert_eq!(w.max(), Some(5.0));
     }
 
     #[test]
@@ -252,50 +181,7 @@ mod tests {
         assert!((w.std_dev() - naive_std(tail)).abs() < 1e-6);
     }
 
-    #[test]
-    fn min_max_track_evictions_through_clear() {
-        let mut w = SampleWindow::new(3);
-        // Descending run: min deque collapses to the newest value each push.
-        for x in [9.0, 7.0, 5.0, 3.0] {
-            w.push(x);
-        }
-        assert_eq!(w.min(), Some(3.0));
-        assert_eq!(w.max(), Some(7.0), "9.0 evicted from the window");
-        // Ascending run after clear: max deque collapses instead.
-        w.clear();
-        for x in [1.0, 2.0, 3.0, 4.0] {
-            w.push(x);
-        }
-        assert_eq!(w.min(), Some(2.0));
-        assert_eq!(w.max(), Some(4.0));
-        // Duplicates: the extremum survives eviction of an equal older copy.
-        w.clear();
-        for x in [5.0, 5.0, 5.0, 5.0] {
-            w.push(x);
-        }
-        assert_eq!(w.min(), Some(5.0));
-        assert_eq!(w.max(), Some(5.0));
-    }
-
     proptest! {
-        #[test]
-        fn prop_min_max_match_naive_scan(
-            values in proptest::collection::vec(-1e4f64..1e4, 1..400),
-            cap in 1usize..48,
-        ) {
-            // The monotonic deques must agree with an O(n) ring scan after
-            // every single push, not just at the end.
-            let mut w = SampleWindow::new(cap);
-            for (i, &v) in values.iter().enumerate() {
-                w.push(v);
-                let tail = &values[(i + 1).saturating_sub(cap)..=i];
-                let naive_min = tail.iter().copied().fold(f64::INFINITY, f64::min);
-                let naive_max = tail.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-                prop_assert_eq!(w.min(), Some(naive_min));
-                prop_assert_eq!(w.max(), Some(naive_max));
-            }
-        }
-
         #[test]
         fn prop_window_matches_naive_tail(
             values in proptest::collection::vec(0.0f64..1e4, 1..300),
