@@ -54,15 +54,6 @@ pub enum BrokerCommand {
         /// Fetch size cap.
         max_records: usize,
     },
-    /// Read a consumer group's committed position (linearizable read).
-    FetchCommitted {
-        /// Consumer group name.
-        group: String,
-        /// Topic name.
-        topic: String,
-        /// Partition within the topic.
-        partition: u32,
-    },
 }
 
 /// A broker response.
@@ -83,11 +74,6 @@ pub enum BrokerResponse {
     },
     /// Fetched records plus the partition's high watermark (for lag).
     Records(FetchResult),
-    /// A consumer group's committed position (`None`: never committed).
-    CommittedOffset {
-        /// The stored position, if any.
-        offset: Option<u64>,
-    },
 }
 
 /// Rough in-memory size of one cached response (snapshot costing). Cached
@@ -141,10 +127,7 @@ impl App for BrokerState {
     type Response = BrokerResponse;
 
     fn is_read(cmd: &BrokerCommand) -> bool {
-        matches!(
-            cmd,
-            BrokerCommand::Fetch { .. } | BrokerCommand::FetchCommitted { .. }
-        )
+        matches!(cmd, BrokerCommand::Fetch { .. })
     }
 
     fn payload_bytes(cmd: &BrokerCommand) -> usize {
@@ -155,7 +138,6 @@ impl App for BrokerState {
             }
             BrokerCommand::CommitOffset { group, topic, .. } => group.len() + topic.len() + 8,
             BrokerCommand::Fetch { topic, .. } => topic.len() + 16,
-            BrokerCommand::FetchCommitted { group, topic, .. } => group.len() + topic.len(),
         };
         FRAMING + body
     }
@@ -216,13 +198,6 @@ impl App for BrokerState {
                     .map_or_else(FetchResult::default, |p| p.fetch(*offset, *max_records));
                 Some(BrokerResponse::Records(result))
             }
-            BrokerCommand::FetchCommitted {
-                group,
-                topic,
-                partition,
-            } => Some(BrokerResponse::CommittedOffset {
-                offset: self.committed_offset(group, topic, *partition),
-            }),
             BrokerCommand::Produce { .. } | BrokerCommand::CommitOffset { .. } => None,
         }
     }
@@ -353,15 +328,6 @@ mod tests {
         );
         assert_eq!(sm.committed_offset("g", "t", 3), Some(17));
         assert_eq!(sm.committed_offset("other", "t", 3), None);
-        let read = BrokerCommand::FetchCommitted {
-            group: "g".into(),
-            topic: "t".into(),
-            partition: 3,
-        };
-        assert_eq!(
-            sm.read(&read),
-            Some(BrokerResponse::CommittedOffset { offset: Some(17) })
-        );
     }
 
     #[test]

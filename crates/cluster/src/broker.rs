@@ -66,6 +66,12 @@ pub type BrokerMsg = ClusterMsg<BrokerState>;
 /// How long a caught-up consumer waits before polling its partition again.
 const POLL_IDLE: Duration = Duration::from_millis(10);
 
+/// Max records per fetch.
+const FETCH_MAX: usize = 256;
+
+/// A consumer commits its group offset every this many consumed records.
+const COMMIT_EVERY: u64 = 100;
+
 /// Broker client workload: which topics exist, how fast producers emit,
 /// and how many consumer groups follow every partition.
 #[derive(Debug, Clone)]
@@ -82,10 +88,6 @@ pub struct BrokerWorkload {
     pub batch_max: usize,
     /// Consumer groups following every partition (0: producers only).
     pub groups: usize,
-    /// Max records per fetch.
-    pub fetch_max: usize,
-    /// Commit the group offset every this many consumed records.
-    pub commit_every: u64,
     /// Consumers fetch from a fixed per-(group, partition) replica
     /// (follower fan-out) instead of chasing the partition leader.
     pub fanout_fetch: bool,
@@ -110,8 +112,6 @@ impl BrokerWorkload {
             record_bytes: 128,
             batch_max: 512,
             groups: 1,
-            fetch_max: 256,
-            commit_every: 100,
             fanout_fetch: false,
             start_offset: Duration::from_secs(2),
             produce_for: None,
@@ -161,8 +161,6 @@ impl BrokerWorkload {
         assert!(self.total_partitions() > 0, "workload needs partitions");
         assert!(self.produce_rps > 0.0, "zero produce rate");
         assert!(self.batch_max > 0, "zero produce batch cap");
-        assert!(self.fetch_max > 0, "zero fetch cap");
-        assert!(self.commit_every > 0, "zero commit interval");
     }
 }
 
@@ -277,8 +275,6 @@ pub struct BrokerClient {
     /// record's own allocation.
     value: Vec<u8>,
     batch_max: usize,
-    fetch_max: usize,
-    commit_every: u64,
     fanout_fetch: bool,
     stats: BrokerStats,
     group_stats: Vec<ConsumerStats>,
@@ -349,8 +345,6 @@ impl BrokerClient {
             produce_until: workload.produce_for.map(|d| start + d),
             value: vec![0; workload.record_bytes.max(8)],
             batch_max: workload.batch_max,
-            fetch_max: workload.fetch_max,
-            commit_every: workload.commit_every,
             fanout_fetch: workload.fanout_fetch,
             stats: BrokerStats::default(),
             group_stats: vec![ConsumerStats::default(); workload.groups],
@@ -475,7 +469,7 @@ impl BrokerClient {
             topic: part.topic,
             partition: part.partition,
             offset: self.consumers[cidx].cursor,
-            max_records: self.fetch_max,
+            max_records: FETCH_MAX,
         };
         let (target, lane) = if self.fanout_fetch {
             (self.consumers[cidx].fetch_target, Lane::Pinned)
@@ -548,7 +542,7 @@ impl BrokerClient {
         }
         self.last_lag[cidx] = lag;
         self.stats.fetches += 1;
-        if self.consumers[cidx].since_commit >= self.commit_every {
+        if self.consumers[cidx].since_commit >= COMMIT_EVERY {
             self.issue_commit(ctx, cidx);
         }
         if got {

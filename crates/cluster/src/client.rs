@@ -223,12 +223,6 @@ impl ClientHost {
         self.reqs.routes.repoint(shard, from, to);
     }
 
-    /// Current placement row of one shard (observers / tests).
-    #[must_use]
-    pub fn placement_of(&self, shard: ShardId) -> &[NodeId] {
-        self.reqs.routes.row(shard)
-    }
-
     /// Take (and reset) the latency histogram one shard accumulated since
     /// the previous take: completed-request latencies in microseconds.
     /// Call once to discard warm-up, again after a window of interest.
@@ -533,7 +527,7 @@ mod tests {
     /// The shard whose row holds `host`.
     fn shard_of(c: &ClientHost, host: NodeId) -> ShardId {
         (0..c.shard_stats().len())
-            .find(|&s| c.placement_of(s).contains(&host))
+            .find(|&s| c.reqs.routes.row(s).contains(&host))
             .unwrap_or_else(|| panic!("host {host} is in no row"))
     }
 
@@ -547,7 +541,7 @@ mod tests {
             assert!(reqs.len() > 100, "{}: sent {}", shape.name, reqs.len());
             for (to, _) in &reqs {
                 let shard = shard_of(&c, *to);
-                assert_eq!(*to, c.placement_of(shard)[0], "{}", shape.name);
+                assert_eq!(*to, c.reqs.routes.row(shard)[0], "{}", shape.name);
             }
             assert_eq!(c.reqs.len(), reqs.len(), "{}", shape.name);
             assert_eq!(c.steps()[0].sent, reqs.len() as u64, "{}", shape.name);
@@ -595,7 +589,7 @@ mod tests {
             let out = wake(&mut c, 200);
             let (to, req_id) = requests(&out)[0];
             let shard = shard_of(&c, to);
-            let row = c.placement_of(shard).to_vec();
+            let row = c.reqs.routes.row(shard).to_vec();
             // A valid in-row hint is adopted...
             let hint = *row.last().unwrap();
             let out2 = redirect(&mut c, 210, req_id, Some(hint));
@@ -610,7 +604,7 @@ mod tests {
             // at all — is ignored: rotate within the row instead.
             let foreign = match shape.shards {
                 1 => row.len() + 1,
-                _ => c.placement_of(1 - shard)[0],
+                _ => c.reqs.routes.row(1 - shard)[0],
             };
             let out3 = redirect(&mut c, 520, req_id, Some(foreign));
             assert_eq!(requests(&out3), [(row[0], req_id)], "{}", shape.name);
@@ -626,7 +620,7 @@ mod tests {
             let out = wake(&mut c, 200);
             let first_to = requests(&out)[0].0;
             let shard = shard_of(&c, first_to);
-            let row = c.placement_of(shard).to_vec();
+            let row = c.reqs.routes.row(shard).to_vec();
             // Two requests of one shard: each may retry MAX_RETRIES times.
             let ids: Vec<u64> = requests(&out)
                 .into_iter()
@@ -668,7 +662,7 @@ mod tests {
                 let out = expire(&mut c, 100 + wave * 200);
                 assert_eq!(out.len(), sent, "{}: wave {wave}", shape.name);
                 for (to, _) in requests(&out) {
-                    let row = c.placement_of(shard_of(&c, to));
+                    let row = c.reqs.routes.row(shard_of(&c, to));
                     let expect = row[wave as usize % row.len()];
                     assert_eq!(to, expect, "{}: wave {wave}", shape.name);
                 }
@@ -706,7 +700,7 @@ mod tests {
                 ..spec(50.0)
             });
             let (to, req_id) = requests(&wake(&mut c, 100))[0];
-            let hint = c.placement_of(shard_of(&c, to))[1];
+            let hint = c.reqs.routes.row(shard_of(&c, to))[1];
             // Redirected at 150 ms: re-sent to the hint, due again at 250 ms.
             let out = redirect(&mut c, 150, req_id, Some(hint));
             assert_eq!(requests(&out), [(hint, req_id)], "{}", shape.name);
@@ -738,11 +732,11 @@ mod tests {
                         reads[shard_of(&c, *to)].push(*to);
                     }
                     // Everything else still chases the leader guess.
-                    _ => assert_eq!(*to, c.placement_of(shard_of(&c, *to))[0]),
+                    _ => assert_eq!(*to, c.reqs.routes.row(shard_of(&c, *to))[0]),
                 }
             }
             for (shard, targets) in reads.iter().enumerate() {
-                let row = c.placement_of(shard);
+                let row = c.reqs.routes.row(shard);
                 assert!(targets.len() > row.len(), "{}: reads", shape.name);
                 for (i, to) in targets.iter().enumerate() {
                     assert_eq!(*to, row[(i + 1) % row.len()], "{}", shape.name);
@@ -783,7 +777,7 @@ mod tests {
         let retired = map.server(0, 1);
         c.repoint(0, retired, spare);
         assert_eq!(
-            c.placement_of(0),
+            c.reqs.routes.row(0),
             &[map.server(0, 0), spare, map.server(0, 2)]
         );
         assert!(map.shard_of_server(spare).is_none(), "spare is unmapped");
@@ -801,7 +795,7 @@ mod tests {
         let mut shard0_req = None;
         for (to, _, m) in &out {
             if let ClusterMsg::ClientBatch { reqs } = m {
-                if c.placement_of(0).contains(to) {
+                if c.reqs.routes.row(0).contains(to) {
                     shard0_req = Some(reqs[0].clone());
                     break;
                 }
@@ -833,6 +827,6 @@ mod tests {
         );
         assert_eq!(out3.len(), 1);
         assert_ne!(out3[0].0, retired, "retired replica is never re-targeted");
-        assert!(c.placement_of(0).contains(&out3[0].0));
+        assert!(c.reqs.routes.row(0).contains(&out3[0].0));
     }
 }

@@ -67,47 +67,9 @@ pub enum ClusterMsg<A: App = KvStore> {
     },
 }
 
-impl<A: App> ClusterMsg<A> {
-    /// Short tag for tracing.
-    #[must_use]
-    pub fn kind(&self) -> &'static str {
-        match self {
-            ClusterMsg::Raft(p) => p.kind(),
-            ClusterMsg::ClientReq { .. } => "client_req",
-            ClusterMsg::ClientBatch { .. } => "client_batch",
-            ClusterMsg::ClientResp { .. } => "client_resp",
-            ClusterMsg::ClientRedirect { .. } => "client_redirect",
-            ClusterMsg::ReadIndexReq { .. } => "read_index_req",
-            ClusterMsg::ReadIndexResp { .. } => "read_index_resp",
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
-    use dynatune_kv::KvCommand;
-
-    #[test]
-    fn kinds() {
-        let m: ClusterMsg = ClusterMsg::ClientReq {
-            req_id: 1,
-            cmd: KvCommand::Get {
-                key: Bytes::from_static(b"k"),
-            },
-        };
-        assert_eq!(m.kind(), "client_req");
-        let r = ClusterMsg::<KvStore>::Raft(RaftPayload::<KvStore>::AppendResp(
-            dynatune_raft::AppendResp {
-                term: 1,
-                success: true,
-                match_or_hint: 3,
-                read_ctx: None,
-            },
-        ));
-        assert_eq!(r.kind(), "append_resp");
-    }
 
     #[test]
     fn broker_messages_share_the_wire_vocabulary() {
@@ -120,8 +82,8 @@ mod tests {
                 max_records: 8,
             },
         };
-        assert_eq!(m.kind(), "client_req");
-        assert_eq!(m.clone().kind(), "client_req");
+        assert!(matches!(m, ClusterMsg::ClientReq { .. }));
+        assert!(matches!(m.clone(), ClusterMsg::ClientReq { .. }));
         assert!(format!("{m:?}").contains("ClientReq"));
     }
 }

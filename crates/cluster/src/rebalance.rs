@@ -114,12 +114,6 @@ impl Rebalancer {
         self.proposals
     }
 
-    /// The joining spare's world id.
-    #[must_use]
-    pub fn joining(&self) -> NodeId {
-        self.add
-    }
-
     fn propose(&mut self, sim: &mut ClusterSim, change: ConfChange) -> bool {
         let sent = sim.propose_conf_change(self.shard, change);
         if sent {

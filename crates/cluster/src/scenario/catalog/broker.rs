@@ -75,8 +75,6 @@ fn produce_run(seed: u64, window: usize, hold: Duration) -> ProduceRun {
         record_bytes: 256,
         batch_max: PRODUCE_BATCH_MAX,
         groups: 0,
-        fetch_max: 256,
-        commit_every: 100,
         fanout_fetch: false,
         start_offset: start,
         produce_for: None,

@@ -25,7 +25,7 @@ use dynatune_core::TuningConfig;
 use dynatune_raft::RaftEvent;
 use dynatune_simnet::{CongestionConfig, LinkSchedule, NetParams, SimTime};
 use dynatune_stats::table::{multi_series_csv, series_csv};
-use dynatune_stats::{ResamplePolicy, TimeSeries};
+use dynatune_stats::TimeSeries;
 use std::time::Duration;
 
 /// Servers in the RTT experiments (paper: 5).
@@ -510,8 +510,8 @@ fn fig7(ctx: &RunCtx) -> Report {
                 &format!("fig7a_{name}_n{n}.csv"),
                 series_csv(("t_secs", "h_ms"), &s.h_ms),
             );
-            let leader_pts = s.leader_cpu.resample(0.0, dur, 5.0, ResamplePolicy::Last);
-            let follower_pts = s.follower_cpu.resample(0.0, dur, 5.0, ResamplePolicy::Last);
+            let leader_pts = s.leader_cpu.resample(0.0, dur, 5.0);
+            let follower_pts = s.follower_cpu.resample(0.0, dur, 5.0);
             report.artifact(
                 &format!("fig7b_{name}_n{n}_leader.csv"),
                 series_csv(("t_secs", "cpu_pct"), &leader_pts),

@@ -30,7 +30,7 @@ struct PendingReq {
     is_read: bool,
 }
 
-/// How this server serves linearizable reads (`Get`/`Range`).
+/// How this server serves linearizable reads (`Get`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReadStrategy {
     /// Replicate reads through the Raft log like writes (etcd quorum
@@ -723,25 +723,15 @@ impl<A: App> ServerHost<A> {
             }
             ClusterMsg::ReadIndexReq { read_id } => {
                 self.cpu.charge(ctx.now, self.cost.per_message_recv);
+                let origin = ReadOrigin::Remote {
+                    follower: from,
+                    read_id,
+                };
                 if self.node.role() == Role::Leader {
-                    self.register_read(
-                        ctx,
-                        ReadOrigin::Remote {
-                            follower: from,
-                            read_id,
-                        },
-                        false,
-                    );
+                    self.register_read(ctx, origin, false);
                 } else {
                     // Not the leader (any more): the follower redirects.
-                    ctx.send(
-                        from,
-                        Channel::Tcp,
-                        ClusterMsg::ReadIndexResp {
-                            read_id,
-                            read_index: None,
-                        },
-                    );
+                    self.deny_read_origin(ctx, origin);
                 }
             }
             ClusterMsg::ReadIndexResp {
@@ -765,15 +755,13 @@ impl<A: App> ServerHost<A> {
                             // The contacted server cannot confirm
                             // leadership: every covered read redirects.
                             for id in wave.ids {
-                                if let Some((client, req_id, _)) = self.forwarded.remove(id) {
-                                    ctx.send(
+                                if let Some((client, req_id, cmd)) = self.forwarded.remove(id) {
+                                    let origin = ReadOrigin::Local {
                                         client,
-                                        Channel::Tcp,
-                                        ClusterMsg::ClientRedirect {
-                                            req_id,
-                                            hint: self.node.leader_id().map(|h| h + self.peer_base),
-                                        },
-                                    );
+                                        req_id,
+                                        cmd,
+                                    };
+                                    self.deny_read_origin(ctx, origin);
                                 }
                             }
                         }
@@ -993,5 +981,75 @@ mod tests {
             .peek(b"k")
             .expect("the store keeps the write");
         assert_eq!(v.version, 1);
+    }
+
+    /// A forwarded read the leader cannot grant comes back as
+    /// `ReadIndexResp { read_index: None }`; the follower redirects its
+    /// client to the leader's host id, not its group-local id.
+    #[test]
+    fn denied_forwarded_read_redirects_to_the_leader_host() {
+        // Hosts 3..6 form the group; this server is host 4 (local id 1).
+        let mut s: ServerHost = ServerHost::new(
+            RaftConfig::new(1, 3, TuningConfig::raft_default()),
+            CostModel::free(),
+            2,
+        )
+        .with_peer_base(3);
+        let client = 9;
+        let mut outbox = Vec::new();
+        let t = SimTime::ZERO + Duration::from_millis(1);
+        let mut ctx = HostCtx::test_ctx(t, 4, &mut outbox);
+        let heartbeat = dynatune_raft::Heartbeat {
+            term: 1,
+            leader: 0,
+            commit: 0,
+            meta: dynatune_core::HeartbeatMeta {
+                id: 1,
+                sent_at_nanos: 0,
+                rtt_sample: None,
+            },
+        };
+        s.handle_message(
+            &mut ctx,
+            3,
+            ClusterMsg::Raft(RaftPayload::Heartbeat(heartbeat)),
+        );
+        assert_eq!(s.node().leader_id(), Some(0));
+        let get = KvCommand::Get {
+            key: bytes::Bytes::from_static(b"k"),
+        };
+        let mut ctx = HostCtx::test_ctx(t, 4, &mut outbox);
+        s.handle_message(
+            &mut ctx,
+            client,
+            ClusterMsg::ClientReq {
+                req_id: 42,
+                cmd: get,
+            },
+        );
+        assert!(
+            outbox
+                .iter()
+                .any(|(to, _, m)| *to == 3 && matches!(m, ClusterMsg::ReadIndexReq { read_id: 1 })),
+            "the read is forwarded as wave 1: {outbox:?}"
+        );
+        let denial = ClusterMsg::ReadIndexResp {
+            read_id: 1,
+            read_index: None,
+        };
+        let mut ctx = HostCtx::test_ctx(t, 4, &mut outbox);
+        s.handle_message(&mut ctx, 3, denial);
+        let to_client: Vec<_> = outbox.iter().filter(|(to, _, _)| *to == client).collect();
+        assert_eq!(to_client.len(), 1, "{to_client:?}");
+        assert!(
+            matches!(
+                to_client[0].2,
+                ClusterMsg::ClientRedirect {
+                    req_id: 42,
+                    hint: Some(3)
+                }
+            ),
+            "{to_client:?}"
+        );
     }
 }

@@ -11,8 +11,8 @@
 //! * [`Sessions`] — the per-client sliding reply cache (Raft §6.3 sessions)
 //!   behind that deduplication, chunked so that a snapshot shares it with
 //!   the live state;
-//! * [`KvStore`] — the KV app: the deterministic map (put/get/delete/
-//!   range/CAS with etcd-style create/mod revisions); [`Store`] names
+//! * [`KvStore`] — the KV app: the deterministic map (put/get/delete/CAS
+//!   with etcd-style create/mod revisions); [`Store`] names
 //!   `Replicated<KvStore>`;
 //! * [`WorkloadGen`] — open-loop client load with Poisson arrivals, rate
 //!   ramp schedules (the paper's §IV-B2 peak-throughput methodology) and

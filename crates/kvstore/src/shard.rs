@@ -61,18 +61,13 @@ impl ShardRouter {
         (h % self.shards as u64) as usize
     }
 
-    /// The shard a command routes to. Point commands route by their key;
-    /// `Range` routes by its start key (cross-shard scatter/gather is out
-    /// of scope — a range is served by the shard owning its start).
+    /// The shard a command routes to: the one owning its key.
     #[must_use]
     pub fn shard_of_command(&self, cmd: &KvCommand) -> ShardId {
-        let key = match cmd {
-            KvCommand::Put { key, .. }
-            | KvCommand::Get { key }
-            | KvCommand::Delete { key }
-            | KvCommand::Cas { key, .. } => key,
-            KvCommand::Range { start, .. } => start,
-        };
+        let (KvCommand::Put { key, .. }
+        | KvCommand::Get { key }
+        | KvCommand::Delete { key }
+        | KvCommand::Cas { key, .. }) = cmd;
         self.shard_of(key)
     }
 }
@@ -191,7 +186,7 @@ mod tests {
     }
 
     #[test]
-    fn commands_route_by_key_and_ranges_by_start() {
+    fn commands_route_by_their_key() {
         let router = ShardRouter::new(5);
         let key = Bytes::from_static(b"user-42");
         let expect = router.shard_of(&key);
@@ -206,11 +201,6 @@ mod tests {
                 key: key.clone(),
                 expect: None,
                 value: Bytes::from_static(b"v"),
-            },
-            KvCommand::Range {
-                start: key.clone(),
-                end: Bytes::from_static(b"user-99"),
-                limit: 10,
             },
         ];
         for cmd in &cmds {

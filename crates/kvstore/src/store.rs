@@ -33,15 +33,6 @@ pub enum KvCommand {
         /// Key bytes.
         key: Bytes,
     },
-    /// Read up to `limit` keys in `[start, end)`.
-    Range {
-        /// Inclusive start key.
-        start: Bytes,
-        /// Exclusive end key.
-        end: Bytes,
-        /// Maximum entries returned.
-        limit: usize,
-    },
     /// Compare-and-swap: set `value` only if the current value equals
     /// `expect` (`None` = key must be absent).
     Cas {
@@ -89,13 +80,6 @@ pub enum KvResponse {
         /// True when a key was actually removed.
         existed: bool,
     },
-    /// Range result.
-    Range {
-        /// Matching key/value pairs in key order.
-        entries: Vec<(Bytes, Bytes)>,
-        /// Total matches (may exceed `entries.len()` when limited).
-        more: bool,
-    },
     /// CAS result.
     Cas {
         /// Whether the swap happened.
@@ -108,10 +92,9 @@ pub enum KvResponse {
 ///
 /// A key is found by one hash probe. The table's layout depends on the
 /// order keys arrived and left, so nothing observes it: every ordered
-/// view — [`digest`](Self::digest), `Range` and `Debug` — is the map
-/// sorted by key on demand, `O(n log n)` per call. No benchmark workload
-/// or scenario request pays that: no `OpMix` issues `Range`, and `digest`
-/// runs only in end-of-run checks and tests.
+/// view — [`digest`](Self::digest) and `Debug` — is the map sorted by key
+/// on demand, `O(n log n)` per call. No request pays that: `digest` runs
+/// only in end-of-run checks and tests.
 ///
 /// Determinism: state depends only on the applied command sequence, which is
 /// the SMR contract Raft provides. `PartialEq` compares full state, not
@@ -266,7 +249,7 @@ impl App for KvStore {
     type Response = KvResponse;
 
     fn is_read(cmd: &KvCommand) -> bool {
-        matches!(cmd, KvCommand::Get { .. } | KvCommand::Range { .. })
+        matches!(cmd, KvCommand::Get { .. })
     }
 
     fn payload_bytes(cmd: &KvCommand) -> usize {
@@ -274,7 +257,6 @@ impl App for KvStore {
         let body = match cmd {
             KvCommand::Put { key, value } => key.len() + value.len(),
             KvCommand::Get { key } | KvCommand::Delete { key } => key.len(),
-            KvCommand::Range { start, end, .. } => start.len() + end.len(),
             KvCommand::Cas { key, expect, value } => {
                 key.len() + expect.as_ref().map_or(0, Bytes::len) + value.len()
             }
@@ -288,9 +270,7 @@ impl App for KvStore {
                 prev: self.put(index, key, value.clone()),
                 revision: index,
             },
-            KvCommand::Get { .. } | KvCommand::Range { .. } => {
-                self.read(command).expect("read command")
-            }
+            KvCommand::Get { .. } => self.read(command).expect("read command"),
             KvCommand::Delete { key } => {
                 let removed = self.map.remove(key);
                 if let Some(v) = &removed {
@@ -324,22 +304,6 @@ impl App for KvStore {
             KvCommand::Get { key } => Some(KvResponse::Get {
                 value: self.map.get(key).cloned(),
             }),
-            KvCommand::Range { start, end, limit } => {
-                let sorted = self.sorted();
-                let from = sorted.partition_point(|&(k, _)| k < start);
-                // `start >= end` comes from a client: it selects nothing
-                // rather than panicking.
-                let to = sorted.partition_point(|&(k, _)| k < end).max(from);
-                let hits = &sorted[from..to];
-                Some(KvResponse::Range {
-                    entries: hits
-                        .iter()
-                        .take(*limit)
-                        .map(|&(k, v)| (k.clone(), v.value.clone()))
-                        .collect(),
-                    more: hits.len() > *limit,
-                })
-            }
             KvCommand::Put { .. } | KvCommand::Delete { .. } | KvCommand::Cas { .. } => None,
         }
     }
@@ -360,9 +324,6 @@ impl CachedReply for KvResponse {
             KvResponse::Put { prev, .. } => prev.as_ref().map_or(0, Bytes::len),
             KvResponse::Get { value } => value.as_ref().map_or(0, |v| v.value.len() + 24),
             KvResponse::Delete { .. } | KvResponse::Cas { .. } => 1,
-            KvResponse::Range { entries, .. } => {
-                entries.iter().map(|(k, v)| k.len() + v.len()).sum()
-            }
         };
         PER_REPLY_OVERHEAD + payload
     }
@@ -471,67 +432,6 @@ mod tests {
             KvResponse::Delete { existed: false }
         );
         assert!(kv.is_empty());
-    }
-
-    #[test]
-    fn range_respects_bounds_and_limit() {
-        let mut kv = KvStore::new();
-        for (i, k) in ["a", "b", "c", "d"].iter().enumerate() {
-            kv.execute(
-                i as u64 + 1,
-                &KvCommand::Put {
-                    key: b(k),
-                    value: b(&i.to_string()),
-                },
-            );
-        }
-        let r = kv.execute(
-            9,
-            &KvCommand::Range {
-                start: b("b"),
-                end: b("d"),
-                limit: 10,
-            },
-        );
-        match r {
-            KvResponse::Range { entries, more } => {
-                assert_eq!(entries.len(), 2);
-                assert_eq!(entries[0].0, b("b"));
-                assert_eq!(entries[1].0, b("c"));
-                assert!(!more);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        let r = kv.execute(
-            10,
-            &KvCommand::Range {
-                start: b("a"),
-                end: b("z"),
-                limit: 2,
-            },
-        );
-        match r {
-            KvResponse::Range { entries, more } => {
-                assert_eq!(entries.len(), 2);
-                assert!(more);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        // Inverted and empty bounds select nothing, on the log path and
-        // the log-free read path alike.
-        for (start, end) in [("d", "b"), ("b", "b")] {
-            let range = KvCommand::Range {
-                start: b(start),
-                end: b(end),
-                limit: 10,
-            };
-            let none = KvResponse::Range {
-                entries: Vec::new(),
-                more: false,
-            };
-            assert_eq!(kv.read(&range), Some(none.clone()));
-            assert_eq!(kv.execute(11, &range), none);
-        }
     }
 
     #[test]
@@ -879,19 +779,6 @@ mod tests {
         assert_eq!(tidy, churned);
         assert_eq!(tidy.digest(), churned.digest());
         assert_eq!(tidy.approx_bytes(), churned.approx_bytes());
-        let bounds = [b(""), key(0), key(57), key(123), key(KEYS - 1), b("z")];
-        for start in &bounds {
-            for end in &bounds {
-                for limit in [0, 1, 60, 250] {
-                    let range = KvCommand::Range {
-                        start: start.clone(),
-                        end: end.clone(),
-                        limit,
-                    };
-                    assert_eq!(tidy.read(&range), churned.read(&range));
-                }
-            }
-        }
     }
 
     mod props {
@@ -920,20 +807,6 @@ mod tests {
                     KvCommand::Delete { key } => KvResponse::Delete {
                         existed: self.tree.remove(key).is_some(),
                     },
-                    KvCommand::Range { start, end, limit } => {
-                        let hits: Vec<_> = if start < end {
-                            self.tree
-                                .range(start.clone()..end.clone())
-                                .map(|(k, v)| (k.clone(), v.value.clone()))
-                                .collect()
-                        } else {
-                            Vec::new()
-                        };
-                        KvResponse::Range {
-                            more: hits.len() > *limit,
-                            entries: hits.into_iter().take(*limit).collect(),
-                        }
-                    }
                     KvCommand::Cas { key, expect, value } => {
                         let success = self.tree.get(key).map(|v| &v.value) == expect.as_ref();
                         if success {
@@ -984,30 +857,21 @@ mod tests {
             }
         }
 
-        /// Range bounds: below every key, every key, above every key. The
-        /// keys (all but the two ends) differ in length and share prefixes,
-        /// so key order is not hash order.
-        const BOUNDS: [&str; 12] = [
-            "", "a", "ab", "b", "ba", "k", "kk", "kkk", "m1", "m10", "m2", "z",
-        ];
+        /// The keys differ in length and share prefixes, so key order is
+        /// not hash order.
+        const KEYS: [&str; 10] = ["a", "ab", "b", "ba", "k", "kk", "kkk", "m1", "m10", "m2"];
 
-        /// Every command over the keys of `BOUNDS`; a `Range` draws both
-        /// bounds independently, so inverted and empty ranges are common,
-        /// and a limit from none up to every key.
+        /// Every command over `KEYS`.
         fn model_command() -> impl Strategy<Value = KvCommand> {
-            let key = || (1..BOUNDS.len() - 1).prop_map(|i| b(BOUNDS[i]));
-            let bound = || (0..BOUNDS.len()).prop_map(|i| b(BOUNDS[i]));
+            let key = || (0..KEYS.len()).prop_map(|i| b(KEYS[i]));
             let value = || (0usize..3).prop_map(|n| b(&"v".repeat([0, 1, 9][n])));
             let expect = prop_oneof![Just(None), value().prop_map(Some)];
-            let keys = BOUNDS.len() - 2;
             prop_oneof![
                 4 => (key(), value()).prop_map(|(key, value)| KvCommand::Put { key, value }),
                 2 => key().prop_map(|key| KvCommand::Delete { key }),
                 2 => (key(), expect, value())
                     .prop_map(|(key, expect, value)| KvCommand::Cas { key, expect, value }),
                 1 => key().prop_map(|key| KvCommand::Get { key }),
-                2 => (bound(), bound(), 0..=keys)
-                    .prop_map(|(start, end, limit)| KvCommand::Range { start, end, limit }),
             ]
         }
 

@@ -415,7 +415,6 @@ mod tests {
                 | KvCommand::Get { key }
                 | KvCommand::Delete { key }
                 | KvCommand::Cas { key, .. } => key.clone(),
-                KvCommand::Range { start, .. } => start.clone(),
             };
             if key == "key-00000000" {
                 head += 1;

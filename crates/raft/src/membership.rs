@@ -42,19 +42,6 @@ pub enum ConfChange {
     Finalize,
 }
 
-impl ConfChange {
-    /// Short tag for traces and logs.
-    #[must_use]
-    pub fn kind(&self) -> &'static str {
-        match self {
-            ConfChange::AddLearner(_) => "add_learner",
-            ConfChange::RemoveLearner(_) => "remove_learner",
-            ConfChange::Begin { .. } => "begin_membership_change",
-            ConfChange::Finalize => "finalize_membership_change",
-        }
-    }
-}
-
 /// The active cluster configuration: who votes, who is still catching up.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Membership {
@@ -344,11 +331,5 @@ mod tests {
             "nested joint"
         );
         assert!(joint.apply(&ConfChange::Finalize).is_ok());
-    }
-
-    #[test]
-    fn kinds_are_stable() {
-        assert_eq!(ConfChange::AddLearner(1).kind(), "add_learner");
-        assert_eq!(ConfChange::Finalize.kind(), "finalize_membership_change");
     }
 }

@@ -239,3 +239,131 @@ impl<SM: StateMachine> RaftNode<SM> {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::super::tests::{appends_to, elect, leader3_with_window, ms, node, Node};
+    use super::*;
+    use crate::message::{AppendResp, Payload};
+    use std::time::Duration;
+
+    /// `on_append_resp` keeps working after `try_advance_commit`: it refills
+    /// the acker's window and nudges it for pending read rounds. The ack
+    /// that commits the leader's own removal deposes it in the middle of
+    /// that — the leader state is gone when the tail runs.
+    #[test]
+    fn ack_committing_own_removal_steps_down_and_aborts_queued_reads() {
+        let (mut n, t) = leader3_with_window(4);
+        let ack = |n: &mut Node, peer: NodeId, index: LogIndex| {
+            let resp = AppendResp {
+                term: n.term(),
+                success: true,
+                match_or_hint: index,
+                read_ctx: None,
+            };
+            n.step(t, peer, Payload::AppendResp(resp))
+        };
+        // Remove the leader itself: joint {0,1,2} -> {1,2}, then finalize.
+        let begin = ConfChange::Begin {
+            add: vec![],
+            remove: vec![0],
+        };
+        let (res, _) = n.propose_conf_change(t, begin);
+        let (_, joint) = res.unwrap();
+        let _ = ack(&mut n, 1, joint);
+        let _ = ack(&mut n, 2, joint);
+        assert_eq!(n.commit_index(), joint);
+        let (res, _) = n.propose_conf_change(t, ConfChange::Finalize);
+        let (_, finalize) = res.unwrap();
+        assert!(!n.membership().is_voter(0));
+        assert_eq!(n.role(), Role::Leader, "leads until the removal commits");
+        // A non-voting leader has no lease: the read opens a ReadIndex round.
+        let (res, fx) = n.request_read(t, 77, true);
+        res.unwrap();
+        assert!(fx.reads.is_empty());
+        assert_eq!(n.pending_reads(), 1);
+        // Something unsent for the ack's window refill to ship, were the
+        // leader still leading.
+        let (res, fx) = n.propose(t, 5);
+        res.unwrap();
+        assert!(appends_to(&fx, 2).is_empty(), "pipe busy: buffered");
+        let _ = ack(&mut n, 1, finalize);
+        assert_eq!(n.role(), Role::Leader, "one of two new voters is no quorum");
+        // The second ack commits the Finalize and with it the removal.
+        let fx = ack(&mut n, 2, finalize);
+        assert_eq!(n.commit_index(), finalize);
+        assert_eq!(n.role(), Role::Follower);
+        assert_eq!(fx.aborted_reads, vec![77]);
+        assert_eq!(n.pending_reads(), 0);
+        assert!(
+            fx.messages.iter().all(|m| m.to != 2),
+            "a deposed leader sends the acker nothing further: {:?}",
+            fx.messages
+        );
+        let kinds: Vec<&str> = fx.events.iter().map(RaftEvent::kind).collect();
+        assert!(kinds.contains(&"stepped_down"), "events: {kinds:?}");
+    }
+
+    /// Per-peer loops send in ascending id order — also after a learner
+    /// above every voter joins (leaving an untracked id below it) and a
+    /// `Finalize` drops a voter from the middle of the id range.
+    #[test]
+    fn appends_and_heartbeats_go_out_in_ascending_id_order_across_membership_changes() {
+        let mut n = node(0, 4);
+        let _ = elect(&mut n, SimTime::ZERO);
+        let t = ms(3000);
+        // Every tracked peer acks the whole log, leaving every pipe idle
+        // (an untracked peer's ack is ignored).
+        let ack_all = |n: &mut Node| {
+            let last = n.log().last_index();
+            for peer in [1, 2, 3, 5] {
+                let resp = AppendResp {
+                    term: n.term(),
+                    success: true,
+                    match_or_hint: last,
+                    read_ctx: None,
+                };
+                let _ = n.step(t, peer, Payload::AppendResp(resp));
+            }
+            assert_eq!(n.commit_index(), last);
+        };
+        let change = |n: &mut Node, change: ConfChange| {
+            let (res, _) = n.propose_conf_change(t, change);
+            res.unwrap();
+            ack_all(n);
+        };
+        // Who a proposal and then a heartbeat round at `beat` reach, in
+        // emission order.
+        let order = |n: &mut Node, command: u64, beat: SimTime| {
+            let (res, fx) = n.propose(t, command);
+            res.unwrap();
+            let appends: Vec<NodeId> = fx.messages.iter().map(|m| m.to).collect();
+            let fx = n.tick(beat);
+            let heartbeats: Vec<NodeId> = fx
+                .messages
+                .iter()
+                .filter(|m| matches!(m.payload, Payload::Heartbeat(_)))
+                .map(|m| m.to)
+                .collect();
+            (appends, heartbeats)
+        };
+        ack_all(&mut n);
+        change(&mut n, ConfChange::AddLearner(5));
+        let tracked = vec![1, 2, 3, 5];
+        let beat = t + Duration::from_millis(500);
+        assert_eq!(order(&mut n, 1, beat), (tracked.clone(), tracked));
+        ack_all(&mut n);
+        let begin = ConfChange::Begin {
+            add: vec![],
+            remove: vec![2],
+        };
+        change(&mut n, begin);
+        change(&mut n, ConfChange::Finalize);
+        assert!(!n.membership().members().contains(&2));
+        assert!(n.progress_of(2).is_none(), "the removed voter is untracked");
+        let tracked = vec![1, 3, 5];
+        // One default heartbeat interval later, every pacer is due again.
+        let beat = beat + Duration::from_millis(100);
+        assert_eq!(order(&mut n, 2, beat), (tracked.clone(), tracked));
+    }
+}

@@ -543,3 +543,373 @@ impl<SM: StateMachine> RaftNode<SM> {
         self.drain_apply_wait(fx);
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::super::tests::{
+        appends_to, elect, leader3_with_window, leader_with_committed, ms, node,
+    };
+    use super::*;
+    use crate::config::RaftConfig;
+    use crate::message::Heartbeat;
+    use crate::state_machine::NullStateMachine;
+
+    #[test]
+    fn propose_on_follower_returns_redirect() {
+        let mut n = node(1, 3);
+        // Learn about a leader via heartbeat.
+        let hb = Heartbeat {
+            term: 1,
+            leader: 0,
+            commit: 0,
+            meta: dynatune_core::HeartbeatMeta {
+                id: 0,
+                sent_at_nanos: 0,
+                rtt_sample: None,
+            },
+        };
+        let _ = n.step(ms(1), 0, Payload::Heartbeat(hb));
+        assert_eq!(n.leader_id(), Some(0));
+        let (res, _) = n.propose(ms(2), 7);
+        assert_eq!(res, Err(NotLeader { hint: Some(0) }));
+    }
+
+    #[test]
+    fn append_entries_replicates_and_commits() {
+        let mut n = node(1, 3);
+        let entries = vec![
+            crate::log::Entry::normal(1, 1, None),
+            crate::log::Entry::normal(1, 2, Some(77)),
+        ];
+        let fx = n.step(
+            ms(1),
+            0,
+            Payload::AppendEntries(AppendEntries {
+                term: 1,
+                leader: 0,
+                prev_log_index: 0,
+                prev_log_term: 0,
+                entries,
+                leader_commit: 2,
+                read_ctx: None,
+            }),
+        );
+        assert_eq!(n.log().last_index(), 2);
+        assert_eq!(n.commit_index(), 2);
+        // Applied: the no-op yields no response, entry 2 applies command 77.
+        assert_eq!(fx.applied.len(), 2);
+        assert!(fx.applied[0].response.is_none());
+        assert_eq!(fx.applied[1].response, Some(2));
+        assert_eq!(n.state_machine().applied, vec![(2, 77)]);
+        match &fx.messages[0].payload {
+            Payload::AppendResp(r) => {
+                assert!(r.success);
+                assert_eq!(r.match_or_hint, 2);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn append_conflict_reports_hint() {
+        let mut n = node(1, 3);
+        let fx = n.step(
+            ms(1),
+            0,
+            Payload::AppendEntries(AppendEntries {
+                term: 1,
+                leader: 0,
+                prev_log_index: 7,
+                prev_log_term: 1,
+                entries: vec![],
+                leader_commit: 0,
+                read_ctx: None,
+            }),
+        );
+        match &fx.messages[0].payload {
+            Payload::AppendResp(r) => {
+                assert!(!r.success);
+                assert_eq!(r.match_or_hint, 0);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn leader_replication_round_trip() {
+        let mut leader = node(0, 3);
+        let _ = elect(&mut leader, SimTime::ZERO);
+        let t = leader.election_deadline(); // any time after election
+        let (res, fx) = leader.propose(t, 99);
+        let (term, index) = res.unwrap();
+        assert_eq!(index, 2);
+        // Followers 1 and 2 get appends (they were idle: no-op batch already
+        // in flight, so the proposal rides the next batch for busy peers).
+        let _ = fx;
+        // Simulate follower 1 acking everything through index 2.
+        let fx = leader.step(
+            t,
+            1,
+            Payload::AppendResp(AppendResp {
+                term,
+                success: true,
+                match_or_hint: 2,
+                read_ctx: None,
+            }),
+        );
+        // Majority (leader + follower 1) -> commit both entries.
+        assert_eq!(leader.commit_index(), 2);
+        assert_eq!(fx.applied.len(), 2);
+        assert_eq!(fx.applied[1].response, Some(2));
+    }
+
+    #[test]
+    fn commit_requires_current_term_entry() {
+        let mut leader = node(0, 5);
+        let _ = elect(&mut leader, SimTime::ZERO);
+        let t = ms(3000);
+        // One follower acks the no-op; that's only 2 of 5.
+        let _ = leader.step(
+            t,
+            1,
+            Payload::AppendResp(AppendResp {
+                term: leader.term(),
+                success: true,
+                match_or_hint: 1,
+                read_ctx: None,
+            }),
+        );
+        assert_eq!(leader.commit_index(), 0);
+        // Two more make it a majority (leader, 1, 2, 3).
+        let _ = leader.step(
+            t,
+            2,
+            Payload::AppendResp(AppendResp {
+                term: leader.term(),
+                success: true,
+                match_or_hint: 1,
+                read_ctx: None,
+            }),
+        );
+        assert_eq!(leader.commit_index(), 1);
+    }
+
+    // ------------------------------------------------------------------
+    // Pipelined replication + group commit
+    // ------------------------------------------------------------------
+
+    #[test]
+    fn pipelined_flush_sends_behind_an_unacked_append() {
+        let (mut n, t) = leader3_with_window(4);
+        // Idle pipe: a lone proposal ships immediately (no batching tax).
+        let (_, fx) = n.propose(t, 10);
+        assert_eq!(appends_to(&fx, 1).len(), 1);
+        // Pipe busy: subsequent proposals buffer for group commit.
+        let (_, fx) = n.propose(t, 11);
+        assert!(appends_to(&fx, 1).is_empty(), "buffered while busy");
+        let (_, fx) = n.propose(t, 12);
+        assert!(appends_to(&fx, 1).is_empty());
+        // Silent-stall audit: the flush deadline is armed in next_wake.
+        let deadline = t + MAX_BATCH_DELAY;
+        assert!(n.next_wake().unwrap() <= deadline);
+        // The deadline flush pipelines a second append behind the unacked
+        // first, coalescing both buffered proposals into one message.
+        let fx = n.tick(deadline);
+        let sent = appends_to(&fx, 1);
+        assert_eq!(sent.len(), 1, "one group-committed append");
+        assert_eq!(sent[0].entries.len(), 2, "both proposals coalesced");
+        assert_eq!(sent[0].prev_log_index, n.log().last_index() - 2);
+    }
+
+    #[test]
+    fn byte_cap_flushes_before_the_delay_expires() {
+        let config = RaftConfig::new(0, 3, TuningConfig::raft_default());
+        // The proposal that crosses the cap is the last one.
+        let proposals = MAX_BATCH_BYTES.div_ceil(NullStateMachine::command_bytes(&0));
+        assert!(proposals > 1 && proposals <= config.max_entries_per_append);
+        let mut n = RaftNode::new(config, NullStateMachine::default(), SimTime::ZERO);
+        let _ = elect(&mut n, SimTime::ZERO);
+        let t = ms(3000);
+        // Pipes are busy with the unacked no-op: everything buffers.
+        for k in 1..proposals {
+            let (_, fx) = n.propose(t, k as u64);
+            assert!(appends_to(&fx, 1).is_empty(), "proposal {k} buffers");
+        }
+        let (_, fx) = n.propose(t, proposals as u64);
+        let sent = appends_to(&fx, 1);
+        assert_eq!(sent.len(), 1, "byte cap reached: flushed without a tick");
+        assert_eq!(sent[0].entries.len(), proposals);
+    }
+
+    #[test]
+    fn out_of_order_ack_retires_the_prefix_and_commits() {
+        let (mut n, t) = leader3_with_window(4);
+        let _ = n.propose(t, 10);
+        let _ = n.propose(t, 11);
+        let _ = n.tick(t + MAX_BATCH_DELAY); // 2 appends in flight
+        let last = n.log().last_index();
+        // Only the *younger* append's ack arrives (the older response is
+        // reordered behind it): log matching proves the whole prefix, so
+        // match advances to the full log and the entries commit.
+        let t1 = t + Duration::from_millis(50);
+        let fx = n.step(
+            t1,
+            1,
+            Payload::AppendResp(AppendResp {
+                term: n.term(),
+                success: true,
+                match_or_hint: last,
+                read_ctx: None,
+            }),
+        );
+        assert_eq!(n.commit_index(), last);
+        assert!(!fx.applied.is_empty());
+        // The straggling older ack is a pure no-op: no regress, no resend.
+        let fx = n.step(
+            t1 + Duration::from_millis(1),
+            1,
+            Payload::AppendResp(AppendResp {
+                term: n.term(),
+                success: true,
+                match_or_hint: last - 1,
+                read_ctx: None,
+            }),
+        );
+        assert_eq!(n.commit_index(), last);
+        assert!(appends_to(&fx, 1).is_empty(), "nothing left to send");
+    }
+
+    #[test]
+    fn resend_fires_on_the_oldest_unacked_send_and_reprobes_once() {
+        let (mut n, t) = leader3_with_window(4);
+        let _ = n.propose(t, 10);
+        let _ = n.propose(t, 11);
+        let _ = n.tick(t + MAX_BATCH_DELAY);
+        // Nothing acked: recovery must be anchored at the *oldest* send.
+        let resend_at = t + APPEND_RESEND;
+        assert!(n.next_wake().unwrap() <= resend_at);
+        let fx = n.tick(resend_at);
+        let sent = appends_to(&fx, 1);
+        assert_eq!(sent.len(), 1, "one probe, not one resend per window slot");
+        // The probe abandons the optimistic pipeline: back to proven ground
+        // (the acked no-op at index 1), re-carrying everything unproven.
+        assert_eq!(sent[0].prev_log_index, 1);
+        assert_eq!(sent[0].entries.len(), 2);
+    }
+
+    #[test]
+    fn full_window_defers_to_ack_driven_refill_without_stalling() {
+        let (mut n, t) = leader3_with_window(1);
+        let _ = n.propose(t, 10); // occupies the single slot
+        let (_, fx) = n.propose(t, 11);
+        assert!(appends_to(&fx, 1).is_empty());
+        // The deadline flush finds the window full and sends nothing...
+        let fx = n.tick(t + MAX_BATCH_DELAY);
+        assert!(appends_to(&fx, 1).is_empty(), "window full");
+        // ...but a wake-up stays armed (the resend timer) — no silent stall.
+        assert!(n.next_wake().unwrap() <= t + APPEND_RESEND);
+        // The ack frees the slot and pulls the buffered entry immediately.
+        let first_last = n.log().last_index() - 1;
+        let fx = n.step(
+            t + Duration::from_millis(20),
+            1,
+            Payload::AppendResp(AppendResp {
+                term: n.term(),
+                success: true,
+                match_or_hint: first_last,
+                read_ctx: None,
+            }),
+        );
+        let sent = appends_to(&fx, 1);
+        assert_eq!(sent.len(), 1);
+        assert_eq!(sent[0].entries.len(), 1);
+    }
+
+    #[test]
+    fn read_nudge_defers_until_a_window_slot_frees() {
+        let (mut n, t) = leader3_with_window(1);
+        let _ = n.propose(t, 10); // both followers' single slots now busy
+                                  // Cold lease (no heartbeat acks yet): the read needs a ReadIndex
+                                  // confirmation round, whose nudge finds every window full.
+        let (res, fx) = n.request_read(t, 99, true);
+        res.unwrap();
+        assert!(fx.reads.is_empty(), "not confirmable yet");
+        assert!(appends_to(&fx, 1).is_empty(), "window full: nudge deferred");
+        assert!(appends_to(&fx, 2).is_empty());
+        // The append ack frees the slot; the tail nudge ships the token.
+        let last = n.log().last_index();
+        let fx = n.step(
+            t + Duration::from_millis(20),
+            1,
+            Payload::AppendResp(AppendResp {
+                term: n.term(),
+                success: true,
+                match_or_hint: last,
+                read_ctx: None,
+            }),
+        );
+        let sent = appends_to(&fx, 1);
+        assert!(
+            sent.iter().any(|ae| ae.read_ctx.is_some()),
+            "freed slot carries the confirmation token"
+        );
+        // The follower's echo confirms the round and grants the read.
+        let fx = n.step(
+            t + Duration::from_millis(40),
+            1,
+            Payload::AppendResp(AppendResp {
+                term: n.term(),
+                success: true,
+                match_or_hint: last,
+                read_ctx: Some(1),
+            }),
+        );
+        assert!(fx.reads.iter().any(|g| g.id == 99));
+    }
+
+    #[test]
+    fn snapshot_transfer_occupies_the_whole_window() {
+        let mut leader = node(0, 3);
+        let last = leader_with_committed(&mut leader, 5);
+        leader.compact_log(last);
+        let t = ms(3100);
+        // Conflict below the horizon converts to a snapshot stream.
+        let _ = leader.step(
+            t,
+            2,
+            Payload::AppendResp(AppendResp {
+                term: leader.term(),
+                success: false,
+                match_or_hint: 0,
+                read_ctx: None,
+            }),
+        );
+        assert_eq!(leader.snapshots_sent(), 1);
+        // New proposals must not pipeline appends behind the transfer:
+        // they would anchor below the follower's future restored log base
+        // and bounce anyway.
+        let (_, fx) = leader.propose(t, 99);
+        assert!(
+            appends_to(&fx, 2).is_empty(),
+            "no appends behind a snapshot"
+        );
+        let fx = leader.tick(t + MAX_BATCH_DELAY);
+        assert!(appends_to(&fx, 2).is_empty());
+        assert_eq!(leader.snapshots_sent(), 1, "flush must not re-stream");
+        // The install ack reopens the window; ordinary appends take over.
+        let fx = leader.step(
+            t + Duration::from_millis(60),
+            2,
+            Payload::AppendResp(AppendResp {
+                term: leader.term(),
+                success: true,
+                match_or_hint: last,
+                read_ctx: None,
+            }),
+        );
+        let sent = appends_to(&fx, 2);
+        assert_eq!(sent.len(), 1);
+        assert_eq!(sent[0].prev_log_index, last);
+        assert_eq!(sent[0].entries.len(), 1, "the buffered proposal follows");
+    }
+}

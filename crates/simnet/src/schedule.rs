@@ -54,12 +54,6 @@ impl LinkSchedule {
         self.segments[idx - 1].1
     }
 
-    /// Times at which the schedule changes (excluding t = 0).
-    #[must_use]
-    pub fn change_points(&self) -> Vec<SimTime> {
-        self.segments.iter().skip(1).map(|&(t, _)| t).collect()
-    }
-
     /// The paper's *gradual* RTT fluctuation (Fig. 6a): RTT moves from
     /// `start_rtt` to `peak_rtt` and back in `step` increments, holding each
     /// value for `hold`. All other parameters come from `base`.
@@ -163,7 +157,7 @@ mod tests {
             s.params_at(SimTime::from_secs(1000)).rtt,
             Duration::from_millis(50)
         );
-        assert!(s.change_points().is_empty());
+        assert_eq!(s.segments.len(), 1);
     }
 
     #[test]
@@ -176,7 +170,7 @@ mod tests {
         assert_eq!(s.params_at(SimTime::from_millis(999)).rtt, millis(10.0));
         assert_eq!(s.params_at(SimTime::from_secs(1)).rtt, millis(20.0));
         assert_eq!(s.params_at(SimTime::from_millis(2500)).rtt, millis(30.0));
-        assert_eq!(s.change_points().len(), 2);
+        assert_eq!(s.segments.len(), 3);
     }
 
     #[test]
@@ -200,7 +194,7 @@ mod tests {
             Duration::from_secs(60),
         );
         // 16 rising levels (50..=200) + 15 falling levels (190..=50) = 31.
-        assert_eq!(s.change_points().len() + 1, 31);
+        assert_eq!(s.segments.len(), 31);
         assert_eq!(s.params_at(SimTime::ZERO).rtt, Duration::from_millis(50));
         // After 15 minutes the ramp should be at the peak.
         assert_eq!(
@@ -241,7 +235,7 @@ mod tests {
         let levels = [0.0, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30];
         let s = LinkSchedule::loss_staircase(base(), &levels, Duration::from_secs(180));
         // 7 up + 6 down = 13 segments.
-        assert_eq!(s.change_points().len() + 1, 13);
+        assert_eq!(s.segments.len(), 13);
         assert_eq!(s.params_at(SimTime::ZERO).loss, 0.0);
         // Peak at segment index 6: t in [6*180, 7*180).
         assert_eq!(s.params_at(SimTime::from_secs(6 * 180 + 1)).loss, 0.30);

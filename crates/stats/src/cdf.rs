@@ -21,65 +21,8 @@ impl EmpiricalCdf {
         Self { sorted: samples }
     }
 
-    /// Number of samples.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// True when no samples were provided.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
-    /// P(X <= x): fraction of samples at or below `x`.
-    #[must_use]
-    pub fn eval(&self, x: f64) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        let n = self.sorted.partition_point(|&v| v <= x);
-        n as f64 / self.sorted.len() as f64
-    }
-
-    /// Inverse CDF: smallest sample `v` with `eval(v) >= q`.
-    ///
-    /// `q` is clamped to `[0, 1]`. Returns `None` on an empty CDF.
-    #[must_use]
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.sorted.is_empty() {
-            return None;
-        }
-        let rank = crate::quantile_rank(self.sorted.len() as u64, q) as usize;
-        Some(self.sorted[rank - 1])
-    }
-
-    /// Mean of the samples.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.sorted.is_empty() {
-            0.0
-        } else {
-            self.sorted.iter().sum::<f64>() / self.sorted.len() as f64
-        }
-    }
-
-    /// Smallest sample.
-    #[must_use]
-    pub fn min(&self) -> Option<f64> {
-        self.sorted.first().copied()
-    }
-
-    /// Largest sample.
-    #[must_use]
-    pub fn max(&self) -> Option<f64> {
-        self.sorted.last().copied()
-    }
-
     /// Emit `(x, P(X<=x))` pairs suitable for plotting, at every sample point.
-    #[must_use]
-    pub fn points(&self) -> Vec<(f64, f64)> {
+    fn points(&self) -> Vec<(f64, f64)> {
         let n = self.sorted.len();
         self.sorted
             .iter()
@@ -109,42 +52,10 @@ impl EmpiricalCdf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-
-    #[test]
-    fn empty_cdf() {
-        let c = EmpiricalCdf::new(vec![]);
-        assert!(c.is_empty());
-        assert_eq!(c.eval(1.0), 0.0);
-        assert_eq!(c.quantile(0.5), None);
-        assert_eq!(c.mean(), 0.0);
-    }
-
-    #[test]
-    fn simple_eval() {
-        let c = EmpiricalCdf::new(vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(c.eval(0.5), 0.0);
-        assert_eq!(c.eval(1.0), 0.25);
-        assert_eq!(c.eval(2.5), 0.5);
-        assert_eq!(c.eval(4.0), 1.0);
-        assert_eq!(c.eval(100.0), 1.0);
-    }
-
-    #[test]
-    fn quantiles() {
-        let c = EmpiricalCdf::new(vec![10.0, 20.0, 30.0, 40.0]);
-        assert_eq!(c.quantile(0.0), Some(10.0));
-        assert_eq!(c.quantile(0.25), Some(10.0));
-        assert_eq!(c.quantile(0.26), Some(20.0));
-        assert_eq!(c.quantile(0.5), Some(20.0));
-        assert_eq!(c.quantile(1.0), Some(40.0));
-    }
 
     #[test]
     fn unsorted_input_is_sorted() {
         let c = EmpiricalCdf::new(vec![3.0, 1.0, 2.0]);
-        assert_eq!(c.min(), Some(1.0));
-        assert_eq!(c.max(), Some(3.0));
         assert_eq!(
             c.points(),
             vec![(1.0, 1.0 / 3.0), (2.0, 2.0 / 3.0), (3.0, 1.0)]
@@ -189,29 +100,6 @@ mod tests {
                 assert_eq!(pts.len(), max_points);
                 assert_eq!(pts.last().unwrap().0, (len - 1) as f64);
             }
-        }
-    }
-
-    proptest! {
-        #[test]
-        fn prop_eval_monotone(samples in proptest::collection::vec(-1e4f64..1e4, 1..200)) {
-            let c = EmpiricalCdf::new(samples);
-            let mut last = 0.0;
-            let (lo, hi) = (c.min().unwrap(), c.max().unwrap());
-            for i in 0..=50 {
-                let x = lo + (hi - lo) * i as f64 / 50.0;
-                let p = c.eval(x);
-                prop_assert!(p >= last - 1e-12);
-                prop_assert!((0.0..=1.0).contains(&p));
-                last = p;
-            }
-        }
-
-        #[test]
-        fn prop_quantile_inverts_eval(samples in proptest::collection::vec(-1e4f64..1e4, 1..100), q in 0.0f64..=1.0) {
-            let c = EmpiricalCdf::new(samples);
-            let v = c.quantile(q).unwrap();
-            prop_assert!(c.eval(v) >= q - 1e-12);
         }
     }
 }

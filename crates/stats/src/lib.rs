@@ -3,16 +3,16 @@
 //! This crate is dependency-free and provides the numeric building blocks the
 //! rest of the workspace leans on:
 //!
-//! * [`OnlineStats`] — streaming mean/variance/min/max (Welford's algorithm),
-//!   mergeable across parallel workers.
+//! * [`OnlineStats`] — streaming mean/variance/min/max (Welford's algorithm).
 //! * [`SampleWindow`] — bounded sliding window whose only statistics are a
 //!   running mean and standard deviation: the µ and σ of the Dynatune RTT
 //!   estimator (`RTTs` list in the paper).
 //! * [`Histogram`] — log-bucketed latency histogram with quantile queries.
-//! * [`EmpiricalCdf`] — exact empirical CDF over a finished sample set; this
-//!   is what the paper's Figures 4 and 8 plot.
-//! * [`TimeSeries`] — append-only `(t, value)` series with fixed-interval
-//!   resampling, used for the Figure 6/7 time plots.
+//! * [`EmpiricalCdf`] — the `(x, P(X <= x))` points of a finished sample
+//!   set, downsampled for output; this is what the paper's Figures 4 and 8
+//!   plot.
+//! * [`TimeSeries`] — append-only `(t, value)` series with sample-and-hold
+//!   resampling onto a fixed grid, used for the Figure 7 CPU plot.
 //! * [`Zipf`] — Zipf-distributed key sampler for KV workloads.
 //! * [`table`] — plain-text aligned table rendering for benchmark reports.
 //!
@@ -35,7 +35,7 @@ mod zipf;
 pub use cdf::EmpiricalCdf;
 pub use histogram::Histogram;
 pub use online::OnlineStats;
-pub use timeseries::{ResamplePolicy, TimeSeries};
+pub use timeseries::TimeSeries;
 pub use window::SampleWindow;
 pub use zipf::Zipf;
 
@@ -43,9 +43,10 @@ pub use zipf::Zipf;
 /// workspace-wide convention "smallest value `v` with `P(X <= v) >= q`":
 /// `max(ceil(q * n), 1)`, with `q` clamped to `[0, 1]`.
 ///
-/// [`EmpiricalCdf::quantile`] and [`Histogram::quantile`] both index with
-/// this rank; sharing the formula keeps the off-by-one convention from
-/// silently diverging between the exact and the bucketed estimator.
+/// [`Histogram::quantile`] indexes with this rank, and so does the
+/// benchmark's exact percentile of its raw latency samples; sharing the
+/// formula keeps the off-by-one convention from silently diverging between
+/// the exact and the bucketed estimator.
 /// Returns 0 only when `n == 0` (callers handle the empty case first).
 #[must_use]
 pub fn quantile_rank(n: u64, q: f64) -> u64 {

@@ -2,9 +2,7 @@
 
 /// Streaming mean / variance / extrema accumulator.
 ///
-/// Uses Welford's numerically stable online algorithm. Two accumulators can
-/// be [`merge`](OnlineStats::merge)d (Chan et al. parallel variant), which is
-/// how per-thread experiment results are combined.
+/// Uses Welford's numerically stable online algorithm.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OnlineStats {
     count: u64,
@@ -47,26 +45,6 @@ impl OnlineStats {
         self.m2 += delta * delta2;
         self.min = self.min.min(x);
         self.max = self.max.max(x);
-    }
-
-    /// Merge another accumulator into this one.
-    pub fn merge(&mut self, other: &Self) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Number of observations.
@@ -163,33 +141,6 @@ mod tests {
         assert!((s.sum() - 115.0).abs() < 1e-9);
     }
 
-    #[test]
-    fn merge_matches_sequential() {
-        let a = [1.0, 5.0, 9.0];
-        let b = [2.0, 4.0, 6.0, 8.0];
-        let mut left = OnlineStats::from_slice(&a);
-        let right = OnlineStats::from_slice(&b);
-        left.merge(&right);
-
-        let all: Vec<f64> = a.iter().chain(b.iter()).copied().collect();
-        let seq = OnlineStats::from_slice(&all);
-        assert_eq!(left.count(), seq.count());
-        assert!((left.mean() - seq.mean()).abs() < 1e-9);
-        assert!((left.variance() - seq.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut s = OnlineStats::from_slice(&[1.0, 2.0]);
-        let before = s;
-        s.merge(&OnlineStats::new());
-        assert_eq!(s, before);
-
-        let mut e = OnlineStats::new();
-        e.merge(&before);
-        assert_eq!(e, before);
-    }
-
     proptest! {
         #[test]
         fn prop_welford_matches_naive(values in proptest::collection::vec(-1e6f64..1e6, 1..200)) {
@@ -197,18 +148,6 @@ mod tests {
             let (mean, var) = naive_mean_var(&values);
             prop_assert!((s.mean() - mean).abs() < 1e-6 * (1.0 + mean.abs()));
             prop_assert!((s.variance() - var).abs() < 1e-4 * (1.0 + var.abs()));
-        }
-
-        #[test]
-        fn prop_merge_any_split(values in proptest::collection::vec(-1e6f64..1e6, 2..200), split in 0usize..200) {
-            let split = split % values.len();
-            let mut left = OnlineStats::from_slice(&values[..split]);
-            let right = OnlineStats::from_slice(&values[split..]);
-            left.merge(&right);
-            let seq = OnlineStats::from_slice(&values);
-            prop_assert_eq!(left.count(), seq.count());
-            prop_assert!((left.mean() - seq.mean()).abs() < 1e-6 * (1.0 + seq.mean().abs()));
-            prop_assert!((left.variance() - seq.variance()).abs() < 1e-3 * (1.0 + seq.variance().abs()));
         }
     }
 }

@@ -1,22 +1,8 @@
-//! Append-only time series with fixed-interval resampling.
+//! Append-only time series with sample-and-hold resampling.
 //!
-//! Figures 6 and 7 of the paper plot per-second (and per-5-second) series of
-//! randomizedTimeout, RTT, heartbeat interval and CPU usage. Observers append
-//! raw `(t, value)` points here and the `fig6a`/`fig6b`/`fig7` scenarios
-//! resample onto a fixed grid for output.
-
-/// How to aggregate raw points that fall into one resampling bin.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ResamplePolicy {
-    /// Mean of points in the bin.
-    Mean,
-    /// Last point at or before the end of the bin (sample-and-hold).
-    Last,
-    /// Maximum point in the bin.
-    Max,
-    /// Minimum point in the bin.
-    Min,
-}
+//! Figure 7 of the paper plots CPU usage per 5 seconds. The CPU meter
+//! appends raw `(t, utilization)` points here and the `fig7` scenario
+//! resamples them onto a fixed grid for output.
 
 /// Append-only `(t, value)` series; time unit is caller-defined (we use
 /// seconds of simulated time throughout the workspace).
@@ -61,68 +47,24 @@ impl TimeSeries {
         &self.points
     }
 
-    /// Value of the last point at or before `t` (sample-and-hold lookup).
+    /// Resample onto a fixed grid `[start, end)` with bin width `step`,
+    /// by sample-and-hold: each output point is `(bin_start, v)`, where `v`
+    /// is the value of the last raw point before the bin ends, whether it
+    /// falls in the bin or before it. Bins before the first point are
+    /// skipped.
     #[must_use]
-    pub fn at(&self, t: f64) -> Option<f64> {
-        let idx = self.points.partition_point(|&(pt, _)| pt <= t);
-        idx.checked_sub(1).map(|i| self.points[i].1)
-    }
-
-    /// Resample onto a fixed grid `[start, end)` with bin width `step`.
-    ///
-    /// Each output point is `(bin_start, aggregate)`. Bins with no raw points
-    /// yield the previous value for [`ResamplePolicy::Last`] (sample-and-hold)
-    /// and are skipped for the other policies.
-    #[must_use]
-    pub fn resample(
-        &self,
-        start: f64,
-        end: f64,
-        step: f64,
-        policy: ResamplePolicy,
-    ) -> Vec<(f64, f64)> {
+    pub fn resample(&self, start: f64, end: f64, step: f64) -> Vec<(f64, f64)> {
         assert!(step > 0.0, "resample step must be positive");
         let mut out = Vec::new();
         let mut idx = 0usize;
-        // Skip points before the grid, but remember the last one for hold.
-        let mut hold: Option<f64> = None;
-        while idx < self.points.len() && self.points[idx].0 < start {
-            hold = Some(self.points[idx].1);
-            idx += 1;
-        }
         let mut t = start;
         while t < end {
             let bin_end = t + step;
-            let mut agg: Option<f64> = None;
-            let mut count = 0u64;
             while idx < self.points.len() && self.points[idx].0 < bin_end {
-                let v = self.points[idx].1;
-                agg = Some(match (policy, agg) {
-                    (_, None) => v,
-                    (ResamplePolicy::Mean, Some(a)) => a + v,
-                    (ResamplePolicy::Last, Some(_)) => v,
-                    (ResamplePolicy::Max, Some(a)) => a.max(v),
-                    (ResamplePolicy::Min, Some(a)) => a.min(v),
-                });
-                count += 1;
                 idx += 1;
             }
-            match (agg, policy) {
-                (Some(a), ResamplePolicy::Mean) => {
-                    let v = a / count as f64;
-                    hold = Some(v);
-                    out.push((t, v));
-                }
-                (Some(a), _) => {
-                    hold = Some(a);
-                    out.push((t, a));
-                }
-                (None, ResamplePolicy::Last) => {
-                    if let Some(h) = hold {
-                        out.push((t, h));
-                    }
-                }
-                (None, _) => {}
+            if let Some(last) = idx.checked_sub(1) {
+                out.push((t, self.points[last].1));
             }
             t = bin_end;
         }
@@ -143,59 +85,29 @@ mod tests {
     }
 
     #[test]
-    fn at_lookup() {
-        let s = series(&[(1.0, 10.0), (2.0, 20.0), (5.0, 50.0)]);
-        assert_eq!(s.at(0.5), None);
-        assert_eq!(s.at(1.0), Some(10.0));
-        assert_eq!(s.at(3.0), Some(20.0));
-        assert_eq!(s.at(100.0), Some(50.0));
-    }
-
-    #[test]
-    fn resample_mean() {
+    fn resample_takes_the_last_point_of_each_bin() {
         let s = series(&[(0.1, 1.0), (0.2, 3.0), (1.5, 10.0)]);
-        let r = s.resample(0.0, 2.0, 1.0, ResamplePolicy::Mean);
-        assert_eq!(r, vec![(0.0, 2.0), (1.0, 10.0)]);
+        let r = s.resample(0.0, 2.0, 1.0);
+        assert_eq!(r, vec![(0.0, 3.0), (1.0, 10.0)]);
     }
 
     #[test]
     fn resample_last_holds_previous_value() {
         let s = series(&[(0.5, 7.0)]);
-        let r = s.resample(0.0, 3.0, 1.0, ResamplePolicy::Last);
+        let r = s.resample(0.0, 3.0, 1.0);
         assert_eq!(r, vec![(0.0, 7.0), (1.0, 7.0), (2.0, 7.0)]);
-    }
-
-    #[test]
-    fn resample_max_min() {
-        let s = series(&[(0.1, 1.0), (0.9, 5.0), (1.1, -2.0), (1.2, 4.0)]);
-        assert_eq!(
-            s.resample(0.0, 2.0, 1.0, ResamplePolicy::Max),
-            vec![(0.0, 5.0), (1.0, 4.0)]
-        );
-        assert_eq!(
-            s.resample(0.0, 2.0, 1.0, ResamplePolicy::Min),
-            vec![(0.0, 1.0), (1.0, -2.0)]
-        );
-    }
-
-    #[test]
-    fn resample_skips_empty_bins_for_mean() {
-        let s = series(&[(0.5, 1.0), (2.5, 2.0)]);
-        let r = s.resample(0.0, 3.0, 1.0, ResamplePolicy::Mean);
-        assert_eq!(r, vec![(0.0, 1.0), (2.0, 2.0)]);
     }
 
     #[test]
     fn resample_uses_hold_from_before_grid() {
         let s = series(&[(0.5, 9.0)]);
-        let r = s.resample(1.0, 3.0, 1.0, ResamplePolicy::Last);
+        let r = s.resample(1.0, 3.0, 1.0);
         assert_eq!(r, vec![(1.0, 9.0), (2.0, 9.0)]);
     }
 
     #[test]
     fn empty_series_resamples_to_nothing() {
         let s = TimeSeries::new();
-        assert!(s.resample(0.0, 10.0, 1.0, ResamplePolicy::Mean).is_empty());
-        assert!(s.resample(0.0, 10.0, 1.0, ResamplePolicy::Last).is_empty());
+        assert!(s.resample(0.0, 10.0, 1.0).is_empty());
     }
 }
