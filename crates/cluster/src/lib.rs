@@ -4,10 +4,11 @@
 //! on the `dynatune-simnet` fabric, injects the paper's failure modes
 //! (container pause, crash), observes elections and tuning state, models
 //! CPU cost, and implements every experiment of the paper's evaluation
-//! (§IV) in one layer: [`scenario`] holds the declarative pieces (builders,
-//! fault plans, the generic driver, the registry) and
-//! [`scenario::catalog`], where each module keeps a measurement procedure
-//! beside the registered experiment that reports it.
+//! (§IV) in one layer: [`scenario`] holds the shared pieces (the network
+//! plan, the cluster builder, the registry) and [`scenario::catalog`],
+//! where each module keeps a measurement procedure beside the registered
+//! experiment that reports it and injects its faults by calling the
+//! [`ClusterSim`] directly.
 //!
 //! There is one cluster: [`ClusterSim<A, C>`](ClusterSim), generic over the
 //! served [`App`] (the trait `dynatune_kv` defines and the KV and broker
@@ -54,9 +55,6 @@ pub use observers::{
     leaderless_intervals, stale_read_violations, total_leaderless_secs, FailoverTimes,
 };
 pub use rebalance::{RebalancePhase, Rebalancer, CATCH_UP_SLACK};
-pub use scenario::{
-    FaultAction, FaultEvent, FaultPlan, Horizon, NetPlan, PartitionSpec, Report, RunCtx, Scenario,
-    ScenarioBuilder, ScenarioDriver, Target,
-};
+pub use scenario::{NetPlan, Report, RunCtx, Scenario, ScenarioBuilder};
 pub use server::{CompactionPolicy, ReadCounters, ReadStrategy, ServerHost};
 pub use sim::{Client, ClusterConfig, ClusterHost, ClusterSim, WorkloadSpec};

@@ -18,9 +18,7 @@ use super::failover::{run_trials, FailoverConfig};
 use super::fluctuation::{measure_rtt_fluctuation, RttPattern};
 use super::wired;
 use crate::observers::count_events;
-use crate::scenario::{
-    Horizon, NetPlan, Report, RunCtx, Scenario, ScenarioBuilder, ScenarioDriver,
-};
+use crate::scenario::{NetPlan, Report, RunCtx, Scenario, ScenarioBuilder};
 use dynatune_core::{required_heartbeats, TuningConfig};
 use dynatune_raft::{RaftEvent, TimerQuantization};
 use dynatune_simnet::{NetParams, SimTime};
@@ -94,16 +92,14 @@ fn safety_factor(values: &[f64], trials: usize, seed: u64) -> Vec<SafetyFactorRo
                 .build();
             let res = run_trials(&FailoverConfig::new(cluster, trials));
             // False-timeout rate without failures under the same jitter.
-            let jitter_cfg = ScenarioBuilder::cluster(5)
+            let mut sim = ScenarioBuilder::cluster(5)
                 .tuning(tuning)
                 .net(jitter_net())
                 .seed(seed ^ 0x1177)
-                .build();
+                .build_sim();
             let horizon = SimTime::from_secs(300);
-            let run = ScenarioDriver::new(jitter_cfg)
-                .horizon(Horizon::At(Duration::from_secs(300)))
-                .run();
-            let events = run.sim.events();
+            sim.run_until(horizon);
+            let events = sim.events();
             let false_timeouts = count_events(&events, SimTime::from_secs(10), horizon, |e| {
                 matches!(e, RaftEvent::ElectionTimeout { .. })
             });
@@ -165,9 +161,8 @@ fn min_list_size(values: &[usize], seed: u64) -> Vec<WarmupRow> {
                 max_list_size: 1000.max(m),
                 ..TuningConfig::dynatune()
             };
-            // Custom convergence predicate (first time all followers are
-            // warmed), so this one keeps its own polling loop instead of
-            // the driver's fixed-cadence sampler.
+            // Polls every 500 ms until the first time all followers are
+            // warmed.
             let mut sim = ScenarioBuilder::cluster(5)
                 .tuning(tuning)
                 .seed(seed)
@@ -258,18 +253,15 @@ struct TransportRow {
 #[must_use]
 fn transport(seed: u64) -> [TransportRow; 2] {
     [true, false].map(|udp| {
-        let cluster = ScenarioBuilder::cluster(5)
+        let mut sim = ScenarioBuilder::cluster(5)
             .tuning(TuningConfig::dynatune())
             .net(NetPlan::uniform(
                 NetParams::clean(Duration::from_millis(100)).with_loss(0.15),
             ))
             .udp_heartbeats(udp)
             .seed(seed)
-            .build();
-        let run = ScenarioDriver::new(cluster)
-            .horizon(Horizon::At(Duration::from_secs(120)))
-            .run();
-        let sim = run.sim;
+            .build_sim();
+        sim.run_until(SimTime::from_secs(120));
         let leader = wired(sim.leader(), "a failure-free 120s run keeps its leader");
         let followers = (0..5).filter(|&id| id != leader);
         let loss_sum: f64 = followers.map(|id| sim.tuning_snapshot(id).loss_rate).sum();

@@ -6,26 +6,31 @@
 //! leader and (for tuning modes) warm up the estimators, pauses the leader
 //! at a random phase within the heartbeat cycle, and extracts detection and
 //! OTS times from the event log — exactly the paper's §IV-B1 procedure
-//! (1000 intentional leader failures, means and CDFs reported). The
-//! injection itself is a one-event declarative [`FaultPlan`] (pause the
-//! leader after warm-up, phase-jittered) executed by the
-//! [scenario driver](crate::scenario::ScenarioDriver). Trials run in
-//! parallel with rayon — capped by any installed thread pool, see
+//! (1000 intentional leader failures, means and CDFs reported). Trials run
+//! in parallel with rayon — capped by any installed thread pool, see
 //! [`RunCtx::run`] — and every trial is deterministic in its seed, so any
 //! `--jobs` value merges to identical results.
 
 use crate::observers::extract_failover;
 use crate::scenario::{
-    compare_row, reduction_pct, FaultPlan, Horizon, NetPlan, Report, RunCtx, Scenario,
-    ScenarioBuilder, ScenarioDriver,
+    compare_row, reduction_pct, NetPlan, Report, RunCtx, Scenario, ScenarioBuilder,
 };
-use crate::sim::ClusterConfig;
+use crate::sim::{ClusterConfig, ClusterSim};
 use dynatune_core::TuningConfig;
+use dynatune_raft::NodeId;
 use dynatune_simnet::rng::splitmix64;
+use dynatune_simnet::{Rng, SimTime};
 use dynatune_stats::table::multi_series_csv;
 use dynatune_stats::{EmpiricalCdf, OnlineStats};
 use rayon::prelude::*;
 use std::time::Duration;
+
+/// Seed salt of the failure phase draw.
+const PHASE_SALT: u64 = 0xFA11;
+/// The failure lands uniformly within this span after warm-up (~1
+/// heartbeat cycle), averaging over the heartbeat phase as the paper's
+/// 1000 repeated failures do.
+const PHASE_SPAN_NS: u64 = 1_000_000_000;
 
 /// Configuration of a failover study.
 #[derive(Debug, Clone)]
@@ -136,25 +141,44 @@ pub fn run_single_trial(cfg: &FailoverConfig, trial: usize) -> Option<TrialOutco
     let mut cluster_cfg = cfg.cluster.clone();
     let mut seed = cfg.cluster.seed ^ (trial as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     cluster_cfg.seed = splitmix64(&mut seed);
-    // One declarative event: pause the leader after warm-up, at a random
-    // phase within ~1 heartbeat cycle, so the paper's phase-averaging over
-    // 1000 failures is reproduced; observe for `cfg.observe` afterwards.
-    let plan = FaultPlan::new().pause_leader(cfg.warmup, Duration::from_secs(1));
-    let run = ScenarioDriver::new(cluster_cfg)
-        .plan(plan)
-        .horizon(Horizon::AfterLastFault(cfg.observe))
-        .run();
-    let fault = run.first_fault()?;
-    let leader = fault.targets[0];
-    let times = extract_failover(&run.sim.events(), fault.at, leader);
+    let mut sim = ClusterSim::new(&cluster_cfg);
+    // Pause the leader after warm-up, at a random phase within ~1
+    // heartbeat cycle; observe for `cfg.observe` afterwards.
+    let phase = Rng::new(cluster_cfg.seed ^ PHASE_SALT)
+        .child(0)
+        .below(PHASE_SPAN_NS);
+    let at = SimTime::ZERO + cfg.warmup + Duration::from_nanos(phase);
+    sim.run_until(at);
+    let leader = sim.leader()?;
+    let mean_rto_before_ms = mean_follower_rto_ms(&sim, leader);
+    sim.pause(leader);
+    sim.run_until(at + cfg.observe);
+    let times = extract_failover(&sim.events(), at, leader);
     let (detection, ots) = (times.detection?, times.ots?);
     Some(TrialOutcome {
         trial,
         detection_ms: detection.as_secs_f64() * 1e3,
         ots_ms: ots.as_secs_f64() * 1e3,
         rto_at_detection_ms: times.detection_rto_ms.unwrap_or(f64::NAN),
-        mean_rto_before_ms: fault.mean_rto_before_ms(Some(leader)),
+        mean_rto_before_ms,
     })
+}
+
+/// Mean randomized timeout (ms) across the live servers other than
+/// `leader`, summed in id order; NaN when there are none.
+fn mean_follower_rto_ms(sim: &ClusterSim, leader: NodeId) -> f64 {
+    let rtos: Vec<f64> = sim
+        .randomized_timeouts()
+        .iter()
+        .enumerate()
+        .filter(|&(id, _)| id != leader)
+        .filter_map(|(_, rto)| rto.map(|d| d.as_secs_f64() * 1e3))
+        .collect();
+    if rtos.is_empty() {
+        f64::NAN
+    } else {
+        rtos.iter().sum::<f64>() / rtos.len() as f64
+    }
 }
 
 /// Run the full study, trials in parallel.

@@ -1,6 +1,6 @@
 //! Network-fluctuation adaptivity experiments: Fig. 6a/6b (RTT, §IV-C1)
 //! and Fig. 7 (packet loss, §IV-C2). No failures, no client load; the link
-//! follows a schedule while the driver samples the tuned parameters.
+//! follows a schedule while [`sample_until`] samples the tuned parameters.
 //!
 //! **RTT** — the link RTT follows the paper's gradual (50→200→50 ms in
 //! 10 ms steps) or radical (50→500→50 ms) schedule while we sample, once
@@ -17,10 +17,11 @@
 //! 200 %).
 
 use super::wired;
-use crate::observers::{count_events, leaderless_intervals, total_leaderless_secs};
-use crate::scenario::{
-    Horizon, NetPlan, Report, RunCtx, Scenario, ScenarioBuilder, ScenarioDriver,
+use crate::observers::{
+    count_events, kth_smallest_timeout_ms, leaderless_intervals, total_leaderless_secs,
 };
+use crate::scenario::{NetPlan, Report, RunCtx, Scenario, ScenarioBuilder};
+use crate::sim::ClusterSim;
 use dynatune_core::TuningConfig;
 use dynatune_raft::RaftEvent;
 use dynatune_simnet::{CongestionConfig, LinkSchedule, NetParams, SimTime};
@@ -81,6 +82,23 @@ impl RttPattern {
     }
 }
 
+/// Run `sim` to `horizon`, calling `f` after each `every` of simulated
+/// time (at `every`, `2·every`, … up to and including `horizon`).
+fn sample_until(
+    sim: &mut ClusterSim,
+    every: Duration,
+    horizon: SimTime,
+    mut f: impl FnMut(&ClusterSim),
+) {
+    let mut t = SimTime::ZERO + every;
+    while t <= horizon {
+        sim.run_until(t);
+        f(sim);
+        t += every;
+    }
+    sim.run_until(horizon);
+}
+
 /// Time series output of one run.
 #[derive(Debug, Clone)]
 pub(super) struct RttFlucSeries {
@@ -121,24 +139,21 @@ pub(super) fn measure_rtt_fluctuation(
         .pre_vote(pre_vote)
         .seed(seed)
         .build();
-    let run = ScenarioDriver::new(cluster_cfg)
-        .sample_every(RTT_SAMPLE_EVERY)
-        .horizon(Horizon::At(pattern.duration(hold)))
-        .run();
-
-    let horizon = run.horizon;
+    let mut sim = ClusterSim::new(&cluster_cfg);
+    let horizon = SimTime::ZERO + pattern.duration(hold);
+    // The majority representative: k-th smallest timeout, k = ⌊n/2⌋ + 1.
+    let k = RTT_SERVERS / 2 + 1;
     let mut out_t = Vec::new();
     let mut out_rto = Vec::new();
     let mut out_rtt = Vec::new();
-    for s in &run.samples {
-        // The majority-representative (third-smallest of five) timeout.
-        if let Some(rto) = s.majority_rto_ms {
+    sample_until(&mut sim, RTT_SAMPLE_EVERY, horizon, |sim| {
+        if let Some(rto) = kth_smallest_timeout_ms(&sim.randomized_timeouts(), k) {
             out_rto.push(rto);
-            out_t.push(s.t.as_secs_f64());
-            out_rtt.push(s.rtt_ms);
+            out_t.push(sim.now().as_secs_f64());
+            out_rtt.push(sim.probe_rtt().as_secs_f64() * 1e3);
         }
-    }
-    let events = run.sim.events();
+    });
+    let events = sim.events();
     let gaps = leaderless_intervals(&events, horizon);
     // Skip the initial election when counting: warm-up ends once the first
     // leader exists (~2 s in).
@@ -369,18 +384,14 @@ fn measure_loss_fluctuation(
         .cores(LOSS_CORES)
         .seed(seed)
         .build();
-    let run = ScenarioDriver::new(cluster_cfg)
-        .sample_every(LOSS_SAMPLE_EVERY)
-        .horizon(Horizon::At(loss_staircase_duration(hold)))
-        .run();
-
-    let horizon = run.horizon;
-    let h_ms = run
-        .samples
-        .iter()
-        .filter_map(|s| Some((s.t.as_secs_f64(), s.leader_mean_h_ms?)))
-        .collect();
-    let sim = run.sim;
+    let mut sim = ClusterSim::new(&cluster_cfg);
+    let horizon = SimTime::ZERO + loss_staircase_duration(hold);
+    let mut h_ms = Vec::new();
+    sample_until(&mut sim, LOSS_SAMPLE_EVERY, horizon, |sim| {
+        if let Some(h) = sim.leader_mean_heartbeat_interval() {
+            h_ms.push((sim.now().as_secs_f64(), h.as_secs_f64() * 1e3));
+        }
+    });
     let leader = wired(sim.leader(), "the staircase keeps its leader");
     let follower = usize::from(leader == 0);
     let leader_cpu = sim.with_server(leader, |s| s.cpu().utilization_series());

@@ -1,17 +1,14 @@
-//! Beyond-paper scenarios the old bespoke Config/run-fn API could not
-//! express cleanly: asymmetric geo degradation and flapping-partition
-//! churn. Both are pure data — a [`NetPlan`] and a [`FaultPlan`] — driven
-//! by the generic scenario driver.
+//! Beyond-paper scenarios: failover on a geo mesh with one asymmetrically
+//! degraded region (a [`NetPlan`] with per-pair overrides), and
+//! flapping-partition churn (a cut/heal loop on the
+//! [`ClusterSim`](crate::ClusterSim)).
 
 use super::failover::{assert_mostly_complete, run_trials, FailoverConfig};
 use crate::observers::{election_safety_violations, leaderless_intervals, total_leaderless_secs};
-use crate::scenario::{
-    reduction_pct, FaultPlan, Horizon, NetPlan, PartitionSpec, Report, RunCtx, Scenario,
-    ScenarioBuilder, ScenarioDriver,
-};
+use crate::scenario::{reduction_pct, NetPlan, Report, RunCtx, Scenario, ScenarioBuilder};
 use dynatune_core::TuningConfig;
 use dynatune_raft::RaftEvent;
-use dynatune_simnet::{geo_rtt, LinkSchedule, NetParams, Region};
+use dynatune_simnet::{geo_rtt, LinkSchedule, NetParams, Region, SimTime};
 use std::time::Duration;
 
 /// Failover on a geo topology whose Tokyo links are asymmetrically
@@ -102,10 +99,8 @@ fn geo_asymmetric(ctx: &RunCtx) -> Report {
 /// Flapping-partition churn: the live leader (resolved at each cut) plus
 /// one follower are repeatedly cut away and healed on a fixed cadence.
 ///
-/// This is the classic hazard scenario for aggressive election timeouts —
-/// every heal readmits a stale ex-leader — and exactly the kind of
-/// schedule the declarative plan makes one expression instead of a
-/// hand-written loop. The report checks availability (leaderless seconds)
+/// This is the classic hazard scenario for aggressive election timeouts:
+/// every heal readmits a stale ex-leader. The report checks availability (leaderless seconds)
 /// and election safety (at most one leader per term) across the churn.
 pub const PARTITION_CHURN: Scenario = Scenario {
     name: "partition_churn",
@@ -126,41 +121,45 @@ fn partition_churn(ctx: &RunCtx) -> Report {
         ("raft", TuningConfig::raft_default()),
         ("dynatune", TuningConfig::dynatune()),
     ] {
-        let cluster = ScenarioBuilder::cluster(5)
+        let mut sim = ScenarioBuilder::cluster(5)
             .tuning(tuning)
             .seed(ctx.system_seed(label))
-            .build();
-        let plan = FaultPlan::new().flapping_partition(
-            start,
-            PartitionSpec::LeaderPlusFollowers(1),
-            down,
-            up,
-            cycles,
-        );
-        let run = ScenarioDriver::new(cluster)
-            .plan(plan)
-            .horizon(Horizon::AfterLastFault(Duration::from_secs(20)))
-            .run();
-        let events = run.sim.events();
+            .build_sim();
+        let mut cuts = 0;
+        let mut cut = SimTime::ZERO + start;
+        let mut healed = cut;
+        for _ in 0..cycles {
+            sim.run_until(cut);
+            // The leader plus the first follower by id.
+            if let Some(leader) = sim.leader() {
+                sim.partition(&[leader, usize::from(leader == 0)]);
+                cuts += 1;
+            }
+            healed = cut + down;
+            sim.run_until(healed);
+            sim.heal_partition();
+            cut = healed + up;
+        }
+        let horizon = healed + Duration::from_secs(20);
+        sim.run_until(horizon);
+        let events = sim.events();
         // Election safety across the whole churn.
         let violations = election_safety_violations(&events);
         let leader_changes = events
             .iter()
             .filter(|(_, _, ev)| matches!(ev, RaftEvent::BecameLeader { .. }))
             .count();
-        let gaps = leaderless_intervals(&events, run.horizon);
-        let cuts_executed = run.trace.iter().filter(|f| !f.skipped).count();
+        let gaps = leaderless_intervals(&events, horizon);
         rows.push(vec![
             label.to_string(),
-            format!("{cuts_executed}/{}", run.trace.len()),
+            // Heals are counted as executed cuts.
+            format!("{}/{}", cuts + cycles, 2 * cycles),
             format!("{:.1}", total_leaderless_secs(&gaps)),
             format!("{leader_changes}"),
             format!("{violations}"),
             format!(
                 "{}",
-                run.sim
-                    .leader()
-                    .map_or("none".to_string(), |l| l.to_string())
+                sim.leader().map_or("none".to_string(), |l| l.to_string())
             ),
         ]);
         // The churn must never break safety, under either system.

@@ -6,13 +6,12 @@
 //! reports average latency vs. average throughput with throughput standard
 //! deviation; peak throughput is the highest completed rate.
 
-use crate::scenario::{
-    compare_row, Horizon, Report, RunCtx, Scenario, ScenarioBuilder, ScenarioDriver,
-};
-use crate::sim::{ClusterConfig, WorkloadSpec};
+use crate::scenario::{compare_row, Report, RunCtx, Scenario, ScenarioBuilder};
+use crate::sim::{ClusterConfig, ClusterSim, WorkloadSpec};
 use dynatune_core::{invariant_violated, TuningConfig};
 use dynatune_kv::{OpMix, RateStep, WorkloadGen};
 use dynatune_simnet::rng::splitmix64;
+use dynatune_simnet::SimTime;
 use dynatune_stats::table::series_csv;
 use dynatune_stats::OnlineStats;
 use rayon::prelude::*;
@@ -97,12 +96,10 @@ fn run_single_ramp(
         read_fanout: false,
         record_trace: false,
     });
-    // Run through the whole ramp plus the drain period (no faults: an empty
-    // plan on the scenario driver).
-    let run = ScenarioDriver::new(cluster_cfg)
-        .horizon(Horizon::At(total + DRAIN))
-        .run();
-    let Some(steps) = run.sim.client_steps() else {
+    // Run through the whole ramp plus the drain period (no faults).
+    let mut sim = ClusterSim::new(&cluster_cfg);
+    sim.run_until(SimTime::ZERO + total + DRAIN);
+    let Some(steps) = sim.client_steps() else {
         invariant_violated!(
             "throughput run has no client host — the config above always \
              attaches a workload"

@@ -1,20 +1,23 @@
-//! Declarative scenario API: describe *what* an experiment does, let a
-//! generic driver execute it.
+//! Scenario API: the network and cluster as data, the experiments as
+//! registered rows.
 //!
 //! The paper's evaluation (§IV) is a family of "build a cluster, disturb
-//! it, measure" procedures. This module factors that family into four
-//! orthogonal pieces:
+//! it, measure" procedures. This module holds the pieces they share:
 //!
 //! | Piece | Type | Role |
 //! |-------|------|------|
 //! | network plan | [`NetPlan`] | the network as data: uniform meshes, schedules, geo presets, asymmetric degradations |
 //! | cluster assembly | [`ScenarioBuilder`] | typed, fluent construction of a `ClusterConfig`; Raft setters write through to its one `raft: RaftConfig` template |
-//! | fault plan | [`FaultPlan`] | timed pause/resume/crash/partition/heal events as data, with symbolic targets (`Leader`) resolved at fire time |
-//! | driver | [`ScenarioDriver`] | executes the plan, samples observables on a cadence, records a trace of what fired (and the pre-fault state) |
+//! | experiment row | [`Scenario`] | name, metadata and the `run` fn that maps a [`RunCtx`] to a [`Report`] |
+//! | registry | [`REGISTRY`] | every registered row; [`find`] resolves one by name |
 //!
-//! On top sit the [`Scenario`] row and the [`REGISTRY`] table: every §IV
-//! figure, the ablations and the beyond-paper scenarios are registered,
-//! named, self-describing rows whose `run` maps a [`RunCtx`] to a
+//! Faults are calls on the built [`ClusterSim`](crate::ClusterSim):
+//! `run_until` to the fault time, then `pause`, `resume`, `crash`,
+//! `partition` or `heal_partition`, resolving targets such as "the
+//! current leader" with `leader()` at that instant.
+//!
+//! Every §IV figure, the ablations and the beyond-paper scenarios are
+//! registered, named, self-describing rows whose `run` returns a
 //! structured, comparable [`Report`]. [`catalog`] is the one experiment
 //! layer: each module keeps its measurement procedure
 //! (`failover::run_trials`, `throughput::measure_ramp`,
@@ -26,40 +29,32 @@
 //! serial run.
 //!
 //! ```
-//! use dynatune_cluster::scenario::{
-//!     FaultPlan, Horizon, PartitionSpec, ScenarioBuilder, ScenarioDriver,
-//! };
+//! use dynatune_cluster::scenario::ScenarioBuilder;
 //! use dynatune_core::TuningConfig;
-//! use std::time::Duration;
+//! use dynatune_simnet::SimTime;
 //!
-//! // A cluster that loses its leader to a partition at t=20s, heals at
-//! // t=40s, observed for 70s — no imperative injection loop.
-//! let config = ScenarioBuilder::cluster(5)
+//! // A cluster that loses its leader (plus one follower) to a partition
+//! // at t=20s, heals at t=40s, and is observed until t=70s.
+//! let mut sim = ScenarioBuilder::cluster(5)
 //!     .tuning(TuningConfig::dynatune())
 //!     .seed(7)
-//!     .build();
-//! let run = ScenarioDriver::new(config)
-//!     .plan(
-//!         FaultPlan::new()
-//!             .partition(Duration::from_secs(20), PartitionSpec::LeaderPlusFollowers(1))
-//!             .heal(Duration::from_secs(40)),
-//!     )
-//!     .horizon(Horizon::At(Duration::from_secs(70)))
-//!     .run();
-//! assert!(run.sim.leader().is_some());
+//!     .build_sim();
+//! sim.run_until(SimTime::from_secs(20));
+//! let leader = sim.leader().expect("a leader by t=20s");
+//! sim.partition(&[leader, usize::from(leader == 0)]);
+//! sim.run_until(SimTime::from_secs(40));
+//! sim.heal_partition();
+//! sim.run_until(SimTime::from_secs(70));
+//! assert!(sim.leader().is_some());
 //! ```
 
 pub mod builder;
 pub mod catalog;
-pub mod driver;
 pub mod experiment;
-pub mod plan;
 pub mod registry;
 pub mod report;
 
 pub use builder::{NetPlan, ScenarioBuilder};
-pub use driver::{ExecutedFault, Horizon, Sample, ScenarioDriver, ScenarioRun};
 pub use experiment::{RunCtx, Scenario};
-pub use plan::{FaultAction, FaultEvent, FaultPlan, PartitionSpec, Target};
 pub use registry::{catalog_json, catalog_markdown, find, json_escape, REGISTRY};
 pub use report::{compare_row, reduction_pct, Artifact, Headline, Report, ReportTable};

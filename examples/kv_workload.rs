@@ -1,17 +1,15 @@
 //! Drive the replicated key-value store with an open-loop client workload
-//! and ride through a leader failure — the paper's service-level view,
-//! with the failure window described as a declarative `FaultPlan`.
+//! and ride through a leader failure — the paper's service-level view.
 //!
 //! ```text
 //! cargo run --release --example kv_workload
 //! ```
 
-use dynatune_repro::cluster::scenario::{
-    FaultAction, FaultEvent, FaultPlan, Horizon, ScenarioBuilder, ScenarioDriver,
-};
+use dynatune_repro::cluster::scenario::ScenarioBuilder;
 use dynatune_repro::cluster::WorkloadSpec;
 use dynatune_repro::core::TuningConfig;
 use dynatune_repro::kv::{OpMix, RateStep};
+use dynatune_repro::simnet::SimTime;
 use std::time::Duration;
 
 fn run(name: &str, tuning: TuningConfig) {
@@ -31,32 +29,26 @@ fn run(name: &str, tuning: TuningConfig) {
         read_fanout: false,
         record_trace: false,
     };
-    let config = ScenarioBuilder::cluster(5)
+    let mut sim = ScenarioBuilder::cluster(5)
         .tuning(tuning)
         .net(dynatune_repro::cluster::NetPlan::stable(
             Duration::from_millis(50),
         ))
         .workload(spec)
         .seed(90_210)
-        .build();
-    let plan = FaultPlan::new()
-        .pause_leader(Duration::from_secs(30), Duration::ZERO)
-        .event(FaultEvent::at(
-            Duration::from_secs(40),
-            FaultAction::ResumeAll,
-        ));
-    let run = ScenarioDriver::new(config)
-        .plan(plan)
-        .horizon(Horizon::At(Duration::from_secs(70)))
-        .run();
-    let fault = run.first_fault().expect("the pause fired on a live leader");
+        .build_sim();
+    let at = SimTime::from_secs(30);
+    sim.run_until(at);
+    let leader = sim.leader().expect("a leader by t = 30 s");
+    sim.pause(leader);
     println!(
-        "[{name}] paused leader {} at t={:.0}s",
-        fault.targets[0],
-        fault.at.as_secs_f64()
+        "[{name}] paused leader {leader} at t={:.0}s",
+        at.as_secs_f64()
     );
+    sim.run_until(SimTime::from_secs(40));
+    sim.resume(leader);
+    sim.run_until(SimTime::from_secs(70));
 
-    let sim = &run.sim;
     let steps = sim.client_steps().expect("client attached");
     let s = &steps[0];
     println!(

@@ -1,46 +1,49 @@
 //! Quickstart: measure how much faster Dynatune recovers from a leader
-//! failure than statically-configured Raft — written against the
-//! declarative scenario API.
+//! failure than statically-configured Raft.
 //!
 //! ```text
 //! cargo run --release --example quickstart
 //! ```
 //!
 //! Builds two identical 5-server clusters (RTT 100 ms) — one running etcd
-//! defaults (Et = 1000 ms, h = 100 ms), one running Dynatune — describes
-//! the failure as a one-event `FaultPlan` (pause the leader at t = 30 s),
-//! lets the scenario driver execute it, and reports detection and
-//! out-of-service times from the trace.
+//! defaults (Et = 1000 ms, h = 100 ms), one running Dynatune — pauses the
+//! leader at t = 30 s, and reports detection and out-of-service times from
+//! the event log.
 
 use dynatune_repro::cluster::extract_failover;
-use dynatune_repro::cluster::scenario::{FaultPlan, Horizon, ScenarioBuilder, ScenarioDriver};
+use dynatune_repro::cluster::scenario::ScenarioBuilder;
 use dynatune_repro::core::TuningConfig;
+use dynatune_repro::simnet::SimTime;
 use std::time::Duration;
 
 fn failover_demo(name: &str, tuning: TuningConfig) -> (f64, f64) {
-    // The whole experiment as data: cluster + failure schedule + horizon.
-    let config = ScenarioBuilder::cluster(5)
+    let mut sim = ScenarioBuilder::cluster(5)
         .tuning(tuning)
         .seed(2024)
-        .build();
-    let plan = FaultPlan::new().pause_leader(Duration::from_secs(30), Duration::ZERO);
-    let run = ScenarioDriver::new(config)
-        .plan(plan)
-        .horizon(Horizon::AfterLastFault(Duration::from_secs(20)))
-        .run();
+        .build_sim();
+    let at = SimTime::from_secs(30);
+    sim.run_until(at);
+    let leader = sim.leader().expect("a leader by t = 30 s");
+    let rtos: Vec<f64> = sim
+        .randomized_timeouts()
+        .iter()
+        .enumerate()
+        .filter(|&(id, _)| id != leader)
+        .filter_map(|(_, rto)| rto.map(|d| d.as_secs_f64() * 1e3))
+        .collect();
+    sim.pause(leader);
+    sim.run_until(at + Duration::from_secs(20));
 
-    let fault = run.first_fault().expect("the pause fired");
-    let leader = fault.targets[0];
     println!("[{name}] leader was server {leader}");
     println!(
         "[{name}]   mean randomizedTimeout across followers just before the pause: {:.0} ms",
-        fault.mean_rto_before_ms(Some(leader))
+        rtos.iter().sum::<f64>() / rtos.len() as f64
     );
-    for id in 0..run.sim.n_servers() {
+    for id in 0..sim.n_servers() {
         if id == leader {
             continue;
         }
-        let snap = run.sim.tuning_snapshot(id);
+        let snap = sim.tuning_snapshot(id);
         println!(
             "[{name}]   server {id}: Et = {:>7.1} ms, h = {:>7.1} ms ({})",
             snap.election_timeout.as_secs_f64() * 1e3,
@@ -49,7 +52,7 @@ fn failover_demo(name: &str, tuning: TuningConfig) -> (f64, f64) {
         );
     }
 
-    let times = extract_failover(&run.sim.events(), fault.at, leader);
+    let times = extract_failover(&sim.events(), at, leader);
     let detection = times.detection.expect("failure detected").as_secs_f64() * 1e3;
     let ots = times.ots.expect("new leader elected").as_secs_f64() * 1e3;
     println!(

@@ -37,8 +37,8 @@ fn report_hash(report: &Report) -> u64 {
 /// Hashes of the serial reports at the seeds the tests below use, one per
 /// registered scenario (`every_registered_scenario_is_pinned` keeps the two
 /// lists equal). They cover every assembly path: single group (`fig4`),
-/// single group under the fault driver (`partition_churn`), link schedules
-/// under the sampling driver (`fig6a`, `fig7`), the KV client through a full
+/// single group under flapping cuts (`partition_churn`), link schedules
+/// under a fixed-cadence sampler (`fig6a`, `fig7`), the KV client through a full
 /// offered-load ramp (`fig5`), single-group spares (`elastic_scaleout`),
 /// sharded (`sharded_throughput`), sharded spares plus
 /// the rebalancer (`shard_rebalance`) and the broker
@@ -141,7 +141,7 @@ fn fig5_report_identical_serial_vs_parallel() {
 #[test]
 fn fluctuation_reports_identical_serial_vs_parallel() {
     // No trial fan-out here — one long run per system under an RTT or loss
-    // schedule — so the pins are what these guard: the sampling driver, the
+    // schedule — so the pins are what these guard: the sampling loop, the
     // schedule arithmetic and the per-system seed derivation.
     for name in ["fig6a", "fig6b", "fig7"] {
         let serial = assert_identical_and_pinned(&quick_ctx(), name, 4);
