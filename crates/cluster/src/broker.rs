@@ -779,7 +779,7 @@ mod tests {
             .build_broker_sim(wl);
         sim.run_until(SimTime::from_secs(6));
         let victim = sim.leader_of(0).expect("group 0 leader");
-        sim.crash(victim);
+        sim.crash_restart(victim);
         sim.run_until(SimTime::from_secs(25));
         let stats = sim.stats().expect("client attached");
         assert_eq!(

@@ -208,7 +208,7 @@ fn consumer_lag_failover(ctx: &RunCtx) -> Report {
                 sim.leader_of(0),
                 "shard 0 elected a leader during the pre-crash produce phase",
             );
-            sim.crash(victim);
+            sim.crash_restart(victim);
             crashed = Some(victim as u64);
         }
         // End-to-end backlog: records generated but not yet read back.

@@ -103,7 +103,7 @@ fn catchup_trial(seed: u64) -> CatchupTrial {
     // applied store survives at its stale index; the node rejoins and must
     // be caught up by snapshot — appends cannot reach below the leader's
     // first_index.
-    sim.crash(follower);
+    sim.crash_restart(follower);
     sim.resume(follower);
     run_tracking_log(&mut sim, SimTime::from_secs(45), &mut max_log);
     let ds = digests(&sim);
@@ -228,7 +228,7 @@ fn churn_trial(seed: u64, cycles: usize) -> ChurnTrial {
         sim.pause(follower);
         let t = sim.now() + Duration::from_secs(8);
         run_tracking_log(&mut sim, t, &mut max_log);
-        sim.crash(follower);
+        sim.crash_restart(follower);
         sim.resume(follower);
         let t = sim.now() + Duration::from_secs(4);
         run_tracking_log(&mut sim, t, &mut max_log);

@@ -478,7 +478,7 @@ fn membership_churn(ctx: &RunCtx) -> Report {
         };
         match fault {
             ChurnFault::None => {}
-            ChurnFault::Crash(id) => sim.crash(id),
+            ChurnFault::Crash(id) => sim.crash_restart(id),
             ChurnFault::Partition(id) => sim.partition_servers(&[id]),
         }
         let mut healed = !matches!(fault, ChurnFault::Partition(_));

@@ -361,7 +361,7 @@ fn measure_isolation(ctx: &RunCtx, label: &str, tuning: TuningConfig) -> Failove
     let at_fault = snapshot(&sim);
     let t_fault = sim.now();
     let victim = wired(sim.leader_of(0), "shard 0 elected during the warmup window");
-    sim.crash(victim);
+    sim.crash_restart(victim);
     sim.run_for(window);
     let at_end = snapshot(&sim);
 

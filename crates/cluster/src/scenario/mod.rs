@@ -12,7 +12,7 @@
 //! | registry | [`REGISTRY`] | every registered row; [`find`] resolves one by name |
 //!
 //! Faults are calls on the built [`ClusterSim`](crate::ClusterSim):
-//! `run_until` to the fault time, then `pause`, `resume`, `crash`,
+//! `run_until` to the fault time, then `pause`, `resume`, `crash_restart`,
 //! `partition` or `heal_partition`, resolving targets such as "the
 //! current leader" with `leader()` at that instant.
 //!

@@ -549,7 +549,7 @@ impl<A: App, C: Client<A>> ClusterSim<A, C> {
     /// dropped (in that order — the pause buffer must not replay into the
     /// restarted node), the log and the applied store survive, and the wake
     /// is rescheduled for the fresh election timer.
-    pub fn crash(&mut self, id: NodeId) {
+    pub fn crash_restart(&mut self, id: NodeId) {
         self.world.clear_pause_buffer(id);
         let now = self.world.now();
         self.server_mut(id).crash_restart(now);
@@ -844,7 +844,7 @@ mod tests {
         }
         assert_eq!(sim.conf_rejections(), 0, "stable run needs no re-issues");
         // The grown cluster survives two failures — impossible at n=3.
-        sim.crash(0);
+        sim.crash_restart(0);
         sim.pause(1);
         sim.run_for(Duration::from_secs(15));
         assert!(sim.leader().is_some(), "5-voter cluster rides out 2 faults");
@@ -905,7 +905,7 @@ mod tests {
         sim.run_until(SimTime::from_secs(10));
         let victim = sim.leader_of(0).expect("shard 0 leader");
         let before = sim.completed_per_shard().unwrap();
-        sim.crash(victim);
+        sim.crash_restart(victim);
         sim.run_for(Duration::from_secs(5));
         let after = sim.completed_per_shard().unwrap();
         // Shard 1 kept committing throughout the shard-0 outage.

@@ -132,7 +132,7 @@ fn crash_recovery_keeps_the_applied_state() {
     };
     let before = applied_state(&sim);
     assert!(before.0 > 0);
-    sim.crash(victim);
+    sim.crash_restart(victim);
     assert_eq!(
         applied_state(&sim),
         before,

@@ -143,7 +143,7 @@ fn crash_during_election_is_safe_and_recovers() {
         // election window.
         sim.pause(old_leader);
         sim.run_until(SimTime::from_millis(21_500));
-        sim.crash(buddy);
+        sim.crash_restart(buddy);
         sim.run_until(SimTime::from_millis(46_500));
 
         // Despite losing the leader and then a second node mid-election,

@@ -67,7 +67,7 @@ fn follower_restarted_past_horizon_catches_up_via_snapshot() {
     );
 
     // Restart (volatile state lost) and rejoin.
-    sim.crash(follower);
+    sim.crash_restart(follower);
     sim.resume(follower);
     while sim.now() < SimTime::from_secs(45) {
         sim.run_for(Duration::from_millis(250));
@@ -118,7 +118,7 @@ fn compacted_follower_winning_election_recovers_lagging_peer() {
     // Take the old leader down: the remaining (compacted) follower must be
     // elected, with every peer's progress starting at match_index = 0.
     sim.pause(leader);
-    sim.crash(lagging);
+    sim.crash_restart(lagging);
     sim.resume(lagging);
     sim.run_until(SimTime::from_secs(40));
 
@@ -157,7 +157,7 @@ fn crash_restart_of_compacted_server_keeps_its_applied_state() {
     );
     let applied_before = sim.with_server(victim, |s| s.node().last_applied());
 
-    sim.crash(victim);
+    sim.crash_restart(victim);
     let applied = sim.with_server(victim, |s| s.node().last_applied());
     assert_eq!(
         applied, applied_before,
@@ -183,7 +183,7 @@ fn snapshot_recovery_is_deterministic() {
         let follower = (0..3).find(|&id| id != leader).unwrap();
         sim.pause(follower);
         sim.run_until(SimTime::from_secs(22));
-        sim.crash(follower);
+        sim.crash_restart(follower);
         sim.resume(follower);
         sim.run_until(SimTime::from_secs(38));
         (
