@@ -152,8 +152,7 @@ fn partition_churn(ctx: &RunCtx) -> Report {
         let gaps = leaderless_intervals(&events, horizon);
         rows.push(vec![
             label.to_string(),
-            // Heals are counted as executed cuts.
-            format!("{}/{}", cuts + cycles, 2 * cycles),
+            format!("{cuts}/{cycles}"),
             format!("{:.1}", total_leaderless_secs(&gaps)),
             format!("{leader_changes}"),
             format!("{violations}"),

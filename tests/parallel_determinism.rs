@@ -64,7 +64,7 @@ const REPORT_PINS: &[(&str, u64)] = &[
     ("lagging_follower_catchup", 0x54ea_c7b4_a183_0bb7),
     ("lease_safety_partition", 0x7adb_d4f6_5226_c341),
     ("membership_churn", 0x821e_5a13_eb8b_3639),
-    ("partition_churn", 0x7975_76c0_aa75_b4ba),
+    ("partition_churn", 0xf87c_c70c_bb87_149a),
     ("pipeline_depth", 0x8331_591f_1b46_15c7),
     ("read_heavy_throughput", 0x85e8_0e88_9941_307f),
     ("shard_leader_failover", 0x0838_18f2_2c71_3d6a),
