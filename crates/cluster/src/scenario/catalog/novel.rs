@@ -100,8 +100,9 @@ fn geo_asymmetric(ctx: &RunCtx) -> Report {
 /// one follower are repeatedly cut away and healed on a fixed cadence.
 ///
 /// This is the classic hazard scenario for aggressive election timeouts:
-/// every heal readmits a stale ex-leader. The report checks availability (leaderless seconds)
-/// and election safety (at most one leader per term) across the churn.
+/// every heal readmits a stale ex-leader. The report checks availability
+/// (leaderless seconds) and election safety (at most one leader per term)
+/// across the churn.
 pub const PARTITION_CHURN: Scenario = Scenario {
     name: "partition_churn",
     describe: "flapping leader-partition churn: repeated cut/heal cycles, safety + availability",
