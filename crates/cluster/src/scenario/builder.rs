@@ -442,7 +442,7 @@ mod tests {
             let trace = sim.client_trace().expect("client attached");
             assert!(trace.len() > 2000, "recorded {} ops", trace.len());
             assert!(trace.iter().any(|op| op.write) && trace.iter().any(|op| !op.write));
-            assert_eq!(stale_read_violations(&trace), 0);
+            assert_eq!(stale_read_violations(trace), 0);
             let stats = sim.shard_stats().expect("client attached");
             assert!(stats.iter().all(|s| s.completed > 0), "every shard serves");
         }

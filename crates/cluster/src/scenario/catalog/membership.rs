@@ -171,12 +171,12 @@ fn elastic_scaleout(ctx: &RunCtx) -> Report {
     let t_rec1 = sim.now();
 
     let trace = wired(sim.client_trace(), "the workload was built `.recording()`");
-    let baseline = window_rate(&trace, t_base0, t_base1);
-    let during = window_rate(&trace, t_base1, t_during1);
-    let recovered = window_rate(&trace, t_during1, t_rec1);
+    let baseline = window_rate(trace, t_base0, t_base1);
+    let during = window_rate(trace, t_base1, t_during1);
+    let recovered = window_rate(trace, t_during1, t_rec1);
     let events = sim.events();
     let safety = election_safety_violations(&events);
-    let stale = stale_read_violations(&trace);
+    let stale = stale_read_violations(trace);
 
     let mut report = Report::new(ELASTIC_SCALEOUT.name);
     report.table(
@@ -520,10 +520,10 @@ fn membership_churn(ctx: &RunCtx) -> Report {
     let trace = wired(sim.client_trace(), "the workload was built `.recording()`");
     let events = sim.events();
     let safety = election_safety_violations(&events);
-    let stale = stale_read_violations(&trace);
+    let stale = stale_read_violations(trace);
     let final_leader = wired(sim.leader(), "the cluster ends led");
     let final_m = sim.membership(final_leader);
-    let closing_rate = window_rate(&trace, t_close0, t_end);
+    let closing_rate = window_rate(trace, t_close0, t_end);
 
     let mut report = Report::new(MEMBERSHIP_CHURN.name);
     report.table(

@@ -204,7 +204,7 @@ fn offload_run(seed: u64, fanout: bool, hold: Duration) -> OffloadRun {
         reads_per_server: (0..sim.n_servers())
             .map(|id| sim.with_server(id, |s| s.reads_served()))
             .collect(),
-        violations: stale_read_violations(&trace),
+        violations: stale_read_violations(trace),
         completed: sim
             .client_steps()
             .map(|steps| steps.iter().map(|s| s.completed).sum())
@@ -380,7 +380,7 @@ fn lease_trial(seed: u64) -> LeaseTrial {
         old_leader_lease_reads: lease_reads_before,
         writes_during_partition,
         reads_after_new_commits,
-        violations: stale_read_violations(&trace),
+        violations: stale_read_violations(trace),
     }
 }
 

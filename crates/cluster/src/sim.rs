@@ -283,23 +283,27 @@ impl ClusterSim {
         })
     }
 
-    /// Per-step records of the client (`None` without a workload).
+    /// Per-step records of the client (`None` without a workload),
+    /// borrowed from the client.
     #[must_use]
-    pub fn client_steps(&self) -> Option<Vec<StepRecord>> {
-        self.client().map(|c| c.steps().to_vec())
+    pub fn client_steps(&self) -> Option<&[StepRecord]> {
+        self.client().map(ClientHost::steps)
     }
 
-    /// The client's recorded operation trace (`None` without a client;
-    /// empty unless the workload set `record_trace`).
+    /// The client's recorded operation trace, borrowed from the client
+    /// (`None` without a client; empty unless the workload set
+    /// `record_trace`). Not copied: a recorded trace can be the largest
+    /// thing a run holds, and a copy would sit beside it at the peak.
     #[must_use]
-    pub fn client_trace(&self) -> Option<Vec<OpRecord>> {
-        self.client().map(|c| c.trace().to_vec())
+    pub fn client_trace(&self) -> Option<&[OpRecord]> {
+        self.client().map(ClientHost::trace)
     }
 
-    /// Per-shard client counters (`None` without a workload).
+    /// Per-shard client counters (`None` without a workload), borrowed
+    /// from the client.
     #[must_use]
-    pub fn shard_stats(&self) -> Option<Vec<ShardStats>> {
-        self.client().map(|c| c.shard_stats().to_vec())
+    pub fn shard_stats(&self) -> Option<&[ShardStats]> {
+        self.client().map(ClientHost::shard_stats)
     }
 
     /// Completed requests per shard (`None` without a workload).
@@ -585,21 +589,17 @@ impl<A: App, C: Client<A>> ClusterSim<A, C> {
         self.servers().map(ServerHost::conf_rejections).sum()
     }
 
-    /// Recorded events of one shard's group, merged and sorted by time,
+    /// Recorded events of one shard's group, merged in `(time, id)` order,
     /// with *group-local* node ids — the shape
     /// [`extract_failover`](crate::observers::extract_failover) and the
     /// safety checks expect.
     #[must_use]
     pub fn shard_events(&self, shard: ShardId) -> Vec<(SimTime, NodeId, RaftEvent)> {
         let base = self.map.group_base(shard);
-        let mut out = Vec::new();
-        for id in members(self.map, &self.spares, shard) {
-            for &(t, e) in self.server(id).events() {
-                out.push((t, id - base, e));
-            }
-        }
-        out.sort_by_key(|&(t, id, _)| (t, id));
-        out
+        let mut streams: Vec<_> = members(self.map, &self.spares, shard)
+            .map(|id| (id - base, self.server(id).events()))
+            .collect();
+        merge_by_time(&mut streams)
     }
 
     /// Shard 0's events — every event of a single-group cluster.
@@ -708,11 +708,34 @@ impl<A: App, C: Client<A>> ClusterSim<A, C> {
     }
 }
 
+/// Merge per-server event streams, each already in time order, into one
+/// Vec ordered by `(time, id)`; events of one server at one instant keep
+/// their recorded order. The ids are distinct, so this is exactly a stable
+/// sort of the concatenation by `(time, id)`, without its scratch buffer
+/// or the regrowth of pushing into an unsized Vec.
+fn merge_by_time<E: Copy>(streams: &mut [(NodeId, &[(SimTime, E)])]) -> Vec<(SimTime, NodeId, E)> {
+    debug_assert!(streams
+        .iter()
+        .all(|(_, s)| s.windows(2).all(|w| w[0].0 <= w[1].0)));
+    let mut out = Vec::with_capacity(streams.iter().map(|(_, s)| s.len()).sum());
+    while let Some((id, rest)) = streams
+        .iter_mut()
+        .filter(|(_, s)| !s.is_empty())
+        .min_by_key(|(id, s)| (s[0].0, *id))
+    {
+        let (t, e) = rest[0];
+        *rest = &rest[1..];
+        out.push((t, *id, e));
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::observers::election_safety_violations;
     use crate::scenario::builder::ScenarioBuilder;
+    use proptest::prelude::*;
 
     fn stable_cluster(tuning: TuningConfig, seed: u64) -> ClusterSim {
         let cfg = ClusterConfig::stable(5, tuning, Duration::from_millis(100), seed);
@@ -956,5 +979,77 @@ mod tests {
             "latency {}",
             s.latency_ms.mean()
         );
+    }
+
+    #[test]
+    fn read_outs_borrow_the_clients_storage() {
+        let cfg = ClusterConfig::stable(
+            3,
+            TuningConfig::raft_default(),
+            Duration::from_millis(10),
+            5,
+        )
+        .with_workload(WorkloadSpec::steady(200.0, Duration::from_secs(3)).recording());
+        let mut sim = ClusterSim::new(&cfg);
+        sim.run_until(SimTime::from_secs(4));
+        let client = sim.client().expect("client attached");
+        // A copy would live at another address; `ptr::eq` on slices also
+        // compares lengths, and a non-empty trace rules out two dangling
+        // empty slices comparing equal.
+        let trace = sim.client_trace().expect("client attached");
+        assert!(!trace.is_empty());
+        assert!(std::ptr::eq(trace, client.trace()));
+        assert!(std::ptr::eq(
+            sim.client_steps().expect("client attached"),
+            client.steps()
+        ));
+        assert!(std::ptr::eq(
+            sim.shard_stats().expect("client attached"),
+            client.shard_stats()
+        ));
+    }
+
+    /// The body `merge_by_time` replaced: push every stream, then sort
+    /// stably by `(time, id)`.
+    fn push_then_sort(streams: &[(NodeId, &[(SimTime, u32)])]) -> Vec<(SimTime, NodeId, u32)> {
+        let mut out = Vec::new();
+        for &(id, events) in streams {
+            for &(t, e) in events {
+                out.push((t, id, e));
+            }
+        }
+        out.sort_by_key(|&(t, id, _)| (t, id));
+        out
+    }
+
+    proptest! {
+        #[test]
+        fn prop_merge_by_time_matches_push_then_stable_sort(
+            times in proptest::collection::vec(proptest::collection::vec(0u64..6, 0..12), 1..7),
+            first_id in 0usize..4,
+            descending in proptest::bool::ANY,
+        ) {
+            // Six instants for up to twelve events per server: ties within
+            // a server and across servers are the common case. Ids come in
+            // either order, as members and spares do.
+            let owned: Vec<(NodeId, Vec<(SimTime, u32)>)> = times
+                .into_iter()
+                .enumerate()
+                .map(|(k, mut ts)| {
+                    ts.sort_unstable();
+                    let id = if descending { first_id + 20 - 2 * k } else { first_id + 2 * k };
+                    let events = ts
+                        .into_iter()
+                        .enumerate()
+                        .map(|(j, t)| (SimTime::from_millis(t), (100 * k + j) as u32))
+                        .collect();
+                    (id, events)
+                })
+                .collect();
+            let mut streams: Vec<(NodeId, &[(SimTime, u32)])> =
+                owned.iter().map(|(id, v)| (*id, v.as_slice())).collect();
+            let want = push_then_sort(&streams);
+            prop_assert_eq!(merge_by_time(&mut streams), want);
+        }
     }
 }

@@ -142,7 +142,10 @@ pub enum Payload<C, S> {
     /// Replication acknowledgement (TCP).
     AppendResp(AppendResp),
     /// Full-state catch-up for followers behind the compaction horizon (TCP).
-    InstallSnapshot(InstallSnapshot<S>),
+    /// Boxed: it is by far the largest variant and the rarest, and every
+    /// message is moved hop by hop through the fabric, so inline it would
+    /// set the size of all of them.
+    InstallSnapshot(Box<InstallSnapshot<S>>),
     /// Pre-vote or vote request (TCP).
     RequestVote(RequestVote),
     /// Pre-vote or vote response (TCP).
@@ -233,14 +236,14 @@ mod tests {
         assert_eq!(vote.channel(true), Channel::Tcp);
         assert_eq!(vote.channel(false), Channel::Tcp);
         // Snapshots are bulk transfers: always the reliable channel.
-        let snap: Payload<u32, ()> = Payload::InstallSnapshot(InstallSnapshot {
+        let snap: Payload<u32, ()> = Payload::InstallSnapshot(Box::new(InstallSnapshot {
             term: 2,
             leader: 0,
             last_included_index: 10,
             last_included_term: 2,
             membership: Membership::initial(&[0, 1, 2], &[]),
             data: (),
-        });
+        }));
         assert_eq!(snap.channel(true), Channel::Tcp);
         assert_eq!(snap.kind(), "install_snapshot");
         assert_eq!(snap.term(), 2);

@@ -355,7 +355,7 @@ impl<SM: StateMachine> RaftNode<SM> {
             Payload::HeartbeatResp(resp) => self.on_heartbeat_resp(now, from, resp, &mut fx),
             Payload::AppendEntries(ae) => self.on_append_entries(now, from, ae, &mut fx),
             Payload::AppendResp(resp) => self.on_append_resp(now, from, resp, &mut fx),
-            Payload::InstallSnapshot(snap) => self.on_install_snapshot(now, from, snap, &mut fx),
+            Payload::InstallSnapshot(snap) => self.on_install_snapshot(now, from, *snap, &mut fx),
             Payload::RequestVote(rv) => self.on_request_vote(now, from, rv, &mut fx),
             Payload::RequestVoteResp(resp) => self.on_vote_resp(now, from, resp, &mut fx),
         }

@@ -49,7 +49,12 @@ impl<SM: StateMachine> RaftNode<SM> {
             membership: self.membership_at(last_included_index),
             data,
         };
-        send(&self.config, fx, to, Payload::InstallSnapshot(msg));
+        send(
+            &self.config,
+            fx,
+            to,
+            Payload::InstallSnapshot(Box::new(msg)),
+        );
     }
 
     /// Follower side of snapshot transfer: adopt the leader, reset the log
@@ -290,14 +295,14 @@ mod tests {
         let fx = n.step(
             ms(10),
             0,
-            Payload::InstallSnapshot(InstallSnapshot {
+            Payload::InstallSnapshot(Box::new(InstallSnapshot {
                 term: 3,
                 leader: 0,
                 last_included_index: 7,
                 last_included_term: 2,
                 membership: Membership::initial(&[0, 1, 2], &[]),
                 data: vec![(7, 77)],
-            }),
+            })),
         );
         assert_eq!(n.role(), Role::Follower);
         assert_eq!(n.leader_id(), Some(0));
@@ -363,14 +368,14 @@ mod tests {
         let fx = n.step(
             ms(2),
             0,
-            Payload::InstallSnapshot(InstallSnapshot {
+            Payload::InstallSnapshot(Box::new(InstallSnapshot {
                 term: 2,
                 leader: 0,
                 last_included_index: 3,
                 last_included_term: 2,
                 membership: Membership::initial(&[0, 1, 2], &[]),
                 data: vec![(3, 33)],
-            }),
+            })),
         );
         assert_eq!(n.log().last_index(), 5, "log untouched");
         assert_eq!(n.state_machine().applied, applied_before, "state untouched");
@@ -466,14 +471,14 @@ mod tests {
         let _ = n.step(
             ms(3),
             2,
-            Payload::InstallSnapshot(InstallSnapshot {
+            Payload::InstallSnapshot(Box::new(InstallSnapshot {
                 term: 2,
                 leader: 2,
                 last_included_index: 7,
                 last_included_term: 2,
                 membership: Membership::initial(&[0, 1, 2], &[]),
                 data: vec![(7, 70)],
-            }),
+            })),
         );
         assert_eq!(n.last_applied(), 7);
         assert_eq!(n.state_machine().snapshots.get(), 0, "nothing was cut");

@@ -1,0 +1,42 @@
+//! Layout budgets of the types a run stores once per operation.
+//!
+//! On the long workloads peak memory is these sizes times the operation
+//! count, so a field that widens one of them shows here before it shows
+//! as RSS. Each exact budget is the size the type has now: raise one only
+//! with a reason.
+
+use std::mem::size_of;
+
+use bytes::Bytes;
+use dynatune_broker::{BrokerState, Record};
+use dynatune_cluster::{ClusterMsg, OpRecord};
+use dynatune_kv::{KvCommand, KvStore, Request, VersionedValue};
+use dynatune_raft::Entry;
+
+#[test]
+fn per_operation_types_keep_their_budgets() {
+    assert_eq!(size_of::<KvCommand>(), 56, "KvCommand");
+    assert_eq!(size_of::<VersionedValue>(), 40, "VersionedValue");
+    // One bucket of `KvStore`'s hash index.
+    assert_eq!(size_of::<(Bytes, VersionedValue)>(), 56, "KvStore bucket");
+    assert_eq!(size_of::<Entry<Request<KvCommand>>>(), 144, "KV log entry");
+    assert_eq!(size_of::<OpRecord>(), 48, "OpRecord");
+    assert_eq!(size_of::<Record>(), 32, "broker Record");
+}
+
+/// Every message is moved through outbox, route, slab and dispatch, so
+/// its size is copied at each hop; the snapshot variant is boxed to keep
+/// the rare large body out of it.
+#[test]
+fn a_cluster_message_stays_small() {
+    assert!(
+        size_of::<ClusterMsg<KvStore>>() <= 88,
+        "{}",
+        size_of::<ClusterMsg<KvStore>>()
+    );
+    assert!(
+        size_of::<ClusterMsg<BrokerState>>() <= 88,
+        "{}",
+        size_of::<ClusterMsg<BrokerState>>()
+    );
+}

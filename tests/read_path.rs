@@ -72,7 +72,7 @@ fn retried_lease_read_after_failover_is_linearizable() {
         .count();
     assert!(after_failure > 100, "reads must flow after failover");
     assert_eq!(
-        stale_read_violations(&trace),
+        stale_read_violations(trace),
         0,
         "a retried read must observe post-failover state, never a cached value"
     );
@@ -115,7 +115,7 @@ fn fanned_out_follower_reads_are_linearizable() {
         );
     }
     let trace = sim.client_trace().expect("trace recorded");
-    assert_eq!(stale_read_violations(&trace), 0);
+    assert_eq!(stale_read_violations(trace), 0);
 }
 
 /// A tuned cluster keeps the lease strategy yet serves its leader reads by
@@ -136,7 +136,7 @@ fn tuned_cluster_serves_reads_by_read_index_not_lease() {
     assert_eq!(reads.lease, 0, "lease path must stay cold: {reads:?}");
     let trace = sim.client_trace().expect("trace recorded");
     assert!(trace.iter().filter(|op| !op.write).count() > 1000);
-    assert_eq!(stale_read_violations(&trace), 0);
+    assert_eq!(stale_read_violations(trace), 0);
 }
 
 /// The legacy log-replicated read path remains available as the ablation
@@ -149,5 +149,5 @@ fn log_strategy_still_serves_reads_through_the_log() {
     assert!(reads.log > 0, "logged reads must be counted: {reads:?}");
     assert_eq!(reads.lease + reads.read_index + reads.follower, 0);
     let trace = sim.client_trace().expect("trace recorded");
-    assert_eq!(stale_read_violations(&trace), 0);
+    assert_eq!(stale_read_violations(trace), 0);
 }
