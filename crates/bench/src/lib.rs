@@ -193,7 +193,7 @@ pub fn select_names(all: &[&str], patterns: &[String]) -> Result<Vec<String>, St
 }
 
 /// Write a CSV file under the output directory, creating it if needed.
-pub fn write_csv(dir: &Path, name: &str, content: &str) {
+fn write_csv(dir: &Path, name: &str, content: &str) {
     std::fs::create_dir_all(dir).expect("create output dir");
     let path = dir.join(name);
     std::fs::write(&path, content).expect("write csv");

@@ -149,7 +149,7 @@ impl BrokerWorkload {
 
     /// Total partitions across all topics.
     #[must_use]
-    pub fn total_partitions(&self) -> usize {
+    fn total_partitions(&self) -> usize {
         self.topics.iter().map(|(_, n)| *n as usize).sum()
     }
 
@@ -707,6 +707,7 @@ impl BrokerClusterSim {
 mod tests {
     use super::*;
     use crate::scenario::builder::{NetPlan, ScenarioBuilder};
+    use crate::server::{ReadCounters, ServerHost};
     use dynatune_raft::StateMachine;
     use proptest::prelude::*;
     use std::collections::{BTreeMap, BTreeSet};
@@ -798,7 +799,10 @@ mod tests {
     fn fanout_spreads_fetches_off_the_leader() {
         let mut sim = broker_sim(4, true, 7);
         sim.run_until(SimTime::from_secs(12));
-        let reads = sim.read_counters();
+        let reads = sim
+            .servers()
+            .map(ServerHost::reads_served)
+            .fold(ReadCounters::default(), ReadCounters::merged);
         assert!(
             reads.follower > 0,
             "fan-out consumers must fetch from followers: {reads:?}"
@@ -811,12 +815,11 @@ mod tests {
 
     /// The produce batch at `index` of server `id`'s log, if it holds one.
     fn batch_at(sim: &BrokerClusterSim, id: NodeId, index: u64) -> Option<Arc<[Record]>> {
-        sim.with_server(id, |s| {
-            match &s.node().log().entry_at(index)?.data.as_ref()?.cmd {
-                BrokerCommand::Produce { records, .. } => Some(Arc::clone(records)),
-                _ => None,
-            }
-        })
+        let entry = sim.server(id).node().log().entry_at(index)?;
+        match &entry.data.as_ref()?.cmd {
+            BrokerCommand::Produce { records, .. } => Some(Arc::clone(records)),
+            _ => None,
+        }
     }
 
     /// Every record `state` holds, mapped by `f` and keyed by `(topic,
@@ -838,7 +841,7 @@ mod tests {
 
     /// Every record server `id` has applied.
     fn applied_records(sim: &BrokerClusterSim, id: NodeId) -> BTreeMap<(String, u32, u64), Record> {
-        sim.with_server(id, |s| applied(s.node().state_machine(), Record::clone))
+        applied(sim.server(id).node().state_machine(), Record::clone)
     }
 
     type Addresses = BTreeMap<(String, u32, u64), *const Record>;
@@ -846,31 +849,29 @@ mod tests {
     /// Where each record server `id` has applied lives, and where the same
     /// records live in its snapshot and in its answer to a fetch from 0.
     fn record_addresses(sim: &BrokerClusterSim, id: NodeId) -> [Addresses; 3] {
-        sim.with_server(id, |s| {
-            let sm = s.node().state_machine();
-            let mut fetched = BTreeMap::new();
-            for (topic, t) in sm.topics() {
-                for (partition, _) in t.partitions() {
-                    let fetch = BrokerCommand::Fetch {
-                        topic: topic.to_string(),
-                        partition,
-                        offset: 0,
-                        max_records: usize::MAX,
-                    };
-                    let Some(BrokerResponse::Records(fx)) = sm.read(&fetch) else {
-                        panic!("a fetch answers with records");
-                    };
-                    for (off, r) in fx.records() {
-                        fetched.insert((topic.to_string(), partition, off), ptr::from_ref(r));
-                    }
+        let sm = sim.server(id).node().state_machine();
+        let mut fetched = BTreeMap::new();
+        for (topic, t) in sm.topics() {
+            for (partition, _) in t.partitions() {
+                let fetch = BrokerCommand::Fetch {
+                    topic: topic.to_string(),
+                    partition,
+                    offset: 0,
+                    max_records: usize::MAX,
+                };
+                let Some(BrokerResponse::Records(fx)) = sm.read(&fetch) else {
+                    panic!("a fetch answers with records");
+                };
+                for (off, r) in fx.records() {
+                    fetched.insert((topic.to_string(), partition, off), ptr::from_ref(r));
                 }
             }
-            [
-                applied(sm, ptr::from_ref),
-                applied(&sm.snapshot(), ptr::from_ref),
-                fetched,
-            ]
-        })
+        }
+        [
+            applied(sm, ptr::from_ref),
+            applied(&sm.snapshot(), ptr::from_ref),
+            fetched,
+        ]
     }
 
     #[test]
@@ -883,7 +884,7 @@ mod tests {
             assert_eq!(replicas.len(), 3);
             let last = replicas
                 .iter()
-                .map(|&id| sim.with_server(id, |s| s.node().log().last_index()))
+                .map(|&id| sim.server(id).node().log().last_index())
                 .max()
                 .unwrap_or(0);
             let mut in_log = BTreeSet::new();

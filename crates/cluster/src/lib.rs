@@ -24,6 +24,14 @@
 //! (a placement row and a leader guess per shard), the redirect walk and
 //! the retry budget — three resends for KV, unbounded for the broker.
 //!
+//! A run is read by borrowing its parts: [`ClusterSim::server`] and
+//! [`ClusterSim::servers`] lend the [`ServerHost`]s and
+//! [`ClusterSim::client`] lends the client, and a caller folds what it
+//! needs (`sim.servers().map(ServerHost::log_len).max()`). The cluster
+//! itself answers only what needs the world: placement and leaders, the
+//! merged event streams, timeouts and heartbeat intervals across live
+//! servers, and the network counters.
+//!
 //! State keyed by ids this crate hands out in increasing order — the
 //! engine's live requests, a server's proposals by log index, its read
 //! grants and forwarded reads — lives in one crate-private slot ring that

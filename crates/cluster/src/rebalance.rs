@@ -129,7 +129,8 @@ impl Rebalancer {
         let Some(leader) = sim.leader_of(self.shard) else {
             return;
         };
-        let membership = sim.membership(leader);
+        // Owned: proposing below needs the cluster mutably.
+        let membership = sim.server(leader).node().membership().clone();
         let add = self.add_local;
         let remove = self.remove_local;
         match self.phase {
@@ -146,11 +147,9 @@ impl Rebalancer {
                     self.phase = RebalancePhase::AddLearner;
                     return;
                 }
-                let caught_up = sim.with_server(leader, |s| {
-                    let node = s.node();
-                    let matched = node.progress_of(add).map_or(0, |p| p.match_index);
-                    matched > 0 && matched + CATCH_UP_SLACK >= node.log().last_index()
-                });
+                let node = sim.server(leader).node();
+                let matched = node.progress_of(add).map_or(0, |p| p.match_index);
+                let caught_up = matched > 0 && matched + CATCH_UP_SLACK >= node.log().last_index();
                 if caught_up {
                     self.phase = RebalancePhase::BeginJoint;
                 }
@@ -181,9 +180,8 @@ impl Rebalancer {
                     };
                     return;
                 }
-                let committed = sim.with_server(leader, |s| {
-                    s.node().membership_index() <= s.node().commit_index()
-                });
+                let node = sim.server(leader).node();
+                let committed = node.membership_index() <= node.commit_index();
                 if committed {
                     self.phase = RebalancePhase::Finalize;
                 }
@@ -210,15 +208,16 @@ impl Rebalancer {
                     self.phase = RebalancePhase::BeginJoint;
                     return;
                 }
-                let committed = sim.with_server(leader, |s| {
-                    s.node().membership_index() <= s.node().commit_index()
-                });
+                let node = sim.server(leader).node();
+                let committed = node.membership_index() <= node.commit_index();
                 if committed && !membership.contains(remove) {
                     self.phase = RebalancePhase::Repoint;
                 }
             }
             RebalancePhase::Repoint => {
-                sim.repoint_shard(self.shard, self.remove, self.add);
+                if let Some(client) = sim.client_mut() {
+                    client.repoint(self.shard, self.remove, self.add);
+                }
                 self.phase = RebalancePhase::Done;
             }
             RebalancePhase::Done => {}
@@ -268,7 +267,7 @@ mod tests {
         // Every live member of the group agrees on the final config.
         let base = sim.map().group_base(0);
         for id in [leader, spare] {
-            let m = sim.membership(id);
+            let m = sim.server(id).node().membership();
             assert!(!m.is_joint(), "host {id} still joint");
             assert!(m.is_voter(spare - base), "host {id}: spare not a voter");
             assert!(
@@ -277,9 +276,11 @@ mod tests {
             );
         }
         // Traffic kept flowing through the move and still completes after.
-        let before = sim.completed_per_shard().expect("client attached")[0];
+        let completed =
+            |sim: &ClusterSim| sim.client().expect("client attached").shard_stats()[0].completed;
+        let before = completed(&sim);
         sim.run_for(Duration::from_secs(5));
-        let after = sim.completed_per_shard().expect("client attached")[0];
+        let after = completed(&sim);
         assert!(
             after > before + 300,
             "shard 0 serves after the move ({before} -> {after})"

@@ -48,7 +48,9 @@ pub enum NetPlan {
 
 impl NetPlan {
     /// The paper's §IV-A stable mesh: uniform constant RTT, no loss, and
-    /// the small residual jitter a real kernel/bridge leaves behind.
+    /// the small residual jitter a real kernel/bridge leaves behind —
+    /// "without intentionally introducing jitter" (§IV-B) still leaves 2 %.
+    /// [`ClusterConfig::stable`] is built on it.
     #[must_use]
     pub fn stable(rtt: Duration) -> Self {
         NetPlan::Uniform(LinkSchedule::constant(
@@ -102,7 +104,7 @@ impl NetPlan {
     /// The congestion model this network implies unless overridden: WAN
     /// bursts on geo plans, nothing on uniform meshes.
     #[must_use]
-    pub fn default_congestion(&self) -> CongestionConfig {
+    fn default_congestion(&self) -> CongestionConfig {
         match self {
             NetPlan::Geo(_) | NetPlan::GeoDegraded { .. } => CongestionConfig::wan_default(),
             NetPlan::Uniform(_) => CongestionConfig::disabled(),
@@ -399,8 +401,8 @@ mod tests {
     #[test]
     fn raft_knobs_reach_every_server_of_every_cluster_shape() {
         fn on_every_server<A: crate::App, C: crate::Client<A>>(sim: &ClusterSim<A, C>) {
-            for id in 0..sim.n_servers() {
-                let pre_vote = sim.with_server(id, |s| s.node().config().pre_vote);
+            for (id, server) in sim.servers().enumerate() {
+                let pre_vote = server.node().config().pre_vote;
                 assert!(!pre_vote, "server {id} lost .pre_vote(false)");
             }
         }
@@ -439,11 +441,12 @@ mod tests {
             sim.pause(victim);
             sim.run_until(SimTime::from_secs(16));
             assert_ne!(sim.leader_of(2), Some(victim), "shard 2 fails over");
-            let trace = sim.client_trace().expect("client attached");
+            let client = sim.client().expect("client attached");
+            let trace = client.trace();
             assert!(trace.len() > 2000, "recorded {} ops", trace.len());
             assert!(trace.iter().any(|op| op.write) && trace.iter().any(|op| !op.write));
             assert_eq!(stale_read_violations(trace), 0);
-            let stats = sim.shard_stats().expect("client attached");
+            let stats = client.shard_stats();
             assert!(stats.iter().all(|s| s.completed > 0), "every shard serves");
         }
     }

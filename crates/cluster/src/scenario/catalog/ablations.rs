@@ -180,7 +180,7 @@ fn min_list_size(values: &[usize], seed: u64) -> Vec<WarmupRow> {
                     leader_at.get_or_insert(t);
                     let all_warmed = (0..5)
                         .filter(|&i| i != leader)
-                        .all(|i| sim.tuning_snapshot(i).warmed);
+                        .all(|i| sim.server(i).node().tuning_snapshot().warmed);
                     if all_warmed {
                         warmed_at = Some(t);
                     }
@@ -264,7 +264,9 @@ fn transport(seed: u64) -> [TransportRow; 2] {
         sim.run_until(SimTime::from_secs(120));
         let leader = wired(sim.leader(), "a failure-free 120s run keeps its leader");
         let followers = (0..5).filter(|&id| id != leader);
-        let loss_sum: f64 = followers.map(|id| sim.tuning_snapshot(id).loss_rate).sum();
+        let loss_sum: f64 = followers
+            .map(|id| sim.server(id).node().tuning_snapshot().loss_rate)
+            .sum();
         let h = sim
             .leader_mean_heartbeat_interval()
             .map_or(f64::NAN, |d| d.as_secs_f64() * 1e3);

@@ -11,6 +11,7 @@
 use super::wired;
 use crate::broker::{BrokerWorkload, ConsumerStats};
 use crate::scenario::{NetPlan, Report, RunCtx, Scenario, ScenarioBuilder};
+use crate::server::{ReadCounters, ServerHost};
 use dynatune_core::TuningConfig;
 use dynatune_simnet::SimTime;
 use rayon::prelude::*;
@@ -343,13 +344,16 @@ fn fanout_run(seed: u64, groups: usize, fanout: bool, hold: Duration) -> FanoutR
     sim.run_until(to);
     // Mean CPU of the current group leaders over the workload window
     // (stable net, no faults: leadership does not move mid-run).
-    let leaders: Vec<_> = sim.leaders().into_iter().flatten().collect();
+    let leaders: Vec<_> = (0..sim.shards()).filter_map(|s| sim.leader_of(s)).collect();
     let leader_cpu_pct = leaders
         .iter()
-        .map(|&id| sim.with_server(id, |s| s.cpu().mean_utilization(from, to)))
+        .map(|&id| sim.server(id).cpu().mean_utilization(from, to))
         .sum::<f64>()
         / leaders.len().max(1) as f64;
-    let reads = sim.read_counters();
+    let reads = sim
+        .servers()
+        .map(ServerHost::reads_served)
+        .fold(ReadCounters::default(), ReadCounters::merged);
     let group_stats = wired(sim.consumer_stats(), "the workload runs consumer groups");
     FanoutRun {
         leader_cpu_pct,

@@ -18,6 +18,7 @@
 
 use super::wired;
 use crate::scenario::{Report, RunCtx, Scenario, ScenarioBuilder};
+use crate::server::ServerHost;
 use crate::sim::{ClusterSim, WorkloadSpec};
 use dynatune_core::TuningConfig;
 use dynatune_raft::NodeId;
@@ -53,14 +54,15 @@ fn run_tracking_log(sim: &mut ClusterSim, deadline: SimTime, max_log: &mut usize
     while sim.now() < deadline {
         let step = (sim.now() + Duration::from_millis(250)).min(deadline);
         sim.run_until(step);
-        *max_log = (*max_log).max(sim.max_log_len());
+        let longest = sim.servers().map(ServerHost::log_len).max().unwrap_or(0);
+        *max_log = (*max_log).max(longest);
     }
 }
 
 /// Digests of all live servers' KV state (replica-convergence check).
 fn digests(sim: &ClusterSim) -> Vec<u64> {
-    (0..sim.n_servers())
-        .map(|id| sim.with_server(id, |s| s.node().state_machine().digest()))
+    sim.servers()
+        .map(|s| s.node().state_machine().digest())
         .collect()
 }
 
@@ -96,8 +98,8 @@ fn catchup_trial(seed: u64) -> CatchupTrial {
     sim.pause(follower);
     run_tracking_log(&mut sim, SimTime::from_secs(25), &mut max_log);
     let mid_leader = wired(sim.leader(), "a paused follower cannot cost the majority");
-    let first_index = sim.with_server(mid_leader, |s| s.node().log().first_index());
-    let follower_match = sim.with_server(follower, |s| s.node().log().last_index());
+    let first_index = sim.server(mid_leader).node().log().first_index();
+    let follower_match = sim.server(follower).node().log().last_index();
     let compacted_past_follower = first_index > follower_match;
     // Restart: volatile state is lost (a crash, not just a sleep) while the
     // applied store survives at its stale index; the node rejoins and must
@@ -107,15 +109,13 @@ fn catchup_trial(seed: u64) -> CatchupTrial {
     sim.resume(follower);
     run_tracking_log(&mut sim, SimTime::from_secs(45), &mut max_log);
     let ds = digests(&sim);
+    let leader = wired(sim.leader(), "the healed cluster re-elects well within 45s");
     CatchupTrial {
         max_log_len: max_log,
-        snapshots_sent: sim.total_snapshots_sent(),
+        snapshots_sent: sim.servers().map(ServerHost::snapshots_sent).sum(),
         compacted_past_follower,
-        follower_applied: sim.with_server(follower, |s| s.node().last_applied()),
-        leader_commit: sim.with_server(
-            wired(sim.leader(), "the healed cluster re-elects well within 45s"),
-            |s| s.node().commit_index(),
-        ),
+        follower_applied: sim.server(follower).node().last_applied(),
+        leader_commit: sim.server(leader).node().commit_index(),
         converged: ds.iter().all(|&d| d == ds[0]),
     }
 }
@@ -237,15 +237,12 @@ fn churn_trial(seed: u64, cycles: usize) -> ChurnTrial {
     let end = SimTime::from_secs(churn_secs + 10);
     run_tracking_log(&mut sim, end, &mut max_log);
     let ds = digests(&sim);
-    let committed = sim
-        .client_steps()
-        .map(|steps| steps.iter().map(|s| s.completed).sum())
-        .unwrap_or(0);
+    let steps = wired(sim.client(), "the builder attached a workload client").steps();
     ChurnTrial {
         cycles,
         max_log_len: max_log,
-        snapshots_sent: sim.total_snapshots_sent(),
-        committed,
+        snapshots_sent: sim.servers().map(ServerHost::snapshots_sent).sum(),
+        committed: steps.iter().map(|s| s.completed).sum(),
         converged: ds.iter().all(|&d| d == ds[0]),
     }
 }

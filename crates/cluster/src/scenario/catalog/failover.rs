@@ -117,19 +117,19 @@ impl FailoverResult {
 
     /// Election time = OTS − detection (ms), the §IV-E decomposition.
     #[must_use]
-    pub fn election_time_ms(&self) -> f64 {
+    fn election_time_ms(&self) -> f64 {
         self.ots_stats().mean() - self.detection_stats().mean()
     }
 
     /// CDF of detection times.
     #[must_use]
-    pub fn detection_cdf(&self) -> EmpiricalCdf {
+    fn detection_cdf(&self) -> EmpiricalCdf {
         EmpiricalCdf::new(self.outcomes.iter().map(|o| o.detection_ms).collect())
     }
 
     /// CDF of OTS times.
     #[must_use]
-    pub fn ots_cdf(&self) -> EmpiricalCdf {
+    fn ots_cdf(&self) -> EmpiricalCdf {
         EmpiricalCdf::new(self.outcomes.iter().map(|o| o.ots_ms).collect())
     }
 }

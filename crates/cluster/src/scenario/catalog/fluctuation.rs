@@ -132,9 +132,10 @@ pub(super) fn measure_rtt_fluctuation(
 ) -> RttFlucSeries {
     // The schedule starts at t=0, so sampling starts immediately and the
     // figure shows the warm-up, as the paper's plots do.
+    let schedule = pattern.schedule(hold);
     let cluster_cfg = ScenarioBuilder::cluster(RTT_SERVERS)
         .tuning(tuning)
-        .net(NetPlan::uniform_schedule(pattern.schedule(hold)))
+        .net(NetPlan::uniform_schedule(schedule.clone()))
         .congestion(RTT_CONGESTION)
         .pre_vote(pre_vote)
         .seed(seed)
@@ -150,7 +151,7 @@ pub(super) fn measure_rtt_fluctuation(
         if let Some(rto) = kth_smallest_timeout_ms(&sim.randomized_timeouts(), k) {
             out_rto.push(rto);
             out_t.push(sim.now().as_secs_f64());
-            out_rtt.push(sim.probe_rtt().as_secs_f64() * 1e3);
+            out_rtt.push(schedule.params_at(sim.now()).rtt.as_secs_f64() * 1e3);
         }
     });
     let events = sim.events();
@@ -394,8 +395,8 @@ fn measure_loss_fluctuation(
     });
     let leader = wired(sim.leader(), "the staircase keeps its leader");
     let follower = usize::from(leader == 0);
-    let leader_cpu = sim.with_server(leader, |s| s.cpu().utilization_series());
-    let follower_cpu = sim.with_server(follower, |s| s.cpu().utilization_series());
+    let leader_cpu = sim.server(leader).cpu().utilization_series();
+    let follower_cpu = sim.server(follower).cpu().utilization_series();
     let events = sim.events();
     let elections_after_warmup = count_events(&events, SimTime::from_secs(10), horizon, |e| {
         matches!(e, RaftEvent::BecameLeader { .. })

@@ -24,6 +24,7 @@ use crate::client::OpRecord;
 use crate::observers::{election_safety_violations, stale_read_violations};
 use crate::rebalance::{Rebalancer, CATCH_UP_SLACK};
 use crate::scenario::{Report, RunCtx, Scenario, ScenarioBuilder};
+use crate::server::ServerHost;
 use crate::sim::{ClusterSim, WorkloadSpec};
 use dynatune_core::TuningConfig;
 use dynatune_kv::OpMix;
@@ -69,17 +70,15 @@ fn conf_step(sim: &mut ClusterSim, add: &[NodeId], remove: &[NodeId]) -> bool {
     let Some(leader) = sim.leader() else {
         return false;
     };
-    let m = sim.membership(leader);
+    let m = sim.server(leader).node().membership();
     if !m.is_joint() && add.iter().all(|&a| m.is_voter(a)) && remove.iter().all(|&x| !m.contains(x))
     {
         return true;
     }
     // At most one conf change may be uncommitted; wait instead of
     // collecting `InFlight` rejections.
-    let in_flight = sim.with_server(leader, |s| {
-        s.node().membership_index() > s.node().commit_index()
-    });
-    if in_flight {
+    let node = sim.server(leader).node();
+    if node.membership_index() > node.commit_index() {
         return false;
     }
     // The proposal results below are advisory: `false` only means no live
@@ -96,11 +95,8 @@ fn conf_step(sim: &mut ClusterSim, add: &[NodeId], remove: &[NodeId]) -> bool {
     // change on every learner being within the catch-up slack, mirroring
     // the raft layer's own promotion gate.
     let caught_up = add.iter().filter(|&&a| m.is_learner(a)).all(|&a| {
-        sim.with_server(leader, |s| {
-            let node = s.node();
-            let matched = node.progress_of(a).map_or(0, |p| p.match_index);
-            matched > 0 && matched + CATCH_UP_SLACK >= node.log().last_index()
-        })
+        let matched = node.progress_of(a).map_or(0, |p| p.match_index);
+        matched > 0 && matched + CATCH_UP_SLACK >= node.log().last_index()
     });
     if caught_up {
         sim.propose_conf_change(
@@ -170,13 +166,14 @@ fn elastic_scaleout(ctx: &RunCtx) -> Report {
     sim.run_for(window);
     let t_rec1 = sim.now();
 
-    let trace = wired(sim.client_trace(), "the workload was built `.recording()`");
+    let trace = wired(sim.client(), "the builder attached a workload client").trace();
     let baseline = window_rate(trace, t_base0, t_base1);
     let during = window_rate(trace, t_base1, t_during1);
     let recovered = window_rate(trace, t_during1, t_rec1);
     let events = sim.events();
     let safety = election_safety_violations(&events);
     let stale = stale_read_violations(trace);
+    let rejected: u64 = sim.servers().map(ServerHost::conf_rejections).sum();
 
     let mut report = Report::new(ELASTIC_SCALEOUT.name);
     report.table(
@@ -221,7 +218,7 @@ fn elastic_scaleout(ctx: &RunCtx) -> Report {
     report.headline(
         "conf proposals dropped/rejected",
         "reported",
-        &format!("{}", sim.conf_rejections()),
+        &format!("{rejected}"),
     );
     report.note(
         "the two spares idle on the fabric from t=0, join as learners, and are\n\
@@ -239,7 +236,7 @@ fn elastic_scaleout(ctx: &RunCtx) -> Report {
         "goodput did not recover after scale-out: {recovered:.0} vs baseline {baseline:.0}"
     );
     for id in 0..5 {
-        let m = sim.membership(id);
+        let m = sim.server(id).node().membership();
         assert!(!m.is_joint(), "server {id} stuck in the joint config");
         assert_eq!(
             m.voting_members(),
@@ -300,15 +297,14 @@ fn shard_rebalance(ctx: &RunCtx) -> Report {
     // it now stall until the client's retry timeout.
     sim.pause(victim);
     sim.run_for(Duration::from_secs(1));
-    sim.take_latency_window(0); // discard warm-up + transition samples
+    let attached = "the builder attached a shard client";
+    // Discard warm-up + transition samples.
+    wired(sim.client_mut(), attached).take_latency_window(0);
     sim.run_for(window);
-    let degraded = wired(
-        sim.take_latency_window(0),
-        "the builder attached a shard client",
-    );
+    let degraded = wired(sim.client_mut(), attached).take_latency_window(0);
 
     let spare = sim.map().n_servers(); // first world id past the map
-    let shard1_before = wired(sim.completed_per_shard(), "client attached")[1];
+    let shard1_before = wired(sim.client(), attached).shard_stats()[1].completed;
     let mut rb = Rebalancer::new(&sim, 0, spare, victim);
     for _ in 0..400 {
         if rb.is_done() {
@@ -319,13 +315,11 @@ fn shard_rebalance(ctx: &RunCtx) -> Report {
     }
     assert!(rb.is_done(), "rebalance stuck in {:?}", rb.phase());
 
-    sim.take_latency_window(0); // discard the transition window
+    // Discard the transition window.
+    wired(sim.client_mut(), attached).take_latency_window(0);
     sim.run_for(window);
-    let healed = wired(
-        sim.take_latency_window(0),
-        "the builder attached a shard client",
-    );
-    let shard1_after = wired(sim.completed_per_shard(), "client attached")[1];
+    let healed = wired(sim.client_mut(), attached).take_latency_window(0);
+    let shard1_after = wired(sim.client(), attached).shard_stats()[1].completed;
 
     assert!(
         !degraded.is_empty() && !healed.is_empty(),
@@ -383,7 +377,7 @@ fn shard_rebalance(ctx: &RunCtx) -> Report {
     let base = sim.map().group_base(0);
     let current_leader = wired(sim.leader_of(0), "shard 0 led after the move");
     for id in [current_leader, spare] {
-        let m = sim.membership(id);
+        let m = sim.server(id).node().membership();
         assert!(!m.is_joint(), "host {id} stuck in the joint config");
         assert!(m.is_voter(spare - base), "host {id}: spare not a voter");
         assert!(
@@ -457,7 +451,7 @@ fn membership_churn(ctx: &RunCtx) -> Report {
             leader = sim.leader();
         }
         let leader = wired(leader, "the cluster re-elects between churn rounds");
-        let m = sim.membership(leader);
+        let m = sim.server(leader).node().membership();
         let voters: Vec<NodeId> = m.voting_members().into_iter().collect();
         let members = m.members();
         let outsiders: Vec<NodeId> = universe
@@ -517,13 +511,14 @@ fn membership_churn(ctx: &RunCtx) -> Report {
     let t_close0 = sim.now();
     sim.run_for(Duration::from_secs(8));
     let t_end = sim.now();
-    let trace = wired(sim.client_trace(), "the workload was built `.recording()`");
+    let trace = wired(sim.client(), "the builder attached a workload client").trace();
     let events = sim.events();
     let safety = election_safety_violations(&events);
     let stale = stale_read_violations(trace);
     let final_leader = wired(sim.leader(), "the cluster ends led");
-    let final_m = sim.membership(final_leader);
+    let final_m = sim.server(final_leader).node().membership();
     let closing_rate = window_rate(trace, t_close0, t_end);
+    let rejected: u64 = sim.servers().map(ServerHost::conf_rejections).sum();
 
     let mut report = Report::new(MEMBERSHIP_CHURN.name);
     report.table(
@@ -539,7 +534,7 @@ fn membership_churn(ctx: &RunCtx) -> Report {
     report.headline(
         "conf proposals dropped/rejected across the churn",
         "reported",
-        &format!("{}", sim.conf_rejections()),
+        &format!("{rejected}"),
     );
     report.headline(
         "goodput in the closing window",
@@ -564,7 +559,7 @@ fn membership_churn(ctx: &RunCtx) -> Report {
     );
     for &id in &expected {
         assert_eq!(
-            sim.membership(id).voting_members(),
+            sim.server(id).node().membership().voting_members(),
             expected,
             "voter {id} disagrees on the final configuration"
         );

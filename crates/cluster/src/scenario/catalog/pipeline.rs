@@ -11,6 +11,7 @@
 
 use super::wired;
 use crate::scenario::{NetPlan, Report, RunCtx, Scenario, ScenarioBuilder};
+use crate::server::ServerHost;
 use crate::sim::WorkloadSpec;
 use dynatune_core::TuningConfig;
 use dynatune_kv::OpMix;
@@ -63,11 +64,11 @@ fn depth_run(seed: u64, window: usize, rtt: Duration, hold: Duration) -> DepthRu
         .build_sim();
     let end = SimTime::ZERO + Duration::from_secs(3) + hold + Duration::from_secs(2);
     sim.run_until(end);
-    let steps = wired(sim.client_steps(), "the builder attached a workload client");
+    let steps = wired(sim.client(), "the builder attached a workload client").steps();
     DepthRun {
         committed: steps.iter().map(|s| s.completed).sum(),
         hold_secs: hold.as_secs_f64(),
-        max_log_len: sim.max_log_len(),
+        max_log_len: sim.servers().map(ServerHost::log_len).max().unwrap_or(0),
     }
 }
 

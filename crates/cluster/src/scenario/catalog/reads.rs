@@ -20,7 +20,7 @@
 use super::wired;
 use crate::observers::stale_read_violations;
 use crate::scenario::{Report, RunCtx, Scenario, ScenarioBuilder};
-use crate::server::{ReadCounters, ReadStrategy};
+use crate::server::{ReadCounters, ReadStrategy, ServerHost};
 use crate::sim::WorkloadSpec;
 use dynatune_core::TuningConfig;
 use dynatune_kv::OpMix;
@@ -67,12 +67,15 @@ fn throughput_run(seed: u64, strategy: ReadStrategy, hold: Duration) -> Throughp
         .build_sim();
     let end = SimTime::ZERO + Duration::from_secs(3) + hold + Duration::from_secs(2);
     sim.run_until(end);
-    let steps = wired(sim.client_steps(), "the builder attached a workload client");
+    let steps = wired(sim.client(), "the builder attached a workload client").steps();
     ThroughputRun {
         completed: steps.iter().map(|s| s.completed).sum(),
         hold_secs: hold.as_secs_f64(),
-        max_log_len: sim.max_log_len(),
-        reads: sim.read_counters(),
+        max_log_len: sim.servers().map(ServerHost::log_len).max().unwrap_or(0),
+        reads: sim
+            .servers()
+            .map(ServerHost::reads_served)
+            .fold(ReadCounters::default(), ReadCounters::merged),
     }
 }
 
@@ -192,23 +195,16 @@ fn offload_run(seed: u64, fanout: bool, hold: Duration) -> OffloadRun {
     let end = SimTime::ZERO + Duration::from_secs(3) + hold + Duration::from_secs(2);
     sim.run_until(end);
     let leader = wired(sim.leader(), "a fault-free lease run keeps its leader");
-    let leader_cpu_pct = sim.with_server(leader, |s| {
-        s.cpu().mean_utilization(
-            SimTime::from_secs(4),
-            SimTime::ZERO + Duration::from_secs(3) + hold,
-        )
-    });
-    let trace = wired(sim.client_trace(), "the workload was built `.recording()`");
+    let leader_cpu_pct = sim.server(leader).cpu().mean_utilization(
+        SimTime::from_secs(4),
+        SimTime::ZERO + Duration::from_secs(3) + hold,
+    );
+    let client = wired(sim.client(), "the builder attached a workload client");
     OffloadRun {
         leader_cpu_pct,
-        reads_per_server: (0..sim.n_servers())
-            .map(|id| sim.with_server(id, |s| s.reads_served()))
-            .collect(),
-        violations: stale_read_violations(trace),
-        completed: sim
-            .client_steps()
-            .map(|steps| steps.iter().map(|s| s.completed).sum())
-            .unwrap_or(0),
+        reads_per_server: sim.servers().map(ServerHost::reads_served).collect(),
+        violations: stale_read_violations(client.trace()),
+        completed: client.steps().iter().map(|s| s.completed).sum(),
     }
 }
 
@@ -344,7 +340,7 @@ fn lease_trial(seed: u64) -> LeaseTrial {
         .build_sim();
     sim.run_until(t_partition);
     let old_leader = wired(sim.leader(), "the settle window elects before the cut");
-    let lease_reads_before = sim.with_server(old_leader, |s| s.reads_served().lease);
+    let lease_reads_before = sim.server(old_leader).reads_served().lease;
     assert!(
         lease_reads_before > 0,
         "the lease path must be hot before the cut (else the trial tests nothing)"
@@ -356,7 +352,7 @@ fn lease_trial(seed: u64) -> LeaseTrial {
     let new_leader = sim.leader();
     sim.heal_partition();
     sim.run_until(SimTime::from_secs(32));
-    let trace = wired(sim.client_trace(), "the workload was built `.recording()`");
+    let trace = wired(sim.client(), "the builder attached a workload client").trace();
     // The checker only bites if the partition window really had both new
     // commits and reads completing after them.
     let first_new_commit = trace

@@ -110,7 +110,8 @@ fn measure_scaling(ctx: &RunCtx, shard_counts: &[usize]) -> Vec<ScalingPoint> {
                 steady_workload(offered, hold, 0.0, start),
             );
             sim.run_until(SimTime::ZERO + start + hold + drain);
-            let completed = sim.total_completed();
+            let stats = wired(sim.client(), "the builder attached a client").shard_stats();
+            let completed = stats.iter().map(|s| s.completed).sum();
             ScalingPoint {
                 shards,
                 offered_rps: offered,
@@ -216,11 +217,11 @@ fn measure_skew(ctx: &RunCtx, zipf_theta: f64) -> SkewOutcome {
         steady_workload(3_000.0, hold, zipf_theta, start),
     );
     sim.run_until(SimTime::ZERO + start + hold + Duration::from_secs(1));
-    let stats = wired(sim.shard_stats(), "the builder attached a client");
+    let stats = wired(sim.client(), "the builder attached a client").shard_stats();
     SkewOutcome {
         sent: stats.iter().map(|s| s.sent).collect(),
         completed: stats.iter().map(|s| s.completed).collect(),
-        total_completed: sim.total_completed(),
+        total_completed: stats.iter().map(|s| s.completed).sum(),
     }
 }
 
@@ -350,7 +351,7 @@ fn measure_isolation(ctx: &RunCtx, label: &str, tuning: TuningConfig) -> Failove
     let mut sim = sharded_sim(shards, tuning, seed, workload);
 
     let snapshot = |sim: &ClusterSim| {
-        let stats = wired(sim.shard_stats(), "the builder attached a client");
+        let stats = wired(sim.client(), "the builder attached a client").shard_stats();
         let sent: Vec<u64> = stats.iter().map(|s| s.sent).collect();
         let done: Vec<u64> = stats.iter().map(|s| s.completed).collect();
         (sent, done)

@@ -99,13 +99,14 @@ fn run_single_ramp(
     // Run through the whole ramp plus the drain period (no faults).
     let mut sim = ClusterSim::new(&cluster_cfg);
     sim.run_until(SimTime::ZERO + total + DRAIN);
-    let Some(steps) = sim.client_steps() else {
+    let Some(client) = sim.client() else {
         invariant_violated!(
             "throughput run has no client host — the config above always \
              attaches a workload"
         );
     };
-    steps
+    client
+        .steps()
         .iter()
         .map(|s| (s.offered_rps, s.throughput(), s.latency_ms.mean()))
         .collect()

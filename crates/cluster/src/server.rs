@@ -50,7 +50,7 @@ pub enum ReadStrategy {
 impl ReadStrategy {
     /// True when reads bypass the Raft log.
     #[must_use]
-    pub fn log_free(self) -> bool {
+    fn log_free(self) -> bool {
         !matches!(self, ReadStrategy::Log)
     }
 }

@@ -10,19 +10,30 @@
 //! block `[g·R, (g+1)·R)`, spares follow in declaration order, and the
 //! optional client is the last host. Raft node ids stay group-local
 //! (`0..R`, spares past `R`); [`ServerHost`] translates via its peer base.
+//!
+//! A run is read by borrowing its parts, not by asking the cluster one
+//! question at a time: [`ClusterSim::server`] and [`ClusterSim::servers`]
+//! lend the servers (each one's Raft node, counters and CPU meter) and
+//! [`ClusterSim::client`] lends the client (its step and shard counters,
+//! latency windows and trace). What a caller needs across servers it folds
+//! itself, e.g. `sim.servers().map(ServerHost::snapshots_sent).sum()`.
+//! The cluster answers only what needs the world: placement
+//! ([`ClusterSim::members_of`], [`ClusterSim::leader_of`]), the merged event
+//! streams, the live servers' randomized timeouts, the leader's mean
+//! heartbeat interval and the network counters.
 
-use crate::client::{ClientHost, OpRecord, ShardStats, StepRecord};
+use crate::client::{ClientHost, OpRecord, StepRecord};
 use crate::cpu::CostModel;
 use crate::msg::ClusterMsg;
-use crate::server::{CompactionPolicy, ReadCounters, ReadStrategy, ServerHost};
-use dynatune_core::{invariant_violated, TuningConfig, TuningSnapshot};
+use crate::scenario::NetPlan;
+use crate::server::{CompactionPolicy, ReadStrategy, ServerHost};
+use dynatune_core::{invariant_violated, TuningConfig};
 use dynatune_kv::{App, KvStore, OpMix, RateStep, ShardId, ShardMap};
-use dynatune_raft::{ConfChange, Membership, NodeId, RaftConfig, RaftEvent, Role};
+use dynatune_raft::{ConfChange, NodeId, RaftConfig, RaftEvent, Role};
 use dynatune_simnet::{
     CongestionConfig, Host, HostCtx, LinkSchedule, NetParams, Network, Rng, SimTime, Topology,
     World,
 };
-use dynatune_stats::Histogram;
 use std::time::Duration;
 
 /// Client workload specification.
@@ -46,7 +57,7 @@ pub struct WorkloadSpec {
     /// (follower-read offload); writes still chase the leader.
     pub read_fanout: bool,
     /// Record completed `Get`/`Put` operations for linearizability checks
-    /// (see [`ClusterSim::client_trace`]).
+    /// (see [`ClientHost::trace`]).
     pub record_trace: bool,
 }
 
@@ -138,17 +149,14 @@ pub struct ClusterConfig {
 
 impl ClusterConfig {
     /// A stable-network cluster matching the paper's §IV-A setup: one group
-    /// of `n` servers, uniform RTT, no loss, 4 cores each.
+    /// of `n` servers on [`NetPlan::stable`]'s mesh, 4 cores each.
     #[must_use]
     pub fn stable(n: usize, tuning: TuningConfig, rtt: Duration, seed: u64) -> Self {
-        // "Without intentionally introducing jitter" (§IV-B) — still a real
-        // kernel/bridge, so a small residual jitter remains.
-        let params = NetParams::clean(rtt).with_jitter(0.02);
         Self {
             map: ShardMap::new(1, n),
             spares: Vec::new(),
             raft: RaftConfig::new(0, n, tuning),
-            topology: Topology::uniform_constant(n, params),
+            topology: NetPlan::stable(rtt).topology(n),
             congestion: CongestionConfig::disabled(),
             cost: CostModel::default(),
             compaction: CompactionPolicy::default(),
@@ -284,7 +292,8 @@ impl ClusterSim {
     }
 
     /// Per-step records of the client (`None` without a workload),
-    /// borrowed from the client.
+    /// borrowed from the client. Kept for perfbench, whose source is
+    /// frozen; everything else reads [`Self::client`].
     #[must_use]
     pub fn client_steps(&self) -> Option<&[StepRecord]> {
         self.client().map(ClientHost::steps)
@@ -293,47 +302,12 @@ impl ClusterSim {
     /// The client's recorded operation trace, borrowed from the client
     /// (`None` without a client; empty unless the workload set
     /// `record_trace`). Not copied: a recorded trace can be the largest
-    /// thing a run holds, and a copy would sit beside it at the peak.
+    /// thing a run holds, and a copy would sit beside it at the peak. Kept
+    /// for perfbench, whose source is frozen; everything else reads
+    /// [`Self::client`].
     #[must_use]
     pub fn client_trace(&self) -> Option<&[OpRecord]> {
         self.client().map(ClientHost::trace)
-    }
-
-    /// Per-shard client counters (`None` without a workload), borrowed
-    /// from the client.
-    #[must_use]
-    pub fn shard_stats(&self) -> Option<&[ShardStats]> {
-        self.client().map(ClientHost::shard_stats)
-    }
-
-    /// Completed requests per shard (`None` without a workload).
-    #[must_use]
-    pub fn completed_per_shard(&self) -> Option<Vec<u64>> {
-        self.client()
-            .map(|c| c.shard_stats().iter().map(|s| s.completed).collect())
-    }
-
-    /// Total completed requests across shards (0 without a workload).
-    #[must_use]
-    pub fn total_completed(&self) -> u64 {
-        self.completed_per_shard().map_or(0, |c| c.iter().sum())
-    }
-
-    /// Take (and reset) one shard's windowed latency histogram (µs) from
-    /// the workload client (`None` without one). Take once to discard
-    /// warm-up, again after the window of interest.
-    pub fn take_latency_window(&mut self, shard: ShardId) -> Option<Histogram> {
-        self.client_mut().map(|c| c.take_latency_window(shard))
-    }
-
-    /// Repoint the client's placement row for `shard`: replica `from`
-    /// (world id) is replaced by `to`. Called by the rebalancer after the
-    /// final configuration commits, so client traffic follows the data.
-    /// No-op without a workload client.
-    pub fn repoint_shard(&mut self, shard: ShardId, from: NodeId, to: NodeId) {
-        if let Some(c) = self.client_mut() {
-            c.repoint(shard, from, to);
-        }
     }
 }
 
@@ -457,7 +431,14 @@ impl<A: App, C: Client<A>> ClusterSim<A, C> {
         self.world.run_until(target);
     }
 
-    fn server(&self, id: NodeId) -> &ServerHost<A> {
+    /// The server with world id `id`, lent for reading: its Raft node
+    /// (role, term, membership, tuner, log, state machine), its counters
+    /// and its CPU meter.
+    ///
+    /// # Panics
+    /// Panics when `id` names the client host.
+    #[must_use]
+    pub fn server(&self, id: NodeId) -> &ServerHost<A> {
         match self.world.host(id) {
             ClusterHost::Server(s) => s,
             ClusterHost::Client(_) => invariant_violated!(
@@ -466,7 +447,9 @@ impl<A: App, C: Client<A>> ClusterSim<A, C> {
         }
     }
 
-    fn servers(&self) -> impl Iterator<Item = &ServerHost<A>> {
+    /// Every server in world-id order, spares included, never the client:
+    /// what a cluster-wide read folds over.
+    pub fn servers(&self) -> impl Iterator<Item = &ServerHost<A>> {
         (0..self.n_servers()).map(|id| self.server(id))
     }
 
@@ -479,16 +462,20 @@ impl<A: App, C: Client<A>> ClusterSim<A, C> {
         }
     }
 
-    /// The client host, if a workload attached one (always the last host).
-    pub(crate) fn client(&self) -> Option<&C> {
+    /// The client host, if a workload attached one (always the last host),
+    /// lent for reading its counters and trace.
+    #[must_use]
+    pub fn client(&self) -> Option<&C> {
         match self.world.host(self.world.len() - 1) {
             ClusterHost::Client(c) => Some(c),
             ClusterHost::Server(_) => None,
         }
     }
 
-    /// Mutable access to the client host, if any.
-    pub(crate) fn client_mut(&mut self) -> Option<&mut C> {
+    /// Mutable access to the client host, if any: for the calls that
+    /// change it between runs (taking a latency window, repointing a
+    /// placement row).
+    pub fn client_mut(&mut self) -> Option<&mut C> {
         let last = self.world.len() - 1;
         match self.world.host_mut(last) {
             ClusterHost::Client(c) => Some(c),
@@ -496,7 +483,8 @@ impl<A: App, C: Client<A>> ClusterSim<A, C> {
         }
     }
 
-    /// Run a closure against a server (by world id).
+    /// Run a closure against a server (by world id). Kept for perfbench,
+    /// whose source is frozen; everything else reads [`Self::server`].
     pub fn with_server<T>(&self, id: NodeId, f: impl FnOnce(&ServerHost<A>) -> T) -> T {
         f(self.server(id))
     }
@@ -519,12 +507,6 @@ impl<A: App, C: Client<A>> ClusterSim<A, C> {
             }
         }
         best.map(|(_, id)| id)
-    }
-
-    /// Leaders of all shards, indexed by shard id.
-    #[must_use]
-    pub fn leaders(&self) -> Vec<Option<NodeId>> {
-        (0..self.map.shards()).map(|s| self.leader_of(s)).collect()
     }
 
     /// Shard 0's live leader — *the* leader of a single-group cluster.
@@ -575,20 +557,6 @@ impl<A: App, C: Client<A>> ClusterSim<A, C> {
         true
     }
 
-    /// The membership one server currently acts under (its latest appended
-    /// configuration — Raft configs take effect at append time).
-    #[must_use]
-    pub fn membership(&self, id: NodeId) -> Membership {
-        self.server(id).node().membership().clone()
-    }
-
-    /// Conf changes dropped or rejected across all servers (stale-leader
-    /// submissions the orchestrator had to re-issue).
-    #[must_use]
-    pub fn conf_rejections(&self) -> u64 {
-        self.servers().map(ServerHost::conf_rejections).sum()
-    }
-
     /// Recorded events of one shard's group, merged in `(time, id)` order,
     /// with *group-local* node ids — the shape
     /// [`extract_failover`](crate::observers::extract_failover) and the
@@ -619,12 +587,6 @@ impl<A: App, C: Client<A>> ClusterSim<A, C> {
             .collect()
     }
 
-    /// Tuning snapshot of one server.
-    #[must_use]
-    pub fn tuning_snapshot(&self, id: NodeId) -> TuningSnapshot {
-        self.server(id).node().tuning_snapshot()
-    }
-
     /// Mean heartbeat interval shard 0's leader currently applies across
     /// its followers (Fig. 7a metric). `None` when there is no leader.
     #[must_use]
@@ -645,44 +607,10 @@ impl<A: App, C: Client<A>> ClusterSim<A, C> {
         (count > 0).then(|| total / count)
     }
 
-    /// Current scheduled RTT of the 0→1 link (the uniform-topology probe
-    /// used for Fig. 6's RTT trace).
-    #[must_use]
-    pub fn probe_rtt(&self) -> Duration {
-        self.world.network().params_at(0, 1, self.world.now()).rtt
-    }
-
-    /// Current scheduled loss rate of the 0→1 link (Fig. 7's loss trace).
-    #[must_use]
-    pub fn probe_loss(&self) -> f64 {
-        self.world.network().params_at(0, 1, self.world.now()).loss
-    }
-
     /// Network counters (sent/delivered/dropped).
     #[must_use]
     pub fn net_counters(&self) -> dynatune_simnet::NetCounters {
         self.world.counters()
-    }
-
-    /// Largest live log across servers — the leader-memory-bound
-    /// observable the compaction scenarios assert on.
-    #[must_use]
-    pub fn max_log_len(&self) -> usize {
-        self.servers().map(ServerHost::log_len).max().unwrap_or(0)
-    }
-
-    /// Total `InstallSnapshot` transfers started across servers.
-    #[must_use]
-    pub fn total_snapshots_sent(&self) -> u64 {
-        self.servers().map(ServerHost::snapshots_sent).sum()
-    }
-
-    /// Served-read counters aggregated over all servers (by path).
-    #[must_use]
-    pub fn read_counters(&self) -> ReadCounters {
-        self.servers()
-            .map(ServerHost::reads_served)
-            .fold(ReadCounters::default(), ReadCounters::merged)
     }
 
     /// Partition the network: `group` forms one side, the rest the other.
@@ -750,7 +678,7 @@ mod tests {
         assert!(leader < 5);
         // Exactly one BecameLeader event chain; all servers agree.
         for id in 0..5 {
-            let node_leader = sim.with_server(id, |s| s.node().leader_id());
+            let node_leader = sim.server(id).node().leader_id();
             assert_eq!(node_leader, Some(leader), "server {id} agrees on leader");
         }
     }
@@ -764,7 +692,7 @@ mod tests {
             if id == leader {
                 continue;
             }
-            let snap = sim.tuning_snapshot(id);
+            let snap = sim.server(id).node().tuning_snapshot();
             assert!(snap.warmed, "follower {id} tuner warmed: {snap:?}");
             // RTT 100ms, tiny jitter: Et close to 100ms, far below default.
             let et_ms = snap.election_timeout.as_secs_f64() * 1e3;
@@ -780,7 +708,7 @@ mod tests {
         let mut sim = stable_cluster(TuningConfig::raft_default(), 3);
         sim.run_until(SimTime::from_secs(20));
         for id in 0..5 {
-            let snap = sim.tuning_snapshot(id);
+            let snap = sim.server(id).node().tuning_snapshot();
             assert!(!snap.warmed);
             assert_eq!(snap.election_timeout, Duration::from_millis(1000));
         }
@@ -810,14 +738,13 @@ mod tests {
         // Resume: the old leader rejoins as follower.
         sim.resume(old_leader);
         sim.run_for(Duration::from_secs(5));
-        let role = sim.with_server(old_leader, |s| s.node().role());
+        let role = sim.server(old_leader).node().role();
         assert_eq!(role, Role::Follower);
     }
 
     #[test]
     fn spares_join_live_via_joint_consensus() {
         // 3 genesis voters + 2 spare outsiders; grow to 5 voters online.
-        let params = NetParams::clean(Duration::from_millis(50)).with_jitter(0.02);
         let mut cfg = ClusterConfig::stable(
             3,
             TuningConfig::raft_default(),
@@ -825,14 +752,14 @@ mod tests {
             9,
         );
         cfg.spares = vec![0; 2];
-        cfg.topology = Topology::uniform_constant(5, params);
+        cfg.topology = NetPlan::stable(Duration::from_millis(50)).topology(5);
         let mut sim = ClusterSim::new(&cfg);
         sim.run_until(SimTime::from_secs(10));
         let leader = sim.leader().expect("genesis voters elect");
         assert!(leader < 3, "spares cannot lead before joining");
         for id in 3..5 {
-            assert_eq!(sim.with_server(id, |s| s.node().role()), Role::Follower);
-            assert!(!sim.membership(leader).contains(id));
+            assert_eq!(sim.server(id).node().role(), Role::Follower);
+            assert!(!sim.server(leader).node().membership().contains(id));
         }
         // Learners first (one conf change may be uncommitted at a time)...
         assert!(sim.propose_conf_change(0, ConfChange::AddLearner(3)));
@@ -840,7 +767,7 @@ mod tests {
         assert!(sim.propose_conf_change(0, ConfChange::AddLearner(4)));
         sim.run_for(Duration::from_secs(3));
         let leader = sim.leader().expect("leader");
-        let m = sim.membership(leader);
+        let m = sim.server(leader).node().membership();
         assert!(
             m.is_learner(3) && m.is_learner(4),
             "learners admitted: {m:?}"
@@ -857,7 +784,7 @@ mod tests {
         assert!(sim.propose_conf_change(0, ConfChange::Finalize));
         sim.run_for(Duration::from_secs(5));
         for id in 0..5 {
-            let m = sim.membership(id);
+            let m = sim.server(id).node().membership();
             assert!(!m.is_joint(), "server {id} still joint");
             assert_eq!(
                 m.voting_members().len(),
@@ -865,7 +792,8 @@ mod tests {
                 "server {id} sees the 5-voter config"
             );
         }
-        assert_eq!(sim.conf_rejections(), 0, "stable run needs no re-issues");
+        let rejections: u64 = sim.servers().map(ServerHost::conf_rejections).sum();
+        assert_eq!(rejections, 0, "stable run needs no re-issues");
         // The grown cluster survives two failures — impossible at n=3.
         sim.crash_restart(0);
         sim.pause(1);
@@ -892,9 +820,10 @@ mod tests {
     fn every_shard_elects_its_own_leader() {
         let mut sim = sharded(4, 1, 0.0);
         sim.run_until(SimTime::from_secs(10));
-        let leaders = sim.leaders();
-        for (shard, leader) in leaders.iter().enumerate() {
-            let leader = leader.unwrap_or_else(|| panic!("shard {shard} must elect"));
+        for shard in 0..sim.shards() {
+            let leader = sim
+                .leader_of(shard)
+                .unwrap_or_else(|| panic!("shard {shard} must elect"));
             assert!(sim.map().servers_of(shard).contains(&leader));
         }
         // Leaders are distinct hosts and each group's log is safe.
@@ -907,7 +836,7 @@ mod tests {
     fn workload_spreads_across_all_shards() {
         let mut sim = sharded(4, 2, 800.0);
         sim.run_until(SimTime::from_secs(15));
-        let stats = sim.shard_stats().expect("client attached");
+        let stats = sim.client().expect("client attached").shard_stats();
         assert_eq!(stats.len(), 4);
         for (shard, s) in stats.iter().enumerate() {
             assert!(s.sent > 500, "shard {shard} sent {}", s.sent);
@@ -922,15 +851,21 @@ mod tests {
         }
     }
 
+    /// Requests the client completed, per shard.
+    fn completed(sim: &ClusterSim) -> Vec<u64> {
+        let client = sim.client().expect("client attached");
+        client.shard_stats().iter().map(|s| s.completed).collect()
+    }
+
     #[test]
     fn crashing_one_leader_leaves_other_shards_serving() {
         let mut sim = sharded(2, 3, 600.0);
         sim.run_until(SimTime::from_secs(10));
         let victim = sim.leader_of(0).expect("shard 0 leader");
-        let before = sim.completed_per_shard().unwrap();
+        let before = completed(&sim);
         sim.crash_restart(victim);
         sim.run_for(Duration::from_secs(5));
-        let after = sim.completed_per_shard().unwrap();
+        let after = completed(&sim);
         // Shard 1 kept committing throughout the shard-0 outage.
         assert!(
             after[1] - before[1] > 800,
@@ -940,7 +875,7 @@ mod tests {
         // Shard 0 recovers: a leader re-emerges and commits resume.
         sim.run_for(Duration::from_secs(5));
         assert!(sim.leader_of(0).is_some(), "shard 0 re-elects");
-        let healed = sim.completed_per_shard().unwrap();
+        let healed = completed(&sim);
         assert!(healed[0] > after[0], "shard 0 resumes committing");
     }
 
@@ -949,7 +884,8 @@ mod tests {
         let run = |seed| {
             let mut sim = sharded(3, seed, 300.0);
             sim.run_until(SimTime::from_secs(12));
-            (sim.leaders(), sim.completed_per_shard(), sim.net_counters())
+            let leaders: Vec<_> = (0..sim.shards()).map(|s| sim.leader_of(s)).collect();
+            (leaders, completed(&sim), sim.net_counters())
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7).2, run(8).2);
@@ -968,7 +904,7 @@ mod tests {
         // Schedule starts at t=0; leader takes ~1-2s to emerge, so early
         // requests are redirected/failed; later ones complete.
         sim.run_until(SimTime::from_secs(10));
-        let steps = sim.client_steps().expect("client attached");
+        let steps = sim.client().expect("client attached").steps();
         assert_eq!(steps.len(), 1);
         let s = &steps[0];
         assert!(s.sent > 800, "sent {}", s.sent);
@@ -1003,10 +939,24 @@ mod tests {
             sim.client_steps().expect("client attached"),
             client.steps()
         ));
-        assert!(std::ptr::eq(
-            sim.shard_stats().expect("client attached"),
-            client.shard_stats()
-        ));
+    }
+
+    #[test]
+    fn the_cluster_lends_every_server_and_its_client() {
+        let builder = ScenarioBuilder::cluster(3).spares(2);
+        let spec = WorkloadSpec::steady(100.0, Duration::from_secs(1));
+        let sim = builder.clone().workload(spec).build_sim();
+        assert_eq!(sim.n_servers(), 5);
+        let lent: Vec<&ServerHost> = sim.servers().collect();
+        assert_eq!(lent.len(), sim.n_servers(), "spares included, client not");
+        for (id, server) in lent.into_iter().enumerate() {
+            let in_order = std::ptr::eq(server, sim.server(id));
+            assert!(in_order, "server {id} in id order");
+        }
+        assert!(sim.client().is_some());
+        let bare = builder.build_sim();
+        assert_eq!(bare.servers().count(), bare.n_servers());
+        assert!(bare.client().is_none(), "no workload, no client");
     }
 
     /// The body `merge_by_time` replaced: push every stream, then sort

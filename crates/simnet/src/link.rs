@@ -120,14 +120,6 @@ impl Network {
         from * self.n + to
     }
 
-    /// Current scheduled parameters of the directed link (for observers).
-    #[must_use]
-    pub fn params_at(&self, from: NodeId, to: NodeId, now: SimTime) -> crate::params::NetParams {
-        self.links[self.link_index(from, to)]
-            .schedule
-            .params_at(now)
-    }
-
     /// Offer a message to the fabric at `now`; returns delivery instants.
     pub fn send(
         &mut self,

@@ -97,7 +97,7 @@ impl SimTime {
 /// Convert a `Duration` to u64 nanoseconds, saturating (simulations never
 /// run anywhere near 584 years).
 #[must_use]
-pub fn duration_nanos(d: Duration) -> u64 {
+fn duration_nanos(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 

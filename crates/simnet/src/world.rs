@@ -216,12 +216,6 @@ impl<H: Host> World<H> {
         self.hosts[node].paused
     }
 
-    /// Network fabric (for parameter lookups in observers).
-    #[must_use]
-    pub fn network(&self) -> &Network {
-        &self.net
-    }
-
     fn next_seq(&mut self) -> u64 {
         let seq = self.seq;
         self.seq += 1;

@@ -42,7 +42,7 @@ fn main() {
     // tuner live, sample by sample.
     let mut sim = ScenarioBuilder::cluster(5)
         .tuning(TuningConfig::dynatune())
-        .net(NetPlan::uniform_schedule(schedule))
+        .net(NetPlan::uniform_schedule(schedule.clone()))
         .congestion(CongestionConfig::wan_default())
         .seed(31_337)
         .build_sim();
@@ -59,12 +59,14 @@ fn main() {
         let leader = sim.leader();
         // Report the tuning state of the first follower.
         let follower = (0..5).find(|&i| Some(i) != leader).expect("a follower");
-        let snap = sim.tuning_snapshot(follower);
+        let snap = sim.server(follower).node().tuning_snapshot();
+        // Every link follows the one schedule: read it back at `t`.
+        let link = schedule.params_at(t);
         println!(
             "{:>6.0} {:>9.0} {:>8.0}% {:>10.1} {:>10.1} {:>8.2}%  {}",
             t.as_secs_f64(),
-            sim.probe_rtt().as_secs_f64() * 1e3,
-            sim.probe_loss() * 100.0,
+            link.rtt.as_secs_f64() * 1e3,
+            link.loss * 100.0,
             snap.election_timeout.as_secs_f64() * 1e3,
             snap.heartbeat_interval.as_secs_f64() * 1e3,
             snap.loss_rate * 100.0,

@@ -39,7 +39,7 @@ fn main() {
         if id == leader {
             continue;
         }
-        let snap = sim.tuning_snapshot(id);
+        let snap = sim.server(id).node().tuning_snapshot();
         let rtt = geo_rtt(regions[leader], regions[id]);
         println!(
             "{:<13} {:>10.0} {:>12.1} {:>12.1} {:>9.3}%",

@@ -49,7 +49,7 @@ fn run(name: &str, tuning: TuningConfig) {
     sim.resume(leader);
     sim.run_until(SimTime::from_secs(70));
 
-    let steps = sim.client_steps().expect("client attached");
+    let steps = sim.client().expect("client attached").steps();
     let s = &steps[0];
     println!(
         "[{name}] sent {:>6}  completed {:>6}  failed {:>4}  mean latency {:>6.1} ms  p-throughput {:>6.0} req/s",

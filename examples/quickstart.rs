@@ -43,7 +43,7 @@ fn failover_demo(name: &str, tuning: TuningConfig) -> (f64, f64) {
         if id == leader {
             continue;
         }
-        let snap = sim.tuning_snapshot(id);
+        let snap = sim.server(id).node().tuning_snapshot();
         println!(
             "[{name}]   server {id}: Et = {:>7.1} ms, h = {:>7.1} ms ({})",
             snap.election_timeout.as_secs_f64() * 1e3,

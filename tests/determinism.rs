@@ -11,8 +11,9 @@ use std::time::Duration;
 
 fn fingerprint(sim: &ClusterSim) -> (Option<usize>, usize, u64, Vec<u64>) {
     let events = sim.events();
-    let digests: Vec<u64> = (0..sim.n_servers())
-        .map(|id| sim.with_server(id, |s| s.node().state_machine().digest()))
+    let digests: Vec<u64> = sim
+        .servers()
+        .map(|s| s.node().state_machine().digest())
         .collect();
     (sim.leader(), events.len(), sim.net_counters().sent, digests)
 }

@@ -140,14 +140,26 @@ fn md_files_cited_in_doc_comments_and_guides_exist() {
 /// Every `RaftConfig::name` / `TuningConfig::name` the hand-written guides
 /// cite is a field, `fn` or `const` of the config file that defines the
 /// struct, so a knob that becomes a constant (or moves to another layer)
-/// cannot leave its citation behind.
+/// cannot leave its citation behind. Likewise every `ClusterSim::name`,
+/// `ServerHost::name` and `ClientHost::name` is defined in the file that
+/// holds the type, so a deleted read-out cannot stay cited. Prefixes match
+/// whole identifiers: `BrokerClusterSim::` is not a `ClusterSim::` citation.
 #[test]
-fn config_names_cited_in_the_guides_exist() {
+fn type_members_cited_in_the_guides_exist() {
     let configs = [
         ("RaftConfig::", include_str!("../crates/raft/src/config.rs")),
         (
             "TuningConfig::",
             include_str!("../crates/core/src/config.rs"),
+        ),
+        ("ClusterSim::", include_str!("../crates/cluster/src/sim.rs")),
+        (
+            "ServerHost::",
+            include_str!("../crates/cluster/src/server.rs"),
+        ),
+        (
+            "ClientHost::",
+            include_str!("../crates/cluster/src/client.rs"),
         ),
     ];
     let is_ident_char = |c: char| c.is_ascii_alphanumeric() || c == '_';
@@ -156,6 +168,9 @@ fn config_names_cited_in_the_guides_exist() {
     for (guide, text) in GUIDES {
         for (prefix, source) in configs {
             for (at, _) in text.match_indices(prefix) {
+                if text[..at].ends_with(is_ident_char) {
+                    continue;
+                }
                 let rest = &text[at + prefix.len()..];
                 let name = &rest[..rest.find(|c| !is_ident_char(c)).unwrap_or(rest.len())];
                 cited += 1;
@@ -178,6 +193,6 @@ fn config_names_cited_in_the_guides_exist() {
     );
     assert!(
         stale.is_empty(),
-        "cited config names that do not exist: {stale:#?}"
+        "cited members that do not exist: {stale:#?}"
     );
 }

@@ -34,20 +34,18 @@ fn assert_election_safety(events: &[(SimTime, NodeId, RaftEvent)]) {
 /// every index both have applied.
 fn assert_committed_prefix_matches(sim: &ClusterSim) {
     let n = sim.n_servers();
-    let applied: Vec<u64> = (0..n)
-        .map(|id| sim.with_server(id, |s| s.node().last_applied()))
-        .collect();
+    let applied: Vec<u64> = sim.servers().map(|s| s.node().last_applied()).collect();
     let common = applied.iter().copied().min().unwrap_or(0);
     if common == 0 {
         return;
     }
-    let reference: Vec<Option<u64>> = sim.with_server(0, |s| {
-        (1..=common).map(|i| s.node().log().term_at(i)).collect()
-    });
+    let terms = |id| -> Vec<Option<u64>> {
+        let log = sim.server(id).node().log();
+        (1..=common).map(|i| log.term_at(i)).collect()
+    };
+    let reference = terms(0);
     for id in 1..n {
-        let other: Vec<Option<u64>> = sim.with_server(id, |s| {
-            (1..=common).map(|i| s.node().log().term_at(i)).collect()
-        });
+        let other = terms(id);
         for (i, (a, b)) in reference.iter().zip(other.iter()).enumerate() {
             // Compacted entries (None) can't be compared; both being
             // present and different is the violation.
@@ -180,13 +178,13 @@ fn paused_leader_rejoins_without_disruption() {
     sim.pause(old_leader);
     sim.run_for(Duration::from_secs(15));
     let new_leader = sim.leader().expect("failover leader");
-    let term_before_rejoin = sim.with_server(new_leader, |s| s.node().term());
+    let term_before_rejoin = sim.server(new_leader).node().term();
     // Old leader wakes up with a stale term; it must step down quietly, not
     // depose the new leader.
     sim.resume(old_leader);
     sim.run_for(Duration::from_secs(20));
     assert_eq!(sim.leader(), Some(new_leader), "rejoin must not disrupt");
-    let term_after = sim.with_server(new_leader, |s| s.node().term());
+    let term_after = sim.server(new_leader).node().term();
     assert_eq!(term_before_rejoin, term_after, "no spurious term bump");
     assert_election_safety(&sim.events());
     assert_committed_prefix_matches(&sim);

@@ -29,13 +29,9 @@ fn workload(rps: f64, secs: u64) -> WorkloadSpec {
 /// machines. Every replica that reached the same applied index must hold
 /// byte-identical state (SMR contract).
 fn assert_replicas_converged(sim: &ClusterSim) {
-    let n = sim.n_servers();
-    let states: Vec<(u64, u64)> = (0..n)
-        .map(|id| {
-            sim.with_server(id, |s| {
-                (s.node().last_applied(), s.node().state_machine().digest())
-            })
-        })
+    let states: Vec<(u64, u64)> = sim
+        .servers()
+        .map(|s| (s.node().last_applied(), s.node().state_machine().digest()))
         .collect();
     let max_applied = states.iter().map(|&(a, _)| a).max().unwrap();
     let caught_up: Vec<&(u64, u64)> = states.iter().filter(|(a, _)| *a == max_applied).collect();
@@ -57,7 +53,7 @@ fn replicas_converge_under_clean_load() {
         .with_workload(workload(500.0, 20));
     let mut sim = ClusterSim::new(&cfg);
     sim.run_until(SimTime::from_secs(35)); // drain
-    let steps = sim.client_steps().unwrap();
+    let steps = sim.client().unwrap().steps();
     assert!(
         steps[0].completed > 8_000,
         "completed {}",
@@ -66,7 +62,7 @@ fn replicas_converge_under_clean_load() {
     assert_replicas_converged(&sim);
     // Every replica actually holds data.
     for id in 0..3 {
-        let keys = sim.with_server(id, |s| s.node().state_machine().len());
+        let keys = sim.server(id).node().state_machine().len();
         assert!(keys > 100, "replica {id} holds {keys} keys");
     }
 }
@@ -90,7 +86,7 @@ fn replicas_converge_through_failover_and_retries() {
     // Let everything settle and replicate out.
     sim.run_until(SimTime::from_secs(70));
     assert_replicas_converged(&sim);
-    let steps = sim.client_steps().unwrap();
+    let steps = sim.client().unwrap().steps();
     // The overwhelming majority of requests completed despite two outages.
     let total = steps[0].sent;
     let done = steps[0].completed;
@@ -126,9 +122,8 @@ fn crash_recovery_keeps_the_applied_state() {
     let leader = sim.leader().expect("leader");
     let victim = (0..3).find(|&i| i != leader).unwrap();
     let applied_state = |sim: &ClusterSim| {
-        sim.with_server(victim, |s| {
-            (s.node().last_applied(), s.node().state_machine().digest())
-        })
+        let node = sim.server(victim).node();
+        (node.last_applied(), node.state_machine().digest())
     };
     let before = applied_state(&sim);
     assert!(before.0 > 0);
@@ -138,13 +133,10 @@ fn crash_recovery_keeps_the_applied_state() {
         before,
         "the crash keeps the applied state"
     );
-    assert_eq!(
-        sim.with_server(victim, |s| s.node().commit_index()),
-        before.0
-    );
+    assert_eq!(sim.server(victim).node().commit_index(), before.0);
     // It applies on from there as the leader commits.
     sim.run_until(SimTime::from_secs(30));
-    let applied_after = sim.with_server(victim, |s| s.node().last_applied());
+    let applied_after = sim.server(victim).node().last_applied();
     assert!(
         applied_after > before.0,
         "the restarted replica must keep applying: {} -> {applied_after}",

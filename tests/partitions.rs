@@ -44,7 +44,7 @@ fn isolated_leader_steps_down_and_majority_moves_on() {
         assert_ne!(new_leader, buddy);
         // ...and the isolated leader stepped down via check-quorum (it
         // cannot hear a majority), so clients are not stuck on a zombie.
-        let old_role = sim.with_server(old_leader, |s| s.node().role());
+        let old_role = sim.server(old_leader).node().role();
         assert_ne!(
             old_role,
             Role::Leader,
@@ -64,7 +64,7 @@ fn minority_partition_never_elects() {
     sim.partition(&minority);
     sim.run_for(Duration::from_secs(30));
     for &id in &minority {
-        let role = sim.with_server(id, |s| s.node().role());
+        let role = sim.server(id).node().role();
         assert_ne!(role, Role::Leader, "minority node {id} became leader");
     }
     // The majority side kept its leader the whole time (pre-vote means the
@@ -91,7 +91,7 @@ fn healing_reunifies_without_split_brain() {
     // Everyone converges on one leader; the old one is a follower.
     let final_leader = sim.leader().expect("leader after heal");
     for id in 0..5 {
-        let believed = sim.with_server(id, |s| s.node().leader_id());
+        let believed = sim.server(id).node().leader_id();
         assert_eq!(believed, Some(final_leader), "server {id} agrees");
     }
     assert_eq!(final_leader, new_leader, "healed minority must not disrupt");
@@ -151,7 +151,7 @@ fn crash_during_election_is_safe_and_recovers() {
         // as a follower of the new leader.
         let new_leader = sim.leader().expect("leader re-emerges after crash");
         assert_ne!(new_leader, old_leader);
-        let buddy_role = sim.with_server(buddy, |s| s.node().role());
+        let buddy_role = sim.server(buddy).node().role();
         assert_ne!(buddy_role, Role::Leader, "crashed node rejoined, demoted");
         assert_one_leader_per_term(&sim);
     }

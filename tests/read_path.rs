@@ -10,7 +10,8 @@
 //! next, and must observe a current (not pre-failover) value.
 
 use dynatune_repro::cluster::{
-    stale_read_violations, ClusterSim, ReadStrategy, ScenarioBuilder, WorkloadSpec,
+    stale_read_violations, ClusterSim, ReadCounters, ReadStrategy, ScenarioBuilder, ServerHost,
+    WorkloadSpec,
 };
 use dynatune_repro::core::TuningConfig;
 use dynatune_repro::kv::OpMix;
@@ -51,7 +52,7 @@ fn retried_lease_read_after_failover_is_linearizable() {
     let mut sim = sim_with(ReadStrategy::Lease, 0xBEEF, 500.0, 27);
     sim.run_until(SimTime::from_secs(10));
     let old_leader = sim.leader().expect("leader before the failure");
-    let lease_reads = sim.with_server(old_leader, |s| s.reads_served().lease);
+    let lease_reads = sim.server(old_leader).reads_served().lease;
     assert!(
         lease_reads > 0,
         "lease path must be serving before the kill"
@@ -64,7 +65,7 @@ fn retried_lease_read_after_failover_is_linearizable() {
     assert_ne!(new_leader, old_leader);
     sim.resume(old_leader);
     sim.run_until(SimTime::from_secs(34));
-    let trace = sim.client_trace().expect("trace recorded");
+    let trace = sim.client().expect("client attached").trace();
     // Reads completed after the outage began — including the retried ones.
     let after_failure = trace
         .iter()
@@ -78,7 +79,7 @@ fn retried_lease_read_after_failover_is_linearizable() {
     );
     // And the cluster still converges (the read path mutated nothing).
     let digests: Vec<u64> = (0..3)
-        .map(|id| sim.with_server(id, |s| s.node().state_machine().digest()))
+        .map(|id| sim.server(id).node().state_machine().digest())
         .collect();
     assert!(
         digests.iter().all(|&d| d == digests[0]),
@@ -99,9 +100,7 @@ fn fanned_out_follower_reads_are_linearizable() {
         .workload(spec)
         .build_sim();
     sim.run_until(SimTime::from_secs(22));
-    let counters: Vec<_> = (0..3)
-        .map(|id| sim.with_server(id, |s| s.reads_served()))
-        .collect();
+    let counters: Vec<_> = (0..3).map(|id| sim.server(id).reads_served()).collect();
     let leader = sim.leader().expect("leader");
     for (id, c) in counters.iter().enumerate() {
         if id == leader {
@@ -114,7 +113,7 @@ fn fanned_out_follower_reads_are_linearizable() {
             "no read may touch the log under the lease strategy"
         );
     }
-    let trace = sim.client_trace().expect("trace recorded");
+    let trace = sim.client().expect("client attached").trace();
     assert_eq!(stale_read_violations(trace), 0);
 }
 
@@ -131,10 +130,13 @@ fn tuned_cluster_serves_reads_by_read_index_not_lease() {
         .workload(read_write_workload(400.0, 12))
         .build_sim();
     sim.run_until(SimTime::from_secs(18));
-    let reads = sim.read_counters();
+    let reads = sim
+        .servers()
+        .map(ServerHost::reads_served)
+        .fold(ReadCounters::default(), ReadCounters::merged);
     assert!(reads.read_index > 0, "ReadIndex path must serve: {reads:?}");
     assert_eq!(reads.lease, 0, "lease path must stay cold: {reads:?}");
-    let trace = sim.client_trace().expect("trace recorded");
+    let trace = sim.client().expect("client attached").trace();
     assert!(trace.iter().filter(|op| !op.write).count() > 1000);
     assert_eq!(stale_read_violations(trace), 0);
 }
@@ -145,9 +147,12 @@ fn tuned_cluster_serves_reads_by_read_index_not_lease() {
 fn log_strategy_still_serves_reads_through_the_log() {
     let mut sim = sim_with(ReadStrategy::Log, 0xD00D, 300.0, 10);
     sim.run_until(SimTime::from_secs(16));
-    let reads = sim.read_counters();
+    let reads = sim
+        .servers()
+        .map(ServerHost::reads_served)
+        .fold(ReadCounters::default(), ReadCounters::merged);
     assert!(reads.log > 0, "logged reads must be counted: {reads:?}");
     assert_eq!(reads.lease + reads.read_index + reads.follower, 0);
-    let trace = sim.client_trace().expect("trace recorded");
+    let trace = sim.client().expect("client attached").trace();
     assert_eq!(stale_read_violations(trace), 0);
 }

@@ -9,7 +9,7 @@
 //! peer's match index) grew without bound.
 
 use dynatune_repro::cluster::scenario::ScenarioBuilder;
-use dynatune_repro::cluster::{ClusterSim, WorkloadSpec};
+use dynatune_repro::cluster::{ClusterSim, ServerHost, WorkloadSpec};
 use dynatune_repro::core::TuningConfig;
 use dynatune_repro::raft::RaftEvent;
 use dynatune_repro::simnet::SimTime;
@@ -33,8 +33,8 @@ fn cluster(seed: u64, hold_secs: u64) -> ClusterSim {
 }
 
 fn digests(sim: &ClusterSim) -> Vec<u64> {
-    (0..sim.n_servers())
-        .map(|id| sim.with_server(id, |s| s.node().state_machine().digest()))
+    sim.servers()
+        .map(|s| s.node().state_machine().digest())
         .collect()
 }
 
@@ -53,10 +53,11 @@ fn follower_restarted_past_horizon_catches_up_via_snapshot() {
     let mut max_log = 0;
     while sim.now() < SimTime::from_secs(25) {
         sim.run_for(Duration::from_millis(250));
-        max_log = max_log.max(sim.max_log_len());
+        let longest = sim.servers().map(ServerHost::log_len).max().unwrap_or(0);
+        max_log = max_log.max(longest);
     }
-    let first_index = sim.with_server(sim.leader().unwrap(), |s| s.node().log().first_index());
-    let follower_last = sim.with_server(follower, |s| s.node().log().last_index());
+    let first_index = sim.server(sim.leader().unwrap()).node().log().first_index();
+    let follower_last = sim.server(follower).node().log().last_index();
     assert!(
         first_index > follower_last,
         "outage must cross the horizon: first {first_index} <= follower {follower_last}"
@@ -71,11 +72,12 @@ fn follower_restarted_past_horizon_catches_up_via_snapshot() {
     sim.resume(follower);
     while sim.now() < SimTime::from_secs(45) {
         sim.run_for(Duration::from_millis(250));
-        max_log = max_log.max(sim.max_log_len());
+        let longest = sim.servers().map(ServerHost::log_len).max().unwrap_or(0);
+        max_log = max_log.max(longest);
     }
 
     assert!(
-        sim.total_snapshots_sent() >= 1,
+        sim.servers().map(ServerHost::snapshots_sent).sum::<u64>() >= 1,
         "catch-up must go through InstallSnapshot"
     );
     let installed = sim
@@ -88,8 +90,8 @@ fn follower_restarted_past_horizon_catches_up_via_snapshot() {
         ds.iter().all(|&d| d == ds[0]),
         "replicas must converge after snapshot catch-up: {ds:?}"
     );
-    let applied = sim.with_server(follower, |s| s.node().last_applied());
-    let commit = sim.with_server(sim.leader().unwrap(), |s| s.node().commit_index());
+    let applied = sim.server(follower).node().last_applied();
+    let commit = sim.server(sim.leader().unwrap()).node().commit_index();
     assert!(
         commit - applied < 100,
         "follower still {} entries behind",
@@ -125,7 +127,7 @@ fn compacted_follower_winning_election_recovers_lagging_peer() {
     let new_leader = sim.leader().expect("compacted follower takes over");
     assert_ne!(new_leader, leader);
     assert_ne!(new_leader, lagging, "a stale log must not win the election");
-    let sent = sim.with_server(new_leader, |s| s.snapshots_sent());
+    let sent = sim.server(new_leader).snapshots_sent();
     assert!(
         sent >= 1,
         "the new leader must stream a snapshot to the lagging peer"
@@ -150,15 +152,15 @@ fn crash_restart_of_compacted_server_keeps_its_applied_state() {
     sim.run_until(SimTime::from_secs(15));
     let leader = sim.leader().expect("leader");
     let victim = (0..3).find(|&id| id != leader).unwrap();
-    let first_index = sim.with_server(victim, |s| s.node().log().first_index());
+    let first_index = sim.server(victim).node().log().first_index();
     assert!(
         first_index > 1,
         "victim must have compacted (first {first_index})"
     );
-    let applied_before = sim.with_server(victim, |s| s.node().last_applied());
+    let applied_before = sim.server(victim).node().last_applied();
 
     sim.crash_restart(victim);
-    let applied = sim.with_server(victim, |s| s.node().last_applied());
+    let applied = sim.server(victim).node().last_applied();
     assert_eq!(
         applied, applied_before,
         "restart must resume at the applied index, not index 0"
@@ -187,7 +189,7 @@ fn snapshot_recovery_is_deterministic() {
         sim.resume(follower);
         sim.run_until(SimTime::from_secs(38));
         (
-            sim.total_snapshots_sent(),
+            sim.servers().map(ServerHost::snapshots_sent).sum::<u64>(),
             sim.net_counters(),
             sim.events().len(),
             digests(&sim),

@@ -20,7 +20,7 @@ fn followers_converge_to_path_rtt() {
         if id == leader {
             continue;
         }
-        let snap = sim.tuning_snapshot(id);
+        let snap = sim.server(id).node().tuning_snapshot();
         assert!(snap.warmed, "follower {id} warmed");
         let et_ms = snap.election_timeout.as_secs_f64() * 1e3;
         // Et = mu + 2 sigma with RTT 100ms and 2% jitter: just above 100ms.
@@ -56,7 +56,7 @@ fn leader_applies_piggybacked_interval_per_follower() {
         if id == leader {
             continue;
         }
-        let h = sim.with_server(leader, |s| s.node().pacer_interval(id));
+        let h = sim.server(leader).node().pacer_interval(id);
         intervals.push((id, h.unwrap().as_secs_f64() * 1e3));
     }
     // Higher node ids sit behind longer links => larger tuned h.
@@ -91,7 +91,7 @@ fn step0_defaults_return_with_a_new_leader() {
         if id == new_leader || id == old_leader {
             continue;
         }
-        let snap = sim.tuning_snapshot(id);
+        let snap = sim.server(id).node().tuning_snapshot();
         assert!(
             snap.rtt_samples <= 60,
             "follower {id} window should have restarted: {} samples",
@@ -104,7 +104,10 @@ fn step0_defaults_return_with_a_new_leader() {
         if id == new_leader || id == old_leader {
             continue;
         }
-        assert!(sim.tuning_snapshot(id).warmed, "follower {id} re-warmed");
+        assert!(
+            sim.server(id).node().tuning_snapshot().warmed,
+            "follower {id} re-warmed"
+        );
     }
 }
 
@@ -128,14 +131,22 @@ fn et_adapts_upward_when_rtt_rises() {
     sim.run_until(SimTime::from_secs(35));
     let leader = sim.leader().expect("leader");
     let follower = (0..5).find(|&i| i != leader).unwrap();
-    let et_before = sim.tuning_snapshot(follower).election_timeout;
+    let et_before = sim
+        .server(follower)
+        .node()
+        .tuning_snapshot()
+        .election_timeout;
     sim.run_until(SimTime::from_secs(240));
     assert_eq!(
         sim.leader(),
         Some(leader),
         "RTT rise must not depose the leader"
     );
-    let et_after = sim.tuning_snapshot(follower).election_timeout;
+    let et_after = sim
+        .server(follower)
+        .node()
+        .tuning_snapshot()
+        .election_timeout;
     assert!(
         et_after > et_before + Duration::from_millis(50),
         "Et should track the RTT rise: {et_before:?} -> {et_after:?}"
@@ -159,7 +170,7 @@ fn loss_rate_measured_through_the_stack() {
     let mut measured = Vec::new();
     for id in 0..5 {
         if id != leader {
-            measured.push(sim.tuning_snapshot(id).loss_rate);
+            measured.push(sim.server(id).node().tuning_snapshot().loss_rate);
         }
     }
     let mean = measured.iter().sum::<f64>() / measured.len() as f64;
@@ -169,8 +180,11 @@ fn loss_rate_measured_through_the_stack() {
     );
     // K(0.1, 0.999) = 3 ⇒ h ≈ Et/3.
     let h = sim.leader_mean_heartbeat_interval().unwrap();
+    let follower = (0..5).find(|&i| i != leader).unwrap();
     let et = sim
-        .tuning_snapshot((0..5).find(|&i| i != leader).unwrap())
+        .server(follower)
+        .node()
+        .tuning_snapshot()
         .election_timeout;
     let ratio = et.as_secs_f64() / h.as_secs_f64();
     assert!((2.0..4.5).contains(&ratio), "Et/h ratio {ratio}");
@@ -185,7 +199,7 @@ fn static_modes_never_touch_parameters() {
         let mut sim = ClusterSim::new(&stable(tuning, 20, 6));
         sim.run_until(SimTime::from_secs(30));
         for id in 0..5 {
-            let snap = sim.tuning_snapshot(id);
+            let snap = sim.server(id).node().tuning_snapshot();
             assert!(!snap.warmed);
             assert_eq!(snap.election_timeout.as_secs_f64() * 1e3, et_ms);
         }
