@@ -683,20 +683,25 @@ pub type BrokerClusterSim = ClusterSim<BrokerState, BrokerClient>;
 
 impl BrokerClusterSim {
     /// Producer-side counters at the current instant (`None` without a
-    /// workload).
+    /// workload). Kept for perfbench, whose source is frozen; everything
+    /// else reads [`BrokerClient::stats`] through [`ClusterSim::client`].
     #[must_use]
     pub fn stats(&self) -> Option<BrokerStats> {
         self.client().map(|c| c.stats(self.now()))
     }
 
-    /// Per-group consumer counters (`None` without a workload).
+    /// Per-group consumer counters (`None` without a workload). Kept for
+    /// perfbench, whose source is frozen; everything else reads
+    /// [`BrokerClient::consumer_stats`] through [`ClusterSim::client`].
     #[must_use]
     pub fn consumer_stats(&self) -> Option<Vec<ConsumerStats>> {
         self.client().map(BrokerClient::consumer_stats)
     }
 
     /// Records due by now but not yet acknowledged (0 without a
-    /// workload).
+    /// workload). Kept for perfbench, whose source is frozen; everything
+    /// else subtracts [`BrokerClient::stats`]' `acked_records` from its
+    /// `produced`.
     #[must_use]
     pub fn unacked_records(&self) -> u64 {
         self.stats().map_or(0, |s| s.produced - s.acked_records)
@@ -728,7 +733,8 @@ mod tests {
     fn produces_and_consumes_with_zero_loss() {
         let mut sim = broker_sim(1, false, 1);
         sim.run_until(SimTime::from_secs(12));
-        let stats = sim.stats().expect("client attached");
+        let client = sim.client().expect("client attached");
+        let stats = client.stats(sim.now());
         assert!(stats.produced > 2000, "produced {}", stats.produced);
         assert!(
             stats.acked_records > stats.produced / 2,
@@ -740,7 +746,7 @@ mod tests {
             stats.produce_batches < stats.acked_records,
             "batching must coalesce"
         );
-        let groups = sim.consumer_stats().expect("client attached");
+        let groups = client.consumer_stats();
         assert_eq!(groups.len(), 1);
         let g = &groups[0];
         assert!(g.consumed > 1000, "consumed {}", g.consumed);
@@ -760,13 +766,12 @@ mod tests {
             .seed(3)
             .build_broker_sim(wl);
         sim.run_until(SimTime::from_secs(15));
-        let stats = sim.stats().expect("client attached");
+        let stats = sim.client().expect("client attached").stats(sim.now());
         assert!(stats.produced > 1000);
         assert_eq!(
             stats.acked_records, stats.produced,
             "drain must ack every record"
         );
-        assert_eq!(sim.unacked_records(), 0);
     }
 
     #[test]
@@ -782,12 +787,13 @@ mod tests {
         let victim = sim.leader_of(0).expect("group 0 leader");
         sim.crash_restart(victim);
         sim.run_until(SimTime::from_secs(25));
-        let stats = sim.stats().expect("client attached");
+        let client = sim.client().expect("client attached");
+        let stats = client.stats(sim.now());
         assert_eq!(
             stats.acked_records, stats.produced,
             "failover must not strand produces"
         );
-        let g = &sim.consumer_stats().unwrap()[0];
+        let g = &client.consumer_stats()[0];
         assert_eq!(g.consumed, stats.produced, "consumer reads everything");
         assert_eq!(g.lost, 0, "no record lost across failover");
         assert_eq!(g.duplicated, 0, "no record duplicated across failover");
@@ -807,7 +813,7 @@ mod tests {
             reads.follower > 0,
             "fan-out consumers must fetch from followers: {reads:?}"
         );
-        for g in sim.consumer_stats().unwrap() {
+        for g in sim.client().expect("client attached").consumer_stats() {
             assert_eq!(g.lost, 0);
             assert_eq!(g.duplicated, 0);
         }
@@ -977,7 +983,11 @@ mod tests {
             .seed(1)
             .build_broker_sim(wl);
         sim.run_until(SimTime::from_secs(6));
-        let produced = sim.stats().expect("client attached").produced;
+        let produced = sim
+            .client()
+            .expect("client attached")
+            .stats(sim.now())
+            .produced;
         let wakes = sim.net_counters().wakes;
         assert_eq!(produced, 16_000);
         assert!(
@@ -1364,7 +1374,7 @@ mod tests {
         let run = |seed| {
             let mut sim = broker_sim(2, false, seed);
             sim.run_until(SimTime::from_secs(8));
-            let stats = sim.stats().unwrap();
+            let stats = sim.client().unwrap().stats(sim.now());
             (
                 stats.produced,
                 stats.acked_records,

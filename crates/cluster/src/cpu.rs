@@ -21,7 +21,10 @@ use dynatune_simnet::SimTime;
 use dynatune_stats::TimeSeries;
 use std::time::Duration;
 
-/// Per-action busy-time costs.
+/// Per-action busy-time costs, one model for every server of a cluster
+/// ([`ScenarioBuilder::cost`](crate::ScenarioBuilder::cost)). A timer
+/// wake-up costs nothing in itself: what it does (admissions, sends,
+/// applies) is charged by the fields below.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Handling one received protocol message.
@@ -52,10 +55,6 @@ pub struct CostModel {
     /// and tuning-state bookkeeping; calibrated to the paper's 6.4 % peak
     /// throughput overhead).
     pub tuning_per_request: Duration,
-    /// Cost of servicing one timer wake-up (scheduler churn). Zero by
-    /// default and set by no scenario; it stays so a measured default can
-    /// charge the n−1 per-follower timers the paper attributes to Dynatune.
-    pub per_timer_wake: Duration,
     /// Serializing (sender) or installing (receiver) one KiB of snapshot
     /// state during an `InstallSnapshot` transfer — the size-aware part of
     /// the cost model: shipping a big store visibly occupies the CPU and
@@ -76,7 +75,6 @@ impl Default for CostModel {
             per_append_kib: Duration::from_micros(30),
             tuning_per_message: Duration::from_micros(15),
             tuning_per_request: Duration::from_micros(18),
-            per_timer_wake: Duration::ZERO,
             per_snapshot_kib: Duration::from_micros(2),
         }
     }
@@ -96,7 +94,6 @@ impl CostModel {
             per_append_kib: Duration::ZERO,
             tuning_per_message: Duration::ZERO,
             tuning_per_request: Duration::ZERO,
-            per_timer_wake: Duration::ZERO,
             per_snapshot_kib: Duration::ZERO,
         }
     }

@@ -14,11 +14,12 @@
 //! served [`App`] (the trait `dynatune_kv` defines and the KV and broker
 //! state types implement; every server runs it inside the one
 //! [`Replicated<A>`](dynatune_kv::Replicated) exactly-once state machine)
-//! and the [`Client`] that drives it, described by one
-//! [`ClusterConfig`] whose [`ShardMap`](dynatune_kv::ShardMap) places N
-//! independent Raft groups in one world (a classic single group is
-//! `shards = 1`) and whose one `raft` template is where every Raft knob is
-//! declared. There are two clients, the KV [`ClientHost`] and the
+//! and the [`Client`] that drives it, described and built by one
+//! [`ScenarioBuilder`]: its shard dimension places N independent Raft
+//! groups in one world (a classic single group is `shards = 1`), its Raft
+//! setters write one `raft` template where every Raft knob is declared,
+//! and its `build_sim` / `build_sharded_sim` / `build_broker_sim` are the
+//! only ways to assemble a cluster. There are two clients, the KV [`ClientHost`] and the
 //! [`BrokerClient`]; both drive one crate-private request engine that owns
 //! request ids, one live timer per request, the leader-routing table
 //! (a placement row and a leader guess per shard), the redirect walk and
@@ -65,4 +66,4 @@ pub use observers::{
 pub use rebalance::{RebalancePhase, Rebalancer, CATCH_UP_SLACK};
 pub use scenario::{NetPlan, Report, RunCtx, Scenario, ScenarioBuilder};
 pub use server::{CompactionPolicy, ReadCounters, ReadStrategy, ServerHost};
-pub use sim::{Client, ClusterConfig, ClusterHost, ClusterSim, WorkloadSpec};
+pub use sim::{Client, ClusterHost, ClusterSim, WorkloadSpec};

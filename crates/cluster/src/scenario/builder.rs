@@ -1,26 +1,26 @@
 //! Fluent scenario construction: [`NetPlan`] (the network as data) and
-//! [`ScenarioBuilder`] (typed assembly of a [`ClusterConfig`]).
+//! [`ScenarioBuilder`] (the one description of a cluster).
 //!
-//! One [`ClusterConfig`] describes every cluster shape — single group,
-//! sharded, with spares, KV or broker — and the builder resolves to it
-//! through exactly one [`ScenarioBuilder::build`]. The two KV shortcuts
-//! return the same [`ClusterSim`] and differ only in the placement rows and
-//! the sending discipline they hand its one KV client
-//! ([`ScenarioBuilder::build_sim`] / [`ScenarioBuilder::build_sharded_sim`]);
-//! the broker shortcut hands the one constructor a
-//! [`BrokerClient`] instead. The builder composes topology, tuning,
-//! workload and network plans explicitly, and is the single construction
-//! path used by the experiment catalog, the `scenarios` binary and the
-//! examples.
+//! A [`ScenarioBuilder`] describes every cluster shape — single group,
+//! sharded, with spares, KV or broker — and is the only way to build one.
+//! Its three `build_*` calls resolve the net plan over the final host
+//! count and hand the description to the one assembly in
+//! [`ClusterSim`]. The two KV calls return the same [`ClusterSim`] and
+//! differ only in the placement rows and the sending discipline they hand
+//! its one KV client ([`ScenarioBuilder::build_sim`] /
+//! [`ScenarioBuilder::build_sharded_sim`]); the broker call hands it a
+//! [`BrokerClient`] instead. A study that runs many trials of one cluster
+//! keeps the builder and derives each trial with [`ScenarioBuilder::seed`]
+//! (and [`ScenarioBuilder::workload`]) before building.
 
 use crate::broker::{BrokerClient, BrokerClusterSim, BrokerWorkload};
 use crate::cpu::CostModel;
 use crate::requests::{genesis_rows, DEFAULT_BATCH_WINDOW};
 use crate::server::{CompactionPolicy, ReadStrategy};
-use crate::sim::{ClusterConfig, ClusterSim, WorkloadSpec};
+use crate::sim::{members, ClusterSim, WorkloadSpec};
 use dynatune_core::TuningConfig;
-use dynatune_kv::ShardMap;
-use dynatune_raft::TimerQuantization;
+use dynatune_kv::{ShardId, ShardMap};
+use dynatune_raft::{NodeId, RaftConfig, TimerQuantization};
 use dynatune_simnet::{geo_topology, CongestionConfig, LinkSchedule, NetParams, Region, Topology};
 use std::time::Duration;
 
@@ -50,7 +50,7 @@ impl NetPlan {
     /// The paper's §IV-A stable mesh: uniform constant RTT, no loss, and
     /// the small residual jitter a real kernel/bridge leaves behind —
     /// "without intentionally introducing jitter" (§IV-B) still leaves 2 %.
-    /// [`ClusterConfig::stable`] is built on it.
+    /// [`ScenarioBuilder::cluster`] starts from it at 100 ms.
     #[must_use]
     pub fn stable(rtt: Duration) -> Self {
         NetPlan::Uniform(LinkSchedule::constant(
@@ -112,40 +112,76 @@ impl NetPlan {
     }
 }
 
-/// Typed, fluent construction of a [`ClusterConfig`].
+/// The one description of a simulated cluster, and its one constructor.
 ///
-/// Defaults are `ClusterConfig::stable(n, raft_default, 100ms, 0)` by
-/// construction: [`RaftConfig`](dynatune_raft::RaftConfig)'s own (etcd-style
-/// tick quantization, pre-vote and check-quorum on, UDP heartbeats) and 4
-/// cores. The Raft setters below write through to the config's one `raft`
-/// template; nothing restates a Raft default here. The builder keeps the
-/// network as a [`NetPlan`] until [`Self::build`] knows the final host
-/// count (shards × replicas + spares).
+/// Defaults: one group of `n` servers on [`NetPlan::stable`]'s 100 ms
+/// mesh, [`RaftConfig`]'s own knobs (etcd-style tick quantization,
+/// pre-vote and check-quorum on, UDP heartbeats), the default
+/// [`CostModel`], 4 cores and seed 0. The Raft setters below write through
+/// to one `raft` template; nothing restates a Raft default here. The
+/// network stays a [`NetPlan`] until [`Self::build_sim`] (or one of its
+/// siblings) knows the final host count (shards × replicas + spares).
 #[derive(Debug, Clone)]
 pub struct ScenarioBuilder {
-    /// Every knob but the network; `topology`/`congestion` are resolved
-    /// from the plan at build time.
-    config: ClusterConfig,
+    /// Genesis placement: Raft-group count and voters per group. A classic
+    /// single group of `n` servers is `ShardMap::new(1, n)`.
+    pub(crate) map: ShardMap,
+    /// Spare outsider servers, one entry per spare naming the shard it can
+    /// join. Spare `k` occupies world id `map.n_servers() + k`, speaks its
+    /// shard's group-local protocol, shares the fabric from t=0, and
+    /// belongs to no quorum (never campaigns) until a replicated
+    /// configuration change admits it
+    /// ([`ClusterSim::propose_conf_change`]).
+    pub(crate) spares: Vec<ShardId>,
+    /// The Raft configuration every server starts from — tuning mode,
+    /// election, transport and replication knobs, each declared (and
+    /// defaulted) once, in [`RaftConfig`]. `id`, `peers` and `seed` are
+    /// placeholders here: [`Self::raft_config`] fills them per server from
+    /// the placement and the master seed.
+    raft: RaftConfig,
+    /// Server-to-server network, resolved over every server at build time.
     net: NetPlan,
+    /// Congestion-burst model per egress (`None`: the net plan's choice).
     congestion: Option<CongestionConfig>,
+    /// CPU cost model (per server).
+    pub(crate) cost: CostModel,
+    /// Log-compaction policy (threshold + retained tail).
+    pub(crate) compaction: CompactionPolicy,
+    /// How servers serve linearizable reads (through the log, or log-free
+    /// by lease with ReadIndex as the fallback).
+    pub(crate) read_strategy: ReadStrategy,
+    /// Cores per server (paper: 4 for Figs. 4–6, 2 for Fig. 7).
+    pub(crate) cores: usize,
+    /// Master seed; all randomness derives from it.
+    pub(crate) seed: u64,
+    /// Optional KV client workload (adds one client node to the fabric,
+    /// linked to every server by a LAN hop).
+    pub(crate) workload: Option<WorkloadSpec>,
 }
 
 impl ScenarioBuilder {
     /// Start a scenario with `n` servers on the stable 100 ms mesh.
     #[must_use]
     pub fn cluster(n: usize) -> Self {
-        let rtt = Duration::from_millis(100);
         Self {
-            config: ClusterConfig::stable(n, TuningConfig::raft_default(), rtt, 0),
-            net: NetPlan::stable(rtt),
+            map: ShardMap::new(1, n),
+            spares: Vec::new(),
+            raft: RaftConfig::new(0, n, TuningConfig::raft_default()),
+            net: NetPlan::stable(Duration::from_millis(100)),
             congestion: None,
+            cost: CostModel::default(),
+            compaction: CompactionPolicy::default(),
+            read_strategy: ReadStrategy::default(),
+            cores: 4,
+            seed: 0,
+            workload: None,
         }
     }
 
     /// Select the tuning mode (Raft / Raft-Low / Fix-K / Dynatune).
     #[must_use]
     pub fn tuning(mut self, tuning: TuningConfig) -> Self {
-        self.config.raft.tuning = tuning;
+        self.raft.tuning = tuning;
         self
     }
 
@@ -156,7 +192,7 @@ impl ScenarioBuilder {
     /// [`Self::build_sharded_sim`].
     #[must_use]
     pub fn shards(mut self, shards: usize) -> Self {
-        self.config.map = ShardMap::new(shards, self.config.map.replicas());
+        self.map = ShardMap::new(shards, self.map.replicas());
         self
     }
 
@@ -168,7 +204,7 @@ impl ScenarioBuilder {
     /// and cannot place spares.
     #[must_use]
     pub fn spares(mut self, spares: usize) -> Self {
-        self.config.spares = vec![0; spares];
+        self.spares = vec![0; spares];
         self
     }
 
@@ -177,7 +213,7 @@ impl ScenarioBuilder {
     /// world ids after every mapped replica, in call order.
     #[must_use]
     pub fn spare_for_shard(mut self, shard: usize) -> Self {
-        self.config.spares.push(shard);
+        self.spares.push(shard);
         self
     }
 
@@ -198,28 +234,28 @@ impl ScenarioBuilder {
     /// Election-timer quantization.
     #[must_use]
     pub fn quantization(mut self, quantization: TimerQuantization) -> Self {
-        self.config.raft.quantization = quantization;
+        self.raft.quantization = quantization;
         self
     }
 
     /// Heartbeats over UDP (paper hybrid transport) or TCP (ablation).
     #[must_use]
     pub fn udp_heartbeats(mut self, udp: bool) -> Self {
-        self.config.raft.udp_heartbeats = udp;
+        self.raft.udp_heartbeats = udp;
         self
     }
 
     /// Pre-vote on/off.
     #[must_use]
     pub fn pre_vote(mut self, pre_vote: bool) -> Self {
-        self.config.raft.pre_vote = pre_vote;
+        self.raft.pre_vote = pre_vote;
         self
     }
 
     /// CPU cost model.
     #[must_use]
     pub fn cost(mut self, cost: CostModel) -> Self {
-        self.config.cost = cost;
+        self.cost = cost;
         self
     }
 
@@ -228,7 +264,7 @@ impl ScenarioBuilder {
     /// catch-up at simulation-friendly write volumes.
     #[must_use]
     pub fn compaction(mut self, threshold: usize, tail: u64) -> Self {
-        self.config.compaction = CompactionPolicy { threshold, tail };
+        self.compaction = CompactionPolicy { threshold, tail };
         self
     }
 
@@ -236,7 +272,7 @@ impl ScenarioBuilder {
     /// reads with ReadIndex fallback (the default).
     #[must_use]
     pub fn reads(mut self, strategy: ReadStrategy) -> Self {
-        self.config.read_strategy = strategy;
+        self.read_strategy = strategy;
         self
     }
 
@@ -244,7 +280,7 @@ impl ScenarioBuilder {
     /// the pre-pipelining ping-pong for ablations).
     #[must_use]
     pub fn pipeline_window(mut self, window: usize) -> Self {
-        self.config.raft.pipeline_window = window;
+        self.raft.pipeline_window = window;
         self
     }
 
@@ -252,53 +288,46 @@ impl ScenarioBuilder {
     /// it so replication stays RTT-bound and the pipeline depth shows.
     #[must_use]
     pub fn max_entries_per_append(mut self, cap: usize) -> Self {
-        self.config.raft.max_entries_per_append = cap;
+        self.raft.max_entries_per_append = cap;
         self
     }
 
     /// Cores per server (paper: 4 for Figs. 4–6, 2 for Fig. 7).
     #[must_use]
     pub fn cores(mut self, cores: usize) -> Self {
-        self.config.cores = cores;
+        self.cores = cores;
         self
     }
 
     /// Master seed; all randomness derives from it.
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
+        self.seed = seed;
         self
     }
 
     /// Attach an open-loop KV client workload.
     #[must_use]
     pub fn workload(mut self, spec: WorkloadSpec) -> Self {
-        self.config.workload = Some(spec);
+        self.workload = Some(spec);
         self
-    }
-
-    /// Resolve into the [`ClusterConfig`]: the net plan becomes a topology
-    /// over every server (mapped replicas plus spares).
-    ///
-    /// # Panics
-    /// Panics when the net plan cannot cover the servers.
-    #[must_use]
-    pub fn build(self) -> ClusterConfig {
-        let mut config = self.config;
-        config.topology = self.net.topology(config.n_servers());
-        config.congestion = self
-            .congestion
-            .unwrap_or_else(|| self.net.default_congestion());
-        config
     }
 
     /// Build and instantiate a KV cluster whose client routes over every
     /// member of each shard (spares included) and sends each request as a
     /// single `ClientReq` the moment it arrives — the classic single-group
-    /// shape, though any shard count builds.
+    /// shape, though any shard count builds. Without a
+    /// [`Self::workload`] the cluster runs client-free.
+    ///
+    /// # Panics
+    /// Panics when the net plan cannot cover the servers, or a spare names
+    /// a shard out of range.
     #[must_use]
     pub fn build_sim(self) -> ClusterSim {
-        ClusterSim::new(&self.build())
+        let rows = (0..self.map.shards())
+            .map(|shard| members(self.map, &self.spares, shard).collect())
+            .collect();
+        ClusterSim::with_kv_client(&self, rows, None)
     }
 
     /// Build and instantiate a sharded KV cluster: `shards` independent
@@ -306,11 +335,13 @@ impl ScenarioBuilder {
     /// [`Self::build_sim`], but the client routes over the mapped replicas
     /// only (spares enter a row when the rebalancer repoints it) and
     /// coalesces arrivals into one `ClientBatch` per shard every 2 ms.
+    ///
+    /// # Panics
+    /// As [`Self::build_sim`].
     #[must_use]
     pub fn build_sharded_sim(self) -> ClusterSim {
-        let config = self.build();
-        let rows = genesis_rows(config.map);
-        ClusterSim::with_kv_client(&config, rows, Some(DEFAULT_BATCH_WINDOW))
+        let rows = genesis_rows(self.map);
+        ClusterSim::with_kv_client(&self, rows, Some(DEFAULT_BATCH_WINDOW))
     }
 
     /// Build and instantiate a broker cluster: the same placement and
@@ -320,19 +351,51 @@ impl ScenarioBuilder {
     /// # Panics
     /// Panics when the builder carries a KV `.workload()` (the broker
     /// client takes `workload` instead) or spares (the broker client has no
-    /// placement to repoint, so they would idle forever).
+    /// placement to repoint, so they would idle forever), or when the net
+    /// plan cannot cover the servers.
     #[must_use]
     pub fn build_broker_sim(self, workload: BrokerWorkload) -> BrokerClusterSim {
         assert!(
-            self.config.workload.is_none(),
+            self.workload.is_none(),
             "workload: a broker cluster is driven by its BrokerWorkload, not a KV WorkloadSpec"
         );
         assert!(
-            self.config.spares.is_empty(),
+            self.spares.is_empty(),
             "spares/spare_for_shard: a broker cluster cannot admit spare servers"
         );
-        let config = self.build();
-        ClusterSim::with_client(&config, |_| Some(BrokerClient::new(&workload, config.map)))
+        ClusterSim::with_client(&self, |_| Some(BrokerClient::new(&workload, self.map)))
+    }
+
+    /// Number of server hosts: mapped replicas plus spares.
+    pub(crate) fn n_servers(&self) -> usize {
+        self.map.n_servers() + self.spares.len()
+    }
+
+    /// The net plan resolved over every server, and the congestion model
+    /// it runs under (the override, else the plan's own choice).
+    ///
+    /// # Panics
+    /// Panics when the net plan cannot cover the servers.
+    pub(crate) fn network(&self) -> (Topology, CongestionConfig) {
+        let congestion = self
+            .congestion
+            .unwrap_or_else(|| self.net.default_congestion());
+        (self.net.topology(self.n_servers()), congestion)
+    }
+
+    /// The Raft configuration of the server with group-local id `local` —
+    /// the one fill used for voters and spares alike. A spare's local id
+    /// lies past the mapped replicas (the peer-base translation is pure
+    /// addition, so it addresses a host outside the shard's block), which
+    /// makes it an outsider of the genesis voter set until a conf change
+    /// admits it.
+    pub(crate) fn raft_config(&self, local: NodeId, seed: u64) -> RaftConfig {
+        RaftConfig {
+            id: local,
+            peers: (0..self.map.replicas()).collect(),
+            seed,
+            ..self.raft.clone()
+        }
     }
 }
 
@@ -344,32 +407,11 @@ mod tests {
     use dynatune_simnet::SimTime;
 
     #[test]
-    fn builder_defaults_match_stable_constructor() {
-        let built = ScenarioBuilder::cluster(5)
-            .tuning(TuningConfig::dynatune())
-            .seed(7)
-            .build();
-        let stable =
-            ClusterConfig::stable(5, TuningConfig::dynatune(), Duration::from_millis(100), 7);
-        assert_eq!(built.map, stable.map);
-        assert_eq!(built.cores, stable.cores);
-        assert_eq!(built.raft.tuning, stable.raft.tuning);
-        assert_eq!(built.raft.pre_vote, stable.raft.pre_vote);
-        assert_eq!(built.raft.udp_heartbeats, stable.raft.udp_heartbeats);
-        assert_eq!(built.seed, stable.seed);
-        assert_eq!(
-            built.topology.schedule(0, 1).params_at(SimTime::ZERO),
-            stable.topology.schedule(0, 1).params_at(SimTime::ZERO)
-        );
-        assert!(!built.congestion.enabled());
-    }
-
-    #[test]
     fn geo_plan_enables_wan_congestion_by_default() {
-        let cfg = ScenarioBuilder::cluster(5).net(NetPlan::geo()).build();
-        assert!(cfg.congestion.enabled());
+        let (topology, congestion) = ScenarioBuilder::cluster(5).net(NetPlan::geo()).network();
+        assert!(congestion.enabled());
         assert_eq!(
-            cfg.topology.schedule(0, 1).params_at(SimTime::ZERO).rtt,
+            topology.schedule(0, 1).params_at(SimTime::ZERO).rtt,
             Duration::from_millis(210), // Tokyo–London
         );
     }
@@ -377,23 +419,23 @@ mod tests {
     #[test]
     fn geo_degraded_overrides_one_pair() {
         let slow = LinkSchedule::constant(NetParams::wan(Duration::from_millis(900)));
-        let cfg = ScenarioBuilder::cluster(5)
+        let (topology, _) = ScenarioBuilder::cluster(5)
             .net(NetPlan::GeoDegraded {
                 regions: Region::ALL.to_vec(),
                 overrides: vec![(0, 1, slow)],
             })
-            .build();
+            .network();
         assert_eq!(
-            cfg.topology.schedule(0, 1).params_at(SimTime::ZERO).rtt,
+            topology.schedule(0, 1).params_at(SimTime::ZERO).rtt,
             Duration::from_millis(900)
         );
         assert_eq!(
-            cfg.topology.schedule(1, 0).params_at(SimTime::ZERO).rtt,
+            topology.schedule(1, 0).params_at(SimTime::ZERO).rtt,
             Duration::from_millis(900)
         );
         // Other pairs keep the preset matrix.
         assert_eq!(
-            cfg.topology.schedule(0, 2).params_at(SimTime::ZERO).rtt,
+            topology.schedule(0, 2).params_at(SimTime::ZERO).rtt,
             Duration::from_millis(110)
         );
     }
@@ -470,6 +512,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "one region per server")]
     fn geo_plan_size_mismatch_panics() {
-        let _ = ScenarioBuilder::cluster(3).net(NetPlan::geo()).build();
+        let _ = ScenarioBuilder::cluster(3).net(NetPlan::geo()).build_sim();
     }
 }

@@ -44,8 +44,7 @@ fn quantization(trials: usize, seed: u64) -> Vec<QuantizationRow> {
             let cluster = ScenarioBuilder::cluster(5)
                 .tuning(TuningConfig::dynatune())
                 .quantization(q)
-                .seed(seed)
-                .build();
+                .seed(seed);
             let res = run_trials(&FailoverConfig::new(cluster, trials));
             QuantizationRow {
                 quantization: q,
@@ -88,8 +87,7 @@ fn safety_factor(values: &[f64], trials: usize, seed: u64) -> Vec<SafetyFactorRo
             let cluster = ScenarioBuilder::cluster(5)
                 .tuning(tuning)
                 .net(jitter_net())
-                .seed(seed)
-                .build();
+                .seed(seed);
             let res = run_trials(&FailoverConfig::new(cluster, trials));
             // False-timeout rate without failures under the same jitter.
             let mut sim = ScenarioBuilder::cluster(5)

@@ -90,7 +90,8 @@ fn produce_run(seed: u64, window: usize, hold: Duration) -> ProduceRun {
         .seed(seed)
         .build_broker_sim(wl);
     sim.run_until(SimTime::ZERO + start + hold);
-    let stats = wired(sim.stats(), "the builder attached a produce workload");
+    let client = wired(sim.client(), "the builder attached a broker workload");
+    let stats = client.stats(sim.now());
     ProduceRun {
         acked_records: stats.acked_records,
         acked_bytes: stats.acked_bytes,
@@ -216,15 +217,18 @@ fn consumer_lag_failover(ctx: &RunCtx) -> Report {
         // The partition-side high-watermark gap would hide the outage
         // (during it the producers stall too, so the backlog queues
         // client-side); produced-minus-consumed sees the whole pipe.
-        let consumed = wired(sim.consumer_stats(), "the workload runs consumer groups")
+        let client = wired(sim.client(), "the builder attached a broker workload");
+        let consumed = client
+            .consumer_stats()
             .iter()
             .map(|g| g.consumed)
             .sum::<u64>();
-        let produced = wired(sim.stats(), "the builder attached a produce workload").produced;
+        let produced = client.stats(sim.now()).produced;
         samples.push(((t - SimTime::ZERO).as_secs_f64(), produced - consumed));
     }
-    let stats = wired(sim.stats(), "the builder attached a produce workload");
-    let groups = wired(sim.consumer_stats(), "the workload runs consumer groups");
+    let client = wired(sim.client(), "the builder attached a broker workload");
+    let stats = client.stats(sim.now());
+    let groups = client.consumer_stats();
     // Peak as the consumer saw it (per-fetch high-watermark gap) and as
     // the end-to-end samples saw it.
     let peak_fetch = groups[0].max_lag;
@@ -354,7 +358,8 @@ fn fanout_run(seed: u64, groups: usize, fanout: bool, hold: Duration) -> FanoutR
         .servers()
         .map(ServerHost::reads_served)
         .fold(ReadCounters::default(), ReadCounters::merged);
-    let group_stats = wired(sim.consumer_stats(), "the workload runs consumer groups");
+    let group_stats =
+        wired(sim.client(), "the builder attached a broker workload").consumer_stats();
     FanoutRun {
         leader_cpu_pct,
         follower_reads: reads.follower,

@@ -15,7 +15,7 @@ use crate::observers::extract_failover;
 use crate::scenario::{
     compare_row, reduction_pct, NetPlan, Report, RunCtx, Scenario, ScenarioBuilder,
 };
-use crate::sim::{ClusterConfig, ClusterSim};
+use crate::sim::ClusterSim;
 use dynatune_core::TuningConfig;
 use dynatune_raft::NodeId;
 use dynatune_simnet::rng::splitmix64;
@@ -35,8 +35,9 @@ const PHASE_SPAN_NS: u64 = 1_000_000_000;
 /// Configuration of a failover study.
 #[derive(Debug, Clone)]
 pub struct FailoverConfig {
-    /// The cluster to study (workload-free).
-    pub cluster: ClusterConfig,
+    /// The cluster to study (workload-free); each trial builds it with its
+    /// own derived seed.
+    pub cluster: ScenarioBuilder,
     /// Settle/warm-up time before injecting the failure.
     pub warmup: Duration,
     /// Number of independent trials.
@@ -48,7 +49,7 @@ pub struct FailoverConfig {
 impl FailoverConfig {
     /// Paper defaults: 30 s warm-up, 30 s observation.
     #[must_use]
-    pub fn new(cluster: ClusterConfig, trials: usize) -> Self {
+    pub fn new(cluster: ScenarioBuilder, trials: usize) -> Self {
         Self {
             cluster,
             warmup: Duration::from_secs(30),
@@ -138,15 +139,12 @@ impl FailoverResult {
 #[must_use]
 pub fn run_single_trial(cfg: &FailoverConfig, trial: usize) -> Option<TrialOutcome> {
     // An independent seed per trial index, everything else shared.
-    let mut cluster_cfg = cfg.cluster.clone();
     let mut seed = cfg.cluster.seed ^ (trial as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    cluster_cfg.seed = splitmix64(&mut seed);
-    let mut sim = ClusterSim::new(&cluster_cfg);
+    let seed = splitmix64(&mut seed);
+    let mut sim = cfg.cluster.clone().seed(seed).build_sim();
     // Pause the leader after warm-up, at a random phase within ~1
     // heartbeat cycle; observe for `cfg.observe` afterwards.
-    let phase = Rng::new(cluster_cfg.seed ^ PHASE_SALT)
-        .child(0)
-        .below(PHASE_SPAN_NS);
+    let phase = Rng::new(seed ^ PHASE_SALT).child(0).below(PHASE_SPAN_NS);
     let at = SimTime::ZERO + cfg.warmup + Duration::from_nanos(phase);
     sim.run_until(at);
     let leader = sim.leader()?;
@@ -261,8 +259,7 @@ fn fig4(ctx: &RunCtx) -> Report {
     let study = |label: &str, tuning: TuningConfig| {
         let cluster = ScenarioBuilder::cluster(5)
             .tuning(tuning)
-            .seed(ctx.system_seed(label))
-            .build();
+            .seed(ctx.system_seed(label));
         run_trials(&FailoverConfig::new(cluster, trials))
     };
     let raft = study("raft", TuningConfig::raft_default());
@@ -361,8 +358,7 @@ fn fig8(ctx: &RunCtx) -> Report {
             .tuning(tuning)
             .net(NetPlan::geo())
             .cores(2) // m5.large
-            .seed(ctx.system_seed(label))
-            .build();
+            .seed(ctx.system_seed(label));
         let mut cfg = FailoverConfig::new(cluster, trials);
         cfg.warmup = Duration::from_secs(40); // WAN warm-up is slower
         run_trials(&cfg)
@@ -414,7 +410,7 @@ mod tests {
     use super::*;
 
     fn quick_cfg(tuning: TuningConfig, trials: usize) -> FailoverConfig {
-        let cluster = ClusterConfig::stable(5, tuning, Duration::from_millis(100), 99);
+        let cluster = ScenarioBuilder::cluster(5).tuning(tuning).seed(99);
         FailoverConfig {
             cluster,
             warmup: Duration::from_secs(20),

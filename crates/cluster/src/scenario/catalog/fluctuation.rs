@@ -133,14 +133,13 @@ pub(super) fn measure_rtt_fluctuation(
     // The schedule starts at t=0, so sampling starts immediately and the
     // figure shows the warm-up, as the paper's plots do.
     let schedule = pattern.schedule(hold);
-    let cluster_cfg = ScenarioBuilder::cluster(RTT_SERVERS)
+    let mut sim = ScenarioBuilder::cluster(RTT_SERVERS)
         .tuning(tuning)
         .net(NetPlan::uniform_schedule(schedule.clone()))
         .congestion(RTT_CONGESTION)
         .pre_vote(pre_vote)
         .seed(seed)
-        .build();
-    let mut sim = ClusterSim::new(&cluster_cfg);
+        .build_sim();
     let horizon = SimTime::ZERO + pattern.duration(hold);
     // The majority representative: k-th smallest timeout, k = ⌊n/2⌋ + 1.
     let k = RTT_SERVERS / 2 + 1;
@@ -379,13 +378,12 @@ fn measure_loss_fluctuation(
 ) -> LossFlucSeries {
     let base = NetParams::clean(LOSS_RTT).with_jitter(0.03);
     let schedule = LinkSchedule::loss_staircase(base, &LOSS_LEVELS, hold);
-    let cluster_cfg = ScenarioBuilder::cluster(n)
+    let mut sim = ScenarioBuilder::cluster(n)
         .tuning(tuning)
         .net(NetPlan::uniform_schedule(schedule))
         .cores(LOSS_CORES)
         .seed(seed)
-        .build();
-    let mut sim = ClusterSim::new(&cluster_cfg);
+        .build_sim();
     let horizon = SimTime::ZERO + loss_staircase_duration(hold);
     let mut h_ms = Vec::new();
     sample_until(&mut sim, LOSS_SAMPLE_EVERY, horizon, |sim| {

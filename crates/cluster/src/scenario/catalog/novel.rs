@@ -48,8 +48,7 @@ fn geo_asymmetric(ctx: &RunCtx) -> Report {
             .tuning(tuning)
             .net(asymmetric_geo())
             .cores(2)
-            .seed(ctx.system_seed(label))
-            .build();
+            .seed(ctx.system_seed(label));
         let mut cfg = FailoverConfig::new(cluster, trials);
         cfg.warmup = Duration::from_secs(40);
         run_trials(&cfg)

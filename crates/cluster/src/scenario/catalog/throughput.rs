@@ -7,7 +7,7 @@
 //! deviation; peak throughput is the highest completed rate.
 
 use crate::scenario::{compare_row, Report, RunCtx, Scenario, ScenarioBuilder};
-use crate::sim::{ClusterConfig, ClusterSim, WorkloadSpec};
+use crate::sim::WorkloadSpec;
 use dynatune_core::{invariant_violated, TuningConfig};
 use dynatune_kv::{OpMix, RateStep, WorkloadGen};
 use dynatune_simnet::rng::splitmix64;
@@ -71,19 +71,17 @@ impl ThroughputResult {
     }
 }
 
-/// Run repetition `repeat` of the `ramp` on a copy of `cluster` (workload
-/// attached here); returns per-level `(offered, completed/s, mean latency
-/// ms)`.
+/// Run repetition `repeat` of the `ramp` on `cluster` (seed derived and
+/// workload attached here); returns per-level `(offered, completed/s, mean
+/// latency ms)`.
 fn run_single_ramp(
-    cluster: &ClusterConfig,
+    cluster: &ScenarioBuilder,
     ramp: &[RateStep],
     repeat: usize,
 ) -> Vec<(f64, f64, f64)> {
-    let mut cluster_cfg = cluster.clone();
     let mut seed = cluster.seed ^ (repeat as u64).wrapping_mul(0xA076_1D64_78BD_642F);
-    cluster_cfg.seed = splitmix64(&mut seed);
     let total: Duration = SETTLE + ramp.iter().map(|step| step.hold).sum::<Duration>();
-    cluster_cfg.workload = Some(WorkloadSpec {
+    let workload = WorkloadSpec {
         steps: ramp.to_vec(),
         mix: OpMix::write_heavy(),
         key_space: 100_000,
@@ -95,9 +93,13 @@ fn run_single_ramp(
         request_timeout: None,
         read_fanout: false,
         record_trace: false,
-    });
+    };
+    let mut sim = cluster
+        .clone()
+        .seed(splitmix64(&mut seed))
+        .workload(workload)
+        .build_sim();
     // Run through the whole ramp plus the drain period (no faults).
-    let mut sim = ClusterSim::new(&cluster_cfg);
     sim.run_until(SimTime::ZERO + total + DRAIN);
     let Some(client) = sim.client() else {
         invariant_violated!(
@@ -114,7 +116,7 @@ fn run_single_ramp(
 
 /// Run the `ramp` `repeats` times (in parallel) and aggregate per level.
 #[must_use]
-fn measure_ramp(cluster: &ClusterConfig, ramp: &[RateStep], repeats: usize) -> ThroughputResult {
+fn measure_ramp(cluster: &ScenarioBuilder, ramp: &[RateStep], repeats: usize) -> ThroughputResult {
     let runs: Vec<Vec<(f64, f64, f64)>> = (0..repeats)
         .into_par_iter()
         .map(|r| run_single_ramp(cluster, ramp, r))
@@ -179,8 +181,7 @@ fn fig5(ctx: &RunCtx) -> Report {
     let study = |label: &str, tuning: TuningConfig| {
         let cluster = ScenarioBuilder::cluster(5)
             .tuning(tuning)
-            .seed(ctx.system_seed(label))
-            .build();
+            .seed(ctx.system_seed(label));
         measure_ramp(&cluster, &ramp, ctx.repeats_or(10, 2))
     };
     let raft = study("raft", TuningConfig::raft_default());

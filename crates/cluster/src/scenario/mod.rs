@@ -7,7 +7,7 @@
 //! | Piece | Type | Role |
 //! |-------|------|------|
 //! | network plan | [`NetPlan`] | the network as data: uniform meshes, schedules, geo presets, asymmetric degradations |
-//! | cluster assembly | [`ScenarioBuilder`] | typed, fluent construction of a `ClusterConfig`; Raft setters write through to its one `raft: RaftConfig` template |
+//! | cluster assembly | [`ScenarioBuilder`] | the one description of a cluster and its one constructor (`build_sim`, `build_sharded_sim`, `build_broker_sim`); Raft setters write through to its one `raft: RaftConfig` template |
 //! | experiment row | [`Scenario`] | name, metadata and the `run` fn that maps a [`RunCtx`] to a [`Report`] |
 //! | registry | [`REGISTRY`] | every registered row; [`find`] resolves one by name |
 //!

@@ -822,7 +822,6 @@ impl<A: App> ServerHost<A> {
 
     /// Timer wake-up.
     pub fn handle_wake(&mut self, ctx: &mut HostCtx<'_, ClusterMsg<A>>) {
-        self.cpu.charge(ctx.now, self.cost.per_timer_wake);
         self.drain_conf(ctx);
         self.drain_admitted(ctx);
         self.flush_forwarded(ctx); // wave resend on silence

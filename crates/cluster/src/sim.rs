@@ -4,7 +4,8 @@
 //! it is generic over the served [`App`] (`KvStore` or `BrokerState`) and
 //! over the benchmark [`Client`] that shares the fabric with the servers,
 //! and it places servers by a [`ShardMap`] — a classic single Raft group is
-//! the map with one shard. One [`ClusterConfig`] describes any of them.
+//! the map with one shard. One [`ScenarioBuilder`] describes any of them,
+//! and its `build_*` calls are the only way to assemble one.
 //!
 //! Host layout (world ids): replicas of shard `g` occupy the contiguous
 //! block `[g·R, (g+1)·R)`, spares follow in declaration order, and the
@@ -23,17 +24,13 @@
 //! heartbeat interval and the network counters.
 
 use crate::client::{ClientHost, OpRecord, StepRecord};
-use crate::cpu::CostModel;
 use crate::msg::ClusterMsg;
-use crate::scenario::NetPlan;
-use crate::server::{CompactionPolicy, ReadStrategy, ServerHost};
-use dynatune_core::{invariant_violated, TuningConfig};
+use crate::scenario::ScenarioBuilder;
+use crate::server::ServerHost;
+use dynatune_core::invariant_violated;
 use dynatune_kv::{App, KvStore, OpMix, RateStep, ShardId, ShardMap};
-use dynatune_raft::{ConfChange, NodeId, RaftConfig, RaftEvent, Role};
-use dynatune_simnet::{
-    CongestionConfig, Host, HostCtx, LinkSchedule, NetParams, Network, Rng, SimTime, Topology,
-    World,
-};
+use dynatune_raft::{ConfChange, NodeId, RaftEvent, Role};
+use dynatune_simnet::{Host, HostCtx, LinkSchedule, NetParams, Network, Rng, SimTime, World};
 use std::time::Duration;
 
 /// Client workload specification.
@@ -107,95 +104,6 @@ impl WorkloadSpec {
     }
 }
 
-/// Full description of one simulated cluster run.
-#[derive(Debug, Clone)]
-pub struct ClusterConfig {
-    /// Genesis placement: Raft-group count and voters per group. A classic
-    /// single group of `n` servers is `ShardMap::new(1, n)`.
-    pub map: ShardMap,
-    /// Spare outsider servers, one entry per spare naming the shard it can
-    /// join. Spare `k` occupies world id `map.n_servers() + k`, speaks its
-    /// shard's group-local protocol, shares the fabric from t=0, and
-    /// belongs to no quorum (never campaigns) until a replicated
-    /// configuration change admits it
-    /// ([`ClusterSim::propose_conf_change`]).
-    pub spares: Vec<ShardId>,
-    /// The Raft configuration every server starts from — tuning mode,
-    /// election, transport and replication knobs, each declared (and
-    /// defaulted) once, in [`RaftConfig`]. `id`, `peers` and `seed` are
-    /// placeholders here: [`ClusterSim`] fills them per server from the
-    /// placement and the master seed.
-    pub raft: RaftConfig,
-    /// Server-to-server network topology; must cover exactly
-    /// [`Self::n_servers`] hosts.
-    pub topology: Topology,
-    /// Congestion-burst model applied per egress.
-    pub congestion: CongestionConfig,
-    /// CPU cost model (per server).
-    pub cost: CostModel,
-    /// Log-compaction policy (threshold + retained tail).
-    pub compaction: CompactionPolicy,
-    /// How servers serve linearizable reads (through the log, or log-free
-    /// by lease with ReadIndex as the fallback).
-    pub read_strategy: ReadStrategy,
-    /// Cores per server (paper: 4 for Figs. 4–6, 2 for Fig. 7).
-    pub cores: usize,
-    /// Master seed; all randomness derives from it.
-    pub seed: u64,
-    /// Optional KV client workload (adds one client node to the fabric,
-    /// linked to every server by a LAN hop).
-    pub workload: Option<WorkloadSpec>,
-}
-
-impl ClusterConfig {
-    /// A stable-network cluster matching the paper's §IV-A setup: one group
-    /// of `n` servers on [`NetPlan::stable`]'s mesh, 4 cores each.
-    #[must_use]
-    pub fn stable(n: usize, tuning: TuningConfig, rtt: Duration, seed: u64) -> Self {
-        Self {
-            map: ShardMap::new(1, n),
-            spares: Vec::new(),
-            raft: RaftConfig::new(0, n, tuning),
-            topology: NetPlan::stable(rtt).topology(n),
-            congestion: CongestionConfig::disabled(),
-            cost: CostModel::default(),
-            compaction: CompactionPolicy::default(),
-            read_strategy: ReadStrategy::default(),
-            cores: 4,
-            seed,
-            workload: None,
-        }
-    }
-
-    /// Attach a client workload.
-    #[must_use]
-    pub fn with_workload(mut self, spec: WorkloadSpec) -> Self {
-        self.workload = Some(spec);
-        self
-    }
-
-    /// Number of server hosts: mapped replicas plus spares.
-    #[must_use]
-    pub fn n_servers(&self) -> usize {
-        self.map.n_servers() + self.spares.len()
-    }
-
-    /// The Raft configuration of the server with group-local id `local` —
-    /// the one fill used for voters and spares alike. A spare's local id
-    /// lies past the mapped replicas (the peer-base translation is pure
-    /// addition, so it addresses a host outside the shard's block), which
-    /// makes it an outsider of the genesis voter set until a conf change
-    /// admits it.
-    fn raft_config(&self, local: NodeId, seed: u64) -> RaftConfig {
-        RaftConfig {
-            id: local,
-            peers: (0..self.map.replicas()).collect(),
-            seed,
-            ..self.raft.clone()
-        }
-    }
-}
-
 /// A benchmark client living on the fabric beside the servers: the three
 /// calls the simulation kernel makes into it.
 pub trait Client<A: App> {
@@ -262,24 +170,10 @@ pub struct ClusterSim<A: App = KvStore, C: Client<A> = ClientHost> {
 }
 
 impl ClusterSim {
-    /// Build a KV cluster; `config.workload` (if any) drives a
-    /// [`ClientHost`] that routes over every member of each shard (spares
-    /// included) and sends each request the moment it arrives.
-    ///
-    /// # Panics
-    /// Panics when the topology size does not match the server count.
-    #[must_use]
-    pub fn new(config: &ClusterConfig) -> Self {
-        let rows = (0..config.map.shards())
-            .map(|shard| members(config.map, &config.spares, shard).collect())
-            .collect();
-        Self::with_kv_client(config, rows, None)
-    }
-
     /// The one KV assembly: `rows` are the client's initial placement rows
     /// and `batch_window` its sending discipline (see [`ClientHost::new`]).
     pub(crate) fn with_kv_client(
-        config: &ClusterConfig,
+        config: &ScenarioBuilder,
         rows: Vec<Vec<NodeId>>,
         batch_window: Option<Duration>,
     ) -> Self {
@@ -314,7 +208,11 @@ impl ClusterSim {
 /// World ids of every server belonging to `shard`: the mapped replica
 /// block, then any spares attached to the shard in declaration order
 /// (spare `k` is host `map.n_servers() + k`).
-fn members(map: ShardMap, spares: &[ShardId], shard: ShardId) -> impl Iterator<Item = NodeId> + '_ {
+pub(crate) fn members(
+    map: ShardMap,
+    spares: &[ShardId],
+    shard: ShardId,
+) -> impl Iterator<Item = NodeId> + '_ {
     let spares = spares.iter().enumerate();
     map.servers_of(shard).chain(
         spares
@@ -324,40 +222,34 @@ fn members(map: ShardMap, spares: &[ShardId], shard: ShardId) -> impl Iterator<I
 }
 
 impl<A: App, C: Client<A>> ClusterSim<A, C> {
-    /// Assemble the cluster: every server in `config` plus the client
-    /// `make_client` returns (handed the workload's seed stream), if any.
-    /// All randomness derives from `config.seed`: stream 1 feeds the
+    /// Assemble the cluster: every server `config` describes plus the
+    /// client `make_client` returns (handed the workload's seed stream), if
+    /// any. All randomness derives from `config`'s seed: stream 1 feeds the
     /// network, stream 2 the per-server timers (one child per world id, so
     /// every (shard, replica) pair is independent), stream 3 the workload.
     ///
     /// # Panics
-    /// Panics when the topology does not cover exactly the servers, or a
-    /// spare names a shard out of range.
+    /// Panics when the net plan cannot cover the servers, or a spare names
+    /// a shard out of range.
     #[must_use]
     pub(crate) fn with_client(
-        config: &ClusterConfig,
+        config: &ScenarioBuilder,
         make_client: impl FnOnce(Rng) -> Option<C>,
     ) -> Self {
         let map = config.map;
         let n_servers = config.n_servers();
-        assert_eq!(
-            config.topology.len(),
-            n_servers,
-            "topology must cover exactly the servers (mapped replicas + spares)"
-        );
+        let (topology, congestion) = config.network();
         let master = Rng::new(config.seed);
         let client = make_client(master.child(3));
         // Extend the topology with the client node (one LAN hop to every
         // server) if needed.
         let topology = if client.is_some() {
-            config
-                .topology
-                .extend_with(1, LinkSchedule::constant(NetParams::lan()))
+            topology.extend_with(1, LinkSchedule::constant(NetParams::lan()))
         } else {
-            config.topology.clone()
+            topology
         };
         let n_total = n_servers + usize::from(client.is_some());
-        let net = Network::new(n_total, &master.child(1), config.congestion, |f, t| {
+        let net = Network::new(n_total, &master.child(1), congestion, |f, t| {
             topology.schedule(f, t)
         });
         let node_seed_root = master.child(2);
@@ -662,12 +554,15 @@ fn merge_by_time<E: Copy>(streams: &mut [(NodeId, &[(SimTime, E)])]) -> Vec<(Sim
 mod tests {
     use super::*;
     use crate::observers::election_safety_violations;
-    use crate::scenario::builder::ScenarioBuilder;
+    use crate::scenario::NetPlan;
+    use dynatune_core::TuningConfig;
     use proptest::prelude::*;
 
     fn stable_cluster(tuning: TuningConfig, seed: u64) -> ClusterSim {
-        let cfg = ClusterConfig::stable(5, tuning, Duration::from_millis(100), seed);
-        ClusterSim::new(&cfg)
+        ScenarioBuilder::cluster(5)
+            .tuning(tuning)
+            .seed(seed)
+            .build_sim()
     }
 
     #[test]
@@ -745,15 +640,11 @@ mod tests {
     #[test]
     fn spares_join_live_via_joint_consensus() {
         // 3 genesis voters + 2 spare outsiders; grow to 5 voters online.
-        let mut cfg = ClusterConfig::stable(
-            3,
-            TuningConfig::raft_default(),
-            Duration::from_millis(50),
-            9,
-        );
-        cfg.spares = vec![0; 2];
-        cfg.topology = NetPlan::stable(Duration::from_millis(50)).topology(5);
-        let mut sim = ClusterSim::new(&cfg);
+        let mut sim = ScenarioBuilder::cluster(3)
+            .spares(2)
+            .net(NetPlan::stable(Duration::from_millis(50)))
+            .seed(9)
+            .build_sim();
         sim.run_until(SimTime::from_secs(10));
         let leader = sim.leader().expect("genesis voters elect");
         assert!(leader < 3, "spares cannot lead before joining");
@@ -893,14 +784,11 @@ mod tests {
 
     #[test]
     fn workload_flows_end_to_end() {
-        let cfg = ClusterConfig::stable(
-            3,
-            TuningConfig::raft_default(),
-            Duration::from_millis(10),
-            5,
-        )
-        .with_workload(WorkloadSpec::steady(200.0, Duration::from_secs(5)));
-        let mut sim = ClusterSim::new(&cfg);
+        let mut sim = ScenarioBuilder::cluster(3)
+            .net(NetPlan::stable(Duration::from_millis(10)))
+            .seed(5)
+            .workload(WorkloadSpec::steady(200.0, Duration::from_secs(5)))
+            .build_sim();
         // Schedule starts at t=0; leader takes ~1-2s to emerge, so early
         // requests are redirected/failed; later ones complete.
         sim.run_until(SimTime::from_secs(10));
@@ -919,14 +807,11 @@ mod tests {
 
     #[test]
     fn read_outs_borrow_the_clients_storage() {
-        let cfg = ClusterConfig::stable(
-            3,
-            TuningConfig::raft_default(),
-            Duration::from_millis(10),
-            5,
-        )
-        .with_workload(WorkloadSpec::steady(200.0, Duration::from_secs(3)).recording());
-        let mut sim = ClusterSim::new(&cfg);
+        let mut sim = ScenarioBuilder::cluster(3)
+            .net(NetPlan::stable(Duration::from_millis(10)))
+            .seed(5)
+            .workload(WorkloadSpec::steady(200.0, Duration::from_secs(3)).recording())
+            .build_sim();
         sim.run_until(SimTime::from_secs(4));
         let client = sim.client().expect("client attached");
         // A copy would live at another address; `ptr::eq` on slices also

@@ -4,10 +4,18 @@
 //! trials fan out across threads with no shared state.
 
 use dynatune_repro::cluster::scenario::catalog::failover::{run_single_trial, FailoverConfig};
-use dynatune_repro::cluster::{ClusterConfig, ClusterSim, WorkloadSpec};
+use dynatune_repro::cluster::{ClusterSim, NetPlan, ScenarioBuilder, WorkloadSpec};
 use dynatune_repro::core::TuningConfig;
 use dynatune_repro::simnet::SimTime;
 use std::time::Duration;
+
+/// Five servers of `tuning` on the stable mesh at `rtt_ms`.
+fn stable(tuning: TuningConfig, rtt_ms: u64, seed: u64) -> ScenarioBuilder {
+    ScenarioBuilder::cluster(5)
+        .tuning(tuning)
+        .net(NetPlan::stable(Duration::from_millis(rtt_ms)))
+        .seed(seed)
+}
 
 fn fingerprint(sim: &ClusterSim) -> (Option<usize>, usize, u64, Vec<u64>) {
     let events = sim.events();
@@ -21,10 +29,9 @@ fn fingerprint(sim: &ClusterSim) -> (Option<usize>, usize, u64, Vec<u64>) {
 #[test]
 fn identical_seeds_identical_universes() {
     let run = |seed: u64| {
-        let cfg =
-            ClusterConfig::stable(5, TuningConfig::dynatune(), Duration::from_millis(80), seed)
-                .with_workload(WorkloadSpec::steady(300.0, Duration::from_secs(15)));
-        let mut sim = ClusterSim::new(&cfg);
+        let mut sim = stable(TuningConfig::dynatune(), 80, seed)
+            .workload(WorkloadSpec::steady(300.0, Duration::from_secs(15)))
+            .build_sim();
         sim.run_until(SimTime::from_secs(25));
         fingerprint(&sim)
     };
@@ -34,9 +41,7 @@ fn identical_seeds_identical_universes() {
 
 #[test]
 fn identical_seeds_identical_failovers() {
-    let cluster =
-        ClusterConfig::stable(5, TuningConfig::dynatune(), Duration::from_millis(100), 777);
-    let cfg = FailoverConfig::new(cluster, 1);
+    let cfg = FailoverConfig::new(stable(TuningConfig::dynatune(), 100, 777), 1);
     let a = run_single_trial(&cfg, 3);
     let b = run_single_trial(&cfg, 3);
     assert_eq!(a, b);
@@ -50,9 +55,7 @@ fn identical_seeds_identical_failovers() {
 #[test]
 fn event_streams_are_bit_identical() {
     let run = |seed: u64| {
-        let cfg =
-            ClusterConfig::stable(5, TuningConfig::raft_low(), Duration::from_millis(50), seed);
-        let mut sim = ClusterSim::new(&cfg);
+        let mut sim = stable(TuningConfig::raft_low(), 50, seed).build_sim();
         sim.run_until(SimTime::from_secs(20));
         let leader = sim.leader();
         if let Some(l) = leader {
@@ -72,13 +75,7 @@ fn parallel_and_serial_trials_agree() {
     // The rayon-parallel study must produce exactly the per-trial outcomes
     // of serial execution (no cross-trial state).
     use dynatune_repro::cluster::scenario::catalog::failover::run_trials;
-    let cluster = ClusterConfig::stable(
-        5,
-        TuningConfig::dynatune(),
-        Duration::from_millis(100),
-        2025,
-    );
-    let mut cfg = FailoverConfig::new(cluster, 6);
+    let mut cfg = FailoverConfig::new(stable(TuningConfig::dynatune(), 100, 2025), 6);
     cfg.warmup = Duration::from_secs(15);
     cfg.observe = Duration::from_secs(15);
     let parallel = run_trials(&cfg);

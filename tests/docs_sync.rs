@@ -142,8 +142,10 @@ fn md_files_cited_in_doc_comments_and_guides_exist() {
 /// struct, so a knob that becomes a constant (or moves to another layer)
 /// cannot leave its citation behind. Likewise every `ClusterSim::name`,
 /// `ServerHost::name` and `ClientHost::name` is defined in the file that
-/// holds the type, so a deleted read-out cannot stay cited. Prefixes match
-/// whole identifiers: `BrokerClusterSim::` is not a `ClusterSim::` citation.
+/// holds the type, so a deleted read-out cannot stay cited, and every
+/// `ScenarioBuilder::name` and `CostModel::name` likewise, so a deleted
+/// constructor or cost field cannot either. Prefixes match whole
+/// identifiers: `BrokerClusterSim::` is not a `ClusterSim::` citation.
 #[test]
 fn type_members_cited_in_the_guides_exist() {
     let configs = [
@@ -161,6 +163,11 @@ fn type_members_cited_in_the_guides_exist() {
             "ClientHost::",
             include_str!("../crates/cluster/src/client.rs"),
         ),
+        (
+            "ScenarioBuilder::",
+            include_str!("../crates/cluster/src/scenario/builder.rs"),
+        ),
+        ("CostModel::", include_str!("../crates/cluster/src/cpu.rs")),
     ];
     let is_ident_char = |c: char| c.is_ascii_alphanumeric() || c == '_';
     let mut cited = 0;

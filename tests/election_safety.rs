@@ -4,10 +4,10 @@
 //! performance comparison meaningful — a tuner that broke safety could
 //! "win" any latency benchmark.
 
-use dynatune_repro::cluster::{ClusterConfig, ClusterSim};
+use dynatune_repro::cluster::{ClusterSim, NetPlan, ScenarioBuilder};
 use dynatune_repro::core::TuningConfig;
 use dynatune_repro::raft::{NodeId, RaftEvent, Term};
-use dynatune_repro::simnet::{CongestionConfig, NetParams, SimTime, Topology};
+use dynatune_repro::simnet::{CongestionConfig, NetParams, SimTime};
 use std::collections::HashMap; // lint: allow(D002) — entry-only map (see below); kept as the live waiver example
 use std::time::Duration;
 
@@ -56,8 +56,16 @@ fn assert_committed_prefix_matches(sim: &ClusterSim) {
     }
 }
 
-fn run_scenario(config: &ClusterConfig, horizon: Duration) -> ClusterSim {
-    let mut sim = ClusterSim::new(config);
+/// Five servers of `tuning` on the stable mesh at `rtt_ms`.
+fn stable(tuning: TuningConfig, rtt_ms: u64, seed: u64) -> ScenarioBuilder {
+    ScenarioBuilder::cluster(5)
+        .tuning(tuning)
+        .net(NetPlan::stable(Duration::from_millis(rtt_ms)))
+        .seed(seed)
+}
+
+fn run_scenario(cluster: ScenarioBuilder, horizon: Duration) -> ClusterSim {
+    let mut sim = cluster.build_sim();
     sim.run_until(SimTime::ZERO + horizon);
     sim
 }
@@ -71,8 +79,7 @@ fn safety_across_modes_and_seeds() {
         TuningConfig::fix_k(10),
     ] {
         for seed in 0..4u64 {
-            let cfg = ClusterConfig::stable(5, tuning, Duration::from_millis(50), seed);
-            let sim = run_scenario(&cfg, Duration::from_secs(60));
+            let sim = run_scenario(stable(tuning, 50, seed), Duration::from_secs(60));
             assert_election_safety(&sim.events());
             assert_committed_prefix_matches(&sim);
         }
@@ -82,8 +89,7 @@ fn safety_across_modes_and_seeds() {
 #[test]
 fn safety_under_repeated_leader_failures() {
     for tuning in [TuningConfig::raft_default(), TuningConfig::dynatune()] {
-        let cfg = ClusterConfig::stable(5, tuning, Duration::from_millis(100), 1234);
-        let mut sim = ClusterSim::new(&cfg);
+        let mut sim = stable(tuning, 100, 1234).build_sim();
         let mut failed: Vec<usize> = Vec::new();
         // Kill four leaders in sequence (pausing each, never resuming):
         // with 5 servers the last failure leaves 1 node, which must never
@@ -116,21 +122,18 @@ fn safety_under_lossy_jittery_network() {
     // 20% loss + heavy jitter + congestion bursts: elections will churn,
     // but never two leaders in one term and never diverging logs.
     for seed in [7u64, 77, 777] {
-        let mut cfg =
-            ClusterConfig::stable(5, TuningConfig::dynatune(), Duration::from_millis(80), seed);
-        cfg.topology = Topology::uniform_constant(
-            5,
-            NetParams::clean(Duration::from_millis(80))
-                .with_jitter(0.5)
-                .with_loss(0.2)
-                .with_dup(0.02),
-        );
-        cfg.congestion = CongestionConfig {
-            mean_interval: Some(Duration::from_secs(5)),
-            duration: (Duration::from_millis(200), Duration::from_millis(800)),
-            scale: 2.0,
-        };
-        let sim = run_scenario(&cfg, Duration::from_secs(120));
+        let hostile = NetParams::clean(Duration::from_millis(80))
+            .with_jitter(0.5)
+            .with_loss(0.2)
+            .with_dup(0.02);
+        let cluster = stable(TuningConfig::dynatune(), 80, seed)
+            .net(NetPlan::uniform(hostile))
+            .congestion(CongestionConfig {
+                mean_interval: Some(Duration::from_secs(5)),
+                duration: (Duration::from_millis(200), Duration::from_millis(800)),
+                scale: 2.0,
+            });
+        let sim = run_scenario(cluster, Duration::from_secs(120));
         assert_election_safety(&sim.events());
         assert_committed_prefix_matches(&sim);
     }
@@ -138,8 +141,7 @@ fn safety_under_lossy_jittery_network() {
 
 #[test]
 fn quorum_loss_stops_progress_and_recovery_restores_it() {
-    let cfg = ClusterConfig::stable(5, TuningConfig::dynatune(), Duration::from_millis(50), 99);
-    let mut sim = ClusterSim::new(&cfg);
+    let mut sim = stable(TuningConfig::dynatune(), 50, 99).build_sim();
     sim.run_until(SimTime::from_secs(20));
     // Pause three servers: quorum gone.
     let leader = sim.leader().expect("leader");
@@ -166,13 +168,7 @@ fn quorum_loss_stops_progress_and_recovery_restores_it() {
 
 #[test]
 fn paused_leader_rejoins_without_disruption() {
-    let cfg = ClusterConfig::stable(
-        5,
-        TuningConfig::dynatune(),
-        Duration::from_millis(100),
-        4242,
-    );
-    let mut sim = ClusterSim::new(&cfg);
+    let mut sim = stable(TuningConfig::dynatune(), 100, 4242).build_sim();
     sim.run_until(SimTime::from_secs(30));
     let old_leader = sim.leader().expect("leader");
     sim.pause(old_leader);

@@ -2,11 +2,19 @@
 //! replicas and respect its semantics even through failovers, client
 //! retries (which can duplicate proposals) and network loss.
 
-use dynatune_repro::cluster::{ClusterConfig, ClusterSim, WorkloadSpec};
+use dynatune_repro::cluster::{ClusterSim, NetPlan, ScenarioBuilder, WorkloadSpec};
 use dynatune_repro::core::TuningConfig;
 use dynatune_repro::kv::{OpMix, RateStep};
-use dynatune_repro::simnet::{NetParams, SimTime, Topology};
+use dynatune_repro::simnet::{NetParams, SimTime};
 use std::time::Duration;
+
+/// `n` Dynatune servers on the stable mesh at `rtt_ms`.
+fn dynatune(n: usize, rtt_ms: u64, seed: u64) -> ScenarioBuilder {
+    ScenarioBuilder::cluster(n)
+        .tuning(TuningConfig::dynatune())
+        .net(NetPlan::stable(Duration::from_millis(rtt_ms)))
+        .seed(seed)
+}
 
 fn workload(rps: f64, secs: u64) -> WorkloadSpec {
     WorkloadSpec {
@@ -49,9 +57,9 @@ fn assert_replicas_converged(sim: &ClusterSim) {
 
 #[test]
 fn replicas_converge_under_clean_load() {
-    let cfg = ClusterConfig::stable(3, TuningConfig::dynatune(), Duration::from_millis(20), 11)
-        .with_workload(workload(500.0, 20));
-    let mut sim = ClusterSim::new(&cfg);
+    let mut sim = dynatune(3, 20, 11)
+        .workload(workload(500.0, 20))
+        .build_sim();
     sim.run_until(SimTime::from_secs(35)); // drain
     let steps = sim.client().unwrap().steps();
     assert!(
@@ -69,9 +77,9 @@ fn replicas_converge_under_clean_load() {
 
 #[test]
 fn replicas_converge_through_failover_and_retries() {
-    let cfg = ClusterConfig::stable(5, TuningConfig::dynatune(), Duration::from_millis(50), 22)
-        .with_workload(workload(800.0, 40));
-    let mut sim = ClusterSim::new(&cfg);
+    let mut sim = dynatune(5, 50, 22)
+        .workload(workload(800.0, 40))
+        .build_sim();
     // Fail the leader mid-workload (twice), resuming each after a while.
     sim.run_until(SimTime::from_secs(15));
     let l1 = sim.leader().expect("leader 1");
@@ -98,24 +106,22 @@ fn replicas_converge_through_failover_and_retries() {
 
 #[test]
 fn replicas_converge_under_loss() {
-    let mut cfg = ClusterConfig::stable(3, TuningConfig::dynatune(), Duration::from_millis(40), 33)
-        .with_workload(workload(300.0, 20));
-    cfg.topology = Topology::uniform_constant(
-        3,
-        NetParams::clean(Duration::from_millis(40))
-            .with_jitter(0.2)
-            .with_loss(0.05),
-    );
-    let mut sim = ClusterSim::new(&cfg);
+    let lossy = NetParams::clean(Duration::from_millis(40))
+        .with_jitter(0.2)
+        .with_loss(0.05);
+    let mut sim = dynatune(3, 40, 33)
+        .net(NetPlan::uniform(lossy))
+        .workload(workload(300.0, 20))
+        .build_sim();
     sim.run_until(SimTime::from_secs(40));
     assert_replicas_converged(&sim);
 }
 
 #[test]
 fn crash_recovery_keeps_the_applied_state() {
-    let cfg = ClusterConfig::stable(3, TuningConfig::dynatune(), Duration::from_millis(20), 44)
-        .with_workload(workload(400.0, 15));
-    let mut sim = ClusterSim::new(&cfg);
+    let mut sim = dynatune(3, 20, 44)
+        .workload(workload(400.0, 15))
+        .build_sim();
     sim.run_until(SimTime::from_secs(10));
     // Crash a follower: it keeps its log and its applied store, as a
     // disk-based state machine would, and loses only volatile state.

@@ -8,7 +8,7 @@
 
 use dynatune_repro::cluster::scenario::catalog::failover::{run_trials, FailoverConfig};
 use dynatune_repro::cluster::scenario::{find, Report, RunCtx, REGISTRY};
-use dynatune_repro::cluster::ClusterConfig;
+use dynatune_repro::cluster::ScenarioBuilder;
 use dynatune_repro::core::TuningConfig;
 use std::time::Duration;
 
@@ -244,12 +244,9 @@ fn membership_reports_identical_serial_vs_parallel() {
 
 #[test]
 fn failover_trials_identical_across_pool_widths() {
-    let cluster = ClusterConfig::stable(
-        5,
-        TuningConfig::dynatune(),
-        Duration::from_millis(100),
-        4242,
-    );
+    let cluster = ScenarioBuilder::cluster(5)
+        .tuning(TuningConfig::dynatune())
+        .seed(4242);
     let mut cfg = FailoverConfig::new(cluster, 6);
     cfg.warmup = Duration::from_secs(20);
     cfg.observe = Duration::from_secs(20);

@@ -4,15 +4,18 @@
 //! classic hazard for aggressive election timeouts, so Dynatune must
 //! behave exactly like Raft here.
 
-use dynatune_repro::cluster::{ClusterConfig, ClusterSim, ScenarioBuilder};
+use dynatune_repro::cluster::{ClusterSim, NetPlan, ScenarioBuilder};
 use dynatune_repro::core::TuningConfig;
 use dynatune_repro::raft::{RaftEvent, Role};
 use dynatune_repro::simnet::SimTime;
 use std::time::Duration;
 
 fn cluster(tuning: TuningConfig, seed: u64) -> ClusterSim {
-    let cfg = ClusterConfig::stable(5, tuning, Duration::from_millis(50), seed);
-    ClusterSim::new(&cfg)
+    ScenarioBuilder::cluster(5)
+        .tuning(tuning)
+        .net(NetPlan::stable(Duration::from_millis(50)))
+        .seed(seed)
+        .build_sim()
 }
 
 fn assert_one_leader_per_term(sim: &ClusterSim) {

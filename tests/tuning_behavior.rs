@@ -2,18 +2,21 @@
 //! measurement over real (simulated) heartbeats, Step 0 → tuned transitions,
 //! fallback semantics, and leader-side application of the piggybacked h.
 
-use dynatune_repro::cluster::{ClusterConfig, ClusterSim};
+use dynatune_repro::cluster::{NetPlan, ScenarioBuilder};
 use dynatune_repro::core::TuningConfig;
-use dynatune_repro::simnet::{LinkSchedule, NetParams, SimTime, Topology};
+use dynatune_repro::simnet::{CongestionConfig, LinkSchedule, NetParams, Region, SimTime};
 use std::time::Duration;
 
-fn stable(tuning: TuningConfig, rtt_ms: u64, seed: u64) -> ClusterConfig {
-    ClusterConfig::stable(5, tuning, Duration::from_millis(rtt_ms), seed)
+fn stable(tuning: TuningConfig, rtt_ms: u64, seed: u64) -> ScenarioBuilder {
+    ScenarioBuilder::cluster(5)
+        .tuning(tuning)
+        .net(NetPlan::stable(Duration::from_millis(rtt_ms)))
+        .seed(seed)
 }
 
 #[test]
 fn followers_converge_to_path_rtt() {
-    let mut sim = ClusterSim::new(&stable(TuningConfig::dynatune(), 100, 1));
+    let mut sim = stable(TuningConfig::dynatune(), 100, 1).build_sim();
     sim.run_until(SimTime::from_secs(30));
     let leader = sim.leader().expect("leader");
     for id in 0..5 {
@@ -42,13 +45,24 @@ fn followers_converge_to_path_rtt() {
 fn leader_applies_piggybacked_interval_per_follower() {
     // Asymmetric topology: follower paths have different RTTs, so each
     // pacer must converge to a different h (the per-path tuning of §III-B).
-    let mut cfg = stable(TuningConfig::dynatune(), 100, 2);
-    cfg.topology = Topology::from_fn(5, |a, b| {
-        // RTT unique per unordered pair regardless of who leads.
-        let rtt = 40 + 40 * (a + b) as u64;
-        LinkSchedule::constant(NetParams::clean(Duration::from_millis(rtt)).with_jitter(0.02))
-    });
-    let mut sim = ClusterSim::new(&cfg);
+    // Every pair of the five-region mesh is overridden, so no preset RTT
+    // or WAN burst remains.
+    let overrides = (0..5)
+        .flat_map(|a| (a + 1..5).map(move |b| (a, b)))
+        .map(|(a, b)| {
+            // RTT unique per unordered pair regardless of who leads.
+            let rtt = 40 + 40 * (a + b) as u64;
+            let params = NetParams::clean(Duration::from_millis(rtt)).with_jitter(0.02);
+            (a, b, LinkSchedule::constant(params))
+        })
+        .collect();
+    let mut sim = stable(TuningConfig::dynatune(), 100, 2)
+        .net(NetPlan::GeoDegraded {
+            regions: Region::ALL.to_vec(),
+            overrides,
+        })
+        .congestion(CongestionConfig::disabled())
+        .build_sim();
     sim.run_until(SimTime::from_secs(40));
     let leader = sim.leader().expect("leader");
     let mut intervals: Vec<(usize, f64)> = Vec::new();
@@ -77,7 +91,7 @@ fn leader_applies_piggybacked_interval_per_follower() {
 
 #[test]
 fn step0_defaults_return_with_a_new_leader() {
-    let mut sim = ClusterSim::new(&stable(TuningConfig::dynatune(), 100, 3));
+    let mut sim = stable(TuningConfig::dynatune(), 100, 3).build_sim();
     sim.run_until(SimTime::from_secs(30));
     let old_leader = sim.leader().expect("leader");
     // All followers are tuned (~100ms). Fail the leader.
@@ -115,19 +129,17 @@ fn step0_defaults_return_with_a_new_leader() {
 fn et_adapts_upward_when_rtt_rises() {
     // Step the RTT from 50ms to 150ms mid-run; tuned Et must follow upward
     // without losing the leader.
-    let mut cfg = stable(TuningConfig::dynatune(), 50, 4);
     let base = NetParams::clean(Duration::from_millis(50)).with_jitter(0.03);
-    cfg.topology = Topology::uniform(
-        5,
-        LinkSchedule::piecewise(vec![
-            (SimTime::ZERO, base),
-            (
-                SimTime::from_secs(40),
-                base.with_rtt(Duration::from_millis(150)),
-            ),
-        ]),
-    );
-    let mut sim = ClusterSim::new(&cfg);
+    let step = LinkSchedule::piecewise(vec![
+        (SimTime::ZERO, base),
+        (
+            SimTime::from_secs(40),
+            base.with_rtt(Duration::from_millis(150)),
+        ),
+    ]);
+    let mut sim = stable(TuningConfig::dynatune(), 50, 4)
+        .net(NetPlan::uniform_schedule(step))
+        .build_sim();
     sim.run_until(SimTime::from_secs(35));
     let leader = sim.leader().expect("leader");
     let follower = (0..5).find(|&i| i != leader).unwrap();
@@ -159,12 +171,10 @@ fn et_adapts_upward_when_rtt_rises() {
 
 #[test]
 fn loss_rate_measured_through_the_stack() {
-    let mut cfg = stable(TuningConfig::dynatune(), 100, 5);
-    cfg.topology = Topology::uniform_constant(
-        5,
-        NetParams::clean(Duration::from_millis(100)).with_loss(0.10),
-    );
-    let mut sim = ClusterSim::new(&cfg);
+    let lossy = NetParams::clean(Duration::from_millis(100)).with_loss(0.10);
+    let mut sim = stable(TuningConfig::dynatune(), 100, 5)
+        .net(NetPlan::uniform(lossy))
+        .build_sim();
     sim.run_until(SimTime::from_secs(120));
     let leader = sim.leader().expect("leader survives 10% loss");
     let mut measured = Vec::new();
@@ -196,7 +206,7 @@ fn static_modes_never_touch_parameters() {
         (TuningConfig::raft_default(), 1000.0, 100.0),
         (TuningConfig::raft_low(), 100.0, 10.0),
     ] {
-        let mut sim = ClusterSim::new(&stable(tuning, 20, 6));
+        let mut sim = stable(tuning, 20, 6).build_sim();
         sim.run_until(SimTime::from_secs(30));
         for id in 0..5 {
             let snap = sim.server(id).node().tuning_snapshot();

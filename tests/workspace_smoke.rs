@@ -19,12 +19,9 @@ fn umbrella_reexports_resolve() {
         dynatune_repro::raft::RaftConfig::new(0, 3, dynatune_repro::core::TuningConfig::dynatune());
     let _store = dynatune_repro::kv::KvStore::default();
     let _time = dynatune_repro::simnet::SimTime::ZERO;
-    let _cluster_cfg = dynatune_repro::cluster::ClusterConfig::stable(
-        3,
-        dynatune_repro::core::TuningConfig::dynatune(),
-        Duration::from_millis(100),
-        1,
-    );
+    let _cluster = dynatune_repro::cluster::ScenarioBuilder::cluster(3)
+        .tuning(dynatune_repro::core::TuningConfig::dynatune())
+        .seed(1);
 }
 
 /// Minimal protocol endpoint: pings a peer on a fixed cadence and records
