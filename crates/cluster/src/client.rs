@@ -214,7 +214,7 @@ impl ClientHost {
     }
 
     /// Rewrite the placement row of `shard`: replica `from` is replaced by
-    /// `to` (the rebalancer's cut-over), so routing, redirect validation
+    /// `to` (a replica move's cut-over), so routing, redirect validation
     /// and read fan-out follow the data.
     pub fn repoint(&mut self, shard: ShardId, from: NodeId, to: NodeId) {
         self.reqs.routes.repoint(shard, from, to);

@@ -47,7 +47,6 @@ pub mod client;
 pub mod cpu;
 pub mod msg;
 pub mod observers;
-pub mod rebalance;
 mod requests;
 pub mod scenario;
 pub mod server;
@@ -63,7 +62,6 @@ pub use observers::{
     count_events, election_safety_violations, extract_failover, kth_smallest_timeout_ms,
     leaderless_intervals, stale_read_violations, total_leaderless_secs, FailoverTimes,
 };
-pub use rebalance::{RebalancePhase, Rebalancer, CATCH_UP_SLACK};
 pub use scenario::{NetPlan, Report, RunCtx, Scenario, ScenarioBuilder};
 pub use server::{CompactionPolicy, ReadCounters, ReadStrategy, ServerHost};
 pub use sim::{Client, ClusterHost, ClusterSim, WorkloadSpec};

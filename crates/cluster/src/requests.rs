@@ -46,8 +46,8 @@ pub(crate) fn genesis_rows(map: ShardMap) -> Vec<Vec<NodeId>> {
 /// shard's guess at most once per expiry wave.
 ///
 /// Rows are seeded from the genesis placement but **dynamic**:
-/// [`RoutingTable::repoint`] rewrites a row when the rebalancer moves a
-/// replica, so no rule may assume the contiguous genesis universe.
+/// [`RoutingTable::repoint`] rewrites a row when a membership change moves
+/// a replica, so no rule may assume the contiguous genesis universe.
 #[derive(Debug)]
 pub(crate) struct RoutingTable {
     rows: Vec<Vec<NodeId>>,
@@ -127,7 +127,7 @@ impl RoutingTable {
     }
 
     /// Rewrite the placement row of `shard`: replica `from` is replaced by
-    /// `to` (the rebalancer's cut-over). A leader guess pointing at `from`
+    /// `to` (a replica move's cut-over). A leader guess pointing at `from`
     /// moves to `to`; requests already sent to `from` resolve through the
     /// ordinary redirect/timeout paths.
     pub(crate) fn repoint(&mut self, shard: ShardId, from: NodeId, to: NodeId) {

@@ -333,7 +333,7 @@ impl ScenarioBuilder {
     /// Build and instantiate a sharded KV cluster: `shards` independent
     /// groups of `n` replicas each. The same [`ClusterSim`] as
     /// [`Self::build_sim`], but the client routes over the mapped replicas
-    /// only (spares enter a row when the rebalancer repoints it) and
+    /// only (spares enter a row when a replica move repoints it) and
     /// coalesces arrivals into one `ClientBatch` per shard every 2 ms.
     ///
     /// # Panics

@@ -57,12 +57,6 @@ impl LeaderPacer {
         self.next_send_nanos
     }
 
-    /// Most recent RTT measured for this follower.
-    #[must_use]
-    pub fn last_rtt(&self) -> Option<Duration> {
-        self.last_rtt
-    }
-
     /// If a heartbeat is due at `now_nanos`, emit its metadata and schedule
     /// the next one. Missed intervals (e.g. after a pause) do not burst:
     /// the next deadline is `now + interval`.
@@ -145,7 +139,6 @@ mod tests {
             tuned_interval: Some(Duration::from_millis(40)),
         };
         p.on_reply(80 * MS, &reply);
-        assert_eq!(p.last_rtt(), Some(Duration::from_millis(80)));
         assert_eq!(p.interval(), Duration::from_millis(40));
         // Next heartbeat carries the measured RTT.
         let next = p.maybe_emit(100 * MS).unwrap();
@@ -160,7 +153,8 @@ mod tests {
         let meta = p.maybe_emit(0).unwrap();
         p.on_reply(10 * MS, &HeartbeatReply::echo_only(&meta));
         assert_eq!(p.interval(), Duration::from_millis(100));
-        assert_eq!(p.last_rtt(), Some(Duration::from_millis(10)));
+        let next = p.maybe_emit(100 * MS).unwrap();
+        assert_eq!(next.rtt_sample, Some(Duration::from_millis(10)));
     }
 
     #[test]
@@ -202,7 +196,7 @@ mod tests {
                 tuned_interval: None,
             },
         );
-        assert_eq!(p.last_rtt(), None);
+        assert_eq!(p.maybe_emit(100 * MS).unwrap().rtt_sample, None);
     }
 
     #[test]
@@ -220,9 +214,10 @@ mod tests {
         assert_eq!(p.interval(), Duration::from_millis(7));
         p.reset(500 * MS);
         assert_eq!(p.interval(), Duration::from_millis(100));
-        assert_eq!(p.last_rtt(), None);
         assert_eq!(p.next_send_nanos(), 500 * MS);
+        let next = p.maybe_emit(500 * MS).unwrap();
+        assert_eq!(next.rtt_sample, None);
         // ids keep increasing across resets (no ambiguity for the follower).
-        assert_eq!(p.maybe_emit(500 * MS).unwrap().id, 1);
+        assert_eq!(next.id, 1);
     }
 }

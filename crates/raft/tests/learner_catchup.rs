@@ -7,7 +7,7 @@
 //! structurally: with both voting followers isolated, a leader plus a
 //! fully caught-up learner must be unable to commit; after promotion the
 //! same pair must commit. That is the difference between "replicated to"
-//! and "counted", and it is exactly what the rebalancer upstack relies
+//! and "counted", and it is exactly what a replica move upstack relies
 //! on when it parks a learner next to a hot shard before the cut-over.
 
 mod common;

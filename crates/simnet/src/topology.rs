@@ -38,7 +38,7 @@ impl Topology {
 
     /// Build from an explicit per-pair function.
     #[must_use]
-    pub fn from_fn(n: usize, mut f: impl FnMut(usize, usize) -> LinkSchedule) -> Self {
+    fn from_fn(n: usize, mut f: impl FnMut(usize, usize) -> LinkSchedule) -> Self {
         assert!(n > 0, "topology needs at least one node");
         let mut schedules = Vec::with_capacity(n * n);
         for from in 0..n {

@@ -203,3 +203,74 @@ fn type_members_cited_in_the_guides_exist() {
         "cited members that do not exist: {stale:#?}"
     );
 }
+
+/// Every `dynatune_<crate>::name` (or `dynatune_<crate>::{a, b}`) the
+/// hand-written guides cite is exported by that crate's `lib.rs`: a
+/// `pub mod`, a `pub` item, or a name a `pub use` re-exports. A type that
+/// is deleted or no longer re-exported cannot stay cited.
+#[test]
+fn crate_items_cited_in_the_guides_exist() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let is_ident_char = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let ident = |s: &str| s[..s.find(|c| !is_ident_char(c)).unwrap_or(s.len())].to_string();
+    let keywords = [
+        "mod", "fn", "struct", "enum", "trait", "const", "type", "static",
+    ];
+    // What a crate root exports: the name of each `pub` item, and the last
+    // path segment (or `as` alias) of each `pub use` tree.
+    let exports = |krate: &str| {
+        let dir = match krate {
+            "dynatune_repro" => String::new(),
+            "dynatune_kv" => "crates/kvstore/".into(),
+            k => format!("crates/{}/", k.trim_start_matches("dynatune_")),
+        };
+        let src = std::fs::read_to_string(root.join(dir + "src/lib.rs")).unwrap_or_default();
+        let mut names = Vec::new();
+        for item in src.split("pub ").skip(1) {
+            if let Some(tree) = item.strip_prefix("use ") {
+                let tree = &tree[..tree.find(';').unwrap_or(tree.len())];
+                let leaf = |t: &str| ident(t.trim().rsplit([' ', ':']).next().unwrap_or(""));
+                names.extend(tree.split([',', '{', '}']).map(leaf));
+            } else {
+                let mut words = item.split_whitespace().skip_while(|w| keywords.contains(w));
+                names.extend(words.next().map(ident));
+            }
+        }
+        names
+    };
+    let mut cited = 0;
+    let mut stale = Vec::new();
+    for (guide, text) in GUIDES {
+        for (at, _) in text.match_indices("dynatune_") {
+            let krate = ident(&text[at..]);
+            let Some(path) = text[at + krate.len()..].strip_prefix("::") else {
+                continue;
+            };
+            if text[..at].ends_with(is_ident_char) {
+                continue;
+            }
+            let names: Vec<String> = match path.strip_prefix('{') {
+                Some(list) => list[..list.find('}').unwrap_or(0)]
+                    .split(',')
+                    .map(|n| ident(n.trim()))
+                    .collect(),
+                None => vec![ident(path)],
+            };
+            let exported = exports(&krate);
+            for name in names {
+                cited += 1;
+                if !exported.contains(&name) {
+                    stale.push(format!("{guide}: {krate}::{name}"));
+                }
+            }
+        }
+    }
+    assert!(
+        cited > 0,
+        "no citation found at all: the scan itself is broken"
+    );
+    assert!(
+        stale.is_empty(),
+        "cited crate items that do not exist: {stale:#?}"
+    );
+}

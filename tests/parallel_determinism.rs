@@ -41,7 +41,7 @@ fn report_hash(report: &Report) -> u64 {
 /// under a fixed-cadence sampler (`fig6a`, `fig7`), the KV client through a full
 /// offered-load ramp (`fig5`), single-group spares (`elastic_scaleout`),
 /// sharded (`sharded_throughput`), sharded spares plus
-/// the rebalancer (`shard_rebalance`) and the broker
+/// a replica move by `conf_step` (`shard_rebalance`) and the broker
 /// (`consumer_lag_failover`). A pin moves only when a change means to alter
 /// simulated behaviour; say so in CHANGES.md when it does. (The values
 /// depend on the platform's `libm` — they are pinned for the CI image.)
