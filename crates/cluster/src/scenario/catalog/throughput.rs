@@ -49,6 +49,8 @@ struct LevelResult {
 struct ThroughputResult {
     /// One entry per offered-load level.
     levels: Vec<LevelResult>,
+    /// The leader's mean heartbeat interval `h` (s) at the end of each ramp.
+    h_s: OnlineStats,
 }
 
 impl ThroughputResult {
@@ -72,13 +74,13 @@ impl ThroughputResult {
 }
 
 /// Run repetition `repeat` of the `ramp` on `cluster` (seed derived and
-/// workload attached here); returns per-level `(offered, completed/s, mean
-/// latency ms)`.
+/// workload attached here); returns per-level `(completed/s, mean latency
+/// ms)` and the leader's mean heartbeat interval at the end.
 fn run_single_ramp(
     cluster: &ScenarioBuilder,
     ramp: &[RateStep],
     repeat: usize,
-) -> Vec<(f64, f64, f64)> {
+) -> (Vec<(f64, f64)>, Option<Duration>) {
     let mut seed = cluster.seed ^ (repeat as u64).wrapping_mul(0xA076_1D64_78BD_642F);
     let total: Duration = SETTLE + ramp.iter().map(|step| step.hold).sum::<Duration>();
     let workload = WorkloadSpec {
@@ -107,41 +109,63 @@ fn run_single_ramp(
              attaches a workload"
         );
     };
-    client
+    let levels = client
         .steps()
         .iter()
-        .map(|s| (s.offered_rps, s.throughput(), s.latency_ms.mean()))
-        .collect()
+        .map(|s| (s.throughput(), s.latency_ms.mean()))
+        .collect();
+    (levels, sim.leader_mean_heartbeat_interval())
 }
 
 /// Run the `ramp` `repeats` times (in parallel) and aggregate per level.
 #[must_use]
 fn measure_ramp(cluster: &ScenarioBuilder, ramp: &[RateStep], repeats: usize) -> ThroughputResult {
-    let runs: Vec<Vec<(f64, f64, f64)>> = (0..repeats)
+    let runs: Vec<_> = (0..repeats)
         .into_par_iter()
         .map(|r| run_single_ramp(cluster, ramp, r))
         .collect();
-    let n_levels = runs.first().map_or(0, Vec::len);
-    let mut levels = Vec::with_capacity(n_levels);
-    for level in 0..n_levels {
-        let mut throughput = OnlineStats::new();
-        let mut latency = OnlineStats::new();
-        let mut offered = 0.0;
-        for run in &runs {
-            let (o, tput, lat) = run[level];
-            offered = o;
-            throughput.push(tput);
-            if lat.is_finite() && lat > 0.0 {
-                latency.push(lat);
+    let levels = ramp
+        .iter()
+        .enumerate()
+        .map(|(level, step)| {
+            let mut throughput = OnlineStats::new();
+            let mut latency_ms = OnlineStats::new();
+            for (run, _) in &runs {
+                let (tput, lat) = run[level];
+                throughput.push(tput);
+                if lat.is_finite() && lat > 0.0 {
+                    latency_ms.push(lat);
+                }
             }
-        }
-        levels.push(LevelResult {
-            offered_rps: offered,
-            throughput,
-            latency_ms: latency,
-        });
+            LevelResult {
+                offered_rps: step.rps,
+                throughput,
+                latency_ms,
+            }
+        })
+        .collect();
+    let mut h_s = OnlineStats::new();
+    for h in runs.iter().filter_map(|(_, h)| *h) {
+        h_s.push(h.as_secs_f64());
     }
-    ThroughputResult { levels }
+    ThroughputResult { levels, h_s }
+}
+
+/// The peak-throughput overhead (%) the cost model predicts for Dynatune
+/// over Raft: the leader's extra heartbeat rounds per second to its
+/// `followers` (one send and one received response each, `per_round`
+/// together) as a share of its `cores`. Negative when Dynatune paces
+/// slower than Raft.
+fn predicted_overhead_pct(
+    followers: usize,
+    h_dynatune: Duration,
+    h_raft: Duration,
+    per_round: Duration,
+    cores: usize,
+) -> f64 {
+    let extra_rounds_per_s =
+        followers as f64 * (1.0 / h_dynatune.as_secs_f64() - 1.0 / h_raft.as_secs_f64());
+    extra_rounds_per_s * per_round.as_secs_f64() / cores as f64 * 100.0
 }
 
 /// Fig. 5: latency-vs-throughput ramps, Raft vs Dynatune; reports peak
@@ -151,7 +175,8 @@ pub const FIG5: Scenario = Scenario {
     describe: "throughput vs latency (open-loop ramp, 5 servers, RTT 100ms)",
     headline_metric: "peak committed throughput and the tuning overhead at peak (paper Fig. 5)",
     ci_assertion: "asserts both ramps keep up at the first level and saturate at 8k-18k req/s \
-                   with rising latency, and a 0-15% tuning overhead at peak",
+                   with rising latency, and a tuning overhead at peak within 6.4 points of \
+                   the one the leader's heartbeat cadence predicts",
     run: fig5,
 };
 
@@ -178,10 +203,9 @@ fn assert_saturates(system: &str, res: &ThroughputResult, levels: usize) {
 
 fn fig5(ctx: &RunCtx) -> Report {
     let ramp = ramp_for(ctx);
+    let base = ScenarioBuilder::cluster(5);
     let study = |label: &str, tuning: TuningConfig| {
-        let cluster = ScenarioBuilder::cluster(5)
-            .tuning(tuning)
-            .seed(ctx.system_seed(label));
+        let cluster = base.clone().tuning(tuning).seed(ctx.system_seed(label));
         measure_ramp(&cluster, &ramp, ctx.repeats_or(10, 2))
     };
     let raft = study("raft", TuningConfig::raft_default());
@@ -223,6 +247,24 @@ fn fig5(ctx: &RunCtx) -> Report {
         ],
     );
     let overhead_pct = (1.0 - dt_peak / raft_peak) * 100.0;
+    let (h_raft, h_dynatune) = (raft.h_s.mean(), dynatune.h_s.mean());
+    let predicted_pct = predicted_overhead_pct(
+        base.n_servers() - 1,
+        Duration::from_secs_f64(h_dynatune),
+        Duration::from_secs_f64(h_raft),
+        base.cost.per_message_send + base.cost.per_message_recv,
+        base.cores,
+    );
+    report.table(
+        "tuning overhead at peak",
+        ["paper", "predicted", "measured", "h raft / dynatune (ms)"],
+        vec![vec![
+            "6.4%".to_string(),
+            format!("{predicted_pct:.1}%"),
+            format!("{overhead_pct:.1}%"),
+            format!("{:.1} / {:.1}", h_raft * 1e3, h_dynatune * 1e3),
+        ]],
+    );
     report.headline(
         "tuning overhead at peak",
         "6.4%",
@@ -239,11 +281,47 @@ fn fig5(ctx: &RunCtx) -> Report {
 
     assert_saturates("raft", &raft, ramp.len());
     assert_saturates("dynatune", &dynatune, ramp.len());
-    // §IV-B2: Dynatune's extra heartbeats cost a little peak throughput
-    // (paper: 6.4 %).
+    // §IV-B2: Dynatune's only extra cost in the model is the heartbeats
+    // it sends beyond Raft's, so the measured overhead must sit near what
+    // that cadence predicts. The band is the paper's effect size (6.4 %).
     assert!(
-        (0.0..15.0).contains(&overhead_pct),
-        "tuning overhead {overhead_pct:.1}% at peak"
+        (overhead_pct - predicted_pct).abs() < 6.4,
+        "tuning overhead {overhead_pct:.1}% at peak, {predicted_pct:.1}% predicted from \
+         h = {:.1} ms (raft) and {:.1} ms (dynatune)",
+        h_raft * 1e3,
+        h_dynatune * 1e3
     );
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const ROUND: Duration = Duration::from_micros(300);
+
+    #[test]
+    fn faster_heartbeats_predict_a_positive_overhead() {
+        // 4 × (20 − 10) rounds/s × 300 µs = 12 ms busy per second, over 4 cores.
+        let pct = predicted_overhead_pct(
+            4,
+            Duration::from_millis(50),
+            Duration::from_millis(100),
+            ROUND,
+            4,
+        );
+        assert!((pct - 0.30).abs() < 1e-9, "{pct}");
+    }
+
+    #[test]
+    fn slower_heartbeats_predict_a_negative_overhead() {
+        let pct = predicted_overhead_pct(
+            4,
+            Duration::from_millis(100),
+            Duration::from_millis(50),
+            ROUND,
+            4,
+        );
+        assert!((pct + 0.30).abs() < 1e-9, "{pct}");
+    }
 }

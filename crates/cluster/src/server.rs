@@ -163,7 +163,6 @@ pub struct ServerHost<A: App = KvStore> {
     cost: CostModel,
     cpu: CpuMeter,
     compaction: CompactionPolicy,
-    tunes: bool,
     /// Global host id of this group's first member. Raft node ids are
     /// group-local (`0..n`); in a multi-group (sharded) world the group
     /// occupies a contiguous block of host ids starting here, so protocol
@@ -210,13 +209,11 @@ impl<A: App> ServerHost<A> {
     /// Build a server from its Raft config and cost model.
     #[must_use]
     pub fn new(config: RaftConfig, cost: CostModel, cores: usize) -> Self {
-        let tunes = config.tuning.mode.tunes();
         Self {
             node: RaftNode::new(config, Replicated::new(), SimTime::ZERO),
             cost,
             cpu: CpuMeter::new(cores, CPU_WINDOW),
             compaction: CompactionPolicy::default(),
-            tunes,
             peer_base: 0,
             events: Vec::new(),
             pending: SlotRing::new(),
@@ -328,9 +325,6 @@ impl<A: App> ServerHost<A> {
 
     fn msg_recv_cost(&self, payload: &RaftPayload<A>) -> Duration {
         let mut c = self.cost.per_message_recv;
-        if self.tunes {
-            c += self.cost.tuning_per_message;
-        }
         if let Payload::InstallSnapshot(s) = payload {
             // Size-aware install: restoring a big store takes real time.
             c += self.cost.snapshot_cost(s.data.approx_bytes());
@@ -340,9 +334,6 @@ impl<A: App> ServerHost<A> {
 
     fn msg_send_cost(&self, payload: &RaftPayload<A>) -> Duration {
         let mut c = self.cost.per_message_send;
-        if self.tunes {
-            c += self.cost.tuning_per_message;
-        }
         match payload {
             Payload::AppendEntries(ae) => {
                 // Byte-based replication charge: a group-committed append
@@ -777,17 +768,13 @@ impl<A: App> ServerHost<A> {
 
     /// CPU cost of admitting one client command: log-free reads cost
     /// heartbeat-weight work (`per_read`), everything else the full
-    /// propose-path `per_request` (+ the tuning tax).
+    /// propose-path `per_request`.
     fn admission_cost(&self, cmd: &A::Command) -> Duration {
-        let mut cost = if self.read_strategy.log_free() && A::is_read(cmd) {
+        if self.read_strategy.log_free() && A::is_read(cmd) {
             self.cost.per_read
         } else {
             self.cost.per_request
-        };
-        if self.tunes {
-            cost += self.cost.tuning_per_request;
         }
-        cost
     }
 
     /// Charge one client command's admission cost and queue it until the
@@ -1050,5 +1037,62 @@ mod tests {
             ),
             "{to_client:?}"
         );
+    }
+
+    /// Tuning adds no charge of its own: under the default cost model a
+    /// tuned server pays what a static one pays for the same received
+    /// heartbeat and the same admitted client command.
+    #[test]
+    fn tuning_charges_nothing_per_message_or_request() {
+        let busy = |tuning: TuningConfig| {
+            // A follower of a 3-node group hears one heartbeat...
+            let mut follower: ServerHost =
+                ServerHost::new(RaftConfig::new(1, 3, tuning), CostModel::default(), 4);
+            let mut outbox = Vec::new();
+            let t = SimTime::ZERO + Duration::from_millis(1);
+            let heartbeat = dynatune_raft::Heartbeat {
+                term: 1,
+                leader: 0,
+                commit: 0,
+                meta: dynatune_core::HeartbeatMeta {
+                    id: 1,
+                    sent_at_nanos: 0,
+                    rtt_sample: None,
+                },
+            };
+            let mut ctx = HostCtx::test_ctx(t, 1, &mut outbox);
+            follower.handle_message(
+                &mut ctx,
+                0,
+                ClusterMsg::Raft(RaftPayload::Heartbeat(heartbeat)),
+            );
+            // ...and a lone node elects itself and admits one write.
+            let mut leader: ServerHost =
+                ServerHost::new(RaftConfig::new(0, 1, tuning), CostModel::default(), 4);
+            let deadline = leader.wake_deadline().unwrap();
+            let mut ctx = HostCtx::test_ctx(deadline, 0, &mut outbox);
+            leader.handle_wake(&mut ctx);
+            assert_eq!(leader.node().role(), Role::Leader);
+            let put = KvCommand::Put {
+                key: bytes::Bytes::from_static(b"k"),
+                value: bytes::Bytes::from_static(b"v"),
+            };
+            let mut ctx = HostCtx::test_ctx(deadline, 0, &mut outbox);
+            leader.handle_message(
+                &mut ctx,
+                7,
+                ClusterMsg::ClientReq {
+                    req_id: 1,
+                    cmd: put,
+                },
+            );
+            (follower.cpu().total_busy(), leader.cpu().total_busy())
+        };
+        let raft = busy(TuningConfig::raft_default());
+        assert!(
+            raft.0 > Duration::ZERO && raft.1 > Duration::ZERO,
+            "{raft:?}"
+        );
+        assert_eq!(busy(TuningConfig::dynatune()), raft);
     }
 }

@@ -436,11 +436,23 @@ impl<A: App, C: Client<A>> ClusterSim<A, C> {
 
     /// Queue a configuration change on `shard`'s current leader (node ids
     /// inside the change are group-local; a single group is shard 0).
-    /// Returns `false` when the shard has no live leader (retry after the
-    /// next election) — the queued change may still be dropped if
-    /// leadership moves before the leader's next wake, so orchestrators
-    /// re-submit until the membership they observe reflects the change.
+    /// Returns `false`, queueing nothing, when the change would add an id
+    /// that names no host of this shard (none of its members or spares), or
+    /// when the shard has no live leader (retry after the next election).
+    /// The queued change may still be dropped if leadership moves before
+    /// the leader's next wake, so orchestrators re-submit until the
+    /// membership they observe reflects the change.
     pub fn propose_conf_change(&mut self, shard: ShardId, change: ConfChange) -> bool {
+        let joining: &[NodeId] = match &change {
+            ConfChange::AddLearner(id) => std::slice::from_ref(id),
+            ConfChange::Begin { add, .. } => add,
+            ConfChange::RemoveLearner(_) | ConfChange::Finalize => &[],
+        };
+        let base = self.map.group_base(shard);
+        let hosted = |id: &NodeId| members(self.map, &self.spares, shard).any(|m| m - base == *id);
+        if !joining.iter().all(hosted) {
+            return false;
+        }
         let Some(leader) = self.leader_of(shard) else {
             return false;
         };
@@ -691,6 +703,42 @@ mod tests {
         sim.run_for(Duration::from_secs(15));
         assert!(sim.leader().is_some(), "5-voter cluster rides out 2 faults");
         assert_eq!(election_safety_violations(&sim.events()), 0);
+    }
+
+    /// `AddLearner(6)` on shard 1 of a 3+3-server world with one spare (for
+    /// shard 0) names world id 9 of an 8-host world: refused at the
+    /// boundary, it never reaches the simnet kernel's routing tables.
+    #[test]
+    fn a_conf_change_naming_no_host_is_refused() {
+        let mut sim = ScenarioBuilder::cluster(3)
+            .shards(2)
+            .spare_for_shard(0)
+            .tuning(TuningConfig::raft_default())
+            .seed(3)
+            .workload(
+                WorkloadSpec::steady(400.0, Duration::from_secs(20))
+                    .starting_at(Duration::from_secs(3)),
+            )
+            .build_sharded_sim();
+        sim.run_until(SimTime::from_secs(8));
+        assert!(sim.leader_of(1).is_some(), "shard 1 elects a leader");
+        assert_eq!(sim.members_of(1), vec![3, 4, 5]);
+        let queued = sim.propose_conf_change(1, ConfChange::AddLearner(6));
+        // Had it been queued, the leader's appends to 6 would reach the
+        // kernel's routing tables with world id 9 before this returns.
+        sim.run_for(Duration::from_secs(1));
+        assert!(!queued, "AddLearner(6) on shard 1 was queued");
+        let joint = ConfChange::Begin {
+            add: vec![6],
+            remove: vec![],
+        };
+        assert!(!sim.propose_conf_change(1, joint));
+        for (id, server) in sim.servers().enumerate() {
+            assert!(
+                !server.node().membership().contains(6),
+                "server {id} admitted 6"
+            );
+        }
     }
 
     fn sharded(shards: usize, seed: u64, rps: f64) -> ClusterSim {
