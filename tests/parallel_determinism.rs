@@ -53,10 +53,10 @@ const REPORT_PINS: &[(&str, u64)] = &[
     ("consumer_lag_failover", 0xc59a_8c74_9466_3728),
     ("elastic_scaleout", 0x3543_0fc5_e5d4_6592),
     ("fig4", 0xcd21_cf62_a108_d722),
-    ("fig5", 0x1427_40a5_ed88_2210),
+    ("fig5", 0x0665_a88e_f98d_c6d3),
     ("fig6a", 0x948d_2d24_8bbb_e9d6),
     ("fig6b", 0xb663_d92c_9a96_0576),
-    ("fig7", 0x38bf_aa09_c7bf_028d),
+    ("fig7", 0xca99_de3f_73fe_59cf),
     ("fig8", 0x6d04_fdbf_3fc9_5986),
     ("follower_read_offload", 0xff23_6d57_8af4_cf97),
     ("geo_asymmetric", 0x89f1_9eb1_1fd4_0d03),
@@ -67,7 +67,7 @@ const REPORT_PINS: &[(&str, u64)] = &[
     ("partition_churn", 0xf87c_c70c_bb87_149a),
     ("pipeline_depth", 0x8331_591f_1b46_15c7),
     ("read_heavy_throughput", 0x85e8_0e88_9941_307f),
-    ("shard_leader_failover", 0x0838_18f2_2c71_3d6a),
+    ("shard_leader_failover", 0xd8fb_8c93_8cee_2ca0),
     ("shard_rebalance", 0x1f45_e8cb_532e_927d),
     ("sharded_throughput", 0xc435_bcbe_0099_30fb),
 ];
