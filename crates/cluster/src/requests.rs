@@ -96,8 +96,8 @@ impl RoutingTable {
     }
 
     /// Where a redirected request goes next: the hinted host when it is in
-    /// the shard's row (hints are global host ids and may name a spare the
-    /// rebalancer admitted, never a host of a foreign group), otherwise
+    /// the shard's row (hints are global host ids and may name a spare a
+    /// membership change admitted, never a host of a foreign group), otherwise
     /// the replica after `current`.
     pub(crate) fn hint_or_next(
         &self,

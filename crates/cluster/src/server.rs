@@ -197,8 +197,8 @@ pub struct ServerHost<A: App = KvStore> {
     follower_wait: BTreeMap<LogIndex, Vec<u64>>,
     /// Served-read counters by path.
     reads_served: ReadCounters,
-    /// Configuration changes queued from outside the dispatch loop (the
-    /// rebalancer); proposed on the next wake while this node leads.
+    /// Configuration changes queued by `ClusterSim::propose_conf_change`,
+    /// proposed on the next wake while this node leads.
     pending_conf: std::collections::VecDeque<ConfChange>,
     /// Conf changes the node rejected (not leader / in flight / learner
     /// behind) — the orchestrator's signal to re-submit.
