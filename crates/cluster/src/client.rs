@@ -49,8 +49,6 @@ pub struct OpRecord {
 /// Outcome aggregation for one offered-load level.
 #[derive(Debug, Clone, Default)]
 pub struct StepRecord {
-    /// Offered rate of the step (req/s).
-    pub offered_rps: f64,
     /// Duration of the step in seconds.
     pub hold_secs: f64,
     /// Requests sent during the step.
@@ -164,7 +162,6 @@ impl ClientHost {
             .map(|s| {
                 end += s.hold;
                 let record = StepRecord {
-                    offered_rps: s.rps,
                     hold_secs: s.hold.as_secs_f64(),
                     ..StepRecord::default()
                 };

@@ -124,26 +124,23 @@ fn measure_ramp(cluster: &ScenarioBuilder, ramp: &[RateStep], repeats: usize) ->
         .into_par_iter()
         .map(|r| run_single_ramp(cluster, ramp, r))
         .collect();
-    let levels = ramp
-        .iter()
-        .enumerate()
-        .map(|(level, step)| {
-            let mut throughput = OnlineStats::new();
-            let mut latency_ms = OnlineStats::new();
-            for (run, _) in &runs {
-                let (tput, lat) = run[level];
-                throughput.push(tput);
-                if lat.is_finite() && lat > 0.0 {
-                    latency_ms.push(lat);
-                }
+    let mut levels = Vec::with_capacity(ramp.len());
+    for (level, step) in ramp.iter().enumerate() {
+        let mut throughput = OnlineStats::new();
+        let mut latency = OnlineStats::new();
+        for (run, _) in &runs {
+            let (tput, lat) = run[level];
+            throughput.push(tput);
+            if lat.is_finite() && lat > 0.0 {
+                latency.push(lat);
             }
-            LevelResult {
-                offered_rps: step.rps,
-                throughput,
-                latency_ms,
-            }
-        })
-        .collect();
+        }
+        levels.push(LevelResult {
+            offered_rps: step.rps,
+            throughput,
+            latency_ms: latency,
+        });
+    }
     let mut h_s = OnlineStats::new();
     for h in runs.iter().filter_map(|(_, h)| *h) {
         h_s.push(h.as_secs_f64());
