@@ -10,11 +10,10 @@ never excuses them: a change that flips a pair edits the file in the same
 commit. Prints a markdown summary (pass counts, and the median and range of
 each numeric headline over the passing runs) to stdout.
 
-    python3 .github/seed_sweep.py [--bin target/release/scenarios]
-        [--only NAME[,NAME...]] [--update]
+    python3 .github/seed_sweep.py [--bin target/release/scenarios] [--update]
 
---only restricts the run, and the comparison, to those scenarios. --update
-rewrites the file from this run instead of comparing (full runs only).
+--update rewrites the file from this run instead of comparing. An entry whose
+scenario is no longer registered counts as stale.
 """
 
 import argparse
@@ -65,20 +64,11 @@ def write_file(failing):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--bin", default="target/release/scenarios")
-    ap.add_argument("--only", default="")
     ap.add_argument("--update", action="store_true")
     args = ap.parse_args()
 
     listing = json.loads(subprocess.check_output([args.bin, "--list", "--json"], text=True))
     names = [s["name"] for s in listing["scenarios"]]
-    if args.only:
-        wanted = args.only.split(",")
-        unknown = sorted(set(wanted) - set(names))
-        if unknown:
-            sys.exit(f"unknown scenario(s): {', '.join(unknown)}")
-        names = [n for n in names if n in wanted]
-    if args.update and args.only:
-        sys.exit("--update needs the full run (every scenario)")
 
     pairs = [(n, s) for n in names for s in SEEDS]
     with ThreadPoolExecutor(max_workers=JOBS) as pool:
@@ -109,13 +99,12 @@ def main():
 
     listed = {(e["scenario"], e["seed"]): e["panic"]
               for e in json.loads(FILE.read_text(encoding="utf-8"))["failing"]}
-    listed = {p: m for p, m in listed.items() if p in results}
     new = sorted(set(failing) - set(listed))
     stale = sorted(set(listed) - set(failing))
     for n, s in new:
         print(f"NEW failing pair: {n} seed {s}: {failing[(n, s)]}", file=sys.stderr)
     for n, s in stale:
-        print(f"STALE entry (now passes): {n} seed {s}: {listed[(n, s)]}", file=sys.stderr)
+        print(f"STALE entry (passes, or its scenario is gone): {n} seed {s}: {listed[(n, s)]}", file=sys.stderr)
     for p in sorted(set(failing) & set(listed)):
         if failing[p] != listed[p]:
             print(f"note: {p[0]} seed {p[1]} now fails with: {failing[p]}", file=sys.stderr)

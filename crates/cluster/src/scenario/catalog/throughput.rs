@@ -42,6 +42,9 @@ struct LevelResult {
     throughput: OnlineStats,
     /// Mean latency across repeats (ms).
     latency_ms: OnlineStats,
+    /// The leader's mean heartbeat interval at the end of the level,
+    /// across repeats (s).
+    h_s: OnlineStats,
 }
 
 /// Full study result.
@@ -49,18 +52,20 @@ struct LevelResult {
 struct ThroughputResult {
     /// One entry per offered-load level.
     levels: Vec<LevelResult>,
-    /// The leader's mean heartbeat interval `h` (s) at the end of each ramp.
-    h_s: OnlineStats,
 }
 
 impl ThroughputResult {
-    /// Peak completed throughput (req/s): the paper's headline number.
+    /// The level of peak completed throughput: the paper's headline number.
     #[must_use]
-    fn peak_throughput(&self) -> f64 {
-        self.levels
+    fn peak(&self) -> &LevelResult {
+        let Some(peak) = self
+            .levels
             .iter()
-            .map(|l| l.throughput.mean())
-            .fold(0.0, f64::max)
+            .max_by(|a, b| a.throughput.mean().total_cmp(&b.throughput.mean()))
+        else {
+            invariant_violated!("a throughput ramp has at least one level");
+        };
+        peak
     }
 
     /// `(throughput, latency)` points for the Fig. 5 curve.
@@ -75,14 +80,13 @@ impl ThroughputResult {
 
 /// Run repetition `repeat` of the `ramp` on `cluster` (seed derived and
 /// workload attached here); returns per-level `(completed/s, mean latency
-/// ms)` and the leader's mean heartbeat interval at the end.
+/// ms, the leader's mean heartbeat interval at the level's end)`.
 fn run_single_ramp(
     cluster: &ScenarioBuilder,
     ramp: &[RateStep],
     repeat: usize,
-) -> (Vec<(f64, f64)>, Option<Duration>) {
+) -> Vec<(f64, f64, Option<Duration>)> {
     let mut seed = cluster.seed ^ (repeat as u64).wrapping_mul(0xA076_1D64_78BD_642F);
-    let total: Duration = SETTLE + ramp.iter().map(|step| step.hold).sum::<Duration>();
     let workload = WorkloadSpec {
         steps: ramp.to_vec(),
         mix: OpMix::write_heavy(),
@@ -101,20 +105,27 @@ fn run_single_ramp(
         .seed(splitmix64(&mut seed))
         .workload(workload)
         .build_sim();
-    // Run through the whole ramp plus the drain period (no faults).
-    sim.run_until(SimTime::ZERO + total + DRAIN);
+    // Run through the ramp, level by level, plus the drain period (no faults).
+    let mut end = SimTime::ZERO + SETTLE;
+    let mut h = Vec::with_capacity(ramp.len());
+    for step in ramp {
+        end += step.hold;
+        sim.run_until(end);
+        h.push(sim.leader_mean_heartbeat_interval());
+    }
+    sim.run_until(end + DRAIN);
     let Some(client) = sim.client() else {
         invariant_violated!(
             "throughput run has no client host — the config above always \
              attaches a workload"
         );
     };
-    let levels = client
+    client
         .steps()
         .iter()
-        .map(|s| (s.throughput(), s.latency_ms.mean()))
-        .collect();
-    (levels, sim.leader_mean_heartbeat_interval())
+        .zip(h)
+        .map(|(s, h)| (s.throughput(), s.latency_ms.mean(), h))
+        .collect()
 }
 
 /// Run the `ramp` `repeats` times (in parallel) and aggregate per level.
@@ -128,24 +139,25 @@ fn measure_ramp(cluster: &ScenarioBuilder, ramp: &[RateStep], repeats: usize) ->
     for (level, step) in ramp.iter().enumerate() {
         let mut throughput = OnlineStats::new();
         let mut latency = OnlineStats::new();
-        for (run, _) in &runs {
-            let (tput, lat) = run[level];
+        let mut h_s = OnlineStats::new();
+        for run in &runs {
+            let (tput, lat, h) = run[level];
             throughput.push(tput);
             if lat.is_finite() && lat > 0.0 {
                 latency.push(lat);
+            }
+            if let Some(h) = h {
+                h_s.push(h.as_secs_f64());
             }
         }
         levels.push(LevelResult {
             offered_rps: step.rps,
             throughput,
             latency_ms: latency,
+            h_s,
         });
     }
-    let mut h_s = OnlineStats::new();
-    for h in runs.iter().filter_map(|(_, h)| *h) {
-        h_s.push(h.as_secs_f64());
-    }
-    ThroughputResult { levels, h_s }
+    ThroughputResult { levels }
 }
 
 /// The peak-throughput overhead (%) the cost model predicts for Dynatune
@@ -172,8 +184,8 @@ pub const FIG5: Scenario = Scenario {
     describe: "throughput vs latency (open-loop ramp, 5 servers, RTT 100ms)",
     headline_metric: "peak committed throughput and the tuning overhead at peak (paper Fig. 5)",
     ci_assertion: "asserts both ramps keep up at the first level and saturate at 8k-18k req/s \
-                   with rising latency, and a tuning overhead at peak within 6.4 points of \
-                   the one the leader's heartbeat cadence predicts",
+                   with rising latency, and a tuning overhead at peak within 3.2 points (half \
+                   the paper's 6.4%) of the one the leader's heartbeat cadence predicts",
     run: fig5,
 };
 
@@ -184,7 +196,7 @@ fn assert_saturates(system: &str, res: &ThroughputResult, levels: usize) {
     assert_eq!(res.levels.len(), levels, "{system}: ramp levels");
     let (first, top) = (&res.levels[0], &res.levels[levels - 1]);
     let (low, high) = (first.throughput.mean(), top.throughput.mean());
-    let peak = res.peak_throughput();
+    let peak = res.peak().throughput.mean();
     let (lat_low, lat_high) = (first.latency_ms.mean(), top.latency_ms.mean());
     assert!(
         low > first.offered_rps * 0.85
@@ -233,18 +245,28 @@ fn fig5(ctx: &RunCtx) -> Report {
             .collect(),
     );
 
-    let raft_peak = raft.peak_throughput();
-    let dt_peak = dynatune.peak_throughput();
+    let (raft_peak, dt_peak) = (raft.peak(), dynatune.peak());
+    let (h_raft, h_dynatune) = (raft_peak.h_s.mean(), dt_peak.h_s.mean());
     report.table(
         "peak throughput",
         ["metric", "paper", "measured", "ratio"],
         vec![
-            compare_row("Raft peak throughput (req/s)", 13_678.0, raft_peak),
-            compare_row("Dynatune peak throughput (req/s)", 12_800.0, dt_peak),
+            compare_row(
+                "Raft peak throughput (req/s)",
+                13_678.0,
+                raft_peak.throughput.mean(),
+            ),
+            compare_row(
+                "Dynatune peak throughput (req/s)",
+                12_800.0,
+                dt_peak.throughput.mean(),
+            ),
         ],
     );
-    let overhead_pct = (1.0 - dt_peak / raft_peak) * 100.0;
-    let (h_raft, h_dynatune) = (raft.h_s.mean(), dynatune.h_s.mean());
+    let overhead_pct = (1.0 - dt_peak.throughput.mean() / raft_peak.throughput.mean()) * 100.0;
+    if raft_peak.h_s.count() == 0 || dt_peak.h_s.count() == 0 {
+        invariant_violated!("fig5: no repeat has a leader at the end of the peak level");
+    }
     let predicted_pct = predicted_overhead_pct(
         base.n_servers() - 1,
         Duration::from_secs_f64(h_dynatune),
@@ -252,20 +274,10 @@ fn fig5(ctx: &RunCtx) -> Report {
         base.cost.per_message_send + base.cost.per_message_recv,
         base.cores,
     );
-    report.table(
-        "tuning overhead at peak",
-        ["paper", "predicted", "measured", "h raft / dynatune (ms)"],
-        vec![vec![
-            "6.4%".to_string(),
-            format!("{predicted_pct:.1}%"),
-            format!("{overhead_pct:.1}%"),
-            format!("{:.1} / {:.1}", h_raft * 1e3, h_dynatune * 1e3),
-        ]],
-    );
     report.headline(
         "tuning overhead at peak",
         "6.4%",
-        &format!("{overhead_pct:.1}%"),
+        &format!("{overhead_pct:.1}% ({predicted_pct:.2}% predicted)"),
     );
     report.artifact(
         "fig5_raft.csv",
@@ -279,11 +291,12 @@ fn fig5(ctx: &RunCtx) -> Report {
     assert_saturates("raft", &raft, ramp.len());
     assert_saturates("dynatune", &dynatune, ramp.len());
     // §IV-B2: Dynatune's only extra cost in the model is the heartbeats
-    // it sends beyond Raft's, so the measured overhead must sit near what
-    // that cadence predicts. The band is the paper's effect size (6.4 %).
+    // it sends beyond Raft's, so the measured overhead must sit nearer what
+    // that cadence predicts than that plus the paper's 6.4 %: half the
+    // paper's effect size, which an unmodelled cost of its size would break.
     assert!(
-        (overhead_pct - predicted_pct).abs() < 6.4,
-        "tuning overhead {overhead_pct:.1}% at peak, {predicted_pct:.1}% predicted from \
+        (overhead_pct - predicted_pct).abs() < 3.2,
+        "tuning overhead {overhead_pct:.1}% at peak, {predicted_pct:.2}% predicted from \
          h = {:.1} ms (raft) and {:.1} ms (dynatune)",
         h_raft * 1e3,
         h_dynatune * 1e3
