@@ -53,7 +53,7 @@ const REPORT_PINS: &[(&str, u64)] = &[
     ("consumer_lag_failover", 0xc59a_8c74_9466_3728),
     ("elastic_scaleout", 0x3543_0fc5_e5d4_6592),
     ("fig4", 0xcd21_cf62_a108_d722),
-    ("fig5", 0x0665_a88e_f98d_c6d3),
+    ("fig5", 0xf3ec_97a9_9213_10ec),
     ("fig6a", 0x948d_2d24_8bbb_e9d6),
     ("fig6b", 0xb663_d92c_9a96_0576),
     ("fig7", 0xca99_de3f_73fe_59cf),
