@@ -91,13 +91,10 @@ impl RunArgs {
     }
 
     /// Parse from an explicit argument iterator. `Ok(None)` means help was
-    /// requested; `Err` carries a human-readable message.
-    ///
-    /// # Errors
-    /// Returns a message for unknown flags, missing values, unparsable
-    /// numbers, a zero `--trials` or `--repeats`, and `--json` without
-    /// `--list`.
-    pub fn try_parse<I>(args: I) -> Result<Option<Self>, String>
+    /// requested; `Err` carries a human-readable message for unknown
+    /// flags, missing values, unparsable numbers, a zero `--trials` or
+    /// `--repeats`, and `--json` without `--list`.
+    fn try_parse<I>(args: I) -> Result<Option<Self>, String>
     where
         I: IntoIterator<Item = String>,
     {

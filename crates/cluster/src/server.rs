@@ -406,9 +406,10 @@ impl<A: App> ServerHost<A> {
                     cmd,
                 }) => {
                     // Execution cost was charged at admission (per_read).
-                    // The grant was apply-gated, so the state machine
-                    // covers read_index; reply-cache invariant: the read
-                    // executes fresh, never from (or into) sessions.
+                    // The leader applies as it commits, so the state
+                    // machine covers read_index; reply-cache invariant:
+                    // the read executes fresh, never from (or into)
+                    // sessions.
                     let result = self.node.state_machine().read(&cmd);
                     debug_assert!(result.is_some(), "grants are only taken for reads");
                     match grant.path {
@@ -539,7 +540,6 @@ impl<A: App> ServerHost<A> {
                     req_id,
                     cmd,
                 },
-                true,
             );
             return;
         }
@@ -561,20 +561,14 @@ impl<A: App> ServerHost<A> {
         );
     }
 
-    /// Register one read with the Raft node under a fresh grant token
-    /// (local reads wait for this node's apply; remote grants are relayed
-    /// raw), unwinding with the origin-appropriate denial when leadership
-    /// was lost between the caller's role check and registration.
-    fn register_read(
-        &mut self,
-        ctx: &mut HostCtx<'_, ClusterMsg<A>>,
-        origin: ReadOrigin<A>,
-        wait_apply: bool,
-    ) {
+    /// Register one read with the Raft node under a fresh grant token,
+    /// unwinding with the origin-appropriate denial when leadership was
+    /// lost between the caller's role check and registration.
+    fn register_read(&mut self, ctx: &mut HostCtx<'_, ClusterMsg<A>>, origin: ReadOrigin<A>) {
         self.next_read_token += 1;
         let token = self.next_read_token;
         self.read_origins.insert(token, origin);
-        let (result, fx) = self.node.request_read(ctx.now, token, wait_apply);
+        let (result, fx) = self.node.request_read(ctx.now, token);
         if result.is_err() {
             if let Some(origin) = self.read_origins.remove(token) {
                 self.deny_read_origin(ctx, origin);
@@ -670,17 +664,15 @@ impl<A: App> ServerHost<A> {
         );
     }
 
-    /// Serve every granted forwarded read the apply index now covers.
+    /// Serve every granted forwarded read the apply index now covers: the
+    /// one place a follower decides between serving and waiting.
     fn drain_follower_wait(&mut self, ctx: &mut HostCtx<'_, ClusterMsg<A>>) {
         let applied = self.node.last_applied();
-        while let Some((&idx, _)) = self.follower_wait.iter().next() {
-            if idx > applied {
+        while let Some(entry) = self.follower_wait.first_entry() {
+            if *entry.key() > applied {
                 break;
             }
-            let Some(ids) = self.follower_wait.remove(&idx) else {
-                break; // unreachable: `idx` was just read from the map
-            };
-            for id in ids {
+            for id in entry.remove() {
                 self.serve_follower_read(ctx, id);
             }
         }
@@ -719,7 +711,7 @@ impl<A: App> ServerHost<A> {
                     read_id,
                 };
                 if self.node.role() == Role::Leader {
-                    self.register_read(ctx, origin, false);
+                    self.register_read(ctx, origin);
                 } else {
                     // Not the leader (any more): the follower redirects.
                     self.deny_read_origin(ctx, origin);
@@ -734,13 +726,8 @@ impl<A: App> ServerHost<A> {
                 if let Some(wave) = wave {
                     match read_index {
                         Some(idx) => {
-                            for id in wave.ids {
-                                if self.node.last_applied() >= idx {
-                                    self.serve_follower_read(ctx, id);
-                                } else {
-                                    self.follower_wait.entry(idx).or_default().push(id);
-                                }
-                            }
+                            self.follower_wait.entry(idx).or_default().extend(wave.ids);
+                            self.drain_follower_wait(ctx);
                         }
                         None => {
                             // The contacted server cannot confirm

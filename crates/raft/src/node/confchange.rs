@@ -278,7 +278,7 @@ mod tests {
         assert!(!n.membership().is_voter(0));
         assert_eq!(n.role(), Role::Leader, "leads until the removal commits");
         // A non-voting leader has no lease: the read opens a ReadIndex round.
-        let (res, fx) = n.request_read(t, 77, true);
+        let (res, fx) = n.request_read(t, 77);
         res.unwrap();
         assert!(fx.reads.is_empty());
         assert_eq!(n.pending_reads(), 1);

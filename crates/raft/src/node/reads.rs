@@ -6,9 +6,9 @@ use crate::events::RaftEvent;
 use crate::progress::Progress;
 use crate::state_machine::{Effects, ReadGrant, ReadPath, StateMachine};
 use crate::types::{quorum, LogIndex, NodeId, Role};
-use dynatune_core::ELECTION_TIMEOUT_FLOOR;
+use dynatune_core::{invariant, ELECTION_TIMEOUT_FLOOR};
 use dynatune_simnet::SimTime;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Clock-drift safety margin for lease reads: the effective lease is
 /// `lease * (1 - margin)`, so a leader whose clock runs slow by up
@@ -31,8 +31,8 @@ pub(super) struct ReadRound {
     /// Registration instant; reads arriving at the same instant against
     /// the same commit index share the round (batch admission).
     registered_at: SimTime,
-    /// `(id, wait_apply)` per queued read.
-    reads: Vec<(u64, bool)>,
+    /// Ids of the queued reads.
+    reads: Vec<u64>,
 }
 
 /// Leader-side bookkeeping for log-free reads.
@@ -40,40 +40,34 @@ pub(super) struct ReadRound {
 /// Linearizability invariant: a read registered at commit index `c` is only
 /// granted with `read_index >= c`, and only after leadership was
 /// re-confirmed *at or after* registration (instantly via the lease, or by
-/// a quorum of confirmation echoes). Serving then waits for
-/// `last_applied >= read_index` (on the granting leader, or on the
-/// forwarding follower for remote grants).
+/// a quorum of confirmation echoes). The leader applies in the same step
+/// that advances its commit index, so a granted read is already applied
+/// here; only a forwarding follower waits, for its own apply index.
 #[derive(Debug, Default)]
 pub(super) struct ReadState {
     /// Rounds awaiting quorum confirmation, oldest first (seqs ascend).
     pub(super) pending_confirm: VecDeque<ReadRound>,
-    /// Confirmed local reads waiting for `last_applied` to reach their
-    /// read index.
-    apply_wait: BTreeMap<LogIndex, Vec<(u64, ReadPath)>>,
     /// Reads registered before this leader committed an entry of its own
     /// term (until then `commit_index` may lag the cluster's true commit
     /// point); re-admitted when the term's no-op commits.
-    pub(super) term_wait: Vec<(u64, bool)>,
+    pub(super) term_wait: Vec<u64>,
 }
 
 impl ReadState {
-    /// Queued reads: confirmation, apply and term waiters together.
+    /// Queued reads: confirmation and term waiters together.
+    #[cfg(test)]
     fn len(&self) -> usize {
         let confirming: usize = self.pending_confirm.iter().map(|r| r.reads.len()).sum();
-        let applying: usize = self.apply_wait.values().map(Vec::len).sum();
-        confirming + applying + self.term_wait.len()
+        confirming + self.term_wait.len()
     }
 
     /// Drain every queued read id (leadership lost / stepping down).
     pub(super) fn drain_ids(&mut self) -> Vec<u64> {
         let mut ids: Vec<u64> = Vec::new();
         for round in self.pending_confirm.drain(..) {
-            ids.extend(round.reads.iter().map(|&(id, _)| id));
+            ids.extend(round.reads);
         }
-        for (_, waiters) in std::mem::take(&mut self.apply_wait) {
-            ids.extend(waiters.iter().map(|&(id, _)| id));
-        }
-        ids.extend(self.term_wait.drain(..).map(|(id, _)| id));
+        ids.append(&mut self.term_wait);
         ids
     }
 }
@@ -86,19 +80,16 @@ impl<SM: StateMachine> RaftNode<SM> {
     /// otherwise after a ReadIndex confirmation round (a quorum of
     /// `read_ctx` echoes on `AppendEntries`/`AppendResp`) — via
     /// [`ReadGrant`]s in the returned (or a later) [`Effects::reads`].
-    /// With `wait_apply` the grant is additionally held until
-    /// `last_applied >= read_index`, so the caller can serve from this
-    /// node's state machine the moment the grant arrives; without it
-    /// (forwarded follower reads) the grant fires on confirmation and the
-    /// caller waits for its *own* apply index. Queued reads that lose
-    /// their leader surface in [`Effects::aborted_reads`].
+    /// This node's `last_applied` already covers a grant's `read_index`,
+    /// so the caller can serve from its state machine at once; a follower
+    /// that forwarded the read waits for its *own* apply index. Queued
+    /// reads that lose their leader surface in [`Effects::aborted_reads`].
     ///
     /// Non-leaders return a redirect hint, like [`RaftNode::propose`].
     pub fn request_read(
         &mut self,
         now: SimTime,
         id: u64,
-        wait_apply: bool,
     ) -> (Result<(), NotLeader>, NodeEffects<SM>) {
         let mut fx = Effects::new();
         let RoleState::Leader(lead) = &mut self.state else {
@@ -108,10 +99,10 @@ impl<SM: StateMachine> RaftNode<SM> {
             // Raft §6.4: before the current term's no-op commits, our
             // commit_index may still lag entries the previous leader
             // committed — reading at it could miss them. Park the read.
-            lead.reads.term_wait.push((id, wait_apply));
+            lead.reads.term_wait.push(id);
             return (Ok(()), fx);
         }
-        self.admit_read(now, id, wait_apply, &mut fx);
+        self.admit_read(now, id, &mut fx);
         (Ok(()), fx)
     }
 
@@ -169,22 +160,16 @@ impl<SM: StateMachine> RaftNode<SM> {
         now < basis + effective
     }
 
-    /// Queued log-free reads (confirmation, apply or term waiters).
-    #[must_use]
-    pub fn pending_reads(&self) -> usize {
+    /// Queued log-free reads (confirmation or term waiters).
+    #[cfg(test)]
+    pub(super) fn pending_reads(&self) -> usize {
         self.lead().map_or(0, |lead| lead.reads.len())
     }
 
-    pub(super) fn admit_read(
-        &mut self,
-        now: SimTime,
-        id: u64,
-        wait_apply: bool,
-        fx: &mut NodeEffects<SM>,
-    ) {
+    pub(super) fn admit_read(&mut self, now: SimTime, id: u64, fx: &mut NodeEffects<SM>) {
         let read_index = self.commit_index;
         if self.lease_valid(now) {
-            self.finish_read(id, read_index, ReadPath::Lease, wait_apply, fx);
+            self.grant_read(id, read_index, ReadPath::Lease, fx);
             return;
         }
         let RoleState::Leader(lead) = &mut self.state else {
@@ -196,7 +181,7 @@ impl<SM: StateMachine> RaftNode<SM> {
         // read, so the echoes confirm leadership for it too.
         if let Some(last) = lead.reads.pending_confirm.back_mut() {
             if last.registered_at == now && last.read_index == read_index {
-                last.reads.push((id, wait_apply));
+                last.reads.push(id);
                 return;
             }
         }
@@ -206,7 +191,7 @@ impl<SM: StateMachine> RaftNode<SM> {
             seq,
             read_index,
             registered_at: now,
-            reads: vec![(id, wait_apply)],
+            reads: vec![id],
         });
         fx.events.push(RaftEvent::ReadConfirmRound { seq });
         self.nudge_read_confirmation(now, fx);
@@ -216,25 +201,21 @@ impl<SM: StateMachine> RaftNode<SM> {
         self.advance_read_confirmations(fx);
     }
 
-    /// Grant a confirmed read, or park it until apply catches up.
-    fn finish_read(
-        &mut self,
-        id: u64,
-        read_index: LogIndex,
-        path: ReadPath,
-        wait_apply: bool,
-        fx: &mut NodeEffects<SM>,
-    ) {
-        if !wait_apply || self.last_applied >= read_index {
-            fx.reads.push(ReadGrant {
-                id,
-                read_index,
-                path,
-            });
-        } else if let Some(lead) = self.lead_mut() {
-            let waiters = lead.reads.apply_wait.entry(read_index).or_default();
-            waiters.push((id, path));
-        }
+    /// Grant a confirmed read. Apply runs in the step that advances
+    /// `commit_index`, so the state machine already covers `read_index`
+    /// (ReadIndex step 4, the apply wait, never blocks here); a change
+    /// that defers apply must bring that wait back rather than serve stale.
+    fn grant_read(&self, id: u64, read_index: LogIndex, path: ReadPath, fx: &mut NodeEffects<SM>) {
+        invariant!(
+            self.last_applied >= read_index,
+            "read {id} granted at index {read_index} with only {} applied",
+            self.last_applied
+        );
+        fx.reads.push(ReadGrant {
+            id,
+            read_index,
+            path,
+        });
     }
 
     /// Make sure every follower has confirmation traffic on the wire for
@@ -269,8 +250,8 @@ impl<SM: StateMachine> RaftNode<SM> {
     /// learner's echo never counts.
     pub(super) fn advance_read_confirmations(&mut self, fx: &mut NodeEffects<SM>) {
         while let Some(round) = self.pop_confirmed_round() {
-            for (id, wait_apply) in round.reads {
-                self.finish_read(id, round.read_index, ReadPath::ReadIndex, wait_apply, fx);
+            for id in round.reads {
+                self.grant_read(id, round.read_index, ReadPath::ReadIndex, fx);
             }
         }
     }
@@ -285,28 +266,6 @@ impl<SM: StateMachine> RaftNode<SM> {
             return None;
         }
         self.lead_mut()?.reads.pending_confirm.pop_front()
-    }
-
-    /// Grant apply-gated reads whose index the state machine now covers.
-    pub(super) fn drain_apply_wait(&mut self, fx: &mut NodeEffects<SM>) {
-        let RoleState::Leader(lead) = &mut self.state else {
-            return;
-        };
-        while let Some((&index, _)) = lead.reads.apply_wait.iter().next() {
-            if index > self.last_applied {
-                break;
-            }
-            let Some(waiters) = lead.reads.apply_wait.remove(&index) else {
-                break; // unreachable: `index` was just read from the map
-            };
-            for (id, path) in waiters {
-                fx.reads.push(ReadGrant {
-                    id,
-                    read_index: index,
-                    path,
-                });
-            }
-        }
     }
 }
 
@@ -326,7 +285,7 @@ mod tests {
         let _ = n.tick(d);
         assert_eq!(n.role(), Role::Leader);
         assert_eq!(n.commit_index(), 1, "no-op self-commits");
-        let (res, fx) = n.request_read(d, 7, true);
+        let (res, fx) = n.request_read(d, 7);
         res.unwrap();
         assert_eq!(
             fx.reads,
@@ -353,7 +312,7 @@ mod tests {
             },
         };
         let _ = n.step(ms(1), 0, Payload::Heartbeat(hb));
-        let (res, fx) = n.request_read(ms(2), 5, true);
+        let (res, fx) = n.request_read(ms(2), 5);
         assert_eq!(res, Err(NotLeader { hint: Some(0) }));
         assert!(fx.reads.is_empty());
     }
@@ -364,7 +323,7 @@ mod tests {
         let _ = elect(&mut leader, SimTime::ZERO);
         // No follower has acked: the term's no-op is uncommitted, so the
         // read must park (commit_index may lag the true commit point).
-        let (res, fx) = leader.request_read(ms(3000), 11, true);
+        let (res, fx) = leader.request_read(ms(3000), 11);
         res.unwrap();
         assert!(fx.reads.is_empty());
         assert_eq!(leader.pending_reads(), 1);
@@ -451,7 +410,7 @@ mod tests {
         // Effective lease: 1000ms * (1 - 0.1) = 900ms from the send instant.
         assert!(leader.lease_valid(ms(4399)));
         assert!(!leader.lease_valid(ms(4400)), "drift margin caps the lease");
-        let (res, fx) = leader.request_read(ms(3700), 21, true);
+        let (res, fx) = leader.request_read(ms(3700), 21);
         res.unwrap();
         assert_eq!(
             fx.reads,
@@ -495,42 +454,6 @@ mod tests {
     }
 
     #[test]
-    fn confirmed_read_waits_for_apply() {
-        let mut leader = node(0, 3);
-        let _ = elect(&mut leader, SimTime::ZERO);
-        // Commit the no-op plus one command, but lag apply? Apply tracks
-        // commit on this implementation, so instead queue the read while a
-        // *forwarded* (no-wait) grant shows read_index handling.
-        let _ = leader.step(
-            ms(3000),
-            1,
-            Payload::AppendResp(AppendResp {
-                term: leader.term(),
-                success: true,
-                match_or_hint: 1,
-                read_ctx: None,
-            }),
-        );
-        // Forwarded follower read: grant must NOT wait for leader apply.
-        let _ = leader.step(
-            ms(3001),
-            1,
-            Payload::HeartbeatResp(HeartbeatResp {
-                term: leader.term(),
-                reply: dynatune_core::HeartbeatReply {
-                    id: 0,
-                    echo_sent_at_nanos: ms(3000).as_nanos(),
-                    tuned_interval: None,
-                },
-            }),
-        );
-        let (res, fx) = leader.request_read(ms(3002), 31, false);
-        res.unwrap();
-        assert_eq!(fx.reads.len(), 1);
-        assert_eq!(fx.reads[0].read_index, 1);
-    }
-
-    #[test]
     fn stepping_down_aborts_queued_reads() {
         let mut leader = node(0, 3);
         let _ = elect(&mut leader, SimTime::ZERO);
@@ -544,7 +467,7 @@ mod tests {
                 read_ctx: None,
             }),
         );
-        let (res, fx) = leader.request_read(ms(3001), 41, true);
+        let (res, fx) = leader.request_read(ms(3001), 41);
         res.unwrap();
         assert!(fx.reads.is_empty(), "cold lease: read queued");
         assert_eq!(leader.pending_reads(), 1);

@@ -514,8 +514,8 @@ impl<SM: StateMachine> RaftNode<SM> {
         if !lead.reads.term_wait.is_empty()
             && self.log.term_at(self.commit_index) == Some(self.term)
         {
-            for (id, wait_apply) in std::mem::take(&mut lead.reads.term_wait) {
-                self.admit_read(now, id, wait_apply, fx);
+            for id in std::mem::take(&mut lead.reads.term_wait) {
+                self.admit_read(now, id, fx);
             }
         }
     }
@@ -540,7 +540,6 @@ impl<SM: StateMachine> RaftNode<SM> {
             });
             self.last_applied = index;
         }
-        self.drain_apply_wait(fx);
     }
 }
 
@@ -831,7 +830,7 @@ mod tests {
         let _ = n.propose(t, 10); // both followers' single slots now busy
                                   // Cold lease (no heartbeat acks yet): the read needs a ReadIndex
                                   // confirmation round, whose nudge finds every window full.
-        let (res, fx) = n.request_read(t, 99, true);
+        let (res, fx) = n.request_read(t, 99);
         res.unwrap();
         assert!(fx.reads.is_empty(), "not confirmable yet");
         assert!(appends_to(&fx, 1).is_empty(), "window full: nudge deferred");
@@ -911,5 +910,83 @@ mod tests {
         assert_eq!(sent.len(), 1);
         assert_eq!(sent[0].prev_log_index, last);
         assert_eq!(sent[0].entries.len(), 1, "the buffered proposal follows");
+    }
+
+    /// Raft §5.4.2, Fig. 8: a leader must not commit an entry from an
+    /// earlier term by counting replicas, even once a majority stores it,
+    /// because a rival that never saw it could still win an election and
+    /// overwrite it. It commits only under an entry of its own term.
+    #[test]
+    fn fig8_old_term_entry_commits_only_under_a_current_term_entry() {
+        let mut s1 = node(0, 5);
+        // Term 1: a leader commits entry 1 everywhere.
+        let _ = s1.step(
+            ms(1),
+            1,
+            Payload::AppendEntries(AppendEntries {
+                term: 1,
+                leader: 1,
+                prev_log_index: 0,
+                prev_log_term: 0,
+                entries: vec![crate::log::Entry::normal(1, 1, Some(10))],
+                leader_commit: 1,
+                read_ctx: None,
+            }),
+        );
+        assert_eq!(s1.commit_index(), 1);
+        // (a) S1 leads term 2 and appends entries 2 (no-op) and 3, which
+        // reach no follower.
+        let t = s1.election_deadline();
+        let _ = elect(&mut s1, t);
+        assert_eq!(s1.term(), 2);
+        let (res, _) = s1.propose(t, 22);
+        res.unwrap();
+        assert_eq!(s1.log().last_index(), 3);
+        // (b) S5 wins term 3 without S1's entries; S1 hears of it.
+        let hb = Heartbeat {
+            term: 3,
+            leader: 4,
+            commit: 1,
+            meta: dynatune_core::HeartbeatMeta {
+                id: 0,
+                sent_at_nanos: 0,
+                rtt_sample: None,
+            },
+        };
+        let _ = s1.step(t + Duration::from_millis(10), 4, Payload::Heartbeat(hb));
+        assert_eq!(s1.role(), Role::Follower);
+        // (c) S1 wins term 4, appends its no-op at 4 and gets the term-2
+        // entries onto S2 and S3: a majority of five now stores index 3.
+        let t = s1.election_deadline();
+        let _ = elect(&mut s1, t);
+        assert_eq!(s1.term(), 4);
+        assert_eq!(s1.log().last_index(), 4);
+        let ack = |match_or_hint| {
+            Payload::AppendResp(AppendResp {
+                term: 4,
+                success: true,
+                match_or_hint,
+                read_ctx: None,
+            })
+        };
+        let t = t + Duration::from_millis(1);
+        for peer in [1, 2] {
+            let _ = s1.step(t, peer, ack(3));
+        }
+        // (d) S5 could still be elected and overwrite index 3, so it must
+        // not commit.
+        assert_eq!(
+            s1.commit_index(),
+            1,
+            "a majority of replicas of a term-2 entry"
+        );
+        assert_eq!(s1.state_machine().applied, vec![(1, 10)]);
+        // (e) Once the term-4 no-op reaches the same majority, it commits
+        // and carries entry 3 with it.
+        let _ = s1.step(t, 1, ack(4));
+        assert_eq!(s1.commit_index(), 1, "two of five hold the term-4 entry");
+        let _ = s1.step(t, 2, ack(4));
+        assert_eq!(s1.commit_index(), 4);
+        assert_eq!(s1.state_machine().applied, vec![(1, 10), (3, 22)]);
     }
 }

@@ -53,9 +53,8 @@ pub enum ReadPath {
 }
 
 /// A granted log-free read: the caller-supplied id plus the state-machine
-/// index the read is linearizable at. When the grant was requested with
-/// `wait_apply`, the granting node's `last_applied` already covers
-/// `read_index`; otherwise (forwarded follower reads) the *caller* must
+/// index the read is linearizable at. The granting node's `last_applied`
+/// already covers `read_index`; a follower that forwarded the read must
 /// wait for its own apply index to reach `read_index` before answering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReadGrant {
@@ -91,7 +90,7 @@ pub struct Effects<C, R, S> {
     /// Log-free reads granted by this input (lease or ReadIndex).
     pub reads: Vec<ReadGrant>,
     /// Queued log-free reads abandoned by this input (leadership lost
-    /// before confirmation/apply); the host should redirect their clients.
+    /// before the grant); the host should redirect their clients.
     pub aborted_reads: Vec<u64>,
 }
 

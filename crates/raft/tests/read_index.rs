@@ -122,7 +122,7 @@ fn request_read(h: &mut ReadHarness, id: NodeId) -> Result<bool, TestCaseError> 
     h.hooks.next_read_id += 1;
     let read_id = h.hooks.next_read_id;
     let floor = h.nodes.iter().map(Node::commit_index).max().unwrap_or(0);
-    let (res, fx) = h.nodes[id].request_read(h.now, read_id, true);
+    let (res, fx) = h.nodes[id].request_read(h.now, read_id);
     if res.is_ok() {
         h.hooks
             .pending

@@ -63,8 +63,8 @@ impl Zipf {
     }
 
     /// Probability mass of a given rank.
-    #[must_use]
-    pub fn pmf(&self, rank: usize) -> f64 {
+    #[cfg(test)]
+    fn pmf(&self, rank: usize) -> f64 {
         let hi = self.cumulative[rank];
         let lo = if rank == 0 {
             0.0
