@@ -14,7 +14,7 @@
 //!   flow, modelling head-of-line blocking.
 
 use crate::congestion::{CongestionConfig, CongestionProcess};
-use crate::rng::Rng;
+use crate::rng::{Rng, UnitLognormal};
 use crate::schedule::LinkSchedule;
 use crate::time::SimTime;
 use std::sync::Arc;
@@ -55,6 +55,10 @@ pub enum SendOutcome {
 struct DirectedLink {
     schedule: Arc<LinkSchedule>,
     rng: Rng,
+    /// Delay jitter at the schedule's `jitter_cv`.
+    jitter: UnitLognormal,
+    /// A duplicate's delay jitter, at `jitter_cv.max(0.05)`.
+    dup_jitter: UnitLognormal,
     /// Last TCP delivery instant on this flow, for FIFO enforcement.
     tcp_last_delivery: SimTime,
 }
@@ -86,6 +90,8 @@ impl Network {
                 links.push(DirectedLink {
                     schedule: schedule_for(from, to),
                     rng: link_rng_root.child((from * n + to) as u64),
+                    jitter: UnitLognormal::new(0.0),
+                    dup_jitter: UnitLognormal::new(0.0),
                     tcp_last_delivery: SimTime::ZERO,
                 });
             }
@@ -140,11 +146,12 @@ impl Network {
                 if link.rng.chance(params.loss) {
                     return SendOutcome::Dropped;
                 }
-                let jitter = link.rng.lognormal_unit_mean(params.jitter_cv);
+                let jitter = link.jitter.sample(&mut link.rng, params.jitter_cv);
                 let delay = scale_duration(base_one_way, jitter) + extra;
                 let at = now + delay.max(MIN_ONE_WAY_DELAY);
                 if link.rng.chance(params.dup) {
-                    let dup_jitter = link.rng.lognormal_unit_mean(params.jitter_cv.max(0.05));
+                    let dup_cv = params.jitter_cv.max(0.05);
+                    let dup_jitter = link.dup_jitter.sample(&mut link.rng, dup_cv);
                     let dup_delay = scale_duration(base_one_way, dup_jitter) + extra;
                     let dup_at = now + dup_delay.max(MIN_ONE_WAY_DELAY);
                     SendOutcome::DeliverDup(at, dup_at)
@@ -153,7 +160,7 @@ impl Network {
                 }
             }
             Channel::Tcp => {
-                let jitter = link.rng.lognormal_unit_mean(params.jitter_cv);
+                let jitter = link.jitter.sample(&mut link.rng, params.jitter_cv);
                 let mut delay = scale_duration(base_one_way, jitter) + extra;
                 // Losses become retransmission latency.
                 let rto = params.rtt.max(TCP_MIN_RTO);

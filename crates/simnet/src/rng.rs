@@ -157,19 +157,6 @@ impl Rng {
         (mu + sigma * self.normal()).exp()
     }
 
-    /// Lognormal variate with *linear-space* mean 1.0 and coefficient of
-    /// variation `cv` (used for multiplicative delay jitter).
-    ///
-    /// For cv == 0 returns exactly 1.0.
-    pub fn lognormal_unit_mean(&mut self, cv: f64) -> f64 {
-        if cv <= 0.0 {
-            return 1.0;
-        }
-        let sigma2 = (1.0 + cv * cv).ln();
-        let mu = -0.5 * sigma2;
-        self.lognormal(mu, sigma2.sqrt())
-    }
-
     /// Exponential variate with the given mean.
     pub fn exponential(&mut self, mean: f64) -> f64 {
         debug_assert!(mean > 0.0, "exponential mean must be positive");
@@ -180,6 +167,40 @@ impl Rng {
             }
         };
         -mean * u.ln()
+    }
+}
+
+/// A lognormal with *linear-space* mean 1.0 and coefficient of variation
+/// `cv` (multiplicative delay jitter), keeping the log-space parameters of
+/// the last `cv` it drew for. A link's `cv` changes only when its schedule
+/// steps, so nearly every draw skips the `ln` and `sqrt`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct UnitLognormal {
+    cv: f64,
+    mu: f64,
+    sigma: f64,
+}
+
+impl UnitLognormal {
+    pub(crate) fn new(cv: f64) -> Self {
+        let sigma2 = (1.0 + cv * cv).ln();
+        Self {
+            cv,
+            mu: -0.5 * sigma2,
+            sigma: sigma2.sqrt(),
+        }
+    }
+
+    /// One draw from `rng` at coefficient of variation `cv`. For `cv <= 0`
+    /// returns exactly 1.0 and draws nothing.
+    pub(crate) fn sample(&mut self, rng: &mut Rng, cv: f64) -> f64 {
+        if cv <= 0.0 {
+            return 1.0;
+        }
+        if cv != self.cv {
+            *self = Self::new(cv);
+        }
+        rng.lognormal(self.mu, self.sigma)
     }
 }
 
@@ -279,7 +300,8 @@ mod tests {
         let mut r = Rng::new(19);
         let n = 300_000;
         let cv = 0.4;
-        let samples: Vec<f64> = (0..n).map(|_| r.lognormal_unit_mean(cv)).collect();
+        let mut jitter = UnitLognormal::new(0.0);
+        let samples: Vec<f64> = (0..n).map(|_| jitter.sample(&mut r, cv)).collect();
         let mean = samples.iter().sum::<f64>() / n as f64;
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!((mean - 1.0).abs() < 0.01, "mean {mean}");
@@ -294,8 +316,36 @@ mod tests {
     #[test]
     fn lognormal_unit_mean_zero_cv_is_one() {
         let mut r = Rng::new(23);
-        assert_eq!(r.lognormal_unit_mean(0.0), 1.0);
-        assert_eq!(r.lognormal_unit_mean(-1.0), 1.0);
+        let mut jitter = UnitLognormal::new(0.0);
+        assert_eq!(jitter.sample(&mut r, 0.0), 1.0);
+        assert_eq!(jitter.sample(&mut r, -1.0), 1.0);
+        assert_eq!(r.next_u64(), Rng::new(23).next_u64(), "nothing drawn");
+    }
+
+    /// A lognormal variate with *linear-space* mean 1.0 and coefficient of
+    /// variation `cv`, its log-space parameters recomputed on every draw:
+    /// the model [`UnitLognormal`] caches them against.
+    fn lognormal_unit_mean(rng: &mut Rng, cv: f64) -> f64 {
+        if cv <= 0.0 {
+            return 1.0;
+        }
+        let sigma2 = (1.0 + cv * cv).ln();
+        let mu = -0.5 * sigma2;
+        rng.lognormal(mu, sigma2.sqrt())
+    }
+
+    /// The cache is bit-identical to recomputing the parameters on every
+    /// draw, across `cv` changes, a return to an earlier `cv`, and zero.
+    #[test]
+    fn cached_jitter_draws_match_the_uncached_model() {
+        let (mut cached, mut model) = (Rng::new(29), Rng::new(29));
+        let mut jitter = UnitLognormal::new(0.0);
+        for cv in [0.02, 0.02, 0.1, 0.0, 0.1, 0.02, 0.4, 0.4, 0.05] {
+            for _ in 0..50 {
+                let got = jitter.sample(&mut cached, cv);
+                assert_eq!(got.to_bits(), lognormal_unit_mean(&mut model, cv).to_bits());
+            }
+        }
     }
 
     #[test]
