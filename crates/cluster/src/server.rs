@@ -42,7 +42,7 @@ pub enum ReadStrategy {
     /// Raft node finds the lease cold, expired or unsafe (under a tuning
     /// mode the lease is cut to the 10 ms election floor, so it lapses
     /// within one WAN round trip). The default: reads cost no network round
-    /// while heartbeat acks keep the lease fresh.
+    /// while heartbeat and append acks keep the lease fresh.
     #[default]
     Lease,
 }

@@ -127,15 +127,25 @@ impl Membership {
     /// `voters` and (while joint) on a majority of `old_voters` — the
     /// *minimum* of the two per-set quorum indices, so no entry commits
     /// without both configurations having durably stored it.
+    ///
+    /// Each per-set index is selected in `scratch`, which the caller keeps
+    /// between calls: once it has grown to the largest voter set, the
+    /// tally allocates nothing.
     #[must_use]
-    pub fn committed_index(&self, match_of: impl Fn(NodeId) -> LogIndex) -> LogIndex {
-        let set_commit = |set: &BTreeSet<NodeId>| -> LogIndex {
+    pub fn committed_index(
+        &self,
+        scratch: &mut Vec<LogIndex>,
+        match_of: impl Fn(NodeId) -> LogIndex,
+    ) -> LogIndex {
+        let mut set_commit = |set: &BTreeSet<NodeId>| -> LogIndex {
             if set.is_empty() {
                 return 0;
             }
-            let mut matches: Vec<LogIndex> = set.iter().map(|&n| match_of(n)).collect();
-            matches.sort_unstable_by(|a, b| b.cmp(a));
-            matches[quorum(set.len()) - 1]
+            scratch.clear();
+            scratch.extend(set.iter().map(|&n| match_of(n)));
+            // The quorum'th largest, selected in linear time.
+            let rank = quorum(set.len()) - 1;
+            *scratch.select_nth_unstable_by(rank, |a, b| b.cmp(a)).1
         };
         let new_commit = set_commit(&self.voters);
         match &self.old_voters {
@@ -208,6 +218,7 @@ impl Membership {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn m(voters: &[NodeId], learners: &[NodeId]) -> Membership {
         Membership::initial(voters, learners)
@@ -266,10 +277,10 @@ mod tests {
         let match_of = |n: NodeId| [9u64, 5, 3, 9][n];
         // New = {1,2,3}: sorted 9,5,3 -> quorum(3)=2 -> 5.
         // Old = {0,1,2}: sorted 9,5,3 -> 5. min = 5.
-        assert_eq!(c.committed_index(match_of), 5);
+        assert_eq!(c.committed_index(&mut Vec::new(), match_of), 5);
         let finalized = c.apply(&ConfChange::Finalize).expect("finalize");
         assert!(!finalized.is_joint());
-        assert_eq!(finalized.committed_index(match_of), 5);
+        assert_eq!(finalized.committed_index(&mut Vec::new(), match_of), 5);
         assert!(!finalized.is_voter(0));
     }
 
@@ -287,7 +298,7 @@ mod tests {
         // 3 of 5 union members match — enough under single-config math,
         // but the matching set {2,3,4} holds only 1/3 of C_old.
         let match_of = |n: NodeId| if n >= 2 { 10 } else { 0 };
-        assert_eq!(c.committed_index(match_of), 0);
+        assert_eq!(c.committed_index(&mut Vec::new(), match_of), 0);
     }
 
     #[test]
@@ -331,5 +342,48 @@ mod tests {
             "nested joint"
         );
         assert!(joint.apply(&ConfChange::Finalize).is_ok());
+    }
+
+    /// The sorting tally [`Membership::committed_index`] replaced, kept as
+    /// its model.
+    fn committed_index_model(c: &Membership, match_of: impl Fn(NodeId) -> LogIndex) -> LogIndex {
+        let set_commit = |set: &BTreeSet<NodeId>| -> LogIndex {
+            if set.is_empty() {
+                return 0;
+            }
+            let mut matches: Vec<LogIndex> = set.iter().map(|&n| match_of(n)).collect();
+            matches.sort_unstable_by(|a, b| b.cmp(a));
+            matches[quorum(set.len()) - 1]
+        };
+        let new_commit = set_commit(&c.voters);
+        match &c.old_voters {
+            Some(old) => new_commit.min(set_commit(old)),
+            None => new_commit,
+        }
+    }
+
+    proptest! {
+        /// Selecting in a reused buffer gives the sorting model's index on
+        /// any match vector, joint configurations (a non-empty `old`)
+        /// included; ids past the vector have matched nothing.
+        #[test]
+        fn prop_committed_index_matches_the_sorting_model(
+            matches in proptest::collection::vec(0u64..20, 1..70),
+            voters in proptest::collection::btree_set(0usize..70, 1..40),
+            old in proptest::collection::btree_set(0usize..70, 0..40),
+        ) {
+            let c = Membership {
+                voters,
+                old_voters: (!old.is_empty()).then_some(old),
+                learners: BTreeSet::new(),
+            };
+            let match_of = |n: NodeId| matches.get(n).copied().unwrap_or(0);
+            // A dirty, oversized buffer, as a long-lived leader's would be.
+            let mut scratch = vec![99; 80];
+            prop_assert_eq!(
+                c.committed_index(&mut scratch, match_of),
+                committed_index_model(&c, match_of)
+            );
+        }
     }
 }

@@ -10,6 +10,7 @@ use crate::membership::Membership;
 use crate::types::{LogIndex, NodeId, Term};
 use dynatune_core::{HeartbeatMeta, HeartbeatReply};
 use dynatune_simnet::Channel;
+use std::num::NonZeroU64;
 
 /// Leader → follower keep-alive with Dynatune measurement metadata.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,8 +55,13 @@ pub struct AppendEntries<C> {
     /// its [`AppendResp`]; a quorum of echoes `>= seq` re-confirms the
     /// sender's leadership *after* the reads were registered, which is what
     /// lets the leader serve them without a log entry (`None` = no reads
-    /// pending).
-    pub read_ctx: Option<u64>,
+    /// pending; tokens count up from 1).
+    pub read_ctx: Option<NonZeroU64>,
+    /// The leader's clock when it sent this append, in nanoseconds (as
+    /// [`HeartbeatMeta::sent_at_nanos`]). Echoed in the [`AppendResp`], it
+    /// renews the read lease exactly as a heartbeat ack does: a follower
+    /// re-arms its election timer on every append it accepts.
+    pub sent_at_nanos: u64,
 }
 
 /// Follower → leader replication acknowledgement.
@@ -71,7 +77,12 @@ pub struct AppendResp {
     /// Echo of the request's `read_ctx`. Echoed on success *and* conflict:
     /// either way the follower answered at the leader's term, which is the
     /// leadership confirmation ReadIndex needs (log state is irrelevant).
-    pub read_ctx: Option<u64>,
+    pub read_ctx: Option<NonZeroU64>,
+    /// Echo of the request's `sent_at_nanos`, on success and conflict
+    /// alike: either way the follower accepted the leader's contact and
+    /// re-armed its election timer. `None` from a stale-term reject and
+    /// from a snapshot ack.
+    pub echo_sent_at_nanos: Option<u64>,
 }
 
 /// Leader → follower full-state transfer (TCP).

@@ -260,6 +260,7 @@ mod tests {
                 success: true,
                 match_or_hint: index,
                 read_ctx: None,
+                echo_sent_at_nanos: None,
             };
             n.step(t, peer, Payload::AppendResp(resp))
         };
@@ -322,6 +323,7 @@ mod tests {
                     success: true,
                     match_or_hint: last,
                     read_ctx: None,
+                    echo_sent_at_nanos: None,
                 };
                 let _ = n.step(t, peer, Payload::AppendResp(resp));
             }

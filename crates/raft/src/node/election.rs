@@ -573,6 +573,7 @@ mod tests {
                 entries: vec![crate::log::Entry::normal(2, 1, Some(5))],
                 leader_commit: 0,
                 read_ctx: None,
+                sent_at_nanos: 0,
             }),
         );
         // Wait out the lease.

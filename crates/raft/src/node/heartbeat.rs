@@ -103,9 +103,8 @@ impl<SM: StateMachine> RaftNode<SM> {
         p.last_active = now;
         // The echoed send instant is exact, so it safely extends the
         // read lease: this follower provably still followed us when
-        // the heartbeat left (reordered echoes are monotone-maxed).
-        let basis = SimTime::from_nanos(resp.reply.echo_sent_at_nanos);
-        p.lease_basis = p.lease_basis.max(basis);
+        // the heartbeat left.
+        p.renew_lease(resp.reply.echo_sent_at_nanos);
         peer.pacer.on_reply(now.as_nanos(), &resp.reply);
     }
 }

@@ -481,6 +481,7 @@ mod tests {
                 entries: vec![crate::log::Entry::normal(4, index, Some(value))],
                 leader_commit: index,
                 read_ctx: None,
+                sent_at_nanos: 0,
             })
         };
         // Warm the tuner, then commit and apply entry 1.
@@ -535,6 +536,7 @@ mod tests {
                 success: true,
                 match_or_hint: last,
                 read_ctx: None,
+                echo_sent_at_nanos: None,
             }),
         );
         assert_eq!(node.commit_index(), last);
@@ -560,6 +562,7 @@ mod tests {
                     success: true,
                     match_or_hint: last,
                     read_ctx: None,
+                    echo_sent_at_nanos: None,
                 }),
             );
         }

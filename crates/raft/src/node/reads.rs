@@ -9,6 +9,8 @@ use crate::types::{quorum, LogIndex, NodeId, Role};
 use dynatune_core::{invariant, ELECTION_TIMEOUT_FLOOR};
 use dynatune_simnet::SimTime;
 use std::collections::VecDeque;
+use std::num::NonZeroU64;
+use std::time::Duration;
 
 /// Clock-drift safety margin for lease reads: the effective lease is
 /// `lease * (1 - margin)`, so a leader whose clock runs slow by up
@@ -26,7 +28,7 @@ const _: () = assert!(
 /// `read_ctx >= seq` echoes.
 #[derive(Debug)]
 pub(super) struct ReadRound {
-    pub(super) seq: u64,
+    pub(super) seq: NonZeroU64,
     read_index: LogIndex,
     /// Registration instant; reads arriving at the same instant against
     /// the same commit index share the round (batch admission).
@@ -72,6 +74,18 @@ impl ReadState {
     }
 }
 
+/// Whether the `needed`'th freshest of `bases` (`needed >= 1`) still
+/// opens a lease of length `effective` at `now`. That basis is live exactly
+/// when at least `needed` bases are, so a count answers without sorting.
+fn quorum_lease_live(
+    bases: impl Iterator<Item = SimTime>,
+    needed: usize,
+    effective: Duration,
+    now: SimTime,
+) -> bool {
+    bases.filter(|&basis| now < basis + effective).count() >= needed
+}
+
 impl<SM: StateMachine> RaftNode<SM> {
     /// Register a linearizable log-free read.
     ///
@@ -107,8 +121,8 @@ impl<SM: StateMachine> RaftNode<SM> {
     }
 
     /// Whether the leader lease currently covers log-free reads: a quorum
-    /// (counting this node) acknowledged heartbeats sent within the
-    /// drift-scaled lease window. While it holds, no other member can have
+    /// (counting this node) acknowledged heartbeats or appends sent within
+    /// the drift-scaled lease window. While it holds, no other member can have
     /// won an election, so `commit_index` is the cluster's true commit
     /// point and reads skip the confirmation round entirely.
     ///
@@ -140,16 +154,6 @@ impl<SM: StateMachine> RaftNode<SM> {
         if needed == 0 {
             return true; // single-voter quorum
         }
-        // Only voters extend the lease: a learner's ack says nothing about
-        // who can win an election.
-        let mut bases: Vec<SimTime> = membership
-            .voters
-            .iter()
-            .filter(|&&v| v != self.config.id)
-            .map(|&v| self.progress_of(v).map_or(SimTime::ZERO, |p| p.lease_basis))
-            .collect();
-        bases.sort_unstable_by(|a, b| b.cmp(a));
-        let basis = bases[needed - 1];
         // The lease lasts the default election timeout, cut to the floor a
         // tuned follower's Et may reach.
         let mut lease = self.config.tuning.default_election_timeout;
@@ -157,7 +161,14 @@ impl<SM: StateMachine> RaftNode<SM> {
             lease = lease.min(ELECTION_TIMEOUT_FLOOR);
         }
         let effective = lease.mul_f64(1.0 - LEASE_DRIFT_MARGIN);
-        now < basis + effective
+        // Only voters extend the lease: a learner's ack says nothing about
+        // who can win an election.
+        let bases = membership
+            .voters
+            .iter()
+            .filter(|&&v| v != self.config.id)
+            .map(|&v| self.progress_of(v).map_or(SimTime::ZERO, |p| p.lease_basis));
+        quorum_lease_live(bases, needed, effective, now)
     }
 
     /// Queued log-free reads (confirmation or term waiters).
@@ -185,15 +196,16 @@ impl<SM: StateMachine> RaftNode<SM> {
                 return;
             }
         }
-        self.read_seq += 1;
-        let seq = self.read_seq;
+        let seq = NonZeroU64::MIN.saturating_add(self.read_seq);
+        self.read_seq = seq.get();
         lead.reads.pending_confirm.push_back(ReadRound {
             seq,
             read_index,
             registered_at: now,
             reads: vec![id],
         });
-        fx.events.push(RaftEvent::ReadConfirmRound { seq });
+        fx.events
+            .push(RaftEvent::ReadConfirmRound { seq: seq.get() });
         self.nudge_read_confirmation(now, fx);
         // A quorum this node makes alone confirms the round at once (a
         // single voter outside a joint configuration holds the lease and
@@ -240,7 +252,7 @@ impl<SM: StateMachine> RaftNode<SM> {
             return false;
         };
         let window = self.config.pipeline_window;
-        let owes = |p: &Progress| p.acked_read_seq < newest.seq && p.window_free(window);
+        let owes = |p: &Progress| p.acked_read_seq < newest.seq.get() && p.window_free(window);
         self.progress_of(peer).is_some_and(owes)
     }
 
@@ -257,7 +269,7 @@ impl<SM: StateMachine> RaftNode<SM> {
     }
 
     fn pop_confirmed_round(&mut self) -> Option<ReadRound> {
-        let seq = self.lead()?.reads.pending_confirm.front()?.seq;
+        let seq = self.lead()?.reads.pending_confirm.front()?.seq.get();
         let id = self.config.id;
         let confirmed = self.active_frame().membership.quorum_satisfied(|n| {
             n == id || self.progress_of(n).is_some_and(|p| p.acked_read_seq >= seq)
@@ -274,9 +286,11 @@ mod tests {
     use super::super::tests::{elect, ms, node};
     use super::*;
     use crate::config::RaftConfig;
+    use crate::membership::ConfChange;
     use crate::message::{AppendResp, Heartbeat, HeartbeatResp, Payload};
     use crate::state_machine::NullStateMachine;
     use dynatune_core::TuningConfig;
+    use proptest::prelude::*;
 
     #[test]
     fn single_node_lease_read_grants_instantly() {
@@ -337,6 +351,7 @@ mod tests {
                 success: true,
                 match_or_hint: 1,
                 read_ctx: None,
+                echo_sent_at_nanos: None,
             }),
         );
         assert_eq!(leader.commit_index(), 1);
@@ -365,6 +380,7 @@ mod tests {
                 success: true,
                 match_or_hint: 1,
                 read_ctx: probe.1.read_ctx,
+                echo_sent_at_nanos: None,
             }),
         );
         assert_eq!(
@@ -390,6 +406,7 @@ mod tests {
                 success: true,
                 match_or_hint: 1,
                 read_ctx: None,
+                echo_sent_at_nanos: None,
             }),
         );
         assert!(!leader.lease_valid(ms(3600)), "no heartbeat acks yet");
@@ -465,6 +482,7 @@ mod tests {
                 success: true,
                 match_or_hint: 1,
                 read_ctx: None,
+                echo_sent_at_nanos: None,
             }),
         );
         let (res, fx) = leader.request_read(ms(3001), 41);
@@ -486,5 +504,64 @@ mod tests {
         let fx = leader.step(ms(3002), 2, Payload::Heartbeat(hb));
         assert_eq!(fx.aborted_reads, vec![41]);
         assert_eq!(leader.pending_reads(), 0);
+    }
+
+    /// Only voters' echoes renew the lease: a learner acking a fresh
+    /// append proves nothing about who can win an election.
+    #[test]
+    fn a_learner_echo_does_not_make_the_lease_valid() {
+        let mut leader = node(0, 3);
+        let _ = elect(&mut leader, SimTime::ZERO);
+        let t = ms(3000);
+        let ack = |leader: &mut RaftNode<NullStateMachine>, peer: NodeId, at: SimTime| {
+            let resp = AppendResp {
+                term: leader.term(),
+                success: true,
+                match_or_hint: leader.log().last_index(),
+                read_ctx: None,
+                echo_sent_at_nanos: Some(at.as_nanos()),
+            };
+            let _ = leader.step(at, peer, Payload::AppendResp(resp));
+        };
+        let (res, _) = leader.propose_conf_change(t, ConfChange::AddLearner(3));
+        res.unwrap();
+        ack(&mut leader, 3, t);
+        assert!(leader.membership().is_learner(3));
+        assert_eq!(leader.progress_of(3).unwrap().lease_basis, t);
+        assert!(!leader.lease_valid(t), "a learner's echo renewed the lease");
+        ack(&mut leader, 1, t);
+        assert!(leader.lease_valid(t), "a voter's echo does");
+    }
+
+    /// The sorting test [`quorum_lease_live`] replaced, kept as its model.
+    fn quorum_lease_live_model(
+        bases: &[SimTime],
+        needed: usize,
+        effective: Duration,
+        now: SimTime,
+    ) -> bool {
+        let mut bases = bases.to_vec();
+        bases.sort_unstable_by(|a, b| b.cmp(a));
+        now < bases[needed - 1] + effective
+    }
+
+    proptest! {
+        /// Counting live bases agrees with sorting them and testing the
+        /// quorum'th freshest, ties and expired bases included.
+        #[test]
+        fn prop_lease_count_matches_the_sorting_model(
+            bases in proptest::collection::vec(0u64..50, 1..70),
+            needed in 1usize..70,
+            effective in 0u64..20,
+            now in 0u64..70,
+        ) {
+            let bases: Vec<SimTime> = bases.into_iter().map(ms).collect();
+            let needed = needed.min(bases.len());
+            let effective = Duration::from_millis(effective);
+            prop_assert_eq!(
+                quorum_lease_live(bases.iter().copied(), needed, effective, ms(now)),
+                quorum_lease_live_model(&bases, needed, effective, ms(now))
+            );
+        }
     }
 }

@@ -8,7 +8,7 @@ use crate::log::AppendOutcome;
 use crate::message::{AppendEntries, AppendResp, Payload};
 use crate::progress::Progress;
 use crate::state_machine::{Applied, Effects, StateMachine};
-use crate::types::{LogIndex, NodeId, Role, Term};
+use crate::types::{LogIndex, NodeId, Term};
 use dynatune_core::{invariant_violated, LeaderPacer, TuningConfig};
 use dynatune_simnet::SimTime;
 use std::collections::BTreeSet;
@@ -138,6 +138,9 @@ pub(super) struct LeaderState {
     /// write-path variant of the silent replication stall.
     pub(super) batch_deadline: Option<SimTime>,
     pub(super) reads: ReadState,
+    /// Reused buffer for the commit tally's match indices, so an ack's
+    /// commit check allocates nothing.
+    match_scratch: Vec<LogIndex>,
 }
 
 impl LeaderState {
@@ -150,6 +153,7 @@ impl LeaderState {
             batch_bytes: 0,
             batch_deadline: None,
             reads: ReadState::default(),
+            match_scratch: Vec::new(),
         }
     }
 }
@@ -303,6 +307,7 @@ impl<SM: StateMachine> RaftNode<SM> {
             // at or after every queued read's registration, so its echo
             // confirms them all.
             read_ctx: lead.reads.pending_confirm.back().map(|r| r.seq),
+            sent_at_nanos: now.as_nanos(),
         };
         send(&self.config, fx, to, Payload::AppendEntries(msg));
     }
@@ -384,6 +389,7 @@ impl<SM: StateMachine> RaftNode<SM> {
             success: false,
             match_or_hint: 0,
             read_ctx: None,
+            echo_sent_at_nanos: None,
         };
         send(&self.config, fx, from, Payload::AppendResp(resp));
     }
@@ -420,15 +426,18 @@ impl<SM: StateMachine> RaftNode<SM> {
                     success: true,
                     match_or_hint: last_index,
                     read_ctx: ae.read_ctx,
+                    echo_sent_at_nanos: Some(ae.sent_at_nanos),
                 }
             }
-            // The echo also rides conflict responses: either way we
-            // answered at the leader's term, which is all ReadIndex needs.
+            // The echoes also ride conflict responses: either way we
+            // answered at the leader's term and re-armed our election
+            // timer, which is all ReadIndex and the lease need.
             AppendOutcome::Conflict { hint } => AppendResp {
                 term: self.term,
                 success: false,
                 match_or_hint: hint,
                 read_ctx: ae.read_ctx,
+                echo_sent_at_nanos: Some(ae.sent_at_nanos),
             },
         };
         send(&self.config, fx, from, Payload::AppendResp(resp));
@@ -450,7 +459,10 @@ impl<SM: StateMachine> RaftNode<SM> {
         };
         p.last_active = now;
         if let Some(seq) = resp.read_ctx {
-            p.acked_read_seq = p.acked_read_seq.max(seq);
+            p.acked_read_seq = p.acked_read_seq.max(seq.get());
+        }
+        if let Some(sent_at) = resp.echo_sent_at_nanos {
+            p.renew_lease(sent_at);
         }
         if resp.success {
             p.on_success(resp.match_or_hint);
@@ -474,9 +486,10 @@ impl<SM: StateMachine> RaftNode<SM> {
     }
 
     pub(super) fn try_advance_commit(&mut self, now: SimTime, fx: &mut NodeEffects<SM>) {
-        if self.role() != Role::Leader {
+        let Some(lead) = self.lead_mut() else {
             return;
-        }
+        };
+        let mut scratch = std::mem::take(&mut lead.match_scratch);
         // Joint-consensus commit tally (Raft §6): the candidate index must
         // be stored on a majority of *every* active voter set — the
         // membership computes the per-set quorum indices and takes their
@@ -485,14 +498,19 @@ impl<SM: StateMachine> RaftNode<SM> {
         let candidate = {
             let id = self.config.id;
             let own_last = self.log.last_index();
-            self.active_frame().membership.committed_index(|n| {
-                if n == id {
-                    own_last
-                } else {
-                    self.progress_of(n).map_or(0, |p| p.match_index)
-                }
-            })
+            self.active_frame()
+                .membership
+                .committed_index(&mut scratch, |n| {
+                    if n == id {
+                        own_last
+                    } else {
+                        self.progress_of(n).map_or(0, |p| p.match_index)
+                    }
+                })
         };
+        if let Some(lead) = self.lead_mut() {
+            lead.match_scratch = scratch;
+        }
         // Raft §5.4.2: only entries of the current term commit by counting.
         if candidate > self.commit_index && self.log.term_at(candidate) == Some(self.term) {
             self.commit_index = candidate;
@@ -552,6 +570,8 @@ mod tests {
     use crate::config::RaftConfig;
     use crate::message::Heartbeat;
     use crate::state_machine::NullStateMachine;
+    use crate::types::Role;
+    use std::num::NonZeroU64;
 
     #[test]
     fn propose_on_follower_returns_redirect() {
@@ -591,6 +611,7 @@ mod tests {
                 entries,
                 leader_commit: 2,
                 read_ctx: None,
+                sent_at_nanos: 0,
             }),
         );
         assert_eq!(n.log().last_index(), 2);
@@ -623,6 +644,7 @@ mod tests {
                 entries: vec![],
                 leader_commit: 0,
                 read_ctx: None,
+                sent_at_nanos: 0,
             }),
         );
         match &fx.messages[0].payload {
@@ -654,6 +676,7 @@ mod tests {
                 success: true,
                 match_or_hint: 2,
                 read_ctx: None,
+                echo_sent_at_nanos: None,
             }),
         );
         // Majority (leader + follower 1) -> commit both entries.
@@ -676,6 +699,7 @@ mod tests {
                 success: true,
                 match_or_hint: 1,
                 read_ctx: None,
+                echo_sent_at_nanos: None,
             }),
         );
         assert_eq!(leader.commit_index(), 0);
@@ -688,6 +712,7 @@ mod tests {
                 success: true,
                 match_or_hint: 1,
                 read_ctx: None,
+                echo_sent_at_nanos: None,
             }),
         );
         assert_eq!(leader.commit_index(), 1);
@@ -759,6 +784,7 @@ mod tests {
                 success: true,
                 match_or_hint: last,
                 read_ctx: None,
+                echo_sent_at_nanos: None,
             }),
         );
         assert_eq!(n.commit_index(), last);
@@ -772,6 +798,7 @@ mod tests {
                 success: true,
                 match_or_hint: last - 1,
                 read_ctx: None,
+                echo_sent_at_nanos: None,
             }),
         );
         assert_eq!(n.commit_index(), last);
@@ -817,6 +844,7 @@ mod tests {
                 success: true,
                 match_or_hint: first_last,
                 read_ctx: None,
+                echo_sent_at_nanos: None,
             }),
         );
         let sent = appends_to(&fx, 1);
@@ -828,8 +856,9 @@ mod tests {
     fn read_nudge_defers_until_a_window_slot_frees() {
         let (mut n, t) = leader3_with_window(1);
         let _ = n.propose(t, 10); // both followers' single slots now busy
-                                  // Cold lease (no heartbeat acks yet): the read needs a ReadIndex
-                                  // confirmation round, whose nudge finds every window full.
+                                  // Cold lease (no heartbeat or append ack has echoed a send instant
+                                  // yet): the read needs a ReadIndex confirmation round, whose nudge
+                                  // finds every window full.
         let (res, fx) = n.request_read(t, 99);
         res.unwrap();
         assert!(fx.reads.is_empty(), "not confirmable yet");
@@ -845,6 +874,7 @@ mod tests {
                 success: true,
                 match_or_hint: last,
                 read_ctx: None,
+                echo_sent_at_nanos: None,
             }),
         );
         let sent = appends_to(&fx, 1);
@@ -860,7 +890,8 @@ mod tests {
                 term: n.term(),
                 success: true,
                 match_or_hint: last,
-                read_ctx: Some(1),
+                read_ctx: NonZeroU64::new(1),
+                echo_sent_at_nanos: None,
             }),
         );
         assert!(fx.reads.iter().any(|g| g.id == 99));
@@ -881,6 +912,7 @@ mod tests {
                 success: false,
                 match_or_hint: 0,
                 read_ctx: None,
+                echo_sent_at_nanos: None,
             }),
         );
         assert_eq!(leader.snapshots_sent(), 1);
@@ -904,6 +936,7 @@ mod tests {
                 success: true,
                 match_or_hint: last,
                 read_ctx: None,
+                echo_sent_at_nanos: None,
             }),
         );
         let sent = appends_to(&fx, 2);
@@ -931,6 +964,7 @@ mod tests {
                 entries: vec![crate::log::Entry::normal(1, 1, Some(10))],
                 leader_commit: 1,
                 read_ctx: None,
+                sent_at_nanos: 0,
             }),
         );
         assert_eq!(s1.commit_index(), 1);
@@ -967,6 +1001,7 @@ mod tests {
                 success: true,
                 match_or_hint,
                 read_ctx: None,
+                echo_sent_at_nanos: None,
             })
         };
         let t = t + Duration::from_millis(1);
@@ -988,5 +1023,152 @@ mod tests {
         let _ = s1.step(t, 2, ack(4));
         assert_eq!(s1.commit_index(), 4);
         assert_eq!(s1.state_machine().applied, vec![(1, 10), (3, 22)]);
+    }
+
+    /// The one `AppendResp` in `fx`.
+    fn append_resp(fx: &NodeEffects<NullStateMachine>) -> AppendResp {
+        let mut resps = fx.messages.iter().filter_map(|m| match &m.payload {
+            Payload::AppendResp(r) => Some(r.clone()),
+            _ => None,
+        });
+        let resp = resps.next().expect("an append response");
+        assert!(resps.next().is_none(), "one append response");
+        resp
+    }
+
+    /// An acked append renews the read lease like a heartbeat ack: the
+    /// follower echoes the append's send instant on success and on
+    /// conflict, and the leader takes that instant, not the ack's arrival,
+    /// as the peer's lease basis.
+    #[test]
+    fn append_echoes_renew_the_lease_from_the_send_instant() {
+        let mut leader = node(0, 3);
+        let t0 = leader.election_deadline(); // the no-op leaves as it wins
+        let fx = elect(&mut leader, SimTime::ZERO);
+        let noop = appends_to(&fx, 1)[0].clone();
+        assert_eq!(noop.sent_at_nanos, t0.as_nanos());
+        assert!(!leader.lease_valid(t0), "no acks yet");
+        // Success: the follower stores the no-op and echoes its send.
+        let mut follower = node(1, 3);
+        let fx = follower.step(
+            t0 + Duration::from_millis(20),
+            0,
+            Payload::AppendEntries(noop),
+        );
+        let success = append_resp(&fx);
+        assert!(success.success);
+        assert_eq!(success.echo_sent_at_nanos, Some(t0.as_nanos()));
+        let t1 = t0 + Duration::from_millis(40);
+        let _ = leader.step(t1, 1, Payload::AppendResp(success));
+        assert_eq!(leader.progress_of(1).unwrap().lease_basis, t0);
+        assert!(
+            leader.lease_valid(t1),
+            "one follower's echo is a quorum of 3"
+        );
+        // Conflict: the next append, sent at `t1`, reaches a follower
+        // whose log is empty; it rejects it, echoing the send all the same.
+        let (_, fx) = leader.propose(t1, 10);
+        let ae = appends_to(&fx, 1)[0].clone();
+        assert_eq!(ae.sent_at_nanos, t1.as_nanos());
+        let fx = node(1, 3).step(
+            t1 + Duration::from_millis(20),
+            0,
+            Payload::AppendEntries(ae),
+        );
+        let conflict = append_resp(&fx);
+        assert!(!conflict.success);
+        assert_eq!(conflict.echo_sent_at_nanos, Some(t1.as_nanos()));
+        let _ = leader.step(
+            t1 + Duration::from_millis(40),
+            1,
+            Payload::AppendResp(conflict),
+        );
+        assert_eq!(leader.progress_of(1).unwrap().lease_basis, t1);
+    }
+
+    /// Neither a stale-term reject nor a snapshot ack proves that the
+    /// follower re-armed its timer for an append's send instant, so both
+    /// echo nothing and leave the lease basis where it was.
+    #[test]
+    fn stale_rejects_and_snapshot_acks_do_not_renew_the_lease() {
+        // A follower at term 5 rejects a term-3 append without an echo.
+        let mut follower = node(1, 3);
+        let vote = crate::message::RequestVote {
+            term: 5,
+            pre_vote: false,
+            last_log_index: 0,
+            last_log_term: 0,
+        };
+        let _ = follower.step(ms(1), 2, Payload::RequestVote(vote));
+        let stale = AppendEntries {
+            term: 3,
+            leader: 0,
+            prev_log_index: 0,
+            prev_log_term: 0,
+            entries: vec![],
+            leader_commit: 0,
+            read_ctx: None,
+            sent_at_nanos: ms(2).as_nanos(),
+        };
+        let fx = follower.step(ms(2), 0, Payload::AppendEntries(stale));
+        let reject = append_resp(&fx);
+        assert_eq!(reject.term, 5);
+        assert_eq!(reject.echo_sent_at_nanos, None);
+        // A follower behind the compaction horizon is caught up by a
+        // snapshot, whose ack echoes nothing.
+        let mut leader = node(0, 3);
+        let last = leader_with_committed(&mut leader, 5);
+        leader.compact_log(last);
+        let t = ms(3100);
+        let nack = AppendResp {
+            term: leader.term(),
+            success: false,
+            match_or_hint: 0,
+            read_ctx: None,
+            echo_sent_at_nanos: Some(ms(3050).as_nanos()),
+        };
+        let fx = leader.step(t, 2, Payload::AppendResp(nack));
+        assert_eq!(leader.progress_of(2).unwrap().lease_basis, ms(3050));
+        let snapshot = fx
+            .messages
+            .into_iter()
+            .find_map(|m| match m.payload {
+                Payload::InstallSnapshot(snap) => Some(snap),
+                _ => None,
+            })
+            .expect("snapshot to follower 2");
+        let mut follower = node(2, 3);
+        let fx = follower.step(
+            t + Duration::from_millis(20),
+            0,
+            Payload::InstallSnapshot(snapshot),
+        );
+        let ack = append_resp(&fx);
+        assert!(ack.success);
+        assert_eq!(ack.echo_sent_at_nanos, None);
+        let _ = leader.step(t + Duration::from_millis(40), 2, Payload::AppendResp(ack));
+        assert_eq!(leader.progress_of(2).unwrap().match_index, last);
+        assert_eq!(leader.progress_of(2).unwrap().lease_basis, ms(3050));
+    }
+
+    /// Echoes are maxed into the basis: one overtaken by a younger echo
+    /// (acks reordered, or a heartbeat ack newer than the append) never
+    /// lowers it.
+    #[test]
+    fn an_older_echo_never_lowers_the_lease_basis() {
+        let (mut n, t) = leader3_with_window(4);
+        let ack = |sent: SimTime| {
+            Payload::AppendResp(AppendResp {
+                term: n.term(),
+                success: true,
+                match_or_hint: n.log().last_index(),
+                read_ctx: None,
+                echo_sent_at_nanos: Some(sent.as_nanos()),
+            })
+        };
+        let (young, old) = (ack(t), ack(ms(2970)));
+        let _ = n.step(t + Duration::from_millis(10), 1, young);
+        let _ = n.step(t + Duration::from_millis(11), 1, old);
+        assert_eq!(n.progress_of(1).unwrap().lease_basis, t);
     }
 }

@@ -121,6 +121,7 @@ impl<SM: StateMachine> RaftNode<SM> {
             success: true,
             match_or_hint: snap.last_included_index.min(self.commit_index),
             read_ctx: None,
+            echo_sent_at_nanos: None,
         };
         send(&self.config, fx, from, Payload::AppendResp(resp));
     }
@@ -208,6 +209,7 @@ mod tests {
                 success: false,
                 match_or_hint: 0,
                 read_ctx: None,
+                echo_sent_at_nanos: None,
             }),
         );
         let snap_msgs: Vec<_> = fx
@@ -251,6 +253,7 @@ mod tests {
                 success: false,
                 match_or_hint: 0,
                 read_ctx: None,
+                echo_sent_at_nanos: None,
             }),
         );
         assert_eq!(leader.snapshots_sent(), 1);
@@ -290,6 +293,7 @@ mod tests {
                 entries: vec![crate::log::Entry::normal(1, 1, Some(11))],
                 leader_commit: 0,
                 read_ctx: None,
+                sent_at_nanos: 0,
             }),
         );
         let fx = n.step(
@@ -339,6 +343,7 @@ mod tests {
                 entries: vec![crate::log::Entry::normal(3, 8, Some(88))],
                 leader_commit: 8,
                 read_ctx: None,
+                sent_at_nanos: 0,
             }),
         );
         assert_eq!(n.commit_index(), 8);
@@ -361,6 +366,7 @@ mod tests {
                     .collect(),
                 leader_commit: 5,
                 read_ctx: None,
+                sent_at_nanos: 0,
             }),
         );
         assert_eq!(n.commit_index(), 5);
@@ -460,6 +466,7 @@ mod tests {
                     .collect(),
                 leader_commit: prev + values.len() as u64,
                 read_ctx: None,
+                sent_at_nanos: 0,
             })
         };
         // A follower compacts twice and installs one snapshot.
@@ -493,6 +500,7 @@ mod tests {
                 success: true,
                 match_or_hint: n.log().last_index(),
                 read_ctx: None,
+                echo_sent_at_nanos: None,
             }),
         );
         let fx = n.step(
@@ -503,6 +511,7 @@ mod tests {
                 success: false,
                 match_or_hint: 0,
                 read_ctx: None,
+                echo_sent_at_nanos: None,
             }),
         );
         assert_eq!(n.snapshots_sent(), 1);

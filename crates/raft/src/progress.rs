@@ -66,12 +66,13 @@ pub struct Progress {
     /// seq `S` is leadership-confirmed once a quorum reports
     /// `acked_read_seq >= S`.
     pub acked_read_seq: u64,
-    /// Send instant of the freshest *heartbeat* this follower has
-    /// acknowledged (from the reply's echoed timestamp). The leader-lease
-    /// read path takes the quorum'th freshest basis as proof that no other
-    /// leader could have been elected within the lease window starting
-    /// there. Only heartbeat acks renew it: their echo carries the exact
-    /// send time, so a reordered ack can never inflate the lease.
+    /// Send instant of the freshest heartbeat or `AppendEntries` this
+    /// follower has acknowledged (from the reply's echoed timestamp). The
+    /// leader-lease read path takes the quorum'th freshest basis as proof
+    /// that no other leader could have been elected within the lease window
+    /// starting there. Both acks renew it: the follower re-armed its
+    /// election timer on either, and the echo carries the exact send time,
+    /// so a reordered ack can never inflate the lease.
     pub lease_basis: SimTime,
 }
 
@@ -165,6 +166,14 @@ impl Progress {
         self.inflight.clear();
         self.pending_snapshot = None;
         self.next_index = self.match_index + 1;
+    }
+
+    /// Extend the lease basis to an acknowledged message's echoed send
+    /// instant. Reordered echoes are maxed, so an older one never lowers it.
+    pub fn renew_lease(&mut self, echo_sent_at_nanos: u64) {
+        self.lease_basis = self
+            .lease_basis
+            .max(SimTime::from_nanos(echo_sent_at_nanos));
     }
 
     /// Whether entries up to `last_index` remain unsent.

@@ -10,8 +10,8 @@
 //! next, and must observe a current (not pre-failover) value.
 
 use dynatune_repro::cluster::{
-    stale_read_violations, ClusterSim, ReadCounters, ReadStrategy, ScenarioBuilder, ServerHost,
-    WorkloadSpec,
+    stale_read_violations, ClusterSim, NetPlan, ReadCounters, ReadStrategy, ScenarioBuilder,
+    ServerHost, WorkloadSpec,
 };
 use dynatune_repro::core::TuningConfig;
 use dynatune_repro::kv::OpMix;
@@ -138,6 +138,39 @@ fn tuned_cluster_serves_reads_by_read_index_not_lease() {
     assert_eq!(reads.lease, 0, "lease path must stay cold: {reads:?}");
     let trace = sim.client().expect("client attached").trace();
     assert!(trace.iter().filter(|op| !op.write).count() > 1000);
+    assert_eq!(stale_read_violations(trace), 0);
+}
+
+/// At 1 ms RTT the tuned 9 ms lease outlives an append round trip, so the
+/// acks of replication and of ReadIndex confirmation keep it live between
+/// heartbeats, and nearly every leader read is granted on the lease. Were
+/// heartbeat acks alone to renew it, it would lapse for about 2 ms of each
+/// 10 ms heartbeat cycle, sending some 18 % of leader reads to ReadIndex.
+#[test]
+fn acked_appends_keep_a_lan_lease_live_between_heartbeats() {
+    let spec = WorkloadSpec::steady(7_000.0, Duration::from_secs(4))
+        .starting_at(Duration::from_secs(3))
+        .mix(OpMix::read_mostly())
+        .recording();
+    let mut sim = ScenarioBuilder::cluster(5)
+        .tuning(TuningConfig::dynatune())
+        .reads(ReadStrategy::Lease)
+        .net(NetPlan::stable(Duration::from_millis(1)))
+        .seed(0x1EA5E)
+        .workload(spec)
+        .build_sim();
+    sim.run_until(SimTime::from_secs(8));
+    let reads = sim
+        .servers()
+        .map(ServerHost::reads_served)
+        .fold(ReadCounters::default(), ReadCounters::merged);
+    let leader_reads = reads.lease + reads.read_index;
+    assert!(leader_reads > 20_000, "{reads:?}");
+    assert!(
+        reads.read_index * 50 < leader_reads,
+        "2 % or more of leader reads went to ReadIndex: {reads:?}"
+    );
+    let trace = sim.client().expect("client attached").trace();
     assert_eq!(stale_read_violations(trace), 0);
 }
 
