@@ -62,7 +62,7 @@ const REPORT_PINS: &[(&str, u64)] = &[
     ("geo_asymmetric", 0x89f1_9eb1_1fd4_0d03),
     ("hot_shard", 0x2157_7209_5486_b3d1),
     ("lagging_follower_catchup", 0x54ea_c7b4_a183_0bb7),
-    ("lease_safety_partition", 0x7adb_d4f6_5226_c341),
+    ("lease_safety_partition", 0xcf8f_58a7_1993_8bfb),
     ("membership_churn", 0x821e_5a13_eb8b_3639),
     ("partition_churn", 0xf87c_c70c_bb87_149a),
     ("pipeline_depth", 0x8331_591f_1b46_15c7),
