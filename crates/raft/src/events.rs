@@ -90,11 +90,12 @@ pub enum RaftEvent {
     },
     /// The leader opened a ReadIndex confirmation round: queued log-free
     /// reads could not be served from the lease (expired or disabled) and
-    /// now await a quorum of `read_ctx` echoes. Observably absent under a
-    /// healthy lease — scenarios use it to tell the two read paths apart.
+    /// now await a quorum of acks echoing a send at or after this instant.
+    /// Observably absent under a healthy lease — scenarios use it to tell
+    /// the two read paths apart.
     ReadConfirmRound {
-        /// The round's confirmation token.
-        seq: u64,
+        /// The commit index the round's reads are served at.
+        read_index: LogIndex,
     },
 }
 
@@ -155,7 +156,7 @@ mod tests {
                 learners: 1,
                 joint: false,
             },
-            RaftEvent::ReadConfirmRound { seq: 1 },
+            RaftEvent::ReadConfirmRound { read_index: 1 },
         ];
         let mut kinds: Vec<&str> = events.iter().map(RaftEvent::kind).collect();
         kinds.sort_unstable();

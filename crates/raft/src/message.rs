@@ -10,7 +10,6 @@ use crate::membership::Membership;
 use crate::types::{LogIndex, NodeId, Term};
 use dynatune_core::{HeartbeatMeta, HeartbeatReply};
 use dynatune_simnet::Channel;
-use std::num::NonZeroU64;
 
 /// Leader → follower keep-alive with Dynatune measurement metadata.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,17 +49,11 @@ pub struct AppendEntries<C> {
     pub entries: Vec<Entry<C>>,
     /// Leader's commit index (clamped by the follower to its own log).
     pub leader_commit: LogIndex,
-    /// ReadIndex confirmation token: the newest pending log-free-read round
-    /// at the leader when this append was sent. The follower echoes it in
-    /// its [`AppendResp`]; a quorum of echoes `>= seq` re-confirms the
-    /// sender's leadership *after* the reads were registered, which is what
-    /// lets the leader serve them without a log entry (`None` = no reads
-    /// pending; tokens count up from 1).
-    pub read_ctx: Option<NonZeroU64>,
     /// The leader's clock when it sent this append, in nanoseconds (as
     /// [`HeartbeatMeta::sent_at_nanos`]). Echoed in the [`AppendResp`], it
-    /// renews the read lease exactly as a heartbeat ack does: a follower
-    /// re-arms its election timer on every append it accepts.
+    /// renews the leader's leadership record exactly as a heartbeat ack
+    /// does: a follower re-arms its election timer on every append it
+    /// accepts. The lease and ReadIndex confirmation both read that record.
     pub sent_at_nanos: u64,
 }
 
@@ -74,10 +67,6 @@ pub struct AppendResp {
     /// On success: highest index matching the leader. On failure: the
     /// follower's back-off hint (probe at `prev = hint`).
     pub match_or_hint: LogIndex,
-    /// Echo of the request's `read_ctx`. Echoed on success *and* conflict:
-    /// either way the follower answered at the leader's term, which is the
-    /// leadership confirmation ReadIndex needs (log state is irrelevant).
-    pub read_ctx: Option<NonZeroU64>,
     /// Echo of the request's `sent_at_nanos`, on success and conflict
     /// alike: either way the follower accepted the leader's contact and
     /// re-armed its election timer. `None` from a stale-term reject and

@@ -259,7 +259,6 @@ mod tests {
                 term: n.term(),
                 success: true,
                 match_or_hint: index,
-                read_ctx: None,
                 echo_sent_at_nanos: None,
             };
             n.step(t, peer, Payload::AppendResp(resp))
@@ -322,7 +321,6 @@ mod tests {
                     term: n.term(),
                     success: true,
                     match_or_hint: last,
-                    read_ctx: None,
                     echo_sent_at_nanos: None,
                 };
                 let _ = n.step(t, peer, Payload::AppendResp(resp));

@@ -572,7 +572,6 @@ mod tests {
                 prev_log_term: 0,
                 entries: vec![crate::log::Entry::normal(2, 1, Some(5))],
                 leader_commit: 0,
-                read_ctx: None,
                 sent_at_nanos: 0,
             }),
         );

@@ -101,9 +101,10 @@ impl<SM: StateMachine> RaftNode<SM> {
         };
         let p = &mut peer.progress;
         p.last_active = now;
-        // The echoed send instant is exact, so it safely extends the
-        // read lease: this follower provably still followed us when
-        // the heartbeat left.
+        // The echoed send instant is exact, so it safely renews the
+        // leadership record both read paths use: this follower provably
+        // still followed us when the heartbeat left. No read round is
+        // checked here; the next append ack counts this echo.
         p.renew_lease(resp.reply.echo_sent_at_nanos);
         peer.pacer.on_reply(now.as_nanos(), &resp.reply);
     }

@@ -150,10 +150,6 @@ pub struct RaftNode<SM: StateMachine> {
     tick_phase: f64,
     // --- Dynatune follower side ---
     tuner: FollowerTuner,
-    /// Last issued ReadIndex confirmation token (`read_ctx` values count up
-    /// from 1). It counts for the life of the process, not per leadership,
-    /// so a token is never reused.
-    read_seq: u64,
     rng: Rng,
 }
 
@@ -187,7 +183,6 @@ impl<SM: StateMachine> RaftNode<SM> {
             timer_reset_at: now,
             timeout_factor,
             tick_phase,
-            read_seq: 0,
             rng,
             config,
         }
@@ -365,10 +360,9 @@ impl<SM: StateMachine> RaftNode<SM> {
     /// Restart after a crash. Term, vote, log and the applied state
     /// survive, as etcd keeps its backend and consistent index; everything
     /// applied was committed, so the commit index resumes at `last_applied`.
-    /// Role, leader, read sequence, tuner and election timer reset.
+    /// Role, leader, tuner and election timer reset.
     pub fn restart(&mut self, now: SimTime) {
         self.state = RoleState::Follower;
-        self.read_seq = 0;
         self.leader_id = None;
         self.commit_index = self.last_applied;
         self.tuner.reset();
@@ -480,7 +474,6 @@ mod tests {
                 prev_log_term: if index > 1 { 4 } else { 0 },
                 entries: vec![crate::log::Entry::normal(4, index, Some(value))],
                 leader_commit: index,
-                read_ctx: None,
                 sent_at_nanos: 0,
             })
         };
@@ -535,7 +528,6 @@ mod tests {
                 term: node.term(),
                 success: true,
                 match_or_hint: last,
-                read_ctx: None,
                 echo_sent_at_nanos: None,
             }),
         );
@@ -561,7 +553,6 @@ mod tests {
                     term: n.term(),
                     success: true,
                     match_or_hint: last,
-                    read_ctx: None,
                     echo_sent_at_nanos: None,
                 }),
             );

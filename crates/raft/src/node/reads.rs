@@ -5,12 +5,10 @@ use super::{NodeEffects, NotLeader, RaftNode, RoleState};
 use crate::events::RaftEvent;
 use crate::progress::Progress;
 use crate::state_machine::{Effects, ReadGrant, ReadPath, StateMachine};
-use crate::types::{quorum, LogIndex, NodeId, Role};
+use crate::types::{LogIndex, NodeId, Role};
 use dynatune_core::{invariant, ELECTION_TIMEOUT_FLOOR};
 use dynatune_simnet::SimTime;
 use std::collections::VecDeque;
-use std::num::NonZeroU64;
-use std::time::Duration;
 
 /// Clock-drift safety margin for lease reads: the effective lease is
 /// `lease * (1 - margin)`, so a leader whose clock runs slow by up
@@ -24,11 +22,10 @@ const _: () = assert!(
 );
 
 /// One ReadIndex confirmation round: reads registered at the same instant
-/// against the same commit index, confirmed together by a quorum of
-/// `read_ctx >= seq` echoes.
+/// against the same commit index, confirmed together once a quorum's
+/// [`Progress::lease_basis`] reaches that instant.
 #[derive(Debug)]
 pub(super) struct ReadRound {
-    pub(super) seq: NonZeroU64,
     read_index: LogIndex,
     /// Registration instant; reads arriving at the same instant against
     /// the same commit index share the round (batch admission).
@@ -41,13 +38,15 @@ pub(super) struct ReadRound {
 ///
 /// Linearizability invariant: a read registered at commit index `c` is only
 /// granted with `read_index >= c`, and only after leadership was
-/// re-confirmed *at or after* registration (instantly via the lease, or by
-/// a quorum of confirmation echoes). The leader applies in the same step
-/// that advances its commit index, so a granted read is already applied
-/// here; only a forwarding follower waits, for its own apply index.
+/// re-confirmed *at or after* registration: instantly via the lease, or by
+/// a quorum of echoes of sends at or after it (`pop_confirmed_round` says
+/// why). The leader applies in the same step that advances its commit
+/// index, so a granted read is already applied here; only a forwarding
+/// follower waits, for its own apply index.
 #[derive(Debug, Default)]
 pub(super) struct ReadState {
-    /// Rounds awaiting quorum confirmation, oldest first (seqs ascend).
+    /// Rounds awaiting quorum confirmation, oldest first (registration
+    /// instants ascend).
     pub(super) pending_confirm: VecDeque<ReadRound>,
     /// Reads registered before this leader committed an entry of its own
     /// term (until then `commit_index` may lag the cluster's true commit
@@ -74,25 +73,13 @@ impl ReadState {
     }
 }
 
-/// Whether the `needed`'th freshest of `bases` (`needed >= 1`) still
-/// opens a lease of length `effective` at `now`. That basis is live exactly
-/// when at least `needed` bases are, so a count answers without sorting.
-fn quorum_lease_live(
-    bases: impl Iterator<Item = SimTime>,
-    needed: usize,
-    effective: Duration,
-    now: SimTime,
-) -> bool {
-    bases.filter(|&basis| now < basis + effective).count() >= needed
-}
-
 impl<SM: StateMachine> RaftNode<SM> {
     /// Register a linearizable log-free read.
     ///
     /// On the leader this records the current `commit_index` as the read's
     /// index and grants it — immediately when the leader lease is live,
-    /// otherwise after a ReadIndex confirmation round (a quorum of
-    /// `read_ctx` echoes on `AppendEntries`/`AppendResp`) — via
+    /// otherwise after a ReadIndex confirmation round (a quorum of acks
+    /// echoing a send at or after the read's registration) — via
     /// [`ReadGrant`]s in the returned (or a later) [`Effects::reads`].
     /// This node's `last_applied` already covers a grant's `read_index`,
     /// so the caller can serve from its state machine at once; a follower
@@ -146,13 +133,9 @@ impl<SM: StateMachine> RaftNode<SM> {
         // can win inside the window" argument would have to hold in two
         // voter sets at once, and the dual-quorum window is exactly when a
         // stale single-set lease could serve a stale read. Reads fall back
-        // to ReadIndex, whose echo tally *is* dual-quorum.
+        // to ReadIndex, whose tally *is* dual-quorum.
         if membership.is_joint() || !membership.voters.contains(&self.config.id) {
             return false;
-        }
-        let needed = quorum(membership.voters.len()) - 1; // we count ourselves
-        if needed == 0 {
-            return true; // single-voter quorum
         }
         // The lease lasts the default election timeout, cut to the floor a
         // tuned follower's Et may reach.
@@ -161,14 +144,19 @@ impl<SM: StateMachine> RaftNode<SM> {
             lease = lease.min(ELECTION_TIMEOUT_FLOOR);
         }
         let effective = lease.mul_f64(1.0 - LEASE_DRIFT_MARGIN);
-        // Only voters extend the lease: a learner's ack says nothing about
-        // who can win an election.
-        let bases = membership
-            .voters
-            .iter()
-            .filter(|&&v| v != self.config.id)
-            .map(|&v| self.progress_of(v).map_or(SimTime::ZERO, |p| p.lease_basis));
-        quorum_lease_live(bases, needed, effective, now)
+        self.quorum_acked(|basis| now < basis + effective)
+    }
+
+    /// Whether a quorum of the active configuration acknowledged this
+    /// leader with a [`Progress::lease_basis`] that `fresh` accepts. This
+    /// node counts itself; a learner never counts (its ack says nothing
+    /// about who can win an election); a joint configuration needs a
+    /// quorum of both voter sets.
+    fn quorum_acked(&self, fresh: impl Fn(SimTime) -> bool) -> bool {
+        let id = self.config.id;
+        self.active_frame().membership.quorum_satisfied(|n| {
+            n == id || self.progress_of(n).is_some_and(|p| fresh(p.lease_basis))
+        })
     }
 
     /// Queued log-free reads (confirmation or term waiters).
@@ -187,25 +175,20 @@ impl<SM: StateMachine> RaftNode<SM> {
             return;
         };
         // Join the newest unconfirmed round only when nothing happened
-        // since it was registered (same instant, same commit index): its
-        // confirmation traffic then provably went out no earlier than this
-        // read, so the echoes confirm leadership for it too.
+        // since it was registered (same instant, same commit index): the
+        // echoes that confirm it confirm leadership for this read too.
         if let Some(last) = lead.reads.pending_confirm.back_mut() {
             if last.registered_at == now && last.read_index == read_index {
                 last.reads.push(id);
                 return;
             }
         }
-        let seq = NonZeroU64::MIN.saturating_add(self.read_seq);
-        self.read_seq = seq.get();
         lead.reads.pending_confirm.push_back(ReadRound {
-            seq,
             read_index,
             registered_at: now,
             reads: vec![id],
         });
-        fx.events
-            .push(RaftEvent::ReadConfirmRound { seq: seq.get() });
+        fx.events.push(RaftEvent::ReadConfirmRound { read_index });
         self.nudge_read_confirmation(now, fx);
         // A quorum this node makes alone confirms the round at once (a
         // single voter outside a joint configuration holds the lease and
@@ -235,8 +218,7 @@ impl<SM: StateMachine> RaftNode<SM> {
     /// `AppendEntries` (possibly empty) so the pipeline-window discipline
     /// and the `APPEND_RESEND` recovery timer apply unchanged: a peer whose
     /// window is full is nudged again from `on_append_resp` once an ack
-    /// frees a slot (every send already in flight left before the round
-    /// opened, so their echoes cannot confirm it).
+    /// frees a slot.
     fn nudge_read_confirmation(&mut self, now: SimTime, fx: &mut NodeEffects<SM>) {
         for peer in self.peer_ids() {
             if self.owes_read_echo(peer) {
@@ -245,21 +227,19 @@ impl<SM: StateMachine> RaftNode<SM> {
         }
     }
 
-    /// Whether `peer` still owes an echo for the newest pending read round
-    /// and has a free window slot to carry the request.
+    /// Whether `peer` has not yet echoed a send at or after the newest
+    /// pending read round's registration, and has a free window slot to
+    /// carry the request.
     pub(super) fn owes_read_echo(&self, peer: NodeId) -> bool {
         let Some(newest) = self.lead().and_then(|l| l.reads.pending_confirm.back()) else {
             return false;
         };
         let window = self.config.pipeline_window;
-        let owes = |p: &Progress| p.acked_read_seq < newest.seq.get() && p.window_free(window);
+        let owes = |p: &Progress| p.lease_basis < newest.registered_at && p.window_free(window);
         self.progress_of(peer).is_some_and(owes)
     }
 
     /// Pop every pending round a quorum has confirmed and grant its reads.
-    /// The tally is the dual-quorum predicate: while a joint configuration
-    /// is active, echoes must cover a majority of *both* voter sets, and a
-    /// learner's echo never counts.
     pub(super) fn advance_read_confirmations(&mut self, fx: &mut NodeEffects<SM>) {
         while let Some(round) = self.pop_confirmed_round() {
             for id in round.reads {
@@ -268,13 +248,29 @@ impl<SM: StateMachine> RaftNode<SM> {
         }
     }
 
+    /// Pop the oldest pending round once a quorum's leadership record has
+    /// reached its registration instant `T` (`lease_basis >= T`). Rounds
+    /// register in time order, so no younger round can confirm first.
+    ///
+    /// Why that proves leadership at `T` (ReadIndex, Ongaro §6.4): each
+    /// echo is of a message sent at or after `T` that the follower accepted
+    /// at this leader's term. A rival elected before `T` would hold the
+    /// vote of some follower in that quorum, which would have refused the
+    /// message. The echo is the exact send instant, so a late ack of an
+    /// older send never counts. Appends sent after the round opened echo
+    /// instants `>= T`, so a quorum of their acks confirms it at the
+    /// latest. A round can confirm sooner in two cases, both sound by the
+    /// same argument:
+    /// * an append sent at instant `T` but before the registration in
+    ///   event order: the follower receives it no sooner than the
+    ///   network's minimum one-way delay after `T`, and with no delay at
+    ///   all check-quorum's vote withholding covers the tie;
+    /// * a heartbeat echo of a send at or after `T`, counted at the next
+    ///   append ack from any peer (heartbeat acks renew the record but do
+    ///   not run this check).
     fn pop_confirmed_round(&mut self) -> Option<ReadRound> {
-        let seq = self.lead()?.reads.pending_confirm.front()?.seq.get();
-        let id = self.config.id;
-        let confirmed = self.active_frame().membership.quorum_satisfied(|n| {
-            n == id || self.progress_of(n).is_some_and(|p| p.acked_read_seq >= seq)
-        });
-        if !confirmed {
+        let since = self.lead()?.reads.pending_confirm.front()?.registered_at;
+        if !self.quorum_acked(|basis| basis >= since) {
             return None;
         }
         self.lead_mut()?.reads.pending_confirm.pop_front()
@@ -283,14 +279,14 @@ impl<SM: StateMachine> RaftNode<SM> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::{elect, ms, node};
+    use super::super::tests::{appends_to, elect, ms, node};
     use super::*;
     use crate::config::RaftConfig;
     use crate::membership::ConfChange;
     use crate::message::{AppendResp, Heartbeat, HeartbeatResp, Payload};
     use crate::state_machine::NullStateMachine;
     use dynatune_core::TuningConfig;
-    use proptest::prelude::*;
+    use std::time::Duration;
 
     #[test]
     fn single_node_lease_read_grants_instantly() {
@@ -350,7 +346,6 @@ mod tests {
                 term: leader.term(),
                 success: true,
                 match_or_hint: 1,
-                read_ctx: None,
                 echo_sent_at_nanos: None,
             }),
         );
@@ -362,15 +357,10 @@ mod tests {
             "cold lease must open a confirmation round: {:?}",
             fx.events
         );
-        let probe = fx
-            .messages
-            .iter()
-            .find_map(|m| match &m.payload {
-                Payload::AppendEntries(ae) if ae.read_ctx.is_some() => Some((m.to, ae.clone())),
-                _ => None,
-            })
-            .expect("confirmation append with read_ctx");
-        assert_eq!(probe.0, 1, "idle follower gets the confirmation append");
+        let probe = appends_to(&fx, 1)
+            .pop()
+            .expect("idle follower gets the confirmation append");
+        assert_eq!(probe.sent_at_nanos, ms(3001).as_nanos());
         // The echo from one follower completes the quorum (leader + 1 of 3).
         let fx = leader.step(
             ms(3002),
@@ -379,8 +369,7 @@ mod tests {
                 term: leader.term(),
                 success: true,
                 match_or_hint: 1,
-                read_ctx: probe.1.read_ctx,
-                echo_sent_at_nanos: None,
+                echo_sent_at_nanos: Some(probe.sent_at_nanos),
             }),
         );
         assert_eq!(
@@ -405,7 +394,6 @@ mod tests {
                 term: leader.term(),
                 success: true,
                 match_or_hint: 1,
-                read_ctx: None,
                 echo_sent_at_nanos: None,
             }),
         );
@@ -481,7 +469,6 @@ mod tests {
                 term: leader.term(),
                 success: true,
                 match_or_hint: 1,
-                read_ctx: None,
                 echo_sent_at_nanos: None,
             }),
         );
@@ -518,7 +505,6 @@ mod tests {
                 term: leader.term(),
                 success: true,
                 match_or_hint: leader.log().last_index(),
-                read_ctx: None,
                 echo_sent_at_nanos: Some(at.as_nanos()),
             };
             let _ = leader.step(at, peer, Payload::AppendResp(resp));
@@ -533,35 +519,197 @@ mod tests {
         assert!(leader.lease_valid(t), "a voter's echo does");
     }
 
-    /// The sorting test [`quorum_lease_live`] replaced, kept as its model.
-    fn quorum_lease_live_model(
-        bases: &[SimTime],
-        needed: usize,
-        effective: Duration,
-        now: SimTime,
-    ) -> bool {
-        let mut bases = bases.to_vec();
-        bases.sort_unstable_by(|a, b| b.cmp(a));
-        now < bases[needed - 1] + effective
+    /// A leader at `ms(3000)` whose `n - 1` followers acked the term's
+    /// no-op without echoing a send instant: the lease is cold.
+    fn cold_leader(n: usize) -> RaftNode<NullStateMachine> {
+        let mut leader = node(0, n);
+        let _ = elect(&mut leader, SimTime::ZERO);
+        for peer in 1..n as NodeId {
+            let _ = append_ack(&mut leader, peer, ms(3000), None);
+        }
+        assert_eq!(leader.commit_index(), 1);
+        leader
     }
 
-    proptest! {
-        /// Counting live bases agrees with sorting them and testing the
-        /// quorum'th freshest, ties and expired bases included.
-        #[test]
-        fn prop_lease_count_matches_the_sorting_model(
-            bases in proptest::collection::vec(0u64..50, 1..70),
-            needed in 1usize..70,
-            effective in 0u64..20,
-            now in 0u64..70,
-        ) {
-            let bases: Vec<SimTime> = bases.into_iter().map(ms).collect();
-            let needed = needed.min(bases.len());
-            let effective = Duration::from_millis(effective);
-            prop_assert_eq!(
-                quorum_lease_live(bases.iter().copied(), needed, effective, ms(now)),
-                quorum_lease_live_model(&bases, needed, effective, ms(now))
-            );
+    /// `peer` acks the whole log at `at`, echoing the send instant `sent`.
+    fn append_ack(
+        leader: &mut RaftNode<NullStateMachine>,
+        peer: NodeId,
+        at: SimTime,
+        sent: Option<SimTime>,
+    ) -> NodeEffects<NullStateMachine> {
+        let resp = AppendResp {
+            term: leader.term(),
+            success: true,
+            match_or_hint: leader.log().last_index(),
+            echo_sent_at_nanos: sent.map(SimTime::as_nanos),
+        };
+        leader.step(at, peer, Payload::AppendResp(resp))
+    }
+
+    /// `peer` acks at `at` a heartbeat the leader sent at `sent`.
+    fn heartbeat_ack(
+        leader: &mut RaftNode<NullStateMachine>,
+        peer: NodeId,
+        at: SimTime,
+        sent: SimTime,
+    ) -> NodeEffects<NullStateMachine> {
+        let resp = HeartbeatResp {
+            term: leader.term(),
+            reply: dynatune_core::HeartbeatReply {
+                id: 0,
+                echo_sent_at_nanos: sent.as_nanos(),
+                tuned_interval: None,
+            },
+        };
+        leader.step(at, peer, Payload::HeartbeatResp(resp))
+    }
+
+    /// Open a ReadIndex round for read `id` at `t` on a cold lease.
+    fn open_round(leader: &mut RaftNode<NullStateMachine>, t: SimTime, id: u64) {
+        let (res, fx) = leader.request_read(t, id);
+        res.unwrap();
+        assert!(
+            fx.reads.is_empty(),
+            "cold lease: the read waits for a round"
+        );
+        assert_eq!(leader.pending_reads(), 1);
+    }
+
+    /// Echoes of sends *before* a round's registration prove leadership
+    /// only before it, however late they arrive: every follower acking
+    /// both a heartbeat and an append sent just before `T` leaves the round
+    /// open. Echoes of sends at `T` then confirm it.
+    #[test]
+    fn echoes_of_sends_before_registration_do_not_confirm_a_round() {
+        for n in [3, 5] {
+            let mut leader = cold_leader(n);
+            let t = ms(4000);
+            open_round(&mut leader, t, 31);
+            let just_before = SimTime::from_nanos(t.as_nanos() - 1);
+            for peer in 1..n as NodeId {
+                let fx = heartbeat_ack(&mut leader, peer, t + Duration::from_millis(1), ms(3999));
+                assert!(fx.reads.is_empty());
+                let fx = append_ack(
+                    &mut leader,
+                    peer,
+                    t + Duration::from_millis(2),
+                    Some(just_before),
+                );
+                assert!(
+                    fx.reads.is_empty(),
+                    "{n} voters: stale echo from {peer} confirmed"
+                );
+            }
+            assert_eq!(leader.pending_reads(), 1);
+            // A quorum of echoes of sends at `T` confirms the round.
+            let needed = (n / 2) as NodeId; // plus the leader itself
+            let mut granted = Vec::new();
+            for peer in 1..=needed {
+                let fx = append_ack(&mut leader, peer, t + Duration::from_millis(3), Some(t));
+                granted.extend(fx.reads);
+                assert_eq!(granted.is_empty(), peer < needed, "{n} voters, peer {peer}");
+            }
+            assert_eq!(granted[0].id, 31);
+            assert_eq!(granted[0].path, ReadPath::ReadIndex);
         }
+    }
+
+    /// The echo of an append sent at exactly the registration instant
+    /// confirms the round; one a nanosecond older does not.
+    #[test]
+    fn an_append_echo_of_the_registration_instant_confirms_the_round() {
+        let mut leader = cold_leader(3);
+        let t = ms(4000);
+        open_round(&mut leader, t, 32);
+        let just_before = SimTime::from_nanos(t.as_nanos() - 1);
+        let fx = append_ack(
+            &mut leader,
+            1,
+            t + Duration::from_millis(5),
+            Some(just_before),
+        );
+        assert!(fx.reads.is_empty());
+        let fx = append_ack(&mut leader, 2, t + Duration::from_millis(6), Some(t));
+        assert_eq!(
+            fx.reads,
+            vec![ReadGrant {
+                id: 32,
+                read_index: 1,
+                path: ReadPath::ReadIndex,
+            }]
+        );
+    }
+
+    /// A heartbeat ack renews the leadership record but runs no check; its
+    /// echo counts at the next append ack, from whichever peer.
+    #[test]
+    fn a_heartbeat_echo_counts_at_the_next_append_ack() {
+        let mut leader = cold_leader(3);
+        let t = ms(4000);
+        open_round(&mut leader, t, 33);
+        let fx = heartbeat_ack(&mut leader, 1, t + Duration::from_millis(5), t);
+        assert!(fx.reads.is_empty(), "a heartbeat ack runs no confirmation");
+        assert_eq!(leader.pending_reads(), 1);
+        // Peer 2's own echo is stale; peer 1's heartbeat echo makes the
+        // quorum with the leader.
+        let fx = append_ack(&mut leader, 2, t + Duration::from_millis(6), Some(ms(3999)));
+        assert_eq!(fx.reads.len(), 1);
+        assert_eq!(fx.reads[0].id, 33);
+        assert_eq!(leader.pending_reads(), 0);
+    }
+
+    /// While joint, a round needs fresh echoes from a quorum of the old
+    /// voter set *and* of the new one: either alone confirms nothing.
+    #[test]
+    fn a_joint_configuration_confirms_on_both_quorums() {
+        // Old voters {0, 1, 2}, new {0, 1, 3}: peer 2 completes only the
+        // old quorum, peer 3 only the new one.
+        for (first, second) in [(2, 3), (3, 2)] {
+            let mut leader = cold_leader(3);
+            let (res, _) = leader.propose_conf_change(ms(3000), ConfChange::AddLearner(3));
+            res.unwrap();
+            for peer in 1..=3 {
+                let _ = append_ack(&mut leader, peer, ms(3000), None);
+            }
+            let begin = ConfChange::Begin {
+                add: vec![3],
+                remove: vec![2],
+            };
+            let (res, _) = leader.propose_conf_change(ms(3000), begin);
+            res.unwrap();
+            assert!(leader.membership().is_joint());
+            let t = ms(4000);
+            open_round(&mut leader, t, 34);
+            let fx = append_ack(&mut leader, first, t + Duration::from_millis(1), Some(t));
+            assert!(
+                fx.reads.is_empty(),
+                "peer {first}'s voter set alone confirmed"
+            );
+            let fx = append_ack(&mut leader, second, t + Duration::from_millis(2), Some(t));
+            assert_eq!(fx.reads.len(), 1, "both quorums echoed: the round confirms");
+        }
+    }
+
+    /// With five voters the lease needs two fresh follower acks: one is
+    /// short of the quorum, a stale one never counts.
+    #[test]
+    fn a_five_voter_lease_needs_two_fresh_acks() {
+        let mut leader = cold_leader(5);
+        let t = ms(4000);
+        assert!(!leader.lease_valid(t), "no echoes yet");
+        let _ = heartbeat_ack(&mut leader, 1, t, ms(3900));
+        assert!(!leader.lease_valid(t), "one fresh ack is not a lease");
+        // Effective lease 900 ms: a send at t - 1 s has lapsed.
+        let _ = heartbeat_ack(&mut leader, 3, t, ms(3000));
+        assert!(!leader.lease_valid(t), "a lapsed ack does not count");
+        let _ = append_ack(&mut leader, 2, t, Some(ms(3950)));
+        assert!(
+            leader.lease_valid(t),
+            "two fresh acks and the leader are a quorum"
+        );
+        // The lease runs from the older of the two fresh sends.
+        assert!(leader.lease_valid(t + Duration::from_millis(799)));
+        assert!(!leader.lease_valid(t + Duration::from_millis(800)));
     }
 }

@@ -303,10 +303,6 @@ impl<SM: StateMachine> RaftNode<SM> {
             prev_log_term: prev_term,
             entries,
             leader_commit: self.commit_index,
-            // Piggy-back the newest pending read round: this append is sent
-            // at or after every queued read's registration, so its echo
-            // confirms them all.
-            read_ctx: lead.reads.pending_confirm.back().map(|r| r.seq),
             sent_at_nanos: now.as_nanos(),
         };
         send(&self.config, fx, to, Payload::AppendEntries(msg));
@@ -388,7 +384,6 @@ impl<SM: StateMachine> RaftNode<SM> {
             term: self.term,
             success: false,
             match_or_hint: 0,
-            read_ctx: None,
             echo_sent_at_nanos: None,
         };
         send(&self.config, fx, from, Payload::AppendResp(resp));
@@ -425,18 +420,16 @@ impl<SM: StateMachine> RaftNode<SM> {
                     term: self.term,
                     success: true,
                     match_or_hint: last_index,
-                    read_ctx: ae.read_ctx,
                     echo_sent_at_nanos: Some(ae.sent_at_nanos),
                 }
             }
-            // The echoes also ride conflict responses: either way we
+            // The echo also rides conflict responses: either way we
             // answered at the leader's term and re-armed our election
             // timer, which is all ReadIndex and the lease need.
             AppendOutcome::Conflict { hint } => AppendResp {
                 term: self.term,
                 success: false,
                 match_or_hint: hint,
-                read_ctx: ae.read_ctx,
                 echo_sent_at_nanos: Some(ae.sent_at_nanos),
             },
         };
@@ -458,9 +451,6 @@ impl<SM: StateMachine> RaftNode<SM> {
             return;
         };
         p.last_active = now;
-        if let Some(seq) = resp.read_ctx {
-            p.acked_read_seq = p.acked_read_seq.max(seq.get());
-        }
         if let Some(sent_at) = resp.echo_sent_at_nanos {
             p.renew_lease(sent_at);
         }
@@ -571,7 +561,6 @@ mod tests {
     use crate::message::Heartbeat;
     use crate::state_machine::NullStateMachine;
     use crate::types::Role;
-    use std::num::NonZeroU64;
 
     #[test]
     fn propose_on_follower_returns_redirect() {
@@ -610,7 +599,6 @@ mod tests {
                 prev_log_term: 0,
                 entries,
                 leader_commit: 2,
-                read_ctx: None,
                 sent_at_nanos: 0,
             }),
         );
@@ -643,7 +631,6 @@ mod tests {
                 prev_log_term: 1,
                 entries: vec![],
                 leader_commit: 0,
-                read_ctx: None,
                 sent_at_nanos: 0,
             }),
         );
@@ -675,7 +662,6 @@ mod tests {
                 term,
                 success: true,
                 match_or_hint: 2,
-                read_ctx: None,
                 echo_sent_at_nanos: None,
             }),
         );
@@ -698,7 +684,6 @@ mod tests {
                 term: leader.term(),
                 success: true,
                 match_or_hint: 1,
-                read_ctx: None,
                 echo_sent_at_nanos: None,
             }),
         );
@@ -711,7 +696,6 @@ mod tests {
                 term: leader.term(),
                 success: true,
                 match_or_hint: 1,
-                read_ctx: None,
                 echo_sent_at_nanos: None,
             }),
         );
@@ -783,7 +767,6 @@ mod tests {
                 term: n.term(),
                 success: true,
                 match_or_hint: last,
-                read_ctx: None,
                 echo_sent_at_nanos: None,
             }),
         );
@@ -797,7 +780,6 @@ mod tests {
                 term: n.term(),
                 success: true,
                 match_or_hint: last - 1,
-                read_ctx: None,
                 echo_sent_at_nanos: None,
             }),
         );
@@ -843,7 +825,6 @@ mod tests {
                 term: n.term(),
                 success: true,
                 match_or_hint: first_last,
-                read_ctx: None,
                 echo_sent_at_nanos: None,
             }),
         );
@@ -864,23 +845,24 @@ mod tests {
         assert!(fx.reads.is_empty(), "not confirmable yet");
         assert!(appends_to(&fx, 1).is_empty(), "window full: nudge deferred");
         assert!(appends_to(&fx, 2).is_empty());
-        // The append ack frees the slot; the tail nudge ships the token.
+        // The append ack frees the slot; the tail nudge ships a
+        // confirmation append, sent after the read was registered.
         let last = n.log().last_index();
+        let t_nudge = t + Duration::from_millis(20);
         let fx = n.step(
-            t + Duration::from_millis(20),
+            t_nudge,
             1,
             Payload::AppendResp(AppendResp {
                 term: n.term(),
                 success: true,
                 match_or_hint: last,
-                read_ctx: None,
                 echo_sent_at_nanos: None,
             }),
         );
         let sent = appends_to(&fx, 1);
         assert!(
-            sent.iter().any(|ae| ae.read_ctx.is_some()),
-            "freed slot carries the confirmation token"
+            sent.iter().any(|ae| ae.sent_at_nanos == t_nudge.as_nanos()),
+            "freed slot carries the confirmation append"
         );
         // The follower's echo confirms the round and grants the read.
         let fx = n.step(
@@ -890,8 +872,7 @@ mod tests {
                 term: n.term(),
                 success: true,
                 match_or_hint: last,
-                read_ctx: NonZeroU64::new(1),
-                echo_sent_at_nanos: None,
+                echo_sent_at_nanos: Some(t_nudge.as_nanos()),
             }),
         );
         assert!(fx.reads.iter().any(|g| g.id == 99));
@@ -911,7 +892,6 @@ mod tests {
                 term: leader.term(),
                 success: false,
                 match_or_hint: 0,
-                read_ctx: None,
                 echo_sent_at_nanos: None,
             }),
         );
@@ -935,7 +915,6 @@ mod tests {
                 term: leader.term(),
                 success: true,
                 match_or_hint: last,
-                read_ctx: None,
                 echo_sent_at_nanos: None,
             }),
         );
@@ -963,7 +942,6 @@ mod tests {
                 prev_log_term: 0,
                 entries: vec![crate::log::Entry::normal(1, 1, Some(10))],
                 leader_commit: 1,
-                read_ctx: None,
                 sent_at_nanos: 0,
             }),
         );
@@ -1000,7 +978,6 @@ mod tests {
                 term: 4,
                 success: true,
                 match_or_hint,
-                read_ctx: None,
                 echo_sent_at_nanos: None,
             })
         };
@@ -1107,7 +1084,6 @@ mod tests {
             prev_log_term: 0,
             entries: vec![],
             leader_commit: 0,
-            read_ctx: None,
             sent_at_nanos: ms(2).as_nanos(),
         };
         let fx = follower.step(ms(2), 0, Payload::AppendEntries(stale));
@@ -1124,7 +1100,6 @@ mod tests {
             term: leader.term(),
             success: false,
             match_or_hint: 0,
-            read_ctx: None,
             echo_sent_at_nanos: Some(ms(3050).as_nanos()),
         };
         let fx = leader.step(t, 2, Payload::AppendResp(nack));
@@ -1162,7 +1137,6 @@ mod tests {
                 term: n.term(),
                 success: true,
                 match_or_hint: n.log().last_index(),
-                read_ctx: None,
                 echo_sent_at_nanos: Some(sent.as_nanos()),
             })
         };

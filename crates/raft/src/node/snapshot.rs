@@ -120,7 +120,6 @@ impl<SM: StateMachine> RaftNode<SM> {
             term: self.term,
             success: true,
             match_or_hint: snap.last_included_index.min(self.commit_index),
-            read_ctx: None,
             echo_sent_at_nanos: None,
         };
         send(&self.config, fx, from, Payload::AppendResp(resp));
@@ -208,7 +207,6 @@ mod tests {
                 term: leader.term(),
                 success: false,
                 match_or_hint: 0,
-                read_ctx: None,
                 echo_sent_at_nanos: None,
             }),
         );
@@ -252,7 +250,6 @@ mod tests {
                 term: leader.term(),
                 success: false,
                 match_or_hint: 0,
-                read_ctx: None,
                 echo_sent_at_nanos: None,
             }),
         );
@@ -292,7 +289,6 @@ mod tests {
                 prev_log_term: 0,
                 entries: vec![crate::log::Entry::normal(1, 1, Some(11))],
                 leader_commit: 0,
-                read_ctx: None,
                 sent_at_nanos: 0,
             }),
         );
@@ -342,7 +338,6 @@ mod tests {
                 prev_log_term: 2,
                 entries: vec![crate::log::Entry::normal(3, 8, Some(88))],
                 leader_commit: 8,
-                read_ctx: None,
                 sent_at_nanos: 0,
             }),
         );
@@ -365,7 +360,6 @@ mod tests {
                     .map(|i| crate::log::Entry::normal(2, i, Some(i)))
                     .collect(),
                 leader_commit: 5,
-                read_ctx: None,
                 sent_at_nanos: 0,
             }),
         );
@@ -465,7 +459,6 @@ mod tests {
                     .map(|(i, v)| crate::log::Entry::normal(1, i, Some(*v)))
                     .collect(),
                 leader_commit: prev + values.len() as u64,
-                read_ctx: None,
                 sent_at_nanos: 0,
             })
         };
@@ -499,7 +492,6 @@ mod tests {
                 term: n.term(),
                 success: true,
                 match_or_hint: n.log().last_index(),
-                read_ctx: None,
                 echo_sent_at_nanos: None,
             }),
         );
@@ -510,7 +502,6 @@ mod tests {
                 term: n.term(),
                 success: false,
                 match_or_hint: 0,
-                read_ctx: None,
                 echo_sent_at_nanos: None,
             }),
         );

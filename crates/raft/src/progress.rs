@@ -61,18 +61,15 @@ pub struct Progress {
     /// paced separately (`SNAPSHOT_RESEND` vs `APPEND_RESEND`), and no
     /// appends are pipelined behind one.
     pub pending_snapshot: Option<LogIndex>,
-    /// Highest ReadIndex confirmation token (`read_ctx`) this follower has
-    /// echoed back at the leader's current term. A pending read round with
-    /// seq `S` is leadership-confirmed once a quorum reports
-    /// `acked_read_seq >= S`.
-    pub acked_read_seq: u64,
     /// Send instant of the freshest heartbeat or `AppendEntries` this
-    /// follower has acknowledged (from the reply's echoed timestamp). The
-    /// leader-lease read path takes the quorum'th freshest basis as proof
-    /// that no other leader could have been elected within the lease window
-    /// starting there. Both acks renew it: the follower re-armed its
-    /// election timer on either, and the echo carries the exact send time,
-    /// so a reordered ack can never inflate the lease.
+    /// follower has acknowledged (from the reply's echoed timestamp): the
+    /// proof that it still accepted this leader's term after that instant.
+    /// It is the leader's one leadership record, read by both log-free read
+    /// paths. The lease holds while a quorum's basis is younger than the
+    /// lease window; a ReadIndex round registered at `T` is confirmed once
+    /// a quorum's basis is `>= T`. Both acks renew it: the follower re-armed
+    /// its election timer on either, and the echo carries the exact send
+    /// time, so a reordered ack can never inflate it.
     pub lease_basis: SimTime,
 }
 
@@ -86,7 +83,6 @@ impl Progress {
             inflight: VecDeque::new(),
             last_active: now,
             pending_snapshot: None,
-            acked_read_seq: 0,
             lease_basis: SimTime::ZERO,
         }
     }

@@ -47,8 +47,8 @@ pub trait StateMachine {
 pub enum ReadPath {
     /// Served inside a live leader lease — no network round needed.
     Lease,
-    /// Served after a ReadIndex confirmation round (quorum of `read_ctx`
-    /// echoes at the leader's term).
+    /// Served after a ReadIndex confirmation round (a quorum of acks at
+    /// the leader's term echoing a send at or after registration).
     ReadIndex,
 }
 
