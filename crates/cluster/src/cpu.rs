@@ -37,7 +37,7 @@ pub struct CostModel {
     /// Full client-request handling on the leader (parse, propose, respond).
     pub per_request: Duration,
     /// Handling one log-free read (lease/ReadIndex path): parse, grant
-    /// check, one ordered-map lookup, respond. Charged instead of
+    /// check, one hash-index lookup, respond. Charged instead of
     /// `per_request` + `per_apply` + replication — a read that skips the
     /// log costs heartbeat-weight work, not append-weight work, which is
     /// exactly the throughput lever the read path exists to pull.

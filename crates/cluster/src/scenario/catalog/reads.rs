@@ -148,8 +148,8 @@ fn read_heavy_throughput(ctx: &RunCtx) -> Report {
     report.headline("reads_served_log", "-", &format!("{}", total.log));
     report.note(
         "the baseline replicates every Get through the log (quorum-append cost,\n\
-         log growth); the lease path serves the same reads for one ordered-map\n\
-         lookup while heartbeat acks keep the lease fresh.",
+         log growth); the lease path serves the same reads for one hash-index\n\
+         lookup while heartbeat and append acks keep the lease fresh.",
     );
     assert!(
         ratio >= 2.0,

@@ -66,7 +66,7 @@ const REPORT_PINS: &[(&str, u64)] = &[
     ("membership_churn", 0x821e_5a13_eb8b_3639),
     ("partition_churn", 0xf87c_c70c_bb87_149a),
     ("pipeline_depth", 0x8331_591f_1b46_15c7),
-    ("read_heavy_throughput", 0x85e8_0e88_9941_307f),
+    ("read_heavy_throughput", 0xc163_d228_1cfa_9f69),
     ("shard_leader_failover", 0xd8fb_8c93_8cee_2ca0),
     ("shard_rebalance", 0x1f02_04ee_95ee_ba03),
     ("sharded_throughput", 0xc435_bcbe_0099_30fb),
