@@ -90,9 +90,9 @@ pub enum RaftEvent {
     },
     /// The leader opened a ReadIndex confirmation round: queued log-free
     /// reads could not be served from the lease (expired or disabled) and
-    /// now await a quorum of acks echoing a send at or after this instant.
-    /// Observably absent under a healthy lease — scenarios use it to tell
-    /// the two read paths apart.
+    /// now await a quorum of acks echoing a send made at or after the round
+    /// opened. Observably absent under a healthy lease — scenarios use it to
+    /// tell the two read paths apart.
     ReadConfirmRound {
         /// The commit index the round's reads are served at.
         read_index: LogIndex,

@@ -257,10 +257,10 @@ impl<SM: StateMachine> RaftNode<SM> {
     /// at this leader's term. A rival elected before `T` would hold the
     /// vote of some follower in that quorum, which would have refused the
     /// message. The echo is the exact send instant, so a late ack of an
-    /// older send never counts. Appends sent after the round opened echo
-    /// instants `>= T`, so a quorum of their acks confirms it at the
-    /// latest. A round can confirm sooner in two cases, both sound by the
-    /// same argument:
+    /// older send never counts. An append sent after the round opened
+    /// echoes an instant `>= T`, so a round confirms no later than a quorum
+    /// of such acks lands. It can confirm sooner in two cases, both sound
+    /// by the same argument:
     /// * an append sent at instant `T` but before the registration in
     ///   event order: the follower receives it no sooner than the
     ///   network's minimum one-way delay after `T`, and with no delay at
