@@ -339,16 +339,7 @@ mod tests {
         assert_eq!(leader.pending_reads(), 1);
         // The no-op commits; the read is admitted and (lease cold) goes
         // through a ReadIndex confirmation round.
-        let fx = leader.step(
-            ms(3001),
-            1,
-            Payload::AppendResp(AppendResp {
-                term: leader.term(),
-                success: true,
-                match_or_hint: 1,
-                echo_sent_at_nanos: None,
-            }),
-        );
+        let fx = append_ack(&mut leader, 1, ms(3001), None);
         assert_eq!(leader.commit_index(), 1);
         assert!(
             fx.events
@@ -362,16 +353,8 @@ mod tests {
             .expect("idle follower gets the confirmation append");
         assert_eq!(probe.sent_at_nanos, ms(3001).as_nanos());
         // The echo from one follower completes the quorum (leader + 1 of 3).
-        let fx = leader.step(
-            ms(3002),
-            1,
-            Payload::AppendResp(AppendResp {
-                term: leader.term(),
-                success: true,
-                match_or_hint: 1,
-                echo_sent_at_nanos: Some(probe.sent_at_nanos),
-            }),
-        );
+        let sent = SimTime::from_nanos(probe.sent_at_nanos);
+        let fx = append_ack(&mut leader, 1, ms(3002), Some(sent));
         assert_eq!(
             fx.reads,
             vec![ReadGrant {
@@ -387,30 +370,10 @@ mod tests {
     fn heartbeat_quorum_acks_enable_the_lease_path() {
         let mut leader = node(0, 3);
         let _ = elect(&mut leader, SimTime::ZERO);
-        let _ = leader.step(
-            ms(3000),
-            1,
-            Payload::AppendResp(AppendResp {
-                term: leader.term(),
-                success: true,
-                match_or_hint: 1,
-                echo_sent_at_nanos: None,
-            }),
-        );
+        let _ = append_ack(&mut leader, 1, ms(3000), None);
         assert!(!leader.lease_valid(ms(3600)), "no heartbeat acks yet");
         // Follower 1 acks a heartbeat sent at t=3500.
-        let _ = leader.step(
-            ms(3600),
-            1,
-            Payload::HeartbeatResp(HeartbeatResp {
-                term: leader.term(),
-                reply: dynatune_core::HeartbeatReply {
-                    id: 0,
-                    echo_sent_at_nanos: ms(3500).as_nanos(),
-                    tuned_interval: None,
-                },
-            }),
-        );
+        let _ = heartbeat_ack(&mut leader, 1, ms(3600), ms(3500));
         assert!(leader.lease_valid(ms(3600)));
         // Effective lease: 1000ms * (1 - 0.1) = 900ms from the send instant.
         assert!(leader.lease_valid(ms(4399)));
@@ -438,18 +401,7 @@ mod tests {
         let config = RaftConfig::new(0, 3, TuningConfig::dynatune());
         let mut leader = RaftNode::new(config, NullStateMachine::default(), SimTime::ZERO);
         let _ = elect(&mut leader, SimTime::ZERO);
-        let _ = leader.step(
-            ms(3000),
-            1,
-            Payload::HeartbeatResp(HeartbeatResp {
-                term: leader.term(),
-                reply: dynatune_core::HeartbeatReply {
-                    id: 0,
-                    echo_sent_at_nanos: ms(3000).as_nanos(),
-                    tuned_interval: None,
-                },
-            }),
-        );
+        let _ = heartbeat_ack(&mut leader, 1, ms(3000), ms(3000));
         // Floor 10ms, margin 0.1 => 9ms of effective lease from the ack.
         assert!(leader.lease_valid(ms(3008)));
         assert!(
@@ -462,16 +414,7 @@ mod tests {
     fn stepping_down_aborts_queued_reads() {
         let mut leader = node(0, 3);
         let _ = elect(&mut leader, SimTime::ZERO);
-        let _ = leader.step(
-            ms(3000),
-            1,
-            Payload::AppendResp(AppendResp {
-                term: leader.term(),
-                success: true,
-                match_or_hint: 1,
-                echo_sent_at_nanos: None,
-            }),
-        );
+        let _ = append_ack(&mut leader, 1, ms(3000), None);
         let (res, fx) = leader.request_read(ms(3001), 41);
         res.unwrap();
         assert!(fx.reads.is_empty(), "cold lease: read queued");
@@ -500,22 +443,13 @@ mod tests {
         let mut leader = node(0, 3);
         let _ = elect(&mut leader, SimTime::ZERO);
         let t = ms(3000);
-        let ack = |leader: &mut RaftNode<NullStateMachine>, peer: NodeId, at: SimTime| {
-            let resp = AppendResp {
-                term: leader.term(),
-                success: true,
-                match_or_hint: leader.log().last_index(),
-                echo_sent_at_nanos: Some(at.as_nanos()),
-            };
-            let _ = leader.step(at, peer, Payload::AppendResp(resp));
-        };
         let (res, _) = leader.propose_conf_change(t, ConfChange::AddLearner(3));
         res.unwrap();
-        ack(&mut leader, 3, t);
+        let _ = append_ack(&mut leader, 3, t, Some(t));
         assert!(leader.membership().is_learner(3));
         assert_eq!(leader.progress_of(3).unwrap().lease_basis, t);
         assert!(!leader.lease_valid(t), "a learner's echo renewed the lease");
-        ack(&mut leader, 1, t);
+        let _ = append_ack(&mut leader, 1, t, Some(t));
         assert!(leader.lease_valid(t), "a voter's echo does");
     }
 
