@@ -50,16 +50,18 @@ pub enum ClusterMsg<A: App = KvStore> {
         /// The server's current leader hint, if it has one.
         hint: Option<NodeId>,
     },
-    /// Follower → leader: forwarded ReadIndex request. The follower keeps
-    /// the client command; the leader only confirms leadership and names
-    /// the index the read is linearizable at.
+    /// Follower → leader: forwarded ReadIndex request for one wave, which
+    /// covers every read the follower admitted before it left. The
+    /// follower keeps the client commands; the leader only confirms
+    /// leadership and names the index the wave's reads are linearizable at.
     ReadIndexReq {
-        /// The follower's local id for the forwarded read.
+        /// The follower's id for the wave.
         read_id: u64,
     },
     /// Leader → follower: answer to a [`ClusterMsg::ReadIndexReq`].
     ReadIndexResp {
-        /// Echoed read id.
+        /// Echoed wave id; an answer to a wave the follower has since
+        /// re-sent or dropped answers nothing.
         read_id: u64,
         /// The granted read index, or `None` when the contacted server
         /// cannot confirm leadership (the follower redirects its client).

@@ -6,8 +6,10 @@
 //! times." These functions are the structured equivalent over the
 //! simulator's event log.
 
+use crate::client::OpRecord;
 use dynatune_raft::{NodeId, RaftEvent};
 use dynatune_simnet::SimTime;
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// Timing extracted from one leader-failure trial.
@@ -137,8 +139,7 @@ pub fn total_leaderless_secs(gaps: &[(f64, f64)]) -> f64 {
 /// tests share this check.
 #[must_use]
 pub fn election_safety_violations(events: &[(SimTime, NodeId, RaftEvent)]) -> usize {
-    let mut leaders_by_term: std::collections::BTreeMap<u64, NodeId> =
-        std::collections::BTreeMap::new();
+    let mut leaders_by_term: BTreeMap<u64, NodeId> = BTreeMap::new();
     let mut violations = 0;
     for &(_, node, ev) in events {
         if let RaftEvent::BecameLeader { term } = ev {
@@ -180,39 +181,47 @@ pub fn kth_smallest_timeout_ms(timeouts: &[Option<Duration>], k: usize) -> Optio
     Some(values[k - 1])
 }
 
-/// Count real-time-order violations in a client operation trace: for each
-/// key, a completed read must observe a revision at least as new as any
-/// `Put` (or read-observed revision) whose *response* preceded the read's
-/// *invocation*. This is the stale-read half of linearizability — exactly
-/// what a broken leader lease would violate (an isolated ex-leader serving
-/// pre-partition state after the new leader commits). Write-write and
-/// concurrent-op orderings are left to Raft's log order.
+/// Count real-time-order violations in a client operation trace. Every
+/// committed write returns its log index as its revision, so each op has a
+/// place in its key's log order: a `Put` sits at its revision, and a `Get`
+/// sits just after the `Put` whose revision it read (a miss, revision 0,
+/// before every `Put`). Linearizability needs that order to respect real
+/// time: an op that completed before another was invoked must not sit
+/// after it. The count is the ops that some earlier-completed op sits
+/// after: stale reads (what a broken leader lease would serve — an
+/// isolated ex-leader serving pre-partition state after the new leader
+/// commits), inverted writes, and writes that a read completed before
+/// their invocation had already observed. Concurrent ops may sit in either
+/// order.
+///
+/// Per key, ops taken in completion order raise a running maximum place,
+/// and each op, taken in invocation order, is checked against the maximum
+/// of those that completed before it was invoked: O(n log n).
 ///
 /// The check is sound for traces from **delete-free workloads** (the only
 /// kind the recording clients produce today): only `Get`/`Put` carry
 /// revisions, so a `Delete` would make a later legitimate miss
 /// (revision 0) indistinguishable from a stale read. It is not complete —
-/// it cannot see orderings revisions don't encode — so scenarios pair it
-/// with convergence digests.
+/// it does not replay each read's value against the writes — so scenarios
+/// pair it with convergence digests.
 #[must_use]
-pub fn stale_read_violations(trace: &[crate::client::OpRecord]) -> usize {
-    // Per key: (response_time, revision) ops sorted by response time give
-    // a running "must-have-seen" floor for reads invoked later.
-    let mut by_key: std::collections::BTreeMap<&[u8], Vec<&crate::client::OpRecord>> =
-        std::collections::BTreeMap::new();
+pub fn stale_read_violations(trace: &[OpRecord]) -> usize {
+    let mut by_key: BTreeMap<&[u8], Vec<&OpRecord>> = BTreeMap::new();
     for op in trace {
         by_key.entry(op.key.as_ref()).or_default().push(op);
     }
     let mut violations = 0;
-    for ops in by_key.values() {
-        for read in ops.iter().filter(|op| !op.write) {
-            let floor = ops
-                .iter()
-                .filter(|prior| prior.completed < read.invoked)
-                .map(|prior| prior.revision)
-                .max()
-                .unwrap_or(0);
-            if read.revision < floor {
+    for mut by_invoked in by_key.into_values() {
+        let mut by_completed = by_invoked.clone();
+        by_invoked.sort_by_key(|op| op.invoked);
+        by_completed.sort_by_key(|op| op.completed);
+        let mut done = by_completed.into_iter().peekable();
+        let mut floor = None;
+        for op in by_invoked {
+            while let Some(prior) = done.next_if(|prior| prior.completed < op.invoked) {
+                floor = floor.max(Some(place(prior)));
+            }
+            if floor > Some(place(op)) {
                 violations += 1;
             }
         }
@@ -220,10 +229,16 @@ pub fn stale_read_violations(trace: &[crate::client::OpRecord]) -> usize {
     violations
 }
 
+/// Where `op` sits in its key's log order: at its revision, a `Put` before
+/// the `Get`s that read it.
+fn place(op: &OpRecord) -> (u64, bool) {
+    (op.revision, !op.write)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::OpRecord;
+    use proptest::prelude::*;
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
@@ -266,6 +281,66 @@ mod tests {
             op("k", false, 95, 110, 2),
         ];
         assert_eq!(stale_read_violations(&trace), 0);
+        // Write order too: a write invoked after another completed must
+        // not sit below it.
+        let trace = vec![
+            op("k", true, 0, 10, 5),
+            op("k", true, 20, 30, 3), // committed below the earlier write
+        ];
+        assert_eq!(stale_read_violations(&trace), 1);
+        // A read cannot observe a write invoked after the read completed.
+        let trace = vec![
+            op("k", false, 0, 10, 4),
+            op("k", true, 20, 30, 4), // already seen before it was sent
+        ];
+        assert_eq!(stale_read_violations(&trace), 1);
+        // Overlapping ops may sit in either order: this read saw a write
+        // that completed after it, and these two writes committed in the
+        // reverse of their invocation order.
+        let trace = vec![
+            op("k", false, 0, 20, 6),
+            op("k", true, 10, 40, 6),
+            op("q", true, 0, 30, 9),
+            op("q", true, 10, 40, 8),
+        ];
+        assert_eq!(stale_read_violations(&trace), 0);
+    }
+
+    /// The quadratic scan the sweep replaced, extended from reads to all
+    /// ops: each op against the highest place of every op that completed
+    /// before it was invoked.
+    fn quadratic_violations(trace: &[OpRecord]) -> usize {
+        trace
+            .iter()
+            .filter(|op| {
+                let floor = trace
+                    .iter()
+                    .filter(|prior| prior.key == op.key && prior.completed < op.invoked)
+                    .map(place)
+                    .max();
+                floor > Some(place(op))
+            })
+            .count()
+    }
+
+    proptest! {
+        /// The sweep counts what the quadratic model counts, on small
+        /// traces over few keys whose instants and revisions often tie.
+        #[test]
+        fn prop_stale_read_sweep_matches_the_quadratic_model(
+            ops in proptest::collection::vec(
+                (0u8..3, proptest::bool::ANY, 0u64..40, 0u64..20, 0u64..8),
+                0..24,
+            ),
+        ) {
+            let trace: Vec<OpRecord> = ops
+                .into_iter()
+                .map(|(key, write, invoked, took, revision)| {
+                    op(["a", "b", "c"][usize::from(key)], write, invoked, invoked + took, revision)
+                })
+                .collect();
+            prop_assert_eq!(stale_read_violations(&trace), quadratic_violations(&trace));
+        }
     }
 
     fn timeout(ms: u64) -> RaftEvent {

@@ -91,12 +91,18 @@ impl ReadCounters {
     }
 }
 
+/// One client command as this server holds it, from admission to reply.
+struct ClientCmd<A: App> {
+    client: NodeId,
+    req_id: u64,
+    cmd: A::Command,
+}
+
 /// One in-flight forwarded-read wave: a single `ReadIndexReq` covering
 /// every read the follower admitted before the wave left.
-#[derive(Debug, Clone)]
-struct FwdWave {
+struct FwdWave<A: App> {
     wave_id: u64,
-    ids: Vec<u64>,
+    reads: Vec<ClientCmd<A>>,
     sent_at: SimTime,
 }
 
@@ -110,22 +116,10 @@ const FWD_WAVE_RESEND: Duration = Duration::from_secs(1);
 /// Where a leader-side read grant must be delivered.
 enum ReadOrigin<A: App> {
     /// A client read this server answers from its own state machine.
-    Local {
-        client: NodeId,
-        req_id: u64,
-        cmd: A::Command,
-    },
+    Local(ClientCmd<A>),
     /// A read forwarded by a follower; the grant's `read_index` is sent
     /// back and the follower serves locally.
     Remote { follower: NodeId, read_id: u64 },
-}
-
-/// A client request admitted through the CPU queue, waiting to execute.
-struct AdmittedReq<A: App> {
-    ready_at: SimTime,
-    client: NodeId,
-    req_id: u64,
-    cmd: A::Command,
 }
 
 /// Compact when the live log exceeds this many entries (default).
@@ -174,27 +168,24 @@ pub struct ServerHost<A: App = KvStore> {
     /// Proposals awaiting application, by log index (ascending while
     /// this node leads; cleared whenever it stops).
     pending: SlotRing<PendingReq>,
-    /// CPU-admitted client requests not yet proposed (FIFO by ready_at).
-    admit: std::collections::VecDeque<AdmittedReq<A>>,
+    /// CPU-admitted client commands not yet proposed, with the instant
+    /// each is ready to execute (FIFO by that instant).
+    admit: std::collections::VecDeque<(SimTime, ClientCmd<A>)>,
     /// How reads are served (log-replicated vs lease/ReadIndex).
     read_strategy: ReadStrategy,
     /// Grant-token allocator for reads registered with the Raft node.
     next_read_token: u64,
     /// Outstanding read grants, by token.
     read_origins: SlotRing<ReadOrigin<A>>,
-    /// Local-id allocator for reads this follower forwarded to the leader.
-    next_fwd_id: u64,
-    /// Reads forwarded to the leader, awaiting a `ReadIndexResp`.
-    forwarded: SlotRing<(NodeId, u64, A::Command)>,
     /// Wave-id allocator for forwarded-read batches.
     next_fwd_wave: u64,
     /// Forwarded reads admitted but not yet covered by a wave.
-    fwd_pending: Vec<u64>,
+    fwd_pending: Vec<ClientCmd<A>>,
     /// The single in-flight forwarded wave, if any.
-    fwd_inflight: Option<FwdWave>,
+    fwd_inflight: Option<FwdWave<A>>,
     /// Granted forwarded reads waiting for local apply to reach their
-    /// read index: `read_index -> local read ids`.
-    follower_wait: BTreeMap<LogIndex, Vec<u64>>,
+    /// read index, in admission order per index.
+    follower_wait: BTreeMap<LogIndex, Vec<ClientCmd<A>>>,
     /// Served-read counters by path.
     reads_served: ReadCounters,
     /// Configuration changes queued by `ClusterSim::propose_conf_change`,
@@ -221,8 +212,6 @@ impl<A: App> ServerHost<A> {
             read_strategy: ReadStrategy::default(),
             next_read_token: 0,
             read_origins: SlotRing::new(),
-            next_fwd_id: 0,
-            forwarded: SlotRing::new(),
             next_fwd_wave: 0,
             fwd_pending: Vec::new(),
             fwd_inflight: None,
@@ -316,7 +305,6 @@ impl<A: App> ServerHost<A> {
         self.pending.clear();
         self.admit.clear();
         self.read_origins.clear();
-        self.forwarded.clear();
         self.fwd_pending.clear();
         self.fwd_inflight = None;
         self.follower_wait.clear();
@@ -400,27 +388,15 @@ impl<A: App> ServerHost<A> {
         // relay forwarded grants back to their followers.
         for grant in fx.reads {
             match self.read_origins.remove(grant.id) {
-                Some(ReadOrigin::Local {
-                    client,
-                    req_id,
-                    cmd,
-                }) => {
+                Some(ReadOrigin::Local(read)) => {
                     // Execution cost was charged at admission (per_read).
                     // The leader applies as it commits, so the state
-                    // machine covers read_index; reply-cache invariant:
-                    // the read executes fresh, never from (or into)
-                    // sessions.
-                    let result = self.node.state_machine().read(&cmd);
-                    debug_assert!(result.is_some(), "grants are only taken for reads");
+                    // machine covers read_index.
                     match grant.path {
                         ReadPath::Lease => self.reads_served.lease += 1,
                         ReadPath::ReadIndex => self.reads_served.read_index += 1,
                     }
-                    ctx.send(
-                        client,
-                        Channel::Tcp,
-                        ClusterMsg::ClientResp { req_id, result },
-                    );
+                    self.serve_read(ctx, read);
                 }
                 Some(ReadOrigin::Remote { follower, read_id }) => {
                     self.cpu.charge(now, self.cost.per_message_send);
@@ -479,15 +455,15 @@ impl<A: App> ServerHost<A> {
     /// requests whose CPU-queue delay has elapsed.
     fn drain_admitted(&mut self, ctx: &mut HostCtx<'_, ClusterMsg<A>>) {
         let now = ctx.now;
-        while let Some(front) = self.admit.front() {
-            if front.ready_at > now {
+        while let Some((ready_at, _)) = self.admit.front() {
+            if *ready_at > now {
                 break;
             }
-            let Some(req) = self.admit.pop_front() else {
+            let Some((_, req)) = self.admit.pop_front() else {
                 break; // unreachable: front() above was Some
             };
             if self.read_strategy.log_free() && A::is_read(&req.cmd) {
-                self.start_read(ctx, req.client, req.req_id, req.cmd);
+                self.start_read(ctx, req);
                 continue;
             }
             let is_read = A::is_read(&req.cmd);
@@ -525,40 +501,15 @@ impl<A: App> ServerHost<A> {
     /// Route one read around the log: leaders register it with the Raft
     /// node (lease or ReadIndex grant), followers forward a ReadIndex
     /// request and answer locally once their apply index catches up.
-    fn start_read(
-        &mut self,
-        ctx: &mut HostCtx<'_, ClusterMsg<A>>,
-        client: NodeId,
-        req_id: u64,
-        cmd: A::Command,
-    ) {
+    fn start_read(&mut self, ctx: &mut HostCtx<'_, ClusterMsg<A>>, read: ClientCmd<A>) {
         if self.node.role() == Role::Leader {
-            self.register_read(
-                ctx,
-                ReadOrigin::Local {
-                    client,
-                    req_id,
-                    cmd,
-                },
-            );
-            return;
-        }
-        if self.node.leader_id().is_some() {
-            self.next_fwd_id += 1;
-            let read_id = self.next_fwd_id;
-            self.forwarded.insert(read_id, (client, req_id, cmd));
-            self.fwd_pending.push(read_id);
+            self.register_read(ctx, ReadOrigin::Local(read));
+        } else if self.node.leader_id().is_some() {
+            self.fwd_pending.push(read);
             self.flush_forwarded(ctx);
-            return;
+        } else {
+            self.deny_read_origin(ctx, ReadOrigin::Local(read));
         }
-        self.deny_read_origin(
-            ctx,
-            ReadOrigin::Local {
-                client,
-                req_id,
-                cmd,
-            },
-        );
     }
 
     /// Register one read with the Raft node under a fresh grant token,
@@ -583,12 +534,12 @@ impl<A: App> ServerHost<A> {
     /// relay. The single place the denial semantics live.
     fn deny_read_origin(&mut self, ctx: &mut HostCtx<'_, ClusterMsg<A>>, origin: ReadOrigin<A>) {
         match origin {
-            ReadOrigin::Local { client, req_id, .. } => {
+            ReadOrigin::Local(read) => {
                 ctx.send(
-                    client,
+                    read.client,
                     Channel::Tcp,
                     ClusterMsg::ClientRedirect {
-                        req_id,
+                        req_id: read.req_id,
                         hint: self.node.leader_id().map(|h| h + self.peer_base),
                     },
                 );
@@ -620,8 +571,10 @@ impl<A: App> ServerHost<A> {
         let stale = self
             .fwd_inflight
             .take_if(|w| now >= w.sent_at + FWD_WAVE_RESEND);
-        if let Some(stale) = stale {
-            self.fwd_pending.extend(stale.ids);
+        if let Some(mut stale) = stale {
+            // The re-sent reads were admitted first, so they lead.
+            stale.reads.append(&mut self.fwd_pending);
+            self.fwd_pending = stale.reads;
         } else if self.fwd_inflight.is_some() {
             return; // a fresh wave is still in flight
         }
@@ -633,7 +586,7 @@ impl<A: App> ServerHost<A> {
         };
         self.next_fwd_wave += 1;
         let wave_id = self.next_fwd_wave;
-        let ids = std::mem::take(&mut self.fwd_pending);
+        let reads = std::mem::take(&mut self.fwd_pending);
         self.cpu.charge(now, self.cost.per_message_send);
         ctx.send(
             self.peer_base + leader,
@@ -642,25 +595,24 @@ impl<A: App> ServerHost<A> {
         );
         self.fwd_inflight = Some(FwdWave {
             wave_id,
-            ids,
+            reads,
             sent_at: now,
         });
     }
 
-    /// Answer a forwarded read from the local state machine (the grant's
-    /// read index is known to be applied).
-    fn serve_follower_read(&mut self, ctx: &mut HostCtx<'_, ClusterMsg<A>>, read_id: u64) {
-        let Some((client, req_id, cmd)) = self.forwarded.remove(read_id) else {
-            return; // superseded by a crash-restart
-        };
-        // Reply-cache invariant holds here too: forwarded reads execute
-        // fresh against the follower's applied state.
-        let result = self.node.state_machine().read(&cmd);
-        self.reads_served.follower += 1;
+    /// Answer a read from this server's state machine, which the caller
+    /// knows covers the read's index. Reply-cache invariant: the read
+    /// executes fresh, never from (or into) sessions.
+    fn serve_read(&self, ctx: &mut HostCtx<'_, ClusterMsg<A>>, read: ClientCmd<A>) {
+        let result = self.node.state_machine().read(&read.cmd);
+        debug_assert!(result.is_some(), "only reads bypass the log");
         ctx.send(
-            client,
+            read.client,
             Channel::Tcp,
-            ClusterMsg::ClientResp { req_id, result },
+            ClusterMsg::ClientResp {
+                req_id: read.req_id,
+                result,
+            },
         );
     }
 
@@ -672,8 +624,9 @@ impl<A: App> ServerHost<A> {
             if *entry.key() > applied {
                 break;
             }
-            for id in entry.remove() {
-                self.serve_follower_read(ctx, id);
+            for read in entry.remove() {
+                self.reads_served.follower += 1;
+                self.serve_read(ctx, read);
             }
         }
     }
@@ -726,21 +679,17 @@ impl<A: App> ServerHost<A> {
                 if let Some(wave) = wave {
                     match read_index {
                         Some(idx) => {
-                            self.follower_wait.entry(idx).or_default().extend(wave.ids);
+                            self.follower_wait
+                                .entry(idx)
+                                .or_default()
+                                .extend(wave.reads);
                             self.drain_follower_wait(ctx);
                         }
                         None => {
                             // The contacted server cannot confirm
                             // leadership: every covered read redirects.
-                            for id in wave.ids {
-                                if let Some((client, req_id, cmd)) = self.forwarded.remove(id) {
-                                    let origin = ReadOrigin::Local {
-                                        client,
-                                        req_id,
-                                        cmd,
-                                    };
-                                    self.deny_read_origin(ctx, origin);
-                                }
+                            for read in wave.reads {
+                                self.deny_read_origin(ctx, ReadOrigin::Local(read));
                             }
                         }
                     }
@@ -766,14 +715,14 @@ impl<A: App> ServerHost<A> {
 
     /// Charge one client command's admission cost and queue it until the
     /// CPU has worked that off.
-    fn admit(&mut self, now: SimTime, from: NodeId, req_id: u64, cmd: A::Command) {
+    fn admit(&mut self, now: SimTime, client: NodeId, req_id: u64, cmd: A::Command) {
         let ready_at = self.cpu.charge(now, self.admission_cost(&cmd));
-        self.admit.push_back(AdmittedReq {
-            ready_at,
-            client: from,
+        let req = ClientCmd {
+            client,
             req_id,
             cmd,
-        });
+        };
+        self.admit.push_back((ready_at, req));
     }
 
     /// Propose every queued configuration change. Non-leaders cannot
@@ -811,7 +760,7 @@ impl<A: App> ServerHost<A> {
         // so this cannot spin.
         let conf_wake = (!self.pending_conf.is_empty()).then_some(SimTime::ZERO);
         let node_wake = self.node.next_wake();
-        let admit_wake = self.admit.front().map(|a| a.ready_at);
+        let admit_wake = self.admit.front().map(|&(ready_at, _)| ready_at);
         let wave_wake = self
             .fwd_inflight
             .as_ref()
@@ -956,50 +905,57 @@ mod tests {
         assert_eq!(v.version, 1);
     }
 
-    /// A forwarded read the leader cannot grant comes back as
-    /// `ReadIndexResp { read_index: None }`; the follower redirects its
-    /// client to the leader's host id, not its group-local id.
-    #[test]
-    fn denied_forwarded_read_redirects_to_the_leader_host() {
-        // Hosts 3..6 form the group; this server is host 4 (local id 1).
+    fn heartbeat(id: u64) -> ClusterMsg {
+        ClusterMsg::Raft(RaftPayload::Heartbeat(dynatune_raft::Heartbeat {
+            term: 1,
+            leader: 0,
+            commit: 0,
+            meta: dynatune_core::HeartbeatMeta {
+                id,
+                sent_at_nanos: 0,
+                rtt_sample: None,
+            },
+        }))
+    }
+
+    fn get(req_id: u64) -> ClusterMsg {
+        ClusterMsg::ClientReq {
+            req_id,
+            cmd: KvCommand::Get {
+                key: bytes::Bytes::from_static(b"k"),
+            },
+        }
+    }
+
+    /// A follower at host 4 (local id 1) of the group at hosts 3..6, which
+    /// has heard a heartbeat from host 3 (local id 0) at `t`.
+    fn follower_of_host_3(t: SimTime) -> ServerHost {
         let mut s: ServerHost = ServerHost::new(
             RaftConfig::new(1, 3, TuningConfig::raft_default()),
             CostModel::free(),
             2,
         )
         .with_peer_base(3);
+        s.handle_message(
+            &mut HostCtx::test_ctx(t, 4, &mut Vec::new()),
+            3,
+            heartbeat(1),
+        );
+        assert_eq!(s.node().leader_id(), Some(0));
+        s
+    }
+
+    /// A forwarded read the leader cannot grant comes back as
+    /// `ReadIndexResp { read_index: None }`; the follower redirects its
+    /// client to the leader's host id, not its group-local id.
+    #[test]
+    fn denied_forwarded_read_redirects_to_the_leader_host() {
         let client = 9;
         let mut outbox = Vec::new();
         let t = SimTime::ZERO + Duration::from_millis(1);
+        let mut s = follower_of_host_3(t);
         let mut ctx = HostCtx::test_ctx(t, 4, &mut outbox);
-        let heartbeat = dynatune_raft::Heartbeat {
-            term: 1,
-            leader: 0,
-            commit: 0,
-            meta: dynatune_core::HeartbeatMeta {
-                id: 1,
-                sent_at_nanos: 0,
-                rtt_sample: None,
-            },
-        };
-        s.handle_message(
-            &mut ctx,
-            3,
-            ClusterMsg::Raft(RaftPayload::Heartbeat(heartbeat)),
-        );
-        assert_eq!(s.node().leader_id(), Some(0));
-        let get = KvCommand::Get {
-            key: bytes::Bytes::from_static(b"k"),
-        };
-        let mut ctx = HostCtx::test_ctx(t, 4, &mut outbox);
-        s.handle_message(
-            &mut ctx,
-            client,
-            ClusterMsg::ClientReq {
-                req_id: 42,
-                cmd: get,
-            },
-        );
+        s.handle_message(&mut ctx, client, get(42));
         assert!(
             outbox
                 .iter()
@@ -1026,6 +982,104 @@ mod tests {
         );
     }
 
+    /// A forwarded read's life on a follower, wave by wave: reads admitted
+    /// while a wave flies ride the next one together, a silent wave is
+    /// re-sent with every read it covered, a late answer to a re-sent (or
+    /// crashed) wave reaches no client, and a grant above the apply index
+    /// waits for apply before each client gets its one reply.
+    #[test]
+    fn forwarded_read_waves_resend_wait_for_apply_and_ignore_late_answers() {
+        let t = SimTime::ZERO + Duration::from_millis(1);
+        let mut s = follower_of_host_3(t);
+        let deliver = |s: &mut ServerHost, at: SimTime, from: NodeId, msg: ClusterMsg| {
+            let mut outbox = Vec::new();
+            s.handle_message(&mut HostCtx::test_ctx(at, 4, &mut outbox), from, msg);
+            outbox
+        };
+        let waves = |out: &[(NodeId, Channel, ClusterMsg)]| -> Vec<u64> {
+            out.iter()
+                .filter_map(|(to, _, m)| match m {
+                    ClusterMsg::ReadIndexReq { read_id } if *to == 3 => Some(*read_id),
+                    _ => None,
+                })
+                .collect()
+        };
+        // Clients answered, in send order; every message to a client must
+        // be a served read.
+        let replies = |out: &[(NodeId, Channel, ClusterMsg)]| -> Vec<NodeId> {
+            out.iter()
+                .filter(|(to, _, _)| *to != 3)
+                .map(|(to, _, m)| {
+                    let served = matches!(
+                        m,
+                        ClusterMsg::ClientResp {
+                            result: Some(_),
+                            ..
+                        }
+                    );
+                    assert!(served, "{m:?}");
+                    *to
+                })
+                .collect()
+        };
+        let grant = |read_id, index| ClusterMsg::ReadIndexResp {
+            read_id,
+            read_index: Some(index),
+        };
+
+        // Client 10's read leaves alone as wave 1; clients 11 and 12 queue
+        // behind it, and its grant (at the applied index) answers client 10
+        // and sends both of theirs as wave 2.
+        assert_eq!(waves(&deliver(&mut s, t, 10, get(1))), [1]);
+        assert!(deliver(&mut s, t, 11, get(1)).is_empty());
+        assert!(deliver(&mut s, t, 12, get(1)).is_empty());
+        let out = deliver(&mut s, t, 3, grant(1, 0));
+        assert_eq!((replies(&out), waves(&out)), (vec![10], vec![2]));
+
+        // Client 13's read, admitted while wave 2 flies, waits.
+        assert!(deliver(&mut s, t, 13, get(1)).is_empty());
+
+        // Silence for FWD_WAVE_RESEND: the wake re-sends all three as
+        // wave 3 (a heartbeat first, so the election timer stays quiet).
+        let resend_at = t + FWD_WAVE_RESEND;
+        assert_eq!(s.wake_deadline(), Some(resend_at));
+        deliver(&mut s, resend_at, 3, heartbeat(2));
+        let mut out = Vec::new();
+        s.handle_wake(&mut HostCtx::test_ctx(resend_at, 4, &mut out));
+        assert_eq!(waves(&out), [3]);
+
+        // A late answer to wave 2 reaches no client.
+        let out = deliver(&mut s, resend_at, 3, grant(2, 0));
+        assert!(out.is_empty(), "{out:?}");
+
+        // Wave 3 is granted at index 1, above the apply index (0): nobody
+        // is answered until an append commits entry 1.
+        assert!(deliver(&mut s, resend_at, 3, grant(3, 1)).is_empty());
+        let append = ClusterMsg::Raft(RaftPayload::AppendEntries(dynatune_raft::AppendEntries {
+            term: 1,
+            leader: 0,
+            prev_log_index: 0,
+            prev_log_term: 0,
+            entries: vec![dynatune_raft::Entry::normal(1, 1, None)],
+            leader_commit: 1,
+            sent_at_nanos: 0,
+        }));
+        let out = deliver(&mut s, resend_at, 3, append);
+        assert_eq!(s.node().last_applied(), 1);
+        assert_eq!(
+            replies(&out),
+            [11, 12, 13],
+            "one reply each, in admission order"
+        );
+
+        // A crash-restart drops the wave in flight: its late grant
+        // answers no client.
+        assert_eq!(waves(&deliver(&mut s, resend_at, 14, get(1))), [4]);
+        s.crash_restart(resend_at);
+        let out = deliver(&mut s, resend_at, 3, grant(4, 0));
+        assert!(out.is_empty(), "{out:?}");
+    }
+
     /// Tuning adds no charge of its own: under the default cost model a
     /// tuned server pays what a static one pays for the same received
     /// heartbeat and the same admitted client command.
@@ -1037,22 +1091,8 @@ mod tests {
                 ServerHost::new(RaftConfig::new(1, 3, tuning), CostModel::default(), 4);
             let mut outbox = Vec::new();
             let t = SimTime::ZERO + Duration::from_millis(1);
-            let heartbeat = dynatune_raft::Heartbeat {
-                term: 1,
-                leader: 0,
-                commit: 0,
-                meta: dynatune_core::HeartbeatMeta {
-                    id: 1,
-                    sent_at_nanos: 0,
-                    rtt_sample: None,
-                },
-            };
             let mut ctx = HostCtx::test_ctx(t, 1, &mut outbox);
-            follower.handle_message(
-                &mut ctx,
-                0,
-                ClusterMsg::Raft(RaftPayload::Heartbeat(heartbeat)),
-            );
+            follower.handle_message(&mut ctx, 0, heartbeat(1));
             // ...and a lone node elects itself and admits one write.
             let mut leader: ServerHost =
                 ServerHost::new(RaftConfig::new(0, 1, tuning), CostModel::default(), 4);

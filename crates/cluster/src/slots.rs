@@ -1,7 +1,7 @@
 //! A map for keys this crate hands out itself, in increasing order: client
-//! request ids, log indices of proposals, read-grant tokens and
-//! forwarded-read ids. Such a key is an offset from the oldest live one,
-//! so the map needs no tree and no hash.
+//! request ids, log indices of proposals and read-grant tokens. Such a key
+//! is an offset from the oldest live one, so the map needs no tree and no
+//! hash.
 
 use dynatune_core::invariant;
 use std::collections::VecDeque;

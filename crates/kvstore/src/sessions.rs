@@ -26,11 +26,12 @@ pub struct ReqOrigin {
 ///
 /// What a full window weighs depends on the replies. A KV `Delete` or `Cas`
 /// reply is 25 bytes, but a `Put` reply caches `prev`, the value it
-/// overwrote, so its `cached_bytes` is 24 + that value's size (a `Get`
-/// through the log caches the value it read, at 48 + its size), and the
+/// overwrote, so its `cached_bytes` is 24 + that value's size, and the
 /// cache alone keeps those old values alive: at 512-byte values a window
-/// of overwriting `Put`s holds ≈ 65 536 × 536 B ≈ 35 MB per origin. The
-/// same bytes feed the simulated snapshot cost.
+/// of overwriting `Put`s holds ≈ 65 536 × 536 B ≈ 35 MB per origin. No
+/// `Get` reply is ever cached, not even one through the log:
+/// `Replicated::apply` keeps reads out of the sessions. The same bytes
+/// feed the simulated snapshot cost.
 pub const DEFAULT_REPLY_WINDOW: u64 = 1 << 16;
 // 15 k req/s × 1 s × 4 sends.
 const _: () = assert!(

@@ -322,6 +322,8 @@ impl CachedReply for KvResponse {
         const PER_REPLY_OVERHEAD: usize = 24;
         let payload = match self {
             KvResponse::Put { prev, .. } => prev.as_ref().map_or(0, Bytes::len),
+            // Never charged: `Replicated::apply` keeps reads out of the
+            // sessions, so no `Get` reply is cached.
             KvResponse::Get { value } => value.as_ref().map_or(0, |v| v.value.len() + 24),
             KvResponse::Delete { .. } | KvResponse::Cas { .. } => 1,
         };

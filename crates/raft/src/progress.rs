@@ -64,8 +64,8 @@ pub struct Progress {
     /// Send instant of the freshest heartbeat or `AppendEntries` this
     /// follower has acknowledged (from the reply's echoed timestamp): the
     /// proof that it still accepted this leader's term after that instant.
-    /// It is the leader's one leadership record, read by both log-free read
-    /// paths. The lease holds while a quorum's basis is younger than the
+    /// It is the leader's one leadership record for both log-free read
+    /// paths; check-quorum reads `last_active` instead. The lease holds while a quorum's basis is younger than the
     /// lease window; a ReadIndex round registered at `T` is confirmed once
     /// a quorum's basis is `>= T`. Both acks renew it: the follower re-armed
     /// its election timer on either, and the echo carries the exact send
