@@ -220,7 +220,7 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use dynatune_kv::ReqOrigin;
-    use dynatune_raft::StateMachine;
+    use dynatune_raft::{NodeId, StateMachine};
 
     fn rec(v: &str) -> Record {
         Record::new(Bytes::new(), Bytes::copy_from_slice(v.as_bytes()))
@@ -237,7 +237,10 @@ mod tests {
     #[test]
     fn produce_assigns_dense_offsets_and_fetch_reads_them_back() {
         let mut sm = BrokerSm::new();
-        let r1 = sm.apply(1, &BrokerRequest::bare(produce("t", 0, &["a", "b"])));
+        let r1 = sm.apply(
+            1,
+            &BrokerRequest::from_client(1, 1, produce("t", 0, &["a", "b"])),
+        );
         assert_eq!(
             r1,
             BrokerResponse::Produced {
@@ -249,14 +252,17 @@ mod tests {
         // offset and stores nothing; the fetch below reads across it.
         let before = sm.topic("t").unwrap().partition(0).unwrap().clone();
         assert_eq!(
-            sm.apply(2, &BrokerRequest::bare(produce("t", 0, &[]))),
+            sm.apply(2, &BrokerRequest::from_client(1, 2, produce("t", 0, &[]))),
             BrokerResponse::Produced {
                 base_offset: 2,
                 count: 0
             }
         );
         assert_eq!(sm.topic("t").unwrap().partition(0), Some(&before));
-        let r2 = sm.apply(3, &BrokerRequest::bare(produce("t", 0, &["c"])));
+        let r2 = sm.apply(
+            3,
+            &BrokerRequest::from_client(1, 3, produce("t", 0, &["c"])),
+        );
         assert_eq!(
             r2,
             BrokerResponse::Produced {
@@ -333,7 +339,10 @@ mod tests {
     #[test]
     fn reads_bypass_the_reply_cache_both_ways() {
         let mut sm = BrokerSm::new();
-        sm.apply(1, &BrokerRequest::bare(produce("t", 0, &["a"])));
+        sm.apply(
+            1,
+            &BrokerRequest::from_client(1, 1, produce("t", 0, &["a"])),
+        );
         let fetch = BrokerCommand::Fetch {
             topic: "t".into(),
             partition: 0,
@@ -411,8 +420,8 @@ mod tests {
 
     #[test]
     fn command_bytes_scale_with_record_payload() {
-        let small = BrokerRequest::bare(produce("t", 0, &["x"]));
-        let big = BrokerRequest::bare(produce("t", 0, &["xxxxxxxxxxxxxxxxxxxxxxxx"]));
+        let small = BrokerRequest::from_client(1, 1, produce("t", 0, &["x"]));
+        let big = BrokerRequest::from_client(1, 1, produce("t", 0, &["xxxxxxxxxxxxxxxxxxxxxxxx"]));
         assert!(BrokerSm::command_bytes(&big) > BrokerSm::command_bytes(&small));
         assert!(BrokerSm::command_bytes(&small) > 0);
     }
@@ -487,7 +496,7 @@ mod tests {
                 for (i, (client, req_id, cmd)) in cmds.iter().enumerate() {
                     sm.apply(
                         i as u64 + 1,
-                        &BrokerRequest::from_client(*client, *req_id, cmd.clone()),
+                        &BrokerRequest::from_client(*client as NodeId, *req_id, cmd.clone()),
                     );
                 }
 
@@ -515,7 +524,7 @@ mod tests {
                     .find(|(_, _, c)| matches!(c, BrokerCommand::Produce { .. }))
                     .cloned()
                 {
-                    let req = BrokerRequest::from_client(client, req_id, cmd);
+                    let req = BrokerRequest::from_client(client as NodeId, req_id, cmd);
                     let before = restored.approx_bytes();
                     let a = sm.apply(1000, &req);
                     let b = restored.apply(1000, &req);
@@ -558,7 +567,7 @@ mod tests {
                 for (i, (client, req_id, cmd)) in cmds.iter().enumerate() {
                     sm.apply(
                         i as u64 + 1,
-                        &BrokerRequest::from_client(*client, *req_id, cmd.clone()),
+                        &BrokerRequest::from_client(*client as NodeId, *req_id, cmd.clone()),
                     );
                     prop_assert_eq!(sm.approx_bytes(), recomputed(&sm));
                 }

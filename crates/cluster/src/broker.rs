@@ -45,7 +45,7 @@ use crate::msg::ClusterMsg;
 use crate::requests::{
     genesis_rows, Lane, Live, Requests, RoutingTable, Walk, DEFAULT_BATCH_WINDOW,
 };
-use crate::sim::{Client, ClusterSim};
+use crate::sim::ClusterSim;
 use bytes::Bytes;
 use dynatune_broker::{
     shard_of_partition, BrokerCommand, BrokerResponse, BrokerState, FetchResult, Record,
@@ -53,7 +53,7 @@ use dynatune_broker::{
 use dynatune_core::invariant_violated;
 use dynatune_kv::{ShardId, ShardMap};
 use dynatune_raft::NodeId;
-use dynatune_simnet::{HostCtx, SimTime};
+use dynatune_simnet::{Host, HostCtx, SimTime};
 use dynatune_stats::OnlineStats;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -616,10 +616,12 @@ impl BrokerClient {
     }
 }
 
-impl Client<BrokerState> for BrokerClient {
+impl Host for BrokerClient {
+    type Msg = BrokerMsg;
+
     /// Generate the arrivals due by now, flush due batches, poll due
     /// consumers and expire overdue requests.
-    fn handle_wake(&mut self, ctx: &mut HostCtx<'_, BrokerMsg>) {
+    fn on_wake(&mut self, ctx: &mut HostCtx<'_, BrokerMsg>) {
         self.stats.retries += self.reqs.expire(ctx).0;
         for pidx in 0..self.parts.len() {
             self.catch_up(pidx, ctx.now, true);
@@ -636,7 +638,7 @@ impl Client<BrokerState> for BrokerClient {
     }
 
     /// Process a server response.
-    fn handle_message(&mut self, ctx: &mut HostCtx<'_, BrokerMsg>, _from: NodeId, msg: BrokerMsg) {
+    fn on_message(&mut self, ctx: &mut HostCtx<'_, BrokerMsg>, _from: NodeId, msg: BrokerMsg) {
         match msg {
             ClusterMsg::ClientResp { req_id, result } => self.on_response(ctx, req_id, result),
             // A redirect for an answered request is a late duplicate.
@@ -653,7 +655,7 @@ impl Client<BrokerState> for BrokerClient {
     /// Arrivals alone wake nobody: a busy producer's ack cuts its next
     /// batch, and an idle one with nothing pending is due to flush one
     /// batch window after its next arrival.
-    fn wake_deadline(&self) -> Option<SimTime> {
+    fn next_wake(&self) -> Option<SimTime> {
         let flush = (0..self.parts.len())
             .filter_map(|pidx| {
                 let p = &self.producers[pidx];
@@ -713,7 +715,8 @@ mod tests {
     use super::*;
     use crate::scenario::builder::{NetPlan, ScenarioBuilder};
     use crate::server::{ReadCounters, ServerHost};
-    use dynatune_raft::StateMachine;
+    use dynatune_kv::Request;
+    use dynatune_raft::{EntryData, StateMachine};
     use proptest::prelude::*;
     use std::collections::{BTreeMap, BTreeSet};
     use std::ptr;
@@ -822,8 +825,11 @@ mod tests {
     /// The produce batch at `index` of server `id`'s log, if it holds one.
     fn batch_at(sim: &BrokerClusterSim, id: NodeId, index: u64) -> Option<Arc<[Record]>> {
         let entry = sim.server(id).node().log().entry_at(index)?;
-        match &entry.data.as_ref()?.cmd {
-            BrokerCommand::Produce { records, .. } => Some(Arc::clone(records)),
+        match &entry.data {
+            EntryData::Command(Request {
+                cmd: BrokerCommand::Produce { records, .. },
+                ..
+            }) => Some(Arc::clone(records)),
             _ => None,
         }
     }
@@ -1170,8 +1176,8 @@ mod tests {
         /// when `inclusive`), as the kernel would.
         fn wake_until(&mut self, now: SimTime, inclusive: bool) {
             let due = |d: SimTime| d < now || (inclusive && d == now);
-            while let Some(d) = self.lazy.wake_deadline().filter(|&d| due(d)) {
-                logged(&mut self.sent.0, d, |ctx| self.lazy.handle_wake(ctx));
+            while let Some(d) = self.lazy.next_wake().filter(|&d| due(d)) {
+                logged(&mut self.sent.0, d, |ctx| self.lazy.on_wake(ctx));
             }
             while let Some(d) = self.eager.wake_deadline().filter(|&d| due(d)) {
                 logged(&mut self.sent.1, d, |ctx| self.eager.handle_wake(ctx));
@@ -1183,7 +1189,7 @@ mod tests {
         fn deliver(&mut self, now: SimTime, msg: &BrokerMsg) {
             self.wake_until(now, false);
             logged(&mut self.sent.0, now, |ctx| {
-                self.lazy.handle_message(ctx, 1, msg.clone());
+                self.lazy.on_message(ctx, 1, msg.clone());
             });
             logged(&mut self.sent.1, now, |ctx| {
                 self.eager.handle_message(ctx, msg.clone());
@@ -1194,7 +1200,7 @@ mod tests {
         /// An extra wake-up at `now` for both.
         fn wake(&mut self, now: SimTime) {
             self.wake_until(now, true);
-            logged(&mut self.sent.0, now, |ctx| self.lazy.handle_wake(ctx));
+            logged(&mut self.sent.0, now, |ctx| self.lazy.on_wake(ctx));
             logged(&mut self.sent.1, now, |ctx| self.eager.handle_wake(ctx));
         }
 

@@ -14,11 +14,11 @@
 
 use crate::msg::ClusterMsg;
 use crate::requests::{Lane, Live, Requests, RoutingTable, Walk};
-use crate::sim::{Client, WorkloadSpec};
+use crate::sim::WorkloadSpec;
 use bytes::Bytes;
 use dynatune_kv::{App, KvCommand, KvResponse, KvStore, ShardId, ShardRouter, WorkloadGen};
 use dynatune_raft::NodeId;
-use dynatune_simnet::{Channel, HostCtx, Rng, SimTime};
+use dynatune_simnet::{Channel, Host, HostCtx, Rng, SimTime};
 use dynatune_stats::{Histogram, OnlineStats};
 use std::time::Duration;
 
@@ -238,10 +238,12 @@ impl ClientHost {
     }
 }
 
-impl Client<KvStore> for ClientHost {
+impl Host for ClientHost {
+    type Msg = ClusterMsg;
+
     /// Send every arrival whose time has come — as singles, or coalesced
     /// into one batch per shard — and expire overdue requests.
-    fn handle_wake(&mut self, ctx: &mut HostCtx<'_, ClusterMsg>) {
+    fn on_wake(&mut self, ctx: &mut HostCtx<'_, ClusterMsg>) {
         // A paused leader never answers: without timeouts a client would
         // keep feeding a dead node for the entire outage.
         for o in self.reqs.expire(ctx).1 {
@@ -298,12 +300,7 @@ impl Client<KvStore> for ClientHost {
     }
 
     /// Process a server response.
-    fn handle_message(
-        &mut self,
-        ctx: &mut HostCtx<'_, ClusterMsg>,
-        _from: NodeId,
-        msg: ClusterMsg,
-    ) {
+    fn on_message(&mut self, ctx: &mut HostCtx<'_, ClusterMsg>, _from: NodeId, msg: ClusterMsg) {
         match msg {
             // The server failed the request (leadership change mid-flight).
             ClusterMsg::ClientResp {
@@ -348,7 +345,7 @@ impl Client<KvStore> for ClientHost {
 
     /// Next workload arrival, batch flush or timeout check, whichever is
     /// sooner.
-    fn wake_deadline(&self) -> Option<SimTime> {
+    fn next_wake(&self) -> Option<SimTime> {
         let arrival = self.workload.peek_next();
         [arrival, self.reqs.next_deadline(), self.flush_at]
             .into_iter()
@@ -475,7 +472,7 @@ mod tests {
 
     fn wake_at(c: &mut ClientHost, at: SimTime) -> Outbox {
         let mut out = Vec::new();
-        c.handle_wake(&mut HostCtx::test_ctx(at, 0, &mut out));
+        c.on_wake(&mut HostCtx::test_ctx(at, 0, &mut out));
         out
     }
 
@@ -492,7 +489,7 @@ mod tests {
     fn deliver(c: &mut ClientHost, at_ms: u64, msg: ClusterMsg) -> Outbox {
         let mut out = Vec::new();
         let mut ctx = HostCtx::test_ctx(SimTime::from_millis(at_ms), 0, &mut out);
-        c.handle_message(&mut ctx, 0, msg);
+        c.on_message(&mut ctx, 0, msg);
         out
     }
 
@@ -646,7 +643,7 @@ mod tests {
                 assert!(stats.sent >= 2, "{}: a wave of several", shape.name);
             }
             // The next wake must include the timeout deadline (t=200ms).
-            let deadline = c.wake_deadline().unwrap();
+            let deadline = c.next_wake().unwrap();
             assert!(deadline <= SimTime::from_millis(200), "{}", shape.name);
             // Nothing answers. Wave k resends every request of a shard as
             // a single to the k-th next replica of its row: one rotation
@@ -742,14 +739,14 @@ mod tests {
     fn batch_waits_out_its_window_singles_do_not() {
         for shape in &SHAPES {
             let mut c = shape.client(100.0);
-            let first = c.wake_deadline().unwrap();
+            let first = c.next_wake().unwrap();
             let out = wake_at(&mut c, first);
             if shape.batched {
                 // Woken at the arrival: buffered, and the next wake is the
                 // flush deadline.
                 let flush = first + DEFAULT_BATCH_WINDOW;
                 assert!(out.is_empty(), "{}", shape.name);
-                assert_eq!(c.wake_deadline(), Some(flush), "{}", shape.name);
+                assert_eq!(c.next_wake(), Some(flush), "{}", shape.name);
                 assert_eq!(requests(&wake_at(&mut c, flush)).len(), 1);
             } else {
                 assert_eq!(requests(&out).len(), 1, "{}", shape.name);
@@ -784,7 +781,7 @@ mod tests {
         // A redirect hint naming the spare is now trusted...
         let mut out = Vec::new();
         let mut ctx = HostCtx::test_ctx(SimTime::from_millis(500), 0, &mut out);
-        c.handle_wake(&mut ctx);
+        c.on_wake(&mut ctx);
         let mut shard0_req = None;
         for (to, _, m) in &out {
             if let ClusterMsg::ClientBatch { reqs } = m {
@@ -797,7 +794,7 @@ mod tests {
         let (req_id, _) = shard0_req.expect("some request routed to shard 0");
         let mut out2 = Vec::new();
         let mut ctx = HostCtx::test_ctx(SimTime::from_millis(210), 0, &mut out2);
-        c.handle_message(
+        c.on_message(
             &mut ctx,
             map.server(0, 0),
             ClusterMsg::ClientRedirect {
@@ -810,7 +807,7 @@ mod tests {
         // ...while a hint to the retired host is rejected (rotate instead).
         let mut out3 = Vec::new();
         let mut ctx = HostCtx::test_ctx(SimTime::from_millis(220), 0, &mut out3);
-        c.handle_message(
+        c.on_message(
             &mut ctx,
             spare,
             ClusterMsg::ClientRedirect {

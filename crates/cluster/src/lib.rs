@@ -14,7 +14,8 @@
 //! served [`App`] (the trait `dynatune_kv` defines and the KV and broker
 //! state types implement; every server runs it inside the one
 //! [`Replicated<A>`](dynatune_kv::Replicated) exactly-once state machine)
-//! and the [`Client`] that drives it, described and built by one
+//! and the client that drives it (any simulation host speaking
+//! [`ClusterMsg`]), described and built by one
 //! [`ScenarioBuilder`]: its shard dimension places N independent Raft
 //! groups in one world (a classic single group is `shards = 1`), its Raft
 //! setters write one `raft` template where every Raft knob is declared,
@@ -64,4 +65,4 @@ pub use observers::{
 };
 pub use scenario::{NetPlan, Report, RunCtx, Scenario, ScenarioBuilder};
 pub use server::{CompactionPolicy, ReadCounters, ReadStrategy, ServerHost};
-pub use sim::{Client, ClusterHost, ClusterSim, WorkloadSpec};
+pub use sim::{ClusterHost, ClusterSim, WorkloadSpec};

@@ -402,10 +402,10 @@ impl<A: App, Meta> Requests<A, Meta> {
 mod tests {
     use super::*;
     use crate::broker::{BrokerClient, BrokerWorkload};
-    use crate::sim::Client;
     use bytes::Bytes;
     use dynatune_broker::BrokerResponse;
     use dynatune_kv::{KvCommand, KvStore};
+    use dynatune_simnet::Host;
 
     const TIMEOUT: Duration = Duration::from_millis(100);
 
@@ -609,8 +609,8 @@ mod tests {
             out.clear();
             let mut ctx = HostCtx::test_ctx(SimTime::from_millis(ms), 0, &mut out);
             match msg {
-                Some(msg) => client.handle_message(&mut ctx, 0, msg),
-                None => client.handle_wake(&mut ctx),
+                Some(msg) => client.on_message(&mut ctx, 0, msg),
+                None => client.on_wake(&mut ctx),
             }
             let sent: Vec<(NodeId, u64)> = out
                 .iter()

@@ -402,9 +402,10 @@ impl ScenarioBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::ClusterMsg;
     use crate::observers::stale_read_violations;
     use dynatune_kv::OpMix;
-    use dynatune_simnet::SimTime;
+    use dynatune_simnet::{Host, SimTime};
 
     #[test]
     fn geo_plan_enables_wan_congestion_by_default() {
@@ -442,7 +443,7 @@ mod tests {
 
     #[test]
     fn raft_knobs_reach_every_server_of_every_cluster_shape() {
-        fn on_every_server<A: crate::App, C: crate::Client<A>>(sim: &ClusterSim<A, C>) {
+        fn on_every_server<A: crate::App, C: Host<Msg = ClusterMsg<A>>>(sim: &ClusterSim<A, C>) {
             for (id, server) in sim.servers().enumerate() {
                 let pre_vote = server.node().config().pre_vote;
                 assert!(!pre_vote, "server {id} lost .pre_vote(false)");

@@ -10,10 +10,10 @@
 use crate::cpu::{CostModel, CpuMeter};
 use crate::msg::{ClusterMsg, RaftPayload};
 use crate::slots::SlotRing;
-use dynatune_kv::{App, KvStore, Replicated, Request};
+use dynatune_kv::{App, KvStore, Replicated, ReqOrigin, Request};
 use dynatune_raft::{
-    ConfChange, LogIndex, NodeEffects, NodeId, Payload, RaftConfig, RaftEvent, RaftNode, ReadPath,
-    Role, StateMachine, Term,
+    ConfChange, EntryData, LogIndex, NodeEffects, NodeId, Payload, RaftConfig, RaftEvent, RaftNode,
+    ReadPath, Role, StateMachine, Term,
 };
 use dynatune_simnet::{Channel, HostCtx, SimTime};
 use std::collections::BTreeMap;
@@ -23,8 +23,7 @@ use std::time::Duration;
 #[derive(Debug, Clone)]
 struct PendingReq {
     term: Term,
-    client: NodeId,
-    req_id: u64,
+    origin: ReqOrigin,
     /// Read replicated through the log (the [`ReadStrategy::Log`]
     /// baseline) — counted separately so the read-path mix is observable.
     is_read: bool,
@@ -91,18 +90,11 @@ impl ReadCounters {
     }
 }
 
-/// One client command as this server holds it, from admission to reply.
-struct ClientCmd<A: App> {
-    client: NodeId,
-    req_id: u64,
-    cmd: A::Command,
-}
-
 /// One in-flight forwarded-read wave: a single `ReadIndexReq` covering
 /// every read the follower admitted before the wave left.
 struct FwdWave<A: App> {
     wave_id: u64,
-    reads: Vec<ClientCmd<A>>,
+    reads: Vec<Request<A::Command>>,
     sent_at: SimTime,
 }
 
@@ -116,7 +108,7 @@ const FWD_WAVE_RESEND: Duration = Duration::from_secs(1);
 /// Where a leader-side read grant must be delivered.
 enum ReadOrigin<A: App> {
     /// A client read this server answers from its own state machine.
-    Local(ClientCmd<A>),
+    Local(Request<A::Command>),
     /// A read forwarded by a follower; the grant's `read_index` is sent
     /// back and the follower serves locally.
     Remote { follower: NodeId, read_id: u64 },
@@ -168,9 +160,11 @@ pub struct ServerHost<A: App = KvStore> {
     /// Proposals awaiting application, by log index (ascending while
     /// this node leads; cleared whenever it stops).
     pending: SlotRing<PendingReq>,
-    /// CPU-admitted client commands not yet proposed, with the instant
-    /// each is ready to execute (FIFO by that instant).
-    admit: std::collections::VecDeque<(SimTime, ClientCmd<A>)>,
+    /// CPU-admitted client requests not yet proposed or registered, with
+    /// the instant each is ready to execute (FIFO by that instant). The
+    /// request is the record the server keeps until it replies: it is
+    /// proposed as it stands, or moves on as a read.
+    admit: std::collections::VecDeque<(SimTime, Request<A::Command>)>,
     /// How reads are served (log-replicated vs lease/ReadIndex).
     read_strategy: ReadStrategy,
     /// Grant-token allocator for reads registered with the Raft node.
@@ -180,12 +174,12 @@ pub struct ServerHost<A: App = KvStore> {
     /// Wave-id allocator for forwarded-read batches.
     next_fwd_wave: u64,
     /// Forwarded reads admitted but not yet covered by a wave.
-    fwd_pending: Vec<ClientCmd<A>>,
+    fwd_pending: Vec<Request<A::Command>>,
     /// The single in-flight forwarded wave, if any.
     fwd_inflight: Option<FwdWave<A>>,
     /// Granted forwarded reads waiting for local apply to reach their
     /// read index, in admission order per index.
-    follower_wait: BTreeMap<LogIndex, Vec<ClientCmd<A>>>,
+    follower_wait: BTreeMap<LogIndex, Vec<Request<A::Command>>>,
     /// Served-read counters by path.
     reads_served: ReadCounters,
     /// Configuration changes queued by `ClusterSim::propose_conf_change`,
@@ -331,8 +325,10 @@ impl<A: App> ServerHost<A> {
                 let bytes: usize = ae
                     .entries
                     .iter()
-                    .filter_map(|e| e.data.as_ref())
-                    .map(Replicated::<A>::command_bytes)
+                    .map(|e| match &e.data {
+                        EntryData::Command(request) => Replicated::<A>::command_bytes(request),
+                        EntryData::Noop | EntryData::Conf(_) => 0,
+                    })
                     .sum();
                 c += self.cost.append_cost(bytes);
             }
@@ -375,10 +371,10 @@ impl<A: App> ServerHost<A> {
                     None // our proposal was displaced by another leader's entry
                 };
                 ctx.send(
-                    p.client,
+                    p.origin.client,
                     Channel::Tcp,
                     ClusterMsg::ClientResp {
-                        req_id: p.req_id,
+                        req_id: p.origin.req_id,
                         result,
                     },
                 );
@@ -429,10 +425,10 @@ impl<A: App> ServerHost<A> {
         if self.node.role() != Role::Leader {
             for p in self.pending.drain() {
                 ctx.send(
-                    p.client,
+                    p.origin.client,
                     Channel::Tcp,
                     ClusterMsg::ClientResp {
-                        req_id: p.req_id,
+                        req_id: p.origin.req_id,
                         result: None,
                     },
                 );
@@ -462,31 +458,30 @@ impl<A: App> ServerHost<A> {
             let Some((_, req)) = self.admit.pop_front() else {
                 break; // unreachable: front() above was Some
             };
-            if self.read_strategy.log_free() && A::is_read(&req.cmd) {
+            let is_read = A::is_read(&req.cmd);
+            if self.read_strategy.log_free() && is_read {
                 self.start_read(ctx, req);
                 continue;
             }
-            let is_read = A::is_read(&req.cmd);
-            let request = Request::from_client(req.client as u64, req.req_id, req.cmd);
-            let (result, fx) = self.node.propose(now, request);
+            let origin = req.origin;
+            let (result, fx) = self.node.propose(now, req);
             match result {
                 Ok((term, index)) => {
                     self.pending.insert(
                         index,
                         PendingReq {
                             term,
-                            client: req.client,
-                            req_id: req.req_id,
+                            origin,
                             is_read,
                         },
                     );
                 }
                 Err(not_leader) => {
                     ctx.send(
-                        req.client,
+                        origin.client,
                         Channel::Tcp,
                         ClusterMsg::ClientRedirect {
-                            req_id: req.req_id,
+                            req_id: origin.req_id,
                             // The node's hint is group-local; clients
                             // address hosts, so translate it.
                             hint: not_leader.hint.map(|h| h + self.peer_base),
@@ -501,7 +496,7 @@ impl<A: App> ServerHost<A> {
     /// Route one read around the log: leaders register it with the Raft
     /// node (lease or ReadIndex grant), followers forward a ReadIndex
     /// request and answer locally once their apply index catches up.
-    fn start_read(&mut self, ctx: &mut HostCtx<'_, ClusterMsg<A>>, read: ClientCmd<A>) {
+    fn start_read(&mut self, ctx: &mut HostCtx<'_, ClusterMsg<A>>, read: Request<A::Command>) {
         if self.node.role() == Role::Leader {
             self.register_read(ctx, ReadOrigin::Local(read));
         } else if self.node.leader_id().is_some() {
@@ -536,10 +531,10 @@ impl<A: App> ServerHost<A> {
         match origin {
             ReadOrigin::Local(read) => {
                 ctx.send(
-                    read.client,
+                    read.origin.client,
                     Channel::Tcp,
                     ClusterMsg::ClientRedirect {
-                        req_id: read.req_id,
+                        req_id: read.origin.req_id,
                         hint: self.node.leader_id().map(|h| h + self.peer_base),
                     },
                 );
@@ -603,14 +598,14 @@ impl<A: App> ServerHost<A> {
     /// Answer a read from this server's state machine, which the caller
     /// knows covers the read's index. Reply-cache invariant: the read
     /// executes fresh, never from (or into) sessions.
-    fn serve_read(&self, ctx: &mut HostCtx<'_, ClusterMsg<A>>, read: ClientCmd<A>) {
+    fn serve_read(&self, ctx: &mut HostCtx<'_, ClusterMsg<A>>, read: Request<A::Command>) {
         let result = self.node.state_machine().read(&read.cmd);
         debug_assert!(result.is_some(), "only reads bypass the log");
         ctx.send(
-            read.client,
+            read.origin.client,
             Channel::Tcp,
             ClusterMsg::ClientResp {
-                req_id: read.req_id,
+                req_id: read.origin.req_id,
                 result,
             },
         );
@@ -717,12 +712,8 @@ impl<A: App> ServerHost<A> {
     /// CPU has worked that off.
     fn admit(&mut self, now: SimTime, client: NodeId, req_id: u64, cmd: A::Command) {
         let ready_at = self.cpu.charge(now, self.admission_cost(&cmd));
-        let req = ClientCmd {
-            client,
-            req_id,
-            cmd,
-        };
-        self.admit.push_back((ready_at, req));
+        self.admit
+            .push_back((ready_at, Request::from_client(client, req_id, cmd)));
     }
 
     /// Propose every queued configuration change. Non-leaders cannot

@@ -2,10 +2,11 @@
 //!
 //! One [`ClusterSim`] serves every deployment shape the repository models:
 //! it is generic over the served [`App`] (`KvStore` or `BrokerState`) and
-//! over the benchmark [`Client`] that shares the fabric with the servers,
-//! and it places servers by a [`ShardMap`] — a classic single Raft group is
-//! the map with one shard. One [`ScenarioBuilder`] describes any of them,
-//! and its `build_*` calls are the only way to assemble one.
+//! over the benchmark client (any [`Host`] speaking [`ClusterMsg`]) that
+//! shares the fabric with the servers, and it places servers by a
+//! [`ShardMap`] — a classic single Raft group is the map with one shard.
+//! One [`ScenarioBuilder`] describes any of them, and its `build_*` calls
+//! are the only way to assemble one.
 //!
 //! Host layout (world ids): replicas of shard `g` occupy the contiguous
 //! block `[g·R, (g+1)·R)`, spares follow in declaration order, and the
@@ -104,26 +105,8 @@ impl WorkloadSpec {
     }
 }
 
-/// A benchmark client living on the fabric beside the servers: the three
-/// calls the simulation kernel makes into it.
-pub trait Client<A: App> {
-    /// Process a server response.
-    fn handle_message(
-        &mut self,
-        ctx: &mut HostCtx<'_, ClusterMsg<A>>,
-        from: NodeId,
-        msg: ClusterMsg<A>,
-    );
-
-    /// The requested wake-up deadline has arrived.
-    fn handle_wake(&mut self, ctx: &mut HostCtx<'_, ClusterMsg<A>>);
-
-    /// Earliest instant at which the client wants `handle_wake` called.
-    #[must_use]
-    fn wake_deadline(&self) -> Option<SimTime>;
-}
-
-/// A node in the simulated world: server or benchmark client.
+/// A node in the simulated world: server or benchmark client. The client
+/// is any simulation [`Host`] speaking the cluster's messages.
 pub enum ClusterHost<A: App = KvStore, C = ClientHost> {
     /// A Raft server of app `A`.
     Server(Box<ServerHost<A>>),
@@ -131,7 +114,7 @@ pub enum ClusterHost<A: App = KvStore, C = ClientHost> {
     Client(Box<C>),
 }
 
-impl<A: App, C: Client<A>> Host for ClusterHost<A, C> {
+impl<A: App, C: Host<Msg = ClusterMsg<A>>> Host for ClusterHost<A, C> {
     type Msg = ClusterMsg<A>;
 
     fn on_message(
@@ -142,27 +125,27 @@ impl<A: App, C: Client<A>> Host for ClusterHost<A, C> {
     ) {
         match self {
             ClusterHost::Server(s) => s.handle_message(ctx, from, msg),
-            ClusterHost::Client(c) => c.handle_message(ctx, from, msg),
+            ClusterHost::Client(c) => c.on_message(ctx, from, msg),
         }
     }
 
     fn on_wake(&mut self, ctx: &mut HostCtx<'_, ClusterMsg<A>>) {
         match self {
             ClusterHost::Server(s) => s.handle_wake(ctx),
-            ClusterHost::Client(c) => c.handle_wake(ctx),
+            ClusterHost::Client(c) => c.on_wake(ctx),
         }
     }
 
     fn next_wake(&self) -> Option<SimTime> {
         match self {
             ClusterHost::Server(s) => s.wake_deadline(),
-            ClusterHost::Client(c) => c.wake_deadline(),
+            ClusterHost::Client(c) => c.next_wake(),
         }
     }
 }
 
 /// A running simulated cluster of app `A` driven by client `C`.
-pub struct ClusterSim<A: App = KvStore, C: Client<A> = ClientHost> {
+pub struct ClusterSim<A: App = KvStore, C: Host<Msg = ClusterMsg<A>> = ClientHost> {
     world: World<ClusterHost<A, C>>,
     map: ShardMap,
     /// Shard each spare host (world id `map.n_servers() + k`) belongs to.
@@ -221,7 +204,7 @@ pub(crate) fn members(
     )
 }
 
-impl<A: App, C: Client<A>> ClusterSim<A, C> {
+impl<A: App, C: Host<Msg = ClusterMsg<A>>> ClusterSim<A, C> {
     /// Assemble the cluster: every server `config` describes plus the
     /// client `make_client` returns (handed the workload's seed stream), if
     /// any. All randomness derives from `config`'s seed: stream 1 feeds the
@@ -647,6 +630,23 @@ mod tests {
         sim.run_for(Duration::from_secs(5));
         let role = sim.server(old_leader).node().role();
         assert_eq!(role, Role::Follower);
+    }
+
+    /// Check-quorum reads each ack's receive instant
+    /// (`Progress::last_active`), not the echoed send instant the lease
+    /// reads. Under Raft-Low the election timeout sits close to the round
+    /// trip, and a check on send instants, one round trip older, deposes
+    /// the healthy leader again and again.
+    #[test]
+    fn raft_low_check_quorum_keeps_a_healthy_leader() {
+        let mut sim = stable_cluster(TuningConfig::raft_low(), 7);
+        sim.run_until(SimTime::from_secs(60));
+        let events = sim.events();
+        let count =
+            |pred: fn(&RaftEvent) -> bool| events.iter().filter(|(_, _, e)| pred(e)).count();
+        let elected = count(|e| matches!(e, RaftEvent::BecameLeader { .. }));
+        let deposed = count(|e| matches!(e, RaftEvent::SteppedDown { .. }));
+        assert_eq!((elected, deposed), (1, 0), "leaders elected, step-downs");
     }
 
     #[test]

@@ -8,28 +8,28 @@
 use std::collections::VecDeque;
 
 /// Windowed packet-loss estimator over sequential heartbeat ids.
+///
+/// It has no warm-up of its own: the tuner warms up on its RTT list, and
+/// every fresh heartbeat is recorded here before its RTT sample is
+/// recorded there, so this list is never the shorter one.
 #[derive(Debug, Clone)]
 pub struct LossEstimator {
     /// Received ids, ascending, unique.
     ids: VecDeque<u64>,
     max_size: usize,
-    min_size: usize,
 }
 
 impl LossEstimator {
-    /// Create an estimator retaining at most `max_size` ids and reporting
-    /// warm-up after `min_size`.
+    /// Create an estimator retaining at most `max_size` ids.
     ///
     /// # Panics
-    /// Panics if `min_size == 0` or `max_size < min_size`.
+    /// Panics if `max_size == 0`.
     #[must_use]
-    pub fn new(min_size: usize, max_size: usize) -> Self {
-        assert!(min_size > 0, "min_size must be positive");
-        assert!(max_size >= min_size, "max below min");
+    pub fn new(max_size: usize) -> Self {
+        assert!(max_size > 0, "max_size must be positive");
         Self {
             ids: VecDeque::with_capacity(max_size.min(4096)),
             max_size,
-            min_size,
         }
     }
 
@@ -60,24 +60,6 @@ impl LossEstimator {
         true
     }
 
-    /// True once enough ids are stored to trust the estimate.
-    #[must_use]
-    pub fn is_warmed(&self) -> bool {
-        self.ids.len() >= self.min_size
-    }
-
-    /// Number of stored ids.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// True when no ids are stored.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
     /// Estimated loss rate `p = 1 − received/expected` over the window.
     /// Returns 0 with fewer than two ids.
     #[must_use]
@@ -105,17 +87,16 @@ mod tests {
 
     #[test]
     fn no_loss_when_contiguous() {
-        let mut e = LossEstimator::new(2, 100);
+        let mut e = LossEstimator::new(100);
         for id in 0..50 {
             assert!(e.record(id));
         }
         assert_eq!(e.loss_rate(), 0.0);
-        assert!(e.is_warmed());
     }
 
     #[test]
     fn loss_rate_from_gaps() {
-        let mut e = LossEstimator::new(2, 100);
+        let mut e = LossEstimator::new(100);
         // Receive 0,2,4,6,8: 5 of 9 expected -> p = 4/9.
         for id in [0u64, 2, 4, 6, 8] {
             e.record(id);
@@ -125,33 +106,33 @@ mod tests {
 
     #[test]
     fn duplicates_ignored() {
-        let mut e = LossEstimator::new(2, 100);
+        let mut e = LossEstimator::new(100);
         assert!(e.record(1));
         assert!(e.record(2));
         assert!(!e.record(1));
         assert!(!e.record(2));
-        assert_eq!(e.len(), 2);
+        assert_eq!(e.ids.len(), 2);
         assert_eq!(e.loss_rate(), 0.0);
     }
 
     #[test]
     fn out_of_order_inserted_in_position() {
-        let mut e = LossEstimator::new(2, 100);
+        let mut e = LossEstimator::new(100);
         e.record(5);
         e.record(1);
         e.record(3);
         // ids = [1,3,5]: 3 of 5 expected -> p = 2/5
         assert!((e.loss_rate() - 0.4).abs() < 1e-12);
-        assert_eq!(e.len(), 3);
+        assert_eq!(e.ids.len(), 3);
     }
 
     #[test]
     fn window_eviction_drops_oldest() {
-        let mut e = LossEstimator::new(2, 3);
+        let mut e = LossEstimator::new(3);
         for id in [10u64, 11, 12, 13] {
             e.record(id);
         }
-        assert_eq!(e.len(), 3);
+        assert_eq!(e.ids.len(), 3);
         // ids = [11,12,13]
         assert_eq!(e.loss_rate(), 0.0);
         // An id older than the retained window is rejected.
@@ -160,21 +141,19 @@ mod tests {
 
     #[test]
     fn reset_clears() {
-        let mut e = LossEstimator::new(2, 10);
+        let mut e = LossEstimator::new(10);
         e.record(1);
         e.record(4);
         e.reset();
-        assert!(e.is_empty());
+        assert!(e.ids.is_empty());
         assert_eq!(e.loss_rate(), 0.0);
-        assert!(!e.is_warmed());
     }
 
     #[test]
     fn single_id_reports_zero_loss() {
-        let mut e = LossEstimator::new(2, 10);
+        let mut e = LossEstimator::new(10);
         e.record(42);
         assert_eq!(e.loss_rate(), 0.0);
-        assert!(!e.is_warmed());
     }
 
     proptest! {
@@ -183,7 +162,7 @@ mod tests {
         /// the first and last received id.
         #[test]
         fn prop_estimate_matches_ground_truth(mask in proptest::collection::vec(prop::bool::ANY, 2..200)) {
-            let mut e = LossEstimator::new(2, 1000);
+            let mut e = LossEstimator::new(1000);
             let received: Vec<u64> = mask.iter().enumerate()
                 .filter(|(_, &keep)| keep)
                 .map(|(i, _)| i as u64)
@@ -214,11 +193,11 @@ mod tests {
                 let j = (state >> 33) as usize % (i + 1);
                 shuffled.swap(i, j);
             }
-            let mut a = LossEstimator::new(2, 1000);
-            let mut b = LossEstimator::new(2, 1000);
+            let mut a = LossEstimator::new(1000);
+            let mut b = LossEstimator::new(1000);
             for &id in &sorted { a.record(id); }
             for &id in &shuffled { b.record(id); }
-            prop_assert_eq!(a.len(), b.len());
+            prop_assert_eq!(a.ids.len(), b.ids.len());
             prop_assert!((a.loss_rate() - b.loss_rate()).abs() < 1e-12);
         }
     }

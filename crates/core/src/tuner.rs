@@ -74,7 +74,7 @@ impl FollowerTuner {
         config.validate();
         Self {
             rtt: RttEstimator::new(config.min_list_size, config.max_list_size),
-            loss: LossEstimator::new(config.min_list_size, config.max_list_size),
+            loss: LossEstimator::new(config.max_list_size),
             election_timeout: config.default_election_timeout,
             heartbeat_interval: config.default_heartbeat_interval,
             warmed: false,

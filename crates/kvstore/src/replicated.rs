@@ -9,7 +9,7 @@
 //! [`Request`], the command plus the `(client, req_id)` it came from.
 
 use crate::sessions::{CachedReply, ReqOrigin, Sessions, DEFAULT_REPLY_WINDOW};
-use dynatune_raft::{LogIndex, StateMachine};
+use dynatune_raft::{LogIndex, NodeId, StateMachine};
 use std::fmt::Debug;
 use std::ops::Deref;
 
@@ -18,7 +18,8 @@ use std::ops::Deref;
 /// the executed command sequence. The state is its own snapshot, hence
 /// `Clone`; a fresh replica starts from `Default`.
 pub trait App: Clone + Debug + Default + 'static {
-    /// Client-facing command (what travels in `ClientReq`/`ClientBatch`).
+    /// Client-facing command: what travels in `ClientReq`/`ClientBatch`,
+    /// and what a [`Request`] carries into the log beside its origin.
     type Command: Clone + Debug;
     /// Response returned to clients, and cached per origin for writes.
     type Response: Clone + Debug + CachedReply;
@@ -49,32 +50,25 @@ pub trait App: Clone + Debug + Default + 'static {
     fn approx_bytes(&self) -> usize;
 }
 
-/// What Raft actually replicates: a command plus (for client traffic) the
-/// originating `(client, req_id)`, so a retried request that was already
-/// committed under a previous leader is recognised at apply time instead of
-/// being applied twice.
+/// A client's command and where it came from: the one record a server
+/// holds from admission to reply, and what Raft replicates. The origin
+/// lets every replica recognise a retried request that already committed
+/// under a previous leader, instead of applying it twice.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request<C> {
-    /// The issuing client, if this entry came from client traffic.
-    pub origin: Option<ReqOrigin>,
+    /// The issuing client and its request id.
+    pub origin: ReqOrigin,
     /// The command to apply.
     pub cmd: C,
 }
 
 impl<C> Request<C> {
-    /// A request with no client identity (internal / test traffic; never
-    /// deduplicated).
-    #[must_use]
-    pub fn bare(cmd: C) -> Self {
-        Self { origin: None, cmd }
-    }
-
     /// A request on behalf of `client`'s `req_id` (monotonically increasing
     /// per client).
     #[must_use]
-    pub fn from_client(client: u64, req_id: u64, cmd: C) -> Self {
+    pub fn from_client(client: NodeId, req_id: u64, cmd: C) -> Self {
         Self {
-            origin: Some(ReqOrigin { client, req_id }),
+            origin: ReqOrigin { client, req_id },
             cmd,
         }
     }
@@ -183,24 +177,21 @@ impl<A: App> StateMachine for Replicated<A> {
     }
 
     fn apply(&mut self, index: LogIndex, request: &Self::Command) -> A::Response {
-        match request.origin {
-            // Only mutating commands need exactly-once protection:
-            // re-executing a retried read is harmless (it re-reads at the
-            // retry's commit point), and keeping read responses out of the
-            // sessions keeps replicated state — and every snapshot built
-            // from it — small.
-            Some(origin) if !A::is_read(&request.cmd) => {
-                if let Some(cached) = self.sessions.get(origin) {
-                    // Duplicate of an already-applied request: idempotent
-                    // replay of the original response.
-                    return cached.clone();
-                }
-                let resp = self.app.execute(index, &request.cmd);
-                self.sessions.record(origin, resp.clone());
-                resp
-            }
-            _ => self.app.execute(index, &request.cmd),
+        // Only mutating commands need exactly-once protection: re-executing
+        // a retried read is harmless (it re-reads at the retry's commit
+        // point), and keeping read responses out of the sessions keeps
+        // replicated state — and every snapshot built from it — small.
+        if A::is_read(&request.cmd) {
+            return self.app.execute(index, &request.cmd);
         }
+        if let Some(cached) = self.sessions.get(request.origin) {
+            // Duplicate of an already-applied request: idempotent replay
+            // of the original response.
+            return cached.clone();
+        }
+        let resp = self.app.execute(index, &request.cmd);
+        self.sessions.record(request.origin, resp.clone());
+        resp
     }
 
     fn snapshot(&self) -> Self {
@@ -259,31 +250,26 @@ mod tests {
         assert_eq!(r.apply(2, &write), 1);
         assert_eq!(r.0, 1, "the write executed once");
 
-        // Without an origin there is nothing to dedupe on.
-        r.apply(3, &Request::bare(WRITE));
-        r.apply(4, &Request::bare(WRITE));
-        assert_eq!(r.0, 3);
-
         // Reads stay out of the cache in both directions: the response is
         // not recorded, and the retried read re-executes on current state.
         let read = Request::from_client(1, 2, READ);
-        assert_eq!(r.apply(5, &read), 3);
+        assert_eq!(r.apply(3, &read), 1);
         assert_eq!(r.sessions().get(at(1, 2)), None);
-        r.apply(6, &Request::from_client(1, 3, WRITE));
-        assert_eq!(r.apply(7, &read), 4);
-        assert_eq!(r.read(&READ), Some(4));
+        r.apply(4, &Request::from_client(1, 3, WRITE));
+        assert_eq!(r.apply(5, &read), 2);
+        assert_eq!(r.read(&READ), Some(2));
         assert_eq!(r.read(&WRITE), None);
 
         // A restored replica dedupes the same retry.
         let mut restored = Replicated::<Counter>::new();
         restored.restore(&r.snapshot());
         assert_eq!(restored, r);
-        assert_eq!(restored.apply(8, &write), 1);
-        assert_eq!(restored.0, 4);
+        assert_eq!(restored.apply(6, &write), 1);
+        assert_eq!(restored.0, 2);
 
-        // Two replies are cached: 1 (1 + 1 bytes) and 4 (1 + 4 bytes).
-        assert_eq!(r.sessions().approx_bytes(), 7);
-        assert_eq!(r.approx_bytes(), 2 + 7);
+        // Two replies are cached: 1 (1 + 1 bytes) and 2 (1 + 2 bytes).
+        assert_eq!(r.sessions().approx_bytes(), 5);
+        assert_eq!(r.approx_bytes(), 2 + 5);
         assert_eq!(Replicated::<Counter>::command_bytes(&write), 16 + 3);
     }
 

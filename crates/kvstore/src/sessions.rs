@@ -1,15 +1,17 @@
 //! The per-client reply cache (Raft §6.3 client sessions), laid out so a
 //! snapshot shares it with the live state instead of copying it.
 
+use dynatune_raft::NodeId;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-/// Identity of a client request, replicated inside the log entry so every
-/// replica can deduplicate retries.
+/// Where a client request came from: the client's host and its request
+/// id. Every logged request carries one, so every replica deduplicates
+/// retries the same way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReqOrigin {
     /// The issuing client (world host id).
-    pub client: u64,
+    pub client: NodeId,
     /// The client's request id, monotonically increasing per client.
     pub req_id: u64,
 }
@@ -85,7 +87,7 @@ pub trait CachedReply {
 /// in-order ids. Dropping a clone releases references, not replies.
 #[derive(Debug, Clone)]
 pub struct Sessions<R> {
-    by_client: BTreeMap<u64, ClientWindow<R>>,
+    by_client: BTreeMap<NodeId, ClientWindow<R>>,
     /// Sliding id window retained per client (identical on every replica,
     /// so it is config rather than replicated state even though it rides
     /// along in snapshot clones).
@@ -140,7 +142,7 @@ impl<R> Sessions<R> {
 
     /// Number of replies cached for `client` (observers and tests).
     #[must_use]
-    pub fn live_len(&self, client: u64) -> usize {
+    pub fn live_len(&self, client: NodeId) -> usize {
         self.by_client.get(&client).map_or(0, |w| w.live().count())
     }
 }
@@ -301,7 +303,7 @@ impl<R: CachedReply + Clone> ClientWindow<R> {
 impl<R> Sessions<R> {
     /// For each chunk of `client`'s window, in order: its length, and
     /// whether `other` holds the same allocation at the same position.
-    pub(crate) fn chunk_sharing(&self, other: &Self, client: u64) -> Vec<(usize, bool)> {
+    pub(crate) fn chunk_sharing(&self, other: &Self, client: NodeId) -> Vec<(usize, bool)> {
         let (mine, theirs) = (&self.by_client[&client], &other.by_client[&client]);
         mine.chunks
             .iter()
@@ -323,7 +325,7 @@ mod tests {
     /// as the executable specification the model property holds it to.
     #[derive(Debug, Clone, PartialEq)]
     struct Model<R> {
-        by_client: BTreeMap<u64, BTreeMap<u64, R>>,
+        by_client: BTreeMap<NodeId, BTreeMap<u64, R>>,
         window: u64,
     }
 
@@ -370,7 +372,7 @@ mod tests {
         replies.map(CachedReply::cached_bytes).sum()
     }
 
-    fn at(client: u64, req_id: u64) -> ReqOrigin {
+    fn at(client: NodeId, req_id: u64) -> ReqOrigin {
         ReqOrigin { client, req_id }
     }
 
@@ -502,7 +504,7 @@ mod tests {
 
     /// Everything observable about `real` matches `model`; `get` is swept
     /// over `client`, the one whose chunks the step could have touched.
-    fn assert_matches(real: &Sessions<u16>, model: &Model<u16>, client: u64) {
+    fn assert_matches(real: &Sessions<u16>, model: &Model<u16>, client: NodeId) {
         assert_invariants(real);
         assert!(real.replies().eq(model.replies()));
         assert_eq!(real.approx_bytes(), bytes_of(model.replies()));
@@ -532,7 +534,7 @@ mod tests {
         ) {
             let mut copies = vec![(Sessions::new(window), Model::new(window))];
             for (copy, client, step, reply) in steps {
-                let copy = copy % copies.len();
+                let (copy, client) = (copy % copies.len(), client as NodeId);
                 let newest = copies[copy]
                     .1
                     .by_client

@@ -343,7 +343,7 @@ pub type KvRequest = Request<KvCommand>;
 mod tests {
     use super::*;
     use crate::sessions::ReqOrigin;
-    use dynatune_raft::StateMachine;
+    use dynatune_raft::{NodeId, StateMachine};
 
     fn b(s: &str) -> Bytes {
         Bytes::copy_from_slice(s.as_bytes())
@@ -557,18 +557,6 @@ mod tests {
     }
 
     #[test]
-    fn store_bare_requests_bypass_the_cache() {
-        let mut s = Store::new();
-        let put = KvRequest::bare(KvCommand::Put {
-            key: b("k"),
-            value: b("v"),
-        });
-        s.apply(1, &put);
-        s.apply(2, &put);
-        assert_eq!(s.peek(b"k").unwrap().version, 2, "no dedup without origin");
-    }
-
-    #[test]
     fn store_reply_window_slides() {
         // A small window keeps the test fast while exercising the same
         // eviction.
@@ -609,10 +597,14 @@ mod tests {
         let mut s = Store::new();
         s.apply(
             1,
-            &KvRequest::bare(KvCommand::Put {
-                key: b("k"),
-                value: b("v1"),
-            }),
+            &KvRequest::from_client(
+                1,
+                1,
+                KvCommand::Put {
+                    key: b("k"),
+                    value: b("v1"),
+                },
+            ),
         );
         let get = KvRequest::from_client(9, 5, KvCommand::Get { key: b("k") });
         let first = s.apply(2, &get);
@@ -629,10 +621,14 @@ mod tests {
         // A retried read re-executes and sees the current state.
         s.apply(
             3,
-            &KvRequest::bare(KvCommand::Put {
-                key: b("k"),
-                value: b("v2"),
-            }),
+            &KvRequest::from_client(
+                1,
+                2,
+                KvCommand::Put {
+                    key: b("k"),
+                    value: b("v2"),
+                },
+            ),
         );
         match s.apply(4, &get) {
             KvResponse::Get { value: Some(v) } => assert_eq!(v.value, b("v2")),
@@ -919,7 +915,7 @@ mod tests {
                 let mut s = Store::from_parts(KvStore::new(), window);
                 for (i, (client, cmd)) in cmds.iter().enumerate() {
                     let i = i as u64;
-                    s.apply(i + 1, &KvRequest::from_client(*client, i, cmd.clone()));
+                    s.apply(i + 1, &KvRequest::from_client(*client as NodeId, i, cmd.clone()));
                     prop_assert_eq!(App::approx_bytes(&*s), recomputed_kv(&s));
                     prop_assert_eq!(s.approx_bytes(), recomputed(&s));
                 }

@@ -51,7 +51,7 @@ pub mod types;
 
 pub use config::{RaftConfig, TimerQuantization};
 pub use events::RaftEvent;
-pub use log::{AppendOutcome, Entry, RaftLog};
+pub use log::{AppendOutcome, Entry, EntryData, RaftLog};
 pub use membership::{ConfChange, Membership};
 pub use message::{
     AppendEntries, AppendResp, Heartbeat, HeartbeatResp, InstallSnapshot, OutMsg, Payload,

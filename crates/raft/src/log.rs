@@ -4,31 +4,40 @@ use crate::membership::ConfChange;
 use crate::types::{LogIndex, Term};
 use dynatune_core::invariant_violated;
 
-/// One log entry. `data == None` is the no-op entry a new leader appends to
-/// commit entries from previous terms (the etcd convention). A
-/// configuration change travels as an entry with `conf` set; it takes
-/// effect the moment it is appended (Raft §6), not when it commits.
+/// What a log entry carries: exactly one of the three things a Raft log
+/// stores (§5–§6).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum EntryData<C> {
+    /// The no-op a new leader appends to commit entries from previous
+    /// terms (the etcd convention). Applies nothing.
+    Noop,
+    /// A state-machine command.
+    Command(C),
+    /// A configuration change. It takes effect the moment it is appended
+    /// (Raft §6), not when it commits, and applies nothing.
+    Conf(ConfChange),
+}
+
+/// One log entry: where it sits, the term that created it, and what it
+/// carries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Entry<C> {
     /// Term in which the entry was created.
     pub term: Term,
     /// Position in the log (1-based).
     pub index: LogIndex,
-    /// The command, or `None` for a leader-change no-op.
-    pub data: Option<C>,
-    /// The configuration change this entry carries, if any.
-    pub conf: Option<ConfChange>,
+    /// The no-op, command or configuration change.
+    pub data: EntryData<C>,
 }
 
 impl<C> Entry<C> {
-    /// A normal entry (command or leader no-op).
+    /// A command entry, or the leader no-op for `None`.
     #[must_use]
     pub fn normal(term: Term, index: LogIndex, data: Option<C>) -> Self {
         Self {
             term,
             index,
-            data,
-            conf: None,
+            data: data.map_or(EntryData::Noop, EntryData::Command),
         }
     }
 }
@@ -138,7 +147,8 @@ impl<C: Clone> RaftLog<C> {
         self.entries.push(entry);
     }
 
-    /// Leader helper: create and append a new entry at the tail.
+    /// Leader helper: append a command (or, for `None`, the leader no-op)
+    /// at the tail.
     pub fn append_new(&mut self, term: Term, data: Option<C>) -> LogIndex {
         let index = self.last_index() + 1;
         self.entries.push(Entry::normal(term, index, data));
@@ -151,8 +161,7 @@ impl<C: Clone> RaftLog<C> {
         self.entries.push(Entry {
             term,
             index,
-            data: None,
-            conf: Some(conf),
+            data: EntryData::Conf(conf),
         });
         index
     }
@@ -299,7 +308,7 @@ mod tests {
         assert_eq!(log.last_index(), 3);
         assert_eq!(log.last_term(), 2);
         assert_eq!(log.term_at(2), Some(1));
-        assert_eq!(log.entry_at(3).unwrap().data, Some(2));
+        assert_eq!(log.entry_at(3).unwrap().data, EntryData::Command(2));
         assert_eq!(log.len(), 3);
     }
 
@@ -350,7 +359,7 @@ mod tests {
         assert_eq!(out, AppendOutcome::Success { last_index: 3 });
         assert_eq!(log.last_index(), 3);
         assert_eq!(log.term_at(3), Some(2));
-        assert_eq!(log.entry_at(3).unwrap().data, Some(99));
+        assert_eq!(log.entry_at(3).unwrap().data, EntryData::Command(99));
     }
 
     #[test]
@@ -484,8 +493,8 @@ mod tests {
             } else {
                 prop_assert_eq!(log.term_at(probe), full.term_at(probe));
                 prop_assert_eq!(
-                    log.entry_at(probe).map(|e| e.data),
-                    full.entry_at(probe).map(|e| e.data)
+                    log.entry_at(probe).map(|e| &e.data),
+                    full.entry_at(probe).map(|e| &e.data)
                 );
             }
             // entries_from: empty at or below the base, suffix-equal above.

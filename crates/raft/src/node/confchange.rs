@@ -5,7 +5,7 @@
 use super::replication::Peer;
 use super::{NodeEffects, NotLeader, RaftNode, RoleState};
 use crate::events::RaftEvent;
-use crate::log::Entry;
+use crate::log::{Entry, EntryData};
 use crate::membership::{ConfChange, Membership};
 use crate::state_machine::{Effects, StateMachine};
 use crate::types::{LogIndex, NodeId, Role, Term};
@@ -187,7 +187,7 @@ impl<SM: StateMachine> RaftNode<SM> {
             changed = true;
         }
         for e in offered {
-            let Some(conf) = &e.conf else {
+            let EntryData::Conf(conf) = &e.data else {
                 continue;
             };
             if self.log.term_at(e.index) != Some(e.term) {

@@ -4,7 +4,7 @@
 
 use super::reads::ReadState;
 use super::{send, NodeEffects, NotLeader, RaftNode, RoleState};
-use crate::log::AppendOutcome;
+use crate::log::{AppendOutcome, EntryData};
 use crate::message::{AppendEntries, AppendResp, Payload};
 use crate::progress::Progress;
 use crate::state_machine::{Applied, Effects, StateMachine};
@@ -540,7 +540,10 @@ impl<SM: StateMachine> RaftNode<SM> {
                 );
             };
             let term = entry.term;
-            let response = entry.data.as_ref().map(|cmd| self.sm.apply(index, cmd));
+            let response = match &entry.data {
+                EntryData::Command(cmd) => Some(self.sm.apply(index, cmd)),
+                EntryData::Noop | EntryData::Conf(_) => None,
+            };
             fx.applied.push(Applied {
                 index,
                 term,

@@ -54,7 +54,13 @@ pub struct Progress {
     /// by `RaftConfig::pipeline_window`; an in-flight snapshot occupies the
     /// whole window by itself (see [`Progress::window_free`]).
     pub inflight: VecDeque<InflightSend>,
-    /// Last time *any* message was received from this follower (check-quorum).
+    /// Receive instant of this follower's freshest term-matching ack: a
+    /// heartbeat ack or an `AppendResp`, which also answers a snapshot
+    /// (the election instant until one lands), like etcd's `RecentActive`.
+    /// Check-quorum reads it. It is not folded into
+    /// [`Progress::lease_basis`]: that is a send instant, one round trip
+    /// older, and a check-quorum on it deposes healthy leaders whose
+    /// election timeout sits close to the round trip (Raft-Low).
     pub last_active: SimTime,
     /// Last included index of an in-flight `InstallSnapshot`, if one is
     /// outstanding. Snapshot transfers are bulky, so their resend timer is
@@ -65,11 +71,15 @@ pub struct Progress {
     /// follower has acknowledged (from the reply's echoed timestamp): the
     /// proof that it still accepted this leader's term after that instant.
     /// It is the leader's one leadership record for both log-free read
-    /// paths; check-quorum reads `last_active` instead. The lease holds while a quorum's basis is younger than the
+    /// paths. The lease holds while a quorum's basis is younger than the
     /// lease window; a ReadIndex round registered at `T` is confirmed once
-    /// a quorum's basis is `>= T`. Both acks renew it: the follower re-armed
-    /// its election timer on either, and the echo carries the exact send
-    /// time, so a reordered ack can never inflate it.
+    /// a quorum's basis is `>= T`. Both acks renew it: the follower
+    /// re-armed its election timer on either, and the echo carries the
+    /// exact send time, so a reordered ack can never inflate it. It starts
+    /// at zero, so no lease holds before the first ack. Check-quorum reads
+    /// [`Progress::last_active`] instead, the receive instant of the same
+    /// acks: a read must not outlive the proof, while a step-down must not
+    /// come a round trip early.
     pub lease_basis: SimTime,
 }
 

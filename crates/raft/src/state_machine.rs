@@ -74,7 +74,8 @@ pub struct Applied<R> {
     pub index: LogIndex,
     /// Term of the applied entry.
     pub term: Term,
-    /// The state machine's response (`None` for leader no-op entries).
+    /// The state machine's response (`None` for no-op and conf-change
+    /// entries, which apply nothing).
     pub response: Option<R>,
 }
 

@@ -13,8 +13,8 @@
 #![allow(dead_code)] // each suite drives a different subset
 
 use dynatune_raft::{
-    quorum, LogIndex, NodeEffects, NodeId, NullStateMachine, Payload, RaftConfig, RaftEvent,
-    RaftNode, Role, Term,
+    quorum, EntryData, LogIndex, NodeEffects, NodeId, NullStateMachine, Payload, RaftConfig,
+    RaftEvent, RaftNode, Role, Term,
 };
 use dynatune_simnet::SimTime;
 use proptest::prelude::*;
@@ -51,7 +51,7 @@ pub struct Harness<H: Hooks = ()> {
     leaders_by_term: BTreeMap<Term, NodeId>,
     max_term_seen: Vec<Term>,
     /// `(term, data)` of every entry any node was ever seen to commit.
-    committed: BTreeMap<LogIndex, (Term, Option<u64>)>,
+    committed: BTreeMap<LogIndex, (Term, EntryData<u64>)>,
 }
 
 impl<H: Hooks> Harness<H> {
@@ -267,7 +267,7 @@ impl<H: Hooks> Harness<H> {
                         );
                     }
                     if let (Some(ea), Some(eb)) = (la.entry_at(i), lb.entry_at(i)) {
-                        prop_assert_eq!(ea.data, eb.data, "data diverges at {}", i);
+                        prop_assert_eq!(&ea.data, &eb.data, "data diverges at {}", i);
                     }
                 }
             }
@@ -316,12 +316,12 @@ impl<H: Hooks> Harness<H> {
         for node in &self.nodes {
             let first = node.log().first_index().max(1);
             for i in first..=node.commit_index() {
-                let Some(term) = node.log().term_at(i) else {
+                let Some(e) = node.log().entry_at(i) else {
                     continue;
                 };
-                let entry = (term, node.log().entry_at(i).and_then(|e| e.data));
-                let seen = *self.committed.entry(i).or_insert(entry);
-                prop_assert_eq!(seen, entry, "committed entry {} changed after commit", i);
+                let entry = (e.term, e.data.clone());
+                let seen = self.committed.entry(i).or_insert_with(|| entry.clone());
+                prop_assert_eq!(&*seen, &entry, "committed entry {} changed after commit", i);
             }
         }
         Ok(())

@@ -8,7 +8,7 @@
 use std::mem::size_of;
 
 use bytes::Bytes;
-use dynatune_broker::{BrokerState, Record};
+use dynatune_broker::{BrokerCommand, BrokerState, Record};
 use dynatune_cluster::{ClusterMsg, OpRecord};
 use dynatune_kv::{KvCommand, KvStore, Request, VersionedValue};
 use dynatune_raft::{AppendEntries, AppendResp, Entry};
@@ -19,7 +19,14 @@ fn per_operation_types_keep_their_budgets() {
     assert_eq!(size_of::<VersionedValue>(), 40, "VersionedValue");
     // One bucket of `KvStore`'s hash index.
     assert_eq!(size_of::<(Bytes, VersionedValue)>(), 56, "KvStore bucket");
-    assert_eq!(size_of::<Entry<Request<KvCommand>>>(), 144, "KV log entry");
+    // A log entry holds one of no-op, command or conf change, and a
+    // command always names its origin.
+    assert_eq!(size_of::<Entry<Request<KvCommand>>>(), 88, "KV log entry");
+    assert_eq!(
+        size_of::<Entry<Request<BrokerCommand>>>(),
+        96,
+        "broker log entry"
+    );
     assert_eq!(size_of::<OpRecord>(), 48, "OpRecord");
     assert_eq!(size_of::<Record>(), 32, "broker Record");
 }
