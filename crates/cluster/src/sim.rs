@@ -632,6 +632,30 @@ mod tests {
         assert_eq!(role, Role::Follower);
     }
 
+    /// A paused follower buffers the leader's heartbeats, and resuming it
+    /// replays them at the resume instant; a crash-restart in between
+    /// drops them, so the restarted node is handed nothing sent before it.
+    #[test]
+    fn crash_restart_drops_the_pause_buffer() {
+        let replayed = |crash: bool| {
+            let mut sim = stable_cluster(TuningConfig::raft_default(), 4);
+            sim.run_until(SimTime::from_secs(10));
+            let leader = sim.leader().expect("initial leader");
+            let follower = (leader + 1) % 5;
+            sim.pause(follower);
+            sim.run_for(Duration::from_secs(1));
+            if crash {
+                sim.crash_restart(follower);
+            }
+            sim.resume(follower);
+            let before = sim.net_counters().delivered;
+            sim.run_until(sim.now());
+            sim.net_counters().delivered - before
+        };
+        assert!(replayed(false) >= 5, "the pause buffer held the heartbeats");
+        assert_eq!(replayed(true), 0, "a crash empties the pause buffer");
+    }
+
     /// Check-quorum reads each ack's receive instant
     /// (`Progress::last_active`), not the echoed send instant the lease
     /// reads. Under Raft-Low the election timeout sits close to the round

@@ -98,69 +98,3 @@ pub enum RaftEvent {
         read_index: LogIndex,
     },
 }
-
-impl RaftEvent {
-    /// Short tag for logs and traces.
-    #[must_use]
-    pub fn kind(&self) -> &'static str {
-        match self {
-            RaftEvent::ElectionTimeout { .. } => "election_timeout",
-            RaftEvent::PreVoteStarted { .. } => "pre_vote_started",
-            RaftEvent::CampaignRetry { .. } => "campaign_retry",
-            RaftEvent::PreVoteAborted { .. } => "pre_vote_aborted",
-            RaftEvent::ElectionStarted { .. } => "election_started",
-            RaftEvent::BecameLeader { .. } => "became_leader",
-            RaftEvent::BecameFollower { .. } => "became_follower",
-            RaftEvent::SteppedDown { .. } => "stepped_down",
-            RaftEvent::TunerReset => "tuner_reset",
-            RaftEvent::SnapshotSent { .. } => "snapshot_sent",
-            RaftEvent::SnapshotInstalled { .. } => "snapshot_installed",
-            RaftEvent::MembershipChanged { .. } => "membership_changed",
-            RaftEvent::ReadConfirmRound { .. } => "read_confirm_round",
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn kinds_are_distinct() {
-        let events = [
-            RaftEvent::ElectionTimeout {
-                term: 1,
-                randomized_timeout: Duration::from_millis(150),
-            },
-            RaftEvent::PreVoteStarted { campaign_term: 2 },
-            RaftEvent::CampaignRetry { term: 2 },
-            RaftEvent::PreVoteAborted { term: 1 },
-            RaftEvent::ElectionStarted { term: 2 },
-            RaftEvent::BecameLeader { term: 2 },
-            RaftEvent::BecameFollower {
-                term: 2,
-                leader: Some(1),
-            },
-            RaftEvent::SteppedDown { term: 2 },
-            RaftEvent::TunerReset,
-            RaftEvent::SnapshotSent {
-                to: 1,
-                last_included_index: 9,
-            },
-            RaftEvent::SnapshotInstalled {
-                last_included_index: 9,
-            },
-            RaftEvent::MembershipChanged {
-                index: 4,
-                voters: 3,
-                learners: 1,
-                joint: false,
-            },
-            RaftEvent::ReadConfirmRound { read_index: 1 },
-        ];
-        let mut kinds: Vec<&str> = events.iter().map(RaftEvent::kind).collect();
-        kinds.sort_unstable();
-        kinds.dedup();
-        assert_eq!(kinds.len(), events.len());
-    }
-}

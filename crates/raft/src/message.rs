@@ -177,22 +177,6 @@ impl<C, S> Payload<C, S> {
             Payload::RequestVoteResp(m) => m.term,
         }
     }
-
-    /// Short kind tag for tracing and cost accounting.
-    #[must_use]
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Payload::Heartbeat(_) => "heartbeat",
-            Payload::HeartbeatResp(_) => "heartbeat_resp",
-            Payload::AppendEntries(_) => "append",
-            Payload::AppendResp(_) => "append_resp",
-            Payload::InstallSnapshot(_) => "install_snapshot",
-            Payload::RequestVote(m) if m.pre_vote => "pre_vote",
-            Payload::RequestVote(_) => "vote",
-            Payload::RequestVoteResp(m) if m.pre_vote => "pre_vote_resp",
-            Payload::RequestVoteResp(_) => "vote_resp",
-        }
-    }
 }
 
 /// An addressed outbound message produced by the node.
@@ -245,24 +229,11 @@ mod tests {
             data: (),
         }));
         assert_eq!(snap.channel(true), Channel::Tcp);
-        assert_eq!(snap.kind(), "install_snapshot");
         assert_eq!(snap.term(), 2);
     }
 
     #[test]
     fn term_extraction() {
         assert_eq!(heartbeat().term(), 3);
-    }
-
-    #[test]
-    fn kind_tags() {
-        assert_eq!(heartbeat().kind(), "heartbeat");
-        let pv: Payload<u32, ()> = Payload::RequestVote(RequestVote {
-            term: 2,
-            pre_vote: true,
-            last_log_index: 0,
-            last_log_term: 0,
-        });
-        assert_eq!(pv.kind(), "pre_vote");
     }
 }

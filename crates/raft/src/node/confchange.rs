@@ -300,8 +300,12 @@ mod tests {
             "a deposed leader sends the acker nothing further: {:?}",
             fx.messages
         );
-        let kinds: Vec<&str> = fx.events.iter().map(RaftEvent::kind).collect();
-        assert!(kinds.contains(&"stepped_down"), "events: {kinds:?}");
+        let ev = &fx.events;
+        assert!(
+            ev.iter()
+                .any(|e| matches!(e, RaftEvent::SteppedDown { .. })),
+            "{ev:?}"
+        );
     }
 
     /// Per-peer loops send in ascending id order — also after a learner

@@ -405,14 +405,22 @@ mod tests {
         let fx = n.tick(deadline);
         assert_eq!(n.role(), Role::PreCandidate);
         assert_eq!(n.term(), 0, "pre-vote must not bump the term");
-        let kinds: Vec<&str> = fx.events.iter().map(RaftEvent::kind).collect();
-        assert!(kinds.contains(&"election_timeout"));
-        assert!(kinds.contains(&"pre_vote_started"));
+        let ev = &fx.events;
+        assert!(
+            ev.iter()
+                .any(|e| matches!(e, RaftEvent::ElectionTimeout { .. })),
+            "{ev:?}"
+        );
+        assert!(
+            ev.iter()
+                .any(|e| matches!(e, RaftEvent::PreVoteStarted { .. })),
+            "{ev:?}"
+        );
         // Pre-vote requests to all 4 peers.
         let pre_votes = fx
             .messages
             .iter()
-            .filter(|m| m.payload.kind() == "pre_vote")
+            .filter(|m| matches!(&m.payload, Payload::RequestVote(v) if v.pre_vote))
             .count();
         assert_eq!(pre_votes, 4);
     }
@@ -438,12 +446,20 @@ mod tests {
         let appends = fx
             .messages
             .iter()
-            .filter(|m| m.payload.kind() == "append")
+            .filter(|m| matches!(&m.payload, Payload::AppendEntries(_)))
             .count();
         assert_eq!(appends, 4);
-        let kinds: Vec<&str> = fx.events.iter().map(RaftEvent::kind).collect();
-        assert!(kinds.contains(&"election_started"));
-        assert!(kinds.contains(&"became_leader"));
+        let ev = &fx.events;
+        assert!(
+            ev.iter()
+                .any(|e| matches!(e, RaftEvent::ElectionStarted { .. })),
+            "{ev:?}"
+        );
+        assert!(
+            ev.iter()
+                .any(|e| matches!(e, RaftEvent::BecameLeader { .. })),
+            "{ev:?}"
+        );
     }
 
     #[test]
@@ -617,8 +633,12 @@ mod tests {
         );
         assert_eq!(n.role(), Role::Follower);
         assert_eq!(n.leader_id(), Some(0));
-        let kinds: Vec<&str> = fx.events.iter().map(RaftEvent::kind).collect();
-        assert!(kinds.contains(&"pre_vote_aborted"), "events: {kinds:?}");
+        let ev = &fx.events;
+        assert!(
+            ev.iter()
+                .any(|e| matches!(e, RaftEvent::PreVoteAborted { .. })),
+            "{ev:?}"
+        );
     }
 
     #[test]
@@ -631,12 +651,16 @@ mod tests {
         assert!(d2 > d1);
         let fx = n.tick(d2);
         assert_eq!(n.role(), Role::PreCandidate);
-        let kinds: Vec<&str> = fx.events.iter().map(RaftEvent::kind).collect();
-        assert!(kinds.contains(&"campaign_retry"));
+        let ev = &fx.events;
+        assert!(
+            ev.iter()
+                .any(|e| matches!(e, RaftEvent::CampaignRetry { .. })),
+            "{ev:?}"
+        );
         let pre_votes = fx
             .messages
             .iter()
-            .filter(|m| m.payload.kind() == "pre_vote")
+            .filter(|m| matches!(&m.payload, Payload::RequestVote(v) if v.pre_vote))
             .count();
         assert_eq!(pre_votes, 4);
     }

@@ -139,7 +139,7 @@ mod tests {
         let resp = fx
             .messages
             .iter()
-            .find(|m| m.payload.kind() == "heartbeat_resp")
+            .find(|m| matches!(&m.payload, Payload::HeartbeatResp(_)))
             .expect("heartbeat response");
         assert_eq!(resp.to, 0);
         match &resp.payload {
@@ -199,7 +199,7 @@ mod tests {
         let hbs = fx
             .messages
             .iter()
-            .filter(|m| m.payload.kind() == "heartbeat")
+            .filter(|m| matches!(&m.payload, Payload::Heartbeat(_)))
             .count();
         assert_eq!(hbs, 2, "one heartbeat per follower");
         // Default interval 100ms: nothing due 50ms later.
@@ -207,7 +207,7 @@ mod tests {
         assert_eq!(
             fx.messages
                 .iter()
-                .filter(|m| m.payload.kind() == "heartbeat")
+                .filter(|m| matches!(&m.payload, Payload::Heartbeat(_)))
                 .count(),
             0
         );
@@ -215,7 +215,7 @@ mod tests {
         assert_eq!(
             fx.messages
                 .iter()
-                .filter(|m| m.payload.kind() == "heartbeat")
+                .filter(|m| matches!(&m.payload, Payload::Heartbeat(_)))
                 .count(),
             2
         );
@@ -238,7 +238,11 @@ mod tests {
         let fx = leader.step(ms(5000), 2, Payload::Heartbeat(hb));
         assert_eq!(leader.role(), Role::Follower);
         assert_eq!(leader.leader_id(), Some(2));
-        let kinds: Vec<&str> = fx.events.iter().map(RaftEvent::kind).collect();
-        assert!(kinds.contains(&"stepped_down"));
+        let ev = &fx.events;
+        assert!(
+            ev.iter()
+                .any(|e| matches!(e, RaftEvent::SteppedDown { .. })),
+            "{ev:?}"
+        );
     }
 }

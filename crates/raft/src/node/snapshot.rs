@@ -213,7 +213,7 @@ mod tests {
         let snap_msgs: Vec<_> = fx
             .messages
             .iter()
-            .filter(|m| m.payload.kind() == "install_snapshot")
+            .filter(|m| matches!(&m.payload, Payload::InstallSnapshot(_)))
             .collect();
         assert_eq!(snap_msgs.len(), 1, "stall must become a snapshot stream");
         assert_eq!(snap_msgs[0].to, 2);
@@ -312,13 +312,17 @@ mod tests {
         assert_eq!(n.commit_index(), 7);
         assert_eq!(n.last_applied(), 7);
         assert_eq!(n.state_machine().applied, vec![(7, 77)]);
-        let kinds: Vec<&str> = fx.events.iter().map(RaftEvent::kind).collect();
-        assert!(kinds.contains(&"snapshot_installed"), "events: {kinds:?}");
+        let ev = &fx.events;
+        assert!(
+            ev.iter()
+                .any(|e| matches!(e, RaftEvent::SnapshotInstalled { .. })),
+            "{ev:?}"
+        );
         // Acked through the regular append path so progress advances.
         let ack = fx
             .messages
             .iter()
-            .find(|m| m.payload.kind() == "append_resp")
+            .find(|m| matches!(&m.payload, Payload::AppendResp(_)))
             .expect("snapshot ack");
         match &ack.payload {
             Payload::AppendResp(r) => {
@@ -509,7 +513,7 @@ mod tests {
         assert!(fx
             .messages
             .iter()
-            .any(|m| m.payload.kind() == "install_snapshot"));
+            .any(|m| matches!(&m.payload, Payload::InstallSnapshot(_))));
         assert_eq!(n.state_machine().snapshots.get(), 1, "one stream, one cut");
     }
 

@@ -15,8 +15,8 @@
 //! * two channel disciplines ([`Channel::Udp`] and [`Channel::Tcp`]) —
 //!   the paper's hybrid transport (§III-E);
 //! * a [`World`] kernel hosting protocol endpoints ([`Host`]) with message
-//!   delivery, wake-up timers, control injection, and the paper's
-//!   container-pause failure mode.
+//!   delivery, wake-up timers, and the paper's container-pause failure
+//!   mode.
 //!
 //! The simulator is protocol-agnostic; the Raft/Dynatune stack lives in the
 //! `dynatune-raft` and `dynatune-core` crates and plugs in via [`Host`].
@@ -38,6 +38,6 @@ pub use link::{Channel, Network, NodeId, SendOutcome, MIN_ONE_WAY_DELAY, TCP_MIN
 pub use params::NetParams;
 pub use rng::Rng;
 pub use schedule::LinkSchedule;
-pub use time::{duration_millis_f64, millis, SimTime};
+pub use time::{millis, SimTime};
 pub use topology::{geo_rtt, geo_topology, Region, Topology};
 pub use world::{Host, HostCtx, NetCounters, World, PAUSE_BUFFER_CAP};

@@ -101,12 +101,6 @@ fn duration_nanos(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Duration expressed as fractional milliseconds (for reporting).
-#[must_use]
-pub fn duration_millis_f64(d: Duration) -> f64 {
-    d.as_secs_f64() * 1e3
-}
-
 /// Build a `Duration` from fractional milliseconds.
 ///
 /// # Panics
@@ -185,7 +179,6 @@ mod tests {
     #[test]
     fn millis_helper() {
         assert_eq!(millis(1.5), Duration::from_micros(1500));
-        assert_eq!(duration_millis_f64(Duration::from_micros(2500)), 2.5);
     }
 
     #[test]

@@ -6,23 +6,24 @@
 //! deadline. The kernel guarantees:
 //!
 //! * events are processed in non-decreasing time order, ties broken by
-//!   sequence number (deterministic). Messages and controls take theirs when
-//!   they are scheduled. A host has at most one live wake-up, and it takes
-//!   its number at its *last reschedule* — after every dispatch to the host
-//!   and on every [`World::reschedule_wake`] — so a wake-up sorts behind
-//!   every same-instant event scheduled before that reschedule and ahead of
-//!   every one scheduled after it. A wake-up due in the past fires at `now`;
+//!   sequence number (deterministic). A message takes its number when it is
+//!   sent. A host has at most one live wake-up, and it takes its number at
+//!   its *last reschedule* — after every dispatch to the host and on every
+//!   [`World::reschedule_wake`] — so a wake-up sorts behind every
+//!   same-instant message sent before that reschedule and ahead of every
+//!   one sent after it. A wake-up due in the past fires at `now`;
 //! * a paused host (the paper's `docker pause` failure mode) processes
 //!   nothing: its live wake-up is dropped (resume reschedules it with a fresh
 //!   sequence number); inbound messages are buffered up to a cap and
 //!   replayed on resume, mimicking kernel socket buffers on a frozen
 //!   container;
-//! * every mutation is driven by the queue, so equal seeds produce equal
-//!   traces.
+//! * the queue holds deliveries only. Faults (pause, resume, partition, a
+//!   moved wake-up) are calls the driver makes between [`World::run_until`]
+//!   slices, so equal seeds and equal calls produce equal traces.
 //!
 //! The queue is three flat structures: a binary heap of 24-byte
-//! `(at, seq, slot)` keys for messages and controls, a slab holding each
-//! such event from `push` until it is popped, and one `(at, seq)` wake-up
+//! `(at, seq, slot)` keys for messages, a slab holding each message from
+//! `push` until it is popped, and one `(at, seq)` wake-up
 //! per host in a table, so rescheduling a wake-up overwrites the old one
 //! instead of leaving it in the heap. The table is scanned once per event:
 //! O(hosts), where the heap it replaced was O(log queue). The registered
@@ -95,13 +96,11 @@ pub struct NetCounters {
     pub wakes: u64,
 }
 
-enum Event<H: Host> {
-    Deliver {
-        from: NodeId,
-        to: NodeId,
-        msg: H::Msg,
-    },
-    Control(ControlFn<H>),
+/// A message in flight, held in the slab until it is due.
+struct Delivery<M> {
+    from: NodeId,
+    to: NodeId,
+    msg: M,
 }
 
 struct HostSlot<H: Host> {
@@ -117,8 +116,6 @@ pub const PAUSE_BUFFER_CAP: usize = 256;
 /// sides). See [`World::exempt_from_partition`].
 const PARTITION_BRIDGE: u32 = u32::MAX;
 
-type ControlFn<H> = Box<dyn FnOnce(&mut World<H>)>;
-
 /// "No live wake-up" in [`World::wakes`]; sorts after every real `(at, seq)`
 /// because no event is ever given sequence number `u64::MAX`.
 const NO_WAKE: (SimTime, u64) = (SimTime::MAX, u64::MAX);
@@ -127,10 +124,10 @@ const NO_WAKE: (SimTime, u64) = (SimTime::MAX, u64::MAX);
 pub struct World<H: Host> {
     now: SimTime,
     seq: u64,
-    /// `(at, seq, slot)` of every pending message and control, earliest first.
+    /// `(at, seq, slot)` of every pending message, earliest first.
     queue: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
     /// Slab the heap's `slot`s index: written at `push`, taken at pop.
-    events: Vec<Option<Event<H>>>,
+    deliveries: Vec<Option<Delivery<H::Msg>>>,
     free_slots: Vec<usize>,
     hosts: Vec<HostSlot<H>>,
     /// The live wake-up of each host as `(at, seq)`, or [`NO_WAKE`].
@@ -152,7 +149,7 @@ impl<H: Host> World<H> {
             now: SimTime::ZERO,
             seq: 0,
             queue: BinaryHeap::new(),
-            events: Vec::new(),
+            deliveries: Vec::new(),
             free_slots: Vec::new(),
             hosts: hosts
                 .into_iter()
@@ -222,26 +219,20 @@ impl<H: Host> World<H> {
         seq
     }
 
-    fn push(&mut self, at: SimTime, event: Event<H>) {
+    fn push(&mut self, at: SimTime, delivery: Delivery<H::Msg>) {
         debug_assert!(at >= self.now, "scheduling into the past");
         let seq = self.next_seq();
         let slot = match self.free_slots.pop() {
             Some(slot) => {
-                self.events[slot] = Some(event);
+                self.deliveries[slot] = Some(delivery);
                 slot
             }
             None => {
-                self.events.push(Some(event));
-                self.events.len() - 1
+                self.deliveries.push(Some(delivery));
+                self.deliveries.len() - 1
             }
         };
         self.queue.push(Reverse((at, seq, slot)));
-    }
-
-    /// Schedule a control action (failure injection, parameter change,
-    /// measurements) at an absolute time.
-    pub fn schedule_control(&mut self, at: SimTime, f: impl FnOnce(&mut World<H>) + 'static) {
-        self.push(at, Event::Control(Box::new(f)));
     }
 
     /// Refresh the pending wake-up for `node` from its `next_wake`.
@@ -275,7 +266,7 @@ impl<H: Host> World<H> {
         slot.paused = false;
         for (from, msg) in std::mem::take(&mut slot.pause_buffer) {
             let to = node;
-            self.push(self.now, Event::Deliver { from, to, msg });
+            self.push(self.now, Delivery { from, to, msg });
         }
         self.reschedule_wake(node);
     }
@@ -284,12 +275,6 @@ impl<H: Host> World<H> {
     /// rather than a sleep).
     pub fn clear_pause_buffer(&mut self, node: NodeId) {
         self.hosts[node].pause_buffer.clear();
-    }
-
-    /// Inject a message from the outside world (e.g. an un-modelled client)
-    /// for delivery at the current instant.
-    pub fn inject(&mut self, from: NodeId, to: NodeId, msg: H::Msg) {
-        self.push(self.now, Event::Deliver { from, to, msg });
     }
 
     /// Partition the network: nodes in `group` can only talk to each other,
@@ -346,7 +331,7 @@ impl<H: Host> World<H> {
         self.counters.sent += 1;
         if from == to {
             // Loopback: deliver immediately.
-            self.push(self.now, Event::Deliver { from, to, msg });
+            self.push(self.now, Delivery { from, to, msg });
             return;
         }
         let (pf, pt) = (self.partition[from], self.partition[to]);
@@ -356,32 +341,27 @@ impl<H: Host> World<H> {
         }
         match self.net.send(self.now, from, to, channel) {
             SendOutcome::Dropped => self.counters.dropped_loss += 1,
-            SendOutcome::Deliver(at) => self.push(at, Event::Deliver { from, to, msg }),
+            SendOutcome::Deliver(at) => self.push(at, Delivery { from, to, msg }),
             SendOutcome::DeliverDup(a, b) => {
                 self.counters.duplicated += 1;
                 self.push(
                     a,
-                    Event::Deliver {
+                    Delivery {
                         from,
                         to,
                         msg: msg.clone(),
                     },
                 );
-                self.push(b, Event::Deliver { from, to, msg });
+                self.push(b, Delivery { from, to, msg });
             }
         }
     }
 
-    /// Process a single event. Returns false, leaving the clock where it is,
-    /// when no message, control or live wake-up is pending. A superseded
-    /// wake-up is not an event: it was overwritten, so no step is spent on it.
-    pub fn step(&mut self) -> bool {
-        self.step_within(SimTime::MAX)
-    }
-
     /// Process the earliest pending event — the heap head or the earliest
     /// live wake-up, whichever has the smaller `(at, seq)` — unless it is due
-    /// after `deadline`. Returns false when nothing was processed.
+    /// after `deadline`. Returns false, leaving the clock where it is, when
+    /// nothing was processed. A superseded wake-up is not an event: it was
+    /// overwritten, so no step is spent on it.
     fn step_within(&mut self, deadline: SimTime) -> bool {
         let (mut wake, mut wake_node) = (NO_WAKE, 0);
         for (node, &w) in self.wakes.iter().enumerate() {
@@ -407,26 +387,24 @@ impl<H: Host> World<H> {
             self.dispatch_to_host(wake_node, None);
             return true;
         }
-        let event = self.queue.pop().and_then(|Reverse((_, _, slot))| {
+        let delivery = self.queue.pop().and_then(|Reverse((_, _, slot))| {
             self.free_slots.push(slot);
-            self.events[slot].take()
+            self.deliveries[slot].take()
         });
-        match event {
-            Some(Event::Deliver { from, to, msg }) => {
-                let slot = &mut self.hosts[to];
-                if slot.paused {
-                    if slot.pause_buffer.len() < PAUSE_BUFFER_CAP {
-                        slot.pause_buffer.push_back((from, msg));
-                    } else {
-                        self.counters.dropped_paused += 1;
-                    }
-                } else {
-                    self.counters.delivered += 1;
-                    self.dispatch_to_host(to, Some((from, msg)));
-                }
+        let Some(Delivery { from, to, msg }) = delivery else {
+            debug_assert!(false, "the heap head has no delivery in the slab");
+            return true;
+        };
+        let slot = &mut self.hosts[to];
+        if slot.paused {
+            if slot.pause_buffer.len() < PAUSE_BUFFER_CAP {
+                slot.pause_buffer.push_back((from, msg));
+            } else {
+                self.counters.dropped_paused += 1;
             }
-            Some(Event::Control(f)) => f(self),
-            None => debug_assert!(false, "the heap head has no event in the slab"),
+        } else {
+            self.counters.delivered += 1;
+            self.dispatch_to_host(to, Some((from, msg)));
         }
         true
     }
@@ -435,11 +413,12 @@ impl<H: Host> World<H> {
     #[cfg(test)]
     fn queue_footprint(&self) -> (usize, usize, usize) {
         let live_wakes = self.wakes.iter().filter(|&&w| w != NO_WAKE).count();
-        (self.queue.len(), self.events.len(), live_wakes)
+        (self.queue.len(), self.deliveries.len(), live_wakes)
     }
 
-    /// Run until the queue is empty or simulated time reaches `deadline`.
-    /// On return, `now() == deadline` unless the queue emptied earlier.
+    /// Dispatch every event due at or before `deadline`, in order, then move
+    /// the clock to `deadline`: it gets there even when nothing is pending
+    /// (a deadline already past leaves the clock where it is).
     pub fn run_until(&mut self, deadline: SimTime) {
         while self.step_within(deadline) {}
         if self.now < deadline {
@@ -550,8 +529,10 @@ mod tests {
     #[test]
     fn paused_host_buffers_and_replays() {
         let mut w = make_world(NetParams::clean(Duration::from_millis(10)));
-        w.schedule_control(SimTime::from_millis(20), |w| w.pause(1));
-        w.schedule_control(SimTime::from_millis(60), |w| w.resume(1));
+        w.run_until(SimTime::from_millis(20));
+        w.pause(1);
+        w.run_until(SimTime::from_millis(60));
+        w.resume(1);
         w.run_until(SimTime::from_millis(100));
         let received = &w.host(1).received;
         // Pings sent while paused should be delivered exactly at resume time.
@@ -576,7 +557,8 @@ mod tests {
     #[test]
     fn pause_buffer_is_bounded() {
         let mut w = make_world(NetParams::clean(Duration::from_millis(1)));
-        w.schedule_control(SimTime::from_millis(1), |w| w.pause(1));
+        w.run_until(SimTime::from_millis(1));
+        w.pause(1);
         // 10ms interval pings for 100 simulated seconds = ~10_000 messages.
         w.run_until(SimTime::from_secs(100));
         assert!(w.counters().dropped_paused > 0, "cap should have engaged");
@@ -591,29 +573,6 @@ mod tests {
             .filter(|(t, _)| *t == SimTime::from_secs(100))
             .count();
         assert_eq!(replayed, PAUSE_BUFFER_CAP);
-    }
-
-    #[test]
-    fn control_events_fire_in_order() {
-        let mut w = make_world(NetParams::clean(Duration::from_millis(10)));
-        // Interleave controls scheduled out of order.
-        w.schedule_control(SimTime::from_millis(30), |w| {
-            let now = w.now();
-            w.host_mut(0).received.push((now, "ctl-b".into()));
-        });
-        w.schedule_control(SimTime::from_millis(10), |w| {
-            let now = w.now();
-            w.host_mut(0).received.push((now, "ctl-a".into()));
-        });
-        w.run_until(SimTime::from_millis(50));
-        let tags: Vec<&str> = w
-            .host(0)
-            .received
-            .iter()
-            .filter(|(_, m)| m.starts_with("ctl"))
-            .map(|(_, m)| m.as_str())
-            .collect();
-        assert_eq!(tags, vec!["ctl-a", "ctl-b"]);
     }
 
     #[test]
@@ -679,10 +638,12 @@ mod tests {
         assert_ne!(run(42).2, run(43).2);
     }
 
-    /// Toy host for the queue and control tests: never sends, wakes once at
-    /// `wake`, and logs what it saw into the `log` it shares with the test.
+    /// Toy host for the queue tests: logs what it saw into the `log` it
+    /// shares with the test, and wakes once at `wake`, sending `burst.1`
+    /// messages to host `burst.0`.
     struct Sink {
         wake: Option<SimTime>,
+        burst: (NodeId, u32),
         log: Log,
     }
 
@@ -700,6 +661,10 @@ mod tests {
             self.log
                 .borrow_mut()
                 .push((ctx.now, format!("wake{}", ctx.node)));
+            let (to, n) = self.burst;
+            for msg in 0..n {
+                ctx.send(to, Channel::Udp, msg);
+            }
         }
 
         fn next_wake(&self) -> Option<SimTime> {
@@ -707,7 +672,8 @@ mod tests {
         }
     }
 
-    /// A world of `Sink`s with these first wake-ups, and their shared log.
+    /// A world of silent `Sink`s with these first wake-ups over 5 ms links,
+    /// and their shared log.
     fn sinks(wakes: &[Option<SimTime>]) -> (World<Sink>, Log) {
         let n = wakes.len();
         let topo = Topology::uniform_constant(n, NetParams::clean(Duration::from_millis(10)));
@@ -719,6 +685,7 @@ mod tests {
             .iter()
             .map(|&wake| Sink {
                 wake,
+                burst: (0, 0),
                 log: log.clone(),
             })
             .collect();
@@ -748,73 +715,72 @@ mod tests {
         // reschedules it unchanged. The single-heap kernel kept one dead
         // wake per delivery queued until that hour came.
         let (mut w, log) = sinks(&[None, Some(SimTime::from_secs(3600))]);
-        for i in 0..10_000u32 {
-            w.inject(0, 1, i);
-            if i % 4 == 3 {
-                // Four in flight at most.
-                assert_eq!(w.queue_footprint(), (4, 4, 1));
-                w.run_until(SimTime::from_micros(u64::from(i)));
-            }
+        w.host_mut(0).burst = (1, 4);
+        for round in 0..2_500 {
+            // Four every 10 ms over a 5 ms link: four in flight at most.
+            move_wake(&mut w, 0, 10 * round);
+            w.run_until(SimTime::from_millis(10 * round));
+            assert_eq!(w.queue_footprint(), (4, 4, 1));
         }
-        assert_eq!(log.borrow().len(), 10_000);
+        w.run_until(SimTime::from_secs(25));
         assert_eq!(w.counters().delivered, 10_000);
         assert_eq!(w.queue_footprint(), (0, 4, 1));
         w.run_until(SimTime::from_secs(3600));
+        assert_eq!(log.borrow().len(), 10_000 + 2_500 + 1);
         assert_eq!(log.borrow().last().unwrap().1, "wake1");
         assert_eq!(w.queue_footprint(), (0, 4, 0));
     }
 
     #[test]
     fn only_dispatched_wake_ups_are_counted() {
-        // Every delivery reschedules host 1's wake-up and the pause drops
-        // host 0's: neither counts until it is dispatched.
+        // Host 2 sends host 1 five messages at 0 ms. Every delivery
+        // reschedules host 1's wake-up and the pause drops host 0's:
+        // neither counts until it is dispatched.
         let (mut w, _) = sinks(&[
             Some(SimTime::from_millis(10)),
             Some(SimTime::from_millis(20)),
+            Some(SimTime::ZERO),
         ]);
+        w.host_mut(2).burst = (1, 5);
         w.pause(0);
-        for i in 0..5 {
-            w.inject(0, 1, i);
-        }
         w.run_until(SimTime::from_millis(15));
-        assert_eq!((w.counters().wakes, w.counters().delivered), (0, 5));
+        assert_eq!((w.counters().wakes, w.counters().delivered), (1, 5));
         w.run_until(SimTime::from_millis(30));
-        assert_eq!(w.counters().wakes, 1);
+        assert_eq!(w.counters().wakes, 2);
         w.resume(0);
         w.run_until(SimTime::from_millis(40));
-        assert_eq!(w.counters().wakes, 2);
+        assert_eq!(w.counters().wakes, 3);
     }
 
     #[test]
     fn slab_slots_are_reused_up_to_the_peak_of_pending_events() {
-        let (mut w, log) = sinks(&[None]);
+        let (mut w, _) = sinks(&[None, None]);
         for (round, burst) in [3u32, 7, 5, 7, 1].into_iter().enumerate() {
-            for i in 0..burst {
-                w.inject(0, 0, i);
-            }
-            // One control per round too: it owns its closure in the slab
-            // and leaves nothing behind once it has run.
-            w.schedule_control(w.now(), |w| note(w, "ctl"));
+            let at = 10 * round as u64;
+            w.host_mut(0).burst = (1, burst);
+            move_wake(&mut w, 0, at);
+            w.run_until(SimTime::from_millis(at));
             let (heap, slab, _) = w.queue_footprint();
-            assert_eq!(heap, burst as usize + 1);
-            assert_eq!(slab, if round == 0 { 4 } else { 8 }, "round {round}");
-            w.run_until(SimTime::from_millis(round as u64 + 1));
+            assert_eq!(heap, burst as usize);
+            assert_eq!(slab, if round == 0 { 3 } else { 7 }, "round {round}");
+            w.run_until(SimTime::from_millis(at + 5));
             assert_eq!(w.queue_footprint(), (0, slab, 0));
         }
-        assert_eq!(log.borrow().len(), 3 + 7 + 5 + 7 + 1 + 5);
+        assert_eq!(w.counters().delivered, 3 + 7 + 5 + 7 + 1);
     }
 
     #[test]
     fn step_returns_false_once_nothing_is_pending() {
         let (mut w, log) = sinks(&[None, None]);
-        assert!(!w.step(), "no wake-up, empty heap");
+        let step = |w: &mut World<Sink>| w.step_within(SimTime::MAX);
+        assert!(!step(&mut w), "no wake-up, empty heap");
         assert_eq!(w.now(), SimTime::ZERO);
-        w.inject(0, 1, 7);
+        w.host_mut(0).burst = (1, 1);
         move_wake(&mut w, 0, 2);
-        assert!(w.step() && w.step());
-        assert!(!w.step());
-        assert_eq!(w.now(), SimTime::from_millis(2), "the clock stays put");
-        assert_eq!(tags(&log), [(0, "msg7".into()), (2, "wake0".into())]);
+        assert!(step(&mut w) && step(&mut w));
+        assert!(!step(&mut w));
+        assert_eq!(w.now(), SimTime::from_millis(7), "the clock stays put");
+        assert_eq!(tags(&log), [(2, "wake0".into()), (7, "msg0".into())]);
     }
 
     #[test]
@@ -837,87 +803,49 @@ mod tests {
         assert_eq!(tags(&log), [(50, "wake0".into())]);
     }
 
-    #[test]
-    fn same_instant_controls_run_in_scheduling_order() {
-        let (mut w, log) = sinks(&[None]);
-        let at = SimTime::from_millis(5);
-        w.schedule_control(at, |w| note(w, "first"));
-        w.schedule_control(SimTime::from_millis(9), |w| note(w, "later"));
-        w.schedule_control(at, |w| note(w, "second"));
-        w.inject(0, 0, 1);
-        w.schedule_control(at, |w| note(w, "third"));
-        w.run_until(SimTime::from_millis(10));
-        let order: Vec<String> = tags(&log).into_iter().map(|(_, tag)| tag).collect();
-        assert_eq!(order, ["msg1", "first", "second", "third", "later"]);
-    }
-
-    #[test]
-    fn a_control_can_schedule_further_controls() {
-        let (mut w, log) = sinks(&[None]);
-        let at = SimTime::from_millis(5);
-        w.schedule_control(at, move |w| {
-            note(w, "parent");
-            // At its own instant: behind what was already scheduled there.
-            // The parent's slab slot is free by now and is reused.
-            w.schedule_control(at, |w| {
-                note(w, "child");
-                w.schedule_control(w.now(), |w| note(w, "grandchild"));
-            });
-            w.schedule_control(SimTime::from_millis(8), |w| note(w, "child-later"));
-        });
-        w.schedule_control(at, |w| note(w, "sibling"));
-        w.run_until(SimTime::from_millis(10));
-        assert_eq!(
-            tags(&log),
-            [
-                (5, "parent".into()),
-                (5, "sibling".into()),
-                (5, "child".into()),
-                (5, "grandchild".into()),
-                (8, "child-later".into()),
-            ]
-        );
-        assert_eq!(w.queue_footprint(), (0, 3, 0));
-    }
-
+    /// Between `run_until` slices the driver pauses, resumes and moves the
+    /// wake-up of the host whose wake-up is the earliest, the way
+    /// `ClusterSim` injects its faults.
     #[test]
     fn a_control_may_pause_resume_or_reschedule_the_host_with_the_earliest_wake() {
         let at = SimTime::from_millis;
-        // Host 0 holds the minimum wake-up (10 ms) throughout.
-        let (mut w, log) = sinks(&[Some(at(10)), Some(at(40)), Some(at(45))]);
+        // Host 0 holds the minimum wake-up (10 ms) throughout. Host 3 wakes
+        // at 25 ms and sends host 0 a message that lands at 30 ms.
+        let (mut w, log) = sinks(&[Some(at(10)), Some(at(40)), Some(at(45)), Some(at(25))]);
+        w.host_mut(3).burst = (0, 1);
         // Pause it before the wake-up is due, resume it after: it fires at
-        // the resume instant, behind the control that resumed it.
-        w.schedule_control(at(5), |w| w.pause(0));
-        w.schedule_control(at(20), |w| {
-            w.resume(0);
-            note(w, "resumed");
-        });
+        // the resume instant, after the call that resumed it.
+        w.run_until(at(5));
+        w.pause(0);
+        w.run_until(at(20));
+        w.resume(0);
+        note(&mut w, "resumed");
+        w.run_until(at(21));
+        move_wake(&mut w, 0, 30);
         // Pause and resume within one instant: the wake-up survives with a
-        // fresh sequence number, so it sorts behind this instant's message.
-        w.schedule_control(at(21), |w| move_wake(w, 0, 30));
-        w.schedule_control(at(30), |w| {
-            w.inject(1, 0, 30);
-            w.pause(0);
-            w.resume(0);
-        });
+        // fresh sequence number, so it now sorts behind the message due at
+        // its instant, which was sent (at 25 ms) before the resume.
+        w.run_until(at(29));
+        w.pause(0);
+        w.resume(0);
         // Set it, move it later, then earlier: only the last one fires.
-        // Then into the past: it fires at once, behind the control.
-        w.schedule_control(at(31), |w| move_wake(w, 0, 35));
-        w.schedule_control(at(32), |w| {
-            move_wake(w, 0, 38);
-            move_wake(w, 0, 33);
-        });
-        w.schedule_control(at(34), |w| {
-            move_wake(w, 0, 1);
-            note(w, "moved-to-the-past");
-        });
+        // Then into the past: it fires at once, after the call.
+        w.run_until(at(31));
+        move_wake(&mut w, 0, 35);
+        w.run_until(at(32));
+        move_wake(&mut w, 0, 38);
+        move_wake(&mut w, 0, 33);
+        w.run_until(at(34));
+        move_wake(&mut w, 0, 1);
+        note(&mut w, "moved-to-the-past");
         w.run_until(at(50));
         assert_eq!(
             tags(&log),
             [
                 (20, "resumed".into()),
                 (20, "wake0".into()),
-                (30, "msg30".into()),
+                (25, "wake3".into()),
+                (30, "msg0".into()),
                 (30, "wake0".into()),
                 (33, "wake0".into()),
                 (34, "moved-to-the-past".into()),

@@ -2,12 +2,13 @@
 //! [`reference`] kernel it replaced.
 //!
 //! Both kernels host the same scripted hosts on equally seeded fabrics and
-//! take the same controls; the full dispatch trace and the fabric counters
-//! must agree. The scenarios sit on an integer-millisecond grid (zero-jitter
-//! links, whole-millisecond delays, wake-ups and controls), so messages land
-//! on the very nanosecond of a wake-up, a control or a resume, and only the
-//! sequence numbers decide the order — the ties every `REPORT_PINS` hash
-//! depends on. `the_scenarios_cross_every_tie` checks that they really occur.
+//! take the same calls between `run_until` slices; the full dispatch trace
+//! and the fabric counters must agree. The scenarios sit on an
+//! integer-millisecond grid (zero-jitter links, whole-millisecond delays,
+//! wake-ups and slice ends), so messages land on the very nanosecond of a
+//! wake-up or a resume, and only the sequence numbers decide the order —
+//! the ties every `REPORT_PINS` hash depends on.
+//! `the_scenarios_cross_every_tie` checks that they really occur.
 
 use super::{reference, Host, HostCtx, NetCounters, World};
 use crate::congestion::CongestionConfig;
@@ -150,17 +151,9 @@ enum Ctl {
     /// `host_mut` + `reschedule_wake`; with [`WakeMove::Keep`] a bare
     /// reschedule, which still takes a fresh sequence number.
     SetWake(NodeId, WakeMove),
-    Inject {
-        from: NodeId,
-        to: NodeId,
-        payload: u32,
-    },
     Partition(Vec<NodeId>),
     Exempt(NodeId),
     Heal,
-    /// Schedule a further control this many milliseconds later (0: at the
-    /// same instant, behind everything already scheduled there).
-    Then(u64, Box<Ctl>),
 }
 
 impl Ctl {
@@ -172,29 +165,22 @@ impl Ctl {
             | Ctl::ClearBuffer(node)
             | Ctl::SetWake(node, _)
             | Ctl::Exempt(node) => *node %= n,
-            Ctl::Inject { from, to, .. } => {
-                *from %= n;
-                *to %= n;
-            }
             Ctl::Partition(group) => group.iter_mut().for_each(|node| *node %= n),
             Ctl::Heal => {}
-            Ctl::Then(_, next) => next.fold(n),
         }
     }
 }
 
 /// The surface of a kernel the scenarios drive; both worlds spell it the same.
-trait Kernel: Sized + 'static {
+trait Kernel {
     fn build(hosts: Vec<Scripted>, net: Network) -> Self;
     fn now(&self) -> SimTime;
     fn counters(&self) -> NetCounters;
     fn host_mut(&mut self, node: NodeId) -> &mut Scripted;
-    fn schedule_control(&mut self, at: SimTime, f: Box<dyn FnOnce(&mut Self)>);
     fn reschedule_wake(&mut self, node: NodeId);
     fn pause(&mut self, node: NodeId);
     fn resume(&mut self, node: NodeId);
     fn clear_pause_buffer(&mut self, node: NodeId);
-    fn inject(&mut self, from: NodeId, to: NodeId, payload: u32);
     fn partition(&mut self, group: &[NodeId]);
     fn exempt_from_partition(&mut self, node: NodeId);
     fn heal_partition(&mut self);
@@ -216,9 +202,6 @@ macro_rules! impl_kernel {
             fn host_mut(&mut self, node: NodeId) -> &mut Scripted {
                 <$world>::host_mut(self, node)
             }
-            fn schedule_control(&mut self, at: SimTime, f: Box<dyn FnOnce(&mut Self)>) {
-                <$world>::schedule_control(self, at, f);
-            }
             fn reschedule_wake(&mut self, node: NodeId) {
                 <$world>::reschedule_wake(self, node);
             }
@@ -230,9 +213,6 @@ macro_rules! impl_kernel {
             }
             fn clear_pause_buffer(&mut self, node: NodeId) {
                 <$world>::clear_pause_buffer(self, node);
-            }
-            fn inject(&mut self, from: NodeId, to: NodeId, payload: u32) {
-                <$world>::inject(self, from, to, payload);
             }
             fn partition(&mut self, group: &[NodeId]) {
                 <$world>::partition(self, group);
@@ -266,14 +246,9 @@ fn apply<K: Kernel>(k: &mut K, trace: &Trace, ctl: Ctl) {
             mv.apply(now, &mut k.host_mut(node).wake);
             k.reschedule_wake(node);
         }
-        Ctl::Inject { from, to, payload } => k.inject(from, to, payload),
         Ctl::Partition(group) => k.partition(&group),
         Ctl::Exempt(node) => k.exempt_from_partition(node),
         Ctl::Heal => k.heal_partition(),
-        Ctl::Then(delay, next) => {
-            let trace = trace.clone();
-            k.schedule_control(now + ms(delay), Box::new(move |k| apply(k, &trace, *next)));
-        }
     }
 }
 
@@ -290,10 +265,9 @@ struct Scenario {
     /// of hosts.
     first_wakes: Vec<Option<u64>>,
     scripts: Vec<Vec<Act>>,
-    /// Controls scheduled before the run starts, at these milliseconds.
-    controls: Vec<(u64, Ctl)>,
-    /// `run_until` this many milliseconds further, then apply the control
-    /// from outside any event, the way `ClusterSim` drives its world.
+    /// `run_until` each of these milliseconds in turn, then apply the
+    /// control from outside any event, the way `ClusterSim` drives its
+    /// world. Sorted by time; several may share a millisecond.
     slices: Vec<(u64, Ctl)>,
 }
 
@@ -325,21 +299,12 @@ fn run<K: Kernel>(s: &Scenario) -> (Vec<Seen>, NetCounters) {
         }))
     });
     let mut k = K::build(hosts, net);
-    for (at, ctl) in s.controls.clone() {
-        let trace = trace.clone();
-        k.schedule_control(
-            SimTime::from_millis(at),
-            Box::new(move |k| apply(k, &trace, ctl)),
-        );
-    }
-    let mut deadline = SimTime::ZERO;
-    for (run_for, ctl) in s.slices.clone() {
-        deadline += ms(run_for);
-        k.run_until(deadline);
+    for (at, ctl) in s.slices.clone() {
+        k.run_until(SimTime::from_millis(at));
         apply(&mut k, &trace, ctl);
     }
     // Flush: TCP retransmissions land up to 8 × 200 ms late.
-    k.run_until(deadline + Duration::from_secs(3600));
+    k.run_until(SimTime::from_secs(3600));
     let seen = trace.borrow().clone();
     (seen, k.counters())
 }
@@ -363,26 +328,15 @@ fn act() -> impl Strategy<Value = Act> {
     (vec((hop, channel), 0..=3), wake_move()).prop_map(|(sends, wake)| Act { sends, wake })
 }
 
-fn flat_ctl() -> impl Strategy<Value = Ctl> {
+fn ctl() -> impl Strategy<Value = Ctl> {
     prop_oneof![
         3 => node().prop_map(Ctl::Pause),
         4 => node().prop_map(Ctl::Resume),
         1 => node().prop_map(Ctl::ClearBuffer),
         5 => (node(), wake_move()).prop_map(|(node, mv)| Ctl::SetWake(node, mv)),
-        3 => (node(), node(), 0u32..1000)
-            .prop_map(|(from, to, k)| Ctl::Inject { from, to, payload: 0xFFFF_0000 | k }),
         1 => vec(node(), 1..3).prop_map(Ctl::Partition),
         1 => node().prop_map(Ctl::Exempt),
         1 => Just(Ctl::Heal),
-    ]
-}
-
-fn ctl() -> impl Strategy<Value = Ctl> {
-    let then = |inner| (0u64..=3, inner).prop_map(|(delay, c)| Ctl::Then(delay, Box::new(c)));
-    prop_oneof![
-        6 => flat_ctl(),
-        2 => then(flat_ctl().boxed()),
-        1 => then(then(flat_ctl().boxed()).boxed()),
     ]
 }
 
@@ -396,20 +350,20 @@ fn scenario() -> impl Strategy<Value = Scenario> {
         ),
         vec(first_wake, 2..=MAX_HOSTS),
         vec(vec(act(), 0..60), MAX_HOSTS),
-        vec((0u64..40, ctl()), 0..25),
+        vec((0u64..40, ctl()), 1..25),
         // Outages: pause, then resume beside a further control.
         vec((node(), 0u64..30, 1u64..=8, ctl()), 0..4),
-        vec((1u64..15, ctl()), 1..6),
     )
         .prop_map(
-            |((seed, delays, noise), first_wakes, scripts, mut controls, outages, mut slices)| {
+            |((seed, delays, noise), first_wakes, scripts, mut slices, outages)| {
                 let n = first_wakes.len();
                 for (node, start, length, company) in outages {
-                    controls.push((start, Ctl::Pause(node)));
-                    controls.push((start + length, Ctl::Resume(node)));
-                    controls.push((start + length, company));
+                    slices.push((start, Ctl::Pause(node)));
+                    slices.push((start + length, Ctl::Resume(node)));
+                    slices.push((start + length, company));
                 }
-                for (_, ctl) in controls.iter_mut().chain(&mut slices) {
+                slices.sort_by_key(|&(at, _)| at);
+                for (_, ctl) in &mut slices {
                     ctl.fold(n);
                 }
                 Scenario {
@@ -418,7 +372,6 @@ fn scenario() -> impl Strategy<Value = Scenario> {
                     noisy: noise == 0,
                     first_wakes,
                     scripts,
-                    controls,
                     slices,
                 }
             },
@@ -426,8 +379,9 @@ fn scenario() -> impl Strategy<Value = Scenario> {
 }
 
 proptest! {
-    /// Same hosts, same fabric seed, same controls: the live kernel and the
-    /// single-heap reference produce the same trace and the same counters.
+    /// Same hosts, same fabric seed, same calls between slices: the live
+    /// kernel and the single-heap reference produce the same trace and the
+    /// same counters.
     #[test]
     fn prop_dispatch_order_matches_the_single_heap_reference(s in scenario()) {
         let (seen, counters) = run::<World<Scripted>>(&s);
@@ -458,7 +412,6 @@ struct Coverage {
     replay_of_several_buffered: u32,
     resume_beside_a_control_and_a_message: u32,
     control_moved_a_wake_to_now: u32,
-    control_scheduled_at_its_own_instant: u32,
     counters: NetCounters,
 }
 
@@ -506,24 +459,20 @@ impl Coverage {
                     .filter(|s| matches!(s.what, What::Dispatch { node, from, .. } if node == host && from.is_some() == message))
                     .count()
             };
-            let control = |wanted: Option<&Ctl>| {
-                same_instant.clone().any(|s| match &s.what {
-                    What::Control(c) => wanted.is_none_or(|w| w == c),
-                    What::Dispatch { .. } => false,
-                })
+            let control = || {
+                same_instant
+                    .clone()
+                    .any(|s| matches!(s.what, What::Control(_)))
             };
             match ctl {
                 Ctl::Resume(node) => {
                     let replayed = dispatches_to(*node, true);
                     self.replay_of_several_buffered += u32::from(replayed >= 2);
                     self.resume_beside_a_control_and_a_message +=
-                        u32::from(replayed >= 1 && control(None));
+                        u32::from(replayed >= 1 && control());
                 }
                 Ctl::SetWake(node, WakeMove::Ago(_) | WakeMove::In(0)) => {
                     self.control_moved_a_wake_to_now += u32::from(dispatches_to(*node, false) > 0);
-                }
-                Ctl::Then(0, next) => {
-                    self.control_scheduled_at_its_own_instant += u32::from(control(Some(next)));
                 }
                 _ => {}
             }
@@ -574,10 +523,6 @@ fn the_scenarios_cross_every_tie() {
         (
             "control that moved a wake-up to now",
             cover.control_moved_a_wake_to_now,
-        ),
-        (
-            "control that scheduled a control at its own instant",
-            cover.control_scheduled_at_its_own_instant,
         ),
         ("UDP duplicate", count(cover.counters.duplicated)),
         ("UDP loss", count(cover.counters.dropped_loss)),

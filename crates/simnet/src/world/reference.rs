@@ -1,8 +1,9 @@
 //! The kernel as it was before wake-ups and messages left the heap: one
 //! `BinaryHeap` of whole events, a fresh `Wake` pushed at every reschedule,
 //! superseded ones discarded by generation when popped. Kept verbatim (minus
-//! the accessors nothing here reads) as the reference the property test in
-//! `equivalence.rs` holds the live [`super::World`] to.
+//! the accessors nothing here reads, and the control events the live kernel
+//! dropped too) as the reference the property test in `equivalence.rs`
+//! holds the live [`super::World`] to.
 
 use super::{Host, HostCtx, NetCounters, PARTITION_BRIDGE, PAUSE_BUFFER_CAP};
 use crate::link::{Channel, Network, NodeId, SendOutcome};
@@ -13,7 +14,6 @@ use std::collections::{BinaryHeap, VecDeque};
 enum Event<M> {
     Deliver { from: NodeId, to: NodeId, msg: M },
     Wake { node: NodeId, generation: u64 },
-    Control { id: usize },
 }
 
 struct Scheduled<M> {
@@ -47,8 +47,6 @@ struct HostSlot<H: Host> {
     pause_buffer: VecDeque<(NodeId, H::Msg)>,
 }
 
-type ControlFn<H> = Box<dyn FnOnce(&mut World<H>)>;
-
 /// The simulation world: hosts + network + event queue.
 pub struct World<H: Host> {
     now: SimTime,
@@ -57,7 +55,6 @@ pub struct World<H: Host> {
     hosts: Vec<HostSlot<H>>,
     net: Network,
     counters: NetCounters,
-    controls: Vec<Option<ControlFn<H>>>,
     outbox_scratch: Vec<(NodeId, Channel, H::Msg)>,
     /// Partition group per node; messages only flow within a group.
     partition: Vec<u32>,
@@ -84,7 +81,6 @@ impl<H: Host> World<H> {
                 .collect(),
             net,
             counters: NetCounters::default(),
-            controls: Vec::new(),
             outbox_scratch: Vec::new(),
             partition: vec![0; n],
         };
@@ -117,14 +113,6 @@ impl<H: Host> World<H> {
         let seq = self.seq;
         self.seq += 1;
         self.queue.push(Reverse(Scheduled { at, seq, event }));
-    }
-
-    /// Schedule a control action (failure injection, parameter change,
-    /// measurements) at an absolute time.
-    pub fn schedule_control(&mut self, at: SimTime, f: impl FnOnce(&mut World<H>) + 'static) {
-        let id = self.controls.len();
-        self.controls.push(Some(Box::new(f)));
-        self.push(at, Event::Control { id });
     }
 
     /// Refresh the pending wake-up for `node` from its `next_wake`.
@@ -169,12 +157,6 @@ impl<H: Host> World<H> {
     /// rather than a sleep).
     pub fn clear_pause_buffer(&mut self, node: NodeId) {
         self.hosts[node].pause_buffer.clear();
-    }
-
-    /// Inject a message from the outside world (e.g. an un-modelled client)
-    /// for delivery at the current instant.
-    pub fn inject(&mut self, from: NodeId, to: NodeId, msg: H::Msg) {
-        self.push(self.now, Event::Deliver { from, to, msg });
     }
 
     /// Partition the network: nodes in `group` can only talk to each other,
@@ -258,7 +240,7 @@ impl<H: Host> World<H> {
     }
 
     /// Process a single event. Returns false when the queue is exhausted.
-    pub fn step(&mut self) -> bool {
+    fn step(&mut self) -> bool {
         let Some(Reverse(scheduled)) = self.queue.pop() else {
             return false;
         };
@@ -285,17 +267,13 @@ impl<H: Host> World<H> {
                     self.dispatch_to_host(node, None);
                 }
             }
-            Event::Control { id } => {
-                if let Some(f) = self.controls[id].take() {
-                    f(self);
-                }
-            }
         }
         true
     }
 
-    /// Run until the queue is empty or simulated time reaches `deadline`.
-    /// On return, `now() == deadline` unless the queue emptied earlier.
+    /// Dispatch every event due at or before `deadline`, in order, then move
+    /// the clock to `deadline`: it gets there even when nothing is pending
+    /// (a deadline already past leaves the clock where it is).
     pub fn run_until(&mut self, deadline: SimTime) {
         while let Some(Reverse(head)) = self.queue.peek() {
             if head.at > deadline {
